@@ -7,8 +7,8 @@ package emlrtm
 //	go test -bench=. -benchmem
 //
 // to reproduce everything and record the wall cost of doing so. The
-// experiment benchmarks print their table/figure summary once (on the
-// first iteration) so a bench run doubles as a report.
+// experiment benchmarks log their table/figure summary under -v so a bench
+// run doubles as a report.
 
 import (
 	"sync"
@@ -24,42 +24,56 @@ import (
 
 var benchOpts = experiments.Options{Quick: true, Seed: 1}
 
-// printOnce logs a rendered artefact on the first iteration only.
-func printOnce(b *testing.B, i int, what string) {
-	if i == 0 && testing.Verbose() {
+// measure runs body once untimed, then b.N timed times. The untimed run
+// keeps first-use set-up (pools, scratch growth) out of the numbers, so
+// allocs/op at -benchtime 1x equal the steady state.
+func measure(b *testing.B, body func()) {
+	b.ReportAllocs()
+	body()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body()
+	}
+}
+
+// logArtefact logs a rendered artefact under -v.
+func logArtefact(b *testing.B, what string) {
+	if testing.Verbose() {
 		b.Log(what)
 	}
 }
 
 // BenchmarkTableI regenerates Table I (E1).
 func BenchmarkTableI(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res := experiments.Table1(perf.PaperAccuracies[3])
 		if res.MaxRelativeError() > 0.05 {
 			b.Fatal("calibration drifted")
 		}
-		printOnce(b, i, res.Table.String())
-	}
+		out = res.Table.String()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkFig1 regenerates the design-time mapping of Fig 1 (E2).
 func BenchmarkFig1(b *testing.B) {
-	b.ReportAllocs()
 	prof := perf.PaperReferenceProfile()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res := experiments.Fig1(prof)
 		if len(res.Cells) != 9 {
 			b.Fatal("wrong cell count")
 		}
-		printOnce(b, i, res.Table.String())
-	}
+		out = res.Table.String()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkFig2 runs the full Fig 2 runtime scenario (E3).
 func BenchmarkFig2(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res, err := experiments.Fig2(benchOpts)
 		if err != nil {
 			b.Fatal(err)
@@ -67,8 +81,9 @@ func BenchmarkFig2(b *testing.B) {
 		if !res.CoLocated() {
 			b.Fatal("scenario did not converge to NPU co-location")
 		}
-		printOnce(b, i, res.Timeline.String())
-	}
+		out = res.Timeline.String()
+	})
+	logArtefact(b, out)
 }
 
 // trainedOnce caches one quick training run: Fig 3/4(b) benchmarks measure
@@ -80,8 +95,8 @@ var trainedOnce = sync.OnceValues(func() (experiments.TrainResult, error) {
 // BenchmarkFig3Train runs incremental training end to end (E4). Each
 // iteration is a complete 4-step training on the quick-scale task.
 func BenchmarkFig3Train(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res, err := experiments.TrainDynamic(benchOpts)
 		if err != nil {
 			b.Fatal(err)
@@ -89,59 +104,59 @@ func BenchmarkFig3Train(b *testing.B) {
 		if !res.AccuracyMonotone() {
 			b.Log("warning: accuracy not monotone this run")
 		}
-		printOnce(b, i, res.Fig4b.String())
-	}
+		out = res.Fig4b.String()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkFig4b evaluates all four configurations of a trained model on
 // the validation set (E6) — the Fig 4(b) measurement itself.
 func BenchmarkFig4b(b *testing.B) {
-	b.ReportAllocs()
 	res, err := trainedOnce()
 	if err != nil {
 		b.Fatal(err)
 	}
 	ds := dataset.MustGenerate(benchOpts.Dataset())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		evals := res.Model.EvaluateAll(ds)
-		if len(evals) != res.Model.Levels() {
+	measure(b, func() {
+		if evals := res.Model.EvaluateAll(ds); len(evals) != res.Model.Levels() {
 			b.Fatal("missing evals")
 		}
-	}
+	})
 }
 
 // BenchmarkFig4a enumerates the 116-point E/t space (E5).
 func BenchmarkFig4a(b *testing.B) {
-	b.ReportAllocs()
 	prof := perf.PaperReferenceProfile()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res := experiments.Fig4a(prof)
 		if len(res.Points) != 116 {
 			b.Fatal("wrong point count")
 		}
-		printOnce(b, i, res.Figure.CSV())
-	}
+		out = res.Figure.CSV()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkFig4Budgets answers the Section IV worked examples (E7).
 func BenchmarkFig4Budgets(b *testing.B) {
-	b.ReportAllocs()
 	prof := perf.PaperReferenceProfile()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res := experiments.Fig4Budgets(prof)
 		if !res.Cases[0].Feasible || !res.Cases[1].Feasible {
 			b.Fatal("worked examples infeasible")
 		}
-		printOnce(b, i, res.Table.String())
-	}
+		out = res.Table.String()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkFig5Loop runs the closed-loop disturbance comparison (E8).
 func BenchmarkFig5Loop(b *testing.B) {
-	b.ReportAllocs()
 	prof := perf.PaperReferenceProfile()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res, err := experiments.Fig5(prof, benchOpts)
 		if err != nil {
 			b.Fatal(err)
@@ -149,67 +164,66 @@ func BenchmarkFig5Loop(b *testing.B) {
 		if experiments.BadFraction(res.Managed) >= experiments.BadFraction(res.Baseline) {
 			b.Fatal("manager lost to governor")
 		}
-		printOnce(b, i, res.Table.String())
-	}
+		out = res.Table.String()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkAblationKnobs measures the knob-combination ranges (A1).
 func BenchmarkAblationKnobs(b *testing.B) {
-	b.ReportAllocs()
 	prof := perf.PaperReferenceProfile()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res := experiments.AblationKnobs(prof)
 		if len(res.Sets) != 5 {
 			b.Fatal("wrong set count")
 		}
-		printOnce(b, i, res.Table.String())
-	}
+		out = res.Table.String()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkAblationSwitching compares storage/switch costs (A2).
 func BenchmarkAblationSwitching(b *testing.B) {
-	b.ReportAllocs()
 	prof := perf.PaperReferenceProfile()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res := experiments.AblationSwitching(prof)
 		if res.StaticSetBytes <= res.DynamicBytes {
 			b.Fatal("baseline accounting broken")
 		}
-		printOnce(b, i, res.Table.String())
-	}
+		out = res.Table.String()
+	})
+	logArtefact(b, out)
 }
 
 // BenchmarkAblationNoRTM compares RTM against a governor on Fig 2 (A3).
 func BenchmarkAblationNoRTM(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	var out string
+	measure(b, func() {
 		res, err := experiments.AblationNoRTM(benchOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		printOnce(b, i, res.Table.String())
-	}
+		out = res.Table.String()
+	})
+	logArtefact(b, out)
 }
 
 // ---- Substrate micro-benchmarks ----
 
 // BenchmarkMatMul measures the GEMM kernel at a conv-typical shape.
 func BenchmarkMatMul(b *testing.B) {
-	b.ReportAllocs()
 	rng := tensor.NewRNG(1)
 	a := tensor.New(256, 108)
 	c := tensor.New(108, 64)
 	a.FillNormal(rng, 0, 1)
 	c.FillNormal(rng, 0, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tensor.MatMul(a, c)
-	}
+	measure(b, func() { _ = tensor.MatMul(a, c) })
 }
 
 // BenchmarkIm2Col measures the convolution lowering.
 func BenchmarkIm2Col(b *testing.B) {
-	b.ReportAllocs()
 	rng := tensor.NewRNG(2)
 	g := tensor.ConvGeom{InC: 16, InH: 32, InW: 32, Kernel: 3, Stride: 1, Pad: 1}
 	img := make([]float32, g.InC*g.InH*g.InW)
@@ -217,17 +231,13 @@ func BenchmarkIm2Col(b *testing.B) {
 		img[i] = float32(rng.NormFloat64())
 	}
 	cols := tensor.New(g.OutH()*g.OutW(), g.InC*g.Kernel*g.Kernel)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Im2Col(img, g, cols)
-	}
+	measure(b, func() { tensor.Im2Col(img, g, cols) })
 }
 
 // BenchmarkInferenceByLevel measures one forward pass of the dynamic DNN
 // at each configuration level — the compute-scaling the perf model relies
 // on.
 func BenchmarkInferenceByLevel(b *testing.B) {
-	b.ReportAllocs()
 	m := dyndnn.MustNew(dyndnn.QuickConfig())
 	cfg := dataset.QuickConfig()
 	cfg.TrainN, cfg.ValN = 10, 10
@@ -236,19 +246,14 @@ func BenchmarkInferenceByLevel(b *testing.B) {
 	for level := 1; level <= m.Levels(); level++ {
 		level := level
 		b.Run(m.LevelName(level), func(b *testing.B) {
-			b.ReportAllocs()
 			m.SetLevel(level)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = m.Forward(x)
-			}
+			measure(b, func() { _ = m.Forward(x) })
 		})
 	}
 }
 
 // BenchmarkTrainingStep measures one SGD mini-batch step at full width.
 func BenchmarkTrainingStep(b *testing.B) {
-	b.ReportAllocs()
 	m := dyndnn.MustNew(dyndnn.QuickConfig())
 	cfg := dataset.QuickConfig()
 	cfg.TrainN, cfg.ValN = 64, 10
@@ -256,24 +261,20 @@ func BenchmarkTrainingStep(b *testing.B) {
 	x := ds.TrainX.Slice4D(0, 32)
 	y := ds.TrainY[:32]
 	opt := nn.NewSGD(0.05, 0.9, 1e-4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	measure(b, func() {
 		logits := m.Net.Forward(x, true)
 		_, dl := nn.SoftmaxCrossEntropy(logits, y)
 		m.Net.Backward(dl)
 		opt.Step(m.Net.Params())
-	}
+	})
 }
 
 // BenchmarkSimScenarioSecond measures simulator throughput: one simulated
 // second of the Fig 2 workload per iteration (amortised).
 func BenchmarkSimScenarioSecond(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(benchOpts)
-		if err != nil {
+	measure(b, func() {
+		if _, err := experiments.Fig2(benchOpts); err != nil {
 			b.Fatal(err)
 		}
-		_ = res
-	}
+	})
 }

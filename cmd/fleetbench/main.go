@@ -9,7 +9,8 @@
 //     learned-policy training set generation), plus per-scenario wall-time
 //     p50/p95;
 //   - Go testing.Benchmark micro-benchmarks of each hot layer — engine-run
-//     (one uncontrolled simulated run), replan (view build + policy plan +
+//     (one uncontrolled simulated run), engine-run-managed (the same run
+//     under the heuristic manager, as every fleet run is), replan (view build + policy plan +
 //     actuation against a live engine, plan reuse disabled so the row keeps
 //     measuring a full plan), replan-elided (the fingerprint-stable fast
 //     path), plan-cache/hit (snapshot + canonical key + memo copy-out when
@@ -69,7 +70,6 @@ import (
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/sim"
-	"github.com/emlrtm/emlrtm/internal/workload"
 )
 
 // BenchNumbers is one micro-benchmark's cost triple.
@@ -253,6 +253,7 @@ func main() {
 	// ---- Hot-layer micro-benchmarks ----
 	cur.Benchmarks["engine-run"] = record("engine-run", benchEngineRun)
 	cur.Benchmarks["engine-new"] = record("engine-new", benchEngineNew)
+	cur.Benchmarks["engine-run-managed"] = record("engine-run-managed", benchEngineRunManaged)
 	cur.Benchmarks["replan"] = record("replan", benchReplan)
 	cur.Benchmarks["replan-elided"] = record("replan-elided", benchReplanElided)
 	cur.Benchmarks["plan-cache/hit"] = record("plan-cache/hit", benchPlanCacheHit)
@@ -413,22 +414,6 @@ func record(name string, fn func(b *testing.B)) BenchNumbers {
 	return n
 }
 
-func benchApps() []sim.App {
-	// The canonical mobile-vision profile the rtm/sim benchmarks model, so
-	// the trajectory file stays comparable if the profile is ever retuned.
-	prof := workload.MobileProfile()
-	return []sim.App{
-		{Name: "dnn1", Kind: sim.KindDNN, Profile: prof, Level: 4, PeriodS: 0.040,
-			ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "npu"}},
-		{Name: "dnn2", Kind: sim.KindDNN, Profile: prof, Level: 4, PeriodS: 1.0 / 60,
-			ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "cpu-big", Cores: 4}},
-		{Name: "dnn3", Kind: sim.KindDNN, Profile: prof, Level: 2, PeriodS: 0.100,
-			ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "cpu-lit", Cores: 2}},
-		{Name: "vr", Kind: sim.KindRender, Util: 0.6, Placement: sim.Placement{Cluster: "gpu"}},
-		{Name: "bg", Kind: sim.KindBackground, Util: 0.4, Placement: sim.Placement{Cluster: "cpu-lit", Cores: 1}},
-	}
-}
-
 // benchEngineRun measures the steady-state engine cost the fleet actually
 // pays: one uncontrolled 10-simulated-second run on a reused engine, Reset
 // in place between iterations exactly as each fleet worker does between
@@ -436,7 +421,7 @@ func benchApps() []sim.App {
 // number is the "engine allocs/run ≤ 10 steady-state" target the check
 // gate enforces.
 func benchEngineRun(b *testing.B) {
-	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: benchApps()}
+	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps()}
 	e, err := sim.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -461,9 +446,8 @@ func benchEngineRun(b *testing.B) {
 // alongside engine-run so the trajectory file shows what Engine.Reset
 // amortises away.
 func benchEngineNew(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e, err := sim.New(sim.Config{Platform: hw.FlagshipSoC(), Apps: benchApps()})
+	run := func() {
+		e, err := sim.New(sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -471,19 +455,59 @@ func benchEngineNew(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	run() // warm, like every row: a -benchtime 1x read must be the steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 }
 
-// benchManagedEngine builds the warmed-up manager + engine pair the replan
-// benchmarks share.
-func benchManagedEngine(b *testing.B) (*rtm.Manager, *sim.Engine) {
-	mgr := rtm.NewManager(map[string]rtm.Requirement{
+// benchEngineRunManaged measures what a fleet run costs the engine and
+// controller together: the engine-run workload under a fresh heuristic
+// manager per iteration, at the fleet's tick and with its event log, on a
+// reused engine — the cmd-level twin of internal/sim's
+// BenchmarkEngineRunManaged. Unlike engine-run it reaches the controller
+// callbacks, replans and the deadline-miss path.
+func benchEngineRunManaged(b *testing.B) {
+	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), TickS: fleet.TickS, LogEvents: true}
+	e, err := sim.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func() {
+		cfg.Controller = rtm.NewManager(benchReqs())
+		if err := e.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Run(10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// benchReqs are the manager requirements over sim.BenchApps' DNNs.
+func benchReqs() map[string]rtm.Requirement {
+	return map[string]rtm.Requirement{
 		"dnn1": {MinAccuracy: 0.70, Priority: 1},
 		"dnn2": {MinAccuracy: 0.70, Priority: 2},
 		"dnn3": {Priority: 1},
-	})
+	}
+}
+
+// benchManagedEngine builds the warmed-up manager + engine pair the replan
+// and policy-plan benchmarks share.
+func benchManagedEngine(b *testing.B) (*rtm.Manager, *sim.Engine) {
+	mgr := rtm.NewManager(benchReqs())
 	e, err := sim.New(sim.Config{
 		Platform:   hw.FlagshipSoC(),
-		Apps:       benchApps(),
+		Apps:       sim.BenchApps(),
 		Controller: mgr,
 		TickS:      fleet.TickS,
 	})
@@ -504,6 +528,7 @@ func benchManagedEngine(b *testing.B) (*rtm.Manager, *sim.Engine) {
 func benchReplan(b *testing.B) {
 	mgr, e := benchManagedEngine(b)
 	mgr.NoPlanReuse = true
+	mgr.Replan(e) // warm the manager's scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -554,24 +579,9 @@ func benchPolicyPlan(name string) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mgr := rtm.NewManager(map[string]rtm.Requirement{
-			"dnn1": {MinAccuracy: 0.70, Priority: 1},
-			"dnn2": {MinAccuracy: 0.70, Priority: 2},
-			"dnn3": {Priority: 1},
-		})
-		e, err := sim.New(sim.Config{
-			Platform:   hw.FlagshipSoC(),
-			Apps:       benchApps(),
-			Controller: mgr,
-			TickS:      fleet.TickS,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(2); err != nil {
-			b.Fatal(err)
-		}
+		mgr, _ := benchManagedEngine(b)
 		v := mgr.LastView()
+		p.Plan(v) // warm the scratch pool
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

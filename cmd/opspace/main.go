@@ -17,7 +17,6 @@ import (
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/pareto"
 	"github.com/emlrtm/emlrtm/internal/perf"
-	"github.com/emlrtm/emlrtm/internal/workload"
 )
 
 func main() {
@@ -36,7 +35,7 @@ func main() {
 	case "paper":
 		prof = perf.PaperReferenceProfile()
 	case "mobile":
-		prof = workload.MobileProfile()
+		prof = perf.MobileProfile()
 	default:
 		log.Fatalf("unknown profile %q", *profName)
 	}

@@ -66,7 +66,7 @@ func main() {
 	for _, ev := range rep.Events {
 		switch ev.Kind {
 		case sim.EvAppStart, sim.EvAppStop, sim.EvMigrated, sim.EvThermalAlarm:
-			fmt.Printf("  t=%6.2fs %-13s %-6s %s\n", ev.TimeS, ev.Kind, ev.App, ev.Note)
+			fmt.Printf("  t=%6.2fs %-13s %-6s %s\n", ev.TimeS, ev.Kind, ev.App, ev.Detail())
 		}
 	}
 	final, err := e.Cluster("npu")

@@ -283,7 +283,7 @@ func Fig2Scenario() Scenario { return workload.Fig2Scenario() }
 
 // MobileProfile returns the mobile-vision-class profile the Fig 2
 // scenario's DNNs use.
-func MobileProfile() ModelProfile { return workload.MobileProfile() }
+func MobileProfile() ModelProfile { return perf.MobileProfile() }
 
 // RunScenario executes a scripted scenario under a fresh manager and
 // returns the engine, manager and report.

@@ -35,7 +35,7 @@ func main() {
 	for _, ev := range report.Events {
 		switch ev.Kind.String() {
 		case "app-start", "migrated", "thermal-alarm":
-			fmt.Printf("  t=%6.2fs %-13s %-6s %s\n", ev.TimeS, ev.Kind, ev.App, ev.Note)
+			fmt.Printf("  t=%6.2fs %-13s %-6s %s\n", ev.TimeS, ev.Kind, ev.App, ev.Detail())
 		}
 	}
 

@@ -39,7 +39,7 @@ func Fig2(o Options) (Fig2Result, error) {
 	for _, ev := range rep.Events {
 		switch ev.Kind {
 		case sim.EvAppStart, sim.EvAppStop, sim.EvMigrated, sim.EvThermalAlarm:
-			res.Timeline.AddRow(fmt.Sprintf("%.2f", ev.TimeS), ev.Kind.String(), ev.App, ev.Note)
+			res.Timeline.AddRow(fmt.Sprintf("%.2f", ev.TimeS), ev.Kind.String(), ev.App, ev.Detail())
 			if ev.Kind == sim.EvThermalAlarm && res.AlarmAtS < 0 {
 				res.AlarmAtS = ev.TimeS
 			}

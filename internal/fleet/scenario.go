@@ -287,7 +287,7 @@ func newEnv(plat *hw.Platform) env {
 	// profile so the accelerator faces real trade-offs.
 	for _, cl := range plat.Clusters {
 		if cl.Type.IsAccelerator() && cl.RateMACsPerSecGHz*cl.MaxOPP().FreqGHz >= 100e6 {
-			e.prof = workload.MobileProfile()
+			e.prof = perf.MobileProfile()
 			e.modelBytes = 7 << 20
 			break
 		}

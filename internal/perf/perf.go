@@ -232,6 +232,16 @@ func UniformProfile(name string, fullMACs int64, fullMemBytes int64, accuracies,
 // published values rather than retraining.
 var PaperAccuracies = []float64{0.560, 0.627, 0.688, 0.712}
 
+// MobileProfile is a mobile-vision-class dynamic DNN: 7 MMACs and 7 MiB of
+// parameters at the 100% configuration, with the paper's Fig 4(b)
+// accuracies. It is deliberately heavier than the Table I calibration
+// workload so that the flagship SoC's GPU and CPU clusters — not just the
+// NPU — face real trade-offs, which is the premise of Fig 2.
+func MobileProfile() ModelProfile {
+	return UniformProfile("dnn-mobile", 7_000_000, 7<<20,
+		PaperAccuracies, []float64{0.61, 0.68, 0.74, 0.78})
+}
+
 // PaperReferenceProfile is the profile of the paper's dynamic DNN with
 // published accuracies and the calibration workload of Table I.
 func PaperReferenceProfile() ModelProfile {

@@ -1,6 +1,7 @@
 package rtm
 
 import (
+	"flag"
 	"fmt"
 	"testing"
 
@@ -9,32 +10,14 @@ import (
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
-// mobileProfile mirrors workload.MobileProfile (which cannot be imported
-// from an in-package rtm test without a cycle): the 7 MMAC mobile-vision
-// dynamic DNN the Fig 2 scenario runs.
-func mobileProfile() perf.ModelProfile {
-	return perf.UniformProfile("dnn-mobile", 7_000_000, 7<<20,
-		perf.PaperAccuracies, []float64{0.61, 0.68, 0.74, 0.78})
-}
-
 // benchView builds a realistic planning input: the flagship SoC hosting
-// three DNN streams, a render app and background load, captured after a
-// short warm-up so placements and thermal state are non-trivial. The
-// policy seam makes this possible without a live engine in the loop:
-// Plan(View) is a pure function, so the benchmark measures planner cost
-// alone — the number that bounds how often a real manager can replan.
+// sim.BenchApps (three DNN streams, a render app and background load),
+// captured after a short warm-up so placements and thermal state are
+// non-trivial. The policy seam makes this possible without a live engine
+// in the loop: Plan(View) is a pure function, so the benchmark measures
+// planner cost alone — the number that bounds how often a real manager
+// can replan.
 func benchView(tb testing.TB) View {
-	prof := mobileProfile()
-	apps := []sim.App{
-		{Name: "dnn1", Kind: sim.KindDNN, Profile: prof, Level: 4, PeriodS: 0.040,
-			ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "npu"}},
-		{Name: "dnn2", Kind: sim.KindDNN, Profile: prof, Level: 4, PeriodS: 1.0 / 60,
-			ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "cpu-big", Cores: 4}},
-		{Name: "dnn3", Kind: sim.KindDNN, Profile: prof, Level: 2, PeriodS: 0.100,
-			ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "cpu-lit", Cores: 2}},
-		{Name: "vr", Kind: sim.KindRender, Util: 0.6, Placement: sim.Placement{Cluster: "gpu"}},
-		{Name: "bg", Kind: sim.KindBackground, Util: 0.4, Placement: sim.Placement{Cluster: "cpu-lit", Cores: 1}},
-	}
 	mgr := NewManager(map[string]Requirement{
 		"dnn1": {MinAccuracy: 0.70, Priority: 1},
 		"dnn2": {MinAccuracy: 0.70, Priority: 2},
@@ -42,7 +25,7 @@ func benchView(tb testing.TB) View {
 	})
 	e, err := sim.New(sim.Config{
 		Platform:   hw.FlagshipSoC(),
-		Apps:       apps,
+		Apps:       sim.BenchApps(),
 		Controller: mgr,
 		TickS:      0.25,
 	})
@@ -53,6 +36,22 @@ func benchView(tb testing.TB) View {
 		tb.Fatal(err)
 	}
 	return mgr.buildView(e)
+}
+
+// benchPlan is the body of one BenchmarkPolicyPlan row: Plan over v,
+// warmed first so that -benchtime 1x reads the same allocs/op as a long
+// run (the first Plan fills the scratch pool).
+func benchPlan(p Policy, v View) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		p.Plan(v)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if plan := p.Plan(v); len(plan) != 3 {
+				b.Fatalf("plan covered %d DNNs, want 3", len(plan))
+			}
+		}
+	}
 }
 
 // BenchmarkPolicyPlan measures one full Plan over the benchView input for
@@ -67,15 +66,33 @@ func BenchmarkPolicyPlan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan := p.Plan(v)
-				if len(plan) != 3 {
-					b.Fatalf("plan covered %d DNNs, want 3", len(plan))
-				}
-			}
-		})
+		b.Run(name, benchPlan(p, v))
+	}
+}
+
+// TestPolicyPlanAllocsIndependentOfBenchtime pins the warm-up: the
+// heuristic plan's allocs/op at CI's -benchtime 1x must equal a long
+// run's, or the smoke numbers measure first-use set-up, not planning.
+func TestPolicyPlanAllocsIndependentOfBenchtime(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	p, err := NewPolicy("heuristic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := benchPlan(p, benchView(t))
+	bt := flag.Lookup("test.benchtime").Value
+	old := bt.String()
+	defer bt.Set(old)
+	allocsAt := func(benchtime string) int64 {
+		if err := bt.Set(benchtime); err != nil {
+			t.Fatal(err)
+		}
+		return testing.Benchmark(body).AllocsPerOp()
+	}
+	if one, long := allocsAt("1x"), allocsAt("500x"); one != long {
+		t.Fatalf("heuristic plan: %d allocs/op at -benchtime 1x, %d at 500x", one, long)
 	}
 }
 
@@ -88,6 +105,7 @@ func BenchmarkPolicyPlan(b *testing.B) {
 func BenchmarkReplan(b *testing.B) {
 	mgr, e := benchReplanSetup(b)
 	mgr.NoPlanReuse = true
+	mgr.Replan(e) // warm the manager's scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,11 +130,10 @@ func BenchmarkReplanElided(b *testing.B) {
 }
 
 func benchReplanSetup(b *testing.B) (*Manager, *sim.Engine) {
-	prof := mobileProfile()
 	mgr := NewManager(map[string]Requirement{"d": {MinAccuracy: 0.70, Priority: 1}})
 	e, err := sim.New(sim.Config{
 		Platform: hw.FlagshipSoC(),
-		Apps: []sim.App{{Name: "d", Kind: sim.KindDNN, Profile: prof, Level: 4,
+		Apps: []sim.App{{Name: "d", Kind: sim.KindDNN, Profile: perf.MobileProfile(), Level: 4,
 			PeriodS: 0.040, ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "npu"}}},
 		Controller: mgr,
 		TickS:      0.25,

@@ -259,7 +259,9 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 		m.Replan(e)
 	case sim.EvThermalAlarm:
 		m.pressure++
-		m.logf("rtm: t=%.2fs thermal alarm (%s), pressure=%d", ev.TimeS, ev.Note, m.pressure)
+		if m.Logf != nil {
+			m.logf("rtm: t=%.2fs thermal alarm (%s), pressure=%d", ev.TimeS, ev.Detail(), m.pressure)
+		}
 		m.Replan(e)
 	case sim.EvDeadlineMiss, sim.EvFrameDrop:
 		m.misses++

@@ -181,7 +181,7 @@ func (e *Engine) clusterInfoInto(cs *clusterState, info *ClusterInfo) {
 	}
 	info.PowerMW = cs.cachedPow
 	for _, a := range e.appList {
-		if a.started && !a.stopped && a.placed.Cluster == cs.c.Name {
+		if a.started && !a.stopped && a.placedCS == cs {
 			residents = append(residents, a.Name)
 			if !cs.c.Type.IsAccelerator() {
 				info.UsedCores += a.placed.Cores
@@ -322,7 +322,7 @@ func (e *Engine) SetOPP(cluster string, idx int) error {
 		return nil
 	}
 	cs.oppIdx = idx
-	e.stateVer++
+	e.touch(cs)
 	e.planEpoch++
 	e.oppSwitches++
 	e.refresh()
@@ -361,7 +361,7 @@ func (e *Engine) SetClusterOnline(cluster string, online bool) error {
 			}
 		}
 	}
-	e.stateVer++
+	e.touch(cs)
 	e.planEpoch++
 	e.emit(Event{TimeS: e.now, Kind: kind, Cluster: cluster})
 	e.refresh()
@@ -426,7 +426,7 @@ func (e *Engine) Migrate(app string, to Placement) error {
 			return fmt.Errorf("sim: model of %q does not fit %s memory", app, to.Cluster)
 		}
 	}
-	from := a.placed
+	fromCS := a.placedCS
 	a.placed = to
 	a.placedCS = e.clusters[to.Cluster]
 	if a.Kind == KindDNN {
@@ -435,12 +435,13 @@ func (e *Engine) Migrate(app string, to Placement) error {
 			e.maxBlockedUntil = a.blockedUntil
 		}
 	}
-	e.stateVer++
+	e.touch(fromCS)
+	e.touch(a.placedCS)
 	e.planEpoch++
 	e.migrations++
 	if e.logEvents {
 		e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvMigrated, App: app,
-			Note: fmt.Sprintf("%s -> %s/%d", from.Cluster, to.Cluster, to.Cores)})
+			Cluster: to.Cluster, FromCluster: fromCS.c.Name, Cores: to.Cores})
 	}
 	e.refresh()
 	return nil

@@ -8,51 +8,40 @@ import (
 )
 
 // This file is the white-box safety net under the dirty-tracked observable
-// caches: every cached value must equal a from-scratch recompute at every
-// controller tick of a scenario that churns all the invalidation sources
-// (app starts/stops, job activity, DVFS switches, migrations with
-// downtime, ambient changes), and PlanEpoch must move exactly when
-// planning-relevant state does.
+// caches: every cached value must equal a from-scratch recompute after
+// every event and at every controller tick of a scenario that churns all
+// the invalidation sources (app starts/stops, job activity, DVFS switches
+// including the accelerators' companion CPU, migrations with downtime,
+// cluster failure and repair, ambient changes), and PlanEpoch must move
+// exactly when planning-relevant state does.
+
+// cacheStep is one knob the auditor turns at a fixed time.
+type cacheStep struct {
+	atS float64
+	do  func(e *Engine) error
+}
 
 // cacheAuditor is a controller that cross-checks every cache against its
-// compute function each tick, while injecting knob churn at fixed times.
+// compute function on each event and each tick, while turning knobs at
+// fixed times.
 type cacheAuditor struct {
 	t       *testing.T
-	did3    bool
-	did6    bool
-	did8    bool
-	did10   bool
+	steps   []cacheStep
+	next    int // index of the first step not yet taken
 	audited int
 }
 
 func (c *cacheAuditor) OnTick(e *Engine) {
-	now := e.Now()
-	switch {
-	case !c.did3 && now >= 3:
-		c.did3 = true
-		if err := e.SetOPP("cpu-big", 0); err != nil {
-			c.t.Errorf("SetOPP: %v", err)
+	for c.next < len(c.steps) && e.Now() >= c.steps[c.next].atS {
+		if err := c.steps[c.next].do(e); err != nil {
+			c.t.Errorf("t=%.2f step %d: %v", e.Now(), c.next, err)
 		}
-	case !c.did6 && now >= 6:
-		c.did6 = true
-		// NPU → GPU: a model reload with real downtime, so blockedUntil
-		// predicates flip mid-window and again when the window ends.
-		if err := e.Migrate("dnn1", Placement{Cluster: "gpu"}); err != nil {
-			c.t.Errorf("Migrate: %v", err)
-		}
-	case !c.did8 && now >= 8:
-		c.did8 = true
-		e.SetAmbient(40)
-	case !c.did10 && now >= 10:
-		c.did10 = true
-		if err := e.SetLevel("dnn1", 2); err != nil {
-			c.t.Errorf("SetLevel: %v", err)
-		}
+		c.next++
 	}
 	c.audit(e)
 }
 
-func (c *cacheAuditor) OnEvent(e *Engine, ev Event) {}
+func (c *cacheAuditor) OnEvent(e *Engine, ev Event) { c.audit(e) }
 
 // audit reads every cached observable (filling the caches), then compares
 // the cached values against direct recomputes.
@@ -63,17 +52,25 @@ func (c *cacheAuditor) audit(e *Engine) {
 		pow := e.clusterPowerMW(cs)
 		share := e.acceleratorDNNShare(cs)
 		active := e.anyActiveDNN(cs)
-		if want := e.computeAcceleratorDNNShare(cs.c.Name); share != want {
+		if want := e.computeAcceleratorDNNShare(cs); share != want {
 			c.t.Errorf("t=%.2f %s: cached share %v, recompute %v", e.Now(), cs.c.Name, share, want)
 		}
-		if want := e.computeAnyActiveDNN(cs.c.Name); active != want {
+		if want := e.computeAnyActiveDNN(cs); active != want {
 			c.t.Errorf("t=%.2f %s: cached active %v, recompute %v", e.Now(), cs.c.Name, active, want)
 		}
-		if want := e.computeClusterUtil(cs); util != want {
-			c.t.Errorf("t=%.2f %s: cached util %v, recompute %v", e.Now(), cs.c.Name, util, want)
+		wantUtil := 0.0
+		if cs.online {
+			wantUtil = e.computeClusterUtil(cs)
 		}
-		if want := cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, util); pow != want {
-			c.t.Errorf("t=%.2f %s: cached power %v, recompute %v", e.Now(), cs.c.Name, pow, want)
+		if util != wantUtil {
+			c.t.Errorf("t=%.2f %s: cached util %v, recompute %v", e.Now(), cs.c.Name, util, wantUtil)
+		}
+		wantPow := 0.0
+		if cs.online {
+			wantPow = cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, wantUtil)
+		}
+		if pow != wantPow {
+			c.t.Errorf("t=%.2f %s: cached power %v, recompute %v", e.Now(), cs.c.Name, pow, wantPow)
 		}
 	}
 	for _, a := range e.appList {
@@ -111,12 +108,36 @@ func cacheTestApps() []App {
 	}
 }
 
-// TestCachedObservablesMatchRecompute drives a scenario through every
-// cache-invalidation source and asserts, tick by tick, that the cached
-// cluster util/power/share/active and per-app job rates are
-// indistinguishable from recomputing them from scratch.
+// TestCachedObservablesMatchRecompute drives a flagship-SoC scenario
+// through every cache-invalidation source and asserts, after every event
+// and at every tick, that the cached cluster util/power/share/active and
+// per-app job rates are indistinguishable from recomputing them from
+// scratch. dnn1 runs on the NPU, whose companion is cpu-lit, so the steps
+// below reach each path where a missed per-cluster stamp would leave a
+// stale value: the companion's own DVFS, migrations off and back onto the
+// NPU (with downtime), and the NPU failing under dnn1 and coming back.
 func TestCachedObservablesMatchRecompute(t *testing.T) {
-	aud := &cacheAuditor{t: t}
+	migrate := func(app, cluster string, cores int) func(e *Engine) error {
+		return func(e *Engine) error { return e.Migrate(app, Placement{Cluster: cluster, Cores: cores}) }
+	}
+	online := func(cluster string, on bool) func(e *Engine) error {
+		return func(e *Engine) error { return e.SetClusterOnline(cluster, on) }
+	}
+	aud := &cacheAuditor{t: t, steps: []cacheStep{
+		{3, func(e *Engine) error { return e.SetOPP("cpu-big", 5) }},
+		{3.5, func(e *Engine) error { return e.SetOPP("cpu-lit", 3) }}, // the NPU's companion
+		{4.5, migrate("dnn2", "cpu-big", 2)},                           // core shrink in place
+		{5, migrate("dnn1", "cpu-big", 2)},                             // NPU → big CPU
+		{5.5, migrate("dnn1", "npu", 0)},                               // and back
+		// NPU → GPU: a model reload with real downtime, so blockedUntil
+		// predicates flip mid-window and again when the window ends.
+		{6, migrate("dnn1", "gpu", 0)},
+		{7, migrate("dnn1", "npu", 0)},
+		{7.5, online("npu", false)}, // dnn1's in-flight job aborts; it sits unhosted
+		{8, func(e *Engine) error { e.SetAmbient(40); return nil }},
+		{8.5, online("npu", true)},
+		{10, func(e *Engine) error { return e.SetLevel("dnn1", 2) }},
+	}}
 	e, err := New(Config{
 		Platform:   hw.FlagshipSoC(),
 		Apps:       cacheTestApps(),
@@ -129,11 +150,14 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 	if err := e.Run(14); err != nil {
 		t.Fatal(err)
 	}
-	if !aud.did3 || !aud.did6 || !aud.did8 || !aud.did10 {
-		t.Fatalf("not every disturbance fired: %+v", aud)
+	if aud.next != len(aud.steps) {
+		t.Fatalf("only %d of %d steps ran", aud.next, len(aud.steps))
 	}
-	if aud.audited == 0 {
-		t.Fatal("auditor never ran")
+	if ticks := int(14 / 0.25); aud.audited <= ticks {
+		t.Fatalf("audited %d times over %d ticks: events were not audited", aud.audited, ticks)
+	}
+	if rep := e.Report(); rep.Migrations != 5 || rep.ClusterFails != 1 || rep.ClusterRepairs != 1 {
+		t.Fatalf("migrations=%d fails=%d repairs=%d, want 5/1/1", rep.Migrations, rep.ClusterFails, rep.ClusterRepairs)
 	}
 }
 

@@ -204,23 +204,39 @@ func (e *Engine) advanceTo(t float64) {
 	// still open — in steady state the caches survive the advance and the
 	// post-event refresh reuses them.
 	if prev < e.maxBlockedUntil {
-		e.stateVer++
+		e.touchAll()
 	}
 }
 
-// clusterUtil computes the aggregate dynamic-power utilisation fraction of
-// a cluster in [0,1] by name; clusterUtilOf is the hot-path variant that
-// skips the map lookup.
-func (e *Engine) clusterUtil(name string) float64 {
-	return e.clusterUtilOf(e.clusters[name])
+// touch marks a cluster's derived values stale after a mutation they can
+// observe, by stamping the cluster with a fresh value of the engine-wide
+// counter. The companion CPU is stamped too, because its utilisation reads
+// this cluster's any-active-DNN predicate. Stamps are never reused, so a
+// tag taken on one cluster cannot match another cluster's stamp after a
+// migration.
+func (e *Engine) touch(cs *clusterState) {
+	e.stateVer++
+	cs.ver = e.stateVer
+	if cs.companion != nil {
+		cs.companion.ver = e.stateVer
+	}
 }
 
-// clusterUtilOf returns a cluster's utilisation through the derived-value
-// cache, recomputing only when the state version moved. The matching busy
+// touchAll marks every cluster's derived values stale.
+func (e *Engine) touchAll() {
+	e.stateVer++
+	for _, cs := range e.clusterList {
+		cs.ver = e.stateVer
+	}
+}
+
+// clusterUtilOf returns a cluster's aggregate dynamic-power utilisation
+// fraction in [0,1] through the derived-value cache, recomputing only when
+// the cluster's stamp moved. The matching busy
 // power is computed and cached alongside — every hot caller that needs one
 // needs the other within the same piecewise-constant segment.
 func (e *Engine) clusterUtilOf(cs *clusterState) float64 {
-	if cs.utilVer != e.stateVer {
+	if cs.utilVer != cs.ver {
 		if cs.online {
 			cs.cachedUtil = e.computeClusterUtil(cs)
 			cs.cachedPow = cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, cs.cachedUtil)
@@ -229,7 +245,7 @@ func (e *Engine) clusterUtilOf(cs *clusterState) float64 {
 			// static power: the domain is dead, not idle.
 			cs.cachedUtil, cs.cachedPow = 0, 0
 		}
-		cs.utilVer = e.stateVer
+		cs.utilVer = cs.ver
 	}
 	return cs.cachedUtil
 }
@@ -246,10 +262,9 @@ func (e *Engine) clusterPowerMW(cs *clusterState) float64 {
 // configured utilisation, and accelerator inference induces CompanionUtil
 // on the companion cluster.
 func (e *Engine) computeClusterUtil(cs *clusterState) float64 {
-	name := cs.c.Name
 	util := 0.0
 	for _, a := range e.appList {
-		if !a.started || a.stopped || a.placed.Cluster != name {
+		if !a.started || a.stopped || a.placedCS != cs {
 			continue
 		}
 		switch a.Kind {
@@ -273,12 +288,11 @@ func (e *Engine) computeClusterUtil(cs *clusterState) float64 {
 	// clusterList follows platform order, so the accumulation order is
 	// identical to iterating e.plat.Clusters.
 	for _, ocs := range e.clusterList {
-		cl := ocs.c
-		if cl.CompanionName != name || cl.CompanionUtil == 0 {
+		if ocs.companion != cs || ocs.c.CompanionUtil == 0 {
 			continue
 		}
 		if e.anyActiveDNN(ocs) {
-			util += cl.CompanionUtil
+			util += ocs.c.CompanionUtil
 		}
 	}
 	if util > 1 {
@@ -288,21 +302,21 @@ func (e *Engine) computeClusterUtil(cs *clusterState) float64 {
 }
 
 // acceleratorDNNShare returns the fraction of the accelerator each active
-// DNN job uses (cached per state version): active jobs share whatever
+// DNN job uses (cached per cluster stamp): active jobs share whatever
 // render apps leave.
 func (e *Engine) acceleratorDNNShare(cs *clusterState) float64 {
-	if cs.shareVer != e.stateVer {
-		cs.cachedShare = e.computeAcceleratorDNNShare(cs.c.Name)
-		cs.shareVer = e.stateVer
+	if cs.shareVer != cs.ver {
+		cs.cachedShare = e.computeAcceleratorDNNShare(cs)
+		cs.shareVer = cs.ver
 	}
 	return cs.cachedShare
 }
 
-func (e *Engine) computeAcceleratorDNNShare(cluster string) float64 {
+func (e *Engine) computeAcceleratorDNNShare(cs *clusterState) float64 {
 	renderUtil := 0.0
 	active := 0
 	for _, a := range e.appList {
-		if !a.started || a.stopped || a.placed.Cluster != cluster {
+		if !a.started || a.stopped || a.placedCS != cs {
 			continue
 		}
 		switch a.Kind {
@@ -325,16 +339,16 @@ func (e *Engine) computeAcceleratorDNNShare(cluster string) float64 {
 }
 
 func (e *Engine) anyActiveDNN(cs *clusterState) bool {
-	if cs.activeVer != e.stateVer {
-		cs.cachedActive = e.computeAnyActiveDNN(cs.c.Name)
-		cs.activeVer = e.stateVer
+	if cs.activeVer != cs.ver {
+		cs.cachedActive = e.computeAnyActiveDNN(cs)
+		cs.activeVer = cs.ver
 	}
 	return cs.cachedActive
 }
 
-func (e *Engine) computeAnyActiveDNN(cluster string) bool {
+func (e *Engine) computeAnyActiveDNN(cs *clusterState) bool {
 	for _, a := range e.appList {
-		if a.started && !a.stopped && a.placed.Cluster == cluster &&
+		if a.started && !a.stopped && a.placedCS == cs &&
 			a.Kind == KindDNN && a.jobActive && e.now >= a.blockedUntil {
 			return true
 		}
@@ -343,11 +357,12 @@ func (e *Engine) computeAnyActiveDNN(cluster string) bool {
 }
 
 // jobRate returns the MAC/s processing rate of an app's current job,
-// cached per state version.
+// cached per stamp of the cluster it is placed on, where every input of
+// the rate lives.
 func (e *Engine) jobRate(a *appState) float64 {
-	if a.rateVer != e.stateVer {
+	if a.rateVer != a.placedCS.ver {
 		a.cachedRate = e.computeJobRate(a)
-		a.rateVer = e.stateVer
+		a.rateVer = a.placedCS.ver
 	}
 	return a.cachedRate
 }
@@ -376,7 +391,7 @@ func (e *Engine) handle(ev hevent) {
 		a.started = true
 		// Dirty before emit: a controller reacting to the event must see
 		// fresh derived values and the new planning epoch.
-		e.stateVer++
+		e.touch(a.placedCS)
 		e.planEpoch++
 		e.emit(Event{TimeS: e.now, Kind: EvAppStart, App: a.Name})
 		if a.Kind == KindDNN {
@@ -386,7 +401,7 @@ func (e *Engine) handle(ev hevent) {
 		a := e.appList[ev.app]
 		a.stopped = true
 		a.jobActive = false
-		e.stateVer++
+		e.touch(a.placedCS)
 		e.planEpoch++
 		e.emit(Event{TimeS: e.now, Kind: EvAppStop, App: a.Name})
 	case hRelease:
@@ -424,11 +439,7 @@ func (e *Engine) handle(ev hevent) {
 			e.thermalEvSeq = 0 // consumed; refresh may schedule a successor
 			if !e.alarmed && e.thermal.TempC >= e.plat.Thermal.ThrottleC-0.05 {
 				e.alarmed = true
-				ev := Event{TimeS: e.now, Kind: EvThermalAlarm}
-				if e.observed() {
-					ev.Note = fmt.Sprintf("%.1fC", e.thermal.TempC)
-				}
-				e.emit(ev)
+				e.emit(Event{TimeS: e.now, Kind: EvThermalAlarm, TempC: e.thermal.TempC})
 			}
 		}
 	}
@@ -449,7 +460,7 @@ func (e *Engine) release(a *appState) {
 		// outcome counters cover exactly the frames released inside it.
 		a.aborted++
 		e.degDropped++
-		e.emit(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Note: "unhosted"})
+		e.emit(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Unhosted: true})
 		next := e.now + a.PeriodS
 		if (a.StopS == 0 || next < a.StopS) && next <= e.endS {
 			e.push(next, hRelease, a.idx)
@@ -468,7 +479,7 @@ func (e *Engine) release(a *appState) {
 		a.jobRemaining = float64(a.Profile.Level(a.level).MACs)
 		// The job becoming active changes utilisations and shares; the rate
 		// below must be computed under the new state.
-		e.stateVer++
+		e.touch(a.placedCS)
 		// Charge the per-inference fixed overhead (pre/post-processing) as
 		// work at the current rate, matching perf.InferenceLatencyS.
 		if rate := e.jobRate(a); rate > 0 {
@@ -484,7 +495,7 @@ func (e *Engine) release(a *appState) {
 func (e *Engine) complete(a *appState) {
 	latency := e.now - a.jobReleaseS
 	a.jobActive = false
-	e.stateVer++
+	e.touch(a.placedCS)
 	a.completed++
 	if e.offline > 0 {
 		e.degCompleted++
@@ -498,24 +509,10 @@ func (e *Engine) complete(a *appState) {
 		if e.offline > 0 {
 			e.degMissed++
 		}
-		ev := Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency}
-		if e.observed() {
-			// The note is presentation-only; formatting it when no log and
-			// no controller will ever see it was the uncontrolled run's
-			// dominant allocation.
-			ev.Note = fmt.Sprintf("latency %.1fms > %.1fms", latency*1000, a.PeriodS*1000)
-		}
-		e.emit(ev)
+		e.emit(Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency, PeriodS: a.PeriodS})
 	} else {
 		e.emit(Event{TimeS: e.now, Kind: EvJobComplete, App: a.Name, LatencyS: latency})
 	}
-}
-
-// observed reports whether an emitted Event reaches anything — the
-// retained log or a controller. Callers formatting presentation-only Note
-// strings check this first so an unobserved run never pays for them.
-func (e *Engine) observed() bool {
-	return e.logEvents || e.ctrl != nil
 }
 
 // emit records an event and forwards it to the controller.

@@ -114,7 +114,7 @@ func TestClusterFailAbortsAndUnhosts(t *testing.T) {
 			if ev.Cluster != "a7" {
 				t.Fatalf("fail event names cluster %q", ev.Cluster)
 			}
-		case ev.Kind == EvFrameDrop && strings.Contains(ev.Note, "unhosted"):
+		case ev.Kind == EvFrameDrop && ev.Detail() == "unhosted":
 			drops++
 		}
 	}

@@ -24,7 +24,7 @@ func reportJSON(t *testing.T, rep Report) []byte {
 // config changes that shrink and regrow the backing stores (fewer apps,
 // different platform, then back).
 func TestResetEquivalence(t *testing.T) {
-	big := Config{Platform: hw.FlagshipSoC(), Apps: benchApps(), LogEvents: true}
+	big := Config{Platform: hw.FlagshipSoC(), Apps: BenchApps(), LogEvents: true}
 	small := Config{
 		Platform:  hw.OdroidXU3(),
 		Apps:      []App{dnnApp("solo", "a15", 4, 3, 0.05)},

@@ -118,19 +118,50 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is delivered to the Controller's OnEvent hook.
+// Event is delivered to the Controller's OnEvent hook. Its details are
+// typed fields, each set only on the kinds its comment names; Detail
+// renders them as text for presentation.
 type Event struct {
 	TimeS float64
 	Kind  EventKind
 	App   string
 	// Cluster names the cluster an EvClusterFail/EvClusterRepair event is
-	// about ("" for app-level events).
+	// about, and the destination of an EvMigrated ("" for other app-level
+	// events).
 	Cluster string
-	Note    string
 	// LatencyS is the job's release-to-completion latency, set on
 	// EvJobComplete and EvDeadlineMiss (0 otherwise). Consumers building
 	// latency distributions (percentiles) read it from the event log.
 	LatencyS float64
+	// PeriodS is the missed deadline of an EvDeadlineMiss.
+	PeriodS float64
+	// TempC is the die temperature that raised an EvThermalAlarm.
+	TempC float64
+	// FromCluster and Cores are an EvMigrated's source cluster and
+	// destination core count.
+	FromCluster string
+	Cores       int
+	// Unhosted marks an EvFrameDrop whose app sat on an offline cluster.
+	Unhosted bool
+}
+
+// Detail renders the event's typed details as the human-readable note the
+// timelines print ("" for kinds without one). It formats on every call, so
+// the simulator never calls it; presentation code does, on demand.
+func (ev Event) Detail() string {
+	switch ev.Kind {
+	case EvDeadlineMiss:
+		return fmt.Sprintf("latency %.1fms > %.1fms", ev.LatencyS*1000, ev.PeriodS*1000)
+	case EvThermalAlarm:
+		return fmt.Sprintf("%.1fC", ev.TempC)
+	case EvMigrated:
+		return fmt.Sprintf("%s -> %s/%d", ev.FromCluster, ev.Cluster, ev.Cores)
+	case EvFrameDrop:
+		if ev.Unhosted {
+			return "unhosted"
+		}
+	}
+	return ""
 }
 
 // Controller is the runtime-manager hook (Fig 5's RTM layer). OnTick fires
@@ -185,7 +216,7 @@ type appState struct {
 	placedCS *clusterState
 
 	// Derived-value cache (see Engine.stateVer): the job's MAC/s rate,
-	// valid while rateVer matches the engine's stateVer.
+	// valid while rateVer matches placedCS.ver.
 	rateVer    uint64
 	cachedRate float64
 
@@ -208,11 +239,17 @@ type clusterState struct {
 	busyS   float64 // seconds with any activity
 	lastPow float64 // mW, for observability
 
+	// companion is the CPU cluster this accelerator's inference loads
+	// (nil for none), resolved once per Reset.
+	companion *clusterState
+
 	// Derived-value caches (see Engine.stateVer). Between mutations the
 	// system is piecewise-constant, so utilisation, busy power, the
 	// accelerator DNN share and the any-active-DNN predicate are computed
-	// once per state version instead of once per caller. Each value is
-	// valid while its version tag matches the engine's stateVer.
+	// once per stamp instead of once per caller. ver is the cluster's
+	// stamp, moved by Engine.touch on every mutation those values can
+	// observe; each value is valid while its tag matches ver.
+	ver          uint64
 	utilVer      uint64
 	cachedUtil   float64
 	cachedPow    float64
@@ -279,12 +316,13 @@ type Engine struct {
 	degMissed      int
 	degDropped     int
 
-	// stateVer tags the derived-value caches (cluster utilisation/power,
-	// accelerator share, job rates). It advances on every mutation those
-	// values can observe — app lifecycle, job start/finish, OPP switches,
-	// migrations — and on clock advances while a migration downtime window
-	// is still open (the blocked-until predicates read the clock). A cache
-	// entry whose tag matches stateVer is exactly the value a fresh
+	// stateVer is the monotone counter the per-cluster cache stamps
+	// (clusterState.ver) are drawn from. A mutation the derived values can
+	// observe — app lifecycle, job start/finish, OPP switches, availability,
+	// migrations — stamps the clusters it affects; clock advances while a
+	// migration downtime window is still open stamp them all (the
+	// blocked-until predicates read the clock). A cache entry whose tag
+	// matches its cluster's stamp is exactly the value a fresh
 	// recomputation would produce, bit for bit.
 	stateVer uint64
 	// planEpoch is a monotone counter over planning-relevant state: the
@@ -358,8 +396,8 @@ func (e *Engine) Reset(cfg Config) error {
 	e.unhostedS = 0
 	e.degReleased, e.degCompleted, e.degMissed, e.degDropped = 0, 0, 0, 0
 	e.maxTempC = cfg.Platform.AmbientC
-	// stateVer restarts at 1 so the version tags zeroed by the store
-	// rewrites below are invalid until first fill.
+	// Stamps restart at 1 so the cache tags zeroed by the store rewrites
+	// below are invalid until first fill.
 	e.stateVer, e.planEpoch, e.maxBlockedUntil = 1, 0, 0
 
 	if e.apps == nil {
@@ -378,10 +416,15 @@ func (e *Engine) Reset(cfg Config) error {
 	e.clusterStore = e.clusterStore[:len(cfg.Platform.Clusters)]
 	e.clusterList = e.clusterList[:0]
 	for i, c := range cfg.Platform.Clusters {
-		e.clusterStore[i] = clusterState{c: c, online: true}
+		e.clusterStore[i] = clusterState{c: c, online: true, ver: e.stateVer}
 		cs := &e.clusterStore[i]
 		e.clusters[c.Name] = cs
 		e.clusterList = append(e.clusterList, cs)
+	}
+	for _, cs := range e.clusterList {
+		if name := cs.c.CompanionName; name != "" {
+			cs.companion = e.clusters[name]
+		}
 	}
 
 	if cap(e.appStore) < len(cfg.Apps) {

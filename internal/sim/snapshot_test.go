@@ -16,7 +16,7 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	// contents from the previous rebuild must never leak into the next.
 	var reused Snapshot
 	for _, horizon := range []float64{0.5, 1, 2, 4} {
-		e, err := New(Config{Platform: hw.FlagshipSoC(), Apps: benchApps()})
+		e, err := New(Config{Platform: hw.FlagshipSoC(), Apps: BenchApps()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 // snapshot's buffers have grown to the engine's working set, rebuilding
 // it allocates nothing.
 func TestSnapshotIntoZeroAllocSteadyState(t *testing.T) {
-	e, err := New(Config{Platform: hw.FlagshipSoC(), Apps: benchApps()})
+	e, err := New(Config{Platform: hw.FlagshipSoC(), Apps: BenchApps()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
+	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
 func faultScenario() Scenario {
-	prof := MobileProfile()
+	prof := perf.MobileProfile()
 	return Scenario{
 		Name: "fault",
 		Apps: []sim.App{

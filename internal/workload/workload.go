@@ -14,16 +14,6 @@ import (
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
-// MobileProfile is a mobile-vision-class dynamic DNN: 7 MMACs and 7 MiB of
-// parameters at the 100% configuration, with the paper's Fig 4(b)
-// accuracies. It is deliberately heavier than the Table I calibration
-// workload so that the flagship SoC's GPU and CPU clusters — not just the
-// NPU — face real trade-offs, which is the premise of Fig 2.
-func MobileProfile() perf.ModelProfile {
-	return perf.UniformProfile("dnn-mobile", 7_000_000, 7<<20,
-		perf.PaperAccuracies, []float64{0.61, 0.68, 0.74, 0.78})
-}
-
 // Action is one scripted scenario step.
 type Action struct {
 	AtS  float64
@@ -116,7 +106,7 @@ var _ sim.Controller = (*ScenarioController)(nil)
 //	      50%, freeing NPU memory, and the manager co-locates both DNNs on
 //	      the NPU (Fig 2(d)).
 func Fig2Scenario() Scenario {
-	prof := MobileProfile()
+	prof := perf.MobileProfile()
 	apps := []sim.App{
 		{
 			Name:       "dnn1",

@@ -10,7 +10,7 @@ import (
 )
 
 func TestMobileProfileShape(t *testing.T) {
-	p := MobileProfile()
+	p := perf.MobileProfile()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFig2ScenarioReproducesPaperTimeline(t *testing.T) {
 	for _, ev := range rep.Events {
 		switch ev.Kind {
 		case sim.EvMigrated:
-			migs = append(migs, mig{ev.TimeS, ev.App, ev.Note})
+			migs = append(migs, mig{ev.TimeS, ev.App, ev.Detail()})
 		case sim.EvThermalAlarm:
 			sawAlarm = true
 		}
