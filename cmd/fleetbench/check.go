@@ -6,39 +6,17 @@ import (
 	"strings"
 )
 
-// thresholds parametrise one regression check of current numbers against
-// the recorded baseline.
-type thresholds struct {
-	// AllocSlack is the absolute allocs/op increase tolerated per
-	// micro-benchmark before the check fails. Allocation counts are
-	// deterministic for a fixed toolchain, so the default of 0 is not
-	// flaky: any increase is a real regression.
-	AllocSlack int64
-	// MinThroughputRatio is the floor on current/baseline scenarios-per-sec
-	// (e.g. 0.5 fails the check when throughput halves). 0 disables the
-	// throughput check entirely. Wall-clock throughput is machine- and
-	// load-dependent, so this threshold should stay loose where allocs stay
-	// strict.
-	MinThroughputRatio float64
-	// AllowEnvMismatch downgrades a goVersion/gomaxprocs mismatch between
-	// baseline and current from a refusal to a loud annotation: the
-	// throughput comparison is skipped (wall-clock numbers from different
-	// environments are not comparable) but allocs/op — which depend only on
-	// the code and toolchain behaviour, not the machine — are still checked.
-	AllowEnvMismatch bool
-}
-
 // checkResult is the outcome of one checkRegression call.
 type checkResult struct {
-	// Refused is set when the environments differ and AllowEnvMismatch is
-	// off: no comparison was attempted and the caller must exit non-zero.
+	// Refused is set when there is no recorded baseline: no comparison was
+	// attempted and the caller must exit non-zero.
 	Refused bool
 	// Mismatches lists every environment difference found (goVersion,
-	// gomaxprocs), whether or not it caused a refusal.
+	// gomaxprocs). They are annotations, not failures.
 	Mismatches []string
 	// Violations lists every threshold breach. Empty + !Refused means pass.
 	Violations []string
-	// Notes lists loud annotations: skipped checks and their reasons.
+	// Notes lists loud annotations, such as why a comparison was refused.
 	Notes []string
 }
 
@@ -59,7 +37,7 @@ func (r checkResult) render() string {
 	}
 	switch {
 	case r.Refused:
-		b.WriteString("check REFUSED: baseline and current were measured in different environments; re-record the baseline there, or pass -allow-env-mismatch to compare allocs only\n")
+		b.WriteString("check REFUSED: nothing to compare against\n")
 	case len(r.Violations) > 0:
 		fmt.Fprintf(&b, "check FAILED: %d regression(s) against recorded baseline\n", len(r.Violations))
 	default:
@@ -68,18 +46,19 @@ func (r checkResult) render() string {
 	return b.String()
 }
 
-// checkRegression compares current numbers against the recorded baseline
-// under the given thresholds. It is a pure function so the deliberate-
-// regression tests can drive it directly.
+// checkRegression compares current numbers against the recorded baseline,
+// tolerating allocSlack extra allocs/op per micro-benchmark. Allocation
+// counts are deterministic for a fixed toolchain, so a slack of 0 is not
+// flaky: any increase is a real regression. It is a pure function so the
+// deliberate-regression tests can drive it directly.
 //
 // Policy: allocs/op is checked strictly and always — it is deterministic
-// for a fixed toolchain, so even a cross-machine comparison is meaningful.
-// Throughput (scenarios/sec) is wall-clock and only comparable when the
-// environment matches: a goVersion or gomaxprocs difference refuses the
-// whole comparison unless AllowEnvMismatch, which downgrades to an
-// annotated allocs-only check. A workers mismatch between the two fleet
-// sweeps likewise skips only the throughput comparison.
-func checkRegression(base *Numbers, cur Numbers, th thresholds) checkResult {
+// for a fixed toolchain and does not depend on the machine, so even a
+// cross-machine comparison is meaningful. A goVersion or gomaxprocs
+// difference is annotated loudly but does not stop the check. Wall-clock
+// throughput is not gated here: it is machine- and load-dependent, and
+// the repository benchmark (bench/) owns it.
+func checkRegression(base *Numbers, cur Numbers, allocSlack int64) checkResult {
 	var r checkResult
 	if base == nil {
 		r.Refused = true
@@ -93,10 +72,6 @@ func checkRegression(base *Numbers, cur Numbers, th thresholds) checkResult {
 	if base.GOMAXPROCS != cur.GOMAXPROCS {
 		r.Mismatches = append(r.Mismatches,
 			fmt.Sprintf("gomaxprocs: baseline %d vs current %d", base.GOMAXPROCS, cur.GOMAXPROCS))
-	}
-	if len(r.Mismatches) > 0 && !th.AllowEnvMismatch {
-		r.Refused = true
-		return r
 	}
 
 	// Allocs: every benchmark the baseline recorded must still exist and
@@ -116,32 +91,10 @@ func checkRegression(base *Numbers, cur Numbers, th thresholds) checkResult {
 				fmt.Sprintf("%s: in baseline (%d allocs/op) but missing from current run", name, b.AllocsPerOp))
 			continue
 		}
-		if limit := b.AllocsPerOp + th.AllocSlack; c.AllocsPerOp > limit {
+		if limit := b.AllocsPerOp + allocSlack; c.AllocsPerOp > limit {
 			r.Violations = append(r.Violations,
 				fmt.Sprintf("%s: %d allocs/op exceeds baseline %d + slack %d",
-					name, c.AllocsPerOp, b.AllocsPerOp, th.AllocSlack))
-		}
-	}
-
-	// Throughput: only when the environments and sweep shapes match.
-	switch {
-	case th.MinThroughputRatio <= 0:
-		r.Notes = append(r.Notes, "throughput check disabled (-min-throughput-ratio 0)")
-	case len(r.Mismatches) > 0:
-		r.Notes = append(r.Notes, "throughput check skipped: environment mismatch (allocs still checked)")
-	case base.Fleet.Workers != cur.Fleet.Workers:
-		r.Notes = append(r.Notes, fmt.Sprintf(
-			"throughput check skipped: baseline swept with %d workers, current with %d",
-			base.Fleet.Workers, cur.Fleet.Workers))
-	case base.Fleet.ScenariosPerSec <= 0:
-		r.Notes = append(r.Notes, "throughput check skipped: baseline has no scenarios/sec")
-	default:
-		floor := base.Fleet.ScenariosPerSec * th.MinThroughputRatio
-		if cur.Fleet.ScenariosPerSec < floor {
-			r.Violations = append(r.Violations, fmt.Sprintf(
-				"fleet throughput %.1f scenarios/sec below %.0f%% of baseline %.1f (floor %.1f)",
-				cur.Fleet.ScenariosPerSec, th.MinThroughputRatio*100,
-				base.Fleet.ScenariosPerSec, floor))
+					name, c.AllocsPerOp, b.AllocsPerOp, allocSlack))
 		}
 	}
 	return r

@@ -105,9 +105,9 @@ func TestHistoryEntry(t *testing.T) {
 		Note:      "plan reuse",
 		Fleet:     FleetNumbers{ScenariosPerSec: 640},
 		Benchmarks: map[string]BenchNumbers{
-			"replan":         {NsPerOp: 1000, AllocsPerOp: 23},
-			"replan-elided":  {NsPerOp: 10, AllocsPerOp: 0},
-			"plan-cache/hit": {NsPerOp: 400, AllocsPerOp: 4},
+			"replan":             {NsPerOp: 1000, AllocsPerOp: 23},
+			"replan-elided":      {NsPerOp: 10, AllocsPerOp: 0},
+			"engine-run-managed": {NsPerOp: 400, AllocsPerOp: 4},
 		},
 	}
 	h := historyEntry(n)

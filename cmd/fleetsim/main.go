@@ -67,11 +67,11 @@
 // JSON, a ~ suffix in tables).
 //
 // Planning work is reused by default: managers elide replans whose
-// planning fingerprint has not changed and memoise plans in a per-worker
-// cache keyed by the canonical planning view. The report is byte-identical
-// either way — -plancache=false plans every replan fresh (CI cmp-checks
-// the two against each other), and -cachestats prints the plans / elided /
-// cache hit/miss counters to stderr after the run.
+// planning fingerprint has not changed since their last actuated plan.
+// The report is byte-identical either way — -plancache=false turns
+// elision off and plans every replan fresh (CI cmp-checks the two against
+// each other), and -cachestats prints the plans / elided counters to
+// stderr after the run.
 //
 // Usage:
 //
@@ -146,8 +146,8 @@ func runMain() {
 	stream := flag.Bool("stream", false, "with -shard: append each completed scenario to -out as a flushed NDJSON record (crash-resumable; mergeable once complete)")
 	resume := flag.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario (implies -stream)")
 	syncevery := flag.Int("syncevery", 0, "with -stream/-resume: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
-	plancache := flag.Bool("plancache", true, "reuse planning work (replan elision + per-worker plan memo cache); false plans every replan fresh — the report is byte-identical either way")
-	cachestats := flag.Bool("cachestats", false, "print plan-reuse counters (plans, elided, cache hits/misses) to stderr after the run")
+	plancache := flag.Bool("plancache", true, "reuse planning work (replan elision); false plans every replan fresh — the report is byte-identical either way")
+	cachestats := flag.Bool("cachestats", false, "print plan-reuse counters (plans, elided) to stderr after the run")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		// Stray positional args mean a mistyped invocation; running the
@@ -443,17 +443,15 @@ func parseShard(s string) (index, count int, err error) {
 }
 
 // maybePrintCacheStats prints the runner's accumulated plan-reuse
-// counters to stderr when -cachestats is set. Stderr, not the report:
-// how work split between elision, cache hits and fresh plans depends on
-// how scenarios landed on workers, so the counters must never enter the
-// byte-compared report stream.
+// counters to stderr when -cachestats is set. Stderr, not the report: the
+// elided count depends on -plancache, whose setting must leave the
+// byte-compared report stream unchanged.
 func maybePrintCacheStats(enabled bool, r *fleet.Runner) {
 	if !enabled {
 		return
 	}
 	s := r.PlanCacheStats()
-	fmt.Fprintf(os.Stderr, "fleetsim: plans=%d elided=%d cacheHits=%d cacheMisses=%d\n",
-		s.Plans, s.Elided, s.CacheHits, s.CacheMisses)
+	fmt.Fprintf(os.Stderr, "fleetsim: plans=%d elided=%d\n", s.Plans, s.Elided)
 }
 
 func progressFunc() func(done, total int) {

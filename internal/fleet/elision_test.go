@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestPlanCacheEquivalence is the tentpole's correctness property at the
-// fleet layer for the plan-reuse tiers: a Runner whose workers share a
-// per-worker plan cache (and elide fingerprint-stable replans) must
-// produce results byte-identical to a Runner with DisablePlanCache — at
-// workers 1 and 8, across a mix of platforms, classes and policies. The
-// cache-on arm must also demonstrably reuse work, or the test is vacuous.
-func TestPlanCacheEquivalence(t *testing.T) {
+// TestReplanElisionEquivalence is replan elision's correctness property at
+// the fleet layer: a Runner whose managers elide fingerprint-stable
+// replans must produce results byte-identical to a Runner with
+// DisablePlanCache — at workers 1 and 8, across a mix of platforms,
+// classes and policies. The elision-on arm must also demonstrably skip
+// work, or the test is vacuous.
+func TestReplanElisionEquivalence(t *testing.T) {
 	cfg := GeneratorConfig{
 		Seed:     41,
 		Classes:  []Class{ClassSteady, ClassBursty, ClassThermal},
@@ -28,7 +28,7 @@ func TestPlanCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := off.PlanCacheStats(); s.Elided != 0 || s.CacheHits != 0 || s.CacheMisses != 0 {
+	if s := off.PlanCacheStats(); s.Elided != 0 {
 		t.Fatalf("DisablePlanCache runner reused planning work: %+v", s)
 	}
 
@@ -39,14 +39,14 @@ func TestPlanCacheEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) != string(want) {
-			t.Errorf("workers=%d: plan-cache results differ from no-reuse results", workers)
+			t.Errorf("workers=%d: elision-on results differ from elision-off results", workers)
 		}
 		s := r.PlanCacheStats()
 		if s.Plans == 0 {
 			t.Fatalf("workers=%d: no plans recorded", workers)
 		}
-		if s.Elided == 0 && s.CacheHits == 0 {
-			t.Errorf("workers=%d: cache-on run reused nothing: %+v", workers, s)
+		if s.Elided == 0 {
+			t.Errorf("workers=%d: elision-on run elided nothing: %+v", workers, s)
 		}
 	}
 }

@@ -96,14 +96,12 @@ func RunOne(s Scenario) Result {
 
 // runOpts bundles the per-run knobs runOne threads through to
 // workload.RunEngineOpts: whether raw Latencies are published, which
-// engine to Reset instead of constructing, which plan cache the manager
-// uses, and whether plan reuse is disabled outright. None of them change
-// a result byte — TestEngineReuseEquivalence and
-// TestPlanCacheEquivalence pin that.
+// engine to Reset instead of constructing, and whether replan elision is
+// disabled. None of them change a result byte —
+// TestEngineReuseEquivalence and TestReplanElisionEquivalence pin that.
 type runOpts struct {
 	keepLatencies bool
 	eng           *sim.Engine
-	planCache     *rtm.PlanCache
 	noPlanReuse   bool
 }
 
@@ -135,13 +133,14 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	if res.Policy == "" {
 		res.Policy = rtm.DefaultPolicy
 	}
-	plat := hw.Catalog()[s.Platform]
+	// Only the named platform is built: a fresh one per run keeps the run a
+	// pure function of the scenario without paying for the whole catalog.
+	plat := hw.NewPlatform(s.Platform)
 	if plat == nil {
 		res.Err = fmt.Sprintf("unknown platform %q", s.Platform)
 		return res, o.eng, rtm.PlanStats{}
 	}
 	eng, mgr, rep, err := workload.RunEngineOpts(o.eng, script, plat, TickS, nil, workload.RunOptions{
-		PlanCache:        o.planCache,
 		DisablePlanReuse: o.noPlanReuse,
 	})
 	if err != nil {
@@ -274,11 +273,11 @@ type Runner struct {
 	// same prefix-complete order a sequential run would produce. Calls are
 	// serialized but may arrive from any worker goroutine.
 	OnResult func(index int, r Result)
-	// DisablePlanCache turns off replan elision and plan memoisation in
-	// every scenario's manager (the fleetsim -plancache=false switch).
-	// Results are byte-identical either way — the switch exists so CI can
-	// prove exactly that, and so regressions can be bisected against the
-	// reuse-free path.
+	// DisablePlanCache turns off replan elision in every scenario's
+	// manager (the fleetsim -plancache=false switch). Results are
+	// byte-identical either way — the switch exists so CI can prove
+	// exactly that, and so regressions can be bisected against the
+	// elision-free path.
 	DisablePlanCache bool
 
 	// planStats accumulates every run's plan-reuse counters across this
@@ -298,8 +297,8 @@ type planStatsAccum struct {
 
 // PlanCacheStats reports the accumulated plan-reuse counters of every
 // scenario this Runner has executed. The totals are observability only:
-// how work splits between elision, cache hits and fresh plans depends on
-// how scenarios landed on workers, so these numbers never enter reports.
+// they describe how planning work was skipped, not what the simulation
+// did, so these numbers never enter reports.
 func (r *Runner) PlanCacheStats() rtm.PlanStats {
 	if r.planStats == nil {
 		return rtm.PlanStats{}
@@ -325,16 +324,6 @@ func (r *Runner) ensurePlanStats() {
 	}
 }
 
-// workerPlanCache builds the per-worker plan memo cache — one cache per
-// scenario stream, shared across that worker's runs so recurring planning
-// states hit across scenario boundaries — or nil when reuse is disabled.
-func (r *Runner) workerPlanCache() *rtm.PlanCache {
-	if r.DisablePlanCache {
-		return nil
-	}
-	return rtm.NewPlanCache(rtm.DefaultPlanCacheCap)
-}
-
 // Run executes all scenarios and returns results indexed by scenario
 // position. Output is bit-identical for any worker count: each run is
 // independent and results land in their own slot. Each worker owns one
@@ -352,11 +341,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 		workers = len(scenarios)
 	}
 	if workers <= 1 {
-		o := runOpts{
-			keepLatencies: !r.DropLatencies,
-			planCache:     r.workerPlanCache(),
-			noPlanReuse:   r.DisablePlanCache,
-		}
+		o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.DisablePlanCache}
 		var stats rtm.PlanStats
 		for i, s := range scenarios {
 			var ps rtm.PlanStats
@@ -393,11 +378,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			o := runOpts{
-				keepLatencies: !r.DropLatencies,
-				planCache:     r.workerPlanCache(),
-				noPlanReuse:   r.DisablePlanCache,
-			}
+			o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.DisablePlanCache}
 			var stats rtm.PlanStats
 			defer func() { r.addPlanStats(stats) }()
 			for {

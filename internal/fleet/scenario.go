@@ -98,7 +98,10 @@ type GeneratorConfig struct {
 
 // Generator samples scenarios deterministically.
 type Generator struct {
-	cfg       GeneratorConfig
+	cfg GeneratorConfig
+	// catalog is built once and only read while generating: scenarios
+	// carry platform names, never pointers into it.
+	catalog   map[string]*hw.Platform
 	platforms []string
 	classes   []Class
 	policies  []string
@@ -116,7 +119,7 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	if cfg.MinDurationS <= 0 || cfg.MaxDurationS < cfg.MinDurationS {
 		return nil, fmt.Errorf("fleet: bad duration range [%g,%g]", cfg.MinDurationS, cfg.MaxDurationS)
 	}
-	g := &Generator{cfg: cfg}
+	g := &Generator{cfg: cfg, catalog: cat}
 	if len(cfg.Platforms) == 0 {
 		for name := range cat {
 			g.platforms = append(g.platforms, name)
@@ -253,7 +256,7 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 	rng.Seed(int64(seed))
 	class := g.classes[rng.Intn(len(g.classes))]
 	platName := g.platforms[rng.Intn(len(g.platforms))]
-	plat := hw.Catalog()[platName]
+	plat := g.catalog[platName]
 
 	s := Scenario{
 		ID:       id,

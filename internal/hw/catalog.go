@@ -216,11 +216,29 @@ func FlagshipSoC() *Platform {
 	}
 }
 
+// platformNames lists the built-in platforms NewPlatform can build.
+var platformNames = []string{"odroid-xu3", "jetson-nano", "flagship-soc"}
+
+// NewPlatform builds the named built-in platform, or returns nil for an
+// unknown name. A caller that needs one platform uses it instead of
+// Catalog, which builds every platform.
+func NewPlatform(name string) *Platform {
+	switch name {
+	case "odroid-xu3":
+		return OdroidXU3()
+	case "jetson-nano":
+		return JetsonNano()
+	case "flagship-soc":
+		return FlagshipSoC()
+	}
+	return nil
+}
+
 // Catalog returns all built-in platforms keyed by name.
 func Catalog() map[string]*Platform {
-	out := map[string]*Platform{}
-	for _, p := range []*Platform{OdroidXU3(), JetsonNano(), FlagshipSoC()} {
-		out[p.Name] = p
+	out := make(map[string]*Platform, len(platformNames))
+	for _, name := range platformNames {
+		out[name] = NewPlatform(name)
 	}
 	return out
 }

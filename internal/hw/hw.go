@@ -144,17 +144,24 @@ func (c *Cluster) NearestOPPIndex(fGHz float64) int {
 	return best
 }
 
-// EffectiveRate returns the MAC/s throughput when n of the cluster's cores
-// run at the given OPP. Accelerators always use n == Cores.
-func (c *Cluster) EffectiveRate(opp OPP, n int) float64 {
+// CoreScale returns the fraction of the cluster rate n cores deliver,
+// (n/Cores)^ParallelAlpha, with n clamped to Cores; fewer than one core
+// delivers nothing. It takes only Cores+1 distinct values, so hot loops
+// tabulate it per cluster instead of calling math.Pow per evaluation.
+func (c *Cluster) CoreScale(n int) float64 {
 	if n < 1 {
 		return 0
 	}
 	if n > c.Cores {
 		n = c.Cores
 	}
-	frac := math.Pow(float64(n)/float64(c.Cores), c.ParallelAlpha)
-	return c.RateMACsPerSecGHz * opp.FreqGHz * frac
+	return math.Pow(float64(n)/float64(c.Cores), c.ParallelAlpha)
+}
+
+// EffectiveRate returns the MAC/s throughput when n of the cluster's cores
+// run at the given OPP. Accelerators always use n == Cores.
+func (c *Cluster) EffectiveRate(opp OPP, n int) float64 {
+	return c.RateMACsPerSecGHz * opp.FreqGHz * c.CoreScale(n)
 }
 
 // BusyPowerMW returns cluster power with n cores active at the given

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -135,6 +136,26 @@ func TestEffectiveRateScaling(t *testing.T) {
 	}
 	if c.EffectiveRate(opp, 9) != full {
 		t.Fatal("core count must clamp to cluster size")
+	}
+}
+
+// NewPlatform builds exactly what Catalog holds under each name, and
+// nothing for a name Catalog does not know.
+func TestNewPlatformMatchesCatalog(t *testing.T) {
+	cat := Catalog()
+	if len(cat) != len(platformNames) {
+		t.Fatalf("Catalog has %d platforms, want %d", len(cat), len(platformNames))
+	}
+	for name, want := range cat {
+		if want == nil || want.Name != name {
+			t.Fatalf("Catalog()[%q] = %+v, want a platform of that name", name, want)
+		}
+		if got := NewPlatform(name); !reflect.DeepEqual(got, want) {
+			t.Errorf("NewPlatform(%q) differs from Catalog()[%q]", name, name)
+		}
+	}
+	if p := NewPlatform("no-such-board"); p != nil {
+		t.Fatalf("NewPlatform(unknown) = %v, want nil", p)
 	}
 }
 

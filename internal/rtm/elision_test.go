@@ -2,76 +2,12 @@ package rtm
 
 import (
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
-
-func asg(app string, level int) Assignment {
-	return Assignment{App: app, Level: level, Placement: sim.Placement{Cluster: "a15", Cores: 4}}
-}
-
-func TestPlanCacheLRUEviction(t *testing.T) {
-	c := NewPlanCache(2)
-	c.put([]byte("a"), []Assignment{asg("a", 1)})
-	c.put([]byte("b"), []Assignment{asg("b", 2)})
-	if _, ok := c.get([]byte("a")); !ok {
-		t.Fatal("a evicted too early")
-	}
-	// a is now most recently used; inserting c must evict b.
-	c.put([]byte("c"), []Assignment{asg("c", 3)})
-	if _, ok := c.get([]byte("b")); ok {
-		t.Fatal("b not evicted (LRU order broken)")
-	}
-	if _, ok := c.get([]byte("a")); !ok {
-		t.Fatal("a evicted despite recent use")
-	}
-	if got, ok := c.get([]byte("c")); !ok || got[0].App != "c" {
-		t.Fatalf("c lookup = %v, %v", got, ok)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	hits, misses := c.Stats()
-	if hits != 3 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 3/1", hits, misses)
-	}
-}
-
-func TestPlanCacheRePutRefreshes(t *testing.T) {
-	c := NewPlanCache(2)
-	c.put([]byte("a"), []Assignment{asg("a", 1)})
-	c.put([]byte("b"), []Assignment{asg("b", 1)})
-	// Re-putting a refreshes its recency and contents.
-	c.put([]byte("a"), []Assignment{asg("a", 4)})
-	c.put([]byte("c"), []Assignment{asg("c", 1)}) // must evict b
-	if _, ok := c.get([]byte("b")); ok {
-		t.Fatal("b survived; re-put did not refresh a's recency")
-	}
-	if got, ok := c.get([]byte("a")); !ok || got[0].Level != 4 {
-		t.Fatalf("a = %v, %v; re-put did not update contents", got, ok)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-}
-
-func TestPlanCacheCopiesOnPut(t *testing.T) {
-	c := NewPlanCache(4)
-	key := []byte("k")
-	plan := []Assignment{asg("a", 3)}
-	c.put(key, plan)
-	// Vandalising the caller's slices must not reach the cached entry.
-	plan[0].Level = 1
-	key[0] = 'x'
-	got, ok := c.get([]byte("k"))
-	if !ok || got[0].Level != 3 {
-		t.Fatalf("cached plan = %v, %v; put did not copy", got, ok)
-	}
-}
 
 // reuseScenario is a dynamic managed run shared by the elision and
 // equivalence tests: two DNNs with real contention, a render app arriving
@@ -173,7 +109,7 @@ func testPolicies(t *testing.T) map[string]func() Policy {
 }
 
 // TestPlanReuseEquivalence is the tentpole's correctness property at the
-// manager layer: with reuse on (elision + memo cache) the full simulation
+// manager layer: with replan elision on the full simulation
 // report — every event, stat and temperature — must be byte-identical to
 // planning every replan fresh, for every built-in policy and a trained
 // learned policy.
@@ -199,7 +135,7 @@ func TestPlanReuseEquivalence(t *testing.T) {
 					mgrOn.Plans(), mgrOff.Plans())
 			}
 			offStats := mgrOff.PlanStats()
-			if offStats.Elided != 0 || offStats.CacheHits != 0 || offStats.CacheMisses != 0 {
+			if offStats.Elided != 0 {
 				t.Errorf("NoPlanReuse manager reused work: %+v", offStats)
 			}
 			onStats := mgrOn.PlanStats()
@@ -230,8 +166,8 @@ func TestReplanElisionSavesPolicyCalls(t *testing.T) {
 }
 
 // countingHeuristic wraps the heuristic with an invocation counter. It
-// embeds epochKeyed and forwards planCacheID, so it participates in both
-// reuse tiers exactly like the real built-in.
+// embeds epochKeyed, so it participates in elision exactly like the real
+// built-in.
 type countingHeuristic struct {
 	epochKeyed
 	calls int
@@ -239,8 +175,6 @@ type countingHeuristic struct {
 }
 
 func (p *countingHeuristic) Name() string { return "counting-heuristic" }
-
-func (p *countingHeuristic) planCacheID() string { return "counting-heuristic" }
 
 func (p *countingHeuristic) Plan(v View) []Assignment {
 	p.calls++
@@ -253,12 +187,12 @@ func (p *countingHeuristic) planInto(v *View, sc *planScratch) []Assignment {
 }
 
 // TestThirdPartyPolicyNeverReused: a policy outside this package's sealed
-// interfaces must plan fresh on every replan — elision and memoisation
-// are opt-in for exactly-known read-sets only.
+// interface must plan fresh on every replan — elision is opt-in for
+// exactly-known read-sets only.
 func TestThirdPartyPolicyNeverReused(t *testing.T) {
 	mgr, _ := reuseScenario(t, externalPolicy{}, false)
 	s := mgr.PlanStats()
-	if s.Elided != 0 || s.CacheHits != 0 || s.CacheMisses != 0 {
+	if s.Elided != 0 {
 		t.Fatalf("third-party policy was reused: %+v", s)
 	}
 	if s.Plans == 0 {
@@ -267,7 +201,7 @@ func TestThirdPartyPolicyNeverReused(t *testing.T) {
 }
 
 // externalPolicy stands in for a third-party Policy: it deliberately does
-// not (and cannot, outside the package) implement the sealed seams.
+// not (and cannot, outside the package) implement the sealed seam.
 type externalPolicy struct{}
 
 func (externalPolicy) Name() string { return "external" }
@@ -362,75 +296,5 @@ func TestMissReplanBackoff(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestLearnedPlanCacheIDContentHashed: two byte-identical tables share a
-// cache identity; different tables do not — the property that lets fleet
-// workers share one cache across scenarios running the same trained
-// table, without ever mixing plans across different tables.
-func TestLearnedPlanCacheIDContentHashed(t *testing.T) {
-	build := func(cost float64) *learnedPolicy {
-		table := NewLearnedTable([]string{"heuristic", "minenergy"})
-		table.Observe("h2p1s3a1", 0, cost)
-		table.Finalise()
-		p, err := NewLearnedPolicy("learned:x", table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.(*learnedPolicy)
-	}
-	a, b, c := build(0.1), build(0.1), build(0.9)
-	if a.planCacheID() == "" {
-		t.Fatal("no cache ID for a valid table")
-	}
-	if a.planCacheID() != b.planCacheID() {
-		t.Error("byte-identical tables got different cache IDs")
-	}
-	if a.planCacheID() == c.planCacheID() {
-		t.Error("different tables share a cache ID")
-	}
-	if a.planCacheID() != a.planCacheID() {
-		t.Error("cache ID not stable")
-	}
-}
-
-// TestManagerPlanKeyDistinguishesViews: canonical keys must differ when
-// any planning-visible input differs, and agree for an identical view.
-func TestManagerPlanKeyDistinguishesViews(t *testing.T) {
-	mgr := NewManager(map[string]Requirement{"d": {MaxLatencyS: 0.060, Priority: 1}})
-	e, err := sim.New(sim.Config{
-		Platform:   hw.OdroidXU3(),
-		Apps:       []sim.App{dnn("d", "a15", 4, 0.060)},
-		Controller: mgr,
-		TickS:      0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	v := mgr.buildView(e)
-	ck := mgr.policy.(cacheKeyed)
-	key1 := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck))
-	key2 := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck))
-	if key1 != key2 {
-		t.Fatal("identical views produced different keys")
-	}
-	budget := v.DynBudgetMW
-	v.DynBudgetMW = budget * 0.5
-	if got := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck)); got == key1 {
-		t.Error("budget change did not change the key")
-	}
-	v.DynBudgetMW = budget
-	origLevel := v.Apps[0].Level
-	v.Apps[0].Level = (origLevel + 1) % 5
-	if got := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck)); got == key1 {
-		t.Error("level change did not change the key")
-	}
-	v.Apps[0].Level = origLevel
-	if got := fmt.Sprintf("%x", mgr.buildPlanKey(&v, "otherpolicy", ck)); got == key1 {
-		t.Error("policy identity change did not change the key")
 	}
 }

@@ -1,7 +1,6 @@
 package rtm
 
 import (
-	"fmt"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -115,9 +114,10 @@ func TestDegradedPin(t *testing.T) {
 	}
 }
 
-// The memo-cache key must separate planning states that differ only in
+// The elision key must separate planning states that differ only in
 // cluster availability: a plan computed on healthy hardware is not valid
-// once a cluster is gone, and vice versa.
+// once a cluster is gone, and one computed during the fault is not valid
+// after the repair.
 func TestPlanKeyIncludesAvailability(t *testing.T) {
 	mgr := NewManager(map[string]Requirement{"d": {MaxLatencyS: 0.060, Priority: 1}})
 	e, err := sim.New(sim.Config{
@@ -132,16 +132,22 @@ func TestPlanKeyIncludesAvailability(t *testing.T) {
 	if err := e.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	v := mgr.buildView(e)
-	ck := mgr.policy.(cacheKeyed)
-	healthy := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck))
-	v.Clusters[0].Online = false
-	if got := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck)); got == healthy {
-		t.Error("availability change did not change the plan key")
+	healthy, ok := mgr.fingerprint(e)
+	if !ok {
+		t.Fatal("heuristic manager has no elision key")
 	}
-	v.Clusters[0].Online = true
-	if got := fmt.Sprintf("%x", mgr.buildPlanKey(&v, ck.planCacheID(), ck)); got != healthy {
-		t.Error("availability round-trip changed the plan key")
+	if err := e.SetClusterOnline("a7", false); err != nil {
+		t.Fatal(err)
+	}
+	faulted, _ := mgr.fingerprint(e)
+	if faulted == healthy {
+		t.Error("cluster failure did not change the elision key")
+	}
+	if err := e.SetClusterOnline("a7", true); err != nil {
+		t.Fatal(err)
+	}
+	if repaired, _ := mgr.fingerprint(e); repaired == faulted || repaired == healthy {
+		t.Error("cluster repair did not produce a fresh elision key")
 	}
 }
 

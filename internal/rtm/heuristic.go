@@ -25,9 +25,6 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // minEnergyPolicy, which races).
 type heuristicPolicy struct{ epochKeyed }
 
-// planCacheID implements cacheKeyed.
-func (heuristicPolicy) planCacheID() string { return "heuristic" }
-
 // Name implements Policy.
 func (heuristicPolicy) Name() string { return "heuristic" }
 
@@ -64,7 +61,7 @@ func heuristicAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) Ass
 		return st.commit(a, c, 3)
 	}
 	// Nothing fits at all (power budget exhausted).
-	return park(v, st, a)
+	return park(st, a)
 }
 
 // heuristicBest enumerates feasible candidates over the level list and
@@ -101,7 +98,7 @@ func heuristicBest(v *View, st *planState, sc *planScratch, a sim.AppInfo, req R
 			for _, level := range levels {
 				oppIdx, ok := len(cl.OPPs)-1, true
 				if !bestEffort {
-					oppIdx, ok = chooseOPP(cl, st.oppNeed[ci], cores, a.Profile.Level(level).MACs, req.MaxLatencyS)
+					oppIdx, ok = chooseOPP(st, ci, st.oppNeed[ci], cores, a.Profile.Level(level).MACs, req.MaxLatencyS)
 				}
 				if !ok {
 					continue

@@ -3,7 +3,6 @@ package rtm
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"sort"
@@ -492,49 +491,14 @@ func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	return arm.Plan(*v)
 }
 
-// ---- Plan-reuse seams ----
+// ---- Plan-reuse seam ----
 //
-// The learned policy opts into both reuse tiers, but unlike the built-ins
+// The learned policy opts into replan elision, but unlike the built-ins
 // its plan depends on more than the epoch-tracked View: the thermal and
 // slack buckets read continuously-moving observables (die temperature,
 // per-app average latency). Elision therefore folds those buckets —
 // discretised exactly as StateKey would see them — into the dynamic
-// fingerprint, and memoisation keys on the chosen arm (plus a content
-// hash of the table, so only byte-identical tables share entries).
-
-// learnedIDCache memoises planCacheID per table pointer. Tables are
-// immutable after load and shared process-wide (learnedTableCache), so
-// hashing each one once is enough.
-var learnedIDCache sync.Map
-
-// planCacheID implements cacheKeyed: a content hash of the trained table,
-// so two managers running byte-identical tables (however they were
-// loaded) share plan cache entries, while different tables never collide.
-// Returns "" — disabling memoisation — if the table fails to marshal.
-func (p *learnedPolicy) planCacheID() string {
-	if id, ok := learnedIDCache.Load(p.table); ok {
-		return id.(string)
-	}
-	raw, err := p.table.MarshalBytes()
-	if err != nil {
-		return ""
-	}
-	h := fnv.New64a()
-	h.Write(raw)
-	id := LearnedParamPrefix + "/" + strconv.FormatUint(h.Sum64(), 16)
-	actual, _ := learnedIDCache.LoadOrStore(p.table, id)
-	return actual.(string)
-}
-
-// appendPlanKey implements cacheKeyed: beyond the canonical View fields
-// the manager serialises, the plan depends only on which arm the table
-// selects — so the key appends the chosen arm name rather than the raw
-// state key. Distinct states that resolve to the same arm then share
-// cache entries, which is both correct (the arm fully determines the
-// plan given the View) and strictly better for the hit rate.
-func (p *learnedPolicy) appendPlanKey(b []byte, v View) []byte {
-	return appendStr(b, p.table.Choose(StateKey(&v)))
-}
+// fingerprint.
 
 // dynFingerprint implements fingerprinted: the thermal and slack buckets
 // computed from live engine state, bit-for-bit as the View path would

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
@@ -72,10 +71,10 @@ type Manager struct {
 	// fault after a quiet period always replans immediately.
 	FaultReplanBackoffS float64
 
-	// NoPlanReuse disables both plan-reuse tiers (replan elision and the
-	// plan memo cache): every Replan rebuilds the view and re-runs the
-	// policy. Reuse is byte-identical by construction; this switch exists
-	// so equivalence tests and the CI determinism check can prove it.
+	// NoPlanReuse disables replan elision: every Replan rebuilds the view
+	// and re-runs the policy. Elision is byte-identical by construction;
+	// this switch exists so equivalence tests and the CI determinism check
+	// can prove it.
 	NoPlanReuse bool
 
 	policy       Policy
@@ -102,19 +101,13 @@ type Manager struct {
 
 	// Plan-reuse state: version counters folded into the elision
 	// fingerprint, the fingerprint of the last actuated plan (valid only
-	// while lastFPOK — i.e. the last actuation was a fixed point), the
-	// memo cache and its counters, and the reused key buffers.
-	reqsVer     uint64
-	policyVer   uint64
-	lastFP      planFingerprint
-	lastFPOK    bool
-	elided      int
-	cacheHits   int
-	cacheMisses int
-	planCache   *PlanCache
-	keyBuf      []byte
-	platKeyBuf  []byte
-	platKeyFor  *hw.Platform
+	// while lastFPOK — i.e. the last actuation was a fixed point), and the
+	// elision counter.
+	reqsVer   uint64
+	policyVer uint64
+	lastFP    planFingerprint
+	lastFPOK  bool
+	elided    int
 
 	// Replan scratch: the manager replans every controller tick, so the
 	// planning input (engine snapshot + view), the defensive policy copy,
@@ -187,20 +180,12 @@ func (m *Manager) Requirement(app string, periodS float64) Requirement {
 // Plans returns how many replans have executed.
 func (m *Manager) Plans() int { return m.plans }
 
-// PlanStats reports the manager's plan-reuse counters: total replans,
-// elided replans, and memo cache hits/misses. The counters are
-// observability only — they never enter simulation reports, whose bytes
-// must not depend on cache state.
+// PlanStats reports the manager's plan-reuse counters: total replans and
+// elided replans. The counters are observability only — they never enter
+// simulation reports, whose bytes must not depend on reuse.
 func (m *Manager) PlanStats() PlanStats {
-	return PlanStats{Plans: m.plans, Elided: m.elided, CacheHits: m.cacheHits, CacheMisses: m.cacheMisses}
+	return PlanStats{Plans: m.plans, Elided: m.elided}
 }
-
-// SetPlanCache installs a plan memo cache, replacing the manager-owned
-// one. A fleet worker shares one cache across its whole scenario stream
-// this way — recurring (policy, platform, app-set, budget) states hit
-// across scenario boundaries. The cache is not goroutine-safe; callers
-// must not share one across concurrently running managers.
-func (m *Manager) SetPlanCache(c *PlanCache) { m.planCache = c }
 
 // LastPlan returns a copy of the most recent set of assignments.
 func (m *Manager) LastPlan() []Assignment { return append([]Assignment(nil), m.last...) }
@@ -345,17 +330,15 @@ func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
 // Replan recomputes and actuates assignments for every running DNN app:
 // build the view, delegate planning to the policy, actuate the plan.
 //
-// Two reuse tiers sit in front of the policy, both byte-identical to
-// planning fresh. Elision: when the planning fingerprint is unchanged
-// since the last plan AND that plan actuated as a fixed point (actuation
-// changed nothing, so engine state equals the plan's targets), planning
-// would reproduce the same plan and actuation would no-op — skip all of
-// it. The fixed-point condition is essential: a plan the engine could not
-// fully realise (a failed migration, an oscillating policy) must keep
-// replanning. Memoisation: otherwise, an exact canonical key over every
-// View field the policy can read looks up a previous plan, skipping the
-// policy invocation but still actuating. Counters (LastPlan, LastView,
-// Plans, miss reset) behave identically on every path.
+// Elision sits in front of the policy, byte-identical to planning fresh:
+// when the planning fingerprint is unchanged since the last plan AND that
+// plan actuated as a fixed point (actuation changed nothing, so engine
+// state equals the plan's targets), planning would reproduce the same
+// plan and actuation would no-op — skip all of it. The fixed-point
+// condition is essential: a plan the engine could not fully realise (a
+// failed migration, an oscillating policy) must keep replanning. Counters
+// (LastPlan, LastView, Plans, miss reset) behave identically on both
+// paths.
 func (m *Manager) Replan(e *sim.Engine) {
 	m.pending = false
 	m.misses = 0
@@ -372,50 +355,20 @@ func (m *Manager) Replan(e *sim.Engine) {
 	}
 
 	v := m.buildView(e)
+	// The policy gets its own clone: a policy that scribbles on its View's
+	// runtime state cannot corrupt the copy actuation and LastView read
+	// from. Built-in policies additionally plan through the manager-owned
+	// scratch buffers (the allocation-free hot path); third-party policies
+	// go through the public Plan contract.
+	v.CloneInto(&m.policyView)
 	var plan []Assignment
-	hit := false
-	ck, canCache := m.policy.(cacheKeyed)
-	var cacheID string
-	if canCache && !m.NoPlanReuse {
-		cacheID = ck.planCacheID()
+	if sp, ok := m.policy.(scratchPlanner); ok {
+		plan = sp.planInto(&m.policyView, &m.scratch)
+	} else {
+		plan = m.policy.Plan(m.policyView)
 	}
-	if cacheID != "" {
-		if m.planCache == nil {
-			m.planCache = NewPlanCache(DefaultPlanCacheCap)
-		}
-		key := m.buildPlanKey(&v, cacheID, ck)
-		if cached, ok := m.planCache.get(key); ok {
-			m.cacheHits++
-			hit = true
-			// Copy out through the scratch plan buffer: the cached entry
-			// stays vandal-safe and the hot path stays allocation-free.
-			m.scratch.plan = append(m.scratch.plan[:0], cached...)
-			plan = m.scratch.plan
-		} else {
-			m.cacheMisses++
-		}
-	}
-	if !hit {
-		// The policy gets its own clone: a policy that scribbles on its
-		// View's runtime state cannot corrupt the copy actuation and
-		// LastView read from. Built-in policies additionally plan through
-		// the manager-owned scratch buffers (the allocation-free hot
-		// path); third-party policies go through the public Plan contract.
-		v.CloneInto(&m.policyView)
-		if sp, ok := m.policy.(scratchPlanner); ok {
-			plan = sp.planInto(&m.policyView, &m.scratch)
-		} else {
-			plan = m.policy.Plan(m.policyView)
-		}
-		if cacheID != "" {
-			// buildPlanKey's buffer is still valid: planning reads the
-			// view but never rewrites the key scratch.
-			m.planCache.put(m.keyBuf, plan)
-		}
-	}
-	// The last-resort degradation guarantee runs after the cache put: the
-	// cache stores the raw policy plan and the fallback is a pure function
-	// of (view, plan), so fresh and memo-hit plans degrade identically.
+	// The last-resort degradation guarantee: a pure function of (view,
+	// plan) applied to whatever the policy returned.
 	m.applyDegradedFallback(&v, plan)
 	// Publish into manager-owned storage *before* any callback can run:
 	// plan aliases the policy scratch and v aliases the snapshot scratch,
@@ -459,8 +412,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 // planning (see park), so this post-pass is the manager-level guarantee
 // that holds for third-party policies — and for the no-seat-left case park
 // cannot solve. It is a pure function of (view, plan) — no manager or
-// engine state — so it degrades fresh and memo-cache-hit plans
-// identically, and it leaves an assignment untouched only when no online
+// engine state — and it leaves an assignment untouched only when no online
 // cluster can possibly host the app (the OnTick fault retry keeps
 // replanning until a repair changes that).
 func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {

@@ -12,9 +12,6 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // power budget still bind — the policy is aggressive, not unsafe.
 type maxAccuracyPolicy struct{ epochKeyed }
 
-// planCacheID implements cacheKeyed.
-func (maxAccuracyPolicy) planCacheID() string { return "maxaccuracy" }
-
 // Name implements Policy.
 func (maxAccuracyPolicy) Name() string { return "maxaccuracy" }
 
@@ -69,5 +66,5 @@ func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) A
 	if c, ok := heuristicBest(v, st, sc, a, req, sc.levels, true); ok {
 		return st.commit(a, c, 3)
 	}
-	return park(v, st, a)
+	return park(st, a)
 }

@@ -12,9 +12,6 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // sweep puts pacing and racing side by side on identical workloads.
 type minEnergyPolicy struct{ epochKeyed }
 
-// planCacheID implements cacheKeyed.
-func (minEnergyPolicy) planCacheID() string { return "minenergy" }
-
 // Name implements Policy.
 func (minEnergyPolicy) Name() string { return "minenergy" }
 
@@ -53,7 +50,7 @@ func minEnergyAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) Ass
 	if c, ok := heuristicBest(v, st, sc, a, req, sc.levels, true); ok {
 		return st.commit(a, c, 3)
 	}
-	return park(v, st, a)
+	return park(st, a)
 }
 
 // raceBest enumerates candidates pinned to each cluster's maximum OPP

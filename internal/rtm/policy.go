@@ -2,12 +2,12 @@ package rtm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
-	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
@@ -274,6 +274,14 @@ type planState struct {
 	freeMem   []int64
 	oppNeed   []int
 	dynBudget float64 // remaining average dynamic power, mW
+
+	// coreScale[ci][n] is clusters[ci].CoreScale(n) for n in 0..Cores,
+	// tabulated for platform so candidate latencies never call math.Pow
+	// (see latencyS). Holding platform keeps it alive, so a different
+	// platform can never reuse its address and inherit a stale table. The
+	// rows share one backing array.
+	platform  *hw.Platform
+	coreScale [][]float64
 }
 
 // clusterIndex maps a cluster name to its platform position (-1 when
@@ -328,6 +336,22 @@ func (st *planState) init(v *View) {
 	st.freeMem = reuse(st.freeMem, len(cls))
 	st.oppNeed = reuse(st.oppNeed, len(cls))
 	st.dynBudget = v.DynBudgetMW
+	if v.Platform != st.platform {
+		st.platform = v.Platform
+		size := 0
+		for _, cl := range cls {
+			size += cl.Cores + 1
+		}
+		store := make([]float64, 0, size)
+		st.coreScale = st.coreScale[:0]
+		for _, cl := range cls {
+			lo := len(store)
+			for n := 0; n <= cl.Cores; n++ {
+				store = append(store, cl.CoreScale(n))
+			}
+			st.coreScale = append(st.coreScale, store[lo:])
+		}
+	}
 	for ci, cl := range cls {
 		st.online[ci] = v.ClusterOnline(ci)
 		if !st.online[ci] {
@@ -507,12 +531,28 @@ func coreOptions(cl *hw.Cluster, st *planState, ci int, buf []int) []int {
 	return buf
 }
 
+// latencyS is perf.InferenceLatencyS on ledger cluster ci with the core
+// scaling read from the table: n is clamped as hw.Cluster.CoreScale clamps
+// it and the arithmetic runs in the same order, so the result is
+// bit-identical.
+func (st *planState) latencyS(ci int, opp hw.OPP, n int, macs int64) float64 {
+	cl := st.clusters[ci]
+	n = max(0, min(n, cl.Cores))
+	rate := cl.RateMACsPerSecGHz * opp.FreqGHz * st.coreScale[ci][n]
+	if rate <= 0 {
+		return math.Inf(1)
+	}
+	return cl.FixedOverheadS + float64(macs)/rate
+}
+
 // chooseOPP returns the lowest OPP index >= floor (the cluster's committed
-// DVFS floor) meeting the latency budget — pacing beats race-to-idle under
-// a CV²f power model. ok is false when even the maximum OPP misses.
-func chooseOPP(cl *hw.Cluster, floor, cores int, macs int64, budgetS float64) (int, bool) {
+// DVFS floor) on ledger cluster ci meeting the latency budget — pacing
+// beats race-to-idle under a CV²f power model. ok is false when even the
+// maximum OPP misses.
+func chooseOPP(st *planState, ci, floor, cores int, macs int64, budgetS float64) (int, bool) {
+	cl := st.clusters[ci]
 	for i := floor; i < len(cl.OPPs); i++ {
-		if perf.InferenceLatencyS(cl, cl.OPPs[i], cores, macs) <= budgetS {
+		if st.latencyS(ci, cl.OPPs[i], cores, macs) <= budgetS {
 			return i, true
 		}
 	}
@@ -533,7 +573,7 @@ func evalCandidate(st *planState, a sim.AppInfo, req Requirement, cl *hw.Cluster
 		}
 	}
 	opp := cl.OPPs[oppIdx]
-	lat := perf.InferenceLatencyS(cl, opp, cores, spec.MACs)
+	lat := st.latencyS(ci, opp, cores, spec.MACs)
 	duty := lat / a.PeriodS
 	if duty > 1 {
 		duty = 1
@@ -604,7 +644,7 @@ func (st *planState) commit(a sim.AppInfo, c candidate, pass int) Assignment {
 // level on the least-loaded online cluster that can still take it. Only
 // when no online cluster can host the app does it stay on the dead one —
 // the retry/repair triggers in the Manager pick it up from there.
-func park(v *View, st *planState, a sim.AppInfo) Assignment {
+func park(st *planState, a sim.AppInfo) Assignment {
 	if ci := st.clusterIndex(a.Placement.Cluster); ci >= 0 && !st.online[ci] {
 		if alt := degradedPin(st, a); alt >= 0 {
 			cl := st.clusters[alt]
@@ -614,7 +654,7 @@ func park(v *View, st *planState, a sim.AppInfo) Assignment {
 				ci:        alt,
 				level:     1,
 				oppIdx:    0,
-				latencyS:  perf.InferenceLatencyS(cl, cl.MinOPP(), cores, a.Profile.Level(1).MACs),
+				latencyS:  st.latencyS(alt, cl.MinOPP(), cores, a.Profile.Level(1).MACs),
 				accuracy:  a.Profile.Level(1).Accuracy,
 			}
 			if cl.MemBytes > 0 && a.ModelBytes > 0 {
@@ -623,13 +663,14 @@ func park(v *View, st *planState, a sim.AppInfo) Assignment {
 			return st.commit(a, c, 3)
 		}
 	}
-	cl := v.Platform.Cluster(a.Placement.Cluster)
+	ci := st.clusterIndex(a.Placement.Cluster)
+	cl := st.clusters[ci]
 	c := candidate{
 		placement: a.Placement,
-		ci:        st.clusterIndex(a.Placement.Cluster),
+		ci:        ci,
 		level:     1,
 		oppIdx:    0,
-		latencyS:  perf.InferenceLatencyS(cl, cl.MinOPP(), clApplyCores(cl, a.Placement.Cores), a.Profile.Level(1).MACs),
+		latencyS:  st.latencyS(ci, cl.MinOPP(), clApplyCores(cl, a.Placement.Cores), a.Profile.Level(1).MACs),
 		accuracy:  a.Profile.Level(1).Accuracy,
 	}
 	return st.commit(a, c, 3)

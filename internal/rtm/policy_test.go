@@ -84,7 +84,7 @@ func testCluster() *hw.Cluster {
 // above the committed floor that meets the budget. Before the policy
 // extraction this decision was unreachable without a full engine run.
 func TestChooseOPP(t *testing.T) {
-	cl := testCluster()
+	st := newPlanState(&View{Platform: &hw.Platform{Clusters: []*hw.Cluster{testCluster()}}})
 	const macs = 100_000_000 // 0.2s / 0.1s / 0.05s at the three OPPs (4 cores)
 	cases := []struct {
 		name    string
@@ -104,7 +104,7 @@ func TestChooseOPP(t *testing.T) {
 		{"fewer cores can fail", 0, 1, 0.05, 0, false},
 	}
 	for _, tc := range cases {
-		idx, ok := chooseOPP(cl, tc.floor, tc.cores, macs, tc.budgetS)
+		idx, ok := chooseOPP(st, 0, tc.floor, tc.cores, macs, tc.budgetS)
 		if idx != tc.wantIdx || ok != tc.wantOK {
 			t.Errorf("%s: chooseOPP(floor=%d, cores=%d, budget=%gs) = (%d, %v), want (%d, %v)",
 				tc.name, tc.floor, tc.cores, tc.budgetS, idx, ok, tc.wantIdx, tc.wantOK)

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+
+	"github.com/emlrtm/emlrtm/internal/hw"
 )
 
 // hKind enumerates internal scheduler events (a superset of the observable
@@ -377,9 +379,17 @@ func (e *Engine) computeJobRate(a *appState) float64 {
 	}
 	opp := cs.c.OPPs[cs.oppIdx]
 	if cs.c.Type.IsAccelerator() {
-		return cs.c.EffectiveRate(opp, cs.c.Cores) * e.acceleratorDNNShare(cs)
+		return cs.rate(opp, cs.c.Cores) * e.acceleratorDNNShare(cs)
 	}
-	return cs.c.EffectiveRate(opp, a.placed.Cores)
+	return cs.rate(opp, a.placed.Cores)
+}
+
+// rate is hw.Cluster.EffectiveRate with the core scaling read from the
+// cluster's table: n is clamped as CoreScale clamps it and the product is
+// formed in the same order, so the result is bit-identical.
+func (cs *clusterState) rate(opp hw.OPP, n int) float64 {
+	n = max(0, min(n, cs.c.Cores))
+	return cs.c.RateMACsPerSecGHz * opp.FreqGHz * cs.coreScale[n]
 }
 
 // handle processes one scheduler event (state is already advanced to its

@@ -23,6 +23,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
@@ -242,6 +243,10 @@ type clusterState struct {
 	// companion is the CPU cluster this accelerator's inference loads
 	// (nil for none), resolved once per Reset.
 	companion *clusterState
+	// coreScale[n] is c.CoreScale(n) for n in 0..Cores, tabulated once per
+	// Reset so job-rate refreshes never call math.Pow (see rate). It is a
+	// window of Engine.coreScaleStore.
+	coreScale []float64
 
 	// Derived-value caches (see Engine.stateVer). Between mutations the
 	// system is piecewise-constant, so utilisation, busy power, the
@@ -280,6 +285,10 @@ type Engine struct {
 	thermal      hw.ThermalState
 	ambient      float64 // current ambient °C (scenario-controllable)
 	mig          MigrationModel
+
+	// coreScaleStore backs every cluster's coreScale table, rewritten in
+	// place by Reset like the stores above.
+	coreScaleStore []float64
 
 	ctrl  Controller
 	tickS float64
@@ -415,12 +424,24 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.clusterStore = e.clusterStore[:len(cfg.Platform.Clusters)]
 	e.clusterList = e.clusterList[:0]
+	// The scale store is grown to its final size first, so the appends
+	// below never move it out from under the windows already handed out.
+	scales := 0
+	for _, c := range cfg.Platform.Clusters {
+		scales += c.Cores + 1
+	}
+	store := slices.Grow(e.coreScaleStore[:0], scales)
 	for i, c := range cfg.Platform.Clusters {
-		e.clusterStore[i] = clusterState{c: c, online: true, ver: e.stateVer}
+		lo := len(store)
+		for n := 0; n <= c.Cores; n++ {
+			store = append(store, c.CoreScale(n))
+		}
+		e.clusterStore[i] = clusterState{c: c, online: true, ver: e.stateVer, coreScale: store[lo:]}
 		cs := &e.clusterStore[i]
 		e.clusters[c.Name] = cs
 		e.clusterList = append(e.clusterList, cs)
 	}
+	e.coreScaleStore = store
 	for _, cs := range e.clusterList {
 		if name := cs.c.CompanionName; name != "" {
 			cs.companion = e.clusters[name]
