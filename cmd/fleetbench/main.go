@@ -13,8 +13,9 @@
 //     under the heuristic manager, as every fleet run is), replan (view build + policy plan +
 //     actuation against a live engine, plan reuse disabled so the row keeps
 //     measuring a full plan), replan-elided (the fingerprint-stable fast
-//     path) and policy-plan per registered policy — each reporting ns/op,
-//     B/op and allocs/op.
+//     path), policy-plan per registered policy, and stream-append and
+//     stream-read (one shard stream record encoded and flushed, or read and
+//     decoded) — each reporting ns/op, B/op and allocs/op.
 //
 // Profile the timed sweep with -cpuprofile/-memprofile: the capture window
 // covers exactly the timed fleet sweep, so a hot-path hunt sees the same
@@ -50,7 +51,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -251,6 +254,8 @@ func main() {
 	for _, p := range pols {
 		cur.Benchmarks["policy-plan/"+p] = record("policy-plan/"+p, benchPolicyPlan(p))
 	}
+	cur.Benchmarks["stream-append"] = record("stream-append", benchStreamAppend)
+	cur.Benchmarks["stream-read"] = record("stream-read", benchStreamRead)
 
 	if *rebaseline {
 		// The trajectory log is append-only: every run that becomes the
@@ -554,6 +559,105 @@ func benchPolicyPlan(name string) func(b *testing.B) {
 			if plan := p.Plan(v); len(plan) == 0 {
 				b.Fatal("empty plan")
 			}
+		}
+	}
+}
+
+// streamBenchLo is the first scenario index of the stream benchmarks'
+// records: ten digits, so every record's ID encodes at the same width.
+const streamBenchLo = 1_000_000_000
+
+// streamBenchRecords returns a stream header and valid records for
+// scenarios [streamBenchLo, streamBenchLo+256) of a single-policy
+// odroid-xu3 fleet at seed 1: one real run's result, latencies kept,
+// relabelled with each scenario's ID and seed.
+func streamBenchRecords(b *testing.B) (fleet.StreamHeader, []fleet.Result) {
+	cfg := fleet.GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3"}}
+	gen, err := fleet.NewGenerator(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scens := gen.GenerateRange(streamBenchLo, streamBenchLo+256)
+	tmpl := fleet.RunOne(scens[0])
+	recs := make([]fleet.Result, len(scens))
+	for i, s := range scens {
+		recs[i] = tmpl
+		recs[i].ID, recs[i].Seed = s.ID, s.Seed
+	}
+	hdr := fleet.StreamHeader{Config: cfg, Total: 2 * streamBenchLo, Lo: streamBenchLo, Hi: streamBenchLo + len(recs)}
+	return hdr, recs
+}
+
+// benchStreamAppend measures StreamWriter.Append: one record encoded and
+// flushed (to io.Discard). A completed writer is replaced with the timer
+// stopped and its first record appended there, so every timed Append is a
+// steady-state one — 0 allocs.
+func benchStreamAppend(b *testing.B) {
+	hdr, recs := streamBenchRecords(b)
+	open := func() *fleet.StreamWriter {
+		sw, err := fleet.NewStreamWriter(io.Discard, hdr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sw.Append(recs[0]); err != nil {
+			b.Fatal(err)
+		}
+		return sw
+	}
+	sw := open()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sw.Complete() {
+			b.StopTimer()
+			sw = open()
+			b.StartTimer()
+		}
+		if err := sw.Append(recs[sw.Next()-hdr.Lo]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchStreamRead measures StreamReader.Read over the records
+// benchStreamAppend writes: one line read, decoded and validated. A
+// drained reader is replaced with the timer stopped and its first record
+// read there.
+func benchStreamRead(b *testing.B) {
+	hdr, recs := streamBenchRecords(b)
+	var buf bytes.Buffer
+	sw, err := fleet.NewStreamWriter(&buf, hdr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := sw.Append(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	open := func() *fleet.StreamReader {
+		sr, err := fleet.NewStreamReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sr.Read(); err != nil {
+			b.Fatal(err)
+		}
+		return sr
+	}
+	sr := open()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := sr.Read()
+		if errors.Is(err, io.EOF) {
+			b.StopTimer()
+			sr = open()
+			b.StartTimer()
+			_, err = sr.Read()
+		}
+		if err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 )
 
 // GroupStats summarises one slice of the fleet (overall, per platform, or
@@ -189,13 +192,8 @@ func (g *group) finalise() GroupStats {
 	if n := len(g.latencies) + g.scalarCount; n > 0 {
 		s.MeanLatencyS = g.latSum / float64(n)
 	}
-	if len(g.latencies) > 0 {
-		// The group owns its pooled copy, so one in-place sort serves
-		// every order statistic (p95 today, any quantile tomorrow) —
-		// percentile() would copy and re-sort per call.
-		sort.Float64s(g.latencies)
-		s.P95LatencyS = percentileSorted(g.latencies, 0.95)
-	}
+	// The group owns its pooled copy, so selection may reorder it.
+	s.P95LatencyS = percentileSelect(g.latencies, 0.95)
 	if g.scalarP95 > s.P95LatencyS {
 		s.P95LatencyS = g.scalarP95
 	}
@@ -258,6 +256,86 @@ func Aggregate(seed uint64, results []Result) Report {
 		rep.Regret = regret(results)
 	}
 	return rep
+}
+
+// nearestRank returns the 0-based index of the p-quantile of n sorted
+// samples under true nearest-rank (rank = ceil(n·p), 1-based), clamped to
+// [0, n-1].
+//
+// Nearest-rank never interpolates and never selects below the requested
+// coverage: the chosen sample is ≥ at least ⌈n·p⌉ of the n samples. The
+// round-half-up rank this replaced (int(n·p+0.5)) under-selected whenever
+// n·p had a fractional part below one half — e.g. n=10, p=0.91 gave rank 9
+// where nearest-rank requires ⌈9.1⌉ = 10.
+func nearestRank(n int, p float64) int {
+	// The (1 - 1e-12) nudge absorbs representation dust in n·p: an exact
+	// integer product that lands a hair above its true value (9.1 is not
+	// representable; 10×0.91 evaluates to 9.099999…96, but 100×0.91 to
+	// 91.000000…1) must not ceil one rank too high.
+	idx := int(math.Ceil(float64(n)*p*(1-1e-12))) - 1
+	return max(0, min(idx, n-1))
+}
+
+// percentileSelect returns the nearest-rank p-quantile of samples (0 when
+// there are none), reordering them in place.
+func percentileSelect(samples []float64, p float64) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	return selectKth(samples, nearestRank(len(samples), p))
+}
+
+// selectKth reorders a so that a[k] holds the value slices.Sort would put
+// there, and returns it: values order as cmp.Less orders them (NaNs
+// first), and values that compare equal (-0 and +0) are interchangeable.
+// Each round splits the window holding k three ways around a
+// median-of-three pivot, so runs of equal samples cost one pass. After
+// 2·log2(n) rounds it sorts what is left, so input crafted against the
+// pivot rule costs O(n log n), not O(n²).
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 12 && budget > 0; budget-- {
+		p := medianOfThree(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// Invariant: a[lo:lt] < p, a[lt:i] == p, a[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := a[i]; {
+			case cmp.Less(x, p):
+				a[lt], a[i] = x, a[lt]
+				lt++
+				i++
+			case cmp.Less(p, x):
+				gt--
+				a[i], a[gt] = a[gt], x
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return a[k]
+		}
+	}
+	slices.Sort(a[lo:hi])
+	return a[k]
+}
+
+// medianOfThree returns the middle value of x, y, z under cmp.Less.
+func medianOfThree(x, y, z float64) float64 {
+	if cmp.Less(y, x) {
+		x, y = y, x
+	}
+	if cmp.Less(z, y) {
+		y = z
+		if cmp.Less(y, x) {
+			y = x
+		}
+	}
+	return y
 }
 
 // missRate is a result's deadline-miss fraction, (missed+dropped+aborted)/

@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/json"
+	"fmt"
 	"math"
-	"sort"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -98,13 +101,12 @@ func TestPercentileNearestRankVsRoundHalfUp(t *testing.T) {
 	}
 }
 
-// TestPercentileSortedMatchesPercentile pins the sorted-once fast path
-// against the copy-and-sort-per-quantile reference: for every table the
-// p50/p95/max read off one sorted copy must be identical to calling
-// percentile per quantile. This is what lets group finalisation (and the
-// runner's per-scenario stats) sort each pooled latency slice exactly
-// once.
-func TestPercentileSortedMatchesPercentile(t *testing.T) {
+// TestPercentileSelectMatchesSort pins the in-place selection path against
+// the copy-and-sort reference: for every table and quantile,
+// percentileSelect over a copy returns what sorting and indexing returns.
+// This is what lets group finalisation (and the runner's per-scenario
+// stats) select each pooled latency slice's p95 instead of sorting it.
+func TestPercentileSelectMatchesSort(t *testing.T) {
 	tables := map[string][]float64{
 		"empty":      nil,
 		"single":     {3.25},
@@ -117,18 +119,61 @@ func TestPercentileSortedMatchesPercentile(t *testing.T) {
 	}
 	quantiles := []float64{0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
 	for name, samples := range tables {
-		sorted := append([]float64(nil), samples...)
-		sort.Float64s(sorted)
 		for _, p := range quantiles {
 			want := percentile(samples, p)
-			if got := percentileSorted(sorted, p); got != want {
-				t.Errorf("%s: percentileSorted(p=%g) = %g, want %g (percentile reference)",
-					name, p, got, want)
+			work := append([]float64(nil), samples...)
+			if got := percentileSelect(work, p); got != want {
+				t.Errorf("%s: percentileSelect(p=%g) = %g, want %g (sort reference)", name, p, got, want)
 			}
 		}
-		if len(sorted) > 0 {
-			if max := sorted[len(sorted)-1]; max != percentile(samples, 1) {
-				t.Errorf("%s: sorted max %g != percentile(p=1) %g", name, max, percentile(samples, 1))
+	}
+}
+
+// TestSelectKthMatchesSort: for every rank k, selectKth returns the value
+// slices.Sort puts at k, and leaves a permutation of its input — over
+// random inputs with heavy duplication, NaNs and signed zeros, and over
+// shapes that defeat a median-of-three pivot (sorted, reversed, organ
+// pipe, all equal), sized to cross the small-window and depth-budget paths.
+func TestSelectKthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	inputs := map[string][]float64{}
+	for _, n := range []int{1, 2, 3, 12, 13, 50, 257} {
+		random := make([]float64, n)
+		dups := make([]float64, n)
+		specials := make([]float64, n)
+		for i := range random {
+			random[i] = rng.NormFloat64()
+			dups[i] = float64(rng.IntN(4))
+			specials[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, -1, 2.5}[rng.IntN(7)]
+		}
+		sorted := make([]float64, n)
+		for i := range sorted {
+			sorted[i] = float64(i)
+		}
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		organ := make([]float64, n)
+		for i := range organ {
+			organ[i] = float64(min(i, n-1-i))
+		}
+		for kind, in := range map[string][]float64{
+			"random": random, "dups": dups, "specials": specials,
+			"sorted": sorted, "reversed": reversed, "organ": organ, "equal": make([]float64, n),
+		} {
+			inputs[fmt.Sprintf("%s/n=%d", kind, n)] = in
+		}
+	}
+	for name, in := range inputs {
+		want := slices.Clone(in)
+		slices.Sort(want)
+		for k := range in {
+			a := slices.Clone(in)
+			if got := selectKth(a, k); cmp.Compare(got, want[k]) != 0 {
+				t.Fatalf("%s: selectKth(k=%d) = %g, slices.Sort gives %g", name, k, got, want[k])
+			}
+			slices.SortFunc(a, cmp.Compare[float64])
+			if !slices.EqualFunc(a, want, func(x, y float64) bool { return cmp.Compare(x, y) == 0 }) {
+				t.Fatalf("%s: selectKth(k=%d) did not permute its input", name, k)
 			}
 		}
 	}

@@ -222,17 +222,16 @@ func TestResolvePolicies(t *testing.T) {
 	}
 }
 
-// percentile returns the p-quantile (nearest-rank) of the samples. It is
-// test-only scaffolding: the production runner sorts once and reads every
-// order statistic through percentileSorted, and this reference wrapper
-// exists so tests can express expectations over unsorted sample sets.
+// percentile returns the p-quantile (nearest-rank) of the samples by
+// sorting a copy. It is the test reference: production code selects the
+// same rank in place through percentileSelect.
 func percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	return percentileSorted(s, p)
+	return s[nearestRank(len(s), p)]
 }
 
 // TestPercentile pins the nearest-rank convention.

@@ -1,10 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,13 +74,13 @@ type Result struct {
 const TickS = 0.25
 
 // latBufs is one worker's reusable latency scratch: raw collects samples
-// in event order, sorted is the one sorted copy every percentile reads
-// from. Pooled because a fleet run executes thousands of scenarios per
-// worker and the per-scenario copies were the runner's dominant
-// allocation; the published Result only ever gets an exact-size copy.
+// in event order, then selection reorders it in place for the p95. Pooled
+// because a fleet run executes thousands of scenarios per worker and the
+// per-scenario buffers were the runner's dominant allocation; the
+// published Result only ever gets an exact-size copy, taken before the
+// reorder.
 type latBufs struct {
-	raw    []float64
-	sorted []float64
+	raw []float64
 }
 
 var latPool = sync.Pool{New: func() any { return new(latBufs) }}
@@ -186,55 +185,27 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 		}
 	}
 	sc.raw = raw
+	if len(raw) == 0 {
+		return res, eng, mgr.PlanStats()
+	}
 	var sum float64
+	maxL := raw[0]
 	for _, l := range raw {
 		sum += l
+		if cmp.Less(maxL, l) {
+			maxL = l
+		}
 	}
-	if len(raw) > 0 {
-		// One sorted copy serves every order statistic.
-		sorted := append(sc.sorted[:0], raw...)
-		sc.sorted = sorted
-		sort.Float64s(sorted)
-		res.MeanLatencyS = sum / float64(len(raw))
-		res.P95LatencyS = percentileSorted(sorted, 0.95)
-		res.MaxLatencyS = sorted[len(sorted)-1]
-	}
-	if o.keepLatencies && len(raw) > 0 {
+	res.MeanLatencyS = sum / float64(len(raw))
+	res.MaxLatencyS = maxL
+	if o.keepLatencies {
 		// Publish an exact-size copy in event order: the pooled buffer
 		// never escapes, and append-growth slack never reaches the Result.
 		res.Latencies = make([]float64, len(raw))
 		copy(res.Latencies, raw)
 	}
+	res.P95LatencyS = percentileSelect(raw, 0.95)
 	return res, eng, mgr.PlanStats()
-}
-
-// percentileSorted returns the p-quantile (true nearest-rank, rank =
-// ceil(n·p), 1-based, clamped to [1, n]) of samples that are already sorted
-// ascending — percentile without the per-quantile copy and sort, so
-// p50/p95/max reads off one sorted slice share a single sort.
-//
-// Nearest-rank never interpolates and never selects below the requested
-// coverage: the returned sample is ≥ at least ⌈n·p⌉ of the n samples. The
-// round-half-up rank this replaced (int(n·p+0.5)) under-selected whenever
-// n·p had a fractional part below one half — e.g. n=10, p=0.91 gave rank 9
-// where nearest-rank requires ⌈9.1⌉ = 10.
-func percentileSorted(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	// The (1 - 1e-12) nudge absorbs representation dust in n·p: an exact
-	// integer product that lands a hair above its true value (9.1 is not
-	// representable; 10×0.91 evaluates to 9.099999…96, but 100×0.91 to
-	// 91.000000…1) must not ceil one rank too high.
-	np := float64(len(sorted)) * p
-	idx := int(math.Ceil(np*(1-1e-12))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Runner fans scenarios out over a bounded worker pool.

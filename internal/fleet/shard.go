@@ -268,7 +268,11 @@ func Merge(shards ...ShardResult) (Report, []Result, error) {
 		}
 	}
 
-	results := make([]Result, 0, first.Total)
+	n := 0
+	for _, s := range ordered {
+		n += len(s.Results)
+	}
+	results := make([]Result, 0, n)
 	next := 0
 	for _, s := range ordered {
 		switch {

@@ -18,6 +18,12 @@ import (
 // stream converts losslessly into a ShardResult (ReadShard sniffs and
 // accepts it), so Merge and the golden report are untouched by how a shard
 // was produced — batch, streamed, crashed-and-resumed, or retried.
+//
+// The header line is encoded by encoding/json. Record lines go through the
+// hand-written codec in record.go: appendRecord writes the bytes
+// json.Marshal would, and decodeRecord parses that shape directly, falling
+// back to json.Unmarshal for any other line, so the bytes on disk and the
+// set of accepted lines are encoding/json's.
 
 // streamMagic identifies a shard result stream. It is the value of the
 // header's first JSON key, so the opening bytes of a stream file are
@@ -105,7 +111,8 @@ type StreamWriter struct {
 	hdr  StreamHeader
 	pols []string
 	next int
-	err  error // sticky: after a write error the stream is poisoned
+	err  error  // sticky: after a write error the stream is poisoned
+	line []byte // reused record encoding buffer
 
 	sync      func() error // fsync of the underlying file, if it has one
 	syncEvery int          // fsync cadence in records; 0 = never
@@ -174,11 +181,13 @@ func (sw *StreamWriter) Append(r Result) error {
 	if err := validateResultAt(sw.hdr.Config.Seed, sw.pols, r, sw.next); err != nil {
 		return err
 	}
-	line, err := json.Marshal(r)
+	line, err := appendRecord(sw.line[:0], &r)
 	if err != nil {
 		return err
 	}
-	if _, err := sw.w.Write(append(line, '\n')); err != nil {
+	line = append(line, '\n')
+	sw.line = line
+	if _, err := sw.w.Write(line); err != nil {
 		sw.err = err
 		return err
 	}
@@ -213,6 +222,7 @@ type StreamReader struct {
 	hdr  StreamHeader
 	pols []string
 	next int
+	line []byte // reused line buffer
 }
 
 // NewStreamReader reads and validates the header line, transparently
@@ -254,7 +264,8 @@ func (sr *StreamReader) Header() StreamHeader { return sr.hdr }
 // killed writer). io.EOF means the stream ended cleanly at a record
 // boundary; the caller decides whether the prefix read so far is complete.
 func (sr *StreamReader) Read() (Result, error) {
-	line, err := sr.br.ReadBytes('\n')
+	line, err := readLine(sr.br, sr.line)
+	sr.line = line
 	if errors.Is(err, io.EOF) {
 		if len(line) == 0 {
 			return Result{}, io.EOF
@@ -268,7 +279,7 @@ func (sr *StreamReader) Read() (Result, error) {
 		return Result{}, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", sr.hdr.Lo, sr.hdr.Hi)
 	}
 	var r Result
-	if err := json.Unmarshal(line, &r); err != nil {
+	if err := decodeRecord(line, &r); err != nil {
 		return Result{}, fmt.Errorf("fleet: decoding stream record %d: %w", sr.next, err)
 	}
 	if err := validateResultAt(sr.hdr.Config.Seed, sr.pols, r, sr.next); err != nil {
@@ -276,6 +287,20 @@ func (sr *StreamReader) Read() (Result, error) {
 	}
 	sr.next++
 	return r, nil
+}
+
+// readLine reads the next line of br, newline included, into buf — the
+// contract of ReadBytes without a fresh allocation per line. Decoded records
+// copy what they keep, so the buffer is reused for the next line.
+func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		frag, err := br.ReadSlice('\n')
+		buf = append(buf, frag...)
+		if err != bufio.ErrBufferFull {
+			return buf, err
+		}
+	}
 }
 
 // ReadStream reads a complete stream and converts it into the equivalent
@@ -299,7 +324,9 @@ func readStreamShard(br *bufio.Reader) (ShardResult, error) {
 }
 
 func (sr *StreamReader) readAll() (ShardResult, error) {
-	results := make([]Result, 0, sr.hdr.Hi-sr.hdr.Lo)
+	// The header's range is only a claim until the records arrive: cap the
+	// preallocation so a forged range cannot demand a huge slice up front.
+	results := make([]Result, 0, min(sr.hdr.Hi-sr.hdr.Lo, 1024))
 	for {
 		r, err := sr.Read()
 		if errors.Is(err, io.EOF) {
@@ -479,7 +506,7 @@ func replayStream(f *os.File, want StreamHeader) ([]Result, int64, error) {
 	var results []Result
 	next := want.Lo
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err = readLine(br, line)
 		if errors.Is(err, io.EOF) {
 			// A partial trailing line (len > 0) is the crash point; either
 			// way replay is done.
@@ -489,7 +516,7 @@ func replayStream(f *os.File, want StreamHeader) ([]Result, int64, error) {
 			return nil, 0, err
 		}
 		var r Result
-		if err := json.Unmarshal(line, &r); err != nil {
+		if err := decodeRecord(line, &r); err != nil {
 			// A garbled line mid-file: everything from here on is
 			// untrustworthy. Truncate and re-run from this scenario — the
 			// re-run reproduces the discarded records bit-identically.

@@ -8,12 +8,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // writeStream encodes a shard as a result stream, returning the bytes.
-func writeStream(t *testing.T, s ShardResult, nolat bool) []byte {
+func writeStream(t testing.TB, s ShardResult, nolat bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw, err := NewStreamWriter(&buf, StreamHeader{
@@ -240,6 +241,50 @@ func TestResumeShardFromCrash(t *testing.T) {
 	freshJSON, _ := json.Marshal(fresh)
 	if !bytes.Equal(wantJSON, freshJSON) {
 		t.Error("fresh streamed shard differs from RunShard")
+	}
+}
+
+// TestResumeShardEveryTruncationPrefix extends TestResumeShardFromCrash
+// from a few cut points to all of them: for every byte-length prefix of a
+// small valid stream — a kill can land on any byte — ResumeShard finishes
+// with a file byte-identical to the uninterrupted stream and an equal
+// ShardResult.
+func TestResumeShardEveryTruncationPrefix(t *testing.T) {
+	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
+	const total = 2
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.ndjson")
+	want, err := ResumeShard(full, cfg, total, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := 1
+	if testing.Short() {
+		step = 97
+	}
+	path := filepath.Join(dir, "cut.ndjson")
+	for n := 0; n < len(raw); n += step {
+		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ResumeShard(path, cfg, total, 0, 1, 1)
+		if err != nil {
+			t.Fatalf("prefix of %d bytes: %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("prefix of %d bytes: resumed shard differs from the uninterrupted run", n)
+		}
+		back, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, raw) {
+			t.Fatalf("prefix of %d bytes: resumed file differs from the uninterrupted stream:%s", n, firstDiff(raw, back))
+		}
 	}
 }
 
