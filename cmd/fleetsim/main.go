@@ -20,25 +20,17 @@
 //
 // A fleet can also be split across processes or machines. -shard i/m runs
 // only the i-th (1-based) contiguous slice of the scenario range and
-// writes a shard file (gzip-compressed when -out ends in .gz); "fleetsim
-// merge" validates and combines shard files into a report byte-identical
-// to the single-process run:
+// streams it to the -out file: a header line, then one NDJSON record per
+// completed scenario, flushed as it completes. -resume restarts an
+// interrupted stream from its last flushed scenario — a shard killed at
+// scenario 700/1000 re-runs only 700..999. "fleetsim merge" validates and
+// combines complete streams into a report byte-identical to the
+// single-process run:
 //
-//	fleetsim -scenarios 64 -seed 1 -shard 1/2 -out shard1.json.gz
-//	fleetsim -scenarios 64 -seed 1 -shard 2/2 -out shard2.json.gz
-//	fleetsim merge shard1.json.gz shard2.json.gz
-//
-// -stream makes a shard crash-resumable: instead of one JSON document
-// written at the end, the shard appends each completed scenario to -out as
-// an NDJSON record (header line first), flushed as it completes. -resume
-// (which implies -stream) restarts an interrupted stream from its last
-// flushed scenario — a shard killed at scenario 700/1000 re-runs only
-// 700..999. "fleetsim merge" accepts completed streams and classic shard
-// files interchangeably:
-//
-//	fleetsim -scenarios 1000 -seed 1 -shard 1/2 -stream -out s1.ndjson
+//	fleetsim -scenarios 1000 -seed 1 -shard 1/2 -out s1.ndjson
 //	# …SIGKILL…
 //	fleetsim -scenarios 1000 -seed 1 -shard 1/2 -resume -out s1.ndjson
+//	fleetsim -scenarios 1000 -seed 1 -shard 2/2 -out s2.ndjson
 //	fleetsim merge s1.ndjson s2.ndjson
 //
 // "fleetsim orchestrate" supervises a whole sharded run in one command: it
@@ -77,9 +69,10 @@
 //
 //	fleetsim [-scenarios 64] [-seed 1] [-workers N] [-platforms a,b]
 //	         [-classes steady,thermal] [-policy name | -policies a,b]
-//	         [-format json|table] [-results] [-nolat] [-shard i/m]
-//	         [-stream] [-resume] [-out file] [-plancache=false] [-cachestats]
-//	fleetsim merge [-format json|table] [-results] [-out file] shard.json...
+//	         [-format json|table] [-results] [-nolat] [-out file]
+//	         [-shard i/m -out shard.ndjson [-resume] [-syncevery N]]
+//	         [-plancache=false] [-cachestats]
+//	fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...
 //	fleetsim orchestrate -shards m -out dir [-scenarios N] [-seed S]
 //	         [-stall 30s] [-retries 2] [-format json|table] [-results]
 package main
@@ -140,12 +133,11 @@ func runMain() {
 	format := flag.String("format", "json", "output format: json or table")
 	results := flag.Bool("results", false, "include per-scenario results (json format)")
 	progress := flag.Bool("progress", false, "print progress to stderr")
-	shard := flag.String("shard", "", "run only shard i of m, as \"i/m\" (1-based); output is a shard file for \"fleetsim merge\"")
-	out := flag.String("out", "", "write output to this file instead of stdout")
+	shard := flag.String("shard", "", "run only shard i of m, as \"i/m\" (1-based), streaming it to -out for \"fleetsim merge\"")
+	out := flag.String("out", "", "write output to this file instead of stdout (required with -shard: the shard stream file)")
 	nolat := flag.Bool("nolat", false, "drop raw per-job latency samples from results and shard files (scalar mean/p95/max stay; group p95 becomes the worst per-scenario p95)")
-	stream := flag.Bool("stream", false, "with -shard: append each completed scenario to -out as a flushed NDJSON record (crash-resumable; mergeable once complete)")
-	resume := flag.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario (implies -stream)")
-	syncevery := flag.Int("syncevery", 0, "with -stream/-resume: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
+	resume := flag.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario")
+	syncevery := flag.Int("syncevery", 0, "with -shard: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
 	plancache := flag.Bool("plancache", true, "reuse planning work (replan elision); false plans every replan fresh — the report is byte-identical either way")
 	cachestats := flag.Bool("cachestats", false, "print plan-reuse counters (plans, elided) to stderr after the run")
 	flag.Parse()
@@ -168,9 +160,6 @@ func runMain() {
 	if *syncevery < 0 {
 		log.Fatalf("fleetsim: -syncevery %d must be non-negative", *syncevery)
 	}
-	if *syncevery > 0 && !*stream && !*resume {
-		log.Fatalf("fleetsim: -syncevery only applies to -stream/-resume runs")
-	}
 	cfg, err := buildConfig(*seed, *platforms, *classes, *policy, *policies)
 	if err != nil {
 		log.Fatalf("fleetsim: %v", err)
@@ -186,18 +175,20 @@ func runMain() {
 		log.Fatalf("fleetsim: %v", err)
 	}
 
-	if *stream || *resume {
-		if shardCount == 0 {
-			log.Fatalf("fleetsim: -stream/-resume require -shard (streams are per-shard result files)")
-		}
+	if shardCount == 0 && (*resume || *syncevery > 0) {
+		log.Fatalf("fleetsim: -resume/-syncevery require -shard (they act on the shard stream file)")
+	}
+	if shardCount > 0 {
 		if *out == "" {
-			log.Fatalf("fleetsim: -stream/-resume require -out (the stream file)")
+			log.Fatalf("fleetsim: -shard requires -out (the shard stream file)")
 		}
+		// A shard emits a stream, not a report; refuse report-shaping
+		// flags instead of silently dropping them.
 		if *format != "json" || *results {
 			log.Fatalf("fleetsim: -format/-results have no effect with -shard; use them on \"fleetsim merge\"")
 		}
 		if !*resume {
-			// A fresh -stream must not silently extend or clobber an
+			// A fresh shard must not silently extend or clobber an
 			// existing file; resuming is an explicit choice.
 			if fi, err := os.Stat(*out); err == nil && fi.Size() > 0 {
 				log.Fatalf("fleetsim: %s already exists; pass -resume to continue it", *out)
@@ -211,32 +202,6 @@ func runMain() {
 			log.Fatalf("fleetsim: %v", err)
 		}
 		maybePrintCacheStats(*cachestats, runner)
-		return
-	}
-
-	if shardCount > 0 {
-		// Shard mode always emits a JSON shard file; refuse report-shaping
-		// flags instead of silently dropping them.
-		if *format != "json" || *results {
-			log.Fatalf("fleetsim: -format/-results have no effect with -shard; use them on \"fleetsim merge\"")
-		}
-		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, DisablePlanCache: !*plancache}
-		if *progress {
-			runner.Progress = progressFunc()
-		}
-		res, err := runner.RunShard(cfg, *scenarios, shardIdx, shardCount)
-		if err != nil {
-			log.Fatalf("fleetsim: %v", err)
-		}
-		maybePrintCacheStats(*cachestats, runner)
-		if *out != "" {
-			// Via the path-aware writer so "-out shard.json.gz" compresses.
-			if err := fleet.WriteShardFile(*out, res); err != nil {
-				log.Fatalf("fleetsim: %v", err)
-			}
-			return
-		}
-		writeOutput(*out, func(w io.Writer) error { return fleet.WriteShard(w, res) })
 		return
 	}
 
@@ -260,7 +225,7 @@ func mergeMain(args []string) {
 	results := fs.Bool("results", false, "include per-scenario results (json format)")
 	out := fs.String("out", "", "write output to this file instead of stdout")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: fleetsim merge [-format json|table] [-results] [-out file] shard.json...")
+		fmt.Fprintln(fs.Output(), "usage: fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -463,8 +428,8 @@ func progressFunc() func(done, total int) {
 	}
 }
 
-// writeOutput runs emit against -out (or stdout). Shard and report bytes
-// go through here so single-process, shard and merge outputs format
+// writeOutput runs emit against -out (or stdout). Report bytes go through
+// here so single-process, merge and orchestrate outputs format
 // identically — that is what lets CI `cmp` them.
 func writeOutput(path string, emit func(io.Writer) error) {
 	w := io.Writer(os.Stdout)

@@ -353,32 +353,21 @@ func FleetShardRange(total, index, count int) (lo, hi int) {
 }
 
 // RunFleetShard runs shard index (0-based) of count over a
-// total-scenario fleet; merging every shard with MergeFleetShards is
-// byte-identical to RunFleet over the same config and total.
+// total-scenario fleet in memory; merging every shard with
+// MergeFleetShards is byte-identical to RunFleet over the same config and
+// total. ResumeFleetShard runs the same shard into a stream file.
 func RunFleetShard(cfg FleetGeneratorConfig, total, index, count, workers int) (FleetShardResult, error) {
 	return fleet.RunShard(cfg, total, index, count, workers)
 }
 
-// WriteFleetShard validates the shard and writes it as indented JSON.
-func WriteFleetShard(w io.Writer, s FleetShardResult) error {
-	return fleet.WriteShard(w, s)
-}
-
-// ReadFleetShard decodes one shard file — plain or gzipped, sniffed by
-// magic number — validating the format version, index range, per-scenario
-// seed derivation and policy assignment.
+// ReadFleetShard decodes one complete shard result stream, validating the
+// format version, index range, per-scenario seed derivation and policy
+// assignment.
 func ReadFleetShard(r io.Reader) (FleetShardResult, error) {
 	return fleet.ReadShard(r)
 }
 
-// WriteFleetShardFile writes a shard to path, gzip-compressed when the
-// path ends in ".gz".
-func WriteFleetShardFile(path string, s FleetShardResult) error {
-	return fleet.WriteShardFile(path, s)
-}
-
-// ReadFleetShardFile reads and validates one shard file from disk, plain
-// or gzipped.
+// ReadFleetShardFile reads and validates one shard stream file from disk.
 func ReadFleetShardFile(path string) (FleetShardResult, error) {
 	return fleet.ReadShardFile(path)
 }
@@ -420,17 +409,10 @@ func NewFleetStreamWriter(w io.Writer, hdr FleetStreamHeader) (*FleetStreamWrite
 	return fleet.NewStreamWriter(w, hdr)
 }
 
-// NewFleetStreamReader validates a stream's header (plain or gzipped,
-// sniffed) and returns a reader for its records.
+// NewFleetStreamReader validates a stream's header and returns a reader
+// for its records.
 func NewFleetStreamReader(r io.Reader) (*FleetStreamReader, error) {
 	return fleet.NewStreamReader(r)
-}
-
-// ReadFleetStream reads a complete shard result stream and converts it to
-// the equivalent FleetShardResult; ReadFleetShard and ReadFleetShardFile
-// perform the same conversion automatically when handed a stream.
-func ReadFleetStream(r io.Reader) (FleetShardResult, error) {
-	return fleet.ReadStream(r)
 }
 
 // ResumeFleetShard runs shard index/count of a fleet, streaming each

@@ -184,24 +184,31 @@ func TestFacadeGovernorBaseline(t *testing.T) {
 }
 
 func TestFacadeShardedFleet(t *testing.T) {
-	// The distributed-fleet workflow end to end through the facade: run
-	// shards independently, round-trip one through the file encoding,
-	// merge, and match the single-process report byte for byte.
+	// The distributed-fleet workflow end to end through the facade: stream
+	// each shard to a file, read it back, merge, and match the
+	// single-process report byte for byte.
 	cfg := FleetGeneratorConfig{Seed: 21}
 	const total = 6
+	dir := t.TempDir()
 	var shards []FleetShardResult
 	for i := 0; i < 2; i++ {
-		s, err := RunFleetShard(cfg, total, i, 2, 2)
+		path := filepath.Join(dir, FleetStreamFileName(i, 2))
+		if _, err := ResumeFleetShard(path, cfg, total, i, 2, 2); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadFleetShardFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WriteFleetShard(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadFleetShard(&buf)
+		// The streamed shard equals the in-memory reference.
+		mem, err := RunFleetShard(cfg, total, i, 2, 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		bj, _ := json.Marshal(back)
+		mj, _ := json.Marshal(mem)
+		if !bytes.Equal(bj, mj) {
+			t.Fatalf("shard %d: streamed and read back != RunFleetShard", i)
 		}
 		shards = append(shards, back)
 	}

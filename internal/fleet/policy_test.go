@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -166,12 +165,18 @@ func TestShardSweepValidation(t *testing.T) {
 	if !strings.Contains(err.Error(), "policy") {
 		t.Errorf("error %q does not mention the policy", err)
 	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(tampered); err != nil {
+	// The same tampering inside a stream fails on read. The writer
+	// refuses a mislabelled record, so the line is edited in place.
+	lines := bytes.SplitAfter(writeStream(t, shard, false), []byte("\n"))
+	var rec Result
+	if err := json.Unmarshal(lines[2], &rec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShard(&buf); err == nil {
-		t.Error("ReadShard accepted a shard Validate rejects")
+	rec.Policy = "heuristic"
+	bad, _ := json.Marshal(rec)
+	lines[2] = append(bad, '\n')
+	if _, err := ReadShard(bytes.NewReader(bytes.Join(lines, nil))); err == nil || !strings.Contains(err.Error(), "policy") {
+		t.Errorf("stream with a mislabelled policy: error = %v, want a policy complaint", err)
 	}
 
 	unknown := fakeSweepShard(cfg, 8, 0, 4)
@@ -228,7 +233,7 @@ func fakeSweepShard(cfg GeneratorConfig, total, lo, hi int) ShardResult {
 
 // TestSweepShardEquivalence: sharding a policy sweep and merging must be
 // byte-identical to the single-process sweep — including the ByPolicy
-// section — with shards round-tripped through gzipped files.
+// section — with each shard streamed to a file and read back.
 func TestSweepShardEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 16 scenarios")
@@ -244,12 +249,8 @@ func TestSweepShardEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	read := make([]ShardResult, 0, shards)
 	for i := 0; i < shards; i++ {
-		s, err := RunShard(cfg, workloads, i, shards, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "shard.json.gz")
-		if err := WriteShardFile(path, s); err != nil {
+		path := filepath.Join(dir, StreamFileName(i, shards))
+		if _, err := ResumeShard(path, cfg, workloads, i, shards, 2); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadShardFile(path)
@@ -274,71 +275,5 @@ func TestSweepShardEquivalence(t *testing.T) {
 	}
 	if len(mergedRep.ByPolicy) != 2 {
 		t.Errorf("merged ByPolicy = %v, want 2 policies", mergedRep.ByPolicy)
-	}
-}
-
-// TestGzipShardFiles: the .gz path must round-trip bit-identically, sniff
-// transparently on read, and actually shrink the file (Latencies dominate
-// shard bytes and compress well).
-func TestGzipShardFiles(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 2 scenarios")
-	}
-	cfg := GeneratorConfig{Seed: 8, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
-	s, err := RunShard(cfg, 2, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "shard.json")
-	zipped := filepath.Join(dir, "shard.json.gz")
-	if err := WriteShardFile(plain, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteShardFile(zipped, s); err != nil {
-		t.Fatal(err)
-	}
-
-	pi, err := os.Stat(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zi, err := os.Stat(zipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zi.Size() >= pi.Size() {
-		t.Errorf("gzip did not shrink the shard: %d >= %d bytes", zi.Size(), pi.Size())
-	}
-
-	want, _ := json.Marshal(s)
-	for _, path := range []string{plain, zipped} {
-		back, err := ReadShardFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		got, _ := json.Marshal(back)
-		if !bytes.Equal(want, got) {
-			t.Errorf("%s: round-trip changed the shard", path)
-		}
-	}
-
-	// The gzip file really is gzip (magic number), and ReadShard sniffs it
-	// from a plain reader too.
-	raw, err := os.ReadFile(zipped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
-		t.Fatal("gz file does not start with the gzip magic number")
-	}
-	if _, err := ReadShard(bytes.NewReader(raw)); err != nil {
-		t.Errorf("ReadShard failed to sniff gzip from a stream: %v", err)
-	}
-
-	// Truncated gzip input must error, not silently yield a partial shard.
-	if _, err := ReadShard(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Error("truncated gzip shard accepted")
 	}
 }

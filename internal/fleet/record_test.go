@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"io"
 	"math"
@@ -33,7 +32,7 @@ func readGoldenStream(t testing.TB) []byte {
 }
 
 // jsonDecodeStream decodes a stream with encoding/json alone: the
-// reference ReadStream must agree with.
+// reference ReadShard must agree with.
 func jsonDecodeStream(t *testing.T, raw []byte) ShardResult {
 	t.Helper()
 	lines := bytes.SplitAfter(raw, []byte("\n"))
@@ -58,7 +57,7 @@ func jsonDecodeStream(t *testing.T, raw []byte) ShardResult {
 // TestGoldenStream: the stream bytes are those encoding/json wrote before
 // the hand-written codec existed. A fresh ResumeShard and a StreamWriter
 // re-encoding the decoded records both reproduce the file byte for byte,
-// and ReadStream decodes it to what encoding/json decodes.
+// and ReadShard decodes it to what encoding/json decodes.
 func TestGoldenStream(t *testing.T) {
 	raw := readGoldenStream(t)
 	want := jsonDecodeStream(t, raw)
@@ -76,12 +75,12 @@ func TestGoldenStream(t *testing.T) {
 		t.Fatal("golden stream has no faulty run; it no longer covers the fault fields")
 	}
 
-	got, err := ReadStream(bytes.NewReader(raw))
+	got, err := ReadShard(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("ReadStream decodes the golden stream differently from encoding/json")
+		t.Error("ReadShard decodes the golden stream differently from encoding/json")
 	}
 
 	if again := writeStream(t, got, false); !bytes.Equal(again, raw) {
@@ -282,39 +281,35 @@ func checkDecodeRecord(t *testing.T, line []byte) {
 
 // fuzzSeeds returns the golden stream's records, each also cut in two
 // places, and shard files built from its first two records: a complete
-// stream, its gzip, a classic shard document, and torn variants. Seeds stay
-// a few kilobytes so the fuzzer can minimise what it finds.
-func fuzzSeeds(t testing.TB) (files, records [][]byte) {
+// stream, its header, torn variants of both, and the same shard as a
+// one-document JSON file (classic, also returned alone), which readers
+// must refuse. Seeds stay a few kilobytes so the fuzzer can minimise what
+// it finds.
+func fuzzSeeds(t testing.TB) (files, records [][]byte, classic []byte) {
 	raw := readGoldenStream(t)
 	for _, line := range bytes.SplitAfter(raw, []byte("\n"))[1:] {
 		if len(line) > 0 {
 			records = append(records, line, line[:len(line)/2], line[:len(line)-2])
 		}
 	}
-	s, err := ReadStream(bytes.NewReader(raw))
+	s, err := ReadShard(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Results = s.Results[:2]
 	s.Hi = s.Lo + 2
 	stream := writeStream(t, s, false)
-	var doc, zipped bytes.Buffer
-	if err := WriteShard(&doc, s); err != nil {
-		t.Fatal(err)
-	}
-	zw := gzip.NewWriter(&zipped)
-	zw.Write(stream)
-	zw.Close()
+	classic = classicShardDoc(t, s)
 	header, _, _ := bytes.Cut(stream, []byte("\n"))
-	files = [][]byte{stream, stream[:len(stream)-7], header, doc.Bytes(), doc.Bytes()[:doc.Len()/2], zipped.Bytes()}
-	return files, records
+	files = [][]byte{stream, stream[:len(stream)-7], header, header[:len(header)/2], classic, classic[:len(classic)/2]}
+	return files, records, classic
 }
 
 // FuzzDecodeRecord: for any bytes, decodeRecord and json.Unmarshal agree
 // on acceptance and on the Result, and an accepted Result re-encodes to
 // json.Marshal's bytes.
 func FuzzDecodeRecord(f *testing.F) {
-	_, records := fuzzSeeds(f)
+	_, records, _ := fuzzSeeds(f)
 	for _, r := range records {
 		f.Add(r)
 	}
@@ -324,9 +319,12 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzReadShard: ReadShard never panics on arbitrary bytes, and whatever
-// it accepts passes Validate.
+// it accepts passes Validate. The classic one-document seed is refused.
 func FuzzReadShard(f *testing.F) {
-	files, _ := fuzzSeeds(f)
+	files, _, classic := fuzzSeeds(f)
+	if _, err := ReadShard(bytes.NewReader(classic)); err == nil {
+		f.Fatal("ReadShard accepted a classic one-document shard")
+	}
 	for _, b := range files {
 		f.Add(b)
 	}
@@ -368,7 +366,7 @@ type benchRecords struct {
 
 func newBenchRecords(t testing.TB) *benchRecords {
 	t.Helper()
-	golden, err := ReadStream(bytes.NewReader(readGoldenStream(t)))
+	golden, err := ReadShard(bytes.NewReader(readGoldenStream(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,11 @@
 package fleet
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"reflect"
 	"sort"
-	"strings"
-
-	"github.com/emlrtm/emlrtm/internal/atomicfile"
 )
 
 // ShardFormatVersion is the current shard-file format. ReadShard rejects
@@ -108,122 +102,61 @@ func ShardRange(total, index, count int) (lo, hi int) {
 
 // RunShard generates and runs shard index (0-based) of count over a fleet
 // of total workloads (total × P scenario runs when the config sweeps P
-// policies). The returned ShardResult is ready to write with WriteShard
-// and merge with Merge; running every shard and merging is byte-identical
-// to a single-process Run over the same config and total.
+// policies), entirely in memory. Running every shard and merging is
+// byte-identical to a single-process Run over the same config and total;
+// ResumeShard is the variant that persists a shard as it runs.
 func RunShard(cfg GeneratorConfig, total, index, count, workers int) (ShardResult, error) {
 	return (&Runner{Workers: workers}).RunShard(cfg, total, index, count)
 }
 
 // RunShard is RunShard with the caller's Runner, so pool size and the
-// Progress callback carry over. It is the single place a ShardResult is
-// assembled: every writer fills the same header the same way.
+// Progress callback carry over.
 func (r *Runner) RunShard(cfg GeneratorConfig, total, index, count int) (ShardResult, error) {
-	if total <= 0 {
-		return ShardResult{}, fmt.Errorf("fleet: scenario count %d must be positive", total)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return ShardResult{}, fmt.Errorf("fleet: shard index %d of %d out of range", index, count)
-	}
-	gen, err := NewGenerator(cfg)
+	gen, s, err := newShard(cfg, total, index, count)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	runs := gen.RunCount(total)
-	lo, hi := ShardRange(runs, index, count)
-	return ShardResult{
-		FormatVersion: ShardFormatVersion,
-		Config:        cfg,
-		Total:         runs,
-		Lo:            lo,
-		Hi:            hi,
-		Results:       r.Run(gen.GenerateRange(lo, hi)),
-	}, nil
-}
-
-// WriteShard validates the shard and writes it as indented JSON. Result
-// float fields (including the raw Latencies samples that Aggregate pools
-// for percentiles) are encoded with Go's shortest-round-trip formatting,
-// so a written-then-read shard is bit-identical to the in-memory one.
-func WriteShard(w io.Writer, s ShardResult) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// sniffGzip wraps br in a gzip reader when the input starts with the gzip
-// magic number, so shard and stream readers accept either form without
-// being told how the file was written. The returned closer is non-nil only
-// for compressed input.
-func sniffGzip(br *bufio.Reader) (io.Reader, io.Closer, error) {
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		zr, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: decompressing shard: %w", err)
-		}
-		return zr, zr, nil
-	}
-	return br, nil, nil
-}
-
-// ReadShard decodes and validates one shard file, transparently
-// decompressing gzip input (sniffed by magic number, so readers need not
-// know how a shard was written) and accepting both encodings: the classic
-// one-document JSON shard and the NDJSON result stream a crash-resumable
-// shard process appends (sniffed by the stream header's leading bytes). A
-// stream is accepted only when complete — every scenario in its range
-// present — so a partial stream can never slip into a merge. Validation on
-// read means a merge fails at the offending file with a
-// seed/range/version message, not downstream with a silently wrong report.
-func ReadShard(r io.Reader) (ShardResult, error) {
-	br := bufio.NewReader(r)
-	src, closer, err := sniffGzip(br)
-	if err != nil {
-		return ShardResult{}, err
-	}
-	if closer != nil {
-		defer closer.Close()
-	}
-	bsrc := bufio.NewReader(src)
-	if p, err := bsrc.Peek(len(streamPrefix)); err == nil && string(p) == streamPrefix {
-		return readStreamShard(bsrc)
-	}
-	var s ShardResult
-	if err := json.NewDecoder(bsrc).Decode(&s); err != nil {
-		return ShardResult{}, fmt.Errorf("fleet: decoding shard: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return ShardResult{}, err
-	}
+	s.Results = r.Run(gen.GenerateRange(s.Lo, s.Hi))
 	return s, nil
 }
 
-// WriteShardFile writes a shard to path, gzip-compressed when the path
-// ends in ".gz" (raw Latencies samples dominate shard bytes and compress
-// several-fold). ReadShardFile — or any ReadShard — accepts either form.
-// The write is atomic (temp file + rename): a process killed mid-write
-// leaves the previous file or nothing, never a truncated shard that would
-// poison a later merge or resume.
-func WriteShardFile(path string, s ShardResult) error {
-	return atomicfile.WriteFile(path, func(w io.Writer) error {
-		if strings.HasSuffix(path, ".gz") {
-			zw := gzip.NewWriter(w)
-			if err := WriteShard(zw, s); err != nil {
-				zw.Close()
-				return err
-			}
-			return zw.Close()
-		}
-		return WriteShard(w, s)
-	})
+// newShard checks a shard request and returns the fleet's generator and
+// the shard's header, Results left empty. It is the single place a
+// ShardResult header is assembled: RunShard and ResumeShard both start
+// here, so every producer fills the same header the same way.
+func newShard(cfg GeneratorConfig, total, index, count int) (*Generator, ShardResult, error) {
+	if total <= 0 {
+		return nil, ShardResult{}, fmt.Errorf("fleet: scenario count %d must be positive", total)
+	}
+	if count < 1 || index < 0 || index >= count {
+		return nil, ShardResult{}, fmt.Errorf("fleet: shard index %d of %d out of range", index, count)
+	}
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		return nil, ShardResult{}, err
+	}
+	runs := gen.RunCount(total)
+	lo, hi := ShardRange(runs, index, count)
+	return gen, ShardResult{FormatVersion: ShardFormatVersion, Config: cfg, Total: runs, Lo: lo, Hi: hi}, nil
 }
 
-// ReadShardFile reads and validates one shard file from disk — plain or
-// gzipped, classic JSON or a complete NDJSON stream. Errors name the file:
-// a corrupt shard in a hundred-file merge must point at itself.
+// ReadShard decodes and validates one shard: a complete NDJSON result
+// stream (see stream.go). A stream is accepted only when complete — every
+// scenario in its range present — so a partial stream can never slip into
+// a merge. Validation on read means a merge fails at the offending file
+// with a seed/range/version message, not downstream with a silently wrong
+// report.
+func ReadShard(r io.Reader) (ShardResult, error) {
+	sr, err := NewStreamReader(r)
+	if err != nil {
+		return ShardResult{}, err
+	}
+	return sr.readAll()
+}
+
+// ReadShardFile reads and validates one shard stream file from disk.
+// Errors name the file: a corrupt shard in a hundred-file merge must point
+// at itself.
 func ReadShardFile(path string) (ShardResult, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -69,7 +69,7 @@ func TestShardRangePartitions(t *testing.T) {
 // TestShardEquivalenceProperty is the distributed layer's core contract:
 // across randomized seeds, fleet sizes, shard splits (1-5 shards with
 // uneven boundaries) and worker counts, running shards in separate
-// runners, round-tripping each through the shard-file encoding, and
+// runners, round-tripping each through the shard stream encoding, and
 // merging must reproduce the single-process report and results
 // byte-for-byte (compared via JSON, so every exported field — including
 // the pooled Latencies — participates).
@@ -118,13 +118,9 @@ func TestShardEquivalenceProperty(t *testing.T) {
 				Hi:            hi,
 				Results:       runner.Run(gen.GenerateRange(lo, hi)),
 			}
-			// Round-trip through the file encoding: merged results must be
+			// Round-trip through the stream encoding: merged results must be
 			// built from what a reader decodes, not from in-memory state.
-			var buf bytes.Buffer
-			if err := WriteShard(&buf, s); err != nil {
-				t.Fatalf("trial %d: WriteShard [%d,%d): %v", trial, lo, hi, err)
-			}
-			back, err := ReadShard(&buf)
+			back, err := ReadShard(bytes.NewReader(writeStream(t, s, false)))
 			if err != nil {
 				t.Fatalf("trial %d: ReadShard [%d,%d): %v", trial, lo, hi, err)
 			}
@@ -228,8 +224,9 @@ func TestMergeRejections(t *testing.T) {
 	}
 }
 
-// TestShardValidate covers the consistency checks a reader runs before
-// trusting a shard file.
+// TestShardValidate covers the consistency checks Merge runs before
+// trusting a shard. The stream reader's counterparts are in
+// TestStreamReaderFailLoud.
 func TestShardValidate(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 9}
 
@@ -264,13 +261,6 @@ func TestShardValidate(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
 		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(tc.shard); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadShard(&buf); err == nil {
-			t.Errorf("%s: ReadShard accepted what Validate rejects", tc.name)
-		}
 	}
 
 	if err := fakeShard(cfg, 4, 0, 4).Validate(); err != nil {
@@ -281,87 +271,61 @@ func TestShardValidate(t *testing.T) {
 	}
 }
 
-// TestReadShardFileCorrupt: damaged shard files must fail loudly with the
-// file path in the error, never decode to a partial or empty shard.
-func TestReadShardFileCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	shard := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
-
-	// A gzip shard cut off mid-stream: write a valid file, keep half.
-	truncated := filepath.Join(dir, "truncated.json.gz")
-	if err := WriteShardFile(truncated, shard); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(truncated)
+// classicShardDoc encodes s as one indented JSON document, an encoding
+// ReadShard must refuse: streams are the only shard files.
+func classicShardDoc(t testing.TB, s ShardResult) []byte {
+	t.Helper()
+	doc, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(truncated, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShardFile(truncated); err == nil {
-		t.Error("truncated gzip shard accepted")
-	} else if !strings.Contains(err.Error(), truncated) {
-		t.Errorf("truncated-gzip error %q does not name the file", err)
-	}
+	return append(doc, '\n')
+}
 
-	// A stream file whose header is valid but whose body is garbage.
-	garbled := filepath.Join(dir, "garbled.ndjson")
-	var buf bytes.Buffer
-	if _, err := NewStreamWriter(&buf, StreamHeader{Config: GeneratorConfig{Seed: 5}, Total: 8, Lo: 0, Hi: 4}); err != nil {
-		t.Fatal(err)
+// TestReadShardFileCorrupt: damaged or foreign shard files must fail
+// loudly with the file path in the error, never decode to a partial or
+// empty shard.
+func TestReadShardFileCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	shard := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
+	stream := writeStream(t, shard, false)
+	header, _, _ := bytes.Cut(stream, []byte("\n"))
+
+	var garbled bytes.Buffer // a valid header over a garbage body
+	garbled.Write(header)
+	garbled.WriteString("\nthis is not a result record\n")
+
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"classic.json", classicShardDoc(t, shard), "not a shard result stream"},
+		{"torn-header.ndjson", header[:len(header)/2], "stream header"},
+		{"garbled.ndjson", garbled.Bytes(), "record"},
 	}
-	buf.WriteString("this is not a result record\n")
-	if err := os.WriteFile(garbled, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShardFile(garbled); err == nil {
-		t.Error("stream with garbage body accepted")
-	} else if !strings.Contains(err.Error(), garbled) {
-		t.Errorf("garbled-stream error %q does not name the file", err)
+	for _, tc := range cases {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadShardFile(path)
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted", tc.name)
+		case !strings.Contains(err.Error(), path):
+			t.Errorf("%s: error %q does not name the file", tc.name, err)
+		case !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 
 	// A missing file: the error must carry the path too.
-	missing := filepath.Join(dir, "no-such-shard.json")
+	missing := filepath.Join(dir, "no-such-shard.ndjson")
 	if _, err := ReadShardFile(missing); err == nil {
 		t.Error("missing shard file accepted")
 	} else if !strings.Contains(err.Error(), missing) {
 		t.Errorf("missing-file error %q does not name the file", err)
-	}
-}
-
-// TestWriteShardFileAtomic: a failed write must leave any existing file
-// untouched and no temp litter behind.
-func TestWriteShardFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "shard.json")
-	good := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
-	if err := WriteShardFile(path, good); err != nil {
-		t.Fatal(err)
-	}
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	bad := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
-	bad.Hi = 99 // fails Validate inside WriteShard
-	if err := WriteShardFile(path, bad); err == nil {
-		t.Fatal("invalid shard written")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("failed write clobbered the existing shard file")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("failed write left %d entries in the directory, want just the original", len(entries))
 	}
 }
 

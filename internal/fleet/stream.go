@@ -10,14 +10,14 @@ import (
 	"reflect"
 )
 
-// A shard result stream is the crash-resumable encoding of a ShardResult:
-// one NDJSON header line followed by one line per completed scenario, in
+// A shard result stream is the on-disk encoding of a ShardResult: one
+// NDJSON header line followed by one line per completed scenario, in
 // ascending scenario-index order, each flushed as it completes. A process
 // killed at any point leaves a prefix of the stream on disk; ResumeShard
 // replays that prefix and re-runs only the missing range. A complete
-// stream converts losslessly into a ShardResult (ReadShard sniffs and
-// accepts it), so Merge and the golden report are untouched by how a shard
-// was produced — batch, streamed, crashed-and-resumed, or retried.
+// stream converts losslessly into a ShardResult (ReadShard), so Merge and
+// the golden report are untouched by how a shard was produced — in one
+// go, crashed-and-resumed, or retried.
 //
 // The header line is encoded by encoding/json. Record lines go through the
 // hand-written codec in record.go: appendRecord writes the bytes
@@ -25,16 +25,9 @@ import (
 // back to json.Unmarshal for any other line, so the bytes on disk and the
 // set of accepted lines are encoding/json's.
 
-// streamMagic identifies a shard result stream. It is the value of the
-// header's first JSON key, so the opening bytes of a stream file are
-// constant and a reader can distinguish a stream from a classic shard
-// document by peeking.
+// streamMagic identifies a shard result stream: the value of the header's
+// first JSON key.
 const streamMagic = "emlrtm-fleet-shard"
-
-// streamPrefix is the byte prefix every stream file starts with:
-// json.Marshal emits struct fields in declaration order and Stream is
-// StreamHeader's first field.
-const streamPrefix = `{"stream":"` + streamMagic + `"`
 
 // StreamHeader is the first line of a shard result stream: everything a
 // resuming or merging process needs to prove the records that follow
@@ -55,7 +48,7 @@ type StreamHeader struct {
 // header checks.
 func (h StreamHeader) validate() error {
 	if h.Stream != streamMagic {
-		return fmt.Errorf("fleet: stream marker %q, want %q", h.Stream, streamMagic)
+		return fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", h.Stream, streamMagic)
 	}
 	if h.FormatVersion != ShardFormatVersion {
 		return fmt.Errorf("fleet: stream format version %d, want %d", h.FormatVersion, ShardFormatVersion)
@@ -225,28 +218,18 @@ type StreamReader struct {
 	line []byte // reused line buffer
 }
 
-// NewStreamReader reads and validates the header line, transparently
-// decompressing gzip input (a finished stream may be archived compressed;
-// sniffed by magic number like ReadShard).
+// NewStreamReader reads and validates the header line. A first line that
+// is not a stream header, such as the opening of a one-document
+// ShardResult, fails as "not a shard result stream".
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReader(r)
-	src, _, err := sniffGzip(br)
-	if err != nil {
-		return nil, err
-	}
-	return newStreamReader(bufio.NewReader(src))
-}
-
-// newStreamReader is NewStreamReader past the gzip sniff; ReadShard calls
-// it directly after its own sniffing.
-func newStreamReader(br *bufio.Reader) (*StreamReader, error) {
 	line, err := br.ReadBytes('\n')
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reading stream header: %w", err)
 	}
 	var hdr StreamHeader
 	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, fmt.Errorf("fleet: decoding stream header: %w", err)
+		return nil, fmt.Errorf("fleet: not a shard result stream (header: %v)", err)
 	}
 	if err := hdr.validate(); err != nil {
 		return nil, err
@@ -303,26 +286,9 @@ func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// ReadStream reads a complete stream and converts it into the equivalent
-// ShardResult. An incomplete stream — fewer records than the header's
-// range — is an error; resume it with ResumeShard instead.
-func ReadStream(r io.Reader) (ShardResult, error) {
-	sr, err := NewStreamReader(r)
-	if err != nil {
-		return ShardResult{}, err
-	}
-	return sr.readAll()
-}
-
-// readStreamShard is ReadStream past the gzip sniff, for ReadShard.
-func readStreamShard(br *bufio.Reader) (ShardResult, error) {
-	sr, err := newStreamReader(br)
-	if err != nil {
-		return ShardResult{}, err
-	}
-	return sr.readAll()
-}
-
+// readAll reads the remaining records and converts the stream into the
+// equivalent ShardResult. An incomplete stream — fewer records than the
+// header's range — is an error; resume it with ResumeShard instead.
 func (sr *StreamReader) readAll() (ShardResult, error) {
 	// The header's range is only a claim until the records arrive: cap the
 	// preallocation so a forged range cannot demand a huge slice up front.
@@ -363,7 +329,7 @@ func ResumeShard(path string, cfg GeneratorConfig, total, index, count, workers 
 	return (&Runner{Workers: workers}).ResumeShard(path, cfg, total, index, count)
 }
 
-// ResumeShard is the crash-resumable counterpart of RunShard: results
+// ResumeShard is the persistent counterpart of RunShard: results
 // stream to path as NDJSON, flushed per scenario, so a process killed at
 // scenario k of its range restarts from k+1 — not from scratch. A missing
 // or empty path starts a fresh stream; an existing one must carry a header
@@ -375,23 +341,16 @@ func ResumeShard(path string, cfg GeneratorConfig, total, index, count, workers 
 // process, which is what keeps the merged report byte-identical no matter
 // how many times a shard crashed on the way.
 func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, count int) (ShardResult, error) {
-	if total <= 0 {
-		return ShardResult{}, fmt.Errorf("fleet: scenario count %d must be positive", total)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return ShardResult{}, fmt.Errorf("fleet: shard index %d of %d out of range", index, count)
-	}
-	gen, err := NewGenerator(cfg)
+	gen, s, err := newShard(cfg, total, index, count)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	runs := gen.RunCount(total)
-	lo, hi := ShardRange(runs, index, count)
+	lo, hi := s.Lo, s.Hi
 	want := StreamHeader{
 		Stream:        streamMagic,
-		FormatVersion: ShardFormatVersion,
+		FormatVersion: s.FormatVersion,
 		Config:        cfg,
-		Total:         runs,
+		Total:         s.Total,
 		Lo:            lo,
 		Hi:            hi,
 		NoLatencies:   r.DropLatencies,
@@ -452,14 +411,7 @@ func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, cou
 		return ShardResult{}, err
 	}
 
-	s := ShardResult{
-		FormatVersion: ShardFormatVersion,
-		Config:        cfg,
-		Total:         runs,
-		Lo:            lo,
-		Hi:            hi,
-		Results:       results,
-	}
+	s.Results = results
 	if err := s.Validate(); err != nil {
 		return ShardResult{}, fmt.Errorf("%s: resumed shard failed validation: %w", path, err)
 	}

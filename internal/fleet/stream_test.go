@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"io"
@@ -35,49 +34,20 @@ func writeStream(t testing.TB, s ShardResult, nolat bool) []byte {
 }
 
 // TestStreamRoundTrip: a complete stream converts losslessly back into the
-// ShardResult it encodes — through ReadStream, through the sniffing
-// ReadShard (the merge path), and through gzip on top.
+// ShardResult it encodes through ReadShard, the merge path.
 func TestStreamRoundTrip(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 5}
 	want := fakeShard(cfg, 8, 2, 6)
 	raw := writeStream(t, want, false)
 
-	if !bytes.HasPrefix(raw, []byte(streamPrefix)) {
-		t.Fatalf("stream does not start with %q: %q", streamPrefix, raw[:40])
-	}
-
-	got, err := ReadStream(bytes.NewReader(raw))
+	got, err := ReadShard(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantJSON, _ := json.Marshal(want)
 	gotJSON, _ := json.Marshal(got)
 	if !bytes.Equal(wantJSON, gotJSON) {
-		t.Errorf("ReadStream round-trip differs:\nwant %s\ngot  %s", wantJSON, gotJSON)
-	}
-
-	// ReadShard must sniff and accept the stream encoding.
-	got2, err := ReadShard(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("ReadShard rejected a complete stream: %v", err)
-	}
-	got2JSON, _ := json.Marshal(got2)
-	if !bytes.Equal(wantJSON, got2JSON) {
-		t.Error("ReadShard stream round-trip differs from original shard")
-	}
-
-	// And the same through gzip (an archived stream).
-	var zbuf bytes.Buffer
-	zw := gzip.NewWriter(&zbuf)
-	zw.Write(raw)
-	zw.Close()
-	got3, err := ReadShard(&zbuf)
-	if err != nil {
-		t.Fatalf("ReadShard rejected a gzipped stream: %v", err)
-	}
-	got3JSON, _ := json.Marshal(got3)
-	if !bytes.Equal(wantJSON, got3JSON) {
-		t.Error("gzipped stream round-trip differs from original shard")
+		t.Errorf("ReadShard round-trip differs:\nwant %s\ngot  %s", wantJSON, gotJSON)
 	}
 }
 
@@ -122,22 +92,45 @@ func TestStreamReaderFailLoud(t *testing.T) {
 	raw := writeStream(t, s, false)
 	lines := bytes.SplitAfter(raw, []byte("\n"))
 
-	if _, err := NewStreamReader(strings.NewReader("{\"stream\":\"wrong\"}\n")); err == nil {
-		t.Error("wrong stream marker accepted")
+	for _, hdr := range []string{"{\"stream\":\"wrong\"}\n", "not json\n"} {
+		if _, err := NewStreamReader(strings.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "not a shard result stream") {
+			t.Errorf("header %q error = %v, want not-a-stream complaint", hdr, err)
+		}
 	}
-	if _, err := NewStreamReader(strings.NewReader("not json\n")); err == nil {
-		t.Error("garbage header accepted")
+
+	// Headers that parse but describe no shard this build can merge: the
+	// stream-path counterparts of TestShardValidate's header cases.
+	withHeader := func(edit func(*StreamHeader)) []byte {
+		hdr := StreamHeader{Stream: streamMagic, FormatVersion: ShardFormatVersion, Config: cfg, Total: 8, Lo: 2, Hi: 6}
+		edit(&hdr)
+		line, err := json.Marshal(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append(line, '\n'), bytes.Join(lines[1:], nil)...)
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(*StreamHeader)
+		wantErr string
+	}{
+		{"future format version", func(h *StreamHeader) { h.FormatVersion = ShardFormatVersion + 1 }, "format version"},
+		{"range outside fleet", func(h *StreamHeader) { h.Hi = 9 }, "outside fleet"},
+	} {
+		if _, err := ReadShard(bytes.NewReader(withHeader(tc.edit))); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error = %v, want it to mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 
 	// Truncated final record: the crash artifact a reader must name.
 	trunc := raw[:len(raw)-3]
-	if _, err := ReadStream(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := ReadShard(bytes.NewReader(trunc)); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("truncated record error = %v, want io.ErrUnexpectedEOF", err)
 	}
 
 	// A cleanly cut but incomplete stream converts only via resume.
 	short := bytes.Join(lines[:3], nil) // header + 2 records
-	if _, err := ReadStream(bytes.NewReader(short)); err == nil || !strings.Contains(err.Error(), "incomplete") {
+	if _, err := ReadShard(bytes.NewReader(short)); err == nil || !strings.Contains(err.Error(), "incomplete") {
 		t.Errorf("incomplete stream error = %v, want incompleteness complaint", err)
 	}
 
@@ -149,13 +142,13 @@ func TestStreamReaderFailLoud(t *testing.T) {
 	rec.Seed++
 	bad, _ := json.Marshal(rec)
 	corrupt := append(append([]byte{}, lines[0]...), append(bad, '\n')...)
-	if _, err := ReadStream(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "does not derive") {
+	if _, err := ReadShard(bytes.NewReader(corrupt)); err == nil || !strings.Contains(err.Error(), "does not derive") {
 		t.Errorf("foreign record error = %v, want seed complaint", err)
 	}
 
 	// More records than the header's range declares.
 	over := append(append([]byte{}, raw...), lines[len(lines)-2]...)
-	if _, err := ReadStream(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "beyond its range") {
+	if _, err := ReadShard(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "beyond its range") {
 		t.Errorf("overlong stream error = %v, want beyond-range complaint", err)
 	}
 }

@@ -2,6 +2,7 @@ package rtm
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -113,6 +114,48 @@ func TestLearnedTableValidateDeterministicError(t *testing.T) {
 			t.Fatalf("iteration %d: Validate reported %q, want the lexically-first defective state h0p0s0a1", i, err)
 		}
 	}
+}
+
+// FuzzReadLearnedTable: ReadLearnedTable never panics on arbitrary bytes,
+// and any table it accepts passes Validate and round-trips through
+// MarshalBytes and ReadLearnedTable to an equal table. A shard header's
+// "learned:<path>" policy reaches this decoder, so it guards merge input
+// as well as policytrain output.
+func FuzzReadLearnedTable(f *testing.F) {
+	raw, err := trainedTestTable("h1p1s1a1", "h2p3s2a2").MarshalBytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	misaligned := trainedTestTable("h1p1s1a1")
+	misaligned.States["h1p1s1a1"].Cost = []float64{0.5}
+	short, err := json.Marshal(misaligned) // MarshalBytes would refuse it
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add(bytes.Replace(raw, []byte("0.1,"), []byte("NaN,"), 1))
+	f.Add(short)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := ReadLearnedTable(data)
+		if err != nil {
+			return
+		}
+		if err := tab.Validate(); err != nil {
+			t.Fatalf("ReadLearnedTable accepted a table that fails Validate: %v", err)
+		}
+		again, err := tab.MarshalBytes()
+		if err != nil {
+			t.Fatalf("accepted table does not marshal: %v", err)
+		}
+		back, err := ReadLearnedTable(again)
+		if err != nil {
+			t.Fatalf("marshalled table does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(tab, back) {
+			t.Fatalf("round-trip changed the table:\n%+v\n%+v", tab, back)
+		}
+	})
 }
 
 // TestStateKeyBuckets pins the discretisation on hand-built views: the
