@@ -383,7 +383,7 @@ func sweep(seed uint64, scenarios, workers int, pols []string) (FleetNumbers, er
 		fn.P95WallMs = ms[min(n-1, int(float64(n)*0.95+0.5)-1)]
 		fn.MaxWallMs = ms[n-1]
 	}
-	ps := runner.PlanCacheStats()
+	ps := runner.PlanStats()
 	fn.PlansTotal = ps.Plans
 	fn.PlansElided = ps.Elided
 	fmt.Fprintf(os.Stderr, "fleetbench: plan reuse: %d plans, %d elided\n", ps.Plans, ps.Elided)

@@ -415,7 +415,7 @@ func maybePrintCacheStats(enabled bool, r *fleet.Runner) {
 	if !enabled {
 		return
 	}
-	s := r.PlanCacheStats()
+	s := r.PlanStats()
 	fmt.Fprintf(os.Stderr, "fleetsim: plans=%d elided=%d\n", s.Plans, s.Elided)
 }
 

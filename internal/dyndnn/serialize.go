@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"github.com/emlrtm/emlrtm/internal/nn"
 )
 
 // Serialization: a deployable dynamic DNN must move between the training
@@ -18,9 +16,10 @@ import (
 //	for each param: name len u32 | name | group i32 | elem count u32 |
 //	               float32 values (little endian)
 //
-// Loading verifies the architecture matches the receiving model and every
-// parameter lines up by name, group and size, so a truncated or mismatched
-// file fails loudly rather than producing silent garbage.
+// Loading verifies the architecture matches the receiving model, every
+// parameter lines up by name, group and size in the model's own order, and
+// nothing follows the last one, so a truncated, mismatched or padded file
+// fails loudly rather than producing silent garbage.
 
 const (
 	magic         = "EMLD"
@@ -114,18 +113,13 @@ func (m *Model) Load(r io.Reader) error {
 	if int(count) != len(params) {
 		return fmt.Errorf("dyndnn: load: %d params in file, model has %d", count, len(params))
 	}
-	byName := map[string]*nn.Param{}
-	for _, p := range params {
-		byName[p.Name] = p
-	}
-	for i := 0; i < int(count); i++ {
+	for i, p := range params {
 		name, err := readString(br)
 		if err != nil {
 			return fmt.Errorf("dyndnn: load param %d: %w", i, err)
 		}
-		p, ok := byName[name]
-		if !ok {
-			return fmt.Errorf("dyndnn: load: unknown param %q", name)
+		if name != p.Name {
+			return fmt.Errorf("dyndnn: load param %d: %q, model has %q there", i, name, p.Name)
 		}
 		var group int32
 		if err := binary.Read(br, binary.LittleEndian, &group); err != nil {
@@ -149,6 +143,9 @@ func (m *Model) Load(r io.Reader) error {
 		for j := range data {
 			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
 		}
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return fmt.Errorf("dyndnn: load: data after the last parameter")
 	}
 	return nil
 }

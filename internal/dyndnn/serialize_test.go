@@ -85,3 +85,36 @@ func TestLoadRejectsTruncatedFile(t *testing.T) {
 		t.Fatal("truncated file accepted")
 	}
 }
+
+// FuzzModelLoad: Load never panics on arbitrary bytes, and a file it
+// accepts is exactly what Save writes back — so nothing in an accepted
+// file goes unread (no trailing bytes, every parameter in place) and
+// nothing is reinterpreted on the way in. Seeds are a saved small model and
+// truncations of it at every field boundary of the header.
+func FuzzModelLoad(f *testing.F) {
+	m, err := New(Config{Groups: 2, Classes: 2, ImageSize: 8, InputChannels: 1, StageWidths: []int{1, 1, 1}, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	saved := buf.Bytes()
+	f.Add(saved)
+	for _, n := range []int{0, 3, 4, 8, 8 + 7*8, 8 + 7*8 + 4, len(saved) / 2, len(saved) - 1} {
+		f.Add(saved[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := m.Load(bytes.NewReader(data)); err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("Load accepted %d bytes that Save writes back as %d different bytes", len(data), out.Len())
+		}
+	})
+}

@@ -28,7 +28,7 @@ func TestReplanElisionEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := off.PlanCacheStats(); s.Elided != 0 {
+	if s := off.PlanStats(); s.Elided != 0 {
 		t.Fatalf("DisablePlanCache runner reused planning work: %+v", s)
 	}
 
@@ -41,7 +41,7 @@ func TestReplanElisionEquivalence(t *testing.T) {
 		if string(got) != string(want) {
 			t.Errorf("workers=%d: elision-on results differ from elision-off results", workers)
 		}
-		s := r.PlanCacheStats()
+		s := r.PlanStats()
 		if s.Plans == 0 {
 			t.Fatalf("workers=%d: no plans recorded", workers)
 		}

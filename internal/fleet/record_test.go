@@ -54,11 +54,20 @@ func jsonDecodeStream(t *testing.T, raw []byte) ShardResult {
 	return s
 }
 
-// TestGoldenStream: the stream bytes are those encoding/json wrote before
-// the hand-written codec existed. A fresh ResumeShard and a StreamWriter
-// re-encoding the decoded records both reproduce the file byte for byte,
-// and ReadShard decodes it to what encoding/json decodes.
+// TestGoldenStream: the stream bytes are those encoding/json writes for the
+// golden fleet. A fresh ResumeShard and a StreamWriter re-encoding the
+// decoded records both reproduce the file byte for byte, and ReadShard
+// decodes it to what encoding/json decodes. Regenerate after a deliberate
+// behaviour change with
+//
+//	go test ./internal/fleet -run TestGoldenStream -update
+//
+// which rewrites the file from a fresh ResumeShard, every record line
+// re-encoded by json.Marshal, and then runs the comparisons against it.
 func TestGoldenStream(t *testing.T) {
+	if *update {
+		writeGoldenStream(t)
+	}
 	raw := readGoldenStream(t)
 	want := jsonDecodeStream(t, raw)
 	if len(want.Results) != goldenStreamTotal {
@@ -98,6 +107,35 @@ func TestGoldenStream(t *testing.T) {
 	if !bytes.Equal(fresh, raw) {
 		t.Errorf("ResumeShard output differs from the golden stream:%s", firstDiff(raw, fresh))
 	}
+}
+
+// writeGoldenStream rewrites the golden stream: the header line as
+// ResumeShard wrote it (encoding/json encodes headers), then each record as
+// json.Marshal encodes it, so the file pins the hand-written codec to
+// encoding/json rather than to itself.
+func writeGoldenStream(t *testing.T) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "golden.ndjson")
+	if _, err := ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := bytes.Cut(fresh, []byte("\n"))
+	out := append(header, '\n')
+	for _, r := range jsonDecodeStream(t, fresh).Results {
+		line, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, line...), '\n')
+	}
+	if err := os.WriteFile(goldenStreamPath, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s", goldenStreamPath)
 }
 
 // checkRecordCodec requires appendRecord to emit json.Marshal's bytes (or

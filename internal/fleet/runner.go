@@ -266,11 +266,11 @@ type planStatsAccum struct {
 	s  rtm.PlanStats
 }
 
-// PlanCacheStats reports the accumulated plan-reuse counters of every
+// PlanStats reports the accumulated plan-reuse counters of every
 // scenario this Runner has executed. The totals are observability only:
 // they describe how planning work was skipped, not what the simulation
 // did, so these numbers never enter reports.
-func (r *Runner) PlanCacheStats() rtm.PlanStats {
+func (r *Runner) PlanStats() rtm.PlanStats {
 	if r.planStats == nil {
 		return rtm.PlanStats{}
 	}

@@ -392,7 +392,7 @@ func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, cou
 		// own callback wiring; OnResult delivery is already serialized and
 		// index-ordered, which is exactly the order the stream needs. The
 		// copy shares the original's plan-stats accumulator, so the
-		// caller's PlanCacheStats still sees this run.
+		// caller's PlanStats still sees this run.
 		r.ensurePlanStats()
 		rr := *r
 		var streamErr error

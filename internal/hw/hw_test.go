@@ -195,7 +195,7 @@ func TestDVFSMonotonicity(t *testing.T) {
 	}
 }
 
-func TestThermalSteadyStateAndStep(t *testing.T) {
+func TestThermalSteadyStateAndTempAfter(t *testing.T) {
 	p := ThermalParams{RthKPerW: 10, CthJPerK: 2, ThrottleC: 70, CriticalC: 85}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -206,28 +206,67 @@ func TestThermalSteadyStateAndStep(t *testing.T) {
 	if got := p.PowerBudgetW(25, 70); math.Abs(got-4.5) > 1e-9 {
 		t.Fatalf("power budget = %f, want 4.5", got)
 	}
-	s := NewThermalState(25)
-	// Integrate toward steady state: after 5τ the error must be < 1%.
+	// Heat toward steady state: after 5τ the error must be < 1%.
 	tau := p.RthKPerW * p.CthJPerK
-	s.Step(p, 25, 3, 5*tau)
-	if math.Abs(s.TempC-55) > 0.4 {
-		t.Fatalf("after 5τ temp = %f, want ~55", s.TempC)
+	hot := p.TempAfterC(25, 3, 25, 5*tau)
+	if math.Abs(hot-55) > 0.4 {
+		t.Fatalf("after 5τ temp = %f, want ~55", hot)
 	}
 	// Cooling: power removed, temperature must decay toward ambient.
-	s.Step(p, 25, 0, 5*tau)
-	if math.Abs(s.TempC-25) > 0.4 {
-		t.Fatalf("cooling failed: %f", s.TempC)
+	if cool := p.TempAfterC(25, 0, hot, 5*tau); math.Abs(cool-25) > 0.4 {
+		t.Fatalf("cooling failed: %f", cool)
+	}
+	if got := p.TempAfterC(25, 3, 40, 0); got != 40 {
+		t.Fatalf("zero-length window moved the temperature to %f", got)
 	}
 }
 
-func TestThermalStepStability(t *testing.T) {
-	// Exact exponential integration must be stable for any dt.
+func TestThermalTempAfterStability(t *testing.T) {
+	// The closed form must be stable for any dt.
 	p := ThermalParams{RthKPerW: 8, CthJPerK: 0.5, ThrottleC: 70, CriticalC: 85}
-	s := NewThermalState(25)
+	temp := 25.0
 	for i := 0; i < 100; i++ {
-		s.Step(p, 25, 5, 1000) // huge steps
-		if math.IsNaN(s.TempC) || s.TempC < 25 || s.TempC > 25+8*5+1 {
-			t.Fatalf("unstable temperature %f", s.TempC)
+		temp = p.TempAfterC(25, 5, temp, 1000) // huge windows
+		if math.IsNaN(temp) || temp < 25 || temp > 25+8*5+1 {
+			t.Fatalf("unstable temperature %f", temp)
+		}
+	}
+}
+
+// TimeToC inverts TempAfterC on both heating and cooling trajectories,
+// splitting a window anywhere composes exactly, and unreachable
+// temperatures are reported as such.
+func TestThermalTimeToInvertsTempAfter(t *testing.T) {
+	p := ThermalParams{RthKPerW: 10, CthJPerK: 2, ThrottleC: 70, CriticalC: 85}
+	for _, c := range []struct{ powerW, fromC, toC float64 }{
+		{5, 25, 70}, // heating toward 75
+		{5, 30, 74}, // heating, close to steady state
+		{0, 80, 70}, // cooling toward ambient
+		{2, 90, 46}, // cooling toward 45
+		{5, 69.999, 70},
+	} {
+		dt, ok := p.TimeToC(25, c.powerW, c.fromC, c.toC)
+		if !ok || dt <= 0 {
+			t.Fatalf("%+v: TimeToC = %v, %v", c, dt, ok)
+		}
+		if got := p.TempAfterC(25, c.powerW, c.fromC, dt); math.Abs(got-c.toC) > 1e-9 {
+			t.Errorf("%+v: temperature after %gs = %.12f", c, dt, got)
+		}
+		mid := p.TempAfterC(25, c.powerW, c.fromC, dt/3)
+		if rest, ok := p.TimeToC(25, c.powerW, mid, c.toC); !ok || math.Abs(dt/3+rest-dt) > 1e-9*dt {
+			t.Errorf("%+v: split window reaches %g in %g+%g, whole in %g", c, c.toC, dt/3, rest, dt)
+		}
+	}
+	for _, c := range []struct{ powerW, fromC, toC float64 }{
+		{2, 25, 70}, // steady state 45 never reaches 70
+		{5, 25, 75}, // the steady state itself is only approached
+		{5, 72, 70}, // heating never goes down
+		{0, 60, 80}, // cooling never goes up
+		{5, 70, 70}, // already there
+		{5, 75, 75}, // sitting at the steady state
+	} {
+		if dt, ok := p.TimeToC(25, c.powerW, c.fromC, c.toC); ok {
+			t.Errorf("%+v: TimeToC = %g, want unreachable", c, dt)
 		}
 	}
 }

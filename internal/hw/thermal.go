@@ -47,33 +47,34 @@ func (t ThermalParams) PowerBudgetW(ambientC, limitC float64) float64 {
 	return b
 }
 
-// ThermalState integrates the RC model over simulation time.
-type ThermalState struct {
-	TempC float64
+// TempAfterC returns the temperature dt seconds after the die stood at
+// fromC, under constant total power powerW and the given ambient. It is
+// the exact solution of the linear ODE,
+//
+//	T(dt) = S + (T₀ − S)·e^(−dt/τ),   S = SteadyStateC, τ = Rth·Cth,
+//
+// so one call covers a window of any length.
+//
+//detlint:hotpath
+func (t ThermalParams) TempAfterC(ambientC, powerW, fromC, dt float64) float64 {
+	target := t.SteadyStateC(ambientC, powerW)
+	return target + (fromC-target)*math.Exp(-dt/(t.RthKPerW*t.CthJPerK))
 }
 
-// NewThermalState starts at ambient.
-func NewThermalState(ambientC float64) *ThermalState {
-	return &ThermalState{TempC: ambientC}
-}
-
-// Step advances the model by dt seconds under powerW total SoC power.
-// It uses the exact exponential solution of the linear ODE so large steps
-// remain stable.
-func (s *ThermalState) Step(p ThermalParams, ambientC, powerW, dt float64) {
-	if dt <= 0 {
-		return
+// TimeToC returns how long the die takes to go from fromC to toC under
+// constant total power powerW and the given ambient: τ·ln((S − T₀)/(S − T₁)).
+// ok is false when the trajectory never gets there — toC is not strictly
+// between fromC and the steady state S.
+//
+//detlint:hotpath
+func (t ThermalParams) TimeToC(ambientC, powerW, fromC, toC float64) (s float64, ok bool) {
+	target := t.SteadyStateC(ambientC, powerW)
+	if target == toC {
+		return 0, false
 	}
-	tau := p.RthKPerW * p.CthJPerK
-	target := p.SteadyStateC(ambientC, powerW)
-	// T(t+dt) = target + (T - target)·exp(-dt/τ)
-	s.TempC = target + (s.TempC-target)*expNeg(dt/tau)
-}
-
-// expNeg computes e^(-x) with a guard for large x.
-func expNeg(x float64) float64 {
-	if x > 50 {
-		return 0
+	frac := (target - fromC) / (target - toC)
+	if !(frac > 1) {
+		return 0, false
 	}
-	return math.Exp(-x)
+	return t.RthKPerW * t.CthJPerK * math.Log(frac), true
 }

@@ -252,7 +252,7 @@ func TestManagerPolicyPlumbing(t *testing.T) {
 	plans := mgr.Plans()
 	heur, _ := NewPolicy("heuristic")
 	mgr.SetPolicy(heur)
-	if err := e.Run(1); err != nil {
+	if err := e.Run(3); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.Plans() <= plans {

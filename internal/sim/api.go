@@ -17,7 +17,7 @@ import (
 func (e *Engine) Now() float64 { return e.now }
 
 // Temperature returns the current die temperature in °C — a device monitor.
-func (e *Engine) Temperature() float64 { return e.thermal.TempC }
+func (e *Engine) Temperature() float64 { return e.temperature() }
 
 // ThrottleC returns the platform's thermal throttle trip point.
 func (e *Engine) ThrottleC() float64 { return e.plat.Thermal.ThrottleC }
@@ -32,7 +32,10 @@ func (e *Engine) SetAmbient(c float64) {
 	if c == e.ambient {
 		return
 	}
+	// The window so far ran under the old ambient; the next one starts now.
+	e.closeWindow()
 	e.ambient = c
+	e.thermalDirty = true
 	// Ambient feeds the thermal power budget planners work against, so it
 	// advances the planning epoch; the utilisation/rate caches never read
 	// it and stay valid.
@@ -233,7 +236,7 @@ func (e *Engine) Snapshot() Snapshot {
 func (e *Engine) SnapshotInto(s *Snapshot) {
 	s.TimeS = e.now
 	s.AmbientC = e.ambient
-	s.TempC = e.thermal.TempC
+	s.TempC = e.temperature()
 	s.ThrottleC = e.plat.Thermal.ThrottleC
 	s.Apps = s.Apps[:0]
 	for _, a := range e.appList {
@@ -321,7 +324,7 @@ func (e *Engine) SetOPP(cluster string, idx int) error {
 	if idx == cs.oppIdx {
 		return nil
 	}
-	cs.oppIdx = idx
+	cs.setOPP(idx)
 	e.touch(cs)
 	e.planEpoch++
 	e.oppSwitches++
@@ -461,6 +464,11 @@ type Report struct {
 	DurationS     float64
 	TotalEnergyMJ float64
 	AvgPowerMW    float64
+	// MaxTempC is the peak die temperature, and OverThrottleS and
+	// OverCriticalS the time spent above the throttle and critical trip
+	// points. All three are exact per constant-power window: temperature
+	// is monotone inside one, so its peak sits at a window end and each
+	// trip point is crossed at most once, at its closed-form time.
 	MaxTempC      float64
 	OverThrottleS float64
 	OverCriticalS float64
@@ -488,12 +496,14 @@ type Report struct {
 
 // Report summarises the run so far.
 func (e *Engine) Report() Report {
+	// The open thermal window counts up to the clock.
+	temp, overThrot, overCrit := e.windowEnd()
 	r := Report{
 		DurationS:     e.now,
 		TotalEnergyMJ: e.totalEnergy,
-		MaxTempC:      e.maxTempC,
-		OverThrottleS: e.overThrotS,
-		OverCriticalS: e.overCritS,
+		MaxTempC:      max(e.maxTempC, temp),
+		OverThrottleS: e.overThrotS + overThrot,
+		OverCriticalS: e.overCritS + overCrit,
 		Migrations:    e.migrations,
 		LevelSwaps:    e.levelSwaps,
 		OPPSwitches:   e.oppSwitches,

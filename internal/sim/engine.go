@@ -9,7 +9,7 @@ import (
 
 // hKind enumerates internal scheduler events (a superset of the observable
 // Event kinds).
-type hKind int
+type hKind uint8
 
 const (
 	hStart hKind = iota
@@ -99,18 +99,33 @@ func (e *Engine) push(t float64, kind hKind, app int32) int64 {
 	return e.seq
 }
 
-// Run executes the simulation until endS seconds. Calling Run again on
-// the same engine continues from the accumulated state (warm caches,
-// stats and all — the rtm tests use this to extend a managed run); use
-// Reset to rewind to the pristine state a fresh New would build.
+// Run executes the simulation until endS seconds. Calling Run again with a
+// later end continues from the accumulated state (warm caches, stats, the
+// events queued past the previous end and all): Run(a) then Run(b) covers
+// exactly the events a single Run(b) would. The rtm tests use this to
+// extend a managed run; use Reset to rewind to the pristine state a fresh
+// New would build.
 //
 //detlint:hotpath
 func (e *Engine) Run(endS float64) error {
-	if endS <= 0 {
+	if !(endS > e.now) {
 		//detlint:allow hotalloc one-time argument validation; never reached by the steady-state loop
-		return fmt.Errorf("sim: end time %f must be positive", endS)
+		return fmt.Errorf("sim: end time %f must be after the clock %f", endS, e.now)
 	}
-	e.endS = endS
+	if !e.primed {
+		e.prime()
+	}
+	for e.step(endS) {
+	}
+	e.advanceTo(endS)
+	return nil
+}
+
+// prime queues the events every run starts from — each app's start and
+// stop and the first controller tick — and opens the first thermal window.
+// It runs once per Reset; a continued Run finds them queued already.
+func (e *Engine) prime() {
+	e.primed = true
 	for _, a := range e.appList {
 		e.push(a.StartS, hStart, a.idx)
 		if a.StopS > 0 {
@@ -120,36 +135,59 @@ func (e *Engine) Run(endS float64) error {
 	if e.tickS > 0 && e.ctrl != nil {
 		e.push(e.tickS, hTick, -1)
 	}
-	e.rescheduleThermal()
+	e.syncThermal()
+}
 
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		if ev.t > endS {
-			break
-		}
-		e.advanceTo(ev.t)
-		e.handle(ev)
-		e.refresh()
+// step handles the earliest queued event if it falls at or before endS and
+// reports whether there was one; an event past endS stays queued for a
+// later Run. A stale entry is dropped without touching the clock: handling
+// it would change nothing but split the segment it falls in.
+//
+//detlint:hotpath
+func (e *Engine) step(endS float64) bool {
+	if len(e.events) == 0 || e.events[0].t > endS {
+		return false
 	}
-	e.advanceTo(endS)
-	return nil
+	ev := e.events.pop()
+	if e.stale(ev) {
+		return true
+	}
+	e.advanceTo(ev.t)
+	e.handle(ev)
+	e.refresh()
+	return true
+}
+
+// stale reports whether an entry was superseded after it was queued: a
+// completion its app has since rescheduled or cancelled (refresh pushes a
+// new entry instead of moving the old one), or a thermal alarm that has
+// since been re-derived. Unblock entries are never stale in this sense —
+// their time is where migration downtime ends and the caches turn over.
+func (e *Engine) stale(ev hevent) bool {
+	switch ev.kind {
+	case hComplete:
+		return ev.seq != e.appList[ev.app].completionSeq
+	case hThermal:
+		return ev.seq != e.thermalEvSeq
+	}
+	return false
 }
 
 // advanceTo integrates the piecewise-constant segment [now, t]: job
-// progress, per-cluster energy, and the thermal state.
+// progress and per-cluster energy. The die temperature is not stepped
+// here; it is held per constant-power window (see closeWindow). The clock
+// never moves back.
 //
 //detlint:hotpath
 func (e *Engine) advanceTo(t float64) {
 	dt := t - e.now
 	if dt <= 0 {
-		e.now = t
 		return
 	}
 	totalMW := 0.0
 	for _, cs := range e.clusterList {
 		util := e.clusterUtilOf(cs)
 		pw := cs.cachedPow
-		cs.lastPow = pw
 		cs.energy += pw * dt
 		if util > 0 {
 			cs.busyS += dt
@@ -181,23 +219,6 @@ func (e *Engine) advanceTo(t float64) {
 		}
 	}
 
-	// Thermal integration (exact within the segment).
-	tempBefore := e.thermal.TempC
-	e.thermal.Step(e.plat.Thermal, e.ambient, totalMW/1000, dt)
-	tempAfter := e.thermal.TempC
-	if tempAfter > e.maxTempC {
-		e.maxTempC = tempAfter
-	}
-	mid := (tempBefore + tempAfter) / 2
-	if mid > e.plat.Thermal.ThrottleC {
-		e.overThrotS += dt
-	}
-	if mid > e.plat.Thermal.CriticalC {
-		e.overCritS += dt
-	}
-	if e.alarmed && tempAfter < e.plat.Thermal.ThrottleC-2 {
-		e.alarmed = false
-	}
 	prev := e.now
 	e.now = t
 	// The cached utilisations and rates were computed under the old clock.
@@ -236,20 +257,25 @@ func (e *Engine) touchAll() {
 // fraction in [0,1] through the derived-value cache, recomputing only when
 // the cluster's stamp moved. The matching busy
 // power is computed and cached alongside — every hot caller that needs one
-// needs the other within the same piecewise-constant segment.
+// needs the other within the same piecewise-constant segment. The check is
+// small enough to inline into the per-cluster loops; the refill is not.
 func (e *Engine) clusterUtilOf(cs *clusterState) float64 {
 	if cs.utilVer != cs.ver {
-		if cs.online {
-			cs.cachedUtil = e.computeClusterUtil(cs)
-			cs.cachedPow = cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, cs.cachedUtil)
-		} else {
-			// A failed cluster runs nothing and draws nothing — not even
-			// static power: the domain is dead, not idle.
-			cs.cachedUtil, cs.cachedPow = 0, 0
-		}
-		cs.utilVer = cs.ver
+		e.refillClusterUtil(cs)
 	}
 	return cs.cachedUtil
+}
+
+func (e *Engine) refillClusterUtil(cs *clusterState) {
+	if cs.online {
+		cs.cachedUtil = e.computeClusterUtil(cs)
+		cs.cachedPow = cs.busyPowerMW(cs.cachedUtil)
+	} else {
+		// A failed cluster runs nothing and draws nothing — not even
+		// static power: the domain is dead, not idle.
+		cs.cachedUtil, cs.cachedPow = 0, 0
+	}
+	cs.utilVer = cs.ver
 }
 
 // clusterPowerMW returns the cluster's instantaneous busy power via the
@@ -384,6 +410,23 @@ func (e *Engine) computeJobRate(a *appState) float64 {
 	return cs.rate(opp, a.placed.Cores)
 }
 
+// setOPP moves the cluster to OPP idx.
+func (cs *clusterState) setOPP(idx int) {
+	cs.oppIdx = idx
+	opp := cs.c.OPPs[idx]
+	cs.dynMW = cs.c.Power.CeffMWPerV2GHz * opp.VoltageV * opp.VoltageV * opp.FreqGHz
+}
+
+// busyPowerMW is hw.Cluster.BusyPowerMW at the current OPP with every core
+// active, for a utilisation already in [0,1] (computeClusterUtil clamps
+// it). With all cores active BusyPowerMW's core fraction is exactly 1 and
+// the OPP factor is formed in the same order, so the result is
+// bit-identical while the power check behind each thermal window costs one
+// multiply-add per re-stamped cluster.
+func (cs *clusterState) busyPowerMW(util float64) float64 {
+	return cs.dynMW*util + cs.c.Power.StaticMW
+}
+
 // rate is hw.Cluster.EffectiveRate with the core scaling read from the
 // cluster's table: n is clamped as CoreScale clamps it and the product is
 // formed in the same order, so the result is bit-identical.
@@ -421,7 +464,7 @@ func (e *Engine) handle(ev hevent) {
 		}
 	case hComplete:
 		a := e.appList[ev.app]
-		if a.jobActive && ev.seq == a.completionSeq {
+		if a.jobActive {
 			// Complete when less than a nanosecond of work remains; the
 			// residue is floating-point error from time subtraction, which
 			// grows with the simulation clock. If genuinely early (a rate
@@ -440,17 +483,16 @@ func (e *Engine) handle(ev hevent) {
 	case hTick:
 		if e.ctrl != nil {
 			e.ctrl.OnTick(e)
-			if next := e.now + e.tickS; next <= e.endS {
-				e.push(next, hTick, -1)
-			}
+			e.push(e.now+e.tickS, hTick, -1)
 		}
 	case hThermal:
-		if ev.seq == e.thermalEvSeq {
-			e.thermalEvSeq = 0 // consumed; refresh may schedule a successor
-			if !e.alarmed && e.thermal.TempC >= e.plat.Thermal.ThrottleC-0.05 {
-				e.alarmed = true
-				e.emit(Event{TimeS: e.now, Kind: EvThermalAlarm, TempC: e.thermal.TempC})
-			}
+		// Consumed: the next refresh re-derives a successor.
+		e.thermalEvSeq = 0
+		e.thermalDirty = true
+		e.closeWindow()
+		if !e.alarmed && e.winT0C >= e.plat.Thermal.ThrottleC-0.05 {
+			e.alarmed = true
+			e.emit(Event{TimeS: e.now, Kind: EvThermalAlarm, TempC: e.winT0C})
 		}
 	}
 }
@@ -472,7 +514,7 @@ func (e *Engine) release(a *appState) {
 		e.degDropped++
 		e.emit(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Unhosted: true})
 		next := e.now + a.PeriodS
-		if (a.StopS == 0 || next < a.StopS) && next <= e.endS {
+		if a.StopS == 0 || next < a.StopS {
 			e.push(next, hRelease, a.idx)
 		}
 		return
@@ -497,7 +539,7 @@ func (e *Engine) release(a *appState) {
 		}
 	}
 	next := e.now + a.PeriodS
-	if (a.StopS == 0 || next < a.StopS) && next <= e.endS {
+	if a.StopS == 0 || next < a.StopS {
 		e.push(next, hRelease, a.idx)
 	}
 }
@@ -535,10 +577,10 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// refresh recomputes all pending completion events and the thermal alarm
-// after any state change. An event is only (re)scheduled when its estimate
-// actually moved: unconditional rescheduling would invalidate the event
-// just popped on every iteration and the heap would never drain.
+// refresh recomputes all pending completion events, the thermal window and
+// the alarm after any state change. An event is only (re)scheduled when its
+// estimate actually moved: unconditional rescheduling would invalidate the
+// event just popped on every iteration and the heap would never drain.
 //
 //detlint:hotpath
 func (e *Engine) refresh() {
@@ -565,34 +607,125 @@ func (e *Engine) refresh() {
 		a.completionEst = est
 		a.completionSeq = e.push(est, hComplete, a.idx)
 	}
-	e.rescheduleThermal()
+	e.syncThermal()
+}
+
+// syncThermal keeps the thermal window's power equal to the platform's and
+// re-derives the pending throttle alarm when something it depends on moved.
+// Power is re-summed only when some cluster stamp moved since the last
+// look; a window closes only when the sum actually changed.
+//
+//detlint:hotpath
+func (e *Engine) syncThermal() {
+	if e.winVer != e.stateVer {
+		e.winVer = e.stateVer
+		if w := e.TotalPowerMW() / 1000; w != e.winPowerW {
+			e.closeWindow()
+			e.winPowerW = w
+			e.thermalDirty = true
+		}
+	}
+	if e.thermalDirty {
+		e.thermalDirty = false
+		e.rescheduleThermal()
+	}
+}
+
+// windowEnd evaluates the open thermal window up to the clock: the die
+// temperature now, and how long since the window opened it spent above the
+// throttle and critical trip points. Temperature is monotone inside a
+// window, so each trip point is crossed at most once and the time above it
+// follows from the closed-form crossing time. It changes nothing;
+// closeWindow commits the result.
+//
+//detlint:hotpath
+func (e *Engine) windowEnd() (tempC, overThrotS, overCritS float64) {
+	th := &e.plat.Thermal
+	from, to, dt := e.winT0C, e.temperature(), e.now-e.winT0S
+	return to, e.timeAbove(th.ThrottleC, from, to, dt), e.timeAbove(th.CriticalC, from, to, dt)
+}
+
+// closeWindow ends the open thermal window at the clock and opens the next
+// one where it ended. It runs where the window's inputs change — total
+// power, ambient — and where a throttle alarm is handled; reads evaluate
+// the open window instead (see temperature), so results do not depend on
+// who looks. The window's end carries its peak, and the alarm latch is
+// checked there: a monotone window cannot dip below the clear point and
+// come back.
+//
+//detlint:hotpath
+func (e *Engine) closeWindow() {
+	to, overThrot, overCrit := e.windowEnd()
+	e.overThrotS += overThrot
+	e.overCritS += overCrit
+	if to > e.maxTempC {
+		e.maxTempC = to
+	}
+	e.winT0C, e.winT0S = to, e.now
+	if e.alarmed && to < e.plat.Thermal.ThrottleC-2 {
+		e.alarmed = false
+		e.thermalDirty = true
+	}
+}
+
+// timeAbove returns how long the current window, running from → to over dt
+// seconds, spends above limitC.
+//
+//detlint:hotpath
+func (e *Engine) timeAbove(limitC, from, to, dt float64) float64 {
+	if (from > limitC) == (to > limitC) {
+		if from > limitC {
+			return dt
+		}
+		return 0
+	}
+	cross, ok := e.plat.Thermal.TimeToC(e.ambient, e.winPowerW, from, limitC)
+	switch {
+	case !ok && from == limitC:
+		cross = 0 // heating away from the limit itself
+	case !ok || cross > dt:
+		cross = dt // rounding put the crossing at the window's end
+	}
+	if to > limitC {
+		return dt - cross
+	}
+	return cross
+}
+
+// temperature returns the die temperature at the clock, evaluating the
+// open window without closing it.
+//
+//detlint:hotpath
+func (e *Engine) temperature() float64 {
+	if e.now <= e.winT0S {
+		return e.winT0C
+	}
+	return e.plat.Thermal.TempAfterC(e.ambient, e.winPowerW, e.winT0C, e.now-e.winT0S)
 }
 
 // rescheduleThermal predicts the next upward throttle crossing under the
-// current (constant) power and schedules an alarm at the exact crossing
-// time from the RC model's closed form.
+// current window's power and schedules an alarm at the exact crossing time
+// from the RC model's closed form. It runs only when the window's power or
+// the ambient changed or the alarm state moved; otherwise the pending alarm
+// stands.
 func (e *Engine) rescheduleThermal() {
 	if e.alarmed {
 		return
 	}
-	totalW := e.TotalPowerMW() / 1000
-	th := e.plat.Thermal
-	target := th.SteadyStateC(e.ambient, totalW)
-	cur := e.thermal.TempC
-	if target <= th.ThrottleC || cur >= th.ThrottleC {
-		if cur >= th.ThrottleC && !e.alarmed && e.thermalEvSeq == 0 {
+	th := &e.plat.Thermal
+	cur := e.temperature()
+	if cur >= th.ThrottleC {
+		if e.thermalEvSeq == 0 {
 			// Already above: alarm immediately.
 			e.thermalEst = e.now
 			e.thermalEvSeq = e.push(e.now, hThermal, -1)
 		}
 		return
 	}
-	tau := th.RthKPerW * th.CthJPerK
-	frac := (target - cur) / (target - th.ThrottleC)
-	if frac <= 1 {
+	tc, ok := th.TimeToC(e.ambient, e.winPowerW, cur, th.ThrottleC)
+	if !ok {
 		return
 	}
-	tc := tau * math.Log(frac)
 	// Floor the crossing delay: as cur approaches the trip point, tc → 0
 	// and floating-point error could otherwise schedule a cascade of
 	// zero-advance alarms (a Zeno loop). 1 ms resolution is far below any

@@ -233,12 +233,14 @@ type appState struct {
 
 // clusterState tracks per-cluster dynamics.
 type clusterState struct {
-	c       *hw.Cluster
-	oppIdx  int
-	online  bool    // availability: an offline cluster runs nothing and draws nothing
-	energy  float64 // mJ
-	busyS   float64 // seconds with any activity
-	lastPow float64 // mW, for observability
+	c      *hw.Cluster
+	oppIdx int
+	// dynMW is the dynamic power of the current OPP at full utilisation,
+	// Ceff·V²·f, kept in step with oppIdx by setOPP (see busyPowerMW).
+	dynMW  float64
+	online bool    // availability: an offline cluster runs nothing and draws nothing
+	energy float64 // mJ
+	busyS  float64 // seconds with any activity
 
 	// companion is the CPU cluster this accelerator's inference loads
 	// (nil for none), resolved once per Reset.
@@ -282,9 +284,23 @@ type Engine struct {
 	// when a scenario needs more apps or clusters than any before it.
 	appStore     []appState
 	clusterStore []clusterState
-	thermal      hw.ThermalState
 	ambient      float64 // current ambient °C (scenario-controllable)
 	mig          MigrationModel
+
+	// The die temperature is held per constant-power window: between two
+	// changes of total power or ambient the RC model has a closed form, so
+	// it is evaluated only where a window closes (see closeWindow) or where
+	// something reads it. winT0C is the temperature at the window's start
+	// winT0S, winPowerW the total power through it, and winVer the stateVer
+	// at which that power was last confirmed.
+	winT0C    float64
+	winT0S    float64
+	winPowerW float64
+	winVer    uint64
+	// thermalDirty asks the next syncThermal to re-derive the pending
+	// throttle alarm: a window opened, the ambient moved, or the alarm was
+	// consumed or cleared.
+	thermalDirty bool
 
 	// coreScaleStore backs every cluster's coreScale table, rewritten in
 	// place by Reset like the stores above.
@@ -294,7 +310,7 @@ type Engine struct {
 	tickS float64
 
 	now          float64
-	endS         float64
+	primed       bool // start, stop and first tick events queued (once per Reset)
 	events       eventHeap
 	seq          int64
 	thermalEvSeq int64   // seq of the currently valid thermal alarm event
@@ -387,7 +403,6 @@ func (e *Engine) Reset(cfg Config) error {
 		return err
 	}
 	e.plat = cfg.Platform
-	e.thermal = hw.ThermalState{TempC: cfg.Platform.AmbientC}
 	e.ambient = cfg.Platform.AmbientC
 	e.mig = cfg.Migration
 	e.ctrl = cfg.Controller
@@ -397,7 +412,9 @@ func (e *Engine) Reset(cfg Config) error {
 		e.mig = DefaultMigrationModel()
 	}
 
-	e.now, e.endS, e.seq = 0, 0, 0
+	e.now, e.primed, e.seq = 0, false, 0
+	e.winT0C, e.winT0S, e.winPowerW, e.winVer = cfg.Platform.AmbientC, 0, 0, 0
+	e.thermalDirty = true
 	e.thermalEvSeq, e.thermalEst, e.alarmed = 0, 0, false
 	e.overThrotS, e.overCritS, e.totalEnergy = 0, 0, 0
 	e.migrations, e.levelSwaps, e.oppSwitches = 0, 0, 0
@@ -438,6 +455,7 @@ func (e *Engine) Reset(cfg Config) error {
 		}
 		e.clusterStore[i] = clusterState{c: c, online: true, ver: e.stateVer, coreScale: store[lo:]}
 		cs := &e.clusterStore[i]
+		cs.setOPP(0)
 		e.clusters[c.Name] = cs
 		e.clusterList = append(e.clusterList, cs)
 	}

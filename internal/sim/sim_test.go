@@ -354,6 +354,70 @@ func TestThermalAlarmFiresUnderSustainedLoad(t *testing.T) {
 	}
 }
 
+// TestThermalAccrualIsExact: under constant power the die follows one
+// closed-form trajectory, so the peak temperature, the time spent above
+// throttle and critical, and the alarm time must all equal the closed form
+// — also when 1 ms no-op ticks cut the run into small segments.
+func TestThermalAccrualIsExact(t *testing.T) {
+	const endS = 30
+	apps := []App{
+		{Name: "vr", Kind: KindRender, Util: 1.0, Placement: Placement{Cluster: "gpu"}},
+		{Name: "bg", Kind: KindBackground, Util: 1.0, Placement: Placement{Cluster: "cpu-lit", Cores: 4}},
+	}
+	plat := hw.FlagshipSoC()
+	th := plat.Thermal
+	build := func(tickS float64) *Engine {
+		e := mustEngine(t, Config{Platform: plat, Apps: apps, Controller: &boundaryCtrl{}, TickS: tickS, LogEvents: true})
+		for _, c := range plat.Clusters {
+			if err := e.SetOPP(c.Name, len(c.OPPs)-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	// Both apps start at 0 and never change, so the power after the start
+	// events is the power of the whole run. Pick the ambient that puts the
+	// steady state 3 K above critical, so both trip points are crossed.
+	probe := build(0)
+	if err := probe.Run(1e-3); err != nil {
+		t.Fatal(err)
+	}
+	powerW := probe.TotalPowerMW() / 1000
+	plat.AmbientC = th.CriticalC + 3 - th.RthKPerW*powerW
+	if plat.AmbientC >= th.ThrottleC {
+		t.Fatalf("load of %gW cannot cross throttle from ambient", powerW)
+	}
+	throttleS, ok1 := th.TimeToC(plat.AmbientC, powerW, plat.AmbientC, th.ThrottleC)
+	criticalS, ok2 := th.TimeToC(plat.AmbientC, powerW, plat.AmbientC, th.CriticalC)
+	if !ok1 || !ok2 || criticalS >= endS {
+		t.Fatalf("trip points reached at %g, %v and %g, %v; the run must cross both", throttleS, ok1, criticalS, ok2)
+	}
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*math.Abs(want) }
+	for _, tickS := range []float64{0, 1e-3} {
+		e := build(tickS)
+		if err := e.Run(endS); err != nil {
+			t.Fatal(err)
+		}
+		rep := e.Report()
+		if want := th.TempAfterC(plat.AmbientC, powerW, plat.AmbientC, endS); !near(rep.MaxTempC, want) {
+			t.Errorf("ticks %g: max temp %.12g, closed form %.12g", tickS, rep.MaxTempC, want)
+		}
+		if !near(rep.OverThrottleS, endS-throttleS) || !near(rep.OverCriticalS, endS-criticalS) {
+			t.Errorf("ticks %g: %.12gs above throttle and %.12gs above critical, closed form %.12g and %.12g",
+				tickS, rep.OverThrottleS, rep.OverCriticalS, endS-throttleS, endS-criticalS)
+		}
+		var alarms []float64
+		for _, ev := range rep.Events {
+			if ev.Kind == EvThermalAlarm {
+				alarms = append(alarms, ev.TimeS)
+			}
+		}
+		if len(alarms) != 1 || !near(alarms[0], throttleS) {
+			t.Errorf("ticks %g: alarms at %v, want one at %.12g", tickS, alarms, throttleS)
+		}
+	}
+}
+
 func TestEnergyConservation(t *testing.T) {
 	plat := hw.OdroidXU3()
 	e := mustEngine(t, Config{
