@@ -1,59 +1,45 @@
-// Command fleetbench measures the simulator's three hot layers end to end
-// and records the numbers in a machine-readable BENCH_fleet.json — the
-// repo's perf trajectory file.
+// Command fleetbench records the simulator's hot-path costs in a
+// machine-readable BENCH_fleet.json, the repo's perf trajectory file.
 //
 // Two kinds of measurement run:
 //
 //   - a seeded N-scenario × P-policy fleet sweep timed wall-clock, giving
 //     scenarios/sec (the number that bounds design-space exploration and
 //     learned-policy training set generation), plus per-scenario wall-time
-//     p50/p95;
-//   - Go testing.Benchmark micro-benchmarks of each hot layer — engine-run
-//     (one uncontrolled simulated run), engine-run-managed (the same run
-//     under the heuristic manager, as every fleet run is), replan (view build + policy plan +
-//     actuation against a live engine, plan reuse disabled so the row keeps
-//     measuring a full plan), replan-elided (the fingerprint-stable fast
-//     path), policy-plan per registered policy, and stream-append and
-//     stream-read (one shard stream record encoded and flushed, or read and
-//     decoded) — each reporting ns/op, B/op and allocs/op.
+//     p50/p95 at the nearest rank the fleet reports use;
+//   - every internal/hotbench row as a testing.Benchmark — engine-run,
+//     engine-new, engine-run-managed, replan, replan-elided, policy-plan
+//     per registered policy, stream-append and stream-read — each
+//     reporting ns/op, B/op and allocs/op.
 //
 // Profile the timed sweep with -cpuprofile/-memprofile: the capture window
 // covers exactly the timed fleet sweep, so a hot-path hunt sees the same
 // work mix the scenarios/sec figure measures. Inspect with
 // `go tool pprof fleetbench cpu.out`.
 //
-// When -out points at an existing file, its "baseline" object is
-// preserved, so CI reruns keep the recorded pre-optimisation numbers next
-// to fresh ones and `benchstat`-style comparisons stay possible from one
-// artifact. Compare a before/after pair of bench runs with:
+// When -out points at an existing file, its "baseline" object and history
+// are preserved, so reruns keep the recorded numbers next to fresh ones.
+// The baseline's allocs/op are the budgets `go test ./...` enforces
+// (TestHotPathAllocs in the root package). Record new ones with
+// -rebaseline, at GOMAXPROCS=1 so the recorded environment is the one the
+// test measures under. Throughput is recorded, not gated: wall-clock
+// numbers belong to the repository benchmark under bench/. Compare a
+// before/after pair of row runs with:
 //
-//	go test -run '^$' -bench 'PolicyPlan|Replan' -benchmem -count 10 ./internal/rtm > old.txt
+//	go test -run '^$' -bench Rows -benchmem -count 10 ./internal/hotbench > old.txt
 //	# ...apply a change...
-//	go test -run '^$' -bench 'PolicyPlan|Replan' -benchmem -count 10 ./internal/rtm > new.txt
+//	go test -run '^$' -bench Rows -benchmem -count 10 ./internal/hotbench > new.txt
 //	benchstat old.txt new.txt
-//
-// With -check, fleetbench becomes the allocation regression gate: after
-// measuring, every micro-benchmark's allocs/op is compared against the
-// recorded baseline and the process exits non-zero on any increase beyond
-// -alloc-slack (default 0; allocs are deterministic for a fixed
-// toolchain). A goVersion or gomaxprocs mismatch is annotated, not fatal.
-// Throughput is recorded but not gated: wall-clock numbers belong to the
-// repository benchmark under bench/. Record a new baseline with
-// -rebaseline (mutually exclusive with -check), at GOMAXPROCS=1 so the
-// recorded environment matches the gate's.
 //
 // Usage:
 //
 //	fleetbench [-scenarios 64] [-seed 1] [-workers 0] [-policies a,b,c]
-//	           [-quick] [-benchtime 100ms] [-out BENCH_fleet.json]
-//	           [-check] [-alloc-slack 0] [-checkout check.txt] [-rebaseline]
-//	           [-cpuprofile cpu.out] [-memprofile mem.out]
+//	           [-quick] [-benchtime 100ms] [-out BENCH_fleet.json] [-note text]
+//	           [-rebaseline] [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,9 +54,8 @@ import (
 
 	"github.com/emlrtm/emlrtm/internal/atomicfile"
 	"github.com/emlrtm/emlrtm/internal/fleet"
-	"github.com/emlrtm/emlrtm/internal/hw"
+	"github.com/emlrtm/emlrtm/internal/hotbench"
 	"github.com/emlrtm/emlrtm/internal/rtm"
-	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
 // BenchNumbers is one micro-benchmark's cost triple.
@@ -93,8 +78,7 @@ type FleetNumbers struct {
 	P95WallMs       float64  `json:"p95WallMs"`
 	MaxWallMs       float64  `json:"maxWallMs"`
 	// Plan-reuse counters from the pooled sweep: per-scenario properties,
-	// so deterministic for a seed, and informational — the check gate
-	// never reads them.
+	// so deterministic for a seed, and informational — no gate reads them.
 	PlansTotal  int `json:"plansTotal,omitempty"`
 	PlansElided int `json:"plansElided,omitempty"`
 }
@@ -158,10 +142,7 @@ func main() {
 	out := flag.String("out", "BENCH_fleet.json", "output file; an existing file's baseline object is preserved (\"-\" = stdout)")
 	note := flag.String("note", "", "free-form annotation stored with the measurement")
 	benchtime := flag.String("benchtime", "", "micro-benchmark duration per benchmark (e.g. 100ms, 50x); default is Go's 1s")
-	check := flag.Bool("check", false, "after measuring, compare current against the recorded baseline and exit non-zero on regression")
-	allocSlack := flag.Int64("alloc-slack", 0, "with -check: absolute allocs/op increase tolerated per benchmark (allocs are deterministic, so 0 is not flaky)")
 	rebaseline := flag.Bool("rebaseline", false, "record this run's numbers as the new baseline (replacing any recorded one)")
-	checkout := flag.String("checkout", "", "with -check: also write the check report to this file (for CI artifacts)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the fleet sweep to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile taken after the fleet sweep to this file")
 	flag.Parse()
@@ -173,12 +154,6 @@ func main() {
 		if err := flag.Set("test.benchtime", *benchtime); err != nil {
 			log.Fatalf("fleetbench: bad -benchtime: %v", err)
 		}
-	}
-	if *check && *rebaseline {
-		// Checking against a baseline this same run replaces is a
-		// self-comparison; it can only pass and would launder regressions
-		// into the new baseline.
-		log.Fatalf("fleetbench: -check and -rebaseline are mutually exclusive")
 	}
 	pols := strings.Split(*policies, ",")
 	for _, p := range pols {
@@ -246,16 +221,9 @@ func main() {
 		fn.ScenariosPerSec, fn.Runs, fn.WallSeconds)
 
 	// ---- Hot-layer micro-benchmarks ----
-	cur.Benchmarks["engine-run"] = record("engine-run", benchEngineRun)
-	cur.Benchmarks["engine-new"] = record("engine-new", benchEngineNew)
-	cur.Benchmarks["engine-run-managed"] = record("engine-run-managed", benchEngineRunManaged)
-	cur.Benchmarks["replan"] = record("replan", benchReplan)
-	cur.Benchmarks["replan-elided"] = record("replan-elided", benchReplanElided)
-	for _, p := range pols {
-		cur.Benchmarks["policy-plan/"+p] = record("policy-plan/"+p, benchPolicyPlan(p))
+	for _, r := range hotbench.Rows() {
+		cur.Benchmarks[r.Name] = record(r.Name, r.Bench)
 	}
-	cur.Benchmarks["stream-append"] = record("stream-append", benchStreamAppend)
-	cur.Benchmarks["stream-read"] = record("stream-read", benchStreamRead)
 
 	if *rebaseline {
 		// The trajectory log is append-only: every run that becomes the
@@ -281,8 +249,6 @@ func main() {
 		// Atomic (temp + rename): this file carries the recorded perf
 		// trajectory, and a crash mid-write must not leave a truncated
 		// artifact that the next run's fail-loud baseline parse rejects.
-		// Written before any -check verdict so a failing gate still leaves
-		// the fresh numbers on disk for inspection.
 		if err := atomicfile.WriteFile(*out, func(w io.Writer) error {
 			_, werr := w.Write(enc)
 			return werr
@@ -290,21 +256,6 @@ func main() {
 			log.Fatalf("fleetbench: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "fleetbench: wrote %s\n", *out)
-	}
-
-	if !*check {
-		return
-	}
-	res := checkRegression(baseline, cur, *allocSlack)
-	report := res.render()
-	fmt.Fprint(os.Stderr, report)
-	if *checkout != "" {
-		if err := os.WriteFile(*checkout, []byte(report), 0o644); err != nil {
-			log.Fatalf("fleetbench: writing check report: %v", err)
-		}
-	}
-	if !res.ok() {
-		os.Exit(1)
 	}
 }
 
@@ -378,16 +329,22 @@ func sweep(seed uint64, scenarios, workers int, pols []string) (FleetNumbers, er
 		WallSeconds:     total.Seconds(),
 		ScenariosPerSec: float64(len(scens)) / total.Seconds(),
 	}
-	if n := len(ms); n > 0 {
-		fn.P50WallMs = ms[(n-1)/2]
-		fn.P95WallMs = ms[min(n-1, int(float64(n)*0.95+0.5)-1)]
-		fn.MaxWallMs = ms[n-1]
-	}
+	fn.setWallMs(ms)
 	ps := runner.PlanStats()
 	fn.PlansTotal = ps.Plans
 	fn.PlansElided = ps.Elided
 	fmt.Fprintf(os.Stderr, "fleetbench: plan reuse: %d plans, %d elided\n", ps.Plans, ps.Elided)
 	return fn, nil
+}
+
+// setWallMs fills the per-scenario wall-time percentiles from sorted
+// samples.
+func (fn *FleetNumbers) setWallMs(ms []float64) {
+	if n := len(ms); n > 0 {
+		fn.P50WallMs = ms[fleet.NearestRank(n, 0.50)]
+		fn.P95WallMs = ms[fleet.NearestRank(n, 0.95)]
+		fn.MaxWallMs = ms[n-1]
+	}
 }
 
 // record runs one testing.Benchmark and prints + returns its numbers.
@@ -401,263 +358,4 @@ func record(name string, fn func(b *testing.B)) BenchNumbers {
 	fmt.Fprintf(os.Stderr, "fleetbench: %-24s %12.0f ns/op %8d B/op %6d allocs/op\n",
 		name, n.NsPerOp, n.BytesPerOp, n.AllocsPerOp)
 	return n
-}
-
-// benchEngineRun measures the steady-state engine cost the fleet actually
-// pays: one uncontrolled 10-simulated-second run on a reused engine, Reset
-// in place between iterations exactly as each fleet worker does between
-// scenarios. Construction cost is excluded (that is benchEngineNew); this
-// number is the "engine allocs/run ≤ 10 steady-state" target the check
-// gate enforces.
-func benchEngineRun(b *testing.B) {
-	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps()}
-	e, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := e.Run(10); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Reset(cfg); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchEngineNew measures the same run with per-iteration construction —
-// the cold-start cost a worker pays once per scenario stream. Kept
-// alongside engine-run so the trajectory file shows what Engine.Reset
-// amortises away.
-func benchEngineNew(b *testing.B) {
-	run := func() {
-		e, err := sim.New(sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run() // warm, like every row: a -benchtime 1x read must be the steady state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
-
-// benchEngineRunManaged measures what a fleet run costs the engine and
-// controller together: the engine-run workload under a fresh heuristic
-// manager per iteration, at the fleet's tick and with its event log, on a
-// reused engine — the cmd-level twin of internal/sim's
-// BenchmarkEngineRunManaged. Unlike engine-run it reaches the controller
-// callbacks, replans and the deadline-miss path.
-func benchEngineRunManaged(b *testing.B) {
-	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), TickS: fleet.TickS, LogEvents: true}
-	e, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func() {
-		cfg.Controller = rtm.NewManager(benchReqs())
-		if err := e.Reset(cfg); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Run(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
-
-// benchReqs are the manager requirements over sim.BenchApps' DNNs.
-func benchReqs() map[string]rtm.Requirement {
-	return map[string]rtm.Requirement{
-		"dnn1": {MinAccuracy: 0.70, Priority: 1},
-		"dnn2": {MinAccuracy: 0.70, Priority: 2},
-		"dnn3": {Priority: 1},
-	}
-}
-
-// benchManagedEngine builds the warmed-up manager + engine pair the replan
-// and policy-plan benchmarks share.
-func benchManagedEngine(b *testing.B) (*rtm.Manager, *sim.Engine) {
-	mgr := rtm.NewManager(benchReqs())
-	e, err := sim.New(sim.Config{
-		Platform:   hw.FlagshipSoC(),
-		Apps:       sim.BenchApps(),
-		Controller: mgr,
-		TickS:      fleet.TickS,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := e.Run(2); err != nil {
-		b.Fatal(err)
-	}
-	return mgr, e
-}
-
-// benchReplan measures the full manager path against a warmed-up engine —
-// the cmd-level twin of internal/rtm's BenchmarkReplan. Plan reuse is
-// disabled: on a quiescent engine every iteration after the first would
-// otherwise be elided, and this row exists to track the cost of a real
-// snapshot + plan + actuation.
-func benchReplan(b *testing.B) {
-	mgr, e := benchManagedEngine(b)
-	mgr.NoPlanReuse = true
-	mgr.Replan(e) // warm the manager's scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mgr.Replan(e)
-	}
-}
-
-// benchReplanElided measures the fingerprint-stable fast path: after one
-// actuated fixed point, every further Replan on a quiescent engine is a
-// fingerprint compare and a counter bump. This is the per-tick cost the
-// elision tier buys the fleet down to.
-func benchReplanElided(b *testing.B) {
-	mgr, e := benchManagedEngine(b)
-	mgr.Replan(e) // reach the actuated fixed point
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mgr.Replan(e)
-	}
-}
-
-// benchPolicyPlan measures one Plan over a realistic warmed-up view for
-// the named policy. The view is the manager's last planning input
-// (LastView) after a short managed run — equivalent content to the
-// internal benchmark's direct view build, reachable through the public
-// API.
-func benchPolicyPlan(name string) func(b *testing.B) {
-	return func(b *testing.B) {
-		p, err := rtm.NewPolicy(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mgr, _ := benchManagedEngine(b)
-		v := mgr.LastView()
-		p.Plan(v) // warm the scratch pool
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if plan := p.Plan(v); len(plan) == 0 {
-				b.Fatal("empty plan")
-			}
-		}
-	}
-}
-
-// streamBenchLo is the first scenario index of the stream benchmarks'
-// records: ten digits, so every record's ID encodes at the same width.
-const streamBenchLo = 1_000_000_000
-
-// streamBenchRecords returns a stream header and valid records for
-// scenarios [streamBenchLo, streamBenchLo+256) of a single-policy
-// odroid-xu3 fleet at seed 1: one real run's result, latencies kept,
-// relabelled with each scenario's ID and seed.
-func streamBenchRecords(b *testing.B) (fleet.StreamHeader, []fleet.Result) {
-	cfg := fleet.GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3"}}
-	gen, err := fleet.NewGenerator(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scens := gen.GenerateRange(streamBenchLo, streamBenchLo+256)
-	tmpl := fleet.RunOne(scens[0])
-	recs := make([]fleet.Result, len(scens))
-	for i, s := range scens {
-		recs[i] = tmpl
-		recs[i].ID, recs[i].Seed = s.ID, s.Seed
-	}
-	hdr := fleet.StreamHeader{Config: cfg, Total: 2 * streamBenchLo, Lo: streamBenchLo, Hi: streamBenchLo + len(recs)}
-	return hdr, recs
-}
-
-// benchStreamAppend measures StreamWriter.Append: one record encoded and
-// flushed (to io.Discard). A completed writer is replaced with the timer
-// stopped and its first record appended there, so every timed Append is a
-// steady-state one — 0 allocs.
-func benchStreamAppend(b *testing.B) {
-	hdr, recs := streamBenchRecords(b)
-	open := func() *fleet.StreamWriter {
-		sw, err := fleet.NewStreamWriter(io.Discard, hdr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sw.Append(recs[0]); err != nil {
-			b.Fatal(err)
-		}
-		return sw
-	}
-	sw := open()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sw.Complete() {
-			b.StopTimer()
-			sw = open()
-			b.StartTimer()
-		}
-		if err := sw.Append(recs[sw.Next()-hdr.Lo]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchStreamRead measures StreamReader.Read over the records
-// benchStreamAppend writes: one line read, decoded and validated. A
-// drained reader is replaced with the timer stopped and its first record
-// read there.
-func benchStreamRead(b *testing.B) {
-	hdr, recs := streamBenchRecords(b)
-	var buf bytes.Buffer
-	sw, err := fleet.NewStreamWriter(&buf, hdr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := sw.Append(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	open := func() *fleet.StreamReader {
-		sr, err := fleet.NewStreamReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sr.Read(); err != nil {
-			b.Fatal(err)
-		}
-		return sr
-	}
-	sr := open()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := sr.Read()
-		if errors.Is(err, io.EOF) {
-			b.StopTimer()
-			sr = open()
-			b.StartTimer()
-			_, err = sr.Read()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -118,3 +118,18 @@ func TestHistoryEntry(t *testing.T) {
 		t.Fatalf("allocs map mangled: %+v", h.Allocs)
 	}
 }
+
+// TestSetWallMsNearestRank pins the wall-time percentiles to the fleet
+// reports' nearest rank: of the 32 samples the sweep times, p95 is the
+// 31st (⌈32 × 0.95⌉), where rounding 30.4 half up would pick the 30th.
+func TestSetWallMsNearestRank(t *testing.T) {
+	ms := make([]float64, 32)
+	for i := range ms {
+		ms[i] = float64(i)
+	}
+	var fn FleetNumbers
+	fn.setWallMs(ms)
+	if fn.P50WallMs != 15 || fn.P95WallMs != 30 || fn.MaxWallMs != 31 {
+		t.Fatalf("p50/p95/max = %g/%g/%g, want samples 15/30/31", fn.P50WallMs, fn.P95WallMs, fn.MaxWallMs)
+	}
+}

@@ -258,7 +258,7 @@ func Aggregate(seed uint64, results []Result) Report {
 	return rep
 }
 
-// nearestRank returns the 0-based index of the p-quantile of n sorted
+// NearestRank returns the 0-based index of the p-quantile of n sorted
 // samples under true nearest-rank (rank = ceil(n·p), 1-based), clamped to
 // [0, n-1].
 //
@@ -267,7 +267,7 @@ func Aggregate(seed uint64, results []Result) Report {
 // round-half-up rank this replaced (int(n·p+0.5)) under-selected whenever
 // n·p had a fractional part below one half — e.g. n=10, p=0.91 gave rank 9
 // where nearest-rank requires ⌈9.1⌉ = 10.
-func nearestRank(n int, p float64) int {
+func NearestRank(n int, p float64) int {
 	// The (1 - 1e-12) nudge absorbs representation dust in n·p: an exact
 	// integer product that lands a hair above its true value (9.1 is not
 	// representable; 10×0.91 evaluates to 9.099999…96, but 100×0.91 to
@@ -282,7 +282,7 @@ func percentileSelect(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	return selectKth(samples, nearestRank(len(samples), p))
+	return selectKth(samples, NearestRank(len(samples), p))
 }
 
 // selectKth reorders a so that a[k] holds the value slices.Sort would put

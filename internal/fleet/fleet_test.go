@@ -231,7 +231,7 @@ func percentile(samples []float64, p float64) float64 {
 	}
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	return s[nearestRank(len(s), p)]
+	return s[NearestRank(len(s), p)]
 }
 
 // TestPercentile pins the nearest-rank convention.

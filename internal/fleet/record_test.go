@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -378,119 +377,4 @@ func FuzzReadShard(f *testing.F) {
 			t.Fatalf("ReadShard accepted a shard that fails Validate: %v", err)
 		}
 	})
-}
-
-// TestStreamAppendAllocs pins the writer's steady state: once its line
-// buffer has grown to a record's size, Append allocates nothing.
-func TestStreamAppendAllocs(t *testing.T) {
-	sw, recs := benchStreamWriter(t, io.Discard, 1<<40)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := sw.Append(recs.at(sw.Next())); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("StreamWriter.Append allocates %v per record, want 0", allocs)
-	}
-}
-
-// benchRecords produces valid records for an open-ended single-policy
-// stream: the golden record with the most latency samples, relabelled with
-// each scenario's ID and seed, so every line has nearly the same length.
-type benchRecords struct {
-	cfg GeneratorConfig
-	r   Result
-}
-
-func newBenchRecords(t testing.TB) *benchRecords {
-	t.Helper()
-	golden, err := ReadShard(bytes.NewReader(readGoldenStream(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := &benchRecords{cfg: golden.Config}
-	for _, r := range golden.Results {
-		if len(r.Latencies) > len(recs.r.Latencies) {
-			recs.r = r
-		}
-	}
-	return recs
-}
-
-func (b *benchRecords) at(id int) Result {
-	r := b.r
-	r.ID = id
-	r.Seed = scenarioSeed(b.cfg.Seed, id)
-	return r
-}
-
-// benchStreamLo starts the benchmark streams at a ten-digit scenario
-// index, so every record's encoding has the same ID width.
-const benchStreamLo = 1_000_000_000
-
-// benchStreamWriter returns a writer over w for records [benchStreamLo,
-// hi), warmed by appending the first, and its record source.
-func benchStreamWriter(t testing.TB, w io.Writer, hi int) (*StreamWriter, *benchRecords) {
-	t.Helper()
-	recs := newBenchRecords(t)
-	sw, err := NewStreamWriter(w, StreamHeader{Config: recs.cfg, Total: 1 << 40, Lo: benchStreamLo, Hi: hi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Append(recs.at(sw.Next())); err != nil {
-		t.Fatal(err)
-	}
-	return sw, recs
-}
-
-// BenchmarkStreamAppend measures encoding and flushing one record with
-// its latencies; the op is one Append.
-func BenchmarkStreamAppend(b *testing.B) {
-	sw, recs := benchStreamWriter(b, io.Discard, 1<<40)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		if err := sw.Append(recs.at(sw.Next())); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStreamRead measures reading, decoding and validating one
-// record; the op is one Read. A drained reader is replaced with the timer
-// stopped, and its first record read there, so every timed Read is a
-// steady-state one.
-func BenchmarkStreamRead(b *testing.B) {
-	var buf bytes.Buffer
-	sw, recs := benchStreamWriter(b, &buf, benchStreamLo+64)
-	for !sw.Complete() {
-		if err := sw.Append(recs.at(sw.Next())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	open := func() *StreamReader {
-		sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sr.Read(); err != nil {
-			b.Fatal(err)
-		}
-		return sr
-	}
-	sr := open()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		_, err := sr.Read()
-		if err == io.EOF {
-			b.StopTimer()
-			sr = open()
-			b.StartTimer()
-			_, err = sr.Read()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }

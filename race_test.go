@@ -1,6 +1,6 @@
 //go:build race
 
-package rtm
+package emlrtm
 
 // raceEnabled reports whether the test binary runs under the race
 // detector, which changes sync.Pool behaviour and so allocation counts.
