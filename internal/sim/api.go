@@ -303,6 +303,7 @@ func (e *Engine) SetLevel(app string, level int) error {
 		}
 	}
 	a.level = level
+	a.jobMACs = float64(a.Profile.Level(level).MACs)
 	// A level change is planning-relevant (and alters the next release's
 	// workload) but touches nothing the utilisation/rate caches read.
 	e.planEpoch++

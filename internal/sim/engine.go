@@ -32,10 +32,15 @@ type hevent struct {
 }
 
 // eventHeap is a typed, index-based binary min-heap of scheduler events
-// ordered by (t, seq). push and pop sift inline over the backing array and
-// keep it when the heap drains, so the steady-state simulation loop does
-// no heap allocations — unlike container/heap, whose interface boxes every
-// pushed element through `any`.
+// ordered by (t, seq). It holds only entries that are always handled:
+// starts, stops, releases, ticks and unblocks. The events that get
+// re-derived as the state moves — each app's completion and the throttle
+// alarm — are timers held in place instead (appState.completionSeq,
+// Engine.thermalEvSeq), so re-arming one overwrites it rather than leaving
+// a superseded entry behind. push and pop sift inline over the backing
+// array and keep it when the heap drains, so the steady-state simulation
+// loop does no heap allocations — unlike container/heap, whose interface
+// boxes every pushed element through `any`.
 type eventHeap []hevent
 
 // before is the heap order: earliest time first, insertion sequence as the
@@ -99,6 +104,34 @@ func (e *Engine) push(t float64, kind hKind, app int32) int64 {
 	return e.seq
 }
 
+// next returns the earliest pending event without removing it: the heap
+// top, an armed completion timer or the armed throttle alarm, whichever
+// comes first in eventHeap's (t, seq) order. Timers draw their seq from the
+// same counter as heap entries, so the order is the one a single heap
+// holding all three would give. ok is false when nothing is pending.
+//
+//detlint:hotpath
+func (e *Engine) next() (ev hevent, ok bool) {
+	if len(e.events) > 0 {
+		ev, ok = e.events[0], true
+	}
+	for _, a := range e.appList {
+		if a.completionSeq != 0 && a.completionKind == hComplete && (!ok || precedes(a.completionEst, a.completionSeq, ev)) {
+			ev, ok = hevent{t: a.completionEst, seq: a.completionSeq, kind: hComplete, app: a.idx}, true
+		}
+	}
+	if e.thermalEvSeq != 0 && (!ok || precedes(e.thermalEst, e.thermalEvSeq, ev)) {
+		ev, ok = hevent{t: e.thermalEst, seq: e.thermalEvSeq, kind: hThermal, app: -1}, true
+	}
+	return ev, ok
+}
+
+// precedes reports whether an event due at t with sequence seq comes before
+// ev in eventHeap's order.
+func precedes(t float64, seq int64, ev hevent) bool {
+	return t < ev.t || t == ev.t && seq < ev.seq
+}
+
 // Run executes the simulation until endS seconds. Calling Run again with a
 // later end continues from the accumulated state (warm caches, stats, the
 // events queued past the previous end and all): Run(a) then Run(b) covers
@@ -138,39 +171,26 @@ func (e *Engine) prime() {
 	e.syncThermal()
 }
 
-// step handles the earliest queued event if it falls at or before endS and
-// reports whether there was one; an event past endS stays queued for a
-// later Run. A stale entry is dropped without touching the clock: handling
-// it would change nothing but split the segment it falls in.
+// step handles the earliest pending event (see next) if it falls at or
+// before endS and reports whether there was one; an event past endS stays
+// pending for a later Run. A heap entry is popped; a timer stays in its
+// slot, and handling it disarms it: handle zeroes thermalEvSeq, and
+// completionSeq is zeroed by handle or by the refresh after it once the
+// job is no longer active.
 //
 //detlint:hotpath
 func (e *Engine) step(endS float64) bool {
-	if len(e.events) == 0 || e.events[0].t > endS {
+	ev, ok := e.next()
+	if !ok || ev.t > endS {
 		return false
 	}
-	ev := e.events.pop()
-	if e.stale(ev) {
-		return true
+	if ev.kind != hComplete && ev.kind != hThermal {
+		e.events.pop()
 	}
 	e.advanceTo(ev.t)
 	e.handle(ev)
 	e.refresh()
 	return true
-}
-
-// stale reports whether an entry was superseded after it was queued: a
-// completion its app has since rescheduled or cancelled (refresh pushes a
-// new entry instead of moving the old one), or a thermal alarm that has
-// since been re-derived. Unblock entries are never stale in this sense —
-// their time is where migration downtime ends and the caches turn over.
-func (e *Engine) stale(ev hevent) bool {
-	switch ev.kind {
-	case hComplete:
-		return ev.seq != e.appList[ev.app].completionSeq
-	case hThermal:
-		return ev.seq != e.thermalEvSeq
-	}
-	return false
 }
 
 // advanceTo integrates the piecewise-constant segment [now, t]: job
@@ -486,7 +506,7 @@ func (e *Engine) handle(ev hevent) {
 			e.push(e.now+e.tickS, hTick, -1)
 		}
 	case hThermal:
-		// Consumed: the next refresh re-derives a successor.
+		// Disarm the timer; the next refresh re-derives a successor.
 		e.thermalEvSeq = 0
 		e.thermalDirty = true
 		e.closeWindow()
@@ -528,7 +548,7 @@ func (e *Engine) release(a *appState) {
 	} else {
 		a.jobActive = true
 		a.jobReleaseS = e.now
-		a.jobRemaining = float64(a.Profile.Level(a.level).MACs)
+		a.jobRemaining = a.jobMACs
 		// The job becoming active changes utilisations and shares; the rate
 		// below must be computed under the new state.
 		e.touch(a.placedCS)
@@ -577,10 +597,13 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// refresh recomputes all pending completion events, the thermal window and
-// the alarm after any state change. An event is only (re)scheduled when its
-// estimate actually moved: unconditional rescheduling would invalidate the
-// event just popped on every iteration and the heap would never drain.
+// refresh recomputes every app's pending job event, the thermal window and
+// the alarm after any state change. A completion timer is re-armed in place
+// only when its estimate actually moved, so the seq — and with it the tie
+// order against heap entries — stays put while the state does. A blocked
+// app gets one unblock entry in the heap per downtime end; an unblock
+// entry superseded by a later migration stays queued and still fires, a
+// segment boundary like any other.
 //
 //detlint:hotpath
 func (e *Engine) refresh() {
@@ -591,7 +614,7 @@ func (e *Engine) refresh() {
 		}
 		if e.now < a.blockedUntil {
 			if a.completionSeq == 0 || a.completionEst != a.blockedUntil {
-				a.completionEst = a.blockedUntil
+				a.completionEst, a.completionKind = a.blockedUntil, hUnblock
 				a.completionSeq = e.push(a.blockedUntil, hUnblock, a.idx)
 			}
 			continue
@@ -604,8 +627,8 @@ func (e *Engine) refresh() {
 		if a.completionSeq != 0 && math.Abs(est-a.completionEst) < 1e-9 {
 			continue // pending event still accurate
 		}
-		a.completionEst = est
-		a.completionSeq = e.push(est, hComplete, a.idx)
+		e.seq++
+		a.completionEst, a.completionKind, a.completionSeq = est, hComplete, e.seq
 	}
 	e.syncThermal()
 }
@@ -704,10 +727,10 @@ func (e *Engine) temperature() float64 {
 }
 
 // rescheduleThermal predicts the next upward throttle crossing under the
-// current window's power and schedules an alarm at the exact crossing time
-// from the RC model's closed form. It runs only when the window's power or
-// the ambient changed or the alarm state moved; otherwise the pending alarm
-// stands.
+// current window's power and arms the alarm timer at the exact crossing
+// time from the RC model's closed form, overwriting any alarm still armed.
+// It runs only when the window's power or the ambient changed or the alarm
+// state moved; otherwise the pending alarm stands.
 func (e *Engine) rescheduleThermal() {
 	if e.alarmed {
 		return
@@ -717,8 +740,8 @@ func (e *Engine) rescheduleThermal() {
 	if cur >= th.ThrottleC {
 		if e.thermalEvSeq == 0 {
 			// Already above: alarm immediately.
-			e.thermalEst = e.now
-			e.thermalEvSeq = e.push(e.now, hThermal, -1)
+			e.seq++
+			e.thermalEst, e.thermalEvSeq = e.now, e.seq
 		}
 		return
 	}
@@ -737,6 +760,6 @@ func (e *Engine) rescheduleThermal() {
 	if e.thermalEvSeq != 0 && math.Abs(est-e.thermalEst) < 1e-3 {
 		return // pending alarm still accurate
 	}
-	e.thermalEst = est
-	e.thermalEvSeq = e.push(est, hThermal, -1)
+	e.seq++
+	e.thermalEst, e.thermalEvSeq = est, e.seq
 }

@@ -47,36 +47,39 @@ func reportDiff(a, b Report, rel float64) []string {
 }
 
 // boundaryCtrl changes nothing a report can see. Ticking it only inserts
-// event-loop boundaries; with stale set, each tick also queues stale
-// copies of every pending completion and thermal alarm, halfway to their
-// due time and at it, which the engine must drop unseen.
-type boundaryCtrl struct{ stale bool }
+// event-loop boundaries; with rearm set, each tick also cancels every armed
+// completion timer and the throttle alarm and asks for the alarm to be
+// re-derived, so the refresh after the tick arms them afresh from the
+// state at the tick. An alarm due within a millisecond is left armed:
+// rescheduleThermal floors a re-derived alarm's delay at 1 ms (its guard
+// against zero-advance alarm cascades), so re-deriving it would move it.
+type boundaryCtrl struct{ rearm bool }
 
 func (c *boundaryCtrl) OnTick(e *Engine) {
-	if !c.stale {
+	if !c.rearm {
 		return
 	}
 	for _, a := range e.appList {
-		if a.completionSeq != 0 {
-			e.push((e.now+a.completionEst)/2, hComplete, a.idx)
-			e.push(a.completionEst, hComplete, a.idx)
+		if a.completionKind == hComplete {
+			a.completionSeq = 0
 		}
 	}
-	if e.thermalEvSeq != 0 {
-		e.push((e.now+e.thermalEst)/2, hThermal, -1)
-		e.push(e.thermalEst, hThermal, -1)
+	if e.thermalEst-e.now >= 1e-3 {
+		e.thermalEvSeq = 0
 	}
+	e.thermalDirty = true
 }
 
 func (c *boundaryCtrl) OnEvent(e *Engine, ev Event) {}
 
 // TestNoOpBoundariesLeaveReportUnchanged is the metamorphic property behind
-// thermal windows and stale-entry dropping: splitting the run at points
+// thermal windows and timers held in place: splitting the run at points
 // where nothing happens — controller ticks every millisecond that do
-// nothing, and stale heap entries — must leave every report field equal
-// within 1e-9 relative. A per-segment approximation of the time above a
-// trip point (such as testing each segment's midpoint temperature) moves
-// with the segment boundaries and fails this.
+// nothing, and re-deriving every pending completion and alarm at each of
+// them — must leave every report field equal within 1e-9 relative. A
+// per-segment approximation of the time above a trip point (such as testing
+// each segment's midpoint temperature) moves with the segment boundaries
+// and fails this.
 func TestNoOpBoundariesLeaveReportUnchanged(t *testing.T) {
 	// At 58 °C ambient the BenchApps load crosses the 65 °C throttle point
 	// part-way through; at 78 °C it starts above throttle and crosses the
@@ -104,7 +107,7 @@ func TestNoOpBoundariesLeaveReportUnchanged(t *testing.T) {
 				ctrl *boundaryCtrl
 			}{
 				{"1ms ticks", &boundaryCtrl{}},
-				{"1ms ticks and stale entries", &boundaryCtrl{stale: true}},
+				{"1ms ticks re-arming every timer", &boundaryCtrl{rearm: true}},
 			} {
 				if diff := reportDiff(base, run(v.ctrl, 1e-3), 1e-9); len(diff) > 0 {
 					t.Errorf("%s moved %d report fields, first: %s", v.name, len(diff), diff[0])

@@ -204,11 +204,19 @@ type appState struct {
 	stopped bool
 
 	// Current job (DNN apps).
-	jobActive     bool
-	jobReleaseS   float64
-	jobRemaining  float64 // MACs
-	completionSeq int64   // seq of the currently valid completion event
-	completionEst float64 // scheduled completion time of that event
+	jobActive    bool
+	jobReleaseS  float64
+	jobRemaining float64 // MACs
+	jobMACs      float64 // a new job's work at the current level, kept by Reset and SetLevel
+
+	// The app's pending job event: completionSeq is its seq (0 for none)
+	// and completionEst its time. When completionKind is hComplete the
+	// slot is the completion timer itself — the heap never holds one, and
+	// re-arming overwrites it in place. When it is hUnblock the entry sits
+	// in the heap; the slot only keeps refresh from queuing it twice.
+	completionSeq  int64
+	completionEst  float64
+	completionKind hKind
 
 	blockedUntil float64 // migration downtime
 
@@ -310,12 +318,12 @@ type Engine struct {
 	tickS float64
 
 	now          float64
-	primed       bool // start, stop and first tick events queued (once per Reset)
-	events       eventHeap
-	seq          int64
-	thermalEvSeq int64   // seq of the currently valid thermal alarm event
-	thermalEst   float64 // scheduled time of that alarm
-	alarmed      bool    // throttle alarm latched until temperature drops below
+	primed       bool      // start, stop and first tick events queued (once per Reset)
+	events       eventHeap // start, stop, release, unblock and tick entries
+	seq          int64     // last seq handed to a heap entry or an armed timer
+	thermalEvSeq int64     // seq of the armed throttle alarm timer (0: none); never in the heap
+	thermalEst   float64   // time that alarm is due
+	alarmed      bool      // throttle alarm latched until temperature drops below
 
 	maxTempC    float64
 	overThrotS  float64 // time spent above throttle
@@ -482,6 +490,9 @@ func (e *Engine) Reset(cfg Config) error {
 		}
 		e.appStore[i] = appState{App: a, idx: int32(i), placed: a.Placement, level: a.Level}
 		st := &e.appStore[i]
+		if a.Kind == KindDNN {
+			st.jobMACs = float64(a.Profile.Level(a.Level).MACs)
+		}
 		st.placedCS = e.clusters[a.Placement.Cluster]
 		e.apps[a.Name] = st
 		e.appList = append(e.appList, st)
