@@ -1,7 +1,8 @@
 package emlrtm
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper (DESIGN.md §4), plus the ablations and substrate micro-benchmarks.
+// paper (DESIGN.md §4), plus the ablations, substrate micro-benchmarks and
+// a fleet sweep to profile.
 // Each experiment benchmark regenerates its artefact per iteration; run
 //
 //	go test -bench=. -benchmem
@@ -17,6 +18,7 @@ import (
 	"github.com/emlrtm/emlrtm/internal/dataset"
 	"github.com/emlrtm/emlrtm/internal/dyndnn"
 	"github.com/emlrtm/emlrtm/internal/experiments"
+	"github.com/emlrtm/emlrtm/internal/fleet"
 	"github.com/emlrtm/emlrtm/internal/nn"
 	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/tensor"
@@ -277,4 +279,28 @@ func BenchmarkSimScenarioSecond(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
+}
+
+// BenchmarkFleetSweep runs a fleet mix on one worker: 64 workloads under
+// each built-in policy, latencies dropped as a large fleet runs them.
+// Profile where a fleet's time goes with
+//
+//	go test -run '^$' -bench FleetSweep -cpuprofile cpu.out .
+func BenchmarkFleetSweep(b *testing.B) {
+	pols := []string{"heuristic", "maxaccuracy", "minenergy"}
+	gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Policies: pols})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scens := gen.Generate(gen.RunCount(64))
+	runner := &fleet.Runner{Workers: 1, DropLatencies: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, r := range runner.Run(scens) {
+			if r.Err != "" {
+				b.Fatalf("scenario %d: %s", r.ID, r.Err)
+			}
+		}
+	}
 }

@@ -1,8 +1,8 @@
 // Package hotbench holds the hot-path benchmark rows: one body per
-// measured layer of a fleet run, written once and driven three ways.
-// BenchmarkRows runs them as Go benchmarks, the root package's
+// measured layer of a fleet run, written once and driven two ways.
+// BenchmarkRows runs them as Go benchmarks, and the root package's
 // allocation test gates each row's allocs/op against the budget recorded
-// in BENCH_fleet.json, and cmd/fleetbench records them into that file.
+// in BENCH_fleet.json, which that test's -update flag rewrites.
 //
 // Every row measures the workload a fleet run pays for: the flagship SoC
 // hosting sim.BenchApps, at the fleet's tick, and single-policy
