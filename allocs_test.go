@@ -66,19 +66,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Run(row.Name, func(t *testing.T) {
 			got := int64(testing.AllocsPerRun(50, row.Setup(t)))
 			measured.AllocsPerOp[row.Name] = got
-			// A 1x reading counts every goroutine's mallocs during one op,
-			// so the harness can add to it, for example with a sudog for
-			// testing.Benchmark's caller waiting on the benchmark goroutine,
-			// or a sync.Pool miss after the op moved to another P. A row
-			// whose first counted op still grows its state reads high
-			// every time, so three tries tell the two apart.
-			var at1x int64
-			for range 3 {
-				if at1x = testing.Benchmark(row.Bench).AllocsPerOp(); at1x == got {
-					break
-				}
-			}
-			if at1x != got {
+			if at1x := testing.Benchmark(row.Bench).AllocsPerOp(); at1x != got {
 				t.Errorf("-benchtime 1x reads %d allocs/op, steady state is %d", at1x, got)
 			}
 			if *update {
@@ -105,6 +93,9 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Fatalf("%s left as it was: a row failed", path)
+	}
+	if len(measured.AllocsPerOp) != len(rows) {
+		t.Fatalf("%s left as it was: only %d of %d rows ran", path, len(measured.AllocsPerOp), len(rows))
 	}
 	out, err := json.MarshalIndent(measured, "", "  ")
 	if err != nil {
