@@ -1,8 +1,8 @@
 package emlrtm
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper (DESIGN.md §4), plus the ablations, substrate micro-benchmarks and
-// a fleet sweep to profile.
+// paper (indexed in internal/experiments), plus the ablations, substrate
+// micro-benchmarks and a fleet sweep to profile.
 // Each experiment benchmark regenerates its artefact per iteration; run
 //
 //	go test -bench=. -benchmem

@@ -60,10 +60,10 @@
 //
 // Planning work is reused by default: managers elide replans whose
 // planning fingerprint has not changed since their last actuated plan.
-// The report is byte-identical either way — -plancache=false turns
-// elision off and plans every replan fresh (CI cmp-checks the two against
-// each other), and -cachestats prints the plans / elided counters to
-// stderr after the run.
+// The report is byte-identical either way — -elide=false turns elision
+// off and plans every replan fresh (CI cmp-checks the two against each
+// other), and -elidestats prints the plans / elided counters to stderr
+// after the run.
 //
 // Usage:
 //
@@ -71,7 +71,7 @@
 //	         [-classes steady,thermal] [-policy name | -policies a,b]
 //	         [-format json|table] [-results] [-nolat] [-out file]
 //	         [-shard i/m -out shard.ndjson [-resume] [-syncevery N]]
-//	         [-plancache=false] [-cachestats]
+//	         [-elide=false] [-elidestats]
 //	fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...
 //	fleetsim orchestrate -shards m -out dir [-scenarios N] [-seed S]
 //	         [-stall 30s] [-retries 2] [-format json|table] [-results]
@@ -138,8 +138,8 @@ func runMain() {
 	nolat := flag.Bool("nolat", false, "drop raw per-job latency samples from results and shard files (scalar mean/p95/max stay; group p95 becomes the worst per-scenario p95)")
 	resume := flag.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario")
 	syncevery := flag.Int("syncevery", 0, "with -shard: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
-	plancache := flag.Bool("plancache", true, "reuse planning work (replan elision); false plans every replan fresh — the report is byte-identical either way")
-	cachestats := flag.Bool("cachestats", false, "print plan-reuse counters (plans, elided) to stderr after the run")
+	elide := flag.Bool("elide", true, "reuse planning work (replan elision); false plans every replan fresh — the report is byte-identical either way")
+	elidestats := flag.Bool("elidestats", false, "print plan-reuse counters (plans, elided) to stderr after the run")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		// Stray positional args mean a mistyped invocation; running the
@@ -194,24 +194,24 @@ func runMain() {
 				log.Fatalf("fleetsim: %s already exists; pass -resume to continue it", *out)
 			}
 		}
-		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, SyncEvery: *syncevery, DisablePlanCache: !*plancache}
+		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, SyncEvery: *syncevery, NoPlanReuse: !*elide}
 		if *progress {
 			runner.Progress = progressFunc()
 		}
 		if _, err := runner.ResumeShard(*out, cfg, *scenarios, shardIdx, shardCount); err != nil {
 			log.Fatalf("fleetsim: %v", err)
 		}
-		maybePrintCacheStats(*cachestats, runner)
+		maybePrintElideStats(*elidestats, runner)
 		return
 	}
 
 	scens := gen.Generate(gen.RunCount(*scenarios))
-	runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, DisablePlanCache: !*plancache}
+	runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, NoPlanReuse: !*elide}
 	if *progress {
 		runner.Progress = progressFunc()
 	}
 	res := runner.Run(scens)
-	maybePrintCacheStats(*cachestats, runner)
+	maybePrintElideStats(*elidestats, runner)
 	rep := fleet.Aggregate(*seed, res)
 	if !*results {
 		res = nil
@@ -407,11 +407,11 @@ func parseShard(s string) (index, count int, err error) {
 	return i - 1, m, nil
 }
 
-// maybePrintCacheStats prints the runner's accumulated plan-reuse
-// counters to stderr when -cachestats is set. Stderr, not the report: the
-// elided count depends on -plancache, whose setting must leave the
+// maybePrintElideStats prints the runner's accumulated plan-reuse
+// counters to stderr when -elidestats is set. Stderr, not the report: the
+// elided count depends on -elide, whose setting must leave the
 // byte-compared report stream unchanged.
-func maybePrintCacheStats(enabled bool, r *fleet.Runner) {
+func maybePrintElideStats(enabled bool, r *fleet.Runner) {
 	if !enabled {
 		return
 	}

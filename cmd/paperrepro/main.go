@@ -1,6 +1,6 @@
 // Command paperrepro regenerates every table and figure of the paper plus
 // the ablations, printing paper-style tables (and optionally CSV) to
-// stdout. See DESIGN.md §4 for the experiment index.
+// stdout. internal/experiments' package doc keeps the experiment index.
 //
 // Usage:
 //
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig3, fig4a, budgets, fig5, ablations)")
-	quick := flag.Bool("quick", false, "reduced scale (fast; used by CI)")
+	quick := flag.Bool("quick", false, "reduced scale (fast)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	csv := flag.Bool("csv", false, "emit figures as CSV instead of summaries")
 	verbose := flag.Bool("v", false, "log progress")

@@ -17,7 +17,7 @@
 //     and a co-optimising planner over model level, task mapping and
 //     DVFS) that reproduces the Fig 2 runtime scenario;
 //   - experiment drivers regenerating every table and figure, plus the
-//     ablations in DESIGN.md.
+//     ablations indexed in internal/experiments.
 //
 // The root package is a facade over the internal packages: it re-exports
 // the stable types and constructors a downstream user needs. See README.md

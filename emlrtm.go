@@ -474,7 +474,7 @@ type (
 	Figure = trace.Figure
 )
 
-// Experiment drivers; see DESIGN.md §4 for the index.
+// Experiment drivers; internal/experiments' package doc keeps the index.
 var (
 	// Table1 reproduces Table I from the calibrated platform models.
 	Table1 = experiments.Table1

@@ -1,10 +1,10 @@
 // Package dataset generates a deterministic synthetic image-classification
 // task standing in for CIFAR-10, which the paper uses but which is not
-// available offline. See DESIGN.md §2 for the substitution argument: the
-// paper's claims concern the *relative* accuracy of the 25/50/75/100%
-// dynamic-DNN configurations, so the dataset's job is to be (a) learnable
-// by a small grouped CNN, (b) hard enough that accuracy rises with model
-// capacity with diminishing returns, and (c) bit-reproducible.
+// available offline. The substitution is sound because the paper's claims
+// concern the *relative* accuracy of the 25/50/75/100% dynamic-DNN
+// configurations, so the dataset's job is to be (a) learnable by a small
+// grouped CNN, (b) hard enough that accuracy rises with model capacity
+// with diminishing returns, and (c) bit-reproducible.
 //
 // Construction: 10 classes arranged as 5 confusable pairs. Each pair
 // shares a grating orientation (coarse cue, easy); the two classes within

@@ -1,9 +1,9 @@
 // Package experiments contains one driver per table and figure of the
-// paper, plus the ablations DESIGN.md defines. Each driver returns both
+// paper, plus three ablations. Each driver returns both
 // structured results (for tests and benchmarks) and formatted tables or
 // figure CSVs (for the cmd tools and EXPERIMENTS.md).
 //
-// Index (see DESIGN.md §4):
+// Index of experiments (E) and ablations (A):
 //
 //	E1 Table I        — Table1()
 //	E2 Fig 1          — Fig1()

@@ -8,7 +8,7 @@ import (
 // TestReplanElisionEquivalence is replan elision's correctness property at
 // the fleet layer: a Runner whose managers elide fingerprint-stable
 // replans must produce results byte-identical to a Runner with
-// DisablePlanCache — at workers 1 and 8, across a mix of platforms,
+// NoPlanReuse — at workers 1 and 8, across a mix of platforms,
 // classes and policies. The elision-on arm must also demonstrably skip
 // work, or the test is vacuous.
 func TestReplanElisionEquivalence(t *testing.T) {
@@ -23,13 +23,13 @@ func TestReplanElisionEquivalence(t *testing.T) {
 	}
 	scens := gen.Generate(gen.RunCount(20))
 
-	off := &Runner{Workers: 1, DisablePlanCache: true}
+	off := &Runner{Workers: 1, NoPlanReuse: true}
 	want, err := json.Marshal(off.Run(scens))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := off.PlanStats(); s.Elided != 0 {
-		t.Fatalf("DisablePlanCache runner reused planning work: %+v", s)
+		t.Fatalf("NoPlanReuse runner reused planning work: %+v", s)
 	}
 
 	for _, workers := range []int{1, 8} {

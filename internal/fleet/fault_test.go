@@ -118,7 +118,7 @@ func TestFaultyRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Replan elision is invisible under faults: a faulty fleet with elision
-// disabled (DisablePlanCache) matches the elision-on run byte for byte.
+// disabled (NoPlanReuse) matches the elision-on run byte for byte.
 func TestFaultyPlanCacheEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a faulty fleet three times")
@@ -134,7 +134,7 @@ func TestFaultyPlanCacheEquivalence(t *testing.T) {
 	}
 	scens := gen.Generate(gen.RunCount(8))
 
-	off := &Runner{Workers: 1, DisablePlanCache: true}
+	off := &Runner{Workers: 1, NoPlanReuse: true}
 	want, err := json.Marshal(off.Run(scens))
 	if err != nil {
 		t.Fatal(err)

@@ -73,18 +73,6 @@ type Result struct {
 // comparable across scenarios.
 const TickS = 0.25
 
-// latBufs is one worker's reusable latency scratch: raw collects samples
-// in event order, then selection reorders it in place for the p95. Pooled
-// because a fleet run executes thousands of scenarios per worker and the
-// per-scenario buffers were the runner's dominant allocation; the
-// published Result only ever gets an exact-size copy, taken before the
-// reorder.
-type latBufs struct {
-	raw []float64
-}
-
-var latPool = sync.Pool{New: func() any { return new(latBufs) }}
-
 // RunOne executes a single scenario to completion. It is a pure function
 // of the scenario (fresh platform, fresh manager, no logging), which is
 // what makes fleet results independent of scheduling.
@@ -141,6 +129,7 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	}
 	eng, mgr, rep, err := workload.RunEngineOpts(o.eng, script, plat, TickS, nil, workload.RunOptions{
 		DisablePlanReuse: o.noPlanReuse,
+		LatenciesOnly:    true,
 	})
 	if err != nil {
 		res.Err = err.Error()
@@ -176,15 +165,10 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 		res.Missed += a.Missed
 		res.Dropped += a.Dropped
 	}
-	sc := latPool.Get().(*latBufs)
-	defer latPool.Put(sc)
-	raw := sc.raw[:0]
-	for _, ev := range rep.Events {
-		if ev.Kind == sim.EvJobComplete || ev.Kind == sim.EvDeadlineMiss {
-			raw = append(raw, ev.LatencyS)
-		}
-	}
-	sc.raw = raw
+	// raw is the engine's own latency log, in completion order. The
+	// engine's next Reset rewrites it, so selection may reorder it in
+	// place once the published copy is taken.
+	raw := rep.Latencies
 	if len(raw) == 0 {
 		return res, eng, mgr.PlanStats()
 	}
@@ -199,8 +183,9 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	res.MeanLatencyS = sum / float64(len(raw))
 	res.MaxLatencyS = maxL
 	if o.keepLatencies {
-		// Publish an exact-size copy in event order: the pooled buffer
-		// never escapes, and append-growth slack never reaches the Result.
+		// Publish an exact-size copy in completion order: the engine's
+		// buffer never escapes, and its spare capacity never reaches the
+		// Result.
 		res.Latencies = make([]float64, len(raw))
 		copy(res.Latencies, raw)
 	}
@@ -244,12 +229,12 @@ type Runner struct {
 	// same prefix-complete order a sequential run would produce. Calls are
 	// serialized but may arrive from any worker goroutine.
 	OnResult func(index int, r Result)
-	// DisablePlanCache turns off replan elision in every scenario's
-	// manager (the fleetsim -plancache=false switch). Results are
-	// byte-identical either way — the switch exists so CI can prove
-	// exactly that, and so regressions can be bisected against the
+	// NoPlanReuse turns off replan elision in every scenario's manager
+	// (rtm.Manager.NoPlanReuse; the fleetsim -elide=false switch).
+	// Results are byte-identical either way — the switch exists so CI can
+	// prove exactly that, and so regressions can be bisected against the
 	// elision-free path.
-	DisablePlanCache bool
+	NoPlanReuse bool
 
 	// planStats accumulates every run's plan-reuse counters across this
 	// Runner's lifetime (all Run calls). It sits behind a pointer so the
@@ -312,7 +297,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 		workers = len(scenarios)
 	}
 	if workers <= 1 {
-		o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.DisablePlanCache}
+		o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.NoPlanReuse}
 		var stats rtm.PlanStats
 		for i, s := range scenarios {
 			var ps rtm.PlanStats
@@ -349,7 +334,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.DisablePlanCache}
+			o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.NoPlanReuse}
 			var stats rtm.PlanStats
 			defer func() { r.addPlanStats(stats) }()
 			for {

@@ -91,11 +91,11 @@ func engineNew(tb testing.TB) func() {
 }
 
 // engineRunManaged is engine-run under a fresh heuristic manager per op,
-// at the fleet's tick and with its event log: the shape of every fleet
+// at the fleet's tick and with its latency log: the shape of every fleet
 // run. Unlike engine-run it reaches the controller callbacks, replans and
 // the deadline-miss path.
 func engineRunManaged(tb testing.TB) func() {
-	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), TickS: fleet.TickS, LogEvents: true}
+	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), TickS: fleet.TickS, LogLatencies: true}
 	e, err := sim.New(cfg)
 	if err != nil {
 		tb.Fatal(err)

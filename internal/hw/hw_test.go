@@ -178,7 +178,7 @@ func TestBusyPowerProperties(t *testing.T) {
 }
 
 // Property: higher frequency never lowers peak power, never lowers rate —
-// the DVFS monotonicity invariant in DESIGN.md §7.
+// the DVFS monotonicity invariant.
 func TestDVFSMonotonicity(t *testing.T) {
 	for name, p := range Catalog() {
 		for _, c := range p.Clusters {

@@ -199,7 +199,7 @@ func Stats(points []perf.OperatingPoint) RangeStats {
 
 // SatisfiableFraction returns the fraction of budgets (cartesian product of
 // the latency and energy grids) that at least one point satisfies — the
-// coverage measure used by the knob ablation (A1 in DESIGN.md).
+// coverage measure used by the knob ablation (A1 in internal/experiments).
 func SatisfiableFraction(points []perf.OperatingPoint, latencyGridS, energyGridMJ []float64) float64 {
 	if len(latencyGridS) == 0 || len(energyGridMJ) == 0 {
 		return 0

@@ -493,6 +493,10 @@ type Report struct {
 	Apps     []AppInfo
 	Clusters []ClusterReport
 	Events   []Event // only when LogEvents was set
+	// Latencies holds every finished job's latency in completion order —
+	// the LatencyS of Events' EvJobComplete and EvDeadlineMiss entries —
+	// only when LogLatencies was set.
+	Latencies []float64
 }
 
 // Report summarises the run so far.
@@ -517,8 +521,9 @@ func (e *Engine) Report() Report {
 		DegradedMissed:    e.degMissed,
 		DegradedDropped:   e.degDropped,
 
-		Apps:   e.Apps(),
-		Events: e.eventLog,
+		Apps:      e.Apps(),
+		Events:    e.eventLog,
+		Latencies: e.latLog,
 	}
 	for _, a := range e.appList {
 		r.JobsAborted += a.aborted

@@ -9,11 +9,11 @@ import (
 
 // This file is the white-box safety net under the dirty-tracked observable
 // caches: every cached value must equal a from-scratch recompute after
-// every event and at every controller tick of a scenario that churns all
-// the invalidation sources (app starts/stops, job activity, DVFS switches
-// including the accelerators' companion CPU, migrations with downtime,
-// cluster failure and repair, ambient changes), and PlanEpoch must move
-// exactly when planning-relevant state does.
+// every engine step and in every controller callback of a scenario that
+// churns all the invalidation sources (app starts/stops, job activity,
+// DVFS switches including the accelerators' companion CPU, migrations with
+// downtime, cluster failure and repair, ambient changes), and PlanEpoch
+// must move exactly when planning-relevant state does.
 
 // cacheStep is one knob the auditor turns at a fixed time.
 type cacheStep struct {
@@ -22,8 +22,8 @@ type cacheStep struct {
 }
 
 // cacheAuditor is a controller that cross-checks every cache against its
-// compute function on each event and each tick, while turning knobs at
-// fixed times.
+// compute function in each callback, while turning knobs at fixed times;
+// the test also calls audit after every engine step.
 type cacheAuditor struct {
 	t       *testing.T
 	steps   []cacheStep
@@ -109,10 +109,11 @@ func cacheTestApps() []App {
 }
 
 // TestCachedObservablesMatchRecompute drives a flagship-SoC scenario
-// through every cache-invalidation source and asserts, after every event
-// and at every tick, that the cached cluster util/power/share/active and
-// per-app job rates are indistinguishable from recomputing them from
-// scratch. dnn1 runs on the NPU, whose companion is cpu-lit, so the steps
+// through every cache-invalidation source, stepping the engine one event
+// at a time as TestEngineInvariants does, and asserts after every step
+// and in every controller callback that the cached cluster
+// util/power/share/active and per-app job rates are indistinguishable from
+// recomputing them from scratch. dnn1 runs on the NPU, whose companion is cpu-lit, so the steps
 // below reach each path where a missed per-cluster stamp would leave a
 // stale value: the companion's own DVFS, migrations off and back onto the
 // NPU (with downtime), and the NPU failing under dnn1 and coming back.
@@ -147,14 +148,20 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(14); err != nil {
-		t.Fatal(err)
+	const endS = 14
+	e.prime()
+	for e.step(endS) {
+		aud.audit(e)
 	}
+	e.advanceTo(endS)
 	if aud.next != len(aud.steps) {
 		t.Fatalf("only %d of %d steps ran", aud.next, len(aud.steps))
 	}
-	if ticks := int(14 / 0.25); aud.audited <= ticks {
-		t.Fatalf("audited %d times over %d ticks: events were not audited", aud.audited, ticks)
+	// Auditing in the controller callbacks alone, while every job
+	// completion still reached the controller, made 1132 audits of this
+	// run; stepping must audit at least as often.
+	if aud.audited < 1132 {
+		t.Fatalf("audited %d times, want at least 1132", aud.audited)
 	}
 	if rep := e.Report(); rep.Migrations != 5 || rep.ClusterFails != 1 || rep.ClusterRepairs != 1 {
 		t.Fatalf("migrations=%d fails=%d repairs=%d, want 5/1/1", rep.Migrations, rep.ClusterFails, rep.ClusterRepairs)

@@ -576,14 +576,20 @@ func (e *Engine) complete(a *appState) {
 	if latency > a.maxLatency {
 		a.maxLatency = latency
 	}
+	if e.logLatencies {
+		e.latLog = append(e.latLog, latency)
+	}
 	if latency > a.PeriodS+1e-9 {
 		a.missed++
 		if e.offline > 0 {
 			e.degMissed++
 		}
 		e.emit(Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency, PeriodS: a.PeriodS})
-	} else {
-		e.emit(Event{TimeS: e.now, Kind: EvJobComplete, App: a.Name, LatencyS: latency})
+	} else if e.logEvents {
+		// An on-time completion is logged but never delivered: no
+		// controller acts on a frame that met its deadline, and these are
+		// most of a run's events.
+		e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvJobComplete, App: a.Name, LatencyS: latency})
 	}
 }
 

@@ -14,7 +14,8 @@
 //   - energy accounting per cluster and lumped RC thermal integration with
 //     throttle-crossing alarms;
 //   - migration with a load-time cost, and runtime model-level switching;
-//   - a Controller hook (the RTM) invoked on a fixed epoch and on events.
+//   - a Controller hook (the RTM) invoked on a fixed epoch and on the
+//     events a manager acts on (not on frames that finish on time).
 //
 // Between events all rates and powers are constant, so job progress,
 // energy and temperature are integrated exactly — results do not depend on
@@ -82,7 +83,7 @@ type Placement struct {
 // EventKind enumerates observable simulator events.
 type EventKind int
 
-// Simulator event kinds delivered to the Controller.
+// Simulator event kinds, as logged; Controller says which reach OnEvent.
 const (
 	EvAppStart EventKind = iota
 	EvAppStop
@@ -119,9 +120,10 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// Event is delivered to the Controller's OnEvent hook. Its details are
-// typed fields, each set only on the kinds its comment names; Detail
-// renders them as text for presentation.
+// Event is one entry of the event log, and what the Controller's OnEvent
+// hook receives for the kinds it is delivered (see Controller). Its
+// details are typed fields, each set only on the kinds its comment names;
+// Detail renders them as text for presentation.
 type Event struct {
 	TimeS float64
 	Kind  EventKind
@@ -132,7 +134,8 @@ type Event struct {
 	Cluster string
 	// LatencyS is the job's release-to-completion latency, set on
 	// EvJobComplete and EvDeadlineMiss (0 otherwise). Consumers building
-	// latency distributions (percentiles) read it from the event log.
+	// latency distributions (percentiles) that need no other event read
+	// Report.Latencies instead (Config.LogLatencies).
 	LatencyS float64
 	// PeriodS is the missed deadline of an EvDeadlineMiss.
 	PeriodS float64
@@ -166,8 +169,11 @@ func (ev Event) Detail() string {
 }
 
 // Controller is the runtime-manager hook (Fig 5's RTM layer). OnTick fires
-// every TickS seconds; OnEvent fires for each Event. Both may call the
-// Engine's actuation methods (SetLevel, Migrate, SetOPP, ...).
+// every TickS seconds; OnEvent fires for each state change a manager acts
+// on: app starts and stops, deadline misses, frame drops, thermal alarms
+// and cluster faults and repairs. On-time completions (EvJobComplete) and
+// migrations (EvMigrated) reach only the event log. Both hooks may call
+// the Engine's actuation methods (SetLevel, Migrate, SetOPP, ...).
 type Controller interface {
 	OnTick(e *Engine)
 	OnEvent(e *Engine, ev Event)
@@ -335,6 +341,11 @@ type Engine struct {
 	levelSwaps  int
 	oppSwitches int
 
+	// latLog holds every finished job's latency in completion order when
+	// logLatencies is set; Reset keeps its capacity like eventLog's.
+	latLog       []float64
+	logLatencies bool
+
 	// Fault accounting. offline counts clusters currently unavailable (the
 	// cheap "is anything degraded" predicate); unhostedS integrates running
 	// DNN app-seconds spent placed on an offline cluster; the deg* counters
@@ -379,6 +390,10 @@ type Config struct {
 	TickS      float64    // controller epoch; 0 disables ticks
 	Migration  MigrationModel
 	LogEvents  bool // retain the full event log (tests, reports)
+	// LogLatencies keeps each finished job's release-to-completion
+	// latency, in completion order, as Report.Latencies: the samples a
+	// latency distribution needs, without the event log.
+	LogLatencies bool
 }
 
 // New validates the config and builds an engine.
@@ -400,9 +415,9 @@ func New(cfg Config) (*Engine, error) {
 // layer's reuse property tests pin.
 //
 // Reset invalidates everything handed out by the previous run: Report
-// Events slices alias the engine's log and are rewritten in place. On
-// error the engine is left partially rewound and must not be used until a
-// subsequent Reset succeeds.
+// Events and Latencies slices alias the engine's logs and are rewritten in
+// place. On error the engine is left partially rewound and must not be
+// used until a subsequent Reset succeeds.
 func (e *Engine) Reset(cfg Config) error {
 	if cfg.Platform == nil {
 		return fmt.Errorf("sim: nil platform")
@@ -416,6 +431,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.ctrl = cfg.Controller
 	e.tickS = cfg.TickS
 	e.logEvents = cfg.LogEvents
+	e.logLatencies = cfg.LogLatencies
 	if e.mig.BandwidthBps == 0 && e.mig.FixedS == 0 {
 		e.mig = DefaultMigrationModel()
 	}
@@ -509,6 +525,10 @@ func (e *Engine) Reset(cfg Config) error {
 		e.eventLog = make([]Event, 0, 512)
 	}
 	e.eventLog = e.eventLog[:0]
+	if e.logLatencies && e.latLog == nil {
+		e.latLog = make([]float64, 0, 512)
+	}
+	e.latLog = e.latLog[:0]
 	return nil
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -450,6 +451,10 @@ func TestEnergyConservation(t *testing.T) {
 	}
 }
 
+// TestControllerTicksAndEvents pins what reaches the controller: a tick
+// per epoch and one callback per app start, deadline miss and frame drop,
+// but none for a frame that finished on time. dnn1 meets every deadline;
+// slow, on one little core at the lowest OPP, misses and drops frames.
 func TestControllerTicksAndEvents(t *testing.T) {
 	plat := hw.OdroidXU3()
 	ticks := 0
@@ -460,7 +465,7 @@ func TestControllerTicksAndEvents(t *testing.T) {
 	}
 	e := mustEngine(t, Config{
 		Platform:   plat,
-		Apps:       []App{dnnApp("dnn1", "a15", 4, 1, 0.5)},
+		Apps:       []App{dnnApp("dnn1", "a15", 4, 1, 0.5), dnnApp("slow", "a7", 1, 4, 0.05)},
 		Controller: ctrl,
 		TickS:      1.0,
 	})
@@ -473,11 +478,73 @@ func TestControllerTicksAndEvents(t *testing.T) {
 	if ticks < 9 || ticks > 10 {
 		t.Fatalf("ticks = %d, want ~10", ticks)
 	}
-	if events[EvAppStart] != 1 {
-		t.Fatalf("app-start events = %d", events[EvAppStart])
+	if events[EvAppStart] != 2 {
+		t.Fatalf("app-start events = %d, want 2", events[EvAppStart])
 	}
-	if events[EvJobComplete] == 0 {
-		t.Fatal("no completion events delivered")
+	var onTime, missed, dropped int
+	for _, a := range e.Apps() {
+		onTime += a.Completed - a.Missed
+		missed += a.Missed
+		dropped += a.Dropped
+	}
+	if onTime == 0 || missed == 0 || dropped == 0 {
+		t.Fatalf("run too tame: %d on-time completions, %d misses, %d drops", onTime, missed, dropped)
+	}
+	if events[EvJobComplete] != 0 {
+		t.Fatalf("%d of %d on-time completions delivered, want none", events[EvJobComplete], onTime)
+	}
+	if events[EvDeadlineMiss] != missed || events[EvFrameDrop] != dropped {
+		t.Fatalf("delivered %d misses and %d drops, the apps counted %d and %d",
+			events[EvDeadlineMiss], events[EvFrameDrop], missed, dropped)
+	}
+}
+
+// TestLatencyLogMatchesEventLog runs the faulty, thermally loaded flagship
+// run of TestEngineInvariants with both logs on: Report.Latencies must be
+// the LatencyS of the event log's completions and misses, in order, bit
+// for bit. The same run with only the latency log must keep the same
+// samples and log no event, also after a Reset of an engine that logged
+// events before.
+func TestLatencyLogMatchesEventLog(t *testing.T) {
+	run := func(e *Engine, logEvents bool) Report {
+		t.Helper()
+		cfg := Config{Platform: hw.FlagshipSoC(), Apps: BenchApps(), Controller: &stressCtrl{done: map[float64]bool{}},
+			TickS: 0.1, LogEvents: logEvents, LogLatencies: true}
+		if err := e.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(16); err != nil {
+			t.Fatal(err)
+		}
+		return e.Report()
+	}
+	e := &Engine{}
+	both := run(e, true)
+	var want []float64
+	var misses int
+	for _, ev := range both.Events {
+		if ev.Kind == EvJobComplete || ev.Kind == EvDeadlineMiss {
+			want = append(want, ev.LatencyS)
+		}
+		if ev.Kind == EvDeadlineMiss {
+			misses++
+		}
+	}
+	if misses == 0 || both.ClusterFails == 0 || both.OverThrottleS == 0 {
+		t.Fatalf("run too tame: %d misses, %d faults, %gs above throttle", misses, both.ClusterFails, both.OverThrottleS)
+	}
+	same := func(got []float64) bool {
+		return slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+	}
+	if !same(both.Latencies) {
+		t.Fatalf("%d latency samples differ from the event log's %d", len(both.Latencies), len(want))
+	}
+	only := run(e, false)
+	if len(only.Events) != 0 {
+		t.Fatalf("latency-only run logged %d events", len(only.Events))
+	}
+	if !same(only.Latencies) {
+		t.Fatalf("latency-only run kept %d samples that differ from the %d of the run with both logs", len(only.Latencies), len(want))
 	}
 }
 

@@ -200,13 +200,18 @@ func Run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)
 	return RunEngine(nil, s, plat, tickS, logf)
 }
 
-// RunOptions carries plan-reuse wiring for RunEngineOpts. The zero value
-// is the default behaviour: replan elision is active.
+// RunOptions carries plan-reuse and logging wiring for RunEngineOpts. The
+// zero value is the default behaviour: replan elision is active and the
+// Report carries the full event log.
 type RunOptions struct {
 	// DisablePlanReuse turns off replan elision (rtm.Manager.NoPlanReuse)
 	// — the reuse-off arm of equivalence tests and the fleetsim
-	// -plancache=false switch.
+	// -elide=false switch.
 	DisablePlanReuse bool
+	// LatenciesOnly keeps the latency log instead of the event log
+	// (sim.Config.LogLatencies): the Report carries Latencies and no
+	// Events. Fleet runs read nothing else from the log.
+	LatenciesOnly bool
 }
 
 // RunEngine is Run with engine reuse: a non-nil engine is Reset in place
@@ -218,14 +223,15 @@ type RunOptions struct {
 // one. Passing nil behaves exactly like Run. The returned engine is the
 // one the scenario actually ran on; reuse it for the next call. A
 // scenario's Report must be consumed before the engine is reused — Reset
-// rewrites the event log the Report's Events field aliases.
+// rewrites the logs the Report's Events and Latencies fields alias.
 func RunEngine(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	return RunEngineOpts(e, s, plat, tickS, logf, RunOptions{})
 }
 
-// RunEngineOpts is RunEngine with plan-reuse wiring (see RunOptions).
-// Reuse never changes a report byte — the options only control whether
-// and where planning work is skipped.
+// RunEngineOpts is RunEngine with plan-reuse and logging wiring (see
+// RunOptions). Neither changes a simulated outcome — the options only
+// control whether and where planning work is skipped and what the Report
+// logs.
 func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), opts RunOptions) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	pol := s.Planner
 	if pol == nil {
@@ -249,11 +255,12 @@ func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, 
 	}
 	ctrl := NewScenarioController(mgr, actions)
 	cfg := sim.Config{
-		Platform:   plat,
-		Apps:       s.Apps,
-		Controller: ctrl,
-		TickS:      tickS,
-		LogEvents:  true,
+		Platform:     plat,
+		Apps:         s.Apps,
+		Controller:   ctrl,
+		TickS:        tickS,
+		LogEvents:    !opts.LatenciesOnly,
+		LogLatencies: opts.LatenciesOnly,
 	}
 	var err error
 	if e == nil {
