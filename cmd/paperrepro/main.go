@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -30,89 +31,96 @@ func main() {
 	if *verbose {
 		opts.Logf = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
 	}
+	if err := run(os.Stdout, *exp, opts, *csv); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run prints experiment exp ("all" for every one) to w. csv selects
+// Fig 4(a)'s CSV series instead of its one-line summary.
+func run(w io.Writer, exp string, opts experiments.Options, csv bool) error {
 	// The trained profile feeds several experiments; train once when any
 	// of them is requested, otherwise fall back to the published numbers.
 	var profile perf.ModelProfile
-	needTraining := *exp == "all" || *exp == "fig3"
-	if needTraining {
-		fmt.Println("== E4/E6: incremental training (Fig 3) and accuracy per configuration (Fig 4(b)) ==")
+	if exp == "all" || exp == "fig3" {
+		fmt.Fprintln(w, "== E4/E6: incremental training (Fig 3) and accuracy per configuration (Fig 4(b)) ==")
 		res, err := experiments.TrainDynamic(opts)
 		if err != nil {
-			log.Fatalf("training: %v", err)
+			return fmt.Errorf("training: %w", err)
 		}
-		fmt.Print(res.Fig4b.String())
-		fmt.Printf("accuracy monotone: %v, spread: %.1f points (paper: 15.2)\n\n",
+		fmt.Fprint(w, res.Fig4b.String())
+		fmt.Fprintf(w, "accuracy monotone: %v, spread: %.1f points (paper: 15.2)\n\n",
 			res.AccuracyMonotone(), res.AccuracySpread()*100)
 		profile = res.Profile
 	} else {
 		profile = perf.PaperReferenceProfile()
 	}
 
-	run := func(name string) bool { return *exp == "all" || *exp == name }
+	want := func(name string) bool { return exp == "all" || exp == name }
 
-	if run("table1") {
-		fmt.Println("== E1: Table I ==")
+	if want("table1") {
+		fmt.Fprintln(w, "== E1: Table I ==")
 		res := experiments.Table1(profile.Level(profile.MaxLevel()).Accuracy)
-		fmt.Print(res.Table.String())
-		fmt.Printf("worst cell deviation from paper: %.1f%%\n\n", res.MaxRelativeError()*100)
+		fmt.Fprint(w, res.Table.String())
+		fmt.Fprintf(w, "worst cell deviation from paper: %.1f%%\n\n", res.MaxRelativeError()*100)
 	}
-	if run("fig1") {
-		fmt.Println("== E2: Fig 1 design-time mapping ==")
+	if want("fig1") {
+		fmt.Fprintln(w, "== E2: Fig 1 design-time mapping ==")
 		res := experiments.Fig1(perf.PaperReferenceProfile())
-		fmt.Print(res.Table.String())
-		fmt.Println()
+		fmt.Fprint(w, res.Table.String())
+		fmt.Fprintln(w)
 	}
-	if run("fig2") {
-		fmt.Println("== E3: Fig 2 runtime scenario ==")
+	if want("fig2") {
+		fmt.Fprintln(w, "== E3: Fig 2 runtime scenario ==")
 		res, err := experiments.Fig2(opts)
 		if err != nil {
-			log.Fatalf("fig2: %v", err)
+			return fmt.Errorf("fig2: %w", err)
 		}
-		fmt.Print(res.Timeline.String())
-		fmt.Print(res.Summary.String())
-		fmt.Printf("plans: %d, thermal alarm at t=%.2fs, co-located at end: %v\n\n",
+		fmt.Fprint(w, res.Timeline.String())
+		fmt.Fprint(w, res.Summary.String())
+		fmt.Fprintf(w, "plans: %d, thermal alarm at t=%.2fs, co-located at end: %v\n\n",
 			res.Plans, res.AlarmAtS, res.CoLocated())
 	}
-	if run("fig4a") {
-		fmt.Println("== E5: Fig 4(a) operating-point space ==")
+	if want("fig4a") {
+		fmt.Fprintln(w, "== E5: Fig 4(a) operating-point space ==")
 		res := experiments.Fig4a(perf.PaperReferenceProfile())
-		if *csv {
-			fmt.Print(res.Figure.CSV())
+		if csv {
+			fmt.Fprint(w, res.Figure.CSV())
 		} else {
-			fmt.Printf("%d points, t ∈ [%.1f, %.1f] ms, E ∈ [%.1f, %.1f] mJ, %d series\n",
+			fmt.Fprintf(w, "%d points, t ∈ [%.1f, %.1f] ms, E ∈ [%.1f, %.1f] mJ, %d series\n",
 				len(res.Points), res.Stats.MinLatencyS*1000, res.Stats.MaxLatencyS*1000,
 				res.Stats.MinEnergyMJ, res.Stats.MaxEnergyMJ, len(res.Figure.Series))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	if run("budgets") {
-		fmt.Println("== E7: Fig 4 budget worked examples ==")
+	if want("budgets") {
+		fmt.Fprintln(w, "== E7: Fig 4 budget worked examples ==")
 		res := experiments.Fig4Budgets(perf.PaperReferenceProfile())
-		fmt.Print(res.Table.String())
-		fmt.Println()
+		fmt.Fprint(w, res.Table.String())
+		fmt.Fprintln(w)
 	}
-	if run("fig5") {
-		fmt.Println("== E8: Fig 5 closed-loop control ==")
+	if want("fig5") {
+		fmt.Fprintln(w, "== E8: Fig 5 closed-loop control ==")
 		res, err := experiments.Fig5(perf.PaperReferenceProfile(), opts)
 		if err != nil {
-			log.Fatalf("fig5: %v", err)
+			return fmt.Errorf("fig5: %w", err)
 		}
-		fmt.Print(res.Table.String())
-		fmt.Printf("knobs: %v\nmonitors: %v\n\n", res.Knobs, res.Monitors)
+		fmt.Fprint(w, res.Table.String())
+		fmt.Fprintf(w, "knobs: %v\nmonitors: %v\n\n", res.Knobs, res.Monitors)
 	}
-	if run("ablations") {
-		fmt.Println("== A1: knob-combination ablation ==")
-		fmt.Print(experiments.AblationKnobs(perf.PaperReferenceProfile()).Table.String())
-		fmt.Println()
-		fmt.Println("== A2: storage & switching ==")
-		fmt.Print(experiments.AblationSwitching(perf.PaperReferenceProfile()).Table.String())
-		fmt.Println()
-		fmt.Println("== A3: RTM vs no-RTM ==")
+	if want("ablations") {
+		fmt.Fprintln(w, "== A1: knob-combination ablation ==")
+		fmt.Fprint(w, experiments.AblationKnobs(perf.PaperReferenceProfile()).Table.String())
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "== A2: storage & switching ==")
+		fmt.Fprint(w, experiments.AblationSwitching(perf.PaperReferenceProfile()).Table.String())
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, "== A3: RTM vs no-RTM ==")
 		res, err := experiments.AblationNoRTM(opts)
 		if err != nil {
-			log.Fatalf("ablation: %v", err)
+			return fmt.Errorf("ablation: %w", err)
 		}
-		fmt.Print(res.Table.String())
+		fmt.Fprint(w, res.Table.String())
 	}
+	return nil
 }

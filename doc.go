@@ -21,5 +21,6 @@
 //
 // The root package is a facade over the internal packages: it re-exports
 // the stable types and constructors a downstream user needs. See README.md
-// for a tour and examples/ for runnable programs.
+// for a tour; the package Examples (go test -run Example -v .) are
+// runnable programs whose output go test checks.
 package emlrtm

@@ -42,9 +42,6 @@ type (
 // NewDynDNN constructs an untrained dynamic DNN.
 func NewDynDNN(cfg DynDNNConfig) (*DynDNN, error) { return dyndnn.New(cfg) }
 
-// DefaultDynDNNConfig is the paper-scale model (4 groups, 32×32×3 input).
-func DefaultDynDNNConfig() DynDNNConfig { return dyndnn.DefaultConfig() }
-
 // QuickDynDNNConfig is a reduced model for fast experimentation.
 func QuickDynDNNConfig() DynDNNConfig { return dyndnn.QuickConfig() }
 
@@ -62,9 +59,6 @@ type (
 
 // GenerateDataset builds the deterministic synthetic classification task.
 func GenerateDataset(cfg DatasetConfig) (*Dataset, error) { return dataset.Generate(cfg) }
-
-// DefaultDatasetConfig mirrors the paper's CIFAR-10 setting.
-func DefaultDatasetConfig() DatasetConfig { return dataset.DefaultConfig() }
 
 // QuickDatasetConfig is a reduced dataset for fast experimentation.
 func QuickDatasetConfig() DatasetConfig { return dataset.QuickConfig() }
@@ -193,14 +187,6 @@ const DefaultPolicy = rtm.DefaultPolicy
 // fleetsim -policies. It panics on duplicate or empty names.
 func RegisterPolicy(name string, factory func() Policy) { rtm.Register(name, factory) }
 
-// RegisterParamPolicy adds a parameterised policy family: the registry
-// name "<prefix>:<arg>" resolves by calling factory(arg), which is how
-// per-instance-configured strategies (e.g. "learned:<table.json>") ride
-// the same name-based plumbing as the built-ins.
-func RegisterParamPolicy(prefix string, factory func(arg string) (Policy, error)) {
-	rtm.RegisterParam(prefix, factory)
-}
-
 // Policies lists all registered planning-policy names, sorted.
 func Policies() []string { return rtm.Policies() }
 
@@ -236,25 +222,8 @@ func TrainPolicy(cfg PolicyTrainConfig) (*LearnedTable, PolicyTrainReport, error
 	return fleet.Train(cfg)
 }
 
-// NewLearnedPolicy wraps a validated in-memory table as a Policy under the
-// given registry name (trainers evaluating a fresh table without a file
-// round-trip).
-func NewLearnedPolicy(name string, t *LearnedTable) (Policy, error) {
-	return rtm.NewLearnedPolicy(name, t)
-}
-
-// LoadLearnedPolicy reads a trained table file and wraps it as the Policy
-// "learned:<path>" — the same resolution the registry performs for that
-// name.
-func LoadLearnedPolicy(path string) (Policy, error) { return rtm.LoadLearnedPolicy(path) }
-
 // ReadLearnedTable reads and validates a trained table file.
 func ReadLearnedTable(path string) (*LearnedTable, error) { return rtm.ReadLearnedTableFile(path) }
-
-// PolicyStateKey discretises a planning View into the learned policy's
-// tabular state key (thermal headroom, power-budget ratio, worst deadline
-// slack, running-DNN count).
-func PolicyStateKey(v *View) string { return rtm.StateKey(v) }
 
 // Workload kind constants re-exported for App construction.
 const (
@@ -275,15 +244,8 @@ func NewGovernorController(g Governor) Controller { return rtm.NewGovernorContro
 // OndemandGovernor returns the classic load-threshold DVFS governor.
 func OndemandGovernor() Governor { return rtm.OndemandGovernor{} }
 
-// PerformanceGovernor returns the max-frequency governor.
-func PerformanceGovernor() Governor { return rtm.PerformanceGovernor{} }
-
 // Fig2Scenario returns the paper's Fig 2 runtime timeline.
 func Fig2Scenario() Scenario { return workload.Fig2Scenario() }
-
-// MobileProfile returns the mobile-vision-class profile the Fig 2
-// scenario's DNNs use.
-func MobileProfile() ModelProfile { return perf.MobileProfile() }
 
 // RunScenario executes a scripted scenario under a fresh manager and
 // returns the engine, manager and report.
@@ -330,9 +292,6 @@ func NewFleetGenerator(cfg FleetGeneratorConfig) (*FleetGenerator, error) {
 	return fleet.NewGenerator(cfg)
 }
 
-// RunFleetScenario executes a single fleet scenario to completion.
-func RunFleetScenario(s FleetScenario) FleetResult { return fleet.RunOne(s) }
-
 // AggregateFleet folds per-scenario results into the fleet report.
 func AggregateFleet(seed uint64, results []FleetResult) FleetReport {
 	return fleet.Aggregate(seed, results)
@@ -360,13 +319,6 @@ func RunFleetShard(cfg FleetGeneratorConfig, total, index, count, workers int) (
 	return fleet.RunShard(cfg, total, index, count, workers)
 }
 
-// ReadFleetShard decodes one complete shard result stream, validating the
-// format version, index range, per-scenario seed derivation and policy
-// assignment.
-func ReadFleetShard(r io.Reader) (FleetShardResult, error) {
-	return fleet.ReadShard(r)
-}
-
 // ReadFleetShardFile reads and validates one shard stream file from disk.
 func ReadFleetShardFile(path string) (FleetShardResult, error) {
 	return fleet.ReadShardFile(path)
@@ -382,17 +334,6 @@ func MergeFleetShards(shards ...FleetShardResult) (FleetReport, []FleetResult, e
 // ---- Streaming shard results & orchestration ----
 
 type (
-	// FleetStreamHeader is the first line of a shard result stream: the run
-	// identity (config, fleet size, range) every appended record is
-	// validated against.
-	FleetStreamHeader = fleet.StreamHeader
-	// FleetStreamWriter appends completed results to a shard stream as
-	// NDJSON, one flushed line per record, so a killed process loses at
-	// most a partial trailing line.
-	FleetStreamWriter = fleet.StreamWriter
-	// FleetStreamReader incrementally decodes a shard result stream,
-	// distinguishing clean EOF from a crash-truncated tail.
-	FleetStreamReader = fleet.StreamReader
 	// FleetOrchestratorConfig parametrises OrchestrateFleet.
 	FleetOrchestratorConfig = fleet.OrchestratorConfig
 	// FleetShardSpec is one shard assignment handed to an orchestrator
@@ -402,18 +343,6 @@ type (
 	// shard (Wait/Kill).
 	FleetShardProcess = fleet.ShardProcess
 )
-
-// NewFleetStreamWriter writes the stream header to w and returns a writer
-// expecting records hdr.Lo, hdr.Lo+1, … in scenario order.
-func NewFleetStreamWriter(w io.Writer, hdr FleetStreamHeader) (*FleetStreamWriter, error) {
-	return fleet.NewStreamWriter(w, hdr)
-}
-
-// NewFleetStreamReader validates a stream's header and returns a reader
-// for its records.
-func NewFleetStreamReader(r io.Reader) (*FleetStreamReader, error) {
-	return fleet.NewStreamReader(r)
-}
 
 // ResumeFleetShard runs shard index/count of a fleet, streaming each
 // completed result to the NDJSON file at path. An existing partial stream

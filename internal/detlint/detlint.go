@@ -122,8 +122,8 @@ var criticalBases = map[string]bool{
 // DefaultCritical is the repo's classification: a package is
 // determinism-critical when its import path ends in internal/<base> for
 // one of the critical base names. Examples and CLIs that merely *use*
-// those packages (examples/fleet, cmd/fleetsim) are presentation code,
-// not simulation state, and stay out.
+// those packages (the root package's Examples, cmd/fleetsim) are
+// presentation code, not simulation state, and stay out.
 func DefaultCritical(pkgPath string) bool {
 	i := strings.LastIndexByte(pkgPath, '/')
 	if i < 0 {

@@ -1,7 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper, plus three ablations. Each driver returns both
 // structured results (for tests and benchmarks) and formatted tables or
-// figure CSVs (for the cmd tools and EXPERIMENTS.md).
+// figure CSVs (for cmd/paperrepro, whose -quick -csv output
+// cmd/paperrepro/testdata/quick_csv.golden pins).
 //
 // Index of experiments (E) and ablations (A):
 //

@@ -9,7 +9,7 @@ import (
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
-// TestRunEngineReuseEquivalence: RunEngine on a reused engine must
+// TestRunEngineReuseEquivalence: RunEngineOpts on a reused engine must
 // reproduce Run's report byte-for-byte, scenario after scenario — the
 // contract the fleet runner's per-worker engine reuse stands on, here
 // exercised through the managed (controller-in-the-loop) path and across
@@ -35,7 +35,7 @@ func TestRunEngineReuseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		eng, _, got, err := RunEngine(reused, st.s, st.plat(), 0.25, nil)
+		eng, _, got, err := RunEngineOpts(reused, st.s, st.plat(), 0.25, nil, RunOptions{})
 		if err != nil {
 			t.Fatalf("scenario %d: %v", i, err)
 		}

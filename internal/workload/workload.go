@@ -197,7 +197,7 @@ func Fig5Scenario(prof perf.ModelProfile) Scenario {
 // Run executes a scenario with the manager in the loop and returns the
 // engine for inspection, the manager, and the final report.
 func Run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)) (*sim.Engine, *rtm.Manager, sim.Report, error) {
-	return RunEngine(nil, s, plat, tickS, logf)
+	return RunEngineOpts(nil, s, plat, tickS, logf, RunOptions{})
 }
 
 // RunOptions carries plan-reuse and logging wiring for RunEngineOpts. The
@@ -214,24 +214,19 @@ type RunOptions struct {
 	LatenciesOnly bool
 }
 
-// RunEngine is Run with engine reuse: a non-nil engine is Reset in place
-// for the scenario instead of constructed, which removes the per-run
-// engine-construction allocations — the point of a worker owning one
-// engine for its whole scenario stream. The manager and controller are
-// always fresh (their construction is cheap and their state must be
-// pristine per run), so a reused-engine run is byte-identical to a fresh
-// one. Passing nil behaves exactly like Run. The returned engine is the
-// one the scenario actually ran on; reuse it for the next call. A
-// scenario's Report must be consumed before the engine is reused — Reset
-// rewrites the logs the Report's Events and Latencies fields alias.
-func RunEngine(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)) (*sim.Engine, *rtm.Manager, sim.Report, error) {
-	return RunEngineOpts(e, s, plat, tickS, logf, RunOptions{})
-}
-
-// RunEngineOpts is RunEngine with plan-reuse and logging wiring (see
-// RunOptions). Neither changes a simulated outcome — the options only
-// control whether and where planning work is skipped and what the Report
-// logs.
+// RunEngineOpts is Run with engine reuse and the wiring in opts. A
+// non-nil engine is Reset in place for the scenario instead of
+// constructed, which removes the per-run engine-construction allocations
+// — the point of a worker owning one engine for its whole scenario
+// stream. The manager and controller are always fresh (their
+// construction is cheap and their state must be pristine per run), so a
+// reused-engine run is byte-identical to a fresh one. A nil engine with
+// zero opts is exactly Run. The returned engine is the one the scenario actually
+// ran on; reuse it for the next call. A scenario's Report must be
+// consumed before the engine is reused — Reset rewrites the logs the
+// Report's Events and Latencies fields alias. Neither option changes a
+// simulated outcome: they only control whether planning work is skipped
+// and what the Report logs.
 func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), opts RunOptions) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	pol := s.Planner
 	if pol == nil {
