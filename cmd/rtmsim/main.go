@@ -9,8 +9,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -26,52 +28,63 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress the decision stream")
 	flag.Parse()
 
+	if err := run(os.Stdout, *scenario, *tick, *quiet); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the named scenario and writes its summary and timeline
+// to w. Unless quiet, the manager's decisions stream to stderr as they
+// happen.
+func run(w io.Writer, scenario string, tick float64, quiet bool) error {
 	var (
 		s    workload.Scenario
 		plat = hw.FlagshipSoC()
 	)
-	switch *scenario {
+	switch scenario {
 	case "fig2":
 		s = workload.Fig2Scenario()
 	case "fig5":
 		s = workload.Fig5Scenario(perf.PaperReferenceProfile())
 		plat = hw.OdroidXU3()
 	default:
-		log.Fatalf("unknown scenario %q", *scenario)
+		return fmt.Errorf("unknown scenario %q", scenario)
 	}
 
 	logf := func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
-	if *quiet {
+	if quiet {
 		logf = nil
 	}
-	e, mgr, rep, err := workload.Run(s, plat, *tick, logf)
+	e, mgr, rep, err := workload.Run(s, plat, tick, logf)
 	if err != nil {
-		log.Fatalf("run: %v", err)
+		return fmt.Errorf("run: %w", err)
 	}
 
-	fmt.Printf("scenario %s on %s: %.0fs simulated\n", s.Name, plat.Name, rep.DurationS)
-	fmt.Printf("plans=%d migrations=%d levelSwaps=%d oppSwitches=%d\n",
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "scenario %s on %s: %.0fs simulated\n", s.Name, plat.Name, rep.DurationS)
+	fmt.Fprintf(bw, "plans=%d migrations=%d levelSwaps=%d oppSwitches=%d\n",
 		mgr.Plans(), rep.Migrations, rep.LevelSwaps, rep.OPPSwitches)
-	fmt.Printf("energy=%.0fmJ avgPower=%.0fmW maxTemp=%.1fC overThrottle=%.2fs\n",
+	fmt.Fprintf(bw, "energy=%.0fmJ avgPower=%.0fmW maxTemp=%.1fC overThrottle=%.2fs\n",
 		rep.TotalEnergyMJ, rep.AvgPowerMW, rep.MaxTempC, rep.OverThrottleS)
 	for _, a := range rep.Apps {
 		if a.Kind != sim.KindDNN {
 			continue
 		}
-		fmt.Printf("  %-6s final=%s/%d level=%d frames=%d completed=%d missed=%d dropped=%d avgLat=%.1fms\n",
+		fmt.Fprintf(bw, "  %-6s final=%s/%d level=%d frames=%d completed=%d missed=%d dropped=%d avgLat=%.1fms\n",
 			a.Name, a.Placement.Cluster, a.Placement.Cores, a.Level,
 			a.Released, a.Completed, a.Missed, a.Dropped, a.AvgLatency*1000)
 	}
-	fmt.Println("timeline:")
+	fmt.Fprintln(bw, "timeline:")
 	for _, ev := range rep.Events {
 		switch ev.Kind {
 		case sim.EvAppStart, sim.EvAppStop, sim.EvMigrated, sim.EvThermalAlarm:
-			fmt.Printf("  t=%6.2fs %-13s %-6s %s\n", ev.TimeS, ev.Kind, ev.App, ev.Detail())
+			fmt.Fprintf(bw, "  t=%6.2fs %-13s %-6s %s\n", ev.TimeS, ev.Kind, ev.App, ev.Detail())
 		}
 	}
 	final, err := e.Cluster("npu")
 	if err == nil {
-		fmt.Printf("npu residents at end: %v (free memory %.1f MiB)\n",
+		fmt.Fprintf(bw, "npu residents at end: %v (free memory %.1f MiB)\n",
 			final.Residents, float64(final.MemFree)/(1<<20))
 	}
+	return bw.Flush()
 }

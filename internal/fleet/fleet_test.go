@@ -3,9 +3,11 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -27,6 +29,65 @@ func TestGeneratorDeterministic(t *testing.T) {
 				i, fingerprint(a[i]), fingerprint(b[i]))
 		}
 	}
+}
+
+// TestGenerateRangeConcurrent: one Generator serves concurrent
+// GenerateRange calls over overlapping ranges, each equal to the
+// sequential Generate, and the platform envelopes those calls share
+// never leak into a scenario: writing to one scenario's profile levels
+// leaves every other scenario, and later generations, as they were.
+func TestGenerateRangeConcurrent(t *testing.T) {
+	gen, err := NewGenerator(GeneratorConfig{Seed: 9, Policies: []string{"heuristic", "minenergy"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := withoutClosures(gen.Generate(96))
+	ranges := [][2]int{{0, 64}, {16, 80}, {32, 96}, {8, 88}}
+	got := make([][]Scenario, len(ranges))
+	var wg sync.WaitGroup
+	for i, r := range ranges {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = gen.GenerateRange(r[0], r[1])
+		}()
+	}
+	wg.Wait()
+	for i, r := range ranges {
+		if !reflect.DeepEqual(withoutClosures(got[i]), want[r[0]:r[1]]) {
+			t.Errorf("GenerateRange(%d, %d) run concurrently differs from Generate(96)[%d:%d]", r[0], r[1], r[0], r[1])
+		}
+	}
+
+	// Scenarios 0 and 1 are one workload under two policies, so they
+	// sample the same profile.
+	a, b := got[0][0].Script.Apps[0].Profile, got[0][1].Script.Apps[0].Profile
+	if a.Name != b.Name {
+		t.Fatalf("scenarios 0 and 1 carry profiles %q and %q", a.Name, b.Name)
+	}
+	orig := b.Levels[0].Accuracy
+	a.Levels[0].Accuracy = -1
+	if b.Levels[0].Accuracy != orig {
+		t.Error("writing scenario 0's profile levels changed scenario 1's")
+	}
+	if acc := gen.GenerateRange(0, 1)[0].Script.Apps[0].Profile.Levels[0].Accuracy; acc != orig {
+		t.Errorf("writing a scenario's profile levels reached the generator: regenerated accuracy %g, want %g", acc, orig)
+	}
+}
+
+// withoutClosures copies scenarios with their actions' Do closures
+// cleared, since reflect.DeepEqual never equates non-nil funcs. Action
+// names and times stay, and the fleet goldens cover what the closures do.
+func withoutClosures(ss []Scenario) []Scenario {
+	out := slices.Clone(ss)
+	for i := range out {
+		acts := slices.Clone(out[i].Script.Actions)
+		for j := range acts {
+			acts[j].Do = nil
+		}
+		out[i].Script.Actions = acts
+	}
+	return out
 }
 
 // TestGeneratorSeedsDiffer: distinct seeds must produce distinct scenario

@@ -16,6 +16,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -96,13 +97,17 @@ type GeneratorConfig struct {
 	Policies []string `json:"policies,omitempty"`
 }
 
-// Generator samples scenarios deterministically.
+// Generator samples scenarios deterministically. The platform catalog
+// and each configured platform's sampling envelope are built once, in
+// NewGenerator, and only read while generating, so one Generator serves
+// concurrent GenerateRange calls. Scenarios carry platform names, never
+// pointers into the catalog, and each gets its own copy of its profile's
+// levels.
 type Generator struct {
-	cfg GeneratorConfig
-	// catalog is built once and only read while generating: scenarios
-	// carry platform names, never pointers into it.
+	cfg       GeneratorConfig
 	catalog   map[string]*hw.Platform
 	platforms []string
+	envs      []env // envs[i] is platforms[i]'s
 	classes   []Class
 	policies  []string
 }
@@ -132,6 +137,9 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 			}
 			g.platforms = append(g.platforms, name)
 		}
+	}
+	for _, name := range g.platforms {
+		g.envs = append(g.envs, newEnv(cat[name]))
 	}
 	if len(cfg.Classes) == 0 {
 		g.classes = AllClasses()
@@ -233,11 +241,12 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 	if hi < lo {
 		hi = lo
 	}
-	// One RNG serves the whole range, re-seeded per scenario: reseeding a
-	// rand.Rand is state-identical to constructing one from rand.NewSource
-	// with the same seed, so batching the setup drops two allocations per
-	// scenario without moving a single sampled byte.
-	rng := rand.New(rand.NewSource(0))
+	// One RNG serves the whole range, re-seeded per scenario. Its source
+	// is rngSource, math/rand's generator with a faster Seed: reseeding
+	// it is state-identical to constructing rand.NewSource with the same
+	// seed, so neither batching the setup nor the fork moves a single
+	// sampled byte.
+	rng := rand.New(new(rngSource))
 	out := make([]Scenario, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		out = append(out, g.generateOne(i, rng))
@@ -255,8 +264,8 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 	seed := scenarioSeed(g.cfg.Seed, wl)
 	rng.Seed(int64(seed))
 	class := g.classes[rng.Intn(len(g.classes))]
-	platName := g.platforms[rng.Intn(len(g.platforms))]
-	plat := g.catalog[platName]
+	pi := rng.Intn(len(g.platforms))
+	platName := g.platforms[pi]
 
 	s := Scenario{
 		ID:       id,
@@ -265,7 +274,7 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 		Platform: platName,
 		Policy:   policy,
 	}
-	s.Script = g.script(rng, class, plat)
+	s.Script = g.script(rng, class, g.catalog[platName], &g.envs[pi])
 	s.Script.Name = fmt.Sprintf("%s-%s-%04d", class, platName, wl)
 	s.Script.Policy = policy
 	return s
@@ -317,14 +326,14 @@ func newEnv(plat *hw.Platform) env {
 
 // pickPeriod samples a frame period as a multiple of the platform's best
 // full-model latency: tight (×1.5) through comfortable (×8).
-func pickPeriod(rng *rand.Rand, e env) float64 {
+func pickPeriod(rng *rand.Rand, e *env) float64 {
 	factors := []float64{1.5, 2, 3, 5, 8}
 	return e.bestLatS * factors[rng.Intn(len(factors))]
 }
 
 // pickRequirement samples an achievable accuracy floor by choosing a level
 // of the profile (or none) and a priority.
-func pickRequirement(rng *rand.Rand, e env) rtm.Requirement {
+func pickRequirement(rng *rand.Rand, e *env) rtm.Requirement {
 	r := rtm.Requirement{Priority: 1 + rng.Intn(3)}
 	if lvl := rng.Intn(e.prof.MaxLevel() + 1); lvl > 0 {
 		r.MinAccuracy = e.prof.Level(lvl).Accuracy
@@ -337,9 +346,12 @@ func (g *Generator) sampleDuration(rng *rand.Rand) float64 {
 	return lo + rng.Float64()*(hi-lo)
 }
 
-// script builds the class-specific workload timeline.
-func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform) workload.Scenario {
-	e := newEnv(plat)
+// script builds the class-specific workload timeline on plat, whose
+// envelope is e. It copies e's profile levels once for all the
+// scenario's DNNs, so no other scenario, and not e, shares them.
+func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *env) workload.Scenario {
+	prof := e.prof
+	prof.Levels = slices.Clone(prof.Levels)
 	endS := g.sampleDuration(rng)
 	sc := workload.Scenario{
 		EndS: endS,
@@ -359,7 +371,7 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform) workl
 		app := sim.App{
 			Name:       name,
 			Kind:       sim.KindDNN,
-			Profile:    e.prof,
+			Profile:    prof,
 			Level:      1 + rng.Intn(e.prof.MaxLevel()),
 			PeriodS:    pickPeriod(rng, e),
 			ModelBytes: e.modelBytes,

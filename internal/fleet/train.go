@@ -213,7 +213,7 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		runs := make([]trainRun, len(scenarios))
 		err = forEachRun(cfg.Workers, len(runs), func(wl int, eng *sim.Engine) *sim.Engine {
-			rng := rand.New(rand.NewSource(int64(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl)))))
+			rng := rand.New(newSource(int64(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl)))))
 			runs[wl], eng = trainOne(cfg, scenarios[wl], func(key string) int {
 				if arm := greedyArm(table, key); arm >= 0 && rng.Float64() >= cfg.Epsilon {
 					return arm
