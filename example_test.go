@@ -272,16 +272,16 @@ func ExampleRunFleet() {
 	fmt.Printf("\nworst scenario: %s (%d/%d frames late or dropped, p95 %.1f ms)\n",
 		worst.Name, worst.Missed+worst.Dropped, worst.Released, 1000*worst.P95LatencyS)
 	// Output:
-	// fleet of 32 scenarios (seed 2026): 45731 frames, 18.5% missed, 708.2 J
+	// fleet of 32 scenarios (seed 2026): 45731 frames, 18.2% missed, 715.6 J
 	//
 	// per platform:
 	//   flagship-soc    7 scenarios  miss  20.2%  p95    8.5 ms  thermal  0.00%
-	//   jetson-nano    11 scenarios  miss   8.6%  p95   77.6 ms  thermal  0.00%
+	//   jetson-nano    11 scenarios  miss   6.7%  p95   77.6 ms  thermal  0.00%
 	//   odroid-xu3     14 scenarios  miss  16.8%  p95  557.7 ms  thermal  0.00%
 	//
 	// per class:
 	//   bursty    4 scenarios  miss   3.4%  plans  31  migrations  3
-	//   churn     4 scenarios  miss  18.8%  plans  46  migrations  9
+	//   churn     4 scenarios  miss  10.4%  plans  40  migrations  9
 	//   faulty    7 scenarios  miss   4.1%  plans  41  migrations 21
 	//   mixed     5 scenarios  miss  41.2%  plans  33  migrations  8
 	//   steady    7 scenarios  miss   6.6%  plans  31  migrations 10
@@ -366,8 +366,8 @@ func ExampleRunFleet_policySweep() {
 	// sweeping 3 policies [heuristic maxaccuracy minenergy] over 24 workloads (seed 2026, 72 runs)
 	//
 	// policy        frames   miss%  p95Lat(ms)  maxLat(ms)  energy(J)  thermal%  plans  migr
-	// heuristic      21192   11.11       190.6      1165.2      420.2      0.00    152    44
-	// maxaccuracy    21192    9.83       115.1       957.0      811.0      0.00    135    44
+	// heuristic      21192   10.57       190.6      1165.2      427.6      0.00    146    44
+	// maxaccuracy    21192    8.82       115.1       957.0      826.7      0.00    115    44
 	// minenergy      21192    0.40       147.9       764.4      556.2      0.00     83    42
 	//
 	// all policies released identical work (21192 frames each); differences above are pure strategy
@@ -461,24 +461,24 @@ func ExampleTrainPolicy() {
 	//   h2p2s3a1   -> minenergy    costs:  heuristic=0.086  maxaccuracy=0.149  minenergy=0.065
 	//   h2p2s3a2   -> minenergy    costs:  heuristic=0.199  maxaccuracy=0.390  minenergy=0.159
 	//   h2p3s0a1   -> heuristic    costs:  heuristic=0.110  maxaccuracy=unvisited  minenergy=unvisited
-	//   h2p3s0a2   -> minenergy    costs:  heuristic=0.288  maxaccuracy=0.728  minenergy=0.175
-	//   h2p3s0a3   -> maxaccuracy  costs:  heuristic=0.472  maxaccuracy=0.442  minenergy=unvisited
-	//   h2p3s1a1   -> minenergy    costs:  heuristic=0.108  maxaccuracy=unvisited  minenergy=0.036
-	//   h2p3s1a2   -> heuristic    costs:  heuristic=0.167  maxaccuracy=0.209  minenergy=0.205
-	//   h2p3s1a3   -> minenergy    costs:  heuristic=0.234  maxaccuracy=0.281  minenergy=0.156
-	//   h2p3s2a1   -> maxaccuracy  costs:  heuristic=unvisited  maxaccuracy=0.081  minenergy=0.094
-	//   h2p3s2a2   -> minenergy    costs:  heuristic=0.172  maxaccuracy=0.172  minenergy=0.049
-	//   h2p3s2a3   -> minenergy    costs:  heuristic=0.197  maxaccuracy=0.113  minenergy=0.035
-	//   h2p3s3a1   -> minenergy    costs:  heuristic=0.107  maxaccuracy=0.112  minenergy=0.052
-	//   h2p3s3a2   -> minenergy    costs:  heuristic=0.136  maxaccuracy=0.206  minenergy=0.062
-	//   h2p3s3a3   -> minenergy    costs:  heuristic=0.260  maxaccuracy=0.158  minenergy=0.087
+	//   h2p3s0a2   -> minenergy    costs:  heuristic=0.288  maxaccuracy=0.728  minenergy=0.109
+	//   h2p3s0a3   -> heuristic    costs:  heuristic=0.481  maxaccuracy=0.492  minenergy=unvisited
+	//   h2p3s1a1   -> minenergy    costs:  heuristic=0.096  maxaccuracy=unvisited  minenergy=0.036
+	//   h2p3s1a2   -> maxaccuracy  costs:  heuristic=0.157  maxaccuracy=0.100  minenergy=0.114
+	//   h2p3s1a3   -> minenergy    costs:  heuristic=0.234  maxaccuracy=0.285  minenergy=0.155
+	//   h2p3s2a1   -> maxaccuracy  costs:  heuristic=unvisited  maxaccuracy=0.073  minenergy=0.094
+	//   h2p3s2a2   -> minenergy    costs:  heuristic=0.055  maxaccuracy=0.155  minenergy=0.049
+	//   h2p3s2a3   -> minenergy    costs:  heuristic=0.197  maxaccuracy=0.113  minenergy=0.036
+	//   h2p3s3a1   -> minenergy    costs:  heuristic=0.102  maxaccuracy=0.104  minenergy=0.047
+	//   h2p3s3a2   -> minenergy    costs:  heuristic=0.136  maxaccuracy=0.197  minenergy=0.058
+	//   h2p3s3a3   -> minenergy    costs:  heuristic=0.260  maxaccuracy=0.156  minenergy=0.080
 	//   fallback for unseen states: minenergy
 	//
 	// policy                         miss%  p95Lat(ms)  energy(J) | oracleWins missRegret(pp)  energyRegret(J)
-	// heuristic                      11.11       190.6      420.2 |       9/24           9.40             0.05
-	// learned                         0.44       159.5      552.1 |      10/24           0.50             5.54
-	// maxaccuracy                     9.83       115.1      811.0 |       4/24           6.40            16.33
-	// minenergy                       0.40       147.9      556.2 |      11/24           0.33             5.71
+	// heuristic                      10.57       190.6      427.6 |       9/24           8.86             0.05
+	// learned                         0.40       147.9      557.4 |      10/24           0.33             5.45
+	// maxaccuracy                     8.82       115.1      826.7 |       4/24           5.44            16.68
+	// minenergy                       0.40       147.9      556.2 |      11/24           0.33             5.41
 	//
 	// regret reads against the per-workload oracle: zero means never
 	// beaten on that metric. The learned row should sit at or below every
@@ -527,7 +527,7 @@ func ExampleFleetRunner_dropLatencies() {
 	// fleet of 48 scenarios (seed 7)
 	//
 	//                      results JSON
-	// with latencies            1573.5K
+	// with latencies            1573.6K
 	// -nolat                      23.8K
 	//
 	// result payload shrinks 66.1x; per-scenario scalar stats survive:

@@ -179,9 +179,9 @@ func (e *Engine) clusterInfoInto(cs *clusterState, info *ClusterInfo) {
 		FreqGHz:  cs.c.OPPs[cs.oppIdx].FreqGHz,
 		Cores:    cs.c.Cores,
 		Util:     e.clusterUtilOf(cs),
-		EnergyMJ: cs.energy,
 		Online:   cs.online,
 	}
+	info.EnergyMJ, _ = cs.integralsAt(e.now)
 	info.PowerMW = cs.cachedPow
 	for _, a := range e.appList {
 		if a.started && !a.stopped && a.placedCS == cs {
@@ -434,10 +434,9 @@ func (e *Engine) Migrate(app string, to Placement) error {
 	a.placed = to
 	a.placedCS = e.clusters[to.Cluster]
 	if a.Kind == KindDNN {
+		// The downtime supersedes the app's timer; refresh re-arms it.
 		a.blockedUntil = e.now + e.mig.Downtime(e.levelBytes(a))
-		if a.blockedUntil > e.maxBlockedUntil {
-			e.maxBlockedUntil = a.blockedUntil
-		}
+		a.completionSeq = 0
 	}
 	e.touch(fromCS)
 	e.touch(a.placedCS)
@@ -499,13 +498,14 @@ type Report struct {
 	Latencies []float64
 }
 
-// Report summarises the run so far.
+// Report summarises the run so far. The open segment of every integral
+// counts up to the clock without being closed, so reading a report changes
+// nothing, and Run(a); Run(b) reports exactly what Run(b) does.
+// TotalEnergyMJ is the sum of the clusters' energies.
 func (e *Engine) Report() Report {
-	// The open thermal window counts up to the clock.
 	temp, overThrot, overCrit := e.windowEnd()
 	r := Report{
 		DurationS:     e.now,
-		TotalEnergyMJ: e.totalEnergy,
 		MaxTempC:      max(e.maxTempC, temp),
 		OverThrottleS: e.overThrotS + overThrot,
 		OverCriticalS: e.overCritS + overCrit,
@@ -515,7 +515,7 @@ func (e *Engine) Report() Report {
 
 		ClusterFails:      e.clusterFails,
 		ClusterRepairs:    e.clusterRepairs,
-		UnhostedS:         e.unhostedS,
+		UnhostedS:         e.unhostedAt(),
 		DegradedFrames:    e.degReleased,
 		DegradedCompleted: e.degCompleted,
 		DegradedMissed:    e.degMissed,
@@ -528,11 +528,13 @@ func (e *Engine) Report() Report {
 	for _, a := range e.appList {
 		r.JobsAborted += a.aborted
 	}
-	if e.now > 0 {
-		r.AvgPowerMW = e.totalEnergy / e.now
-	}
 	for _, cs := range e.clusterList {
-		r.Clusters = append(r.Clusters, ClusterReport{Name: cs.c.Name, EnergyMJ: cs.energy, BusyS: cs.busyS})
+		energy, busy := cs.integralsAt(e.now)
+		r.TotalEnergyMJ += energy
+		r.Clusters = append(r.Clusters, ClusterReport{Name: cs.c.Name, EnergyMJ: energy, BusyS: busy})
+	}
+	if e.now > 0 {
+		r.AvgPowerMW = r.TotalEnergyMJ / e.now
 	}
 	return r
 }

@@ -5,7 +5,7 @@ import "github.com/emlrtm/emlrtm/internal/perf"
 // BenchApps is the flagship-SoC workload the engine, manager and policy
 // benchmarks share: three mobile-vision DNN streams at different rates, a
 // render app on the GPU and background load on the LITTLE cluster —
-// enough event traffic that the engine's heap, advanceTo and refresh
+// enough event traffic that the engine's heap, timers and refresh
 // paths all run hot, and enough contention that planning is non-trivial.
 // Each call returns a fresh slice.
 func BenchApps() []App {

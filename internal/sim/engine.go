@@ -2,22 +2,21 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 )
 
 // hKind enumerates internal scheduler events (a superset of the observable
-// Event kinds).
+// Event kinds): first the kinds the heap holds, then the timer kinds.
 type hKind uint8
 
 const (
 	hStart hKind = iota
 	hStop
 	hRelease
-	hComplete
-	hUnblock
 	hTick
+	hComplete // the first timer kind
+	hUnblock
 	hThermal
 )
 
@@ -33,11 +32,11 @@ type hevent struct {
 
 // eventHeap is a typed, index-based binary min-heap of scheduler events
 // ordered by (t, seq). It holds only entries that are always handled:
-// starts, stops, releases, ticks and unblocks. The events that get
-// re-derived as the state moves — each app's completion and the throttle
-// alarm — are timers held in place instead (appState.completionSeq,
-// Engine.thermalEvSeq), so re-arming one overwrites it rather than leaving
-// a superseded entry behind. push and pop sift inline over the backing
+// starts, stops, releases and ticks. The events that get re-derived as the
+// state moves — each app's completion or unblock and the throttle alarm —
+// are timers held in place instead (appState.completionSeq,
+// Engine.thermalEvSeq), so re-arming one overwrites it and a superseded
+// one never fires. push and pop sift inline over the backing
 // array and keep it when the heap drains, so the steady-state simulation
 // loop does no heap allocations — unlike container/heap, whose interface
 // boxes every pushed element through `any`.
@@ -105,10 +104,9 @@ func (e *Engine) push(t float64, kind hKind, app int32) int64 {
 }
 
 // next returns the earliest pending event without removing it: the heap
-// top, an armed completion timer or the armed throttle alarm, whichever
-// comes first in eventHeap's (t, seq) order. Timers draw their seq from the
-// same counter as heap entries, so the order is the one a single heap
-// holding all three would give. ok is false when nothing is pending.
+// top, an armed completion or unblock timer or the armed throttle alarm,
+// whichever comes first (see precedes). ok is false when nothing is
+// pending.
 //
 //detlint:hotpath
 func (e *Engine) next() (ev hevent, ok bool) {
@@ -116,8 +114,8 @@ func (e *Engine) next() (ev hevent, ok bool) {
 		ev, ok = e.events[0], true
 	}
 	for _, a := range e.appList {
-		if a.completionSeq != 0 && a.completionKind == hComplete && (!ok || precedes(a.completionEst, a.completionSeq, ev)) {
-			ev, ok = hevent{t: a.completionEst, seq: a.completionSeq, kind: hComplete, app: a.idx}, true
+		if a.completionSeq != 0 && (!ok || precedes(a.completionEst, a.completionSeq, ev)) {
+			ev, ok = hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx}, true
 		}
 	}
 	if e.thermalEvSeq != 0 && (!ok || precedes(e.thermalEst, e.thermalEvSeq, ev)) {
@@ -126,10 +124,15 @@ func (e *Engine) next() (ev hevent, ok bool) {
 	return ev, ok
 }
 
-// precedes reports whether an event due at t with sequence seq comes before
-// ev in eventHeap's order.
+// precedes reports whether a timer due at t, armed with sequence seq, comes
+// before ev. Earlier time comes first. At one instant every timer comes
+// before every heap entry, and timers come in the order they were armed
+// (heap entries keep eventHeap's (t, seq) order among themselves). So a
+// job whose latency equals its period exactly completes on time before
+// its next frame is released, and that frame starts a new job instead of
+// being dropped.
 func precedes(t float64, seq int64, ev hevent) bool {
-	return t < ev.t || t == ev.t && seq < ev.seq
+	return t < ev.t || t == ev.t && (ev.kind < hComplete || seq < ev.seq)
 }
 
 // Run executes the simulation until endS seconds. Calling Run again with a
@@ -174,9 +177,7 @@ func (e *Engine) prime() {
 // step handles the earliest pending event (see next) if it falls at or
 // before endS and reports whether there was one; an event past endS stays
 // pending for a later Run. A heap entry is popped; a timer stays in its
-// slot, and handling it disarms it: handle zeroes thermalEvSeq, and
-// completionSeq is zeroed by handle or by the refresh after it once the
-// job is no longer active.
+// slot, and handle disarms it.
 //
 //detlint:hotpath
 func (e *Engine) step(endS float64) bool {
@@ -184,7 +185,7 @@ func (e *Engine) step(endS float64) bool {
 	if !ok || ev.t > endS {
 		return false
 	}
-	if ev.kind != hComplete && ev.kind != hThermal {
+	if ev.kind < hComplete {
 		e.events.pop()
 	}
 	e.advanceTo(ev.t)
@@ -193,62 +194,16 @@ func (e *Engine) step(endS float64) bool {
 	return true
 }
 
-// advanceTo integrates the piecewise-constant segment [now, t]: job
-// progress and per-cluster energy. The die temperature is not stepped
-// here; it is held per constant-power window (see closeWindow). The clock
-// never moves back.
+// advanceTo moves the clock to t; it never moves it back. Nothing is
+// integrated here: every integral is held per constant-rate segment and
+// closed only where its rate changes — heat per thermal window (see
+// closeWindow), cluster energy and busy time in syncThermal, each job's
+// progress at its anchor (see refresh) and UnhostedS when the count of
+// unhosted DNNs moves. Reads evaluate the open segments up to the clock.
 //
 //detlint:hotpath
 func (e *Engine) advanceTo(t float64) {
-	dt := t - e.now
-	if dt <= 0 {
-		return
-	}
-	totalMW := 0.0
-	for _, cs := range e.clusterList {
-		util := e.clusterUtilOf(cs)
-		pw := cs.cachedPow
-		cs.energy += pw * dt
-		if util > 0 {
-			cs.busyS += dt
-		}
-		totalMW += pw
-	}
-	e.totalEnergy += totalMW * dt
-
-	// Job progress.
-	for _, a := range e.appList {
-		if a.Kind != KindDNN || !a.jobActive {
-			continue
-		}
-		rate := e.jobRate(a)
-		if rate > 0 && e.now >= a.blockedUntil {
-			a.jobRemaining -= rate * dt
-			if a.jobRemaining < 0 {
-				a.jobRemaining = 0
-			}
-		}
-	}
-	// Unhosted integration: running DNNs whose placement cluster is offline
-	// accumulate app-seconds of lost service until a replan moves them.
-	if e.offline > 0 {
-		for _, a := range e.appList {
-			if a.Kind == KindDNN && a.started && !a.stopped && !a.placedCS.online {
-				e.unhostedS += dt
-			}
-		}
-	}
-
-	prev := e.now
-	e.now = t
-	// The cached utilisations and rates were computed under the old clock.
-	// They only read it through the blocked-until predicates, so advancing
-	// time invalidates them solely while some migration downtime window is
-	// still open — in steady state the caches survive the advance and the
-	// post-event refresh reuses them.
-	if prev < e.maxBlockedUntil {
-		e.touchAll()
-	}
+	e.now = max(e.now, t)
 }
 
 // touch marks a cluster's derived values stale after a mutation they can
@@ -262,14 +217,6 @@ func (e *Engine) touch(cs *clusterState) {
 	cs.ver = e.stateVer
 	if cs.companion != nil {
 		cs.companion.ver = e.stateVer
-	}
-}
-
-// touchAll marks every cluster's derived values stale.
-func (e *Engine) touchAll() {
-	e.stateVer++
-	for _, cs := range e.clusterList {
-		cs.ver = e.stateVer
 	}
 }
 
@@ -473,7 +420,7 @@ func (e *Engine) handle(ev hevent) {
 	case hStop:
 		a := e.appList[ev.app]
 		a.stopped = true
-		a.jobActive = false
+		a.jobActive, a.completionSeq = false, 0
 		e.touch(a.placedCS)
 		e.planEpoch++
 		e.emit(Event{TimeS: e.now, Kind: EvAppStop, App: a.Name})
@@ -483,37 +430,29 @@ func (e *Engine) handle(ev hevent) {
 			e.release(a)
 		}
 	case hComplete:
+		// The timer is armed at the job's anchored completion time and
+		// re-armed whenever its rate changes, so the work is done.
 		a := e.appList[ev.app]
-		if a.jobActive {
-			// Complete when less than a nanosecond of work remains; the
-			// residue is floating-point error from time subtraction, which
-			// grows with the simulation clock. If genuinely early (a rate
-			// drop moved the estimate), clear the seq so refresh reschedules
-			// — the skip-guard must not suppress it.
-			if rate := e.jobRate(a); rate > 0 && a.jobRemaining <= rate*1e-9 {
-				e.complete(a)
-			} else {
-				a.completionSeq = 0
-			}
-		}
+		a.completionSeq = 0
+		e.complete(a)
 	case hUnblock:
-		// No state change needed: the clock advance into the blocked-until
-		// boundary already invalidated the caches (see advanceTo), so rates
-		// recompute in refresh().
+		// The downtime ended: the blocked-until predicates flip, so the
+		// app's cluster is re-stamped and refresh re-anchors its job.
+		a := e.appList[ev.app]
+		a.completionSeq = 0
+		e.touch(a.placedCS)
 	case hTick:
 		if e.ctrl != nil {
 			e.ctrl.OnTick(e)
 			e.push(e.now+e.tickS, hTick, -1)
 		}
 	case hThermal:
-		// Disarm the timer; the next refresh re-derives a successor.
+		// The alarm is armed only at the open window's upward throttle
+		// crossing (see rescheduleThermal), so the die is there now. It
+		// stays latched until a window ends below the clear point.
 		e.thermalEvSeq = 0
-		e.thermalDirty = true
-		e.closeWindow()
-		if !e.alarmed && e.winT0C >= e.plat.Thermal.ThrottleC-0.05 {
-			e.alarmed = true
-			e.emit(Event{TimeS: e.now, Kind: EvThermalAlarm, TempC: e.winT0C})
-		}
+		e.alarmed = true
+		e.emit(Event{TimeS: e.now, Kind: EvThermalAlarm, TempC: e.temperature()})
 	}
 }
 
@@ -554,9 +493,11 @@ func (e *Engine) release(a *appState) {
 		e.touch(a.placedCS)
 		// Charge the per-inference fixed overhead (pre/post-processing) as
 		// work at the current rate, matching perf.InferenceLatencyS.
-		if rate := e.jobRate(a); rate > 0 {
+		rate := e.jobRate(a)
+		if rate > 0 {
 			a.jobRemaining += a.placedCS.c.FixedOverheadS * rate
 		}
+		a.anchorS, a.anchorRate = e.now, rate
 	}
 	next := e.now + a.PeriodS
 	if a.StopS == 0 || next < a.StopS {
@@ -603,52 +544,76 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// refresh recomputes every app's pending job event, the thermal window and
-// the alarm after any state change. A completion timer is re-armed in place
-// only when its estimate actually moved, so the seq — and with it the tie
-// order against heap entries — stays put while the state does. A blocked
-// app gets one unblock entry in the heap per downtime end; an unblock
-// entry superseded by a later migration stays queued and still fires, a
-// segment boundary like any other.
+// refresh brings every app's pending timer, the unhosted count and the
+// thermal window up to date after any state change. A job whose rate
+// changed is re-anchored: its progress so far at the old rate is closed
+// into jobRemaining, and its completion time is derived once from the new
+// anchor. The timer is re-armed only then (or after something disarmed
+// it), so the seq — and with it the tie order — stays put while the rate
+// does. An app inside migration downtime holds an unblock timer in the
+// same slot instead, whether or not a job is running.
 //
 //detlint:hotpath
 func (e *Engine) refresh() {
 	for _, a := range e.appList {
-		if a.Kind != KindDNN || !a.jobActive || a.stopped {
-			a.completionSeq = 0
+		if a.stopped {
 			continue
 		}
-		if e.now < a.blockedUntil {
-			if a.completionSeq == 0 || a.completionEst != a.blockedUntil {
-				a.completionEst, a.completionKind = a.blockedUntil, hUnblock
-				a.completionSeq = e.push(a.blockedUntil, hUnblock, a.idx)
+		if a.jobActive {
+			if rate := e.jobRate(a); rate != a.anchorRate {
+				a.jobRemaining -= a.anchorRate * (e.now - a.anchorS)
+				a.anchorS, a.anchorRate, a.completionSeq = e.now, rate, 0
 			}
+		}
+		if a.completionSeq != 0 {
 			continue
 		}
-		rate := e.jobRate(a)
-		if rate <= 0 {
-			continue // stalled: a future state change will reschedule
-		}
-		est := e.now + a.jobRemaining/rate
-		if a.completionSeq != 0 && math.Abs(est-a.completionEst) < 1e-9 {
-			continue // pending event still accurate
+		switch {
+		case e.now < a.blockedUntil:
+			a.completionEst, a.completionKind = a.blockedUntil, hUnblock
+		case a.jobActive && a.anchorRate > 0:
+			// A rate change at the very instant the job's work ran out can
+			// leave a rounding residue of either sign; it completes now.
+			a.completionEst, a.completionKind = max(e.now, a.anchorS+a.jobRemaining/a.anchorRate), hComplete
+		default:
+			continue // idle or stalled: a future state change re-anchors
 		}
 		e.seq++
-		a.completionEst, a.completionKind, a.completionSeq = est, hComplete, e.seq
+		a.completionSeq = e.seq
+	}
+	if n := e.UnhostedApps(); n != e.unhostedN {
+		e.unhostedS, e.unhostedN, e.unhostedT0 = e.unhostedAt(), n, e.now
 	}
 	e.syncThermal()
 }
 
-// syncThermal keeps the thermal window's power equal to the platform's and
-// re-derives the pending throttle alarm when something it depends on moved.
-// Power is re-summed only when some cluster stamp moved since the last
-// look; a window closes only when the sum actually changed.
+// unhostedAt evaluates the UnhostedS integral at the clock: the closed
+// segments plus the open one, whose count of unhosted DNNs is constant.
+func (e *Engine) unhostedAt() float64 {
+	return e.unhostedS + float64(e.unhostedN)*(e.now-e.unhostedT0)
+}
+
+// syncThermal closes the integrals that follow cluster power — each
+// cluster's energy and busy time, and the thermal window — where their
+// rate changed, and re-derives the pending throttle alarm when something
+// it depends on moved. Power is re-summed only when some cluster stamp
+// moved since the last look; a segment closes only when its rate actually
+// changed.
 //
 //detlint:hotpath
 func (e *Engine) syncThermal() {
 	if e.winVer != e.stateVer {
 		e.winVer = e.stateVer
-		if w := e.TotalPowerMW() / 1000; w != e.winPowerW {
+		total := 0.0
+		for _, cs := range e.clusterList {
+			busy := e.clusterUtilOf(cs) > 0
+			if cs.cachedPow != cs.segPowMW || busy != cs.segBusy {
+				cs.energy, cs.busyS = cs.integralsAt(e.now)
+				cs.segT0S, cs.segPowMW, cs.segBusy = e.now, cs.cachedPow, busy
+			}
+			total += cs.cachedPow
+		}
+		if w := total / 1000; w != e.winPowerW {
 			e.closeWindow()
 			e.winPowerW = w
 			e.thermalDirty = true
@@ -658,6 +623,18 @@ func (e *Engine) syncThermal() {
 		e.thermalDirty = false
 		e.rescheduleThermal()
 	}
+}
+
+// integralsAt evaluates the cluster's energy (mJ) and busy-time integrals
+// at t: the closed segments plus the open one, whose power and busy
+// predicate are constant.
+func (cs *clusterState) integralsAt(t float64) (energyMJ, busyS float64) {
+	dt := t - cs.segT0S
+	energyMJ, busyS = cs.energy+cs.segPowMW*dt, cs.busyS
+	if cs.segBusy {
+		busyS += dt
+	}
+	return energyMJ, busyS
 }
 
 // windowEnd evaluates the open thermal window up to the clock: the die
@@ -732,40 +709,27 @@ func (e *Engine) temperature() float64 {
 	return e.plat.Thermal.TempAfterC(e.ambient, e.winPowerW, e.winT0C, e.now-e.winT0S)
 }
 
-// rescheduleThermal predicts the next upward throttle crossing under the
-// current window's power and arms the alarm timer at the exact crossing
-// time from the RC model's closed form, overwriting any alarm still armed.
-// It runs only when the window's power or the ambient changed or the alarm
-// state moved; otherwise the pending alarm stands.
+// rescheduleThermal arms the alarm timer at the open window's upward
+// throttle crossing, derived in closed form from the window's origin, so
+// re-deriving it mid-window gives the same time. A window that starts at
+// or above the trip point, or a crossing that rounding put before the
+// clock, alarms now; a window that never crosses disarms the timer. It
+// runs only when the window's power or the ambient changed or the alarm
+// state moved.
 func (e *Engine) rescheduleThermal() {
 	if e.alarmed {
 		return
 	}
 	th := &e.plat.Thermal
-	cur := e.temperature()
-	if cur >= th.ThrottleC {
-		if e.thermalEvSeq == 0 {
-			// Already above: alarm immediately.
-			e.seq++
-			e.thermalEst, e.thermalEvSeq = e.now, e.seq
+	est := e.winT0S
+	if e.winT0C < th.ThrottleC {
+		tc, ok := th.TimeToC(e.ambient, e.winPowerW, e.winT0C, th.ThrottleC)
+		if !ok {
+			e.thermalEvSeq = 0
+			return
 		}
-		return
-	}
-	tc, ok := th.TimeToC(e.ambient, e.winPowerW, cur, th.ThrottleC)
-	if !ok {
-		return
-	}
-	// Floor the crossing delay: as cur approaches the trip point, tc → 0
-	// and floating-point error could otherwise schedule a cascade of
-	// zero-advance alarms (a Zeno loop). 1 ms resolution is far below any
-	// thermal time constant of interest.
-	if tc < 1e-3 {
-		tc = 1e-3
-	}
-	est := e.now + tc
-	if e.thermalEvSeq != 0 && math.Abs(est-e.thermalEst) < 1e-3 {
-		return // pending alarm still accurate
+		est += tc
 	}
 	e.seq++
-	e.thermalEst, e.thermalEvSeq = est, e.seq
+	e.thermalEst, e.thermalEvSeq = max(e.now, est), e.seq
 }

@@ -31,7 +31,7 @@ func TestRunContinues(t *testing.T) {
 				}
 			}
 			want := whole.Report()
-			if diff := reportDiff(want, split.Report(), 1e-9); len(diff) > 0 {
+			if diff := reportDiff(want, split.Report()); len(diff) > 0 {
 				t.Errorf("Run(5); Run(10) moved %d report fields from Run(10), first: %s", len(diff), diff[0])
 			}
 			if app, _ := whole.App("dnn1"); app.Released == 0 {

@@ -19,7 +19,16 @@
 //
 // Between events all rates and powers are constant, so job progress,
 // energy and temperature are integrated exactly — results do not depend on
-// a time-step size.
+// a time-step size. Each integral is closed only where its own rate
+// changes and read in closed form in between, so events that change
+// nothing leave every result unchanged, bit for bit.
+//
+// Events at one instant run in this order: first the timers (job
+// completions, ends of migration downtime and the throttle alarm) in the
+// order they were armed, then the queued starts, stops, releases and
+// ticks in the order they were queued. A job whose latency equals its
+// period exactly therefore completes on time, and the frame released at
+// that instant starts a new job rather than being dropped.
 package sim
 
 import (
@@ -209,17 +218,20 @@ type appState struct {
 	started bool
 	stopped bool
 
-	// Current job (DNN apps).
+	// Current job (DNN apps). Its progress is held as an anchor: at
+	// anchorS it had jobRemaining MACs left, and it has run at anchorRate
+	// MAC/s since. refresh re-anchors it only when its rate changes.
 	jobActive    bool
 	jobReleaseS  float64
-	jobRemaining float64 // MACs
+	jobRemaining float64 // MACs left at anchorS
+	anchorS      float64
+	anchorRate   float64
 	jobMACs      float64 // a new job's work at the current level, kept by Reset and SetLevel
 
-	// The app's pending job event: completionSeq is its seq (0 for none)
-	// and completionEst its time. When completionKind is hComplete the
-	// slot is the completion timer itself — the heap never holds one, and
-	// re-arming overwrites it in place. When it is hUnblock the entry sits
-	// in the heap; the slot only keeps refresh from queuing it twice.
+	// The app's timer: completionSeq is its seq (0 for none), completionEst
+	// its time and completionKind hComplete for the job's completion or
+	// hUnblock for the end of migration downtime. The heap never holds
+	// either; re-arming overwrites the slot in place.
 	completionSeq  int64
 	completionEst  float64
 	completionKind hKind
@@ -252,9 +264,17 @@ type clusterState struct {
 	// dynMW is the dynamic power of the current OPP at full utilisation,
 	// Ceff·V²·f, kept in step with oppIdx by setOPP (see busyPowerMW).
 	dynMW  float64
-	online bool    // availability: an offline cluster runs nothing and draws nothing
-	energy float64 // mJ
-	busyS  float64 // seconds with any activity
+	online bool // availability: an offline cluster runs nothing and draws nothing
+
+	// Energy (mJ) and busy time (seconds with any activity) are held per
+	// constant-power segment: energy and busyS are closed up to segT0S,
+	// and the open segment runs at segPowMW, busy or not (see syncThermal
+	// and integralsAt).
+	energy   float64
+	busyS    float64
+	segT0S   float64
+	segPowMW float64
+	segBusy  bool
 
 	// companion is the CPU cluster this accelerator's inference loads
 	// (nil for none), resolved once per Reset.
@@ -325,7 +345,7 @@ type Engine struct {
 
 	now          float64
 	primed       bool      // start, stop and first tick events queued (once per Reset)
-	events       eventHeap // start, stop, release, unblock and tick entries
+	events       eventHeap // start, stop, release and tick entries
 	seq          int64     // last seq handed to a heap entry or an armed timer
 	thermalEvSeq int64     // seq of the armed throttle alarm timer (0: none); never in the heap
 	thermalEst   float64   // time that alarm is due
@@ -336,7 +356,6 @@ type Engine struct {
 	overCritS   float64 // time spent above critical
 	eventLog    []Event
 	logEvents   bool
-	totalEnergy float64
 	migrations  int
 	levelSwaps  int
 	oppSwitches int
@@ -348,13 +367,17 @@ type Engine struct {
 
 	// Fault accounting. offline counts clusters currently unavailable (the
 	// cheap "is anything degraded" predicate); unhostedS integrates running
-	// DNN app-seconds spent placed on an offline cluster; the deg* counters
-	// split frame outcomes by whether any cluster was offline at the time,
-	// so reports can compare miss rates inside and outside degraded windows.
+	// DNN app-seconds spent placed on an offline cluster, closed up to
+	// unhostedT0 while unhostedN such apps run (see unhostedAt); the deg*
+	// counters split frame outcomes by whether any cluster was offline at
+	// the time, so reports can compare miss rates inside and outside
+	// degraded windows.
 	offline        int
 	clusterFails   int
 	clusterRepairs int
 	unhostedS      float64
+	unhostedT0     float64
+	unhostedN      int
 	degReleased    int
 	degCompleted   int
 	degMissed      int
@@ -363,9 +386,9 @@ type Engine struct {
 	// stateVer is the monotone counter the per-cluster cache stamps
 	// (clusterState.ver) are drawn from. A mutation the derived values can
 	// observe — app lifecycle, job start/finish, OPP switches, availability,
-	// migrations — stamps the clusters it affects; clock advances while a
-	// migration downtime window is still open stamp them all (the
-	// blocked-until predicates read the clock). A cache entry whose tag
+	// migrations and the end of their downtime — stamps the clusters it
+	// affects. The blocked-until predicates read the clock, but they flip
+	// only where an unblock timer fires and stamps. A cache entry whose tag
 	// matches its cluster's stamp is exactly the value a fresh
 	// recomputation would produce, bit for bit.
 	stateVer uint64
@@ -376,10 +399,6 @@ type Engine struct {
 	// advance it — per-app statistics move continuously and policies that
 	// read them opt into their own fingerprint extension instead.
 	planEpoch uint64
-	// maxBlockedUntil is the high-water mark of migration downtime ends;
-	// once the clock passes it no blocked-until predicate can flip, so
-	// clock advances stop invalidating the caches.
-	maxBlockedUntil float64
 }
 
 // Config configures an Engine.
@@ -440,15 +459,15 @@ func (e *Engine) Reset(cfg Config) error {
 	e.winT0C, e.winT0S, e.winPowerW, e.winVer = cfg.Platform.AmbientC, 0, 0, 0
 	e.thermalDirty = true
 	e.thermalEvSeq, e.thermalEst, e.alarmed = 0, 0, false
-	e.overThrotS, e.overCritS, e.totalEnergy = 0, 0, 0
+	e.overThrotS, e.overCritS = 0, 0
 	e.migrations, e.levelSwaps, e.oppSwitches = 0, 0, 0
 	e.offline, e.clusterFails, e.clusterRepairs = 0, 0, 0
-	e.unhostedS = 0
+	e.unhostedS, e.unhostedT0, e.unhostedN = 0, 0, 0
 	e.degReleased, e.degCompleted, e.degMissed, e.degDropped = 0, 0, 0, 0
 	e.maxTempC = cfg.Platform.AmbientC
 	// Stamps restart at 1 so the cache tags zeroed by the store rewrites
 	// below are invalid until first fill.
-	e.stateVer, e.planEpoch, e.maxBlockedUntil = 1, 0, 0
+	e.stateVer, e.planEpoch = 1, 0
 
 	if e.apps == nil {
 		e.apps = make(map[string]*appState, len(cfg.Apps))

@@ -437,8 +437,8 @@ func TestEnergyConservation(t *testing.T) {
 	for _, c := range rep.Clusters {
 		sum += c.EnergyMJ
 	}
-	if math.Abs(sum-rep.TotalEnergyMJ) > 1e-6*math.Max(1, rep.TotalEnergyMJ) {
-		t.Fatalf("energy conservation: clusters %.3f vs total %.3f", sum, rep.TotalEnergyMJ)
+	if sum != rep.TotalEnergyMJ {
+		t.Fatalf("energy conservation: clusters %.17g vs total %.17g", sum, rep.TotalEnergyMJ)
 	}
 	// Idle clusters still burn static power: total > 0 even with no work.
 	idle := mustEngine(t, Config{Platform: hw.OdroidXU3(),
@@ -643,5 +643,39 @@ func TestClusterInfoReporting(t *testing.T) {
 	}
 	if _, err := e.Cluster("nope"); err == nil {
 		t.Fatal("unknown cluster must error")
+	}
+}
+
+// TestCompletionAtDeadlineBeatsRelease pins the tie rule of the package
+// doc. The app's period is its job latency formed the way the engine forms
+// both, so every completion is due at the very instant the next frame is
+// released. The completion wins: each job is on time and each frame starts
+// a new job, none is dropped. Were the release first, every other frame
+// would be dropped.
+func TestCompletionAtDeadlineBeatsRelease(t *testing.T) {
+	plat := hw.OdroidXU3()
+	c := plat.Cluster("a15")
+	app := dnnApp("tie", "a15", 2, 3, 1)
+	rate := c.EffectiveRate(c.OPPs[0], 2)
+	work := float64(app.Profile.Level(3).MACs)
+	work += c.FixedOverheadS * rate
+	app.PeriodS = work / rate
+	e := mustEngine(t, Config{Platform: plat, Apps: []App{app}, LogEvents: true})
+	if err := e.Run(20 * app.PeriodS); err != nil {
+		t.Fatal(err)
+	}
+	releaseS, ties := 0.0, 0
+	for _, ev := range e.Report().Events {
+		if ev.Kind == EvJobComplete || ev.Kind == EvDeadlineMiss {
+			if releaseS += app.PeriodS; ev.TimeS != releaseS {
+				t.Fatalf("job %d done at %.17g, want %.17g, the instant the next frame is released", ties, ev.TimeS, releaseS)
+			}
+			ties++
+		}
+	}
+	info, _ := e.App("tie")
+	if ties < 10 || info.Dropped != 0 || info.Missed != 0 || info.Completed < info.Released-1 {
+		t.Fatalf("%d ties: %d released, %d completed, %d missed, %d dropped; want every job on time and no drop",
+			ties, info.Released, info.Completed, info.Missed, info.Dropped)
 	}
 }
