@@ -14,6 +14,10 @@ import (
 //
 //   - fmt.Sprintf / fmt.Errorf (and Sprint/Sprintln) — always allocate the
 //     result string, and box every operand through ...any;
+//   - any other call that passes a non-constant, non-pointer-shaped operand
+//     to a variadic interface parameter (a logger's ...any) — the operand
+//     is boxed on the heap at the call, whatever the callee then does with
+//     it; guard such calls (`if logf != nil`) and allow them with a reason;
 //   - non-constant string concatenation — every `+` on strings builds a
 //     new string (constant-folded concatenations are free and stay legal);
 //   - composite literals escaping into an interface — passing, assigning,
@@ -154,11 +158,13 @@ func (h *hotChecker) defOrUse(id *ast.Ident) types.Object {
 // checkCall handles fmt formatters, interface-escaping composite-literal
 // arguments, interface conversions, and append-target classification.
 func (h *hotChecker) checkCall(call *ast.CallExpr) {
-	// fmt.Sprintf / fmt.Errorf family.
+	// fmt.Sprintf / fmt.Errorf family. The report covers the operands'
+	// boxing too, so the variadic check below does not repeat it.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if fn, ok := h.info.Uses[sel.Sel].(*types.Func); ok &&
 			fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && fmtAllocFuncs[fn.Name()] {
 			h.pass.Reportf(call.Pos(), "fmt.%s allocates on a //detlint:hotpath function", fn.Name())
+			return
 		}
 	}
 
@@ -194,6 +200,52 @@ func (h *hotChecker) checkCall(call *ast.CallExpr) {
 				types.TypeString(pt, types.RelativeTo(h.pass.Pkg.Types)))
 		}
 	}
+	h.checkVariadicBoxing(call, sig)
+}
+
+// checkVariadicBoxing flags a call that boxes operands into a variadic
+// interface parameter (...any): each non-constant operand whose value is
+// not pointer-shaped is copied to the heap at the call. One report per
+// call, at the call, so a single allow directive covers a multi-line
+// logging call. A spread slice (f(xs...)) boxes nothing at the call, and
+// composite literals are already reported by the interface-escape check.
+func (h *hotChecker) checkVariadicBoxing(call *ast.CallExpr, sig *types.Signature) {
+	n := sig.Params().Len()
+	if !sig.Variadic() || call.Ellipsis.IsValid() || len(call.Args) < n {
+		return
+	}
+	elem := paramType(sig, n-1)
+	if elem == nil || !types.IsInterface(elem) {
+		return
+	}
+	boxed := 0
+	for _, arg := range call.Args[n-1:] {
+		if !isCompositeLit(arg) && !boxFree(h.info.Types[arg]) {
+			boxed++
+		}
+	}
+	if boxed > 0 {
+		h.pass.Reportf(call.Pos(),
+			"%d operand(s) boxed into ...%s allocate on a //detlint:hotpath function",
+			boxed, types.TypeString(elem, types.RelativeTo(h.pass.Pkg.Types)))
+	}
+}
+
+// boxFree reports whether converting an operand to an interface is free:
+// constants and nil are boxed statically, and pointer-shaped values
+// (pointers, maps, channels, funcs, interfaces) are stored in the
+// interface word itself.
+func boxFree(tv types.TypeAndValue) bool {
+	if tv.Type == nil || tv.Value != nil || tv.IsNil() {
+		return true
+	}
+	switch u := tv.Type.Underlying().(type) {
+	case *types.Pointer, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+		return true
+	case *types.Basic:
+		return u.Kind() == types.UnsafePointer
+	}
+	return false
 }
 
 // paramType returns the type of parameter i, unrolling variadics.

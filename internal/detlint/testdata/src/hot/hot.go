@@ -123,3 +123,21 @@ func AllowedAlloc(n int) error {
 	}
 	return nil
 }
+
+// BoxOnHot hands operands to a ...any logger: the non-constant,
+// non-pointer ones are boxed on the heap at the call, one report per call.
+//
+//detlint:hotpath
+func BoxOnHot(logf func(string, ...any), n int, name string, r *ring, err error) {
+	logf("n=%d name=%s", n, // want `2 operand\(s\) boxed into \.\.\.any allocate on a //detlint:hotpath function`
+		name)
+	logf("const %d %s", 1, "x")   // constants are boxed statically: clean
+	logf("%p %v %v", r, err, nil) // pointer-shaped operands: clean
+	args := make([]any, 0, 2)     // a spread slice boxes nothing at the call
+	logf("%v", args...)           // clean
+	logf("no operands")           // clean
+	if logf != nil {
+		//detlint:allow hotalloc formatting runs only when a logger is set
+		logf("n=%d", n)
+	}
+}

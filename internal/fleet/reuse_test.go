@@ -2,8 +2,13 @@ package fleet
 
 import (
 	"encoding/json"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/emlrtm/emlrtm/internal/hw"
+	"github.com/emlrtm/emlrtm/internal/rtm"
 )
 
 // TestEngineReuseEquivalence is the tentpole's correctness property at the
@@ -45,6 +50,113 @@ func TestEngineReuseEquivalence(t *testing.T) {
 			t.Errorf("workers=%d: engine-reuse results differ from fresh-engine results", workers)
 		}
 	}
+}
+
+// injectedPlanner is a third-party policy instance handed to a scenario
+// through Script.Planner: it plans through the public Plan contract, so it
+// is outside replan elision and the manager's scratch planning path.
+type injectedPlanner struct{ rtm.Policy }
+
+func (injectedPlanner) Name() string { return "injected" }
+
+// TestWorkerReuseEquivalence: a worker reuses its whole run stack —
+// engine, manager, scenario controller and catalog platforms — across
+// its scenario stream, and every run must still equal a run on freshly
+// built parts, field by field with ==. The stream covers every class
+// (faulty and thermal included), the three built-in policies, a learned
+// table and an injected Planner, so any state one run leaves in a reused
+// part shows up in a later run. After the stream, no run may have written
+// to the worker's platforms.
+func TestWorkerReuseEquivalence(t *testing.T) {
+	table, _, err := Train(TrainConfig{Seed: 5, Workloads: 4, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "table.json")
+	if err := table.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(GeneratorConfig{
+		Seed:     23,
+		Policies: []string{"heuristic", "maxaccuracy", "minenergy", "learned:" + path},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens := gen.Generate(gen.RunCount(18))
+	minEnergy, err := rtm.NewPolicy("minenergy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := scens[len(scens)/2]
+	inj.Script.Planner = injectedPlanner{minEnergy}
+	scens = append(scens[:len(scens)/2+1], append([]Scenario{inj}, scens[len(scens)/2+1:]...)...)
+	seen := map[Class]bool{}
+	for _, s := range scens {
+		seen[s.Class] = true
+	}
+	for _, c := range AllClasses() {
+		if !seen[c] {
+			t.Fatalf("class %s not sampled; pick another seed", c)
+		}
+	}
+
+	fresh := make([]Result, len(scens))
+	for i, s := range scens {
+		fresh[i] = RunOne(s)
+	}
+	check := func(pass string, got []Result) {
+		t.Helper()
+		for i := range got {
+			if diff := resultDiff(got[i], fresh[i]); diff != "" {
+				t.Errorf("%s: scenario %d (%s, %s): %s differs from a fresh run", pass, i, fresh[i].Name, fresh[i].Policy, diff)
+			}
+		}
+	}
+	check("Runner{Workers: 1}", (&Runner{Workers: 1}).Run(scens))
+
+	// The same stream on one worker driven directly, so its cached
+	// platforms can be inspected afterwards.
+	w := &worker{}
+	got := make([]Result, len(scens))
+	for i, s := range scens {
+		got[i], _ = runOne(s, runOpts{keepLatencies: true, w: w})
+	}
+	check("worker", got)
+	if len(w.plats) != len(hw.Catalog()) {
+		t.Errorf("worker cached %d platforms, want every catalog platform (%d)", len(w.plats), len(hw.Catalog()))
+	}
+	for name, p := range w.plats {
+		if !reflect.DeepEqual(p, hw.NewPlatform(name)) {
+			t.Errorf("platform %s was modified by the runs that shared it", name)
+		}
+	}
+}
+
+// resultDiff names the first Result field in which got and want differ,
+// comparing every field with == (Latencies element by element), or
+// returns "".
+func resultDiff(got, want Result) string {
+	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < gv.NumField(); i++ {
+		name := gv.Type().Field(i).Name
+		if g, ok := gv.Field(i).Interface().([]float64); ok {
+			w := wv.Field(i).Interface().([]float64)
+			if len(g) != len(w) {
+				return name
+			}
+			for k := range g {
+				if g[k] != w[k] {
+					return name
+				}
+			}
+			continue
+		}
+		if gv.Field(i).Interface() != wv.Field(i).Interface() {
+			return name
+		}
+	}
+	return ""
 }
 
 // TestRunnerProgressCoversDelivered pins the Progress/OnResult ordering

@@ -74,29 +74,52 @@ type Result struct {
 const TickS = 0.25
 
 // RunOne executes a single scenario to completion. It is a pure function
-// of the scenario (fresh platform, fresh manager, no logging), which is
-// what makes fleet results independent of scheduling.
+// of the scenario (no logging, and a run on reused parts equals a run on
+// fresh ones), which is what makes fleet results independent of
+// scheduling. RunOne itself builds everything fresh.
 func RunOne(s Scenario) Result {
-	r, _, _ := runOne(s, runOpts{keepLatencies: true})
+	r, _ := runOne(s, runOpts{keepLatencies: true})
 	return r
+}
+
+// worker is the run state one fleet worker reuses across its whole
+// scenario stream: the workload stack (engine, manager, controller) Reset
+// in place between scenarios, and one build of each catalog platform it
+// has run. Nothing in the engine, manager or policies writes to a
+// Platform, so a platform is built once per worker, not once per run.
+type worker struct {
+	stack workload.Stack
+	plats map[string]*hw.Platform
+}
+
+// platform returns the worker's build of the named catalog platform, or
+// nil for an unknown name.
+func (w *worker) platform(name string) *hw.Platform {
+	p, ok := w.plats[name]
+	if !ok {
+		if w.plats == nil {
+			w.plats = map[string]*hw.Platform{}
+		}
+		p = hw.NewPlatform(name)
+		w.plats[name] = p
+	}
+	return p
 }
 
 // runOpts bundles the per-run knobs runOne threads through to
 // workload.RunEngineOpts: whether raw Latencies are published, which
-// engine to Reset instead of constructing, and whether replan elision is
-// disabled. None of them change a result byte —
-// TestEngineReuseEquivalence and TestReplanElisionEquivalence pin that.
+// worker's run state to reuse (nil builds everything fresh), and whether
+// replan elision is disabled. None of them change a result byte —
+// TestWorkerReuseEquivalence and TestReplanElisionEquivalence pin that.
 type runOpts struct {
 	keepLatencies bool
-	eng           *sim.Engine
+	w             *worker
 	noPlanReuse   bool
 }
 
-// runOne is RunOne with runOpts control. The engine actually used is
-// returned for the caller's next run (nil after a failed run, so a
-// poisoned engine is never reused), along with the manager's plan-reuse
-// counters for observability accumulation.
-func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
+// runOne is RunOne with runOpts control. It also returns the manager's
+// plan-reuse counters for observability accumulation.
+func runOne(s Scenario, o runOpts) (Result, rtm.PlanStats) {
 	script := s.Script
 	if script.Policy == "" {
 		// Hand-built scenarios may set only the outer Policy field.
@@ -120,20 +143,23 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	if res.Policy == "" {
 		res.Policy = rtm.DefaultPolicy
 	}
-	// Only the named platform is built: a fresh one per run keeps the run a
-	// pure function of the scenario without paying for the whole catalog.
-	plat := hw.NewPlatform(s.Platform)
+	w := o.w
+	if w == nil {
+		w = &worker{}
+	}
+	// Only the named platform is built, never the whole catalog.
+	plat := w.platform(s.Platform)
 	if plat == nil {
 		res.Err = fmt.Sprintf("unknown platform %q", s.Platform)
-		return res, o.eng, rtm.PlanStats{}
+		return res, rtm.PlanStats{}
 	}
-	eng, mgr, rep, err := workload.RunEngineOpts(o.eng, script, plat, TickS, nil, workload.RunOptions{
+	_, mgr, rep, err := workload.RunEngineOpts(&w.stack, script, plat, TickS, nil, workload.RunOptions{
 		DisablePlanReuse: o.noPlanReuse,
 		LatenciesOnly:    true,
 	})
 	if err != nil {
 		res.Err = err.Error()
-		return res, nil, rtm.PlanStats{}
+		return res, rtm.PlanStats{}
 	}
 
 	res.DurationS = rep.DurationS
@@ -170,7 +196,7 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 	// place once the published copy is taken.
 	raw := rep.Latencies
 	if len(raw) == 0 {
-		return res, eng, mgr.PlanStats()
+		return res, mgr.PlanStats()
 	}
 	var sum float64
 	maxL := raw[0]
@@ -190,7 +216,7 @@ func runOne(s Scenario, o runOpts) (Result, *sim.Engine, rtm.PlanStats) {
 		copy(res.Latencies, raw)
 	}
 	res.P95LatencyS = percentileSelect(raw, 0.95)
-	return res, eng, mgr.PlanStats()
+	return res, mgr.PlanStats()
 }
 
 // Runner fans scenarios out over a bounded worker pool.
@@ -283,9 +309,9 @@ func (r *Runner) ensurePlanStats() {
 // Run executes all scenarios and returns results indexed by scenario
 // position. Output is bit-identical for any worker count: each run is
 // independent and results land in their own slot. Each worker owns one
-// sim.Engine for its whole scenario stream, Reset in place between
-// scenarios — the engine-construction allocations are paid once per
-// worker, not once per scenario.
+// run stack — engine, manager, scenario controller and catalog platforms
+// — for its whole scenario stream, Reset in place between scenarios, so
+// construction is paid once per worker, not once per scenario.
 func (r *Runner) Run(scenarios []Scenario) []Result {
 	r.ensurePlanStats()
 	results := make([]Result, len(scenarios))
@@ -297,11 +323,11 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 		workers = len(scenarios)
 	}
 	if workers <= 1 {
-		o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.NoPlanReuse}
+		o := runOpts{keepLatencies: !r.DropLatencies, w: &worker{}, noPlanReuse: r.NoPlanReuse}
 		var stats rtm.PlanStats
 		for i, s := range scenarios {
 			var ps rtm.PlanStats
-			results[i], o.eng, ps = runOne(s, o)
+			results[i], ps = runOne(s, o)
 			stats.Add(ps)
 			if r.OnResult != nil {
 				r.OnResult(i, results[i])
@@ -334,7 +360,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			o := runOpts{keepLatencies: !r.DropLatencies, noPlanReuse: r.NoPlanReuse}
+			o := runOpts{keepLatencies: !r.DropLatencies, w: &worker{}, noPlanReuse: r.NoPlanReuse}
 			var stats rtm.PlanStats
 			defer func() { r.addPlanStats(stats) }()
 			for {
@@ -343,7 +369,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 					return
 				}
 				var ps rtm.PlanStats
-				results[i], o.eng, ps = runOne(scenarios[i], o)
+				results[i], ps = runOne(scenarios[i], o)
 				stats.Add(ps)
 				if r.OnResult != nil {
 					emitMu.Lock()

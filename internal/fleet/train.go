@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"github.com/emlrtm/emlrtm/internal/rtm"
-	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
 // This file is the offline trainer behind the "learned:<table.json>"
@@ -184,10 +183,9 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	// recorder pins one arm, so each visited state gets a clean sample of
 	// what that arm costs end to end.
 	sweep := make([]trainRun, len(scenarios)*len(cfg.Arms))
-	err = forEachRun(cfg.Workers, len(sweep), func(i int, eng *sim.Engine) *sim.Engine {
+	err = forEachRun(cfg.Workers, len(sweep), func(i int, w *worker) {
 		wl, arm := i/len(cfg.Arms), i%len(cfg.Arms)
-		sweep[i], eng = trainOne(cfg, scenarios[wl], func(string) int { return arm }, eng)
-		return eng
+		sweep[i] = trainOne(cfg, scenarios[wl], func(string) int { return arm }, w)
 	}, sweep)
 	if err != nil {
 		return nil, TrainReport{}, err
@@ -212,15 +210,14 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	// independent.
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		runs := make([]trainRun, len(scenarios))
-		err = forEachRun(cfg.Workers, len(runs), func(wl int, eng *sim.Engine) *sim.Engine {
+		err = forEachRun(cfg.Workers, len(runs), func(wl int, w *worker) {
 			rng := rand.New(newSource(int64(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl)))))
-			runs[wl], eng = trainOne(cfg, scenarios[wl], func(key string) int {
+			runs[wl] = trainOne(cfg, scenarios[wl], func(key string) int {
 				if arm := greedyArm(table, key); arm >= 0 && rng.Float64() >= cfg.Epsilon {
 					return arm
 				}
 				return rng.Intn(len(cfg.Arms))
-			}, eng)
-			return eng
+			}, w)
 		}, runs)
 		if err != nil {
 			return nil, TrainReport{}, err
@@ -259,17 +256,17 @@ func greedyArm(t *rtm.LearnedTable, key string) int {
 // forEachRun executes fn(0..n-1) across a bounded worker pool, then
 // surfaces the first (lowest-index) run error. Results land in the
 // caller's slice by index, so scheduling never reorders anything. Each
-// worker threads one sim.Engine through its run stream — fn receives the
-// worker's engine and returns the engine to carry forward — so training
-// pays engine construction once per worker, exactly like Runner.Run.
-func forEachRun(workers, n int, fn func(i int, eng *sim.Engine) *sim.Engine, runs []trainRun) error {
+// worker hands fn its own run state for every run it executes, so
+// training pays engine, manager and platform construction once per
+// worker, exactly like Runner.Run.
+func forEachRun(workers, n int, fn func(i int, w *worker), runs []trainRun) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		var eng *sim.Engine
+		w := &worker{}
 		for i := 0; i < n; i++ {
-			eng = fn(i, eng)
+			fn(i, w)
 		}
 	} else {
 		var next atomic.Int64
@@ -278,13 +275,13 @@ func forEachRun(workers, n int, fn func(i int, eng *sim.Engine) *sim.Engine, run
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				var eng *sim.Engine
+				w := &worker{}
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return
 					}
-					eng = fn(i, eng)
+					fn(i, w)
 				}
 			}()
 		}
@@ -314,27 +311,27 @@ func (r *trainRun) errContext() string {
 // later evaluated on. Arms are instantiated fresh per run, matching the
 // one-policy-instance-per-scenario contract every other call site keeps
 // (a stateful third-party arm must never be shared across worker
-// goroutines). The worker's engine threads through exactly as in
-// Runner.Run (returned nil after a failed run). The recording policy is
+// goroutines). The worker's run state is reused exactly as in
+// Runner.Run. The recording policy is
 // outside replan elision by construction — it cannot implement the
 // sealed rtm seam — so every training run plans fresh and its visit
 // trace stays complete.
-func trainOne(cfg TrainConfig, s Scenario, pick func(key string) int, eng *sim.Engine) (trainRun, *sim.Engine) {
+func trainOne(cfg TrainConfig, s Scenario, pick func(key string) int, w *worker) trainRun {
 	rec := &recordingPolicy{arms: make([]rtm.Policy, len(cfg.Arms)), pick: pick}
 	for i, name := range cfg.Arms {
 		p, err := rtm.NewPolicy(name)
 		if err != nil {
-			return trainRun{err: err}, eng
+			return trainRun{err: err}
 		}
 		rec.arms[i] = p
 	}
 	s.Script.Planner = rec
-	r, eng, _ := runOne(s, runOpts{eng: eng})
+	r, _ := runOne(s, runOpts{w: w})
 	if r.Err != "" {
-		return trainRun{visits: rec.visits, err: fmt.Errorf("%s", r.Err)}, eng
+		return trainRun{visits: rec.visits, err: fmt.Errorf("%s", r.Err)}
 	}
 	return trainRun{
 		visits: rec.visits,
 		cost:   cfg.MissWeight*missRate(r) + cfg.EnergyWeight*(r.AvgPowerMW/1000),
-	}, eng
+	}
 }

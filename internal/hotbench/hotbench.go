@@ -95,18 +95,21 @@ func engineNew(tb testing.TB) func() {
 	}
 }
 
-// engineRunManaged is engine-run under a fresh heuristic manager per op,
-// at the fleet's tick and with its latency log: the shape of every fleet
-// run. Unlike engine-run it reaches the controller callbacks, replans and
-// the deadline-miss path.
+// engineRunManaged is engine-run under a heuristic manager, at the
+// fleet's tick and with its latency log: the shape of every fleet run,
+// whose worker Resets one engine and one manager per scenario. Unlike
+// engine-run it reaches the controller callbacks, replans and the
+// deadline-miss path.
 func engineRunManaged(tb testing.TB) func() {
-	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), TickS: fleet.TickS, LogLatencies: true}
+	reqs := benchReqs()
+	mgr := rtm.NewManager(reqs)
+	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), Controller: mgr, TickS: fleet.TickS, LogLatencies: true}
 	e, err := sim.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return func() {
-		cfg.Controller = rtm.NewManager(benchReqs())
+		mgr.Reset(reqs)
 		if err := e.Reset(cfg); err != nil {
 			tb.Fatal(err)
 		}

@@ -34,10 +34,19 @@ type Knob struct {
 	Max   int
 	value int
 	apply func(int) error
+	// read, when set, reads the setting from the actuated system instead
+	// of the last value Set wrote, so the knob never goes stale when
+	// something other than the knob actuates it.
+	read func() int
 }
 
 // Value returns the knob's current setting.
-func (k *Knob) Value() int { return k.value }
+func (k *Knob) Value() int {
+	if k.read != nil {
+		return k.read()
+	}
+	return k.value
+}
 
 // Set actuates the knob. Out-of-range values are rejected before the
 // underlying actuator runs.

@@ -78,7 +78,8 @@ type Manager struct {
 	NoPlanReuse bool
 
 	policy       Policy
-	registry     *Registry
+	eng          *sim.Engine // the engine the last Replan ran against
+	registry     *Registry   // built by Registry on first use
 	pressure     int
 	misses       int
 	pending      bool
@@ -113,23 +114,52 @@ type Manager struct {
 	// planning input (engine snapshot + view), the defensive policy copy,
 	// the policy's working buffers and the actuation indexes are all
 	// rebuilt in place instead of reallocated. Handed-out state stays
-	// defensive — LastPlan and LastView copy on read.
+	// defensive — LastPlan and LastView copy on read. Reset keeps these
+	// buffers and nothing else.
 	snap       sim.Snapshot
 	viewReqs   map[string]Requirement
 	policyView View
 	scratch    planScratch
-	curApps    map[string]sim.AppInfo
-	renderOn   map[string]bool
-	levelKnobs map[string]*Knob
-	oppKnobs   map[string]*Knob
+	cur        []appCur // actuation's view of each View.Apps entry
+	planApp    []int    // View.Apps index of each plan entry's app, or -1
+}
+
+// appCur is the part of an app's state actuation moves: where it runs and
+// at which level.
+type appCur struct {
+	placement sim.Placement
+	level     int
 }
 
 // NewManager builds a manager with the given per-app requirements (keyed
 // by app name; apps without an entry get defaults: latency = period,
 // accuracy unconstrained, priority 0) and the default heuristic policy.
 func NewManager(reqs map[string]Requirement) *Manager {
-	m := &Manager{
-		reqs:                map[string]Requirement{},
+	m := &Manager{}
+	m.Reset(reqs)
+	return m
+}
+
+// Reset returns the manager to the state NewManager(reqs) builds: default
+// tuning, the default heuristic policy, no Logf, no thermal pressure, no
+// miss, fault, recovery or plan history, no elision fingerprint and no
+// registry. Only the replan scratch buffers survive, so a caller running
+// scenario after scenario on one manager (a fleet worker) replans without
+// regrowing them; a Reset manager plans exactly as a new one does.
+func (m *Manager) Reset(reqs map[string]Requirement) {
+	r := m.reqs
+	if r == nil {
+		r = make(map[string]Requirement, len(reqs))
+	}
+	clear(r)
+	//detlint:ordered map-to-map copy; per-key writes are order-independent
+	for k, v := range reqs {
+		r[k] = v
+	}
+	lv := m.lastView
+	clear(lv.Reqs)
+	*m = Manager{
+		reqs:                r,
 		PressureStepC:       4,
 		BaseMarginC:         0,
 		MissReplanThreshold: 2,
@@ -137,12 +167,18 @@ func NewManager(reqs map[string]Requirement) *Manager {
 		FaultReplanBackoffS: 0.5,
 		lastFaultPlan:       math.Inf(-1),
 		policy:              heuristicPolicy{},
+
+		last:         m.last[:0],
+		lastView:     View{Apps: lv.Apps[:0], Clusters: lv.Clusters[:0], Reqs: lv.Reqs},
+		recoveries:   m.recoveries[:0],
+		degradedUsed: m.degradedUsed,
+		snap:         m.snap,
+		viewReqs:     m.viewReqs,
+		policyView:   m.policyView,
+		scratch:      m.scratch,
+		cur:          m.cur[:0],
+		planApp:      m.planApp[:0],
 	}
-	//detlint:ordered map-to-map copy; per-key writes are order-independent
-	for k, v := range reqs {
-		m.reqs[k] = v
-	}
-	return m
 }
 
 // SetPolicy swaps the planning policy and schedules a replan so the swap
@@ -197,10 +233,18 @@ func (m *Manager) LastPlan() []Assignment { return append([]Assignment(nil), m.l
 // through it.
 func (m *Manager) LastView() View { return m.lastView.Clone() }
 
-// Registry returns the knob/monitor registry built for the bound engine
-// (nil before the first plan). It is an actuation surface for external
-// tooling; policies never see it — they plan over the read-only View.
-func (m *Manager) Registry() *Registry { return m.registry }
+// Registry returns the knob/monitor registry of the engine the manager
+// last planned against (nil before the first plan). It is built on the
+// first call, not by planning: knob values and monitors read through to
+// the engine, so a registry built late is never stale. It is an actuation
+// surface for external tooling; policies never see it — they plan over
+// the read-only View.
+func (m *Manager) Registry() *Registry {
+	if m.registry == nil && m.eng != nil {
+		m.registry = m.buildRegistry(m.eng)
+	}
+	return m.registry
+}
 
 // Pressure returns the outstanding thermal pressure level.
 func (m *Manager) Pressure() int { return m.pressure }
@@ -245,7 +289,7 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 	case sim.EvThermalAlarm:
 		m.pressure++
 		if m.Logf != nil {
-			m.logf("rtm: t=%.2fs thermal alarm (%s), pressure=%d", ev.TimeS, ev.Detail(), m.pressure)
+			m.Logf("rtm: t=%.2fs thermal alarm (%s), pressure=%d", ev.TimeS, ev.Detail(), m.pressure)
 		}
 		m.Replan(e)
 	case sim.EvDeadlineMiss, sim.EvFrameDrop:
@@ -255,7 +299,9 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 			m.faultPending = true
 			m.faultAtS = ev.TimeS
 		}
-		m.logf("rtm: t=%.2fs %s %s", ev.TimeS, ev.Kind, ev.Cluster)
+		if m.Logf != nil {
+			m.Logf("rtm: t=%.2fs %s %s", ev.TimeS, ev.Kind, ev.Cluster)
+		}
 		if e.Now()-m.lastFaultPlan >= m.FaultReplanBackoffS {
 			m.lastFaultPlan = e.Now()
 			m.Replan(e)
@@ -339,13 +385,16 @@ func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
 // failed migration, an oscillating policy) must keep replanning. Counters
 // (LastPlan, LastView, Plans, miss reset) behave identically on both
 // paths.
+//
+//detlint:hotpath
 func (m *Manager) Replan(e *sim.Engine) {
 	m.pending = false
 	m.misses = 0
 	m.plans++
-
-	if m.registry == nil {
-		m.buildRegistry(e)
+	if e != m.eng {
+		// A registry reads through to one engine; Registry builds the
+		// next one for this engine on demand.
+		m.eng, m.registry = e, nil
 	}
 
 	fp, fpOK := m.fingerprint(e)
@@ -378,10 +427,13 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// destination buffers, so the hot path stays allocation-free.
 	m.last = append(m.last[:0], plan...)
 	v.CloneInto(&m.lastView)
-	for _, asg := range plan {
-		m.logf("rtm: t=%.2fs plan %s -> %s/%d cores, level %d, opp %d (pass %d, %.1fms, %.0fmW)",
-			v.NowS, asg.App, asg.Placement.Cluster, asg.Placement.Cores, asg.Level,
-			asg.OPPIndex, asg.Pass, asg.LatencyS*1000, asg.DynPowMW)
+	if m.Logf != nil {
+		for _, asg := range plan {
+			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
+			m.Logf("rtm: t=%.2fs plan %s -> %s/%d cores, level %d, opp %d (pass %d, %.1fms, %.0fmW)",
+				v.NowS, asg.App, asg.Placement.Cluster, asg.Placement.Cores, asg.Level,
+				asg.OPPIndex, asg.Pass, asg.LatencyS*1000, asg.DynPowMW)
+		}
 	}
 	m.actuate(e, v, plan)
 	// An actuated plan closes the open fault burst: the policy has had its
@@ -568,27 +620,37 @@ func reuseInts(s []int, n int) []int {
 	return s
 }
 
-// actuate applies the plan through the knob layer: level reductions first
-// (to release accelerator memory), then migrations, then level increases,
-// then per-cluster OPPs. The per-cluster DVFS floor is derived from the
-// plan itself (the highest OPP any assignment committed on the cluster)
-// plus the render pin, so actuation depends only on (view, plan) — not on
-// policy-internal ledgers.
+// actuate applies the plan: level reductions first (to release
+// accelerator memory), then migrations, then level increases, then
+// per-cluster OPPs. The per-cluster DVFS floor is derived from the plan
+// itself (the highest OPP any assignment committed on the cluster) plus
+// the render pin, so actuation depends only on (view, plan) — not on
+// policy-internal ledgers. Actuation calls the engine directly; the
+// registry's knobs are the same actuators, offered to external tooling.
+//
+//detlint:hotpath
 func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 	// The view was snapshotted from this engine within the same replan, so
 	// it *is* the current state — indexing it avoids re-querying the
-	// engine. Both indexes are manager scratch, cleared per actuation.
-	if m.curApps == nil {
-		m.curApps = map[string]sim.AppInfo{}
-		m.renderOn = map[string]bool{}
+	// engine. cur follows each app through actuation, indexed like
+	// v.Apps; planApp[i] is plan[i]'s index there.
+	m.cur = m.cur[:0]
+	for i := range v.Apps {
+		m.cur = append(m.cur, appCur{placement: v.Apps[i].Placement, level: v.Apps[i].Level})
 	}
-	current := m.curApps
-	clear(current)
-	for _, a := range v.Apps {
-		current[a.Name] = a
+	m.planApp = m.planApp[:0]
+	for i := range plan {
+		j := -1
+		for k := range v.Apps {
+			if v.Apps[k].Name == plan[i].App {
+				j = k
+				break
+			}
+		}
+		m.planApp = append(m.planApp, j)
 	}
-	for _, asg := range plan {
-		if cur := current[asg.App]; asg.Level < cur.Level {
+	for i, asg := range plan {
+		if asg.Level < m.curOf(i).level {
 			m.setLevel(e, asg.App, asg.Level)
 		}
 	}
@@ -597,16 +659,16 @@ func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 	// cores a move-in on that cluster needs), then apps vacating a
 	// memory-constrained accelerator (freeing memory), then everything
 	// else.
-	migrate := func(want int) {
-		for _, asg := range plan {
-			cur := current[asg.App]
-			if asg.Placement == cur.Placement {
+	for want := 0; want < 3; want++ {
+		for i, asg := range plan {
+			cur := m.curOf(i)
+			if asg.Placement == cur.placement {
 				continue
 			}
-			fromCl := e.Platform().Cluster(cur.Placement.Cluster)
+			fromCl := e.Platform().Cluster(cur.placement.Cluster)
 			wave := 2
 			switch {
-			case asg.Placement.Cluster == cur.Placement.Cluster && asg.Placement.Cores < cur.Placement.Cores:
+			case asg.Placement.Cluster == cur.placement.Cluster && asg.Placement.Cores < cur.placement.Cores:
 				wave = 0
 			case fromCl != nil && fromCl.MemBytes > 0:
 				wave = 1
@@ -615,80 +677,68 @@ func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 				continue
 			}
 			if err := e.Migrate(asg.App, asg.Placement); err != nil {
-				m.logf("rtm: migrate %s: %v", asg.App, err)
-			} else {
-				cur.Placement = asg.Placement
-				current[asg.App] = cur
+				if m.Logf != nil {
+					//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
+					m.Logf("rtm: migrate %s: %v", asg.App, err)
+				}
+			} else if j := m.planApp[i]; j >= 0 {
+				m.cur[j].placement = asg.Placement
 			}
 		}
 	}
-	migrate(0)
-	migrate(1)
-	migrate(2)
-	for _, asg := range plan {
-		if cur := current[asg.App]; asg.Level > cur.Level {
+	for i, asg := range plan {
+		if asg.Level > m.curOf(i).level {
 			m.setLevel(e, asg.App, asg.Level)
 		}
 	}
 	// DVFS: clusters hosting DNNs get the highest OPP their assignments
 	// committed; render clusters run flat out; everything else drops to
 	// minimum.
-	renderOn := m.renderOn
-	clear(renderOn)
-	for _, a := range v.Apps {
-		if a.Running && a.Kind == sim.KindRender {
-			renderOn[a.Placement.Cluster] = true
-		}
-	}
 	for _, cl := range e.Platform().Clusters {
 		idx := 0
-		if renderOn[cl.Name] {
-			idx = len(cl.OPPs) - 1
+		for i := range v.Apps {
+			if a := &v.Apps[i]; a.Running && a.Kind == sim.KindRender && a.Placement.Cluster == cl.Name {
+				idx = len(cl.OPPs) - 1
+				break
+			}
 		}
 		for _, asg := range plan {
 			if asg.Placement.Cluster == cl.Name && asg.OPPIndex > idx {
 				idx = asg.OPPIndex
 			}
 		}
-		m.setOPP(e, cl.Name, idx)
+		if err := e.SetOPP(cl.Name, idx); err != nil && m.Logf != nil {
+			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
+			m.Logf("rtm: opp %s=%d: %v", cl.Name, idx, err)
+		}
 	}
 }
 
-// setLevel/setOPP actuate through the registry knobs (Fig 5's interface),
-// falling back to direct engine calls before the registry exists. The
-// knob pointers are cached by app/cluster name at registry build time:
-// actuation happens every replan, and re-deriving "app.<name>.level" keys
-// would allocate a string per knob per tick.
+// curOf is plan[i]'s app as actuation currently sees it; an app the view
+// lacks reads as the zero state.
+func (m *Manager) curOf(i int) appCur {
+	if j := m.planApp[i]; j >= 0 {
+		return m.cur[j]
+	}
+	return appCur{}
+}
+
+// setLevel actuates one app's level, logging a rejection.
+//
+//detlint:hotpath
 func (m *Manager) setLevel(e *sim.Engine, app string, level int) {
-	if k := m.levelKnobs[app]; k != nil {
-		if err := k.Set(level); err != nil {
-			m.logf("rtm: level %s=%d: %v", app, level, err)
-		}
-		return
-	}
-	if err := e.SetLevel(app, level); err != nil {
-		m.logf("rtm: level %s=%d: %v", app, level, err)
-	}
-}
-
-func (m *Manager) setOPP(e *sim.Engine, cluster string, idx int) {
-	if k := m.oppKnobs[cluster]; k != nil {
-		if err := k.Set(idx); err != nil {
-			m.logf("rtm: opp %s=%d: %v", cluster, idx, err)
-		}
-		return
-	}
-	if err := e.SetOPP(cluster, idx); err != nil {
-		m.logf("rtm: opp %s=%d: %v", cluster, idx, err)
+	if err := e.SetLevel(app, level); err != nil && m.Logf != nil {
+		//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
+		m.Logf("rtm: level %s=%d: %v", app, level, err)
 	}
 }
 
 // buildRegistry wires the engine's apps and clusters into a knob/monitor
-// registry — the concrete realisation of Fig 5.
-func (m *Manager) buildRegistry(e *sim.Engine) {
+// registry — the concrete realisation of Fig 5. Knob values read the
+// engine's current level and OPP, so they stay true however the engine
+// was actuated.
+func (m *Manager) buildRegistry(e *sim.Engine) *Registry {
 	r := NewRegistry()
-	m.levelKnobs = map[string]*Knob{}
-	m.oppKnobs = map[string]*Knob{}
 	for _, a := range e.Apps() {
 		if a.Kind != sim.KindDNN {
 			continue
@@ -700,7 +750,10 @@ func (m *Manager) buildRegistry(e *sim.Engine) {
 		if err != nil {
 			m.logf("rtm: registry: %v", err)
 		} else {
-			m.levelKnobs[name] = k
+			k.read = func() int {
+				info, _ := e.App(name) // name is one of e's apps: the lookup cannot fail
+				return info.Level
+			}
 		}
 		if _, err := r.RegisterMonitor("app."+name+".latency", LayerApplication, "s", func() float64 {
 			info, err := e.App(name)
@@ -733,7 +786,10 @@ func (m *Manager) buildRegistry(e *sim.Engine) {
 		if err != nil {
 			m.logf("rtm: registry: %v", err)
 		} else {
-			m.oppKnobs[name] = k
+			k.read = func() int {
+				info, _ := e.Cluster(name) // name is one of e's clusters: the lookup cannot fail
+				return info.OPPIndex
+			}
 		}
 	}
 	if _, err := r.RegisterMonitor("dev.temperature", LayerDevice, "C", e.Temperature); err != nil {
@@ -742,7 +798,7 @@ func (m *Manager) buildRegistry(e *sim.Engine) {
 	if _, err := r.RegisterMonitor("dev.power", LayerDevice, "mW", e.TotalPowerMW); err != nil {
 		m.logf("rtm: registry: %v", err)
 	}
-	m.registry = r
+	return r
 }
 
 var _ sim.Controller = (*Manager)(nil)

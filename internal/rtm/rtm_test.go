@@ -286,6 +286,44 @@ func TestManagerBuildsRegistry(t *testing.T) {
 	if v := reg.Monitor("dev.power").Read(); v <= 0 {
 		t.Fatalf("power monitor read %v", v)
 	}
+	// Knob values read through to the engine, however it was actuated:
+	// by the manager's plans, directly, or through the knob itself.
+	checkKnobs := func(when string) {
+		t.Helper()
+		app, err := e.App("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Knob("app.d.level").Value(); got != app.Level {
+			t.Errorf("%s: app.d.level knob reads %d, engine level %d", when, got, app.Level)
+		}
+		for _, cl := range []string{"a15", "a7"} {
+			info, err := e.Cluster(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Knob("dev." + cl + ".opp").Value(); got != info.OPPIndex {
+				t.Errorf("%s: dev.%s.opp knob reads %d, engine OPP %d", when, cl, got, info.OPPIndex)
+			}
+		}
+	}
+	checkKnobs("after the run")
+	a7, err := e.Cluster("a7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SetOPP("a7", (a7.OPPIndex+1)%len(plat.Cluster("a7").OPPs)); err != nil {
+		t.Fatal(err)
+	}
+	checkKnobs("after a direct SetOPP")
+	if err := reg.Knob("app.d.level").Set(1); err != nil {
+		t.Fatal(err)
+	}
+	checkKnobs("after a knob Set")
+	if err := e.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	checkKnobs("after more planning")
 }
 
 func TestManagerRequirementChangeTriggersReplan(t *testing.T) {

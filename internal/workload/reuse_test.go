@@ -6,14 +6,13 @@ import (
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
-	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
-// TestRunEngineReuseEquivalence: RunEngineOpts on a reused engine must
-// reproduce Run's report byte-for-byte, scenario after scenario — the
-// contract the fleet runner's per-worker engine reuse stands on, here
-// exercised through the managed (controller-in-the-loop) path and across
-// a platform switch mid-stream.
+// TestRunEngineReuseEquivalence: RunEngineOpts on a reused Stack must
+// reproduce Run's report and plan count byte-for-byte, scenario after
+// scenario — the contract the fleet runner's per-worker stack reuse
+// stands on, here exercised through the managed (controller-in-the-loop)
+// path, across a platform switch mid-stream and with scripted actions.
 func TestRunEngineReuseEquivalence(t *testing.T) {
 	steps := []struct {
 		s    Scenario
@@ -24,9 +23,9 @@ func TestRunEngineReuseEquivalence(t *testing.T) {
 		{Fig2Scenario(), hw.FlagshipSoC},
 	}
 
-	var reused *sim.Engine
+	var reused Stack
 	for i, st := range steps {
-		_, _, want, err := Run(st.s, st.plat(), 0.25, nil)
+		_, wantMgr, want, err := Run(st.s, st.plat(), 0.25, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +34,7 @@ func TestRunEngineReuseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		eng, _, got, err := RunEngineOpts(reused, st.s, st.plat(), 0.25, nil, RunOptions{})
+		_, gotMgr, got, err := RunEngineOpts(&reused, st.s, st.plat(), 0.25, nil, RunOptions{})
 		if err != nil {
 			t.Fatalf("scenario %d: %v", i, err)
 		}
@@ -46,8 +45,10 @@ func TestRunEngineReuseEquivalence(t *testing.T) {
 		// Compare before the next iteration's Reset rewrites the event log
 		// the report aliases.
 		if string(gotJSON) != string(wantJSON) {
-			t.Errorf("scenario %d (%s): reused-engine report differs from fresh run", i, st.s.Name)
+			t.Errorf("scenario %d (%s): reused-stack report differs from fresh run", i, st.s.Name)
 		}
-		reused = eng
+		if gotMgr.Plans() != wantMgr.Plans() {
+			t.Errorf("scenario %d (%s): reused-stack manager made %d plans, fresh %d", i, st.s.Name, gotMgr.Plans(), wantMgr.Plans())
+		}
 	}
 }

@@ -6,7 +6,7 @@
 package workload
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
@@ -63,9 +63,29 @@ type ScenarioController struct {
 
 // NewScenarioController sorts the actions by time and wires the manager.
 func NewScenarioController(m *rtm.Manager, actions []Action) *ScenarioController {
-	sorted := append([]Action(nil), actions...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].AtS < sorted[j].AtS })
-	return &ScenarioController{Mgr: m, Actions: sorted}
+	c := &ScenarioController{}
+	c.reset(m, actions, nil)
+	return c
+}
+
+// reset rewires c as NewScenarioController would build it for actions
+// plus the fail/repair actions of faults, gathered into c's own buffer
+// (never the caller's) and sorted stably by time. Fault windows thus
+// share the Actions path's tick quantisation and deterministic ordering,
+// and the stable sort keeps fail-before-repair for windows converted in
+// order.
+func (c *ScenarioController) reset(m *rtm.Manager, actions []Action, faults []FaultWindow) {
+	sorted := appendFaultActions(append(c.Actions[:0], actions...), faults)
+	slices.SortStableFunc(sorted, func(a, b Action) int {
+		switch {
+		case a.AtS < b.AtS:
+			return -1
+		case b.AtS < a.AtS:
+			return 1
+		}
+		return 0
+	})
+	*c = ScenarioController{Mgr: m, Actions: sorted}
 }
 
 // OnTick implements sim.Controller.
@@ -214,20 +234,31 @@ type RunOptions struct {
 	LatenciesOnly bool
 }
 
-// RunEngineOpts is Run with engine reuse and the wiring in opts. A
-// non-nil engine is Reset in place for the scenario instead of
-// constructed, which removes the per-run engine-construction allocations
-// — the point of a worker owning one engine for its whole scenario
-// stream. The manager and controller are always fresh (their
-// construction is cheap and their state must be pristine per run), so a
-// reused-engine run is byte-identical to a fresh one. A nil engine with
-// zero opts is exactly Run. The returned engine is the one the scenario actually
-// ran on; reuse it for the next call. A scenario's Report must be
-// consumed before the engine is reused — Reset rewrites the logs the
-// Report's Events and Latencies fields alias. Neither option changes a
-// simulated outcome: they only control whether planning work is skipped
-// and what the Report logs.
-func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), opts RunOptions) (*sim.Engine, *rtm.Manager, sim.Report, error) {
+// Stack is the machinery a scenario runs on — the engine, the runtime
+// manager and the scripted controller — kept for reuse. A caller running
+// scenarios one after another (a fleet worker) passes the same Stack to
+// every RunEngineOpts call, which Resets each part in place instead of
+// building it, so construction is paid once per Stack and a run replans
+// out of the buffers the previous runs grew. The zero Stack is ready to
+// use; a Stack must not be shared between goroutines.
+type Stack struct {
+	eng  *sim.Engine
+	mgr  *rtm.Manager
+	ctrl ScenarioController
+}
+
+// RunEngineOpts is Run on a reusable Stack with the wiring in opts. A nil
+// stack runs on freshly built parts, exactly as Run does; a run on a
+// reused Stack is byte-identical to one on a fresh Stack, because Reset
+// restores every part to its constructed state and keeps only scratch
+// buffers. The returned engine and manager belong to the stack: consume
+// them, and the Report, before its next run, whose Resets rewrite the
+// manager's counters and the engine logs the Report's Events and
+// Latencies alias. After an error the stack drops its engine, so a
+// half-run engine is never reused. Neither option changes a simulated
+// outcome: they only control whether planning work is skipped and what
+// the Report logs.
+func RunEngineOpts(st *Stack, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), opts RunOptions) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	pol := s.Planner
 	if pol == nil {
 		var err error
@@ -236,48 +267,48 @@ func RunEngineOpts(e *sim.Engine, s Scenario, plat *hw.Platform, tickS float64, 
 			return nil, nil, sim.Report{}, err
 		}
 	}
-	mgr := rtm.NewManager(s.Reqs)
+	if st == nil {
+		st = &Stack{}
+	}
+	if st.mgr == nil {
+		st.mgr = rtm.NewManager(s.Reqs)
+	} else {
+		st.mgr.Reset(s.Reqs)
+	}
+	mgr := st.mgr
 	mgr.SetPolicy(pol)
 	mgr.Logf = logf
 	mgr.NoPlanReuse = opts.DisablePlanReuse
-	actions := s.Actions
-	if len(s.Faults) > 0 {
-		// Fault windows become ordinary scripted actions so they share the
-		// Actions path's tick quantisation and deterministic ordering
-		// (NewScenarioController's stable sort keeps fail-before-repair for
-		// windows converted in order).
-		actions = append(append([]Action(nil), s.Actions...), faultActions(s.Faults)...)
-	}
-	ctrl := NewScenarioController(mgr, actions)
+	st.ctrl.reset(mgr, s.Actions, s.Faults)
 	cfg := sim.Config{
 		Platform:     plat,
 		Apps:         s.Apps,
-		Controller:   ctrl,
+		Controller:   &st.ctrl,
 		TickS:        tickS,
 		LogEvents:    !opts.LatenciesOnly,
 		LogLatencies: opts.LatenciesOnly,
 	}
 	var err error
-	if e == nil {
-		e, err = sim.New(cfg)
+	if st.eng == nil {
+		st.eng, err = sim.New(cfg)
 	} else {
-		err = e.Reset(cfg)
+		err = st.eng.Reset(cfg)
+	}
+	if err == nil {
+		err = st.eng.Run(s.EndS)
 	}
 	if err != nil {
+		st.eng = nil
 		return nil, nil, sim.Report{}, err
 	}
-	if err := e.Run(s.EndS); err != nil {
-		return nil, nil, sim.Report{}, err
-	}
-	return e, mgr, e.Report(), nil
+	return st.eng, mgr, st.eng.Report(), nil
 }
 
-// faultActions converts fault windows into fail/repair actions. The
-// SetClusterOnline error is ignored by design: a window naming an unknown
-// cluster is a scenario-authoring bug that validation should catch, and a
-// duplicate transition is a no-op.
-func faultActions(faults []FaultWindow) []Action {
-	out := make([]Action, 0, 2*len(faults))
+// appendFaultActions appends the fail/repair actions of fault windows to
+// out. The SetClusterOnline error is ignored by design: a window naming an
+// unknown cluster is a scenario-authoring bug that validation should
+// catch, and a duplicate transition is a no-op.
+func appendFaultActions(out []Action, faults []FaultWindow) []Action {
 	for _, fw := range faults {
 		cluster := fw.Cluster
 		out = append(out, Action{
