@@ -58,12 +58,11 @@
 // the worst per-scenario p95 and is marked approximate (p95Approx in
 // JSON, a ~ suffix in tables).
 //
-// Planning work is reused by default: managers elide replans whose
-// planning fingerprint has not changed since their last actuated plan.
-// The report is byte-identical either way — -elide=false turns elision
-// off and plans every replan fresh (CI cmp-checks the two against each
-// other), and -elidestats prints the plans / elided counters to stderr
-// after the run.
+// Managers elide replans whose planning fingerprint has not changed
+// since their last actuated plan. The report is byte-identical to
+// planning every replan fresh; internal/fleet's
+// TestReplanElisionEquivalence pins that against policies that cannot
+// opt into elision.
 //
 // Usage:
 //
@@ -71,7 +70,6 @@
 //	         [-classes steady,thermal] [-policy name | -policies a,b]
 //	         [-format json|table] [-results] [-nolat] [-out file]
 //	         [-shard i/m -out shard.ndjson [-resume] [-syncevery N]]
-//	         [-elide=false] [-elidestats]
 //	fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...
 //	fleetsim orchestrate -shards m -out dir [-scenarios N] [-seed S]
 //	         [-stall 30s] [-retries 2] [-format json|table] [-results]
@@ -138,8 +136,6 @@ func runMain() {
 	nolat := flag.Bool("nolat", false, "drop raw per-job latency samples from results and shard files (scalar mean/p95/max stay; group p95 becomes the worst per-scenario p95)")
 	resume := flag.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario")
 	syncevery := flag.Int("syncevery", 0, "with -shard: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
-	elide := flag.Bool("elide", true, "reuse planning work (replan elision); false plans every replan fresh — the report is byte-identical either way")
-	elidestats := flag.Bool("elidestats", false, "print plan-reuse counters (plans, elided) to stderr after the run")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		// Stray positional args mean a mistyped invocation; running the
@@ -194,24 +190,22 @@ func runMain() {
 				log.Fatalf("fleetsim: %s already exists; pass -resume to continue it", *out)
 			}
 		}
-		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, SyncEvery: *syncevery, NoPlanReuse: !*elide}
+		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, SyncEvery: *syncevery}
 		if *progress {
 			runner.Progress = progressFunc()
 		}
 		if _, err := runner.ResumeShard(*out, cfg, *scenarios, shardIdx, shardCount); err != nil {
 			log.Fatalf("fleetsim: %v", err)
 		}
-		maybePrintElideStats(*elidestats, runner)
 		return
 	}
 
 	scens := gen.Generate(gen.RunCount(*scenarios))
-	runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, NoPlanReuse: !*elide}
+	runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat}
 	if *progress {
 		runner.Progress = progressFunc()
 	}
 	res := runner.Run(scens)
-	maybePrintElideStats(*elidestats, runner)
 	rep := fleet.Aggregate(*seed, res)
 	if !*results {
 		res = nil
@@ -269,7 +263,7 @@ func orchestrateMain(args []string) {
 	shards := fs.Int("shards", 2, "number of shard subprocesses to dispatch")
 	out := fs.String("out", "", "directory for per-shard stream files (required; partial streams there are resumed)")
 	stall := fs.Duration("stall", 30*time.Second, "kill a shard whose stream makes no progress for this long (0 disables)")
-	retries := fs.Int("retries", 2, "retries per shard after its first failed attempt")
+	retries := fs.Int("retries", 2, "retries per shard after its first failed attempt (non-negative)")
 	backoff := fs.Duration("backoff", 500*time.Millisecond, "wait before the first retry, doubling per attempt")
 	format := fs.String("format", "json", "report output format: json or table")
 	results := fs.Bool("results", false, "include per-scenario results (json format)")
@@ -291,6 +285,11 @@ func orchestrateMain(args []string) {
 	}
 	if *out == "" {
 		log.Fatalf("fleetsim orchestrate: -out directory is required")
+	}
+	if *retries < 0 {
+		// MaxAttempts <= 0 means the default, so -retries -1 would
+		// otherwise silently run three attempts.
+		log.Fatalf("fleetsim orchestrate: -retries %d must be non-negative", *retries)
 	}
 	cfg, err := buildConfig(*seed, *platforms, *classes, *policy, *policies)
 	if err != nil {
@@ -405,18 +404,6 @@ func parseShard(s string) (index, count int, err error) {
 		return 0, 0, fmt.Errorf("-shard %q out of range: want 1 <= i <= m", s)
 	}
 	return i - 1, m, nil
-}
-
-// maybePrintElideStats prints the runner's accumulated plan-reuse
-// counters to stderr when -elidestats is set. Stderr, not the report: the
-// elided count depends on -elide, whose setting must leave the
-// byte-compared report stream unchanged.
-func maybePrintElideStats(enabled bool, r *fleet.Runner) {
-	if !enabled {
-		return
-	}
-	s := r.PlanStats()
-	fmt.Fprintf(os.Stderr, "fleetsim: plans=%d elided=%d\n", s.Plans, s.Elided)
 }
 
 func progressFunc() func(done, total int) {

@@ -9,10 +9,11 @@
 // invariant analyzers plus a directive-hygiene pass:
 //
 //   - rangemap: `for … range` over a map in a determinism-critical package
-//     (sim, rtm, fleet, workload, trace) is the canonical determinism bug —
-//     iteration order is randomised per run. Collecting keys into a slice
-//     that is sorted (the sorted-keys idiom) is recognised as clean; any
-//     other map range needs a `//detlint:ordered <reason>` directive.
+//     (sim, rtm, fleet, workload, trace, hw, perf) is the canonical
+//     determinism bug — iteration order is randomised per run. Collecting
+//     keys into a slice that is sorted (the sorted-keys idiom) is
+//     recognised as clean; any other map range needs a
+//     `//detlint:ordered <reason>` directive.
 //   - wallclock: time.Now/Since/Sleep (and siblings) in those packages —
 //     the simulation owns its clock; wall time is only legal in
 //     orchestrator/CLI code, via `//detlint:allow wallclock <reason>`.
@@ -109,14 +110,17 @@ type Suite struct {
 }
 
 // criticalBases are the determinism-critical package names: the simulation
-// core, the policy/actuation layer, the fleet harness, the workload runner
-// and the trace formatter. Everything they emit feeds a golden cmp.
+// core, the policy/actuation layer, the fleet harness, the workload runner,
+// the trace formatter, and the hardware and DNN performance models the
+// engine and planners compute from. Everything they emit feeds a golden cmp.
 var criticalBases = map[string]bool{
 	"sim":      true,
 	"rtm":      true,
 	"fleet":    true,
 	"workload": true,
 	"trace":    true,
+	"hw":       true,
+	"perf":     true,
 }
 
 // DefaultCritical is the repo's classification: a package is

@@ -138,6 +138,8 @@ func TestDefaultCritical(t *testing.T) {
 		{"github.com/emlrtm/emlrtm/internal/fleet", true},
 		{"github.com/emlrtm/emlrtm/internal/workload", true},
 		{"github.com/emlrtm/emlrtm/internal/trace", true},
+		{"github.com/emlrtm/emlrtm/internal/hw", true},
+		{"github.com/emlrtm/emlrtm/internal/perf", true},
 		{"fixture/internal/sim", true},
 		// The tooling itself is not simulation state.
 		{"github.com/emlrtm/emlrtm/internal/detlint", false},

@@ -1,52 +1,95 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
+	"path/filepath"
 	"testing"
+
+	"github.com/emlrtm/emlrtm/internal/hw"
+	"github.com/emlrtm/emlrtm/internal/rtm"
+	"github.com/emlrtm/emlrtm/internal/workload"
 )
+
+// unsealed hides a policy behind the public Policy contract: the struct
+// promotes only Name and Plan, so rtm's sealed seams (elision and the
+// scratch planner) are out of reach and every replan plans fresh through
+// Plan. It is the elision-off reference.
+type unsealed struct{ rtm.Policy }
 
 // TestReplanElisionEquivalence is replan elision's correctness property at
 // the fleet layer: a Runner whose managers elide fingerprint-stable
-// replans must produce results byte-identical to a Runner with
-// NoPlanReuse — at workers 1 and 8, across a mix of platforms,
-// classes and policies. The elision-on arm must also demonstrably skip
-// work, or the test is vacuous.
+// replans must produce results byte-identical to the same scenarios
+// planned fresh by unsealed policies — at workers 1 and 8, across every
+// class (faulty fail/repair cycles included), the three built-ins and a
+// learned table, whose elision key folds in the thermal and slack buckets
+// it reads. The elision-on arm must also demonstrably skip work, or the
+// test is vacuous.
 func TestReplanElisionEquivalence(t *testing.T) {
-	cfg := GeneratorConfig{
-		Seed:     41,
-		Classes:  []Class{ClassSteady, ClassBursty, ClassThermal},
-		Policies: []string{"heuristic", "minenergy", "maxaccuracy"},
-	}
-	gen, err := NewGenerator(cfg)
+	table, _, err := Train(TrainConfig{Seed: 7, Workloads: 8, Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scens := gen.Generate(gen.RunCount(20))
-
-	off := &Runner{Workers: 1, NoPlanReuse: true}
-	want, err := json.Marshal(off.Run(scens))
+	path := filepath.Join(t.TempDir(), "table.json")
+	if err := table.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(GeneratorConfig{
+		Seed:     11,
+		Classes:  AllClasses(),
+		Policies: []string{"heuristic", "maxaccuracy", "minenergy", "learned:" + path},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := off.PlanStats(); s.Elided != 0 {
-		t.Fatalf("NoPlanReuse runner reused planning work: %+v", s)
+	scens := gen.Generate(gen.RunCount(48))
+	seen := map[Class]bool{}
+	for _, s := range scens {
+		seen[s.Class] = true
+	}
+	for _, c := range AllClasses() {
+		if !seen[c] {
+			t.Fatalf("class %s not sampled; pick another seed", c)
+		}
 	}
 
-	for _, workers := range []int{1, 8} {
-		r := &Runner{Workers: workers}
-		got, err := json.Marshal(r.Run(scens))
+	ref := make([]Scenario, len(scens))
+	for i, s := range scens {
+		pol, err := rtm.NewPolicy(s.Script.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Errorf("workers=%d: elision-on results differ from elision-off results", workers)
+		ref[i] = s
+		ref[i].Script.Planner = unsealed{pol}
+	}
+	off := (&Runner{Workers: 1}).Run(ref)
+	if Aggregate(11, off).Overall.ClusterFails == 0 {
+		t.Fatal("faulty scenarios recorded no cluster failures")
+	}
+	want, err := json.Marshal(off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		got, err := json.Marshal((&Runner{Workers: workers}).Run(scens))
+		if err != nil {
+			t.Fatal(err)
 		}
-		s := r.PlanStats()
-		if s.Plans == 0 {
-			t.Fatalf("workers=%d: no plans recorded", workers)
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: elision-on results differ from fresh-planning results", workers)
 		}
-		if s.Elided == 0 {
-			t.Errorf("workers=%d: elision-on run elided nothing: %+v", workers, s)
+	}
+
+	var st workload.Stack
+	elided := 0
+	for _, s := range scens {
+		_, mgr, _, err := workload.RunEngineOpts(&st, s.Script, hw.NewPlatform(s.Platform), TickS, nil, workload.RunOptions{LatenciesOnly: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		elided += mgr.PlanStats().Elided
+	}
+	if elided == 0 {
+		t.Error("elision-on fleet elided no replans")
 	}
 }

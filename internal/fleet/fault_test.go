@@ -117,40 +117,6 @@ func TestFaultyRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Replan elision is invisible under faults: a faulty fleet with elision
-// disabled (NoPlanReuse) matches the elision-on run byte for byte.
-func TestFaultyPlanCacheEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a faulty fleet three times")
-	}
-	cfg := GeneratorConfig{
-		Seed:     17,
-		Classes:  []Class{ClassFaulty},
-		Policies: []string{"heuristic", "minenergy", "maxaccuracy"},
-	}
-	gen, err := NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scens := gen.Generate(gen.RunCount(8))
-
-	off := &Runner{Workers: 1, NoPlanReuse: true}
-	want, err := json.Marshal(off.Run(scens))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 8} {
-		r := &Runner{Workers: workers}
-		got, err := json.Marshal(r.Run(scens))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("workers=%d: faulty elision-on results differ from elision-off results", workers)
-		}
-	}
-}
-
 // Aggregate edge cases: a group where every frame was degraded (healthy
 // denominator zero) and a scenario with no frames at all must produce
 // finite stats — NaN would poison the JSON report.

@@ -139,25 +139,26 @@ func Orchestrate(cfg OrchestratorConfig) (Report, []Result, error) {
 	}
 
 	// Collect shards as they complete — the incremental merge. Order of
-	// completion does not matter: Merge restores scenario order, and a
-	// late straggler only delays, never changes, the report.
+	// completion does not matter: Merge restores scenario order, a late
+	// straggler only delays, never changes, the report, and a failed run
+	// reports its lowest-index failed shard.
 	shards := make([]ShardResult, 0, cfg.Shards)
-	var firstErr error
+	errs := make([]error, cfg.Shards)
 	for done := 0; done < cfg.Shards; done++ {
 		o := <-ch
 		if o.err != nil {
 			logf("fleet: shard %d/%d FAILED: %v", o.index+1, cfg.Shards, o.err)
-			if firstErr == nil {
-				firstErr = o.err
-			}
+			errs[o.index] = o.err
 			continue
 		}
 		shards = append(shards, o.shard)
 		logf("fleet: shard %d/%d complete after %d attempt(s); merged %d/%d shards (%d results)",
 			o.index+1, cfg.Shards, o.attempts, len(shards), cfg.Shards, len(o.shard.Results))
 	}
-	if firstErr != nil {
-		return Report{}, nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return Report{}, nil, err
+		}
 	}
 	return Merge(shards...)
 }

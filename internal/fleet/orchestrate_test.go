@@ -258,6 +258,35 @@ func TestOrchestrateRetriesFailedShard(t *testing.T) {
 	}
 }
 
+// TestOrchestrateReportsLowestFailedShard: shards finish in any order, so
+// a failed orchestration must report its lowest-index failed shard, not
+// the first to fail. Shard 2 fails first; shard 1 fails only once the
+// orchestrator has logged shard 2's failure.
+func TestOrchestrateReportsLowestFailedShard(t *testing.T) {
+	var once sync.Once
+	failed2 := make(chan struct{})
+	start := func(spec ShardSpec) (ShardProcess, error) {
+		return inProcessShard(func() error {
+			if spec.Index == 0 {
+				<-failed2
+			}
+			return fmt.Errorf("shard index %d down", spec.Index)
+		}), nil
+	}
+	_, _, err := Orchestrate(OrchestratorConfig{
+		Config: helperConfig(3), Workloads: 4, Shards: 2, Dir: t.TempDir(),
+		Start: start, MaxAttempts: 1,
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(fmt.Sprintf(format, args...), "fleet: shard 2/2 FAILED") {
+				once.Do(func() { close(failed2) })
+			}
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "shard 1/2") || !strings.Contains(err.Error(), "shard index 0 down") {
+		t.Fatalf("error %v, want shard 1/2's", err)
+	}
+}
+
 // inProcessShard adapts a function into a ShardProcess for tests; Kill is
 // a no-op (nothing to signal in-process).
 type fnProcess struct{ done chan error }

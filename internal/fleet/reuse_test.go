@@ -120,7 +120,7 @@ func TestWorkerReuseEquivalence(t *testing.T) {
 	w := &worker{}
 	got := make([]Result, len(scens))
 	for i, s := range scens {
-		got[i], _ = runOne(s, runOpts{keepLatencies: true, w: w})
+		got[i] = runOne(s, w, true)
 	}
 	check("worker", got)
 	if len(w.plats) != len(hw.Catalog()) {

@@ -78,8 +78,7 @@ const TickS = 0.25
 // fresh ones), which is what makes fleet results independent of
 // scheduling. RunOne itself builds everything fresh.
 func RunOne(s Scenario) Result {
-	r, _ := runOne(s, runOpts{keepLatencies: true})
-	return r
+	return runOne(s, nil, true)
 }
 
 // worker is the run state one fleet worker reuses across its whole
@@ -106,20 +105,10 @@ func (w *worker) platform(name string) *hw.Platform {
 	return p
 }
 
-// runOpts bundles the per-run knobs runOne threads through to
-// workload.RunEngineOpts: whether raw Latencies are published, which
-// worker's run state to reuse (nil builds everything fresh), and whether
-// replan elision is disabled. None of them change a result byte —
-// TestWorkerReuseEquivalence and TestReplanElisionEquivalence pin that.
-type runOpts struct {
-	keepLatencies bool
-	w             *worker
-	noPlanReuse   bool
-}
-
-// runOne is RunOne with runOpts control. It also returns the manager's
-// plan-reuse counters for observability accumulation.
-func runOne(s Scenario, o runOpts) (Result, rtm.PlanStats) {
+// runOne is RunOne on a worker's reused run state (nil builds everything
+// fresh); keepLatencies publishes the raw Latencies. Neither changes a
+// result byte: TestWorkerReuseEquivalence pins that.
+func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 	script := s.Script
 	if script.Policy == "" {
 		// Hand-built scenarios may set only the outer Policy field.
@@ -143,7 +132,6 @@ func runOne(s Scenario, o runOpts) (Result, rtm.PlanStats) {
 	if res.Policy == "" {
 		res.Policy = rtm.DefaultPolicy
 	}
-	w := o.w
 	if w == nil {
 		w = &worker{}
 	}
@@ -151,15 +139,12 @@ func runOne(s Scenario, o runOpts) (Result, rtm.PlanStats) {
 	plat := w.platform(s.Platform)
 	if plat == nil {
 		res.Err = fmt.Sprintf("unknown platform %q", s.Platform)
-		return res, rtm.PlanStats{}
+		return res
 	}
-	_, mgr, rep, err := workload.RunEngineOpts(&w.stack, script, plat, TickS, nil, workload.RunOptions{
-		DisablePlanReuse: o.noPlanReuse,
-		LatenciesOnly:    true,
-	})
+	_, mgr, rep, err := workload.RunEngineOpts(&w.stack, script, plat, TickS, nil, workload.RunOptions{LatenciesOnly: true})
 	if err != nil {
 		res.Err = err.Error()
-		return res, rtm.PlanStats{}
+		return res
 	}
 
 	res.DurationS = rep.DurationS
@@ -196,7 +181,7 @@ func runOne(s Scenario, o runOpts) (Result, rtm.PlanStats) {
 	// place once the published copy is taken.
 	raw := rep.Latencies
 	if len(raw) == 0 {
-		return res, mgr.PlanStats()
+		return res
 	}
 	var sum float64
 	maxL := raw[0]
@@ -208,7 +193,7 @@ func runOne(s Scenario, o runOpts) (Result, rtm.PlanStats) {
 	}
 	res.MeanLatencyS = sum / float64(len(raw))
 	res.MaxLatencyS = maxL
-	if o.keepLatencies {
+	if keepLatencies {
 		// Publish an exact-size copy in completion order: the engine's
 		// buffer never escapes, and its spare capacity never reaches the
 		// Result.
@@ -216,10 +201,12 @@ func runOne(s Scenario, o runOpts) (Result, rtm.PlanStats) {
 		copy(res.Latencies, raw)
 	}
 	res.P95LatencyS = percentileSelect(raw, 0.95)
-	return res, mgr.PlanStats()
+	return res
 }
 
-// Runner fans scenarios out over a bounded worker pool.
+// Runner fans scenarios out over a bounded worker pool. Every manager
+// elides fingerprint-stable replans; the results are byte-identical to
+// planning each replan fresh (TestReplanElisionEquivalence).
 type Runner struct {
 	// Workers is the pool size; 0 means runtime.NumCPU().
 	Workers int
@@ -255,55 +242,6 @@ type Runner struct {
 	// same prefix-complete order a sequential run would produce. Calls are
 	// serialized but may arrive from any worker goroutine.
 	OnResult func(index int, r Result)
-	// NoPlanReuse turns off replan elision in every scenario's manager
-	// (rtm.Manager.NoPlanReuse; the fleetsim -elide=false switch).
-	// Results are byte-identical either way — the switch exists so CI can
-	// prove exactly that, and so regressions can be bisected against the
-	// elision-free path.
-	NoPlanReuse bool
-
-	// planStats accumulates every run's plan-reuse counters across this
-	// Runner's lifetime (all Run calls). It sits behind a pointer so the
-	// Runner itself stays a plain copyable value: the streaming path
-	// copies a caller's Runner to rewire OnResult, and a shared
-	// accumulator is exactly what that copy should inherit.
-	planStats *planStatsAccum
-}
-
-// planStatsAccum is the mutex-guarded plan-reuse counter shared by every
-// copy of a Runner.
-type planStatsAccum struct {
-	mu sync.Mutex
-	s  rtm.PlanStats
-}
-
-// PlanStats reports the accumulated plan-reuse counters of every
-// scenario this Runner has executed. The totals are observability only:
-// they describe how planning work was skipped, not what the simulation
-// did, so these numbers never enter reports.
-func (r *Runner) PlanStats() rtm.PlanStats {
-	if r.planStats == nil {
-		return rtm.PlanStats{}
-	}
-	r.planStats.mu.Lock()
-	defer r.planStats.mu.Unlock()
-	return r.planStats.s
-}
-
-// addPlanStats folds one worker's accumulated counters into the runner's.
-func (r *Runner) addPlanStats(s rtm.PlanStats) {
-	r.planStats.mu.Lock()
-	r.planStats.s.Add(s)
-	r.planStats.mu.Unlock()
-}
-
-// ensurePlanStats lazily installs the shared accumulator. Called from the
-// single-threaded entry of Run (and before the streaming path copies the
-// Runner), so later copies share one accumulator with the original.
-func (r *Runner) ensurePlanStats() {
-	if r.planStats == nil {
-		r.planStats = &planStatsAccum{}
-	}
 }
 
 // Run executes all scenarios and returns results indexed by scenario
@@ -313,83 +251,80 @@ func (r *Runner) ensurePlanStats() {
 // — for its whole scenario stream, Reset in place between scenarios, so
 // construction is paid once per worker, not once per scenario.
 func (r *Runner) Run(scenarios []Scenario) []Result {
-	r.ensurePlanStats()
-	results := make([]Result, len(scenarios))
-	workers := r.Workers
+	n := len(scenarios)
+	results := make([]Result, n)
+	// OnResult delivery is in order: ready marks finished indices and emit
+	// is the next index owed to the callback. Whichever run completes the
+	// missing prefix element drains everything deliverable behind it.
+	// Progress shares the critical section, so a Progress(done, total)
+	// call never races ahead of the OnResult calls it claims to cover.
+	var (
+		mu    sync.Mutex
+		ready []bool
+		emit  int
+		done  atomic.Int64
+	)
+	if r.OnResult != nil {
+		ready = make([]bool, n)
+	}
+	forEachRun(r.Workers, n, func(i int, w *worker) {
+		results[i] = runOne(scenarios[i], w, !r.DropLatencies)
+		if r.OnResult == nil {
+			if r.Progress != nil {
+				r.Progress(int(done.Add(1)), n)
+			}
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		ready[i] = true
+		from := emit
+		for emit < n && ready[emit] {
+			r.OnResult(emit, results[emit])
+			emit++
+		}
+		if r.Progress != nil && emit > from {
+			r.Progress(emit, n)
+		}
+	})
+	return results
+}
+
+// forEachRun calls fn(i, w) for every i in [0, n) on a pool of at most
+// workers goroutines (workers <= 0 means runtime.NumCPU()). Each goroutine
+// hands fn its own worker run state for every index it takes, so engine,
+// manager and platform construction is paid once per worker. One worker
+// runs inline, in index order. Callers store results by index, so
+// scheduling never reorders anything.
+func forEachRun(workers, n int, fn func(i int, w *worker)) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		o := runOpts{keepLatencies: !r.DropLatencies, w: &worker{}, noPlanReuse: r.NoPlanReuse}
-		var stats rtm.PlanStats
-		for i, s := range scenarios {
-			var ps rtm.PlanStats
-			results[i], ps = runOne(s, o)
-			stats.Add(ps)
-			if r.OnResult != nil {
-				r.OnResult(i, results[i])
-			}
-			if r.Progress != nil {
-				r.Progress(i+1, len(scenarios))
-			}
+		w := &worker{}
+		for i := range n {
+			fn(i, w)
 		}
-		r.addPlanStats(stats)
-		return results
+		return
 	}
-	// emit tracks in-order delivery for OnResult: ready marks finished
-	// indices, emit is the next index owed to the callback. Whichever
-	// worker completes the missing prefix element drains everything that
-	// became deliverable behind it, under the mutex, so callbacks stay
-	// serialized and ordered. Progress shares the critical section so a
-	// Progress(done, total) call can never race ahead of the OnResult
-	// deliveries it claims to cover.
-	var (
-		emitMu sync.Mutex
-		ready  []bool
-		emit   int
-	)
-	if r.OnResult != nil {
-		ready = make([]bool, len(scenarios))
-	}
-	var next, done atomic.Int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
-			o := runOpts{keepLatencies: !r.DropLatencies, w: &worker{}, noPlanReuse: r.NoPlanReuse}
-			var stats rtm.PlanStats
-			defer func() { r.addPlanStats(stats) }()
+			w := &worker{}
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) {
+				if i >= n {
 					return
 				}
-				var ps rtm.PlanStats
-				results[i], ps = runOne(scenarios[i], o)
-				stats.Add(ps)
-				if r.OnResult != nil {
-					emitMu.Lock()
-					ready[i] = true
-					delivered := 0
-					for emit < len(ready) && ready[emit] {
-						r.OnResult(emit, results[emit])
-						emit++
-						delivered++
-					}
-					if r.Progress != nil && delivered > 0 {
-						r.Progress(emit, len(scenarios))
-					}
-					emitMu.Unlock()
-				} else if r.Progress != nil {
-					r.Progress(int(done.Add(1)), len(scenarios))
-				}
+				fn(i, w)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }

@@ -390,10 +390,7 @@ func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, cou
 	if next < hi {
 		// Copy the runner so the stream hook does not clobber a caller's
 		// own callback wiring; OnResult delivery is already serialized and
-		// index-ordered, which is exactly the order the stream needs. The
-		// copy shares the original's plan-stats accumulator, so the
-		// caller's PlanStats still sees this run.
-		r.ensurePlanStats()
+		// index-ordered, which is exactly the order the stream needs.
 		rr := *r
 		var streamErr error
 		rr.OnResult = func(_ int, res Result) {

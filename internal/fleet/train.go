@@ -3,10 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/emlrtm/emlrtm/internal/rtm"
 )
@@ -88,9 +85,6 @@ func (cfg TrainConfig) applied() TrainConfig {
 	}
 	if cfg.MissWeight == 0 && cfg.EnergyWeight == 0 {
 		cfg.MissWeight, cfg.EnergyWeight = 1, 0.05
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
 	}
 	return cfg
 }
@@ -183,11 +177,10 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	// recorder pins one arm, so each visited state gets a clean sample of
 	// what that arm costs end to end.
 	sweep := make([]trainRun, len(scenarios)*len(cfg.Arms))
-	err = forEachRun(cfg.Workers, len(sweep), func(i int, w *worker) {
+	if err := trainAll(cfg.Workers, sweep, func(i int, w *worker) trainRun {
 		wl, arm := i/len(cfg.Arms), i%len(cfg.Arms)
-		sweep[i] = trainOne(cfg, scenarios[wl], func(string) int { return arm }, w)
-	}, sweep)
-	if err != nil {
+		return trainOne(cfg, scenarios[wl], func(string) int { return arm }, w)
+	}); err != nil {
 		return nil, TrainReport{}, err
 	}
 	rep.Runs += len(sweep)
@@ -210,16 +203,15 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	// independent.
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		runs := make([]trainRun, len(scenarios))
-		err = forEachRun(cfg.Workers, len(runs), func(wl int, w *worker) {
+		if err := trainAll(cfg.Workers, runs, func(wl int, w *worker) trainRun {
 			rng := rand.New(newSource(int64(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl)))))
-			runs[wl] = trainOne(cfg, scenarios[wl], func(key string) int {
+			return trainOne(cfg, scenarios[wl], func(key string) int {
 				if arm := greedyArm(table, key); arm >= 0 && rng.Float64() >= cfg.Epsilon {
 					return arm
 				}
 				return rng.Intn(len(cfg.Arms))
 			}, w)
-		}, runs)
-		if err != nil {
+		}); err != nil {
 			return nil, TrainReport{}, err
 		}
 		rep.Runs += len(runs)
@@ -253,40 +245,11 @@ func greedyArm(t *rtm.LearnedTable, key string) int {
 	return best
 }
 
-// forEachRun executes fn(0..n-1) across a bounded worker pool, then
-// surfaces the first (lowest-index) run error. Results land in the
-// caller's slice by index, so scheduling never reorders anything. Each
-// worker hands fn its own run state for every run it executes, so
-// training pays engine, manager and platform construction once per
-// worker, exactly like Runner.Run.
-func forEachRun(workers, n int, fn func(i int, w *worker), runs []trainRun) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		w := &worker{}
-		for i := 0; i < n; i++ {
-			fn(i, w)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				w := &worker{}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					fn(i, w)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+// trainAll fills runs[i] with run(i, w) on a pool of workers, then
+// surfaces the lowest-index run error, so the reported failure does not
+// depend on which worker finished first.
+func trainAll(workers int, runs []trainRun, run func(i int, w *worker) trainRun) error {
+	forEachRun(workers, len(runs), func(i int, w *worker) { runs[i] = run(i, w) })
 	for i := range runs {
 		if runs[i].err != nil {
 			return fmt.Errorf("fleet: training run %d (%s): %w", i, runs[i].errContext(), runs[i].err)
@@ -326,7 +289,7 @@ func trainOne(cfg TrainConfig, s Scenario, pick func(key string) int, w *worker)
 		rec.arms[i] = p
 	}
 	s.Script.Planner = rec
-	r, _ := runOne(s, runOpts{w: w})
+	r := runOne(s, w, false)
 	if r.Err != "" {
 		return trainRun{visits: rec.visits, err: fmt.Errorf("%s", r.Err)}
 	}

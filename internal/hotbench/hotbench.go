@@ -149,12 +149,19 @@ func managedEngine(tb testing.TB) (*rtm.Manager, *sim.Engine) {
 }
 
 // replan is the full manager path against a live engine: view build,
-// policy plan and actuation. Plan reuse is off, or every op after the
-// first on a quiescent engine would be elided.
+// policy plan and actuation. Each op re-installs the policy first, which
+// moves the planning fingerprint, or every op after the first on a
+// quiescent engine would be elided.
 func replan(tb testing.TB) func() {
 	mgr, e := managedEngine(tb)
-	mgr.NoPlanReuse = true
-	return func() { mgr.Replan(e) }
+	pol, err := rtm.NewPolicy(rtm.DefaultPolicy)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		mgr.SetPolicy(pol)
+		mgr.Replan(e)
+	}
 }
 
 // replanElided is the fingerprint-stable fast path: once the first op

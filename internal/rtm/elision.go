@@ -24,12 +24,6 @@ type PlanStats struct {
 	Elided int `json:"elided"`
 }
 
-// Add accumulates other into s.
-func (s *PlanStats) Add(other PlanStats) {
-	s.Plans += other.Plans
-	s.Elided += other.Elided
-}
-
 // fingerprinted is the sealed seam behind replan elision: a policy whose
 // plan depends only on the engine's PlanEpoch-tracked state plus the
 // manager's thermal stance returns a constant; a policy that additionally

@@ -12,8 +12,9 @@ import (
 // reuseScenario is a dynamic managed run shared by the elision and
 // equivalence tests: two DNNs with real contention, a render app arriving
 // mid-run, an ambient jump driving thermal pressure, and a requirement
-// change — every replan trigger the manager has.
-func reuseScenario(t *testing.T, pol Policy, noReuse bool) (*Manager, sim.Report) {
+// change — every replan trigger the manager has. Wrapping pol in unsealed
+// gives the reuse-off arm.
+func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report) {
 	t.Helper()
 	prof := perf.UniformProfile("reuse", 7_000_000, 7<<20, perf.PaperAccuracies, nil)
 	apps := []sim.App{
@@ -37,7 +38,6 @@ func reuseScenario(t *testing.T, pol Policy, noReuse bool) (*Manager, sim.Report
 		"dnn2": {MinAccuracy: 0.70, Priority: 2},
 	})
 	mgr.SetPolicy(pol)
-	mgr.NoPlanReuse = noReuse
 	hot, relaxed := false, false
 	nextForce := 2.0
 	ctrl := ctrlFuncs{
@@ -108,7 +108,13 @@ func testPolicies(t *testing.T) map[string]func() Policy {
 	}
 }
 
-// TestPlanReuseEquivalence is the tentpole's correctness property at the
+// unsealed hides a policy behind the public Policy contract: the struct
+// promotes only Name and Plan, so the sealed elision seam and the scratch
+// planner are out of reach and every Replan plans fresh through Plan. It is
+// the reuse-off reference arm.
+type unsealed struct{ Policy }
+
+// TestPlanReuseEquivalence is replan elision's correctness property at the
 // manager layer: with replan elision on the full simulation
 // report — every event, stat and temperature — must be byte-identical to
 // planning every replan fresh, for every built-in policy and a trained
@@ -116,8 +122,8 @@ func testPolicies(t *testing.T) map[string]func() Policy {
 func TestPlanReuseEquivalence(t *testing.T) {
 	for name, mk := range testPolicies(t) {
 		t.Run(name, func(t *testing.T) {
-			mgrOff, repOff := reuseScenario(t, mk(), true)
-			mgrOn, repOn := reuseScenario(t, mk(), false)
+			mgrOff, repOff := reuseScenario(t, unsealed{mk()})
+			mgrOn, repOn := reuseScenario(t, mk())
 
 			off, err := json.Marshal(repOff)
 			if err != nil {
@@ -136,7 +142,7 @@ func TestPlanReuseEquivalence(t *testing.T) {
 			}
 			offStats := mgrOff.PlanStats()
 			if offStats.Elided != 0 {
-				t.Errorf("NoPlanReuse manager reused work: %+v", offStats)
+				t.Errorf("unsealed policy's manager reused work: %+v", offStats)
 			}
 			onStats := mgrOn.PlanStats()
 			if onStats.Elided == 0 {
@@ -150,13 +156,13 @@ func TestPlanReuseEquivalence(t *testing.T) {
 // outcome): a counting policy must be invoked strictly fewer times with
 // reuse on, while the manager reports the same number of replans.
 func TestReplanElisionSavesPolicyCalls(t *testing.T) {
-	calls := func(noReuse bool) (int, int) {
+	calls := func(wrap func(*countingHeuristic) Policy) (int, int) {
 		cp := &countingHeuristic{}
-		mgr, _ := reuseScenario(t, cp, noReuse)
+		mgr, _ := reuseScenario(t, wrap(cp))
 		return cp.calls, mgr.Plans()
 	}
-	offCalls, offPlans := calls(true)
-	onCalls, onPlans := calls(false)
+	offCalls, offPlans := calls(func(cp *countingHeuristic) Policy { return unsealed{cp} })
+	onCalls, onPlans := calls(func(cp *countingHeuristic) Policy { return cp })
 	if onPlans != offPlans {
 		t.Fatalf("plans diverged: %d vs %d", onPlans, offPlans)
 	}
@@ -190,7 +196,7 @@ func (p *countingHeuristic) planInto(v *View, sc *planScratch) []Assignment {
 // interface must plan fresh on every replan — elision is opt-in for
 // exactly-known read-sets only.
 func TestThirdPartyPolicyNeverReused(t *testing.T) {
-	mgr, _ := reuseScenario(t, externalPolicy{}, false)
+	mgr, _ := reuseScenario(t, externalPolicy{})
 	s := mgr.PlanStats()
 	if s.Elided != 0 {
 		t.Fatalf("third-party policy was reused: %+v", s)

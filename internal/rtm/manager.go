@@ -71,12 +71,6 @@ type Manager struct {
 	// fault after a quiet period always replans immediately.
 	FaultReplanBackoffS float64
 
-	// NoPlanReuse disables replan elision: every Replan rebuilds the view
-	// and re-runs the policy. Elision is byte-identical by construction;
-	// this switch exists so equivalence tests and the CI determinism check
-	// can prove it.
-	NoPlanReuse bool
-
 	policy       Policy
 	eng          *sim.Engine // the engine the last Replan ran against
 	registry     *Registry   // built by Registry on first use
@@ -353,11 +347,8 @@ func (m *Manager) buildView(e *sim.Engine) View {
 }
 
 // fingerprint builds the elision key for the current policy, or ok=false
-// when the policy has not opted into elision (or reuse is disabled).
+// when the policy has not opted into elision.
 func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
-	if m.NoPlanReuse {
-		return planFingerprint{}, false
-	}
 	fpr, ok := m.policy.(fingerprinted)
 	if !ok {
 		return planFingerprint{}, false

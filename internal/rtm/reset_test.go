@@ -48,7 +48,7 @@ func disturbedRun(t *testing.T, mgr *Manager, plat *hw.Platform, apps []sim.App,
 
 // TestManagerResetMatchesNew: a manager left dirty by a faulty, thermally
 // pressured run — pressure outstanding, fault recoveries recorded, a
-// logger, plan reuse off and a custom pressure step — must, once Reset,
+// logger and a custom pressure step — must, once Reset,
 // run the next scenario exactly as a new manager does.
 func TestManagerResetMatchesNew(t *testing.T) {
 	hot := dnn("d", "cpu-big", 4, 0.040)
@@ -57,7 +57,6 @@ func TestManagerResetMatchesNew(t *testing.T) {
 	logged := 0
 	m := NewManager(map[string]Requirement{"d": {MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1}})
 	m.Logf = func(string, ...any) { logged++ }
-	m.NoPlanReuse = true
 	m.PressureStepC = 7
 	disturbedRun(t, m, hw.FlagshipSoC(), []sim.App{hot}, 62, "cpu-big", 8, 12, 16)
 	if m.Pressure() == 0 || len(m.FaultRecoveries()) == 0 || logged == 0 {

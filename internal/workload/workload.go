@@ -220,14 +220,9 @@ func Run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)
 	return RunEngineOpts(nil, s, plat, tickS, logf, RunOptions{})
 }
 
-// RunOptions carries plan-reuse and logging wiring for RunEngineOpts. The
-// zero value is the default behaviour: replan elision is active and the
-// Report carries the full event log.
+// RunOptions carries logging wiring for RunEngineOpts. The zero value is
+// the default behaviour: the Report carries the full event log.
 type RunOptions struct {
-	// DisablePlanReuse turns off replan elision (rtm.Manager.NoPlanReuse)
-	// — the reuse-off arm of equivalence tests and the fleetsim
-	// -elide=false switch.
-	DisablePlanReuse bool
 	// LatenciesOnly keeps the latency log instead of the event log
 	// (sim.Config.LogLatencies): the Report carries Latencies and no
 	// Events. Fleet runs read nothing else from the log.
@@ -255,9 +250,9 @@ type Stack struct {
 // them, and the Report, before its next run, whose Resets rewrite the
 // manager's counters and the engine logs the Report's Events and
 // Latencies alias. After an error the stack drops its engine, so a
-// half-run engine is never reused. Neither option changes a simulated
-// outcome: they only control whether planning work is skipped and what
-// the Report logs.
+// half-run engine is never reused. The options change no simulated
+// outcome, only what the Report logs. Replan elision is always on; a
+// Planner outside rtm's sealed elision seam plans every replan fresh.
 func RunEngineOpts(st *Stack, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), opts RunOptions) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	pol := s.Planner
 	if pol == nil {
@@ -278,7 +273,6 @@ func RunEngineOpts(st *Stack, s Scenario, plat *hw.Platform, tickS float64, logf
 	mgr := st.mgr
 	mgr.SetPolicy(pol)
 	mgr.Logf = logf
-	mgr.NoPlanReuse = opts.DisablePlanReuse
 	st.ctrl.reset(mgr, s.Actions, s.Faults)
 	cfg := sim.Config{
 		Platform:     plat,
