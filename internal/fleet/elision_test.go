@@ -17,6 +17,22 @@ import (
 // Plan. It is the elision-off reference.
 type unsealed struct{ rtm.Policy }
 
+// plannedFresh returns copies of scens whose policies are wrapped in
+// unsealed, so every replan of a run over them plans fresh.
+func plannedFresh(t *testing.T, scens []Scenario) []Scenario {
+	t.Helper()
+	ref := make([]Scenario, len(scens))
+	for i, s := range scens {
+		pol, err := rtm.NewPolicy(s.Script.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[i] = s
+		ref[i].Script.Planner = unsealed{pol}
+	}
+	return ref
+}
+
 // TestReplanElisionEquivalence is replan elision's correctness property at
 // the fleet layer: a Runner whose managers elide fingerprint-stable
 // replans must produce results byte-identical to the same scenarios
@@ -53,16 +69,7 @@ func TestReplanElisionEquivalence(t *testing.T) {
 		}
 	}
 
-	ref := make([]Scenario, len(scens))
-	for i, s := range scens {
-		pol, err := rtm.NewPolicy(s.Script.Policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref[i] = s
-		ref[i].Script.Planner = unsealed{pol}
-	}
-	off := (&Runner{Workers: 1}).Run(ref)
+	off := (&Runner{Workers: 1}).Run(plannedFresh(t, scens))
 	if Aggregate(11, off).Overall.ClusterFails == 0 {
 		t.Fatal("faulty scenarios recorded no cluster failures")
 	}

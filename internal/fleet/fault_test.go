@@ -117,6 +117,38 @@ func TestFaultyRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// Replan elision is invisible under faults: a faulty fleet planned fresh
+// (unsealed policies) matches the elision-on run byte for byte.
+func TestFaultyPlanCacheEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a faulty fleet three times")
+	}
+	cfg := GeneratorConfig{
+		Seed:     17,
+		Classes:  []Class{ClassFaulty},
+		Policies: []string{"heuristic", "minenergy", "maxaccuracy"},
+	}
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens := gen.Generate(gen.RunCount(8))
+
+	want, err := json.Marshal((&Runner{Workers: 1}).Run(plannedFresh(t, scens)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		got, err := json.Marshal((&Runner{Workers: workers}).Run(scens))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers=%d: faulty elision-on results differ from fresh-planning results", workers)
+		}
+	}
+}
+
 // Aggregate edge cases: a group where every frame was degraded (healthy
 // denominator zero) and a scenario with no frames at all must produce
 // finite stats — NaN would poison the JSON report.
