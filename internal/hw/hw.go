@@ -219,6 +219,9 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("hw: cluster %s references unknown companion %s", c.Name, c.CompanionName)
 		}
 	}
+	if !finite(p.AmbientC) {
+		return fmt.Errorf("hw: platform %s ambient must be finite, got %f", p.Name, p.AmbientC)
+	}
 	return p.Thermal.Validate()
 }
 

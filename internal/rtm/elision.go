@@ -20,7 +20,8 @@ type PlanStats struct {
 	// an elided replan still counts as a plan, exactly as before).
 	Plans int `json:"plans"`
 	// Elided counts replans skipped entirely because the planning
-	// fingerprint was unchanged since the last actuated fixed point.
+	// fingerprint was unchanged since the last planned replan, which was
+	// therefore an actuated fixed point.
 	Elided int `json:"elided"`
 }
 

@@ -95,9 +95,10 @@ type Manager struct {
 	degradedUsed      []int // scratch for applyDegradedFallback
 
 	// Plan-reuse state: version counters folded into the elision
-	// fingerprint, the fingerprint of the last actuated plan (valid only
-	// while lastFPOK — i.e. the last actuation was a fixed point), and the
-	// elision counter.
+	// fingerprint, the fingerprint the last planned replan was keyed on
+	// (valid only while lastFPOK: that replan's policy opted into elision,
+	// against the engine the manager still plans for), and the elision
+	// counter.
 	reqsVer   uint64
 	policyVer uint64
 	lastFP    planFingerprint
@@ -368,14 +369,14 @@ func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
 // build the view, delegate planning to the policy, actuate the plan.
 //
 // Elision sits in front of the policy, byte-identical to planning fresh:
-// when the planning fingerprint is unchanged since the last plan AND that
-// plan actuated as a fixed point (actuation changed nothing, so engine
-// state equals the plan's targets), planning would reproduce the same
-// plan and actuation would no-op — skip all of it. The fixed-point
-// condition is essential: a plan the engine could not fully realise (a
-// failed migration, an oscillating policy) must keep replanning. Counters
-// (LastPlan, LastView, Plans, miss reset) behave identically on both
-// paths.
+// when the planning fingerprint is unchanged since the last planned
+// replan, planning would reproduce the same plan and actuation would
+// no-op — skip all of it. That replan's actuation left the engine at the
+// plan's targets, or it moved a knob and with it the plan epoch, which
+// only ever grows: then the fingerprint cannot match again. A knob the
+// engine refused (a migration onto a full cluster) moves nothing, and
+// the same plan would be refused again. Counters (LastPlan, LastView,
+// Plans, miss reset) behave identically on both paths.
 //
 //detlint:hotpath
 func (m *Manager) Replan(e *sim.Engine) {
@@ -384,8 +385,9 @@ func (m *Manager) Replan(e *sim.Engine) {
 	m.plans++
 	if e != m.eng {
 		// A registry reads through to one engine; Registry builds the
-		// next one for this engine on demand.
-		m.eng, m.registry = e, nil
+		// next one for this engine on demand. Another engine's epoch
+		// says nothing about this one's, so the next replan plans fresh.
+		m.eng, m.registry, m.lastFPOK = e, nil, false
 	}
 
 	fp, fpOK := m.fingerprint(e)
@@ -433,13 +435,10 @@ func (m *Manager) Replan(e *sim.Engine) {
 		m.recoveries = append(m.recoveries, v.NowS-m.faultAtS)
 		m.faultPending = false
 	}
-	// Arm elision for the next replan only if actuating this plan was a
-	// fixed point: no knob moved, so engine state now equals the plan's
-	// targets and an identical fingerprint implies an identical no-op
-	// replan. (fp was sampled before actuation; PlanEpoch moving past
-	// fp.epoch means actuation changed something.)
-	m.lastFP = fp
-	m.lastFPOK = fpOK && e.PlanEpoch() == fp.epoch
+	// Arm elision for the next replan. fp was sampled before actuation;
+	// if actuation moved a knob, PlanEpoch has moved past fp.epoch and no
+	// later fingerprint equals fp, so only a fixed point is ever elided.
+	m.lastFP, m.lastFPOK = fp, fpOK
 }
 
 // applyDegradedFallback rewrites any assignment still targeting an offline

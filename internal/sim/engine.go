@@ -279,13 +279,10 @@ func (e *Engine) computeClusterUtil(cs *clusterState) float64 {
 			}
 		}
 	}
-	// Companion load induced by accelerators hosting active DNN jobs.
-	// clusterList follows platform order, so the accumulation order is
+	// Companion load induced by accelerators hosting active DNN jobs. The
+	// loaders are threaded in platform order, so the accumulation order is
 	// identical to iterating e.plat.Clusters.
-	for _, ocs := range e.clusterList {
-		if ocs.companion != cs || ocs.c.CompanionUtil == 0 {
-			continue
-		}
+	for ocs := cs.loadHead; ocs != nil; ocs = ocs.loadNext {
 		if e.anyActiveDNN(ocs) {
 			util += ocs.c.CompanionUtil
 		}
@@ -661,6 +658,7 @@ func (e *Engine) windowEnd() (tempC, overThrotS, overCritS float64) {
 //
 //detlint:hotpath
 func (e *Engine) closeWindow() {
+	e.windows++
 	to, overThrot, overCrit := e.windowEnd()
 	e.overThrotS += overThrot
 	e.overCritS += overCrit
@@ -699,14 +697,16 @@ func (e *Engine) timeAbove(limitC, from, to, dt float64) float64 {
 }
 
 // temperature returns the die temperature at the clock, evaluating the
-// open window without closing it.
+// open window without closing it. It is hw.ThermalParams.TempAfterC with
+// the decay factor read from the engine's memo, bit for bit.
 //
 //detlint:hotpath
 func (e *Engine) temperature() float64 {
 	if e.now <= e.winT0S {
 		return e.winT0C
 	}
-	return e.plat.Thermal.TempAfterC(e.ambient, e.winPowerW, e.winT0C, e.now-e.winT0S)
+	th := &e.plat.Thermal
+	return th.TempDecayC(e.ambient, e.winPowerW, e.winT0C, e.decay.Factor(e.now-e.winT0S, th.TauS()))
 }
 
 // rescheduleThermal arms the alarm timer at the open window's upward

@@ -22,7 +22,7 @@ func reportJSON(t *testing.T, rep Report) []byte {
 // layer: Reset-then-Run on a reused engine must produce a report
 // byte-identical to New-then-Run of the same config, including across
 // config changes that shrink and regrow the backing stores (fewer apps,
-// different platform, then back).
+// different platforms, then back).
 func TestResetEquivalence(t *testing.T) {
 	big := Config{Platform: hw.FlagshipSoC(), Apps: BenchApps(), LogEvents: true}
 	small := Config{
@@ -30,9 +30,19 @@ func TestResetEquivalence(t *testing.T) {
 		Apps:      []App{dnnApp("solo", "a15", 4, 3, 0.05)},
 		LogEvents: true,
 	}
-	// The reuse sequence big→small→big exercises store shrink, map clear
-	// with stale keys, and regrowth into retained capacity.
-	seq := []Config{big, small, big, small, big}
+	jetson := Config{
+		Platform: hw.JetsonNano(),
+		Apps: []App{
+			dnnApp("vision", "gpu", 0, 4, 0.02),
+			dnnApp("audio", "a57", 2, 2, 0.1),
+		},
+		LogEvents: true,
+	}
+	// The reuse sequence flagship→odroid→jetson→flagship exercises store
+	// shrink, map clear with stale keys, and regrowth into retained
+	// capacity. It also takes one engine, and its decay memo, through all
+	// three thermal time constants (4, 27 and 36 s).
+	seq := []Config{big, small, jetson, big}
 
 	var reused *Engine
 	for i, cfg := range seq {

@@ -277,8 +277,13 @@ type clusterState struct {
 	segBusy  bool
 
 	// companion is the CPU cluster this accelerator's inference loads
-	// (nil for none), resolved once per Reset.
+	// (nil for none), resolved once per Reset. loadHead lists the
+	// accelerators that load this cluster (those whose companion it is,
+	// with a non-zero CompanionUtil), linked through loadNext in platform
+	// order, so a utilisation refill visits only them.
 	companion *clusterState
+	loadHead  *clusterState
+	loadNext  *clusterState
 	// coreScale[n] is c.CoreScale(n) for n in 0..Cores, tabulated once per
 	// Reset so job-rate refreshes never call math.Pow (see rate). It is a
 	// window of Engine.coreScaleStore.
@@ -335,6 +340,16 @@ type Engine struct {
 	// throttle alarm: a window opened, the ambient moved, or the alarm was
 	// consumed or cleared.
 	thermalDirty bool
+	// decay memoises the window's decay factor e^(−dt/τ) by (dt, τ), so
+	// evaluating a window whose length recurs costs no math.Exp. The
+	// factor is a pure function of its key, so a hit is exactly what
+	// math.Exp would return and the table survives Reset, platform
+	// changes included; it is never shared between engines.
+	decay hw.DecayMemo
+	// windows counts the thermal windows closed over the engine's life
+	// (Reset keeps it, like decay's count of math.Exp calls): work counts
+	// for tests.
+	windows uint64
 
 	// coreScaleStore backs every cluster's coreScale table, rewritten in
 	// place by Reset like the stores above.
@@ -503,9 +518,15 @@ func (e *Engine) Reset(cfg Config) error {
 		e.clusterList = append(e.clusterList, cs)
 	}
 	e.coreScaleStore = store
-	for _, cs := range e.clusterList {
+	// Walking the platform backwards and pushing each loader onto its
+	// companion's list leaves every list in platform order.
+	for i := len(e.clusterList) - 1; i >= 0; i-- {
+		cs := e.clusterList[i]
 		if name := cs.c.CompanionName; name != "" {
 			cs.companion = e.clusters[name]
+			if cs.c.CompanionUtil != 0 {
+				cs.loadNext, cs.companion.loadHead = cs.companion.loadHead, cs
+			}
 		}
 	}
 
