@@ -26,15 +26,20 @@ type LevelSpec struct {
 // baselines, a set of independent static models presented uniformly).
 type ModelProfile struct {
 	Name   string
-	Levels []LevelSpec // ascending level
+	Levels []LevelSpec // Levels[i] is level i+1
 }
 
-// Validate reports structural errors.
+// Validate reports structural errors: no levels, levels not numbered
+// 1..N in order, MACs not positive and strictly increasing, or an
+// accuracy outside [0,1].
 func (p ModelProfile) Validate() error {
 	if len(p.Levels) == 0 {
 		return fmt.Errorf("perf: profile %q has no levels", p.Name)
 	}
 	for i, l := range p.Levels {
+		if l.Level != i+1 {
+			return fmt.Errorf("perf: profile %q has level %d at position %d, want %d", p.Name, l.Level, i, i+1)
+		}
 		if l.MACs <= 0 {
 			return fmt.Errorf("perf: profile %q level %d has MACs %d", p.Name, i, l.MACs)
 		}
@@ -48,18 +53,17 @@ func (p ModelProfile) Validate() error {
 	return nil
 }
 
-// Level returns the spec for a 1-based level index.
+// Level returns the spec for a 1-based level index of a valid profile. A
+// level outside 1..MaxLevel is a caller bug and panics.
 func (p ModelProfile) Level(level int) LevelSpec {
-	for _, l := range p.Levels {
-		if l.Level == level {
-			return l
-		}
+	if level < 1 || level > len(p.Levels) {
+		panic(fmt.Sprintf("perf: profile %q has no level %d", p.Name, level))
 	}
-	panic(fmt.Sprintf("perf: profile %q has no level %d", p.Name, level))
+	return p.Levels[level-1]
 }
 
 // MaxLevel returns the largest level index.
-func (p ModelProfile) MaxLevel() int { return p.Levels[len(p.Levels)-1].Level }
+func (p ModelProfile) MaxLevel() int { return len(p.Levels) }
 
 // InferenceLatencyS returns the latency of one inference of `macs` MACs on
 // n cores of cluster c at the given OPP.

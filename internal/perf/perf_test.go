@@ -18,6 +18,8 @@ func TestProfileValidate(t *testing.T) {
 		{Name: "non-increasing", Levels: []LevelSpec{
 			{Level: 1, MACs: 100}, {Level: 2, MACs: 100}}},
 		{Name: "bad-acc", Levels: []LevelSpec{{Level: 1, MACs: 100, Accuracy: 1.2}}},
+		{Name: "gap", Levels: []LevelSpec{{Level: 1, MACs: 100}, {Level: 3, MACs: 200}}},
+		{Name: "zero-based", Levels: []LevelSpec{{Level: 0, MACs: 100}, {Level: 1, MACs: 200}}},
 	}
 	for _, p := range bad {
 		if p.Validate() == nil {

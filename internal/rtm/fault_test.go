@@ -82,7 +82,7 @@ func TestDegradedPin(t *testing.T) {
 	v := benchView(t)
 	st := newPlanState(&v)
 	app := v.Apps[0] // dnn1, 7 MiB model
-	if ci := degradedPin(st, app); ci < 0 || !st.online[ci] {
+	if ci := degradedPin(st, &app); ci < 0 || !st.online[ci] {
 		t.Fatalf("degradedPin = %d with healthy platform", ci)
 	}
 	// All offline: nowhere to pin.
@@ -90,7 +90,7 @@ func TestDegradedPin(t *testing.T) {
 	for i := range vAll.Clusters {
 		vAll.Clusters[i].Online = false
 	}
-	if ci := degradedPin(newPlanState(&vAll), app); ci != -1 {
+	if ci := degradedPin(newPlanState(&vAll), &app); ci != -1 {
 		t.Fatalf("degradedPin = %d with all clusters offline, want -1", ci)
 	}
 	// CPU clusters need a free core and memory-capped accelerators a
@@ -109,7 +109,7 @@ func TestDegradedPin(t *testing.T) {
 	}
 	big := app
 	big.ModelBytes = 64 << 20 // level-1 slice larger than any freed memory
-	if ci := degradedPin(st2, big); ci != -1 {
+	if ci := degradedPin(st2, &big); ci != -1 {
 		t.Fatalf("degradedPin = %d with no seats, want -1", ci)
 	}
 }

@@ -40,8 +40,8 @@ func (heuristicPolicy) planInto(v *View, sc *planScratch) []Assignment {
 
 // heuristicAssign finds the best operating point for one app given the
 // ledger, and commits the resources.
-func heuristicAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) Assignment {
-	req := v.Req(a)
+func heuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+	req := v.req(a)
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 
 	// Pass 1: exactly the minimal level meeting the accuracy requirement.
@@ -68,7 +68,7 @@ func heuristicAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) Ass
 // returns the winner. In best-effort mode latency/duty feasibility is
 // dropped; only power, cores and memory bind, and the objective becomes
 // minimum latency. levels may alias sc.levels; only sc.opts is consumed.
-func heuristicBest(v *View, st *planState, sc *planScratch, a sim.AppInfo, req Requirement, levels []int, bestEffort bool) (candidate, bool) {
+func heuristicBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, req Requirement, levels []int, bestEffort bool) (candidate, bool) {
 	var best candidate
 	found := false
 	better := func(c candidate) bool {
@@ -103,8 +103,8 @@ func heuristicBest(v *View, st *planState, sc *planScratch, a sim.AppInfo, req R
 				if !ok {
 					continue
 				}
-				c, ok := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, bestEffort)
-				if !ok {
+				c, r := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, bestEffort)
+				if r != feasible {
 					continue
 				}
 				if better(c) {

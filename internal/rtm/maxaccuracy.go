@@ -25,13 +25,15 @@ func (maxAccuracyPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	return planWith(v, sc, maxAccuracyAssign)
 }
 
-func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) Assignment {
-	req := v.Req(a)
+func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+	req := v.req(a)
 	// Pass 1: the highest feasible level, ranked accuracy-first. For each
 	// (cluster, cores, level) the fastest OPP that fits both the latency
 	// budget and the remaining power budget is taken — racing upward in
 	// frequency buys headroom for bigger levels, and the policy does not
-	// care what that costs in energy.
+	// care what that costs in energy. The downward scan ends at the first
+	// memory, latency or duty failure, which every slower OPP shares; only
+	// a power failure can clear lower down.
 	sc.levels = descendingLevels(a, sc.levels)
 	var best candidate
 	found := false
@@ -40,9 +42,12 @@ func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) A
 		for _, cores := range sc.opts {
 			for _, level := range sc.levels {
 				for oppIdx := len(cl.OPPs) - 1; oppIdx >= st.oppNeed[ci]; oppIdx-- {
-					c, ok := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, false)
-					if !ok {
-						continue
+					c, r := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, false)
+					if r == overPower {
+						continue // a slower OPP may draw less
+					}
+					if r != feasible {
+						break // fails at every slower OPP too
 					}
 					// Highest-frequency feasible OPP for this point wins.
 					if !found || c.accuracy > best.accuracy ||

@@ -25,8 +25,8 @@ func (minEnergyPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	return planWith(v, sc, minEnergyAssign)
 }
 
-func minEnergyAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) Assignment {
-	req := v.Req(a)
+func minEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+	req := v.req(a)
 	// Pass 1: minimal level meeting the accuracy floor, raced to idle.
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 	if a.Profile.Level(minLevel).Accuracy >= req.MinAccuracy {
@@ -56,15 +56,15 @@ func minEnergyAssign(v *View, st *planState, sc *planScratch, a sim.AppInfo) Ass
 // raceBest enumerates candidates pinned to each cluster's maximum OPP
 // (race-to-idle) and returns the minimum-average-power feasible one.
 // levels may alias sc.levels; only sc.opts is consumed.
-func raceBest(v *View, st *planState, sc *planScratch, a sim.AppInfo, req Requirement, levels []int) (candidate, bool) {
+func raceBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, req Requirement, levels []int) (candidate, bool) {
 	var best candidate
 	found := false
 	for ci, cl := range v.Platform.Clusters {
 		sc.opts = coreOptions(cl, st, ci, sc.opts)
 		for _, cores := range sc.opts {
 			for _, level := range levels {
-				c, ok := evalCandidate(st, a, req, cl, ci, cores, level, len(cl.OPPs)-1, false)
-				if !ok {
+				c, r := evalCandidate(st, a, req, cl, ci, cores, level, len(cl.OPPs)-1, false)
+				if r != feasible {
 					continue
 				}
 				if !found || c.dynPowMW < best.dynPowMW {

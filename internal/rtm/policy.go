@@ -56,7 +56,10 @@ type View struct {
 
 // Req returns the requirement for an app with defaults applied, tolerating
 // hand-built Views whose Reqs map is sparse or unresolved.
-func (v *View) Req(a sim.AppInfo) Requirement {
+func (v *View) Req(a sim.AppInfo) Requirement { return v.req(&a) }
+
+// req is Req without the AppInfo copy, for the planners' hot path.
+func (v *View) req(a *sim.AppInfo) Requirement {
 	r := v.Reqs[a.Name]
 	if r.MaxLatencyS == 0 {
 		r.MaxLatencyS = a.PeriodS
@@ -282,6 +285,11 @@ type planState struct {
 	// rows share one backing array.
 	platform  *hw.Platform
 	coreScale [][]float64
+
+	// evals and latencies count evalCandidate calls and latencyS
+	// evaluations over the ledger's lifetime (init leaves them alone).
+	// They are the planners' work counters: only tests read them.
+	evals, latencies uint64
 }
 
 // clusterIndex maps a cluster name to its platform position (-1 when
@@ -438,7 +446,7 @@ type scratchPlanner interface {
 }
 
 // assignFunc is one policy's per-app planning step over the shared ledger.
-type assignFunc func(v *View, st *planState, sc *planScratch, a sim.AppInfo) Assignment
+type assignFunc func(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment
 
 // planWith runs a policy's assign step over the plannable DNNs in priority
 // order, building the plan in sc.plan. The returned slice aliases sc.plan
@@ -448,8 +456,9 @@ type assignFunc func(v *View, st *planState, sc *planScratch, a sim.AppInfo) Ass
 func planWith(v *View, sc *planScratch, assign assignFunc) []Assignment {
 	sc.st.init(v)
 	plan := sc.plan[:0]
-	for _, a := range sc.plannableDNNs(v) {
-		plan = append(plan, assign(v, &sc.st, sc, a))
+	dnns := sc.plannableDNNs(v)
+	for i := range dnns {
+		plan = append(plan, assign(v, &sc.st, sc, &dnns[i]))
 	}
 	sc.plan = plan
 	return plan
@@ -472,13 +481,13 @@ func pooledPlan(v *View, assign assignFunc) []Assignment {
 //detlint:hotpath
 func (sc *planScratch) plannableDNNs(v *View) []sim.AppInfo {
 	dnns := sc.dnns[:0]
-	for _, a := range v.Apps {
-		if a.Running && a.Kind == sim.KindDNN {
-			dnns = append(dnns, a)
+	for i := range v.Apps {
+		if a := &v.Apps[i]; a.Running && a.Kind == sim.KindDNN {
+			dnns = append(dnns, *a)
 		}
 	}
 	for i := 1; i < len(dnns); i++ {
-		for j := i; j > 0 && dnnBefore(v, dnns[j], dnns[j-1]); j-- {
+		for j := i; j > 0 && dnnBefore(v, &dnns[j], &dnns[j-1]); j-- {
 			dnns[j], dnns[j-1] = dnns[j-1], dnns[j]
 		}
 	}
@@ -488,8 +497,8 @@ func (sc *planScratch) plannableDNNs(v *View) []sim.AppInfo {
 
 // dnnBefore is the planning order: priority descending, then latency
 // budget ascending.
-func dnnBefore(v *View, a, b sim.AppInfo) bool {
-	ra, rb := v.Req(a), v.Req(b)
+func dnnBefore(v *View, a, b *sim.AppInfo) bool {
+	ra, rb := v.req(a), v.req(b)
 	if ra.Priority != rb.Priority {
 		return ra.Priority > rb.Priority
 	}
@@ -536,6 +545,7 @@ func coreOptions(cl *hw.Cluster, st *planState, ci int, buf []int) []int {
 // it and the arithmetic runs in the same order, so the result is
 // bit-identical.
 func (st *planState) latencyS(ci int, opp hw.OPP, n int, macs int64) float64 {
+	st.latencies++
 	cl := st.clusters[ci]
 	n = max(0, min(n, cl.Cores))
 	rate := cl.RateMACsPerSecGHz * opp.FreqGHz * st.coreScale[ci][n]
@@ -549,27 +559,61 @@ func (st *planState) latencyS(ci int, opp hw.OPP, n int, macs int64) float64 {
 // DVFS floor) on ledger cluster ci meeting the latency budget — pacing
 // beats race-to-idle under a CV²f power model. ok is false when even the
 // maximum OPP misses.
+//
+// The maximum OPP is tried first, and when it misses no other is: OPPs
+// ascend strictly in frequency (hw.Cluster.Validate enforces it), so
+// latencyS never falls as the index falls, in floating point too — each
+// step of its arithmetic is monotone in the frequency. A budget the
+// fastest OPP misses is missed by every OPP.
 func chooseOPP(st *planState, ci, floor, cores int, macs int64, budgetS float64) (int, bool) {
 	cl := st.clusters[ci]
-	for i := floor; i < len(cl.OPPs); i++ {
+	top := len(cl.OPPs) - 1
+	if floor > top || !(st.latencyS(ci, cl.OPPs[top], cores, macs) <= budgetS) {
+		return 0, false
+	}
+	for i := floor; i < top; i++ {
 		if st.latencyS(ci, cl.OPPs[i], cores, macs) <= budgetS {
 			return i, true
 		}
 	}
-	return 0, false
+	return top, true
 }
+
+// verdict is evalCandidate's account of a candidate: feasible, or the
+// first check it failed. A candidate over memory, latency or duty fails
+// at every lower OPP of its (cluster, cores, level) too: memory does not
+// depend on the OPP, and latency and duty never fall as the OPP falls
+// (see evalCandidate). Only the power check can pass lower down, where a
+// smaller voltage and frequency may outweigh a longer duty.
+type verdict uint8
+
+const (
+	feasible verdict = iota
+	overMemory
+	overLatency
+	overDuty
+	overPower
+)
 
 // evalCandidate checks one (cluster, cores, level, OPP) point against the
 // ledger — accelerator memory, latency budget (skipped in best-effort
 // mode), accelerator duty and the power budget — and prices it. ci is the
-// cluster's ledger index. ok is false when any constraint fails.
-func evalCandidate(st *planState, a sim.AppInfo, req Requirement, cl *hw.Cluster, ci, cores, level, oppIdx int, bestEffort bool) (candidate, bool) {
+// cluster's ledger index. The verdict names the first check that failed,
+// or is feasible.
+//
+// Callers scanning OPPs downward stop at the first failure other than
+// overPower. That relies on OPPs ascending strictly in frequency, which
+// hw.Cluster.Validate enforces: latency is then non-increasing in the OPP
+// index (see chooseOPP), and so is duty, latency over a positive period
+// capped at 1.
+func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluster, ci, cores, level, oppIdx int, bestEffort bool) (candidate, verdict) {
+	st.evals++
 	spec := a.Profile.Level(level)
 	var memNeed int64
 	if cl.MemBytes > 0 && a.ModelBytes > 0 {
 		memNeed = a.ModelBytes * int64(level) / int64(a.Profile.MaxLevel())
 		if memNeed > st.freeMem[ci] {
-			return candidate{}, false
+			return candidate{}, overMemory
 		}
 	}
 	opp := cl.OPPs[oppIdx]
@@ -580,15 +624,15 @@ func evalCandidate(st *planState, a sim.AppInfo, req Requirement, cl *hw.Cluster
 	}
 	if !bestEffort {
 		if lat > req.MaxLatencyS {
-			return candidate{}, false
+			return candidate{}, overLatency
 		}
 		if cl.Type.IsAccelerator() && duty > st.freeDuty[ci]+1e-9 {
-			return candidate{}, false
+			return candidate{}, overDuty
 		}
 	}
 	dyn := dynPowerMW(cl, opp, cores, 1) * duty
 	if dyn > st.dynBudget+1e-9 {
-		return candidate{}, false
+		return candidate{}, overPower
 	}
 	return candidate{
 		placement: sim.Placement{Cluster: cl.Name, Cores: cores},
@@ -600,14 +644,14 @@ func evalCandidate(st *planState, a sim.AppInfo, req Requirement, cl *hw.Cluster
 		dynPowMW:  dyn,
 		accuracy:  spec.Accuracy,
 		memBytes:  memNeed,
-	}, true
+	}, feasible
 }
 
 // commit consumes ledger resources for the chosen candidate and converts
 // it into an Assignment.
 //
 //detlint:hotpath
-func (st *planState) commit(a sim.AppInfo, c candidate, pass int) Assignment {
+func (st *planState) commit(a *sim.AppInfo, c candidate, pass int) Assignment {
 	cl := st.clusters[c.ci]
 	if c.duty > 0 && cl.Type.IsAccelerator() {
 		st.freeDuty[c.ci] -= c.duty
@@ -644,7 +688,7 @@ func (st *planState) commit(a sim.AppInfo, c candidate, pass int) Assignment {
 // level on the least-loaded online cluster that can still take it. Only
 // when no online cluster can host the app does it stay on the dead one —
 // the retry/repair triggers in the Manager pick it up from there.
-func park(st *planState, a sim.AppInfo) Assignment {
+func park(st *planState, a *sim.AppInfo) Assignment {
 	if ci := st.clusterIndex(a.Placement.Cluster); ci >= 0 && !st.online[ci] {
 		if alt := degradedPin(st, a); alt >= 0 {
 			cl := st.clusters[alt]
@@ -682,7 +726,7 @@ func park(st *planState, a sim.AppInfo) Assignment {
 // both hard actuation constraints — but accelerator duty may oversubscribe:
 // in degraded mode a slow frame beats no frame. Load is the consumed
 // fraction of the ledger; ties resolve in platform order.
-func degradedPin(st *planState, a sim.AppInfo) int {
+func degradedPin(st *planState, a *sim.AppInfo) int {
 	best, bestLoad := -1, 0.0
 	for ci, cl := range st.clusters {
 		if !st.online[ci] {
@@ -710,7 +754,7 @@ func degradedPin(st *planState, a sim.AppInfo) int {
 
 // descendingLevels fills buf with [MaxLevel .. 1] for a profile, reusing
 // the buffer's backing array.
-func descendingLevels(a sim.AppInfo, buf []int) []int {
+func descendingLevels(a *sim.AppInfo, buf []int) []int {
 	buf = buf[:0]
 	for l := a.Profile.MaxLevel(); l >= 1; l-- {
 		buf = append(buf, l)
@@ -720,7 +764,7 @@ func descendingLevels(a sim.AppInfo, buf []int) []int {
 
 // minLevelMeeting returns the lowest level whose accuracy meets the floor
 // (the highest level when none does).
-func minLevelMeeting(a sim.AppInfo, minAccuracy float64) int {
+func minLevelMeeting(a *sim.AppInfo, minAccuracy float64) int {
 	minLevel := 1
 	for l := 1; l <= a.Profile.MaxLevel(); l++ {
 		minLevel = l

@@ -573,6 +573,10 @@ func TestAppLifetimeWindow(t *testing.T) {
 func TestConfigValidationErrors(t *testing.T) {
 	plat := hw.OdroidXU3()
 	prof := perf.PaperReferenceProfile()
+	// Levels {1, 3}: admitted, it let SetLevel(app, 2) panic in the
+	// profile lookup instead of returning an error.
+	gap := perf.ModelProfile{Name: "gap", Levels: []perf.LevelSpec{
+		{Level: 1, MACs: 1_000_000}, {Level: 3, MACs: 2_000_000}}}
 	cases := []Config{
 		{Platform: nil},
 		{Platform: plat, Apps: []App{{Name: "", Kind: KindDNN}}},
@@ -591,6 +595,8 @@ func TestConfigValidationErrors(t *testing.T) {
 			{Name: "x", Kind: KindBackground, Util: 0.5, Placement: Placement{Cluster: "a15", Cores: 1}}}},
 		{Platform: plat, Apps: []App{{Name: "x", Kind: KindDNN, Profile: prof,
 			Level: 1, PeriodS: 1, StartS: 5, StopS: 3, Placement: Placement{Cluster: "a15", Cores: 1}}}},
+		{Platform: plat, Apps: []App{{Name: "x", Kind: KindDNN, Profile: gap,
+			Level: 1, PeriodS: 1, Placement: Placement{Cluster: "a15", Cores: 1}}}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
