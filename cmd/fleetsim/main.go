@@ -67,7 +67,7 @@
 // Usage:
 //
 //	fleetsim [-scenarios 64] [-seed 1] [-workers N] [-platforms a,b]
-//	         [-classes steady,thermal] [-policy name | -policies a,b]
+//	         [-classes steady,thermal] [-policies a,b]
 //	         [-format json|table] [-results] [-nolat] [-out file]
 //	         [-shard i/m -out shard.ndjson [-resume] [-syncevery N]]
 //	fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...
@@ -126,8 +126,7 @@ func runMain() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 	platforms := flag.String("platforms", "", "comma-separated platform names (empty = all)")
 	classes := flag.String("classes", "", "comma-separated scenario classes: steady,mixed,bursty,thermal,churn,faulty (empty = all)")
-	policy := flag.String("policy", "", "runtime-manager planning policy (empty = heuristic)")
-	policies := flag.String("policies", "", "comma-separated policies to sweep over the same workloads (total runs = scenarios × policies)")
+	policies := flag.String("policies", "", "comma-separated planning policies to sweep over the same workloads (empty = heuristic; total runs = scenarios × policies)")
 	format := flag.String("format", "json", "output format: json or table")
 	results := flag.Bool("results", false, "include per-scenario results (json format)")
 	progress := flag.Bool("progress", false, "print progress to stderr")
@@ -156,10 +155,7 @@ func runMain() {
 	if *syncevery < 0 {
 		log.Fatalf("fleetsim: -syncevery %d must be non-negative", *syncevery)
 	}
-	cfg, err := buildConfig(*seed, *platforms, *classes, *policy, *policies)
-	if err != nil {
-		log.Fatalf("fleetsim: %v", err)
-	}
+	cfg := buildConfig(*seed, *platforms, *classes, *policies)
 	shardIdx, shardCount, err := parseShard(*shard)
 	if err != nil {
 		log.Fatalf("fleetsim: %v", err)
@@ -257,8 +253,7 @@ func orchestrateMain(args []string) {
 	workers := fs.Int("workers", 0, "worker pool size per shard process (0 = NumCPU)")
 	platforms := fs.String("platforms", "", "comma-separated platform names (empty = all)")
 	classes := fs.String("classes", "", "comma-separated scenario classes: steady,mixed,bursty,thermal,churn,faulty (empty = all)")
-	policy := fs.String("policy", "", "runtime-manager planning policy (empty = heuristic)")
-	policies := fs.String("policies", "", "comma-separated policies to sweep over the same workloads")
+	policies := fs.String("policies", "", "comma-separated planning policies to sweep over the same workloads (empty = heuristic)")
 	nolat := fs.Bool("nolat", false, "drop raw per-job latency samples (forwarded to every shard)")
 	shards := fs.Int("shards", 2, "number of shard subprocesses to dispatch")
 	out := fs.String("out", "", "directory for per-shard stream files (required; partial streams there are resumed)")
@@ -291,10 +286,7 @@ func orchestrateMain(args []string) {
 		// otherwise silently run three attempts.
 		log.Fatalf("fleetsim orchestrate: -retries %d must be non-negative", *retries)
 	}
-	cfg, err := buildConfig(*seed, *platforms, *classes, *policy, *policies)
-	if err != nil {
-		log.Fatalf("fleetsim orchestrate: %v", err)
-	}
+	cfg := buildConfig(*seed, *platforms, *classes, *policies)
 	exe, err := os.Executable()
 	if err != nil {
 		log.Fatalf("fleetsim orchestrate: locating own binary: %v", err)
@@ -315,9 +307,6 @@ func orchestrateMain(args []string) {
 		}
 		if *classes != "" {
 			a = append(a, "-classes", *classes)
-		}
-		if *policy != "" {
-			a = append(a, "-policy", *policy)
 		}
 		if *policies != "" {
 			a = append(a, "-policies", *policies)
@@ -352,7 +341,7 @@ func orchestrateMain(args []string) {
 
 // buildConfig assembles the generator config shared by the run and
 // orchestrate entry points, so both validate sweep specs identically.
-func buildConfig(seed uint64, platforms, classes, policy, policies string) (fleet.GeneratorConfig, error) {
+func buildConfig(seed uint64, platforms, classes, policies string) fleet.GeneratorConfig {
 	cfg := fleet.GeneratorConfig{Seed: seed}
 	if platforms != "" {
 		cfg.Platforms = strings.Split(platforms, ",")
@@ -372,16 +361,10 @@ func buildConfig(seed uint64, platforms, classes, policy, policies string) (flee
 			cfg.Classes = append(cfg.Classes, fleet.Class(c))
 		}
 	}
-	if policy != "" && policies != "" {
-		return cfg, fmt.Errorf("-policy and -policies are mutually exclusive")
-	}
-	if policy != "" {
-		cfg.Policies = []string{policy}
-	}
 	if policies != "" {
 		cfg.Policies = strings.Split(policies, ",")
 	}
-	return cfg, nil
+	return cfg
 }
 
 // parseShard parses "i/m" (1-based) into a 0-based index and a count;

@@ -13,9 +13,10 @@
 //     CV²f power, lumped RC thermal — fitted to the paper's Table I;
 //   - the operating-point space of Fig 4(a) with Pareto/budget queries;
 //   - a discrete-event simulator for multi-application workloads and the
-//     PRiME-style runtime manager of Fig 5 (knobs/monitors, governors,
-//     and a co-optimising planner over model level, task mapping and
-//     DVFS) that reproduces the Fig 2 runtime scenario;
+//     PRiME-style runtime manager of Fig 5 (knobs/monitors, an ondemand
+//     DVFS governor baseline, and a co-optimising planner over model
+//     level, task mapping and DVFS) that reproduces the Fig 2 runtime
+//     scenario;
 //   - experiment drivers regenerating every table and figure, plus the
 //     ablations indexed in internal/experiments.
 //

@@ -172,8 +172,6 @@ type (
 	View = rtm.View
 	// Assignment is one planned operating point for an app.
 	Assignment = rtm.Assignment
-	// Governor is a conventional DVFS policy (baseline).
-	Governor = rtm.Governor
 	// Scenario is a scripted workload timeline.
 	Scenario = workload.Scenario
 )
@@ -238,11 +236,9 @@ func NewEngine(cfg SimConfig) (*Engine, error) { return sim.New(cfg) }
 // NewManager builds a runtime manager with per-app requirements.
 func NewManager(reqs map[string]Requirement) *Manager { return rtm.NewManager(reqs) }
 
-// NewGovernorController builds the governor-only baseline controller.
-func NewGovernorController(g Governor) Controller { return rtm.NewGovernorController(g) }
-
-// OndemandGovernor returns the classic load-threshold DVFS governor.
-func OndemandGovernor() Governor { return rtm.OndemandGovernor{} }
+// NewGovernorController builds the governor-only baseline controller: the
+// ondemand DVFS governor on every cluster, with no mapping or model scaling.
+func NewGovernorController() Controller { return rtm.NewGovernorController() }
 
 // Fig2Scenario returns the paper's Fig 2 runtime timeline.
 func Fig2Scenario() Scenario { return workload.Fig2Scenario() }

@@ -156,7 +156,7 @@ func TestFacadeCustomSimulation(t *testing.T) {
 }
 
 func TestFacadeGovernorBaseline(t *testing.T) {
-	gov := NewGovernorController(OndemandGovernor())
+	gov := NewGovernorController()
 	engine, err := NewEngine(SimConfig{
 		Platform: OdroidXU3(),
 		Apps: []App{{

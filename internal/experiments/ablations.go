@@ -157,7 +157,7 @@ func AblationNoRTM(o Options) (AblationNoRTMResult, error) {
 		return AblationNoRTMResult{}, err
 	}
 
-	gov := rtm.NewGovernorController(rtm.OndemandGovernor{})
+	gov := rtm.NewGovernorController()
 	be, err := sim.New(sim.Config{
 		Platform:   hw.FlagshipSoC(),
 		Apps:       s.Apps,

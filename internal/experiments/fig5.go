@@ -35,7 +35,7 @@ func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 	}
 	managed, _ := e.App("dnn")
 
-	gov := rtm.NewGovernorController(rtm.OndemandGovernor{})
+	gov := rtm.NewGovernorController()
 	be, err := sim.New(sim.Config{
 		Platform:   hw.OdroidXU3(),
 		Apps:       s.Apps,

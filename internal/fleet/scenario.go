@@ -85,10 +85,6 @@ type GeneratorConfig struct {
 	Platforms []string `json:"platforms,omitempty"`
 	// Classes restricts sampling to these classes (nil = AllClasses).
 	Classes []Class `json:"classes,omitempty"`
-	// MinDurationS/MaxDurationS bound the sampled simulation horizon.
-	// Defaults: 20 and 40 seconds.
-	MinDurationS float64 `json:"minDurationS,omitempty"`
-	MaxDurationS float64 `json:"maxDurationS,omitempty"`
 	// Policies lists the rtm planning policies to sweep (nil = just the
 	// default heuristic). With P policies, run index i carries workload
 	// i/P under policy i%P: each sampled workload is evaluated under
@@ -115,15 +111,6 @@ type Generator struct {
 // NewGenerator validates the config against the platform catalog.
 func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	cat := hw.Catalog()
-	if cfg.MinDurationS == 0 {
-		cfg.MinDurationS = 20
-	}
-	if cfg.MaxDurationS == 0 {
-		cfg.MaxDurationS = 40
-	}
-	if cfg.MinDurationS <= 0 || cfg.MaxDurationS < cfg.MinDurationS {
-		return nil, fmt.Errorf("fleet: bad duration range [%g,%g]", cfg.MinDurationS, cfg.MaxDurationS)
-	}
 	g := &Generator{cfg: cfg, catalog: cat}
 	if len(cfg.Platforms) == 0 {
 		for name := range cat {
@@ -341,9 +328,15 @@ func pickRequirement(rng *rand.Rand, e *env) rtm.Requirement {
 	return r
 }
 
-func (g *Generator) sampleDuration(rng *rand.Rand) float64 {
-	lo, hi := g.cfg.MinDurationS, g.cfg.MaxDurationS
-	return lo + rng.Float64()*(hi-lo)
+// Every scenario's simulation horizon is drawn uniformly from
+// [minDurationS, maxDurationS).
+const (
+	minDurationS = 20.0
+	maxDurationS = 40.0
+)
+
+func sampleDuration(rng *rand.Rand) float64 {
+	return minDurationS + rng.Float64()*(maxDurationS-minDurationS)
 }
 
 // script builds the class-specific workload timeline on plat, whose
@@ -352,7 +345,7 @@ func (g *Generator) sampleDuration(rng *rand.Rand) float64 {
 func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *env) workload.Scenario {
 	prof := e.prof
 	prof.Levels = slices.Clone(prof.Levels)
-	endS := g.sampleDuration(rng)
+	endS := sampleDuration(rng)
 	sc := workload.Scenario{
 		EndS: endS,
 		Reqs: map[string]rtm.Requirement{},

@@ -238,9 +238,6 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	return &StreamReader{br: br, hdr: hdr, pols: pols, next: hdr.Lo}, nil
 }
 
-// Header returns the validated stream header.
-func (sr *StreamReader) Header() StreamHeader { return sr.hdr }
-
 // Read returns the next record. It fails loud on a record that does not
 // belong to the header's run, on trailing records beyond the range, and on
 // a truncated final line (io.ErrUnexpectedEOF — the crash point of a

@@ -121,17 +121,6 @@ func (c *Cluster) MinOPP() OPP { return c.OPPs[0] }
 // MaxOPP returns the highest-frequency operating point.
 func (c *Cluster) MaxOPP() OPP { return c.OPPs[len(c.OPPs)-1] }
 
-// OPPIndexAtOrAbove returns the index of the slowest OPP with frequency
-// >= f (clamped to the fastest OPP).
-func (c *Cluster) OPPIndexAtOrAbove(fGHz float64) int {
-	for i, o := range c.OPPs {
-		if o.FreqGHz >= fGHz-1e-9 {
-			return i
-		}
-	}
-	return len(c.OPPs) - 1
-}
-
 // NearestOPPIndex returns the index of the OPP closest in frequency to f.
 func (c *Cluster) NearestOPPIndex(fGHz float64) int {
 	best, bestD := 0, math.Inf(1)
@@ -233,17 +222,6 @@ func (p *Platform) Cluster(name string) *Cluster {
 		}
 	}
 	return nil
-}
-
-// ClustersOfType returns all clusters of the given core type.
-func (p *Platform) ClustersOfType(t CoreType) []*Cluster {
-	var out []*Cluster
-	for _, c := range p.Clusters {
-		if c.Type == t {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Companion resolves a cluster's companion CPU cluster, or nil.

@@ -47,14 +47,12 @@ func (epochKeyed) dynFingerprint(*sim.Engine, *Manager) uint64 { return 0 }
 // planFingerprint is the elision key: comparable, cheap to build, and
 // covering every input Replan feeds the policy — the engine's planning
 // epoch, the manager's requirement and policy versions, the thermal
-// stance (pressure and margins, which set DynBudgetMW together with the
+// stance (pressure, which sets DynBudgetMW together with the
 // epoch-tracked ambient), and the policy's dynamic extension.
 type planFingerprint struct {
-	epoch      uint64
-	reqsVer    uint64
-	policyVer  uint64
-	pressure   int
-	baseMargin uint64
-	pressStep  uint64
-	dyn        uint64
+	epoch     uint64
+	reqsVer   uint64
+	policyVer uint64
+	pressure  int
+	dyn       uint64
 }

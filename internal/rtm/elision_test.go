@@ -217,58 +217,55 @@ func (externalPolicy) Plan(v View) []Assignment {
 }
 
 // TestMissReplanBackoff is the table-driven contract for the
-// MissReplanThreshold × MissReplanBackoffS interaction: when a tick
-// replans on accumulated misses, how the backoff window suppresses and
-// defers miss-triggered replans, and how every replan resets the counter.
+// missReplanThreshold (2) × missReplanBackoffS (2 s) interaction: when a
+// tick replans on accumulated misses, how the backoff window suppresses
+// and defers miss-triggered replans, and how every replan resets the
+// counter. lastMissPlan starts at 0, so the window is open from t=2.
 func TestMissReplanBackoff(t *testing.T) {
+	if missReplanThreshold != 2 || missReplanBackoffS != 2 {
+		t.Fatalf("cases are written for threshold 2 and backoff 2 s, have %d and %g s",
+			missReplanThreshold, missReplanBackoffS)
+	}
 	type step struct {
 		at      float64 // advance the engine to this time
 		misses  int     // deadline misses injected before the tick
 		replans bool    // whether the tick must replan
 	}
 	cases := []struct {
-		name      string
-		threshold int
-		backoff   float64
-		steps     []step
+		name  string
+		steps []step
 	}{
 		{
-			name:      "below threshold never replans",
-			threshold: 2, backoff: 0,
-			steps: []step{{at: 1, misses: 1}, {at: 2, misses: 0}},
+			name:  "below threshold never replans",
+			steps: []step{{at: 3, misses: 1}, {at: 6, misses: 0}},
 		},
 		{
-			name:      "threshold met outside backoff replans",
-			threshold: 2, backoff: 0,
-			steps: []step{{at: 1, misses: 2, replans: true}},
+			name:  "threshold met outside backoff replans",
+			steps: []step{{at: 2, misses: 2, replans: true}}, // 2-0 ≥ 2
 		},
 		{
-			name:      "threshold met inside backoff window is deferred",
-			threshold: 2, backoff: 2,
+			name: "threshold met inside backoff window is deferred",
 			steps: []step{
-				// lastMissPlan starts at 0: t=1 is inside the window.
-				{at: 1, misses: 2},
+				{at: 1, misses: 2}, // 1-0 < 2
 				// Misses are retained, not dropped: once the window passes
 				// the deferred replan fires without new misses.
 				{at: 2.5, misses: 0, replans: true},
 			},
 		},
 		{
-			name:      "replan resets the miss counter",
-			threshold: 2, backoff: 0,
+			name: "replan resets the miss counter",
 			steps: []step{
-				{at: 1, misses: 2, replans: true},
-				{at: 2, misses: 1},                // one fresh miss < threshold
-				{at: 3, misses: 1, replans: true}, // second fresh miss
+				{at: 2, misses: 2, replans: true},
+				{at: 5, misses: 1},                // past the backoff, but one fresh miss < threshold
+				{at: 6, misses: 1, replans: true}, // second fresh miss
 			},
 		},
 		{
-			name:      "backoff rate-limits a miss storm",
-			threshold: 1, backoff: 3,
+			name: "backoff rate-limits a miss storm",
 			steps: []step{
-				{at: 3, misses: 1, replans: true}, // 3-0 ≥ 3
-				{at: 4, misses: 1},                // 4-3 < 3: suppressed
-				{at: 6, misses: 0, replans: true}, // 6-3 ≥ 3: deferred fires
+				{at: 2, misses: 2, replans: true}, // 2-0 ≥ 2
+				{at: 3, misses: 2},                // 3-2 < 2: suppressed
+				{at: 4, misses: 0, replans: true}, // 4-2 ≥ 2: deferred fires
 			},
 		},
 	}
@@ -286,8 +283,6 @@ func TestMissReplanBackoff(t *testing.T) {
 				t.Fatal(err)
 			}
 			mgr := NewManager(nil)
-			mgr.MissReplanThreshold = tc.threshold
-			mgr.MissReplanBackoffS = tc.backoff
 			for i, s := range tc.steps {
 				if err := e.Run(s.at); err != nil {
 					t.Fatal(err)

@@ -1,6 +1,7 @@
 package rtm
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -73,6 +74,67 @@ func TestAllClustersOfflinePlansWithoutPanic(t *testing.T) {
 				t.Fatal("empty plan with all clusters offline")
 			}
 		})
+	}
+}
+
+// A hand-built View may place an app on a cluster its platform lacks.
+// When nothing fits (DynBudgetMW 0), every built-in policy parks such an
+// app like one on an offline cluster: through the degraded pin while an
+// online cluster can take it, and otherwise at level 1 where it is, with
+// the ledger untouched. Engine-built views never carry such a placement.
+func TestParkUnknownClusterPlansWithoutPanic(t *testing.T) {
+	odroidView := func(t *testing.T) View {
+		mgr := NewManager(nil)
+		e, err := sim.New(sim.Config{
+			Platform: hw.OdroidXU3(),
+			Apps:     []sim.App{dnn("d", "a15", 4, 0.5)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		v := mgr.buildView(e)
+		v.DynBudgetMW = 0
+		v.Apps[0].Placement = sim.Placement{Cluster: "npu", Cores: 1}
+		return v
+	}
+	for _, name := range []string{"heuristic", "maxaccuracy", "minenergy"} {
+		t.Run(name, func(t *testing.T) {
+			p, err := NewPolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := p.Plan(odroidView(t))
+			if len(plan) != 1 || plan[0].Pass != 3 || plan[0].Level != 1 {
+				t.Fatalf("plan = %+v, want one pass-3 level-1 assignment", plan)
+			}
+			if c := plan[0].Placement.Cluster; c != "a15" && c != "a7" {
+				t.Fatalf("app parked on %q, want the degraded pin to an online cluster", c)
+			}
+
+			v := odroidView(t)
+			markOffline(&v, "a15", "a7")
+			plan = p.Plan(v)
+			if len(plan) != 1 || plan[0].Pass != 3 || plan[0].Level != 1 || plan[0].Placement != v.Apps[0].Placement {
+				t.Fatalf("plan = %+v, want pass 3, level 1 at %+v", plan, v.Apps[0].Placement)
+			}
+		})
+	}
+	v := odroidView(t)
+	markOffline(&v, "a15", "a7")
+	st := newPlanState(&v)
+	before := *st
+	before.freeCores = slices.Clone(st.freeCores)
+	before.freeDuty = slices.Clone(st.freeDuty)
+	before.freeMem = slices.Clone(st.freeMem)
+	before.oppNeed = slices.Clone(st.oppNeed)
+	park(st, &v.Apps[0])
+	if st.dynBudget != before.dynBudget || !slices.Equal(st.freeCores, before.freeCores) ||
+		!slices.Equal(st.freeDuty, before.freeDuty) || !slices.Equal(st.freeMem, before.freeMem) ||
+		!slices.Equal(st.oppNeed, before.oppNeed) {
+		t.Fatal("park charged the ledger for an app on an unknown cluster")
 	}
 }
 
@@ -211,11 +273,15 @@ func TestManagerRecoversFromClusterFault(t *testing.T) {
 }
 
 // A repair landing inside the fault-replan backoff is deferred, not lost:
-// the tick retry picks it up once the backoff expires.
+// the repair event does not replan, and the tick retry picks it up once
+// the backoff expires.
 func TestRepairDuringBackoffStillReplans(t *testing.T) {
+	if faultReplanBackoffS != 0.5 {
+		t.Fatalf("timeline is written for a 0.5 s backoff, have %g s", faultReplanBackoffS)
+	}
 	mgr := NewManager(map[string]Requirement{"d": {Priority: 1}})
-	mgr.FaultReplanBackoffS = 3
-	var failed, repaired bool
+	var failed, repaired, retried bool
+	repairDelta, retryDelta := -1, -1
 	ctrl := ctrlFuncs{
 		tick: func(e *sim.Engine) {
 			if !failed && e.Now() >= 2 {
@@ -224,16 +290,35 @@ func TestRepairDuringBackoffStillReplans(t *testing.T) {
 					t.Error(err)
 				}
 			}
-			// Repair 0.5 s after the fault, well inside the 3 s backoff.
-			if failed && !repaired && e.Now() >= 2.5 {
+			// Repair one tick after the fault, inside the backoff that the
+			// fault's replan at t=2 opened.
+			if failed && !repaired && e.Now() >= 2.25 {
 				repaired = true
 				if err := e.SetClusterOnline("a15", true); err != nil {
 					t.Error(err)
 				}
 			}
+			// The first tick at or past t=2.5 leaves the backoff and must
+			// carry out the deferred replan.
+			if repaired && !retried && e.Now() >= 2.5 {
+				retried = true
+				before := mgr.Plans()
+				mgr.OnTick(e)
+				retryDelta = mgr.Plans() - before
+				return
+			}
 			mgr.OnTick(e)
 		},
-		event: func(e *sim.Engine, ev sim.Event) { mgr.OnEvent(e, ev) },
+		event: func(e *sim.Engine, ev sim.Event) {
+			before := mgr.Plans()
+			mgr.OnEvent(e, ev)
+			if ev.Kind == sim.EvClusterRepair {
+				repairDelta = mgr.Plans() - before
+				if !mgr.faultReplanWanted {
+					t.Errorf("repair at t=%.2f did not defer a replan", ev.TimeS)
+				}
+			}
+		},
 	}
 	e, err := sim.New(sim.Config{
 		Platform:   hw.OdroidXU3(),
@@ -246,6 +331,15 @@ func TestRepairDuringBackoffStillReplans(t *testing.T) {
 	}
 	if err := e.Run(10); err != nil {
 		t.Fatal(err)
+	}
+	if repairDelta != 0 {
+		t.Errorf("repair event replanned %d times, want 0 (inside the backoff)", repairDelta)
+	}
+	if retryDelta != 1 {
+		t.Errorf("t=2.5 tick replanned %d times, want 1 (the deferred repair)", retryDelta)
+	}
+	if mgr.faultReplanWanted {
+		t.Error("deferred repair replan still pending at end of run")
 	}
 	if e.UnhostedApps() != 0 {
 		t.Fatal("app unhosted at end of run")

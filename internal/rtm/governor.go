@@ -6,108 +6,36 @@ import (
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
-// Governor is a conventional per-cluster DVFS policy of the kind the paper
-// cites as prior art (Section V: "a variety of online resource management
-// approaches have been proposed, such as DVFS"): it sees only hardware
-// load, not application requirements. Governors serve as the no-RTM
-// baseline (ablation A3) and as the device-layer fallback for clusters the
-// manager has no DNN placed on.
-type Governor interface {
-	Name() string
-	// Decide returns the next OPP index given the cluster's utilisation
-	// (0..1), its current OPP index, and the ladder length.
-	Decide(util float64, cur, nOPPs int) int
-}
+// Ondemand thresholds: a cluster jumps to its top OPP once its utilisation
+// reaches ondemandUpUtil and steps down one OPP while below
+// ondemandDownUtil.
+const (
+	ondemandUpUtil   = 0.80
+	ondemandDownUtil = 0.30
+)
 
-// PerformanceGovernor pins the maximum frequency.
-type PerformanceGovernor struct{}
-
-// Name implements Governor.
-func (PerformanceGovernor) Name() string { return "performance" }
-
-// Decide implements Governor.
-func (PerformanceGovernor) Decide(util float64, cur, n int) int { return n - 1 }
-
-// PowersaveGovernor pins the minimum frequency.
-type PowersaveGovernor struct{}
-
-// Name implements Governor.
-func (PowersaveGovernor) Name() string { return "powersave" }
-
-// Decide implements Governor.
-func (PowersaveGovernor) Decide(util float64, cur, n int) int { return 0 }
-
-// OndemandGovernor raises the frequency to maximum when utilisation
-// crosses UpThreshold and steps down while below DownThreshold — the
-// classic Linux ondemand shape.
-type OndemandGovernor struct {
-	UpThreshold   float64 // default 0.80
-	DownThreshold float64 // default 0.30
-}
-
-// Name implements Governor.
-func (OndemandGovernor) Name() string { return "ondemand" }
-
-// Decide implements Governor.
-func (g OndemandGovernor) Decide(util float64, cur, n int) int {
-	up, down := g.UpThreshold, g.DownThreshold
-	if up == 0 {
-		up = 0.80
-	}
-	if down == 0 {
-		down = 0.30
-	}
-	switch {
-	case util >= up:
-		return n - 1
-	case util < down && cur > 0:
-		return cur - 1
-	}
-	return cur
-}
-
-// ConservativeGovernor steps one OPP at a time in both directions — the
-// Linux "conservative" shape, gentler on shared-domain co-residents than
-// ondemand's jump-to-max.
-type ConservativeGovernor struct {
-	UpThreshold   float64 // default 0.80
-	DownThreshold float64 // default 0.30
-}
-
-// Name implements Governor.
-func (ConservativeGovernor) Name() string { return "conservative" }
-
-// Decide implements Governor.
-func (g ConservativeGovernor) Decide(util float64, cur, n int) int {
-	up, down := g.UpThreshold, g.DownThreshold
-	if up == 0 {
-		up = 0.80
-	}
-	if down == 0 {
-		down = 0.30
-	}
-	switch {
-	case util >= up && cur < n-1:
-		return cur + 1
-	case util < down && cur > 0:
-		return cur - 1
-	}
-	return cur
-}
-
-// GovernorController drives every cluster with a Governor and nothing
-// else: no task mapping, no model scaling. It is the paper's "existing
+// GovernorController drives every cluster with the classic Linux ondemand
+// DVFS governor and nothing else: no task mapping, no model scaling. It
+// sees only hardware load, not application requirements — the prior art
+// the paper cites (Section V: "a variety of online resource management
+// approaches have been proposed, such as DVFS") and its "existing
 // approaches optimise hardware behaviour ... application requirements are
-// not addressed" baseline.
-type GovernorController struct {
-	gov Governor
-	// PerCluster overrides the governor for specific clusters.
-	PerCluster map[string]Governor
-}
+// not addressed" baseline (ablation A3).
+type GovernorController struct{}
 
 // NewGovernorController builds the baseline controller.
-func NewGovernorController(g Governor) *GovernorController {
-	return &GovernorController{gov: g, PerCluster: map[string]Governor{}}
+func NewGovernorController() *GovernorController { return &GovernorController{} }
+
+// ondemandOPP returns the next OPP index given a cluster's utilisation
+// (0..1), its current OPP index, and the ladder length.
+func ondemandOPP(util float64, cur, n int) int {
+	switch {
+	case util >= ondemandUpUtil:
+		return n - 1
+	case util < ondemandDownUtil && cur > 0:
+		return cur - 1
+	}
+	return cur
 }
 
 // OnTick implements sim.Controller.
@@ -117,11 +45,7 @@ func (c *GovernorController) OnTick(e *sim.Engine) {
 		if err != nil {
 			continue
 		}
-		g := c.gov
-		if o, ok := c.PerCluster[cl.Name]; ok {
-			g = o
-		}
-		next := g.Decide(info.Util, info.OPPIndex, len(cl.OPPs))
+		next := ondemandOPP(info.Util, info.OPPIndex, len(cl.OPPs))
 		if next != info.OPPIndex {
 			// The engine validates the index; a failure here is a logic
 			// error in the governor.

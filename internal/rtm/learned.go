@@ -506,7 +506,7 @@ func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 // count) are fully determined by epoch-tracked state plus the manager
 // fields already in the fingerprint, so they need no re-derivation here.
 func (p *learnedPolicy) dynFingerprint(e *sim.Engine, m *Manager) uint64 {
-	margin := m.BaseMarginC + float64(m.Pressure())*m.PressureStepC
+	margin := float64(m.Pressure()) * pressureStepC
 	tb := thermalBucketOf(e.ThrottleC() - margin - e.Temperature())
 	worst := math.Inf(1)
 	for i, n := 0, e.AppCount(); i < n; i++ {

@@ -31,6 +31,24 @@ type Assignment struct {
 	Pass      int // 1 = requirement met, 2 = accuracy relaxed, 3 = best effort
 }
 
+// Manager tuning.
+const (
+	// pressureStepC is the margin added per outstanding thermal alarm.
+	pressureStepC = 4.0
+	// missReplanThreshold triggers a replan after this many deadline
+	// misses/frame drops since the previous plan.
+	missReplanThreshold = 2
+	// missReplanBackoffS rate-limits miss-triggered replans: when the
+	// workload is unschedulable, every frame misses and replanning each
+	// tick would churn without changing the plan.
+	missReplanBackoffS = 2.0
+	// faultReplanBackoffS rate-limits fault-triggered replans the same way:
+	// a fault storm (several clusters failing close together) or a degraded
+	// pin the engine keeps rejecting must not replan every event. The first
+	// fault after a quiet period always replans immediately.
+	faultReplanBackoffS = 0.5
+)
+
 // Manager is the paper's runtime resource manager: on workload arrivals,
 // thermal alarms, sustained deadline misses and requirement changes it
 // re-plans the (model level, mapping, DVFS) knob settings of every managed
@@ -50,26 +68,8 @@ type Assignment struct {
 type Manager struct {
 	reqs map[string]Requirement
 
-	// PressureStepC is the margin added per outstanding thermal alarm.
-	PressureStepC float64
-	// BaseMarginC is the planning margin below the throttle point.
-	BaseMarginC float64
-	// MissReplanThreshold triggers a replan after this many deadline
-	// misses/frame drops since the previous plan.
-	MissReplanThreshold int
 	// Logf, when set, receives planning decisions.
 	Logf func(format string, args ...any)
-
-	// MissReplanBackoffS rate-limits miss-triggered replans: when the
-	// workload is unschedulable, every frame misses and replanning each
-	// tick would churn without changing the plan.
-	MissReplanBackoffS float64
-
-	// FaultReplanBackoffS rate-limits fault-triggered replans the same way:
-	// a fault storm (several clusters failing close together) or a degraded
-	// pin the engine keeps rejecting must not replan every event. The first
-	// fault after a quiet period always replans immediately.
-	FaultReplanBackoffS float64
 
 	policy       Policy
 	eng          *sim.Engine // the engine the last Replan ran against
@@ -135,8 +135,8 @@ func NewManager(reqs map[string]Requirement) *Manager {
 	return m
 }
 
-// Reset returns the manager to the state NewManager(reqs) builds: default
-// tuning, the default heuristic policy, no Logf, no thermal pressure, no
+// Reset returns the manager to the state NewManager(reqs) builds: the
+// default heuristic policy, no Logf, no thermal pressure, no
 // miss, fault, recovery or plan history, no elision fingerprint and no
 // registry. Only the replan scratch buffers survive, so a caller running
 // scenario after scenario on one manager (a fleet worker) replans without
@@ -154,14 +154,9 @@ func (m *Manager) Reset(reqs map[string]Requirement) {
 	lv := m.lastView
 	clear(lv.Reqs)
 	*m = Manager{
-		reqs:                r,
-		PressureStepC:       4,
-		BaseMarginC:         0,
-		MissReplanThreshold: 2,
-		MissReplanBackoffS:  2,
-		FaultReplanBackoffS: 0.5,
-		lastFaultPlan:       math.Inf(-1),
-		policy:              heuristicPolicy{},
+		reqs:          r,
+		lastFaultPlan: math.Inf(-1),
+		policy:        heuristicPolicy{},
 
 		last:         m.last[:0],
 		lastView:     View{Apps: lv.Apps[:0], Clusters: lv.Clusters[:0], Reqs: lv.Reqs},
@@ -258,7 +253,7 @@ func (m *Manager) OnTick(e *sim.Engine) {
 		m.pressure--
 		m.pending = true
 	}
-	if m.misses >= m.MissReplanThreshold && e.Now()-m.lastMissPlan >= m.MissReplanBackoffS {
+	if m.misses >= missReplanThreshold && e.Now()-m.lastMissPlan >= missReplanBackoffS {
 		m.pending = true
 		m.lastMissPlan = e.Now()
 	}
@@ -266,7 +261,7 @@ func (m *Manager) OnTick(e *sim.Engine) {
 	// dead hardware (a degraded pin the engine rejected, or no online
 	// cluster could take them), keeps replanning on the fault backoff until
 	// everything is hosted or the fault burst is over.
-	if (m.faultReplanWanted || e.UnhostedApps() > 0) && e.Now()-m.lastFaultPlan >= m.FaultReplanBackoffS {
+	if (m.faultReplanWanted || e.UnhostedApps() > 0) && e.Now()-m.lastFaultPlan >= faultReplanBackoffS {
 		m.faultReplanWanted = false
 		m.lastFaultPlan = e.Now()
 		m.pending = true
@@ -297,7 +292,7 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 		if m.Logf != nil {
 			m.Logf("rtm: t=%.2fs %s %s", ev.TimeS, ev.Kind, ev.Cluster)
 		}
-		if e.Now()-m.lastFaultPlan >= m.FaultReplanBackoffS {
+		if e.Now()-m.lastFaultPlan >= faultReplanBackoffS {
 			m.lastFaultPlan = e.Now()
 			m.Replan(e)
 		} else {
@@ -321,7 +316,7 @@ func (m *Manager) FaultRecoveries() []float64 {
 func (m *Manager) buildView(e *sim.Engine) View {
 	e.SnapshotInto(&m.snap)
 	plat := e.Platform()
-	margin := m.BaseMarginC + float64(m.pressure)*m.PressureStepC
+	margin := float64(m.pressure) * pressureStepC
 	capW := plat.Thermal.PowerBudgetW(m.snap.AmbientC, plat.Thermal.ThrottleC-margin)
 	if m.viewReqs == nil {
 		m.viewReqs = map[string]Requirement{}
@@ -355,13 +350,11 @@ func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
 		return planFingerprint{}, false
 	}
 	return planFingerprint{
-		epoch:      e.PlanEpoch(),
-		reqsVer:    m.reqsVer,
-		policyVer:  m.policyVer,
-		pressure:   m.pressure,
-		baseMargin: math.Float64bits(m.BaseMarginC),
-		pressStep:  math.Float64bits(m.PressureStepC),
-		dyn:        fpr.dynFingerprint(e, m),
+		epoch:     e.PlanEpoch(),
+		reqsVer:   m.reqsVer,
+		policyVer: m.policyVer,
+		pressure:  m.pressure,
+		dyn:       fpr.dynFingerprint(e, m),
 	}, true
 }
 

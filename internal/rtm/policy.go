@@ -687,9 +687,13 @@ func (st *planState) commit(a *sim.AppInfo, c candidate, pass int) Assignment {
 // leave the app unhosted, so park diverts to the degraded pin: lowest
 // level on the least-loaded online cluster that can still take it. Only
 // when no online cluster can host the app does it stay on the dead one —
-// the retry/repair triggers in the Manager pick it up from there.
+// the retry/repair triggers in the Manager pick it up from there. A
+// placement on a cluster the platform lacks (only a hand-built View can
+// carry one) is treated like an offline one; if no cluster can take the
+// app, it stays there at level 1 with no ledger entry to charge.
 func park(st *planState, a *sim.AppInfo) Assignment {
-	if ci := st.clusterIndex(a.Placement.Cluster); ci >= 0 && !st.online[ci] {
+	ci := st.clusterIndex(a.Placement.Cluster)
+	if ci < 0 || !st.online[ci] {
 		if alt := degradedPin(st, a); alt >= 0 {
 			cl := st.clusters[alt]
 			cores := clApplyCores(cl, 1)
@@ -706,8 +710,11 @@ func park(st *planState, a *sim.AppInfo) Assignment {
 			}
 			return st.commit(a, c, 3)
 		}
+		if ci < 0 {
+			return Assignment{App: a.Name, Placement: a.Placement, Level: 1,
+				Accuracy: a.Profile.Level(1).Accuracy, Pass: 3}
+		}
 	}
-	ci := st.clusterIndex(a.Placement.Cluster)
 	cl := st.clusters[ci]
 	c := candidate{
 		placement: a.Placement,

@@ -64,29 +64,23 @@ func TestRegistryMonitorsAndNames(t *testing.T) {
 }
 
 func TestGovernorDecisions(t *testing.T) {
-	if got := (PerformanceGovernor{}).Decide(0, 0, 10); got != 9 {
-		t.Fatalf("performance -> %d", got)
-	}
-	if got := (PowersaveGovernor{}).Decide(1, 9, 10); got != 0 {
-		t.Fatalf("powersave -> %d", got)
-	}
-	g := OndemandGovernor{}
-	if got := g.Decide(0.9, 3, 10); got != 9 {
+	if got := ondemandOPP(0.9, 3, 10); got != 9 {
 		t.Fatalf("ondemand high util -> %d", got)
 	}
-	if got := g.Decide(0.1, 3, 10); got != 2 {
+	if got := ondemandOPP(ondemandUpUtil, 3, 10); got != 9 {
+		t.Fatalf("ondemand at the up threshold -> %d", got)
+	}
+	if got := ondemandOPP(0.1, 3, 10); got != 2 {
 		t.Fatalf("ondemand low util -> %d", got)
 	}
-	if got := g.Decide(0.5, 3, 10); got != 3 {
+	if got := ondemandOPP(0.5, 3, 10); got != 3 {
 		t.Fatalf("ondemand mid util -> %d", got)
 	}
-	if got := g.Decide(0.1, 0, 10); got != 0 {
-		t.Fatal("ondemand must not underflow")
+	if got := ondemandOPP(ondemandDownUtil, 3, 10); got != 3 {
+		t.Fatalf("ondemand at the down threshold -> %d", got)
 	}
-	for _, gov := range []Governor{PerformanceGovernor{}, PowersaveGovernor{}, g} {
-		if gov.Name() == "" {
-			t.Fatal("governor must have a name")
-		}
+	if got := ondemandOPP(0.1, 0, 10); got != 0 {
+		t.Fatal("ondemand must not underflow")
 	}
 }
 
@@ -104,7 +98,7 @@ func dnn(name, cluster string, cores int, periodS float64) sim.App {
 
 func TestGovernorControllerRampsUpAndDown(t *testing.T) {
 	plat := hw.OdroidXU3()
-	ctrl := NewGovernorController(OndemandGovernor{})
+	ctrl := NewGovernorController()
 	// 100% model at 4 fps: at 200 MHz latency ~1.8s → util 1 → governor
 	// must ramp the A15 up; once fast, util drops and it steps back down.
 	e, err := sim.New(sim.Config{

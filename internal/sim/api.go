@@ -22,9 +22,6 @@ func (e *Engine) Temperature() float64 { return e.temperature() }
 // ThrottleC returns the platform's thermal throttle trip point.
 func (e *Engine) ThrottleC() float64 { return e.plat.Thermal.ThrottleC }
 
-// Ambient returns the current ambient temperature in °C.
-func (e *Engine) Ambient() float64 { return e.ambient }
-
 // SetAmbient changes the ambient temperature (an environmental
 // disturbance: the device moving into a pocket or sunlight). The thermal
 // trajectory and any pending throttle alarm are re-derived.
@@ -435,7 +432,7 @@ func (e *Engine) Migrate(app string, to Placement) error {
 	a.placedCS = e.clusters[to.Cluster]
 	if a.Kind == KindDNN {
 		// The downtime supersedes the app's timer; refresh re-arms it.
-		a.blockedUntil = e.now + e.mig.Downtime(e.levelBytes(a))
+		a.blockedUntil = e.now + migrationDowntimeS(e.levelBytes(a))
 		a.completionSeq = 0
 	}
 	e.touch(fromCS)

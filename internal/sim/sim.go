@@ -33,6 +33,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -188,25 +189,17 @@ type Controller interface {
 	OnEvent(e *Engine, ev Event)
 }
 
-// MigrationModel prices app migration between clusters.
-type MigrationModel struct {
-	// BandwidthBps is the model reload bandwidth (bytes/s).
-	BandwidthBps float64
-	// FixedS is a fixed re-init latency per migration.
-	FixedS float64
-}
+// Migration cost, mirroring dyndnn's switch-cost constants: a fixed
+// re-init latency plus reloading the model at a fixed bandwidth.
+const (
+	migrationFixedS       = 0.050
+	migrationBandwidthBps = 200e6
+)
 
-// DefaultMigrationModel mirrors dyndnn's switch-cost constants.
-func DefaultMigrationModel() MigrationModel {
-	return MigrationModel{BandwidthBps: 200e6, FixedS: 0.050}
-}
-
-// Downtime returns the migration downtime for a model of the given size.
-func (m MigrationModel) Downtime(bytes int64) float64 {
-	if m.BandwidthBps <= 0 {
-		return m.FixedS
-	}
-	return m.FixedS + float64(bytes)/m.BandwidthBps
+// migrationDowntimeS returns the migration downtime for a model of the
+// given size.
+func migrationDowntimeS(bytes int64) float64 {
+	return migrationFixedS + float64(bytes)/migrationBandwidthBps
 }
 
 // appState is the live state of one app.
@@ -324,7 +317,6 @@ type Engine struct {
 	appStore     []appState
 	clusterStore []clusterState
 	ambient      float64 // current ambient °C (scenario-controllable)
-	mig          MigrationModel
 
 	// The die temperature is held per constant-power window: between two
 	// changes of total power or ambient the RC model has a closed form, so
@@ -422,8 +414,7 @@ type Config struct {
 	Apps       []App
 	Controller Controller // may be nil (uncontrolled baseline)
 	TickS      float64    // controller epoch; 0 disables ticks
-	Migration  MigrationModel
-	LogEvents  bool // retain the full event log (tests, reports)
+	LogEvents  bool       // retain the full event log (tests, reports)
 	// LogLatencies keeps each finished job's release-to-completion
 	// latency, in completion order, as Report.Latencies: the samples a
 	// latency distribution needs, without the event log.
@@ -461,14 +452,10 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.plat = cfg.Platform
 	e.ambient = cfg.Platform.AmbientC
-	e.mig = cfg.Migration
 	e.ctrl = cfg.Controller
 	e.tickS = cfg.TickS
 	e.logEvents = cfg.LogEvents
 	e.logLatencies = cfg.LogLatencies
-	if e.mig.BandwidthBps == 0 && e.mig.FixedS == 0 {
-		e.mig = DefaultMigrationModel()
-	}
 
 	e.now, e.primed, e.seq = 0, false, 0
 	e.winT0C, e.winT0S, e.winPowerW, e.winVer = cfg.Platform.AmbientC, 0, 0, 0
@@ -591,11 +578,11 @@ func (e *Engine) validateApp(a App) error {
 		if a.Level < 1 || a.Level > a.Profile.MaxLevel() {
 			return fmt.Errorf("sim: app %q level %d out of range", a.Name, a.Level)
 		}
-		if a.PeriodS <= 0 {
+		if !finite(a.PeriodS) || a.PeriodS <= 0 {
 			return fmt.Errorf("sim: app %q period %f", a.Name, a.PeriodS)
 		}
 	case KindRender, KindBackground:
-		if a.Util <= 0 || a.Util > 1 {
+		if !finite(a.Util) || a.Util <= 0 || a.Util > 1 {
 			return fmt.Errorf("sim: app %q util %f outside (0,1]", a.Name, a.Util)
 		}
 	default:
@@ -604,8 +591,16 @@ func (e *Engine) validateApp(a App) error {
 	if !cl.Type.IsAccelerator() && a.Placement.Cores < 1 {
 		return fmt.Errorf("sim: app %q needs >= 1 core on CPU cluster", a.Name)
 	}
+	// A NaN start or period would never order in the event heap (Run
+	// would spin forever), and a NaN or infinite one would carry into
+	// every energy and temperature integral.
+	if !finite(a.StartS) || !finite(a.StopS) {
+		return fmt.Errorf("sim: app %q start %f and stop %f must be finite", a.Name, a.StartS, a.StopS)
+	}
 	if a.StopS != 0 && a.StopS <= a.StartS {
 		return fmt.Errorf("sim: app %q stop %f <= start %f", a.Name, a.StopS, a.StartS)
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -598,6 +598,27 @@ func TestConfigValidationErrors(t *testing.T) {
 		{Platform: plat, Apps: []App{{Name: "x", Kind: KindDNN, Profile: gap,
 			Level: 1, PeriodS: 1, Placement: Placement{Cluster: "a15", Cores: 1}}}},
 	}
+	// Non-finite timing and load. A NaN period or start hung Run and a NaN
+	// render util turned energy and temperature into NaN, so these are
+	// only built, never run.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []func(a *App){
+		func(a *App) { a.PeriodS = nan },
+		func(a *App) { a.PeriodS = inf },
+		func(a *App) { a.StartS = nan },
+		func(a *App) { a.StartS = inf },
+		func(a *App) { a.StartS = -inf },
+		func(a *App) { a.StopS = nan },
+		func(a *App) { a.StopS = inf },
+	} {
+		a := dnnApp("x", "a15", 1, 1, 1)
+		bad(&a)
+		cases = append(cases, Config{Platform: plat, Apps: []App{a}})
+	}
+	for _, util := range []float64{nan, inf, -inf} {
+		cases = append(cases, Config{Platform: plat, Apps: []App{{Name: "x", Kind: KindRender, Util: util,
+			Placement: Placement{Cluster: "a15", Cores: 1}}}})
+	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("config %d must be rejected", i)

@@ -151,7 +151,7 @@ func TestFig2ScenarioReproducesPaperTimeline(t *testing.T) {
 // GPU is taken, and nothing resolves the NPU memory conflict.
 func TestFig2BaselineWithoutRTMDegrades(t *testing.T) {
 	s := Fig2Scenario()
-	gov := rtm.NewGovernorController(rtm.OndemandGovernor{})
+	gov := rtm.NewGovernorController()
 	e, err := sim.New(sim.Config{
 		Platform:   hw.FlagshipSoC(),
 		Apps:       s.Apps,
