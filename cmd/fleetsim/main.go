@@ -286,6 +286,16 @@ func orchestrateMain(args []string) {
 		// otherwise silently run three attempts.
 		log.Fatalf("fleetsim orchestrate: -retries %d must be non-negative", *retries)
 	}
+	if *stall < 0 {
+		// StallTimeout <= 0 disables detection, so a negative -stall would
+		// otherwise silently turn it off; 0 is the way to ask for that.
+		log.Fatalf("fleetsim orchestrate: -stall %v must be non-negative (0 disables stall detection)", *stall)
+	}
+	if *backoff <= 0 {
+		// RetryBackoff <= 0 means the library's 250ms default, not this
+		// flag's documented 500ms.
+		log.Fatalf("fleetsim orchestrate: -backoff %v must be positive", *backoff)
+	}
 	cfg := buildConfig(*seed, *platforms, *classes, *policies)
 	exe, err := os.Executable()
 	if err != nil {

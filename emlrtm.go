@@ -307,14 +307,6 @@ func FleetShardRange(total, index, count int) (lo, hi int) {
 	return fleet.ShardRange(total, index, count)
 }
 
-// RunFleetShard runs shard index (0-based) of count over a
-// total-scenario fleet in memory; merging every shard with
-// MergeFleetShards is byte-identical to RunFleet over the same config and
-// total. ResumeFleetShard runs the same shard into a stream file.
-func RunFleetShard(cfg FleetGeneratorConfig, total, index, count, workers int) (FleetShardResult, error) {
-	return fleet.RunShard(cfg, total, index, count, workers)
-}
-
 // ReadFleetShardFile reads and validates one shard stream file from disk.
 func ReadFleetShardFile(path string) (FleetShardResult, error) {
 	return fleet.ReadShardFile(path)
@@ -344,8 +336,10 @@ type (
 // completed result to the NDJSON file at path. An existing partial stream
 // — say, from a killed process — is validated against cfg, its intact
 // records are kept, any torn trailing line is truncated, and only the
-// missing scenarios run. The returned shard is byte-identical to an
-// uninterrupted RunFleetShard of the same range.
+// missing scenarios run. The returned shard is byte-identical to the same
+// range of RunFleet's results (see FleetShardRange), however often the
+// shard was interrupted; merging every shard with MergeFleetShards is
+// byte-identical to RunFleet over the same config and total.
 func ResumeFleetShard(path string, cfg FleetGeneratorConfig, total, index, count, workers int) (FleetShardResult, error) {
 	return fleet.ResumeShard(path, cfg, total, index, count, workers)
 }

@@ -189,6 +189,10 @@ func TestFacadeShardedFleet(t *testing.T) {
 	// single-process report byte for byte.
 	cfg := FleetGeneratorConfig{Seed: 21}
 	const total = 6
+	single, singleRes, err := RunFleet(cfg, total, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	var shards []FleetShardResult
 	for i := 0; i < 2; i++ {
@@ -200,15 +204,13 @@ func TestFacadeShardedFleet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The streamed shard equals the in-memory reference.
-		mem, err := RunFleetShard(cfg, total, i, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bj, _ := json.Marshal(back)
-		mj, _ := json.Marshal(mem)
+		// The streamed shard's results equal the same range of the
+		// single-process run.
+		lo, hi := FleetShardRange(len(singleRes), i, 2)
+		bj, _ := json.Marshal(back.Results)
+		mj, _ := json.Marshal(singleRes[lo:hi])
 		if !bytes.Equal(bj, mj) {
-			t.Fatalf("shard %d: streamed and read back != RunFleetShard", i)
+			t.Fatalf("shard %d: streamed and read back != RunFleet results [%d,%d)", i, lo, hi)
 		}
 		shards = append(shards, back)
 	}
@@ -217,10 +219,6 @@ func TestFacadeShardedFleet(t *testing.T) {
 		t.Fatalf("shard 0 range [%d,%d), want [0,3)", shards[0].Lo, shards[0].Hi)
 	}
 	merged, _, err := MergeFleetShards(shards[1], shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, _, err := RunFleet(cfg, total, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,10 @@ import (
 )
 
 // ShardSpec describes one shard assignment handed to a Start function: its
-// 0-based index of Count, the run-index range it owns, and the stream file
-// it must write (and may resume).
+// 0-based index of Count and the stream file it must write (and may
+// resume). ShardRange gives the run-index range the shard owns.
 type ShardSpec struct {
 	Index, Count int
-	Lo, Hi       int    // run-index range [Lo, Hi), for logging/labels
 	Path         string // NDJSON stream file the shard appends to
 }
 
@@ -29,7 +28,7 @@ type ShardProcess interface {
 
 // OrchestratorConfig parametrises Orchestrate.
 type OrchestratorConfig struct {
-	// Config and Workloads define the fleet, exactly as in Run/RunShard.
+	// Config and Workloads define the fleet, exactly as in Run.
 	Config    GeneratorConfig
 	Workloads int
 	// Shards is how many shard processes partition the fleet.
@@ -40,25 +39,18 @@ type OrchestratorConfig struct {
 	// it died.
 	Dir string
 	// Start launches one shard; it must (eventually) complete spec.Path as
-	// a shard result stream, resuming any existing content. Nil runs
-	// shards in this process via Runner.ResumeShard (straggler detection
-	// then has nothing to kill and is disabled).
+	// a shard result stream, resuming any existing content. It is
+	// required: CommandStart builds one that execs a subprocess per shard,
+	// whose argv carries the worker count and latency mode.
 	Start func(ShardSpec) (ShardProcess, error)
-	// Workers is the per-shard worker-pool size for in-process shards
-	// (Start == nil); 0 means NumCPU.
-	Workers int
-	// DropLatencies runs in-process shards without raw latency samples
-	// (the -nolat mode); subprocess Starts encode this in their argv.
-	DropLatencies bool
 	// StallTimeout declares a dispatched shard dead when its stream file
 	// gains no bytes for this long (every completed scenario flushes, so
 	// file growth is a progress signal; mtime is only a fallback). The
 	// straggler is killed and the attempt counts as failed; the retry
 	// resumes from its last flushed scenario. Zero disables detection.
+	// The stream file is sampled every 200ms, or every tenth of
+	// StallTimeout when that is shorter.
 	StallTimeout time.Duration
-	// PollInterval is how often stall detection samples the stream file's
-	// size; default 200ms.
-	PollInterval time.Duration
 	// MaxAttempts bounds tries per shard (first run + retries); default 3.
 	MaxAttempts int
 	// RetryBackoff is the wait before the first retry, doubling per
@@ -93,8 +85,10 @@ func Orchestrate(cfg OrchestratorConfig) (Report, []Result, error) {
 	if cfg.Shards < 1 {
 		return Report{}, nil, fmt.Errorf("fleet: shard count %d must be at least 1", cfg.Shards)
 	}
-	gen, err := NewGenerator(cfg.Config)
-	if err != nil {
+	if cfg.Start == nil {
+		return Report{}, nil, fmt.Errorf("fleet: orchestrator needs a Start function")
+	}
+	if _, err := NewGenerator(cfg.Config); err != nil {
 		return Report{}, nil, err
 	}
 	if cfg.Dir == "" {
@@ -109,15 +103,11 @@ func Orchestrate(cfg OrchestratorConfig) (Report, []Result, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 250 * time.Millisecond
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 200 * time.Millisecond
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 
-	runs := gen.RunCount(cfg.Workloads)
 	type outcome struct {
 		index    int
 		shard    ShardResult
@@ -126,10 +116,8 @@ func Orchestrate(cfg OrchestratorConfig) (Report, []Result, error) {
 	}
 	ch := make(chan outcome)
 	for i := 0; i < cfg.Shards; i++ {
-		lo, hi := ShardRange(runs, i, cfg.Shards)
 		spec := ShardSpec{
 			Index: i, Count: cfg.Shards,
-			Lo: lo, Hi: hi,
 			Path: filepath.Join(cfg.Dir, StreamFileName(i, cfg.Shards)),
 		}
 		go func(spec ShardSpec) {
@@ -185,14 +173,20 @@ func superviseShard(cfg OrchestratorConfig, spec ShardSpec, logf func(string, ..
 		spec.Index+1, spec.Count, cfg.MaxAttempts, lastErr)
 }
 
-// attemptShard makes one attempt at a shard — in-process when no Start
-// function is configured, otherwise dispatch-and-watch — and reads the
-// finished stream back as a validated, complete ShardResult.
-func attemptShard(cfg OrchestratorConfig, spec ShardSpec) (ShardResult, error) {
-	if cfg.Start == nil {
-		r := &Runner{Workers: cfg.Workers, DropLatencies: cfg.DropLatencies}
-		return r.ResumeShard(spec.Path, cfg.Config, cfg.Workloads, spec.Index, spec.Count)
+// pollInterval is how often stall detection samples a shard's stream
+// file: 200ms, or a tenth of a positive stall timeout when that is
+// shorter (floored at 1ms, as a ticker needs a positive period).
+func pollInterval(stall time.Duration) time.Duration {
+	poll := 200 * time.Millisecond
+	if stall > 0 && stall/10 < poll {
+		poll = max(stall/10, time.Millisecond)
 	}
+	return poll
+}
+
+// attemptShard makes one attempt at a shard — dispatch, then watch — and
+// reads the finished stream back as a validated, complete ShardResult.
+func attemptShard(cfg OrchestratorConfig, spec ShardSpec) (ShardResult, error) {
 	proc, err := cfg.Start(spec)
 	if err != nil {
 		return ShardResult{}, fmt.Errorf("starting shard: %w", err)
@@ -210,7 +204,7 @@ func attemptShard(cfg OrchestratorConfig, spec ShardSpec) (ShardResult, error) {
 	// attempt start is the baseline.
 	last := time.Now() //detlint:allow wallclock stall detection watches a real OS process's stream file
 	lastSize := int64(-1)
-	ticker := time.NewTicker(cfg.PollInterval) //detlint:allow wallclock polling cadence for a real subprocess heartbeat
+	ticker := time.NewTicker(pollInterval(cfg.StallTimeout)) //detlint:allow wallclock polling cadence for a real subprocess heartbeat
 	defer ticker.Stop()
 	stalled := false
 	for {

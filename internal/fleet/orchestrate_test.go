@@ -117,9 +117,10 @@ func reportJSON(t *testing.T, rep Report, res []Result) []byte {
 	return b
 }
 
-// TestOrchestrateInProcess: the orchestrator over in-process shards — one
-// of them resuming a crash-truncated stream left in the directory — must
-// reproduce the single-process report and results byte-for-byte.
+// TestOrchestrateInProcess: the orchestrator over in-process shards, each
+// running ResumeShard — one of them resuming a crash-truncated stream left
+// in the directory — must reproduce the single-process report and results
+// byte-for-byte.
 func TestOrchestrateInProcess(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 31, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady, ClassBursty}}
 	const workloads = 8
@@ -159,7 +160,13 @@ func TestOrchestrateInProcess(t *testing.T) {
 	var logs []string
 	var logMu sync.Mutex
 	rep, res, err := Orchestrate(OrchestratorConfig{
-		Config: cfg, Workloads: workloads, Shards: shards, Dir: dir, Workers: 2,
+		Config: cfg, Workloads: workloads, Shards: shards, Dir: dir,
+		Start: func(spec ShardSpec) (ShardProcess, error) {
+			return inProcessShard(func() error {
+				_, err := ResumeShard(spec.Path, cfg, workloads, spec.Index, spec.Count, 2)
+				return err
+			}), nil
+		},
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -213,11 +220,12 @@ func TestOrchestrateRetriesFailedShard(t *testing.T) {
 					return err
 				}
 				defer f.Close()
-				sw, err := NewStreamWriter(f, StreamHeader{Config: cfg, Total: runs, Lo: spec.Lo, Hi: spec.Hi})
+				lo, hi := ShardRange(runs, spec.Index, spec.Count)
+				sw, err := NewStreamWriter(f, StreamHeader{Config: cfg, Total: runs, Lo: lo, Hi: hi})
 				if err != nil {
 					return err
 				}
-				if err := sw.Append(RunOne(gen.GenerateRange(spec.Lo, spec.Lo+1)[0])); err != nil {
+				if err := sw.Append(RunOne(gen.GenerateRange(lo, lo+1)[0])); err != nil {
 					return err
 				}
 				return fmt.Errorf("simulated crash")
@@ -415,7 +423,6 @@ func TestOrchestrateStallKill(t *testing.T) {
 		// reads as a stall, short enough that the wedged helper — which
 		// sleeps for a minute — is reliably killed.
 		StallTimeout: 3 * time.Second,
-		PollInterval: 100 * time.Millisecond,
 		RetryBackoff: time.Millisecond,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
@@ -434,20 +441,28 @@ func TestOrchestrateStallKill(t *testing.T) {
 	}
 }
 
-// TestOrchestrateRejectsBadConfig covers argument validation.
+// TestOrchestrateRejectsBadConfig covers argument validation. Every case
+// but the nil-Start one carries a Start function that fails the test if
+// called, so each is rejected for its own fault before any dispatch.
 func TestOrchestrateRejectsBadConfig(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 1}
-	if _, _, err := Orchestrate(OrchestratorConfig{Config: cfg, Workloads: 0, Shards: 1, Dir: t.TempDir()}); err == nil {
-		t.Error("zero workloads accepted")
+	start := func(ShardSpec) (ShardProcess, error) {
+		t.Error("a shard was dispatched for a rejected config")
+		return inProcessShard(func() error { return nil }), nil
 	}
-	if _, _, err := Orchestrate(OrchestratorConfig{Config: cfg, Workloads: 4, Shards: 0, Dir: t.TempDir()}); err == nil {
-		t.Error("zero shards accepted")
-	}
-	if _, _, err := Orchestrate(OrchestratorConfig{Config: cfg, Workloads: 4, Shards: 1}); err == nil {
-		t.Error("missing stream directory accepted")
-	}
-	if _, _, err := Orchestrate(OrchestratorConfig{Config: GeneratorConfig{Platforms: []string{"nope"}}, Workloads: 4, Shards: 1, Dir: t.TempDir()}); err == nil {
-		t.Error("invalid generator config accepted")
+	for _, tc := range []struct {
+		name, wantErr string
+		cfg           OrchestratorConfig
+	}{
+		{"zero workloads", "must be positive", OrchestratorConfig{Config: cfg, Workloads: 0, Shards: 1, Dir: t.TempDir(), Start: start}},
+		{"zero shards", "at least 1", OrchestratorConfig{Config: cfg, Workloads: 4, Shards: 0, Dir: t.TempDir(), Start: start}},
+		{"missing stream directory", "stream directory", OrchestratorConfig{Config: cfg, Workloads: 4, Shards: 1, Start: start}},
+		{"invalid generator config", "unknown platform", OrchestratorConfig{Config: GeneratorConfig{Platforms: []string{"nope"}}, Workloads: 4, Shards: 1, Dir: t.TempDir(), Start: start}},
+		{"nil Start", "Start function", OrchestratorConfig{Config: cfg, Workloads: 4, Shards: 1, Dir: t.TempDir()}},
+	} {
+		if _, _, err := Orchestrate(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: error = %v, want it to mention %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 
@@ -513,12 +528,13 @@ func TestOrchestrateStallDetectionSurvivesCoarseMtime(t *testing.T) {
 					return err
 				}
 				defer f.Close()
-				sw, err := NewStreamWriter(f, StreamHeader{Config: cfg, Total: runs, Lo: spec.Lo, Hi: spec.Hi})
+				lo, hi := ShardRange(runs, spec.Index, spec.Count)
+				sw, err := NewStreamWriter(f, StreamHeader{Config: cfg, Total: runs, Lo: lo, Hi: hi})
 				if err != nil {
 					return err
 				}
 				os.Chtimes(spec.Path, past, past)
-				for _, r := range results[spec.Lo:spec.Hi] {
+				for _, r := range results[lo:hi] {
 					// Each record arrives well within the stall timeout, but
 					// the whole stream takes longer than it — only byte
 					// growth proves liveness.
@@ -536,9 +552,10 @@ func TestOrchestrateStallDetectionSurvivesCoarseMtime(t *testing.T) {
 
 	rep, res, err := Orchestrate(OrchestratorConfig{
 		Config: cfg, Workloads: workloads, Shards: 1, Dir: t.TempDir(),
-		Start:        start,
-		StallTimeout: 300 * time.Millisecond, // < total stream time, > per-record cadence
-		PollInterval: 25 * time.Millisecond,
+		Start: start,
+		// Shorter than the whole stream, longer than the per-record
+		// cadence; the file is polled every tenth of it (30ms).
+		StallTimeout: 300 * time.Millisecond,
 		MaxAttempts:  1, // a false kill must fail the test, not retry past it
 	})
 	if err != nil {

@@ -45,21 +45,12 @@ type ShardResult struct {
 // to that ID. A shard generated under a different master seed or policy
 // list cannot slip in.
 func (s ShardResult) Validate() error {
-	if s.FormatVersion != ShardFormatVersion {
-		return fmt.Errorf("fleet: shard format version %d, want %d", s.FormatVersion, ShardFormatVersion)
-	}
-	if s.Total <= 0 {
-		return fmt.Errorf("fleet: shard total %d must be positive", s.Total)
-	}
-	if s.Lo < 0 || s.Hi < s.Lo || s.Hi > s.Total {
-		return fmt.Errorf("fleet: shard range [%d,%d) outside fleet [0,%d)", s.Lo, s.Hi, s.Total)
+	pols, err := checkHeader(s.FormatVersion, s.Config, s.Total, s.Lo, s.Hi)
+	if err != nil {
+		return err
 	}
 	if len(s.Results) != s.Hi-s.Lo {
 		return fmt.Errorf("fleet: shard [%d,%d) carries %d results, want %d", s.Lo, s.Hi, len(s.Results), s.Hi-s.Lo)
-	}
-	pols, err := resolvePolicies(s.Config.Policies)
-	if err != nil {
-		return err
 	}
 	for i, r := range s.Results {
 		id := s.Lo + i
@@ -71,6 +62,22 @@ func (s ShardResult) Validate() error {
 		}
 	}
 	return nil
+}
+
+// checkHeader holds the header checks a shard and a shard stream share —
+// format version, fleet size and range — and resolves the policy sweep the
+// records are validated against.
+func checkHeader(version int, cfg GeneratorConfig, total, lo, hi int) ([]string, error) {
+	if version != ShardFormatVersion {
+		return nil, fmt.Errorf("fleet: shard format version %d, want %d", version, ShardFormatVersion)
+	}
+	if total <= 0 {
+		return nil, fmt.Errorf("fleet: shard total %d must be positive", total)
+	}
+	if lo < 0 || hi < lo || hi > total {
+		return nil, fmt.Errorf("fleet: shard range [%d,%d) outside fleet [0,%d)", lo, hi, total)
+	}
+	return resolvePolicies(cfg.Policies)
 }
 
 // validateResultAt checks that one result claims scenario index id of the
@@ -100,30 +107,9 @@ func ShardRange(total, index, count int) (lo, hi int) {
 	return index * total / count, (index + 1) * total / count
 }
 
-// RunShard generates and runs shard index (0-based) of count over a fleet
-// of total workloads (total × P scenario runs when the config sweeps P
-// policies), entirely in memory. Running every shard and merging is
-// byte-identical to a single-process Run over the same config and total;
-// ResumeShard is the variant that persists a shard as it runs.
-func RunShard(cfg GeneratorConfig, total, index, count, workers int) (ShardResult, error) {
-	return (&Runner{Workers: workers}).RunShard(cfg, total, index, count)
-}
-
-// RunShard is RunShard with the caller's Runner, so pool size and the
-// Progress callback carry over.
-func (r *Runner) RunShard(cfg GeneratorConfig, total, index, count int) (ShardResult, error) {
-	gen, s, err := newShard(cfg, total, index, count)
-	if err != nil {
-		return ShardResult{}, err
-	}
-	s.Results = r.Run(gen.GenerateRange(s.Lo, s.Hi))
-	return s, nil
-}
-
 // newShard checks a shard request and returns the fleet's generator and
 // the shard's header, Results left empty. It is the single place a
-// ShardResult header is assembled: RunShard and ResumeShard both start
-// here, so every producer fills the same header the same way.
+// ShardResult header is assembled.
 func newShard(cfg GeneratorConfig, total, index, count int) (*Generator, ShardResult, error) {
 	if total <= 0 {
 		return nil, ShardResult{}, fmt.Errorf("fleet: scenario count %d must be positive", total)

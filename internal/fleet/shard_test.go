@@ -329,22 +329,39 @@ func TestReadShardFileCorrupt(t *testing.T) {
 	}
 }
 
-// TestRunShardBounds covers RunShard argument validation.
-func TestRunShardBounds(t *testing.T) {
+// TestResumeShardBounds covers ResumeShard argument validation: a bad
+// request fails before the stream path is created.
+func TestResumeShardBounds(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 1}
-	if _, err := RunShard(cfg, 0, 0, 1, 1); err == nil {
-		t.Error("zero total accepted")
+	for _, tc := range []struct {
+		name                string
+		cfg                 GeneratorConfig
+		total, index, count int
+	}{
+		{"zero total", cfg, 0, 0, 1},
+		{"index >= count", cfg, 4, 2, 2},
+		{"negative index", cfg, 4, -1, 2},
+		{"zero count", cfg, 4, 0, 0},
+		{"invalid generator config", GeneratorConfig{Platforms: []string{"nope"}}, 4, 0, 2},
+	} {
+		path := filepath.Join(t.TempDir(), "shard.ndjson")
+		if _, err := ResumeShard(path, tc.cfg, tc.total, tc.index, tc.count, 1); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: stream path created (stat error %v)", tc.name, err)
+		}
 	}
-	if _, err := RunShard(cfg, 4, 2, 2, 1); err == nil {
-		t.Error("index >= count accepted")
+}
+
+// runShardRef is the reference a resumed shard must equal: the same range
+// of a single-process Run, with the header ResumeShard fills in.
+func runShardRef(t testing.TB, cfg GeneratorConfig, total, index, count int) ShardResult {
+	t.Helper()
+	_, res, err := Run(cfg, total, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunShard(cfg, 4, -1, 2, 1); err == nil {
-		t.Error("negative index accepted")
-	}
-	if _, err := RunShard(cfg, 4, 0, 0, 1); err == nil {
-		t.Error("zero count accepted")
-	}
-	if _, err := RunShard(GeneratorConfig{Platforms: []string{"nope"}}, 4, 0, 2, 1); err == nil {
-		t.Error("invalid generator config accepted")
-	}
+	lo, hi := ShardRange(len(res), index, count)
+	return ShardResult{FormatVersion: ShardFormatVersion, Config: cfg, Total: len(res), Lo: lo, Hi: hi, Results: res[lo:hi]}
 }

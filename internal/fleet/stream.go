@@ -44,25 +44,13 @@ type StreamHeader struct {
 	NoLatencies   bool            `json:"noLatencies,omitempty"`
 }
 
-// validate checks internal consistency, mirroring ShardResult.Validate's
-// header checks.
-func (h StreamHeader) validate() error {
+// validate checks the stream marker and the header checks shared with
+// ShardResult.Validate, returning the resolved policy sweep.
+func (h StreamHeader) validate() ([]string, error) {
 	if h.Stream != streamMagic {
-		return fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", h.Stream, streamMagic)
+		return nil, fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", h.Stream, streamMagic)
 	}
-	if h.FormatVersion != ShardFormatVersion {
-		return fmt.Errorf("fleet: stream format version %d, want %d", h.FormatVersion, ShardFormatVersion)
-	}
-	if h.Total <= 0 {
-		return fmt.Errorf("fleet: stream total %d must be positive", h.Total)
-	}
-	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.Total {
-		return fmt.Errorf("fleet: stream range [%d,%d) outside fleet [0,%d)", h.Lo, h.Hi, h.Total)
-	}
-	if _, err := resolvePolicies(h.Config.Policies); err != nil {
-		return err
-	}
-	return nil
+	return checkHeader(h.FormatVersion, h.Config, h.Total, h.Lo, h.Hi)
 }
 
 // matches reports whether two headers describe the same shard of the same
@@ -128,10 +116,11 @@ func (sw *StreamWriter) SetSyncEvery(n int) { sw.syncEvery = n }
 func NewStreamWriter(w io.Writer, hdr StreamHeader) (*StreamWriter, error) {
 	hdr.Stream = streamMagic
 	hdr.FormatVersion = ShardFormatVersion
-	if err := hdr.validate(); err != nil {
+	pols, err := hdr.validate()
+	if err != nil {
 		return nil, err
 	}
-	sw := newStreamWriterAt(w, hdr, hdr.Lo)
+	sw := newStreamWriterAt(w, hdr, pols, hdr.Lo)
 	line, err := json.Marshal(hdr)
 	if err != nil {
 		return nil, err
@@ -146,10 +135,9 @@ func NewStreamWriter(w io.Writer, hdr StreamHeader) (*StreamWriter, error) {
 }
 
 // newStreamWriterAt builds a writer for a stream whose header (and next-lo
-// records) are already on disk — the resume path. hdr must already be
-// validated.
-func newStreamWriterAt(w io.Writer, hdr StreamHeader, next int) *StreamWriter {
-	pols, _ := resolvePolicies(hdr.Config.Policies) // validated with hdr
+// records) are already on disk — the resume path. pols is the policy
+// sweep hdr.validate resolved.
+func newStreamWriterAt(w io.Writer, hdr StreamHeader, pols []string, next int) *StreamWriter {
 	sw := &StreamWriter{w: bufio.NewWriter(w), hdr: hdr, pols: pols, next: next}
 	if s, ok := w.(interface{ Sync() error }); ok {
 		sw.sync = s.Sync
@@ -209,18 +197,24 @@ func (sw *StreamWriter) Next() int { return sw.next }
 func (sw *StreamWriter) Complete() bool { return sw.next == sw.hdr.Hi }
 
 // StreamReader reads a shard result stream record by record, validating
-// each against the header exactly as ShardResult.Validate would.
+// each against the header exactly as ShardResult.Validate would. It is the
+// one decoder of stream bytes: ReadShard reads whole streams through it,
+// and ResumeShard replays a crashed prefix through it.
 type StreamReader struct {
 	br   *bufio.Reader
 	hdr  StreamHeader
 	pols []string
 	next int
 	line []byte // reused line buffer
+
+	offset int64 // byte offset just past the header or the last intact record
+	torn   bool  // Read stopped at a line cut short or one that does not decode
 }
 
 // NewStreamReader reads and validates the header line. A first line that
 // is not a stream header, such as the opening of a one-document
-// ShardResult, fails as "not a shard result stream".
+// ShardResult, fails as "not a shard result stream". An empty input, or a
+// header cut short before its newline, fails wrapping io.EOF.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
@@ -231,17 +225,19 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if err := json.Unmarshal(line, &hdr); err != nil {
 		return nil, fmt.Errorf("fleet: not a shard result stream (header: %v)", err)
 	}
-	if err := hdr.validate(); err != nil {
+	pols, err := hdr.validate()
+	if err != nil {
 		return nil, err
 	}
-	pols, _ := resolvePolicies(hdr.Config.Policies) // validated with hdr
-	return &StreamReader{br: br, hdr: hdr, pols: pols, next: hdr.Lo}, nil
+	return &StreamReader{br: br, hdr: hdr, pols: pols, next: hdr.Lo, offset: int64(len(line))}, nil
 }
 
 // Read returns the next record. It fails loud on a record that does not
 // belong to the header's run, on trailing records beyond the range, and on
-// a truncated final line (io.ErrUnexpectedEOF — the crash point of a
-// killed writer). io.EOF means the stream ended cleanly at a record
+// a torn line: a final line cut short (io.ErrUnexpectedEOF, the crash
+// point of a killed writer) or a line that does not decode. A line is
+// decoded before the range is checked, so a torn line is reported as torn
+// wherever it falls. io.EOF means the stream ended cleanly at a record
 // boundary; the caller decides whether the prefix read so far is complete.
 func (sr *StreamReader) Read() (Result, error) {
 	line, err := readLine(sr.br, sr.line)
@@ -250,22 +246,25 @@ func (sr *StreamReader) Read() (Result, error) {
 		if len(line) == 0 {
 			return Result{}, io.EOF
 		}
+		sr.torn = true
 		return Result{}, fmt.Errorf("fleet: stream record %d truncated mid-line: %w", sr.next, io.ErrUnexpectedEOF)
 	}
 	if err != nil {
 		return Result{}, fmt.Errorf("fleet: reading stream record %d: %w", sr.next, err)
 	}
-	if sr.next >= sr.hdr.Hi {
-		return Result{}, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", sr.hdr.Lo, sr.hdr.Hi)
-	}
 	var r Result
 	if err := decodeRecord(line, &r); err != nil {
+		sr.torn = true
 		return Result{}, fmt.Errorf("fleet: decoding stream record %d: %w", sr.next, err)
+	}
+	if sr.next >= sr.hdr.Hi {
+		return Result{}, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", sr.hdr.Lo, sr.hdr.Hi)
 	}
 	if err := validateResultAt(sr.hdr.Config.Seed, sr.pols, r, sr.next); err != nil {
 		return Result{}, err
 	}
 	sr.next++
+	sr.offset += int64(len(line))
 	return r, nil
 }
 
@@ -285,7 +284,9 @@ func readLine(br *bufio.Reader, buf []byte) ([]byte, error) {
 
 // readAll reads the remaining records and converts the stream into the
 // equivalent ShardResult. An incomplete stream — fewer records than the
-// header's range — is an error; resume it with ResumeShard instead.
+// header's range — is an error; resume it with ResumeShard instead. The
+// header and every record were checked as they were read, so only the
+// record count is left to check.
 func (sr *StreamReader) readAll() (ShardResult, error) {
 	// The header's range is only a claim until the records arrive: cap the
 	// preallocation so a forged range cannot demand a huge slice up front.
@@ -304,18 +305,14 @@ func (sr *StreamReader) readAll() (ShardResult, error) {
 		return ShardResult{}, fmt.Errorf("fleet: stream incomplete: has %d of %d results (scenarios [%d,%d) of [%d,%d) missing); resume it with ResumeShard or fleetsim -resume",
 			len(results), sr.hdr.Hi-sr.hdr.Lo, sr.hdr.Lo+len(results), sr.hdr.Hi, sr.hdr.Lo, sr.hdr.Hi)
 	}
-	s := ShardResult{
+	return ShardResult{
 		FormatVersion: sr.hdr.FormatVersion,
 		Config:        sr.hdr.Config,
 		Total:         sr.hdr.Total,
 		Lo:            sr.hdr.Lo,
 		Hi:            sr.hdr.Hi,
 		Results:       results,
-	}
-	if err := s.Validate(); err != nil {
-		return ShardResult{}, err
-	}
-	return s, nil
+	}, nil
 }
 
 // ResumeShard runs shard index (0-based) of count over a total-workload
@@ -326,30 +323,30 @@ func ResumeShard(path string, cfg GeneratorConfig, total, index, count, workers 
 	return (&Runner{Workers: workers}).ResumeShard(path, cfg, total, index, count)
 }
 
-// ResumeShard is the persistent counterpart of RunShard: results
+// ResumeShard runs one shard of a fleet into a stream file: results
 // stream to path as NDJSON, flushed per scenario, so a process killed at
 // scenario k of its range restarts from k+1 — not from scratch. A missing
 // or empty path starts a fresh stream; an existing one must carry a header
 // matching the requested run (same seed, config, range, format version and
 // latency mode) and is replayed, validated record by record, before the
-// missing suffix is generated and run. A truncated final line — the usual
-// kill-mid-write artifact — is discarded and rewritten. The returned ShardResult
-// is identical to what RunShard would have produced in one uninterrupted
-// process, which is what keeps the merged report byte-identical no matter
-// how many times a shard crashed on the way.
+// missing suffix is generated and run. A torn line — the usual
+// kill-mid-write artifact — and everything after it is discarded and
+// rewritten. The returned ShardResult is identical to the same range of a
+// single-process Run, which is what keeps the merged report byte-identical
+// no matter how many times a shard crashed on the way. Errors about the
+// stream name path.
 func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, count int) (ShardResult, error) {
 	gen, s, err := newShard(cfg, total, index, count)
 	if err != nil {
 		return ShardResult{}, err
 	}
-	lo, hi := s.Lo, s.Hi
 	want := StreamHeader{
 		Stream:        streamMagic,
 		FormatVersion: s.FormatVersion,
 		Config:        cfg,
 		Total:         s.Total,
-		Lo:            lo,
-		Hi:            hi,
+		Lo:            s.Lo,
+		Hi:            s.Hi,
 		NoLatencies:   r.DropLatencies,
 	}
 
@@ -358,33 +355,46 @@ func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, cou
 		return ShardResult{}, err
 	}
 	defer f.Close()
-
-	replayed, offset, err := replayStream(f, want)
-	if err != nil {
+	if s.Results, err = r.resume(f, gen, want); err != nil {
 		return ShardResult{}, fmt.Errorf("%s: %w", path, err)
 	}
-	next := lo + len(replayed)
+	if err := s.Validate(); err != nil {
+		return ShardResult{}, fmt.Errorf("%s: resumed shard failed validation: %w", path, err)
+	}
+	return s, nil
+}
 
-	// Drop any truncated final line and position the writer at the end of
-	// the last intact record (or at 0 for a fresh/garbled-header file).
+// resume replays f's intact prefix, truncates whatever follows it, and
+// runs and appends the rest of want's range, returning every result of
+// the range in order.
+func (r *Runner) resume(f *os.File, gen *Generator, want StreamHeader) ([]Result, error) {
+	sr, results, err := replayStream(f, want)
+	if err != nil {
+		return nil, err
+	}
+	// Drop any torn tail and position the writer at the end of the last
+	// intact record, or at 0 for a fresh file or a torn header.
+	var offset int64
+	if sr != nil {
+		offset = sr.offset
+	}
 	if err := f.Truncate(offset); err != nil {
-		return ShardResult{}, err
+		return nil, err
 	}
 	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return ShardResult{}, err
+		return nil, err
 	}
 	var sw *StreamWriter
-	if offset == 0 {
+	if sr == nil {
 		if sw, err = NewStreamWriter(f, want); err != nil {
-			return ShardResult{}, err
+			return nil, err
 		}
 	} else {
-		sw = newStreamWriterAt(f, want, next)
+		sw = newStreamWriterAt(f, want, sr.pols, sr.next)
 	}
 	sw.SetSyncEvery(r.SyncEvery)
 
-	results := replayed
-	if next < hi {
+	if next := sw.Next(); next < want.Hi {
 		// Copy the runner so the stream hook does not clobber a caller's
 		// own callback wiring; OnResult delivery is already serialized and
 		// index-ordered, which is exactly the order the stream needs.
@@ -395,87 +405,44 @@ func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, cou
 				streamErr = sw.Append(res)
 			}
 		}
-		fresh := rr.Run(gen.GenerateRange(next, hi))
+		fresh := rr.Run(gen.GenerateRange(next, want.Hi))
 		if streamErr != nil {
-			return ShardResult{}, fmt.Errorf("%s: %w", path, streamErr)
+			return nil, streamErr
 		}
 		results = append(results, fresh...)
 	}
-	if err := f.Sync(); err != nil {
-		return ShardResult{}, err
-	}
-
-	s.Results = results
-	if err := s.Validate(); err != nil {
-		return ShardResult{}, fmt.Errorf("%s: resumed shard failed validation: %w", path, err)
-	}
-	return s, nil
+	return results, f.Sync()
 }
 
-// replayStream reads an existing stream file from the start, returning the
-// intact completed results and the byte offset just past the last intact
-// line. A missing trailing newline or an unparsable final record marks the
-// crash point: replay stops there and the caller truncates. An empty file
-// — or one whose header line itself was torn mid-write — replays to
-// nothing (offset 0, full restart). A header that parses but does not
-// match the requested run is a hard error: the caller pointed resume at
-// the wrong file, and extending it would corrupt someone else's shard.
-func replayStream(f *os.File, want StreamHeader) ([]Result, int64, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, 0, err
-	}
-	if fi.Size() == 0 {
-		return nil, 0, nil
-	}
-	br := bufio.NewReader(f)
-	line, err := br.ReadBytes('\n')
+// replayStream reads an existing stream file from the start through a
+// StreamReader, returning the reader, stopped just past the last intact
+// record, and the records it read. Replay stops at a clean end or at a
+// torn line, which marks the crash point: the caller truncates there. An
+// empty file, or one whose header line itself was torn mid-write, returns
+// a nil reader: nothing in it is trustworthy, so the shard restarts from
+// offset 0. A file that is not a stream, or whose header does not match
+// the requested run, is a hard error: the caller pointed resume at the
+// wrong file, and extending it would corrupt someone else's shard.
+func replayStream(f *os.File, want StreamHeader) (*StreamReader, []Result, error) {
+	sr, err := NewStreamReader(f)
 	if errors.Is(err, io.EOF) {
-		// Torn header write: nothing trustworthy in the file.
-		return nil, 0, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, fmt.Errorf("%w; resume refuses to overwrite the file", err)
 	}
-	var hdr StreamHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
-		return nil, 0, fmt.Errorf("fleet: existing file is not a shard result stream (header: %v); refusing to overwrite it", err)
+	if err := sr.hdr.matches(want); err != nil {
+		return nil, nil, err
 	}
-	if err := hdr.validate(); err != nil {
-		return nil, 0, err
-	}
-	if err := hdr.matches(want); err != nil {
-		return nil, 0, err
-	}
-	pols, _ := resolvePolicies(want.Config.Policies) // validated via NewGenerator
-	offset := int64(len(line))
 	var results []Result
-	next := want.Lo
 	for {
-		line, err = readLine(br, line)
-		if errors.Is(err, io.EOF) {
-			// A partial trailing line (len > 0) is the crash point; either
-			// way replay is done.
-			return results, offset, nil
+		r, err := sr.Read()
+		if errors.Is(err, io.EOF) || sr.torn {
+			return sr, results, nil
 		}
 		if err != nil {
-			return nil, 0, err
-		}
-		var r Result
-		if err := decodeRecord(line, &r); err != nil {
-			// A garbled line mid-file: everything from here on is
-			// untrustworthy. Truncate and re-run from this scenario — the
-			// re-run reproduces the discarded records bit-identically.
-			return results, offset, nil
-		}
-		if next >= want.Hi {
-			return nil, 0, fmt.Errorf("fleet: stream [%d,%d) carries records beyond its range", want.Lo, want.Hi)
-		}
-		if err := validateResultAt(want.Config.Seed, pols, r, next); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		results = append(results, r)
-		next++
-		offset += int64(len(line))
 	}
 }

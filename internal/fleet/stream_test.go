@@ -160,10 +160,7 @@ func TestStreamReaderFailLoud(t *testing.T) {
 func TestResumeShardFromCrash(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
 	const total = 6
-	want, err := RunShard(cfg, total, 0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runShardRef(t, cfg, total, 0, 1)
 	wantJSON, _ := json.Marshal(want)
 
 	path := filepath.Join(t.TempDir(), "shard.ndjson")
@@ -233,7 +230,7 @@ func TestResumeShardFromCrash(t *testing.T) {
 	}
 	freshJSON, _ := json.Marshal(fresh)
 	if !bytes.Equal(wantJSON, freshJSON) {
-		t.Error("fresh streamed shard differs from RunShard")
+		t.Error("fresh streamed shard differs from the single-process run")
 	}
 }
 
@@ -279,6 +276,81 @@ func TestResumeShardEveryTruncationPrefix(t *testing.T) {
 			t.Fatalf("prefix of %d bytes: resumed file differs from the uninterrupted stream:%s", n, firstDiff(raw, back))
 		}
 	}
+}
+
+// TestResumeShardTruncatesGarbledTail: a complete stream followed by a
+// full line that does not decode resumes by truncating that line — the
+// torn line is the crash point wherever it falls, even past the range —
+// and leaves the stream and the shard exactly as an uninterrupted run.
+func TestResumeShardTruncatesGarbledTail(t *testing.T) {
+	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
+	const total = 2
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	want, err := ResumeShard(path, cfg, total, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(append([]byte{}, raw...), "{garbled\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ResumeShard(path, cfg, total, 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("resumed shard differs from the uninterrupted run")
+	}
+	back, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, raw) {
+		t.Errorf("garbled tail not truncated:%s", firstDiff(raw, back))
+	}
+}
+
+// FuzzResumeShard: for any bytes already at the stream path, ResumeShard
+// never panics, every error names the path, and a resume that succeeds
+// leaves a stream that ReadShardFile reads back as the returned shard.
+func FuzzResumeShard(f *testing.F) {
+	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
+	const total = 2
+	full := filepath.Join(f.TempDir(), "full.ndjson")
+	if _, err := ResumeShard(full, cfg, total, 0, 1, 1); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(full)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add([]byte{})
+	f.Add([]byte("not json\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "shard.ndjson")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ResumeShard(path, cfg, total, 0, 1, 1)
+		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %q does not name the file", err)
+			}
+			return
+		}
+		back, err := ReadShardFile(path)
+		if err != nil {
+			t.Fatalf("resumed stream does not read back: %v", err)
+		}
+		if !reflect.DeepEqual(got, back) {
+			t.Fatal("resumed stream reads back as a different shard")
+		}
+	})
 }
 
 // TestResumeShardRefusesForeignStreams: resume must never extend a stream

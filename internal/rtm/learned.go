@@ -29,8 +29,8 @@ import (
 // rejects other versions instead of silently misreading arm indices.
 const LearnedTableVersion = 1
 
-// LearnedParamPrefix is the parameterised registry prefix a trained table
-// is addressed by: "learned:<path.json>".
+// LearnedParamPrefix is the prefix NewPolicy resolves a trained table
+// by: "learned:<path.json>".
 const LearnedParamPrefix = "learned"
 
 // LearnedState is one discretised state's training record: per-arm visit
@@ -420,8 +420,7 @@ type learnedPolicy struct {
 var learnedTableCache sync.Map
 
 // LoadLearnedPolicy reads a trained table file and wraps it as a Policy
-// named "learned:<path>" — the same string the parameterised registry
-// resolves, so Result.Policy fields and shard validation round-trip it.
+// named "learned:<path>" — the same string NewPolicy resolves, so Result.Policy fields and shard validation round-trip it.
 // Tables are cached by path for the process lifetime (see
 // learnedTableCache); the returned Policy is fresh per call.
 func LoadLearnedPolicy(path string) (Policy, error) {
@@ -524,10 +523,4 @@ func (p *learnedPolicy) dynFingerprint(e *sim.Engine, m *Manager) uint64 {
 	}
 	sb := slackBucketOf(worst)
 	return uint64(tb)<<8 | uint64(sb)
-}
-
-func init() {
-	RegisterParam(LearnedParamPrefix, func(arg string) (Policy, error) {
-		return LoadLearnedPolicy(arg)
-	})
 }

@@ -131,7 +131,6 @@ const DefaultPolicy = "heuristic"
 var (
 	policyMu        sync.RWMutex
 	policyFactories = map[string]func() Policy{}
-	paramFactories  = map[string]func(arg string) (Policy, error){}
 )
 
 // Register adds a policy factory under its name. New strategies are one
@@ -151,30 +150,6 @@ func Register(name string, factory func() Policy) {
 	policyFactories[name] = factory
 }
 
-// RegisterParam adds a parameterised policy family under a prefix: the
-// registry name "<prefix>:<arg>" resolves by calling factory(arg). This is
-// how strategies with per-instance configuration — a trained table file,
-// say — ride the same name-based plumbing as the built-ins: fleet sweeps,
-// shard validation and the CLIs all address policies by string, and a
-// parameterised name stays a plain string. The factory may fail (a missing
-// or corrupt file), which is why it errors where Register's factories
-// cannot. Panics on a duplicate or empty prefix, or one containing the
-// ':' separator.
-func RegisterParam(prefix string, factory func(arg string) (Policy, error)) {
-	if prefix == "" || factory == nil {
-		panic("rtm: RegisterParam requires a prefix and a factory")
-	}
-	if strings.Contains(prefix, ":") {
-		panic(fmt.Sprintf("rtm: RegisterParam prefix %q must not contain ':'", prefix))
-	}
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if _, dup := paramFactories[prefix]; dup {
-		panic(fmt.Sprintf("rtm: parameterised policy %q registered twice", prefix))
-	}
-	paramFactories[prefix] = factory
-}
-
 // Policies lists all registered policy names, sorted.
 func Policies() []string {
 	policyMu.RLock()
@@ -188,49 +163,30 @@ func Policies() []string {
 }
 
 // NewPolicy instantiates a registered policy by name; "" resolves to
-// DefaultPolicy, and "<prefix>:<arg>" resolves through the parameterised
-// families added with RegisterParam (e.g. "learned:table.json" loads a
-// trained selection table). Unknown names error with the list of valid
-// ones, so a typo in a sweep spec fails loudly before any simulation runs.
+// DefaultPolicy, and "learned:<path>" loads a trained selection table
+// through LoadLearnedPolicy — a parameterised name that stays a plain
+// string, so fleet sweeps, shard validation and the CLIs address it like
+// the built-ins. Unknown names error with the list of valid ones, so a
+// typo in a sweep spec fails loudly before any simulation runs.
 func NewPolicy(name string) (Policy, error) {
 	if name == "" {
 		name = DefaultPolicy
 	}
 	policyMu.RLock()
 	factory := policyFactories[name]
-	var param func(string) (Policy, error)
-	if factory == nil {
-		if prefix, arg, ok := strings.Cut(name, ":"); ok {
-			if param = paramFactories[prefix]; param != nil {
-				policyMu.RUnlock()
-				p, err := param(arg)
-				if err != nil {
-					return nil, fmt.Errorf("rtm: policy %q: %w", name, err)
-				}
-				return p, nil
-			}
-		}
-	}
 	policyMu.RUnlock()
-	if factory == nil {
-		return nil, fmt.Errorf("rtm: unknown policy %q (registered: %v; parameterised: %v)",
-			name, Policies(), ParamPolicies())
+	if factory != nil {
+		return factory(), nil
 	}
-	return factory(), nil
-}
-
-// ParamPolicies lists the registered parameterised-policy prefixes in
-// their addressable "<prefix>:<arg>" form, sorted.
-func ParamPolicies() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	out := make([]string, 0, len(paramFactories))
-	//detlint:ordered prefixes are decorated while collected, then sorted below
-	for prefix := range paramFactories {
-		out = append(out, prefix+":<arg>")
+	if path, ok := strings.CutPrefix(name, LearnedParamPrefix+":"); ok {
+		p, err := LoadLearnedPolicy(path)
+		if err != nil {
+			return nil, fmt.Errorf("rtm: policy %q: %w", name, err)
+		}
+		return p, nil
 	}
-	sort.Strings(out)
-	return out
+	return nil, fmt.Errorf("rtm: unknown policy %q (registered: %v; parameterised: [%s:<arg>])",
+		name, Policies(), LearnedParamPrefix)
 }
 
 func init() {
