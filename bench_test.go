@@ -21,6 +21,7 @@ import (
 	"github.com/emlrtm/emlrtm/internal/fleet"
 	"github.com/emlrtm/emlrtm/internal/nn"
 	"github.com/emlrtm/emlrtm/internal/perf"
+	"github.com/emlrtm/emlrtm/internal/sim"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -118,7 +119,10 @@ func BenchmarkFig4b(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ds := dataset.MustGenerate(benchOpts.Dataset())
+	// The validation split TrainDynamic generates at quick scale.
+	cfg := dataset.QuickConfig()
+	cfg.TrainN, cfg.ValN, cfg.Seed = 1500, 800, benchOpts.Seed
+	ds := dataset.MustGenerate(cfg)
 	measure(b, func() {
 		if evals := res.Model.EvaluateAll(ds); len(evals) != res.Model.Levels() {
 			b.Fatal("missing evals")
@@ -163,7 +167,8 @@ func BenchmarkFig5Loop(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if experiments.BadFraction(res.Managed) >= experiments.BadFraction(res.Baseline) {
+		bad := func(a sim.AppInfo) float64 { return float64(a.Missed+a.Dropped) / float64(a.Released) }
+		if bad(res.Managed) >= bad(res.Baseline) {
 			b.Fatal("manager lost to governor")
 		}
 		out = res.Table.String()
@@ -213,16 +218,6 @@ func BenchmarkAblationNoRTM(b *testing.B) {
 }
 
 // ---- Substrate micro-benchmarks ----
-
-// BenchmarkMatMul measures the GEMM kernel at a conv-typical shape.
-func BenchmarkMatMul(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	a := tensor.New(256, 108)
-	c := tensor.New(108, 64)
-	a.FillNormal(rng, 0, 1)
-	c.FillNormal(rng, 0, 1)
-	measure(b, func() { _ = tensor.MatMul(a, c) })
-}
 
 // BenchmarkIm2Col measures the convolution lowering.
 func BenchmarkIm2Col(b *testing.B) {

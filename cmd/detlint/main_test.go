@@ -9,16 +9,15 @@ import (
 	"github.com/emlrtm/emlrtm/internal/detlint"
 )
 
-// The tests drive run() over the analyzer fixture corpus. Loaded through
-// the repo's own go.mod the fixtures sit at
-// .../internal/detlint/testdata/src/internal/sim etc., which still ends in
-// internal/<critical> — the same findings the self-test pins, now through
-// the CLI's exit-code and output contract.
+// The tests drive run() over the analyzer fixture corpus, a module of
+// its own, from inside it — the same findings the self-test pins, now
+// through the CLI's exit-code and output contract.
 const fixtureDir = "../../internal/detlint/testdata/src"
 
 func TestJSONRoundTrip(t *testing.T) {
+	t.Chdir(fixtureDir)
 	var jsonOut, stderr bytes.Buffer
-	if code := run([]string{"-json", fixtureDir + "/..."}, &jsonOut, &stderr); code != 1 {
+	if code := run([]string{"-json", "./..."}, &jsonOut, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1 (findings); stderr:\n%s", code, stderr.String())
 	}
 	lines := nonEmptyLines(jsonOut.String())
@@ -50,7 +49,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	// The text mode must agree with the JSON mode line for line.
 	var textOut bytes.Buffer
 	stderr.Reset()
-	if code := run([]string{fixtureDir + "/..."}, &textOut, &stderr); code != 1 {
+	if code := run([]string{"./..."}, &textOut, &stderr); code != 1 {
 		t.Fatalf("text mode exit code = %d, want 1; stderr:\n%s", code, stderr.String())
 	}
 	textLines := nonEmptyLines(textOut.String())

@@ -14,13 +14,18 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
+	"strings"
 
 	"github.com/emlrtm/emlrtm/internal/experiments"
 	"github.com/emlrtm/emlrtm/internal/perf"
 )
 
+// experimentNames are the values -exp accepts besides "all".
+var experimentNames = []string{"table1", "fig1", "fig2", "fig3", "fig4a", "budgets", "fig5", "ablations"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig3, fig4a, budgets, fig5, ablations)")
+	exp := flag.String("exp", "all", "experiment to run (all, "+strings.Join(experimentNames, ", ")+")")
 	quick := flag.Bool("quick", false, "reduced scale (fast)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	csv := flag.Bool("csv", false, "emit figures as CSV instead of summaries")
@@ -37,8 +42,12 @@ func main() {
 }
 
 // run prints experiment exp ("all" for every one) to w. csv selects
-// Fig 4(a)'s CSV series instead of its one-line summary.
+// Fig 4(a)'s CSV series instead of its one-line summary. An unknown exp
+// fails before any experiment runs.
 func run(w io.Writer, exp string, opts experiments.Options, csv bool) error {
+	if exp != "all" && !slices.Contains(experimentNames, exp) {
+		return fmt.Errorf("unknown experiment %q (valid: all, %s)", exp, strings.Join(experimentNames, ", "))
+	}
 	// The trained profile feeds several experiments; train once when any
 	// of them is requested, otherwise fall back to the published numbers.
 	var profile perf.ModelProfile

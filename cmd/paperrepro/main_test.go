@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/experiments"
@@ -47,6 +48,24 @@ func TestQuickGolden(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("output drifted from %s%s\n(if the change is intended, regenerate with -update and review the diff)",
 			path, firstDiff(want, got.Bytes()))
+	}
+}
+
+// TestUnknownExperiment: a misspelt -exp name must fail before any
+// experiment runs, and the error must list the names that do exist.
+func TestUnknownExperiment(t *testing.T) {
+	var out bytes.Buffer
+	err := run(&out, "fig4", experiments.Options{Quick: true, Seed: 1}, false)
+	if err == nil {
+		t.Fatal("unknown experiment fig4 accepted")
+	}
+	for _, name := range append([]string{"all"}, experimentNames...) {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %q", err, name)
+		}
+	}
+	if out.Len() != 0 {
+		t.Errorf("printed %q before rejecting the name", out.String())
 	}
 }
 

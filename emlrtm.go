@@ -153,9 +153,9 @@ type (
 	// Event is an observable simulator event.
 	Event = sim.Event
 	// SimSnapshot is a read-only capture of the engine's observable state.
-	// Engine.Snapshot allocates a fresh one; controllers on a hot loop
-	// rebuild an existing snapshot in place with Engine.SnapshotInto, and
-	// policies' views clone without allocating via View.CloneInto.
+	// Engine.SnapshotInto fills a zero one, or rebuilds an existing one in
+	// place for controllers on a hot loop, and policies' views clone
+	// without allocating via View.CloneInto.
 	SimSnapshot = sim.Snapshot
 
 	// Manager is the paper's runtime resource manager (Fig 5): the

@@ -51,7 +51,7 @@ func TestFacadeOperatingPointWorkflow(t *testing.T) {
 	}
 }
 
-func TestFacadeTrainSwitchSaveLoad(t *testing.T) {
+func TestFacadeTrainSwitch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training in -short mode")
 	}
@@ -83,21 +83,6 @@ func TestFacadeTrainSwitchSaveLoad(t *testing.T) {
 		t.Fatal("levels produce identical logits; group wiring broken")
 	}
 
-	// Round-trip serialization.
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	clone, err := NewDynDNN(QuickDynDNNConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clone.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := clone.Forward(x); !got.AllClose(full, 0) {
-		t.Fatal("loaded model predicts differently")
-	}
 }
 
 func TestFacadeScenarioRun(t *testing.T) {
@@ -270,13 +255,6 @@ func TestFacadePolicySweep(t *testing.T) {
 			t.Errorf("%s/%s: %s", r.Name, r.Policy, r.Err)
 		}
 	}
-
-	// Manager accepts a swapped-in policy.
-	mgr := NewManager(nil)
-	mgr.SetPolicy(p)
-	if mgr.PolicyName() != DefaultPolicy {
-		t.Fatalf("manager policy %q", mgr.PolicyName())
-	}
 }
 
 // facadeCustomPolicy proves third-party strategies slot in: it delegates
@@ -356,8 +334,8 @@ func TestFacadeBaselines(t *testing.T) {
 		t.Fatal("static set must outweigh the dynamic model")
 	}
 	bl := NewBigLittle(prof, 0.3)
-	if bl.ExpectedMACs() <= float64(prof.Levels[0].MACs) {
-		t.Fatal("big/little expected compute must exceed the little model")
+	if bl.StorageBytes() != prof.Levels[0].MemBytes+prof.Levels[len(prof.Levels)-1].MemBytes {
+		t.Fatal("big/little must store exactly the little and the big model")
 	}
 }
 

@@ -15,7 +15,6 @@ package baselines
 import (
 	"fmt"
 
-	"github.com/emlrtm/emlrtm/internal/dyndnn"
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
 )
@@ -88,19 +87,6 @@ func (s StaticModelSet) StorageBytes() int64 {
 	return total
 }
 
-// SwitchCost returns the cost of moving between two hardware settings with
-// the static set (a full model reload when the sizes differ) using the
-// dyndnn switch-cost model.
-func (s StaticModelSet) SwitchCost(model SwitchCostModel, fromBytes, toBytes int64) dyndnn.SwitchCost {
-	if fromBytes == toBytes {
-		return dyndnn.SwitchCost{}
-	}
-	return dyndnn.SwitchCostModel(model).StaticSwitch(toBytes)
-}
-
-// SwitchCostModel re-exports dyndnn's cost model for baseline call sites.
-type SwitchCostModel dyndnn.SwitchCostModel
-
 // BigLittle is the two-model baseline of Park et al. [20]: inference runs
 // on the little model; when its confidence falls below the threshold the
 // input is re-run on the big model.
@@ -121,26 +107,5 @@ func NewBigLittle(prof perf.ModelProfile, escalationRate float64) BigLittle {
 	}
 }
 
-// ExpectedMACs returns the mean per-input compute: the little model always
-// runs; escalated inputs additionally run the big model.
-func (b BigLittle) ExpectedMACs() float64 {
-	return float64(b.Little.MACs) + b.EscalationRate*float64(b.Big.MACs)
-}
-
-// ExpectedAccuracy estimates accuracy: escalated inputs get big-model
-// accuracy, the rest keep little-model accuracy. (Optimistic for the
-// baseline: it assumes escalation perfectly identifies the inputs the
-// little model would get wrong.)
-func (b BigLittle) ExpectedAccuracy() float64 {
-	return b.Little.Accuracy + b.EscalationRate*(b.Big.Accuracy-b.Little.Accuracy)
-}
-
 // StorageBytes returns the two-model storage footprint.
 func (b BigLittle) StorageBytes() int64 { return b.Little.MemBytes + b.Big.MemBytes }
-
-// WorstCaseLatencyS returns the tail latency on the given cluster/OPP:
-// little + big back-to-back (an escalated input).
-func (b BigLittle) WorstCaseLatencyS(cl *hw.Cluster, opp hw.OPP, cores int) float64 {
-	return perf.InferenceLatencyS(cl, opp, cores, b.Little.MACs) +
-		perf.InferenceLatencyS(cl, opp, cores, b.Big.MACs)
-}

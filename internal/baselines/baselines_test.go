@@ -86,64 +86,13 @@ func TestStaticSetTighterBudgetSmallerModels(t *testing.T) {
 	}
 }
 
-func TestStaticSwitchCost(t *testing.T) {
-	plat := hw.OdroidXU3()
-	prof := perf.PaperReferenceProfile()
-	set := BuildStaticSet(plat, prof, 0.250)
-	model := SwitchCostModel{MemoryBandwidth: 200e6, ReinitLatency: 0.05, LoadPower: 1.5}
-	same := set.SwitchCost(model, 1000, 1000)
-	if same.LatencyS != 0 || same.BytesMoved != 0 {
-		t.Fatal("same-size switch must be free")
-	}
-	diff := set.SwitchCost(model, 1000, 2000)
-	if diff.LatencyS <= 0.05 || diff.BytesMoved != 2000 {
-		t.Fatalf("switch cost %+v implausible", diff)
-	}
-}
-
 func TestBigLittleAccounting(t *testing.T) {
 	prof := perf.PaperReferenceProfile()
 	bl := NewBigLittle(prof, 0.25)
-	// Expected compute: little always + 25% of big.
-	want := float64(prof.Level(1).MACs) + 0.25*float64(prof.Level(4).MACs)
-	if got := bl.ExpectedMACs(); got != want {
-		t.Fatalf("ExpectedMACs = %v, want %v", got, want)
-	}
-	acc := bl.ExpectedAccuracy()
-	if acc <= prof.Level(1).Accuracy || acc >= prof.Level(4).Accuracy {
-		t.Fatalf("expected accuracy %.3f must lie between the extremes", acc)
+	if bl.Little != prof.Level(1) || bl.Big != prof.Level(4) || bl.EscalationRate != 0.25 {
+		t.Fatalf("big/little = %+v, want the profile's extreme levels at rate 0.25", bl)
 	}
 	if bl.StorageBytes() != prof.Level(1).MemBytes+prof.Level(4).MemBytes {
 		t.Fatal("storage must be both models")
-	}
-}
-
-func TestBigLittleWorstCaseLatency(t *testing.T) {
-	prof := perf.PaperReferenceProfile()
-	bl := NewBigLittle(prof, 0.25)
-	cl := hw.OdroidXU3().Cluster("a15")
-	opp := cl.MaxOPP()
-	worst := bl.WorstCaseLatencyS(cl, opp, cl.Cores)
-	bigOnly := perf.InferenceLatencyS(cl, opp, cl.Cores, prof.Level(4).MACs)
-	littleOnly := perf.InferenceLatencyS(cl, opp, cl.Cores, prof.Level(1).MACs)
-	if worst <= bigOnly || worst >= bigOnly+littleOnly+0.01 {
-		t.Fatalf("worst case %.3fs out of range (big %.3fs, little %.3fs)", worst, bigOnly, littleOnly)
-	}
-	// The paper's point: the two-model baseline has a worse tail than any
-	// single dynamic configuration it contains.
-	if worst <= bigOnly {
-		t.Fatal("escalation must cost more than the big model alone")
-	}
-}
-
-func TestBigLittleMoreEscalationMoreComputeMoreAccuracy(t *testing.T) {
-	prof := perf.PaperReferenceProfile()
-	lo := NewBigLittle(prof, 0.1)
-	hi := NewBigLittle(prof, 0.5)
-	if hi.ExpectedMACs() <= lo.ExpectedMACs() {
-		t.Fatal("more escalation must cost more compute")
-	}
-	if hi.ExpectedAccuracy() <= lo.ExpectedAccuracy() {
-		t.Fatal("more escalation must gain accuracy")
 	}
 }

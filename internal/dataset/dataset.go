@@ -98,6 +98,8 @@ func Generate(cfg Config) (*Dataset, error) {
 
 // MustGenerate is Generate that panics on configuration error; convenient
 // in tests and examples where the config is a literal.
+//
+//detlint:allow deadexport test helper that the dyndnn and root packages' tests share with this package's
 func MustGenerate(cfg Config) *Dataset {
 	ds, err := Generate(cfg)
 	if err != nil {

@@ -5,7 +5,7 @@
 // cmps and AllocsPerRun pins; detlint enforces them at the source level,
 // before a stray map-range or wall-clock read ever reaches a golden test.
 //
-// The suite is stdlib-only (go/parser, go/ast, go/types) and ships four
+// The suite is stdlib-only (go/parser, go/ast, go/types) and ships five
 // invariant analyzers plus a directive-hygiene pass:
 //
 //   - rangemap: `for … range` over a map in a determinism-critical package
@@ -24,6 +24,12 @@
 //     concatenation, composite literals escaping into interfaces, and
 //     append to slices that are neither parameter-owned nor built with a
 //     capacity hint.
+//   - deadexport: an exported function or method of an internal/ package
+//     that no loaded non-test file uses — surface only tests reach. A
+//     method that may implement an interface is exempt, and the rule is
+//     silent unless every package allowed to import the package was
+//     loaded; keep one on purpose with
+//     `//detlint:allow deadexport <reason>`.
 //   - directive: `//detlint:` comments themselves are checked — unknown
 //     verbs, suppressions without a reason, and allow-directives naming
 //     unknown analyzers are diagnostics.
@@ -75,6 +81,7 @@ type Pass struct {
 
 	analyzer string
 	dirs     *directiveIndex
+	loaded   *loadedSet
 	out      *[]Diagnostic
 }
 
@@ -145,18 +152,27 @@ func DefaultCritical(pkgPath string) bool {
 // package classification.
 func DefaultSuite() *Suite {
 	return &Suite{
-		Analyzers: []*Analyzer{RangeMap, WallClock, GlobalRand, HotAlloc, Directive},
+		Analyzers: []*Analyzer{RangeMap, WallClock, GlobalRand, HotAlloc, DeadExport, Directive},
 		Critical:  DefaultCritical,
 	}
 }
 
-// knownAnalyzers is the set of names a //detlint:allow directive may name.
-var knownAnalyzers = map[string]bool{
-	"rangemap":   true,
-	"wallclock":  true,
-	"globalrand": true,
-	"hotalloc":   true,
-	"directive":  true,
+// knownAnalyzers is the set of names a //detlint:allow directive may
+// name, and knownNames the same names sorted for messages. Both come from
+// DefaultSuite, the one list of analyzers.
+var (
+	knownAnalyzers = map[string]bool{}
+	knownNames     string
+)
+
+func init() {
+	var names []string
+	for _, a := range DefaultSuite().Analyzers {
+		knownAnalyzers[a.Name] = true
+		names = append(names, a.Name)
+	}
+	sort.Strings(names)
+	knownNames = strings.Join(names, ", ")
 }
 
 // Run executes every analyzer over every package and returns the combined
@@ -167,6 +183,7 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 		critical = DefaultCritical
 	}
 	var out []Diagnostic
+	loaded := &loadedSet{pkgs: pkgs}
 	for _, pkg := range pkgs {
 		dirs := indexDirectives(pkg)
 		for _, a := range s.Analyzers {
@@ -175,6 +192,7 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 				Critical: critical(pkg.Path),
 				analyzer: a.Name,
 				dirs:     dirs,
+				loaded:   loaded,
 				out:      &out,
 			}
 			a.Run(pass)

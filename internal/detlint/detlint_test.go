@@ -8,7 +8,7 @@ import (
 )
 
 // The suite is regression-tested against a fixture corpus under
-// testdata/src, loaded as a synthetic module named "fixture". Expectations
+// testdata/src, a module named "fixture". Expectations
 // live in the fixtures as comments:
 //
 //	expr // want `regex`
@@ -78,7 +78,7 @@ func collectWants(t *testing.T, pkgs []*Package) []*wantComment {
 
 func loadFixtures(t *testing.T) []*Package {
 	t.Helper()
-	pkgs, err := Load(Config{Dir: "testdata/src", ModRoot: "testdata/src", ModPath: "fixture"}, "./...")
+	pkgs, err := Load(Config{Dir: "testdata/src"}, "./...")
 	if err != nil {
 		t.Fatalf("loading fixture corpus: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestFixtureCorpus(t *testing.T) {
 	for _, pkg := range pkgs {
 		paths[pkg.Path] = true
 	}
-	for _, p := range []string{"fixture/internal/sim", "fixture/internal/trace", "fixture/orchcli", "fixture/randuser", "fixture/hot"} {
+	for _, p := range []string{"fixture/internal/sim", "fixture/internal/trace", "fixture/internal/dead", "fixture/deaduser", "fixture/orchcli", "fixture/randuser", "fixture/hot"} {
 		if !paths[p] {
 			t.Fatalf("fixture corpus missing package %s (loaded: %v)", p, paths)
 		}
@@ -124,6 +124,47 @@ func TestFixtureCorpus(t *testing.T) {
 	for _, w := range wants {
 		if !w.used {
 			t.Errorf("%s:%d: expected a diagnostic matching `%s`, got none", w.file, w.line, w.raw)
+		}
+	}
+}
+
+// TestDeadExportNeedsEveryImporter: a run over some packages must not
+// report a deadexport finding that a run over the whole module does not.
+// Loaded alone, fixture/internal/dead's Used looks dead, because its one
+// caller, deaduser, was not loaded; so is the repo's sim package, whose
+// callers live across the module.
+func TestDeadExportNeedsEveryImporter(t *testing.T) {
+	deadexport := func(pkgs []*Package) map[string]bool {
+		found := map[string]bool{}
+		for _, d := range DefaultSuite().Run(pkgs) {
+			if d.Analyzer == "deadexport" {
+				found[d.String()] = true
+			}
+		}
+		return found
+	}
+	full := deadexport(loadFixtures(t))
+	if len(full) == 0 {
+		t.Fatal("no deadexport findings on the whole fixture corpus")
+	}
+	cases := []struct {
+		dir      string
+		patterns []string
+	}{
+		{"testdata/src", []string{"./internal/dead"}},
+		{"testdata/src", []string{"./internal/dead", "./deaduser"}},
+		{"testdata/src", []string{"./internal/..."}},
+		{"../..", []string{"./internal/sim"}},
+	}
+	for _, c := range cases {
+		pkgs, err := Load(Config{Dir: c.dir}, c.patterns...)
+		if err != nil {
+			t.Fatalf("loading %v: %v", c.patterns, err)
+		}
+		for d := range deadexport(pkgs) {
+			if !full[d] {
+				t.Errorf("%s %v: %s is not a finding of the whole module", c.dir, c.patterns, d)
+			}
 		}
 	}
 }

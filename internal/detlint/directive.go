@@ -139,7 +139,7 @@ func runDirective(pass *Pass) {
 				continue
 			}
 			if !knownAnalyzers[name] {
-				pass.Reportf(pos, "detlint:allow names unknown analyzer %q (known: directive, globalrand, hotalloc, rangemap, wallclock)", name)
+				pass.Reportf(pos, "detlint:allow names unknown analyzer %q (known: %s)", name, knownNames)
 				continue
 			}
 			if strings.TrimSpace(reason) == "" {

@@ -24,15 +24,9 @@ import (
 
 // Config points the loader at a module.
 type Config struct {
-	// Dir is the directory patterns are resolved from. When ModRoot is
-	// empty the loader finds the enclosing go.mod from here. Defaults to
-	// the current directory.
+	// Dir is the directory patterns are resolved from; the loader finds
+	// the enclosing go.mod from here. Defaults to the current directory.
 	Dir string
-	// ModRoot / ModPath override module discovery — the fixture corpus
-	// under testdata has no go.mod, so its tests load it as a synthetic
-	// module.
-	ModRoot string
-	ModPath string
 }
 
 // Load parses and type-checks the packages matched by patterns (`./...`,
@@ -46,13 +40,8 @@ func Load(cfg Config, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	modRoot, modPath := cfg.ModRoot, cfg.ModPath
-	if modRoot == "" {
-		modRoot, modPath, err = findModule(absDir)
-		if err != nil {
-			return nil, err
-		}
-	} else if modRoot, err = filepath.Abs(modRoot); err != nil {
+	modRoot, modPath, err := findModule(absDir)
+	if err != nil {
 		return nil, err
 	}
 	if modPath == "" {

@@ -4,24 +4,24 @@ package sim
 
 import "time"
 
-// WallRead reads the host clock in a critical package.
-func WallRead() time.Time {
+// wallRead reads the host clock in a critical package.
+func wallRead() time.Time {
 	return time.Now() // want `time\.Now in determinism-critical package`
 }
 
-// WallWait sleeps and measures on the host clock.
-func WallWait(start time.Time) time.Duration {
+// wallWait sleeps and measures on the host clock.
+func wallWait(start time.Time) time.Duration {
 	time.Sleep(time.Millisecond) // want `time\.Sleep`
 	return time.Since(start)     // want `time\.Since`
 }
 
-// DeterministicTime uses only pure constructors/arithmetic: clean.
-func DeterministicTime() time.Time {
+// deterministicTime uses only pure constructors/arithmetic: clean.
+func deterministicTime() time.Time {
 	return time.Unix(0, 0).Add(3 * time.Second)
 }
 
-// AllowedWall carries a reasoned exemption.
-func AllowedWall() time.Time {
+// allowedWall carries a reasoned exemption.
+func allowedWall() time.Time {
 	//detlint:allow wallclock fixture exercises the suppression path
 	return time.Now()
 }

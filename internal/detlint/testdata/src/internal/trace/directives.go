@@ -8,7 +8,7 @@ package trace
 // want-1 `unknown detlint directive "frobnicate"`
 
 //detlint:allow nosuchanalyzer because reasons
-// want-1 `unknown analyzer "nosuchanalyzer"`
+// want-1 `unknown analyzer "nosuchanalyzer" \(known: deadexport, directive, globalrand, hotalloc, rangemap, wallclock\)`
 
 //detlint:allow wallclock
 // want-1 `detlint:allow wallclock requires a reason`
@@ -16,6 +16,6 @@ package trace
 //detlint:allow
 // want-1 `detlint:allow requires an analyzer name and a reason`
 
-// Format formats a value; the directives above are free-floating comments
+// format formats a value; the directives above are free-floating comments
 // so the file stays otherwise clean.
-func Format(v int) int { return v + 1 }
+func format(v int) int { return v + 1 }

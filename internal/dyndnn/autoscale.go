@@ -25,6 +25,8 @@ type AutoScaler struct {
 }
 
 // NewAutoScaler builds a scaler with defaults filled in.
+//
+//detlint:allow deadexport ExampleNewAutoScaler documents the repo's one per-input model selector; the learned-tier review decides its fate
 func NewAutoScaler(m *Model, threshold float64) *AutoScaler {
 	return &AutoScaler{Model: m, Threshold: threshold, StartLevel: 1, MaxLevel: m.Levels()}
 }
@@ -133,6 +135,8 @@ func (a *AutoScaler) Evaluate(x *tensor.Tensor, y []int) (AutoScaleReport, error
 // ThresholdSweep evaluates the policy across thresholds and returns the
 // (threshold, accuracy, mean MACs) frontier, sorted by threshold — the
 // accuracy/compute trade-off curve the confidence knob exposes.
+//
+//detlint:allow deadexport ExampleNewAutoScaler documents the threshold sweep; the learned-tier review decides its fate
 func (a *AutoScaler) ThresholdSweep(x *tensor.Tensor, y []int, thresholds []float64) ([]AutoScaleReport, error) {
 	sorted := append([]float64(nil), thresholds...)
 	sort.Float64s(sorted)

@@ -108,12 +108,12 @@ func TestTrainIncrementalInvariantsAndShape(t *testing.T) {
 	tc.EpochsPerStep = 3
 	tc.LR = 0.05
 
-	pre1 := m.Checksum(0) // trivially constant, sanity
+	pre1 := m.Net.ParamChecksum(0) // trivially constant, sanity
 	rep, err := m.TrainIncremental(ds, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Checksum(0) != pre1 {
+	if m.Net.ParamChecksum(0) != pre1 {
 		t.Fatal("checksum(0) must be the FNV basis constant")
 	}
 	if len(rep.Steps) != m.Levels() {
@@ -186,30 +186,13 @@ func TestSwitchCostDynamicVsStatic(t *testing.T) {
 	}
 }
 
-func TestCompareStorage(t *testing.T) {
-	m := tinyModel(t)
-	c := CompareStorage(m)
-	if c.DynamicBytes != m.MemoryBytes(m.Levels()) {
-		t.Fatal("dynamic storage must equal the full model footprint")
-	}
-	if c.StaticTotalBytes <= c.DynamicBytes {
-		t.Fatal("static model set must need more storage than one dynamic model")
-	}
-	if c.Ratio <= 1 {
-		t.Fatalf("ratio %.2f must exceed 1", c.Ratio)
-	}
-	if c.String() == "" {
-		t.Fatal("String must render")
-	}
-}
-
 func TestSetLevelDoesNotTouchWeights(t *testing.T) {
 	m := tinyModel(t)
-	before := m.Checksum(m.Levels())
+	before := m.Net.ParamChecksum(m.Levels())
 	for _, l := range []int{1, 3, 2, 4, 1} {
 		m.SetLevel(l)
 	}
-	if m.Checksum(m.Levels()) != before {
+	if m.Net.ParamChecksum(m.Levels()) != before {
 		t.Fatal("SetLevel must not modify weights")
 	}
 }

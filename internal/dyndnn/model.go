@@ -110,6 +110,8 @@ func New(cfg Config) (*Model, error) {
 }
 
 // MustNew is New that panics on config error.
+//
+//detlint:allow deadexport helper that the root package's benchmarks share with this package's Example
 func MustNew(cfg Config) *Model {
 	m, err := New(cfg)
 	if err != nil {
@@ -165,7 +167,3 @@ func (m *Model) Params(level int) int { return m.Net.NumParamsForGroups(level) }
 // levels from it — contrast with static multi-model deployment, which
 // stores one model per operating point (see switchcost.go).
 func (m *Model) MemoryBytes(level int) int64 { return int64(m.Params(level)) * 4 }
-
-// Checksum digests the weights of the first k groups; tests and the
-// incremental trainer use it to prove earlier groups are untouched.
-func (m *Model) Checksum(k int) uint64 { return m.Net.ParamChecksum(k) }

@@ -1,7 +1,5 @@
 package dyndnn
 
-import "fmt"
-
 // SwitchCostModel quantifies the cost of changing operating point at
 // runtime, reproducing the argument the paper takes from Park et al. [20]:
 // deploying multiple static DNNs to cover all hardware settings incurs
@@ -62,36 +60,4 @@ func (s SwitchCostModel) StaticSwitch(newModelBytes int64) SwitchCost {
 		LatencyS:   lat,
 		EnergyJ:    lat * s.LoadPower,
 	}
-}
-
-// StorageComparison contrasts the storage of one dynamic model against a
-// set of static models covering the same operating points.
-type StorageComparison struct {
-	DynamicBytes     int64 // one model serving all levels
-	StaticTotalBytes int64 // Σ standalone model per level
-	Ratio            float64
-}
-
-// CompareStorage computes the storage comparison for model m, assuming the
-// static alternative deploys one standalone model per configuration level
-// (each sized like the corresponding nested configuration, which is
-// favourable to the static baseline — NetAdapt-style models are typically
-// not nested and would be at least this large).
-func CompareStorage(m *Model) StorageComparison {
-	dyn := m.MemoryBytes(m.Cfg.Groups)
-	var static int64
-	for level := 1; level <= m.Cfg.Groups; level++ {
-		static += m.MemoryBytes(level)
-	}
-	r := 0.0
-	if dyn > 0 {
-		r = float64(static) / float64(dyn)
-	}
-	return StorageComparison{DynamicBytes: dyn, StaticTotalBytes: static, Ratio: r}
-}
-
-// String renders the comparison for reports.
-func (c StorageComparison) String() string {
-	return fmt.Sprintf("dynamic %.1f KiB vs static-set %.1f KiB (%.2fx)",
-		float64(c.DynamicBytes)/1024, float64(c.StaticTotalBytes)/1024, c.Ratio)
 }

@@ -85,16 +85,6 @@ func AblationKnobs(prof perf.ModelProfile) AblationKnobsResult {
 	return res
 }
 
-// CoverageOf returns the budget coverage of the named knob set.
-func (r AblationKnobsResult) CoverageOf(name string) float64 {
-	for _, s := range r.Sets {
-		if s.Name == name {
-			return s.Coverage
-		}
-	}
-	return -1
-}
-
 // AblationSwitchingResult is the A2 comparison: one dynamic model vs a
 // static model set vs big/little, on storage and switch cost (the Park et
 // al. [20] argument of Section III-B).

@@ -35,22 +35,12 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-func (o Options) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {
 		return 1
 	}
 	return o.Seed
 }
-
-// Dataset returns the synthetic-data configuration this option scale
-// uses; exported so benchmarks can regenerate the matching dataset.
-func (o Options) Dataset() dataset.Config { return o.datasetConfig() }
 
 // datasetConfig returns the synthetic-data configuration for the scale.
 func (o Options) datasetConfig() dataset.Config {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/perf"
+	"github.com/emlrtm/emlrtm/internal/sim"
+	"github.com/emlrtm/emlrtm/internal/trace"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 1} }
@@ -23,7 +25,7 @@ func TestTable1MatchesPaperWithin5Percent(t *testing.T) {
 			t.Fatal("top-1 must be platform-independent")
 		}
 	}
-	if res.Table.Rows() != 10 {
+	if tableRows(res.Table) != 10 {
 		t.Fatal("rendered table incomplete")
 	}
 }
@@ -44,7 +46,7 @@ func TestFig4aSpaceShape(t *testing.T) {
 	if res.Stats.MaxEnergyMJ < 200 || res.Stats.MaxEnergyMJ > 450 {
 		t.Fatalf("max energy %.0fmJ outside the paper's axis range", res.Stats.MaxEnergyMJ)
 	}
-	if res.Figure.Points() != 116 {
+	if n := strings.Count(res.Figure.CSV(), "\n") - 1; n != 116 {
 		t.Fatal("figure points mismatch")
 	}
 }
@@ -71,14 +73,14 @@ func TestFig1DesignTimeMapping(t *testing.T) {
 	}
 	// The flagship (NPU) must satisfy every requirement.
 	for _, req := range Fig1Requirements() {
-		cell, ok := res.CellFor("flagship-soc", req.Name)
+		cell, ok := cellFor(res, "flagship-soc", req.Name)
 		if !ok || !cell.Feasible {
 			t.Fatalf("flagship must satisfy %q", req.Name)
 		}
 	}
 	// The CPU-only XU3 must fail at least the 60 fps requirement (the
 	// paper's premise: weaker platforms need more compression or miss).
-	cell, ok := res.CellFor("odroid-xu3", "60 fps / medium accuracy")
+	cell, ok := cellFor(res, "odroid-xu3", "60 fps / medium accuracy")
 	if !ok {
 		t.Fatal("missing XU3 cell")
 	}
@@ -87,8 +89,8 @@ func TestFig1DesignTimeMapping(t *testing.T) {
 	}
 	// Capability ordering: more capable platforms run the same requirement
 	// at lower energy. Compare the 1 fps case.
-	flag, _ := res.CellFor("flagship-soc", "1 fps / very-high accuracy")
-	xu3, _ := res.CellFor("odroid-xu3", "1 fps / very-high accuracy")
+	flag, _ := cellFor(res, "flagship-soc", "1 fps / very-high accuracy")
+	xu3, _ := cellFor(res, "odroid-xu3", "1 fps / very-high accuracy")
 	if !flag.Feasible || !xu3.Feasible {
 		t.Fatal("1 fps must be feasible on both")
 	}
@@ -144,7 +146,7 @@ func TestFig2ExperimentGoldenShape(t *testing.T) {
 	if res.Plans < 4 {
 		t.Fatalf("only %d plans", res.Plans)
 	}
-	if res.Timeline.Rows() < 6 {
+	if tableRows(res.Timeline) < 6 {
 		t.Fatal("timeline too sparse")
 	}
 }
@@ -154,8 +156,8 @@ func TestFig5ManagerBeatsGovernor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mBad := BadFraction(res.Managed)
-	bBad := BadFraction(res.Baseline)
+	mBad := badFraction(res.Managed)
+	bBad := badFraction(res.Baseline)
 	if mBad > 0.2 {
 		t.Fatalf("managed bad fraction %.2f too high", mBad)
 	}
@@ -172,7 +174,7 @@ func TestAblationKnobsWiderRange(t *testing.T) {
 	if len(res.Sets) != 5 {
 		t.Fatalf("sets = %d", len(res.Sets))
 	}
-	all := res.CoverageOf("all three knobs")
+	all := coverageOf(res, "all three knobs")
 	for _, s := range res.Sets {
 		if s.Coverage > all+1e-9 {
 			t.Fatalf("%q coverage %.2f exceeds all-knobs %.2f", s.Name, s.Coverage, all)
@@ -184,7 +186,7 @@ func TestAblationKnobsWiderRange(t *testing.T) {
 		"model only (A15 @ max freq)",
 		"mapping only (100% model @ max freq)",
 	} {
-		if c := res.CoverageOf(single); c >= all {
+		if c := coverageOf(res, single); c >= all {
 			t.Fatalf("single knob %q coverage %.2f not below combination %.2f", single, c, all)
 		}
 	}
@@ -217,4 +219,42 @@ func TestAblationNoRTM(t *testing.T) {
 	if res.ManagedBad > 0.15 {
 		t.Fatalf("managed bad fraction %.2f too high", res.ManagedBad)
 	}
+}
+
+// cellFor returns the Fig 1 cell for a platform/requirement pair.
+func cellFor(r Fig1Result, platform, requirement string) (Fig1Cell, bool) {
+	for _, c := range r.Cells {
+		if c.Platform == platform && c.Requirement == requirement {
+			return c, true
+		}
+	}
+	return Fig1Cell{}, false
+}
+
+// coverageOf returns the budget coverage of the named knob set.
+func coverageOf(r AblationKnobsResult, name string) float64 {
+	for _, s := range r.Sets {
+		if s.Name == name {
+			return s.Coverage
+		}
+	}
+	return -1
+}
+
+// badFraction returns the miss+drop fraction for an app info.
+func badFraction(a sim.AppInfo) float64 {
+	if a.Released == 0 {
+		return 0
+	}
+	return float64(a.Missed+a.Dropped) / float64(a.Released)
+}
+
+// tableRows counts a rendered table's data rows: every line but the
+// title, the header and the separator.
+func tableRows(tb *trace.Table) int {
+	n := strings.Count(tb.String(), "\n") - 2
+	if tb.Title != "" {
+		n--
+	}
+	return n
 }

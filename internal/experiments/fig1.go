@@ -82,24 +82,3 @@ func Fig1(prof perf.ModelProfile) Fig1Result {
 	}
 	return res
 }
-
-// FeasibleCount returns how many cells met their full requirement.
-func (r Fig1Result) FeasibleCount() int {
-	n := 0
-	for _, c := range r.Cells {
-		if c.Feasible {
-			n++
-		}
-	}
-	return n
-}
-
-// CellFor returns the cell for a platform/requirement pair.
-func (r Fig1Result) CellFor(platform, requirement string) (Fig1Cell, bool) {
-	for _, c := range r.Cells {
-		if c.Platform == platform && c.Requirement == requirement {
-			return c, true
-		}
-	}
-	return Fig1Cell{}, false
-}

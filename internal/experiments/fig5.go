@@ -74,11 +74,3 @@ func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 	add("ondemand governor", baseline, res.BaselineReport)
 	return res, nil
 }
-
-// BadFraction returns the miss+drop fraction for an app info.
-func BadFraction(a sim.AppInfo) float64 {
-	if a.Released == 0 {
-		return 0
-	}
-	return float64(a.Missed+a.Dropped) / float64(a.Released)
-}

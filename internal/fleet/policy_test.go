@@ -137,7 +137,7 @@ func TestGeneratorPolicyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := gen.Policies(); len(got) != 1 || got[0] != "heuristic" {
+	if got := gen.policies; len(got) != 1 || got[0] != "heuristic" {
 		t.Errorf("default policies = %v, want [heuristic]", got)
 	}
 	if gen.RunCount(7) != 7 {

@@ -186,9 +186,6 @@ func (c GeneratorConfig) normalized() GeneratorConfig {
 	return c
 }
 
-// Policies returns the resolved policy sweep list.
-func (g *Generator) Policies() []string { return append([]string(nil), g.policies...) }
-
 // RunCount converts a workload count into a run count: every sampled
 // workload is run once per swept policy.
 func (g *Generator) RunCount(workloads int) int { return workloads * len(g.policies) }

@@ -33,6 +33,8 @@ type Row struct {
 
 // Bench runs the row as a benchmark body. The untimed first op makes
 // allocs/op at -benchtime 1x equal the steady state.
+//
+//detlint:allow deadexport the allocs gate and this package's benchmarks share the harness from their tests
 func (r Row) Bench(b *testing.B) {
 	op := r.Setup(b)
 	op()
@@ -48,6 +50,8 @@ func (r Row) Bench(b *testing.B) {
 // collector add a stray allocation to engine-run's -benchtime 1x reading
 // in 18 of 40 gate runs; placed last, the gate's 1x check misfires no
 // more often than it did without the row.
+//
+//detlint:allow deadexport the allocs gate and this package's benchmarks share the harness from their tests
 func Rows() []Row {
 	rows := []Row{
 		{"engine-run", engineRun},

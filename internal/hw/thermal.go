@@ -70,6 +70,7 @@ func (t ThermalParams) TauS() float64 { return t.RthKPerW * t.CthJPerK }
 // (dt, τ) over and over reads the factor from a DecayMemo instead.
 //
 //detlint:hotpath
+//detlint:allow deadexport closed-form reference the sim tests compare the engine's memoised thermal path against
 func (t ThermalParams) TempAfterC(ambientC, powerW, fromC, dt float64) float64 {
 	return t.TempDecayC(ambientC, powerW, fromC, math.Exp(-dt/t.TauS()))
 }
@@ -125,6 +126,8 @@ func decaySlot(dt float64) uint64 { return (math.Float64bits(dt) * 0x9e3779b97f4
 
 // Evals returns how many times the memo has called math.Exp: the misses
 // over its lifetime, a work count for tests.
+//
+//detlint:allow deadexport test-only counter until it becomes a work-counter row in the allocs table
 func (m *DecayMemo) Evals() uint64 { return m.evals }
 
 // TimeToC returns how long the die takes to go from fromC to toC under

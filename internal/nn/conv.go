@@ -306,13 +306,6 @@ func (l *GroupedConv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// OutShape returns the output (C,H,W) for k active groups, used by the
-// FLOPs accounting in dyndnn.
-func (l *GroupedConv2D) OutShape(k int) (c, h, w int) {
-	gg := l.groupGeom()
-	return k * l.outPerGroup, gg.OutH(), gg.OutW()
-}
-
 // MACsPerGroup returns the multiply-accumulate count contributed by a
 // single group for one inference, the unit of the perf model's workload.
 func (l *GroupedConv2D) MACsPerGroup() int64 {

@@ -155,68 +155,3 @@ func (l *GroupedDense) MACsPerGroup() int64 {
 }
 
 var _ Layer = (*GroupedDense)(nil)
-
-// Dense is a conventional fully-connected layer (no group structure),
-// provided for baseline models and tests.
-type Dense struct {
-	name    string
-	in, out int
-	w, b    *Param
-	lastX   *tensor.Tensor
-}
-
-// NewDense constructs a fully-connected layer with Kaiming init.
-func NewDense(name string, in, out int, rng *tensor.RNG) *Dense {
-	l := &Dense{name: name, in: in, out: out}
-	l.w = newParam(name+".w", 0, out, in)
-	l.w.Value.KaimingInit(rng, in)
-	l.b = newParam(name+".b", 0, out)
-	return l
-}
-
-// Name implements Layer.
-func (l *Dense) Name() string { return l.name }
-
-// SetActiveGroups implements Layer (no-op: not group-structured).
-func (l *Dense) SetActiveGroups(int) {}
-
-// Params implements Layer.
-func (l *Dense) Params() []*Param { return []*Param{l.w, l.b} }
-
-// Forward implements Layer.
-func (l *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 2 || x.Dim(1) != l.in {
-		panic(fmt.Sprintf("nn: %s: input shape %v, want (N,%d)", l.name, x.Shape(), l.in))
-	}
-	l.lastX = x
-	out := tensor.MatMulABT(x, l.w.Value)
-	bd := l.b.Value.Data()
-	n := x.Dim(0)
-	for i := 0; i < n; i++ {
-		oi := out.Data()[i*l.out : (i+1)*l.out]
-		for c := range oi {
-			oi[c] += bd[c]
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (l *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if !l.w.Frozen {
-		l.w.Grad.Add(tensor.MatMulATB(dout, l.lastX))
-	}
-	if !l.b.Frozen {
-		bg := l.b.Grad.Data()
-		n := dout.Dim(0)
-		for i := 0; i < n; i++ {
-			di := dout.Data()[i*l.out : (i+1)*l.out]
-			for c, dv := range di {
-				bg[c] += dv
-			}
-		}
-	}
-	return tensor.MatMul(dout, l.w.Value)
-}
-
-var _ Layer = (*Dense)(nil)

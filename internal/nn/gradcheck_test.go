@@ -38,7 +38,9 @@ func checkGradientsFrac(t *testing.T, net *Network, x *tensor.Tensor, tol, maxBa
 	weighting := tensor.New(out.Shape()...)
 	weighting.FillNormal(tensor.NewRNG(99), 0, 1)
 
-	net.ZeroGrads()
+	for _, p := range net.Params() {
+		p.ZeroGrad()
+	}
 	net.Forward(x, true)
 	dx := func() *tensor.Tensor {
 		d := weighting.Clone()
@@ -162,15 +164,6 @@ func TestGradCheckGroupedDense(t *testing.T) {
 	net := NewNetwork(3, d)
 	x := tensor.New(3, 15)
 	x.FillNormal(tensor.NewRNG(10), 0, 1)
-	checkGradients(t, net, x, 2e-2)
-}
-
-func TestGradCheckDense(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	d := NewDense("fc", 6, 4, rng)
-	net := NewNetwork(0, d)
-	x := tensor.New(3, 6)
-	x.FillNormal(tensor.NewRNG(11), 0, 1)
 	checkGradients(t, net, x, 2e-2)
 }
 

@@ -38,42 +38,6 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, dlo
 	return loss, dlogits
 }
 
-// Accuracy returns the top-1 accuracy of logits against labels, in [0,1].
-func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := logits.ArgMaxRow()
-	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(pred))
-}
-
-// PerClassAccuracy returns top-1 accuracy broken down by true class, the
-// statistic behind Fig 4(b)'s error bars ("variance over 10 image classes").
-// Classes with no samples report NaN.
-func PerClassAccuracy(logits *tensor.Tensor, labels []int, classes int) []float64 {
-	pred := logits.ArgMaxRow()
-	correct := make([]int, classes)
-	total := make([]int, classes)
-	for i, p := range pred {
-		total[labels[i]]++
-		if p == labels[i] {
-			correct[labels[i]]++
-		}
-	}
-	out := make([]float64, classes)
-	for c := 0; c < classes; c++ {
-		if total[c] == 0 {
-			out[c] = math.NaN()
-			continue
-		}
-		out[c] = float64(correct[c]) / float64(total[c])
-	}
-	return out
-}
-
 // MeanConfidence returns the average top-1 softmax probability — the
 // paper's platform-independent "confidence" monitor.
 func MeanConfidence(logits *tensor.Tensor) float64 {

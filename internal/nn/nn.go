@@ -76,9 +76,6 @@ func NewNetwork(groups int, layers ...Layer) *Network {
 	return n
 }
 
-// Groups returns the total group count G.
-func (n *Network) Groups() int { return n.groups }
-
 // ActiveGroups returns the currently enabled group count.
 func (n *Network) ActiveGroups() int { return n.active }
 
@@ -122,13 +119,6 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrads clears all gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
 // FreezeGroupsBelow freezes every parameter whose group index is < g and
 // unfreezes the rest. Incremental step i of the paper calls
 // FreezeGroupsBelow(i) before training group i.
@@ -143,22 +133,6 @@ func (n *Network) FreezeAll() {
 	for _, p := range n.Params() {
 		p.Frozen = true
 	}
-}
-
-// UnfreezeAll marks every parameter trainable.
-func (n *Network) UnfreezeAll() {
-	for _, p := range n.Params() {
-		p.Frozen = false
-	}
-}
-
-// NumParams returns the total scalar parameter count across all groups.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += p.NumElems()
-	}
-	return total
 }
 
 // NumParamsForGroups returns the scalar parameter count used when only the

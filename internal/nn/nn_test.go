@@ -48,8 +48,7 @@ func TestSetActiveGroupsBounds(t *testing.T) {
 }
 
 func TestSetActiveGroupsOnStaticNetworkPanics(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	net := NewNetwork(0, NewDense("d", 4, 2, rng))
+	net := NewNetwork(0, NewReLU("r"))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -97,8 +96,7 @@ func TestGroupContributionAdditivity(t *testing.T) {
 	// The difference must be exactly group 3's head contribution; verify
 	// it is consistent across a repeated evaluation (deterministic) and
 	// non-zero (group 3 genuinely participates).
-	diff := full.Clone().Sub(partial)
-	if diff.AbsMax() == 0 {
+	if full.AllClose(partial, 0) {
 		t.Fatal("fourth group contributed nothing — group wiring broken")
 	}
 	net.SetActiveGroups(4)
@@ -117,12 +115,6 @@ func TestFreezeGroupsBelow(t *testing.T) {
 		}
 		if p.Group >= 2 && p.Frozen {
 			t.Fatalf("param %s (group %d) should be trainable", p.Name, p.Group)
-		}
-	}
-	net.UnfreezeAll()
-	for _, p := range net.Params() {
-		if p.Frozen {
-			t.Fatal("UnfreezeAll left a frozen param")
 		}
 	}
 	net.FreezeAll()
@@ -156,7 +148,7 @@ func TestFrozenParamsUntouchedBySGD(t *testing.T) {
 
 func TestSGDReducesLossOnTinyProblem(t *testing.T) {
 	rng := tensor.NewRNG(12)
-	net := NewNetwork(0, NewDense("d1", 4, 16, rng), NewReLU("r"), NewDense("d2", 16, 3, rng))
+	net := NewNetwork(1, NewGroupedDense("d1", 1, 4, 16, rng), NewReLU("r"), NewGroupedDense("d2", 1, 16, 3, rng))
 	// Three linearly separable clusters.
 	n := 30
 	x := tensor.New(n, 4)
@@ -186,7 +178,13 @@ func TestSGDReducesLossOnTinyProblem(t *testing.T) {
 	if last >= first*0.5 {
 		t.Fatalf("loss did not halve: first %.4f last %.4f", first, last)
 	}
-	if acc := Accuracy(net.Forward(x, false), labels); acc < 0.9 {
+	correct := 0
+	for i, p := range net.Forward(x, false).ArgMaxRow() {
+		if p == labels[i] {
+			correct++
+		}
+	}
+	if acc := float64(correct) / float64(n); acc < 0.9 {
 		t.Fatalf("accuracy %.2f on trivially separable data", acc)
 	}
 }
@@ -225,7 +223,10 @@ func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 
 func TestNumParamsForGroupsLinear(t *testing.T) {
 	net := buildMiniDynNet(4, 14)
-	total := net.NumParams()
+	total := 0
+	for _, p := range net.Params() {
+		total += p.NumElems()
+	}
 	p1 := net.NumParamsForGroups(1)
 	p4 := net.NumParamsForGroups(4)
 	if p4 != total {
@@ -252,21 +253,13 @@ func TestParamChecksumSensitivity(t *testing.T) {
 	}
 }
 
-func TestAccuracyAndConfidence(t *testing.T) {
+func TestMeanConfidence(t *testing.T) {
 	logits := tensor.FromSlice([]float32{
 		5, 0, 0,
 		0, 5, 0,
 		0, 0, 5,
 		5, 0, 0,
 	}, 4, 3)
-	labels := []int{0, 1, 2, 1}
-	if acc := Accuracy(logits, labels); acc != 0.75 {
-		t.Fatalf("accuracy = %v, want 0.75", acc)
-	}
-	pc := PerClassAccuracy(logits, labels, 3)
-	if pc[0] != 1 || pc[1] != 0.5 || pc[2] != 1 {
-		t.Fatalf("per-class = %v, want [1 0.5 1]", pc)
-	}
 	conf := MeanConfidence(logits)
 	if conf < 0.8 || conf > 1 {
 		t.Fatalf("confidence = %v for peaked logits", conf)

@@ -44,9 +44,3 @@ func (s *SGD) Step(params []*Param) {
 		p.ZeroGrad()
 	}
 }
-
-// ResetMomentum clears all velocity state (used between incremental
-// training steps so a newly unfrozen group starts cold).
-func (s *SGD) ResetMomentum() {
-	s.velocity = make(map[*Param]*tensor.Tensor)
-}

@@ -138,26 +138,6 @@ func MinEnergy(points []perf.OperatingPoint, b Budget) (perf.OperatingPoint, boo
 	return feasible[0], true
 }
 
-// MinLatency selects the feasible point with the lowest latency
-// (tie-break: higher accuracy, then lower energy).
-func MinLatency(points []perf.OperatingPoint, b Budget) (perf.OperatingPoint, bool) {
-	feasible := Filter(points, b)
-	if len(feasible) == 0 {
-		return perf.OperatingPoint{}, false
-	}
-	sort.SliceStable(feasible, func(i, j int) bool {
-		a, c := feasible[i], feasible[j]
-		if a.LatencyS != c.LatencyS {
-			return a.LatencyS < c.LatencyS
-		}
-		if a.Accuracy != c.Accuracy {
-			return a.Accuracy > c.Accuracy
-		}
-		return a.EnergyMJ < c.EnergyMJ
-	})
-	return feasible[0], true
-}
-
 // RangeStats summarises the dynamic range a set of points offers — the
 // paper's claim that combining the model knob with DVFS and mapping
 // "achieves a wider dynamic range of performance trade-off" (Section IV)

@@ -151,7 +151,7 @@ func TestBestInfeasibleBudget(t *testing.T) {
 	}
 }
 
-func TestMinEnergyAndMinLatencySelectors(t *testing.T) {
+func TestMinEnergySelector(t *testing.T) {
 	pts := fig4aPoints()
 	me, ok := MinEnergy(pts, Budget{})
 	if !ok {
@@ -161,20 +161,6 @@ func TestMinEnergyAndMinLatencySelectors(t *testing.T) {
 		if p.EnergyMJ < me.EnergyMJ {
 			t.Fatal("MinEnergy did not find the minimum")
 		}
-	}
-	ml, ok := MinLatency(pts, Budget{})
-	if !ok {
-		t.Fatal("unconstrained MinLatency must succeed")
-	}
-	for _, p := range pts {
-		if p.LatencyS < ml.LatencyS {
-			t.Fatal("MinLatency did not find the minimum")
-		}
-	}
-	// The fastest point should be the biggest cluster at max frequency
-	// with the smallest model.
-	if ml.Cluster != "a15" || ml.LevelName != "25%" {
-		t.Fatalf("fastest point %v implausible", ml)
 	}
 }
 

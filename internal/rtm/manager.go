@@ -78,7 +78,7 @@ type Manager struct {
 	misses       int
 	pending      bool
 	plans        int
-	last         []Assignment
+	last         []Assignment // the last actuated plan; white-box tests read it
 	lastView     View
 	lastMissPlan float64
 
@@ -109,7 +109,7 @@ type Manager struct {
 	// planning input (engine snapshot + view), the defensive policy copy,
 	// the policy's working buffers and the actuation indexes are all
 	// rebuilt in place instead of reallocated. Handed-out state stays
-	// defensive — LastPlan and LastView copy on read. Reset keeps these
+	// defensive — LastView copies on read. Reset keeps these
 	// buffers and nothing else.
 	snap       sim.Snapshot
 	viewReqs   map[string]Requirement
@@ -182,9 +182,6 @@ func (m *Manager) SetPolicy(p Policy) {
 	m.pending = true
 }
 
-// PolicyName reports which planning policy the manager is running.
-func (m *Manager) PolicyName() string { return m.policy.Name() }
-
 // SetRequirement installs or replaces an app's requirement at runtime (the
 // Fig 2(d) event: "the accuracy requirement of the second DNN is reduced")
 // and schedules a replan.
@@ -209,26 +206,23 @@ func (m *Manager) Plans() int { return m.plans }
 // PlanStats reports the manager's plan-reuse counters: total replans and
 // elided replans. The counters are observability only — they never enter
 // simulation reports, whose bytes must not depend on reuse.
+//
+//detlint:allow deadexport test-only counter until it becomes a work-counter row in the allocs table
 func (m *Manager) PlanStats() PlanStats {
 	return PlanStats{Plans: m.plans, Elided: m.elided}
 }
 
-// LastPlan returns a copy of the most recent set of assignments.
-func (m *Manager) LastPlan() []Assignment { return append([]Assignment(nil), m.last...) }
-
 // LastView returns a copy of the view the most recent plan was computed
-// over — the read-only planning input, for inspection and tests. Like
-// LastPlan, the copy is defensive: callers (and policies, which receive
-// the view by value at plan time) cannot reach manager or engine state
-// through it.
+// over — the read-only planning input, for inspection and tests. The
+// copy is defensive: callers (and policies, which receive the view by
+// value at plan time) cannot reach manager or engine state through it.
 func (m *Manager) LastView() View { return m.lastView.Clone() }
 
 // Registry returns the knob/monitor registry of the engine the manager
 // last planned against (nil before the first plan). It is built on the
-// first call, not by planning: knob values and monitors read through to
-// the engine, so a registry built late is never stale. It is an actuation
-// surface for external tooling; policies never see it — they plan over
-// the read-only View.
+// first call, not by planning. It names the interface; policies never see
+// it — they plan over the read-only View, and the manager actuates the
+// engine directly.
 func (m *Manager) Registry() *Registry {
 	if m.registry == nil && m.eng != nil {
 		m.registry = m.buildRegistry(m.eng)
@@ -368,7 +362,7 @@ func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
 // plan's targets, or it moved a knob and with it the plan epoch, which
 // only ever grows: then the fingerprint cannot match again. A knob the
 // engine refused (a migration onto a full cluster) moves nothing, and
-// the same plan would be refused again. Counters (LastPlan, LastView,
+// the same plan would be refused again. Counters (last plan, LastView,
 // Plans, miss reset) behave identically on both paths.
 //
 //detlint:hotpath
@@ -377,7 +371,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 	m.misses = 0
 	m.plans++
 	if e != m.eng {
-		// A registry reads through to one engine; Registry builds the
+		// A registry names one engine's knobs; Registry builds the
 		// next one for this engine on demand. Another engine's epoch
 		// says nothing about this one's, so the next replan plans fresh.
 		m.eng, m.registry, m.lastFPOK = e, nil, false
@@ -408,8 +402,8 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// Publish into manager-owned storage *before* any callback can run:
 	// plan aliases the policy scratch and v aliases the snapshot scratch,
 	// both of which the next replan rewrites in place — a Logf (or later
-	// OnTick) caller reading LastPlan/LastView must never observe a stale
-	// slice header over a rewritten backing array. Both copies reuse their
+	// OnTick) caller reading LastView must never observe a stale slice
+	// header over a rewritten backing array. Both copies reuse their
 	// destination buffers, so the hot path stays allocation-free.
 	m.last = append(m.last[:0], plan...)
 	v.CloneInto(&m.lastView)
@@ -716,70 +710,38 @@ func (m *Manager) setLevel(e *sim.Engine, app string, level int) {
 	}
 }
 
-// buildRegistry wires the engine's apps and clusters into a knob/monitor
-// registry — the concrete realisation of Fig 5. Knob values read the
-// engine's current level and OPP, so they stay true however the engine
-// was actuated.
+// buildRegistry names the engine's apps' and clusters' knobs and
+// monitors in a registry — the concrete realisation of Fig 5.
 func (m *Manager) buildRegistry(e *sim.Engine) *Registry {
 	r := NewRegistry()
 	for _, a := range e.Apps() {
 		if a.Kind != sim.KindDNN {
 			continue
 		}
-		name := a.Name
-		k, err := r.RegisterKnob("app."+name+".level", LayerApplication,
-			1, a.Profile.MaxLevel(), a.Level,
-			func(v int) error { return e.SetLevel(name, v) })
-		if err != nil {
-			m.logf("rtm: registry: %v", err)
-		} else {
-			k.read = func() int {
-				info, _ := e.App(name) // name is one of e's apps: the lookup cannot fail
-				return info.Level
-			}
-		}
-		if _, err := r.RegisterMonitor("app."+name+".latency", LayerApplication, "s", func() float64 {
-			info, err := e.App(name)
-			if err != nil {
-				return math.NaN()
-			}
-			return info.AvgLatency
-		}); err != nil {
+		if _, err := r.RegisterKnob("app."+a.Name+".level", LayerApplication,
+			1, a.Profile.MaxLevel(), a.Level); err != nil {
 			m.logf("rtm: registry: %v", err)
 		}
-		if _, err := r.RegisterMonitor("app."+name+".accuracy", LayerApplication, "top1", func() float64 {
-			info, err := e.App(name)
-			if err != nil {
-				return math.NaN()
+		for _, mon := range []struct{ name, unit string }{{"latency", "s"}, {"accuracy", "top1"}} {
+			if _, err := r.RegisterMonitor("app."+a.Name+"."+mon.name, LayerApplication, mon.unit); err != nil {
+				m.logf("rtm: registry: %v", err)
 			}
-			return info.Profile.Level(info.Level).Accuracy
-		}); err != nil {
-			m.logf("rtm: registry: %v", err)
 		}
 	}
 	for _, cl := range e.Platform().Clusters {
-		name := cl.Name
-		info, err := e.Cluster(name)
+		info, err := e.Cluster(cl.Name)
 		if err != nil {
 			continue
 		}
-		k, err := r.RegisterKnob("dev."+name+".opp", LayerDevice,
-			0, len(cl.OPPs)-1, info.OPPIndex,
-			func(v int) error { return e.SetOPP(name, v) })
-		if err != nil {
+		if _, err := r.RegisterKnob("dev."+cl.Name+".opp", LayerDevice,
+			0, len(cl.OPPs)-1, info.OPPIndex); err != nil {
 			m.logf("rtm: registry: %v", err)
-		} else {
-			k.read = func() int {
-				info, _ := e.Cluster(name) // name is one of e's clusters: the lookup cannot fail
-				return info.OPPIndex
-			}
 		}
 	}
-	if _, err := r.RegisterMonitor("dev.temperature", LayerDevice, "C", e.Temperature); err != nil {
-		m.logf("rtm: registry: %v", err)
-	}
-	if _, err := r.RegisterMonitor("dev.power", LayerDevice, "mW", e.TotalPowerMW); err != nil {
-		m.logf("rtm: registry: %v", err)
+	for _, mon := range []struct{ name, unit string }{{"temperature", "C"}, {"power", "mW"}} {
+		if _, err := r.RegisterMonitor("dev."+mon.name, LayerDevice, mon.unit); err != nil {
+			m.logf("rtm: registry: %v", err)
+		}
 	}
 	return r
 }

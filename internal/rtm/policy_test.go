@@ -190,9 +190,9 @@ func runUnder(t *testing.T, policy string, reqs map[string]Requirement, apps []s
 func TestPoliciesDisagree(t *testing.T) {
 	apps := []sim.App{dnn("d", "a15", 4, 1.0)}
 
-	heur := runUnder(t, "heuristic", nil, apps).LastPlan()
-	maxacc := runUnder(t, "maxaccuracy", nil, apps).LastPlan()
-	race := runUnder(t, "minenergy", nil, apps).LastPlan()
+	heur := runUnder(t, "heuristic", nil, apps).last
+	maxacc := runUnder(t, "maxaccuracy", nil, apps).last
+	race := runUnder(t, "minenergy", nil, apps).last
 	if len(heur) != 1 || len(maxacc) != 1 || len(race) != 1 {
 		t.Fatalf("plan sizes: %d/%d/%d, want 1 each", len(heur), len(maxacc), len(race))
 	}
@@ -217,15 +217,15 @@ func TestPoliciesDisagree(t *testing.T) {
 	}
 }
 
-// TestManagerPolicyPlumbing: PolicyName reflects SetPolicy, nil is
+// TestManagerPolicyPlumbing: SetPolicy replaces the policy, nil is
 // ignored, and swapping schedules a replan at the next tick.
 func TestManagerPolicyPlumbing(t *testing.T) {
 	mgr := NewManager(nil)
-	if mgr.PolicyName() != DefaultPolicy {
-		t.Fatalf("fresh manager policy %q, want %q", mgr.PolicyName(), DefaultPolicy)
+	if mgr.policy.Name() != DefaultPolicy {
+		t.Fatalf("fresh manager policy %q, want %q", mgr.policy.Name(), DefaultPolicy)
 	}
 	mgr.SetPolicy(nil)
-	if mgr.PolicyName() != DefaultPolicy {
+	if mgr.policy.Name() != DefaultPolicy {
 		t.Fatal("SetPolicy(nil) replaced the policy")
 	}
 	p, err := NewPolicy("minenergy")
@@ -233,8 +233,8 @@ func TestManagerPolicyPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.SetPolicy(p)
-	if mgr.PolicyName() != "minenergy" {
-		t.Fatalf("policy %q after SetPolicy", mgr.PolicyName())
+	if mgr.policy.Name() != "minenergy" {
+		t.Fatalf("policy %q after SetPolicy", mgr.policy.Name())
 	}
 
 	e, err := sim.New(sim.Config{
@@ -283,10 +283,10 @@ func (vandalPolicy) Plan(v View) []Assignment {
 	return plan
 }
 
-// TestViewDefensiveCopies is the LastPlan-style audit from the policy
+// TestViewDefensiveCopies is the defensive-copy audit from the policy
 // seam: a policy that vandalises its View — and a caller that vandalises
-// LastPlan/LastView — must not be able to corrupt manager or engine
-// state, because everything handed out is a copy.
+// LastView — must not be able to corrupt manager or engine state,
+// because everything handed out is a copy.
 func TestViewDefensiveCopies(t *testing.T) {
 	reqs := map[string]Requirement{"d": {MinAccuracy: 0.70, Priority: 1}}
 	run := func(p Policy) (*Manager, *sim.Engine) {
@@ -325,22 +325,13 @@ func TestViewDefensiveCopies(t *testing.T) {
 		t.Errorf("engine level %d after vandal run, want 4", info.Level)
 	}
 	// The vandal's *planning* is the heuristic's: same assignments.
-	cj, _ := json.Marshal(clean.LastPlan())
-	vj, _ := json.Marshal(vandal.LastPlan())
+	cj, _ := json.Marshal(clean.last)
+	vj, _ := json.Marshal(vandal.last)
 	if string(cj) != string(vj) {
 		t.Errorf("vandal plan diverged from heuristic:\n%s\n%s", cj, vj)
 	}
 
-	// LastPlan and LastView hand out copies.
-	p1 := vandal.LastPlan()
-	if len(p1) == 0 {
-		t.Fatal("no plan recorded")
-	}
-	p1[0].App = "corrupted"
-	p1[0].Level = 99
-	if vandal.LastPlan()[0].App == "corrupted" {
-		t.Error("LastPlan exposes internal plan storage")
-	}
+	// LastView hands out a copy.
 	v1 := vandal.LastView()
 	if len(v1.Apps) == 0 || len(v1.Reqs) == 0 {
 		t.Fatal("LastView empty")
@@ -363,7 +354,7 @@ func TestHeuristicPlanMatchesLegacyBehaviour(t *testing.T) {
 	mgr := runUnder(t, "heuristic", map[string]Requirement{
 		"d": {MinAccuracy: 0.70, Priority: 1},
 	}, []sim.App{dnn("d", "a15", 4, 1.0)})
-	plan := mgr.LastPlan()
+	plan := mgr.last
 	if len(plan) != 1 || plan[0].Level != 4 || plan[0].Placement.Cluster != "a7" {
 		t.Fatalf("plan = %+v, want level 4 on a7", plan)
 	}

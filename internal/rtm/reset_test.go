@@ -85,8 +85,8 @@ func TestManagerResetMatchesNew(t *testing.T) {
 		t.Fatalf("second run too quiet to compare: %+v, %d recoveries, pressure %d",
 			fresh.PlanStats(), len(fresh.FaultRecoveries()), fresh.Pressure())
 	}
-	if !reflect.DeepEqual(m.LastPlan(), fresh.LastPlan()) {
-		t.Errorf("LastPlan: reset %v, new %v", m.LastPlan(), fresh.LastPlan())
+	if !reflect.DeepEqual(m.last, fresh.last) {
+		t.Errorf("last plan: reset %v, new %v", m.last, fresh.last)
 	}
 	if !reflect.DeepEqual(m.LastView(), fresh.LastView()) {
 		t.Errorf("LastView differs: reset planned at %.3fs with margin %g, new at %.3fs with margin %g",

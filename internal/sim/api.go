@@ -43,15 +43,6 @@ func (e *Engine) SetAmbient(c float64) {
 // Platform returns the simulated platform description.
 func (e *Engine) Platform() *hw.Platform { return e.plat }
 
-// TotalPowerMW returns the instantaneous platform power — a device monitor.
-func (e *Engine) TotalPowerMW() float64 {
-	total := 0.0
-	for _, cs := range e.clusterList {
-		total += e.clusterPowerMW(cs)
-	}
-	return total
-}
-
 // PlanEpoch is a monotone counter over planning-relevant engine state:
 // the running-app set, model levels, placements, per-cluster OPPs,
 // cluster availability and the ambient temperature. Two calls returning
@@ -212,22 +203,13 @@ type Snapshot struct {
 	Clusters  []ClusterInfo
 }
 
-// Snapshot captures the engine's observable state. Apps are in
-// deterministic creation order and Clusters in platform order, so two
-// snapshots of identical engine states are identical — the determinism
-// anchor for policy planning.
-func (e *Engine) Snapshot() Snapshot {
-	var s Snapshot
-	e.SnapshotInto(&s)
-	return s
-}
-
 // SnapshotInto rebuilds s in place from the engine's observable state,
 // reusing s's Apps and Clusters backing storage (including each cluster's
-// Residents buffer). It captures exactly what Snapshot captures without
-// the per-call allocations, which is what lets a controller ticking every
+// Residents buffer), which is what lets a controller ticking every
 // simulated epoch snapshot allocation-free; pass a zero Snapshot to start
-// a fresh buffer set.
+// a fresh buffer set. Apps are in deterministic creation order and
+// Clusters in platform order, so two snapshots of identical engine states
+// are identical — the determinism anchor for policy planning.
 //
 //detlint:hotpath
 func (e *Engine) SnapshotInto(s *Snapshot) {

@@ -162,7 +162,7 @@ func TestOfflineClusterDrawsNoPower(t *testing.T) {
 		Platform: plat,
 		Apps:     []App{dnnApp("dnn1", "a7", 4, 1, 0.5)},
 	})
-	before := e.TotalPowerMW()
+	before := totalPowerMW(e)
 	if before <= 0 {
 		t.Fatalf("idle power %.1f, want > 0", before)
 	}
@@ -172,7 +172,7 @@ func TestOfflineClusterDrawsNoPower(t *testing.T) {
 	if err := e.SetClusterOnline("a15", false); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.TotalPowerMW(); got != 0 {
+	if got := totalPowerMW(e); got != 0 {
 		t.Fatalf("power with all clusters offline = %.3f mW, want 0", got)
 	}
 	ci, err := e.Cluster("a7")

@@ -124,7 +124,7 @@ func TestEngineInvariants(t *testing.T) {
 							t0, e.winT0S, from, powerW, e.winT0S, e.winT0C, e.now, want)
 					}
 				}
-				if total := e.TotalPowerMW() / 1000; e.winPowerW != total {
+				if total := totalPowerMW(e) / 1000; e.winPowerW != total {
 					t.Fatalf("at %gs the thermal window runs at %gW, the platform draws %gW", e.now, e.winPowerW, total)
 				}
 			}
@@ -151,4 +151,14 @@ func TestEngineInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// totalPowerMW sums the instantaneous power of every cluster afresh: the
+// reference the engine's cached window power is checked against.
+func totalPowerMW(e *Engine) float64 {
+	total := 0.0
+	for _, cs := range e.clusterList {
+		total += e.clusterPowerMW(cs)
+	}
+	return total
 }

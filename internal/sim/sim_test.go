@@ -383,7 +383,7 @@ func TestThermalAccrualIsExact(t *testing.T) {
 	if err := probe.Run(1e-3); err != nil {
 		t.Fatal(err)
 	}
-	powerW := probe.TotalPowerMW() / 1000
+	powerW := totalPowerMW(probe) / 1000
 	plat.AmbientC = th.CriticalC + 3 - th.RthKPerW*powerW
 	if plat.AmbientC >= th.ThrottleC {
 		t.Fatalf("load of %gW cannot cross throttle from ambient", powerW)

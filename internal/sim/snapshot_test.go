@@ -8,9 +8,9 @@ import (
 )
 
 // TestSnapshotIntoMatchesSnapshot: rebuilding a reused snapshot must
-// capture exactly what a fresh Snapshot captures, at every point of a
-// run — SnapshotInto is the manager's per-tick view source, so any drift
-// here is a planning-input bug.
+// capture exactly what a rebuild into a zero Snapshot captures, at every
+// point of a run — SnapshotInto is the manager's per-tick view source, so
+// any drift here is a planning-input bug.
 func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	// One reused snapshot across engines at different horizons: buffer
 	// contents from the previous rebuild must never leak into the next.
@@ -23,10 +23,11 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 		if err := e.Run(horizon); err != nil {
 			t.Fatal(err)
 		}
-		fresh := e.Snapshot()
+		var fresh Snapshot
+		e.SnapshotInto(&fresh)
 		e.SnapshotInto(&reused)
 		if !reflect.DeepEqual(fresh, reused) {
-			t.Fatalf("at t=%.1f: SnapshotInto diverged from Snapshot:\nfresh:  %+v\nreused: %+v",
+			t.Fatalf("at t=%.1f: reused SnapshotInto diverged from a fresh one:\nfresh:  %+v\nreused: %+v",
 				horizon, fresh, reused)
 		}
 	}

@@ -38,7 +38,7 @@ func (g ConvGeom) Validate() error {
 // zero. The result is written into cols, which must be pre-sized; it is
 // returned for convenience.
 //
-// This lowering turns convolution into a single MatMul, the standard
+// This lowering turns convolution into a single matrix product, the standard
 // CPU-friendly strategy (and the one embedded inference runtimes such as
 // CMSIS-NN and TFLite Micro use), so the FLOP counts the perf model derives
 // from it match what a real deployment would execute.
@@ -159,19 +159,4 @@ func MaxPool2x2(img []float32, c, h, w int, out []float32, argmax []int) (outH, 
 		}
 	}
 	return outH, outW
-}
-
-// GlobalAvgPool reduces each channel of a (C,H,W) image to its mean,
-// writing C values into out.
-func GlobalAvgPool(img []float32, c, h, w int, out []float32) {
-	hw := h * w
-	inv := 1.0 / float32(hw)
-	for ch := 0; ch < c; ch++ {
-		base := ch * hw
-		var s float32
-		for i := 0; i < hw; i++ {
-			s += img[base+i]
-		}
-		out[ch] = s * inv
-	}
 }

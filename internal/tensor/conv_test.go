@@ -85,7 +85,7 @@ func TestIm2ColMatMulMatchesDirectConv(t *testing.T) {
 	cols := New(g.OutH()*g.OutW(), g.InC*g.Kernel*g.Kernel)
 	Im2Col(img, g, cols)
 	wm := FromSlice(w, outC, g.InC*g.Kernel*g.Kernel)
-	got := MatMulABT(cols, wm) // (positions × outC)
+	got := colsTimesWT(cols, wm) // (positions × outC)
 
 	want := convDirect(img, g, w, outC)
 	outHW := g.OutH() * g.OutW()
@@ -115,7 +115,7 @@ func TestIm2ColStridedNoPad(t *testing.T) {
 	cols := New(g.OutH()*g.OutW(), g.InC*g.Kernel*g.Kernel)
 	Im2Col(img, g, cols)
 	wm := FromSlice(w, outC, g.InC*g.Kernel*g.Kernel)
-	got := MatMulABT(cols, wm)
+	got := colsTimesWT(cols, wm)
 	want := convDirect(img, g, w, outC)
 	outHW := g.OutH() * g.OutW()
 	for oc := 0; oc < outC; oc++ {
@@ -226,18 +226,6 @@ func TestMaxPoolArgmaxWithinWindow(t *testing.T) {
 	}
 }
 
-func TestGlobalAvgPool(t *testing.T) {
-	img := []float32{
-		1, 2, 3, 4, // ch0: mean 2.5
-		10, 20, 30, 40, // ch1: mean 25
-	}
-	out := make([]float32, 2)
-	GlobalAvgPool(img, 2, 2, 2, out)
-	if out[0] != 2.5 || out[1] != 25 {
-		t.Fatalf("GlobalAvgPool = %v, want [2.5 25]", out)
-	}
-}
-
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {
@@ -313,4 +301,21 @@ func TestKaimingInitVariance(t *testing.T) {
 	if variance < want*0.7 || variance > want*1.3 {
 		t.Fatalf("Kaiming variance = %v, want ~%v", variance, want)
 	}
+}
+
+// colsTimesWT returns cols·wmᵀ (positions × outC): the single matrix
+// product an im2col-lowered convolution computes.
+func colsTimesWT(cols, wm *Tensor) *Tensor {
+	m, k, n := cols.Dim(0), cols.Dim(1), wm.Dim(0)
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float32
+			for p := 0; p < k; p++ {
+				s += cols.At(i, p) * wm.At(j, p)
+			}
+			out.Set(s, i, j)
+		}
+	}
+	return out
 }

@@ -14,24 +14,6 @@ func (t *Tensor) Add(o *Tensor) *Tensor {
 	return t
 }
 
-// Sub computes t -= o element-wise. Shapes must match.
-func (t *Tensor) Sub(o *Tensor) *Tensor {
-	mustSameLen(t, o, "Sub")
-	for i := range t.data {
-		t.data[i] -= o.data[i]
-	}
-	return t
-}
-
-// MulElem computes t *= o element-wise (Hadamard product).
-func (t *Tensor) MulElem(o *Tensor) *Tensor {
-	mustSameLen(t, o, "MulElem")
-	for i := range t.data {
-		t.data[i] *= o.data[i]
-	}
-	return t
-}
-
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float32) *Tensor {
 	for i := range t.data {
@@ -47,53 +29,6 @@ func (t *Tensor) AddScaled(s float32, o *Tensor) *Tensor {
 		t.data[i] += s * o.data[i]
 	}
 	return t
-}
-
-// Sum returns the sum of all elements in float64 for accumulation accuracy.
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.data)) }
-
-// Max returns the maximum element and its flat index.
-func (t *Tensor) Max() (float32, int) {
-	best, arg := t.data[0], 0
-	for i, v := range t.data {
-		if v > best {
-			best, arg = v, i
-		}
-	}
-	return best, arg
-}
-
-// AbsMax returns the maximum absolute element value.
-func (t *Tensor) AbsMax() float32 {
-	var best float32
-	for _, v := range t.data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > best {
-			best = a
-		}
-	}
-	return best
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // ArgMaxRow returns, for each row of a rank-2 tensor, the column index of
@@ -113,119 +48,6 @@ func (t *Tensor) ArgMaxRow() []int {
 			}
 		}
 		out[r] = arg
-	}
-	return out
-}
-
-// MatMul returns a new tensor c = a·b for rank-2 tensors a (m×k) and
-// b (k×n). The inner loops are ordered i-k-j so the innermost traversal is
-// contiguous in both b and c, which matters for the im2col-lowered
-// convolutions that dominate training time.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic("tensor: MatMul requires rank-2 tensors")
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %d != %d", k, k2))
-	}
-	c := New(m, n)
-	matMulInto(c.data, a.data, b.data, m, k, n)
-	return c
-}
-
-// MatMulInto computes c = a·b, writing into a pre-allocated c (m×n). It
-// avoids per-call allocation in training inner loops.
-func MatMulInto(c, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || c.shape[0] != m || c.shape[1] != n {
-		panic("tensor: MatMulInto shape mismatch")
-	}
-	for i := range c.data {
-		c.data[i] = 0
-	}
-	matMulInto(c.data, a.data, b.data, m, k, n)
-}
-
-func matMulInto(c, a, b []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := ai[p]
-			if av == 0 {
-				continue
-			}
-			bp := b[p*n : (p+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
-}
-
-// MatMulATB returns aᵀ·b for a (k×m) and b (k×n): result m×n. Used for
-// weight gradients without materialising the transpose.
-func MatMulATB(a, b *Tensor) *Tensor {
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulATB inner dimension mismatch %d != %d", k, k2))
-	}
-	c := New(m, n)
-	for p := 0; p < k; p++ {
-		ap := a.data[p*m : (p+1)*m]
-		bp := b.data[p*n : (p+1)*n]
-		for i, av := range ap {
-			if av == 0 {
-				continue
-			}
-			ci := c.data[i*n : (i+1)*n]
-			for j, bv := range bp {
-				ci[j] += av * bv
-			}
-		}
-	}
-	return c
-}
-
-// MatMulABT returns a·bᵀ for a (m×k) and b (n×k): result m×n. Used for
-// input gradients without materialising the transpose.
-func MatMulABT(a, b *Tensor) *Tensor {
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulABT inner dimension mismatch %d != %d", k, k2))
-	}
-	c := New(m, n)
-	for i := 0; i < m; i++ {
-		ai := a.data[i*k : (i+1)*k]
-		ci := c.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			bj := b.data[j*k : (j+1)*k]
-			var s float32
-			for p, av := range ai {
-				s += av * bj[p]
-			}
-			ci[j] = s
-		}
-	}
-	return c
-}
-
-// Transpose returns a new rank-2 tensor that is the transpose of t.
-func (t *Tensor) Transpose() *Tensor {
-	if t.Rank() != 2 {
-		panic("tensor: Transpose requires rank-2 tensor")
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = t.data[i*n+j]
-		}
 	}
 	return out
 }

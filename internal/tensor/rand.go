@@ -36,9 +36,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform value in [0,1).
-func (r *RNG) Float32() float32 { return float32(r.Float64()) }
-
 // Intn returns a uniform integer in [0,n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -79,14 +76,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// FillUniform fills t with uniform values in [lo, hi).
-func (t *Tensor) FillUniform(r *RNG, lo, hi float32) {
-	span := hi - lo
-	for i := range t.data {
-		t.data[i] = lo + span*r.Float32()
-	}
 }
 
 // FillNormal fills t with normal values of the given mean and standard

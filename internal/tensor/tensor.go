@@ -3,8 +3,8 @@
 // operations are implemented with the standard library only.
 //
 // The package provides exactly what the dynamic-DNN reproduction needs:
-// shaped storage, element access, BLAS-like matmul, im2col/col2im for
-// convolution lowering, and a deterministic PRNG for reproducible
+// shaped storage, element access, element-wise arithmetic, im2col/col2im
+// for convolution lowering, and a deterministic PRNG for reproducible
 // initialisation and datasets.
 package tensor
 
@@ -15,7 +15,7 @@ import (
 )
 
 // Tensor is a dense row-major float32 tensor. The zero value is not usable;
-// construct tensors with New, Zeros, FromSlice or Full.
+// construct tensors with New or FromSlice.
 type Tensor struct {
 	shape   []int
 	strides []int
@@ -37,19 +37,6 @@ func New(shape ...int) *Tensor {
 		data:  make([]float32, n),
 	}
 	t.strides = computeStrides(t.shape)
-	return t
-}
-
-// Zeros is an alias of New, provided for readability at call sites that
-// emphasise the initial value rather than allocation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
-// Full returns a tensor of the given shape with every element set to v.
-func Full(v float32, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
 	return t
 }
 
@@ -158,13 +145,6 @@ func (t *Tensor) Fill(v float32) {
 // Zero sets every element to 0.
 func (t *Tensor) Zero() { t.Fill(0) }
 
-// Apply replaces each element x with f(x).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-}
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.shape) != len(o.shape) {
@@ -180,6 +160,8 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 
 // AllClose reports whether all elements of t and o are within tol of each
 // other. Shapes must match exactly.
+//
+//detlint:allow deadexport test helper that the nn, dataset and root packages' tests share with this package's
 func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 	if !t.SameShape(o) {
 		return false

@@ -63,9 +63,6 @@ func FormatFloat(v float64) string {
 	}
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // WriteTo renders the table. It implements io.WriterTo.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.Headers))
@@ -117,30 +114,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table as RFC-4180-ish CSV (quotes around cells
-// containing commas or quotes).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteString(`"` + strings.ReplaceAll(c, `"`, `""`) + `"`)
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Headers)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
-}
-
 // Series is a named (x, y) sequence — one line of a figure.
 type Series struct {
 	Name string
@@ -185,13 +158,4 @@ func (f *Figure) CSV() string {
 		}
 	}
 	return b.String()
-}
-
-// Points returns the total number of points across all series.
-func (f *Figure) Points() int {
-	n := 0
-	for _, s := range f.Series {
-		n += len(s.X)
-	}
-	return n
 }

@@ -24,9 +24,6 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 6 {
 		t.Fatalf("line count %d, want 6:\n%s", len(lines), out)
 	}
-	if tb.Rows() != 3 {
-		t.Fatalf("Rows() = %d", tb.Rows())
-	}
 }
 
 func TestTableColumnsAligned(t *testing.T) {
@@ -61,21 +58,6 @@ func TestTableFloatFormatting(t *testing.T) {
 	}
 }
 
-func TestCSVEscaping(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow(`with,comma`, `with"quote`)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"with,comma"`) {
-		t.Fatalf("comma cell not quoted: %s", csv)
-	}
-	if !strings.Contains(csv, `"with""quote"`) {
-		t.Fatalf("quote cell not escaped: %s", csv)
-	}
-	if !strings.HasPrefix(csv, "a,b\n") {
-		t.Fatalf("header wrong: %s", csv)
-	}
-}
-
 func TestFigureSeriesAndCSV(t *testing.T) {
 	f := NewFigure("fig", "x_ms", "y_mj")
 	s1 := f.NewSeries("A7, 25% model")
@@ -83,9 +65,6 @@ func TestFigureSeriesAndCSV(t *testing.T) {
 	s1.Add(3, 4)
 	s2 := f.NewSeries("A15, 100% model")
 	s2.Add(5, 6)
-	if f.Points() != 3 {
-		t.Fatalf("Points = %d", f.Points())
-	}
 	csv := f.CSV()
 	if !strings.HasPrefix(csv, "series,x_ms,y_mj\n") {
 		t.Fatalf("header wrong: %s", csv)
