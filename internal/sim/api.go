@@ -34,8 +34,7 @@ func (e *Engine) SetAmbient(c float64) {
 	e.ambient = c
 	e.thermalDirty = true
 	// Ambient feeds the thermal power budget planners work against, so it
-	// advances the planning epoch; the utilisation/rate caches never read
-	// it and stay valid.
+	// advances the planning epoch; no derived value reads it.
 	e.planEpoch++
 	e.refresh()
 }
@@ -166,11 +165,11 @@ func (e *Engine) clusterInfoInto(cs *clusterState, info *ClusterInfo) {
 		OPPIndex: cs.oppIdx,
 		FreqGHz:  cs.c.OPPs[cs.oppIdx].FreqGHz,
 		Cores:    cs.c.Cores,
-		Util:     e.clusterUtilOf(cs),
+		Util:     cs.util,
+		PowerMW:  cs.pow,
 		Online:   cs.online,
 	}
 	info.EnergyMJ, _ = cs.integralsAt(e.now)
-	info.PowerMW = cs.cachedPow
 	for _, a := range e.appList {
 		if a.started && !a.stopped && a.placedCS == cs {
 			residents = append(residents, a.Name)
@@ -284,7 +283,7 @@ func (e *Engine) SetLevel(app string, level int) error {
 	a.level = level
 	a.jobMACs = float64(a.Profile.Level(level).MACs)
 	// A level change is planning-relevant (and alters the next release's
-	// workload) but touches nothing the utilisation/rate caches read.
+	// workload) but changes nothing derive reads.
 	e.planEpoch++
 	e.levelSwaps++
 	e.refresh()
@@ -316,8 +315,8 @@ func (e *Engine) SetOPP(cluster string, idx int) error {
 // disturbance knob). Taking a cluster offline aborts its in-flight jobs —
 // the work is lost, not migrated — and leaves resident apps unhosted until
 // a controller replans them; bringing it back makes it plannable again.
-// Both transitions advance the planning epoch and invalidate the derived
-// caches, so replan elision can never serve a plan computed against a
+// Both transitions advance the planning epoch and re-derive the cluster,
+// so replan elision can never serve a plan computed against a
 // different availability set.
 func (e *Engine) SetClusterOnline(cluster string, online bool) error {
 	cs, ok := e.clusters[cluster]

@@ -7,13 +7,14 @@ import (
 	"github.com/emlrtm/emlrtm/internal/perf"
 )
 
-// This file is the white-box safety net under the dirty-tracked observable
-// caches: every cached value must equal a from-scratch recompute after
-// every engine step and in every controller callback of a scenario that
-// churns all the invalidation sources (app starts/stops, job activity,
-// DVFS switches including the accelerators' companion CPU, migrations with
-// downtime, cluster failure and repair, ambient changes), and PlanEpoch
-// must move exactly when planning-relevant state does.
+// This file is the white-box safety net under the derived per-cluster
+// values: every value Engine.derive stores must equal a from-scratch
+// reference scan after every engine step and in every controller callback
+// of a scenario that churns every mutation derive reads (app starts/stops,
+// job activity, DVFS switches including the accelerators' companion CPU,
+// migrations with downtime, downtimes ending at one instant, cluster
+// failure and repair, ambient changes), and PlanEpoch must move exactly
+// when planning-relevant state does.
 
 // cacheStep is one knob the auditor turns at a fixed time.
 type cacheStep struct {
@@ -21,14 +22,15 @@ type cacheStep struct {
 	do  func(e *Engine) error
 }
 
-// cacheAuditor is a controller that cross-checks every cache against its
-// compute function in each callback, while turning knobs at fixed times;
-// the test also calls audit after every engine step.
+// cacheAuditor is a controller that cross-checks every derived value
+// against its reference scan in each callback, while turning knobs at
+// fixed times; the test also calls audit after every engine step.
 type cacheAuditor struct {
 	t       *testing.T
 	steps   []cacheStep
 	next    int // index of the first step not yet taken
 	audited int
+	skipped int // clusters left unchecked while an unblock was due (see settled)
 }
 
 func (c *cacheAuditor) OnTick(e *Engine) {
@@ -43,45 +45,161 @@ func (c *cacheAuditor) OnTick(e *Engine) {
 
 func (c *cacheAuditor) OnEvent(e *Engine, ev Event) { c.audit(e) }
 
-// audit reads every cached observable (filling the caches), then compares
-// the cached values against direct recomputes.
+// settled reports whether cs's derived values can be checked against a
+// scan at the clock. Derived values are evaluated at the cluster's last
+// touch (see Engine.derive), and the end of a migration downtime touches
+// it only when its unblock timer fires. So while a resident app's timer is
+// due at this instant but has not fired, the cluster may still hold what
+// it derived before the downtime ended, and so may the companion it
+// loads.
+func settled(e *Engine, cs *clusterState) bool {
+	for _, a := range e.appList {
+		if a.placedCS == cs && a.completionSeq != 0 && a.completionKind == hUnblock && a.completionEst == e.now {
+			return false
+		}
+	}
+	for ocs := cs.loadHead; ocs != nil; ocs = ocs.loadNext {
+		if !settled(e, ocs) {
+			return false
+		}
+	}
+	return true
+}
+
+// audit compares every settled cluster's derived values, and the rate of
+// each running job on it, against the reference scans.
 func (c *cacheAuditor) audit(e *Engine) {
 	c.audited++
 	for _, cs := range e.clusterList {
-		util := e.clusterUtilOf(cs)
-		pow := e.clusterPowerMW(cs)
-		share := e.acceleratorDNNShare(cs)
-		active := e.anyActiveDNN(cs)
-		if want := e.computeAcceleratorDNNShare(cs); share != want {
-			c.t.Errorf("t=%.2f %s: cached share %v, recompute %v", e.Now(), cs.c.Name, share, want)
-		}
-		if want := e.computeAnyActiveDNN(cs); active != want {
-			c.t.Errorf("t=%.2f %s: cached active %v, recompute %v", e.Now(), cs.c.Name, active, want)
-		}
-		wantUtil := 0.0
-		if cs.online {
-			wantUtil = e.computeClusterUtil(cs)
-		}
-		if util != wantUtil {
-			c.t.Errorf("t=%.2f %s: cached util %v, recompute %v", e.Now(), cs.c.Name, util, wantUtil)
-		}
-		wantPow := 0.0
-		if cs.online {
-			wantPow = cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, wantUtil)
-		}
-		if pow != wantPow {
-			c.t.Errorf("t=%.2f %s: cached power %v, recompute %v", e.Now(), cs.c.Name, pow, wantPow)
-		}
-	}
-	for _, a := range e.appList {
-		if a.Kind != KindDNN || !a.started || a.stopped {
+		if !settled(e, cs) {
+			c.skipped++
 			continue
 		}
-		rate := e.jobRate(a)
-		if want := e.computeJobRate(a); rate != want {
-			c.t.Errorf("t=%.2f %s: cached rate %v, recompute %v", e.Now(), a.Name, rate, want)
+		// The share means something only on an accelerator.
+		share := e.computeAcceleratorDNNShare(cs)
+		if cs.c.Type.IsAccelerator() && cs.share != share {
+			c.t.Errorf("t=%.2f %s: derived share %v, recompute %v", e.Now(), cs.c.Name, cs.share, share)
+		}
+		if want := e.computeAnyActiveDNN(cs); cs.active != want {
+			c.t.Errorf("t=%.2f %s: derived active %v, recompute %v", e.Now(), cs.c.Name, cs.active, want)
+		}
+		wantUtil, wantPow := 0.0, 0.0
+		if cs.online {
+			wantUtil = e.computeClusterUtil(cs)
+			wantPow = cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, wantUtil)
+		}
+		if cs.util != wantUtil {
+			c.t.Errorf("t=%.2f %s: derived util %v, recompute %v", e.Now(), cs.c.Name, cs.util, wantUtil)
+		}
+		if cs.pow != wantPow {
+			c.t.Errorf("t=%.2f %s: derived power %v, recompute %v", e.Now(), cs.c.Name, cs.pow, wantPow)
+		}
+		for _, a := range e.appList {
+			if a.placedCS != cs || a.Kind != KindDNN || !a.started || a.stopped || !a.jobActive {
+				continue
+			}
+			want := 0.0
+			switch opp := cs.c.OPPs[cs.oppIdx]; {
+			case !cs.online || e.now < a.blockedUntil:
+			case cs.c.Type.IsAccelerator():
+				want = cs.c.EffectiveRate(opp, cs.c.Cores) * share
+			default:
+				want = cs.c.EffectiveRate(opp, a.placed.Cores)
+			}
+			if a.rate != want {
+				c.t.Errorf("t=%.2f %s: derived rate %v, recompute %v", e.Now(), a.Name, a.rate, want)
+			}
 		}
 	}
+}
+
+// auditAnchors checks, after a step's refresh, that every running job is
+// anchored at the rate derive stored for it.
+func (c *cacheAuditor) auditAnchors(e *Engine) {
+	for _, a := range e.appList {
+		if a.Kind == KindDNN && a.started && !a.stopped && a.jobActive && a.anchorRate != a.rate {
+			c.t.Errorf("t=%.2f %s: anchored at %v, derived rate %v", e.Now(), a.Name, a.anchorRate, a.rate)
+		}
+	}
+}
+
+// computeClusterUtil is the reference scan for an online cluster's
+// utilisation: resident DNN jobs run their cores flat out, render and
+// background apps contribute their configured utilisation, and
+// accelerator inference induces CompanionUtil on the companion cluster.
+func (e *Engine) computeClusterUtil(cs *clusterState) float64 {
+	util := 0.0
+	for _, a := range e.appList {
+		if !a.started || a.stopped || a.placedCS != cs {
+			continue
+		}
+		switch a.Kind {
+		case KindDNN:
+			if a.jobActive && e.now >= a.blockedUntil {
+				if cs.c.Type.IsAccelerator() {
+					util += e.computeAcceleratorDNNShare(cs)
+				} else {
+					util += float64(a.placed.Cores) / float64(cs.c.Cores)
+				}
+			}
+		case KindRender, KindBackground:
+			if cs.c.Type.IsAccelerator() {
+				util += a.Util
+			} else {
+				util += float64(a.placed.Cores) / float64(cs.c.Cores) * a.Util
+			}
+		}
+	}
+	for _, ocs := range e.clusterList {
+		if ocs.companion == cs && ocs.c.CompanionUtil != 0 && e.computeAnyActiveDNN(ocs) {
+			util += ocs.c.CompanionUtil
+		}
+	}
+	if util > 1 {
+		util = 1
+	}
+	return util
+}
+
+// computeAcceleratorDNNShare is the reference scan for the fraction of an
+// accelerator each active DNN job uses: active jobs share whatever render
+// apps leave.
+func (e *Engine) computeAcceleratorDNNShare(cs *clusterState) float64 {
+	renderUtil := 0.0
+	active := 0
+	for _, a := range e.appList {
+		if !a.started || a.stopped || a.placedCS != cs {
+			continue
+		}
+		switch a.Kind {
+		case KindRender, KindBackground:
+			renderUtil += a.Util
+		case KindDNN:
+			if a.jobActive && e.now >= a.blockedUntil {
+				active++
+			}
+		}
+	}
+	if active == 0 {
+		return 0
+	}
+	free := 1 - renderUtil
+	if free < 0 {
+		free = 0
+	}
+	return free / float64(active)
+}
+
+// computeAnyActiveDNN is the reference scan for whether a cluster runs an
+// active DNN job.
+func (e *Engine) computeAnyActiveDNN(cs *clusterState) bool {
+	for _, a := range e.appList {
+		if a.started && !a.stopped && a.placedCS == cs &&
+			a.Kind == KindDNN && a.jobActive && e.now >= a.blockedUntil {
+			return true
+		}
+	}
+	return false
 }
 
 func cacheTestApps() []App {
@@ -109,14 +227,17 @@ func cacheTestApps() []App {
 }
 
 // TestCachedObservablesMatchRecompute drives a flagship-SoC scenario
-// through every cache-invalidation source, stepping the engine one event
-// at a time as TestEngineInvariants does, and asserts after every step
-// and in every controller callback that the cached cluster
-// util/power/share/active and per-app job rates are indistinguishable from
-// recomputing them from scratch. dnn1 runs on the NPU, whose companion is cpu-lit, so the steps
-// below reach each path where a missed per-cluster stamp would leave a
-// stale value: the companion's own DVFS, migrations off and back onto the
-// NPU (with downtime), and the NPU failing under dnn1 and coming back.
+// through every mutation derive reads, stepping the engine one event at a
+// time as TestEngineInvariants does, and asserts after every step and in
+// every controller callback that the derived cluster util/power/share/active
+// and running jobs' rates are indistinguishable from the reference scans,
+// and after every step that each running job is anchored at its derived
+// rate. dnn1 runs on the NPU, whose companion is cpu-lit, so the steps below
+// reach each path where a missed touch would leave a stale value: the
+// companion's own DVFS, migrations off and back onto the NPU (with
+// downtime), the NPU failing under dnn1 and coming back, and two
+// downtimes of equal length ending at one instant, first on unrelated
+// clusters and then on one cluster.
 func TestCachedObservablesMatchRecompute(t *testing.T) {
 	migrate := func(app, cluster string, cores int) func(e *Engine) error {
 		return func(e *Engine) error { return e.Migrate(app, Placement{Cluster: cluster, Cores: cores}) }
@@ -138,6 +259,13 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 		{8, func(e *Engine) error { e.SetAmbient(40); return nil }},
 		{8.5, online("npu", true)},
 		{10, func(e *Engine) error { return e.SetLevel("dnn1", 2) }},
+		// Equal levelBytes give equal downtimes, so each pair of
+		// migrations below ends its downtimes at one instant.
+		{10.5, func(e *Engine) error { return e.SetLevel("dnn2", 2) }},
+		{11, migrate("dnn1", "cpu-big", 2)}, // unrelated clusters
+		{11, migrate("dnn2", "gpu", 0)},
+		{12, migrate("dnn1", "cpu-lit", 1)}, // one cluster
+		{12, migrate("dnn2", "cpu-lit", 1)},
 	}}
 	e, err := New(Config{
 		Platform:   hw.FlagshipSoC(),
@@ -149,9 +277,28 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	const endS = 14
+	var sameTies, otherTies int
 	e.prime()
-	for e.step(endS) {
+	for {
+		// Count the unblocks that tie with another app's at one instant
+		// while both apps run a job.
+		if ev, ok := e.next(); ok && ev.kind == hUnblock && e.appList[ev.app].jobActive {
+			a := e.appList[ev.app]
+			for _, o := range e.appList {
+				if o != a && o.jobActive && o.completionSeq != 0 && o.completionKind == hUnblock && o.completionEst == ev.t {
+					if o.placedCS == a.placedCS {
+						sameTies++
+					} else {
+						otherTies++
+					}
+				}
+			}
+		}
+		if !e.step(endS) {
+			break
+		}
 		aud.audit(e)
+		aud.auditAnchors(e)
 	}
 	e.advanceTo(endS)
 	if aud.next != len(aud.steps) {
@@ -163,8 +310,12 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 	if aud.audited < 1132 {
 		t.Fatalf("audited %d times, want at least 1132", aud.audited)
 	}
-	if rep := e.Report(); rep.Migrations != 5 || rep.ClusterFails != 1 || rep.ClusterRepairs != 1 {
-		t.Fatalf("migrations=%d fails=%d repairs=%d, want 5/1/1", rep.Migrations, rep.ClusterFails, rep.ClusterRepairs)
+	if sameTies == 0 || otherTies == 0 || aud.skipped == 0 {
+		t.Fatalf("%d ties on one cluster, %d across clusters, %d clusters skipped mid-tie: want each > 0",
+			sameTies, otherTies, aud.skipped)
+	}
+	if rep := e.Report(); rep.Migrations != 9 || rep.ClusterFails != 1 || rep.ClusterRepairs != 1 {
+		t.Fatalf("migrations=%d fails=%d repairs=%d, want 9/1/1", rep.Migrations, rep.ClusterFails, rep.ClusterRepairs)
 	}
 }
 

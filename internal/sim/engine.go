@@ -136,7 +136,7 @@ func precedes(t float64, seq int64, ev hevent) bool {
 }
 
 // Run executes the simulation until endS seconds. Calling Run again with a
-// later end continues from the accumulated state (warm caches, stats, the
+// later end continues from the accumulated state (derived values, stats, the
 // events queued past the previous end and all): Run(a) then Run(b) covers
 // exactly the events a single Run(b) would. The rtm tests use this to
 // extend a managed run; use Reset to rewind to the pristine state a fresh
@@ -206,172 +206,116 @@ func (e *Engine) advanceTo(t float64) {
 	e.now = max(e.now, t)
 }
 
-// touch marks a cluster's derived values stale after a mutation they can
-// observe, by stamping the cluster with a fresh value of the engine-wide
-// counter. The companion CPU is stamped too, because its utilisation reads
-// this cluster's any-active-DNN predicate. Stamps are never reused, so a
-// tag taken on one cluster cannot match another cluster's stamp after a
-// migration.
+// touch re-derives a cluster's values after a mutation they can observe,
+// then its companion CPU's, whose utilisation reads this cluster's
+// any-active flag, and asks the next syncThermal to re-sum power. Every
+// mutation that derive reads — app lifecycle, job start and finish, OPP
+// switches, availability, migrations and the end of their downtime —
+// touches the clusters it affects, after it has changed their state.
+//
+//detlint:hotpath
 func (e *Engine) touch(cs *clusterState) {
-	e.stateVer++
-	cs.ver = e.stateVer
+	e.derive(cs)
 	if cs.companion != nil {
-		cs.companion.ver = e.stateVer
+		e.derive(cs.companion)
 	}
+	e.powerDirty = true
 }
 
-// clusterUtilOf returns a cluster's aggregate dynamic-power utilisation
-// fraction in [0,1] through the derived-value cache, recomputing only when
-// the cluster's stamp moved. The matching busy
-// power is computed and cached alongside — every hot caller that needs one
-// needs the other within the same piecewise-constant segment. The check is
-// small enough to inline into the per-cluster loops; the refill is not.
-func (e *Engine) clusterUtilOf(cs *clusterState) float64 {
-	if cs.utilVer != cs.ver {
-		e.refillClusterUtil(cs)
-	}
-	return cs.cachedUtil
-}
-
-func (e *Engine) refillClusterUtil(cs *clusterState) {
-	if cs.online {
-		cs.cachedUtil = e.computeClusterUtil(cs)
-		cs.cachedPow = cs.busyPowerMW(cs.cachedUtil)
-	} else {
-		// A failed cluster runs nothing and draws nothing — not even
-		// static power: the domain is dead, not idle.
-		cs.cachedUtil, cs.cachedPow = 0, 0
-	}
-	cs.utilVer = cs.ver
-}
-
-// clusterPowerMW returns the cluster's instantaneous busy power via the
-// same cache as clusterUtilOf.
-func (e *Engine) clusterPowerMW(cs *clusterState) float64 {
-	e.clusterUtilOf(cs)
-	return cs.cachedPow
-}
-
-// computeClusterUtil computes a cluster's utilisation: resident DNN jobs
-// run their cores flat out, render and background apps contribute their
-// configured utilisation, and accelerator inference induces CompanionUtil
-// on the companion cluster.
-func (e *Engine) computeClusterUtil(cs *clusterState) float64 {
-	util := 0.0
+// derive recomputes a cluster's derived values from its state at the
+// clock: its utilisation (resident DNN jobs run their cores flat out,
+// render and background apps contribute their configured utilisation,
+// and accelerators hosting an active DNN job induce CompanionUtil on
+// their companion), its busy power, the accelerator share each active
+// DNN job gets (whatever render apps leave, split evenly), whether any
+// DNN job is active, and the MAC/s rate of each DNN app it hosts.
+//
+// Each value is evaluated when its cluster was last touched, not when it
+// is read. That matters only for the blocked-until predicate, which reads
+// the clock: a downtime counts as ended from the first touch of its
+// cluster at or after its end — its own unblock timer's, or another
+// event's at that instant — and not before, even once the clock has
+// reached it. So when two downtimes end at one instant on one cluster,
+// the first unblock resumes both jobs.
+//
+//detlint:hotpath
+func (e *Engine) derive(cs *clusterState) {
+	accel := cs.c.Type.IsAccelerator()
+	opp := cs.c.OPPs[cs.oppIdx]
+	util, active := 0.0, 0
 	for _, a := range e.appList {
 		if !a.started || a.stopped || a.placedCS != cs {
 			continue
 		}
 		switch a.Kind {
 		case KindDNN:
-			if a.jobActive && e.now >= a.blockedUntil {
-				if cs.c.Type.IsAccelerator() {
-					util += e.acceleratorDNNShare(cs)
-				} else {
-					util += float64(a.placed.Cores) / float64(cs.c.Cores)
-				}
+			a.rate = 0
+			if e.now < a.blockedUntil {
+				continue
+			}
+			if a.jobActive {
+				active++
+			}
+			if accel {
+				continue // the share, and with it the rate, needs every active job
+			}
+			if a.jobActive {
+				util += float64(a.placed.Cores) / float64(cs.c.Cores)
+			}
+			if cs.online {
+				a.rate = cs.rate(opp, a.placed.Cores)
 			}
 		case KindRender, KindBackground:
-			if cs.c.Type.IsAccelerator() {
+			if accel {
 				util += a.Util
 			} else {
 				util += float64(a.placed.Cores) / float64(cs.c.Cores) * a.Util
 			}
 		}
 	}
-	// Companion load induced by accelerators hosting active DNN jobs. The
-	// loaders are threaded in platform order, so the accumulation order is
-	// identical to iterating e.plat.Clusters.
-	for ocs := cs.loadHead; ocs != nil; ocs = ocs.loadNext {
-		if e.anyActiveDNN(ocs) {
-			util += ocs.c.CompanionUtil
+	cs.active, cs.share = active > 0, 0
+	if accel && active > 0 {
+		// util holds the render load alone so far. Active jobs share what
+		// it leaves; a second pass adds each job's share in app order,
+		// interleaved with the render loads, and sets the jobs' rates.
+		cs.share = max(0, 1-util) / float64(active)
+		full := 0.0
+		if cs.online {
+			full = cs.rate(opp, cs.c.Cores) * cs.share
 		}
-	}
-	if util > 1 {
-		util = 1
-	}
-	return util
-}
-
-// acceleratorDNNShare returns the fraction of the accelerator each active
-// DNN job uses (cached per cluster stamp): active jobs share whatever
-// render apps leave.
-func (e *Engine) acceleratorDNNShare(cs *clusterState) float64 {
-	if cs.shareVer != cs.ver {
-		cs.cachedShare = e.computeAcceleratorDNNShare(cs)
-		cs.shareVer = cs.ver
-	}
-	return cs.cachedShare
-}
-
-func (e *Engine) computeAcceleratorDNNShare(cs *clusterState) float64 {
-	renderUtil := 0.0
-	active := 0
-	for _, a := range e.appList {
-		if !a.started || a.stopped || a.placedCS != cs {
-			continue
-		}
-		switch a.Kind {
-		case KindRender, KindBackground:
-			renderUtil += a.Util
-		case KindDNN:
-			if a.jobActive && e.now >= a.blockedUntil {
-				active++
+		util = 0
+		for _, a := range e.appList {
+			if !a.started || a.stopped || a.placedCS != cs {
+				continue
+			}
+			switch a.Kind {
+			case KindDNN:
+				if e.now >= a.blockedUntil {
+					a.rate = full
+					if a.jobActive {
+						util += cs.share
+					}
+				}
+			case KindRender, KindBackground:
+				util += a.Util
 			}
 		}
 	}
-	if active == 0 {
-		return 0
-	}
-	free := 1 - renderUtil
-	if free < 0 {
-		free = 0
-	}
-	return free / float64(active)
-}
-
-func (e *Engine) anyActiveDNN(cs *clusterState) bool {
-	if cs.activeVer != cs.ver {
-		cs.cachedActive = e.computeAnyActiveDNN(cs)
-		cs.activeVer = cs.ver
-	}
-	return cs.cachedActive
-}
-
-func (e *Engine) computeAnyActiveDNN(cs *clusterState) bool {
-	for _, a := range e.appList {
-		if a.started && !a.stopped && a.placedCS == cs &&
-			a.Kind == KindDNN && a.jobActive && e.now >= a.blockedUntil {
-			return true
+	// The loaders are threaded in platform order, so the accumulation
+	// order is identical to iterating e.plat.Clusters.
+	for ocs := cs.loadHead; ocs != nil; ocs = ocs.loadNext {
+		if ocs.active {
+			util += ocs.c.CompanionUtil
 		}
 	}
-	return false
-}
-
-// jobRate returns the MAC/s processing rate of an app's current job,
-// cached per stamp of the cluster it is placed on, where every input of
-// the rate lives.
-func (e *Engine) jobRate(a *appState) float64 {
-	if a.rateVer != a.placedCS.ver {
-		a.cachedRate = e.computeJobRate(a)
-		a.rateVer = a.placedCS.ver
-	}
-	return a.cachedRate
-}
-
-func (e *Engine) computeJobRate(a *appState) float64 {
-	if e.now < a.blockedUntil {
-		return 0
-	}
-	cs := a.placedCS
 	if !cs.online {
-		return 0
+		// A failed cluster runs nothing and draws nothing — not even
+		// static power: the domain is dead, not idle.
+		cs.util, cs.pow = 0, 0
+		return
 	}
-	opp := cs.c.OPPs[cs.oppIdx]
-	if cs.c.Type.IsAccelerator() {
-		return cs.rate(opp, cs.c.Cores) * e.acceleratorDNNShare(cs)
-	}
-	return cs.rate(opp, a.placed.Cores)
+	cs.util = min(util, 1)
+	cs.pow = cs.busyPowerMW(cs.util)
 }
 
 // setOPP moves the cluster to OPP idx.
@@ -382,11 +326,10 @@ func (cs *clusterState) setOPP(idx int) {
 }
 
 // busyPowerMW is hw.Cluster.BusyPowerMW at the current OPP with every core
-// active, for a utilisation already in [0,1] (computeClusterUtil clamps
-// it). With all cores active BusyPowerMW's core fraction is exactly 1 and
+// active, for a utilisation already in [0,1] (derive clamps it). With all cores active BusyPowerMW's core fraction is exactly 1 and
 // the OPP factor is formed in the same order, so the result is
 // bit-identical while the power check behind each thermal window costs one
-// multiply-add per re-stamped cluster.
+// multiply-add per derived cluster.
 func (cs *clusterState) busyPowerMW(util float64) float64 {
 	return cs.dynMW*util + cs.c.Power.StaticMW
 }
@@ -406,7 +349,7 @@ func (e *Engine) handle(ev hevent) {
 	case hStart:
 		a := e.appList[ev.app]
 		a.started = true
-		// Dirty before emit: a controller reacting to the event must see
+		// Touch before emit: a controller reacting to the event must see
 		// fresh derived values and the new planning epoch.
 		e.touch(a.placedCS)
 		e.planEpoch++
@@ -434,7 +377,7 @@ func (e *Engine) handle(ev hevent) {
 		e.complete(a)
 	case hUnblock:
 		// The downtime ended: the blocked-until predicates flip, so the
-		// app's cluster is re-stamped and refresh re-anchors its job.
+		// app's cluster is re-derived and refresh re-anchors its job.
 		a := e.appList[ev.app]
 		a.completionSeq = 0
 		e.touch(a.placedCS)
@@ -486,11 +429,11 @@ func (e *Engine) release(a *appState) {
 		a.jobReleaseS = e.now
 		a.jobRemaining = a.jobMACs
 		// The job becoming active changes utilisations and shares; the rate
-		// below must be computed under the new state.
+		// below must be derived under the new state.
 		e.touch(a.placedCS)
 		// Charge the per-inference fixed overhead (pre/post-processing) as
 		// work at the current rate, matching perf.InferenceLatencyS.
-		rate := e.jobRate(a)
+		rate := a.rate
 		if rate > 0 {
 			a.jobRemaining += a.placedCS.c.FixedOverheadS * rate
 		}
@@ -557,7 +500,7 @@ func (e *Engine) refresh() {
 			continue
 		}
 		if a.jobActive {
-			if rate := e.jobRate(a); rate != a.anchorRate {
+			if rate := a.rate; rate != a.anchorRate {
 				a.jobRemaining -= a.anchorRate * (e.now - a.anchorS)
 				a.anchorS, a.anchorRate, a.completionSeq = e.now, rate, 0
 			}
@@ -593,22 +536,22 @@ func (e *Engine) unhostedAt() float64 {
 // syncThermal closes the integrals that follow cluster power — each
 // cluster's energy and busy time, and the thermal window — where their
 // rate changed, and re-derives the pending throttle alarm when something
-// it depends on moved. Power is re-summed only when some cluster stamp
-// moved since the last look; a segment closes only when its rate actually
-// changed.
+// it depends on moved. Power is re-summed only when some cluster was
+// touched since the last look; a segment closes only when its rate
+// actually changed.
 //
 //detlint:hotpath
 func (e *Engine) syncThermal() {
-	if e.winVer != e.stateVer {
-		e.winVer = e.stateVer
+	if e.powerDirty {
+		e.powerDirty = false
 		total := 0.0
 		for _, cs := range e.clusterList {
-			busy := e.clusterUtilOf(cs) > 0
-			if cs.cachedPow != cs.segPowMW || busy != cs.segBusy {
+			busy := cs.util > 0
+			if cs.pow != cs.segPowMW || busy != cs.segBusy {
 				cs.energy, cs.busyS = cs.integralsAt(e.now)
-				cs.segT0S, cs.segPowMW, cs.segBusy = e.now, cs.cachedPow, busy
+				cs.segT0S, cs.segPowMW, cs.segBusy = e.now, cs.pow, busy
 			}
-			total += cs.cachedPow
+			total += cs.pow
 		}
 		if w := total / 1000; w != e.winPowerW {
 			e.closeWindow()

@@ -153,12 +153,18 @@ func TestEngineInvariants(t *testing.T) {
 	}
 }
 
-// totalPowerMW sums the instantaneous power of every cluster afresh: the
-// reference the engine's cached window power is checked against.
+// totalPowerMW sums the instantaneous power of every cluster afresh, from
+// the reference utilisation scan (0 for an offline cluster): the reference
+// the engine's window power is checked against. It matches the engine's
+// derived power except at an instant where a migration downtime ends and
+// its unblock timer has not fired yet (see settled); no run that calls it
+// has two downtimes end at one instant.
 func totalPowerMW(e *Engine) float64 {
 	total := 0.0
 	for _, cs := range e.clusterList {
-		total += e.clusterPowerMW(cs)
+		if cs.online {
+			total += cs.c.BusyPowerMW(cs.c.OPPs[cs.oppIdx], cs.c.Cores, e.computeClusterUtil(cs))
+		}
 	}
 	return total
 }

@@ -235,10 +235,9 @@ type appState struct {
 	// loop resolves it once per migration instead of once per rate query.
 	placedCS *clusterState
 
-	// Derived-value cache (see Engine.stateVer): the job's MAC/s rate,
-	// valid while rateVer matches placedCS.ver.
-	rateVer    uint64
-	cachedRate float64
+	// rate is the MAC/s rate a job of this app runs at, derived with the
+	// cluster it is placed on (see Engine.derive).
+	rate float64
 
 	// Stats.
 	released   int
@@ -273,7 +272,7 @@ type clusterState struct {
 	// (nil for none), resolved once per Reset. loadHead lists the
 	// accelerators that load this cluster (those whose companion it is,
 	// with a non-zero CompanionUtil), linked through loadNext in platform
-	// order, so a utilisation refill visits only them.
+	// order, so a derive visits only them.
 	companion *clusterState
 	loadHead  *clusterState
 	loadNext  *clusterState
@@ -282,20 +281,15 @@ type clusterState struct {
 	// window of Engine.coreScaleStore.
 	coreScale []float64
 
-	// Derived-value caches (see Engine.stateVer). Between mutations the
-	// system is piecewise-constant, so utilisation, busy power, the
-	// accelerator DNN share and the any-active-DNN predicate are computed
-	// once per stamp instead of once per caller. ver is the cluster's
-	// stamp, moved by Engine.touch on every mutation those values can
-	// observe; each value is valid while its tag matches ver.
-	ver          uint64
-	utilVer      uint64
-	cachedUtil   float64
-	cachedPow    float64
-	shareVer     uint64
-	cachedShare  float64
-	activeVer    uint64
-	cachedActive bool
+	// Derived values, recomputed by Engine.derive wherever a mutation they
+	// can observe touches the cluster. Between mutations the system is
+	// piecewise-constant, so they hold until the next touch: utilisation,
+	// busy power, the share of the accelerator each active DNN job gets,
+	// and whether any DNN job is active.
+	util   float64
+	pow    float64
+	share  float64
+	active bool
 }
 
 // Engine runs the simulation.
@@ -322,12 +316,12 @@ type Engine struct {
 	// changes of total power or ambient the RC model has a closed form, so
 	// it is evaluated only where a window closes (see closeWindow) or where
 	// something reads it. winT0C is the temperature at the window's start
-	// winT0S, winPowerW the total power through it, and winVer the stateVer
-	// at which that power was last confirmed.
-	winT0C    float64
-	winT0S    float64
-	winPowerW float64
-	winVer    uint64
+	// winT0S and winPowerW the total power through it. powerDirty asks the
+	// next syncThermal to re-sum that power: some cluster was touched.
+	winT0C     float64
+	winT0S     float64
+	winPowerW  float64
+	powerDirty bool
 	// thermalDirty asks the next syncThermal to re-derive the pending
 	// throttle alarm: a window opened, the ambient moved, or the alarm was
 	// consumed or cleared.
@@ -390,15 +384,6 @@ type Engine struct {
 	degMissed      int
 	degDropped     int
 
-	// stateVer is the monotone counter the per-cluster cache stamps
-	// (clusterState.ver) are drawn from. A mutation the derived values can
-	// observe — app lifecycle, job start/finish, OPP switches, availability,
-	// migrations and the end of their downtime — stamps the clusters it
-	// affects. The blocked-until predicates read the clock, but they flip
-	// only where an unblock timer fires and stamps. A cache entry whose tag
-	// matches its cluster's stamp is exactly the value a fresh
-	// recomputation would produce, bit for bit.
-	stateVer uint64
 	// planEpoch is a monotone counter over planning-relevant state: the
 	// running-app set, model levels, placements, OPPs and ambient. The
 	// rtm manager uses it to elide replans when nothing a policy can act
@@ -458,7 +443,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.logLatencies = cfg.LogLatencies
 
 	e.now, e.primed, e.seq = 0, false, 0
-	e.winT0C, e.winT0S, e.winPowerW, e.winVer = cfg.Platform.AmbientC, 0, 0, 0
+	e.winT0C, e.winT0S, e.winPowerW, e.powerDirty = cfg.Platform.AmbientC, 0, 0, true
 	e.thermalDirty = true
 	e.thermalEvSeq, e.thermalEst, e.alarmed = 0, 0, false
 	e.overThrotS, e.overCritS = 0, 0
@@ -467,9 +452,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.unhostedS, e.unhostedT0, e.unhostedN = 0, 0, 0
 	e.degReleased, e.degCompleted, e.degMissed, e.degDropped = 0, 0, 0, 0
 	e.maxTempC = cfg.Platform.AmbientC
-	// Stamps restart at 1 so the cache tags zeroed by the store rewrites
-	// below are invalid until first fill.
-	e.stateVer, e.planEpoch = 1, 0
+	e.planEpoch = 0
 
 	if e.apps == nil {
 		e.apps = make(map[string]*appState, len(cfg.Apps))
@@ -498,7 +481,7 @@ func (e *Engine) Reset(cfg Config) error {
 		for n := 0; n <= c.Cores; n++ {
 			store = append(store, c.CoreScale(n))
 		}
-		e.clusterStore[i] = clusterState{c: c, online: true, ver: e.stateVer, coreScale: store[lo:]}
+		e.clusterStore[i] = clusterState{c: c, online: true, coreScale: store[lo:]}
 		cs := &e.clusterStore[i]
 		cs.setOPP(0)
 		e.clusters[c.Name] = cs
@@ -539,6 +522,9 @@ func (e *Engine) Reset(cfg Config) error {
 		st.placedCS = e.clusters[a.Placement.Cluster]
 		e.apps[a.Name] = st
 		e.appList = append(e.appList, st)
+	}
+	for _, cs := range e.clusterList {
+		e.derive(cs)
 	}
 
 	// Size the event queue for the steady state (a handful of pending
