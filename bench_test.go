@@ -281,9 +281,18 @@ func BenchmarkSimScenarioSecond(b *testing.B) {
 // Profile where a fleet's time goes with
 //
 //	go test -run '^$' -bench FleetSweep -cpuprofile cpu.out .
-func BenchmarkFleetSweep(b *testing.B) {
+func BenchmarkFleetSweep(b *testing.B) { benchFleetSweep(b, nil) }
+
+// BenchmarkFleetSweepFlagship is BenchmarkFleetSweep on flagship-soc
+// alone, whose runs carry ~6000 engine events each, so its profile is the
+// engine's event loop (the bench harness's engine-bound workload):
+//
+//	go test -run '^$' -bench FleetSweepFlagship -cpuprofile cpu.out .
+func BenchmarkFleetSweepFlagship(b *testing.B) { benchFleetSweep(b, []string{"flagship-soc"}) }
+
+func benchFleetSweep(b *testing.B, platforms []string) {
 	pols := []string{"heuristic", "maxaccuracy", "minenergy"}
-	gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Policies: pols})
+	gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Platforms: platforms, Policies: pols})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -170,12 +171,11 @@ func (e *Engine) clusterInfoInto(cs *clusterState, info *ClusterInfo) {
 		Online:   cs.online,
 	}
 	info.EnergyMJ, _ = cs.integralsAt(e.now)
-	for _, a := range e.appList {
-		if a.started && !a.stopped && a.placedCS == cs {
-			residents = append(residents, a.Name)
-			if !cs.c.Type.IsAccelerator() {
-				info.UsedCores += a.placed.Cores
-			}
+	for r := cs.res; r != 0; r &= r - 1 {
+		a := e.appList[bits.TrailingZeros64(r)]
+		residents = append(residents, a.Name)
+		if !cs.accel {
+			info.UsedCores += a.placed.Cores
 		}
 	}
 	if cs.c.MemBytes > 0 {
@@ -378,10 +378,11 @@ func (e *Engine) Migrate(app string, to Placement) error {
 	if cl == nil {
 		return fmt.Errorf("sim: unknown cluster %q", to.Cluster)
 	}
-	if !e.clusters[to.Cluster].online {
+	toCS := e.clusters[to.Cluster]
+	if !toCS.online {
 		return fmt.Errorf("sim: cluster %q is offline", to.Cluster)
 	}
-	if cl.Type.IsAccelerator() {
+	if toCS.accel {
 		to.Cores = cl.Cores
 	} else if to.Cores < 1 || to.Cores > cl.Cores {
 		return fmt.Errorf("sim: core count %d out of range for %s", to.Cores, to.Cluster)
@@ -390,12 +391,11 @@ func (e *Engine) Migrate(app string, to Placement) error {
 		return nil
 	}
 	// CPU capacity check.
-	if !cl.Type.IsAccelerator() {
+	bit := uint64(1) << a.idx
+	if !toCS.accel {
 		used := 0
-		for _, o := range e.appList {
-			if o.Name != app && o.started && !o.stopped && o.placed.Cluster == to.Cluster {
-				used += o.placed.Cores
-			}
+		for r := toCS.res &^ bit; r != 0; r &= r - 1 {
+			used += e.appList[bits.TrailingZeros64(r)].placed.Cores
 		}
 		if used+to.Cores > cl.Cores {
 			return fmt.Errorf("sim: %s has %d/%d cores used; cannot fit %d more",
@@ -410,14 +410,21 @@ func (e *Engine) Migrate(app string, to Placement) error {
 	}
 	fromCS := a.placedCS
 	a.placed = to
-	a.placedCS = e.clusters[to.Cluster]
+	a.placedCS = toCS
+	if a.started && !a.stopped {
+		fromCS.res &^= bit
+		toCS.res |= bit
+	}
+	// Marked even when it is no resident: refresh arms the unblock timer
+	// of an app migrated before its start, as a scan of every app would.
+	e.dirty |= bit
 	if a.Kind == KindDNN {
 		// The downtime supersedes the app's timer; refresh re-arms it.
 		a.blockedUntil = e.now + migrationDowntimeS(e.levelBytes(a))
 		a.completionSeq = 0
 	}
 	e.touch(fromCS)
-	e.touch(a.placedCS)
+	e.touch(toCS)
 	e.planEpoch++
 	e.migrations++
 	if e.logEvents {

@@ -66,11 +66,15 @@ func settled(e *Engine, cs *clusterState) bool {
 	return true
 }
 
-// audit compares every settled cluster's derived values, and the rate of
-// each running job on it, against the reference scans.
+// audit compares every cluster's resident set, and every settled
+// cluster's derived values and the rate of each running job on it, against
+// the reference scans.
 func (c *cacheAuditor) audit(e *Engine) {
 	c.audited++
 	for _, cs := range e.clusterList {
+		if want := e.computeResidents(cs); cs.res != want {
+			c.t.Errorf("t=%.2f %s: resident set %b, recompute %b", e.Now(), cs.c.Name, cs.res, want)
+		}
 		if !settled(e, cs) {
 			c.skipped++
 			continue
@@ -113,14 +117,34 @@ func (c *cacheAuditor) audit(e *Engine) {
 	}
 }
 
-// auditAnchors checks, after a step's refresh, that every running job is
-// anchored at the rate derive stored for it.
+// auditAnchors checks, after a step's refresh, that a refresh visiting
+// every app, not only those derive marked, would change nothing: every
+// running job is anchored at the rate derive stored for it, and every
+// unstopped app is armed, or idle or stalled by refresh's own rule.
 func (c *cacheAuditor) auditAnchors(e *Engine) {
 	for _, a := range e.appList {
-		if a.Kind == KindDNN && a.started && !a.stopped && a.jobActive && a.anchorRate != a.rate {
+		if a.stopped {
+			continue
+		}
+		if a.jobActive && a.anchorRate != a.rate {
 			c.t.Errorf("t=%.2f %s: anchored at %v, derived rate %v", e.Now(), a.Name, a.anchorRate, a.rate)
 		}
+		if a.completionSeq == 0 && (e.now < a.blockedUntil || a.jobActive && a.anchorRate > 0) {
+			c.t.Errorf("t=%.2f %s: no timer armed (blocked until %v, job active %v at %v MAC/s)",
+				e.Now(), a.Name, a.blockedUntil, a.jobActive, a.anchorRate)
+		}
 	}
+}
+
+// computeResidents is the reference scan for a cluster's resident set.
+func (e *Engine) computeResidents(cs *clusterState) uint64 {
+	var res uint64
+	for _, a := range e.appList {
+		if a.started && !a.stopped && a.placedCS == cs {
+			res |= 1 << a.idx
+		}
+	}
+	return res
 }
 
 // computeClusterUtil is the reference scan for an online cluster's
@@ -223,6 +247,11 @@ func cacheTestApps() []App {
 			Name: "bg", Kind: KindBackground, Util: 0.3,
 			Placement: Placement{Cluster: "cpu-lit", Cores: 2},
 		},
+		{
+			Name: "late", Kind: KindDNN, Profile: prof, Level: 2,
+			PeriodS: 0.050, ModelBytes: 7 << 20, StartS: 13,
+			Placement: Placement{Cluster: "gpu"},
+		},
 	}
 }
 
@@ -235,9 +264,9 @@ func cacheTestApps() []App {
 // rate. dnn1 runs on the NPU, whose companion is cpu-lit, so the steps below
 // reach each path where a missed touch would leave a stale value: the
 // companion's own DVFS, migrations off and back onto the NPU (with
-// downtime), the NPU failing under dnn1 and coming back, and two
-// downtimes of equal length ending at one instant, first on unrelated
-// clusters and then on one cluster.
+// downtime), the NPU failing under dnn1 and coming back, two downtimes
+// of equal length ending at one instant, first on unrelated clusters and
+// then on one cluster, and a migration before the app's start.
 func TestCachedObservablesMatchRecompute(t *testing.T) {
 	migrate := func(app, cluster string, cores int) func(e *Engine) error {
 		return func(e *Engine) error { return e.Migrate(app, Placement{Cluster: cluster, Cores: cores}) }
@@ -266,6 +295,9 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 		{11, migrate("dnn2", "gpu", 0)},
 		{12, migrate("dnn1", "cpu-lit", 1)}, // one cluster
 		{12, migrate("dnn2", "cpu-lit", 1)},
+		// Before its start, so no cluster hosts it; its downtime still
+		// arms an unblock timer.
+		{12.75, migrate("late", "cpu-big", 2)},
 	}}
 	e, err := New(Config{
 		Platform:   hw.FlagshipSoC(),
@@ -314,8 +346,48 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 		t.Fatalf("%d ties on one cluster, %d across clusters, %d clusters skipped mid-tie: want each > 0",
 			sameTies, otherTies, aud.skipped)
 	}
-	if rep := e.Report(); rep.Migrations != 9 || rep.ClusterFails != 1 || rep.ClusterRepairs != 1 {
-		t.Fatalf("migrations=%d fails=%d repairs=%d, want 9/1/1", rep.Migrations, rep.ClusterFails, rep.ClusterRepairs)
+	if rep := e.Report(); rep.Migrations != 10 || rep.ClusterFails != 1 || rep.ClusterRepairs != 1 {
+		t.Fatalf("migrations=%d fails=%d repairs=%d, want 10/1/1", rep.Migrations, rep.ClusterFails, rep.ClusterRepairs)
+	}
+}
+
+// TestLoaderTouchEndsCompanionDowntime pins the rule touch keeps for a
+// companion CPU: while one of its residents is inside a migration
+// downtime, a loader's touch derives it in full, so a downtime there
+// counts as ended at the first touch at or after its end, the loader's
+// included. dnn1 moves to the NPU and dnn2 to the NPU's companion,
+// cpu-lit, at one instant with equal downtimes; dnn1's unblock timer was
+// armed first, so it fires first, and by then dnn2 must run again.
+func TestLoaderTouchEndsCompanionDowntime(t *testing.T) {
+	e := mustEngine(t, Config{Platform: hw.FlagshipSoC(), Apps: []App{
+		dnnApp("dnn1", "cpu-big", 2, 2, 0.040),
+		dnnApp("dnn2", "cpu-big", 2, 2, 0.040),
+	}})
+	if err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Migrate("dnn1", Placement{Cluster: "npu"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Migrate("dnn2", Placement{Cluster: "cpu-lit", Cores: 2}); err != nil {
+		t.Fatal(err)
+	}
+	dnn1, dnn2 := e.apps["dnn1"], e.apps["dnn2"]
+	if dnn1.blockedUntil != dnn2.blockedUntil {
+		t.Fatalf("downtimes end at %v and %v, want one instant", dnn1.blockedUntil, dnn2.blockedUntil)
+	}
+	for {
+		ev, ok := e.next()
+		if !ok || ev.t > 2 {
+			t.Fatal("dnn1's unblock timer never fired")
+		}
+		e.step(2)
+		if ev.kind == hUnblock && ev.app == dnn1.idx {
+			if dnn2.rate == 0 {
+				t.Fatalf("t=%v: dnn1's unblock left dnn2 stalled on cpu-lit", e.Now())
+			}
+			return
+		}
 	}
 }
 

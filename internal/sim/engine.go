@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 )
@@ -207,17 +208,28 @@ func (e *Engine) advanceTo(t float64) {
 }
 
 // touch re-derives a cluster's values after a mutation they can observe,
-// then its companion CPU's, whose utilisation reads this cluster's
-// any-active flag, and asks the next syncThermal to re-sum power. Every
-// mutation that derive reads — app lifecycle, job start and finish, OPP
-// switches, availability, migrations and the end of their downtime —
-// touches the clusters it affects, after it has changed their state.
+// then brings its companion CPU up to date and asks the next syncThermal
+// to re-sum power. Every mutation that derive reads — app lifecycle, job
+// start and finish, OPP switches, availability, migrations and the end of
+// their downtime — touches the clusters it affects, after it has changed
+// their state.
+//
+// The companion's utilisation reads this cluster's any-active flag, so it
+// is re-tailed when the flag flips. Its own part reads only its residents,
+// which the clock can change only while one of them is inside a downtime:
+// then it is derived in full, as any touch of it would.
 //
 //detlint:hotpath
 func (e *Engine) touch(cs *clusterState) {
+	was := cs.active
 	e.derive(cs)
-	if cs.companion != nil {
-		e.derive(cs.companion)
+	if co := cs.companion; co != nil {
+		switch {
+		case co.blocked:
+			e.derive(co)
+		case cs.active != was:
+			co.loadTail()
+		}
 	}
 	e.powerDirty = true
 }
@@ -228,7 +240,9 @@ func (e *Engine) touch(cs *clusterState) {
 // and accelerators hosting an active DNN job induce CompanionUtil on
 // their companion), its busy power, the accelerator share each active
 // DNN job gets (whatever render apps leave, split evenly), whether any
-// DNN job is active, and the MAC/s rate of each DNN app it hosts.
+// DNN job is active, and the MAC/s rate of each DNN app it hosts. It
+// visits the residents in appList order, so every sum rounds as a scan
+// of the app list would, and marks them for the next refresh.
 //
 // Each value is evaluated when its cluster was last touched, not when it
 // is read. That matters only for the blocked-until predicate, which reads
@@ -240,23 +254,22 @@ func (e *Engine) touch(cs *clusterState) {
 //
 //detlint:hotpath
 func (e *Engine) derive(cs *clusterState) {
-	accel := cs.c.Type.IsAccelerator()
+	e.dirty |= cs.res
 	opp := cs.c.OPPs[cs.oppIdx]
-	util, active := 0.0, 0
-	for _, a := range e.appList {
-		if !a.started || a.stopped || a.placedCS != cs {
-			continue
-		}
+	util, active, blocked := 0.0, 0, false
+	for r := cs.res; r != 0; r &= r - 1 {
+		a := e.appList[bits.TrailingZeros64(r)]
 		switch a.Kind {
 		case KindDNN:
 			a.rate = 0
 			if e.now < a.blockedUntil {
+				blocked = true
 				continue
 			}
 			if a.jobActive {
 				active++
 			}
-			if accel {
+			if cs.accel {
 				continue // the share, and with it the rate, needs every active job
 			}
 			if a.jobActive {
@@ -266,15 +279,15 @@ func (e *Engine) derive(cs *clusterState) {
 				a.rate = cs.rate(opp, a.placed.Cores)
 			}
 		case KindRender, KindBackground:
-			if accel {
+			if cs.accel {
 				util += a.Util
 			} else {
 				util += float64(a.placed.Cores) / float64(cs.c.Cores) * a.Util
 			}
 		}
 	}
-	cs.active, cs.share = active > 0, 0
-	if accel && active > 0 {
+	cs.active, cs.share, cs.blocked = active > 0, 0, blocked
+	if cs.accel && active > 0 {
 		// util holds the render load alone so far. Active jobs share what
 		// it leaves; a second pass adds each job's share in app order,
 		// interleaved with the render loads, and sets the jobs' rates.
@@ -284,10 +297,8 @@ func (e *Engine) derive(cs *clusterState) {
 			full = cs.rate(opp, cs.c.Cores) * cs.share
 		}
 		util = 0
-		for _, a := range e.appList {
-			if !a.started || a.stopped || a.placedCS != cs {
-				continue
-			}
+		for r := cs.res; r != 0; r &= r - 1 {
+			a := e.appList[bits.TrailingZeros64(r)]
 			switch a.Kind {
 			case KindDNN:
 				if e.now >= a.blockedUntil {
@@ -301,6 +312,17 @@ func (e *Engine) derive(cs *clusterState) {
 			}
 		}
 	}
+	cs.own = util
+	cs.loadTail()
+}
+
+// loadTail finishes a derive from the cluster's own utilisation: it adds
+// the CompanionUtil of each loader with an active job, then clamps the
+// utilisation and prices it, or zeroes both on an offline cluster.
+//
+//detlint:hotpath
+func (cs *clusterState) loadTail() {
+	util := cs.own
 	// The loaders are threaded in platform order, so the accumulation
 	// order is identical to iterating e.plat.Clusters.
 	for ocs := cs.loadHead; ocs != nil; ocs = ocs.loadNext {
@@ -349,6 +371,7 @@ func (e *Engine) handle(ev hevent) {
 	case hStart:
 		a := e.appList[ev.app]
 		a.started = true
+		a.placedCS.res |= 1 << a.idx
 		// Touch before emit: a controller reacting to the event must see
 		// fresh derived values and the new planning epoch.
 		e.touch(a.placedCS)
@@ -360,6 +383,7 @@ func (e *Engine) handle(ev hevent) {
 	case hStop:
 		a := e.appList[ev.app]
 		a.stopped = true
+		a.placedCS.res &^= 1 << a.idx
 		a.jobActive, a.completionSeq = false, 0
 		e.touch(a.placedCS)
 		e.planEpoch++
@@ -484,8 +508,14 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// refresh brings every app's pending timer, the unhosted count and the
-// thermal window up to date after any state change. A job whose rate
+// refresh brings the pending timer of every app derive marked since the
+// last refresh, the unhosted count and the thermal window up to date
+// after any state change. An unmarked app would be skipped by a scan of
+// every app: its cluster was not derived, so its rate, job, timer and
+// downtime have not moved since the refresh that last visited it (the
+// clock alone ends a downtime only through the app's unblock timer, which
+// touches its cluster). Marked apps are visited in appList order, so
+// timers are armed in the same order as by that scan. A job whose rate
 // changed is re-anchored: its progress so far at the old rate is closed
 // into jobRemaining, and its completion time is derived once from the new
 // anchor. The timer is re-armed only then (or after something disarmed
@@ -495,7 +525,8 @@ func (e *Engine) emit(ev Event) {
 //
 //detlint:hotpath
 func (e *Engine) refresh() {
-	for _, a := range e.appList {
+	for d := e.dirty; d != 0; d &= d - 1 {
+		a := e.appList[bits.TrailingZeros64(d)]
 		if a.stopped {
 			continue
 		}
@@ -521,6 +552,7 @@ func (e *Engine) refresh() {
 		e.seq++
 		a.completionSeq = e.seq
 	}
+	e.dirty = 0
 	if n := e.UnhostedApps(); n != e.unhostedN {
 		e.unhostedS, e.unhostedN, e.unhostedT0 = e.unhostedAt(), n, e.now
 	}

@@ -46,10 +46,10 @@ func reportDiff(a, b Report) []string {
 
 // boundaryCtrl changes nothing a report can see, apart from what inner
 // does. Ticking it only inserts event-loop boundaries; with rearm set, each
-// tick also cancels every armed app timer and the throttle alarm and asks
-// for the alarm to be re-derived, so the refresh after the tick arms them
-// afresh from the state at the tick. When inner is set, every every-th
-// tick and every event reach it as well.
+// tick also cancels every armed app timer and the throttle alarm, marks
+// every app for refresh and asks for the alarm to be re-derived, so the
+// refresh after the tick arms them afresh from the state at the tick. When
+// inner is set, every every-th tick and every event reach it as well.
 type boundaryCtrl struct {
 	rearm bool
 	inner Controller
@@ -66,6 +66,7 @@ func (c *boundaryCtrl) OnTick(e *Engine) {
 	}
 	for _, a := range e.appList {
 		a.completionSeq = 0
+		e.dirty |= 1 << a.idx
 	}
 	e.thermalEvSeq = 0
 	e.thermalDirty = true

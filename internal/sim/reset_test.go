@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -111,5 +112,33 @@ func TestResetRejectsDuplicateApp(t *testing.T) {
 	e := mustEngine(t, Config{Platform: hw.OdroidXU3(), Apps: []App{dnnApp("d", "a15", 4, 3, 0.05)}})
 	if err := e.Reset(cfg); err == nil {
 		t.Fatal("Reset accepted duplicate app names")
+	}
+}
+
+// TestResetRejectsMoreThan64Apps pins the app limit each cluster's
+// one-word resident set imposes: 65 apps are an error, and the engine
+// then takes a 64-app config and runs it with every app resident.
+func TestResetRejectsMoreThan64Apps(t *testing.T) {
+	apps := make([]App, 65)
+	for i := range apps {
+		apps[i] = App{Name: fmt.Sprintf("bg%d", i), Kind: KindBackground, Util: 0.01,
+			Placement: Placement{Cluster: "cpu-lit", Cores: 1}}
+	}
+	e := mustEngine(t, Config{Platform: hw.FlagshipSoC()})
+	if err := e.Reset(Config{Platform: hw.FlagshipSoC(), Apps: apps}); err == nil {
+		t.Fatal("Reset accepted 65 apps")
+	}
+	if err := e.Reset(Config{Platform: hw.FlagshipSoC(), Apps: apps[:64]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	info, err := e.Cluster("cpu-lit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := e.computeClusterUtil(e.clusters["cpu-lit"]); len(info.Residents) != 64 || info.Util != want {
+		t.Fatalf("cpu-lit hosts %d residents at util %v, want 64 at %v", len(info.Residents), info.Util, want)
 	}
 }

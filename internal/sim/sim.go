@@ -257,6 +257,7 @@ type clusterState struct {
 	// Ceff·V²·f, kept in step with oppIdx by setOPP (see busyPowerMW).
 	dynMW  float64
 	online bool // availability: an offline cluster runs nothing and draws nothing
+	accel  bool // c.Type.IsAccelerator(), resolved once per Reset
 
 	// Energy (mJ) and busy time (seconds with any activity) are held per
 	// constant-power segment: energy and busyS are closed up to segT0S,
@@ -267,6 +268,11 @@ type clusterState struct {
 	segT0S   float64
 	segPowMW float64
 	segBusy  bool
+
+	// res is the cluster's resident set: bit i is set while appList[i] is
+	// started, not stopped and placed here. hStart and hStop set and clear
+	// it and Migrate moves it, so derive visits only the residents.
+	res uint64
 
 	// companion is the CPU cluster this accelerator's inference loads
 	// (nil for none), resolved once per Reset. loadHead lists the
@@ -285,11 +291,15 @@ type clusterState struct {
 	// can observe touches the cluster. Between mutations the system is
 	// piecewise-constant, so they hold until the next touch: utilisation,
 	// busy power, the share of the accelerator each active DNN job gets,
-	// and whether any DNN job is active.
-	util   float64
-	pow    float64
-	share  float64
-	active bool
+	// and whether any DNN job is active. own is the utilisation before the
+	// loaders' CompanionUtil (see loadTail), and blocked says some
+	// resident was inside its migration downtime at the last derive.
+	util    float64
+	pow     float64
+	share   float64
+	active  bool
+	own     float64
+	blocked bool
 }
 
 // Engine runs the simulation.
@@ -384,6 +394,12 @@ type Engine struct {
 	degMissed      int
 	degDropped     int
 
+	// dirty holds the apps, by appList position, resident on a cluster
+	// derived since the last refresh, or moved by Migrate: the only apps
+	// whose rate, job, timer or downtime can have moved, so refresh visits
+	// only them.
+	dirty uint64
+
 	// planEpoch is a monotone counter over planning-relevant state: the
 	// running-app set, model levels, placements, OPPs and ambient. The
 	// rtm manager uses it to elide replans when nothing a policy can act
@@ -393,9 +409,15 @@ type Engine struct {
 	planEpoch uint64
 }
 
+// maxApps is the most apps an engine runs: one bit each in a uint64
+// resident set.
+const maxApps = 64
+
 // Config configures an Engine.
 type Config struct {
-	Platform   *hw.Platform
+	Platform *hw.Platform
+	// Apps lists the workloads, at most 64: each cluster keeps its
+	// residents as one 64-bit set, and New and Reset reject more.
 	Apps       []App
 	Controller Controller // may be nil (uncontrolled baseline)
 	TickS      float64    // controller epoch; 0 disables ticks
@@ -452,7 +474,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.unhostedS, e.unhostedT0, e.unhostedN = 0, 0, 0
 	e.degReleased, e.degCompleted, e.degMissed, e.degDropped = 0, 0, 0, 0
 	e.maxTempC = cfg.Platform.AmbientC
-	e.planEpoch = 0
+	e.planEpoch, e.dirty = 0, 0
 
 	if e.apps == nil {
 		e.apps = make(map[string]*appState, len(cfg.Apps))
@@ -481,7 +503,7 @@ func (e *Engine) Reset(cfg Config) error {
 		for n := 0; n <= c.Cores; n++ {
 			store = append(store, c.CoreScale(n))
 		}
-		e.clusterStore[i] = clusterState{c: c, online: true, coreScale: store[lo:]}
+		e.clusterStore[i] = clusterState{c: c, online: true, accel: c.Type.IsAccelerator(), coreScale: store[lo:]}
 		cs := &e.clusterStore[i]
 		cs.setOPP(0)
 		e.clusters[c.Name] = cs
@@ -500,6 +522,9 @@ func (e *Engine) Reset(cfg Config) error {
 		}
 	}
 
+	if len(cfg.Apps) > maxApps {
+		return fmt.Errorf("sim: %d apps, at most %d", len(cfg.Apps), maxApps)
+	}
 	if cap(e.appStore) < len(cfg.Apps) {
 		e.appStore = make([]appState, len(cfg.Apps))
 	}
