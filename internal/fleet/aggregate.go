@@ -106,13 +106,14 @@ type Report struct {
 type group struct {
 	stats     GroupStats
 	latencies []float64
-	latSum    float64
+	// latSum sums each result's MeanLatencyS × Completed, whether or not
+	// it kept its samples, so the group mean is the same in both modes.
+	latSum float64
 	// Scalar fallback for results whose raw Latencies were dropped
-	// (Runner.DropLatencies / fleetsim -nolat): the group mean stays exact
-	// (per-scenario mean × completion count), the group p95 is
+	// (Runner.DropLatencies / fleetsim -nolat): the group p95 is
 	// approximated by the worst per-scenario p95.
-	scalarCount int
-	scalarP95   float64
+	sampleFree bool
+	scalarP95  float64
 	// Fault accumulation feeding the finalised recovery metrics.
 	recoverTotalS float64
 	degMissed     int
@@ -149,18 +150,15 @@ func (g *group) add(r Result) {
 	if r.MaxLatencyS > s.MaxLatencyS {
 		s.MaxLatencyS = r.MaxLatencyS
 	}
+	// Each completion contributed exactly one sample, so mean × completed
+	// is the run's latency sum.
+	g.latSum += r.MeanLatencyS * float64(r.Completed)
 	switch {
 	case len(r.Latencies) > 0:
 		g.latencies = append(g.latencies, r.Latencies...)
-		for _, l := range r.Latencies {
-			g.latSum += l
-		}
 	case r.Completed > 0:
-		// Latency samples were dropped at run time; fold the scalars. Each
-		// completion contributed exactly one sample, so mean × completed
-		// reconstructs the group latency sum.
-		g.scalarCount += r.Completed
-		g.latSum += r.MeanLatencyS * float64(r.Completed)
+		// Latency samples were dropped at run time.
+		g.sampleFree = true
 		if r.P95LatencyS > g.scalarP95 {
 			g.scalarP95 = r.P95LatencyS
 		}
@@ -189,8 +187,8 @@ func (g *group) finalise() GroupStats {
 		}
 		s.HealthyMissRate = float64(fails) / float64(healthy)
 	}
-	if n := len(g.latencies) + g.scalarCount; n > 0 {
-		s.MeanLatencyS = g.latSum / float64(n)
+	if s.Completed > 0 {
+		s.MeanLatencyS = g.latSum / float64(s.Completed)
 	}
 	// The group owns its pooled copy, so selection may reorder it.
 	s.P95LatencyS = percentileSelect(g.latencies, 0.95)
@@ -200,7 +198,7 @@ func (g *group) finalise() GroupStats {
 	// Any sample-free scenario makes the group percentile approximate —
 	// even when the pooled samples happened to win the max above, the pool
 	// was incomplete.
-	s.P95Approx = g.scalarCount > 0
+	s.P95Approx = g.sampleFree
 	if s.SimSeconds > 0 {
 		s.ThermalRate = s.OverThrottleS / s.SimSeconds
 	}

@@ -232,6 +232,37 @@ func TestAggregateScalarFallback(t *testing.T) {
 	}
 }
 
+// TestAggregateMeanSameWithoutLatencies: every group's mean latency is
+// folded from each run's own mean × completed count, so one fleet gives a
+// bit-equal meanLatencyS in every group with latencies kept and dropped.
+// Summing kept samples one by one instead moved the last bits.
+func TestAggregateMeanSameWithoutLatencies(t *testing.T) {
+	gen, err := NewGenerator(GeneratorConfig{Seed: 3, Policies: []string{"heuristic", "minenergy"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens := gen.Generate(gen.RunCount(24))
+	full := Aggregate(3, (&Runner{Workers: 2}).Run(scens))
+	lean := Aggregate(3, (&Runner{Workers: 2, DropLatencies: true}).Run(scens))
+	check := func(name string, a, b GroupStats) {
+		t.Helper()
+		if math.Float64bits(a.MeanLatencyS) != math.Float64bits(b.MeanLatencyS) {
+			t.Errorf("%s: meanLatencyS %v with latencies, %v without", name, a.MeanLatencyS, b.MeanLatencyS)
+		}
+	}
+	check("overall", full.Overall, lean.Overall)
+	for _, groups := range []struct {
+		full, lean map[string]GroupStats
+	}{{full.ByPlatform, lean.ByPlatform}, {full.ByPolicy, lean.ByPolicy}} {
+		for name, g := range groups.full {
+			check(name, g, groups.lean[name])
+		}
+	}
+	for class, g := range full.ByClass {
+		check(string(class), g, lean.ByClass[class])
+	}
+}
+
 // TestAggregateP95ApproxMarker: a group whose percentile pooled every raw
 // sample reports an exact p95 (and, via omitempty, keeps its JSON bytes),
 // while any group a sample-free scenario contributed to carries the
@@ -391,7 +422,7 @@ func TestAggregateMixedErrors(t *testing.T) {
 		ID: 0, Class: ClassBursty, Platform: "jetson-nano",
 		Released: 10, Completed: 8, Missed: 2,
 		DurationS: 20, EnergyMJ: 500, OverThrottleS: 1,
-		MaxLatencyS: 3, Latencies: []float64{1, 3},
+		MeanLatencyS: 2, MaxLatencyS: 3, Latencies: []float64{1, 1, 1, 2, 2, 3, 3, 3},
 	}
 	bad := Result{ID: 1, Class: ClassBursty, Platform: "jetson-nano", Err: "boom",
 		// Junk that must be ignored because the scenario errored.

@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -10,19 +10,42 @@ import (
 
 // The stream record codec encodes and decodes Result lines directly
 // instead of through encoding/json's reflection, which dominated the shard
-// round trip. encoding/json stays the definition of the format:
-// appendRecord emits exactly the bytes json.Marshal emits for a Result,
-// and decodeRecord accepts exactly the lines json.Unmarshal accepts,
-// decoding each to the same Result. It parses the shape appendRecord
-// writes and hands any other line, whole, to json.Unmarshal. The codec
-// tests hold both halves to that, field by field and under fuzzing.
+// round trip. encoding/json stays the definition of the format: a record
+// line is json.Marshal of a recordJSON, the Result with its latencies
+// run-length encoded, and a line decodes as json.Unmarshal decodes it
+// into a recordJSON, whose runs are then checked and expanded. The codec
+// tests hold both halves to that, field by field and under fuzzing,
+// against a reference of their own.
+//
+// The latencies are written as runs of equal values, [[value,count],...],
+// their values strictly ascending (compared with <, so 0 and -0 are one
+// value): Result.Latencies is ascending, so equal samples sit together,
+// and a sample list has exactly one encoding. appendRecord refuses
+// latencies that descend and the reader refuses runs that do not ascend,
+// so a writer never emits a line its reader refuses. A count must be a
+// positive integer, and a record may hold no more samples than its
+// completed count; no allocation is sized by a count.
 
-// appendRecord appends the JSON encoding of r to dst: the bytes
-// json.Marshal(r) returns, with fields in declaration order, omitempty
-// fields left out when zero, floats formatted as encoding/json formats
-// them, and strings that need escaping escaped by encoding/json itself.
-// A NaN or infinite float is an error, as it is for json.Marshal, and
-// leaves dst as it was.
+// recordJSON is the JSON shape of a stream record: Result's fields, with
+// latencies as [value,count] runs. Its Latencies field hides Result's.
+type recordJSON struct {
+	Result
+	Latencies [][]float64 `json:"latencies,omitempty"`
+}
+
+// maxRecordLatencies caps the samples one record may carry, whatever its
+// completed count claims, so a forged count cannot make a reader allocate
+// without bound. Generated runs last at most 40 s and carry a few thousand
+// samples.
+const maxRecordLatencies = 1 << 20
+
+// appendRecord appends the stream encoding of r to dst: the bytes
+// json.Marshal returns for r as a recordJSON, with fields in declaration
+// order, omitempty fields left out when zero, floats formatted as
+// encoding/json formats them, and strings that need escaping escaped by
+// encoding/json itself. A NaN or infinite float is an error, as it is for
+// json.Marshal, and so is a latency below its predecessor, which the
+// format cannot carry; either leaves dst as it was.
 func appendRecord(dst []byte, r *Result) ([]byte, error) {
 	for _, f := range [...]float64{
 		r.DurationS, r.MeanLatencyS, r.P95LatencyS, r.MaxLatencyS, r.EnergyMJ,
@@ -73,14 +96,26 @@ func appendRecord(dst []byte, r *Result) ([]byte, error) {
 	b = appendOmitInt(b, `,"degradedDropped":`, r.DegradedDropped)
 	if len(r.Latencies) > 0 {
 		b = append(b, `,"latencies":[`...)
-		for i, l := range r.Latencies {
-			if err := checkFinite(l); err != nil {
+		ls := r.Latencies
+		for i := 0; i < len(ls); {
+			v := ls[i]
+			if err := checkFinite(v); err != nil {
 				return dst, err
+			}
+			if i > 0 && v < ls[i-1] {
+				return dst, fmt.Errorf("fleet: latency %d (%g) is below its predecessor %g; a record's latencies must ascend", i, v, ls[i-1])
+			}
+			j := i + 1
+			for j < len(ls) && ls[j] == v {
+				j++
 			}
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendFloat(b, l)
+			b = appendFloat(append(b, '['), v)
+			b = strconv.AppendInt(append(b, ','), int64(j-i), 10)
+			b = append(b, ']')
+			i = j
 		}
 		b = append(b, ']')
 	}
@@ -141,25 +176,65 @@ func plainByte(c byte) bool {
 	return c >= 0x20 && c < 0x80 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-// decodeRecord decodes one stream line into r, which it first zeroes. The
-// result and the error are what json.Unmarshal(line, r) would give.
+// decodeRecord decodes one stream line into r. The result and the error
+// are what json.Unmarshal into a recordJSON gives, followed by
+// expandRuns; on an error r is left zero.
 func decodeRecord(line []byte, r *Result) error {
 	*r = Result{}
 	if decodeCanonical(line, r) {
 		return nil
 	}
+	*r = Result{}
 	// A separate target keeps r off the heap: only this path allocates it.
-	var fallback Result
-	err := json.Unmarshal(line, &fallback)
-	*r = fallback
-	return err
+	var rec recordJSON
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return err
+	}
+	lat, err := expandRuns(rec.Latencies, rec.Completed)
+	if err != nil {
+		return err
+	}
+	*r = rec.Result
+	r.Latencies = lat
+	return nil
+}
+
+// expandRuns checks decoded [value,count] runs against the format rules
+// and expands them into samples; no runs give nil. Each run has two
+// elements, each count is a positive integer, run values strictly
+// ascend, and the samples number at most completed (and
+// maxRecordLatencies). Every check comes before the one allocation.
+func expandRuns(runs [][]float64, completed int) ([]float64, error) {
+	limit, n := min(completed, maxRecordLatencies), 0
+	for i, run := range runs {
+		if len(run) != 2 {
+			return nil, fmt.Errorf("fleet: latency run %d has %d elements, want [value,count]", i, len(run))
+		}
+		if c := run[1]; c < 1 || c != math.Trunc(c) || c > float64(limit-n) {
+			return nil, fmt.Errorf("fleet: latency run %d has count %g; counts are positive integers summing to at most completed (%d)", i, c, completed)
+		}
+		if i > 0 && run[0] <= runs[i-1][0] {
+			return nil, fmt.Errorf("fleet: latency run %d has value %g, not above run %d's %g; run values must strictly ascend", i, run[0], i-1, runs[i-1][0])
+		}
+		n += int(run[1])
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]float64, 0, n)
+	for _, run := range runs {
+		for range int(run[1]) {
+			out = append(out, run[0])
+		}
+	}
+	return out, nil
 }
 
 // decodeCanonical parses the line shape appendRecord writes: every field
 // in declaration order, omitempty fields optional, no whitespace, strings
-// of plain bytes only, a non-empty latency array and at most a newline
-// after the closing brace. It reports false, leaving r partly filled, on
-// anything else.
+// of plain bytes only, a non-empty array of valid latency runs with
+// decimal-integer counts, and at most a newline after the closing brace.
+// It reports false, leaving r partly filled, on anything else.
 func decodeCanonical(line []byte, r *Result) bool {
 	d := recordDecoder{b: line, ok: true}
 	r.ID = d.int(`{"id":`)
@@ -197,7 +272,7 @@ func decodeCanonical(line []byte, r *Result) bool {
 	r.DegradedMissed = d.optInt(`,"degradedMissed":`)
 	r.DegradedDropped = d.optInt(`,"degradedDropped":`)
 	if d.has(`,"latencies":`) {
-		r.Latencies = d.floats(`,"latencies":`)
+		r.Latencies = d.runs(`,"latencies":`, r.Completed)
 	}
 	d.lit('}')
 	if rest := d.b[d.i:]; len(rest) > 1 || (len(rest) == 1 && rest[0] != '\n') {
@@ -370,28 +445,55 @@ func (d *recordDecoder) floatValue() float64 {
 	return f
 }
 
-// floats reads a non-empty array of numbers into an exact-size slice.
-func (d *recordDecoder) floats(key string) []float64 {
+// runs reads a non-empty array of latency runs and expands it. A run it
+// cannot prove valid (see expandRuns) leaves the line to the fallback,
+// which reports it. The slice is sized for completed samples up front: a
+// record the reader accepts holds exactly that many, and the count check
+// keeps the samples within that capacity.
+func (d *recordDecoder) runs(key string, completed int) []float64 {
 	if !d.key(key) || !d.lit('[') {
 		return nil
 	}
-	// Only numbers and commas sit between canonical brackets, so the
-	// commas before the first ']' fix the element count; a line where
-	// they do not fails the parse below.
-	end := bytes.IndexByte(d.b[d.i:], ']')
-	if end <= 0 {
-		d.ok = false
-		return nil
-	}
-	out := make([]float64, bytes.Count(d.b[d.i:d.i+end], []byte{','})+1)
-	for k := range out {
-		if k > 0 && !d.lit(',') {
+	limit := max(0, min(completed, maxRecordLatencies))
+	out := make([]float64, 0, limit)
+	for {
+		d.lit('[')
+		v := d.floatValue()
+		d.lit(',')
+		c := d.count()
+		d.lit(']')
+		if !d.ok || c > limit-len(out) || (len(out) > 0 && v <= out[len(out)-1]) {
+			d.ok = false
 			return nil
 		}
-		out[k] = d.floatValue()
+		for range c {
+			out = append(out, v)
+		}
+		if d.peek() != ',' {
+			break
+		}
+		d.i++
 	}
 	d.lit(']')
 	return out
+}
+
+// count reads a run count: a decimal integer from 1 to
+// maxRecordLatencies, with no sign, leading zero, fraction or exponent.
+func (d *recordDecoder) count() int {
+	tok := d.number(true)
+	if len(tok) == 0 || tok[0] < '1' || tok[0] > '9' {
+		d.ok = false
+		return 0
+	}
+	n := 0
+	for _, c := range tok {
+		if n = n*10 + int(c-'0'); n > maxRecordLatencies {
+			d.ok = false
+			return 0
+		}
+	}
+	return n
 }
 
 // str reads a string of plain bytes (see plainByte); anything needing an

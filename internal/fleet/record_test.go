@@ -3,10 +3,14 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -30,8 +34,63 @@ func readGoldenStream(t testing.TB) []byte {
 	return raw
 }
 
-// jsonDecodeStream decodes a stream with encoding/json alone: the
-// reference ReadShard must agree with.
+// refRecord is the codec tests' own JSON shape of a stream record: the
+// Result with its latencies as [value,count] runs. refMarshal and
+// refUnmarshal build the reference from it with encoding/json and their
+// own run-length coding, so the codec is never checked against itself.
+type refRecord struct {
+	Result
+	Latencies [][]float64 `json:"latencies,omitempty"`
+}
+
+// refMarshal is the reference encoding of r: each maximal stretch of equal
+// samples becomes one [value,count] run, encoding/json does the rest, and
+// latencies that descend are refused.
+func refMarshal(r Result) ([]byte, error) {
+	rec := refRecord{Result: r}
+	for _, l := range r.Latencies {
+		if n := len(rec.Latencies); n > 0 && rec.Latencies[n-1][0] == l {
+			rec.Latencies[n-1][1]++
+			continue
+		}
+		rec.Latencies = append(rec.Latencies, []float64{l, 1})
+	}
+	out, err := json.Marshal(rec)
+	if err == nil && !slices.IsSorted(r.Latencies) {
+		return nil, errors.New("latencies descend")
+	}
+	return out, err
+}
+
+// refUnmarshal is the reference decoding of a record line: encoding/json
+// into a refRecord, then the format's run rules, then the expansion.
+func refUnmarshal(line []byte) (Result, error) {
+	var rec refRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return Result{}, err
+	}
+	r := rec.Result
+	room := min(r.Completed, maxRecordLatencies)
+	for i, run := range rec.Latencies {
+		switch {
+		case len(run) != 2:
+			return Result{}, errors.New("a run is not [value,count]")
+		case run[1] < 1 || run[1] != math.Floor(run[1]):
+			return Result{}, errors.New("a count is not a positive integer")
+		case run[1] > float64(room-len(r.Latencies)):
+			return Result{}, errors.New("more samples than completed jobs")
+		case i > 0 && !(run[0] > rec.Latencies[i-1][0]):
+			return Result{}, errors.New("run values do not strictly ascend")
+		}
+		for range int(run[1]) {
+			r.Latencies = append(r.Latencies, run[0])
+		}
+	}
+	return r, nil
+}
+
+// jsonDecodeStream decodes a stream with the encoding/json reference
+// alone: what ReadShard must agree with.
 func jsonDecodeStream(t *testing.T, raw []byte) ShardResult {
 	t.Helper()
 	lines := bytes.SplitAfter(raw, []byte("\n"))
@@ -44,8 +103,8 @@ func jsonDecodeStream(t *testing.T, raw []byte) ShardResult {
 		if len(line) == 0 {
 			continue
 		}
-		var r Result
-		if err := json.Unmarshal(line, &r); err != nil {
+		r, err := refUnmarshal(line)
+		if err != nil {
 			t.Fatal(err)
 		}
 		s.Results = append(s.Results, r)
@@ -53,16 +112,16 @@ func jsonDecodeStream(t *testing.T, raw []byte) ShardResult {
 	return s
 }
 
-// TestGoldenStream: the stream bytes are those encoding/json writes for the
-// golden fleet. A fresh ResumeShard and a StreamWriter re-encoding the
-// decoded records both reproduce the file byte for byte, and ReadShard
-// decodes it to what encoding/json decodes. Regenerate after a deliberate
+// TestGoldenStream: the stream bytes are those the encoding/json reference
+// writes for the golden fleet. A fresh ResumeShard and a StreamWriter
+// re-encoding the decoded records both reproduce the file byte for byte,
+// and ReadShard decodes it to what the reference decodes. Regenerate after a deliberate
 // behaviour change with
 //
 //	go test ./internal/fleet -run TestGoldenStream -update
 //
 // which rewrites the file from a fresh ResumeShard, every record line
-// re-encoded by json.Marshal, and then runs the comparisons against it.
+// re-encoded by refMarshal, and then runs the comparisons against it.
 func TestGoldenStream(t *testing.T) {
 	if *update {
 		writeGoldenStream(t)
@@ -77,6 +136,9 @@ func TestGoldenStream(t *testing.T) {
 		sawFault = sawFault || r.ClusterFails > 0
 		if len(r.Latencies) == 0 {
 			t.Fatalf("golden record %d carries no latencies", r.ID)
+		}
+		if !slices.IsSorted(r.Latencies) {
+			t.Fatalf("golden record %d latencies are not ascending", r.ID)
 		}
 	}
 	if !sawFault {
@@ -108,9 +170,43 @@ func TestGoldenStream(t *testing.T) {
 	}
 }
 
+// TestGoldenStreamWorkCounts pins the golden stream's size: its bytes and
+// the latency values it spells out, one per [value,count] run, against the
+// samples those runs expand to. A change that moves them on purpose
+// updates the numbers and says so.
+func TestGoldenStreamWorkCounts(t *testing.T) {
+	raw := readGoldenStream(t)
+	values, samples := 0, 0
+	for _, line := range bytes.SplitAfter(raw, []byte("\n"))[1:] {
+		if len(line) == 0 {
+			continue
+		}
+		var rec refRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		values += len(rec.Latencies)
+		for _, run := range rec.Latencies {
+			samples += int(run[1])
+		}
+		if !decodeCanonical(line, &Result{}) {
+			t.Errorf("golden record fell back to encoding/json: %s", line)
+		}
+	}
+	if got, want := len(raw), 11524; got != want {
+		t.Errorf("golden stream is %d bytes, want %d", got, want)
+	}
+	if got, want := values, 185; got != want {
+		t.Errorf("golden stream encodes %d latency values, want %d", got, want)
+	}
+	if got, want := samples, 2235; got != want {
+		t.Errorf("golden stream carries %d latency samples, want %d", got, want)
+	}
+}
+
 // writeGoldenStream rewrites the golden stream: the header line as
 // ResumeShard wrote it (encoding/json encodes headers), then each record as
-// json.Marshal encodes it, so the file pins the hand-written codec to
+// refMarshal encodes it, so the file pins the hand-written codec to
 // encoding/json rather than to itself.
 func writeGoldenStream(t *testing.T) {
 	t.Helper()
@@ -125,7 +221,7 @@ func writeGoldenStream(t *testing.T) {
 	header, _, _ := bytes.Cut(fresh, []byte("\n"))
 	out := append(header, '\n')
 	for _, r := range jsonDecodeStream(t, fresh).Results {
-		line, err := json.Marshal(&r)
+		line, err := refMarshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,19 +233,21 @@ func writeGoldenStream(t *testing.T) {
 	t.Logf("rewrote %s", goldenStreamPath)
 }
 
-// checkRecordCodec requires appendRecord to emit json.Marshal's bytes (or
-// its error) for r, and decodeRecord to decode those bytes to what
-// json.Unmarshal decodes. fast requires the line to take the canonical
-// path rather than the encoding/json fallback.
+// checkRecordCodec requires appendRecord to emit refMarshal's bytes for r,
+// or to fail where it fails (with json.Marshal's error text for an
+// unsupported value), and decodeRecord to decode those bytes as
+// refUnmarshal does. fast requires the line to take the canonical path
+// rather than the encoding/json fallback.
 func checkRecordCodec(t *testing.T, name string, r Result, fast bool) {
 	t.Helper()
-	want, wantErr := json.Marshal(&r)
+	want, wantErr := refMarshal(r)
 	got, gotErr := appendRecord(nil, &r)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: appendRecord error %v, json.Marshal error %v", name, gotErr, wantErr)
 	}
 	if wantErr != nil {
-		if gotErr.Error() != wantErr.Error() {
+		var unsupported *json.UnsupportedValueError
+		if errors.As(wantErr, &unsupported) && gotErr.Error() != wantErr.Error() {
 			t.Errorf("%s: appendRecord error %q, json.Marshal error %q", name, gotErr, wantErr)
 		}
 		return
@@ -157,11 +255,12 @@ func checkRecordCodec(t *testing.T, name string, r Result, fast bool) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: appendRecord differs from json.Marshal:\n got %s\nwant %s", name, got, want)
 	}
-	var dec, ref Result
+	var dec Result
 	if err := decodeRecord(append(got, '\n'), &dec); err != nil {
 		t.Fatalf("%s: decodeRecord: %v", name, err)
 	}
-	if err := json.Unmarshal(got, &ref); err != nil {
+	ref, err := refUnmarshal(got)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dec, ref) {
@@ -190,7 +289,7 @@ func TestRecordCodecCoversEveryField(t *testing.T) {
 			return reflect.ValueOf(0.1 + float64(f.Index[0])).Convert(f.Type)
 		case reflect.Slice:
 			if f.Type.Elem().Kind() == reflect.Float64 {
-				return reflect.ValueOf([]float64{0.25, 1e-7, 3})
+				return reflect.ValueOf([]float64{1e-7, 0.25, 3})
 			}
 		}
 		t.Fatalf("Result.%s has kind %s, which the codec test has no value for; extend appendRecord, decodeCanonical and this test", f.Name, f.Type)
@@ -208,6 +307,10 @@ func TestRecordCodecCoversEveryField(t *testing.T) {
 
 		var alone Result
 		reflect.ValueOf(&alone).Elem().Field(i).Set(v)
+		if f.Name == "Latencies" {
+			// A record holds one sample per completed job.
+			alone.Completed = v.Len()
+		}
 		checkRecordCodec(t, f.Name+" alone", alone, true)
 		if f.Type.Kind() == reflect.Float64 {
 			var negZero Result
@@ -215,6 +318,7 @@ func TestRecordCodecCoversEveryField(t *testing.T) {
 			checkRecordCodec(t, f.Name+" -0", negZero, true)
 		}
 	}
+	all.Completed = len(all.Latencies)
 	checkRecordCodec(t, "every field", all, true)
 	checkRecordCodec(t, "zero", Result{}, true)
 	all.Latencies = []float64{}
@@ -233,9 +337,14 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 	for _, f := range floats {
 		r := base
 		r.DurationS, r.UnhostedS, r.RecoverTotalS = f, f, f
-		r.Latencies = []float64{f, 1, f}
+		r.Latencies = []float64{min(f, 1), f, f, max(f, 1)}
+		r.Completed = len(r.Latencies)
 		checkRecordCodec(t, "float "+formatG(f), r, true)
 	}
+	descending := base
+	descending.Latencies = []float64{0.1, 0.3, 0.2}
+	descending.Completed = len(descending.Latencies)
+	checkRecordCodec(t, "descending latencies", descending, false)
 	for _, s := range []string{`"<&>` + "\n", "héllo ✓", "\xff\xfe", "tab\there", "line sep", `back\slash`, "\x7f", ""} {
 		r := base
 		r.Err = s
@@ -248,6 +357,7 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 		checkRecordCodec(t, "scalar "+formatG(f), r, false)
 		r = base
 		r.Latencies = []float64{1, f}
+		r.Completed = 2
 		checkRecordCodec(t, "latency "+formatG(f), r, false)
 		if _, err := appendRecord(nil, &r); err == nil {
 			t.Errorf("appendRecord accepted a %g latency", f)
@@ -258,8 +368,8 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 func formatG(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // TestDecodeRecordMatchesJSON: lines off the canonical shape take the
-// encoding/json fallback and so decode — or fail — exactly as
-// json.Unmarshal does.
+// encoding/json fallback, and canonical lines with bad latency runs are
+// refused, exactly as the encoding/json reference decodes or refuses them.
 func TestDecodeRecordMatchesJSON(t *testing.T) {
 	for _, line := range []string{
 		`{"id":1,"name":"a","class":"steady","platform":"p","policy":"q","seed":2}`,
@@ -290,29 +400,114 @@ func TestDecodeRecordMatchesJSON(t *testing.T) {
 		checkDecodeRecord(t, []byte(line))
 		checkDecodeRecord(t, []byte(line+"\n"))
 	}
+	// A canonical line whose latency runs break a format rule, or keep it
+	// in an unusual spelling.
+	line := bytes.SplitAfter(readGoldenStream(t), []byte("\n"))[1]
+	rec, err := refUnmarshal(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, runs := range runVariants(rec.Completed) {
+		edited := withLatencies(t, line, runs)
+		checkDecodeRecord(t, edited)
+		checkDecodeRecord(t, bytes.TrimSuffix(edited, []byte("\n")))
+	}
 }
 
-// checkDecodeRecord requires decodeRecord to agree with json.Unmarshal on
-// line: the same acceptance, the same Result and, when accepted, the same
-// re-encoding.
+// checkDecodeRecord requires decodeRecord to agree with refUnmarshal on
+// line: the same acceptance and, when accepted, the same Result and the
+// same re-encoding.
 func checkDecodeRecord(t *testing.T, line []byte) {
 	t.Helper()
-	var got, want Result
+	var got Result
 	gotErr := decodeRecord(line, &got)
-	wantErr := json.Unmarshal(line, &want)
+	want, wantErr := refUnmarshal(line)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%q: decodeRecord error %v, json.Unmarshal error %v", line, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if !reflect.DeepEqual(got, Result{}) {
+			t.Fatalf("%q: decodeRecord failed but left %+v", line, got)
+		}
+		return
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q: decodeRecord gives %+v, json.Unmarshal %+v", line, got, want)
 	}
-	if gotErr != nil {
-		return
-	}
 	enc, encErr := appendRecord(nil, &got)
-	ref, refErr := json.Marshal(&want)
+	ref, refErr := refMarshal(want)
 	if encErr != nil || refErr != nil || !bytes.Equal(enc, ref) {
 		t.Fatalf("%q: re-encoding %s (%v), json.Marshal %s (%v)", line, enc, encErr, ref, refErr)
+	}
+}
+
+// withLatencies returns a copy of the record line with its latencies
+// replaced by the JSON text runs (the whole field is dropped when runs is
+// empty).
+func withLatencies(t testing.TB, line []byte, runs string) []byte {
+	t.Helper()
+	i := bytes.Index(line, []byte(`,"latencies":`))
+	if i < 0 {
+		t.Fatalf("record has no latencies: %s", line)
+	}
+	out := append([]byte{}, line[:i]...)
+	if runs != "" {
+		out = append(append(out, `,"latencies":`...), runs...)
+	}
+	return append(out, "}\n"...)
+}
+
+// runVariants returns latency runs for a record of completed jobs, each
+// breaking one format rule, plus a few the format accepts: the ways a
+// hand-edited or corrupted line can go wrong.
+func runVariants(completed int) []string {
+	c := completed
+	return []string{
+		fmt.Sprintf(`[[0.01,%d]]`, c),                 // valid: one run
+		fmt.Sprintf(`[[0.01,1.0],[0.02,%d]]`, c-1),    // valid: a count spelled as a float
+		fmt.Sprintf(`[[0.02,1],[0.01,%d]]`, c-1),      // descending values
+		fmt.Sprintf(`[[0.02,1.0],[0.01,%d]]`, c-1),    // descending values, left to the fallback
+		fmt.Sprintf(`[[0.01,%d]]`, c-1),               // fewer samples than completed
+		fmt.Sprintf(`[[0.01,%d]]`, c+1),               // more samples than completed
+		fmt.Sprintf(`[[0.01,0],[0.02,%d]]`, c),        // count 0
+		fmt.Sprintf(`[[0.01,-1],[0.02,%d]]`, c+1),     // count -1
+		`[[0.01,1e15]]`,                               // count 1e15
+		`[[0.01,1000000000000000]]`,                   // count 1e15 as an integer
+		fmt.Sprintf(`[[0.01,1.5],[0.02,%d]]`, c-1),    // fractional count
+		fmt.Sprintf(`[[0.01,1],[0.01,%d]]`, c-1),      // adjacent runs, equal values
+		fmt.Sprintf(`[[0,1],[-0,%d]]`, c-1),           // adjacent runs, 0 == -0
+		fmt.Sprintf(`[[1e400,%d]]`, c),                // a non-finite value
+		fmt.Sprintf(`[[0.01],[0.02,%d]]`, c),          // a run with its count missing
+		fmt.Sprintf(`[[0.01,1,7],[0.02,%d]]`, c-1),    // a run with an extra element
+		fmt.Sprintf(`[0.01,[0.02,%d]]`, c),            // a bare sample
+		fmt.Sprintf(`[[0.01,01],[0.02,%d]]`, c-1),     // a count with a leading zero
+		fmt.Sprintf(`[[0.01,1],null,[0.02,%d]]`, c-1), // a null run
+		`[]`,
+		`null`,
+		"",
+	}
+}
+
+// TestDecodeRecordAllocatesAtMostCompleted: a record whose counts claim
+// more samples than its completed jobs fails on both decode paths before
+// anything is sized by the counts. A million samples would take 8 MB.
+func TestDecodeRecordAllocatesAtMostCompleted(t *testing.T) {
+	line := bytes.SplitAfter(readGoldenStream(t), []byte("\n"))[1]
+	for _, edited := range [][]byte{
+		withLatencies(t, line, `[[0.01,1000000]]`), // canonical shape
+		withLatencies(t, line, `[[0.01,1e6]]`),     // left to the fallback
+	} {
+		var r Result
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decodeRecord(edited, &r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("decodeRecord accepted %s", edited)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("refusing %s allocated %d bytes", edited, n)
+		}
 	}
 }
 
@@ -320,7 +515,8 @@ func checkDecodeRecord(t *testing.T, line []byte) {
 // places, and shard files built from its first two records: a complete
 // stream, its header, torn variants of both, and the same shard as a
 // one-document JSON file (classic, also returned alone), which readers
-// must refuse. Seeds stay a few kilobytes so the fuzzer can minimise what
+// must refuse. Both sets also carry the first record with its latency
+// runs edited by runVariants. Seeds stay a few kilobytes so the fuzzer can minimise what
 // it finds.
 func fuzzSeeds(t testing.TB) (files, records [][]byte, classic []byte) {
 	raw := readGoldenStream(t)
@@ -339,12 +535,20 @@ func fuzzSeeds(t testing.TB) (files, records [][]byte, classic []byte) {
 	classic = classicShardDoc(t, s)
 	header, _, _ := bytes.Cut(stream, []byte("\n"))
 	files = [][]byte{stream, stream[:len(stream)-7], header, header[:len(header)/2], classic, classic[:len(classic)/2]}
+	// The run rules: the stream with its first record's runs edited, and
+	// the edited record alone.
+	lines := bytes.SplitAfter(stream, []byte("\n"))
+	for _, runs := range runVariants(s.Results[0].Completed) {
+		edited := withLatencies(t, lines[1], runs)
+		records = append(records, edited)
+		files = append(files, bytes.Join([][]byte{lines[0], edited, lines[2]}, nil))
+	}
 	return files, records, classic
 }
 
-// FuzzDecodeRecord: for any bytes, decodeRecord and json.Unmarshal agree
-// on acceptance and on the Result, and an accepted Result re-encodes to
-// json.Marshal's bytes.
+// FuzzDecodeRecord: for any bytes, decodeRecord and the encoding/json
+// reference agree on acceptance and on the Result, and an accepted Result
+// re-encodes to the reference's bytes.
 func FuzzDecodeRecord(f *testing.F) {
 	_, records, _ := fuzzSeeds(f)
 	for _, r := range records {
@@ -367,7 +571,7 @@ func FuzzReadShard(f *testing.F) {
 	}
 	// A header whose range no record backs: reading it once sized a slice
 	// by the claimed range, which panics (or exhausts memory) this large.
-	f.Add([]byte(`{"stream":"emlrtm-fleet-shard","formatVersion":2,"config":{"seed":1},"total":1099511627776,"lo":0,"hi":1099511627776}` + "\n"))
+	f.Add([]byte(`{"stream":"emlrtm-fleet-shard","formatVersion":3,"config":{"seed":1},"total":1099511627776,"lo":0,"hi":1099511627776}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadShard(bytes.NewReader(data))
 		if err != nil {

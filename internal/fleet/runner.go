@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,12 +15,14 @@ import (
 )
 
 // Result is the compact outcome of one scenario run. Latencies carries the
-// raw per-job samples Aggregate pools for percentiles; it is part of the
-// JSON encoding so results can round-trip through a file and be merged
-// across processes (the ROADMAP's distributed-fleet path) without silently
-// zeroing the pooled latency stats. The field is optional: runs made with
-// Runner.DropLatencies (fleetsim -nolat) omit it to keep million-scenario
-// shard files small, and Aggregate then falls back to the scalar stats.
+// raw per-job samples Aggregate pools for percentiles, in ascending order
+// (a shard stream refuses any other order, on write and on read); it is
+// part of the JSON encoding so results can round-trip through a file and
+// be merged across processes without silently zeroing the pooled latency
+// stats (a shard stream run-length encodes it, see record.go). The
+// field is optional: runs made with Runner.DropLatencies (fleetsim -nolat)
+// omit it, and Aggregate then falls back to the scalar stats for the
+// pooled p95.
 type Result struct {
 	ID       int    `json:"id"`
 	Name     string `json:"name"`
@@ -106,8 +109,9 @@ func (w *worker) platform(name string) *hw.Platform {
 }
 
 // runOne is RunOne on a worker's reused run state (nil builds everything
-// fresh); keepLatencies publishes the raw Latencies. Neither changes a
-// result byte: TestWorkerReuseEquivalence pins that.
+// fresh). keepLatencies publishes the raw Latencies, sorted, and changes
+// no other field; reuse changes no result byte, which
+// TestWorkerReuseEquivalence pins.
 func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 	script := s.Script
 	if script.Policy == "" {
@@ -178,7 +182,8 @@ func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 	}
 	// raw is the engine's own latency log, in completion order. The
 	// engine's next Reset rewrites it, so selection may reorder it in
-	// place once the published copy is taken.
+	// place. The sum and max are taken in completion order first, so the
+	// mean and max do not depend on whether samples are kept.
 	raw := rep.Latencies
 	if len(raw) == 0 {
 		return res
@@ -193,14 +198,18 @@ func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 	}
 	res.MeanLatencyS = sum / float64(len(raw))
 	res.MaxLatencyS = maxL
-	if keepLatencies {
-		// Publish an exact-size copy in completion order: the engine's
-		// buffer never escapes, and its spare capacity never reaches the
-		// Result.
-		res.Latencies = make([]float64, len(raw))
-		copy(res.Latencies, raw)
+	if !keepLatencies {
+		res.P95LatencyS = percentileSelect(raw, 0.95)
+		return res
 	}
-	res.P95LatencyS = percentileSelect(raw, 0.95)
+	// Publish an exact-size ascending copy: the engine's buffer never
+	// escapes, sorted samples run-length encode compactly in a shard
+	// stream, and the p95 is read at its nearest rank — the value
+	// selectKth would return.
+	res.Latencies = make([]float64, len(raw))
+	copy(res.Latencies, raw)
+	slices.Sort(res.Latencies)
+	res.P95LatencyS = res.Latencies[nearestRank(len(raw), 0.95)]
 	return res
 }
 
@@ -223,10 +232,14 @@ type Runner struct {
 	Progress func(done, total int)
 	// DropLatencies omits the raw per-job Latencies samples from every
 	// Result (the fleetsim -nolat switch). The scalar per-scenario
-	// mean/p95/max stay exact; what is lost is the pooled group
-	// percentile, which Aggregate then approximates from the per-scenario
-	// p95s. Raw samples dominate result and shard-file size, so
-	// million-scenario fleets run with this set.
+	// mean/p95/max and the group means stay exact; what is lost is the
+	// pooled group percentile, which Aggregate then approximates from the
+	// per-scenario p95s. Samples are kept in ascending order and a stream
+	// run-length encodes them, yet they still make a shard file 4–14×
+	// larger (256 workloads at seed 1: 3.6× for an odroid-xu3 and
+	// jetson-nano 3-policy sweep, 13.5× for the catalog mix) and hold
+	// every sample in memory, so million-scenario fleets run with this
+	// set.
 	DropLatencies bool
 	// SyncEvery, for streaming runs (ResumeShard), fsyncs the stream file
 	// after every this-many appended records. 0 (the default) never

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -115,6 +116,8 @@ func TestStreamReaderFailLoud(t *testing.T) {
 		wantErr string
 	}{
 		{"future format version", func(h *StreamHeader) { h.FormatVersion = ShardFormatVersion + 1 }, "format version"},
+		// Format 2 spelled one number per latency sample.
+		{"format 2", func(h *StreamHeader) { h.FormatVersion = 2 }, "format version 2, want 3"},
 		{"range outside fleet", func(h *StreamHeader) { h.Hi = 9 }, "outside fleet"},
 	} {
 		if _, err := ReadShard(bytes.NewReader(withHeader(tc.edit))); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -150,6 +153,45 @@ func TestStreamReaderFailLoud(t *testing.T) {
 	over := append(append([]byte{}, raw...), lines[len(lines)-2]...)
 	if _, err := ReadShard(bytes.NewReader(over)); err == nil || !strings.Contains(err.Error(), "beyond its range") {
 		t.Errorf("overlong stream error = %v, want beyond-range complaint", err)
+	}
+}
+
+// TestReadShardRefusesLatencyCountMismatch: a record whose latency samples
+// do not number its completed jobs is refused, naming the scenario. The
+// line is the golden stream's, with completed edited by hand; a reader
+// that did not compare the two would accept it.
+func TestReadShardRefusesLatencyCountMismatch(t *testing.T) {
+	raw := readGoldenStream(t)
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	rec, err := refUnmarshal(lines[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := fmt.Appendf(nil, `,"completed":%d,`, rec.Completed)
+	to := fmt.Appendf(nil, `,"completed":%d,`, rec.Completed+1)
+	lines[3] = bytes.Replace(lines[3], from, to, 1)
+	_, err = ReadShard(bytes.NewReader(bytes.Join(lines, nil)))
+	want := fmt.Sprintf("scenario %d carries %d latency samples for %d completed jobs", rec.ID, rec.Completed, rec.Completed+1)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("edited stream error = %v, want it to contain %q", err, want)
+	}
+	// The writer holds results to the same rule.
+	s, err := ReadShard(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Results[2].Completed++
+	sw, err := NewStreamWriter(io.Discard, StreamHeader{Config: s.Config, Total: s.Total, Lo: s.Lo, Hi: s.Hi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range s.Results[:2] {
+		if err := sw.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Append(s.Results[2]); err == nil || !strings.Contains(err.Error(), "latency samples") {
+		t.Errorf("writer error = %v, want a latency-count complaint", err)
 	}
 }
 
@@ -331,6 +373,16 @@ func FuzzResumeShard(f *testing.F) {
 	f.Add(raw[:len(raw)/2])
 	f.Add([]byte{})
 	f.Add([]byte("not json\n"))
+	// The first record with its latency runs edited: a resume must
+	// truncate there or refuse, never carry the record on.
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	first, err := refUnmarshal(lines[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, runs := range runVariants(first.Completed) {
+		f.Add(bytes.Join([][]byte{lines[0], withLatencies(f, lines[1], runs), lines[2]}, nil))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "shard.ndjson")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
