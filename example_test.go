@@ -1,7 +1,6 @@
 package emlrtm_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"maps"
@@ -485,37 +484,43 @@ func ExampleTrainPolicy() {
 	// base policy — on its training seed it only has to pick the right arm.
 }
 
-// ExampleFleetRunner_dropLatencies runs the same seeded fleet twice, once
-// carrying the raw per-job latency samples and once without them (the
-// fleetsim -nolat switch), and compares result size and latency stats.
-// Dropping samples is what makes million-scenario sweeps practical: the
-// per-scenario mean, p95 and max survive, and only the pooled group p95
-// degrades to the worst per-scenario p95.
+// ExampleFleetRunner_dropLatencies runs the same seeded fleet twice as a
+// one-shard stream file, once carrying the raw per-job latency samples and
+// once without them (the fleetsim -nolat switch), and compares stream size
+// and latency stats. Dropping samples buys a smaller stream at the cost of
+// an approximate pooled p95: the per-scenario mean, p95 and max survive,
+// but the group p95 degrades to the worst per-scenario p95. It buys no
+// aggregation memory, since Aggregate reads the kept samples in place.
 func ExampleFleetRunner_dropLatencies() {
 	const scenarios, seed = 48, 7
-	gen, err := emlrtm.NewFleetGenerator(emlrtm.FleetGeneratorConfig{Seed: seed})
+	cfg := emlrtm.FleetGeneratorConfig{Seed: seed}
+	dir, err := os.MkdirTemp("", "droplatencies")
 	if err != nil {
 		log.Fatal(err)
 	}
-	scens := gen.Generate(scenarios)
+	defer os.RemoveAll(dir)
 
-	run := func(drop bool) (emlrtm.FleetReport, int) {
+	run := func(drop bool) (emlrtm.FleetReport, int64) {
+		path := filepath.Join(dir, fmt.Sprintf("drop-%t.ndjson", drop))
 		runner := &emlrtm.FleetRunner{DropLatencies: drop}
-		results := runner.Run(scens)
-		b, err := json.Marshal(results)
+		shard, err := runner.ResumeShard(path, cfg, scenarios, 0, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return emlrtm.AggregateFleet(seed, results), len(b)
+		fi, err := os.Stat(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return emlrtm.AggregateFleet(seed, shard.Results), fi.Size()
 	}
 	repFull, fullBytes := run(false)
 	repLean, leanBytes := run(true)
 
 	fmt.Printf("fleet of %d scenarios (seed %d)\n\n", scenarios, seed)
-	fmt.Printf("%-18s %14s\n", "", "results JSON")
+	fmt.Printf("%-18s %14s\n", "", "shard stream")
 	fmt.Printf("%-18s %13.1fK\n", "with latencies", float64(fullBytes)/1024)
 	fmt.Printf("%-18s %13.1fK\n", "-nolat", float64(leanBytes)/1024)
-	fmt.Printf("\nresult payload shrinks %.1fx; per-scenario scalar stats survive:\n",
+	fmt.Printf("\nstream shrinks %.1fx; per-scenario scalar stats survive:\n",
 		float64(fullBytes)/float64(leanBytes))
 	fmt.Printf("  pooled  mean %.2f ms  p95 %6.2f ms  max %6.2f ms\n",
 		1000*repFull.Overall.MeanLatencyS, 1000*repFull.Overall.P95LatencyS,
@@ -526,11 +531,11 @@ func ExampleFleetRunner_dropLatencies() {
 	// Output:
 	// fleet of 48 scenarios (seed 7)
 	//
-	//                      results JSON
-	// with latencies            1573.6K
-	// -nolat                      23.8K
+	//                      shard stream
+	// with latencies             351.0K
+	// -nolat                      23.9K
 	//
-	// result payload shrinks 66.1x; per-scenario scalar stats survive:
+	// stream shrinks 14.7x; per-scenario scalar stats survive:
 	//   pooled  mean 20.28 ms  p95  87.62 ms  max 1307.82 ms
 	//   -nolat  mean 20.28 ms  p95 893.48 ms  max 1307.82 ms  (p95 approximated)
 }

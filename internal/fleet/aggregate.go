@@ -104,8 +104,11 @@ type Report struct {
 
 // group accumulates results before finalisation.
 type group struct {
-	stats     GroupStats
-	latencies []float64
+	stats GroupStats
+	// runs holds every kept result's ascending latency samples, shared
+	// with the result rather than copied; n counts them.
+	runs [][]float64
+	n    int
 	// latSum sums each result's MeanLatencyS × Completed, whether or not
 	// it kept its samples, so the group mean is the same in both modes.
 	latSum float64
@@ -155,7 +158,8 @@ func (g *group) add(r Result) {
 	g.latSum += r.MeanLatencyS * float64(r.Completed)
 	switch {
 	case len(r.Latencies) > 0:
-		g.latencies = append(g.latencies, r.Latencies...)
+		g.runs = append(g.runs, r.Latencies)
+		g.n += len(r.Latencies)
 	case r.Completed > 0:
 		// Latency samples were dropped at run time.
 		g.sampleFree = true
@@ -190,8 +194,7 @@ func (g *group) finalise() GroupStats {
 	if s.Completed > 0 {
 		s.MeanLatencyS = g.latSum / float64(s.Completed)
 	}
-	// The group owns its pooled copy, so selection may reorder it.
-	s.P95LatencyS = percentileSelect(g.latencies, 0.95)
+	s.P95LatencyS = percentileRuns(g.runs, g.n, 0.95)
 	if g.scalarP95 > s.P95LatencyS {
 		s.P95LatencyS = g.scalarP95
 	}
@@ -214,6 +217,13 @@ func Aggregate(seed uint64, results []Result) Report {
 	byClass := map[Class]*group{}
 	byPol := map[string]*group{}
 	for _, r := range results {
+		// runOne and the stream decoders publish samples ascending; only a
+		// hand-built result can hold another order. Sort that one into a
+		// copy, so the caller's slice is never reordered.
+		if !slices.IsSorted(r.Latencies) {
+			r.Latencies = slices.Clone(r.Latencies)
+			slices.Sort(r.Latencies)
+		}
 		overall.add(r)
 		if byPlat[r.Platform] == nil {
 			byPlat[r.Platform] = &group{}
@@ -282,6 +292,57 @@ func percentileSelect(samples []float64, p float64) float64 {
 	}
 	return selectKth(samples, nearestRank(len(samples), p))
 }
+
+// percentileRuns returns the nearest-rank p-quantile of the n samples
+// held across runs, each non-empty and ascending under cmp.Less (0 when
+// there are none). It reorders and truncates runs, the slice headers, but
+// never writes a sample.
+func percentileRuns(runs [][]float64, n int, p float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return kthOfRuns(runs, n, nearestRank(n, p))
+}
+
+// kthOfRuns returns the value slices.Sort would put at index k of the
+// concatenation of runs, n samples in all, every run non-empty. A max-heap
+// holds the runs by their largest remaining sample, and the n-1-k samples
+// above rank k leave from its top, in O((n-k)·log len(runs)).
+func kthOfRuns(runs [][]float64, n, k int) float64 {
+	h := runs
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftTail(h, i)
+	}
+	for above := n - 1 - k; above > 0; above-- {
+		h[0] = h[0][:len(h[0])-1]
+		if len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftTail(h, 0)
+	}
+	return last(h[0])
+}
+
+// siftTail restores the max-heap order of h by last sample below node i.
+func siftTail(h [][]float64, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && cmp.Less(last(h[c]), last(h[c+1])) {
+			c++
+		}
+		if !cmp.Less(last(h[i]), last(h[c])) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func last(r []float64) float64 { return r[len(r)-1] }
 
 // selectKth reorders a so that a[k] holds the value slices.Sort would put
 // there, and returns it: values order as cmp.Less orders them (NaNs

@@ -104,8 +104,8 @@ func TestPercentileNearestRankVsRoundHalfUp(t *testing.T) {
 // TestPercentileSelectMatchesSort pins the in-place selection path against
 // the copy-and-sort reference: for every table and quantile,
 // percentileSelect over a copy returns what sorting and indexing returns.
-// This is what lets group finalisation (and the runner's per-scenario
-// stats) select each pooled latency slice's p95 instead of sorting it.
+// This is what lets the runner select a run's p95 instead of sorting it
+// when the samples are dropped.
 func TestPercentileSelectMatchesSort(t *testing.T) {
 	tables := map[string][]float64{
 		"empty":      nil,
@@ -174,6 +174,118 @@ func TestSelectKthMatchesSort(t *testing.T) {
 			slices.SortFunc(a, cmp.Compare[float64])
 			if !slices.EqualFunc(a, want, func(x, y float64) bool { return cmp.Compare(x, y) == 0 }) {
 				t.Fatalf("%s: selectKth(k=%d) did not permute its input", name, k)
+			}
+		}
+	}
+}
+
+// TestPercentileRunsMatchesSort: selecting across a group's ascending runs
+// returns what percentile returns over their concatenation, for every
+// rank of the hand-built groups and for p ∈ {0, 0.5, 0.95, 1} of random
+// groups of 1–300 runs, and never writes a sample. Values compare with
+// cmp.Compare, so -0 and +0 are interchangeable and NaNs sort first.
+func TestPercentileRunsMatchesSort(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negz := math.Copysign(0, -1)
+	groups := map[string][][]float64{
+		"none":       nil,
+		"one run":    {{0.01, 0.02, 0.02, 0.03, 0.5}},
+		"singletons": {{3}, {1}, {4}, {1}, {5}, {9}, {2}, {6}},
+		"long ties":  {{1, 2, 2, 2, 2, 2}, {2, 2, 2, 2, 2, 3}, {2, 2, 2}, {0, 2, 2, 2, 2, 2, 2, 2, 4}},
+		"all equal":  {{7, 7, 7}, {7}, {7, 7, 7, 7, 7}},
+		"zeros":      {{-1, negz, 0, negz, 0}, {negz, negz}, {0, 0, 1}, {negz}},
+		"nans":       {{nan, nan, -inf, 1}, {nan}, {nan, 2, inf}, {-inf, inf, inf}},
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range 40 {
+		runs := make([][]float64, 1+rng.IntN(300))
+		for j := range runs {
+			r := make([]float64, 1+rng.IntN(40))
+			for k := range r {
+				if i%2 == 0 {
+					r[k] = float64(rng.IntN(6)) // heavy ties across runs
+				} else {
+					r[k] = rng.ExpFloat64()
+				}
+			}
+			slices.Sort(r)
+			runs[j] = r
+		}
+		groups[fmt.Sprintf("random/%d", i)] = runs
+	}
+	same := func(x, y float64) bool { return cmp.Compare(x, y) == 0 }
+	bitsOf := func(runs [][]float64) [][]uint64 {
+		out := make([][]uint64, len(runs))
+		for i, r := range runs {
+			for _, v := range r {
+				out[i] = append(out[i], math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	for name, runs := range groups {
+		concat := slices.Concat(runs...)
+		want := slices.Clone(concat)
+		slices.Sort(want)
+		before := bitsOf(runs)
+		for _, p := range []float64{0, 0.5, 0.95, 1} {
+			if got, ref := percentileRuns(slices.Clone(runs), len(concat), p), percentile(concat, p); !same(got, ref) {
+				t.Errorf("%s: percentileRuns(p=%g) = %g, percentile gives %g", name, p, got, ref)
+			}
+		}
+		if len(concat) <= 64 {
+			for k := range concat {
+				if got := kthOfRuns(slices.Clone(runs), len(concat), k); !same(got, want[k]) {
+					t.Errorf("%s: kthOfRuns(k=%d) = %g, slices.Sort gives %g", name, k, got, want[k])
+				}
+			}
+		}
+		if !slices.EqualFunc(bitsOf(runs), before, slices.Equal[[]uint64]) {
+			t.Errorf("%s: selection wrote a sample", name)
+		}
+	}
+}
+
+// TestAggregateUnsortedLatencies: Aggregate takes hand-built results whose
+// samples descend or are shuffled, reports the same bytes as for the
+// ascending samples runOne publishes, and leaves the caller's slices as
+// they were.
+func TestAggregateUnsortedLatencies(t *testing.T) {
+	gen, err := NewGenerator(GeneratorConfig{
+		Seed:      5,
+		Platforms: []string{"odroid-xu3", "jetson-nano"},
+		Policies:  []string{"heuristic", "maxaccuracy", "minenergy"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted := (&Runner{Workers: 2}).Run(gen.Generate(gen.RunCount(8)))
+	want, err := json.Marshal(Aggregate(5, sorted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(5, 6))
+	for order, reorder := range map[string]func([]float64){
+		"descending": slices.Reverse[[]float64],
+		"shuffled":   func(s []float64) { rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] }) },
+	} {
+		results := slices.Clone(sorted)
+		var given [][]float64
+		for i := range results {
+			results[i].Latencies = slices.Clone(results[i].Latencies)
+			reorder(results[i].Latencies)
+			given = append(given, slices.Clone(results[i].Latencies))
+		}
+		got, err := json.Marshal(Aggregate(5, results))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s latencies: report differs from the ascending one:\n got %s\nwant %s", order, got, want)
+		}
+		for i, r := range results {
+			if !slices.Equal(r.Latencies, given[i]) {
+				t.Fatalf("%s latencies: Aggregate reordered result %d's samples", order, i)
 			}
 		}
 	}

@@ -282,7 +282,8 @@ func TestResolvePolicies(t *testing.T) {
 
 // percentile returns the p-quantile (nearest-rank) of the samples by
 // sorting a copy. It is the test reference: production code selects the
-// same rank in place through percentileSelect.
+// same rank across a group's ascending runs through percentileRuns, and
+// in place through percentileSelect for a run whose samples are dropped.
 func percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
 		return 0

@@ -6,8 +6,9 @@
 //
 // Every row measures the workload a fleet run pays for: scenarios sampled
 // across the whole platform catalog, the flagship SoC hosting
-// sim.BenchApps at the fleet's tick, and single-policy odroid-xu3 records
-// for the shard stream.
+// sim.BenchApps at the fleet's tick, single-policy odroid-xu3 records
+// for the shard stream, and an odroid-xu3 and jetson-nano policy sweep
+// with latencies kept for aggregation.
 package hotbench
 
 import (
@@ -63,7 +64,9 @@ func Rows() []Row {
 	for _, name := range rtm.Policies() {
 		rows = append(rows, Row{"policy-plan/" + name, policyPlan(name)})
 	}
-	return append(rows, Row{"stream-append", streamAppend}, Row{"stream-read", streamRead}, Row{"generate", generate})
+	return append(rows,
+		Row{"stream-append", streamAppend}, Row{"stream-read", streamRead},
+		Row{"aggregate", aggregate}, Row{"generate", generate})
 }
 
 // engineRun is the steady-state engine cost a fleet worker pays per
@@ -269,6 +272,28 @@ func streamRead(tb testing.TB) func() {
 		}
 		if err != nil {
 			tb.Fatal(err)
+		}
+	}
+}
+
+// aggregate is fleet.Aggregate over the results of 64 odroid-xu3 and
+// jetson-nano workloads, each run under three policies with latencies
+// kept: the shape a shard-roundtrip merge folds, 192 runs of a few
+// hundred samples each.
+func aggregate(tb testing.TB) func() {
+	cfg := fleet.GeneratorConfig{
+		Seed:      1,
+		Platforms: []string{"odroid-xu3", "jetson-nano"},
+		Policies:  []string{"heuristic", "maxaccuracy", "minenergy"},
+	}
+	gen, err := fleet.NewGenerator(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results := (&fleet.Runner{Workers: 1}).Run(gen.Generate(gen.RunCount(64)))
+	return func() {
+		if rep := fleet.Aggregate(cfg.Seed, results); rep.Overall.Scenarios != len(results) {
+			tb.Fatal("short report")
 		}
 	}
 }
