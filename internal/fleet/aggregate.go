@@ -428,8 +428,13 @@ type workloadKey struct {
 // accumulation per policy) is deterministic whenever the results order is.
 // Returns nil when no workload was run under more than one policy.
 func regret(results []Result) map[string]RegretStats {
+	// run is the part of a Result regret reads.
+	type run struct {
+		policy       string
+		miss, energy float64
+	}
 	type wl struct {
-		runs    []Result
+		runs    []run
 		errored bool
 	}
 	var order []workloadKey
@@ -446,7 +451,7 @@ func regret(results []Result) map[string]RegretStats {
 			g.errored = true
 			continue
 		}
-		g.runs = append(g.runs, r)
+		g.runs = append(g.runs, run{r.Policy, missRate(r), r.EnergyMJ})
 	}
 	type acc struct {
 		workloads int
@@ -462,31 +467,29 @@ func regret(results []Result) map[string]RegretStats {
 		}
 		// Per-metric oracle values, plus the combined oracle (min miss
 		// rate, energy breaking ties) for win counting.
-		bestMiss, bestEnergy := missRate(g.runs[0]), g.runs[0].EnergyMJ
+		bestMiss, bestEnergy := g.runs[0].miss, g.runs[0].energy
 		winMiss, winEnergy := bestMiss, bestEnergy
 		for _, r := range g.runs[1:] {
-			m := missRate(r)
-			if m < bestMiss {
-				bestMiss = m
+			if r.miss < bestMiss {
+				bestMiss = r.miss
 			}
-			if r.EnergyMJ < bestEnergy {
-				bestEnergy = r.EnergyMJ
+			if r.energy < bestEnergy {
+				bestEnergy = r.energy
 			}
-			if m < winMiss || (m == winMiss && r.EnergyMJ < winEnergy) {
-				winMiss, winEnergy = m, r.EnergyMJ
+			if r.miss < winMiss || (r.miss == winMiss && r.energy < winEnergy) {
+				winMiss, winEnergy = r.miss, r.energy
 			}
 		}
 		for _, r := range g.runs {
-			a := accs[r.Policy]
+			a := accs[r.policy]
 			if a == nil {
 				a = &acc{}
-				accs[r.Policy] = a
+				accs[r.policy] = a
 			}
-			m := missRate(r)
 			a.workloads++
-			a.missSum += m - bestMiss
-			a.energySum += r.EnergyMJ - bestEnergy
-			if m == winMiss && r.EnergyMJ == winEnergy {
+			a.missSum += r.miss - bestMiss
+			a.energySum += r.energy - bestEnergy
+			if r.miss == winMiss && r.energy == winEnergy {
 				a.wins++
 			}
 		}

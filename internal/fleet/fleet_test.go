@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/emlrtm/emlrtm/internal/rtm"
+	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
 // TestGeneratorDeterministic: the same seed must generate the same
@@ -33,45 +36,90 @@ func TestGeneratorDeterministic(t *testing.T) {
 
 // TestGenerateRangeConcurrent: one Generator serves concurrent
 // GenerateRange calls over overlapping ranges, each equal to the
-// sequential Generate, and the platform envelopes those calls share
-// never leak into a scenario: writing to one scenario's profile levels
-// leaves every other scenario, and later generations, as they were.
+// sequential Generate. Under two and three policies, ranges start at
+// every run of a workload, so a range's first run is sometimes a later
+// policy run of its workload, which the range samples afresh.
 func TestGenerateRangeConcurrent(t *testing.T) {
-	gen, err := NewGenerator(GeneratorConfig{Seed: 9, Policies: []string{"heuristic", "minenergy"}})
+	for _, pols := range [][]string{{"heuristic", "minenergy"}, {"heuristic", "maxaccuracy", "minenergy"}} {
+		gen, err := NewGenerator(GeneratorConfig{Seed: 9, Policies: pols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := withoutClosures(gen.Generate(96))
+		ranges := [][2]int{{0, 64}, {16, 80}, {32, 96}, {8, 88}, {1, 65}, {17, 96}, {31, 32}, {5, 7}, {95, 96}}
+		got := make([][]Scenario, len(ranges))
+		var wg sync.WaitGroup
+		for i, r := range ranges {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = gen.GenerateRange(r[0], r[1])
+			}()
+		}
+		wg.Wait()
+		for i, r := range ranges {
+			if !reflect.DeepEqual(withoutClosures(got[i]), want[r[0]:r[1]]) {
+				t.Errorf("%d policies: GenerateRange(%d, %d) run concurrently differs from Generate(96)[%d:%d]",
+					len(pols), r[0], r[1], r[0], r[1])
+			}
+		}
+	}
+}
+
+// TestGenerateRangeUnaliased: no two runs of a range, and no run and the
+// generator, share memory. A workload's later policy runs are copies of
+// its first, and every DNN's profile levels come from the platform
+// envelope the generator keeps; writing to every slice and map of one
+// run (apps, profile levels, requirements, actions and faults) must
+// leave every other run of its range, and later generations, as they
+// were.
+func TestGenerateRangeUnaliased(t *testing.T) {
+	cfg := GeneratorConfig{
+		Seed:     9,
+		Classes:  []Class{ClassMixed, ClassThermal, ClassChurn, ClassFaulty},
+		Policies: []string{"heuristic", "maxaccuracy", "minenergy"},
+	}
+	gen, err := NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := withoutClosures(gen.Generate(96))
-	ranges := [][2]int{{0, 64}, {16, 80}, {32, 96}, {8, 88}}
-	got := make([][]Scenario, len(ranges))
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = gen.GenerateRange(r[0], r[1])
-		}()
-	}
-	wg.Wait()
-	for i, r := range ranges {
-		if !reflect.DeepEqual(withoutClosures(got[i]), want[r[0]:r[1]]) {
-			t.Errorf("GenerateRange(%d, %d) run concurrently differs from Generate(96)[%d:%d]", r[0], r[1], r[0], r[1])
+	const lo, hi = 2, 38 // starts at a workload's last policy run
+	want := withoutClosures(gen.GenerateRange(lo, hi))
+	var acts, faults int
+	for j := range hi - lo {
+		got := gen.GenerateRange(lo, hi)
+		sc := &got[j].Script
+		for i := range sc.Apps {
+			sc.Apps[i].PeriodS = -1
+			for l := range sc.Apps[i].Profile.Levels {
+				sc.Apps[i].Profile.Levels[l].Accuracy = -1
+			}
+		}
+		sc.Apps = append(sc.Apps, sim.App{Name: "scribble"})
+		for name := range sc.Reqs {
+			sc.Reqs[name] = rtm.Requirement{Priority: -1}
+		}
+		sc.Reqs["scribble"] = rtm.Requirement{}
+		for i := range sc.Actions {
+			sc.Actions[i].AtS = -1
+			acts++
+		}
+		for i := range sc.Faults {
+			sc.Faults[i].FailS = -1
+			faults++
+		}
+		got = withoutClosures(got)
+		for k := range got {
+			if k != j && !reflect.DeepEqual(got[k], want[k]) {
+				t.Fatalf("writing run %d of GenerateRange(%d, %d) changed run %d", lo+j, lo, hi, lo+k)
+			}
 		}
 	}
-
-	// Scenarios 0 and 1 are one workload under two policies, so they
-	// sample the same profile.
-	a, b := got[0][0].Script.Apps[0].Profile, got[0][1].Script.Apps[0].Profile
-	if a.Name != b.Name {
-		t.Fatalf("scenarios 0 and 1 carry profiles %q and %q", a.Name, b.Name)
+	if acts == 0 || faults == 0 {
+		t.Fatalf("the range wrote %d actions and %d faults; want some of each", acts, faults)
 	}
-	orig := b.Levels[0].Accuracy
-	a.Levels[0].Accuracy = -1
-	if b.Levels[0].Accuracy != orig {
-		t.Error("writing scenario 0's profile levels changed scenario 1's")
-	}
-	if acc := gen.GenerateRange(0, 1)[0].Script.Apps[0].Profile.Levels[0].Accuracy; acc != orig {
-		t.Errorf("writing a scenario's profile levels reached the generator: regenerated accuracy %g, want %g", acc, orig)
+	if !reflect.DeepEqual(withoutClosures(gen.GenerateRange(lo, hi)), want) {
+		t.Error("writing generated runs reached the generator: a later generation differs")
 	}
 }
 

@@ -3,6 +3,7 @@ package fleet
 import (
 	"cmp"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -86,12 +87,24 @@ func RunOne(s Scenario) Result {
 
 // worker is the run state one fleet worker reuses across its whole
 // scenario stream: the workload stack (engine, manager, controller) Reset
-// in place between scenarios, and one build of each catalog platform it
-// has run. Nothing in the engine, manager or policies writes to a
-// Platform, so a platform is built once per worker, not once per run.
+// in place between scenarios, one build of each catalog platform it has
+// run, and Train's exploration RNG. Nothing in the engine, manager or
+// policies writes to a Platform, so a platform is built once per worker,
+// not once per run.
 type worker struct {
 	stack workload.Stack
 	plats map[string]*hw.Platform
+	rng   *rand.Rand
+}
+
+// reseed returns the worker's RNG seeded with seed. Re-seeding one source
+// draws exactly what a new source with that seed would.
+func (w *worker) reseed(seed int64) *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(new(rngSource))
+	}
+	w.rng.Seed(seed)
+	return w.rng
 }
 
 // platform returns the worker's build of the named catalog platform, or

@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -225,14 +226,19 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 	if hi < lo {
 		hi = lo
 	}
-	// One RNG serves the whole range, re-seeded per scenario. Its source
-	// is rngSource, math/rand's generator with a faster Seed: reseeding
-	// it is state-identical to constructing rand.NewSource with the same
+	// One RNG serves the whole range, re-seeded per workload. Its source
+	// is rngSource, math/rand's generator with a lazy Seed: reseeding it
+	// is output-identical to constructing rand.NewSource with the same
 	// seed, so neither batching the setup nor the fork moves a single
-	// sampled byte.
+	// sampled byte. A workload's later policy runs copy its first run in
+	// the range instead of sampling it again.
 	rng := rand.New(new(rngSource))
 	out := make([]Scenario, 0, hi-lo)
 	for i := lo; i < hi; i++ {
+		if i > lo && i%len(g.policies) != 0 {
+			out = append(out, g.rerun(&out[len(out)-1], i))
+			continue
+		}
 		out = append(out, g.generateOne(i, rng))
 	}
 	return out
@@ -241,8 +247,8 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 	// With P swept policies, run id carries workload id/P under policy
 	// id%P: the workload RNG seeds off the *workload* index, so the same
-	// script is regenerated bit-identically for every policy it runs
-	// under — that is what makes per-policy aggregates comparable.
+	// script is sampled bit-identically for every policy it runs under —
+	// that is what makes per-policy aggregates comparable.
 	wl := id / len(g.policies)
 	policy := g.policies[id%len(g.policies)]
 	seed := scenarioSeed(g.cfg.Seed, wl)
@@ -261,6 +267,32 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 	s.Script = g.script(rng, class, g.catalog[platName], &g.envs[pi])
 	s.Script.Name = fmt.Sprintf("%s-%s-%04d", class, platName, wl)
 	s.Script.Policy = policy
+	return s
+}
+
+// rerun returns run id, which carries the workload of prev, the run before
+// it, under its own policy. It is what generateOne would sample: a deep
+// copy of prev, sharing no slice or map with it, whose DNNs share one
+// fresh copy of the profile levels, as script gives them.
+func (g *Generator) rerun(prev *Scenario, id int) Scenario {
+	s := *prev
+	s.ID = id
+	s.Policy = g.policies[id%len(g.policies)]
+	sc := &s.Script
+	sc.Policy = s.Policy
+	sc.Apps = slices.Clone(sc.Apps)
+	var levels []perf.LevelSpec
+	for i := range sc.Apps {
+		if p := &sc.Apps[i].Profile; p.Levels != nil {
+			if levels == nil {
+				levels = slices.Clone(p.Levels)
+			}
+			p.Levels = levels
+		}
+	}
+	sc.Reqs = maps.Clone(sc.Reqs)
+	sc.Actions = slices.Clone(sc.Actions)
+	sc.Faults = slices.Clone(sc.Faults)
 	return s
 }
 
@@ -336,6 +368,13 @@ func sampleDuration(rng *rand.Rand) float64 {
 	return minDurationS + rng.Float64()*(maxDurationS-minDurationS)
 }
 
+// dnnNames and burstNames name a scenario's DNNs and background bursts;
+// their lengths are the largest counts script samples.
+var (
+	dnnNames   = [...]string{"dnn1", "dnn2", "dnn3"}
+	burstNames = [...]string{"burst1", "burst2"}
+)
+
 // script builds the class-specific workload timeline on plat, whose
 // envelope is e. It copies e's profile levels once for all the
 // scenario's DNNs, so no other scenario, and not e, shares them.
@@ -343,16 +382,13 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 	prof := e.prof
 	prof.Levels = slices.Clone(prof.Levels)
 	endS := sampleDuration(rng)
+	nDNN := 1 + rng.Intn(len(dnnNames))
 	sc := workload.Scenario{
 		EndS: endS,
-		Reqs: map[string]rtm.Requirement{},
+		Apps: make([]sim.App, 0, nDNN),
+		Reqs: make(map[string]rtm.Requirement, nDNN),
 	}
-
-	nDNN := 1 + rng.Intn(3)
-	var dnnNames []string
-	for i := 0; i < nDNN; i++ {
-		name := fmt.Sprintf("dnn%d", i+1)
-		dnnNames = append(dnnNames, name)
+	for i, name := range dnnNames[:nDNN] {
 		host := plat.Cluster(e.dnnHosts[rng.Intn(len(e.dnnHosts))])
 		cores := host.Cores
 		if !host.Type.IsAccelerator() {
@@ -398,12 +434,12 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 			})
 		}
 	case ClassBursty:
-		nBurst := 1 + rng.Intn(2)
+		nBurst := 1 + rng.Intn(len(burstNames))
 		for i := 0; i < nBurst && len(e.cpuHosts) > 0; i++ {
 			host := e.cpuHosts[rng.Intn(len(e.cpuHosts))]
 			start := rng.Float64() * endS * 0.6
 			sc.Apps = append(sc.Apps, sim.App{
-				Name:      fmt.Sprintf("burst%d", i+1),
+				Name:      burstNames[i],
 				Kind:      sim.KindBackground,
 				Util:      0.6 + 0.4*rng.Float64(),
 				StartS:    start,
@@ -450,7 +486,7 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 		}
 	case ClassChurn:
 		// Mid-run requirement change on one DNN, as in Fig 2 t=25.
-		target := dnnNames[rng.Intn(len(dnnNames))]
+		target := dnnNames[rng.Intn(nDNN)]
 		newReq := pickRequirement(rng, e)
 		sc.Actions = append(sc.Actions, workload.Action{
 			AtS:  (0.4 + 0.3*rng.Float64()) * endS,

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"github.com/emlrtm/emlrtm/internal/rtm"
@@ -204,7 +203,7 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		runs := make([]trainRun, len(scenarios))
 		if err := trainAll(cfg.Workers, runs, func(wl int, w *worker) trainRun {
-			rng := rand.New(newSource(int64(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl)))))
+			rng := w.reseed(int64(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl))))
 			return trainOne(cfg, scenarios[wl], func(key string) int {
 				if arm := greedyArm(table, key); arm >= 0 && rng.Float64() >= cfg.Epsilon {
 					return arm

@@ -47,10 +47,10 @@ func (r Row) Bench(b *testing.B) {
 }
 
 // Rows returns the table, with one policy-plan row per registered policy.
-// generate comes last. Placed first, the garbage it leaves made the
-// collector add a stray allocation to engine-run's -benchtime 1x reading
-// in 18 of 40 gate runs; placed last, the gate's 1x check misfires no
-// more often than it did without the row.
+// The generation rows come last. Placed first, the garbage generate
+// left made the collector add a stray allocation to engine-run's
+// -benchtime 1x reading in 18 of 40 gate runs; placed last, the gate's
+// 1x check misfires no more often than it did without the row.
 //
 //detlint:allow deadexport the allocs gate and this package's benchmarks share the harness from their tests
 func Rows() []Row {
@@ -66,7 +66,8 @@ func Rows() []Row {
 	}
 	return append(rows,
 		Row{"stream-append", streamAppend}, Row{"stream-read", streamRead},
-		Row{"aggregate", aggregate}, Row{"generate", generate})
+		Row{"aggregate", aggregate}, Row{"generate", generate()},
+		Row{"generate-policies", generate("heuristic", "maxaccuracy", "minenergy")})
 }
 
 // engineRun is the steady-state engine cost a fleet worker pays per
@@ -299,16 +300,21 @@ func aggregate(tb testing.TB) func() {
 }
 
 // generate is scenario sampling: GenerateRange over the same 64
-// single-policy scenarios on every op, drawn from every catalog platform
-// and class, so allocs/op is exact.
-func generate(tb testing.TB) func() {
-	gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return func() {
-		if len(gen.GenerateRange(0, 64)) != 64 {
-			tb.Fatal("short range")
+// workloads on every op, drawn from every catalog platform and class, so
+// allocs/op is exact. Each workload runs under every policy in pols, back
+// to back (the default heuristic alone when pols is empty), and a
+// workload's later policy runs are copies of its first.
+func generate(pols ...string) func(tb testing.TB) func() {
+	return func(tb testing.TB) func() {
+		gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Policies: pols})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n := gen.RunCount(64)
+		return func() {
+			if len(gen.GenerateRange(0, n)) != n {
+				tb.Fatal("short range")
+			}
 		}
 	}
 }
