@@ -1,24 +1,43 @@
 package dyndnn
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/dataset"
 )
 
-// trainedTiny returns a briefly trained quick model with its dataset (one
-// per test run; training takes ~1s at this scale).
+// tiny is the briefly trained quick model the autoscaler tests share, with
+// its dataset. Training it takes seconds, so it is trained once, on first
+// use; err is what training returned.
+var tiny struct {
+	once sync.Once
+	m    *Model
+	ds   *dataset.Dataset
+	err  error
+}
+
+// trainedTiny returns the shared trained model and its dataset. The tests
+// only read the weights; the level a test sets is restored when it ends.
 func trainedTiny(t *testing.T) (*Model, *dataset.Dataset) {
 	t.Helper()
-	m := tinyModel(t)
-	ds := dataset.MustGenerate(miniData())
-	tc := QuickTrainConfig()
-	tc.EpochsPerStep = 3
-	tc.LR = 0.05
-	if _, err := m.TrainIncremental(ds, tc); err != nil {
-		t.Fatal(err)
+	tiny.once.Do(func() {
+		m, err := New(QuickConfig())
+		if err == nil {
+			tc := QuickTrainConfig()
+			tc.EpochsPerStep = 3
+			tc.LR = 0.05
+			tiny.ds = dataset.MustGenerate(miniData())
+			_, err = m.TrainIncremental(tiny.ds, tc)
+		}
+		tiny.m, tiny.err = m, err
+	})
+	if tiny.err != nil {
+		t.Fatal(tiny.err)
 	}
-	return m, ds
+	level := tiny.m.Level()
+	t.Cleanup(func() { tiny.m.SetLevel(level) })
+	return tiny.m, tiny.ds
 }
 
 func TestAutoScalerValidate(t *testing.T) {

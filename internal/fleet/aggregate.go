@@ -106,9 +106,12 @@ type Report struct {
 type group struct {
 	stats GroupStats
 	// runs holds every kept result's ascending latency samples, shared
-	// with the result rather than copied; n counts them.
+	// with the result rather than copied; n counts them. kept is how many
+	// runs Aggregate counted for the group before the fold, so runs is
+	// allocated once, at its final size.
 	runs [][]float64
 	n    int
+	kept int
 	// latSum sums each result's MeanLatencyS × Completed, whether or not
 	// it kept its samples, so the group mean is the same in both modes.
 	latSum float64
@@ -158,6 +161,9 @@ func (g *group) add(r Result) {
 	g.latSum += r.MeanLatencyS * float64(r.Completed)
 	switch {
 	case len(r.Latencies) > 0:
+		if g.runs == nil {
+			g.runs = make([][]float64, 0, g.kept)
+		}
 		g.runs = append(g.runs, r.Latencies)
 		g.n += len(r.Latencies)
 	case r.Completed > 0:
@@ -216,6 +222,18 @@ func Aggregate(seed uint64, results []Result) Report {
 	byPlat := map[string]*group{}
 	byClass := map[Class]*group{}
 	byPol := map[string]*group{}
+	// A first pass creates every group and counts the runs whose samples
+	// it will keep.
+	for _, r := range results {
+		kept := 0
+		if r.Err == "" && len(r.Latencies) > 0 {
+			kept = 1
+		}
+		overall.kept += kept
+		groupFor(byPlat, r.Platform).kept += kept
+		groupFor(byClass, r.Class).kept += kept
+		groupFor(byPol, r.Policy).kept += kept
+	}
 	for _, r := range results {
 		// runOne and the stream decoders publish samples ascending; only a
 		// hand-built result can hold another order. Sort that one into a
@@ -225,17 +243,8 @@ func Aggregate(seed uint64, results []Result) Report {
 			slices.Sort(r.Latencies)
 		}
 		overall.add(r)
-		if byPlat[r.Platform] == nil {
-			byPlat[r.Platform] = &group{}
-		}
 		byPlat[r.Platform].add(r)
-		if byClass[r.Class] == nil {
-			byClass[r.Class] = &group{}
-		}
 		byClass[r.Class].add(r)
-		if byPol[r.Policy] == nil {
-			byPol[r.Policy] = &group{}
-		}
 		byPol[r.Policy].add(r)
 	}
 	rep := Report{
@@ -264,6 +273,16 @@ func Aggregate(seed uint64, results []Result) Report {
 		rep.Regret = regret(results)
 	}
 	return rep
+}
+
+// groupFor returns m's group for k, creating it if there is none.
+func groupFor[K comparable](m map[K]*group, k K) *group {
+	g := m[k]
+	if g == nil {
+		g = &group{}
+		m[k] = g
+	}
+	return g
 }
 
 // nearestRank returns the 0-based index of the p-quantile of n sorted

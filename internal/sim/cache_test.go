@@ -392,8 +392,8 @@ func TestLoaderTouchEndsCompanionDowntime(t *testing.T) {
 }
 
 // epochProbe samples PlanEpoch mid-run and performs the knob steps at
-// fixed ticks, all within a single Run (hStart events are re-pushed per
-// Run call, so incremental Runs would re-fire starts and muddy the test).
+// fixed ticks, all within a single Run (a split Run would see the same
+// events: prime arms each start once per Reset).
 type epochProbe struct {
 	t          *testing.T
 	atQuiet    uint64 // epoch at t≈2, after dnn1+bg started

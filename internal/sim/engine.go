@@ -1,14 +1,18 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 )
 
 // hKind enumerates internal scheduler events (a superset of the observable
-// Event kinds): first the kinds the heap holds, then the timer kinds.
+// Event kinds): first the kinds held in the lifecycle list and the release
+// and tick slots, then the timer kinds.
 type hKind uint8
 
 const (
@@ -21,9 +25,19 @@ const (
 	hThermal
 )
 
-// hevent is one scheduled event. app is the index into Engine.appList
-// (-1 for app-less events): the hot loop never touches the name-keyed app
+// hevent is one pending event. app is the index into Engine.appList (-1
+// for app-less events): the hot loop never touches the name-keyed app
 // map.
+//
+// No event queue holds them. Every pending event sits in a fixed place:
+// each app's start and stop in Engine.lifecycle, known when prime runs and
+// walked in order; its next frame release in its release slot
+// (appState.relSeq), since an app has at most one pending at a time; the
+// controller tick in the engine's tick slot; and the events re-derived as
+// the state moves — each app's completion or unblock and the throttle
+// alarm — in timer slots (appState.completionSeq, Engine.thermalEvSeq).
+// Arming an event writes its slot, so a superseded timer never fires, and
+// next scans the slots for the earliest.
 type hevent struct {
 	t    float64
 	seq  int64
@@ -31,114 +45,63 @@ type hevent struct {
 	app  int32
 }
 
-// eventHeap is a typed, index-based binary min-heap of scheduler events
-// ordered by (t, seq). It holds only entries that are always handled:
-// starts, stops, releases and ticks. The events that get re-derived as the
-// state moves — each app's completion or unblock and the throttle alarm —
-// are timers held in place instead (appState.completionSeq,
-// Engine.thermalEvSeq), so re-arming one overwrites it and a superseded
-// one never fires. push and pop sift inline over the backing
-// array and keep it when the heap drains, so the steady-state simulation
-// loop does no heap allocations — unlike container/heap, whose interface
-// boxes every pushed element through `any`.
-type eventHeap []hevent
-
-// before is the heap order: earliest time first, insertion sequence as the
-// tie-break (so simultaneous events pop in schedule order).
-func (h eventHeap) before(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push inserts an event, reusing the slice's spare capacity.
+// precedes is the engine's event order: it reports whether an event due at
+// t, armed with seq, comes before ev; timer says whether the event is a
+// timer. Earlier time comes first. At one instant every timer comes before
+// every other event, and within each of the two the smaller seq — the
+// event armed first — comes first. So a job whose latency equals its
+// period exactly completes on time before its next frame is released, and
+// that frame starts a new job instead of being dropped.
 //
-//detlint:hotpath
-func (h *eventHeap) push(ev hevent) {
-	s := append(*h, ev)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.before(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+// Event times are never NaN: Reset rejects non-finite app times, and every
+// other time is a finite one plus a span that is never negative, if
+// perhaps infinite. So a time neither before nor after ev's equals it.
+func precedes(t float64, seq int64, timer bool, ev hevent) bool {
+	switch {
+	case t < ev.t:
+		return true
+	case t > ev.t:
+		return false
+	case timer != (ev.kind >= hComplete):
+		return timer
 	}
-	*h = s
+	return seq < ev.seq
 }
 
-// pop removes and returns the minimum event. The backing array is kept for
-// future pushes.
-//
-//detlint:hotpath
-func (h *eventHeap) pop() hevent {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && s.before(r, child) {
-			child = r
-		}
-		if !s.before(child, i) {
-			break
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
-	return top
-}
-
-func (e *Engine) push(t float64, kind hKind, app int32) int64 {
-	e.seq++
-	e.events.push(hevent{t: t, seq: e.seq, kind: kind, app: app})
-	return e.seq
-}
-
-// next returns the earliest pending event without removing it: the heap
-// top, an armed completion or unblock timer or the armed throttle alarm,
-// whichever comes first (see precedes). ok is false when nothing is
-// pending.
+// next returns the earliest pending event without consuming it: the
+// lifecycle list's head, the tick, an armed release slot, an armed
+// completion or unblock timer or the armed throttle alarm, whichever comes
+// first (see precedes). ok is false when nothing is pending.
 //
 //detlint:hotpath
 func (e *Engine) next() (ev hevent, ok bool) {
-	if len(e.events) > 0 {
-		ev, ok = e.events[0], true
+	ev = hevent{t: math.Inf(1)}
+	if e.cursor < len(e.lifecycle) {
+		ev = e.lifecycle[e.cursor]
+	}
+	if e.tickSeq != 0 && precedes(e.tickT, e.tickSeq, false, ev) {
+		ev = hevent{t: e.tickT, seq: e.tickSeq, kind: hTick, app: -1}
 	}
 	for _, a := range e.appList {
-		if a.completionSeq != 0 && (!ok || precedes(a.completionEst, a.completionSeq, ev)) {
-			ev, ok = hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx}, true
+		if a.Kind != KindDNN {
+			continue // only DNN apps have frames and jobs
+		}
+		if a.relSeq != 0 && precedes(a.relT, a.relSeq, false, ev) {
+			ev = hevent{t: a.relT, seq: a.relSeq, kind: hRelease, app: a.idx}
+		}
+		if a.completionSeq != 0 && precedes(a.completionEst, a.completionSeq, true, ev) {
+			ev = hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx}
 		}
 	}
-	if e.thermalEvSeq != 0 && (!ok || precedes(e.thermalEst, e.thermalEvSeq, ev)) {
-		ev, ok = hevent{t: e.thermalEst, seq: e.thermalEvSeq, kind: hThermal, app: -1}, true
+	if e.thermalEvSeq != 0 && precedes(e.thermalEst, e.thermalEvSeq, true, ev) {
+		ev = hevent{t: e.thermalEst, seq: e.thermalEvSeq, kind: hThermal, app: -1}
 	}
-	return ev, ok
-}
-
-// precedes reports whether a timer due at t, armed with sequence seq, comes
-// before ev. Earlier time comes first. At one instant every timer comes
-// before every heap entry, and timers come in the order they were armed
-// (heap entries keep eventHeap's (t, seq) order among themselves). So a
-// job whose latency equals its period exactly completes on time before
-// its next frame is released, and that frame starts a new job instead of
-// being dropped.
-func precedes(t float64, seq int64, ev hevent) bool {
-	return t < ev.t || t == ev.t && (ev.kind < hComplete || seq < ev.seq)
+	return ev, ev.seq != 0
 }
 
 // Run executes the simulation until endS seconds. Calling Run again with a
 // later end continues from the accumulated state (derived values, stats, the
-// events queued past the previous end and all): Run(a) then Run(b) covers
+// events armed past the previous end and all): Run(a) then Run(b) covers
 // exactly the events a single Run(b) would. The rtm tests use this to
 // extend a managed run; use Reset to rewind to the pristine state a fresh
 // New would build.
@@ -158,27 +121,41 @@ func (e *Engine) Run(endS float64) error {
 	return nil
 }
 
-// prime queues the events every run starts from — each app's start and
-// stop and the first controller tick — and opens the first thermal window.
-// It runs once per Reset; a continued Run finds them queued already.
+// prime arms the events every run starts from and opens the first thermal
+// window. Each app's start and stop are appended to the lifecycle list in
+// app order, so their seqs rise along it, and sorted by time once,
+// stably, so the list runs in (t, seq) order; the first controller tick
+// goes into the tick slot. It runs once per Reset; a continued Run finds
+// them armed already.
 func (e *Engine) prime() {
 	e.primed = true
 	for _, a := range e.appList {
-		e.push(a.StartS, hStart, a.idx)
+		e.seq++
+		e.lifecycle = append(e.lifecycle, hevent{t: a.StartS, seq: e.seq, kind: hStart, app: a.idx})
 		if a.StopS > 0 {
-			e.push(a.StopS, hStop, a.idx)
+			e.seq++
+			e.lifecycle = append(e.lifecycle, hevent{t: a.StopS, seq: e.seq, kind: hStop, app: a.idx})
 		}
 	}
+	slices.SortStableFunc(e.lifecycle, func(x, y hevent) int { return cmp.Compare(x.t, y.t) })
 	if e.tickS > 0 && e.ctrl != nil {
-		e.push(e.tickS, hTick, -1)
+		e.armTick(e.tickS)
 	}
 	e.syncThermal()
 }
 
+// armTick arms the tick slot at t.
+func (e *Engine) armTick(t float64) {
+	e.seq++
+	e.tickT, e.tickSeq = t, e.seq
+}
+
 // step handles the earliest pending event (see next) if it falls at or
 // before endS and reports whether there was one; an event past endS stays
-// pending for a later Run. A heap entry is popped; a timer stays in its
-// slot, and handle disarms it.
+// pending for a later Run. step consumes a start or stop by advancing the
+// lifecycle cursor and a release or tick by clearing its slot, before
+// handle may arm the next one; a timer stays in its slot, and handle
+// disarms it.
 //
 //detlint:hotpath
 func (e *Engine) step(endS float64) bool {
@@ -186,8 +163,13 @@ func (e *Engine) step(endS float64) bool {
 	if !ok || ev.t > endS {
 		return false
 	}
-	if ev.kind < hComplete {
-		e.events.pop()
+	switch ev.kind {
+	case hStart, hStop:
+		e.cursor++
+	case hRelease:
+		e.appList[ev.app].relSeq = 0
+	case hTick:
+		e.tickSeq = 0
 	}
 	e.advanceTo(ev.t)
 	e.handle(ev)
@@ -408,7 +390,7 @@ func (e *Engine) handle(ev hevent) {
 	case hTick:
 		if e.ctrl != nil {
 			e.ctrl.OnTick(e)
-			e.push(e.now+e.tickS, hTick, -1)
+			e.armTick(e.now + e.tickS)
 		}
 	case hThermal:
 		// The alarm is armed only at the open window's upward throttle
@@ -420,14 +402,16 @@ func (e *Engine) handle(ev hevent) {
 	}
 }
 
-// release starts a new job (or drops the frame if one is running) and
-// schedules the next release.
+// release starts a new job (or drops the frame if one is running, or
+// aborts it if the app is unhosted) and arms the app's release slot with
+// the next frame, if that falls before the app stops.
 func (e *Engine) release(a *appState) {
 	a.released++
 	if e.offline > 0 {
 		e.degReleased++
 	}
-	if !a.placedCS.online {
+	switch {
+	case !a.placedCS.online:
 		// The app is unhosted: its cluster died and no replan has moved it
 		// yet. The frame aborts immediately — there is no hardware to run
 		// it on. Per-app it counts as aborted (not dropped); in the
@@ -436,19 +420,13 @@ func (e *Engine) release(a *appState) {
 		a.aborted++
 		e.degDropped++
 		e.emit(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Unhosted: true})
-		next := e.now + a.PeriodS
-		if a.StopS == 0 || next < a.StopS {
-			e.push(next, hRelease, a.idx)
-		}
-		return
-	}
-	if a.jobActive {
+	case a.jobActive:
 		a.dropped++
 		if e.offline > 0 {
 			e.degDropped++
 		}
 		e.emit(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name})
-	} else {
+	default:
 		a.jobActive = true
 		a.jobReleaseS = e.now
 		a.jobRemaining = a.jobMACs
@@ -463,9 +441,9 @@ func (e *Engine) release(a *appState) {
 		}
 		a.anchorS, a.anchorRate = e.now, rate
 	}
-	next := e.now + a.PeriodS
-	if a.StopS == 0 || next < a.StopS {
-		e.push(next, hRelease, a.idx)
+	if next := e.now + a.PeriodS; a.StopS == 0 || next < a.StopS {
+		e.seq++
+		a.relT, a.relSeq = next, e.seq
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -43,13 +44,63 @@ func (c *stressCtrl) OnEvent(e *Engine, ev Event) {
 	c.reads++
 }
 
+// armedEvents collects every event the engine has armed: the lifecycle
+// list from the cursor on, the tick, each app's release slot and timer,
+// and the throttle alarm.
+func armedEvents(e *Engine) []hevent {
+	armed := slices.Clone(e.lifecycle[e.cursor:])
+	if e.tickSeq != 0 {
+		armed = append(armed, hevent{t: e.tickT, seq: e.tickSeq, kind: hTick, app: -1})
+	}
+	for _, a := range e.appList {
+		if a.relSeq != 0 {
+			armed = append(armed, hevent{t: a.relT, seq: a.relSeq, kind: hRelease, app: a.idx})
+		}
+		if a.completionSeq != 0 {
+			armed = append(armed, hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx})
+		}
+	}
+	if e.thermalEvSeq != 0 {
+		armed = append(armed, hevent{t: e.thermalEst, seq: e.thermalEvSeq, kind: hThermal, app: -1})
+	}
+	return armed
+}
+
+// refEventOrder is the documented event order, written apart from
+// precedes: by time, then timers (completions, unblocks, the alarm)
+// ahead of starts, stops, releases and ticks, then by seq.
+func refEventOrder(x, y hevent) int {
+	class := func(ev hevent) int {
+		switch ev.kind {
+		case hComplete, hUnblock, hThermal:
+			return 0
+		}
+		return 1
+	}
+	switch {
+	case x.t < y.t:
+		return -1
+	case x.t > y.t:
+		return 1
+	case class(x) != class(y):
+		return class(x) - class(y)
+	case x.seq < y.seq:
+		return -1
+	case x.seq > y.seq:
+		return 1
+	}
+	return 0
+}
+
 // TestEngineInvariants steps flagship runs one event at a time, through the
-// same earliest-event selection step uses, and checks after every event
-// that:
+// same earliest-event selection step uses, and checks before every event
+// that next picks the first of every armed event sorted by refEventOrder,
+// and after every event that:
 //   - the clock moved to the event's time;
-//   - the heap holds no completion, unblock or alarm entry (those are
-//     timers held in place) and at most a start or a release and a stop
-//     per app plus the tick, so superseded events cannot pile up in it;
+//   - the lifecycle list from the cursor on holds only starts and stops,
+//     in (t, seq) order, no armed event is due before the clock and no
+//     two share a seq;
+//   - no app that has stopped has its release slot armed;
 //   - a thermal window that closed ended at the temperature the closed form
 //     gives from where it started, and the next one starts there;
 //   - the open window's power is the platform's total power;
@@ -58,28 +109,44 @@ func (c *stressCtrl) OnEvent(e *Engine, ev Event) {
 // elapsed. The stress run drives thermal load, a fault, migrations and DVFS
 // changes; the hot run is the BenchApps load at 58 °C under a no-op
 // controller ticking every 0.1 s, which re-derives the throttle alarm at
-// every power change on its way up to the trip point.
+// every power change on its way up to the trip point; the churn run is the
+// hot run with the apps starting and stopping out of app order, two starts
+// and a stop due at one instant and two stops at another.
 func TestEngineInvariants(t *testing.T) {
 	hot := hw.FlagshipSoC()
 	hot.AmbientC = 58
+	churn := BenchApps()
+	for i, life := range [][2]float64{{1, 17}, {0.5, 15}, {0, 1}, {1, 0}, {0.25, 15}} {
+		churn[i].StartS, churn[i].StopS = life[0], life[1]
+	}
 	for _, tc := range []struct {
-		name string
-		plat *hw.Platform
-		ctrl Controller
-		endS float64
+		name  string
+		plat  *hw.Platform
+		apps  []App
+		ctrl  Controller
+		endS  float64
+		stops int
 	}{
-		{"stress", hw.FlagshipSoC(), &stressCtrl{done: map[float64]bool{}}, 16},
-		{"hot", hot, &boundaryCtrl{}, 20},
+		{"stress", hw.FlagshipSoC(), BenchApps(), &stressCtrl{done: map[float64]bool{}}, 16, 0},
+		{"hot", hot, BenchApps(), &boundaryCtrl{}, 20, 0},
+		{"churn", hot, churn, &boundaryCtrl{}, 20, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := mustEngine(t, Config{Platform: tc.plat, Apps: BenchApps(), Controller: tc.ctrl, TickS: 0.1, LogEvents: true})
-			maxQueued := 2*len(e.appList) + 1
+			e := mustEngine(t, Config{Platform: tc.plat, Apps: tc.apps, Controller: tc.ctrl, TickS: 0.1, LogEvents: true})
 			slots := make([]int64, len(e.appList))
 
 			e.prime()
 			var windows, completionRearms, alarmRearms int
 			for {
 				ev, ok := e.next()
+				armed := armedEvents(e)
+				slices.SortFunc(armed, refEventOrder)
+				switch {
+				case len(armed) == 0 && ok:
+					t.Fatalf("at %gs nothing is armed, next returned %+v", e.now, ev)
+				case len(armed) > 0 && (!ok || ev != armed[0]):
+					t.Fatalf("at %gs next returned %+v (ok %v), the earliest armed event is %+v", e.now, ev, ok, armed[0])
+				}
 				if !ok || ev.t > tc.endS {
 					break
 				}
@@ -100,13 +167,26 @@ func TestEngineInvariants(t *testing.T) {
 				if e.now != ev.t {
 					t.Fatalf("%v event at %g left the clock at %g", ev.kind, ev.t, e.now)
 				}
-				for _, q := range e.events {
-					if q.kind >= hComplete {
-						t.Fatalf("at %gs the heap holds a %v entry due at %g", e.now, q.kind, q.t)
+				rest := e.lifecycle[e.cursor:]
+				for i, q := range rest {
+					if q.kind != hStart && q.kind != hStop {
+						t.Fatalf("at %gs the lifecycle list holds a %v entry due at %g", e.now, q.kind, q.t)
+					}
+					if i > 0 && (q.t < rest[i-1].t || q.t == rest[i-1].t && q.seq < rest[i-1].seq) {
+						t.Fatalf("at %gs the lifecycle list holds %+v after %+v", e.now, q, rest[i-1])
 					}
 				}
-				if len(e.events) > maxQueued {
-					t.Fatalf("at %gs the heap holds %d entries, want at most %d", e.now, len(e.events), maxQueued)
+				seqs := map[int64]bool{}
+				for _, q := range armedEvents(e) {
+					if q.t < e.now || seqs[q.seq] {
+						t.Fatalf("at %gs %+v is armed (due before the clock, or its seq repeats)", e.now, q)
+					}
+					seqs[q.seq] = true
+				}
+				for _, a := range e.appList {
+					if a.stopped && a.relSeq != 0 {
+						t.Fatalf("at %gs %s has stopped with a release armed at %g", e.now, a.Name, a.relT)
+					}
 				}
 				for i, a := range e.appList {
 					if slots[i] != 0 && a.completionSeq != 0 && a.completionKind == hComplete && a.completionSeq != slots[i] {
@@ -135,14 +215,17 @@ func TestEngineInvariants(t *testing.T) {
 				t.Errorf("%gs above throttle and %gs above critical in a %gs run", rep.OverThrottleS, rep.OverCriticalS, rep.DurationS)
 			}
 			// The run must reach what the invariants are about.
-			var alarms int
+			var alarms, stops int
 			for _, ev := range rep.Events {
-				if ev.Kind == EvThermalAlarm {
+				switch ev.Kind {
+				case EvThermalAlarm:
 					alarms++
+				case EvAppStop:
+					stops++
 				}
 			}
-			if alarmRearms == 0 || windows == 0 || alarms == 0 {
-				t.Fatalf("run too tame: %d alarm re-arms, %d windows, %d alarms", alarmRearms, windows, alarms)
+			if alarmRearms == 0 || windows == 0 || alarms == 0 || stops != tc.stops {
+				t.Fatalf("run too tame: %d alarm re-arms, %d windows, %d alarms, %d stops (want %d)", alarmRearms, windows, alarms, stops, tc.stops)
 			}
 			if ctrl, ok := tc.ctrl.(*stressCtrl); ok && (completionRearms == 0 || alarms < 2 || rep.ClusterFails == 0 ||
 				rep.Migrations < 2 || rep.OverCriticalS == 0 || ctrl.reads == 0) {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRunContinues: Run(5) then Run(10) covers exactly the events a single
-// Run(10) does — the events queued past the first end are neither dropped
-// nor queued twice — with and without a ticking controller.
+// Run(10) does — the events armed past the first end are neither dropped
+// nor handled twice — with and without a ticking controller.
 func TestRunContinues(t *testing.T) {
 	for _, c := range []struct {
 		name  string

@@ -25,8 +25,8 @@
 //
 // Events at one instant run in this order: first the timers (job
 // completions, ends of migration downtime and the throttle alarm) in the
-// order they were armed, then the queued starts, stops, releases and
-// ticks in the order they were queued. A job whose latency equals its
+// order they were armed, then the starts, stops, releases and ticks in
+// the order they were armed. A job whose latency equals its
 // period exactly therefore completes on time, and the frame released at
 // that instant starts a new job rather than being dropped.
 package sim
@@ -223,11 +223,17 @@ type appState struct {
 
 	// The app's timer: completionSeq is its seq (0 for none), completionEst
 	// its time and completionKind hComplete for the job's completion or
-	// hUnblock for the end of migration downtime. The heap never holds
-	// either; re-arming overwrites the slot in place.
+	// hUnblock for the end of migration downtime. Re-arming overwrites the
+	// slot in place.
 	completionSeq  int64
 	completionEst  float64
 	completionKind hKind
+
+	// The app's release slot: its next frame is due at relT, armed with
+	// seq relSeq (0 for none). A release arms the next one, so there is
+	// never more than one.
+	relT   float64
+	relSeq int64
 
 	blockedUntil float64 // migration downtime
 
@@ -354,13 +360,18 @@ type Engine struct {
 	ctrl  Controller
 	tickS float64
 
-	now          float64
-	primed       bool      // start, stop and first tick events queued (once per Reset)
-	events       eventHeap // start, stop, release and tick entries
-	seq          int64     // last seq handed to a heap entry or an armed timer
-	thermalEvSeq int64     // seq of the armed throttle alarm timer (0: none); never in the heap
-	thermalEst   float64   // time that alarm is due
-	alarmed      bool      // throttle alarm latched until temperature drops below
+	now    float64
+	primed bool  // starts, stops and the first tick armed (once per Reset)
+	seq    int64 // last seq handed to an armed event
+	// lifecycle holds every app's start and stop in (t, seq) order, sorted
+	// once by prime; the entries before cursor have been handled.
+	lifecycle    []hevent
+	cursor       int
+	tickT        float64 // time the next controller tick is due
+	tickSeq      int64   // seq of that tick (0: none armed)
+	thermalEvSeq int64   // seq of the armed throttle alarm timer (0: none)
+	thermalEst   float64 // time that alarm is due
+	alarmed      bool    // throttle alarm latched until temperature drops below
 
 	maxTempC    float64
 	overThrotS  float64 // time spent above throttle
@@ -438,7 +449,7 @@ func New(cfg Config) (*Engine, error) {
 }
 
 // Reset rewinds the engine to the pristine pre-Run state New would build
-// for cfg, reusing the existing backing storage: the event heap, the
+// for cfg, reusing the existing backing storage: the lifecycle list, the
 // per-app and per-cluster state stores, the name-lookup maps and the event
 // log all keep their capacity, so a worker replaying a stream of scenarios
 // through one engine runs allocation-free once the stores have grown to
@@ -465,6 +476,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.logLatencies = cfg.LogLatencies
 
 	e.now, e.primed, e.seq = 0, false, 0
+	e.cursor, e.tickSeq = 0, 0
 	e.winT0C, e.winT0S, e.winPowerW, e.powerDirty = cfg.Platform.AmbientC, 0, 0, true
 	e.thermalDirty = true
 	e.thermalEvSeq, e.thermalEst, e.alarmed = 0, 0, false
@@ -552,13 +564,13 @@ func (e *Engine) Reset(cfg Config) error {
 		e.derive(cs)
 	}
 
-	// Size the event queue for the steady state (a handful of pending
-	// events per app) and the event log for a realistic run, so the hot
-	// loop reaches zero-allocation push/pop and amortised emit quickly.
-	if want := 16 + 4*len(e.appList); cap(e.events) < want {
-		e.events = make(eventHeap, 0, want)
+	// Size the lifecycle list for every app's start and stop, and the
+	// event log for a realistic run, so prime never grows the list and the
+	// hot loop reaches amortised emit quickly.
+	if want := 2 * len(e.appList); cap(e.lifecycle) < want {
+		e.lifecycle = make([]hevent, 0, want)
 	}
-	e.events = e.events[:0]
+	e.lifecycle = e.lifecycle[:0]
 	if e.logEvents && e.eventLog == nil {
 		e.eventLog = make([]Event, 0, 512)
 	}
@@ -602,8 +614,8 @@ func (e *Engine) validateApp(a App) error {
 	if !cl.Type.IsAccelerator() && a.Placement.Cores < 1 {
 		return fmt.Errorf("sim: app %q needs >= 1 core on CPU cluster", a.Name)
 	}
-	// A NaN start or period would never order in the event heap (Run
-	// would spin forever), and a NaN or infinite one would carry into
+	// A NaN start or period would never order among the pending events
+	// (Run would spin forever), and a NaN or infinite one would carry into
 	// every energy and temperature integral.
 	if !finite(a.StartS) || !finite(a.StopS) {
 		return fmt.Errorf("sim: app %q start %f and stop %f must be finite", a.Name, a.StartS, a.StopS)
