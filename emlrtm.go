@@ -159,12 +159,12 @@ type (
 	SimSnapshot = sim.Snapshot
 
 	// Manager is the paper's runtime resource manager (Fig 5): the
-	// actuation shell around a pluggable planning Policy.
+	// actuation shell around a pluggable planning Policy. Its
+	// KnobsAndMonitors method names the knobs it turns and the monitors
+	// it reads.
 	Manager = rtm.Manager
 	// Requirement is an application's demands on the manager.
 	Requirement = rtm.Requirement
-	// Registry is the knob/monitor namespace of the Fig 5 architecture.
-	Registry = rtm.Registry
 	// Policy is a pluggable planning strategy: a pure function from a
 	// read-only View to one Assignment per running DNN.
 	Policy = rtm.Policy

@@ -205,9 +205,9 @@ func ExampleRunScenario() {
 	}
 
 	// The Fig 5 interface: what the manager actually turned.
-	reg := mgr.Registry()
-	fmt.Printf("\nknobs:    %v\n", reg.KnobNames(""))
-	fmt.Printf("monitors: %v\n", reg.MonitorNames(""))
+	knobs, monitors := mgr.KnobsAndMonitors()
+	fmt.Printf("\nknobs:    %v\n", knobs)
+	fmt.Printf("monitors: %v\n", monitors)
 	// Output:
 	// simulated 35s; 11 plans, 5 migrations, max temp 65.0°C (throttle 65°C)
 	//

@@ -56,10 +56,7 @@ func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 		ManagedReport:  e.Report(),
 		BaselineReport: be.Report(),
 	}
-	if reg := mgr.Registry(); reg != nil {
-		res.Knobs = reg.KnobNames("")
-		res.Monitors = reg.MonitorNames("")
-	}
+	res.Knobs, res.Monitors = mgr.KnobsAndMonitors()
 	res.Table = trace.NewTable("Fig 5 — closed-loop control through a background burst (Odroid XU3)",
 		"Controller", "Frames", "Completed", "Missed", "Dropped", "Bad (%)", "Avg latency (ms)", "Energy (mJ)")
 	add := func(name string, a sim.AppInfo, rep sim.Report) {

@@ -36,14 +36,6 @@ type fingerprinted interface {
 	dynFingerprint(e *sim.Engine, m *Manager) uint64
 }
 
-// epochKeyed is embedded by built-in policies whose Plan reads only the
-// canonical View fields (requirements, platform, DynBudgetMW, cluster
-// availability, per-app identity/placement/level/profile): it declares an
-// empty dynamic fingerprint, opting the policy into elision.
-type epochKeyed struct{}
-
-func (epochKeyed) dynFingerprint(*sim.Engine, *Manager) uint64 { return 0 }
-
 // planFingerprint is the elision key: comparable, cheap to build, and
 // covering every input Replan feeds the policy — the engine's planning
 // epoch, the manager's requirement and policy versions, the thermal

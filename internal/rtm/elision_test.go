@@ -172,24 +172,24 @@ func TestReplanElisionSavesPolicyCalls(t *testing.T) {
 }
 
 // countingHeuristic wraps the heuristic with an invocation counter. It
-// embeds epochKeyed, so it participates in elision exactly like the real
-// built-in.
-type countingHeuristic struct {
-	epochKeyed
-	calls int
-	inner heuristicPolicy
+// takes the heuristic's dynamic fingerprint, so it participates in elision
+// exactly like the real built-in.
+type countingHeuristic struct{ calls int }
+
+func (p *countingHeuristic) dynFingerprint(e *sim.Engine, m *Manager) uint64 {
+	return heuristicPolicy.dynFingerprint(e, m)
 }
 
 func (p *countingHeuristic) Name() string { return "counting-heuristic" }
 
 func (p *countingHeuristic) Plan(v View) []Assignment {
 	p.calls++
-	return p.inner.Plan(v)
+	return heuristicPolicy.Plan(v)
 }
 
 func (p *countingHeuristic) planInto(v *View, sc *planScratch) []Assignment {
 	p.calls++
-	return p.inner.planInto(v, sc)
+	return heuristicPolicy.planInto(v, sc)
 }
 
 // TestThirdPartyPolicyNeverReused: a policy outside this package's sealed
@@ -213,7 +213,7 @@ type externalPolicy struct{}
 func (externalPolicy) Name() string { return "external" }
 
 func (externalPolicy) Plan(v View) []Assignment {
-	return heuristicPolicy{}.Plan(v)
+	return heuristicPolicy.Plan(v)
 }
 
 // TestMissReplanBackoff is the table-driven contract for the

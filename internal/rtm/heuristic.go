@@ -2,9 +2,11 @@ package rtm
 
 import "github.com/emlrtm/emlrtm/internal/sim"
 
-// heuristicPolicy is the paper's runtime manager strategy, extracted
-// verbatim from the pre-policy Manager (the fleet golden report pins it
-// byte-for-byte).
+// heuristicAssign is the paper's runtime manager strategy (the
+// "heuristic" built-in), extracted verbatim from the pre-policy Manager
+// (the fleet golden report pins it byte-for-byte). It finds the best
+// operating point for one app given the ledger, and commits the
+// resources.
 //
 // Per app, in priority order:
 //
@@ -22,24 +24,7 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 //
 // DVFS pacing: within a feasible point the lowest OPP meeting the budget
 // wins — pacing beats race-to-idle under a CV²f power model (contrast
-// minEnergyPolicy, which races).
-type heuristicPolicy struct{ epochKeyed }
-
-// Name implements Policy.
-func (heuristicPolicy) Name() string { return "heuristic" }
-
-// Plan implements Policy.
-func (heuristicPolicy) Plan(v View) []Assignment {
-	return pooledPlan(&v, heuristicAssign)
-}
-
-// planInto implements scratchPlanner: the Manager's allocation-free path.
-func (heuristicPolicy) planInto(v *View, sc *planScratch) []Assignment {
-	return planWith(v, sc, heuristicAssign)
-}
-
-// heuristicAssign finds the best operating point for one app given the
-// ledger, and commits the resources.
+// minEnergyAssign, which races).
 func heuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
 	req := v.req(a)
 	minLevel := minLevelMeeting(a, req.MinAccuracy)

@@ -1,8 +1,19 @@
+// Package rtm implements the paper's runtime-management layer (Section V,
+// Fig 5): a PRiME-style three-layer architecture in which applications and
+// devices expose *knobs* (adjustable parameters) and *monitors* (observable
+// metrics), and a runtime manager closes the loop between application
+// requirements and device constraints.
+//
+// Knobs implemented: the dynamic-DNN configuration level (application
+// knob), task mapping and per-cluster DVFS (device knobs). Monitors:
+// frame latency / miss counts / accuracy and confidence (application),
+// temperature and power (device).
 package rtm
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
@@ -73,13 +84,12 @@ type Manager struct {
 
 	policy       Policy
 	eng          *sim.Engine // the engine the last Replan ran against
-	registry     *Registry   // built by Registry on first use
 	pressure     int
 	misses       int
 	pending      bool
 	plans        int
 	last         []Assignment // the last actuated plan; white-box tests read it
-	lastView     View
+	lastView     View         // aliases snap and viewReqs; LastView clones it
 	lastMissPlan float64
 
 	// Fault-replan state: faultPending marks an open fault burst (recovery
@@ -138,7 +148,7 @@ func NewManager(reqs map[string]Requirement) *Manager {
 // Reset returns the manager to the state NewManager(reqs) builds: the
 // default heuristic policy, no Logf, no thermal pressure, no
 // miss, fault, recovery or plan history, no elision fingerprint and no
-// registry. Only the replan scratch buffers survive, so a caller running
+// engine. Only the replan scratch buffers survive, so a caller running
 // scenario after scenario on one manager (a fleet worker) replans without
 // regrowing them; a Reset manager plans exactly as a new one does.
 func (m *Manager) Reset(reqs map[string]Requirement) {
@@ -151,15 +161,12 @@ func (m *Manager) Reset(reqs map[string]Requirement) {
 	for k, v := range reqs {
 		r[k] = v
 	}
-	lv := m.lastView
-	clear(lv.Reqs)
 	*m = Manager{
 		reqs:          r,
 		lastFaultPlan: math.Inf(-1),
-		policy:        heuristicPolicy{},
+		policy:        heuristicPolicy,
 
 		last:         m.last[:0],
-		lastView:     View{Apps: lv.Apps[:0], Clusters: lv.Clusters[:0], Reqs: lv.Reqs},
 		recoveries:   m.recoveries[:0],
 		degradedUsed: m.degradedUsed,
 		snap:         m.snap,
@@ -218,26 +225,34 @@ func (m *Manager) PlanStats() PlanStats {
 // value at plan time) cannot reach manager or engine state through it.
 func (m *Manager) LastView() View { return m.lastView.Clone() }
 
-// Registry returns the knob/monitor registry of the engine the manager
-// last planned against (nil before the first plan). It is built on the
-// first call, not by planning. It names the interface; policies never see
-// it — they plan over the read-only View, and the manager actuates the
-// engine directly.
-func (m *Manager) Registry() *Registry {
-	if m.registry == nil && m.eng != nil {
-		m.registry = m.buildRegistry(m.eng)
+// KnobsAndMonitors names, sorted, the Fig 5 interface of the engine the
+// manager last planned against: each DNN's level knob (app.<dnn>.level)
+// and accuracy and latency monitors, each cluster's DVFS knob
+// (dev.<cluster>.opp), and the platform's power and temperature monitors.
+// Both lists are nil before the first plan. Policies never see the names:
+// they plan over the read-only View, and the manager actuates the engine
+// directly.
+func (m *Manager) KnobsAndMonitors() (knobs, monitors []string) {
+	if m.eng == nil {
+		return nil, nil
 	}
-	return m.registry
+	for _, a := range m.eng.Apps() {
+		if a.Kind == sim.KindDNN {
+			knobs = append(knobs, "app."+a.Name+".level")
+			monitors = append(monitors, "app."+a.Name+".accuracy", "app."+a.Name+".latency")
+		}
+	}
+	for _, cl := range m.eng.Platform().Clusters {
+		knobs = append(knobs, "dev."+cl.Name+".opp")
+	}
+	monitors = append(monitors, "dev.power", "dev.temperature")
+	slices.Sort(knobs)
+	slices.Sort(monitors)
+	return knobs, monitors
 }
 
 // Pressure returns the outstanding thermal pressure level.
 func (m *Manager) Pressure() int { return m.pressure }
-
-func (m *Manager) logf(format string, args ...any) {
-	if m.Logf != nil {
-		m.Logf(format, args...)
-	}
-}
 
 // OnTick implements sim.Controller.
 func (m *Manager) OnTick(e *sim.Engine) {
@@ -371,10 +386,9 @@ func (m *Manager) Replan(e *sim.Engine) {
 	m.misses = 0
 	m.plans++
 	if e != m.eng {
-		// A registry names one engine's knobs; Registry builds the
-		// next one for this engine on demand. Another engine's epoch
-		// says nothing about this one's, so the next replan plans fresh.
-		m.eng, m.registry, m.lastFPOK = e, nil, false
+		// Another engine's epoch says nothing about this one's, so the
+		// next replan plans fresh.
+		m.eng, m.lastFPOK = e, false
 	}
 
 	fp, fpOK := m.fingerprint(e)
@@ -399,14 +413,13 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// The last-resort degradation guarantee: a pure function of (view,
 	// plan) applied to whatever the policy returned.
 	m.applyDegradedFallback(&v, plan)
-	// Publish into manager-owned storage *before* any callback can run:
-	// plan aliases the policy scratch and v aliases the snapshot scratch,
-	// both of which the next replan rewrites in place — a Logf (or later
-	// OnTick) caller reading LastView must never observe a stale slice
-	// header over a rewritten backing array. Both copies reuse their
-	// destination buffers, so the hot path stays allocation-free.
+	// Publish before any callback can run. plan aliases the policy's
+	// scratch, which the next plan rewrites, so it is copied. v aliases
+	// the snapshot scratch, which only the next fresh replan rewrites, and
+	// that replan publishes its own view over it: the header is enough,
+	// and LastView clones on read.
 	m.last = append(m.last[:0], plan...)
-	v.CloneInto(&m.lastView)
+	m.lastView = v
 	if m.Logf != nil {
 		for _, asg := range plan {
 			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
@@ -467,7 +480,7 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 	// their current cores, DNNs occupy what the plan gives them. This is
 	// the capacity the engine will enforce at migration time, so pins that
 	// respect it actuate cleanly.
-	used := reuseInts(m.degradedUsed, len(v.Platform.Clusters))
+	used := reuse(m.degradedUsed, len(v.Platform.Clusters))
 	m.degradedUsed = used
 	for _, a := range v.Apps {
 		if a.Running && a.Kind != sim.KindDNN {
@@ -481,32 +494,40 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 			used[cj] += plan[i].Placement.Cores
 		}
 	}
+	// donate takes one core from the plan's largest allocation able to
+	// spare one: two cores or more on an online CPU cluster (cluster only,
+	// when only is not -1), entry skip excluded. Ties go to the earliest
+	// entry in plan order. It returns the donor's cluster index, or -1 when
+	// no entry qualifies.
+	donate := func(skip, only int) int {
+		donor, donorCl := -1, -1
+		for j := range plan {
+			cj := clusterIdx(plan[j].Placement.Cluster)
+			if j == skip || cj < 0 || (only >= 0 && cj != only) || !v.ClusterOnline(cj) ||
+				v.Platform.Clusters[cj].Type.IsAccelerator() || plan[j].Placement.Cores < 2 {
+				continue
+			}
+			if donor < 0 || plan[j].Placement.Cores > plan[donor].Placement.Cores {
+				donor, donorCl = j, cj
+			}
+		}
+		if donor >= 0 {
+			plan[donor].Placement.Cores--
+			used[donorCl]--
+		}
+		return donorCl
+	}
 	// Normalise over-committed CPU clusters: refugees from a dead cluster
 	// pile onto the survivors on top of apps parked at their pre-fault core
 	// counts, and a plan that books more cores than exist can never fully
 	// actuate — the engine rejects the move-ins and every retry regenerates
-	// the same dead-locked plan. Shrink the largest allocation (earliest in
-	// plan order on ties) one core at a time until the books balance or
-	// every seat is down to one core.
+	// the same dead-locked plan. Shrink the largest allocation one core at
+	// a time until the books balance or every seat is down to one core.
 	for cj, cl := range v.Platform.Clusters {
 		if cl.Type.IsAccelerator() || !v.ClusterOnline(cj) {
 			continue
 		}
-		for used[cj] > cl.Cores {
-			donor := -1
-			for j := range plan {
-				if clusterIdx(plan[j].Placement.Cluster) != cj || plan[j].Placement.Cores < 2 {
-					continue
-				}
-				if donor < 0 || plan[j].Placement.Cores > plan[donor].Placement.Cores {
-					donor = j
-				}
-			}
-			if donor < 0 {
-				break
-			}
-			plan[donor].Placement.Cores--
-			used[cj]--
+		for used[cj] > cl.Cores && donate(-1, cj) >= 0 {
 		}
 	}
 	for i := range plan {
@@ -551,24 +572,9 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 			}
 		}
 		// Donor pass: shrink the largest planned CPU allocation on an
-		// online cluster by one core (earliest in plan order on ties).
+		// online cluster by one core.
 		if best < 0 {
-			donor := -1
-			for j := range plan {
-				cj := clusterIdx(plan[j].Placement.Cluster)
-				if j == i || cj < 0 || !v.ClusterOnline(cj) ||
-					v.Platform.Clusters[cj].Type.IsAccelerator() || plan[j].Placement.Cores < 2 {
-					continue
-				}
-				if donor < 0 || plan[j].Placement.Cores > plan[donor].Placement.Cores {
-					donor = j
-				}
-			}
-			if donor >= 0 {
-				plan[donor].Placement.Cores--
-				best = clusterIdx(plan[donor].Placement.Cluster)
-				used[best]--
-			}
+			best = donate(i, -1)
 		}
 		if best < 0 {
 			continue
@@ -584,26 +590,13 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 	}
 }
 
-// reuseInts returns s with length n and zeroed contents, keeping the
-// backing array whenever it is large enough.
-func reuseInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // actuate applies the plan: level reductions first (to release
 // accelerator memory), then migrations, then level increases, then
 // per-cluster OPPs. The per-cluster DVFS floor is derived from the plan
 // itself (the highest OPP any assignment committed on the cluster) plus
 // the render pin, so actuation depends only on (view, plan) — not on
 // policy-internal ledgers. Actuation calls the engine directly; the
-// registry's knobs are the same actuators, offered to external tooling.
+// knobs KnobsAndMonitors names are these actuators.
 //
 //detlint:hotpath
 func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
@@ -708,42 +701,6 @@ func (m *Manager) setLevel(e *sim.Engine, app string, level int) {
 		//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
 		m.Logf("rtm: level %s=%d: %v", app, level, err)
 	}
-}
-
-// buildRegistry names the engine's apps' and clusters' knobs and
-// monitors in a registry — the concrete realisation of Fig 5.
-func (m *Manager) buildRegistry(e *sim.Engine) *Registry {
-	r := NewRegistry()
-	for _, a := range e.Apps() {
-		if a.Kind != sim.KindDNN {
-			continue
-		}
-		if _, err := r.RegisterKnob("app."+a.Name+".level", LayerApplication,
-			1, a.Profile.MaxLevel(), a.Level); err != nil {
-			m.logf("rtm: registry: %v", err)
-		}
-		for _, mon := range []struct{ name, unit string }{{"latency", "s"}, {"accuracy", "top1"}} {
-			if _, err := r.RegisterMonitor("app."+a.Name+"."+mon.name, LayerApplication, mon.unit); err != nil {
-				m.logf("rtm: registry: %v", err)
-			}
-		}
-	}
-	for _, cl := range e.Platform().Clusters {
-		info, err := e.Cluster(cl.Name)
-		if err != nil {
-			continue
-		}
-		if _, err := r.RegisterKnob("dev."+cl.Name+".opp", LayerDevice,
-			0, len(cl.OPPs)-1, info.OPPIndex); err != nil {
-			m.logf("rtm: registry: %v", err)
-		}
-	}
-	for _, mon := range []struct{ name, unit string }{{"temperature", "C"}, {"power", "mW"}} {
-		if _, err := r.RegisterMonitor("dev."+mon.name, LayerDevice, mon.unit); err != nil {
-			m.logf("rtm: registry: %v", err)
-		}
-	}
-	return r
 }
 
 var _ sim.Controller = (*Manager)(nil)

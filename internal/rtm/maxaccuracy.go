@@ -2,29 +2,15 @@ package rtm
 
 import "github.com/emlrtm/emlrtm/internal/sim"
 
-// maxAccuracyPolicy runs every DNN at the highest configuration that
-// still meets its deadline — energy-blind. It is the quality-first end of
-// the policy spectrum (Taylor et al.'s "most accurate model that fits the
-// budget" selection rule): accuracy floors are treated as soft minima to
-// exceed, not targets to hit cheaply, and within a placement the policy
-// clocks as fast as the thermal budget allows so the largest possible
-// level fits. Latency deadlines, accelerator duty/memory and the thermal
-// power budget still bind — the policy is aggressive, not unsafe.
-type maxAccuracyPolicy struct{ epochKeyed }
-
-// Name implements Policy.
-func (maxAccuracyPolicy) Name() string { return "maxaccuracy" }
-
-// Plan implements Policy.
-func (maxAccuracyPolicy) Plan(v View) []Assignment {
-	return pooledPlan(&v, maxAccuracyAssign)
-}
-
-// planInto implements scratchPlanner: the Manager's allocation-free path.
-func (maxAccuracyPolicy) planInto(v *View, sc *planScratch) []Assignment {
-	return planWith(v, sc, maxAccuracyAssign)
-}
-
+// maxAccuracyAssign (the "maxaccuracy" built-in) runs every DNN at the
+// highest configuration that still meets its deadline — energy-blind. It is
+// the quality-first end of the policy spectrum (Taylor et al.'s "most
+// accurate model that fits the budget" selection rule): accuracy floors are
+// treated as soft minima to exceed, not targets to hit cheaply, and within
+// a placement the policy clocks as fast as the thermal budget allows so the
+// largest possible level fits. Latency deadlines, accelerator duty/memory
+// and the thermal power budget still bind — the policy is aggressive, not
+// unsafe.
 func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
 	req := v.req(a)
 	// Pass 1: the highest feasible level, ranked accuracy-first. For each

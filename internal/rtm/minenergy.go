@@ -2,29 +2,15 @@ package rtm
 
 import "github.com/emlrtm/emlrtm/internal/sim"
 
-// minEnergyPolicy is the race-to-idle strategy: meet each requirement at
-// the minimal model level, always clocking the hosting cluster at its
-// maximum OPP so the job finishes as fast as possible and the cores spend
-// the rest of the frame idle. Among feasible race points it picks the one
-// with the least average dynamic power. It is the classic embedded
-// energy policy the paper's pacing heuristic argues against under a CV²f
-// power model — registering it makes that argument measurable: a fleet
-// sweep puts pacing and racing side by side on identical workloads.
-type minEnergyPolicy struct{ epochKeyed }
-
-// Name implements Policy.
-func (minEnergyPolicy) Name() string { return "minenergy" }
-
-// Plan implements Policy.
-func (minEnergyPolicy) Plan(v View) []Assignment {
-	return pooledPlan(&v, minEnergyAssign)
-}
-
-// planInto implements scratchPlanner: the Manager's allocation-free path.
-func (minEnergyPolicy) planInto(v *View, sc *planScratch) []Assignment {
-	return planWith(v, sc, minEnergyAssign)
-}
-
+// minEnergyAssign is the race-to-idle strategy (the "minenergy" built-in):
+// meet each requirement at the minimal model level, always clocking the
+// hosting cluster at its maximum OPP so the job finishes as fast as
+// possible and the cores spend the rest of the frame idle. Among feasible
+// race points it picks the one with the least average dynamic power. It is
+// the classic embedded energy policy the paper's pacing heuristic argues
+// against under a CV²f power model — registering it makes that argument
+// measurable: a fleet sweep puts pacing and racing side by side on
+// identical workloads.
 func minEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
 	req := v.req(a)
 	// Pass 1: minimal level meeting the accuracy floor, raced to idle.

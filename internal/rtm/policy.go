@@ -189,11 +189,45 @@ func NewPolicy(name string) (Policy, error) {
 		name, Policies(), LearnedParamPrefix)
 }
 
-func init() {
-	Register("heuristic", func() Policy { return heuristicPolicy{} })
-	Register("maxaccuracy", func() Policy { return maxAccuracyPolicy{} })
-	Register("minenergy", func() Policy { return minEnergyPolicy{} })
+// builtinPolicy is a greedy built-in policy: its assign step run over the
+// shared ledger (planWith) in planning order.
+type builtinPolicy struct {
+	name   string
+	assign assignFunc
 }
+
+// The built-in policies. Each is one immutable value that every factory
+// call and every Manager shares; Reset installs heuristicPolicy without
+// allocating.
+var (
+	heuristicPolicy   = &builtinPolicy{"heuristic", heuristicAssign}
+	maxAccuracyPolicy = &builtinPolicy{"maxaccuracy", maxAccuracyAssign}
+	minEnergyPolicy   = &builtinPolicy{"minenergy", minEnergyAssign}
+)
+
+func init() {
+	for _, p := range []*builtinPolicy{heuristicPolicy, maxAccuracyPolicy, minEnergyPolicy} {
+		Register(p.name, func() Policy { return p })
+	}
+}
+
+// Name implements Policy.
+func (p *builtinPolicy) Name() string { return p.name }
+
+// Plan implements Policy.
+func (p *builtinPolicy) Plan(v View) []Assignment { return pooledPlan(&v, p.assign) }
+
+// planInto implements scratchPlanner: the Manager's allocation-free path.
+func (p *builtinPolicy) planInto(v *View, sc *planScratch) []Assignment {
+	return planWith(v, sc, p.assign)
+}
+
+// dynFingerprint implements fingerprinted. A built-in reads only the
+// canonical View fields (requirements, platform, DynBudgetMW, cluster
+// availability, per-app identity/placement/level/profile), all covered by
+// the plan epoch and the manager's versions, so its dynamic part is empty
+// and its replans elide.
+func (*builtinPolicy) dynFingerprint(*sim.Engine, *Manager) uint64 { return 0 }
 
 // ---- Shared planning machinery ----
 //

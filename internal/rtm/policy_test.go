@@ -52,7 +52,7 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register("heuristic", func() Policy { return heuristicPolicy{} })
+	Register("heuristic", func() Policy { return heuristicPolicy })
 }
 
 func sortedStrings(s []string) bool {
@@ -267,7 +267,7 @@ type vandalPolicy struct{}
 
 func (vandalPolicy) Name() string { return "vandal" }
 func (vandalPolicy) Plan(v View) []Assignment {
-	plan := heuristicPolicy{}.Plan(v)
+	plan := heuristicPolicy.Plan(v)
 	for name := range v.Reqs {
 		v.Reqs[name] = Requirement{MaxLatencyS: 1e-9, MinAccuracy: 2, Priority: -1}
 	}

@@ -1,6 +1,7 @@
 package rtm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,48 +9,6 @@ import (
 	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
-
-func TestRegistryKnobLifecycle(t *testing.T) {
-	r := NewRegistry()
-	k, err := r.RegisterKnob("app.x.level", LayerApplication, 1, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.Name != "app.x.level" || k.Layer != LayerApplication || k.Min != 1 || k.Max != 4 {
-		t.Fatalf("knob = %+v", *k)
-	}
-	if _, err := r.RegisterKnob("app.x.level", LayerApplication, 1, 4, 1); err == nil {
-		t.Fatal("duplicate knob must be rejected")
-	}
-	if _, err := r.RegisterKnob("bad", LayerDevice, 3, 1, 2); err == nil {
-		t.Fatal("inverted range must be rejected")
-	}
-	if _, err := r.RegisterKnob("off", LayerDevice, 0, 3, 4); err == nil {
-		t.Fatal("initial value outside the range must be rejected")
-	}
-}
-
-func TestRegistryMonitorsAndNames(t *testing.T) {
-	r := NewRegistry()
-	if _, err := r.RegisterMonitor("dev.temp", LayerDevice, "C"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RegisterMonitor("app.lat", LayerApplication, "s"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RegisterMonitor("dev.temp", LayerDevice, "C"); err == nil {
-		t.Fatal("duplicate monitor must be rejected")
-	}
-	if names := r.MonitorNames(LayerDevice); len(names) != 1 || names[0] != "dev.temp" {
-		t.Fatalf("device monitors = %v", names)
-	}
-	if names := r.MonitorNames(""); strings.Join(names, ",") != "app.lat,dev.temp" {
-		t.Fatalf("monitors = %v", names)
-	}
-	if names := r.KnobNames(""); len(names) != 0 {
-		t.Fatalf("knobs = %v", names)
-	}
-}
 
 func TestGovernorDecisions(t *testing.T) {
 	if got := ondemandOPP(0.9, 3, 10); got != 9 {
@@ -236,9 +195,12 @@ func TestManagerReactsToThermalAlarm(t *testing.T) {
 	}
 }
 
-func TestManagerBuildsRegistry(t *testing.T) {
+func TestManagerNamesKnobsAndMonitors(t *testing.T) {
 	plat := hw.OdroidXU3()
 	mgr := NewManager(nil)
+	if knobs, monitors := mgr.KnobsAndMonitors(); knobs != nil || monitors != nil {
+		t.Fatalf("before the first plan: knobs %v, monitors %v, want none", knobs, monitors)
+	}
 	e, err := sim.New(sim.Config{
 		Platform:   plat,
 		Apps:       []sim.App{dnn("d", "a15", 4, 0.5)},
@@ -251,22 +213,71 @@ func TestManagerBuildsRegistry(t *testing.T) {
 	if err := e.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	reg := mgr.Registry()
-	if reg == nil {
-		t.Fatal("registry not built")
-	}
+	knobs, monitors := mgr.KnobsAndMonitors()
 	wantKnobs := []string{"app.d.level", "dev.a15.opp", "dev.a7.opp"}
-	got := reg.KnobNames("")
-	if strings.Join(got, ",") != strings.Join(wantKnobs, ",") {
-		t.Fatalf("knobs = %v, want %v", got, wantKnobs)
+	if strings.Join(knobs, ",") != strings.Join(wantKnobs, ",") {
+		t.Fatalf("knobs = %v, want %v", knobs, wantKnobs)
 	}
 	wantMonitors := []string{"app.d.accuracy", "app.d.latency", "dev.power", "dev.temperature"}
-	if got := reg.MonitorNames(""); strings.Join(got, ",") != strings.Join(wantMonitors, ",") {
-		t.Fatalf("monitors = %v, want %v", got, wantMonitors)
+	if strings.Join(monitors, ",") != strings.Join(wantMonitors, ",") {
+		t.Fatalf("monitors = %v, want %v", monitors, wantMonitors)
 	}
-	if got := reg.KnobNames(LayerDevice); strings.Join(got, ",") != "dev.a15.opp,dev.a7.opp" {
-		t.Fatalf("device knobs = %v", got)
+}
+
+// TestLastViewAcrossFreshReplans: the manager keeps its last view as a
+// header over the snapshot buffers the next fresh replan rewrites. After
+// two fresh replans over different views, LastView must show the second,
+// and a copy taken after the first must be unchanged.
+func TestLastViewAcrossFreshReplans(t *testing.T) {
+	late := dnn("late", "a7", 2, 0.5)
+	late.StartS = 1
+	rec := &viewRecorder{}
+	mgr := NewManager(nil)
+	mgr.SetPolicy(rec)
+	e, err := sim.New(sim.Config{
+		Platform:   hw.OdroidXU3(),
+		Apps:       []sim.App{dnn("d", "a15", 4, 0.5), late},
+		Controller: mgr,
+		TickS:      0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := e.Run(0.5); err != nil {
+		t.Fatal(err)
+	}
+	first := mgr.LastView()
+	firstCopy := first.Clone()
+	planned := len(rec.views)
+	if planned == 0 || !reflect.DeepEqual(first, rec.views[planned-1]) {
+		t.Fatalf("after %d plans LastView is not the view last planned over", planned)
+	}
+	if err := e.Run(1.5); err != nil {
+		t.Fatal(err)
+	}
+	second := mgr.LastView()
+	if len(rec.views) == planned || !reflect.DeepEqual(second, rec.views[len(rec.views)-1]) {
+		t.Fatalf("after %d plans LastView is not the view last planned over", len(rec.views))
+	}
+	if first.Apps[1].Running || !second.Apps[1].Running || second.NowS < 1 {
+		t.Fatalf("late app running: %v in the first view, %v in the second (at %gs); want false, then true at 1s or later",
+			first.Apps[1].Running, second.Apps[1].Running, second.NowS)
+	}
+	if !reflect.DeepEqual(first, firstCopy) {
+		t.Fatalf("a copy LastView returned after the first replan changed:\n%+v\nwant\n%+v", first, firstCopy)
+	}
+}
+
+// viewRecorder plans like the heuristic and keeps a copy of every view it
+// is handed. Being outside the sealed elision seam, it plans every replan
+// fresh.
+type viewRecorder struct{ views []View }
+
+func (r *viewRecorder) Name() string { return "view-recorder" }
+
+func (r *viewRecorder) Plan(v View) []Assignment {
+	r.views = append(r.views, v.Clone())
+	return heuristicPolicy.Plan(v)
 }
 
 func TestManagerRequirementChangeTriggersReplan(t *testing.T) {

@@ -66,24 +66,27 @@ func armedEvents(e *Engine) []hevent {
 	return armed
 }
 
-// refEventOrder is the documented event order, written apart from
-// precedes: by time, then timers (completions, unblocks, the alarm)
-// ahead of starts, stops, releases and ticks, then by seq.
-func refEventOrder(x, y hevent) int {
-	class := func(ev hevent) int {
-		switch ev.kind {
-		case hComplete, hUnblock, hThermal:
-			return 0
-		}
-		return 1
+// eventClass puts timers (completions, unblocks, the alarm) in class 0
+// and starts, stops, releases and ticks in class 1.
+func eventClass(ev hevent) int {
+	switch ev.kind {
+	case hComplete, hUnblock, hThermal:
+		return 0
 	}
+	return 1
+}
+
+// refEventOrder is the documented event order, written apart from
+// precedes: by time, then timers ahead of starts, stops, releases and
+// ticks, then by seq.
+func refEventOrder(x, y hevent) int {
 	switch {
 	case x.t < y.t:
 		return -1
 	case x.t > y.t:
 		return 1
-	case class(x) != class(y):
-		return class(x) - class(y)
+	case eventClass(x) != eventClass(y):
+		return eventClass(x) - eventClass(y)
 	case x.seq < y.seq:
 		return -1
 	case x.seq > y.seq:
@@ -92,7 +95,7 @@ func refEventOrder(x, y hevent) int {
 	return 0
 }
 
-// TestEngineInvariants steps flagship runs one event at a time, through the
+// TestEngineInvariants steps runs one event at a time, through the
 // same earliest-event selection step uses, and checks before every event
 // that next picks the first of every armed event sorted by refEventOrder,
 // and after every event that:
@@ -111,10 +114,14 @@ func refEventOrder(x, y hevent) int {
 // controller ticking every 0.1 s, which re-derives the throttle alarm at
 // every power change on its way up to the trip point; the churn run is the
 // hot run with the apps starting and stopping out of app order, two starts
-// and a stop due at one instant and two stops at another.
+// and a stop due at one instant and two stops at another. The tie run is
+// tieApp alone and uncontrolled, so each job's completion timer is due at
+// the instant of the next release: it must reach the timer/non-timer tie
+// at least ties times, and is held to nothing thermal.
 func TestEngineInvariants(t *testing.T) {
 	hot := hw.FlagshipSoC()
 	hot.AmbientC = 58
+	cool := hw.OdroidXU3()
 	churn := BenchApps()
 	for i, life := range [][2]float64{{1, 17}, {0.5, 15}, {0, 1}, {1, 0}, {0.25, 15}} {
 		churn[i].StartS, churn[i].StopS = life[0], life[1]
@@ -126,17 +133,19 @@ func TestEngineInvariants(t *testing.T) {
 		ctrl  Controller
 		endS  float64
 		stops int
+		ties  int
 	}{
-		{"stress", hw.FlagshipSoC(), BenchApps(), &stressCtrl{done: map[float64]bool{}}, 16, 0},
-		{"hot", hot, BenchApps(), &boundaryCtrl{}, 20, 0},
-		{"churn", hot, churn, &boundaryCtrl{}, 20, 4},
+		{"stress", hw.FlagshipSoC(), BenchApps(), &stressCtrl{done: map[float64]bool{}}, 16, 0, 0},
+		{"hot", hot, BenchApps(), &boundaryCtrl{}, 20, 0, 0},
+		{"churn", hot, churn, &boundaryCtrl{}, 20, 4, 0},
+		{"tie", cool, []App{tieApp(cool)}, nil, 20, 0, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := mustEngine(t, Config{Platform: tc.plat, Apps: tc.apps, Controller: tc.ctrl, TickS: 0.1, LogEvents: true})
 			slots := make([]int64, len(e.appList))
 
 			e.prime()
-			var windows, completionRearms, alarmRearms int
+			var windows, completionRearms, alarmRearms, ties int
 			for {
 				ev, ok := e.next()
 				armed := armedEvents(e)
@@ -149,6 +158,9 @@ func TestEngineInvariants(t *testing.T) {
 				}
 				if !ok || ev.t > tc.endS {
 					break
+				}
+				if len(armed) > 1 && armed[1].t == ev.t && eventClass(armed[1]) != eventClass(ev) {
+					ties++
 				}
 				for i, a := range e.appList {
 					slots[i] = 0
@@ -224,7 +236,11 @@ func TestEngineInvariants(t *testing.T) {
 					stops++
 				}
 			}
-			if alarmRearms == 0 || windows == 0 || alarms == 0 || stops != tc.stops {
+			if tc.ties > 0 {
+				if ties < tc.ties {
+					t.Fatalf("%d timer/non-timer ties, want at least %d", ties, tc.ties)
+				}
+			} else if alarmRearms == 0 || windows == 0 || alarms == 0 || stops != tc.stops {
 				t.Fatalf("run too tame: %d alarm re-arms, %d windows, %d alarms, %d stops (want %d)", alarmRearms, windows, alarms, stops, tc.stops)
 			}
 			if ctrl, ok := tc.ctrl.(*stressCtrl); ok && (completionRearms == 0 || alarms < 2 || rep.ClusterFails == 0 ||

@@ -673,6 +673,19 @@ func TestClusterInfoReporting(t *testing.T) {
 	}
 }
 
+// tieApp is a DNN alone on plat's a15 cluster whose frame period equals
+// its job latency there at the minimum OPP, so every job completes at the
+// instant the next frame is released.
+func tieApp(plat *hw.Platform) App {
+	c := plat.Cluster("a15")
+	app := dnnApp("tie", "a15", 2, 3, 1)
+	rate := c.EffectiveRate(c.OPPs[0], 2)
+	work := float64(app.Profile.Level(3).MACs)
+	work += c.FixedOverheadS * rate
+	app.PeriodS = work / rate
+	return app
+}
+
 // TestCompletionAtDeadlineBeatsRelease pins the tie rule of the package
 // doc. The app's period is its job latency formed the way the engine forms
 // both, so every completion is due at the very instant the next frame is
@@ -681,12 +694,7 @@ func TestClusterInfoReporting(t *testing.T) {
 // would be dropped.
 func TestCompletionAtDeadlineBeatsRelease(t *testing.T) {
 	plat := hw.OdroidXU3()
-	c := plat.Cluster("a15")
-	app := dnnApp("tie", "a15", 2, 3, 1)
-	rate := c.EffectiveRate(c.OPPs[0], 2)
-	work := float64(app.Profile.Level(3).MACs)
-	work += c.FixedOverheadS * rate
-	app.PeriodS = work / rate
+	app := tieApp(plat)
 	e := mustEngine(t, Config{Platform: plat, Apps: []App{app}, LogEvents: true})
 	if err := e.Run(20 * app.PeriodS); err != nil {
 		t.Fatal(err)
