@@ -1,7 +1,8 @@
 // Command fleetsim runs a fleet of generated scenarios — many independent
 // simulator + runtime-manager instances — across a worker pool and reports
 // aggregate quality-of-service, energy and thermal statistics broken down
-// by platform, scenario class and planning policy.
+// by platform, scenario class and planning policy. Its subcommands merge
+// shard streams, orchestrate sharded runs and train learned policy tables.
 //
 // The same seed yields a byte-identical report for any -workers value:
 // scenario generation and execution are deterministic, and aggregation is
@@ -13,7 +14,7 @@
 // per-policy regret block: for every workload the oracle is the best swept
 // policy on that exact run, and regret is each policy's mean excess miss
 // rate and energy over it. Policy names may be parameterised — a table
-// trained by cmd/policytrain runs as "learned:<table.json>":
+// trained by "fleetsim train" runs as "learned:<table.json>":
 //
 //	fleetsim -scenarios 64 -seed 1 -policies heuristic,maxaccuracy,minenergy -format table
 //	fleetsim -scenarios 64 -seed 1 -policies heuristic,learned:table.json -format table
@@ -43,6 +44,23 @@
 //
 //	fleetsim orchestrate -scenarios 1000 -seed 1 -shards 4 -out streams/
 //
+// "fleetsim train" trains the learned runtime-manager policy: it replays a
+// seeded fleet of generated workloads under every base policy (arm),
+// scores each run on a miss-rate + energy reward, runs epsilon-greedy
+// refinement epochs, and writes the resulting state → policy selection
+// table as JSON. The table then runs anywhere a policy name is accepted,
+// as "learned:<table.json>" — fleetsim sweeps, the facade, scripted
+// scenarios. The same -seed (and flags) writes a byte-identical table at
+// any -workers value, so a committed table is reproducible and CI can
+// train twice and cmp. The summary printed to stderr afterwards shows each
+// arm's pure-sweep mean cost — the bar the learned policy has to clear —
+// and how many discretised states the table covers. The regret block of a
+// sweep evaluates a trained table against its arms:
+//
+//	fleetsim train -seed 1 -workloads 64 -out table.json
+//	fleetsim -scenarios 64 -seed 1 \
+//	    -policies heuristic,maxaccuracy,minenergy,learned:table.json -format table
+//
 // -classes selects disturbance classes (steady, mixed, bursty, thermal,
 // churn, faulty); an unknown class fails with the valid set before any
 // simulation runs. The faulty class injects seeded hardware faults —
@@ -66,6 +84,10 @@
 // TestReplanElisionEquivalence pins that against policies that cannot
 // opt into elision.
 //
+// Every check that needs no simulation runs before the first scenario. A
+// bad flag, a stray argument or an unknown subcommand exits 2, any other
+// failure exits 1.
+//
 // Usage:
 //
 //	fleetsim [-scenarios 64] [-seed 1] [-workers N] [-platforms a,b]
@@ -75,14 +97,18 @@
 //	fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...
 //	fleetsim orchestrate -shards m -out dir [-scenarios N] [-seed S]
 //	         [-stall 30s] [-retries 2] [-format json|table] [-results]
+//	fleetsim train [-seed 1] [-workloads 64] [-workers 0] [-platforms a,b]
+//	         [-classes steady,thermal] [-arms heuristic,maxaccuracy,minenergy]
+//	         [-epochs 2] [-epsilon 0.1] [-missweight 1] [-energyweight 0.05]
+//	         [-out table.json]
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 	"strconv"
@@ -90,238 +116,345 @@ import (
 	"time"
 
 	"github.com/emlrtm/emlrtm/internal/fleet"
+	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/trace"
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var usage usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &usage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// usageError is an invocation mistake — a bad flag, a stray argument, an
+// unknown subcommand — that run has already reported on stderr together
+// with the usage text. main exits 2 for it, as the flag package does.
+type usageError struct{ error }
+
+const overview = `usage: fleetsim [flags]                    run a fleet (or one shard with -shard)
+       fleetsim merge [flags] shard...     merge shard files into a report
+       fleetsim orchestrate [flags]        dispatch, supervise and merge shard processes
+       fleetsim train [flags]              train a learned policy table
+run 'fleetsim <subcommand> -h' for a subcommand's flags`
+
+// run executes one fleetsim invocation; args follow the program name.
+// Reports and tables go to stdout, progress and summaries to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	name, cmd := "fleetsim", runFleet
 	// Subcommands are dispatched strictly: an unknown word where a
 	// subcommand goes must fail with usage, not silently run the default
 	// fleet ("fleetsim mrege a.json b.json" burning minutes of simulation
 	// was the failure mode).
-	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
-		switch os.Args[1] {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		switch args[0] {
 		case "merge":
-			mergeMain(os.Args[2:])
-			return
+			cmd = merge
 		case "orchestrate":
-			orchestrateMain(os.Args[2:])
-			return
+			cmd = orchestrate
+		case "train":
+			cmd = train
 		default:
-			fmt.Fprintf(os.Stderr, "fleetsim: unknown subcommand %q (want merge or orchestrate)\n", os.Args[1])
-			usage(os.Stderr)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "fleetsim: unknown subcommand %q (want merge, orchestrate or train)\n", args[0])
+			fmt.Fprintln(stderr, overview)
+			return usageError{fmt.Errorf("unknown subcommand %q", args[0])}
 		}
+		name, args = name+" "+args[0], args[1:]
 	}
-	runMain()
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := cmd(fs, args, stdout, stderr); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	return nil
 }
 
-func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: fleetsim [flags]                    run a fleet (or one shard with -shard)")
-	fmt.Fprintln(w, "       fleetsim merge [flags] shard...     merge shard files into a report")
-	fmt.Fprintln(w, "       fleetsim orchestrate [flags]        dispatch, supervise and merge shard processes")
-	fmt.Fprintln(w, "run 'fleetsim -h', 'fleetsim merge -h' or 'fleetsim orchestrate -h' for flags")
-}
-
-func runMain() {
-	scenarios := flag.Int("scenarios", 64, "number of scenarios in the fleet (the whole fleet, even with -shard)")
-	seed := flag.Uint64("seed", 1, "master seed (per-scenario seeds derive from it)")
-	workers := flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
-	platforms := flag.String("platforms", "", "comma-separated platform names (empty = all)")
-	classes := flag.String("classes", "", "comma-separated scenario classes: steady,mixed,bursty,thermal,churn,faulty (empty = all)")
-	policies := flag.String("policies", "", "comma-separated planning policies to sweep over the same workloads (empty = heuristic; total runs = scenarios × policies)")
-	format := flag.String("format", "json", "output format: json or table")
-	results := flag.Bool("results", false, "include per-scenario results (json format)")
-	progress := flag.Bool("progress", false, "print progress to stderr")
-	shard := flag.String("shard", "", "run only shard i of m, as \"i/m\" (1-based), streaming it to -out for \"fleetsim merge\"")
-	out := flag.String("out", "", "write output to this file instead of stdout (required with -shard: the shard stream file)")
-	nolat := flag.Bool("nolat", false, "drop raw per-job latency samples (kept ascending, run-length encoded in shard files) from results and shard files: shards shrink 4-14x; scalar mean/p95/max and group means stay, group p95 becomes the worst per-scenario p95")
-	resume := flag.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario")
-	syncevery := flag.Int("syncevery", 0, "with -shard: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		// Stray positional args mean a mistyped invocation; running the
-		// default fleet anyway would silently ignore the user's intent.
-		fmt.Fprintf(os.Stderr, "fleetsim: unexpected argument %q\n", flag.Arg(0))
-		usage(os.Stderr)
-		os.Exit(2)
-	}
-
-	// Validate everything cheap before simulating: a bad -format or -shard
-	// must fail now, not after minutes of fleet execution.
-	if *format != "json" && *format != "table" {
-		log.Fatalf("fleetsim: unknown format %q (want json or table)", *format)
-	}
-	if *scenarios <= 0 {
-		log.Fatalf("fleetsim: -scenarios %d must be positive", *scenarios)
-	}
-	if *syncevery < 0 {
-		log.Fatalf("fleetsim: -syncevery %d must be non-negative", *syncevery)
-	}
-	cfg := buildConfig(*seed, *platforms, *classes, *policies)
-	shardIdx, shardCount, err := parseShard(*shard)
-	if err != nil {
-		log.Fatalf("fleetsim: %v", err)
-	}
-	// NewGenerator validates platforms, classes and policies: a typo in a
-	// sweep spec must fail here, not after minutes of fleet execution.
-	gen, err := fleet.NewGenerator(cfg)
-	if err != nil {
-		log.Fatalf("fleetsim: %v", err)
-	}
-
-	if shardCount == 0 && (*resume || *syncevery > 0) {
-		log.Fatalf("fleetsim: -resume/-syncevery require -shard (they act on the shard stream file)")
-	}
-	if shardCount > 0 {
-		if *out == "" {
-			log.Fatalf("fleetsim: -shard requires -out (the shard stream file)")
-		}
-		// A shard emits a stream, not a report; refuse report-shaping
-		// flags instead of silently dropping them.
-		if *format != "json" || *results {
-			log.Fatalf("fleetsim: -format/-results have no effect with -shard; use them on \"fleetsim merge\"")
-		}
-		if !*resume {
-			// A fresh shard must not silently extend or clobber an
-			// existing file; resuming is an explicit choice.
-			if fi, err := os.Stat(*out); err == nil && fi.Size() > 0 {
-				log.Fatalf("fleetsim: %s already exists; pass -resume to continue it", *out)
-			}
-		}
-		runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat, SyncEvery: *syncevery}
-		if *progress {
-			runner.Progress = progressFunc()
-		}
-		if _, err := runner.ResumeShard(*out, cfg, *scenarios, shardIdx, shardCount); err != nil {
-			log.Fatalf("fleetsim: %v", err)
-		}
-		return
-	}
-
-	scens := gen.Generate(gen.RunCount(*scenarios))
-	runner := &fleet.Runner{Workers: *workers, DropLatencies: *nolat}
-	if *progress {
-		runner.Progress = progressFunc()
-	}
-	res := runner.Run(scens)
-	rep := fleet.Aggregate(*seed, res)
-	if !*results {
-		res = nil
-	}
-	writeOutput(*out, func(w io.Writer) error { return writeReport(w, *format, rep, res) })
-}
-
-func mergeMain(args []string) {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	format := fs.String("format", "json", "output format: json or table")
-	results := fs.Bool("results", false, "include per-scenario results (json format)")
-	out := fs.String("out", "", "write output to this file instead of stdout")
+// parse parses args into fs, whose -h text is synopsis followed by the
+// flag list. Flag errors and stray arguments come back as usage errors;
+// only merge takes positional arguments (its shard files).
+func parse(fs *flag.FlagSet, args []string, synopsis string, positional bool) error {
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...")
+		fmt.Fprintln(fs.Output(), synopsis)
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		log.Fatalf("fleetsim merge: %v", err)
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
 	}
-	if *format != "json" && *format != "table" {
-		log.Fatalf("fleetsim merge: unknown format %q (want json or table)", *format)
+	if !positional && fs.NArg() > 0 {
+		// Stray positional args mean a mistyped invocation; running anyway
+		// would silently ignore the user's intent.
+		return badUsage(fs, "unexpected argument %q", fs.Arg(0))
+	}
+	return nil
+}
+
+// badUsage reports an invocation mistake with fs's usage text.
+func badUsage(fs *flag.FlagSet, format string, a ...any) error {
+	err := fmt.Errorf(format, a...)
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	fs.Usage()
+	return usageError{err}
+}
+
+// genFlags are the scenario-generator flags of run, orchestrate and train.
+// The policy list is -policies for the first two and -arms for train.
+type genFlags struct {
+	seed                         uint64
+	workers                      int
+	platforms, classes, policies string
+}
+
+const policiesUsage = "comma-separated planning policies to sweep over the same workloads (empty = heuristic; total runs = scenarios × policies)"
+
+func addGenFlags(fs *flag.FlagSet, policiesFlag, usage string) *genFlags {
+	g := &genFlags{}
+	fs.Uint64Var(&g.seed, "seed", 1, "master seed (scenario seeds, and train's exploration draws, derive from it)")
+	fs.IntVar(&g.workers, "workers", 0, "worker pool size, per shard process under orchestrate (0 = NumCPU; outputs are identical for any value)")
+	fs.StringVar(&g.platforms, "platforms", "", "comma-separated platform names (empty = all)")
+	fs.StringVar(&g.classes, "classes", "", "comma-separated scenario classes: steady,mixed,bursty,thermal,churn,faulty (empty = all)")
+	fs.StringVar(&g.policies, policiesFlag, "", usage)
+	return g
+}
+
+// config is the generator config the flags describe. fleet.NewGenerator,
+// fleet.Orchestrate and fleet.Train each validate it, unknown classes
+// included, before any simulation.
+func (g *genFlags) config() fleet.GeneratorConfig {
+	cfg := fleet.GeneratorConfig{Seed: g.seed, Platforms: split(g.platforms), Policies: split(g.policies)}
+	for _, c := range split(g.classes) {
+		cfg.Classes = append(cfg.Classes, fleet.Class(c))
+	}
+	return cfg
+}
+
+// split splits a comma-separated flag value; empty means none.
+func split(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ",")
+}
+
+// reportFlags are the report-shaping flags of run, merge and orchestrate.
+type reportFlags struct {
+	format  string
+	results bool
+	out     string
+}
+
+// addReportFlags registers -format and -results on fs, and -out with
+// outUsage unless that is empty: orchestrate's -out is its stream
+// directory, and its report always goes to stdout.
+func addReportFlags(fs *flag.FlagSet, outUsage string) *reportFlags {
+	r := &reportFlags{}
+	fs.StringVar(&r.format, "format", "json", "output format: json or table")
+	fs.BoolVar(&r.results, "results", false, "include per-scenario results (json format)")
+	if outUsage != "" {
+		fs.StringVar(&r.out, "out", "", outUsage)
+	}
+	return r
+}
+
+// check refuses report flags that cannot be honoured: a bad -format or
+// -results must fail now, not after minutes of fleet execution.
+func (r *reportFlags) check() error {
+	if r.format != "json" && r.format != "table" {
+		return fmt.Errorf("unknown format %q (want json or table)", r.format)
+	}
+	if r.results && r.format == "table" {
+		return errors.New("-results needs -format json (tables carry no per-scenario results)")
+	}
+	return nil
+}
+
+// write emits the report to -out, or to stdout without one. Every report
+// goes through here, so single-process, merge and orchestrate outputs
+// format identically — that is what lets CI cmp them.
+func (r *reportFlags) write(stdout io.Writer, rep fleet.Report, res []fleet.Result) (err error) {
+	w := stdout
+	if r.out != "" {
+		f, cerr := os.Create(r.out)
+		if cerr != nil {
+			return cerr
+		}
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		w = f
+	}
+	if r.format == "table" {
+		return printTables(w, rep)
+	}
+	if !r.results {
+		res = nil
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		fleet.Report
+		Results []fleet.Result `json:"results,omitempty"`
+	}{rep, res})
+}
+
+func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
+	scenarios := fs.Int("scenarios", 64, "number of scenarios in the fleet (the whole fleet, even with -shard)")
+	g := addGenFlags(fs, "policies", policiesUsage)
+	rf := addReportFlags(fs, "write output to this file instead of stdout (required with -shard: the shard stream file)")
+	progress := fs.Bool("progress", false, "print progress to stderr")
+	shard := fs.String("shard", "", "run only shard i of m, as \"i/m\" (1-based), streaming it to -out for \"fleetsim merge\"")
+	nolat := fs.Bool("nolat", false, "drop raw per-job latency samples (kept ascending, run-length encoded in shard files) from results and shard files: shards shrink 4-14x; scalar mean/p95/max and group means stay, group p95 becomes the worst per-scenario p95")
+	resume := fs.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario")
+	syncevery := fs.Int("syncevery", 0, "with -shard: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
+	if err := parse(fs, args, overview, false); err != nil {
+		return err
+	}
+	if err := rf.check(); err != nil {
+		return err
+	}
+	if *scenarios <= 0 {
+		return fmt.Errorf("-scenarios %d must be positive", *scenarios)
+	}
+	if *syncevery < 0 {
+		return fmt.Errorf("-syncevery %d must be non-negative", *syncevery)
+	}
+	shardIdx, shardCount, err := parseShard(*shard)
+	if err != nil {
+		return err
+	}
+	cfg := g.config()
+	gen, err := fleet.NewGenerator(cfg)
+	if err != nil {
+		return err
+	}
+	runner := &fleet.Runner{Workers: g.workers, DropLatencies: *nolat, SyncEvery: *syncevery}
+	if *progress {
+		runner.Progress = func(done, total int) {
+			fmt.Fprintf(stderr, "\rfleetsim: %d/%d", done, total)
+			if done == total {
+				fmt.Fprintln(stderr)
+			}
+		}
+	}
+
+	if shardCount == 0 {
+		if *resume || *syncevery > 0 {
+			return errors.New("-resume/-syncevery require -shard (they act on the shard stream file)")
+		}
+		res := runner.Run(gen.Generate(gen.RunCount(*scenarios)))
+		return rf.write(stdout, fleet.Aggregate(g.seed, res), res)
+	}
+	if rf.out == "" {
+		return errors.New("-shard requires -out (the shard stream file)")
+	}
+	// A shard emits a stream, not a report; refuse report-shaping flags
+	// instead of silently dropping them.
+	if rf.format != "json" || rf.results {
+		return errors.New("-format/-results have no effect with -shard; use them on \"fleetsim merge\"")
+	}
+	if !*resume {
+		// A fresh shard must not silently extend or clobber an existing
+		// file; resuming is an explicit choice.
+		if fi, err := os.Stat(rf.out); err == nil && fi.Size() > 0 {
+			return fmt.Errorf("%s already exists; pass -resume to continue it", rf.out)
+		}
+	}
+	_, err = runner.ResumeShard(rf.out, cfg, *scenarios, shardIdx, shardCount)
+	return err
+}
+
+func merge(fs *flag.FlagSet, args []string, stdout, _ io.Writer) error {
+	rf := addReportFlags(fs, "write output to this file instead of stdout")
+	if err := parse(fs, args, "usage: fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...", true); err != nil {
+		return err
+	}
+	if err := rf.check(); err != nil {
+		return err
 	}
 	if fs.NArg() == 0 {
-		fs.Usage()
-		os.Exit(2)
+		return badUsage(fs, "no shard files given")
 	}
 	shards := make([]fleet.ShardResult, 0, fs.NArg())
 	for _, path := range fs.Args() {
 		s, err := fleet.ReadShardFile(path) // its errors name the file
 		if err != nil {
-			log.Fatalf("fleetsim merge: %v", err)
+			return err
 		}
 		shards = append(shards, s)
 	}
 	rep, res, err := fleet.Merge(shards...)
 	if err != nil {
-		log.Fatalf("fleetsim merge: %v", err)
+		return err
 	}
-	if !*results {
-		res = nil
-	}
-	writeOutput(*out, func(w io.Writer) error { return writeReport(w, *format, rep, res) })
+	return rf.write(stdout, rep, res)
 }
 
-func orchestrateMain(args []string) {
-	fs := flag.NewFlagSet("orchestrate", flag.ExitOnError)
+func orchestrate(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	scenarios := fs.Int("scenarios", 64, "number of scenarios in the fleet")
-	seed := fs.Uint64("seed", 1, "master seed (per-scenario seeds derive from it)")
-	workers := fs.Int("workers", 0, "worker pool size per shard process (0 = NumCPU)")
-	platforms := fs.String("platforms", "", "comma-separated platform names (empty = all)")
-	classes := fs.String("classes", "", "comma-separated scenario classes: steady,mixed,bursty,thermal,churn,faulty (empty = all)")
-	policies := fs.String("policies", "", "comma-separated planning policies to sweep over the same workloads (empty = heuristic)")
+	g := addGenFlags(fs, "policies", policiesUsage)
+	rf := addReportFlags(fs, "")
 	nolat := fs.Bool("nolat", false, "drop raw per-job latency samples (forwarded to every shard)")
 	shards := fs.Int("shards", 2, "number of shard subprocesses to dispatch")
 	out := fs.String("out", "", "directory for per-shard stream files (required; partial streams there are resumed)")
 	stall := fs.Duration("stall", 30*time.Second, "kill a shard whose stream makes no progress for this long (0 disables)")
 	retries := fs.Int("retries", 2, "retries per shard after its first failed attempt (non-negative)")
 	backoff := fs.Duration("backoff", 500*time.Millisecond, "wait before the first retry, doubling per attempt")
-	format := fs.String("format", "json", "report output format: json or table")
-	results := fs.Bool("results", false, "include per-scenario results (json format)")
 	quiet := fs.Bool("quiet", false, "suppress shard progress on stderr")
-	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: fleetsim orchestrate -shards m -out dir [flags]")
-		fs.PrintDefaults()
+	if err := parse(fs, args, "usage: fleetsim orchestrate -shards m -out dir [flags]", false); err != nil {
+		return err
 	}
-	if err := fs.Parse(args); err != nil {
-		log.Fatalf("fleetsim orchestrate: %v", err)
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "fleetsim orchestrate: unexpected argument %q\n", fs.Arg(0))
-		fs.Usage()
-		os.Exit(2)
-	}
-	if *format != "json" && *format != "table" {
-		log.Fatalf("fleetsim orchestrate: unknown format %q (want json or table)", *format)
+	if err := rf.check(); err != nil {
+		return err
 	}
 	if *out == "" {
-		log.Fatalf("fleetsim orchestrate: -out directory is required")
+		return errors.New("-out directory is required")
 	}
 	if *retries < 0 {
 		// MaxAttempts <= 0 means the default, so -retries -1 would
 		// otherwise silently run three attempts.
-		log.Fatalf("fleetsim orchestrate: -retries %d must be non-negative", *retries)
+		return fmt.Errorf("-retries %d must be non-negative", *retries)
 	}
 	if *stall < 0 {
 		// StallTimeout <= 0 disables detection, so a negative -stall would
 		// otherwise silently turn it off; 0 is the way to ask for that.
-		log.Fatalf("fleetsim orchestrate: -stall %v must be non-negative (0 disables stall detection)", *stall)
+		return fmt.Errorf("-stall %v must be non-negative (0 disables stall detection)", *stall)
 	}
 	if *backoff <= 0 {
 		// RetryBackoff <= 0 means the library's 250ms default, not this
 		// flag's documented 500ms.
-		log.Fatalf("fleetsim orchestrate: -backoff %v must be positive", *backoff)
+		return fmt.Errorf("-backoff %v must be positive", *backoff)
 	}
-	cfg := buildConfig(*seed, *platforms, *classes, *policies)
 	exe, err := os.Executable()
 	if err != nil {
-		log.Fatalf("fleetsim orchestrate: locating own binary: %v", err)
+		return fmt.Errorf("locating own binary: %w", err)
 	}
 	// Each shard is this same binary in -resume mode: a retry after a
 	// crash or a stall-kill picks up from the last flushed scenario.
 	argv := func(spec fleet.ShardSpec) []string {
 		a := []string{exe,
 			"-scenarios", fmt.Sprint(*scenarios),
-			"-seed", fmt.Sprint(*seed),
+			"-seed", fmt.Sprint(g.seed),
 			"-shard", fmt.Sprintf("%d/%d", spec.Index+1, spec.Count),
 			"-resume",
 			"-out", spec.Path,
-			"-workers", fmt.Sprint(*workers),
+			"-workers", fmt.Sprint(g.workers),
 		}
-		if *platforms != "" {
-			a = append(a, "-platforms", *platforms)
-		}
-		if *classes != "" {
-			a = append(a, "-classes", *classes)
-		}
-		if *policies != "" {
-			a = append(a, "-policies", *policies)
+		for _, f := range []struct{ name, value string }{
+			{"-platforms", g.platforms}, {"-classes", g.classes}, {"-policies", g.policies},
+		} {
+			if f.value != "" {
+				a = append(a, f.name, f.value)
+			}
 		}
 		if *nolat {
 			a = append(a, "-nolat")
@@ -329,54 +462,74 @@ func orchestrateMain(args []string) {
 		return a
 	}
 	ocfg := fleet.OrchestratorConfig{
-		Config:       cfg,
+		Config:       g.config(),
 		Workloads:    *scenarios,
 		Shards:       *shards,
 		Dir:          *out,
-		Start:        fleet.CommandStart(argv, os.Stderr),
+		Start:        fleet.CommandStart(argv, stderr),
 		StallTimeout: *stall,
 		MaxAttempts:  *retries + 1,
 		RetryBackoff: *backoff,
 	}
 	if !*quiet {
-		ocfg.Logf = func(f string, args ...any) { fmt.Fprintf(os.Stderr, f+"\n", args...) }
+		ocfg.Logf = func(f string, args ...any) { fmt.Fprintf(stderr, f+"\n", args...) }
 	}
 	rep, res, err := fleet.Orchestrate(ocfg)
 	if err != nil {
-		log.Fatalf("fleetsim orchestrate: %v", err)
+		return err
 	}
-	if !*results {
-		res = nil
-	}
-	writeOutput("", func(w io.Writer) error { return writeReport(w, *format, rep, res) })
+	return rf.write(stdout, rep, res)
 }
 
-// buildConfig assembles the generator config shared by the run and
-// orchestrate entry points, so both validate sweep specs identically.
-func buildConfig(seed uint64, platforms, classes, policies string) fleet.GeneratorConfig {
-	cfg := fleet.GeneratorConfig{Seed: seed}
-	if platforms != "" {
-		cfg.Platforms = strings.Split(platforms, ",")
+func train(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
+	g := addGenFlags(fs, "arms", "comma-separated base policies to select among (empty = heuristic,maxaccuracy,minenergy)")
+	workloads := fs.Int("workloads", 64, "fleet workloads to train on")
+	epochs := fs.Int("epochs", 2, "epsilon-greedy refinement epochs after the per-arm sweep")
+	epsilon := fs.Float64("epsilon", 0.1, "per-plan exploration probability during refinement")
+	missWeight := fs.Float64("missweight", 1, "reward weight of the miss rate")
+	energyWeight := fs.Float64("energyweight", 0.05, "reward weight of average power (per watt)")
+	out := fs.String("out", "table.json", "trained table output path (\"-\" = stdout)")
+	if err := parse(fs, args, "usage: fleetsim train [flags]", false); err != nil {
+		return err
 	}
-	if classes != "" {
-		known := map[fleet.Class]bool{}
-		for _, c := range fleet.AllClasses() {
-			known[c] = true
+	// The flag defaults are non-zero, so both weights at zero means the
+	// user explicitly asked for a reward that scores every run 0 — the
+	// table's argmin would be arbitrary. Refuse rather than silently
+	// substituting the library defaults for an explicit request.
+	if *missWeight == 0 && *energyWeight == 0 {
+		return errors.New("-missweight 0 -energyweight 0 is a degenerate reward (every run scores 0); set at least one weight")
+	}
+	gc := g.config()
+	table, rep, err := fleet.Train(fleet.TrainConfig{
+		Seed:         gc.Seed,
+		Workloads:    *workloads,
+		Workers:      g.workers,
+		Platforms:    gc.Platforms,
+		Classes:      gc.Classes,
+		Arms:         gc.Policies,
+		Epochs:       *epochs,
+		Epsilon:      *epsilon,
+		MissWeight:   *missWeight,
+		EnergyWeight: *energyWeight,
+	})
+	if err != nil {
+		return err
+	}
+	if *out == "-" {
+		raw, err := table.MarshalBytes()
+		if err != nil {
+			return err
 		}
-		for _, c := range strings.Split(classes, ",") {
-			// An unknown class must fail loudly before any simulation, with
-			// the valid set and a usage-style exit code.
-			if !known[fleet.Class(c)] {
-				fmt.Fprintf(os.Stderr, "fleetsim: unknown class %q (valid: %v)\n", c, fleet.AllClasses())
-				os.Exit(2)
-			}
-			cfg.Classes = append(cfg.Classes, fleet.Class(c))
+		if _, err := stdout.Write(raw); err != nil {
+			return err
 		}
+	} else {
+		if err := table.WriteFile(*out); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "fleetsim train: wrote %s (%d states, %d runs)\n", *out, rep.States, rep.Runs)
 	}
-	if policies != "" {
-		cfg.Policies = strings.Split(policies, ",")
-	}
-	return cfg
+	return printTrainSummary(stderr, table, rep)
 }
 
 // parseShard parses "i/m" (1-based) into a 0-based index and a count;
@@ -399,56 +552,6 @@ func parseShard(s string) (index, count int, err error) {
 		return 0, 0, fmt.Errorf("-shard %q out of range: want 1 <= i <= m", s)
 	}
 	return i - 1, m, nil
-}
-
-func progressFunc() func(done, total int) {
-	return func(done, total int) {
-		fmt.Fprintf(os.Stderr, "\rfleetsim: %d/%d", done, total)
-		if done == total {
-			fmt.Fprintln(os.Stderr)
-		}
-	}
-}
-
-// writeOutput runs emit against -out (or stdout). Report bytes go through
-// here so single-process, merge and orchestrate outputs format
-// identically — that is what lets CI `cmp` them.
-func writeOutput(path string, emit func(io.Writer) error) {
-	w := io.Writer(os.Stdout)
-	var f *os.File
-	if path != "" {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			log.Fatalf("fleetsim: %v", err)
-		}
-		w = f
-	}
-	if err := emit(w); err != nil {
-		log.Fatalf("fleetsim: %v", err)
-	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			log.Fatalf("fleetsim: %v", err)
-		}
-	}
-}
-
-func writeReport(w io.Writer, format string, rep fleet.Report, res []fleet.Result) error {
-	switch format {
-	case "json":
-		out := struct {
-			fleet.Report
-			Results []fleet.Result `json:"results,omitempty"`
-		}{Report: rep, Results: res}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	case "table":
-		return printTables(w, rep)
-	default:
-		return fmt.Errorf("unknown format %q", format)
-	}
 }
 
 func printTables(w io.Writer, rep fleet.Report) error {
@@ -530,6 +633,29 @@ func printTables(w io.Writer, rep fleet.Report) error {
 			100*r.MissRateRegret, r.EnergyRegretMJ/1000)
 	}
 	_, err := rt.WriteTo(w)
+	return err
+}
+
+// printTrainSummary renders the training outcome: per-arm sweep cost (the
+// bar the learned table must beat), how often each arm won a state, and
+// the fallback for unseen states.
+func printTrainSummary(w io.Writer, table *rtm.LearnedTable, rep fleet.TrainReport) error {
+	chosen := map[string]int{}
+	for _, st := range table.States {
+		chosen[st.Arm]++
+	}
+	t := trace.NewTable(
+		fmt.Sprintf("training summary (seed %d: %d workloads, %d runs, %d states)",
+			table.Seed, rep.Workloads, rep.Runs, rep.States),
+		"arm", "sweepRuns", "sweepMeanCost", "statesWon")
+	for _, name := range sortedKeys(rep.Sweep) {
+		s := rep.Sweep[name]
+		t.AddRow(name, s.Runs, s.MeanCost, chosen[name])
+	}
+	if _, err := t.WriteTo(w); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "fallback for unseen states: %s\n", table.Fallback)
 	return err
 }
 

@@ -15,22 +15,30 @@ func trainCfg(seed uint64) TrainConfig {
 	return TrainConfig{Seed: seed, Workloads: 12, Epochs: 1}
 }
 
-// TestTrainRejectsBadArms: arm validation must fail before any scenario
-// runs — an empty name (a trailing comma in policytrain -arms), a
-// duplicate, or a parameterised arm would otherwise surface only when the
-// finished table fails to serialise, discarding the whole training run.
+// TestTrainRejectsBadArms: config validation must fail before any
+// scenario runs. An empty arm (a trailing comma in fleetsim train -arms),
+// a duplicate or a parameterised arm, or a non-finite reward weight would
+// otherwise surface only when the finished table fails to serialise,
+// discarding the whole training run; a NaN epsilon would train a table in
+// which every refinement plan explored.
 func TestTrainRejectsBadArms(t *testing.T) {
-	for name, arms := range map[string][]string{
-		"empty arm":         {"heuristic", "minenergy", ""},
-		"duplicate arm":     {"heuristic", "heuristic"},
-		"parameterised arm": {"heuristic", "learned:x.json"},
-		"unknown arm":       {"heuristic", "nope"},
-		"single arm":        {"heuristic"},
+	for name, bad := range map[string]func(*TrainConfig){
+		"empty arm":          func(c *TrainConfig) { c.Arms = []string{"heuristic", "minenergy", ""} },
+		"duplicate arm":      func(c *TrainConfig) { c.Arms = []string{"heuristic", "heuristic"} },
+		"parameterised arm":  func(c *TrainConfig) { c.Arms = []string{"heuristic", "learned:x.json"} },
+		"unknown arm":        func(c *TrainConfig) { c.Arms = []string{"heuristic", "nope"} },
+		"single arm":         func(c *TrainConfig) { c.Arms = []string{"heuristic"} },
+		"NaN epsilon":        func(c *TrainConfig) { c.Epsilon = math.NaN() },
+		"epsilon above 1":    func(c *TrainConfig) { c.Epsilon = math.Inf(1) },
+		"NaN miss weight":    func(c *TrainConfig) { c.MissWeight = math.NaN() },
+		"Inf miss weight":    func(c *TrainConfig) { c.MissWeight = math.Inf(1) },
+		"-Inf energy weight": func(c *TrainConfig) { c.EnergyWeight = math.Inf(-1) },
+		"unknown class":      func(c *TrainConfig) { c.Classes = []Class{"bogus"} },
 	} {
 		cfg := trainCfg(1)
-		cfg.Arms = arms
+		bad(&cfg)
 		if _, _, err := Train(cfg); err == nil {
-			t.Errorf("%s: Train(%v) succeeded, want up-front validation error", name, arms)
+			t.Errorf("%s: Train(%+v) succeeded, want up-front validation error", name, cfg)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/emlrtm/emlrtm/internal/rtm"
@@ -41,16 +42,17 @@ type TrainConfig struct {
 	Arms []string
 	// Epochs is how many epsilon-greedy refinement epochs follow the
 	// per-arm sweep. Zero is meaningful — a pure-sweep table — so no
-	// default applies; cmd/policytrain's flag supplies its own (2).
+	// default applies; fleetsim train's flag supplies its own (2).
 	Epochs int
 	// Epsilon is the per-Plan exploration probability during refinement
 	// epochs. Zero is meaningful — greedy refinement (unseen states
-	// still explore) — so no default applies; cmd/policytrain's flag
+	// still explore) — so no default applies; fleetsim train's flag
 	// supplies its own (0.1).
 	Epsilon float64
 	// MissWeight and EnergyWeight define the scalar training cost of one
 	// run: MissWeight·missRate + EnergyWeight·avgPowerW (defaults 1 and
 	// 0.05 when both are zero — misses dominate, energy breaks ties).
+	// Both must be finite.
 	MissWeight   float64
 	EnergyWeight float64
 }
@@ -134,8 +136,17 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	if len(cfg.Arms) < 2 {
 		return nil, TrainReport{}, fmt.Errorf("fleet: training needs at least two arms, got %v", cfg.Arms)
 	}
-	if cfg.Epsilon < 0 || cfg.Epsilon > 1 {
+	// Written so that NaN fails too: a NaN epsilon would make every
+	// refinement plan explore.
+	if !(cfg.Epsilon >= 0 && cfg.Epsilon <= 1) {
 		return nil, TrainReport{}, fmt.Errorf("fleet: epsilon %g outside [0,1]", cfg.Epsilon)
+	}
+	// A non-finite weight makes run costs non-finite, which the finished
+	// table then refuses to serialise, discarding the whole training run.
+	for _, w := range []float64{cfg.MissWeight, cfg.EnergyWeight} {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, TrainReport{}, fmt.Errorf("fleet: reward weights (miss %g, energy %g) must be finite", cfg.MissWeight, cfg.EnergyWeight)
+		}
 	}
 	if cfg.Epochs < 0 {
 		return nil, TrainReport{}, fmt.Errorf("fleet: epoch count %d must not be negative", cfg.Epochs)

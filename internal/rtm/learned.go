@@ -37,7 +37,7 @@ const LearnedParamPrefix = "learned"
 // counts and mean costs (index-aligned with LearnedTable.Arms) plus the
 // greedy choice Finalise derived from them. Keeping the full per-arm
 // statistics in the file — not just the argmin — is what makes a trained
-// table inspectable: `policytrain` and humans can read how contested each
+// table inspectable: `fleetsim train`'s summary and humans can read how contested each
 // state was.
 type LearnedState struct {
 	// Arm is the base policy Plan delegates to in this state.

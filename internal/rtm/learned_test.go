@@ -120,7 +120,7 @@ func TestLearnedTableValidateDeterministicError(t *testing.T) {
 // and any table it accepts passes Validate and round-trips through
 // MarshalBytes and ReadLearnedTable to an equal table. A shard header's
 // "learned:<path>" policy reaches this decoder, so it guards merge input
-// as well as policytrain output.
+// as well as fleetsim train output.
 func FuzzReadLearnedTable(f *testing.F) {
 	raw, err := trainedTestTable("h1p1s1a1", "h2p3s2a2").MarshalBytes()
 	if err != nil {
