@@ -110,6 +110,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,12 +212,13 @@ type genFlags struct {
 	seed                         uint64
 	workers                      int
 	platforms, classes, policies string
+	policiesFlag                 string // "policies" or "arms"
 }
 
 const policiesUsage = "comma-separated planning policies to sweep over the same workloads (empty = heuristic; total runs = scenarios × policies)"
 
 func addGenFlags(fs *flag.FlagSet, policiesFlag, usage string) *genFlags {
-	g := &genFlags{}
+	g := &genFlags{policiesFlag: policiesFlag}
 	fs.Uint64Var(&g.seed, "seed", 1, "master seed (scenario seeds, and train's exploration draws, derive from it)")
 	fs.IntVar(&g.workers, "workers", 0, "worker pool size, per shard process under orchestrate (0 = NumCPU; outputs are identical for any value)")
 	fs.StringVar(&g.platforms, "platforms", "", "comma-separated platform names (empty = all)")
@@ -228,20 +230,36 @@ func addGenFlags(fs *flag.FlagSet, policiesFlag, usage string) *genFlags {
 // config is the generator config the flags describe. fleet.NewGenerator,
 // fleet.Orchestrate and fleet.Train each validate it, unknown classes
 // included, before any simulation.
-func (g *genFlags) config() fleet.GeneratorConfig {
-	cfg := fleet.GeneratorConfig{Seed: g.seed, Platforms: split(g.platforms), Policies: split(g.policies)}
-	for _, c := range split(g.classes) {
+func (g *genFlags) config(fs *flag.FlagSet) (fleet.GeneratorConfig, error) {
+	var lists [3][]string
+	for i, f := range []struct{ name, value string }{
+		{"platforms", g.platforms}, {"classes", g.classes}, {g.policiesFlag, g.policies},
+	} {
+		var err error
+		if lists[i], err = split(fs, f.name, f.value); err != nil {
+			return fleet.GeneratorConfig{}, err
+		}
+	}
+	cfg := fleet.GeneratorConfig{Seed: g.seed, Platforms: lists[0], Policies: lists[2]}
+	for _, c := range lists[1] {
 		cfg.Classes = append(cfg.Classes, fleet.Class(c))
 	}
-	return cfg
+	return cfg, nil
 }
 
-// split splits a comma-separated flag value; empty means none.
-func split(s string) []string {
+// split splits the comma-separated value of list flag name; empty means
+// none. An empty entry ("a,", ",a" or ",") is a usage error: the library
+// reads an empty policy name as the default one, so a stray comma would
+// silently add a run to every workload.
+func split(fs *flag.FlagSet, name, s string) ([]string, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
-	return strings.Split(s, ",")
+	list := strings.Split(s, ",")
+	if slices.Contains(list, "") {
+		return nil, badUsage(fs, "-%s %q has an empty entry", name, s)
+	}
+	return list, nil
 }
 
 // reportFlags are the report-shaping flags of run, merge and orchestrate.
@@ -332,7 +350,10 @@ func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := g.config()
+	cfg, err := g.config(fs)
+	if err != nil {
+		return err
+	}
 	gen, err := fleet.NewGenerator(cfg)
 	if err != nil {
 		return err
@@ -434,6 +455,10 @@ func orchestrate(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) erro
 		// flag's documented 500ms.
 		return fmt.Errorf("-backoff %v must be positive", *backoff)
 	}
+	cfg, err := g.config(fs)
+	if err != nil {
+		return err
+	}
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("locating own binary: %w", err)
@@ -462,7 +487,7 @@ func orchestrate(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) erro
 		return a
 	}
 	ocfg := fleet.OrchestratorConfig{
-		Config:       g.config(),
+		Config:       cfg,
 		Workloads:    *scenarios,
 		Shards:       *shards,
 		Dir:          *out,
@@ -499,7 +524,10 @@ func train(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	if *missWeight == 0 && *energyWeight == 0 {
 		return errors.New("-missweight 0 -energyweight 0 is a degenerate reward (every run scores 0); set at least one weight")
 	}
-	gc := g.config()
+	gc, err := g.config(fs)
+	if err != nil {
+		return err
+	}
 	table, rep, err := fleet.Train(fleet.TrainConfig{
 		Seed:         gc.Seed,
 		Workloads:    *workloads,

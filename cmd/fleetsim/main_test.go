@@ -103,6 +103,12 @@ func TestRejectedInvocations(t *testing.T) {
 		{"merge", true},
 		{"orchestrate -out OUT extra", true},
 		{"train -out OUT extra", true},
+		{"-scenarios 2 -policies minenergy,", true},
+		{"-scenarios 2 -policies heuristic,", true},
+		{"-scenarios 2 -policies ,", true},
+		{"train -workloads 2 -arms minenergy, -out OUT", true},
+		{"-scenarios 2 -platforms odroid-xu3,", true},
+		{"-scenarios 2 -classes steady,", true},
 		{"-scenarios 2 -classes bogus", false},
 		{"-scenarios 2 -format xml", false},
 		{"-scenarios 2 -format table -results", false},

@@ -209,7 +209,7 @@ func ExampleRunScenario() {
 	fmt.Printf("\nknobs:    %v\n", knobs)
 	fmt.Printf("monitors: %v\n", monitors)
 	// Output:
-	// simulated 35s; 11 plans, 5 migrations, max temp 65.0°C (throttle 65°C)
+	// simulated 35s; 11 plans, 5 migrations, max temp 65.3°C (throttle 65°C)
 	//
 	// timeline:
 	//   t=  0.00s app-start     dnn1
@@ -218,12 +218,12 @@ func ExampleRunScenario() {
 	//   t=  5.00s migrated      dnn2   cpu-big -> npu/1
 	//   t= 15.00s app-start     vrapp
 	//   t= 15.00s migrated      dnn1   gpu -> cpu-big/4
-	//   t= 22.34s thermal-alarm        65.0C
-	//   t= 22.34s migrated      dnn1   cpu-big -> cpu-lit/4
+	//   t= 22.50s thermal-alarm        65.3C
+	//   t= 22.50s migrated      dnn1   cpu-big -> cpu-lit/4
 	//   t= 25.00s migrated      dnn1   cpu-lit -> npu/1
 	//
 	// final state:
-	//   dnn1: 50% at npu, 798/876 frames on time (avg 24.9 ms)
+	//   dnn1: 50% at npu, 802/876 frames on time (avg 24.8 ms)
 	//   dnn2: 50% at npu, 1794/1801 frames on time (avg 7.1 ms)
 	//
 	// knobs:    [app.dnn1.level app.dnn2.level dev.cpu-big.opp dev.cpu-lit.opp dev.gpu.opp dev.npu.opp]

@@ -193,7 +193,7 @@ func TestGoldenStreamWorkCounts(t *testing.T) {
 			t.Errorf("golden record fell back to encoding/json: %s", line)
 		}
 	}
-	if got, want := len(raw), 11524; got != want {
+	if got, want := len(raw), 11529; got != want {
 		t.Errorf("golden stream is %d bytes, want %d", got, want)
 	}
 	if got, want := values, 185; got != want {

@@ -9,10 +9,16 @@ import (
 //
 //	dT/dt = P/Cth − (T − Tamb)/(Rth·Cth)
 //
-// Steady state is Tamb + Rth·P. ThrottleC is the soft trip point the
-// runtime manager must respect (the Fig 2(c) event: "the temperature of
-// the SoC exceeds thermal limits"); CriticalC is the hardware emergency
-// trip that the simulator reports as a violation.
+// Steady state is Tamb + Rth·P. The simulator advances it in fixed steps
+// (see Step): each step holds the step's average power constant and is
+// solved in closed form, so a step's end temperature is exact for that
+// average, and the trajectory inside the step deviates from the true one
+// by at most the power's swing times Rth·step/τ. ThrottleC is the soft
+// trip point the runtime manager must respect (the Fig 2(c) event: "the
+// temperature of the SoC exceeds thermal limits"); a throttle alarm is
+// raised at the end of the step that crossed it, so at most one step
+// late. CriticalC is the hardware emergency trip point; the simulator
+// reports the peak temperature, which says whether it was passed.
 type ThermalParams struct {
 	RthKPerW  float64
 	CthJPerK  float64
@@ -65,20 +71,22 @@ func (t ThermalParams) TauS() float64 { return t.RthKPerW * t.CthJPerK }
 //
 //	T(dt) = S + (T₀ − S)·e^(−dt/τ),   S = SteadyStateC, τ = Rth·Cth,
 //
-// so one call covers a window of any length. It is TempDecayC with the
-// decay factor e^(−dt/τ) evaluated afresh; a caller that meets the same
-// (dt, τ) over and over reads the factor from a DecayMemo instead.
+// so one call covers an interval of any length: TempDecayC with the decay
+// factor DecayFactor(dt).
 //
-//detlint:hotpath
-//detlint:allow deadexport closed-form reference the sim tests compare the engine's memoised thermal path against
+//detlint:allow deadexport closed-form reference the sim tests compare the engine's thermal steps against
 func (t ThermalParams) TempAfterC(ambientC, powerW, fromC, dt float64) float64 {
-	return t.TempDecayC(ambientC, powerW, fromC, math.Exp(-dt/t.TauS()))
+	return t.TempDecayC(ambientC, powerW, fromC, t.DecayFactor(dt))
 }
+
+// DecayFactor returns e^(−dt/τ), the share of the distance to steady
+// state that is left after dt seconds.
+func (t ThermalParams) DecayFactor(dt float64) float64 { return math.Exp(-dt / t.TauS()) }
 
 // TempDecayC is the closed form behind TempAfterC, given the decay factor
 // decay = e^(−dt/τ) of the elapsed time: S + (T₀ − S)·decay. It is the
-// one place the formula lives, so a memoised factor gives the same bits
-// as TempAfterC.
+// one place the formula lives, so a factor computed once gives the same
+// bits as TempAfterC.
 //
 //detlint:hotpath
 func (t ThermalParams) TempDecayC(ambientC, powerW, fromC, decay float64) float64 {
@@ -86,49 +94,45 @@ func (t ThermalParams) TempDecayC(ambientC, powerW, fromC, decay float64) float6
 	return target + (fromC-target)*decay
 }
 
-// decaySlots is the size of a DecayMemo: a power of two, so a slot index
-// is the top bits of a hash.
-const decaySlots = 64
-
-// DecayMemo is a direct-mapped table of thermal decay factors, each slot
-// holding {dt, τ, e^(−dt/τ)}. math.Exp is a pure function, so a factor
-// read back from the table is exactly the one a fresh evaluation would
-// return, and the table stays valid for as long as it lives: nothing has
-// to invalidate it. Window lengths repeat (frame periods and inference
-// latencies recur), so most lookups hit. The zero value is an empty
-// table; an empty slot never matches, because its τ is 0 and every valid
-// τ is positive. A DecayMemo is not safe for concurrent use.
-type DecayMemo struct {
-	slots [decaySlots]decayEntry
-	evals uint64
+// ThermalStep is the outcome of one fixed-length step of the RC model
+// (see ThermalParams.Step).
+type ThermalStep struct {
+	EndC  float64 // die temperature at the step's end
+	OverS float64 // time within the step spent above ThrottleC, in [0, step]
+	// Alarm says the step crossed ThrottleC upward: it started below the
+	// trip point and ended at or above it.
+	Alarm bool
 }
 
-type decayEntry struct{ dt, tauS, decay float64 }
-
-// Factor returns e^(−dt/τ), from the table when the slot dt hashes to
-// holds the same (dt, τ), and from math.Exp otherwise, which then takes
-// the slot over.
+// Step advances the die by one step of stepS seconds from fromC, under
+// the step's average power powerW held constant and the given ambient;
+// decay must be DecayFactor(stepS). Under constant power the trajectory
+// is monotone, so the step's peak is the larger of its ends, and the
+// throttle point is crossed at most once, at TimeToC's closed-form time.
 //
 //detlint:hotpath
-func (m *DecayMemo) Factor(dt, tauS float64) float64 {
-	s := &m.slots[decaySlot(dt)]
-	if s.dt == dt && s.tauS == tauS {
-		return s.decay
+func (t ThermalParams) Step(ambientC, powerW, fromC, decay, stepS float64) ThermalStep {
+	end := t.TempDecayC(ambientC, powerW, fromC, decay)
+	st := ThermalStep{EndC: end, Alarm: fromC < t.ThrottleC && t.ThrottleC <= end}
+	switch from, to := fromC > t.ThrottleC, end > t.ThrottleC; {
+	case from && to:
+		st.OverS = stepS
+	case from != to:
+		cross, ok := t.TimeToC(ambientC, powerW, fromC, t.ThrottleC)
+		switch {
+		case !ok && fromC == t.ThrottleC:
+			cross = 0 // heating away from the trip point itself
+		case !ok || cross > stepS:
+			cross = stepS // rounding put the crossing at the step's end
+		}
+		if to {
+			st.OverS = stepS - cross
+		} else {
+			st.OverS = cross
+		}
 	}
-	m.evals++
-	*s = decayEntry{dt: dt, tauS: tauS, decay: math.Exp(-dt / tauS)}
-	return s.decay
+	return st
 }
-
-// decaySlot is the slot dt maps to: Fibonacci hashing of dt's bits, whose
-// top six bits depend on every bit of dt.
-func decaySlot(dt float64) uint64 { return (math.Float64bits(dt) * 0x9e3779b97f4a7c15) >> 58 }
-
-// Evals returns how many times the memo has called math.Exp: the misses
-// over its lifetime, a work count for tests.
-//
-//detlint:allow deadexport test-only counter until it becomes a work-counter row in the allocs table
-func (m *DecayMemo) Evals() uint64 { return m.evals }
 
 // TimeToC returns how long the die takes to go from fromC to toC under
 // constant total power powerW and the given ambient: τ·ln((S − T₀)/(S − T₁)).

@@ -1,61 +1,56 @@
 package hw
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"testing"
 )
 
-// TestDecayMemoMatchesExp: every factor the memo hands out is math.Exp's,
-// bit for bit, whether it is a first evaluation, a hit, a slot some other
-// dt took over in between, or the same dt under another τ. The dts are
-// chosen so several of them share a slot.
-func TestDecayMemoMatchesExp(t *testing.T) {
-	// Gather dts that collide with the first one.
-	base := 1.0 / 60
-	colliding := []float64{base}
-	for i := 1; len(colliding) < 4; i++ {
-		if dt := base + float64(i)*1e-6; decaySlot(dt) == decaySlot(base) {
-			colliding = append(colliding, dt)
-		}
-	}
-	dts := append([]float64{0.04, 0.1, 1e-9, 7.5, 0}, colliding...)
-	taus := []float64{4, 27, 36, 0.5}
-
-	var m DecayMemo
-	var calls uint64
-	check := func(dt, tau float64) {
-		t.Helper()
-		calls++
-		got, want := m.Factor(dt, tau), math.Exp(-dt/tau)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Factor(%v, %v) = %v, want math.Exp's %v", dt, tau, got, want)
-		}
-	}
-	for range 3 {
-		for _, tau := range taus {
-			for _, dt := range dts {
-				check(dt, tau)
-				check(dt, tau) // a hit
+// FuzzThermalStep holds one step of the closed form to its contract, for
+// every catalog platform's thermal parameters and any finite start
+// temperature, average power and ambient (folded into (−1e6, 1e6)): the
+// step ends between its start and the steady state, spends between 0 and
+// the whole step above throttle (0 when both ends are at or below it, all
+// of it when both are above), and alarms exactly when it starts below the
+// throttle point and ends at or above it.
+func FuzzThermalStep(f *testing.F) {
+	f.Add(uint8(0), 25.0, 5.0, 25.0)
+	f.Add(uint8(1), 64.9, 5.0, 25.0)
+	f.Add(uint8(2), 90.0, 0.0, 25.0)
+	f.Add(uint8(2), 65.0, 5.0, 58.0)
+	f.Add(uint8(0), 85.0, 0.0, 85.0)
+	f.Add(uint8(1), -40.0, 1e4, -1e6)
+	names := slices.Sorted(maps.Keys(Catalog()))
+	const stepS = 0.25
+	f.Fuzz(func(t *testing.T, plat uint8, fromC, powerW, ambientC float64) {
+		for _, x := range []*float64{&fromC, &powerW, &ambientC} {
+			if math.IsNaN(*x) || math.IsInf(*x, 0) {
+				t.Skip("not finite")
 			}
+			*x = math.Mod(*x, 1e6)
 		}
-		// Colliding dts in turn evict each other; a τ change at the
-		// same dt must miss.
-		for _, dt := range colliding {
-			for _, tau := range taus {
-				check(dt, tau)
-			}
+		th := Catalog()[names[int(plat)%len(names)]].Thermal
+		st := th.Step(ambientC, powerW, fromC, th.DecayFactor(stepS), stepS)
+		lo, hi := fromC, th.SteadyStateC(ambientC, powerW)
+		if lo > hi {
+			lo, hi = hi, lo
 		}
-	}
-	if m.Evals() == 0 || m.Evals() >= calls {
-		t.Fatalf("%d math.Exp calls for %d lookups: the memo never hit or never missed", m.Evals(), calls)
-	}
-
-	// A fresh memo's empty slots must not answer dt = 0 with their zero
-	// factor: τ is never 0.
-	var fresh DecayMemo
-	if got := fresh.Factor(0, 4); got != 1 {
-		t.Fatalf("fresh memo: Factor(0, 4) = %v, want 1", got)
-	}
+		if !(lo <= st.EndC && st.EndC <= hi) {
+			t.Fatalf("%+v from %v °C at %v W, ambient %v °C: ends at %v, outside [%v, %v]",
+				th, fromC, powerW, ambientC, st.EndC, lo, hi)
+		}
+		above, endAbove := fromC > th.ThrottleC, st.EndC > th.ThrottleC
+		switch {
+		case !(st.OverS >= 0 && st.OverS <= stepS),
+			!above && !endAbove && st.OverS != 0,
+			above && endAbove && st.OverS != stepS:
+			t.Fatalf("%+v from %v °C to %v °C: %v s above throttle in a %v s step", th, fromC, st.EndC, st.OverS, stepS)
+		}
+		if want := fromC < th.ThrottleC && th.ThrottleC <= st.EndC; st.Alarm != want {
+			t.Fatalf("%+v from %v °C to %v °C: alarm %v, want %v", th, fromC, st.EndC, st.Alarm, want)
+		}
+	})
 }
 
 // timeToCRef is TimeToC as it was before the early return: the reference

@@ -187,9 +187,6 @@ func TestManagerReactsToThermalAlarm(t *testing.T) {
 		t.Fatal("manager did not respond to thermal pressure")
 	}
 	// The die must not run away to the critical point.
-	if rep.OverCriticalS > 0 {
-		t.Fatalf("critical temperature violated for %.2fs", rep.OverCriticalS)
-	}
 	if rep.MaxTempC >= plat.Thermal.CriticalC {
 		t.Fatalf("max temp %.1f reached critical", rep.MaxTempC)
 	}

@@ -17,27 +17,30 @@ import (
 // Now returns the simulation clock in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Temperature returns the current die temperature in °C — a device monitor.
-func (e *Engine) Temperature() float64 { return e.temperature() }
+// Temperature returns the die temperature in °C — a device monitor. It is
+// the temperature at the last thermal step boundary: the die is sampled
+// every 250 ms, like a thermal sensor polled on a fixed interval, and
+// holds that value until the next boundary. A boundary comes before
+// every event at its instant, so a tick there reads the new sample.
+func (e *Engine) Temperature() float64 { return e.tempC }
 
 // ThrottleC returns the platform's thermal throttle trip point.
 func (e *Engine) ThrottleC() float64 { return e.plat.Thermal.ThrottleC }
 
 // SetAmbient changes the ambient temperature (an environmental
-// disturbance: the device moving into a pocket or sunlight). The thermal
-// trajectory and any pending throttle alarm are re-derived.
+// disturbance: the device moving into a pocket or sunlight). It takes
+// effect at the next thermal step boundary: each step is solved under the
+// ambient in force at its end, so a change at a boundary's instant (as
+// from a tick there) governs exactly the step that starts then, and a
+// change mid-step governs the whole step it falls in.
 func (e *Engine) SetAmbient(c float64) {
 	if c == e.ambient {
 		return
 	}
-	// The window so far ran under the old ambient; the next one starts now.
-	e.closeWindow()
 	e.ambient = c
-	e.thermalDirty = true
 	// Ambient feeds the thermal power budget planners work against, so it
 	// advances the planning epoch; no derived value reads it.
 	e.planEpoch++
-	e.refresh()
 }
 
 // Platform returns the simulated platform description.
@@ -214,7 +217,7 @@ type Snapshot struct {
 func (e *Engine) SnapshotInto(s *Snapshot) {
 	s.TimeS = e.now
 	s.AmbientC = e.ambient
-	s.TempC = e.temperature()
+	s.TempC = e.tempC
 	s.ThrottleC = e.plat.Thermal.ThrottleC
 	s.Apps = s.Apps[:0]
 	for _, a := range e.appList {
@@ -449,14 +452,17 @@ type Report struct {
 	DurationS     float64
 	TotalEnergyMJ float64
 	AvgPowerMW    float64
-	// MaxTempC is the peak die temperature, and OverThrottleS and
-	// OverCriticalS the time spent above the throttle and critical trip
-	// points. All three are exact per constant-power window: temperature
-	// is monotone inside one, so its peak sits at a window end and each
-	// trip point is crossed at most once, at its closed-form time.
+	// MaxTempC is the peak die temperature and OverThrottleS the time
+	// spent above the throttle trip point, over the thermal steps closed
+	// so far (a run's last partial step, under 250 ms, is not counted).
+	// Each step runs at its exact average power, under which temperature
+	// is monotone: its peak sits at one of its ends and the trip point is
+	// crossed at most once, at its closed-form time. A throttle alarm
+	// fires at the end of the step that crossed upward, at most 250 ms
+	// after the crossing. MaxTempC ≤ the platform's CriticalC says the
+	// die never passed the critical trip point.
 	MaxTempC      float64
 	OverThrottleS float64
-	OverCriticalS float64
 	Migrations    int
 	LevelSwaps    int
 	OPPSwitches   int
@@ -485,15 +491,14 @@ type Report struct {
 
 // Report summarises the run so far. The open segment of every integral
 // counts up to the clock without being closed, so reading a report changes
-// nothing, and Run(a); Run(b) reports exactly what Run(b) does.
+// nothing, and Run(a); Run(b) reports exactly what Run(b) does. The
+// thermal fields cover the steps closed so far.
 // TotalEnergyMJ is the sum of the clusters' energies.
 func (e *Engine) Report() Report {
-	temp, overThrot, overCrit := e.windowEnd()
 	r := Report{
 		DurationS:     e.now,
-		MaxTempC:      max(e.maxTempC, temp),
-		OverThrottleS: e.overThrotS + overThrot,
-		OverCriticalS: e.overCritS + overCrit,
+		MaxTempC:      e.maxTempC,
+		OverThrottleS: e.overThrotS,
 		Migrations:    e.migrations,
 		LevelSwaps:    e.levelSwaps,
 		OPPSwitches:   e.oppSwitches,

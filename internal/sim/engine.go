@@ -10,6 +10,12 @@ import (
 	"github.com/emlrtm/emlrtm/internal/hw"
 )
 
+// thermalStepS is the length h of a thermal step: the die temperature is
+// advanced once per step, on a grid at k·h from Reset (see thermalStep).
+// It is a binary fraction, so every boundary time is exact, and it is
+// small against every catalog platform's τ (h ≤ τ/16).
+const thermalStepS = 0.25
+
 // hKind enumerates internal scheduler events (a superset of the observable
 // Event kinds): first the kinds held in the lifecycle list and the release
 // and tick slots, then the timer kinds.
@@ -22,7 +28,6 @@ const (
 	hTick
 	hComplete // the first timer kind
 	hUnblock
-	hThermal
 )
 
 // hevent is one pending event. app is the index into Engine.appList (-1
@@ -34,10 +39,12 @@ const (
 // walked in order; its next frame release in its release slot
 // (appState.relSeq), since an app has at most one pending at a time; the
 // controller tick in the engine's tick slot; and the events re-derived as
-// the state moves — each app's completion or unblock and the throttle
-// alarm — in timer slots (appState.completionSeq, Engine.thermalEvSeq).
-// Arming an event writes its slot, so a superseded timer never fires, and
-// next scans the slots for the earliest.
+// the state moves — each app's completion or unblock — in its timer slot
+// (appState.completionSeq). Arming an event writes its slot, so a
+// superseded timer never fires, and next scans the slots for the
+// earliest. The next thermal step boundary is not among them: it sits at
+// a fixed time (Engine.stepT), and step handles it ahead of every event
+// due at or after it.
 type hevent struct {
 	t    float64
 	seq  int64
@@ -69,9 +76,9 @@ func precedes(t float64, seq int64, timer bool, ev hevent) bool {
 }
 
 // next returns the earliest pending event without consuming it: the
-// lifecycle list's head, the tick, an armed release slot, an armed
-// completion or unblock timer or the armed throttle alarm, whichever comes
-// first (see precedes). ok is false when nothing is pending.
+// lifecycle list's head, the tick, an armed release slot or an armed
+// completion or unblock timer, whichever comes first (see precedes). ok is
+// false when nothing is pending.
 //
 //detlint:hotpath
 func (e *Engine) next() (ev hevent, ok bool) {
@@ -92,9 +99,6 @@ func (e *Engine) next() (ev hevent, ok bool) {
 		if a.completionSeq != 0 && precedes(a.completionEst, a.completionSeq, true, ev) {
 			ev = hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx}
 		}
-	}
-	if e.thermalEvSeq != 0 && precedes(e.thermalEst, e.thermalEvSeq, true, ev) {
-		ev = hevent{t: e.thermalEst, seq: e.thermalEvSeq, kind: hThermal, app: -1}
 	}
 	return ev, ev.seq != 0
 }
@@ -121,8 +125,8 @@ func (e *Engine) Run(endS float64) error {
 	return nil
 }
 
-// prime arms the events every run starts from and opens the first thermal
-// window. Each app's start and stop are appended to the lifecycle list in
+// prime arms the events every run starts from and opens the first energy
+// segments. Each app's start and stop are appended to the lifecycle list in
 // app order, so their seqs rise along it, and sorted by time once,
 // stably, so the list runs in (t, seq) order; the first controller tick
 // goes into the tick slot. It runs once per Reset; a continued Run finds
@@ -157,10 +161,26 @@ func (e *Engine) armTick(t float64) {
 // handle may arm the next one; a timer stays in its slot, and handle
 // disarms it.
 //
+// A thermal step boundary due at or before both that event and endS comes
+// first, ahead of every event at its instant, so a controller tick there
+// reads the new temperature. It changes nothing but the thermal state, so
+// the event found before it stays the earliest, and the same step handles
+// it too when it falls before the next boundary: a boundary that shares
+// its instant with a tick, as in every fleet run, costs no step of its
+// own. A boundary that raises an alarm ends the step instead, since the
+// controller may have acted on it.
+//
 //detlint:hotpath
 func (e *Engine) step(endS float64) bool {
 	ev, ok := e.next()
-	if !ok || ev.t > endS {
+	ok = ok && ev.t <= endS
+	if b := e.stepT; b <= endS && (!ok || b <= ev.t) {
+		e.advanceTo(b)
+		if e.thermalStep() || !ok || ev.t >= e.stepT {
+			return true
+		}
+	}
+	if !ok {
 		return false
 	}
 	switch ev.kind {
@@ -179,10 +199,11 @@ func (e *Engine) step(endS float64) bool {
 
 // advanceTo moves the clock to t; it never moves it back. Nothing is
 // integrated here: every integral is held per constant-rate segment and
-// closed only where its rate changes — heat per thermal window (see
-// closeWindow), cluster energy and busy time in syncThermal, each job's
-// progress at its anchor (see refresh) and UnhostedS when the count of
-// unhosted DNNs moves. Reads evaluate the open segments up to the clock.
+// closed only where its rate changes — cluster energy and busy time in
+// syncThermal, each job's progress at its anchor (see refresh) and
+// UnhostedS when the count of unhosted DNNs moves. Reads evaluate the open
+// segments up to the clock. Temperature moves only at step boundaries
+// (see thermalStep).
 //
 //detlint:hotpath
 func (e *Engine) advanceTo(t float64) {
@@ -191,10 +212,10 @@ func (e *Engine) advanceTo(t float64) {
 
 // touch re-derives a cluster's values after a mutation they can observe,
 // then brings its companion CPU up to date and asks the next syncThermal
-// to re-sum power. Every mutation that derive reads — app lifecycle, job
-// start and finish, OPP switches, availability, migrations and the end of
-// their downtime — touches the clusters it affects, after it has changed
-// their state.
+// to look at the power of each cluster it re-derived. Every mutation that
+// derive reads — app lifecycle, job start and finish, OPP switches,
+// availability, migrations and the end of their downtime — touches the
+// clusters it affects, after it has changed their state.
 //
 // The companion's utilisation reads this cluster's any-active flag, so it
 // is re-tailed when the flag flips. Its own part reads only its residents,
@@ -205,15 +226,18 @@ func (e *Engine) advanceTo(t float64) {
 func (e *Engine) touch(cs *clusterState) {
 	was := cs.active
 	e.derive(cs)
+	e.powerDirty |= cs.bit
 	if co := cs.companion; co != nil {
 		switch {
 		case co.blocked:
 			e.derive(co)
 		case cs.active != was:
 			co.loadTail()
+		default:
+			return
 		}
+		e.powerDirty |= co.bit
 	}
-	e.powerDirty = true
 }
 
 // derive recomputes a cluster's derived values from its state at the
@@ -332,8 +356,7 @@ func (cs *clusterState) setOPP(idx int) {
 // busyPowerMW is hw.Cluster.BusyPowerMW at the current OPP with every core
 // active, for a utilisation already in [0,1] (derive clamps it). With all cores active BusyPowerMW's core fraction is exactly 1 and
 // the OPP factor is formed in the same order, so the result is
-// bit-identical while the power check behind each thermal window costs one
-// multiply-add per derived cluster.
+// bit-identical while costing one multiply-add per derived cluster.
 func (cs *clusterState) busyPowerMW(util float64) float64 {
 	return cs.dynMW*util + cs.c.Power.StaticMW
 }
@@ -392,13 +415,6 @@ func (e *Engine) handle(ev hevent) {
 			e.ctrl.OnTick(e)
 			e.armTick(e.now + e.tickS)
 		}
-	case hThermal:
-		// The alarm is armed only at the open window's upward throttle
-		// crossing (see rescheduleThermal), so the die is there now. It
-		// stays latched until a window ends below the clear point.
-		e.thermalEvSeq = 0
-		e.alarmed = true
-		e.emit(Event{TimeS: e.now, Kind: EvThermalAlarm, TempC: e.temperature()})
 	}
 }
 
@@ -487,7 +503,7 @@ func (e *Engine) emit(ev Event) {
 }
 
 // refresh brings the pending timer of every app derive marked since the
-// last refresh, the unhosted count and the thermal window up to date
+// last refresh, the unhosted count and the energy segments up to date
 // after any state change. An unmarked app would be skipped by a scan of
 // every app: its cluster was not derived, so its rate, job, timer and
 // downtime have not moved since the refresh that last visited it (the
@@ -543,36 +559,21 @@ func (e *Engine) unhostedAt() float64 {
 	return e.unhostedS + float64(e.unhostedN)*(e.now-e.unhostedT0)
 }
 
-// syncThermal closes the integrals that follow cluster power — each
-// cluster's energy and busy time, and the thermal window — where their
-// rate changed, and re-derives the pending throttle alarm when something
-// it depends on moved. Power is re-summed only when some cluster was
-// touched since the last look; a segment closes only when its rate
-// actually changed.
+// syncThermal closes the integrals the thermal steps read — each
+// cluster's energy and busy time — where their rate changed. It looks
+// only at the clusters re-derived since the last look, and a segment
+// closes only when its power or busy predicate actually changed.
 //
 //detlint:hotpath
 func (e *Engine) syncThermal() {
-	if e.powerDirty {
-		e.powerDirty = false
-		total := 0.0
-		for _, cs := range e.clusterList {
-			busy := cs.util > 0
-			if cs.pow != cs.segPowMW || busy != cs.segBusy {
-				cs.energy, cs.busyS = cs.integralsAt(e.now)
-				cs.segT0S, cs.segPowMW, cs.segBusy = e.now, cs.pow, busy
-			}
-			total += cs.pow
-		}
-		if w := total / 1000; w != e.winPowerW {
-			e.closeWindow()
-			e.winPowerW = w
-			e.thermalDirty = true
+	for d := e.powerDirty; d != 0; d &= d - 1 {
+		cs := e.clusterList[bits.TrailingZeros64(d)]
+		if busy := cs.util > 0; cs.pow != cs.segPowMW || busy != cs.segBusy {
+			cs.energy, cs.busyS = cs.integralsAt(e.now)
+			cs.segT0S, cs.segPowMW, cs.segBusy = e.now, cs.pow, busy
 		}
 	}
-	if e.thermalDirty {
-		e.thermalDirty = false
-		e.rescheduleThermal()
-	}
+	e.powerDirty = 0
 }
 
 // integralsAt evaluates the cluster's energy (mJ) and busy-time integrals
@@ -587,102 +588,48 @@ func (cs *clusterState) integralsAt(t float64) (energyMJ, busyS float64) {
 	return energyMJ, busyS
 }
 
-// windowEnd evaluates the open thermal window up to the clock: the die
-// temperature now, and how long since the window opened it spent above the
-// throttle and critical trip points. Temperature is monotone inside a
-// window, so each trip point is crossed at most once and the time above it
-// follows from the closed-form crossing time. It changes nothing;
-// closeWindow commits the result.
-//
-//detlint:hotpath
-func (e *Engine) windowEnd() (tempC, overThrotS, overCritS float64) {
-	th := &e.plat.Thermal
-	from, to, dt := e.winT0C, e.temperature(), e.now-e.winT0S
-	return to, e.timeAbove(th.ThrottleC, from, to, dt), e.timeAbove(th.CriticalC, from, to, dt)
+// energyAt returns the platform's energy (mJ) at t: every cluster's
+// energy integral, summed in platform order.
+func (e *Engine) energyAt(t float64) float64 {
+	total := 0.0
+	for _, cs := range e.clusterList {
+		energy, _ := cs.integralsAt(t)
+		total += energy
+	}
+	return total
 }
 
-// closeWindow ends the open thermal window at the clock and opens the next
-// one where it ended. It runs where the window's inputs change — total
-// power, ambient — and where a throttle alarm is handled; reads evaluate
-// the open window instead (see temperature), so results do not depend on
-// who looks. The window's end carries its peak, and the alarm latch is
-// checked there: a monotone window cannot dip below the clear point and
-// come back.
+// stepPowerW is a thermal step's average power in watts: the platform's
+// energy gained over the step, from e0 to e1 mJ, over its length.
+func stepPowerW(e0, e1 float64) float64 { return (e1 - e0) / (1000 * thermalStepS) }
+
+// thermalStep closes the thermal step that ends at the clock, which is
+// its boundary, and reports whether it raised a throttle alarm. The step
+// runs at its exact average power, from the cluster energy integrals, so
+// how events slice it changes nothing; its end temperature, time above
+// throttle and crossing follow in closed form (hw.ThermalParams.Step)
+// with the decay factor Reset computed. The ambient is the one in force
+// now, so a SetAmbient takes effect at the boundary after it, for the
+// whole step it fell in. The alarm fires when the step crossed the
+// throttle point upward and the alarm is not latched; it stays latched
+// until a step ends below the clear point, 2 K under throttle.
 //
 //detlint:hotpath
-func (e *Engine) closeWindow() {
-	e.windows++
-	to, overThrot, overCrit := e.windowEnd()
-	e.overThrotS += overThrot
-	e.overCritS += overCrit
-	if to > e.maxTempC {
-		e.maxTempC = to
-	}
-	e.winT0C, e.winT0S = to, e.now
-	if e.alarmed && to < e.plat.Thermal.ThrottleC-2 {
+func (e *Engine) thermalStep() (alarm bool) {
+	e.steps++
+	th := &e.plat.Thermal
+	energy := e.energyAt(e.now)
+	st := th.Step(e.ambient, stepPowerW(e.stepE0, energy), e.tempC, e.stepDecay, thermalStepS)
+	e.stepE0, e.tempC, e.stepT = energy, st.EndC, e.stepT+thermalStepS
+	e.overThrotS += st.OverS
+	e.maxTempC = max(e.maxTempC, st.EndC)
+	if e.alarmed && st.EndC < th.ThrottleC-2 {
 		e.alarmed = false
-		e.thermalDirty = true
 	}
-}
-
-// timeAbove returns how long the current window, running from → to over dt
-// seconds, spends above limitC.
-//
-//detlint:hotpath
-func (e *Engine) timeAbove(limitC, from, to, dt float64) float64 {
-	if (from > limitC) == (to > limitC) {
-		if from > limitC {
-			return dt
-		}
-		return 0
+	if !st.Alarm || e.alarmed {
+		return false
 	}
-	cross, ok := e.plat.Thermal.TimeToC(e.ambient, e.winPowerW, from, limitC)
-	switch {
-	case !ok && from == limitC:
-		cross = 0 // heating away from the limit itself
-	case !ok || cross > dt:
-		cross = dt // rounding put the crossing at the window's end
-	}
-	if to > limitC {
-		return dt - cross
-	}
-	return cross
-}
-
-// temperature returns the die temperature at the clock, evaluating the
-// open window without closing it. It is hw.ThermalParams.TempAfterC with
-// the decay factor read from the engine's memo, bit for bit.
-//
-//detlint:hotpath
-func (e *Engine) temperature() float64 {
-	if e.now <= e.winT0S {
-		return e.winT0C
-	}
-	th := &e.plat.Thermal
-	return th.TempDecayC(e.ambient, e.winPowerW, e.winT0C, e.decay.Factor(e.now-e.winT0S, th.TauS()))
-}
-
-// rescheduleThermal arms the alarm timer at the open window's upward
-// throttle crossing, derived in closed form from the window's origin, so
-// re-deriving it mid-window gives the same time. A window that starts at
-// or above the trip point, or a crossing that rounding put before the
-// clock, alarms now; a window that never crosses disarms the timer. It
-// runs only when the window's power or the ambient changed or the alarm
-// state moved.
-func (e *Engine) rescheduleThermal() {
-	if e.alarmed {
-		return
-	}
-	th := &e.plat.Thermal
-	est := e.winT0S
-	if e.winT0C < th.ThrottleC {
-		tc, ok := th.TimeToC(e.ambient, e.winPowerW, e.winT0C, th.ThrottleC)
-		if !ok {
-			e.thermalEvSeq = 0
-			return
-		}
-		est += tc
-	}
-	e.seq++
-	e.thermalEst, e.thermalEvSeq = max(e.now, est), e.seq
+	e.alarmed = true
+	e.emit(Event{TimeS: e.now, Kind: EvThermalAlarm, TempC: st.EndC})
+	return true
 }

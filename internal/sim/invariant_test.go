@@ -45,8 +45,9 @@ func (c *stressCtrl) OnEvent(e *Engine, ev Event) {
 }
 
 // armedEvents collects every event the engine has armed: the lifecycle
-// list from the cursor on, the tick, each app's release slot and timer,
-// and the throttle alarm.
+// list from the cursor on, the tick, and each app's release slot and
+// timer. The thermal step boundary is not an armed event; step handles it
+// ahead of them.
 func armedEvents(e *Engine) []hevent {
 	armed := slices.Clone(e.lifecycle[e.cursor:])
 	if e.tickSeq != 0 {
@@ -60,17 +61,14 @@ func armedEvents(e *Engine) []hevent {
 			armed = append(armed, hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx})
 		}
 	}
-	if e.thermalEvSeq != 0 {
-		armed = append(armed, hevent{t: e.thermalEst, seq: e.thermalEvSeq, kind: hThermal, app: -1})
-	}
 	return armed
 }
 
-// eventClass puts timers (completions, unblocks, the alarm) in class 0
-// and starts, stops, releases and ticks in class 1.
+// eventClass puts timers (completions, unblocks) in class 0 and starts,
+// stops, releases and ticks in class 1.
 func eventClass(ev hevent) int {
 	switch ev.kind {
-	case hComplete, hUnblock, hThermal:
+	case hComplete, hUnblock:
 		return 0
 	}
 	return 1
@@ -95,26 +93,31 @@ func refEventOrder(x, y hevent) int {
 	return 0
 }
 
-// TestEngineInvariants steps runs one event at a time, through the
-// same earliest-event selection step uses, and checks before every event
+// TestEngineInvariants steps runs one step at a time, through the
+// same earliest-event selection step uses, and checks before every step
 // that next picks the first of every armed event sorted by refEventOrder,
-// and after every event that:
-//   - the clock moved to the event's time;
+// and after every step that:
+//   - a thermal step boundary due at or before the event was handled
+//     first, and the event too unless the boundary raised an alarm or
+//     the next boundary comes first; the clock moved to the last of them;
+//   - the next boundary lies after the clock, at most one step ahead;
 //   - the lifecycle list from the cursor on holds only starts and stops,
 //     in (t, seq) order, no armed event is due before the clock and no
 //     two share a seq;
 //   - no app that has stopped has its release slot armed;
-//   - a thermal window that closed ended at the temperature the closed form
-//     gives from where it started, and the next one starts there;
-//   - the open window's power is the platform's total power;
+//   - each thermal step starts where the last one ended, and ends, bit
+//     for bit, at TempDecayC of its start, its average power (the energy
+//     the platform gained over it, over its length) and the decay factor
+//     computed once per Reset;
+//   - the open energy segments run at the platform's total power;
 //
-// and at the end that no more time is spent above a trip point than has
+// and at the end that no more time is spent above throttle than has
 // elapsed. The stress run drives thermal load, a fault, migrations and DVFS
 // changes; the hot run is the BenchApps load at 58 °C under a no-op
-// controller ticking every 0.1 s, which re-derives the throttle alarm at
-// every power change on its way up to the trip point; the churn run is the
-// hot run with the apps starting and stopping out of app order, two starts
-// and a stop due at one instant and two stops at another. The tie run is
+// controller ticking every 0.1 s, off the step grid, on its way up to the
+// trip point; the churn run is the hot run with the apps starting and
+// stopping out of app order, two starts and a stop due at one instant and
+// two stops at another. The tie run is
 // tieApp alone and uncontrolled, so each job's completion timer is due at
 // the instant of the next release: it must reach the timer/non-timer tie
 // at least ties times, and is held to nothing thermal.
@@ -145,7 +148,12 @@ func TestEngineInvariants(t *testing.T) {
 			slots := make([]int64, len(e.appList))
 
 			e.prime()
-			var windows, completionRearms, alarmRearms, ties int
+			th := &e.plat.Thermal
+			if e.stepDecay != th.DecayFactor(thermalStepS) {
+				t.Fatalf("decay factor %v, want %v", e.stepDecay, th.DecayFactor(thermalStepS))
+			}
+			lastEnd, lastEnergy := e.tempC, 0.0
+			var steps, completionRearms, ties int
 			for {
 				ev, ok := e.next()
 				armed := armedEvents(e)
@@ -156,10 +164,13 @@ func TestEngineInvariants(t *testing.T) {
 				case len(armed) > 0 && (!ok || ev != armed[0]):
 					t.Fatalf("at %gs next returned %+v (ok %v), the earliest armed event is %+v", e.now, ev, ok, armed[0])
 				}
-				if !ok || ev.t > tc.endS {
+				ok = ok && ev.t <= tc.endS
+				b := e.stepT
+				boundary := b <= tc.endS && (!ok || b <= ev.t)
+				if !ok && !boundary {
 					break
 				}
-				if len(armed) > 1 && armed[1].t == ev.t && eventClass(armed[1]) != eventClass(ev) {
+				if ok && len(armed) > 1 && armed[1].t == ev.t && eventClass(armed[1]) != eventClass(ev) {
 					ties++
 				}
 				for i, a := range e.appList {
@@ -168,16 +179,36 @@ func TestEngineInvariants(t *testing.T) {
 						slots[i] = a.completionSeq
 					}
 				}
-				alarm := e.thermalEvSeq
-				if ev.kind == hThermal {
-					alarm = 0
+				from, e0, ambient, wasAlarmed := e.tempC, e.stepE0, e.ambient, e.alarmed
+				if from != lastEnd || e0 != lastEnergy {
+					t.Fatalf("at %gs the open step starts at %.17g°C, %.17gmJ; the last one ended at %.17g°C, %.17gmJ",
+						e.now, from, e0, lastEnd, lastEnergy)
 				}
-				t0, from, powerW, ambient := e.winT0S, e.winT0C, e.winPowerW, e.ambient
+				energy := e.energyAt(b) // the open segments hold until the event
 				if !e.step(tc.endS) {
-					t.Fatal("step refused an event due before the end")
+					t.Fatal("step refused an event or boundary due before the end")
 				}
-				if e.now != ev.t {
+				handled := ok
+				if boundary {
+					steps++
+					want := th.TempDecayC(ambient, stepPowerW(e0, energy), from, th.DecayFactor(thermalStepS))
+					if e.stepT != b+thermalStepS || e.tempC != want || e.stepE0 != energy {
+						t.Fatalf("step ending at %gs from %.17g°C: next boundary %g, end %.17g°C at %.17gmJ, want %g, %.17g°C at %.17gmJ",
+							b, from, e.stepT, e.tempC, e.stepE0, b+thermalStepS, want, energy)
+					}
+					lastEnd, lastEnergy = e.tempC, energy
+					alarmed := !wasAlarmed && e.alarmed
+					handled = ok && !alarmed && ev.t < e.stepT
+				} else if e.stepT != b {
+					t.Fatalf("at %gs the boundary moved from %g to %g", e.now, b, e.stepT)
+				}
+				switch {
+				case handled && e.now != ev.t:
 					t.Fatalf("%v event at %g left the clock at %g", ev.kind, ev.t, e.now)
+				case !handled && e.now != b:
+					t.Fatalf("boundary at %g left the clock at %g", b, e.now)
+				case !(e.stepT-thermalStepS <= e.now && e.now < e.stepT):
+					t.Fatalf("at %gs the next boundary is at %g", e.now, e.stepT)
 				}
 				rest := e.lifecycle[e.cursor:]
 				for i, q := range rest {
@@ -205,26 +236,19 @@ func TestEngineInvariants(t *testing.T) {
 						completionRearms++
 					}
 				}
-				if alarm != 0 && e.thermalEvSeq != 0 && e.thermalEvSeq != alarm {
-					alarmRearms++
+				segments := 0.0
+				for _, cs := range e.clusterList {
+					segments += cs.segPowMW
 				}
-				if e.winT0S != t0 {
-					windows++
-					want := e.plat.Thermal.TempAfterC(ambient, powerW, from, e.winT0S-t0)
-					if e.winT0S != e.now || e.winT0C != want {
-						t.Fatalf("window [%g, %g] from %.12g°C at %gW: next starts at %gs, %.12g°C, want %gs, %.12g°C",
-							t0, e.winT0S, from, powerW, e.winT0S, e.winT0C, e.now, want)
-					}
-				}
-				if total := totalPowerMW(e) / 1000; e.winPowerW != total {
-					t.Fatalf("at %gs the thermal window runs at %gW, the platform draws %gW", e.now, e.winPowerW, total)
+				if total := totalPowerMW(e); segments != total {
+					t.Fatalf("at %gs the energy segments run at %gmW, the platform draws %gmW", e.now, segments, total)
 				}
 			}
 			e.advanceTo(tc.endS)
 
 			rep := e.Report()
-			if rep.OverThrottleS > rep.DurationS || rep.OverCriticalS > rep.OverThrottleS {
-				t.Errorf("%gs above throttle and %gs above critical in a %gs run", rep.OverThrottleS, rep.OverCriticalS, rep.DurationS)
+			if rep.OverThrottleS > rep.DurationS {
+				t.Errorf("%gs above throttle in a %gs run", rep.OverThrottleS, rep.DurationS)
 			}
 			// The run must reach what the invariants are about.
 			var alarms, stops int
@@ -240,13 +264,13 @@ func TestEngineInvariants(t *testing.T) {
 				if ties < tc.ties {
 					t.Fatalf("%d timer/non-timer ties, want at least %d", ties, tc.ties)
 				}
-			} else if alarmRearms == 0 || windows == 0 || alarms == 0 || stops != tc.stops {
-				t.Fatalf("run too tame: %d alarm re-arms, %d windows, %d alarms, %d stops (want %d)", alarmRearms, windows, alarms, stops, tc.stops)
+			} else if steps == 0 || alarms == 0 || stops != tc.stops {
+				t.Fatalf("run too tame: %d thermal steps, %d alarms, %d stops (want %d)", steps, alarms, stops, tc.stops)
 			}
 			if ctrl, ok := tc.ctrl.(*stressCtrl); ok && (completionRearms == 0 || alarms < 2 || rep.ClusterFails == 0 ||
-				rep.Migrations < 2 || rep.OverCriticalS == 0 || ctrl.reads == 0) {
-				t.Fatalf("stress run too tame: %d completion re-arms, %d alarms, %d faults, %d migrations, %gs above critical",
-					completionRearms, alarms, rep.ClusterFails, rep.Migrations, rep.OverCriticalS)
+				rep.Migrations < 2 || rep.MaxTempC <= th.CriticalC || ctrl.reads == 0) {
+				t.Fatalf("stress run too tame: %d completion re-arms, %d alarms, %d faults, %d migrations, peak %g°C",
+					completionRearms, alarms, rep.ClusterFails, rep.Migrations, rep.MaxTempC)
 			}
 		})
 	}

@@ -142,3 +142,37 @@ func TestResetRejectsMoreThan64Apps(t *testing.T) {
 		t.Fatalf("cpu-lit hosts %d residents at util %v, want 64 at %v", len(info.Residents), info.Util, want)
 	}
 }
+
+// TestResetRejectsMoreThan64Clusters pins the cluster limit the one-word
+// set of clusters to re-sum imposes: 65 clusters are an error, and with
+// 64 the last one's energy segment still follows its load.
+func TestResetRejectsMoreThan64Clusters(t *testing.T) {
+	plat := func(n int) *hw.Platform {
+		p := hw.FlagshipSoC()
+		lit := *p.Cluster("cpu-lit")
+		p.Clusters = nil
+		for i := range n {
+			c := lit
+			c.Name = fmt.Sprintf("c%d", i)
+			p.Clusters = append(p.Clusters, &c)
+		}
+		return p
+	}
+	e := mustEngine(t, Config{Platform: hw.FlagshipSoC()})
+	if err := e.Reset(Config{Platform: plat(65)}); err == nil {
+		t.Fatal("Reset accepted 65 clusters")
+	}
+	p := plat(64)
+	bg := App{Name: "bg", Kind: KindBackground, Util: 1, StartS: 1, Placement: Placement{Cluster: "c63", Cores: 1}}
+	if err := e.Reset(Config{Platform: p, Apps: []App{bg}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	rep := e.Report()
+	first, last := rep.Clusters[0], rep.Clusters[63]
+	if last.BusyS != 1 || !(last.EnergyMJ > first.EnergyMJ) {
+		t.Fatalf("c63 busy %gs with %gmJ, idle c0 %gmJ: its load was not integrated", last.BusyS, last.EnergyMJ, first.EnergyMJ)
+	}
+}

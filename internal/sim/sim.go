@@ -11,24 +11,27 @@
 //     domain" coupling);
 //   - accelerator contention (resident DNN jobs share the accelerator's
 //     throughput) and NPU model-memory capacity (the Fig 2(d) constraint);
-//   - energy accounting per cluster and lumped RC thermal integration with
-//     throttle-crossing alarms;
+//   - energy accounting per cluster, and a lumped RC thermal model advanced
+//     in fixed 250 ms steps at each step's exact average power, with
+//     throttle-crossing alarms at the end of the crossing step;
 //   - migration with a load-time cost, and runtime model-level switching;
 //   - a Controller hook (the RTM) invoked on a fixed epoch and on the
 //     events a manager acts on (not on frames that finish on time).
 //
-// Between events all rates and powers are constant, so job progress,
-// energy and temperature are integrated exactly — results do not depend on
-// a time-step size. Each integral is closed only where its own rate
-// changes and read in closed form in between, so events that change
-// nothing leave every result unchanged, bit for bit.
+// Between events all rates and powers are constant, so job progress and
+// energy are integrated exactly. Each integral is closed only where its
+// own rate changes and read in closed form in between, so events that
+// change nothing leave every result unchanged, bit for bit. Temperature
+// follows energy: each thermal step reads the energy its interval
+// gained, so it too is independent of how events slice time.
 //
-// Events at one instant run in this order: first the timers (job
-// completions, ends of migration downtime and the throttle alarm) in the
-// order they were armed, then the starts, stops, releases and ticks in
-// the order they were armed. A job whose latency equals its
-// period exactly therefore completes on time, and the frame released at
-// that instant starts a new job rather than being dropped.
+// Events at one instant run in this order: first a thermal step boundary
+// (and the throttle alarm it may raise), then the timers (job completions
+// and ends of migration downtime) in the order they were armed, then the
+// starts, stops, releases and ticks in the order they were armed. A job
+// whose latency equals its period exactly therefore completes on time,
+// and the frame released at that instant starts a new job rather than
+// being dropped.
 package sim
 
 import (
@@ -258,6 +261,7 @@ type appState struct {
 // clusterState tracks per-cluster dynamics.
 type clusterState struct {
 	c      *hw.Cluster
+	bit    uint64 // 1 << the cluster's position in Engine.clusterList
 	oppIdx int
 	// dynMW is the dynamic power of the current OPP at full utilisation,
 	// Ceff·V²·f, kept in step with oppIdx by setOPP (see busyPowerMW).
@@ -328,30 +332,23 @@ type Engine struct {
 	clusterStore []clusterState
 	ambient      float64 // current ambient °C (scenario-controllable)
 
-	// The die temperature is held per constant-power window: between two
-	// changes of total power or ambient the RC model has a closed form, so
-	// it is evaluated only where a window closes (see closeWindow) or where
-	// something reads it. winT0C is the temperature at the window's start
-	// winT0S and winPowerW the total power through it. powerDirty asks the
-	// next syncThermal to re-sum that power: some cluster was touched.
-	winT0C     float64
-	winT0S     float64
-	winPowerW  float64
-	powerDirty bool
-	// thermalDirty asks the next syncThermal to re-derive the pending
-	// throttle alarm: a window opened, the ambient moved, or the alarm was
-	// consumed or cleared.
-	thermalDirty bool
-	// decay memoises the window's decay factor e^(−dt/τ) by (dt, τ), so
-	// evaluating a window whose length recurs costs no math.Exp. The
-	// factor is a pure function of its key, so a hit is exactly what
-	// math.Exp would return and the table survives Reset, platform
-	// changes included; it is never shared between engines.
-	decay hw.DecayMemo
-	// windows counts the thermal windows closed over the engine's life
-	// (Reset keeps it, like decay's count of math.Exp calls): work counts
-	// for tests.
-	windows uint64
+	// The die temperature is advanced once per thermal step, at the
+	// boundaries k·thermalStepS from Reset (see thermalStep). tempC is its
+	// value at the last boundary and stepE0 the platform's energy there;
+	// stepT is the next boundary. stepDecay is e^(−h/τ), computed once per
+	// Reset, so no step calls math.Exp. powerDirty holds the clusters
+	// (by bit) re-derived since the last syncThermal, whose power it
+	// must look at.
+	tempC      float64
+	stepE0     float64
+	stepT      float64
+	stepDecay  float64
+	powerDirty uint64
+	// steps counts the thermal steps closed and decayEvals the math.Exp
+	// calls made for them, over the engine's life (Reset keeps both):
+	// work counts for tests.
+	steps      uint64
+	decayEvals uint64
 
 	// coreScaleStore backs every cluster's coreScale table, rewritten in
 	// place by Reset like the stores above.
@@ -365,17 +362,14 @@ type Engine struct {
 	seq    int64 // last seq handed to an armed event
 	// lifecycle holds every app's start and stop in (t, seq) order, sorted
 	// once by prime; the entries before cursor have been handled.
-	lifecycle    []hevent
-	cursor       int
-	tickT        float64 // time the next controller tick is due
-	tickSeq      int64   // seq of that tick (0: none armed)
-	thermalEvSeq int64   // seq of the armed throttle alarm timer (0: none)
-	thermalEst   float64 // time that alarm is due
-	alarmed      bool    // throttle alarm latched until temperature drops below
+	lifecycle []hevent
+	cursor    int
+	tickT     float64 // time the next controller tick is due
+	tickSeq   int64   // seq of that tick (0: none armed)
+	alarmed   bool    // throttle alarm latched until a step ends below the clear point
 
-	maxTempC    float64
-	overThrotS  float64 // time spent above throttle
-	overCritS   float64 // time spent above critical
+	maxTempC    float64 // peak temperature over the closed steps
+	overThrotS  float64 // time spent above throttle over the closed steps
 	eventLog    []Event
 	logEvents   bool
 	migrations  int
@@ -421,11 +415,17 @@ type Engine struct {
 }
 
 // maxApps is the most apps an engine runs: one bit each in a uint64
-// resident set.
-const maxApps = 64
+// resident set. maxClusters is the most clusters a platform may have, for
+// the same reason: one bit each in Engine.powerDirty.
+const (
+	maxApps     = 64
+	maxClusters = 64
+)
 
 // Config configures an Engine.
 type Config struct {
+	// Platform is the hardware, at most 64 clusters: the engine keeps the
+	// clusters whose power changed as one 64-bit set.
 	Platform *hw.Platform
 	// Apps lists the workloads, at most 64: each cluster keeps its
 	// residents as one 64-bit set, and New and Reset reject more.
@@ -477,10 +477,10 @@ func (e *Engine) Reset(cfg Config) error {
 
 	e.now, e.primed, e.seq = 0, false, 0
 	e.cursor, e.tickSeq = 0, 0
-	e.winT0C, e.winT0S, e.winPowerW, e.powerDirty = cfg.Platform.AmbientC, 0, 0, true
-	e.thermalDirty = true
-	e.thermalEvSeq, e.thermalEst, e.alarmed = 0, 0, false
-	e.overThrotS, e.overCritS = 0, 0
+	e.tempC, e.stepE0, e.stepT = cfg.Platform.AmbientC, 0, thermalStepS
+	e.stepDecay = cfg.Platform.Thermal.DecayFactor(thermalStepS)
+	e.decayEvals++
+	e.alarmed, e.overThrotS = false, 0
 	e.migrations, e.levelSwaps, e.oppSwitches = 0, 0, 0
 	e.offline, e.clusterFails, e.clusterRepairs = 0, 0, 0
 	e.unhostedS, e.unhostedT0, e.unhostedN = 0, 0, 0
@@ -498,6 +498,9 @@ func (e *Engine) Reset(cfg Config) error {
 
 	// Rebuild cluster state into the reused store; pointers are taken only
 	// after the store has its final size, so they stay valid.
+	if n := len(cfg.Platform.Clusters); n > maxClusters {
+		return fmt.Errorf("sim: platform has %d clusters, at most %d", n, maxClusters)
+	}
 	if cap(e.clusterStore) < len(cfg.Platform.Clusters) {
 		e.clusterStore = make([]clusterState, len(cfg.Platform.Clusters))
 	}
@@ -515,7 +518,7 @@ func (e *Engine) Reset(cfg Config) error {
 		for n := 0; n <= c.Cores; n++ {
 			store = append(store, c.CoreScale(n))
 		}
-		e.clusterStore[i] = clusterState{c: c, online: true, accel: c.Type.IsAccelerator(), coreScale: store[lo:]}
+		e.clusterStore[i] = clusterState{c: c, bit: 1 << i, online: true, accel: c.Type.IsAccelerator(), coreScale: store[lo:]}
 		cs := &e.clusterStore[i]
 		cs.setOPP(0)
 		e.clusters[c.Name] = cs
@@ -560,8 +563,10 @@ func (e *Engine) Reset(cfg Config) error {
 		e.apps[a.Name] = st
 		e.appList = append(e.appList, st)
 	}
+	e.powerDirty = 0
 	for _, cs := range e.clusterList {
 		e.derive(cs)
+		e.powerDirty |= cs.bit
 	}
 
 	// Size the lifecycle list for every app's start and stop, and the
