@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/emlrtm/emlrtm/internal/fleet"
 )
 
 // fleetsim runs one invocation in-process and returns its stdout; any
@@ -55,6 +58,62 @@ func TestShardsMergeToOneProcessReport(t *testing.T) {
 	}
 	if got := fleetsim(t, merge...); !bytes.Equal(got, want) {
 		t.Fatal("merged shards differ from the one-process report")
+	}
+}
+
+// TestNoLatShards: -nolat shards carry no latency samples, their merge
+// marks every group p95 approximate, and every group's mean latency
+// equals that of a merge of the same shards with their samples kept,
+// since group means are folded from per-run means in both.
+func TestNoLatShards(t *testing.T) {
+	dir := t.TempDir()
+	merged := func(nolat bool) fleet.Report {
+		t.Helper()
+		merge := []string{"merge"}
+		for _, shard := range []string{"1/2", "2/2"} {
+			args := []string{"-scenarios", "16", "-seed", "3", "-shard", shard}
+			name := strings.Replace(shard, "/", "of", 1)
+			if nolat {
+				args, name = append(args, "-nolat"), "nolat-"+name
+			}
+			path := filepath.Join(dir, name+".ndjson")
+			fleetsim(t, append(args, "-out", path)...)
+			stream, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bytes.Contains(stream, []byte(`"latencies"`)); got == nolat {
+				t.Fatalf("-nolat %v: shard %s carries latencies: %v", nolat, shard, got)
+			}
+			merge = append(merge, path)
+		}
+		var rep fleet.Report
+		if err := json.Unmarshal(fleetsim(t, merge...), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	groups := func(rep fleet.Report) map[string]fleet.GroupStats {
+		out := map[string]fleet.GroupStats{"overall": rep.Overall}
+		for name, g := range rep.ByPlatform {
+			out["platform "+name] = g
+		}
+		for class, g := range rep.ByClass {
+			out["class "+string(class)] = g
+		}
+		return out
+	}
+	lean, full := groups(merged(true)), groups(merged(false))
+	if len(lean) != len(full) {
+		t.Fatalf("-nolat merge has %d groups, the full one %d", len(lean), len(full))
+	}
+	for name, g := range lean {
+		if !g.P95Approx {
+			t.Errorf("-nolat merge: %s p95 not marked approximate", name)
+		}
+		if f := full[name]; f.Completed == 0 || g.MeanLatencyS != f.MeanLatencyS {
+			t.Errorf("%s: -nolat mean latency %v, with samples %v (%d completed)", name, g.MeanLatencyS, f.MeanLatencyS, f.Completed)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
@@ -28,15 +29,19 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress the decision stream")
 	flag.Parse()
 
-	if err := run(os.Stdout, *scenario, *tick, *quiet); err != nil {
+	var decisions io.Writer = os.Stderr
+	if *quiet {
+		decisions = nil
+	}
+	if err := run(os.Stdout, decisions, *scenario, *tick); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // run simulates the named scenario and writes its summary and timeline
-// to w. Unless quiet, the manager's decisions stream to stderr as they
-// happen.
-func run(w io.Writer, scenario string, tick float64, quiet bool) error {
+// to w. The manager's decisions stream to decisions, one line each as
+// they happen, unless it is nil.
+func run(w, decisions io.Writer, scenario string, tick float64) error {
 	var (
 		s    workload.Scenario
 		plat = hw.FlagshipSoC()
@@ -51,9 +56,9 @@ func run(w io.Writer, scenario string, tick float64, quiet bool) error {
 		return fmt.Errorf("unknown scenario %q", scenario)
 	}
 
-	logf := func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
-	if quiet {
-		logf = nil
+	var logf func(string, ...any)
+	if decisions != nil {
+		logf = func(f string, a ...any) { fmt.Fprintf(decisions, f+"\n", a...) }
 	}
 	e, mgr, rep, err := workload.Run(s, plat, tick, logf)
 	if err != nil {
@@ -66,7 +71,11 @@ func run(w io.Writer, scenario string, tick float64, quiet bool) error {
 		mgr.Plans(), rep.Migrations, rep.LevelSwaps, rep.OPPSwitches)
 	fmt.Fprintf(bw, "energy=%.0fmJ avgPower=%.0fmW maxTemp=%.1fC overThrottle=%.2fs\n",
 		rep.TotalEnergyMJ, rep.AvgPowerMW, rep.MaxTempC, rep.OverThrottleS)
+	var npu []string
 	for _, a := range rep.Apps {
+		if a.Running && a.Placement.Cluster == "npu" {
+			npu = append(npu, a.Name)
+		}
 		if a.Kind != sim.KindDNN {
 			continue
 		}
@@ -81,10 +90,10 @@ func run(w io.Writer, scenario string, tick float64, quiet bool) error {
 			fmt.Fprintf(bw, "  t=%6.2fs %-13s %-6s %s\n", ev.TimeS, ev.Kind, ev.App, ev.Detail())
 		}
 	}
-	final, err := e.Cluster("npu")
-	if err == nil {
+	if final, err := e.Cluster("npu"); err == nil {
+		slices.Sort(npu)
 		fmt.Fprintf(bw, "npu residents at end: %v (free memory %.1f MiB)\n",
-			final.Residents, float64(final.MemFree)/(1<<20))
+			npu, float64(final.MemFree)/(1<<20))
 	}
 	return bw.Flush()
 }

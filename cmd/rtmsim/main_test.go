@@ -17,32 +17,40 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestScenarioGolden pins, byte for byte, what rtmsim prints for the
-// paper's Fig 2 and Fig 5 scenarios: the run summary, each DNN's final
-// state and the timeline.
+// paper's Fig 2 and Fig 5 scenarios: on stdout the run summary, each
+// DNN's final state and the timeline (testdata/<scenario>.golden), and on
+// stderr the manager's decision stream (testdata/<scenario>.stderr.golden).
 func TestScenarioGolden(t *testing.T) {
 	for _, scenario := range []string{"fig2", "fig5"} {
 		t.Run(scenario, func(t *testing.T) {
-			var got bytes.Buffer
-			if err := run(&got, scenario, 0.25, true); err != nil {
+			var stdout, stderr bytes.Buffer
+			if err := run(&stdout, &stderr, scenario, 0.25); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", scenario+".golden")
-			if *update {
-				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("rewrote %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create the golden file)", err)
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("output drifted from %s:\n--- golden\n%s--- got\n%s(if the change is intended, regenerate with -update and review the diff)",
-					path, want, got.Bytes())
-			}
+			checkGolden(t, filepath.Join("testdata", scenario+".golden"), stdout.Bytes())
+			checkGolden(t, filepath.Join("testdata", scenario+".stderr.golden"), stderr.Bytes())
 		})
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create the golden file)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output drifted from %s:\n--- golden\n%s--- got\n%s(if the change is intended, regenerate with -update and review the diff)",
+			path, want, got)
 	}
 }
 
@@ -50,7 +58,7 @@ func TestScenarioGolden(t *testing.T) {
 // not a default run.
 func TestUnknownScenario(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "fig9", 0.25, true); err == nil {
+	if err := run(&out, &out, "fig9", 0.25); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 	if out.Len() != 0 {

@@ -154,8 +154,10 @@ type (
 	Event = sim.Event
 	// SimSnapshot is a read-only capture of the engine's observable state.
 	// Engine.SnapshotInto fills a zero one, or rebuilds an existing one in
-	// place for controllers on a hot loop, and policies' views clone
-	// without allocating via View.CloneInto.
+	// place: its Apps and Clusters slices are reused and every entry is a
+	// plain value, so a controller snapshotting every tick allocates
+	// nothing once they have grown. Policies' views clone without
+	// allocating via View.CloneInto.
 	SimSnapshot = sim.Snapshot
 
 	// Manager is the paper's runtime resource manager (Fig 5): the

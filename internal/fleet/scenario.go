@@ -453,12 +453,14 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 			})
 		}
 	case ClassThermal:
+		// SetAmbient refuses only a non-finite ambient, and both are
+		// finite: Validate refuses a platform whose AmbientC is not.
 		hotAt := (0.2 + 0.3*rng.Float64()) * endS
 		hotC := plat.AmbientC + 10 + 10*rng.Float64()
 		sc.Actions = append(sc.Actions, workload.Action{
 			AtS:  hotAt,
 			Name: "hot-environment",
-			Do:   func(se *sim.Engine, m *rtm.Manager) { se.SetAmbient(hotC) },
+			Do:   func(se *sim.Engine, m *rtm.Manager) { _ = se.SetAmbient(hotC) },
 		})
 		if rng.Intn(2) == 0 {
 			coolAt := hotAt + (0.3+0.3*rng.Float64())*(endS-hotAt)
@@ -466,7 +468,7 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 			sc.Actions = append(sc.Actions, workload.Action{
 				AtS:  coolAt,
 				Name: "cool-environment",
-				Do:   func(se *sim.Engine, m *rtm.Manager) { se.SetAmbient(base) },
+				Do:   func(se *sim.Engine, m *rtm.Manager) { _ = se.SetAmbient(base) },
 			})
 		}
 	case ClassFaulty:

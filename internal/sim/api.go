@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
@@ -32,15 +31,21 @@ func (e *Engine) ThrottleC() float64 { return e.plat.Thermal.ThrottleC }
 // effect at the next thermal step boundary: each step is solved under the
 // ambient in force at its end, so a change at a boundary's instant (as
 // from a tick there) governs exactly the step that starts then, and a
-// change mid-step governs the whole step it falls in.
-func (e *Engine) SetAmbient(c float64) {
+// change mid-step governs the whole step it falls in. A NaN or infinite
+// ambient is an error and changes nothing: it would carry into every
+// later temperature.
+func (e *Engine) SetAmbient(c float64) error {
+	if !finite(c) {
+		return fmt.Errorf("sim: ambient %f must be finite", c)
+	}
 	if c == e.ambient {
-		return
+		return nil
 	}
 	e.ambient = c
 	// Ambient feeds the thermal power budget planners work against, so it
 	// advances the planning epoch; no derived value reads it.
 	e.planEpoch++
+	return nil
 }
 
 // Platform returns the simulated platform description.
@@ -86,13 +91,12 @@ type AppInfo struct {
 	Dropped    int
 	Aborted    int // frames killed by a cluster fault (in-flight or released while unhosted)
 	AvgLatency float64
-	MaxLatency float64
 }
 
 // App returns the observable state of the named app.
 func (e *Engine) App(name string) (AppInfo, error) {
-	a, ok := e.apps[name]
-	if !ok {
+	a := e.app(name)
+	if a == nil {
 		return AppInfo{}, fmt.Errorf("sim: unknown app %q", name)
 	}
 	return e.appInfo(a), nil
@@ -117,7 +121,6 @@ func (e *Engine) appInfo(a *appState) AppInfo {
 	}
 	if a.completed > 0 {
 		info.AvgLatency = a.sumLatency / float64(a.completed)
-		info.MaxLatency = a.maxLatency
 	}
 	return info
 }
@@ -132,38 +135,35 @@ func (e *Engine) Apps() []AppInfo {
 }
 
 // ClusterInfo is the observable state of one cluster.
+//
+// An app's placement is in its AppInfo, so a cluster's residents are the
+// running apps placed on it.
 type ClusterInfo struct {
-	Name      string
-	Type      hw.CoreType
-	OPPIndex  int
-	FreqGHz   float64
-	Cores     int
-	UsedCores int // CPU clusters: Σ cores of resident apps
-	Util      float64
-	PowerMW   float64
-	EnergyMJ  float64
-	Residents []string
-	MemFree   int64 // accelerator model memory remaining (0 for DRAM clusters)
-	Online    bool  // availability: false while the cluster is failed
+	Name     string
+	Type     hw.CoreType
+	OPPIndex int
+	FreqGHz  float64
+	Cores    int
+	Util     float64
+	PowerMW  float64
+	EnergyMJ float64 // energy drawn since the run started
+	MemFree  int64   // accelerator model memory remaining (0 for DRAM clusters)
+	Online   bool    // availability: false while the cluster is failed
 }
 
 // Cluster returns the observable state of the named cluster.
 func (e *Engine) Cluster(name string) (ClusterInfo, error) {
-	cs, ok := e.clusters[name]
-	if !ok {
+	cs := e.cluster(name)
+	if cs == nil {
 		return ClusterInfo{}, fmt.Errorf("sim: unknown cluster %q", name)
 	}
-	var info ClusterInfo
-	e.clusterInfoInto(cs, &info)
-	return info, nil
+	return e.clusterInfo(cs), nil
 }
 
-// clusterInfoInto fills info from the cluster's live state, reusing
-// info's existing Residents backing storage (every other field is
-// overwritten). It is the shared fill behind Cluster and SnapshotInto.
-func (e *Engine) clusterInfoInto(cs *clusterState, info *ClusterInfo) {
-	residents := info.Residents[:0]
-	*info = ClusterInfo{
+// clusterInfo is the observable state of the cluster: the shared fill
+// behind Cluster and SnapshotInto.
+func (e *Engine) clusterInfo(cs *clusterState) ClusterInfo {
+	info := ClusterInfo{
 		Name:     cs.c.Name,
 		Type:     cs.c.Type,
 		OPPIndex: cs.oppIdx,
@@ -171,23 +171,13 @@ func (e *Engine) clusterInfoInto(cs *clusterState, info *ClusterInfo) {
 		Cores:    cs.c.Cores,
 		Util:     cs.util,
 		PowerMW:  cs.pow,
+		EnergyMJ: cs.energyAt(e.now),
 		Online:   cs.online,
-	}
-	info.EnergyMJ, _ = cs.integralsAt(e.now)
-	for r := cs.res; r != 0; r &= r - 1 {
-		a := e.appList[bits.TrailingZeros64(r)]
-		residents = append(residents, a.Name)
-		if !cs.accel {
-			info.UsedCores += a.placed.Cores
-		}
 	}
 	if cs.c.MemBytes > 0 {
 		info.MemFree = cs.c.MemBytes - e.acceleratorMemUsed(cs.c.Name, "")
 	}
-	sort.Strings(residents)
-	if len(residents) > 0 {
-		info.Residents = residents
-	}
+	return info
 }
 
 // Snapshot is a read-only capture of everything a planning policy may
@@ -206,12 +196,12 @@ type Snapshot struct {
 }
 
 // SnapshotInto rebuilds s in place from the engine's observable state,
-// reusing s's Apps and Clusters backing storage (including each cluster's
-// Residents buffer), which is what lets a controller ticking every
-// simulated epoch snapshot allocation-free; pass a zero Snapshot to start
-// a fresh buffer set. Apps are in deterministic creation order and
-// Clusters in platform order, so two snapshots of identical engine states
-// are identical — the determinism anchor for policy planning.
+// reusing s's Apps and Clusters backing storage, which is what lets a
+// controller ticking every simulated epoch snapshot allocation-free; pass
+// a zero Snapshot to start a fresh buffer set. Apps are in deterministic
+// creation order and Clusters in platform order, so two snapshots of
+// identical engine states are identical — the determinism anchor for
+// policy planning.
 //
 //detlint:hotpath
 func (e *Engine) SnapshotInto(s *Snapshot) {
@@ -223,16 +213,9 @@ func (e *Engine) SnapshotInto(s *Snapshot) {
 	for _, a := range e.appList {
 		s.Apps = append(s.Apps, e.appInfo(a))
 	}
-	// Reuse ClusterInfo slots (not just the slice) so each slot's
-	// Residents buffer survives the rebuild.
-	if cap(s.Clusters) < len(e.clusterList) {
-		grown := make([]ClusterInfo, len(e.clusterList))
-		copy(grown, s.Clusters[:cap(s.Clusters)])
-		s.Clusters = grown
-	}
-	s.Clusters = s.Clusters[:len(e.clusterList)]
-	for i, cs := range e.clusterList {
-		e.clusterInfoInto(cs, &s.Clusters[i])
+	s.Clusters = s.Clusters[:0]
+	for _, cs := range e.clusterList {
+		s.Clusters = append(s.Clusters, e.clusterInfo(cs))
 	}
 }
 
@@ -263,8 +246,8 @@ func (e *Engine) levelBytes(a *appState) int64 {
 // The change is free (a dynamic-DNN pointer bump); it applies to the next
 // frame. On memory-constrained accelerators the new level must fit.
 func (e *Engine) SetLevel(app string, level int) error {
-	a, ok := e.apps[app]
-	if !ok {
+	a := e.app(app)
+	if a == nil {
 		return fmt.Errorf("sim: unknown app %q", app)
 	}
 	if a.Kind != KindDNN {
@@ -296,8 +279,8 @@ func (e *Engine) SetLevel(app string, level int) error {
 // SetOPP changes a cluster's DVFS operating point (a device knob). Every
 // resident app sees the new frequency — the shared-domain coupling.
 func (e *Engine) SetOPP(cluster string, idx int) error {
-	cs, ok := e.clusters[cluster]
-	if !ok {
+	cs := e.cluster(cluster)
+	if cs == nil {
 		return fmt.Errorf("sim: unknown cluster %q", cluster)
 	}
 	if idx < 0 || idx >= len(cs.c.OPPs) {
@@ -322,8 +305,8 @@ func (e *Engine) SetOPP(cluster string, idx int) error {
 // so replan elision can never serve a plan computed against a
 // different availability set.
 func (e *Engine) SetClusterOnline(cluster string, online bool) error {
-	cs, ok := e.clusters[cluster]
-	if !ok {
+	cs := e.cluster(cluster)
+	if cs == nil {
 		return fmt.Errorf("sim: unknown cluster %q", cluster)
 	}
 	if cs.online == online {
@@ -373,15 +356,15 @@ func (e *Engine) UnhostedApps() int {
 // charging the migration model's downtime during which the app's current
 // job stalls. Capacity and accelerator memory are checked first.
 func (e *Engine) Migrate(app string, to Placement) error {
-	a, ok := e.apps[app]
-	if !ok {
+	a := e.app(app)
+	if a == nil {
 		return fmt.Errorf("sim: unknown app %q", app)
 	}
-	cl := e.plat.Cluster(to.Cluster)
-	if cl == nil {
+	toCS := e.cluster(to.Cluster)
+	if toCS == nil {
 		return fmt.Errorf("sim: unknown cluster %q", to.Cluster)
 	}
-	toCS := e.clusters[to.Cluster]
+	cl := toCS.c
 	if !toCS.online {
 		return fmt.Errorf("sim: cluster %q is offline", to.Cluster)
 	}
@@ -440,13 +423,6 @@ func (e *Engine) Migrate(app string, to Placement) error {
 
 // ---- Results ----
 
-// ClusterReport is the per-cluster summary after Run.
-type ClusterReport struct {
-	Name     string
-	EnergyMJ float64
-	BusyS    float64
-}
-
 // Report is the overall simulation outcome.
 type Report struct {
 	DurationS     float64
@@ -469,20 +445,18 @@ type Report struct {
 
 	// Fault accounting (all zero on a fault-free run). JobsAborted sums the
 	// per-app Aborted stats; UnhostedS integrates running-DNN app-seconds
-	// spent placed on an offline cluster; the Degraded* counters split frame
-	// outcomes by whether any cluster was offline when they happened.
-	ClusterFails      int
-	ClusterRepairs    int
-	JobsAborted       int
-	UnhostedS         float64
-	DegradedFrames    int
-	DegradedCompleted int
-	DegradedMissed    int
-	DegradedDropped   int
+	// spent placed on an offline cluster; the Degraded* counters count the
+	// frames released, missed and dropped while any cluster was offline.
+	ClusterFails    int
+	ClusterRepairs  int
+	JobsAborted     int
+	UnhostedS       float64
+	DegradedFrames  int
+	DegradedMissed  int
+	DegradedDropped int
 
-	Apps     []AppInfo
-	Clusters []ClusterReport
-	Events   []Event // only when LogEvents was set
+	Apps   []AppInfo
+	Events []Event // only when LogEvents was set
 	// Latencies holds every finished job's latency in completion order —
 	// the LatencyS of Events' EvJobComplete and EvDeadlineMiss entries —
 	// only when LogLatencies was set.
@@ -493,7 +467,8 @@ type Report struct {
 // counts up to the clock without being closed, so reading a report changes
 // nothing, and Run(a); Run(b) reports exactly what Run(b) does. The
 // thermal fields cover the steps closed so far.
-// TotalEnergyMJ is the sum of the clusters' energies.
+// TotalEnergyMJ is the sum of the clusters' energies, each of which
+// Engine.Cluster reports.
 func (e *Engine) Report() Report {
 	r := Report{
 		DurationS:     e.now,
@@ -503,13 +478,12 @@ func (e *Engine) Report() Report {
 		LevelSwaps:    e.levelSwaps,
 		OPPSwitches:   e.oppSwitches,
 
-		ClusterFails:      e.clusterFails,
-		ClusterRepairs:    e.clusterRepairs,
-		UnhostedS:         e.unhostedAt(),
-		DegradedFrames:    e.degReleased,
-		DegradedCompleted: e.degCompleted,
-		DegradedMissed:    e.degMissed,
-		DegradedDropped:   e.degDropped,
+		ClusterFails:    e.clusterFails,
+		ClusterRepairs:  e.clusterRepairs,
+		UnhostedS:       e.unhostedAt(),
+		DegradedFrames:  e.degReleased,
+		DegradedMissed:  e.degMissed,
+		DegradedDropped: e.degDropped,
 
 		Apps:      e.Apps(),
 		Events:    e.eventLog,
@@ -518,11 +492,7 @@ func (e *Engine) Report() Report {
 	for _, a := range e.appList {
 		r.JobsAborted += a.aborted
 	}
-	for _, cs := range e.clusterList {
-		energy, busy := cs.integralsAt(e.now)
-		r.TotalEnergyMJ += energy
-		r.Clusters = append(r.Clusters, ClusterReport{Name: cs.c.Name, EnergyMJ: energy, BusyS: busy})
-	}
+	r.TotalEnergyMJ = e.energyAt(e.now)
 	if e.now > 0 {
 		r.AvgPowerMW = r.TotalEnergyMJ / e.now
 	}

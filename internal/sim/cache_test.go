@@ -285,7 +285,7 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 		{6, migrate("dnn1", "gpu", 0)},
 		{7, migrate("dnn1", "npu", 0)},
 		{7.5, online("npu", false)}, // dnn1's in-flight job aborts; it sits unhosted
-		{8, func(e *Engine) error { e.SetAmbient(40); return nil }},
+		{8, func(e *Engine) error { return e.SetAmbient(40) }},
 		{8.5, online("npu", true)},
 		{10, func(e *Engine) error { return e.SetLevel("dnn1", 2) }},
 		// Equal levelBytes give equal downtimes, so each pair of
@@ -372,7 +372,7 @@ func TestLoaderTouchEndsCompanionDowntime(t *testing.T) {
 	if err := e.Migrate("dnn2", Placement{Cluster: "cpu-lit", Cores: 2}); err != nil {
 		t.Fatal(err)
 	}
-	dnn1, dnn2 := e.apps["dnn1"], e.apps["dnn2"]
+	dnn1, dnn2 := e.app("dnn1"), e.app("dnn2")
 	if dnn1.blockedUntil != dnn2.blockedUntil {
 		t.Fatalf("downtimes end at %v and %v, want one instant", dnn1.blockedUntil, dnn2.blockedUntil)
 	}
@@ -443,8 +443,8 @@ func (p *epochProbe) knobSteps(e *Engine) {
 	step("Migrate", func() error {
 		return e.Migrate("dnn2", Placement{Cluster: "cpu-big", Cores: 2})
 	}, true)
-	step("SetAmbient change", func() error { e.SetAmbient(35); return nil }, true)
-	step("SetAmbient no-op", func() error { e.SetAmbient(35); return nil }, false)
+	step("SetAmbient change", func() error { return e.SetAmbient(35) }, true)
+	step("SetAmbient no-op", func() error { return e.SetAmbient(35) }, false)
 }
 
 // TestPlanEpochSemantics pins what PlanEpoch tracks — app lifecycle and

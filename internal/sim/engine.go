@@ -31,8 +31,7 @@ const (
 )
 
 // hevent is one pending event. app is the index into Engine.appList (-1
-// for app-less events): the hot loop never touches the name-keyed app
-// map.
+// for app-less events), so the hot loop never looks an app up by name.
 //
 // No event queue holds them. Every pending event sits in a fixed place:
 // each app's start and stop in Engine.lifecycle, known when prime runs and
@@ -108,13 +107,14 @@ func (e *Engine) next() (ev hevent, ok bool) {
 // events armed past the previous end and all): Run(a) then Run(b) covers
 // exactly the events a single Run(b) would. The rtm tests use this to
 // extend a managed run; use Reset to rewind to the pristine state a fresh
-// New would build.
+// New would build. The end must be finite: a thermal step boundary falls
+// due every 250 ms, so a run to +Inf would never return.
 //
 //detlint:hotpath
 func (e *Engine) Run(endS float64) error {
-	if !(endS > e.now) {
+	if !(endS > e.now) || math.IsInf(endS, 1) {
 		//detlint:allow hotalloc one-time argument validation; never reached by the steady-state loop
-		return fmt.Errorf("sim: end time %f must be after the clock %f", endS, e.now)
+		return fmt.Errorf("sim: end time %f must be finite and after the clock %f", endS, e.now)
 	}
 	if !e.primed {
 		e.prime()
@@ -199,10 +199,10 @@ func (e *Engine) step(endS float64) bool {
 
 // advanceTo moves the clock to t; it never moves it back. Nothing is
 // integrated here: every integral is held per constant-rate segment and
-// closed only where its rate changes — cluster energy and busy time in
-// syncThermal, each job's progress at its anchor (see refresh) and
-// UnhostedS when the count of unhosted DNNs moves. Reads evaluate the open
-// segments up to the clock. Temperature moves only at step boundaries
+// closed only where its rate changes — cluster energy in syncThermal,
+// each job's progress at its anchor (see refresh) and UnhostedS when the
+// count of unhosted DNNs moves. Reads evaluate the open segments up to
+// the clock. Temperature moves only at step boundaries
 // (see thermalStep).
 //
 //detlint:hotpath
@@ -468,13 +468,7 @@ func (e *Engine) complete(a *appState) {
 	a.jobActive = false
 	e.touch(a.placedCS)
 	a.completed++
-	if e.offline > 0 {
-		e.degCompleted++
-	}
 	a.sumLatency += latency
-	if latency > a.maxLatency {
-		a.maxLatency = latency
-	}
 	if e.logLatencies {
 		e.latLog = append(e.latLog, latency)
 	}
@@ -559,33 +553,27 @@ func (e *Engine) unhostedAt() float64 {
 	return e.unhostedS + float64(e.unhostedN)*(e.now-e.unhostedT0)
 }
 
-// syncThermal closes the integrals the thermal steps read — each
-// cluster's energy and busy time — where their rate changed. It looks
-// only at the clusters re-derived since the last look, and a segment
-// closes only when its power or busy predicate actually changed.
+// syncThermal closes the integral the thermal steps read — each
+// cluster's energy — where its rate changed. It looks only at the
+// clusters re-derived since the last look, and a segment closes only
+// when its power actually changed.
 //
 //detlint:hotpath
 func (e *Engine) syncThermal() {
 	for d := e.powerDirty; d != 0; d &= d - 1 {
 		cs := e.clusterList[bits.TrailingZeros64(d)]
-		if busy := cs.util > 0; cs.pow != cs.segPowMW || busy != cs.segBusy {
-			cs.energy, cs.busyS = cs.integralsAt(e.now)
-			cs.segT0S, cs.segPowMW, cs.segBusy = e.now, cs.pow, busy
+		if cs.pow != cs.segPowMW {
+			cs.energy = cs.energyAt(e.now)
+			cs.segT0S, cs.segPowMW = e.now, cs.pow
 		}
 	}
 	e.powerDirty = 0
 }
 
-// integralsAt evaluates the cluster's energy (mJ) and busy-time integrals
-// at t: the closed segments plus the open one, whose power and busy
-// predicate are constant.
-func (cs *clusterState) integralsAt(t float64) (energyMJ, busyS float64) {
-	dt := t - cs.segT0S
-	energyMJ, busyS = cs.energy+cs.segPowMW*dt, cs.busyS
-	if cs.segBusy {
-		busyS += dt
-	}
-	return energyMJ, busyS
+// energyAt evaluates the cluster's energy integral (mJ) at t: the closed
+// segments plus the open one, whose power is constant.
+func (cs *clusterState) energyAt(t float64) float64 {
+	return cs.energy + cs.segPowMW*(t-cs.segT0S)
 }
 
 // energyAt returns the platform's energy (mJ) at t: every cluster's
@@ -593,8 +581,7 @@ func (cs *clusterState) integralsAt(t float64) (energyMJ, busyS float64) {
 func (e *Engine) energyAt(t float64) float64 {
 	total := 0.0
 	for _, cs := range e.clusterList {
-		energy, _ := cs.integralsAt(t)
-		total += energy
+		total += cs.energyAt(t)
 	}
 	return total
 }

@@ -27,7 +27,7 @@ func (c *stressCtrl) at(e *Engine, s float64, act func() error) {
 func (c *stressCtrl) OnTick(e *Engine) {
 	e.Temperature()
 	c.reads++
-	ambient := func(a float64) func() error { return func() error { e.SetAmbient(a); return nil } }
+	ambient := func(a float64) func() error { return func() error { return e.SetAmbient(a) } }
 	c.at(e, 1, ambient(90))
 	c.at(e, 2, func() error { return e.SetOPP("gpu", 0) })
 	c.at(e, 2.5, func() error { return e.SetOPP("cpu-big", 1) })

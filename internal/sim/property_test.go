@@ -56,11 +56,12 @@ func randomWorkload(rng *tensor.RNG) []App {
 
 // Property: for any random workload, total energy equals the sum of
 // cluster energies, average power is within physical bounds, and app
-// statistics are internally consistent.
+// statistics are internally consistent: no app's mean latency exceeds the
+// longest latency logged.
 func TestSimConservationProperties(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		e, err := New(Config{Platform: hw.OdroidXU3(), Apps: randomWorkload(rng)})
+		e, err := New(Config{Platform: hw.OdroidXU3(), Apps: randomWorkload(rng), LogLatencies: true})
 		if err != nil {
 			return false
 		}
@@ -70,9 +71,14 @@ func TestSimConservationProperties(t *testing.T) {
 		rep := e.Report()
 
 		// Energy conservation.
+		plat := hw.OdroidXU3()
 		var sum float64
-		for _, c := range rep.Clusters {
-			sum += c.EnergyMJ
+		for _, c := range plat.Clusters {
+			info, err := e.Cluster(c.Name)
+			if err != nil {
+				return false
+			}
+			sum += info.EnergyMJ
 		}
 		if math.Abs(sum-rep.TotalEnergyMJ) > 1e-6*(1+rep.TotalEnergyMJ) {
 			return false
@@ -80,7 +86,6 @@ func TestSimConservationProperties(t *testing.T) {
 
 		// Power bounds: at least the static floor, at most every cluster
 		// flat out at max OPP.
-		plat := hw.OdroidXU3()
 		minP, maxP := 0.0, 0.0
 		for _, c := range plat.Clusters {
 			minP += c.IdlePowerMW()
@@ -91,7 +96,11 @@ func TestSimConservationProperties(t *testing.T) {
 		}
 
 		// Per-app counters: completed + dropped <= released; completed
-		// latencies non-negative.
+		// latencies non-negative, and no mean above the longest.
+		maxLat := 0.0
+		for _, l := range rep.Latencies {
+			maxLat = max(maxLat, l)
+		}
 		for _, a := range rep.Apps {
 			if a.Kind != KindDNN {
 				continue
@@ -102,7 +111,7 @@ func TestSimConservationProperties(t *testing.T) {
 			if a.Missed > a.Completed {
 				return false
 			}
-			if a.AvgLatency < 0 || a.MaxLatency < a.AvgLatency-1e-9 {
+			if a.AvgLatency < 0 || maxLat < a.AvgLatency-1e-9 {
 				return false
 			}
 		}

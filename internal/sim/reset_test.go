@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -138,14 +139,21 @@ func TestResetRejectsMoreThan64Apps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := e.computeClusterUtil(e.clusters["cpu-lit"]); len(info.Residents) != 64 || info.Util != want {
-		t.Fatalf("cpu-lit hosts %d residents at util %v, want 64 at %v", len(info.Residents), info.Util, want)
+	residents := 0
+	for _, a := range e.Apps() {
+		if a.Running && a.Placement.Cluster == "cpu-lit" {
+			residents++
+		}
+	}
+	if want := e.computeClusterUtil(e.cluster("cpu-lit")); residents != 64 || info.Util != want {
+		t.Fatalf("cpu-lit hosts %d residents at util %v, want 64 at %v", residents, info.Util, want)
 	}
 }
 
 // TestResetRejectsMoreThan64Clusters pins the cluster limit the one-word
 // set of clusters to re-sum imposes: 65 clusters are an error, and with
-// 64 the last one's energy segment still follows its load.
+// 64 the last one's energy segment still follows its load: over an idle
+// twin it gains exactly 1 s of the load's dynamic power.
 func TestResetRejectsMoreThan64Clusters(t *testing.T) {
 	plat := func(n int) *hw.Platform {
 		p := hw.FlagshipSoC()
@@ -170,9 +178,17 @@ func TestResetRejectsMoreThan64Clusters(t *testing.T) {
 	if err := e.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	rep := e.Report()
-	first, last := rep.Clusters[0], rep.Clusters[63]
-	if last.BusyS != 1 || !(last.EnergyMJ > first.EnergyMJ) {
-		t.Fatalf("c63 busy %gs with %gmJ, idle c0 %gmJ: its load was not integrated", last.BusyS, last.EnergyMJ, first.EnergyMJ)
+	first, err := e.Cluster("c0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, err := e.Cluster("c63")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := p.Cluster("c63")
+	load := c.BusyPowerMW(c.OPPs[0], c.Cores, 1/float64(c.Cores)) - c.IdlePowerMW()
+	if got := last.EnergyMJ - first.EnergyMJ; !(load > 0) || math.Abs(got-load) > 1e-9*load {
+		t.Fatalf("c63 drew %gmJ over idle c0, want %gmJ: its load was not integrated", got, load)
 	}
 }

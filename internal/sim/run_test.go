@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 )
@@ -64,5 +66,38 @@ func TestRunRejectsEndNotAfterClock(t *testing.T) {
 	}
 	if e.Now() != 3 {
 		t.Fatalf("clock at %g after Run(3)", e.Now())
+	}
+}
+
+// TestRunRejectsInfiniteEnd: a thermal step boundary falls due every
+// 250 ms, so a Run to +Inf would never return, even with no apps. It is an
+// error that leaves the clock where it was. The call runs in a goroutine
+// and the test fails after a bounded wait, so a regression fails the test
+// instead of hanging the suite.
+func TestRunRejectsInfiniteEnd(t *testing.T) {
+	for _, cfg := range []Config{
+		{Platform: hw.FlagshipSoC()},
+		{Platform: hw.FlagshipSoC(), Apps: BenchApps()},
+	} {
+		e := mustEngine(t, cfg)
+		if err := e.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- e.Run(math.Inf(1)) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%d apps: Run(+Inf) succeeded", len(cfg.Apps))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d apps: Run(+Inf) still running after 5s", len(cfg.Apps))
+		}
+		if e.Now() != 2 {
+			t.Fatalf("%d apps: clock at %g after a refused Run(+Inf)", len(cfg.Apps), e.Now())
+		}
+		if err := e.Run(3); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

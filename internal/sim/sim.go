@@ -255,7 +255,6 @@ type appState struct {
 	dropped    int
 	aborted    int // jobs killed by a cluster fault (in-flight or released while unhosted)
 	sumLatency float64
-	maxLatency float64
 }
 
 // clusterState tracks per-cluster dynamics.
@@ -269,15 +268,12 @@ type clusterState struct {
 	online bool // availability: an offline cluster runs nothing and draws nothing
 	accel  bool // c.Type.IsAccelerator(), resolved once per Reset
 
-	// Energy (mJ) and busy time (seconds with any activity) are held per
-	// constant-power segment: energy and busyS are closed up to segT0S,
-	// and the open segment runs at segPowMW, busy or not (see syncThermal
-	// and integralsAt).
+	// Energy (mJ) is held per constant-power segment: it is closed up to
+	// segT0S, and the open segment runs at segPowMW (see syncThermal and
+	// energyAt).
 	energy   float64
-	busyS    float64
 	segT0S   float64
 	segPowMW float64
-	segBusy  bool
 
 	// res is the cluster's resident set: bit i is set while appList[i] is
 	// started, not stopped and placed here. hStart and hStop set and clear
@@ -314,14 +310,11 @@ type clusterState struct {
 
 // Engine runs the simulation.
 type Engine struct {
-	plat     *hw.Platform
-	apps     map[string]*appState
-	clusters map[string]*clusterState
-	// appList / clusterList are the deterministic iteration orders:
-	// appList in creation order, clusterList in platform order. The event
-	// loop and snapshotting walk these instead of re-deriving order
-	// through the name-keyed maps (which cost a lookup — and, for cluster
-	// order, an allocation — per event).
+	plat *hw.Platform
+	// appList / clusterList hold the apps in creation order and the
+	// clusters in platform order: the engine's iteration orders, and its
+	// only index. A name lookup scans them (see app and cluster); there
+	// are at most 64 apps, and catalog platforms have 2–4 clusters.
 	appList     []*appState
 	clusterList []*clusterState
 	// appStore / clusterStore are the backing arrays the list pointers
@@ -344,11 +337,9 @@ type Engine struct {
 	stepT      float64
 	stepDecay  float64
 	powerDirty uint64
-	// steps counts the thermal steps closed and decayEvals the math.Exp
-	// calls made for them, over the engine's life (Reset keeps both):
-	// work counts for tests.
-	steps      uint64
-	decayEvals uint64
+	// steps counts the thermal steps closed over the engine's life (Reset
+	// keeps it): a work count for tests.
+	steps uint64
 
 	// coreScaleStore backs every cluster's coreScale table, rewritten in
 	// place by Reset like the stores above.
@@ -385,9 +376,9 @@ type Engine struct {
 	// cheap "is anything degraded" predicate); unhostedS integrates running
 	// DNN app-seconds spent placed on an offline cluster, closed up to
 	// unhostedT0 while unhostedN such apps run (see unhostedAt); the deg*
-	// counters split frame outcomes by whether any cluster was offline at
-	// the time, so reports can compare miss rates inside and outside
-	// degraded windows.
+	// counters count the frames released, missed and dropped while any
+	// cluster was offline, so reports can compare miss rates inside and
+	// outside degraded windows.
 	offline        int
 	clusterFails   int
 	clusterRepairs int
@@ -395,7 +386,6 @@ type Engine struct {
 	unhostedT0     float64
 	unhostedN      int
 	degReleased    int
-	degCompleted   int
 	degMissed      int
 	degDropped     int
 
@@ -450,10 +440,10 @@ func New(cfg Config) (*Engine, error) {
 
 // Reset rewinds the engine to the pristine pre-Run state New would build
 // for cfg, reusing the existing backing storage: the lifecycle list, the
-// per-app and per-cluster state stores, the name-lookup maps and the event
-// log all keep their capacity, so a worker replaying a stream of scenarios
-// through one engine runs allocation-free once the stores have grown to
-// the stream's high-water mark. Reset-then-Run is byte-for-byte equivalent
+// per-app and per-cluster state stores and the event log all keep their
+// capacity, so a worker replaying a stream of scenarios through one
+// engine runs allocation-free once the stores have grown to the stream's
+// high-water mark. Reset-then-Run is byte-for-byte equivalent
 // to a fresh New-then-Run of the same config — the equivalence the fleet
 // layer's reuse property tests pin.
 //
@@ -479,22 +469,13 @@ func (e *Engine) Reset(cfg Config) error {
 	e.cursor, e.tickSeq = 0, 0
 	e.tempC, e.stepE0, e.stepT = cfg.Platform.AmbientC, 0, thermalStepS
 	e.stepDecay = cfg.Platform.Thermal.DecayFactor(thermalStepS)
-	e.decayEvals++
 	e.alarmed, e.overThrotS = false, 0
 	e.migrations, e.levelSwaps, e.oppSwitches = 0, 0, 0
 	e.offline, e.clusterFails, e.clusterRepairs = 0, 0, 0
 	e.unhostedS, e.unhostedT0, e.unhostedN = 0, 0, 0
-	e.degReleased, e.degCompleted, e.degMissed, e.degDropped = 0, 0, 0, 0
+	e.degReleased, e.degMissed, e.degDropped = 0, 0, 0
 	e.maxTempC = cfg.Platform.AmbientC
 	e.planEpoch, e.dirty = 0, 0
-
-	if e.apps == nil {
-		e.apps = make(map[string]*appState, len(cfg.Apps))
-		e.clusters = make(map[string]*clusterState, len(cfg.Platform.Clusters))
-	} else {
-		clear(e.apps)
-		clear(e.clusters)
-	}
 
 	// Rebuild cluster state into the reused store; pointers are taken only
 	// after the store has its final size, so they stay valid.
@@ -521,7 +502,6 @@ func (e *Engine) Reset(cfg Config) error {
 		e.clusterStore[i] = clusterState{c: c, bit: 1 << i, online: true, accel: c.Type.IsAccelerator(), coreScale: store[lo:]}
 		cs := &e.clusterStore[i]
 		cs.setOPP(0)
-		e.clusters[c.Name] = cs
 		e.clusterList = append(e.clusterList, cs)
 	}
 	e.coreScaleStore = store
@@ -530,7 +510,7 @@ func (e *Engine) Reset(cfg Config) error {
 	for i := len(e.clusterList) - 1; i >= 0; i-- {
 		cs := e.clusterList[i]
 		if name := cs.c.CompanionName; name != "" {
-			cs.companion = e.clusters[name]
+			cs.companion = e.cluster(name)
 			if cs.c.CompanionUtil != 0 {
 				cs.loadNext, cs.companion.loadHead = cs.companion.loadHead, cs
 			}
@@ -559,8 +539,7 @@ func (e *Engine) Reset(cfg Config) error {
 		if a.Kind == KindDNN {
 			st.jobMACs = float64(a.Profile.Level(a.Level).MACs)
 		}
-		st.placedCS = e.clusters[a.Placement.Cluster]
-		e.apps[a.Name] = st
+		st.placedCS = e.cluster(a.Placement.Cluster)
 		e.appList = append(e.appList, st)
 	}
 	e.powerDirty = 0
@@ -591,7 +570,7 @@ func (e *Engine) validateApp(a App) error {
 	if a.Name == "" {
 		return fmt.Errorf("sim: app with empty name")
 	}
-	if _, dup := e.apps[a.Name]; dup {
+	if e.app(a.Name) != nil {
 		return fmt.Errorf("sim: duplicate app %q", a.Name)
 	}
 	cl := e.plat.Cluster(a.Placement.Cluster)
@@ -627,6 +606,26 @@ func (e *Engine) validateApp(a App) error {
 	}
 	if a.StopS != 0 && a.StopS <= a.StartS {
 		return fmt.Errorf("sim: app %q stop %f <= start %f", a.Name, a.StopS, a.StartS)
+	}
+	return nil
+}
+
+// app returns the state of the named app, nil for none.
+func (e *Engine) app(name string) *appState {
+	for _, a := range e.appList {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// cluster returns the state of the named cluster, nil for none.
+func (e *Engine) cluster(name string) *clusterState {
+	for _, cs := range e.clusterList {
+		if cs.c.Name == name {
+			return cs
+		}
 	}
 	return nil
 }

@@ -436,8 +436,12 @@ func TestEnergyConservation(t *testing.T) {
 	}
 	rep := e.Report()
 	var sum float64
-	for _, c := range rep.Clusters {
-		sum += c.EnergyMJ
+	for _, c := range plat.Clusters {
+		info, err := e.Cluster(c.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += info.EnergyMJ
 	}
 	if sum != rep.TotalEnergyMJ {
 		t.Fatalf("energy conservation: clusters %.17g vs total %.17g", sum, rep.TotalEnergyMJ)
@@ -662,8 +666,8 @@ func TestClusterInfoReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Residents) != 1 || info.Residents[0] != "dnn1" {
-		t.Fatalf("residents = %v", info.Residents)
+	if app, _ := e.App("dnn1"); !app.Running || app.Placement.Cluster != "npu" {
+		t.Fatalf("dnn1 running %v on %q, want running on npu", app.Running, app.Placement.Cluster)
 	}
 	// 50% level of a 4 MiB model = 2 MiB used of 8 MiB.
 	wantFree := plat.Cluster("npu").MemBytes - 2<<20

@@ -103,22 +103,50 @@ func TestThrottlePathPinned(t *testing.T) {
 }
 
 // TestThermalWorkCounts counts the thermal work of a fixed 20 s flagship
-// run: one step per 250 ms, and no math.Exp call inside Run, since the
-// decay factor is computed once per Reset. Before the step model the same
-// run closed 1101 windows, one per change of total power, and made 162
-// math.Exp calls through a memo of decay factors. A change that moves
-// either count changes how much work the engine does and should say so.
+// run: one step per 250 ms. Before the step model the same run closed
+// 1101 windows, one per change of total power. A change that moves the
+// count changes how much work the engine does and should say so.
 func TestThermalWorkCounts(t *testing.T) {
 	e := mustEngine(t, Config{Platform: hw.FlagshipSoC(), Apps: BenchApps()})
-	evals := e.decayEvals
 	if err := e.Run(20); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := e.steps, uint64(80); got != want {
 		t.Errorf("%d thermal steps, want %d", got, want)
 	}
-	if got := e.decayEvals - evals; got != 0 {
-		t.Errorf("%d math.Exp calls inside Run, want 0", got)
+}
+
+// TestSetAmbientRejectsNonFinite: a NaN or infinite ambient would carry
+// into every later temperature, so SetAmbient refuses it and leaves the
+// ambient and the planning epoch as they were; the run then reports
+// exactly what a twin run that never saw the calls does.
+func TestSetAmbientRejectsNonFinite(t *testing.T) {
+	cfg := Config{Platform: hw.FlagshipSoC(), Apps: BenchApps()}
+	e, twin := mustEngine(t, cfg), mustEngine(t, cfg)
+	for _, eng := range []*Engine{e, twin} {
+		if err := eng.Run(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := e.PlanEpoch()
+	for _, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := e.SetAmbient(c); err == nil {
+			t.Errorf("SetAmbient(%g) accepted", c)
+		}
+	}
+	var s Snapshot
+	e.SnapshotInto(&s)
+	if s.AmbientC != cfg.Platform.AmbientC || e.PlanEpoch() != epoch {
+		t.Fatalf("refused calls moved the ambient to %g (want %g) or the epoch to %d (want %d)",
+			s.AmbientC, cfg.Platform.AmbientC, e.PlanEpoch(), epoch)
+	}
+	for _, eng := range []*Engine{e, twin} {
+		if err := eng.Run(5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if diff := reportDiff(twin.Report(), e.Report()); len(diff) > 0 {
+		t.Fatalf("refused calls moved %d report fields, first: %s", len(diff), diff[0])
 	}
 }
 
