@@ -70,13 +70,14 @@
 // (fault → first actuated replan), and the miss rate inside vs outside the
 // degraded windows.
 //
-// Results keep their raw per-job latency samples in ascending order, and
-// shard files run-length encode them as [value,count] runs. -nolat drops
-// the samples from results and shard files, which makes a shard 4–14×
-// smaller (3.6× for a 256-workload odroid-xu3,jetson-nano 3-policy sweep,
-// 13.5× for the catalog mix). Per-scenario mean/p95/max and group means
-// stay exact; pooled group p95 degrades to the worst per-scenario p95
-// and is marked approximate (p95Approx in JSON, a ~ suffix in tables).
+// Results keep their per-job latencies in whole nanoseconds, as ascending
+// [value,count] runs, in memory, in -results output and in shard files.
+// -nolat drops them from results and shard files, which makes a shard
+// only 1.2–1.3× smaller (1.21× for a 256-workload odroid-xu3,jetson-nano
+// 3-policy sweep, 1.26× for the catalog mix). Per-scenario mean/p95/max
+// and group means stay exact; pooled group p95 degrades to the worst
+// per-scenario p95 and is marked approximate (p95Approx in JSON, a ~
+// suffix in tables).
 //
 // Managers elide replans whose planning fingerprint has not changed
 // since their last actuated plan. The report is byte-identical to
@@ -331,7 +332,7 @@ func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	rf := addReportFlags(fs, "write output to this file instead of stdout (required with -shard: the shard stream file)")
 	progress := fs.Bool("progress", false, "print progress to stderr")
 	shard := fs.String("shard", "", "run only shard i of m, as \"i/m\" (1-based), streaming it to -out for \"fleetsim merge\"")
-	nolat := fs.Bool("nolat", false, "drop raw per-job latency samples (kept ascending, run-length encoded in shard files) from results and shard files: shards shrink 4-14x; scalar mean/p95/max and group means stay, group p95 becomes the worst per-scenario p95")
+	nolat := fs.Bool("nolat", false, "drop per-job latencies (whole-ns [value,count] runs) from results and shard files: shards shrink 1.2-1.3x; scalar mean/p95/max and group means stay, group p95 becomes the worst per-scenario p95")
 	resume := fs.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario")
 	syncevery := fs.Int("syncevery", 0, "with -shard: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
 	if err := parse(fs, args, overview, false); err != nil {

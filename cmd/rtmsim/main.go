@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"slices"
 
@@ -25,7 +26,7 @@ import (
 
 func main() {
 	scenario := flag.String("scenario", "fig2", "scenario: fig2 (flagship SoC) or fig5 (Odroid XU3)")
-	tick := flag.Float64("tick", 0.25, "controller epoch in seconds")
+	tick := flag.Float64("tick", 0.25, "controller epoch in seconds, finite and above 0")
 	quiet := flag.Bool("quiet", false, "suppress the decision stream")
 	flag.Parse()
 
@@ -42,6 +43,11 @@ func main() {
 // to w. The manager's decisions stream to decisions, one line each as
 // they happen, unless it is nil.
 func run(w, decisions io.Writer, scenario string, tick float64) error {
+	// A scripted scenario's events are applied on controller ticks, so a
+	// run without them would silently skip every one.
+	if !(tick > 0) || math.IsInf(tick, 1) {
+		return fmt.Errorf("-tick %g: the controller epoch must be a finite number of seconds above 0", tick)
+	}
 	var (
 		s    workload.Scenario
 		plat = hw.FlagshipSoC()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -63,5 +64,20 @@ func TestUnknownScenario(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("unknown scenario printed %q", out.String())
+	}
+}
+
+// TestRejectsBadTick: a tick that is not a finite number of seconds above
+// 0 is an error before anything prints. Without ticks the Fig 2 run
+// printed a timeline that silently skipped its t=18 s and t=25 s events.
+func TestRejectsBadTick(t *testing.T) {
+	for _, tick := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		var out bytes.Buffer
+		if err := run(&out, &out, "fig2", tick); err == nil {
+			t.Errorf("tick %g accepted", tick)
+		}
+		if out.Len() != 0 {
+			t.Errorf("tick %g printed %q", tick, out.String())
+		}
 	}
 }

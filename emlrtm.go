@@ -267,6 +267,9 @@ type (
 	FleetRunner = fleet.Runner
 	// FleetResult is the compact outcome of one scenario run.
 	FleetResult = fleet.Result
+	// FleetLatencyRun is one entry of FleetResult.Latencies: Count job
+	// latencies of ValueS seconds, a whole number of nanoseconds.
+	FleetLatencyRun = fleet.LatencyRun
 	// FleetReport is the aggregate fleet outcome with per-platform and
 	// per-class breakdowns.
 	FleetReport = fleet.Report

@@ -485,12 +485,13 @@ func ExampleTrainPolicy() {
 }
 
 // ExampleFleetRunner_dropLatencies runs the same seeded fleet twice as a
-// one-shard stream file, once carrying the raw per-job latency samples and
-// once without them (the fleetsim -nolat switch), and compares stream size
-// and latency stats. Dropping samples buys a smaller stream at the cost of
-// an approximate pooled p95: the per-scenario mean, p95 and max survive,
+// one-shard stream file, once carrying the per-job latencies and once
+// without them (the fleetsim -nolat switch), and compares stream size and
+// latency stats. Latencies are whole nanoseconds held as [value,count]
+// runs, a few runs per scenario, so dropping them saves little stream and
+// costs an exact pooled p95: the per-scenario mean, p95 and max survive,
 // but the group p95 degrades to the worst per-scenario p95. It buys no
-// aggregation memory, since Aggregate reads the kept samples in place.
+// aggregation memory, since Aggregate reads the kept runs in place.
 func ExampleFleetRunner_dropLatencies() {
 	const scenarios, seed = 48, 7
 	cfg := emlrtm.FleetGeneratorConfig{Seed: seed}
@@ -532,10 +533,10 @@ func ExampleFleetRunner_dropLatencies() {
 	// fleet of 48 scenarios (seed 7)
 	//
 	//                      shard stream
-	// with latencies             351.0K
-	// -nolat                      23.9K
+	// with latencies              28.6K
+	// -nolat                      23.1K
 	//
-	// stream shrinks 14.7x; per-scenario scalar stats survive:
+	// stream shrinks 1.2x; per-scenario scalar stats survive:
 	//   pooled  mean 20.28 ms  p95  87.62 ms  max 1307.82 ms
 	//   -nolat  mean 20.28 ms  p95 893.48 ms  max 1307.82 ms  (p95 approximated)
 }

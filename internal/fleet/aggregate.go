@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -105,11 +104,11 @@ type Report struct {
 // group accumulates results before finalisation.
 type group struct {
 	stats GroupStats
-	// runs holds every kept result's ascending latency samples, shared
-	// with the result rather than copied; n counts them. kept is how many
-	// runs Aggregate counted for the group before the fold, so runs is
-	// allocated once, at its final size.
-	runs [][]float64
+	// runs holds every kept result's ascending latency runs, shared with
+	// the result rather than copied; n counts the samples they hold. kept
+	// is how many results Aggregate counted for the group before the fold,
+	// so runs is allocated once, at its final size.
+	runs [][]LatencyRun
 	n    int
 	kept int
 	// latSum sums each result's MeanLatencyS × Completed, whether or not
@@ -162,10 +161,12 @@ func (g *group) add(r Result) {
 	switch {
 	case len(r.Latencies) > 0:
 		if g.runs == nil {
-			g.runs = make([][]float64, 0, g.kept)
+			g.runs = make([][]LatencyRun, 0, g.kept)
 		}
 		g.runs = append(g.runs, r.Latencies)
-		g.n += len(r.Latencies)
+		for _, run := range r.Latencies {
+			g.n += run.Count
+		}
 	case r.Completed > 0:
 		// Latency samples were dropped at run time.
 		g.sampleFree = true
@@ -216,7 +217,8 @@ func (g *group) finalise() GroupStats {
 
 // Aggregate folds per-scenario results into the fleet report. Results are
 // consumed in slice order, so the report is deterministic whenever the
-// results slice is (which Runner.Run guarantees).
+// results slice is (which Runner.Run guarantees). Every latency run must
+// count at least one sample, as runs and validated shards do.
 func Aggregate(seed uint64, results []Result) Report {
 	overall := &group{}
 	byPlat := map[string]*group{}
@@ -235,12 +237,12 @@ func Aggregate(seed uint64, results []Result) Report {
 		groupFor(byPol, r.Policy).kept += kept
 	}
 	for _, r := range results {
-		// runOne and the stream decoders publish samples ascending; only a
+		// runOne and the stream decoders publish runs ascending; only a
 		// hand-built result can hold another order. Sort that one into a
 		// copy, so the caller's slice is never reordered.
-		if !slices.IsSorted(r.Latencies) {
+		if !slices.IsSortedFunc(r.Latencies, byValue) {
 			r.Latencies = slices.Clone(r.Latencies)
-			slices.Sort(r.Latencies)
+			slices.SortFunc(r.Latencies, byValue)
 		}
 		overall.add(r)
 		byPlat[r.Platform].add(r)
@@ -303,36 +305,32 @@ func nearestRank(n int, p float64) int {
 	return max(0, min(idx, n-1))
 }
 
-// percentileSelect returns the nearest-rank p-quantile of samples (0 when
-// there are none), reordering them in place.
-func percentileSelect(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	return selectKth(samples, nearestRank(len(samples), p))
-}
-
 // percentileRuns returns the nearest-rank p-quantile of the n samples
-// held across runs, each non-empty and ascending under cmp.Less (0 when
-// there are none). It reorders and truncates runs, the slice headers, but
-// never writes a sample.
-func percentileRuns(runs [][]float64, n int, p float64) float64 {
+// held across lists of runs, each list non-empty, ascending by value
+// under cmp.Less and every count at least 1 (0 when there are none). It
+// reorders and truncates lists, the slice headers, but never writes a run.
+func percentileRuns(lists [][]LatencyRun, n int, p float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	return kthOfRuns(runs, n, nearestRank(n, p))
+	return kthOfRuns(lists, n, nearestRank(n, p))
 }
 
-// kthOfRuns returns the value slices.Sort would put at index k of the
-// concatenation of runs, n samples in all, every run non-empty. A max-heap
-// holds the runs by their largest remaining sample, and the n-1-k samples
-// above rank k leave from its top, in O((n-k)·log len(runs)).
-func kthOfRuns(runs [][]float64, n, k int) float64 {
-	h := runs
+// kthOfRuns returns the value at index k of the ascending expansion of
+// lists, n samples in all. A max-heap holds the lists by their largest
+// remaining value, and the n-1-k samples above rank k leave from its top
+// a whole run at a time, in O(r·log len(lists)) for the r runs popped.
+func kthOfRuns(lists [][]LatencyRun, n, k int) float64 {
+	h := lists
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftTail(h, i)
 	}
-	for above := n - 1 - k; above > 0; above-- {
+	for above := n - 1 - k; ; {
+		top := last(h[0])
+		if top.Count > above {
+			return top.ValueS
+		}
+		above -= top.Count
 		h[0] = h[0][:len(h[0])-1]
 		if len(h[0]) == 0 {
 			h[0] = h[len(h)-1]
@@ -340,20 +338,19 @@ func kthOfRuns(runs [][]float64, n, k int) float64 {
 		}
 		siftTail(h, 0)
 	}
-	return last(h[0])
 }
 
-// siftTail restores the max-heap order of h by last sample below node i.
-func siftTail(h [][]float64, i int) {
+// siftTail restores the max-heap order of h by last value below node i.
+func siftTail(h [][]LatencyRun, i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && cmp.Less(last(h[c]), last(h[c+1])) {
+		if c+1 < len(h) && cmp.Less(last(h[c]).ValueS, last(h[c+1]).ValueS) {
 			c++
 		}
-		if !cmp.Less(last(h[i]), last(h[c])) {
+		if !cmp.Less(last(h[i]).ValueS, last(h[c]).ValueS) {
 			return
 		}
 		h[i], h[c] = h[c], h[i]
@@ -361,60 +358,10 @@ func siftTail(h [][]float64, i int) {
 	}
 }
 
-func last(r []float64) float64 { return r[len(r)-1] }
+func last(l []LatencyRun) LatencyRun { return l[len(l)-1] }
 
-// selectKth reorders a so that a[k] holds the value slices.Sort would put
-// there, and returns it: values order as cmp.Less orders them (NaNs
-// first), and values that compare equal (-0 and +0) are interchangeable.
-// Each round splits the window holding k three ways around a
-// median-of-three pivot, so runs of equal samples cost one pass. After
-// 2·log2(n) rounds it sorts what is left, so input crafted against the
-// pivot rule costs O(n log n), not O(n²).
-func selectKth(a []float64, k int) float64 {
-	lo, hi := 0, len(a)
-	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 12 && budget > 0; budget-- {
-		p := medianOfThree(a[lo], a[lo+(hi-lo)/2], a[hi-1])
-		// Invariant: a[lo:lt] < p, a[lt:i] == p, a[gt:hi] > p.
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			switch x := a[i]; {
-			case cmp.Less(x, p):
-				a[lt], a[i] = x, a[lt]
-				lt++
-				i++
-			case cmp.Less(p, x):
-				gt--
-				a[i], a[gt] = a[gt], x
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return a[k]
-		}
-	}
-	slices.Sort(a[lo:hi])
-	return a[k]
-}
-
-// medianOfThree returns the middle value of x, y, z under cmp.Less.
-func medianOfThree(x, y, z float64) float64 {
-	if cmp.Less(y, x) {
-		x, y = y, x
-	}
-	if cmp.Less(z, y) {
-		y = z
-		if cmp.Less(y, x) {
-			y = x
-		}
-	}
-	return y
-}
+// byValue orders latency runs by value.
+func byValue(a, b LatencyRun) int { return cmp.Compare(a.ValueS, b.ValueS) }
 
 // missRate is a result's deadline-miss fraction, (missed+dropped+aborted)/
 // released — the QoS scalar regret and the trainer's reward both score.

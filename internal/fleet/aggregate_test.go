@@ -101,154 +101,109 @@ func TestPercentileNearestRankVsRoundHalfUp(t *testing.T) {
 	}
 }
 
-// TestPercentileSelectMatchesSort pins the in-place selection path against
-// the copy-and-sort reference: for every table and quantile,
-// percentileSelect over a copy returns what sorting and indexing returns.
-// This is what lets the runner select a run's p95 instead of sorting it
-// when the samples are dropped.
-func TestPercentileSelectMatchesSort(t *testing.T) {
-	tables := map[string][]float64{
-		"empty":      nil,
-		"single":     {3.25},
-		"sorted":     {1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		"reversed":   {10, 9, 8, 7, 6, 5, 4, 3, 2, 1},
-		"unsorted":   {9, 1, 5, 7, 3},
-		"duplicates": {2, 2, 2, 1, 1, 3, 3, 3, 3, 2},
-		"negatives":  {-5, 3, -1, 0, 2, -4},
-		"latencies":  {0.016, 0.033, 0.017, 0.040, 0.016, 0.250, 0.017, 0.018},
-	}
-	quantiles := []float64{0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1}
-	for name, samples := range tables {
-		for _, p := range quantiles {
-			want := percentile(samples, p)
-			work := append([]float64(nil), samples...)
-			if got := percentileSelect(work, p); got != want {
-				t.Errorf("%s: percentileSelect(p=%g) = %g, want %g (sort reference)", name, p, got, want)
-			}
-		}
-	}
-}
-
-// TestSelectKthMatchesSort: for every rank k, selectKth returns the value
-// slices.Sort puts at k, and leaves a permutation of its input — over
-// random inputs with heavy duplication, NaNs and signed zeros, and over
-// shapes that defeat a median-of-three pivot (sorted, reversed, organ
-// pipe, all equal), sized to cross the small-window and depth-budget paths.
-func TestSelectKthMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	inputs := map[string][]float64{}
-	for _, n := range []int{1, 2, 3, 12, 13, 50, 257} {
-		random := make([]float64, n)
-		dups := make([]float64, n)
-		specials := make([]float64, n)
-		for i := range random {
-			random[i] = rng.NormFloat64()
-			dups[i] = float64(rng.IntN(4))
-			specials[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1, -1, 2.5}[rng.IntN(7)]
-		}
-		sorted := make([]float64, n)
-		for i := range sorted {
-			sorted[i] = float64(i)
-		}
-		reversed := slices.Clone(sorted)
-		slices.Reverse(reversed)
-		organ := make([]float64, n)
-		for i := range organ {
-			organ[i] = float64(min(i, n-1-i))
-		}
-		for kind, in := range map[string][]float64{
-			"random": random, "dups": dups, "specials": specials,
-			"sorted": sorted, "reversed": reversed, "organ": organ, "equal": make([]float64, n),
-		} {
-			inputs[fmt.Sprintf("%s/n=%d", kind, n)] = in
-		}
-	}
-	for name, in := range inputs {
-		want := slices.Clone(in)
-		slices.Sort(want)
-		for k := range in {
-			a := slices.Clone(in)
-			if got := selectKth(a, k); cmp.Compare(got, want[k]) != 0 {
-				t.Fatalf("%s: selectKth(k=%d) = %g, slices.Sort gives %g", name, k, got, want[k])
-			}
-			slices.SortFunc(a, cmp.Compare[float64])
-			if !slices.EqualFunc(a, want, func(x, y float64) bool { return cmp.Compare(x, y) == 0 }) {
-				t.Fatalf("%s: selectKth(k=%d) did not permute its input", name, k)
-			}
-		}
-	}
-}
-
-// TestPercentileRunsMatchesSort: selecting across a group's ascending runs
-// returns what percentile returns over their concatenation, for every
-// rank of the hand-built groups and for p ∈ {0, 0.5, 0.95, 1} of random
-// groups of 1–300 runs, and never writes a sample. Values compare with
-// cmp.Compare, so -0 and +0 are interchangeable and NaNs sort first.
+// TestPercentileRunsMatchesSort: selecting across a group's ascending run
+// lists returns what percentile returns over their expanded samples, for
+// every rank of the hand-built groups and for p ∈ {0, 0.5, 0.95, 1} of
+// random groups of 1–300 lists, and never writes a run. Values compare
+// with cmp.Compare, so -0 and +0 are interchangeable and NaNs sort first.
 func TestPercentileRunsMatchesSort(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negz := math.Copysign(0, -1)
-	groups := map[string][][]float64{
+	groups := map[string][][]LatencyRun{
 		"none":       nil,
-		"one run":    {{0.01, 0.02, 0.02, 0.03, 0.5}},
-		"singletons": {{3}, {1}, {4}, {1}, {5}, {9}, {2}, {6}},
-		"long ties":  {{1, 2, 2, 2, 2, 2}, {2, 2, 2, 2, 2, 3}, {2, 2, 2}, {0, 2, 2, 2, 2, 2, 2, 2, 4}},
-		"all equal":  {{7, 7, 7}, {7}, {7, 7, 7, 7, 7}},
-		"zeros":      {{-1, negz, 0, negz, 0}, {negz, negz}, {0, 0, 1}, {negz}},
-		"nans":       {{nan, nan, -inf, 1}, {nan}, {nan, 2, inf}, {-inf, inf, inf}},
+		"one list":   {{{0.01, 1}, {0.02, 2}, {0.03, 1}, {0.5, 1}}},
+		"singletons": {{{3, 1}}, {{1, 1}}, {{4, 1}}, {{1, 1}}, {{5, 1}}, {{9, 1}}, {{2, 1}}, {{6, 1}}},
+		"long ties":  {{{1, 1}, {2, 5}}, {{2, 5}, {3, 1}}, {{2, 3}}, {{0, 1}, {2, 7}, {4, 1}}},
+		"all equal":  {{{7, 3}}, {{7, 1}}, {{7, 5}}},
+		"zeros":      {{{-1, 1}, {negz, 4}}, {{negz, 2}}, {{0, 2}, {1, 1}}, {{negz, 1}}},
+		"nans":       {{{nan, 2}, {-inf, 1}, {1, 1}}, {{nan, 1}}, {{nan, 1}, {2, 1}, {inf, 1}}, {{-inf, 1}, {inf, 2}}},
 	}
 	rng := rand.New(rand.NewPCG(3, 4))
 	for i := range 40 {
-		runs := make([][]float64, 1+rng.IntN(300))
-		for j := range runs {
-			r := make([]float64, 1+rng.IntN(40))
-			for k := range r {
+		lists := make([][]LatencyRun, 1+rng.IntN(300))
+		for j := range lists {
+			var v float64
+			for range 1 + rng.IntN(12) {
 				if i%2 == 0 {
-					r[k] = float64(rng.IntN(6)) // heavy ties across runs
+					v += float64(rng.IntN(3)) // heavy ties across lists
 				} else {
-					r[k] = rng.ExpFloat64()
+					v += rng.ExpFloat64()
 				}
+				lists[j] = append(lists[j], LatencyRun{v, 1 + rng.IntN(6)})
 			}
-			slices.Sort(r)
-			runs[j] = r
 		}
-		groups[fmt.Sprintf("random/%d", i)] = runs
+		groups[fmt.Sprintf("random/%d", i)] = lists
 	}
 	same := func(x, y float64) bool { return cmp.Compare(x, y) == 0 }
-	bitsOf := func(runs [][]float64) [][]uint64 {
-		out := make([][]uint64, len(runs))
-		for i, r := range runs {
-			for _, v := range r {
-				out[i] = append(out[i], math.Float64bits(v))
-			}
-		}
-		return out
-	}
-	for name, runs := range groups {
-		concat := slices.Concat(runs...)
+	for name, lists := range groups {
+		concat := expand(slices.Concat(lists...))
 		want := slices.Clone(concat)
 		slices.Sort(want)
-		before := bitsOf(runs)
+		before := fmt.Sprint(lists)
 		for _, p := range []float64{0, 0.5, 0.95, 1} {
-			if got, ref := percentileRuns(slices.Clone(runs), len(concat), p), percentile(concat, p); !same(got, ref) {
+			if got, ref := percentileRuns(slices.Clone(lists), len(concat), p), percentile(concat, p); !same(got, ref) {
 				t.Errorf("%s: percentileRuns(p=%g) = %g, percentile gives %g", name, p, got, ref)
 			}
 		}
 		if len(concat) <= 64 {
 			for k := range concat {
-				if got := kthOfRuns(slices.Clone(runs), len(concat), k); !same(got, want[k]) {
+				if got := kthOfRuns(slices.Clone(lists), len(concat), k); !same(got, want[k]) {
 					t.Errorf("%s: kthOfRuns(k=%d) = %g, slices.Sort gives %g", name, k, got, want[k])
 				}
 			}
 		}
-		if !slices.EqualFunc(bitsOf(runs), before, slices.Equal[[]uint64]) {
-			t.Errorf("%s: selection wrote a sample", name)
+		if fmt.Sprint(lists) != before {
+			t.Errorf("%s: selection wrote a run", name)
 		}
 	}
 }
 
+// expand returns the samples runs hold, in run order.
+func expand(runs []LatencyRun) []float64 {
+	var out []float64
+	for _, run := range runs {
+		for range run.Count {
+			out = append(out, run.ValueS)
+		}
+	}
+	return out
+}
+
+// FuzzPercentileRuns: for arbitrary ascending run lists, kthOfRuns returns
+// the value at every rank of the expanded, sorted samples, and
+// percentileRuns their nearest rank. Each input byte triple adds one run:
+// the list it extends, the step above that list's last value (0 repeats
+// it), and the count.
+func FuzzPercentileRuns(f *testing.F) {
+	f.Add([]byte{0, 1, 1}, uint8(95))
+	f.Add([]byte{0, 5, 3, 1, 5, 2, 2, 0, 7, 0, 1, 1}, uint8(50))
+	f.Add([]byte{3, 0, 255, 2, 9, 1, 1, 1, 1, 0, 200, 4, 3, 1, 1}, uint8(100))
+	f.Fuzz(func(t *testing.T, data []byte, pct uint8) {
+		lists := make([][]LatencyRun, 4)
+		var top [4]int
+		for i := 0; i+2 < len(data); i += 3 {
+			l := int(data[i]) % len(lists)
+			top[l] += int(data[i+1])
+			lists[l] = append(lists[l], LatencyRun{float64(top[l]) / 1e9, 1 + int(data[i+2])%16})
+		}
+		lists = slices.DeleteFunc(lists, func(l []LatencyRun) bool { return len(l) == 0 })
+		samples := expand(slices.Concat(lists...))
+		slices.Sort(samples)
+		p := float64(pct%101) / 100
+		if got, want := percentileRuns(slices.Clone(lists), len(samples), p), percentile(samples, p); got != want {
+			t.Fatalf("percentileRuns(p=%g) = %g, nearest rank of the sorted samples is %g", p, got, want)
+		}
+		for k, want := range samples {
+			if got := kthOfRuns(slices.Clone(lists), len(samples), k); got != want {
+				t.Fatalf("kthOfRuns(k=%d) = %g, sorted samples give %g", k, got, want)
+			}
+		}
+	})
+}
+
 // TestAggregateUnsortedLatencies: Aggregate takes hand-built results whose
-// samples descend or are shuffled, reports the same bytes as for the
-// ascending samples runOne publishes, and leaves the caller's slices as
+// latency runs descend or are shuffled, reports the same bytes as for the
+// ascending runs runOne publishes, and leaves the caller's slices as
 // they were.
 func TestAggregateUnsortedLatencies(t *testing.T) {
 	gen, err := NewGenerator(GeneratorConfig{
@@ -265,12 +220,12 @@ func TestAggregateUnsortedLatencies(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(5, 6))
-	for order, reorder := range map[string]func([]float64){
-		"descending": slices.Reverse[[]float64],
-		"shuffled":   func(s []float64) { rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] }) },
+	for order, reorder := range map[string]func([]LatencyRun){
+		"descending": slices.Reverse[[]LatencyRun],
+		"shuffled":   func(s []LatencyRun) { rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] }) },
 	} {
 		results := slices.Clone(sorted)
-		var given [][]float64
+		var given [][]LatencyRun
 		for i := range results {
 			results[i].Latencies = slices.Clone(results[i].Latencies)
 			reorder(results[i].Latencies)
@@ -285,7 +240,7 @@ func TestAggregateUnsortedLatencies(t *testing.T) {
 		}
 		for i, r := range results {
 			if !slices.Equal(r.Latencies, given[i]) {
-				t.Fatalf("%s latencies: Aggregate reordered result %d's samples", order, i)
+				t.Fatalf("%s latencies: Aggregate reordered result %d's runs", order, i)
 			}
 		}
 	}
@@ -300,7 +255,7 @@ func TestAggregateScalarFallback(t *testing.T) {
 	full := Result{
 		ID: 0, Class: ClassSteady, Platform: "jetson-nano",
 		Released: 4, Completed: 4,
-		DurationS: 10, Latencies: []float64{1, 2, 3, 4},
+		DurationS: 10, Latencies: runsOf(1, 2, 3, 4),
 		MeanLatencyS: 2.5, P95LatencyS: 4, MaxLatencyS: 4,
 	}
 	dropped := full
@@ -318,7 +273,7 @@ func TestAggregateScalarFallback(t *testing.T) {
 	other := Result{
 		ID: 2, Class: ClassSteady, Platform: "jetson-nano",
 		Released: 2, Completed: 2,
-		DurationS: 10, Latencies: []float64{5, 6},
+		DurationS: 10, Latencies: runsOf(5, 6),
 		MeanLatencyS: 5.5, P95LatencyS: 6, MaxLatencyS: 6,
 	}
 	rep = Aggregate(1, []Result{dropped, other})
@@ -385,7 +340,7 @@ func TestAggregateP95ApproxMarker(t *testing.T) {
 	full := Result{
 		ID: 0, Class: ClassSteady, Platform: "jetson-nano",
 		Released: 4, Completed: 4, DurationS: 10,
-		Latencies:    []float64{1, 2, 3, 9},
+		Latencies:    runsOf(1, 2, 3, 9),
 		MeanLatencyS: 3.75, P95LatencyS: 9, MaxLatencyS: 9,
 	}
 	dropped := Result{
@@ -534,11 +489,11 @@ func TestAggregateMixedErrors(t *testing.T) {
 		ID: 0, Class: ClassBursty, Platform: "jetson-nano",
 		Released: 10, Completed: 8, Missed: 2,
 		DurationS: 20, EnergyMJ: 500, OverThrottleS: 1,
-		MeanLatencyS: 2, MaxLatencyS: 3, Latencies: []float64{1, 1, 1, 2, 2, 3, 3, 3},
+		MeanLatencyS: 2, MaxLatencyS: 3, Latencies: runsOf(1, 1, 1, 2, 2, 3, 3, 3),
 	}
 	bad := Result{ID: 1, Class: ClassBursty, Platform: "jetson-nano", Err: "boom",
 		// Junk that must be ignored because the scenario errored.
-		Released: 99, EnergyMJ: 9999, Latencies: []float64{7}}
+		Released: 99, EnergyMJ: 9999, Latencies: runsOf(7)}
 	rep := Aggregate(1, []Result{ok, bad})
 	g := rep.Overall
 	if g.Scenarios != 2 || g.Errors != 1 {

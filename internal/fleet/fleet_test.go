@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
@@ -238,6 +239,73 @@ func TestRunOnePure(t *testing.T) {
 	}
 }
 
+// TestLatenciesIndependentOfClockOffset: a run's latency runs do not
+// depend on where on the simulated clock its frames ran. Every app's start
+// and the end move by a whole number of ticks, which keeps the manager's
+// tick and the thermal steps in phase; on a die that stays below its
+// throttle point the same jobs then run the same way, and only the last
+// bits of the engine's float latencies move, which whole nanoseconds
+// absorb. Every count must match too. Runs that miss or drop a frame are
+// left out: whether a frame is dropped can turn on a release and a
+// completion at one instant, which the engine's float clock orders by
+// those same last bits.
+func TestLatenciesIndependentOfClockOffset(t *testing.T) {
+	gen, err := NewGenerator(GeneratorConfig{
+		Seed:      3,
+		Platforms: []string{"odroid-xu3", "jetson-nano"},
+		Classes:   []Class{ClassSteady},
+		Policies:  []string{"heuristic", "maxaccuracy", "minenergy"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift := func(s Scenario, offset float64) Scenario {
+		s.Script.Apps = slices.Clone(s.Script.Apps)
+		for i := range s.Script.Apps {
+			s.Script.Apps[i].StartS += offset
+		}
+		s.Script.EndS += offset
+		return s
+	}
+	checked := 0
+	for _, s := range gen.Generate(gen.RunCount(8)) {
+		// The manager's first tick replans whatever runs then, and it
+		// holds miss-driven replans back for their backoff from t=0. The
+		// reference run starts its apps after both, as the shifted ones do.
+		s = shift(s, 8*TickS)
+		a := RunOne(s)
+		if a.Missed+a.Dropped > 0 {
+			continue
+		}
+		checked++
+		for _, offset := range []float64{10 * TickS, 37 * TickS} {
+			b := RunOne(shift(s, offset))
+			if trip := hw.NewPlatform(s.Platform).Thermal.ThrottleC; a.MaxTempC >= trip || b.MaxTempC >= trip {
+				t.Fatalf("%s: die reached %.1f/%.1f °C, throttle %.1f °C; the test needs a cool die", s.Script.Name, a.MaxTempC, b.MaxTempC, trip)
+			}
+			if len(a.Latencies) == 0 {
+				t.Fatalf("%s: no latencies", s.Script.Name)
+			}
+			if !slices.Equal(a.Latencies, b.Latencies) {
+				t.Errorf("%s shifted by %gs: latency runs differ:\n%v\n%v", s.Script.Name, offset, a.Latencies, b.Latencies)
+			}
+			stats := func(r Result) [3]float64 { return [3]float64{r.MeanLatencyS, r.P95LatencyS, r.MaxLatencyS} }
+			if stats(a) != stats(b) {
+				t.Errorf("%s shifted by %gs: mean/p95/max %v, unshifted %v", s.Script.Name, offset, stats(b), stats(a))
+			}
+			counts := func(r Result) [8]int {
+				return [8]int{r.Released, r.Completed, r.Missed, r.Dropped, r.Plans, r.Migrations, r.LevelSwaps, r.OPPSwitches}
+			}
+			if counts(a) != counts(b) {
+				t.Errorf("%s shifted by %gs: counts %v, unshifted %v", s.Script.Name, offset, counts(b), counts(a))
+			}
+		}
+	}
+	if checked < 8 {
+		t.Fatalf("only %d runs kept every frame; the test needs at least 8", checked)
+	}
+}
+
 // TestAggregateGroups: group membership must match the scenario labels and
 // the overall frame count must equal the per-platform sum.
 func TestAggregateGroups(t *testing.T) {
@@ -330,8 +398,7 @@ func TestResolvePolicies(t *testing.T) {
 
 // percentile returns the p-quantile (nearest-rank) of the samples by
 // sorting a copy. It is the test reference: production code selects the
-// same rank across a group's ascending runs through percentileRuns, and
-// in place through percentileSelect for a run whose samples are dropped.
+// same rank across a group's ascending runs through percentileRuns.
 func percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
 		return 0

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,41 +12,32 @@ import (
 // The stream record codec encodes and decodes Result lines directly
 // instead of through encoding/json's reflection, which dominated the shard
 // round trip. encoding/json stays the definition of the format: a record
-// line is json.Marshal of a recordJSON, the Result with its latencies
-// run-length encoded, and a line decodes as json.Unmarshal decodes it
-// into a recordJSON, whose runs are then checked and expanded. The codec
-// tests hold both halves to that, field by field and under fuzzing,
-// against a reference of their own.
+// line is json.Marshal of the Result, whose latency runs marshal as
+// [value,count], and a line decodes as json.Unmarshal decodes it into a
+// Result, followed by checkRuns. The codec tests hold both halves to
+// that, field by field and under fuzzing.
 //
 // The latencies are written as runs of equal values, [[value,count],...],
 // their values strictly ascending (compared with <, so 0 and -0 are one
-// value): Result.Latencies is ascending, so equal samples sit together,
-// and a sample list has exactly one encoding. appendRecord refuses
-// latencies that descend and the reader refuses runs that do not ascend,
-// so a writer never emits a line its reader refuses. A count must be a
-// positive integer, and a record may hold no more samples than its
-// completed count; no allocation is sized by a count.
-
-// recordJSON is the JSON shape of a stream record: Result's fields, with
-// latencies as [value,count] runs. Its Latencies field hides Result's.
-type recordJSON struct {
-	Result
-	Latencies [][]float64 `json:"latencies,omitempty"`
-}
+// value), so a latency distribution has exactly one encoding.
+// appendRecord refuses runs that do not ascend and the reader refuses
+// them too, so a writer never emits a line its reader refuses. A count
+// must be a positive integer, and a record may hold no more samples than
+// its completed count.
 
 // maxRecordLatencies caps the samples one record may carry, whatever its
-// completed count claims, so a forged count cannot make a reader allocate
-// without bound. Generated runs last at most 40 s and carry a few thousand
-// samples.
+// completed count claims, so forged counts cannot overflow a sample total
+// or make a reader that expands the runs allocate without bound. Generated
+// runs last at most 40 s and carry a few thousand samples.
 const maxRecordLatencies = 1 << 20
 
 // appendRecord appends the stream encoding of r to dst: the bytes
-// json.Marshal returns for r as a recordJSON, with fields in declaration
-// order, omitempty fields left out when zero, floats formatted as
-// encoding/json formats them, and strings that need escaping escaped by
-// encoding/json itself. A NaN or infinite float is an error, as it is for
-// json.Marshal, and so is a latency below its predecessor, which the
-// format cannot carry; either leaves dst as it was.
+// json.Marshal returns for r, with fields in declaration order, omitempty
+// fields left out when zero, floats formatted as encoding/json formats
+// them, and strings that need escaping escaped by encoding/json itself. A
+// NaN or infinite float or a run count below 1 is an error, as it is for
+// json.Marshal, and so is a run value not above its predecessor's, which
+// the format cannot carry; any error leaves dst as it was.
 func appendRecord(dst []byte, r *Result) ([]byte, error) {
 	for _, f := range [...]float64{
 		r.DurationS, r.MeanLatencyS, r.P95LatencyS, r.MaxLatencyS, r.EnergyMJ,
@@ -96,30 +88,57 @@ func appendRecord(dst []byte, r *Result) ([]byte, error) {
 	b = appendOmitInt(b, `,"degradedDropped":`, r.DegradedDropped)
 	if len(r.Latencies) > 0 {
 		b = append(b, `,"latencies":[`...)
-		ls := r.Latencies
-		for i := 0; i < len(ls); {
-			v := ls[i]
-			if err := checkFinite(v); err != nil {
-				return dst, err
-			}
-			if i > 0 && v < ls[i-1] {
-				return dst, fmt.Errorf("fleet: latency %d (%g) is below its predecessor %g; a record's latencies must ascend", i, v, ls[i-1])
-			}
-			j := i + 1
-			for j < len(ls) && ls[j] == v {
-				j++
-			}
+		for i, run := range r.Latencies {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendFloat(append(b, '['), v)
-			b = strconv.AppendInt(append(b, ','), int64(j-i), 10)
-			b = append(b, ']')
-			i = j
+			var err error
+			if b, err = appendRun(b, run); err != nil {
+				return dst, &json.MarshalerError{Type: reflect.TypeFor[LatencyRun](), Err: err}
+			}
+			if i > 0 && !(run.ValueS > r.Latencies[i-1].ValueS) {
+				return dst, fmt.Errorf("fleet: latency run %d (%g) is not above its predecessor %g; run values must strictly ascend", i, run.ValueS, r.Latencies[i-1].ValueS)
+			}
 		}
 		b = append(b, ']')
 	}
 	return append(b, '}'), nil
+}
+
+// MarshalJSON encodes the run as [value,count].
+func (r LatencyRun) MarshalJSON() ([]byte, error) {
+	return appendRun(nil, r)
+}
+
+// UnmarshalJSON decodes [value,count]: two numbers, the count a whole
+// number from 1 to maxRecordLatencies.
+func (r *LatencyRun) UnmarshalJSON(b []byte) error {
+	var pair []float64
+	if err := json.Unmarshal(b, &pair); err != nil {
+		return err
+	}
+	if len(pair) != 2 {
+		return fmt.Errorf("fleet: latency run has %d elements, want [value,count]", len(pair))
+	}
+	if c := pair[1]; c < 1 || c != math.Trunc(c) || c > maxRecordLatencies {
+		return fmt.Errorf("fleet: latency run count %g is not a whole number from 1 to %d", c, maxRecordLatencies)
+	}
+	*r = LatencyRun{ValueS: pair[0], Count: int(pair[1])}
+	return nil
+}
+
+// appendRun appends run as [value,count]. A value JSON cannot carry or a
+// count below 1 is an error.
+func appendRun(b []byte, run LatencyRun) ([]byte, error) {
+	if err := checkFinite(run.ValueS); err != nil {
+		return b, err
+	}
+	if run.Count < 1 {
+		return b, fmt.Errorf("fleet: latency run count %d is below 1", run.Count)
+	}
+	b = appendFloat(append(b, '['), run.ValueS)
+	b = strconv.AppendInt(append(b, ','), int64(run.Count), 10)
+	return append(b, ']'), nil
 }
 
 // checkFinite returns json.Marshal's error for a float JSON cannot carry.
@@ -177,8 +196,8 @@ func plainByte(c byte) bool {
 }
 
 // decodeRecord decodes one stream line into r. The result and the error
-// are what json.Unmarshal into a recordJSON gives, followed by
-// expandRuns; on an error r is left zero.
+// are what json.Unmarshal into a Result gives, followed by checkRuns; on
+// an error r is left zero.
 func decodeRecord(line []byte, r *Result) error {
 	*r = Result{}
 	if decodeCanonical(line, r) {
@@ -186,48 +205,33 @@ func decodeRecord(line []byte, r *Result) error {
 	}
 	*r = Result{}
 	// A separate target keeps r off the heap: only this path allocates it.
-	var rec recordJSON
+	var rec Result
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return err
 	}
-	lat, err := expandRuns(rec.Latencies, rec.Completed)
-	if err != nil {
+	if err := checkRuns(rec.Latencies, rec.Completed); err != nil {
 		return err
 	}
-	*r = rec.Result
-	r.Latencies = lat
+	*r = rec
 	return nil
 }
 
-// expandRuns checks decoded [value,count] runs against the format rules
-// and expands them into samples; no runs give nil. Each run has two
-// elements, each count is a positive integer, run values strictly
+// checkRuns checks decoded latency runs, each a [value,count] with a
+// count from 1 up, against the rules between runs: run values strictly
 // ascend, and the samples number at most completed (and
-// maxRecordLatencies). Every check comes before the one allocation.
-func expandRuns(runs [][]float64, completed int) ([]float64, error) {
-	limit, n := min(completed, maxRecordLatencies), 0
+// maxRecordLatencies).
+func checkRuns(runs []LatencyRun, completed int) error {
+	room := min(completed, maxRecordLatencies)
 	for i, run := range runs {
-		if len(run) != 2 {
-			return nil, fmt.Errorf("fleet: latency run %d has %d elements, want [value,count]", i, len(run))
+		if run.Count > room {
+			return fmt.Errorf("fleet: latency runs hold more samples than completed (%d)", completed)
 		}
-		if c := run[1]; c < 1 || c != math.Trunc(c) || c > float64(limit-n) {
-			return nil, fmt.Errorf("fleet: latency run %d has count %g; counts are positive integers summing to at most completed (%d)", i, c, completed)
-		}
-		if i > 0 && run[0] <= runs[i-1][0] {
-			return nil, fmt.Errorf("fleet: latency run %d has value %g, not above run %d's %g; run values must strictly ascend", i, run[0], i-1, runs[i-1][0])
-		}
-		n += int(run[1])
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]float64, 0, n)
-	for _, run := range runs {
-		for range int(run[1]) {
-			out = append(out, run[0])
+		room -= run.Count
+		if i > 0 && !(run.ValueS > runs[i-1].ValueS) {
+			return fmt.Errorf("fleet: latency run %d has value %g, not above run %d's %g; run values must strictly ascend", i, run.ValueS, i-1, runs[i-1].ValueS)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // decodeCanonical parses the line shape appendRecord writes: every field
@@ -445,30 +449,28 @@ func (d *recordDecoder) floatValue() float64 {
 	return f
 }
 
-// runs reads a non-empty array of latency runs and expands it. A run it
-// cannot prove valid (see expandRuns) leaves the line to the fallback,
-// which reports it. The slice is sized for completed samples up front: a
-// record the reader accepts holds exactly that many, and the count check
-// keeps the samples within that capacity.
-func (d *recordDecoder) runs(key string, completed int) []float64 {
+// runs reads a non-empty array of latency runs. A run it cannot prove
+// valid (see checkRuns) leaves the line to the fallback, which reports
+// it. The slice is sized by the '[' bytes left on the line, one per run
+// on a canonical line, so it is allocated once.
+func (d *recordDecoder) runs(key string, completed int) []LatencyRun {
 	if !d.key(key) || !d.lit('[') {
 		return nil
 	}
-	limit := max(0, min(completed, maxRecordLatencies))
-	out := make([]float64, 0, limit)
+	room := max(0, min(completed, maxRecordLatencies))
+	out := make([]LatencyRun, 0, min(room, bytes.Count(d.b[d.i:], []byte{'['})))
 	for {
 		d.lit('[')
 		v := d.floatValue()
 		d.lit(',')
 		c := d.count()
 		d.lit(']')
-		if !d.ok || c > limit-len(out) || (len(out) > 0 && v <= out[len(out)-1]) {
+		if !d.ok || c > room || (len(out) > 0 && !(v > out[len(out)-1].ValueS)) {
 			d.ok = false
 			return nil
 		}
-		for range c {
-			out = append(out, v)
-		}
+		room -= c
+		out = append(out, LatencyRun{ValueS: v, Count: c})
 		if d.peek() != ',' {
 			break
 		}

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 )
@@ -34,59 +33,57 @@ func readGoldenStream(t testing.TB) []byte {
 	return raw
 }
 
-// refRecord is the codec tests' own JSON shape of a stream record: the
-// Result with its latencies as [value,count] runs. refMarshal and
-// refUnmarshal build the reference from it with encoding/json and their
-// own run-length coding, so the codec is never checked against itself.
-type refRecord struct {
-	Result
-	Latencies [][]float64 `json:"latencies,omitempty"`
-}
-
-// refMarshal is the reference encoding of r: each maximal stretch of equal
-// samples becomes one [value,count] run, encoding/json does the rest, and
-// latencies that descend are refused.
+// refMarshal is the reference encoding of r: json.Marshal, which writes
+// each latency run as [value,count], refusing runs whose values do not
+// strictly ascend.
 func refMarshal(r Result) ([]byte, error) {
-	rec := refRecord{Result: r}
-	for _, l := range r.Latencies {
-		if n := len(rec.Latencies); n > 0 && rec.Latencies[n-1][0] == l {
-			rec.Latencies[n-1][1]++
-			continue
-		}
-		rec.Latencies = append(rec.Latencies, []float64{l, 1})
-	}
-	out, err := json.Marshal(rec)
-	if err == nil && !slices.IsSorted(r.Latencies) {
-		return nil, errors.New("latencies descend")
+	out, err := json.Marshal(r)
+	if err == nil && !strictlyAscending(r.Latencies) {
+		return nil, errors.New("latency runs do not strictly ascend")
 	}
 	return out, err
 }
 
-// refUnmarshal is the reference decoding of a record line: encoding/json
-// into a refRecord, then the format's run rules, then the expansion.
+func strictlyAscending(runs []LatencyRun) bool {
+	for i := 1; i < len(runs); i++ {
+		if !(runs[i].ValueS > runs[i-1].ValueS) {
+			return false
+		}
+	}
+	return true
+}
+
+// refUnmarshal is the reference decoding of a record line: json.Unmarshal
+// into a Result, then the format's rules between runs.
 func refUnmarshal(line []byte) (Result, error) {
-	var rec refRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
+	var r Result
+	if err := json.Unmarshal(line, &r); err != nil {
 		return Result{}, err
 	}
-	r := rec.Result
-	room := min(r.Completed, maxRecordLatencies)
-	for i, run := range rec.Latencies {
-		switch {
-		case len(run) != 2:
-			return Result{}, errors.New("a run is not [value,count]")
-		case run[1] < 1 || run[1] != math.Floor(run[1]):
-			return Result{}, errors.New("a count is not a positive integer")
-		case run[1] > float64(room-len(r.Latencies)):
-			return Result{}, errors.New("more samples than completed jobs")
-		case i > 0 && !(run[0] > rec.Latencies[i-1][0]):
-			return Result{}, errors.New("run values do not strictly ascend")
-		}
-		for range int(run[1]) {
-			r.Latencies = append(r.Latencies, run[0])
-		}
+	samples := 0
+	for _, run := range r.Latencies {
+		samples += run.Count
+	}
+	switch {
+	case len(r.Latencies) > 0 && samples > min(r.Completed, maxRecordLatencies):
+		return Result{}, errors.New("more samples than completed jobs")
+	case !strictlyAscending(r.Latencies):
+		return Result{}, errors.New("run values do not strictly ascend")
 	}
 	return r, nil
+}
+
+// runsOf run-length encodes samples, equal neighbours into one run.
+func runsOf(samples ...float64) []LatencyRun {
+	var runs []LatencyRun
+	for _, v := range samples {
+		if n := len(runs); n > 0 && runs[n-1].ValueS == v {
+			runs[n-1].Count++
+			continue
+		}
+		runs = append(runs, LatencyRun{ValueS: v, Count: 1})
+	}
+	return runs
 }
 
 // jsonDecodeStream decodes a stream with the encoding/json reference
@@ -137,8 +134,8 @@ func TestGoldenStream(t *testing.T) {
 		if len(r.Latencies) == 0 {
 			t.Fatalf("golden record %d carries no latencies", r.ID)
 		}
-		if !slices.IsSorted(r.Latencies) {
-			t.Fatalf("golden record %d latencies are not ascending", r.ID)
+		if !strictlyAscending(r.Latencies) {
+			t.Fatalf("golden record %d latency runs do not strictly ascend", r.ID)
 		}
 	}
 	if !sawFault {
@@ -181,22 +178,22 @@ func TestGoldenStreamWorkCounts(t *testing.T) {
 		if len(line) == 0 {
 			continue
 		}
-		var rec refRecord
+		var rec Result
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatal(err)
 		}
 		values += len(rec.Latencies)
 		for _, run := range rec.Latencies {
-			samples += int(run[1])
+			samples += run.Count
 		}
 		if !decodeCanonical(line, &Result{}) {
 			t.Errorf("golden record fell back to encoding/json: %s", line)
 		}
 	}
-	if got, want := len(raw), 11529; got != want {
+	if got, want := len(raw), 8391; got != want {
 		t.Errorf("golden stream is %d bytes, want %d", got, want)
 	}
-	if got, want := values, 185; got != want {
+	if got, want := values, 86; got != want {
 		t.Errorf("golden stream encodes %d latency values, want %d", got, want)
 	}
 	if got, want := samples, 2235; got != want {
@@ -261,7 +258,7 @@ func checkRecordCodec(t *testing.T, name string, r Result, fast bool) {
 	}
 	ref, err := refUnmarshal(got)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	if !reflect.DeepEqual(dec, ref) {
 		t.Errorf("%s: decodeRecord gives %+v, json.Unmarshal %+v", name, dec, ref)
@@ -288,8 +285,8 @@ func TestRecordCodecCoversEveryField(t *testing.T) {
 		case reflect.Float64:
 			return reflect.ValueOf(0.1 + float64(f.Index[0])).Convert(f.Type)
 		case reflect.Slice:
-			if f.Type.Elem().Kind() == reflect.Float64 {
-				return reflect.ValueOf([]float64{1e-7, 0.25, 3})
+			if f.Type.Elem() == reflect.TypeFor[LatencyRun]() {
+				return reflect.ValueOf([]LatencyRun{{1e-7, 2}, {0.25, 1}, {3, 4}})
 			}
 		}
 		t.Fatalf("Result.%s has kind %s, which the codec test has no value for; extend appendRecord, decodeCanonical and this test", f.Name, f.Type)
@@ -309,7 +306,7 @@ func TestRecordCodecCoversEveryField(t *testing.T) {
 		reflect.ValueOf(&alone).Elem().Field(i).Set(v)
 		if f.Name == "Latencies" {
 			// A record holds one sample per completed job.
-			alone.Completed = v.Len()
+			alone.Completed = 7
 		}
 		checkRecordCodec(t, f.Name+" alone", alone, true)
 		if f.Type.Kind() == reflect.Float64 {
@@ -318,10 +315,10 @@ func TestRecordCodecCoversEveryField(t *testing.T) {
 			checkRecordCodec(t, f.Name+" -0", negZero, true)
 		}
 	}
-	all.Completed = len(all.Latencies)
+	all.Completed = 7
 	checkRecordCodec(t, "every field", all, true)
 	checkRecordCodec(t, "zero", Result{}, true)
-	all.Latencies = []float64{}
+	all.Latencies = []LatencyRun{}
 	checkRecordCodec(t, "empty latencies", all, true)
 }
 
@@ -337,14 +334,24 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 	for _, f := range floats {
 		r := base
 		r.DurationS, r.UnhostedS, r.RecoverTotalS = f, f, f
-		r.Latencies = []float64{min(f, 1), f, f, max(f, 1)}
-		r.Completed = len(r.Latencies)
+		r.Latencies = runsOf(min(f, 1), f, f, max(f, 1))
+		r.Completed = 4
 		checkRecordCodec(t, "float "+formatG(f), r, true)
 	}
-	descending := base
-	descending.Latencies = []float64{0.1, 0.3, 0.2}
-	descending.Completed = len(descending.Latencies)
-	checkRecordCodec(t, "descending latencies", descending, false)
+	for name, runs := range map[string][]LatencyRun{
+		"descending runs": {{0.1, 1}, {0.3, 1}, {0.2, 1}},
+		"equal runs":      {{0.1, 1}, {0.1, 2}},
+		"zero count":      {{0.1, 0}, {0.2, 3}},
+		"negative count":  {{0.1, -1}, {0.2, 4}},
+	} {
+		r := base
+		r.Latencies = runs
+		r.Completed = 3
+		checkRecordCodec(t, name, r, false)
+		if _, err := appendRecord(nil, &r); err == nil {
+			t.Errorf("appendRecord accepted %s", name)
+		}
+	}
 	for _, s := range []string{`"<&>` + "\n", "héllo ✓", "\xff\xfe", "tab\there", "line sep", `back\slash`, "\x7f", ""} {
 		r := base
 		r.Err = s
@@ -356,7 +363,7 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 		r.P95LatencyS = f
 		checkRecordCodec(t, "scalar "+formatG(f), r, false)
 		r = base
-		r.Latencies = []float64{1, f}
+		r.Latencies = []LatencyRun{{1, 1}, {f, 1}}
 		r.Completed = 2
 		checkRecordCodec(t, "latency "+formatG(f), r, false)
 		if _, err := appendRecord(nil, &r); err == nil {
@@ -489,8 +496,9 @@ func runVariants(completed int) []string {
 }
 
 // TestDecodeRecordAllocatesAtMostCompleted: a record whose counts claim
-// more samples than its completed jobs fails on both decode paths before
-// anything is sized by the counts. A million samples would take 8 MB.
+// more samples than its completed jobs fails on both decode paths, and
+// nothing is sized by the counts. Expanding a million samples would take
+// 8 MB.
 func TestDecodeRecordAllocatesAtMostCompleted(t *testing.T) {
 	line := bytes.SplitAfter(readGoldenStream(t), []byte("\n"))[1]
 	for _, edited := range [][]byte{
@@ -571,7 +579,7 @@ func FuzzReadShard(f *testing.F) {
 	}
 	// A header whose range no record backs: reading it once sized a slice
 	// by the claimed range, which panics (or exhausts memory) this large.
-	f.Add([]byte(`{"stream":"emlrtm-fleet-shard","formatVersion":3,"config":{"seed":1},"total":1099511627776,"lo":0,"hi":1099511627776}` + "\n"))
+	f.Add([]byte(`{"stream":"emlrtm-fleet-shard","formatVersion":4,"config":{"seed":1},"total":1099511627776,"lo":0,"hi":1099511627776}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadShard(bytes.NewReader(data))
 		if err != nil {

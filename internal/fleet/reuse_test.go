@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -134,21 +135,15 @@ func TestWorkerReuseEquivalence(t *testing.T) {
 }
 
 // resultDiff names the first Result field in which got and want differ,
-// comparing every field with == (Latencies element by element), or
+// comparing every field with == (Latencies run by run), or
 // returns "".
 func resultDiff(got, want Result) string {
 	gv, wv := reflect.ValueOf(got), reflect.ValueOf(want)
 	for i := 0; i < gv.NumField(); i++ {
 		name := gv.Type().Field(i).Name
-		if g, ok := gv.Field(i).Interface().([]float64); ok {
-			w := wv.Field(i).Interface().([]float64)
-			if len(g) != len(w) {
+		if g, ok := gv.Field(i).Interface().([]LatencyRun); ok {
+			if !slices.Equal(g, wv.Field(i).Interface().([]LatencyRun)) {
 				return name
-			}
-			for k := range g {
-				if g[k] != w[k] {
-					return name
-				}
 			}
 			continue
 		}

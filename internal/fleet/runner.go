@@ -1,8 +1,8 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -15,15 +15,14 @@ import (
 	"github.com/emlrtm/emlrtm/internal/workload"
 )
 
-// Result is the compact outcome of one scenario run. Latencies carries the
-// raw per-job samples Aggregate pools for percentiles, in ascending order
-// (a shard stream refuses any other order, on write and on read); it is
-// part of the JSON encoding so results can round-trip through a file and
-// be merged across processes without silently zeroing the pooled latency
-// stats (a shard stream run-length encodes it, see record.go). The
-// field is optional: runs made with Runner.DropLatencies (fleetsim -nolat)
-// omit it, and Aggregate then falls back to the scalar stats for the
-// pooled p95.
+// Result is the compact outcome of one scenario run. Latencies carries
+// the run's per-job latency samples, in whole nanoseconds, as ascending
+// runs of equal values; Aggregate pools them for percentiles. It is part
+// of the JSON encoding, each run as [value,count], so results round-trip
+// through a file and merge across processes without silently zeroing the
+// pooled latency stats. The field is optional: runs made with
+// Runner.DropLatencies (fleetsim -nolat) omit it, and Aggregate then falls
+// back to the scalar stats for the pooled p95.
 type Result struct {
 	ID       int    `json:"id"`
 	Name     string `json:"name"`
@@ -70,7 +69,15 @@ type Result struct {
 	DegradedMissed  int     `json:"degradedMissed,omitempty"`
 	DegradedDropped int     `json:"degradedDropped,omitempty"`
 
-	Latencies []float64 `json:"latencies,omitempty"`
+	Latencies []LatencyRun `json:"latencies,omitempty"`
+}
+
+// LatencyRun is Count job latencies of one value, ValueS seconds. Fleet
+// runs record latencies in whole nanoseconds, so ValueS is float64(ns)/1e9.
+// A run marshals as the JSON array [value,count] (see record.go).
+type LatencyRun struct {
+	ValueS float64
+	Count  int
 }
 
 // TickS is the manager epoch every fleet run uses; a constant keeps runs
@@ -88,13 +95,14 @@ func RunOne(s Scenario) Result {
 // worker is the run state one fleet worker reuses across its whole
 // scenario stream: the workload stack (engine, manager, controller) Reset
 // in place between scenarios, one build of each catalog platform it has
-// run, and Train's exploration RNG. Nothing in the engine, manager or
-// policies writes to a Platform, so a platform is built once per worker,
-// not once per run.
+// run, Train's exploration RNG and the latency sort buffer. Nothing in the
+// engine, manager or policies writes to a Platform, so a platform is built
+// once per worker, not once per run.
 type worker struct {
 	stack workload.Stack
 	plats map[string]*hw.Platform
 	rng   *rand.Rand
+	ns    []int64 // one run's latencies in ns, sorted in place
 }
 
 // reseed returns the worker's RNG seeded with seed. Re-seeding one source
@@ -122,8 +130,8 @@ func (w *worker) platform(name string) *hw.Platform {
 }
 
 // runOne is RunOne on a worker's reused run state (nil builds everything
-// fresh). keepLatencies publishes the raw Latencies, sorted, and changes
-// no other field; reuse changes no result byte, which
+// fresh). keepLatencies publishes the Latencies runs and changes no other
+// field; reuse changes no result byte, which
 // TestWorkerReuseEquivalence pins.
 func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 	script := s.Script
@@ -193,37 +201,51 @@ func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 		res.Missed += a.Missed
 		res.Dropped += a.Dropped
 	}
-	// raw is the engine's own latency log, in completion order. The
-	// engine's next Reset rewrites it, so selection may reorder it in
-	// place. The sum and max are taken in completion order first, so the
-	// mean and max do not depend on whether samples are kept.
-	raw := rep.Latencies
-	if len(raw) == 0 {
+	// Latencies are recorded in whole nanoseconds: the engine's float
+	// samples carry sub-nanosecond noise from where on the clock a job
+	// ran. Both modes sort them, so the scalar stats do not depend on
+	// whether the runs are kept.
+	if len(rep.Latencies) == 0 {
 		return res
 	}
-	var sum float64
-	maxL := raw[0]
-	for _, l := range raw {
-		sum += l
-		if cmp.Less(maxL, l) {
-			maxL = l
+	ns := w.ns[:0]
+	var sum int64
+	for _, l := range rep.Latencies {
+		v := int64(math.Round(l * 1e9))
+		ns = append(ns, v)
+		sum += v
+	}
+	slices.Sort(ns)
+	w.ns = ns
+	n := len(ns)
+	res.MeanLatencyS = float64(sum) / 1e9 / float64(n)
+	res.MaxLatencyS = float64(ns[n-1]) / 1e9
+	res.P95LatencyS = float64(ns[nearestRank(n, 0.95)]) / 1e9
+	if keepLatencies {
+		res.Latencies = latencyRuns(ns)
+	}
+	return res
+}
+
+// latencyRuns run-length encodes sorted nanosecond samples into an
+// exact-size slice of runs, values in seconds.
+func latencyRuns(ns []int64) []LatencyRun {
+	distinct := 1
+	for i := 1; i < len(ns); i++ {
+		if ns[i] != ns[i-1] {
+			distinct++
 		}
 	}
-	res.MeanLatencyS = sum / float64(len(raw))
-	res.MaxLatencyS = maxL
-	if !keepLatencies {
-		res.P95LatencyS = percentileSelect(raw, 0.95)
-		return res
+	runs := make([]LatencyRun, 0, distinct)
+	for i := 0; i < len(ns); {
+		j := i + 1
+		for j < len(ns) && ns[j] == ns[i] {
+			j++
+		}
+		runs = append(runs, LatencyRun{ValueS: float64(ns[i]) / 1e9, Count: j - i})
+		i = j
 	}
-	// Publish an exact-size ascending copy: the engine's buffer never
-	// escapes, sorted samples run-length encode compactly in a shard
-	// stream, and the p95 is read at its nearest rank — the value
-	// selectKth would return.
-	res.Latencies = make([]float64, len(raw))
-	copy(res.Latencies, raw)
-	slices.Sort(res.Latencies)
-	res.P95LatencyS = res.Latencies[nearestRank(len(raw), 0.95)]
-	return res
+	return runs
 }
 
 // Runner fans scenarios out over a bounded worker pool. Every manager
@@ -243,16 +265,16 @@ type Runner struct {
 	// are on disk". Without OnResult, done counts raw completions, which
 	// finish out of order under the pool.
 	Progress func(done, total int)
-	// DropLatencies omits the raw per-job Latencies samples from every
-	// Result (the fleetsim -nolat switch). The scalar per-scenario
-	// mean/p95/max and the group means stay exact; what is lost is the
-	// pooled group percentile, which Aggregate then approximates from the
-	// per-scenario p95s. Samples are kept in ascending order and a stream
-	// run-length encodes them, yet they still make a shard file 4–14×
-	// larger (256 workloads at seed 1: 3.6× for an odroid-xu3 and
-	// jetson-nano 3-policy sweep, 13.5× for the catalog mix) and hold
-	// every sample in memory, so million-scenario fleets run with this
-	// set.
+	// DropLatencies omits the Latencies runs from every Result (the
+	// fleetsim -nolat switch); runs compute their scalar stats the same
+	// way either way. The scalar per-scenario mean/p95/max and the group
+	// means stay exact; what is lost is the pooled group percentile,
+	// which Aggregate then approximates from the per-scenario p95s. Held
+	// as whole-nanosecond runs, latencies make a shard file only
+	// 1.2–1.3× larger (256 workloads at seed 1: 1.21× for an odroid-xu3
+	// and jetson-nano 3-policy sweep, 1.26× for the catalog mix), and a
+	// 12 288-workload sweep of those two platforms peaks at 91–93 MB RSS
+	// with them against 76–86 MB without.
 	DropLatencies bool
 	// SyncEvery, for streaming runs (ResumeShard), fsyncs the stream file
 	// after every this-many appended records. 0 (the default) never

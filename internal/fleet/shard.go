@@ -22,7 +22,10 @@ import (
 //	3: a stream record's latencies are [value,count] runs of equal
 //	   samples, not one number per sample, and must number exactly the
 //	   record's completed jobs.
-const ShardFormatVersion = 3
+//	4: latencies are recorded in whole nanoseconds, so v3 files, whose
+//	   samples kept the simulator's sub-nanosecond noise, cannot be
+//	   merged with v4 ones.
+const ShardFormatVersion = 4
 
 // ShardResult is one process's share of a fleet run: the results for a
 // contiguous scenario index range [Lo, Hi) of a Total-scenario fleet,
@@ -88,8 +91,9 @@ func checkHeader(version int, cfg GeneratorConfig, total, lo, hi int) ([]string,
 // derivation GenerateRange performs, recomputed on the consumer side. It
 // is shared by shard validation and the stream reader/writer: a result
 // generated under a different seed, policy list or index cannot enter a
-// merge through either path. Latencies, when kept, must hold one sample
-// per completed job, and no more than a stream record may carry.
+// merge through either path. Latencies, when kept, must be runs with
+// counts from 1 up holding one sample per completed job, and no more
+// than a stream record may carry.
 func validateResultAt(masterSeed uint64, pols []string, r Result, id int) error {
 	if r.ID != id {
 		return fmt.Errorf("fleet: result has ID %d, want %d", r.ID, id)
@@ -100,7 +104,17 @@ func validateResultAt(masterSeed uint64, pols []string, r Result, id int) error 
 	if want := pols[id%len(pols)]; r.Policy != want {
 		return fmt.Errorf("fleet: scenario %d ran policy %q, want %q under the configured sweep %v; shard was generated under a different policy list", id, r.Policy, want, pols)
 	}
-	if n := len(r.Latencies); n > 0 && (n != r.Completed || n > maxRecordLatencies) {
+	if len(r.Latencies) == 0 {
+		return nil
+	}
+	n := 0
+	for i, run := range r.Latencies {
+		if run.Count < 1 {
+			return fmt.Errorf("fleet: scenario %d latency run %d has count %d, want at least 1", id, i, run.Count)
+		}
+		n += run.Count
+	}
+	if n != r.Completed || n > maxRecordLatencies {
 		return fmt.Errorf("fleet: scenario %d carries %d latency samples for %d completed jobs (want one per job, at most %d)", id, n, r.Completed, maxRecordLatencies)
 	}
 	return nil

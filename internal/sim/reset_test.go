@@ -116,6 +116,23 @@ func TestResetRejectsDuplicateApp(t *testing.T) {
 	}
 }
 
+// TestResetRejectsBadTick: a negative, NaN or infinite tick is an error
+// from New and Reset. Such a tick never fired, so a scripted run silently
+// skipped every action its controller applies on ticks. 0 still disables
+// ticks.
+func TestResetRejectsBadTick(t *testing.T) {
+	e := mustEngine(t, Config{Platform: hw.OdroidXU3(), TickS: 0})
+	for _, tick := range []float64{-1, -0.25, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{Platform: hw.OdroidXU3(), TickS: tick}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted tick %g", tick)
+		}
+		if err := e.Reset(cfg); err == nil {
+			t.Errorf("Reset accepted tick %g", tick)
+		}
+	}
+}
+
 // TestResetRejectsMoreThan64Apps pins the app limit each cluster's
 // one-word resident set imposes: 65 apps are an error, and the engine
 // then takes a 64-app config and runs it with every app resident.

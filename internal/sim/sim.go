@@ -421,7 +421,7 @@ type Config struct {
 	// residents as one 64-bit set, and New and Reset reject more.
 	Apps       []App
 	Controller Controller // may be nil (uncontrolled baseline)
-	TickS      float64    // controller epoch; 0 disables ticks
+	TickS      float64    // controller epoch, finite and >= 0; 0 disables ticks
 	LogEvents  bool       // retain the full event log (tests, reports)
 	// LogLatencies keeps each finished job's release-to-completion
 	// latency, in completion order, as Report.Latencies: the samples a
@@ -457,6 +457,9 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	if err := cfg.Platform.Validate(); err != nil {
 		return err
+	}
+	if !finite(cfg.TickS) || cfg.TickS < 0 {
+		return fmt.Errorf("sim: tick %g s must be finite and not negative (0 disables ticks)", cfg.TickS)
 	}
 	e.plat = cfg.Platform
 	e.ambient = cfg.Platform.AmbientC
