@@ -71,13 +71,9 @@
 // degraded windows.
 //
 // Results keep their per-job latencies in whole nanoseconds, as ascending
-// [value,count] runs, in memory, in -results output and in shard files.
-// -nolat drops them from results and shard files, which makes a shard
-// only 1.2–1.3× smaller (1.21× for a 256-workload odroid-xu3,jetson-nano
-// 3-policy sweep, 1.26× for the catalog mix). Per-scenario mean/p95/max
-// and group means stay exact; pooled group p95 degrades to the worst
-// per-scenario p95 and is marked approximate (p95Approx in JSON, a ~
-// suffix in tables).
+// [value,count] runs, in memory, in -results output and in shard files,
+// so every pooled group p95 is exact. A shard stream whose records lack
+// them is refused by merge and -resume.
 //
 // Managers elide replans whose planning fingerprint has not changed
 // since their last actuated plan. The report is byte-identical to
@@ -93,7 +89,7 @@
 //
 //	fleetsim [-scenarios 64] [-seed 1] [-workers N] [-platforms a,b]
 //	         [-classes steady,thermal] [-policies a,b]
-//	         [-format json|table] [-results] [-nolat] [-out file]
+//	         [-format json|table] [-results] [-out file]
 //	         [-shard i/m -out shard.ndjson [-resume] [-syncevery N]]
 //	fleetsim merge [-format json|table] [-results] [-out file] shard.ndjson...
 //	fleetsim orchestrate -shards m -out dir [-scenarios N] [-seed S]
@@ -221,17 +217,23 @@ const policiesUsage = "comma-separated planning policies to sweep over the same 
 func addGenFlags(fs *flag.FlagSet, policiesFlag, usage string) *genFlags {
 	g := &genFlags{policiesFlag: policiesFlag}
 	fs.Uint64Var(&g.seed, "seed", 1, "master seed (scenario seeds, and train's exploration draws, derive from it)")
-	fs.IntVar(&g.workers, "workers", 0, "worker pool size, per shard process under orchestrate (0 = NumCPU; outputs are identical for any value)")
+	fs.IntVar(&g.workers, "workers", 0, "worker pool size, per shard process under orchestrate (0 = NumCPU, negative is refused; outputs are identical for any value)")
 	fs.StringVar(&g.platforms, "platforms", "", "comma-separated platform names (empty = all)")
 	fs.StringVar(&g.classes, "classes", "", "comma-separated scenario classes: steady,mixed,bursty,thermal,churn,faulty (empty = all)")
 	fs.StringVar(&g.policies, policiesFlag, "", usage)
 	return g
 }
 
-// config is the generator config the flags describe. fleet.NewGenerator,
-// fleet.Orchestrate and fleet.Train each validate it, unknown classes
-// included, before any simulation.
+// config is the generator config the flags describe, after refusing a
+// negative -workers. fleet.NewGenerator, fleet.Orchestrate and fleet.Train
+// each validate the config, unknown classes included, before any
+// simulation.
 func (g *genFlags) config(fs *flag.FlagSet) (fleet.GeneratorConfig, error) {
+	if g.workers < 0 {
+		// The library reads a negative pool size as NumCPU, so -workers -5
+		// would otherwise run silently, on every shard under orchestrate.
+		return fleet.GeneratorConfig{}, badUsage(fs, "-workers %d must be non-negative (0 = NumCPU)", g.workers)
+	}
 	var lists [3][]string
 	for i, f := range []struct{ name, value string }{
 		{"platforms", g.platforms}, {"classes", g.classes}, {g.policiesFlag, g.policies},
@@ -332,7 +334,6 @@ func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	rf := addReportFlags(fs, "write output to this file instead of stdout (required with -shard: the shard stream file)")
 	progress := fs.Bool("progress", false, "print progress to stderr")
 	shard := fs.String("shard", "", "run only shard i of m, as \"i/m\" (1-based), streaming it to -out for \"fleetsim merge\"")
-	nolat := fs.Bool("nolat", false, "drop per-job latencies (whole-ns [value,count] runs) from results and shard files: shards shrink 1.2-1.3x; scalar mean/p95/max and group means stay, group p95 becomes the worst per-scenario p95")
 	resume := fs.Bool("resume", false, "with -shard: resume an interrupted stream at -out from its last flushed scenario")
 	syncevery := fs.Int("syncevery", 0, "with -shard: fsync the stream file every N records (0 = never; per-record flushes already survive process death, fsync adds power-loss durability)")
 	if err := parse(fs, args, overview, false); err != nil {
@@ -359,7 +360,7 @@ func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	runner := &fleet.Runner{Workers: g.workers, DropLatencies: *nolat, SyncEvery: *syncevery}
+	runner := &fleet.Runner{Workers: g.workers, SyncEvery: *syncevery}
 	if *progress {
 		runner.Progress = func(done, total int) {
 			fmt.Fprintf(stderr, "\rfleetsim: %d/%d", done, total)
@@ -425,7 +426,6 @@ func orchestrate(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) erro
 	scenarios := fs.Int("scenarios", 64, "number of scenarios in the fleet")
 	g := addGenFlags(fs, "policies", policiesUsage)
 	rf := addReportFlags(fs, "")
-	nolat := fs.Bool("nolat", false, "drop raw per-job latency samples (forwarded to every shard)")
 	shards := fs.Int("shards", 2, "number of shard subprocesses to dispatch")
 	out := fs.String("out", "", "directory for per-shard stream files (required; partial streams there are resumed)")
 	stall := fs.Duration("stall", 30*time.Second, "kill a shard whose stream makes no progress for this long (0 disables)")
@@ -481,9 +481,6 @@ func orchestrate(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) erro
 			if f.value != "" {
 				a = append(a, f.name, f.value)
 			}
-		}
-		if *nolat {
-			a = append(a, "-nolat")
 		}
 		return a
 	}
@@ -589,14 +586,8 @@ func printTables(w io.Writer, rep fleet.Report) error {
 		"group", "scen", "frames", "miss%", "meanLat(ms)", "p95Lat(ms)",
 		"energy(J)", "thermal%", "plans", "migr", "oppSw")
 	addRow := func(name string, s fleet.GroupStats) {
-		// Approximate group p95s (a -nolat scenario contributed, so the
-		// percentile could not pool every sample) carry a ~ suffix.
-		p95 := any(1000 * s.P95LatencyS)
-		if s.P95Approx {
-			p95 = trace.FormatFloat(1000*s.P95LatencyS) + "~"
-		}
 		t.AddRow(name, s.Scenarios, s.Frames, 100*s.MissRate,
-			1000*s.MeanLatencyS, p95,
+			1000*s.MeanLatencyS, 1000*s.P95LatencyS,
 			s.EnergyMJ/1000, 100*s.ThermalRate,
 			s.Plans, s.Migrations, s.OPPSwitches)
 	}

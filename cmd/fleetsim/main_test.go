@@ -61,59 +61,64 @@ func TestShardsMergeToOneProcessReport(t *testing.T) {
 	}
 }
 
-// TestNoLatShards: -nolat shards carry no latency samples, their merge
-// marks every group p95 approximate, and every group's mean latency
-// equals that of a merge of the same shards with their samples kept,
-// since group means are folded from per-run means in both.
-func TestNoLatShards(t *testing.T) {
-	dir := t.TempDir()
-	merged := func(nolat bool) fleet.Report {
-		t.Helper()
-		merge := []string{"merge"}
-		for _, shard := range []string{"1/2", "2/2"} {
-			args := []string{"-scenarios", "16", "-seed", "3", "-shard", shard}
-			name := strings.Replace(shard, "/", "of", 1)
-			if nolat {
-				args, name = append(args, "-nolat"), "nolat-"+name
-			}
-			path := filepath.Join(dir, name+".ndjson")
-			fleetsim(t, append(args, "-out", path)...)
-			stream, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := bytes.Contains(stream, []byte(`"latencies"`)); got == nolat {
-				t.Fatalf("-nolat %v: shard %s carries latencies: %v", nolat, shard, got)
-			}
-			merge = append(merge, path)
-		}
-		var rep fleet.Report
-		if err := json.Unmarshal(fleetsim(t, merge...), &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
+// TestPolicySweepWorkerInvariant: a 3-policy sweep prints the same bytes
+// at any worker count, and its report carries per-policy groups and
+// regret; its table has a row per policy.
+func TestPolicySweepWorkerInvariant(t *testing.T) {
+	sweep := []string{"-scenarios", "16", "-seed", "3", "-policies", "heuristic,maxaccuracy,minenergy"}
+	one := fleetsim(t, append(sweep, "-workers", "1")...)
+	if two := fleetsim(t, append(sweep, "-workers", "2")...); !bytes.Equal(one, two) {
+		t.Fatal("sweep at -workers 1 differs from -workers 2")
 	}
-	groups := func(rep fleet.Report) map[string]fleet.GroupStats {
-		out := map[string]fleet.GroupStats{"overall": rep.Overall}
-		for name, g := range rep.ByPlatform {
-			out["platform "+name] = g
-		}
-		for class, g := range rep.ByClass {
-			out["class "+string(class)] = g
-		}
-		return out
+	var rep fleet.Report
+	if err := json.Unmarshal(one, &rep); err != nil {
+		t.Fatal(err)
 	}
-	lean, full := groups(merged(true)), groups(merged(false))
-	if len(lean) != len(full) {
-		t.Fatalf("-nolat merge has %d groups, the full one %d", len(lean), len(full))
+	if len(rep.ByPolicy) != 3 || len(rep.Regret) != 3 {
+		t.Errorf("sweep report has %d byPolicy groups and %d regret rows, want 3 each", len(rep.ByPolicy), len(rep.Regret))
 	}
-	for name, g := range lean {
-		if !g.P95Approx {
-			t.Errorf("-nolat merge: %s p95 not marked approximate", name)
+	table := fleetsim(t, "-scenarios", "8", "-seed", "3", "-policies", "heuristic,minenergy", "-format", "table")
+	for _, row := range []string{"policy:heuristic", "policy:minenergy", "policy regret"} {
+		if !bytes.Contains(table, []byte(row)) {
+			t.Errorf("sweep table lacks %q:\n%s", row, table)
 		}
-		if f := full[name]; f.Completed == 0 || g.MeanLatencyS != f.MeanLatencyS {
-			t.Errorf("%s: -nolat mean latency %v, with samples %v (%d completed)", name, g.MeanLatencyS, f.MeanLatencyS, f.Completed)
+	}
+}
+
+// TestLatencyFreeShardRefused: a shard stream whose records carry no
+// latencies, as the retired -nolat switch wrote them, is refused by merge
+// and by -resume, which leaves the file as it was.
+func TestLatencyFreeShardRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.ndjson")
+	shard := []string{"-scenarios", "4", "-seed", "3", "-shard", "1/1", "-out", path}
+	fleetsim(t, shard...)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	lean := append(bytes.TrimSuffix(lines[0], []byte("}\n")), `,"noLatencies":true}`+"\n"...)
+	for _, line := range lines[1:] {
+		if i := bytes.Index(line, []byte(`,"latencies":`)); i >= 0 {
+			line = append(line[:i:i], "}\n"...)
 		}
+		lean = append(lean, line...)
+	}
+	if err := os.WriteFile(path, lean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"merge", path}, append(shard, "-resume")} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "scenario 0 carries 0 latency samples") || !strings.Contains(err.Error(), path) {
+			t.Errorf("fleetsim %s: error %v, want it to name %s and scenario 0's missing samples", strings.Join(args, " "), err, path)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("fleetsim %s: printed %q", strings.Join(args, " "), stdout.Bytes())
+		}
+	}
+	if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, lean) {
+		t.Errorf("refused -resume changed the file (read error %v)", err)
 	}
 }
 
@@ -168,6 +173,11 @@ func TestRejectedInvocations(t *testing.T) {
 		{"train -workloads 2 -arms minenergy, -out OUT", true},
 		{"-scenarios 2 -platforms odroid-xu3,", true},
 		{"-scenarios 2 -classes steady,", true},
+		{"-scenarios 2 -nolat", true},
+		{"orchestrate -scenarios 2 -shards 1 -out OUT -nolat", true},
+		{"-scenarios 2 -workers -5", true},
+		{"orchestrate -scenarios 2 -shards 1 -out OUT -workers -5", true},
+		{"train -workloads 2 -workers -5 -out OUT", true},
 		{"-scenarios 2 -classes bogus", false},
 		{"-scenarios 2 -format xml", false},
 		{"-scenarios 2 -format table -results", false},

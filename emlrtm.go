@@ -346,7 +346,7 @@ type (
 // shard was interrupted; merging every shard with MergeFleetShards is
 // byte-identical to RunFleet over the same config and total.
 func ResumeFleetShard(path string, cfg FleetGeneratorConfig, total, index, count, workers int) (FleetShardResult, error) {
-	return fleet.ResumeShard(path, cfg, total, index, count, workers)
+	return (&fleet.Runner{Workers: workers}).ResumeShard(path, cfg, total, index, count)
 }
 
 // OrchestrateFleet runs a whole fleet as supervised shard processes:

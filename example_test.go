@@ -484,63 +484,6 @@ func ExampleTrainPolicy() {
 	// base policy — on its training seed it only has to pick the right arm.
 }
 
-// ExampleFleetRunner_dropLatencies runs the same seeded fleet twice as a
-// one-shard stream file, once carrying the per-job latencies and once
-// without them (the fleetsim -nolat switch), and compares stream size and
-// latency stats. Latencies are whole nanoseconds held as [value,count]
-// runs, a few runs per scenario, so dropping them saves little stream and
-// costs an exact pooled p95: the per-scenario mean, p95 and max survive,
-// but the group p95 degrades to the worst per-scenario p95. It buys no
-// aggregation memory, since Aggregate reads the kept runs in place.
-func ExampleFleetRunner_dropLatencies() {
-	const scenarios, seed = 48, 7
-	cfg := emlrtm.FleetGeneratorConfig{Seed: seed}
-	dir, err := os.MkdirTemp("", "droplatencies")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-
-	run := func(drop bool) (emlrtm.FleetReport, int64) {
-		path := filepath.Join(dir, fmt.Sprintf("drop-%t.ndjson", drop))
-		runner := &emlrtm.FleetRunner{DropLatencies: drop}
-		shard, err := runner.ResumeShard(path, cfg, scenarios, 0, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return emlrtm.AggregateFleet(seed, shard.Results), fi.Size()
-	}
-	repFull, fullBytes := run(false)
-	repLean, leanBytes := run(true)
-
-	fmt.Printf("fleet of %d scenarios (seed %d)\n\n", scenarios, seed)
-	fmt.Printf("%-18s %14s\n", "", "shard stream")
-	fmt.Printf("%-18s %13.1fK\n", "with latencies", float64(fullBytes)/1024)
-	fmt.Printf("%-18s %13.1fK\n", "-nolat", float64(leanBytes)/1024)
-	fmt.Printf("\nstream shrinks %.1fx; per-scenario scalar stats survive:\n",
-		float64(fullBytes)/float64(leanBytes))
-	fmt.Printf("  pooled  mean %.2f ms  p95 %6.2f ms  max %6.2f ms\n",
-		1000*repFull.Overall.MeanLatencyS, 1000*repFull.Overall.P95LatencyS,
-		1000*repFull.Overall.MaxLatencyS)
-	fmt.Printf("  -nolat  mean %.2f ms  p95 %6.2f ms  max %6.2f ms  (p95 approximated)\n",
-		1000*repLean.Overall.MeanLatencyS, 1000*repLean.Overall.P95LatencyS,
-		1000*repLean.Overall.MaxLatencyS)
-	// Output:
-	// fleet of 48 scenarios (seed 7)
-	//
-	//                      shard stream
-	// with latencies              28.6K
-	// -nolat                      23.1K
-	//
-	// stream shrinks 1.2x; per-scenario scalar stats survive:
-	//   pooled  mean 20.28 ms  p95  87.62 ms  max 1307.82 ms
-	//   -nolat  mean 20.28 ms  p95 893.48 ms  max 1307.82 ms  (p95 approximated)
-}
-
 // ExampleOrchestrateFleet runs a fleet as three supervised fleetsim shard
 // processes, each streaming to a file in dir, and merges them into a
 // report byte-identical to RunFleet's. A shard that stalls or dies is

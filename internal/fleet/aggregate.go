@@ -24,7 +24,7 @@ type GroupStats struct {
 	P95LatencyS  float64 `json:"p95LatencyS"`
 	// P95Approx marks P95LatencyS as approximate: at least one of the
 	// group's scenarios ran with its raw latency samples dropped
-	// (Runner.DropLatencies / fleetsim -nolat), so the group percentile
+	// (Runner.DropLatencies, in memory only), so the group percentile
 	// could not pool every job latency and fell back to the worst
 	// per-scenario p95 for the sample-free scenarios. omitempty keeps
 	// full-latency reports byte-identical to the pre-marker format.
@@ -115,7 +115,7 @@ type group struct {
 	// it kept its samples, so the group mean is the same in both modes.
 	latSum float64
 	// Scalar fallback for results whose raw Latencies were dropped
-	// (Runner.DropLatencies / fleetsim -nolat): the group p95 is
+	// (Runner.DropLatencies): the group p95 is
 	// approximated by the worst per-scenario p95.
 	sampleFree bool
 	scalarP95  float64

@@ -54,7 +54,7 @@ func shardHelper(args []string) {
 	}
 	switch mode {
 	case "run", "runf":
-		if _, err := ResumeShard(path, cfg, total, index, count, 1); err != nil {
+		if _, err := (&Runner{Workers: 1}).ResumeShard(path, cfg, total, index, count); err != nil {
 			die(err)
 		}
 	case "stall":
@@ -163,7 +163,7 @@ func TestOrchestrateInProcess(t *testing.T) {
 		Config: cfg, Workloads: workloads, Shards: shards, Dir: dir,
 		Start: func(spec ShardSpec) (ShardProcess, error) {
 			return inProcessShard(func() error {
-				_, err := ResumeShard(spec.Path, cfg, workloads, spec.Index, spec.Count, 2)
+				_, err := (&Runner{Workers: 2}).ResumeShard(spec.Path, cfg, workloads, spec.Index, spec.Count)
 				return err
 			}), nil
 		},
@@ -230,7 +230,7 @@ func TestOrchestrateRetriesFailedShard(t *testing.T) {
 				}
 				return fmt.Errorf("simulated crash")
 			}
-			_, err := ResumeShard(spec.Path, cfg, workloads, spec.Index, spec.Count, 1)
+			_, err := (&Runner{Workers: 1}).ResumeShard(spec.Path, cfg, workloads, spec.Index, spec.Count)
 			return err
 		}), nil
 	}

@@ -167,7 +167,7 @@ func TestShardSweepValidation(t *testing.T) {
 	}
 	// The same tampering inside a stream fails on read. The writer
 	// refuses a mislabelled record, so the line is edited in place.
-	lines := bytes.SplitAfter(writeStream(t, shard, false), []byte("\n"))
+	lines := bytes.SplitAfter(writeStream(t, shard), []byte("\n"))
 	var rec Result
 	if err := json.Unmarshal(lines[2], &rec); err != nil {
 		t.Fatal(err)
@@ -222,12 +222,8 @@ func fakeSweepShard(cfg GeneratorConfig, total, lo, hi int) ShardResult {
 		})
 	}
 	return ShardResult{
-		FormatVersion: ShardFormatVersion,
-		Config:        cfg,
-		Total:         total,
-		Lo:            lo,
-		Hi:            hi,
-		Results:       results,
+		StreamHeader: StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: total, Lo: lo, Hi: hi},
+		Results:      results,
 	}
 }
 
@@ -250,7 +246,7 @@ func TestSweepShardEquivalence(t *testing.T) {
 	read := make([]ShardResult, 0, shards)
 	for i := 0; i < shards; i++ {
 		path := filepath.Join(dir, StreamFileName(i, shards))
-		if _, err := ResumeShard(path, cfg, workloads, i, shards, 2); err != nil {
+		if _, err := (&Runner{Workers: 2}).ResumeShard(path, cfg, workloads, i, shards); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadShardFile(path)

@@ -17,13 +17,13 @@ import (
 // Result, followed by checkRuns. The codec tests hold both halves to
 // that, field by field and under fuzzing.
 //
-// The latencies are written as runs of equal values, [[value,count],...],
-// their values strictly ascending (compared with <, so 0 and -0 are one
-// value), so a latency distribution has exactly one encoding.
-// appendRecord refuses runs that do not ascend and the reader refuses
-// them too, so a writer never emits a line its reader refuses. A count
-// must be a positive integer, and a record may hold no more samples than
-// its completed count.
+// The latencies are written as runs of equal values, [[value,count],...].
+// checkRuns is the one definition of a valid run list: values strictly
+// ascending (compared with <, so 0 and -0 are one value), so a latency
+// distribution has exactly one encoding, counts from 1 up, and no more
+// samples than the record's completed count. StreamWriter.Append checks
+// it before encoding and decodeRecord after decoding, so a writer never
+// emits a line its reader refuses.
 
 // maxRecordLatencies caps the samples one record may carry, whatever its
 // completed count claims, so forged counts cannot overflow a sample total
@@ -36,8 +36,8 @@ const maxRecordLatencies = 1 << 20
 // fields left out when zero, floats formatted as encoding/json formats
 // them, and strings that need escaping escaped by encoding/json itself. A
 // NaN or infinite float or a run count below 1 is an error, as it is for
-// json.Marshal, and so is a run value not above its predecessor's, which
-// the format cannot carry; any error leaves dst as it was.
+// json.Marshal; any error leaves dst as it was. The order of the runs is
+// the caller's to check (see checkRuns).
 func appendRecord(dst []byte, r *Result) ([]byte, error) {
 	for _, f := range [...]float64{
 		r.DurationS, r.MeanLatencyS, r.P95LatencyS, r.MaxLatencyS, r.EnergyMJ,
@@ -95,9 +95,6 @@ func appendRecord(dst []byte, r *Result) ([]byte, error) {
 			var err error
 			if b, err = appendRun(b, run); err != nil {
 				return dst, &json.MarshalerError{Type: reflect.TypeFor[LatencyRun](), Err: err}
-			}
-			if i > 0 && !(run.ValueS > r.Latencies[i-1].ValueS) {
-				return dst, fmt.Errorf("fleet: latency run %d (%g) is not above its predecessor %g; run values must strictly ascend", i, run.ValueS, r.Latencies[i-1].ValueS)
 			}
 		}
 		b = append(b, ']')
@@ -200,44 +197,48 @@ func plainByte(c byte) bool {
 // an error r is left zero.
 func decodeRecord(line []byte, r *Result) error {
 	*r = Result{}
-	if decodeCanonical(line, r) {
-		return nil
+	if !decodeCanonical(line, r) {
+		*r = Result{}
+		// A separate target keeps r off the heap: only this path allocates it.
+		var rec Result
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		*r = rec
 	}
-	*r = Result{}
-	// A separate target keeps r off the heap: only this path allocates it.
-	var rec Result
-	if err := json.Unmarshal(line, &rec); err != nil {
+	if _, err := checkRuns(r.Latencies, r.Completed); err != nil {
+		*r = Result{}
 		return err
 	}
-	if err := checkRuns(rec.Latencies, rec.Completed); err != nil {
-		return err
-	}
-	*r = rec
 	return nil
 }
 
-// checkRuns checks decoded latency runs, each a [value,count] with a
-// count from 1 up, against the rules between runs: run values strictly
-// ascend, and the samples number at most completed (and
-// maxRecordLatencies).
-func checkRuns(runs []LatencyRun, completed int) error {
+// checkRuns is the one definition of a valid latency run list: every
+// count at least 1, run values strictly ascending, and at most completed
+// (and maxRecordLatencies) samples in all. It returns the sample total.
+func checkRuns(runs []LatencyRun, completed int) (int, error) {
 	room := min(completed, maxRecordLatencies)
+	n := 0
 	for i, run := range runs {
-		if run.Count > room {
-			return fmt.Errorf("fleet: latency runs hold more samples than completed (%d)", completed)
+		if run.Count < 1 {
+			return 0, fmt.Errorf("latency run %d has count %d, want at least 1", i, run.Count)
 		}
-		room -= run.Count
+		if run.Count > room-n {
+			return 0, fmt.Errorf("latency runs hold more samples than completed (%d)", completed)
+		}
+		n += run.Count
 		if i > 0 && !(run.ValueS > runs[i-1].ValueS) {
-			return fmt.Errorf("fleet: latency run %d has value %g, not above run %d's %g; run values must strictly ascend", i, run.ValueS, i-1, runs[i-1].ValueS)
+			return 0, fmt.Errorf("latency run %d has value %g, not above run %d's %g; run values must strictly ascend", i, run.ValueS, i-1, runs[i-1].ValueS)
 		}
 	}
-	return nil
+	return n, nil
 }
 
 // decodeCanonical parses the line shape appendRecord writes: every field
 // in declaration order, omitempty fields optional, no whitespace, strings
-// of plain bytes only, a non-empty array of valid latency runs with
-// decimal-integer counts, and at most a newline after the closing brace.
+// of plain bytes only, a non-empty array of [value,count] latency runs
+// with decimal-integer counts from 1 to maxRecordLatencies, and at most a
+// newline after the closing brace.
 // It reports false, leaving r partly filled, on anything else.
 func decodeCanonical(line []byte, r *Result) bool {
 	d := recordDecoder{b: line, ok: true}
@@ -276,7 +277,7 @@ func decodeCanonical(line []byte, r *Result) bool {
 	r.DegradedMissed = d.optInt(`,"degradedMissed":`)
 	r.DegradedDropped = d.optInt(`,"degradedDropped":`)
 	if d.has(`,"latencies":`) {
-		r.Latencies = d.runs(`,"latencies":`, r.Completed)
+		r.Latencies = d.runs(`,"latencies":`)
 	}
 	d.lit('}')
 	if rest := d.b[d.i:]; len(rest) > 1 || (len(rest) == 1 && rest[0] != '\n') {
@@ -449,27 +450,23 @@ func (d *recordDecoder) floatValue() float64 {
 	return f
 }
 
-// runs reads a non-empty array of latency runs. A run it cannot prove
-// valid (see checkRuns) leaves the line to the fallback, which reports
-// it. The slice is sized by the '[' bytes left on the line, one per run
-// on a canonical line, so it is allocated once.
-func (d *recordDecoder) runs(key string, completed int) []LatencyRun {
+// runs reads a non-empty array of latency runs; decodeRecord checks the
+// rules between them. The slice is sized by the '[' bytes left on the
+// line, one per run on a canonical line, so it is allocated once.
+func (d *recordDecoder) runs(key string) []LatencyRun {
 	if !d.key(key) || !d.lit('[') {
 		return nil
 	}
-	room := max(0, min(completed, maxRecordLatencies))
-	out := make([]LatencyRun, 0, min(room, bytes.Count(d.b[d.i:], []byte{'['})))
+	out := make([]LatencyRun, 0, bytes.Count(d.b[d.i:], []byte{'['}))
 	for {
 		d.lit('[')
 		v := d.floatValue()
 		d.lit(',')
 		c := d.count()
 		d.lit(']')
-		if !d.ok || c > room || (len(out) > 0 && !(v > out[len(out)-1].ValueS)) {
-			d.ok = false
+		if !d.ok {
 			return nil
 		}
-		room -= c
 		out = append(out, LatencyRun{ValueS: v, Count: c})
 		if d.peek() != ',' {
 			break

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -31,17 +33,6 @@ func readGoldenStream(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	return raw
-}
-
-// refMarshal is the reference encoding of r: json.Marshal, which writes
-// each latency run as [value,count], refusing runs whose values do not
-// strictly ascend.
-func refMarshal(r Result) ([]byte, error) {
-	out, err := json.Marshal(r)
-	if err == nil && !strictlyAscending(r.Latencies) {
-		return nil, errors.New("latency runs do not strictly ascend")
-	}
-	return out, err
 }
 
 func strictlyAscending(runs []LatencyRun) bool {
@@ -91,11 +82,10 @@ func runsOf(samples ...float64) []LatencyRun {
 func jsonDecodeStream(t *testing.T, raw []byte) ShardResult {
 	t.Helper()
 	lines := bytes.SplitAfter(raw, []byte("\n"))
-	var hdr StreamHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
+	s := ShardResult{Results: []Result{}}
+	if err := json.Unmarshal(lines[0], &s.StreamHeader); err != nil {
 		t.Fatal(err)
 	}
-	s := ShardResult{FormatVersion: hdr.FormatVersion, Config: hdr.Config, Total: hdr.Total, Lo: hdr.Lo, Hi: hdr.Hi, Results: []Result{}}
 	for _, line := range lines[1:] {
 		if len(line) == 0 {
 			continue
@@ -150,12 +140,12 @@ func TestGoldenStream(t *testing.T) {
 		t.Error("ReadShard decodes the golden stream differently from encoding/json")
 	}
 
-	if again := writeStream(t, got, false); !bytes.Equal(again, raw) {
+	if again := writeStream(t, got); !bytes.Equal(again, raw) {
 		t.Errorf("StreamWriter re-encoding differs from the golden stream:%s", firstDiff(raw, again))
 	}
 
 	path := filepath.Join(t.TempDir(), "golden.ndjson")
-	if _, err := ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1, 1); err != nil {
+	if _, err := (&Runner{Workers: 1}).ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := os.ReadFile(path)
@@ -208,7 +198,7 @@ func TestGoldenStreamWorkCounts(t *testing.T) {
 func writeGoldenStream(t *testing.T) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "golden.ndjson")
-	if _, err := ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1, 1); err != nil {
+	if _, err := (&Runner{Workers: 1}).ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := os.ReadFile(path)
@@ -218,7 +208,7 @@ func writeGoldenStream(t *testing.T) {
 	header, _, _ := bytes.Cut(fresh, []byte("\n"))
 	out := append(header, '\n')
 	for _, r := range jsonDecodeStream(t, fresh).Results {
-		line, err := refMarshal(r)
+		line, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,14 +220,14 @@ func writeGoldenStream(t *testing.T) {
 	t.Logf("rewrote %s", goldenStreamPath)
 }
 
-// checkRecordCodec requires appendRecord to emit refMarshal's bytes for r,
+// checkRecordCodec requires appendRecord to emit json.Marshal's bytes for r,
 // or to fail where it fails (with json.Marshal's error text for an
 // unsupported value), and decodeRecord to decode those bytes as
 // refUnmarshal does. fast requires the line to take the canonical path
 // rather than the encoding/json fallback.
 func checkRecordCodec(t *testing.T, name string, r Result, fast bool) {
 	t.Helper()
-	want, wantErr := refMarshal(r)
+	want, wantErr := json.Marshal(r)
 	got, gotErr := appendRecord(nil, &r)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: appendRecord error %v, json.Marshal error %v", name, gotErr, wantErr)
@@ -339,10 +329,8 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 		checkRecordCodec(t, "float "+formatG(f), r, true)
 	}
 	for name, runs := range map[string][]LatencyRun{
-		"descending runs": {{0.1, 1}, {0.3, 1}, {0.2, 1}},
-		"equal runs":      {{0.1, 1}, {0.1, 2}},
-		"zero count":      {{0.1, 0}, {0.2, 3}},
-		"negative count":  {{0.1, -1}, {0.2, 4}},
+		"zero count":     {{0.1, 0}, {0.2, 3}},
+		"negative count": {{0.1, -1}, {0.2, 4}},
 	} {
 		r := base
 		r.Latencies = runs
@@ -350,6 +338,24 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 		checkRecordCodec(t, name, r, false)
 		if _, err := appendRecord(nil, &r); err == nil {
 			t.Errorf("appendRecord accepted %s", name)
+		}
+	}
+	// Run order is checkRuns' to judge, before appendRecord encodes: the
+	// writer refuses every run list its reader refuses.
+	for name, runs := range map[string][]LatencyRun{
+		"descending runs": {{0.1, 1}, {0.3, 1}, {0.2, 1}},
+		"equal runs":      {{0.1, 1}, {0.1, 2}},
+	} {
+		s := fakeShard(GeneratorConfig{Seed: 5}, 8, 2, 3)
+		r := s.Results[0]
+		r.Latencies = runs
+		r.Completed = 3
+		sw, err := NewStreamWriter(io.Discard, s.StreamHeader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Append(r); err == nil || !strings.Contains(err.Error(), "strictly ascend") {
+			t.Errorf("Append of %s: error %v, want a run-order complaint", name, err)
 		}
 	}
 	for _, s := range []string{`"<&>` + "\n", "héllo ✓", "\xff\xfe", "tab\there", "line sep", `back\slash`, "\x7f", ""} {
@@ -442,7 +448,7 @@ func checkDecodeRecord(t *testing.T, line []byte) {
 		t.Fatalf("%q: decodeRecord gives %+v, json.Unmarshal %+v", line, got, want)
 	}
 	enc, encErr := appendRecord(nil, &got)
-	ref, refErr := refMarshal(want)
+	ref, refErr := json.Marshal(want)
 	if encErr != nil || refErr != nil || !bytes.Equal(enc, ref) {
 		t.Fatalf("%q: re-encoding %s (%v), json.Marshal %s (%v)", line, enc, encErr, ref, refErr)
 	}
@@ -539,7 +545,7 @@ func fuzzSeeds(t testing.TB) (files, records [][]byte, classic []byte) {
 	}
 	s.Results = s.Results[:2]
 	s.Hi = s.Lo + 2
-	stream := writeStream(t, s, false)
+	stream := writeStream(t, s)
 	classic = classicShardDoc(t, s)
 	header, _, _ := bytes.Cut(stream, []byte("\n"))
 	files = [][]byte{stream, stream[:len(stream)-7], header, header[:len(header)/2], classic, classic[:len(classic)/2]}

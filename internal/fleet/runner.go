@@ -19,10 +19,10 @@ import (
 // the run's per-job latency samples, in whole nanoseconds, as ascending
 // runs of equal values; Aggregate pools them for percentiles. It is part
 // of the JSON encoding, each run as [value,count], so results round-trip
-// through a file and merge across processes without silently zeroing the
-// pooled latency stats. The field is optional: runs made with
-// Runner.DropLatencies (fleetsim -nolat) omit it, and Aggregate then falls
-// back to the scalar stats for the pooled p95.
+// through a file and merge across processes with exact pooled latency
+// stats. A shard stream and Merge require one sample per completed job;
+// only results held in memory may lack them (Runner.DropLatencies), and
+// Aggregate then falls back to the scalar stats for the pooled p95.
 type Result struct {
 	ID       int    `json:"id"`
 	Name     string `json:"name"`
@@ -265,16 +265,14 @@ type Runner struct {
 	// are on disk". Without OnResult, done counts raw completions, which
 	// finish out of order under the pool.
 	Progress func(done, total int)
-	// DropLatencies omits the Latencies runs from every Result (the
-	// fleetsim -nolat switch); runs compute their scalar stats the same
-	// way either way. The scalar per-scenario mean/p95/max and the group
-	// means stay exact; what is lost is the pooled group percentile,
-	// which Aggregate then approximates from the per-scenario p95s. Held
-	// as whole-nanosecond runs, latencies make a shard file only
-	// 1.2–1.3× larger (256 workloads at seed 1: 1.21× for an odroid-xu3
-	// and jetson-nano 3-policy sweep, 1.26× for the catalog mix), and a
-	// 12 288-workload sweep of those two platforms peaks at 91–93 MB RSS
-	// with them against 76–86 MB without.
+	// DropLatencies omits the Latencies runs from every Result held in
+	// memory; runs compute their scalar stats the same way either way.
+	// The scalar per-scenario mean/p95/max and the group means stay
+	// exact; what is lost is the pooled group percentile, which Aggregate
+	// then approximates from the per-scenario p95s. A shard stream
+	// carries every latency, so ResumeShard refuses a runner with it set,
+	// and Merge refuses shards without them. Its users are the
+	// benchmark's engine-bound and plan-bound workloads.
 	DropLatencies bool
 	// SyncEvery, for streaming runs (ResumeShard), fsyncs the stream file
 	// after every this-many appended records. 0 (the default) never

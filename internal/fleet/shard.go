@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"sort"
 )
 
@@ -24,7 +23,10 @@ import (
 //	   record's completed jobs.
 //	4: latencies are recorded in whole nanoseconds, so v3 files, whose
 //	   samples kept the simulator's sub-nanosecond noise, cannot be
-//	   merged with v4 ones.
+//	   merged with v4 ones. Later, a stream came to carry every latency
+//	   always: a v4 stream whose records drop them (the retired -nolat
+//	   mode, header "noLatencies":true) is refused. The version did not
+//	   bump, because every file a writer produces stayed byte-identical.
 const ShardFormatVersion = 4
 
 // ShardResult is one process's share of a fleet run: the results for a
@@ -35,12 +37,8 @@ const ShardFormatVersion = 4
 // only be trusted because the header carries everything needed to prove
 // the shards describe the same fleet.
 type ShardResult struct {
-	FormatVersion int             `json:"formatVersion"`
-	Config        GeneratorConfig `json:"config"`
-	Total         int             `json:"total"`
-	Lo            int             `json:"lo"`
-	Hi            int             `json:"hi"` // exclusive
-	Results       []Result        `json:"results"`
+	StreamHeader
+	Results []Result `json:"results"`
 }
 
 // Validate checks internal consistency: format version, range bounds,
@@ -51,7 +49,7 @@ type ShardResult struct {
 // to that ID. A shard generated under a different master seed or policy
 // list cannot slip in.
 func (s ShardResult) Validate() error {
-	pols, err := checkHeader(s.FormatVersion, s.Config, s.Total, s.Lo, s.Hi)
+	pols, err := s.check()
 	if err != nil {
 		return err
 	}
@@ -70,30 +68,13 @@ func (s ShardResult) Validate() error {
 	return nil
 }
 
-// checkHeader holds the header checks a shard and a shard stream share —
-// format version, fleet size and range — and resolves the policy sweep the
-// records are validated against.
-func checkHeader(version int, cfg GeneratorConfig, total, lo, hi int) ([]string, error) {
-	if version != ShardFormatVersion {
-		return nil, fmt.Errorf("fleet: shard format version %d, want %d", version, ShardFormatVersion)
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("fleet: shard total %d must be positive", total)
-	}
-	if lo < 0 || hi < lo || hi > total {
-		return nil, fmt.Errorf("fleet: shard range [%d,%d) outside fleet [0,%d)", lo, hi, total)
-	}
-	return resolvePolicies(cfg.Policies)
-}
-
 // validateResultAt checks that one result claims scenario index id of the
 // fleet defined by masterSeed and the resolved policy sweep — the same
 // derivation GenerateRange performs, recomputed on the consumer side. It
 // is shared by shard validation and the stream reader/writer: a result
 // generated under a different seed, policy list or index cannot enter a
-// merge through either path. Latencies, when kept, must be runs with
-// counts from 1 up holding one sample per completed job, and no more
-// than a stream record may carry.
+// merge through either path. Its latencies must be valid runs (see
+// checkRuns) holding exactly one sample per completed job.
 func validateResultAt(masterSeed uint64, pols []string, r Result, id int) error {
 	if r.ID != id {
 		return fmt.Errorf("fleet: result has ID %d, want %d", r.ID, id)
@@ -104,17 +85,11 @@ func validateResultAt(masterSeed uint64, pols []string, r Result, id int) error 
 	if want := pols[id%len(pols)]; r.Policy != want {
 		return fmt.Errorf("fleet: scenario %d ran policy %q, want %q under the configured sweep %v; shard was generated under a different policy list", id, r.Policy, want, pols)
 	}
-	if len(r.Latencies) == 0 {
-		return nil
+	n, err := checkRuns(r.Latencies, r.Completed)
+	if err != nil {
+		return fmt.Errorf("fleet: scenario %d: %w", id, err)
 	}
-	n := 0
-	for i, run := range r.Latencies {
-		if run.Count < 1 {
-			return fmt.Errorf("fleet: scenario %d latency run %d has count %d, want at least 1", id, i, run.Count)
-		}
-		n += run.Count
-	}
-	if n != r.Completed || n > maxRecordLatencies {
+	if n != r.Completed {
 		return fmt.Errorf("fleet: scenario %d carries %d latency samples for %d completed jobs (want one per job, at most %d)", id, n, r.Completed, maxRecordLatencies)
 	}
 	return nil
@@ -144,7 +119,7 @@ func newShard(cfg GeneratorConfig, total, index, count int) (*Generator, ShardRe
 	}
 	runs := gen.RunCount(total)
 	lo, hi := ShardRange(runs, index, count)
-	return gen, ShardResult{FormatVersion: ShardFormatVersion, Config: cfg, Total: runs, Lo: lo, Hi: hi}, nil
+	return gen, ShardResult{StreamHeader: StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: runs, Lo: lo, Hi: hi}}, nil
 }
 
 // ReadShard decodes and validates one shard: a complete NDJSON result
@@ -195,16 +170,8 @@ func Merge(shards ...ShardResult) (Report, []Result, error) {
 		if err := s.Validate(); err != nil {
 			return Report{}, nil, err
 		}
-		if s.Config.Seed != first.Config.Seed {
-			return Report{}, nil, fmt.Errorf("fleet: shard seed mismatch: shard [%d,%d) has seed %d, shard [%d,%d) has seed %d",
-				first.Lo, first.Hi, first.Config.Seed, s.Lo, s.Hi, s.Config.Seed)
-		}
-		if !reflect.DeepEqual(s.Config.normalized(), first.Config.normalized()) {
-			return Report{}, nil, fmt.Errorf("fleet: shard config mismatch: shard [%d,%d) was generated with %+v, shard [%d,%d) with %+v",
-				first.Lo, first.Hi, first.Config, s.Lo, s.Hi, s.Config)
-		}
-		if s.Total != first.Total {
-			return Report{}, nil, fmt.Errorf("fleet: shard fleet-size mismatch: %d vs %d scenarios", first.Total, s.Total)
+		if err := first.sameFleet(s.StreamHeader); err != nil {
+			return Report{}, nil, fmt.Errorf("fleet: shards [%d,%d) and [%d,%d) are from different fleets: %w", first.Lo, first.Hi, s.Lo, s.Hi, err)
 		}
 	}
 

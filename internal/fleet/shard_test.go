@@ -111,16 +111,12 @@ func TestShardEquivalenceProperty(t *testing.T) {
 			lo, hi := bounds[i], bounds[i+1]
 			runner := &Runner{Workers: 1 + rng.Intn(4)}
 			s := ShardResult{
-				FormatVersion: ShardFormatVersion,
-				Config:        cfg,
-				Total:         n,
-				Lo:            lo,
-				Hi:            hi,
-				Results:       runner.Run(gen.GenerateRange(lo, hi)),
+				StreamHeader: StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: n, Lo: lo, Hi: hi},
+				Results:      runner.Run(gen.GenerateRange(lo, hi)),
 			}
 			// Round-trip through the stream encoding: merged results must be
 			// built from what a reader decodes, not from in-memory state.
-			back, err := ReadShard(bytes.NewReader(writeStream(t, s, false)))
+			back, err := ReadShard(bytes.NewReader(writeStream(t, s)))
 			if err != nil {
 				t.Fatalf("trial %d: ReadShard [%d,%d): %v", trial, lo, hi, err)
 			}
@@ -170,12 +166,8 @@ func fakeShard(cfg GeneratorConfig, total, lo, hi int) ShardResult {
 		})
 	}
 	return ShardResult{
-		FormatVersion: ShardFormatVersion,
-		Config:        cfg,
-		Total:         total,
-		Lo:            lo,
-		Hi:            hi,
-		Results:       results,
+		StreamHeader: StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: total, Lo: lo, Hi: hi},
+		Results:      results,
 	}
 }
 
@@ -288,7 +280,7 @@ func classicShardDoc(t testing.TB, s ShardResult) []byte {
 func TestReadShardFileCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	shard := fakeShard(GeneratorConfig{Seed: 5}, 8, 0, 4)
-	stream := writeStream(t, shard, false)
+	stream := writeStream(t, shard)
 	header, _, _ := bytes.Cut(stream, []byte("\n"))
 
 	var garbled bytes.Buffer // a valid header over a garbage body
@@ -345,7 +337,7 @@ func TestResumeShardBounds(t *testing.T) {
 		{"invalid generator config", GeneratorConfig{Platforms: []string{"nope"}}, 4, 0, 2},
 	} {
 		path := filepath.Join(t.TempDir(), "shard.ndjson")
-		if _, err := ResumeShard(path, tc.cfg, tc.total, tc.index, tc.count, 1); err == nil {
+		if _, err := (&Runner{Workers: 1}).ResumeShard(path, tc.cfg, tc.total, tc.index, tc.count); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -363,5 +355,8 @@ func runShardRef(t testing.TB, cfg GeneratorConfig, total, index, count int) Sha
 		t.Fatal(err)
 	}
 	lo, hi := ShardRange(len(res), index, count)
-	return ShardResult{FormatVersion: ShardFormatVersion, Config: cfg, Total: len(res), Lo: lo, Hi: hi, Results: res[lo:hi]}
+	return ShardResult{
+		StreamHeader: StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: len(res), Lo: lo, Hi: hi},
+		Results:      res[lo:hi],
+	}
 }

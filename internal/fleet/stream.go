@@ -29,47 +29,53 @@ import (
 // first JSON key.
 const streamMagic = "emlrtm-fleet-shard"
 
-// StreamHeader is the first line of a shard result stream: everything a
-// resuming or merging process needs to prove the records that follow
-// belong to the run it was asked for. It mirrors the ShardResult header,
-// plus the latency-dropping mode, which changes record bytes and so must
-// match between the crashed and the resuming run.
+// StreamHeader is the first line of a shard result stream, and the header
+// of the ShardResult it converts to: everything a resuming or merging
+// process needs to prove the records that follow belong to the run it was
+// asked for.
 type StreamHeader struct {
-	Stream        string          `json:"stream"`
 	FormatVersion int             `json:"formatVersion"`
 	Config        GeneratorConfig `json:"config"`
 	Total         int             `json:"total"`
 	Lo            int             `json:"lo"`
 	Hi            int             `json:"hi"` // exclusive
-	NoLatencies   bool            `json:"noLatencies,omitempty"`
 }
 
-// validate checks the stream marker and the header checks shared with
-// ShardResult.Validate, returning the resolved policy sweep.
-func (h StreamHeader) validate() ([]string, error) {
-	if h.Stream != streamMagic {
-		return nil, fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", h.Stream, streamMagic)
+// headerLine is a StreamHeader as the first line of a stream spells it:
+// behind a "stream" marker, which a one-document ShardResult lacks.
+type headerLine struct {
+	Stream string `json:"stream"`
+	StreamHeader
+}
+
+// check holds the header checks a shard and a shard stream share —
+// format version, fleet size and range — and resolves the policy sweep
+// the records are validated against.
+func (h StreamHeader) check() ([]string, error) {
+	if h.FormatVersion != ShardFormatVersion {
+		return nil, fmt.Errorf("fleet: shard format version %d, want %d", h.FormatVersion, ShardFormatVersion)
 	}
-	return checkHeader(h.FormatVersion, h.Config, h.Total, h.Lo, h.Hi)
+	if h.Total <= 0 {
+		return nil, fmt.Errorf("fleet: shard total %d must be positive", h.Total)
+	}
+	if h.Lo < 0 || h.Hi < h.Lo || h.Hi > h.Total {
+		return nil, fmt.Errorf("fleet: shard range [%d,%d) outside fleet [0,%d)", h.Lo, h.Hi, h.Total)
+	}
+	return resolvePolicies(h.Config.Policies)
 }
 
-// matches reports whether two headers describe the same shard of the same
-// run, using the same normalized-config comparison Merge applies across
-// shards. It is the resume gate: a stream written under a different seed,
-// config, range or latency mode must not be extended.
-func (h StreamHeader) matches(want StreamHeader) error {
+// sameFleet reports how o's fleet differs from h's — master seed,
+// normalized generator config or fleet size — or nil when both describe
+// the same fleet. Merge requires it of every shard against the first, and
+// resume of a stream file's header against the run's.
+func (h StreamHeader) sameFleet(o StreamHeader) error {
 	switch {
-	case h.FormatVersion != want.FormatVersion:
-		return fmt.Errorf("fleet: stream format version %d, want %d", h.FormatVersion, want.FormatVersion)
-	case h.Config.Seed != want.Config.Seed:
-		return fmt.Errorf("fleet: stream seed mismatch: file has %d, run wants %d", h.Config.Seed, want.Config.Seed)
-	case h.Total != want.Total || h.Lo != want.Lo || h.Hi != want.Hi:
-		return fmt.Errorf("fleet: stream range mismatch: file covers [%d,%d) of %d, run wants [%d,%d) of %d",
-			h.Lo, h.Hi, h.Total, want.Lo, want.Hi, want.Total)
-	case h.NoLatencies != want.NoLatencies:
-		return fmt.Errorf("fleet: stream latency mode mismatch: file noLatencies=%v, run wants %v (resume with the same -nolat setting)", h.NoLatencies, want.NoLatencies)
-	case !reflect.DeepEqual(h.Config.normalized(), want.Config.normalized()):
-		return fmt.Errorf("fleet: stream config mismatch: file was written with %+v, run wants %+v", h.Config, want.Config)
+	case h.Config.Seed != o.Config.Seed:
+		return fmt.Errorf("seed mismatch: %d vs %d", h.Config.Seed, o.Config.Seed)
+	case !reflect.DeepEqual(h.Config.normalized(), o.Config.normalized()):
+		return fmt.Errorf("config mismatch: %+v vs %+v", h.Config, o.Config)
+	case h.Total != o.Total:
+		return fmt.Errorf("fleet-size mismatch: %d vs %d runs", h.Total, o.Total)
 	}
 	return nil
 }
@@ -110,18 +116,16 @@ type StreamWriter struct {
 func (sw *StreamWriter) SetSyncEvery(n int) { sw.syncEvery = n }
 
 // NewStreamWriter writes the header line to w and returns a writer
-// expecting records hdr.Lo, hdr.Lo+1, … in order. The Stream marker and
-// FormatVersion fields are filled in; the caller provides the run
-// identity (Config, Total, Lo, Hi, NoLatencies).
+// expecting records hdr.Lo, hdr.Lo+1, … in order. FormatVersion is filled
+// in; the caller provides the run identity (Config, Total, Lo, Hi).
 func NewStreamWriter(w io.Writer, hdr StreamHeader) (*StreamWriter, error) {
-	hdr.Stream = streamMagic
 	hdr.FormatVersion = ShardFormatVersion
-	pols, err := hdr.validate()
+	pols, err := hdr.check()
 	if err != nil {
 		return nil, err
 	}
 	sw := newStreamWriterAt(w, hdr, pols, hdr.Lo)
-	line, err := json.Marshal(hdr)
+	line, err := json.Marshal(headerLine{streamMagic, hdr})
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +140,7 @@ func NewStreamWriter(w io.Writer, hdr StreamHeader) (*StreamWriter, error) {
 
 // newStreamWriterAt builds a writer for a stream whose header (and next-lo
 // records) are already on disk — the resume path. pols is the policy
-// sweep hdr.validate resolved.
+// sweep hdr.check resolved.
 func newStreamWriterAt(w io.Writer, hdr StreamHeader, pols []string, next int) *StreamWriter {
 	sw := &StreamWriter{w: bufio.NewWriter(w), hdr: hdr, pols: pols, next: next}
 	if s, ok := w.(interface{ Sync() error }); ok {
@@ -221,15 +225,18 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reading stream header: %w", err)
 	}
-	var hdr StreamHeader
-	if err := json.Unmarshal(line, &hdr); err != nil {
+	var hl headerLine
+	if err := json.Unmarshal(line, &hl); err != nil {
 		return nil, fmt.Errorf("fleet: not a shard result stream (header: %v)", err)
 	}
-	pols, err := hdr.validate()
+	if hl.Stream != streamMagic {
+		return nil, fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", hl.Stream, streamMagic)
+	}
+	pols, err := hl.check()
 	if err != nil {
 		return nil, err
 	}
-	return &StreamReader{br: br, hdr: hdr, pols: pols, next: hdr.Lo, offset: int64(len(line))}, nil
+	return &StreamReader{br: br, hdr: hl.StreamHeader, pols: pols, next: hl.Lo, offset: int64(len(line))}, nil
 }
 
 // Read returns the next record. It fails loud on a record that does not
@@ -305,49 +312,29 @@ func (sr *StreamReader) readAll() (ShardResult, error) {
 		return ShardResult{}, fmt.Errorf("fleet: stream incomplete: has %d of %d results (scenarios [%d,%d) of [%d,%d) missing); resume it with ResumeShard or fleetsim -resume",
 			len(results), sr.hdr.Hi-sr.hdr.Lo, sr.hdr.Lo+len(results), sr.hdr.Hi, sr.hdr.Lo, sr.hdr.Hi)
 	}
-	return ShardResult{
-		FormatVersion: sr.hdr.FormatVersion,
-		Config:        sr.hdr.Config,
-		Total:         sr.hdr.Total,
-		Lo:            sr.hdr.Lo,
-		Hi:            sr.hdr.Hi,
-		Results:       results,
-	}, nil
-}
-
-// ResumeShard runs shard index (0-based) of count over a total-workload
-// fleet, streaming each completed result to path, resuming from whatever a
-// previous (possibly killed) process already flushed there. See
-// Runner.ResumeShard.
-func ResumeShard(path string, cfg GeneratorConfig, total, index, count, workers int) (ShardResult, error) {
-	return (&Runner{Workers: workers}).ResumeShard(path, cfg, total, index, count)
+	return ShardResult{StreamHeader: sr.hdr, Results: results}, nil
 }
 
 // ResumeShard runs one shard of a fleet into a stream file: results
 // stream to path as NDJSON, flushed per scenario, so a process killed at
 // scenario k of its range restarts from k+1 — not from scratch. A missing
 // or empty path starts a fresh stream; an existing one must carry a header
-// matching the requested run (same seed, config, range, format version and
-// latency mode) and is replayed, validated record by record, before the
+// matching the requested run (same seed, config, range and format
+// version) and is replayed, validated record by record, before the
 // missing suffix is generated and run. A torn line — the usual
 // kill-mid-write artifact — and everything after it is discarded and
 // rewritten. The returned ShardResult is identical to the same range of a
 // single-process Run, which is what keeps the merged report byte-identical
 // no matter how many times a shard crashed on the way. Errors about the
-// stream name path.
+// stream name path. A stream carries every latency, so a runner with
+// DropLatencies is refused before path is touched.
 func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, count int) (ShardResult, error) {
+	if r.DropLatencies {
+		return ShardResult{}, errors.New("fleet: a shard stream carries every latency; ResumeShard cannot run with DropLatencies")
+	}
 	gen, s, err := newShard(cfg, total, index, count)
 	if err != nil {
 		return ShardResult{}, err
-	}
-	want := StreamHeader{
-		Stream:        streamMagic,
-		FormatVersion: s.FormatVersion,
-		Config:        cfg,
-		Total:         s.Total,
-		Lo:            s.Lo,
-		Hi:            s.Hi,
-		NoLatencies:   r.DropLatencies,
 	}
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -355,7 +342,7 @@ func (r *Runner) ResumeShard(path string, cfg GeneratorConfig, total, index, cou
 		return ShardResult{}, err
 	}
 	defer f.Close()
-	if s.Results, err = r.resume(f, gen, want); err != nil {
+	if s.Results, err = r.resume(f, gen, s.StreamHeader); err != nil {
 		return ShardResult{}, fmt.Errorf("%s: %w", path, err)
 	}
 	if err := s.Validate(); err != nil {
@@ -431,8 +418,11 @@ func replayStream(f *os.File, want StreamHeader) (*StreamReader, []Result, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w; resume refuses to overwrite the file", err)
 	}
-	if err := sr.hdr.matches(want); err != nil {
-		return nil, nil, err
+	if err := sr.hdr.sameFleet(want); err != nil {
+		return nil, nil, fmt.Errorf("fleet: stream does not match the run (file vs run): %w", err)
+	}
+	if sr.hdr.Lo != want.Lo || sr.hdr.Hi != want.Hi {
+		return nil, nil, fmt.Errorf("fleet: stream range mismatch: file covers [%d,%d), run wants [%d,%d)", sr.hdr.Lo, sr.hdr.Hi, want.Lo, want.Hi)
 	}
 	var results []Result
 	for {

@@ -14,12 +14,10 @@ import (
 )
 
 // writeStream encodes a shard as a result stream, returning the bytes.
-func writeStream(t testing.TB, s ShardResult, nolat bool) []byte {
+func writeStream(t testing.TB, s ShardResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, StreamHeader{
-		Config: s.Config, Total: s.Total, Lo: s.Lo, Hi: s.Hi, NoLatencies: nolat,
-	})
+	sw, err := NewStreamWriter(&buf, s.StreamHeader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +37,7 @@ func writeStream(t testing.TB, s ShardResult, nolat bool) []byte {
 func TestStreamRoundTrip(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 5}
 	want := fakeShard(cfg, 8, 2, 6)
-	raw := writeStream(t, want, false)
+	raw := writeStream(t, want)
 
 	got, err := ReadShard(bytes.NewReader(raw))
 	if err != nil {
@@ -90,7 +88,7 @@ func TestStreamWriterRejects(t *testing.T) {
 func TestStreamReaderFailLoud(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 5}
 	s := fakeShard(cfg, 8, 2, 6)
-	raw := writeStream(t, s, false)
+	raw := writeStream(t, s)
 	lines := bytes.SplitAfter(raw, []byte("\n"))
 
 	for _, hdr := range []string{"{\"stream\":\"wrong\"}\n", "not json\n"} {
@@ -102,9 +100,9 @@ func TestStreamReaderFailLoud(t *testing.T) {
 	// Headers that parse but describe no shard this build can merge: the
 	// stream-path counterparts of TestShardValidate's header cases.
 	withHeader := func(edit func(*StreamHeader)) []byte {
-		hdr := StreamHeader{Stream: streamMagic, FormatVersion: ShardFormatVersion, Config: cfg, Total: 8, Lo: 2, Hi: 6}
+		hdr := StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: 8, Lo: 2, Hi: 6}
 		edit(&hdr)
-		line, err := json.Marshal(hdr)
+		line, err := json.Marshal(headerLine{streamMagic, hdr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,6 +195,77 @@ func TestReadShardRefusesLatencyCountMismatch(t *testing.T) {
 	}
 }
 
+// TestLatencyFreeStreamRefused: a stream whose records carry no latencies
+// is refused on read and on resume, naming the first scenario with
+// completed jobs and its missing samples, and resume leaves the file as
+// it was. The stream is the golden one in the shape the retired
+// latency-dropping mode wrote: a header marked "noLatencies":true over
+// records without latencies.
+func TestLatencyFreeStreamRefused(t *testing.T) {
+	lines := bytes.SplitAfter(readGoldenStream(t), []byte("\n"))
+	raw := append(bytes.TrimSuffix(lines[0], []byte("}\n")), `,"noLatencies":true}`+"\n"...)
+	for _, line := range lines[1:] {
+		if len(line) > 0 {
+			raw = append(raw, withLatencies(t, line, "")...)
+		}
+	}
+	golden, err := ReadShard(bytes.NewReader(readGoldenStream(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := golden.Results[0]
+	if first.Completed == 0 {
+		t.Fatal("golden stream's first record completed no jobs")
+	}
+	want := fmt.Sprintf("scenario %d carries 0 latency samples for %d completed jobs", first.ID, first.Completed)
+
+	if _, err := ReadShard(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ReadShard error = %v, want it to contain %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "nolat.ndjson")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = (&Runner{Workers: 1}).ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1)
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), path) {
+		t.Errorf("ResumeShard error = %v, want it to name %s and contain %q", err, path, want)
+	}
+	if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, raw) {
+		t.Errorf("refused resume changed the file (read error %v):%s", err, firstDiff(raw, back))
+	}
+}
+
+// TestDropLatenciesStaysInMemory: a runner that drops latencies cannot
+// write a stream, and refuses before it creates the path; a shard built
+// from its results does not merge.
+func TestDropLatenciesStaysInMemory(t *testing.T) {
+	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
+	runner := &Runner{Workers: 1, DropLatencies: true}
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	if _, err := runner.ResumeShard(path, cfg, 2, 0, 1); err == nil || !strings.Contains(err.Error(), "DropLatencies") {
+		t.Errorf("ResumeShard with DropLatencies: error %v, want a DropLatencies refusal", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("refused ResumeShard left %s behind (stat error %v)", path, err)
+	}
+
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ShardResult{
+		StreamHeader: StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: 2, Lo: 0, Hi: 2},
+		Results:      runner.Run(gen.Generate(2)),
+	}
+	if s.Results[0].Completed == 0 {
+		t.Fatal("scenario 0 completed no jobs")
+	}
+	want := fmt.Sprintf("scenario 0 carries 0 latency samples for %d completed jobs", s.Results[0].Completed)
+	if _, _, err := Merge(s); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Merge of a latency-free shard: error %v, want it to contain %q", err, want)
+	}
+}
+
 // TestResumeShardFromCrash is the crash-resume contract: a stream cut off
 // mid-record (as a SIGKILL leaves it) resumes from the last intact
 // scenario and produces a ShardResult identical to an uninterrupted run —
@@ -227,7 +296,7 @@ func TestResumeShardFromCrash(t *testing.T) {
 	}
 	f.Close()
 
-	got, err := ResumeShard(path, cfg, total, 0, 1, 2)
+	got, err := (&Runner{Workers: 2}).ResumeShard(path, cfg, total, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +320,7 @@ func TestResumeShardFromCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := ResumeShard(path, cfg, total, 0, 1, 2)
+	again, err := (&Runner{Workers: 2}).ResumeShard(path, cfg, total, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +337,7 @@ func TestResumeShardFromCrash(t *testing.T) {
 	}
 
 	// A fresh path runs the whole range and still matches.
-	fresh, err := ResumeShard(filepath.Join(t.TempDir(), "fresh.ndjson"), cfg, total, 0, 1, 2)
+	fresh, err := (&Runner{Workers: 2}).ResumeShard(filepath.Join(t.TempDir(), "fresh.ndjson"), cfg, total, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +357,7 @@ func TestResumeShardEveryTruncationPrefix(t *testing.T) {
 	const total = 2
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.ndjson")
-	want, err := ResumeShard(full, cfg, total, 0, 1, 1)
+	want, err := (&Runner{Workers: 1}).ResumeShard(full, cfg, total, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +374,7 @@ func TestResumeShardEveryTruncationPrefix(t *testing.T) {
 		if err := os.WriteFile(path, raw[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ResumeShard(path, cfg, total, 0, 1, 1)
+		got, err := (&Runner{Workers: 1}).ResumeShard(path, cfg, total, 0, 1)
 		if err != nil {
 			t.Fatalf("prefix of %d bytes: %v", n, err)
 		}
@@ -330,7 +399,7 @@ func TestResumeShardTruncatesGarbledTail(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
 	const total = 2
 	path := filepath.Join(t.TempDir(), "shard.ndjson")
-	want, err := ResumeShard(path, cfg, total, 0, 1, 1)
+	want, err := (&Runner{Workers: 1}).ResumeShard(path, cfg, total, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +410,7 @@ func TestResumeShardTruncatesGarbledTail(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte{}, raw...), "{garbled\n"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ResumeShard(path, cfg, total, 0, 1, 1)
+	got, err := (&Runner{Workers: 1}).ResumeShard(path, cfg, total, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +433,7 @@ func FuzzResumeShard(f *testing.F) {
 	cfg := GeneratorConfig{Seed: 11, Platforms: []string{"odroid-xu3"}, Classes: []Class{ClassSteady}}
 	const total = 2
 	full := filepath.Join(f.TempDir(), "full.ndjson")
-	if _, err := ResumeShard(full, cfg, total, 0, 1, 1); err != nil {
+	if _, err := (&Runner{Workers: 1}).ResumeShard(full, cfg, total, 0, 1); err != nil {
 		f.Fatal(err)
 	}
 	raw, err := os.ReadFile(full)
@@ -390,7 +459,7 @@ func FuzzResumeShard(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ResumeShard(path, cfg, total, 0, 1, 1)
+		got, err := (&Runner{Workers: 1}).ResumeShard(path, cfg, total, 0, 1)
 		if err != nil {
 			if !strings.Contains(err.Error(), path) {
 				t.Fatalf("error %q does not name the file", err)
@@ -408,8 +477,8 @@ func FuzzResumeShard(f *testing.F) {
 }
 
 // TestResumeShardRefusesForeignStreams: resume must never extend a stream
-// belonging to a different run, range, latency mode — or a file that is
-// not a stream at all.
+// belonging to a different run or range, or a file that is not a stream
+// at all.
 func TestResumeShardRefusesForeignStreams(t *testing.T) {
 	cfg := GeneratorConfig{Seed: 5}
 	dir := t.TempDir()
@@ -422,32 +491,27 @@ func TestResumeShardRefusesForeignStreams(t *testing.T) {
 		return p
 	}
 	header := func(h StreamHeader) []byte {
-		h.Stream = streamMagic
 		h.FormatVersion = ShardFormatVersion
-		b, _ := json.Marshal(h)
+		b, _ := json.Marshal(headerLine{streamMagic, h})
 		return append(b, '\n')
 	}
 
 	cases := []struct {
 		name    string
 		path    string
-		runner  Runner
 		wantErr string
 	}{
 		{"different seed", write("seed.ndjson",
 			header(StreamHeader{Config: GeneratorConfig{Seed: 6}, Total: 8, Lo: 0, Hi: 4})),
-			Runner{}, "seed mismatch"},
+			"seed mismatch"},
 		{"different range", write("range.ndjson",
 			header(StreamHeader{Config: cfg, Total: 8, Lo: 4, Hi: 8})),
-			Runner{}, "range mismatch"},
-		{"different latency mode", write("nolat.ndjson",
-			header(StreamHeader{Config: cfg, Total: 8, Lo: 0, Hi: 4, NoLatencies: true})),
-			Runner{}, "latency mode"},
+			"range mismatch"},
 		{"not a stream", write("noise.txt", []byte("hello world\n")),
-			Runner{}, "not a shard result stream"},
+			"not a shard result stream"},
 	}
 	for _, tc := range cases {
-		_, err := tc.runner.ResumeShard(tc.path, cfg, 8, 0, 2)
+		_, err := (&Runner{}).ResumeShard(tc.path, cfg, 8, 0, 2)
 		if err == nil {
 			t.Errorf("%s: resume accepted", tc.name)
 			continue

@@ -30,9 +30,9 @@ func (t *Table) AddRow(cells ...any) {
 		case string:
 			row[i] = v
 		case float64:
-			row[i] = FormatFloat(v)
+			row[i] = formatFloat(v)
 		case float32:
-			row[i] = FormatFloat(float64(v))
+			row[i] = formatFloat(float64(v))
 		default:
 			row[i] = fmt.Sprintf("%v", c)
 		}
@@ -40,11 +40,8 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// FormatFloat renders a float the way AddRow does — magnitude-scaled
-// precision — so callers that decorate a cell (a "~" approximation suffix,
-// say) and pass it as a string stay aligned with undecorated numeric
-// cells in the same column.
-func FormatFloat(v float64) string {
+// formatFloat renders a float cell with magnitude-scaled precision.
+func formatFloat(v float64) string {
 	a := v
 	if a < 0 {
 		a = -a

@@ -52,8 +52,8 @@ func TestTableFloatFormatting(t *testing.T) {
 		{-7.5, "-7.50"},
 	}
 	for _, c := range cases {
-		if got := FormatFloat(c.v); got != c.want {
-			t.Fatalf("FormatFloat(%v) = %q, want %q", c.v, got, c.want)
+		if got := formatFloat(c.v); got != c.want {
+			t.Fatalf("formatFloat(%v) = %q, want %q", c.v, got, c.want)
 		}
 	}
 }
