@@ -87,7 +87,9 @@ func TestPolicySweepWorkerInvariant(t *testing.T) {
 
 // TestLatencyFreeShardRefused: a shard stream whose records carry no
 // latencies, as the retired -nolat switch wrote them, is refused by merge
-// and by -resume, which leaves the file as it was.
+// and by -resume, which leaves the file as it was. The header stays as
+// written: -nolat's header key is refused on its own
+// (TestUnknownHeaderKeyRefused).
 func TestLatencyFreeShardRefused(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ndjson")
 	shard := []string{"-scenarios", "4", "-seed", "3", "-shard", "1/1", "-out", path}
@@ -97,7 +99,7 @@ func TestLatencyFreeShardRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := bytes.SplitAfter(raw, []byte("\n"))
-	lean := append(bytes.TrimSuffix(lines[0], []byte("}\n")), `,"noLatencies":true}`+"\n"...)
+	lean := bytes.Clone(lines[0])
 	for _, line := range lines[1:] {
 		if i := bytes.Index(line, []byte(`,"latencies":`)); i >= 0 {
 			line = append(line[:i:i], "}\n"...)
@@ -119,6 +121,48 @@ func TestLatencyFreeShardRefused(t *testing.T) {
 	}
 	if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, lean) {
 		t.Errorf("refused -resume changed the file (read error %v)", err)
+	}
+}
+
+// TestUnknownHeaderKeyRefused: a complete stream whose header carries a
+// key the format does not define (the retired "noLatencies", an unknown
+// one, or one inside the generator config) is refused by merge, by
+// -resume and by fleet.ReadShardFile, naming the file and the key, and
+// -resume leaves the file as it was.
+func TestUnknownHeaderKeyRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.ndjson")
+	shard := []string{"-scenarios", "2", "-seed", "3", "-shard", "1/1", "-out", path}
+	fleetsim(t, shard...)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range []struct{ key, old, new string }{
+		{"noLatencies", "}\n", `,"noLatencies":true}` + "\n"},
+		{"bogus", "}\n", `,"bogus":1}` + "\n"},
+		{"workloads", `"config":{`, `"config":{"workloads":2,`},
+	} {
+		forged := bytes.Replace(raw, []byte(extra.old), []byte(extra.new), 1)
+		if err := os.WriteFile(path, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := `unknown field "` + extra.key + `"`
+		for _, args := range [][]string{{"merge", path}, append(shard, "-resume")} {
+			var stdout, stderr bytes.Buffer
+			err := run(args, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), path) {
+				t.Errorf("fleetsim %s with %s: error %v, want it to name %s and %s", strings.Join(args, " "), extra.key, err, path, want)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("fleetsim %s: printed %q", strings.Join(args, " "), stdout.Bytes())
+			}
+		}
+		if _, err := fleet.ReadShardFile(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadShardFile with %s: error %v, want %s", extra.key, err, want)
+		}
+		if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, forged) {
+			t.Errorf("refused -resume with %s changed the file (read error %v)", extra.key, err)
+		}
 	}
 }
 

@@ -255,7 +255,10 @@ func RunScenario(s Scenario, p *Platform, tickS float64, logf func(string, ...an
 
 type (
 	// FleetScenario is one generated fleet member: a scripted workload
-	// bound to a catalog platform.
+	// bound to a catalog platform. A generated one is read-only: the
+	// policy runs of a workload share its script's slices and map, and
+	// every scenario on a platform shares its profile levels with the
+	// generator. Set top-level fields on a copy; write no element.
 	FleetScenario = fleet.Scenario
 	// FleetClass labels a scenario's disturbance pattern.
 	FleetClass = fleet.Class

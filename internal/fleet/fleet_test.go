@@ -3,6 +3,8 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -67,60 +69,128 @@ func TestGenerateRangeConcurrent(t *testing.T) {
 	}
 }
 
-// TestGenerateRangeUnaliased: no two runs of a range, and no run and the
-// generator, share memory. A workload's later policy runs are copies of
-// its first, and every DNN's profile levels come from the platform
-// envelope the generator keeps; writing to every slice and map of one
-// run (apps, profile levels, requirements, actions and faults) must
-// leave every other run of its range, and later generations, as they
-// were.
-func TestGenerateRangeUnaliased(t *testing.T) {
-	cfg := GeneratorConfig{
-		Seed:     9,
-		Classes:  []Class{ClassMixed, ClassThermal, ClassChurn, ClassFaulty},
-		Policies: []string{"heuristic", "maxaccuracy", "minenergy"},
-	}
+// TestGeneratedScenariosReadOnly: a workload's policy runs share one
+// script body, and every scenario shares its platform's profile levels
+// with its Generator, so whatever runs generated scenarios must only read
+// them. A 3-policy range over every class and platform, starting at a
+// workload's last policy run, runs through Runner at 1 and 4 workers and
+// through Train's loop; a shard resume then generates and runs a range of
+// its own from the same Generator. Afterwards the range, and a later
+// generation from that Generator, must equal a fresh Generator's.
+func TestGeneratedScenariosReadOnly(t *testing.T) {
+	cfg := GeneratorConfig{Seed: 9, Policies: []string{"heuristic", "maxaccuracy", "minenergy"}}
 	gen, err := NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lo, hi = 2, 38 // starts at a workload's last policy run
-	want := withoutClosures(gen.GenerateRange(lo, hi))
-	var acts, faults int
-	for j := range hi - lo {
-		got := gen.GenerateRange(lo, hi)
-		sc := &got[j].Script
-		for i := range sc.Apps {
-			sc.Apps[i].PeriodS = -1
-			for l := range sc.Apps[i].Profile.Levels {
-				sc.Apps[i].Profile.Levels[l].Accuracy = -1
-			}
-		}
-		sc.Apps = append(sc.Apps, sim.App{Name: "scribble"})
-		for name := range sc.Reqs {
-			sc.Reqs[name] = rtm.Requirement{Priority: -1}
-		}
-		sc.Reqs["scribble"] = rtm.Requirement{}
-		for i := range sc.Actions {
-			sc.Actions[i].AtS = -1
-			acts++
-		}
-		for i := range sc.Faults {
-			sc.Faults[i].FailS = -1
-			faults++
-		}
-		got = withoutClosures(got)
-		for k := range got {
-			if k != j && !reflect.DeepEqual(got[k], want[k]) {
-				t.Fatalf("writing run %d of GenerateRange(%d, %d) changed run %d", lo+j, lo, hi, lo+k)
-			}
-		}
+	fresh, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if acts == 0 || faults == 0 {
-		t.Fatalf("the range wrote %d actions and %d faults; want some of each", acts, faults)
+	const workloads = 31
+	lo, hi := 2, gen.RunCount(workloads)
+	got := gen.GenerateRange(lo, hi)
+	classes, plats := map[Class]bool{}, map[string]bool{}
+	for _, s := range got {
+		classes[s.Class], plats[s.Platform] = true, true
+	}
+	if len(classes) != len(AllClasses()) || len(plats) != len(hw.Catalog()) {
+		t.Fatalf("the range covers %d classes and %d platforms; want all %d and %d",
+			len(classes), len(plats), len(AllClasses()), len(hw.Catalog()))
+	}
+
+	if !reflect.DeepEqual((&Runner{Workers: 1}).Run(got), (&Runner{Workers: 4}).Run(got)) {
+		t.Error("runs of shared scenarios differ between 1 and 4 workers")
+	}
+	if _, _, err := train(TrainConfig{Seed: 9, Workers: 4, Epochs: 1, Epsilon: 0.5}.applied(), got); err != nil {
+		t.Fatal(err)
+	}
+	_, shard, err := newShard(cfg, workloads, 1, 2)
+	if err != nil || shard.Lo%len(cfg.Policies) == 0 {
+		t.Fatalf("shard 2/2 starts at run %d (error %v); want a start mid-workload", shard.Lo, err)
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "shard.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := (&Runner{Workers: 4}).resume(f, gen, shard.StreamHeader); err != nil {
+		t.Fatal(err)
+	}
+
+	want := withoutClosures(fresh.GenerateRange(lo, hi))
+	if !reflect.DeepEqual(withoutClosures(got), want) {
+		t.Error("running generated scenarios wrote to them")
 	}
 	if !reflect.DeepEqual(withoutClosures(gen.GenerateRange(lo, hi)), want) {
-		t.Error("writing generated runs reached the generator: a later generation differs")
+		t.Error("running generated scenarios wrote to their Generator: a later generation differs")
+	}
+}
+
+// FuzzGenerate: every GeneratorConfig either fails in NewGenerator or
+// samples scenarios that sim.New accepts, and running a short range of
+// them leaves it equal to a fresh generation. The three strings are
+// comma-separated platform, class and policy names ("" leaves the list
+// unset); a learned-table policy names a file that does not exist, so no
+// input makes the test read a file.
+func FuzzGenerate(f *testing.F) {
+	f.Add(uint64(1), "", "", "")
+	f.Add(uint64(2), "odroid-xu3,jetson-nano", "steady,faulty,thermal", "heuristic,maxaccuracy,minenergy")
+	f.Add(uint64(3), "flagship-soc", "churn,bursty,mixed", "minenergy,")
+	f.Add(uint64(4), "bogus", "", "")
+	f.Add(uint64(5), "", "calm", "")
+	f.Add(uint64(6), "", "", "heuristic,heuristic")
+	f.Add(uint64(7), "", "", "learned:table.json")
+	names := func(list string) []string {
+		if list == "" {
+			return nil
+		}
+		return strings.Split(list, ",")
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, plats, classes, pols string) {
+		cfg := GeneratorConfig{Seed: seed, Platforms: names(plats), Policies: names(pols)}
+		for _, c := range names(classes) {
+			cfg.Classes = append(cfg.Classes, Class(c))
+		}
+		for i, p := range cfg.Policies {
+			if strings.HasPrefix(p, rtm.LearnedParamPrefix+":") {
+				cfg.Policies[i] = rtm.LearnedParamPrefix + ":" + filepath.Join(t.TempDir(), "absent.json")
+			}
+		}
+		gen, err := NewGenerator(cfg)
+		if err != nil {
+			return
+		}
+		fresh, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatalf("NewGenerator accepted the config once, then refused it: %v", err)
+		}
+		lo := int(seed % 16)
+		got := gen.GenerateRange(lo, lo+4)
+		for _, s := range got {
+			if _, err := sim.New(sim.Config{Platform: hw.NewPlatform(s.Platform), Apps: s.Script.Apps}); err != nil {
+				t.Fatalf("run %d (%s): %v", s.ID, s.Script.Name, err)
+			}
+		}
+		for _, r := range (&Runner{Workers: 1}).Run(got) {
+			if r.Err != "" {
+				t.Fatalf("run %d (%s): %s", r.ID, r.Name, r.Err)
+			}
+		}
+		if !reflect.DeepEqual(withoutClosures(got), withoutClosures(fresh.GenerateRange(lo, lo+4))) {
+			t.Fatal("running a generated range wrote to it")
+		}
+	})
+}
+
+// TestWorkloadName: workloadName spells what fmt.Sprintf("%s-%s-%04d")
+// does, below and beyond four digits.
+func TestWorkloadName(t *testing.T) {
+	for _, wl := range []int{0, 7, 42, 999, 1000, 9999, 10000, 123456} {
+		want := fmt.Sprintf("%s-%s-%04d", ClassBursty, "jetson-nano", wl)
+		if got := workloadName(ClassBursty, "jetson-nano", wl); got != want {
+			t.Errorf("workloadName(%d) = %q, want %q", wl, got, want)
+		}
 	}
 }
 

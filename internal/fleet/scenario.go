@@ -15,10 +15,9 @@ package fleet
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
@@ -70,6 +69,13 @@ func AllClasses() []Class {
 // generator sweeps several policies, consecutive scenario IDs share one
 // workload (same Seed, Class, Platform, Script) and differ only in
 // Policy, so per-policy aggregates compare strategies on identical work.
+//
+// A generated scenario is read-only. The runs of one workload share its
+// script's Apps, Reqs, Actions and Faults, and every DNN of every
+// scenario on a platform shares that platform's profile levels, which the
+// Generator keeps. Copying a Scenario and setting its top-level fields
+// (Script.Planner included) is fine; writing an element of one of its
+// slices or its Reqs map changes other runs and later generations.
 type Scenario struct {
 	ID       int
 	Seed     uint64
@@ -103,8 +109,8 @@ type GeneratorConfig struct {
 // and each configured platform's sampling envelope are built once, in
 // NewGenerator, and only read while generating, so one Generator serves
 // concurrent GenerateRange calls. Scenarios carry platform names, never
-// pointers into the catalog, and each gets its own copy of its profile's
-// levels.
+// pointers into the catalog, and share their envelope's profile levels
+// (see Scenario: generated scenarios are read-only).
 type Generator struct {
 	cfg       GeneratorConfig
 	catalog   map[string]*hw.Platform
@@ -223,7 +229,9 @@ func (g *Generator) Generate(n int) []Scenario {
 // independently reproducible in any process: GenerateRange(lo, hi) equals
 // Generate(hi)[lo:hi] element for element. This is what a shard owns in a
 // multi-process fleet run. Out-of-range bounds clamp (lo < 0 becomes 0;
-// hi <= lo yields none).
+// hi <= lo yields none). The scenarios are read-only: a workload's policy
+// runs in the range share one script body, and every scenario shares its
+// platform's profile levels with the Generator.
 func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 	if lo < 0 {
 		lo = 0
@@ -235,13 +243,17 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 	// is rngSource, math/rand's generator with a lazy Seed: reseeding it
 	// is output-identical to constructing rand.NewSource with the same
 	// seed, so neither batching the setup nor the fork moves a single
-	// sampled byte. A workload's later policy runs copy its first run in
-	// the range instead of sampling it again.
+	// sampled byte. A workload's later policy runs copy its first run's
+	// header in the range, sharing its script body, instead of sampling
+	// it again.
 	rng := rand.New(new(rngSource))
 	out := make([]Scenario, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if i > lo && i%len(g.policies) != 0 {
-			out = append(out, g.rerun(&out[len(out)-1], i))
+			s := out[len(out)-1]
+			s.ID, s.Policy = i, g.policies[i%len(g.policies)]
+			s.Script.Policy = s.Policy
+			out = append(out, s)
 			continue
 		}
 		out = append(out, g.generateOne(i, rng))
@@ -270,35 +282,17 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 		Policy:   policy,
 	}
 	s.Script = g.script(rng, class, g.catalog[platName], &g.envs[pi])
-	s.Script.Name = fmt.Sprintf("%s-%s-%04d", class, platName, wl)
+	s.Script.Name = workloadName(class, platName, wl)
 	s.Script.Policy = policy
 	return s
 }
 
-// rerun returns run id, which carries the workload of prev, the run before
-// it, under its own policy. It is what generateOne would sample: a deep
-// copy of prev, sharing no slice or map with it, whose DNNs share one
-// fresh copy of the profile levels, as script gives them.
-func (g *Generator) rerun(prev *Scenario, id int) Scenario {
-	s := *prev
-	s.ID = id
-	s.Policy = g.policies[id%len(g.policies)]
-	sc := &s.Script
-	sc.Policy = s.Policy
-	sc.Apps = slices.Clone(sc.Apps)
-	var levels []perf.LevelSpec
-	for i := range sc.Apps {
-		if p := &sc.Apps[i].Profile; p.Levels != nil {
-			if levels == nil {
-				levels = slices.Clone(p.Levels)
-			}
-			p.Levels = levels
-		}
-	}
-	sc.Reqs = maps.Clone(sc.Reqs)
-	sc.Actions = slices.Clone(sc.Actions)
-	sc.Faults = slices.Clone(sc.Faults)
-	return s
+// workloadName is fmt.Sprintf("%s-%s-%04d", class, plat, wl) for wl >= 0,
+// built in one allocation.
+func workloadName(class Class, plat string, wl int) string {
+	var buf [20]byte
+	n := strconv.AppendInt(buf[:0], int64(wl), 10)
+	return string(class) + "-" + plat + "-" + "0000"[min(len(n), 4):] + string(n)
 }
 
 // env is the platform-derived sampling envelope: which profile is
@@ -381,16 +375,17 @@ var (
 )
 
 // script builds the class-specific workload timeline on plat, whose
-// envelope is e. It copies e's profile levels once for all the
-// scenario's DNNs, so no other scenario, and not e, shares them.
+// envelope is e. Every DNN gets e's profile, levels included, uncopied.
 func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *env) workload.Scenario {
-	prof := e.prof
-	prof.Levels = slices.Clone(prof.Levels)
 	endS := sampleDuration(rng)
 	nDNN := 1 + rng.Intn(len(dnnNames))
+	nApps := nDNN
+	if class == ClassMixed || class == ClassBursty {
+		nApps += len(burstNames) // at most render and bg, or the bursts
+	}
 	sc := workload.Scenario{
 		EndS: endS,
-		Apps: make([]sim.App, 0, nDNN),
+		Apps: make([]sim.App, 0, nApps),
 		Reqs: make(map[string]rtm.Requirement, nDNN),
 	}
 	for i, name := range dnnNames[:nDNN] {
@@ -402,7 +397,7 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 		app := sim.App{
 			Name:       name,
 			Kind:       sim.KindDNN,
-			Profile:    prof,
+			Profile:    e.prof,
 			Level:      1 + rng.Intn(e.prof.MaxLevel()),
 			PeriodS:    pickPeriod(rng, e),
 			ModelBytes: e.modelBytes,

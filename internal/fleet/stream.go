@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -225,9 +226,16 @@ func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reading stream header: %w", err)
 	}
+	// A key the header does not define is refused, not ignored: it would
+	// otherwise be carried through resume and merge as if it were absent.
 	var hl headerLine
-	if err := json.Unmarshal(line, &hl); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&hl); err != nil {
 		return nil, fmt.Errorf("fleet: not a shard result stream (header: %v)", err)
+	}
+	if rest := bytes.TrimSpace(line[dec.InputOffset():]); len(rest) > 0 {
+		return nil, fmt.Errorf("fleet: not a shard result stream (header followed by %q)", rest)
 	}
 	if hl.Stream != streamMagic {
 		return nil, fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", hl.Stream, streamMagic)

@@ -174,11 +174,15 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	if err != nil {
 		return nil, TrainReport{}, err
 	}
-	scenarios := gen.Generate(cfg.Workloads)
+	return train(cfg, gen.Generate(cfg.Workloads))
+}
 
+// train is Train's training loop over sampled workloads, which it only
+// reads; cfg is already validated and defaulted.
+func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainReport, error) {
 	table := rtm.NewLearnedTable(cfg.Arms)
 	rep := TrainReport{
-		Workloads: cfg.Workloads,
+		Workloads: len(scenarios),
 		Arms:      append([]string(nil), cfg.Arms...),
 		Sweep:     map[string]ArmTrainStats{},
 	}

@@ -303,7 +303,7 @@ func aggregate(tb testing.TB) func() {
 // workloads on every op, drawn from every catalog platform and class, so
 // allocs/op is exact. Each workload runs under every policy in pols, back
 // to back (the default heuristic alone when pols is empty), and a
-// workload's later policy runs are copies of its first.
+// workload's later policy runs share its first's script.
 func generate(pols ...string) func(tb testing.TB) func() {
 	return func(tb testing.TB) func() {
 		gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Policies: pols})
