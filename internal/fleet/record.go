@@ -3,27 +3,40 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 )
 
-// The stream record codec encodes and decodes Result lines directly
-// instead of through encoding/json's reflection, which dominated the shard
-// round trip. encoding/json stays the definition of the format: a record
-// line is json.Marshal of the Result, whose latency runs marshal as
-// [value,count], and a line decodes as json.Unmarshal decodes it into a
-// Result, followed by checkRuns. The codec tests hold both halves to
-// that, field by field and under fuzzing.
+// A stream record is one Result as a line of JSON: the bytes json.Marshal
+// returns for it, whose latency runs marshal as [value,count]. Result's
+// struct and json tags are the one list of a record's fields:
+// recordFields is built from them at init, and appendRecord and
+// decodeRecord both walk it, reading and setting each field through
+// reflect by its index and kind. A field added to Result is encoded and
+// decoded with no change here; one of a kind the codec cannot encode
+// panics at init.
+//
+// A record has exactly one accepted encoding. decodeRecord parses the
+// fields in table order and then accepts the line only if appendRecord
+// of what it decoded gives back the line's bytes: no whitespace, no
+// unknown, missing, repeated or reordered key, no other spelling of a
+// number or a string. The one value that could not survive that round
+// trip, a string that is not valid UTF-8, is refused by appendRecord, so
+// StreamWriter.Append never emits a line its reader refuses. The codec
+// tests hold appendRecord to json.Marshal, and every accepted line to
+// json.Unmarshal, field by field and under fuzzing.
 //
 // The latencies are written as runs of equal values, [[value,count],...].
 // checkRuns is the one definition of a valid run list: values strictly
 // ascending (compared with <, so 0 and -0 are one value), so a latency
 // distribution has exactly one encoding, counts from 1 up, and no more
 // samples than the record's completed count. StreamWriter.Append checks
-// it before encoding and decodeRecord after decoding, so a writer never
-// emits a line its reader refuses.
+// it before encoding and decodeRecord after decoding.
 
 // maxRecordLatencies caps the samples one record may carry, whatever its
 // completed count claims, so forged counts cannot overflow a sample total
@@ -31,73 +44,101 @@ import (
 // runs last at most 40 s and carry a few thousand samples.
 const maxRecordLatencies = 1 << 20
 
+// recordField is one Result field as a record spells it.
+type recordField struct {
+	key       string // `"name":`, behind a comma for every field but the first
+	omitEmpty bool   // left out when zero, as json's omitempty does
+}
+
+// recordFields lists Result's fields in declaration order, the order a
+// record writes them: entry i is Result field i.
+var recordFields = newRecordFields()
+
+// newRecordFields builds the field table from Result's json tags. It
+// panics on a field the codec cannot encode: a kind other than int,
+// uint64, float64, string and []LatencyRun, a tag option other than
+// omitempty, or omitempty on the first field, whose key is the one
+// written without a leading comma.
+func newRecordFields() []recordField {
+	rt := reflect.TypeFor[Result]()
+	fields := make([]recordField, rt.NumField())
+	for i := range fields {
+		f := rt.Field(i)
+		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Uint64, reflect.Float64, reflect.String:
+		default:
+			if f.Type != reflect.TypeFor[[]LatencyRun]() {
+				panic(fmt.Sprintf("fleet: Result.%s has type %s, which a stream record cannot encode", f.Name, f.Type))
+			}
+		}
+		if !f.IsExported() || name == "" || name == "-" || (opts != "" && opts != "omitempty") || (i == 0 && opts != "") {
+			panic(fmt.Sprintf("fleet: Result.%s has json tag %q, which a stream record cannot encode", f.Name, f.Tag.Get("json")))
+		}
+		key := string(appendString([]byte{','}, name)) + ":"
+		if i == 0 {
+			key = key[1:]
+		}
+		fields[i] = recordField{key: key, omitEmpty: opts == "omitempty"}
+	}
+	return fields
+}
+
 // appendRecord appends the stream encoding of r to dst: the bytes
-// json.Marshal returns for r, with fields in declaration order, omitempty
-// fields left out when zero, floats formatted as encoding/json formats
-// them, and strings that need escaping escaped by encoding/json itself. A
-// NaN or infinite float or a run count below 1 is an error, as it is for
-// json.Marshal; any error leaves dst as it was. The order of the runs is
-// the caller's to check (see checkRuns).
+// json.Marshal returns for r. A NaN or infinite float or a run count
+// below 1 is an error, as it is for json.Marshal, and so is a string that
+// is not valid UTF-8, which json.Marshal would rewrite; any error leaves
+// dst as it was. The order of the runs is the caller's to check (see
+// checkRuns).
 func appendRecord(dst []byte, r *Result) ([]byte, error) {
-	for _, f := range [...]float64{
-		r.DurationS, r.MeanLatencyS, r.P95LatencyS, r.MaxLatencyS, r.EnergyMJ,
-		r.AvgPowerMW, r.MaxTempC, r.OverThrottleS, r.UnhostedS, r.RecoverTotalS,
-	} {
-		if err := checkFinite(f); err != nil {
-			return dst, err
-		}
-	}
-	b := append(dst, `{"id":`...)
-	b = strconv.AppendInt(b, int64(r.ID), 10)
-	b = appendString(append(b, `,"name":`...), r.Name)
-	b = appendString(append(b, `,"class":`...), string(r.Class))
-	b = appendString(append(b, `,"platform":`...), r.Platform)
-	b = appendString(append(b, `,"policy":`...), r.Policy)
-	b = strconv.AppendUint(append(b, `,"seed":`...), r.Seed, 10)
-	if r.Err != "" {
-		b = appendString(append(b, `,"err":`...), r.Err)
-	}
-	b = appendFloat(append(b, `,"durationS":`...), r.DurationS)
-	b = strconv.AppendInt(append(b, `,"released":`...), int64(r.Released), 10)
-	b = strconv.AppendInt(append(b, `,"completed":`...), int64(r.Completed), 10)
-	b = strconv.AppendInt(append(b, `,"missed":`...), int64(r.Missed), 10)
-	b = strconv.AppendInt(append(b, `,"dropped":`...), int64(r.Dropped), 10)
-	b = appendFloat(append(b, `,"meanLatencyS":`...), r.MeanLatencyS)
-	b = appendFloat(append(b, `,"p95LatencyS":`...), r.P95LatencyS)
-	b = appendFloat(append(b, `,"maxLatencyS":`...), r.MaxLatencyS)
-	b = appendFloat(append(b, `,"energyMJ":`...), r.EnergyMJ)
-	b = appendFloat(append(b, `,"avgPowerMW":`...), r.AvgPowerMW)
-	b = appendFloat(append(b, `,"maxTempC":`...), r.MaxTempC)
-	b = appendFloat(append(b, `,"overThrottleS":`...), r.OverThrottleS)
-	b = strconv.AppendInt(append(b, `,"plans":`...), int64(r.Plans), 10)
-	b = strconv.AppendInt(append(b, `,"migrations":`...), int64(r.Migrations), 10)
-	b = strconv.AppendInt(append(b, `,"levelSwaps":`...), int64(r.LevelSwaps), 10)
-	b = strconv.AppendInt(append(b, `,"oppSwitches":`...), int64(r.OPPSwitches), 10)
-	b = appendOmitInt(b, `,"clusterFails":`, r.ClusterFails)
-	b = appendOmitInt(b, `,"clusterRepairs":`, r.ClusterRepairs)
-	b = appendOmitInt(b, `,"jobsAborted":`, r.JobsAborted)
-	if r.UnhostedS != 0 {
-		b = appendFloat(append(b, `,"unhostedS":`...), r.UnhostedS)
-	}
-	b = appendOmitInt(b, `,"recoverCount":`, r.RecoverCount)
-	if r.RecoverTotalS != 0 {
-		b = appendFloat(append(b, `,"recoverTotalS":`...), r.RecoverTotalS)
-	}
-	b = appendOmitInt(b, `,"degradedFrames":`, r.DegradedFrames)
-	b = appendOmitInt(b, `,"degradedMissed":`, r.DegradedMissed)
-	b = appendOmitInt(b, `,"degradedDropped":`, r.DegradedDropped)
-	if len(r.Latencies) > 0 {
-		b = append(b, `,"latencies":[`...)
-		for i, run := range r.Latencies {
-			if i > 0 {
-				b = append(b, ',')
+	v := reflect.ValueOf(r).Elem()
+	b := append(dst, '{')
+	for i, f := range recordFields {
+		// An omitempty field is left out when it is zero, as json's
+		// omitempty does: a float equal to 0 (so -0 too), an empty string
+		// or slice.
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Int:
+			if n := fv.Int(); n != 0 || !f.omitEmpty {
+				b = strconv.AppendInt(append(b, f.key...), n, 10)
 			}
-			var err error
-			if b, err = appendRun(b, run); err != nil {
-				return dst, &json.MarshalerError{Type: reflect.TypeFor[LatencyRun](), Err: err}
+		case reflect.Uint64:
+			if n := fv.Uint(); n != 0 || !f.omitEmpty {
+				b = strconv.AppendUint(append(b, f.key...), n, 10)
 			}
+		case reflect.Float64:
+			x := fv.Float()
+			if err := checkFinite(x); err != nil {
+				return dst, err
+			}
+			if x != 0 || !f.omitEmpty {
+				b = appendFloat(append(b, f.key...), x)
+			}
+		case reflect.String:
+			s := fv.String()
+			if !utf8.ValidString(s) {
+				return dst, fmt.Errorf("fleet: string %q is not valid UTF-8", s)
+			}
+			if s != "" || !f.omitEmpty {
+				b = appendString(append(b, f.key...), s)
+			}
+		default:
+			if fv.Len() == 0 && f.omitEmpty {
+				continue
+			}
+			b = append(append(b, f.key...), '[')
+			for j := range fv.Len() {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				e := fv.Index(j) // a LatencyRun: ValueS, then Count
+				var err error
+				if b, err = appendRun(b, LatencyRun{ValueS: e.Field(0).Float(), Count: int(e.Field(1).Int())}); err != nil {
+					return dst, &json.MarshalerError{Type: reflect.TypeFor[LatencyRun](), Err: err}
+				}
+			}
+			b = append(b, ']')
 		}
-		b = append(b, ']')
 	}
 	return append(b, '}'), nil
 }
@@ -146,13 +187,6 @@ func checkFinite(f float64) error {
 	return nil
 }
 
-func appendOmitInt(b []byte, key string, v int) []byte {
-	if v == 0 {
-		return b
-	}
-	return strconv.AppendInt(append(b, key...), int64(v), 10)
-}
-
 // appendFloat formats a finite float as encoding/json does: shortest
 // round-trip digits, exponent form below 1e-6 and from 1e21 up, and a
 // two-digit negative exponent shortened to one (e-09 becomes e-9).
@@ -176,7 +210,7 @@ func appendFloat(b []byte, f float64) []byte {
 // as is; any other string is quoted by encoding/json.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; !plainByte(c) {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			q, _ := json.Marshal(s) // a string always marshals
 			return append(b, q...)
 		}
@@ -186,31 +220,163 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// plainByte reports whether c stands for itself inside a JSON string as
-// encoding/json writes and reads it.
-func plainByte(c byte) bool {
-	return c >= 0x20 && c < 0x80 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+// errNotWritten refuses a line that parses but is not the bytes a stream
+// writer writes for the record it decodes to.
+var errNotWritten = errors.New("line is not the encoding a stream writer gives the record")
+
+// decodeRecord decodes one stream line, without its newline, into r,
+// re-encoding r into buf to check the line; it returns buf for reuse. It
+// accepts only a line appendRecord writes whose latency runs pass
+// checkRuns, and then r is what json.Unmarshal would decode. On an error
+// r is left zero.
+func decodeRecord(line []byte, r *Result, buf []byte) ([]byte, error) {
+	*r = Result{}
+	err := parseRecord(line, reflect.ValueOf(r).Elem())
+	if err == nil {
+		_, err = checkRuns(r.Latencies, r.Completed)
+	}
+	if err == nil {
+		buf, err = appendRecord(buf[:0], r)
+		if err == nil && !bytes.Equal(buf, line) {
+			err = errNotWritten
+		}
+	}
+	if err != nil {
+		*r = Result{}
+	}
+	return buf, err
 }
 
-// decodeRecord decodes one stream line into r. The result and the error
-// are what json.Unmarshal into a Result gives, followed by checkRuns; on
-// an error r is left zero.
-func decodeRecord(line []byte, r *Result) error {
-	*r = Result{}
-	if !decodeCanonical(line, r) {
-		*r = Result{}
-		// A separate target keeps r off the heap: only this path allocates it.
-		var rec Result
-		if err := json.Unmarshal(line, &rec); err != nil {
+// parseRecord reads the fields of line into v in table order, an
+// omitempty field wherever its key is absent. It checks only what it must
+// to find each value; decodeRecord's re-encoding checks the rest.
+func parseRecord(line []byte, v reflect.Value) error {
+	b, ok := bytes.CutPrefix(line, []byte{'{'})
+	for i, f := range recordFields {
+		if !ok {
+			return errNotWritten
+		}
+		if len(b) < len(f.key) || string(b[:len(f.key)]) != f.key {
+			ok = f.omitEmpty
+			continue
+		}
+		var err error
+		if b, err = parseValue(b[len(f.key):], v.Field(i)); err != nil {
 			return err
 		}
-		*r = rec
 	}
-	if _, err := checkRuns(r.Latencies, r.Completed); err != nil {
-		*r = Result{}
-		return err
+	if !ok || string(b) != "}" {
+		return errNotWritten
 	}
 	return nil
+}
+
+// parseValue reads one value of v's kind from the start of b into v and
+// returns the rest of b.
+func parseValue(b []byte, v reflect.Value) ([]byte, error) {
+	switch v.Kind() {
+	case reflect.String:
+		s, rest, err := parseString(b)
+		v.SetString(s)
+		return rest, err
+	case reflect.Slice:
+		return parseRuns(b, v)
+	}
+	tok, rest := cutNumber(b)
+	var err error
+	switch v.Kind() {
+	case reflect.Int:
+		var n int64
+		n, err = strconv.ParseInt(string(tok), 10, strconv.IntSize)
+		v.SetInt(n)
+	case reflect.Uint64:
+		var n uint64
+		n, err = strconv.ParseUint(string(tok), 10, 64)
+		v.SetUint(n)
+	default:
+		var f float64
+		f, err = strconv.ParseFloat(string(tok), 64)
+		v.SetFloat(f)
+	}
+	return rest, err
+}
+
+// cutNumber splits b before the first byte that ends a number in a
+// record: a comma or a closing bracket or brace.
+func cutNumber(b []byte) (tok, rest []byte) {
+	for i, c := range b {
+		if c == ',' || c == ']' || c == '}' {
+			return b[:i], b[i:]
+		}
+	}
+	return b, nil
+}
+
+// parseString reads a quoted string. One without a backslash is taken as
+// its bytes; one with escapes is unquoted by encoding/json.
+func parseString(b []byte) (string, []byte, error) {
+	if len(b) == 0 || b[0] != '"' {
+		return "", b, errNotWritten
+	}
+	escaped := false
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			escaped = true
+			i++
+		case '"':
+			if !escaped {
+				return string(b[1:i]), b[i+1:], nil
+			}
+			var s string
+			err := json.Unmarshal(b[:i+1], &s)
+			return s, b[i+1:], err
+		}
+	}
+	return "", b, errNotWritten
+}
+
+// parseRuns reads a non-empty array of [value,count] latency runs into
+// v; decodeRecord checks the rules between them. The slice is sized by
+// the '[' bytes left on the line, one per run on a written line, so it is
+// allocated once.
+func parseRuns(b []byte, v reflect.Value) ([]byte, error) {
+	b, ok := bytes.CutPrefix(b, []byte{'['})
+	v.Grow(bytes.Count(b, []byte{'['}))
+	for ok {
+		var val, count []byte
+		if b, ok = bytes.CutPrefix(b, []byte{'['}); !ok {
+			break
+		}
+		val, b = cutNumber(b)
+		if b, ok = bytes.CutPrefix(b, []byte{','}); !ok {
+			break
+		}
+		count, b = cutNumber(b)
+		if b, ok = bytes.CutPrefix(b, []byte{']'}); !ok {
+			break
+		}
+		f, err := strconv.ParseFloat(string(val), 64)
+		if err != nil {
+			return b, err
+		}
+		c, err := strconv.ParseInt(string(count), 10, strconv.IntSize)
+		if err != nil {
+			return b, err
+		}
+		n := v.Len()
+		v.SetLen(n + 1)
+		v.Index(n).Field(0).SetFloat(f) // ValueS
+		v.Index(n).Field(1).SetInt(c)   // Count
+		if rest, more := bytes.CutPrefix(b, []byte{','}); more {
+			b = rest
+			continue
+		}
+		if b, ok = bytes.CutPrefix(b, []byte{']'}); ok {
+			return b, nil
+		}
+	}
+	return b, errNotWritten
 }
 
 // checkRuns is the one definition of a valid latency run list: every
@@ -232,282 +398,4 @@ func checkRuns(runs []LatencyRun, completed int) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// decodeCanonical parses the line shape appendRecord writes: every field
-// in declaration order, omitempty fields optional, no whitespace, strings
-// of plain bytes only, a non-empty array of [value,count] latency runs
-// with decimal-integer counts from 1 to maxRecordLatencies, and at most a
-// newline after the closing brace.
-// It reports false, leaving r partly filled, on anything else.
-func decodeCanonical(line []byte, r *Result) bool {
-	d := recordDecoder{b: line, ok: true}
-	r.ID = d.int(`{"id":`)
-	r.Name = d.str(`,"name":`)
-	r.Class = Class(d.str(`,"class":`))
-	r.Platform = d.str(`,"platform":`)
-	r.Policy = d.str(`,"policy":`)
-	r.Seed = d.uint(`,"seed":`)
-	if d.has(`,"err":`) {
-		r.Err = d.str(`,"err":`)
-	}
-	r.DurationS = d.float(`,"durationS":`)
-	r.Released = d.int(`,"released":`)
-	r.Completed = d.int(`,"completed":`)
-	r.Missed = d.int(`,"missed":`)
-	r.Dropped = d.int(`,"dropped":`)
-	r.MeanLatencyS = d.float(`,"meanLatencyS":`)
-	r.P95LatencyS = d.float(`,"p95LatencyS":`)
-	r.MaxLatencyS = d.float(`,"maxLatencyS":`)
-	r.EnergyMJ = d.float(`,"energyMJ":`)
-	r.AvgPowerMW = d.float(`,"avgPowerMW":`)
-	r.MaxTempC = d.float(`,"maxTempC":`)
-	r.OverThrottleS = d.float(`,"overThrottleS":`)
-	r.Plans = d.int(`,"plans":`)
-	r.Migrations = d.int(`,"migrations":`)
-	r.LevelSwaps = d.int(`,"levelSwaps":`)
-	r.OPPSwitches = d.int(`,"oppSwitches":`)
-	r.ClusterFails = d.optInt(`,"clusterFails":`)
-	r.ClusterRepairs = d.optInt(`,"clusterRepairs":`)
-	r.JobsAborted = d.optInt(`,"jobsAborted":`)
-	r.UnhostedS = d.optFloat(`,"unhostedS":`)
-	r.RecoverCount = d.optInt(`,"recoverCount":`)
-	r.RecoverTotalS = d.optFloat(`,"recoverTotalS":`)
-	r.DegradedFrames = d.optInt(`,"degradedFrames":`)
-	r.DegradedMissed = d.optInt(`,"degradedMissed":`)
-	r.DegradedDropped = d.optInt(`,"degradedDropped":`)
-	if d.has(`,"latencies":`) {
-		r.Latencies = d.runs(`,"latencies":`)
-	}
-	d.lit('}')
-	if rest := d.b[d.i:]; len(rest) > 1 || (len(rest) == 1 && rest[0] != '\n') {
-		d.ok = false
-	}
-	return d.ok
-}
-
-// recordDecoder is decodeCanonical's cursor. ok turns false at the first
-// byte off the canonical shape and stays false; every read after that
-// returns a zero value.
-type recordDecoder struct {
-	b  []byte
-	i  int
-	ok bool
-}
-
-// has reports whether the next bytes are key.
-func (d *recordDecoder) has(key string) bool {
-	return d.ok && len(d.b)-d.i >= len(key) && string(d.b[d.i:d.i+len(key)]) == key
-}
-
-// key consumes key.
-func (d *recordDecoder) key(key string) bool {
-	if !d.has(key) {
-		d.ok = false
-		return false
-	}
-	d.i += len(key)
-	return true
-}
-
-// lit consumes the byte c.
-func (d *recordDecoder) lit(c byte) bool {
-	if !d.ok || d.i >= len(d.b) || d.b[d.i] != c {
-		d.ok = false
-		return false
-	}
-	d.i++
-	return true
-}
-
-// number consumes a JSON number token, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
-// or only its integer part when intOnly is set.
-func (d *recordDecoder) number(intOnly bool) []byte {
-	if !d.ok {
-		return nil
-	}
-	start := d.i
-	if d.peek() == '-' {
-		d.i++
-	}
-	switch c := d.peek(); {
-	case c == '0':
-		d.i++
-	case c >= '1' && c <= '9':
-		d.digits()
-	default:
-		d.ok = false
-		return nil
-	}
-	if !intOnly {
-		if d.peek() == '.' {
-			d.i++
-			if !d.digits() {
-				d.ok = false
-				return nil
-			}
-		}
-		if c := d.peek(); c == 'e' || c == 'E' {
-			d.i++
-			if c := d.peek(); c == '+' || c == '-' {
-				d.i++
-			}
-			if !d.digits() {
-				d.ok = false
-				return nil
-			}
-		}
-	}
-	return d.b[start:d.i]
-}
-
-// peek returns the next byte, or 0 at the end of the line.
-func (d *recordDecoder) peek() byte {
-	if d.i < len(d.b) {
-		return d.b[d.i]
-	}
-	return 0
-}
-
-// digits consumes a run of decimal digits, reporting whether there was one.
-func (d *recordDecoder) digits() bool {
-	start := d.i
-	for d.i < len(d.b) && d.b[d.i] >= '0' && d.b[d.i] <= '9' {
-		d.i++
-	}
-	return d.i > start
-}
-
-func (d *recordDecoder) int(key string) int {
-	if !d.key(key) {
-		return 0
-	}
-	tok := d.number(true)
-	if tok == nil {
-		return 0
-	}
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	if err != nil {
-		d.ok = false
-		return 0
-	}
-	return int(n)
-}
-
-// optInt reads an omitempty int field: absent means zero.
-func (d *recordDecoder) optInt(key string) int {
-	if !d.has(key) {
-		return 0
-	}
-	return d.int(key)
-}
-
-func (d *recordDecoder) uint(key string) uint64 {
-	if !d.key(key) || d.peek() == '-' {
-		d.ok = false
-		return 0
-	}
-	tok := d.number(true)
-	if tok == nil {
-		return 0
-	}
-	n, err := strconv.ParseUint(string(tok), 10, 64)
-	if err != nil {
-		d.ok = false
-		return 0
-	}
-	return n
-}
-
-func (d *recordDecoder) float(key string) float64 {
-	if !d.key(key) {
-		return 0
-	}
-	return d.floatValue()
-}
-
-// optFloat reads an omitempty float field: absent means zero.
-func (d *recordDecoder) optFloat(key string) float64 {
-	if !d.has(key) {
-		return 0
-	}
-	return d.float(key)
-}
-
-// floatValue parses one number token as encoding/json parses a float64
-// field; a token strconv rejects (out of range) leaves the line to
-// json.Unmarshal.
-func (d *recordDecoder) floatValue() float64 {
-	tok := d.number(false)
-	if tok == nil {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		d.ok = false
-		return 0
-	}
-	return f
-}
-
-// runs reads a non-empty array of latency runs; decodeRecord checks the
-// rules between them. The slice is sized by the '[' bytes left on the
-// line, one per run on a canonical line, so it is allocated once.
-func (d *recordDecoder) runs(key string) []LatencyRun {
-	if !d.key(key) || !d.lit('[') {
-		return nil
-	}
-	out := make([]LatencyRun, 0, bytes.Count(d.b[d.i:], []byte{'['}))
-	for {
-		d.lit('[')
-		v := d.floatValue()
-		d.lit(',')
-		c := d.count()
-		d.lit(']')
-		if !d.ok {
-			return nil
-		}
-		out = append(out, LatencyRun{ValueS: v, Count: c})
-		if d.peek() != ',' {
-			break
-		}
-		d.i++
-	}
-	d.lit(']')
-	return out
-}
-
-// count reads a run count: a decimal integer from 1 to
-// maxRecordLatencies, with no sign, leading zero, fraction or exponent.
-func (d *recordDecoder) count() int {
-	tok := d.number(true)
-	if len(tok) == 0 || tok[0] < '1' || tok[0] > '9' {
-		d.ok = false
-		return 0
-	}
-	n := 0
-	for _, c := range tok {
-		if n = n*10 + int(c-'0'); n > maxRecordLatencies {
-			d.ok = false
-			return 0
-		}
-	}
-	return n
-}
-
-// str reads a string of plain bytes (see plainByte); anything needing an
-// unescape or a UTF-8 check is left to json.Unmarshal.
-func (d *recordDecoder) str(key string) string {
-	if !d.key(key) || !d.lit('"') {
-		return ""
-	}
-	start := d.i
-	for d.i < len(d.b) && plainByte(d.b[d.i]) {
-		d.i++
-	}
-	s := d.b[start:d.i]
-	if !d.lit('"') {
-		return ""
-	}
-	return string(s)
 }

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // goldenStreamPath is a complete stream of 14 odroid-xu3 workloads at seed
@@ -176,9 +177,6 @@ func TestGoldenStreamWorkCounts(t *testing.T) {
 		for _, run := range rec.Latencies {
 			samples += run.Count
 		}
-		if !decodeCanonical(line, &Result{}) {
-			t.Errorf("golden record fell back to encoding/json: %s", line)
-		}
 	}
 	if got, want := len(raw), 8391; got != want {
 		t.Errorf("golden stream is %d bytes, want %d", got, want)
@@ -223,9 +221,8 @@ func writeGoldenStream(t *testing.T) {
 // checkRecordCodec requires appendRecord to emit json.Marshal's bytes for r,
 // or to fail where it fails (with json.Marshal's error text for an
 // unsupported value), and decodeRecord to decode those bytes as
-// refUnmarshal does. fast requires the line to take the canonical path
-// rather than the encoding/json fallback.
-func checkRecordCodec(t *testing.T, name string, r Result, fast bool) {
+// refUnmarshal does.
+func checkRecordCodec(t *testing.T, name string, r Result) {
 	t.Helper()
 	want, wantErr := json.Marshal(r)
 	got, gotErr := appendRecord(nil, &r)
@@ -243,7 +240,7 @@ func checkRecordCodec(t *testing.T, name string, r Result, fast bool) {
 		t.Fatalf("%s: appendRecord differs from json.Marshal:\n got %s\nwant %s", name, got, want)
 	}
 	var dec Result
-	if err := decodeRecord(append(got, '\n'), &dec); err != nil {
+	if _, err := decodeRecord(got, &dec, nil); err != nil {
 		t.Fatalf("%s: decodeRecord: %v", name, err)
 	}
 	ref, err := refUnmarshal(got)
@@ -253,67 +250,44 @@ func checkRecordCodec(t *testing.T, name string, r Result, fast bool) {
 	if !reflect.DeepEqual(dec, ref) {
 		t.Errorf("%s: decodeRecord gives %+v, json.Unmarshal %+v", name, dec, ref)
 	}
-	if fast && !decodeCanonical(got, &Result{}) {
-		t.Errorf("%s: writer output fell back to encoding/json: %s", name, got)
-	}
 }
 
-// TestRecordCodecCoversEveryField sets each exported Result field, by
-// reflection, to a non-zero value, to zero and (for floats) to -0, alone
-// and all together. A field added to Result without codec support fails
-// here — either its kind has no test value below, or the bytes differ.
+// TestRecordCodecCoversEveryField: the field table lists every Result
+// field in declaration order, and a Result with every field set and the
+// zero Result both encode to json.Marshal's bytes: with every field
+// written, the table's keys are encoding/json's, and with every field
+// zero, its omitempty flags are. A field of a kind the table cannot
+// encode panics at init.
 func TestRecordCodecCoversEveryField(t *testing.T) {
-	rt := reflect.TypeOf(Result{})
-	nonZero := func(f reflect.StructField) reflect.Value {
-		switch f.Type.Kind() {
-		case reflect.Int:
-			return reflect.ValueOf(-12345).Convert(f.Type)
-		case reflect.Uint64:
-			return reflect.ValueOf(uint64(math.MaxUint64)).Convert(f.Type)
-		case reflect.String:
-			return reflect.ValueOf("value-" + f.Name).Convert(f.Type)
-		case reflect.Float64:
-			return reflect.ValueOf(0.1 + float64(f.Index[0])).Convert(f.Type)
-		case reflect.Slice:
-			if f.Type.Elem() == reflect.TypeFor[LatencyRun]() {
-				return reflect.ValueOf([]LatencyRun{{1e-7, 2}, {0.25, 1}, {3, 4}})
-			}
-		}
-		t.Fatalf("Result.%s has kind %s, which the codec test has no value for; extend appendRecord, decodeCanonical and this test", f.Name, f.Type)
-		return reflect.Value{}
-	}
-
 	var all Result
-	for i := range rt.NumField() {
-		f := rt.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		v := nonZero(f)
-		reflect.ValueOf(&all).Elem().Field(i).Set(v)
-
-		var alone Result
-		reflect.ValueOf(&alone).Elem().Field(i).Set(v)
-		if f.Name == "Latencies" {
-			// A record holds one sample per completed job.
-			alone.Completed = 7
-		}
-		checkRecordCodec(t, f.Name+" alone", alone, true)
-		if f.Type.Kind() == reflect.Float64 {
-			var negZero Result
-			reflect.ValueOf(&negZero).Elem().Field(i).SetFloat(math.Copysign(0, -1))
-			checkRecordCodec(t, f.Name+" -0", negZero, true)
+	v := reflect.ValueOf(&all).Elem()
+	if len(recordFields) != v.NumField() {
+		t.Fatalf("field table has %d entries, Result %d fields", len(recordFields), v.NumField())
+	}
+	for i := range recordFields {
+		switch fv := v.Field(i); fv.Kind() {
+		case reflect.Int:
+			fv.SetInt(-12345)
+		case reflect.Uint64:
+			fv.SetUint(math.MaxUint64)
+		case reflect.String:
+			fv.SetString("value-" + v.Type().Field(i).Name)
+		case reflect.Float64:
+			fv.SetFloat(0.1 + float64(i))
+		default:
+			fv.Set(reflect.ValueOf([]LatencyRun{{1e-7, 2}, {0.25, 1}, {3, 4}}))
 		}
 	}
-	all.Completed = 7
-	checkRecordCodec(t, "every field", all, true)
-	checkRecordCodec(t, "zero", Result{}, true)
-	all.Latencies = []LatencyRun{}
-	checkRecordCodec(t, "empty latencies", all, true)
+	all.Completed = 7 // a record holds at most one sample per completed job
+	checkRecordCodec(t, "every field", all)
+	checkRecordCodec(t, "zero", Result{})
+	all.Latencies = []LatencyRun{} // left out, as omitempty leaves out an empty slice
+	checkRecordCodec(t, "empty latencies", all)
 }
 
 // TestRecordCodecSpecialValues covers the float formatting boundaries, the
-// strings encoding/json escapes, and the floats it refuses.
+// strings encoding/json escapes, and the values the writer refuses: the
+// floats encoding/json refuses and strings that are not valid UTF-8.
 func TestRecordCodecSpecialValues(t *testing.T) {
 	base := Result{ID: 3, Name: "n", Class: ClassFaulty, Platform: "odroid-xu3", Policy: "heuristic", Seed: 9}
 	floats := []float64{
@@ -326,7 +300,7 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 		r.DurationS, r.UnhostedS, r.RecoverTotalS = f, f, f
 		r.Latencies = runsOf(min(f, 1), f, f, max(f, 1))
 		r.Completed = 4
-		checkRecordCodec(t, "float "+formatG(f), r, true)
+		checkRecordCodec(t, "float "+formatG(f), r)
 	}
 	for name, runs := range map[string][]LatencyRun{
 		"zero count":     {{0.1, 0}, {0.2, 3}},
@@ -335,7 +309,7 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 		r := base
 		r.Latencies = runs
 		r.Completed = 3
-		checkRecordCodec(t, name, r, false)
+		checkRecordCodec(t, name, r)
 		if _, err := appendRecord(nil, &r); err == nil {
 			t.Errorf("appendRecord accepted %s", name)
 		}
@@ -358,33 +332,65 @@ func TestRecordCodecSpecialValues(t *testing.T) {
 			t.Errorf("Append of %s: error %v, want a run-order complaint", name, err)
 		}
 	}
-	for _, s := range []string{`"<&>` + "\n", "héllo ✓", "\xff\xfe", "tab\there", "line sep", `back\slash`, "\x7f", ""} {
+	for _, s := range []string{`"<&>` + "\n", "héllo ✓", "tab\there", "line\u2028sep", `back\slash`, "\x7f", "\ufffd", ""} {
 		r := base
 		r.Err = s
 		r.Name = s
-		checkRecordCodec(t, "string "+s, r, false)
+		checkRecordCodec(t, "string "+s, r)
+	}
+	// json.Marshal rewrites a string that is not valid UTF-8, so the line
+	// would decode to another string: the writer refuses it.
+	for _, s := range []string{"\xff\xfe", "ok\xc3", "\xed\xa0\x80"} {
+		sh := fakeShard(GeneratorConfig{Seed: 5}, 8, 2, 3)
+		r := sh.Results[0]
+		r.Err = s
+		sw, err := NewStreamWriter(io.Discard, sh.StreamHeader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.Append(r); err == nil || !strings.Contains(err.Error(), "not valid UTF-8") {
+			t.Errorf("Append of err %q: error %v, want a UTF-8 complaint", s, err)
+		}
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		r := base
 		r.P95LatencyS = f
-		checkRecordCodec(t, "scalar "+formatG(f), r, false)
+		checkRecordCodec(t, "scalar "+formatG(f), r)
 		r = base
 		r.Latencies = []LatencyRun{{1, 1}, {f, 1}}
 		r.Completed = 2
-		checkRecordCodec(t, "latency "+formatG(f), r, false)
+		checkRecordCodec(t, "latency "+formatG(f), r)
 		if _, err := appendRecord(nil, &r); err == nil {
 			t.Errorf("appendRecord accepted a %g latency", f)
 		}
 	}
 }
 
+// validStrings reports whether every string field of r is valid UTF-8.
+func validStrings(r Result) bool {
+	v := reflect.ValueOf(r)
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.String && !utf8.ValidString(f.String()) {
+			return false
+		}
+	}
+	return true
+}
+
 func formatG(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// TestDecodeRecordMatchesJSON: lines off the canonical shape take the
-// encoding/json fallback, and canonical lines with bad latency runs are
-// refused, exactly as the encoding/json reference decodes or refuses them.
+// TestDecodeRecordMatchesJSON: decodeRecord accepts a line exactly when
+// it is json.Marshal's encoding of the Result encoding/json decodes it to,
+// and then decodes it as encoding/json does. A line encoding/json reads
+// but a stream writer never writes is refused, and so is a written line
+// whose latency runs break a format rule.
 func TestDecodeRecordMatchesJSON(t *testing.T) {
+	written, err := json.Marshal(Result{ID: 1, Name: "a", Class: ClassSteady, Platform: "p", Policy: "q", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, line := range []string{
+		string(written),
 		`{"id":1,"name":"a","class":"steady","platform":"p","policy":"q","seed":2}`,
 		` {"id":1}`,
 		`{"id":1} `,
@@ -394,6 +400,7 @@ func TestDecodeRecordMatchesJSON(t *testing.T) {
 		`{"id":1e2}`,
 		`{"id":-0}`,
 		`{"id":01}`,
+		`{"id":+1}`,
 		`{"id":99999999999999999999}`,
 		`{"seed":-1}`,
 		`{"seed":-0}`,
@@ -413,8 +420,8 @@ func TestDecodeRecordMatchesJSON(t *testing.T) {
 		checkDecodeRecord(t, []byte(line))
 		checkDecodeRecord(t, []byte(line+"\n"))
 	}
-	// A canonical line whose latency runs break a format rule, or keep it
-	// in an unusual spelling.
+	// A written line whose latency runs break a format rule, or keep it in
+	// a spelling the writer does not use.
 	line := bytes.SplitAfter(readGoldenStream(t), []byte("\n"))[1]
 	rec, err := refUnmarshal(line)
 	if err != nil {
@@ -427,16 +434,36 @@ func TestDecodeRecordMatchesJSON(t *testing.T) {
 	}
 }
 
-// checkDecodeRecord requires decodeRecord to agree with refUnmarshal on
-// line: the same acceptance and, when accepted, the same Result and the
-// same re-encoding.
+// checkDecodeRecord requires decodeRecord to accept line exactly when
+// encoding/json decodes it, with valid latency runs, to a Result that
+// json.Marshal encodes back to line, with every string valid UTF-8, and
+// then to decode it to that Result. A refused line leaves the Result zero.
+// On the way it holds appendRecord to encoding/json, not to itself: for
+// every Result json.Unmarshal decodes, appendRecord writes json.Marshal's
+// bytes, or fails when a string is not valid UTF-8.
 func checkDecodeRecord(t *testing.T, line []byte) {
 	t.Helper()
 	var got Result
-	gotErr := decodeRecord(line, &got)
+	_, gotErr := decodeRecord(line, &got, nil)
 	want, wantErr := refUnmarshal(line)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%q: decodeRecord error %v, json.Unmarshal error %v", line, gotErr, wantErr)
+	written := false
+	if wantErr == nil {
+		ref, err := json.Marshal(want)
+		if err != nil {
+			t.Fatalf("%q: json.Marshal of what json.Unmarshal decoded: %v", line, err)
+		}
+		enc, encErr := appendRecord(nil, &want)
+		valid := validStrings(want)
+		switch {
+		case valid && (encErr != nil || !bytes.Equal(enc, ref)):
+			t.Fatalf("%q: appendRecord differs from json.Marshal (error %v):\n got %s\nwant %s", line, encErr, enc, ref)
+		case !valid && encErr == nil:
+			t.Fatalf("%q: appendRecord wrote a string that is not valid UTF-8: %s", line, enc)
+		}
+		written = valid && bytes.Equal(ref, line)
+	}
+	if (gotErr == nil) != written {
+		t.Fatalf("%q: decodeRecord error %v; json.Unmarshal error %v, line is json.Marshal's encoding: %v", line, gotErr, wantErr, written)
 	}
 	if gotErr != nil {
 		if !reflect.DeepEqual(got, Result{}) {
@@ -447,10 +474,58 @@ func checkDecodeRecord(t *testing.T, line []byte) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q: decodeRecord gives %+v, json.Unmarshal %+v", line, got, want)
 	}
-	enc, encErr := appendRecord(nil, &got)
-	ref, refErr := json.Marshal(want)
-	if encErr != nil || refErr != nil || !bytes.Equal(enc, ref) {
-		t.Fatalf("%q: re-encoding %s (%v), json.Marshal %s (%v)", line, enc, encErr, ref, refErr)
+}
+
+// TestUnwrittenRecordRefused: a record line that encoding/json reads but
+// a stream writer never writes (an unknown key, white space, reordered
+// keys, a count spelled 1.0, empty or null latencies) is refused by
+// ReadShard, and so by merge, and resume treats it as a torn line: it
+// truncates the stream there and runs the rest again, ending with the
+// golden bytes.
+func TestUnwrittenRecordRefused(t *testing.T) {
+	raw := readGoldenStream(t)
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	last := len(lines) - 2 // the final record; the split ends with an empty element
+	line := lines[last]
+	rec, err := refUnmarshal(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(line, &fields); err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := json.Marshal(fields) // the same fields, keys sorted
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edited := range map[string][]byte{
+		"unknown key":     append(bytes.TrimSuffix(line, []byte("}\n")), `,"bogus":1}`+"\n"...),
+		"white space":     bytes.Replace(line, []byte(`"id":`), []byte(`"id": `), 1),
+		"reordered keys":  append(sorted, '\n'),
+		"count 1.0":       withLatencies(t, line, fmt.Sprintf(`[[0.01,1.0],[0.02,%d]]`, rec.Completed-1)),
+		"empty latencies": withLatencies(t, line, "[]"),
+		"null latencies":  withLatencies(t, line, "null"),
+	} {
+		if _, err := json.Marshal(json.RawMessage(edited)); err != nil {
+			t.Fatalf("%s: the edit is not JSON: %v", name, err)
+		}
+		lines[last] = edited
+		stream := bytes.Join(lines, nil)
+		want := fmt.Sprintf("decoding stream record %d", rec.ID)
+		if _, err := ReadShard(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ReadShard error %v, want it to contain %q", name, err, want)
+		}
+		path := filepath.Join(t.TempDir(), "s.ndjson")
+		if err := os.WriteFile(path, stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&Runner{Workers: 1}).ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1); err != nil {
+			t.Errorf("%s: ResumeShard: %v", name, err)
+		}
+		if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, raw) {
+			t.Errorf("%s: resumed stream differs from the golden one (read error %v):%s", name, err, firstDiff(raw, back))
+		}
 	}
 }
 
@@ -471,15 +546,16 @@ func withLatencies(t testing.TB, line []byte, runs string) []byte {
 }
 
 // runVariants returns latency runs for a record of completed jobs, each
-// breaking one format rule, plus a few the format accepts: the ways a
-// hand-edited or corrupted line can go wrong.
+// breaking one format rule or spelling runs as the writer does not, plus
+// one the format accepts: the ways a hand-edited or corrupted line can go
+// wrong.
 func runVariants(completed int) []string {
 	c := completed
 	return []string{
 		fmt.Sprintf(`[[0.01,%d]]`, c),                 // valid: one run
-		fmt.Sprintf(`[[0.01,1.0],[0.02,%d]]`, c-1),    // valid: a count spelled as a float
+		fmt.Sprintf(`[[0.01,1.0],[0.02,%d]]`, c-1),    // a count spelled as a float
 		fmt.Sprintf(`[[0.02,1],[0.01,%d]]`, c-1),      // descending values
-		fmt.Sprintf(`[[0.02,1.0],[0.01,%d]]`, c-1),    // descending values, left to the fallback
+		fmt.Sprintf(`[[0.02,1.0],[0.01,%d]]`, c-1),    // descending values, a count spelled as a float
 		fmt.Sprintf(`[[0.01,%d]]`, c-1),               // fewer samples than completed
 		fmt.Sprintf(`[[0.01,%d]]`, c+1),               // more samples than completed
 		fmt.Sprintf(`[[0.01,0],[0.02,%d]]`, c),        // count 0
@@ -502,19 +578,20 @@ func runVariants(completed int) []string {
 }
 
 // TestDecodeRecordAllocatesAtMostCompleted: a record whose counts claim
-// more samples than its completed jobs fails on both decode paths, and
-// nothing is sized by the counts. Expanding a million samples would take
-// 8 MB.
+// more samples than its completed jobs fails, however the count is
+// spelled, and nothing is sized by the counts. Expanding a million samples
+// would take 8 MB.
 func TestDecodeRecordAllocatesAtMostCompleted(t *testing.T) {
 	line := bytes.SplitAfter(readGoldenStream(t), []byte("\n"))[1]
 	for _, edited := range [][]byte{
-		withLatencies(t, line, `[[0.01,1000000]]`), // canonical shape
-		withLatencies(t, line, `[[0.01,1e6]]`),     // left to the fallback
+		withLatencies(t, line, `[[0.01,1000000]]`),
+		withLatencies(t, line, `[[0.01,1e6]]`),
 	} {
+		edited = bytes.TrimSuffix(edited, []byte("\n"))
 		var r Result
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := decodeRecord(edited, &r)
+		_, err := decodeRecord(edited, &r, nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("decodeRecord accepted %s", edited)
@@ -525,16 +602,16 @@ func TestDecodeRecordAllocatesAtMostCompleted(t *testing.T) {
 	}
 }
 
-// fuzzSeeds returns the golden stream's records, each also cut in two
-// places, and shard files built from its first two records: a complete
-// stream, its header, torn variants of both, and the same shard as a
-// one-document JSON file (classic, also returned alone), which readers
-// must refuse. Both sets also carry the first record with its latency
-// runs edited by runVariants. Seeds stay a few kilobytes so the fuzzer can minimise what
-// it finds.
+// fuzzSeeds returns the golden stream's records without their newlines,
+// each also cut in two places, and shard files built from its first two
+// records: a complete stream, its header, torn variants of both, and the
+// same shard as a one-document JSON file (classic, also returned alone),
+// which readers must refuse. Both sets also carry the first record with
+// its latency runs edited by runVariants. Seeds stay a few kilobytes so
+// the fuzzer can minimise what it finds.
 func fuzzSeeds(t testing.TB) (files, records [][]byte, classic []byte) {
 	raw := readGoldenStream(t)
-	for _, line := range bytes.SplitAfter(raw, []byte("\n"))[1:] {
+	for _, line := range bytes.Split(raw, []byte("\n"))[1:] {
 		if len(line) > 0 {
 			records = append(records, line, line[:len(line)/2], line[:len(line)-2])
 		}
@@ -554,15 +631,17 @@ func fuzzSeeds(t testing.TB) (files, records [][]byte, classic []byte) {
 	lines := bytes.SplitAfter(stream, []byte("\n"))
 	for _, runs := range runVariants(s.Results[0].Completed) {
 		edited := withLatencies(t, lines[1], runs)
-		records = append(records, edited)
+		records = append(records, bytes.TrimSuffix(edited, []byte("\n")))
 		files = append(files, bytes.Join([][]byte{lines[0], edited, lines[2]}, nil))
 	}
 	return files, records, classic
 }
 
-// FuzzDecodeRecord: for any bytes, decodeRecord and the encoding/json
-// reference agree on acceptance and on the Result, and an accepted Result
-// re-encodes to the reference's bytes.
+// FuzzDecodeRecord: for any bytes, decodeRecord accepts exactly the lines
+// that are json.Marshal's encoding of what encoding/json decodes them to,
+// and decodes every line it accepts as encoding/json does; appendRecord
+// writes json.Marshal's bytes for every Result decoded (see
+// checkDecodeRecord).
 func FuzzDecodeRecord(f *testing.F) {
 	_, records, _ := fuzzSeeds(f)
 	for _, r := range records {
@@ -574,7 +653,9 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 // FuzzReadShard: ReadShard never panics on arbitrary bytes, and whatever
-// it accepts passes Validate. The classic one-document seed is refused.
+// it accepts passes Validate and re-encodes through NewStreamWriter and
+// Append to exactly the bytes it read. The classic one-document seed is
+// refused.
 func FuzzReadShard(f *testing.F) {
 	files, _, classic := fuzzSeeds(f)
 	if _, err := ReadShard(bytes.NewReader(classic)); err == nil {
@@ -593,6 +674,9 @@ func FuzzReadShard(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ReadShard accepted a shard that fails Validate: %v", err)
+		}
+		if again := writeStream(t, s); !bytes.Equal(again, data) {
+			t.Fatalf("ReadShard accepted bytes a stream writer does not write:%s", firstDiff(data, again))
 		}
 	})
 }

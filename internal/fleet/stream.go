@@ -20,11 +20,12 @@ import (
 // the golden report are untouched by how a shard was produced — in one
 // go, crashed-and-resumed, or retried.
 //
-// The header line is encoded by encoding/json. Record lines go through the
-// hand-written codec in record.go: appendRecord writes the bytes
-// json.Marshal would, and decodeRecord parses that shape directly, falling
-// back to json.Unmarshal for any other line, so the bytes on disk and the
-// set of accepted lines are encoding/json's.
+// Every line has one accepted encoding, the bytes its writer writes. The
+// header line is json.Marshal of its headerLine, and the reader accepts a
+// header only if re-marshalling what it decoded gives back those bytes.
+// Record lines go through the codec in record.go, which holds them to the
+// same rule: appendRecord writes the bytes json.Marshal would, and
+// decodeRecord accepts a line only if appendRecord gives it back.
 
 // streamMagic identifies a shard result stream: the value of the header's
 // first JSON key.
@@ -130,7 +131,13 @@ func NewStreamWriter(w io.Writer, hdr StreamHeader) (*StreamWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sw.w.Write(append(line, '\n')); err != nil {
+	line = append(line, '\n')
+	// A config string that is not valid UTF-8 marshals to bytes its reader
+	// refuses; refuse it here, before anything is written.
+	if _, err := parseHeader(line); err != nil {
+		return nil, err
+	}
+	if _, err := sw.w.Write(line); err != nil {
 		return nil, err
 	}
 	if err := sw.w.Flush(); err != nil {
@@ -211,6 +218,7 @@ type StreamReader struct {
 	pols []string
 	next int
 	line []byte // reused line buffer
+	enc  []byte // reused re-encoding buffer (see decodeRecord)
 
 	offset int64 // byte offset just past the header or the last intact record
 	torn   bool  // Read stopped at a line cut short or one that does not decode
@@ -218,33 +226,44 @@ type StreamReader struct {
 
 // NewStreamReader reads and validates the header line. A first line that
 // is not a stream header, such as the opening of a one-document
-// ShardResult, fails as "not a shard result stream". An empty input, or a
-// header cut short before its newline, fails wrapping io.EOF.
+// ShardResult, or not in the form NewStreamWriter writes, fails as "not a
+// shard result stream". An empty input, or a header cut short before its
+// newline, fails wrapping io.EOF.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadBytes('\n')
 	if err != nil {
 		return nil, fmt.Errorf("fleet: reading stream header: %w", err)
 	}
-	// A key the header does not define is refused, not ignored: it would
-	// otherwise be carried through resume and merge as if it were absent.
+	hdr, err := parseHeader(line)
+	if err != nil {
+		return nil, err
+	}
+	pols, err := hdr.check()
+	if err != nil {
+		return nil, err
+	}
+	return &StreamReader{br: br, hdr: hdr, pols: pols, next: hdr.Lo, offset: int64(len(line))}, nil
+}
+
+// parseHeader decodes a header line, newline included. It accepts only
+// the bytes NewStreamWriter writes for the header it decodes to. A key
+// the header does not define is named in the error: it would otherwise
+// be carried through resume and merge as if it were absent.
+func parseHeader(line []byte) (StreamHeader, error) {
 	var hl headerLine
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&hl); err != nil {
-		return nil, fmt.Errorf("fleet: not a shard result stream (header: %v)", err)
-	}
-	if rest := bytes.TrimSpace(line[dec.InputOffset():]); len(rest) > 0 {
-		return nil, fmt.Errorf("fleet: not a shard result stream (header followed by %q)", rest)
+		return StreamHeader{}, fmt.Errorf("fleet: not a shard result stream (header: %v)", err)
 	}
 	if hl.Stream != streamMagic {
-		return nil, fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", hl.Stream, streamMagic)
+		return StreamHeader{}, fmt.Errorf("fleet: not a shard result stream (header marker %q, want %q)", hl.Stream, streamMagic)
 	}
-	pols, err := hl.check()
-	if err != nil {
-		return nil, err
+	if again, err := json.Marshal(hl); err != nil || !bytes.Equal(append(again, '\n'), line) {
+		return StreamHeader{}, errors.New("fleet: not a shard result stream (header is not in the one encoding a stream writer gives it)")
 	}
-	return &StreamReader{br: br, hdr: hl.StreamHeader, pols: pols, next: hl.Lo, offset: int64(len(line))}, nil
+	return hl.StreamHeader, nil
 }
 
 // Read returns the next record. It fails loud on a record that does not
@@ -268,7 +287,7 @@ func (sr *StreamReader) Read() (Result, error) {
 		return Result{}, fmt.Errorf("fleet: reading stream record %d: %w", sr.next, err)
 	}
 	var r Result
-	if err := decodeRecord(line, &r); err != nil {
+	if sr.enc, err = decodeRecord(line[:len(line)-1], &r, sr.enc); err != nil {
 		sr.torn = true
 		return Result{}, fmt.Errorf("fleet: decoding stream record %d: %w", sr.next, err)
 	}

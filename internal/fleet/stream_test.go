@@ -156,6 +156,61 @@ func TestStreamReaderFailLoud(t *testing.T) {
 	}
 }
 
+// TestStreamHeaderOneEncoding: a header line that encoding/json reads but
+// NewStreamWriter never writes (white space, reordered keys, an empty
+// list the writer leaves out, anything after the header) is not a shard
+// result stream: ReadShard refuses it, and resume refuses to touch the
+// file. A header that would marshal to such bytes, a config string that
+// is not valid UTF-8, is refused by NewStreamWriter before it writes.
+func TestStreamHeaderOneEncoding(t *testing.T) {
+	raw := readGoldenStream(t)
+	header, records, _ := bytes.Cut(raw, []byte("\n"))
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(header, &keys); err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := json.Marshal(keys) // the same keys, sorted
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(old, new string) []byte {
+		out := bytes.Replace(header, []byte(old), []byte(new), 1)
+		if bytes.Equal(out, header) {
+			t.Fatalf("%q not in the golden header", old)
+		}
+		return out
+	}
+	for name, forged := range map[string][]byte{
+		"white space":    edit(`"total":14`, `"total": 14`),
+		"reordered keys": sorted,
+		"empty list":     edit(`"platforms":["odroid-xu3"]`, `"platforms":["odroid-xu3"],"classes":[]`),
+		"null list":      edit(`"platforms":["odroid-xu3"]`, `"platforms":["odroid-xu3"],"policies":null`),
+		"trailing space": append(bytes.Clone(header), ' '),
+		"second value":   append(bytes.Clone(header), "{}"...),
+	} {
+		stream := append(append(forged, '\n'), records...)
+		if _, err := ReadShard(bytes.NewReader(stream)); err == nil || !strings.Contains(err.Error(), "not a shard result stream") {
+			t.Errorf("%s: ReadShard error %v, want a not-a-stream complaint", name, err)
+		}
+		path := filepath.Join(t.TempDir(), "s.ndjson")
+		if err := os.WriteFile(path, stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (&Runner{Workers: 1}).ResumeShard(path, goldenStreamConfig, goldenStreamTotal, 0, 1); err == nil || !strings.Contains(err.Error(), "refuses to overwrite") {
+			t.Errorf("%s: ResumeShard error %v, want a refusal to overwrite", name, err)
+		}
+		if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, stream) {
+			t.Errorf("%s: refused resume changed the file (read error %v)", name, err)
+		}
+	}
+
+	var buf bytes.Buffer
+	cfg := GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3\xff"}}
+	if _, err := NewStreamWriter(&buf, StreamHeader{Config: cfg, Total: 2, Lo: 0, Hi: 2}); err == nil || buf.Len() != 0 {
+		t.Errorf("header with a non-UTF-8 platform: error %v, wrote %q; want a refusal before writing", err, buf.Bytes())
+	}
+}
+
 // TestReadShardRefusesLatencyCountMismatch: a record whose latency samples
 // do not number its completed jobs is refused, naming the scenario. The
 // line is the golden stream's, with completed edited by hand; a reader

@@ -1,8 +1,11 @@
 package rtm
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -235,11 +238,18 @@ func (t *LearnedTable) WriteFile(path string) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-// ReadLearnedTable decodes and validates a table from JSON bytes.
+// ReadLearnedTable decodes and validates a table from JSON bytes. A key
+// the table does not define, at the top level or in a state, is refused
+// rather than ignored, and so is anything but white space after the table.
 func ReadLearnedTable(raw []byte) (*LearnedTable, error) {
 	var t LearnedTable
-	if err := json.Unmarshal(raw, &t); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("rtm: decoding learned table: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("rtm: decoding learned table: data after the table")
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

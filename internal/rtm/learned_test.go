@@ -67,6 +67,36 @@ func TestLearnedTableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadLearnedTableRefusesUnknownKeys: a table carrying a key it does
+// not define, at the top level or inside a state, or followed by anything
+// but white space, is refused rather than read as if the extra were
+// absent.
+func TestReadLearnedTableRefusesUnknownKeys(t *testing.T) {
+	raw, err := trainedTestTable("h1p1s1a1").MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadLearnedTable(append(raw, " \n\t"...)); err != nil {
+		t.Fatalf("trailing white space refused: %v", err)
+	}
+	for _, tc := range []struct{ name, old, new, want string }{
+		{"top-level key", `"version":`, `"bogus":1,"version":`, `unknown field "bogus"`},
+		{"state key", `"arm":`, `"temperature":3,"arm":`, `unknown field "temperature"`},
+		{"trailing value", "", "{}", "data after the table"},
+		{"trailing garbage", "", "x", "data after the table"},
+	} {
+		forged := append(bytes.Clone(raw), tc.new...)
+		if tc.old != "" {
+			if forged = bytes.Replace(raw, []byte(tc.old), []byte(tc.new), 1); bytes.Equal(forged, raw) {
+				t.Fatalf("%s: %q not found in the table", tc.name, tc.old)
+			}
+		}
+		if _, err := ReadLearnedTable(forged); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestLearnedTableValidate(t *testing.T) {
 	base := func() *LearnedTable { return trainedTestTable("h1p1s1a1") }
 	cases := []struct {
