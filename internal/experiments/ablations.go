@@ -6,7 +6,6 @@ import (
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/pareto"
 	"github.com/emlrtm/emlrtm/internal/perf"
-	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/sim"
 	"github.com/emlrtm/emlrtm/internal/trace"
 	"github.com/emlrtm/emlrtm/internal/workload"
@@ -138,7 +137,8 @@ type AblationNoRTMResult struct {
 
 // AblationNoRTM runs the Fig 2 scenario with the manager and with an
 // ondemand governor (static mapping, no model scaling) and compares
-// deadline performance and thermal behaviour.
+// deadline performance and thermal behaviour. Both runs see the
+// scenario's hot-environment step at t = 18 s.
 func AblationNoRTM(o Options) (AblationNoRTMResult, error) {
 	s := workload.Fig2Scenario()
 
@@ -147,17 +147,8 @@ func AblationNoRTM(o Options) (AblationNoRTMResult, error) {
 		return AblationNoRTMResult{}, err
 	}
 
-	gov := rtm.NewGovernorController()
-	be, err := sim.New(sim.Config{
-		Platform:   hw.FlagshipSoC(),
-		Apps:       s.Apps,
-		Controller: gov,
-		TickS:      0.25,
-	})
+	be, err := governorRun(s, hw.FlagshipSoC(), 0.25)
 	if err != nil {
-		return AblationNoRTMResult{}, err
-	}
-	if err := be.Run(s.EndS); err != nil {
 		return AblationNoRTMResult{}, err
 	}
 	brep := be.Report()

@@ -219,6 +219,12 @@ func TestAblationNoRTM(t *testing.T) {
 	if res.ManagedBad > 0.15 {
 		t.Fatalf("managed bad fraction %.2f too high", res.ManagedBad)
 	}
+	// The governor runs Fig 2's script as the manager does, so the
+	// hot-environment step at t = 18 s drives both runs past throttle.
+	if res.ManagedOverC == 0 || res.BaselineOverC == 0 {
+		t.Fatalf("time above throttle: managed %gs, governor %gs; both runs heat past throttle after the ambient step",
+			res.ManagedOverC, res.BaselineOverC)
+	}
 }
 
 // cellFor returns the Fig 1 cell for a platform/requirement pair.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/rtm"
@@ -35,17 +37,8 @@ func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 	}
 	managed, _ := e.App("dnn")
 
-	gov := rtm.NewGovernorController()
-	be, err := sim.New(sim.Config{
-		Platform:   hw.OdroidXU3(),
-		Apps:       s.Apps,
-		Controller: gov,
-		TickS:      0.25,
-	})
+	be, err := governorRun(s, hw.OdroidXU3(), 0.25)
 	if err != nil {
-		return Fig5Result{}, err
-	}
-	if err := be.Run(s.EndS); err != nil {
 		return Fig5Result{}, err
 	}
 	baseline, _ := be.App("dnn")
@@ -71,3 +64,41 @@ func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 	add("ondemand governor", baseline, res.BaselineReport)
 	return res, nil
 }
+
+// governorRun runs a scenario under the ondemand governor (static mapping,
+// no model scaling) instead of the manager: the application-blind
+// baseline Fig 5 and ablation A3 compare against. The scenario's scripted
+// actions apply as in a managed run, through a ScenarioController with no
+// manager, so both controllers face the same disturbances; an action that
+// calls the manager does nothing. A scenario with fault windows is
+// refused: neither experiment's scenario has any, and the governor run
+// does not apply them.
+func governorRun(s workload.Scenario, plat *hw.Platform, tickS float64) (*sim.Engine, error) {
+	if len(s.Faults) > 0 {
+		return nil, fmt.Errorf("governor run of %q: %d fault windows not supported", s.Name, len(s.Faults))
+	}
+	e, err := sim.New(sim.Config{
+		Platform:   plat,
+		Apps:       s.Apps,
+		Controller: governed{workload.NewScenarioController(nil, s.Actions), rtm.NewGovernorController()},
+		TickS:      tickS,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return e, e.Run(s.EndS)
+}
+
+// governed applies a scenario's actions on each tick, then lets the
+// governor act, as ScenarioController does for a manager.
+type governed struct {
+	script *workload.ScenarioController
+	gov    *rtm.GovernorController
+}
+
+func (g governed) OnTick(e *sim.Engine) {
+	g.script.OnTick(e)
+	g.gov.OnTick(e)
+}
+
+func (g governed) OnEvent(e *sim.Engine, ev sim.Event) { g.gov.OnEvent(e, ev) }

@@ -61,7 +61,7 @@ func TestNoFaultyScenarioEndsUnhosted(t *testing.T) {
 	}
 	for _, s := range gen.Generate(24) {
 		plat := hw.Catalog()[s.Platform]
-		eng, _, rep, err := workload.RunEngineOpts(nil, s.Script, plat, TickS, nil, workload.RunOptions{})
+		eng, _, rep, err := workload.Run(s.Script, plat, TickS, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

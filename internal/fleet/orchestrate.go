@@ -41,7 +41,7 @@ type OrchestratorConfig struct {
 	// Start launches one shard; it must (eventually) complete spec.Path as
 	// a shard result stream, resuming any existing content. It is
 	// required: CommandStart builds one that execs a subprocess per shard,
-	// whose argv carries the worker count and latency mode.
+	// whose argv carries the worker count.
 	Start func(ShardSpec) (ShardProcess, error)
 	// StallTimeout declares a dispatched shard dead when its stream file
 	// gains no bytes for this long (every completed scenario flushes, so

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -102,7 +101,7 @@ type worker struct {
 	stack workload.Stack
 	plats map[string]*hw.Platform
 	rng   *rand.Rand
-	ns    []int64 // one run's latencies in ns, sorted in place
+	ns    []int64 // a copy of one run's latencies in ns, sorted
 }
 
 // reseed returns the worker's RNG seeded with seed. Re-seeding one source
@@ -166,7 +165,7 @@ func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 		res.Err = fmt.Sprintf("unknown platform %q", s.Platform)
 		return res
 	}
-	_, mgr, rep, err := workload.RunEngineOpts(&w.stack, script, plat, TickS, nil, workload.RunOptions{LatenciesOnly: true})
+	_, mgr, rep, err := w.stack.Run(script, plat, TickS)
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -201,22 +200,19 @@ func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 		res.Missed += a.Missed
 		res.Dropped += a.Dropped
 	}
-	// Latencies are recorded in whole nanoseconds: the engine's float
-	// samples carry sub-nanosecond noise from where on the clock a job
-	// ran. Both modes sort them, so the scalar stats do not depend on
+	// The engine keeps latencies in whole nanoseconds, in completion
+	// order. Both modes sort a copy, so the scalar stats do not depend on
 	// whether the runs are kept.
-	if len(rep.Latencies) == 0 {
+	if len(rep.LatenciesNS) == 0 {
 		return res
 	}
-	ns := w.ns[:0]
-	var sum int64
-	for _, l := range rep.Latencies {
-		v := int64(math.Round(l * 1e9))
-		ns = append(ns, v)
-		sum += v
-	}
+	ns := append(w.ns[:0], rep.LatenciesNS...)
 	slices.Sort(ns)
 	w.ns = ns
+	var sum int64
+	for _, v := range ns {
+		sum += v
+	}
 	n := len(ns)
 	res.MeanLatencyS = float64(sum) / 1e9 / float64(n)
 	res.MaxLatencyS = float64(ns[n-1]) / 1e9

@@ -187,11 +187,18 @@ func resolvePolicies(names []string) ([]string, error) {
 	return out, nil
 }
 
-// normalized returns the config with Policies resolved to its canonical
-// form (nil and [""] become ["heuristic"]), so configs that mean the same
-// fleet compare equal — a shard run with the default policy implicit must
-// merge with one where it was spelled out.
+// normalized returns the config in its canonical form, so configs that
+// mean the same fleet compare equal: empty Platforms and Classes lists
+// become nil, as a stream header's omitempty writes them, and Policies is
+// resolved (nil and [""] become ["heuristic"]) — a shard run with the
+// default policy implicit must merge with one where it was spelled out.
 func (c GeneratorConfig) normalized() GeneratorConfig {
+	if len(c.Platforms) == 0 {
+		c.Platforms = nil
+	}
+	if len(c.Classes) == 0 {
+		c.Classes = nil
+	}
 	if pols, err := resolvePolicies(c.Policies); err == nil {
 		c.Policies = pols
 	}
@@ -494,6 +501,9 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 			AtS:  (0.4 + 0.3*rng.Float64()) * endS,
 			Name: "requirement-change-" + target,
 			Do: func(se *sim.Engine, m *rtm.Manager) {
+				if m == nil {
+					return
+				}
 				m.SetRequirement(target, newReq)
 				m.Replan(se)
 			},

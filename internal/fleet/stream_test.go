@@ -403,6 +403,25 @@ func TestResumeShardFromCrash(t *testing.T) {
 	}
 }
 
+// TestResumeShardEmptyListsConfig: empty Platforms and Classes lists mean
+// the same fleet as nil ones, which is how the stream header writes them,
+// so resuming the stream a run with empty lists wrote must accept it.
+func TestResumeShardEmptyListsConfig(t *testing.T) {
+	cfg := GeneratorConfig{Seed: 3, Platforms: []string{}, Classes: []Class{}}
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	first, err := (&Runner{Workers: 1}).ResumeShard(path, cfg, 2, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := (&Runner{Workers: 1}).ResumeShard(path, cfg, 2, 0, 1)
+	if err != nil {
+		t.Fatalf("resume of its own stream: %v", err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Error("resumed shard differs from the run that wrote the stream")
+	}
+}
+
 // TestResumeShardEveryTruncationPrefix extends TestResumeShardFromCrash
 // from a few cut points to all of them: for every byte-length prefix of a
 // small valid stream — a kill can land on any byte — ResumeShard finishes

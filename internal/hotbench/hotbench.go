@@ -104,14 +104,14 @@ func engineNew(tb testing.TB) func() {
 }
 
 // engineRunManaged is engine-run under a heuristic manager, at the
-// fleet's tick and with its latency log: the shape of every fleet run,
+// fleet's tick: the shape of every fleet run,
 // whose worker Resets one engine and one manager per scenario. Unlike
 // engine-run it reaches the controller callbacks, replans and the
 // deadline-miss path.
 func engineRunManaged(tb testing.TB) func() {
 	reqs := benchReqs()
 	mgr := rtm.NewManager(reqs)
-	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), Controller: mgr, TickS: fleet.TickS, LogLatencies: true}
+	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), Controller: mgr, TickS: fleet.TickS}
 	e, err := sim.New(cfg)
 	if err != nil {
 		tb.Fatal(err)

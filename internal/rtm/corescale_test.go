@@ -61,7 +61,7 @@ func TestPlanScratchPlatformSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := p.(scratchPlanner)
+		sp := p.(sealedPolicy)
 		var shared planScratch
 		for i, v := range []View{odroid, flagship, odroid} {
 			got := append([]Assignment(nil), sp.planInto(&v, &shared)...)

@@ -1,14 +1,13 @@
 package rtm
 
-import "github.com/emlrtm/emlrtm/internal/sim"
-
 // This file is the plan-reuse layer: the fingerprint seam behind replan
 // elision. A fleet sweep replans thousands of times per scenario, and most
 // of those replans see a planning state nothing has moved since the last
 // actuated plan — skipping them is the same amortisation the paper's RTM
 // applies to knob actuation.
 //
-// Correctness rests on a sealed, package-internal interface. A policy
+// Correctness rests on a sealed, package-internal interface (sealedPolicy,
+// which also carries the allocation-free plan path). A policy
 // participates only by implementing it, which keeps elision opt-in for the
 // built-ins (whose read-sets are known exactly) and automatically sealed
 // off for third-party policies: an external Policy cannot implement an
@@ -23,17 +22,6 @@ type PlanStats struct {
 	// fingerprint was unchanged since the last planned replan, which was
 	// therefore an actuated fixed point.
 	Elided int `json:"elided"`
-}
-
-// fingerprinted is the sealed seam behind replan elision: a policy whose
-// plan depends only on the engine's PlanEpoch-tracked state plus the
-// manager's thermal stance returns a constant; a policy that additionally
-// reads continuously-moving observables (the learned policy's thermal and
-// slack buckets) folds them — discretised exactly as its Plan would see
-// them — into the returned value. A policy that does not implement this
-// interface is never elided.
-type fingerprinted interface {
-	dynFingerprint(e *sim.Engine, m *Manager) uint64
 }
 
 // planFingerprint is the elision key: comparable, cheap to build, and

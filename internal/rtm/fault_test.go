@@ -194,21 +194,22 @@ func TestPlanKeyIncludesAvailability(t *testing.T) {
 	if err := e.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	healthy, ok := mgr.fingerprint(e)
+	sp, ok := mgr.policy.(sealedPolicy)
 	if !ok {
 		t.Fatal("heuristic manager has no elision key")
 	}
+	healthy := mgr.fingerprint(e, sp)
 	if err := e.SetClusterOnline("a7", false); err != nil {
 		t.Fatal(err)
 	}
-	faulted, _ := mgr.fingerprint(e)
+	faulted := mgr.fingerprint(e, sp)
 	if faulted == healthy {
 		t.Error("cluster failure did not change the elision key")
 	}
 	if err := e.SetClusterOnline("a7", true); err != nil {
 		t.Fatal(err)
 	}
-	if repaired, _ := mgr.fingerprint(e); repaired == faulted || repaired == healthy {
+	if repaired := mgr.fingerprint(e, sp); repaired == faulted || repaired == healthy {
 		t.Error("cluster repair did not produce a fresh elision key")
 	}
 }

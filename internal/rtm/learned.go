@@ -488,13 +488,13 @@ func (p *learnedPolicy) Plan(v View) []Assignment {
 	return p.armFor(&v).Plan(v)
 }
 
-// planInto implements scratchPlanner: state lookup is read-only, so the
+// planInto implements sealedPolicy: state lookup is read-only, so the
 // delegate's allocation-free path carries straight through and a manager
 // running a learned policy keeps the PR 4 hot-path properties (modulo the
 // state-key string itself).
 func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	arm := p.armFor(v)
-	if sp, ok := arm.(scratchPlanner); ok {
+	if sp, ok := arm.(sealedPolicy); ok {
 		return sp.planInto(v, sc)
 	}
 	return arm.Plan(*v)
@@ -509,7 +509,7 @@ func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 // discretised exactly as StateKey would see them — into the dynamic
 // fingerprint.
 
-// dynFingerprint implements fingerprinted: the thermal and slack buckets
+// dynFingerprint implements sealedPolicy: the thermal and slack buckets
 // computed from live engine state, bit-for-bit as the View path would
 // discretise them. The remaining StateKey inputs (power bucket, DNN
 // count) are fully determined by epoch-tracked state plus the manager

@@ -351,20 +351,15 @@ func (m *Manager) buildView(e *sim.Engine) View {
 	return v
 }
 
-// fingerprint builds the elision key for the current policy, or ok=false
-// when the policy has not opted into elision.
-func (m *Manager) fingerprint(e *sim.Engine) (planFingerprint, bool) {
-	fpr, ok := m.policy.(fingerprinted)
-	if !ok {
-		return planFingerprint{}, false
-	}
+// fingerprint builds the elision key for sp, the manager's policy.
+func (m *Manager) fingerprint(e *sim.Engine, sp sealedPolicy) planFingerprint {
 	return planFingerprint{
 		epoch:     e.PlanEpoch(),
 		reqsVer:   m.reqsVer,
 		policyVer: m.policyVer,
 		pressure:  m.pressure,
-		dyn:       fpr.dynFingerprint(e, m),
-	}, true
+		dyn:       sp.dynFingerprint(e, m),
+	}
 }
 
 // Replan recomputes and actuates assignments for every running DNN app:
@@ -391,10 +386,15 @@ func (m *Manager) Replan(e *sim.Engine) {
 		m.eng, m.lastFPOK = e, false
 	}
 
-	fp, fpOK := m.fingerprint(e)
-	if fpOK && m.lastFPOK && fp == m.lastFP {
-		m.elided++
-		return
+	// Only a sealed policy is elided; the others plan every replan fresh.
+	sp, sealed := m.policy.(sealedPolicy)
+	var fp planFingerprint
+	if sealed {
+		fp = m.fingerprint(e, sp)
+		if m.lastFPOK && fp == m.lastFP {
+			m.elided++
+			return
+		}
 	}
 
 	v := m.buildView(e)
@@ -405,7 +405,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// go through the public Plan contract.
 	v.CloneInto(&m.policyView)
 	var plan []Assignment
-	if sp, ok := m.policy.(scratchPlanner); ok {
+	if sealed {
 		plan = sp.planInto(&m.policyView, &m.scratch)
 	} else {
 		plan = m.policy.Plan(m.policyView)
@@ -438,7 +438,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// Arm elision for the next replan. fp was sampled before actuation;
 	// if actuation moved a knob, PlanEpoch has moved past fp.epoch and no
 	// later fingerprint equals fp, so only a fixed point is ever elided.
-	m.lastFP, m.lastFPOK = fp, fpOK
+	m.lastFP, m.lastFPOK = fp, sealed
 }
 
 // applyDegradedFallback rewrites any assignment still targeting an offline

@@ -217,12 +217,12 @@ func (p *builtinPolicy) Name() string { return p.name }
 // Plan implements Policy.
 func (p *builtinPolicy) Plan(v View) []Assignment { return pooledPlan(&v, p.assign) }
 
-// planInto implements scratchPlanner: the Manager's allocation-free path.
+// planInto implements sealedPolicy: the Manager's allocation-free path.
 func (p *builtinPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	return planWith(v, sc, p.assign)
 }
 
-// dynFingerprint implements fingerprinted. A built-in reads only the
+// dynFingerprint implements sealedPolicy. A built-in reads only the
 // canonical View fields (requirements, platform, DynBudgetMW, cluster
 // availability, per-app identity/placement/level/profile), all covered by
 // the plan epoch and the manager's versions, so its dynamic part is empty
@@ -427,12 +427,22 @@ type planScratch struct {
 // caller-owned slice and so cannot expose pooled memory directly.
 var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 
-// scratchPlanner is the package-internal seam the Manager prefers: a
-// policy that can plan into caller-owned scratch buffers, returning a
-// slice that aliases sc.plan. All built-in policies implement it; external
-// policies fall back to the public Plan contract.
-type scratchPlanner interface {
+// sealedPolicy is the package-internal seam the Manager prefers, which
+// every built-in and the learned policy implement; external policies fall
+// back to the public Plan contract and are never elided.
+//
+// planInto plans into caller-owned scratch buffers, returning a slice
+// that aliases sc.plan: the allocation-free path.
+//
+// dynFingerprint is the policy's part of replan elision's key: a policy
+// whose plan depends only on the engine's PlanEpoch-tracked state plus
+// the manager's thermal stance returns a constant; a policy that
+// additionally reads continuously-moving observables (the learned
+// policy's thermal and slack buckets) folds them — discretised exactly as
+// its Plan would see them — into the returned value.
+type sealedPolicy interface {
 	planInto(v *View, sc *planScratch) []Assignment
+	dynFingerprint(e *sim.Engine, m *Manager) uint64
 }
 
 // assignFunc is one policy's per-app planning step over the shared ledger.

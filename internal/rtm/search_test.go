@@ -139,7 +139,7 @@ func TestPlannerWorkCounts(t *testing.T) {
 		}
 		var sc planScratch
 		for i := range views {
-			p.(scratchPlanner).planInto(&views[i], &sc)
+			p.(sealedPolicy).planInto(&views[i], &sc)
 		}
 		if sc.st.evals != want.evals || sc.st.latencies != want.latencies {
 			t.Errorf("%s: %d candidates evaluated, %d latencies computed; want %d, %d",

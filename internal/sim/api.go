@@ -457,10 +457,12 @@ type Report struct {
 
 	Apps   []AppInfo
 	Events []Event // only when LogEvents was set
-	// Latencies holds every finished job's latency in completion order —
-	// the LatencyS of Events' EvJobComplete and EvDeadlineMiss entries —
-	// only when LogLatencies was set.
-	Latencies []float64
+	// LatenciesNS holds every finished job's latency in completion order,
+	// rounded to whole nanoseconds: the LatencyS of Events' EvJobComplete
+	// and EvDeadlineMiss entries, kept on every run. Whole nanoseconds drop
+	// the sub-nanosecond noise a float sample carries from where on the
+	// clock its job ran.
+	LatenciesNS []int64
 }
 
 // Report summarises the run so far. The open segment of every integral
@@ -485,9 +487,9 @@ func (e *Engine) Report() Report {
 		DegradedMissed:  e.degMissed,
 		DegradedDropped: e.degDropped,
 
-		Apps:      e.Apps(),
-		Events:    e.eventLog,
-		Latencies: e.latLog,
+		Apps:        e.Apps(),
+		Events:      e.eventLog,
+		LatenciesNS: e.latLog,
 	}
 	for _, a := range e.appList {
 		r.JobsAborted += a.aborted

@@ -117,6 +117,7 @@ func (e *Engine) Run(endS float64) error {
 		return fmt.Errorf("sim: end time %f must be finite and after the clock %f", endS, e.now)
 	}
 	if !e.primed {
+		e.reserveLatencies(endS)
 		e.prime()
 	}
 	for e.step(endS) {
@@ -146,6 +147,30 @@ func (e *Engine) prime() {
 		e.armTick(e.tickS)
 	}
 	e.syncThermal()
+}
+
+// latReserveMax caps the latency samples reserveLatencies sizes the log
+// for (512 KiB); a longer run grows the log by append past it.
+const latReserveMax = 1 << 16
+
+// reserveLatencies grows the latency log to hold every job the apps can
+// release by endS: a DNN app releases at its start and every period after
+// until it stops, and each job finishes at most once. A fresh engine so
+// allocates its log once instead of growing it from nil by append, and a
+// reused one already has the capacity. The first Run after a Reset calls
+// it.
+func (e *Engine) reserveLatencies(endS float64) {
+	jobs := 0.0
+	for _, a := range e.appList {
+		end := endS
+		if a.StopS > 0 {
+			end = min(end, a.StopS)
+		}
+		if a.Kind == KindDNN && end >= a.StartS {
+			jobs += math.Floor((end-a.StartS)/a.PeriodS) + 1
+		}
+	}
+	e.latLog = slices.Grow(e.latLog, int(min(jobs, latReserveMax)))
 }
 
 // armTick arms the tick slot at t.
@@ -469,9 +494,7 @@ func (e *Engine) complete(a *appState) {
 	e.touch(a.placedCS)
 	a.completed++
 	a.sumLatency += latency
-	if e.logLatencies {
-		e.latLog = append(e.latLog, latency)
-	}
+	e.latLog = append(e.latLog, int64(math.Round(latency*1e9)))
 	if latency > a.PeriodS+1e-9 {
 		a.missed++
 		if e.offline > 0 {

@@ -61,7 +61,7 @@ func randomWorkload(rng *tensor.RNG) []App {
 func TestSimConservationProperties(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := tensor.NewRNG(seed)
-		e, err := New(Config{Platform: hw.OdroidXU3(), Apps: randomWorkload(rng), LogLatencies: true})
+		e, err := New(Config{Platform: hw.OdroidXU3(), Apps: randomWorkload(rng)})
 		if err != nil {
 			return false
 		}
@@ -98,8 +98,8 @@ func TestSimConservationProperties(t *testing.T) {
 		// Per-app counters: completed + dropped <= released; completed
 		// latencies non-negative, and no mean above the longest.
 		maxLat := 0.0
-		for _, l := range rep.Latencies {
-			maxLat = max(maxLat, l)
+		for _, ns := range rep.LatenciesNS {
+			maxLat = max(maxLat, float64(ns)/1e9)
 		}
 		for _, a := range rep.Apps {
 			if a.Kind != KindDNN {

@@ -148,7 +148,7 @@ type Event struct {
 	// LatencyS is the job's release-to-completion latency, set on
 	// EvJobComplete and EvDeadlineMiss (0 otherwise). Consumers building
 	// latency distributions (percentiles) that need no other event read
-	// Report.Latencies instead (Config.LogLatencies).
+	// Report.LatenciesNS instead, which every run keeps.
 	LatencyS float64
 	// PeriodS is the missed deadline of an EvDeadlineMiss.
 	PeriodS float64
@@ -367,10 +367,9 @@ type Engine struct {
 	levelSwaps  int
 	oppSwitches int
 
-	// latLog holds every finished job's latency in completion order when
-	// logLatencies is set; Reset keeps its capacity like eventLog's.
-	latLog       []float64
-	logLatencies bool
+	// latLog holds every finished job's latency in whole nanoseconds, in
+	// completion order; Reset keeps its capacity like eventLog's.
+	latLog []int64
 
 	// Fault accounting. offline counts clusters currently unavailable (the
 	// cheap "is anything degraded" predicate); unhostedS integrates running
@@ -423,10 +422,6 @@ type Config struct {
 	Controller Controller // may be nil (uncontrolled baseline)
 	TickS      float64    // controller epoch, finite and >= 0; 0 disables ticks
 	LogEvents  bool       // retain the full event log (tests, reports)
-	// LogLatencies keeps each finished job's release-to-completion
-	// latency, in completion order, as Report.Latencies: the samples a
-	// latency distribution needs, without the event log.
-	LogLatencies bool
 }
 
 // New validates the config and builds an engine.
@@ -448,7 +443,7 @@ func New(cfg Config) (*Engine, error) {
 // layer's reuse property tests pin.
 //
 // Reset invalidates everything handed out by the previous run: Report
-// Events and Latencies slices alias the engine's logs and are rewritten in
+// Events and LatenciesNS slices alias the engine's logs and are rewritten in
 // place. On error the engine is left partially rewound and must not be
 // used until a subsequent Reset succeeds.
 func (e *Engine) Reset(cfg Config) error {
@@ -466,7 +461,6 @@ func (e *Engine) Reset(cfg Config) error {
 	e.ctrl = cfg.Controller
 	e.tickS = cfg.TickS
 	e.logEvents = cfg.LogEvents
-	e.logLatencies = cfg.LogLatencies
 
 	e.now, e.primed, e.seq = 0, false, 0
 	e.cursor, e.tickSeq = 0, 0
@@ -489,7 +483,7 @@ func (e *Engine) Reset(cfg Config) error {
 		e.clusterStore = make([]clusterState, len(cfg.Platform.Clusters))
 	}
 	e.clusterStore = e.clusterStore[:len(cfg.Platform.Clusters)]
-	e.clusterList = e.clusterList[:0]
+	e.clusterList = slices.Grow(e.clusterList[:0], len(cfg.Platform.Clusters))
 	// The scale store is grown to its final size first, so the appends
 	// below never move it out from under the windows already handed out.
 	scales := 0
@@ -527,7 +521,7 @@ func (e *Engine) Reset(cfg Config) error {
 		e.appStore = make([]appState, len(cfg.Apps))
 	}
 	e.appStore = e.appStore[:len(cfg.Apps)]
-	e.appList = e.appList[:0]
+	e.appList = slices.Grow(e.appList[:0], len(cfg.Apps))
 	for i, a := range cfg.Apps {
 		if err := e.validateApp(a); err != nil {
 			return err
@@ -562,9 +556,6 @@ func (e *Engine) Reset(cfg Config) error {
 		e.eventLog = make([]Event, 0, 512)
 	}
 	e.eventLog = e.eventLog[:0]
-	if e.logLatencies && e.latLog == nil {
-		e.latLog = make([]float64, 0, 512)
-	}
 	e.latLog = e.latLog[:0]
 	return nil
 }

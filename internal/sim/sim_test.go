@@ -506,16 +506,16 @@ func TestControllerTicksAndEvents(t *testing.T) {
 }
 
 // TestLatencyLogMatchesEventLog runs the faulty, thermally loaded flagship
-// run of TestEngineInvariants with both logs on: Report.Latencies must be
-// the LatencyS of the event log's completions and misses, in order, bit
-// for bit. The same run with only the latency log must keep the same
-// samples and log no event, also after a Reset of an engine that logged
-// events before.
+// run of TestEngineInvariants with the event log on: Report.LatenciesNS
+// must be the LatencyS of the event log's completions and misses, rounded
+// to whole nanoseconds, in order. The same run without the event log must
+// keep the same samples and log no event, also after a Reset of an engine
+// that logged events before.
 func TestLatencyLogMatchesEventLog(t *testing.T) {
 	run := func(e *Engine, logEvents bool) Report {
 		t.Helper()
 		cfg := Config{Platform: hw.FlagshipSoC(), Apps: BenchApps(), Controller: &stressCtrl{done: map[float64]bool{}},
-			TickS: 0.1, LogEvents: logEvents, LogLatencies: true}
+			TickS: 0.1, LogEvents: logEvents}
 		if err := e.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -526,11 +526,11 @@ func TestLatencyLogMatchesEventLog(t *testing.T) {
 	}
 	e := &Engine{}
 	both := run(e, true)
-	var want []float64
+	var want []int64
 	var misses int
 	for _, ev := range both.Events {
 		if ev.Kind == EvJobComplete || ev.Kind == EvDeadlineMiss {
-			want = append(want, ev.LatencyS)
+			want = append(want, int64(math.Round(ev.LatencyS*1e9)))
 		}
 		if ev.Kind == EvDeadlineMiss {
 			misses++
@@ -539,18 +539,15 @@ func TestLatencyLogMatchesEventLog(t *testing.T) {
 	if misses == 0 || both.ClusterFails == 0 || both.OverThrottleS == 0 {
 		t.Fatalf("run too tame: %d misses, %d faults, %gs above throttle", misses, both.ClusterFails, both.OverThrottleS)
 	}
-	same := func(got []float64) bool {
-		return slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
-	}
-	if !same(both.Latencies) {
-		t.Fatalf("%d latency samples differ from the event log's %d", len(both.Latencies), len(want))
+	if !slices.Equal(both.LatenciesNS, want) {
+		t.Fatalf("%d latency samples differ from the event log's %d", len(both.LatenciesNS), len(want))
 	}
 	only := run(e, false)
 	if len(only.Events) != 0 {
-		t.Fatalf("latency-only run logged %d events", len(only.Events))
+		t.Fatalf("run without the event log logged %d events", len(only.Events))
 	}
-	if !same(only.Latencies) {
-		t.Fatalf("latency-only run kept %d samples that differ from the %d of the run with both logs", len(only.Latencies), len(want))
+	if !slices.Equal(only.LatenciesNS, want) {
+		t.Fatalf("run without the event log kept %d samples that differ from the %d of the run with it", len(only.LatenciesNS), len(want))
 	}
 }
 

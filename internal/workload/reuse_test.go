@@ -8,8 +8,8 @@ import (
 	"github.com/emlrtm/emlrtm/internal/perf"
 )
 
-// TestRunEngineReuseEquivalence: RunEngineOpts on a reused Stack must
-// reproduce Run's report and plan count byte-for-byte, scenario after
+// TestRunEngineReuseEquivalence: a run on a reused Stack, with the event
+// log Run keeps, must reproduce Run's report and plan count byte-for-byte, scenario after
 // scenario — the contract the fleet runner's per-worker stack reuse
 // stands on, here exercised through the managed (controller-in-the-loop)
 // path, across a platform switch mid-stream and with scripted actions.
@@ -34,7 +34,7 @@ func TestRunEngineReuseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		_, gotMgr, got, err := RunEngineOpts(&reused, st.s, st.plat(), 0.25, nil, RunOptions{})
+		_, gotMgr, got, err := reused.run(st.s, st.plat(), 0.25, nil, true)
 		if err != nil {
 			t.Fatalf("scenario %d: %v", i, err)
 		}

@@ -14,7 +14,9 @@ import (
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
-// Action is one scripted scenario step.
+// Action is one scripted scenario step. Do receives the run's engine and
+// its manager, which is nil in a run without one (a governor baseline):
+// an action that calls the manager does nothing when there is none.
 type Action struct {
 	AtS  float64
 	Name string
@@ -54,7 +56,8 @@ type Scenario struct {
 
 // ScenarioController wraps a manager, applying scripted actions at their
 // times (quantised to the controller tick) before delegating to the
-// manager — disturbances arrive "from outside" exactly as in Fig 2.
+// manager — disturbances arrive "from outside" exactly as in Fig 2. A nil
+// manager applies the actions alone.
 type ScenarioController struct {
 	Mgr     *rtm.Manager
 	Actions []Action
@@ -170,6 +173,9 @@ func Fig2Scenario() Scenario {
 			AtS:  25,
 			Name: "dnn2-accuracy-requirement-reduced",
 			Do: func(e *sim.Engine, m *rtm.Manager) {
+				if m == nil {
+					return
+				}
 				m.SetRequirement("dnn2", rtm.Requirement{MinAccuracy: 0.60, Priority: 2})
 				m.Replan(e)
 			},
@@ -215,46 +221,46 @@ func Fig5Scenario(prof perf.ModelProfile) Scenario {
 	return Scenario{Name: "fig5", Apps: apps, Reqs: reqs, EndS: 30}
 }
 
-// Run executes a scenario with the manager in the loop and returns the
-// engine for inspection, the manager, and the final report.
+// Run executes a scenario with the manager in the loop on freshly built
+// parts and returns the engine for inspection, the manager, and the final
+// report. The report carries the full event log as well as the latency
+// log, and the manager narrates its decisions through logf (nil for
+// silence).
 func Run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)) (*sim.Engine, *rtm.Manager, sim.Report, error) {
-	return RunEngineOpts(nil, s, plat, tickS, logf, RunOptions{})
-}
-
-// RunOptions carries logging wiring for RunEngineOpts. The zero value is
-// the default behaviour: the Report carries the full event log.
-type RunOptions struct {
-	// LatenciesOnly keeps the latency log instead of the event log
-	// (sim.Config.LogLatencies): the Report carries Latencies and no
-	// Events. Fleet runs read nothing else from the log.
-	LatenciesOnly bool
+	return new(Stack).run(s, plat, tickS, logf, true)
 }
 
 // Stack is the machinery a scenario runs on — the engine, the runtime
 // manager and the scripted controller — kept for reuse. A caller running
-// scenarios one after another (a fleet worker) passes the same Stack to
-// every RunEngineOpts call, which Resets each part in place instead of
-// building it, so construction is paid once per Stack and a run replans
-// out of the buffers the previous runs grew. The zero Stack is ready to
-// use; a Stack must not be shared between goroutines.
+// scenarios one after another (a fleet worker) calls Run on the same
+// Stack for each, which Resets each part in place instead of building
+// it, so construction is paid once per Stack and a run replans out of
+// the buffers the previous runs grew. The zero Stack is ready to use; a
+// Stack must not be shared between goroutines.
 type Stack struct {
 	eng  *sim.Engine
 	mgr  *rtm.Manager
 	ctrl ScenarioController
 }
 
-// RunEngineOpts is Run on a reusable Stack with the wiring in opts. A nil
-// stack runs on freshly built parts, exactly as Run does; a run on a
-// reused Stack is byte-identical to one on a fresh Stack, because Reset
-// restores every part to its constructed state and keeps only scratch
-// buffers. The returned engine and manager belong to the stack: consume
-// them, and the Report, before its next run, whose Resets rewrite the
-// manager's counters and the engine logs the Report's Events and
-// Latencies alias. After an error the stack drops its engine, so a
-// half-run engine is never reused. The options change no simulated
-// outcome, only what the Report logs. Replan elision is always on; a
+// Run is the package Run on the stack's reused parts, with no event log
+// and no decision log: the report's LatenciesNS is the only log it
+// carries. A run on a reused Stack is byte-identical to one on a fresh
+// Stack, because Reset restores every part to its constructed state and
+// keeps only scratch buffers. The returned engine and manager belong to
+// the stack: consume them, and the Report, before its next run, whose
+// Resets rewrite the manager's counters and the engine log the Report's
+// LatenciesNS aliases. After an error the stack drops its engine, so a
+// half-run engine is never reused. Replan elision is always on; a
 // Planner outside rtm's sealed elision seam plans every replan fresh.
-func RunEngineOpts(st *Stack, s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), opts RunOptions) (*sim.Engine, *rtm.Manager, sim.Report, error) {
+func (st *Stack) Run(s Scenario, plat *hw.Platform, tickS float64) (*sim.Engine, *rtm.Manager, sim.Report, error) {
+	return st.run(s, plat, tickS, nil, false)
+}
+
+// run is the one run path behind Run and Stack.Run: logEvents keeps the
+// event log, logf receives the manager's decision log. Neither changes a
+// simulated outcome.
+func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), logEvents bool) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	pol := s.Planner
 	if pol == nil {
 		var err error
@@ -262,9 +268,6 @@ func RunEngineOpts(st *Stack, s Scenario, plat *hw.Platform, tickS float64, logf
 		if err != nil {
 			return nil, nil, sim.Report{}, err
 		}
-	}
-	if st == nil {
-		st = &Stack{}
 	}
 	if st.mgr == nil {
 		st.mgr = rtm.NewManager(s.Reqs)
@@ -276,12 +279,11 @@ func RunEngineOpts(st *Stack, s Scenario, plat *hw.Platform, tickS float64, logf
 	mgr.Logf = logf
 	st.ctrl.reset(mgr, s.Actions, s.Faults)
 	cfg := sim.Config{
-		Platform:     plat,
-		Apps:         s.Apps,
-		Controller:   &st.ctrl,
-		TickS:        tickS,
-		LogEvents:    !opts.LatenciesOnly,
-		LogLatencies: opts.LatenciesOnly,
+		Platform:   plat,
+		Apps:       s.Apps,
+		Controller: &st.ctrl,
+		TickS:      tickS,
+		LogEvents:  logEvents,
 	}
 	var err error
 	if st.eng == nil {
