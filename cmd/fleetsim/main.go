@@ -342,9 +342,6 @@ func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	if err := rf.check(); err != nil {
 		return err
 	}
-	if *scenarios <= 0 {
-		return fmt.Errorf("-scenarios %d must be positive", *scenarios)
-	}
 	if *syncevery < 0 {
 		return fmt.Errorf("-syncevery %d must be non-negative", *syncevery)
 	}
@@ -357,6 +354,10 @@ func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	gen, err := fleet.NewGenerator(cfg)
+	if err != nil {
+		return err
+	}
+	runs, err := gen.Runs(*scenarios)
 	if err != nil {
 		return err
 	}
@@ -374,7 +375,7 @@ func runFleet(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 		if *resume || *syncevery > 0 {
 			return errors.New("-resume/-syncevery require -shard (they act on the shard stream file)")
 		}
-		res := runner.Run(gen.Generate(gen.RunCount(*scenarios)))
+		res := runner.Run(gen.Generate(runs))
 		return rf.write(stdout, fleet.Aggregate(g.seed, res), res)
 	}
 	if rf.out == "" {

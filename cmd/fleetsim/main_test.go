@@ -230,6 +230,9 @@ func TestRejectedInvocations(t *testing.T) {
 		{"-scenarios 2 -shard 0/2 -out OUT", false},
 		{"-scenarios 2 -resume", false},
 		{"-scenarios 2 -syncevery -1", false},
+		{"-scenarios 0", false},
+		{"-scenarios 4611686018427387904 -policies heuristic,minenergy", false},
+		{"-scenarios 4611686018427387904 -policies heuristic,minenergy -shard 2/2 -out OUT", false},
 		{"train -workloads 2 -missweight 0 -energyweight 0 -out OUT", false},
 		{"train -workloads 2 -classes bogus -out OUT", false},
 		{"train -workloads 2 -epsilon NaN -out OUT", false},

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 )
@@ -480,14 +479,15 @@ func regret(results []Result) map[string]RegretStats {
 // run each under every configured policy across the pool, and aggregate
 // (n workloads × P policies scenario runs in total).
 func Run(cfg GeneratorConfig, n, workers int) (Report, []Result, error) {
-	if n <= 0 {
-		return Report{}, nil, fmt.Errorf("fleet: scenario count %d must be positive", n)
-	}
 	gen, err := NewGenerator(cfg)
 	if err != nil {
 		return Report{}, nil, err
 	}
-	scenarios := gen.Generate(gen.RunCount(n))
+	runs, err := gen.Runs(n)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	scenarios := gen.Generate(runs)
 	runner := &Runner{Workers: workers}
 	results := runner.Run(scenarios)
 	return Aggregate(cfg.Seed, results), results, nil

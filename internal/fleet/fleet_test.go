@@ -422,6 +422,19 @@ func TestGeneratorRejectsBadConfig(t *testing.T) {
 	if _, _, err := Run(GeneratorConfig{}, 0, 1); err == nil {
 		t.Error("zero scenario count accepted")
 	}
+	// 2^62 workloads under two policies are 2^63 runs, one more than an
+	// int holds; unchecked, the count wraps negative to an empty fleet.
+	two := GeneratorConfig{Policies: []string{"heuristic", "minenergy"}}
+	if rep, _, err := Run(two, 1<<62, 1); err == nil {
+		t.Errorf("overflowing run count accepted: %d-scenario report", rep.Overall.Scenarios)
+	}
+	gen, err := NewGenerator(two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs, err := gen.Runs(1<<62 - 1); err != nil || runs != 1<<63-2 {
+		t.Errorf("Runs(2^62-1) = %d, %v; want 2^63-2", runs, err)
+	}
 }
 
 // TestResolvePolicies pins the policy-list contract, in particular the

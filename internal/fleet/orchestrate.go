@@ -79,16 +79,17 @@ func StreamFileName(index, count int) string {
 // single-process Run of the same fleet no matter how many crashes,
 // retries, or out-of-order completions happened along the way.
 func Orchestrate(cfg OrchestratorConfig) (Report, []Result, error) {
-	if cfg.Workloads <= 0 {
-		return Report{}, nil, fmt.Errorf("fleet: scenario count %d must be positive", cfg.Workloads)
-	}
 	if cfg.Shards < 1 {
 		return Report{}, nil, fmt.Errorf("fleet: shard count %d must be at least 1", cfg.Shards)
 	}
 	if cfg.Start == nil {
 		return Report{}, nil, fmt.Errorf("fleet: orchestrator needs a Start function")
 	}
-	if _, err := NewGenerator(cfg.Config); err != nil {
+	gen, err := NewGenerator(cfg.Config)
+	if err != nil {
+		return Report{}, nil, err
+	}
+	if _, err := gen.Runs(cfg.Workloads); err != nil {
 		return Report{}, nil, err
 	}
 	if cfg.Dir == "" {

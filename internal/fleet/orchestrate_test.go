@@ -185,6 +185,48 @@ func TestOrchestrateInProcess(t *testing.T) {
 	}
 }
 
+// TestOrchestrateMoreShardsThanRuns: with more shards than runs, some
+// shards are empty and start where the non-empty one does. The
+// non-empty shard is made to complete first, so the merge sees it ahead
+// of the empty ones, and the report must still equal a one-process run.
+func TestOrchestrateMoreShardsThanRuns(t *testing.T) {
+	cfg := helperConfig(3)
+	const workloads, shards = 1, 3
+	singleRep, singleRes, err := Run(cfg, workloads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := gen.RunCount(workloads)
+	nonEmptyDone := make(chan struct{})
+	release := sync.OnceFunc(func() { close(nonEmptyDone) })
+	rep, res, err := Orchestrate(OrchestratorConfig{
+		Config: cfg, Workloads: workloads, Shards: shards, Dir: t.TempDir(),
+		Start: func(spec ShardSpec) (ShardProcess, error) {
+			lo, hi := ShardRange(runs, spec.Index, spec.Count)
+			return inProcessShard(func() error {
+				if lo == hi {
+					<-nonEmptyDone
+				}
+				_, err := (&Runner{Workers: 1}).ResumeShard(spec.Path, cfg, workloads, spec.Index, spec.Count)
+				if lo < hi {
+					release()
+				}
+				return err
+			}), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reportJSON(t, singleRep, singleRes), reportJSON(t, rep, res)) {
+		t.Error("orchestrated report differs from single-process run")
+	}
+}
+
 // TestOrchestrateRetriesFailedShard: a shard whose first attempt dies
 // after partial progress is retried with backoff and resumes; the final
 // report is unaffected by the failure.
@@ -459,6 +501,7 @@ func TestOrchestrateRejectsBadConfig(t *testing.T) {
 		{"missing stream directory", "stream directory", OrchestratorConfig{Config: cfg, Workloads: 4, Shards: 1, Start: start}},
 		{"invalid generator config", "unknown platform", OrchestratorConfig{Config: GeneratorConfig{Platforms: []string{"nope"}}, Workloads: 4, Shards: 1, Dir: t.TempDir(), Start: start}},
 		{"nil Start", "Start function", OrchestratorConfig{Config: cfg, Workloads: 4, Shards: 1, Dir: t.TempDir()}},
+		{"overflowing run count", "overflow", OrchestratorConfig{Config: GeneratorConfig{Seed: 1, Policies: []string{"heuristic", "minenergy"}}, Workloads: 1 << 62, Shards: 1, Dir: t.TempDir(), Start: start}},
 	} {
 		if _, _, err := Orchestrate(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error = %v, want it to mention %q", tc.name, err, tc.wantErr)

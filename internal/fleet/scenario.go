@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -206,8 +207,23 @@ func (c GeneratorConfig) normalized() GeneratorConfig {
 }
 
 // RunCount converts a workload count into a run count: every sampled
-// workload is run once per swept policy.
+// workload is run once per swept policy. It checks nothing; a count a
+// caller was handed goes through Runs.
 func (g *Generator) RunCount(workloads int) int { return workloads * len(g.policies) }
+
+// Runs is RunCount for a workload count from outside the program: it
+// refuses a count that is not positive, or whose run count does not fit
+// in an int (RunCount would wrap it to a negative or smaller count, and so
+// to a fleet with no or too few runs).
+func (g *Generator) Runs(workloads int) (int, error) {
+	if workloads <= 0 {
+		return 0, fmt.Errorf("fleet: scenario count %d must be positive", workloads)
+	}
+	if workloads > math.MaxInt/len(g.policies) {
+		return 0, fmt.Errorf("fleet: %d scenarios under %d policies overflow the run count", workloads, len(g.policies))
+	}
+	return g.RunCount(workloads), nil
+}
 
 // splitmix64 is the standard SplitMix64 output step; it turns the master
 // seed and a scenario index into a well-mixed per-scenario seed.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -107,9 +108,6 @@ func ShardRange(total, index, count int) (lo, hi int) {
 // the shard's header, Results left empty. It is the single place a
 // ShardResult header is assembled.
 func newShard(cfg GeneratorConfig, total, index, count int) (*Generator, ShardResult, error) {
-	if total <= 0 {
-		return nil, ShardResult{}, fmt.Errorf("fleet: scenario count %d must be positive", total)
-	}
 	if count < 1 || index < 0 || index >= count {
 		return nil, ShardResult{}, fmt.Errorf("fleet: shard index %d of %d out of range", index, count)
 	}
@@ -117,7 +115,14 @@ func newShard(cfg GeneratorConfig, total, index, count int) (*Generator, ShardRe
 	if err != nil {
 		return nil, ShardResult{}, err
 	}
-	runs := gen.RunCount(total)
+	runs, err := gen.Runs(total)
+	if err != nil {
+		return nil, ShardResult{}, err
+	}
+	if runs > math.MaxInt/count {
+		// ShardRange multiplies the run count by up to count.
+		return nil, ShardResult{}, fmt.Errorf("fleet: %d runs over %d shards overflow the shard ranges", runs, count)
+	}
 	lo, hi := ShardRange(runs, index, count)
 	return gen, ShardResult{StreamHeader: StreamHeader{FormatVersion: ShardFormatVersion, Config: cfg, Total: runs, Lo: lo, Hi: hi}}, nil
 }
@@ -163,7 +168,12 @@ func Merge(shards ...ShardResult) (Report, []Result, error) {
 		return Report{}, nil, fmt.Errorf("fleet: no shards to merge")
 	}
 	ordered := append([]ShardResult(nil), shards...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Lo < ordered[j].Lo })
+	// An empty shard shares its Lo with the next shard, so Hi breaks the
+	// tie: the empty range must come first.
+	sort.Slice(ordered, func(i, j int) bool {
+		a, b := ordered[i], ordered[j]
+		return a.Lo < b.Lo || a.Lo == b.Lo && a.Hi < b.Hi
+	})
 
 	first := ordered[0]
 	for _, s := range ordered {

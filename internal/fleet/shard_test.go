@@ -216,6 +216,60 @@ func TestMergeRejections(t *testing.T) {
 	}
 }
 
+// TestMergeEmptyShardsAnyOrder: a fleet split into more shards than it
+// has runs carries empty shards, whose range starts where a non-empty
+// neighbour's does. Every argument order of every such split must merge
+// to the fleet in scenario order.
+func TestMergeEmptyShardsAnyOrder(t *testing.T) {
+	cfg := GeneratorConfig{Seed: 5}
+	for total := 1; total <= 3; total++ {
+		for count := total + 1; count <= 4; count++ {
+			shards := make([]ShardResult, count)
+			for i := range shards {
+				lo, hi := ShardRange(total, i, count)
+				shards[i] = fakeShard(cfg, total, lo, hi)
+			}
+			permute(shards, 0, func(order []ShardResult) {
+				_, res, err := Merge(order...)
+				if err != nil {
+					t.Fatalf("%d runs over %d shards, order %v: %v", total, count, ranges(order), err)
+				}
+				for id, r := range res {
+					if r.ID != id {
+						t.Fatalf("%d runs over %d shards, order %v: result %d has ID %d", total, count, ranges(order), id, r.ID)
+					}
+				}
+				if len(res) != total {
+					t.Fatalf("%d runs over %d shards: merged %d results", total, count, len(res))
+				}
+			})
+		}
+	}
+}
+
+// permute calls f with every ordering of s[k:], s[:k] fixed, reordering s
+// in place and restoring it before returning.
+func permute(s []ShardResult, k int, f func([]ShardResult)) {
+	if k == len(s) {
+		f(s)
+		return
+	}
+	for i := k; i < len(s); i++ {
+		s[k], s[i] = s[i], s[k]
+		permute(s, k+1, f)
+		s[k], s[i] = s[i], s[k]
+	}
+}
+
+// ranges lists the shards' [Lo,Hi) ranges, for failure messages.
+func ranges(shards []ShardResult) [][2]int {
+	out := make([][2]int, len(shards))
+	for i, s := range shards {
+		out[i] = [2]int{s.Lo, s.Hi}
+	}
+	return out
+}
+
 // TestShardValidate covers the consistency checks Merge runs before
 // trusting a shard. The stream reader's counterparts are in
 // TestStreamReaderFailLoud.
@@ -335,6 +389,12 @@ func TestResumeShardBounds(t *testing.T) {
 		{"negative index", cfg, 4, -1, 2},
 		{"zero count", cfg, 4, 0, 0},
 		{"invalid generator config", GeneratorConfig{Platforms: []string{"nope"}}, 4, 0, 2},
+		// 2^62 workloads under two policies are 2^63 runs, one more than
+		// an int holds; unchecked, the count wraps negative.
+		{"run count overflows", GeneratorConfig{Seed: 1, Policies: []string{"heuristic", "minenergy"}}, 1 << 62, 1, 2},
+		// 2^62 runs fit, but ShardRange's (index+1)*total for the last of
+		// three shards does not.
+		{"shard range overflows", cfg, 1 << 62, 2, 3},
 	} {
 		path := filepath.Join(t.TempDir(), "shard.ndjson")
 		if _, err := (&Runner{Workers: 1}).ResumeShard(path, tc.cfg, tc.total, tc.index, tc.count); err == nil {

@@ -102,7 +102,6 @@ type Manager struct {
 	faultAtS          float64
 	lastFaultPlan     float64
 	recoveries        []float64
-	degradedUsed      []int // scratch for applyDegradedFallback
 
 	// Plan-reuse state: version counters folded into the elision
 	// fingerprint, the fingerprint the last planned replan was keyed on
@@ -166,15 +165,14 @@ func (m *Manager) Reset(reqs map[string]Requirement) {
 		lastFaultPlan: math.Inf(-1),
 		policy:        heuristicPolicy,
 
-		last:         m.last[:0],
-		recoveries:   m.recoveries[:0],
-		degradedUsed: m.degradedUsed,
-		snap:         m.snap,
-		viewReqs:     m.viewReqs,
-		policyView:   m.policyView,
-		scratch:      m.scratch,
-		cur:          m.cur[:0],
-		planApp:      m.planApp[:0],
+		last:       m.last[:0],
+		recoveries: m.recoveries[:0],
+		snap:       m.snap,
+		viewReqs:   m.viewReqs,
+		policyView: m.policyView,
+		scratch:    m.scratch,
+		cur:        m.cur[:0],
+		planApp:    m.planApp[:0],
 	}
 }
 
@@ -441,22 +439,34 @@ func (m *Manager) Replan(e *sim.Engine) {
 	m.lastFP, m.lastFPOK = fp, sealed
 }
 
-// applyDegradedFallback rewrites any assignment still targeting an offline
-// cluster to the last-resort degraded pin: lowest level, minimum OPP, on
-// the least-loaded online cluster that can take the app (a free core for
-// CPUs, a level-1 memory fit for capped accelerators; accelerator duty may
-// oversubscribe — in degraded mode a slow frame beats no frame). When
-// every online CPU core is already planned away, the fallback shrinks a
-// donor: the plan's largest CPU allocation on an online cluster gives up
-// one core so the stranded app gets a seat — a greedy policy must not
-// strand a low-priority app on dead silicon just because higher-priority
-// apps claimed every core. Built-in policies already divert inside
-// planning (see park), so this post-pass is the manager-level guarantee
-// that holds for third-party policies — and for the no-seat-left case park
-// cannot solve. It is a pure function of (view, plan) — no manager or
-// engine state — and it leaves an assignment untouched only when no online
-// cluster can possibly host the app (the OnTick fault retry keeps
-// replanning until a repair changes that).
+// applyDegradedFallback is the manager-level guarantee that a plan leaves
+// no app on dead silicon while the platform can seat it, whichever policy
+// made the plan. It keeps no books of its own: it rebuilds the planners'
+// ledger in the manager's scratch (planState.init) and charges the plan to
+// it as commit would — cores on a CPU cluster, model memory and duty on an
+// accelerator. Then:
+//
+//   - Normalise. Refugees from a dead cluster pile onto the survivors on
+//     top of apps parked at their pre-fault core counts, and a plan that
+//     books more cores than a cluster has can never fully actuate: the
+//     engine rejects the move-ins and every retry regenerates the same
+//     dead-locked plan. Each over-committed online CPU cluster gives up
+//     cores through donate until its books balance or every entry on it
+//     is down to one core.
+//   - Pin. Each entry still on an offline cluster goes where park would
+//     send it: degradedPin picks the seat, pinCandidate prices it and
+//     commit charges it. With no seat left, donate frees one — a greedy
+//     policy must not strand a low-priority app on dead silicon just
+//     because higher-priority apps claimed every core.
+//
+// Built-in policies already pin inside planning (park), so for them the
+// pin step only ever pins through a donor; for a third-party policy it is
+// the whole guarantee. Every entry it rewrites reports its own latency and
+// accuracy. It reads only (view, plan), and it leaves an entry on a dead
+// cluster only when degradedPin finds no seat and no CPU allocation has a
+// core to spare (the OnTick fault retry keeps replanning until a repair
+// changes that). An entry naming an app or cluster the view lacks is left
+// alone.
 func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 	anyOffline := false
 	for i := range v.Clusters {
@@ -468,126 +478,78 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 	if !anyOffline {
 		return
 	}
-	clusterIdx := func(name string) int {
-		for j := range v.Platform.Clusters {
-			if v.Platform.Clusters[j].Name == name {
-				return j
+	st := &m.scratch.st
+	st.init(v)
+	for _, asg := range plan {
+		ci := st.clusterIndex(asg.Placement.Cluster)
+		if ci < 0 || !st.online[ci] {
+			continue
+		}
+		cl := st.clusters[ci]
+		if !cl.Type.IsAccelerator() {
+			st.freeCores[ci] -= asg.Placement.Cores
+		} else if j := v.appIndex(asg.App); j >= 0 {
+			a := &v.Apps[j]
+			st.freeDuty[ci] -= min(asg.LatencyS/a.PeriodS, 1)
+			if cl.MemBytes > 0 && a.ModelBytes > 0 {
+				st.freeMem[ci] -= a.ModelBytes * int64(asg.Level) / int64(a.Profile.MaxLevel())
 			}
 		}
+	}
+	for ci, cl := range st.clusters {
+		if cl.Type.IsAccelerator() || !st.online[ci] {
+			continue
+		}
+		for st.freeCores[ci] < 0 && donate(st, v, plan, -1, ci) >= 0 {
+		}
+	}
+	for i := range plan {
+		ci, j := st.clusterIndex(plan[i].Placement.Cluster), v.appIndex(plan[i].App)
+		if ci < 0 || st.online[ci] || j < 0 {
+			continue
+		}
+		a := &v.Apps[j]
+		best := degradedPin(st, a)
+		if best < 0 {
+			best = donate(st, v, plan, i, -1)
+		}
+		if best >= 0 {
+			plan[i] = st.commit(a, pinCandidate(st, a, best), 3)
+		}
+	}
+}
+
+// donate takes one core from the plan's largest allocation able to spare
+// one: two cores or more on an online CPU cluster (cluster only, when only
+// is not -1), entry skip excluded, ties to the earliest entry in plan
+// order. The core goes back to the ledger, and the donor's latency is
+// recomputed at its new core count. It returns the donor's cluster index,
+// or -1 when no entry qualifies.
+func donate(st *planState, v *View, plan []Assignment, skip, only int) int {
+	donor, ci := -1, -1
+	for j := range plan {
+		cj := st.clusterIndex(plan[j].Placement.Cluster)
+		if j == skip || cj < 0 || (only >= 0 && cj != only) || !st.online[cj] ||
+			st.clusters[cj].Type.IsAccelerator() || plan[j].Placement.Cores < 2 {
+			continue
+		}
+		if donor < 0 || plan[j].Placement.Cores > plan[donor].Placement.Cores {
+			donor, ci = j, cj
+		}
+	}
+	if donor < 0 {
 		return -1
 	}
-	// Planned CPU-core commitments per cluster: non-DNN co-runners keep
-	// their current cores, DNNs occupy what the plan gives them. This is
-	// the capacity the engine will enforce at migration time, so pins that
-	// respect it actuate cleanly.
-	used := reuse(m.degradedUsed, len(v.Platform.Clusters))
-	m.degradedUsed = used
-	for _, a := range v.Apps {
-		if a.Running && a.Kind != sim.KindDNN {
-			if cj := clusterIdx(a.Placement.Cluster); cj >= 0 && !v.Platform.Clusters[cj].Type.IsAccelerator() {
-				used[cj] += a.Placement.Cores
-			}
-		}
+	d, cl := &plan[donor], st.clusters[ci]
+	d.Placement.Cores--
+	st.freeCores[ci]++
+	// A third-party entry may name a level or OPP that does not exist;
+	// actuation refuses it, and its latency is left as the policy gave it.
+	if k := v.appIndex(d.App); k >= 0 && d.Level >= 1 && d.Level <= v.Apps[k].Profile.MaxLevel() &&
+		d.OPPIndex >= 0 && d.OPPIndex < len(cl.OPPs) {
+		d.LatencyS = st.latencyS(ci, cl.OPPs[d.OPPIndex], d.Placement.Cores, v.Apps[k].Profile.Level(d.Level).MACs)
 	}
-	for i := range plan {
-		if cj := clusterIdx(plan[i].Placement.Cluster); cj >= 0 && !v.Platform.Clusters[cj].Type.IsAccelerator() {
-			used[cj] += plan[i].Placement.Cores
-		}
-	}
-	// donate takes one core from the plan's largest allocation able to
-	// spare one: two cores or more on an online CPU cluster (cluster only,
-	// when only is not -1), entry skip excluded. Ties go to the earliest
-	// entry in plan order. It returns the donor's cluster index, or -1 when
-	// no entry qualifies.
-	donate := func(skip, only int) int {
-		donor, donorCl := -1, -1
-		for j := range plan {
-			cj := clusterIdx(plan[j].Placement.Cluster)
-			if j == skip || cj < 0 || (only >= 0 && cj != only) || !v.ClusterOnline(cj) ||
-				v.Platform.Clusters[cj].Type.IsAccelerator() || plan[j].Placement.Cores < 2 {
-				continue
-			}
-			if donor < 0 || plan[j].Placement.Cores > plan[donor].Placement.Cores {
-				donor, donorCl = j, cj
-			}
-		}
-		if donor >= 0 {
-			plan[donor].Placement.Cores--
-			used[donorCl]--
-		}
-		return donorCl
-	}
-	// Normalise over-committed CPU clusters: refugees from a dead cluster
-	// pile onto the survivors on top of apps parked at their pre-fault core
-	// counts, and a plan that books more cores than exist can never fully
-	// actuate — the engine rejects the move-ins and every retry regenerates
-	// the same dead-locked plan. Shrink the largest allocation one core at
-	// a time until the books balance or every seat is down to one core.
-	for cj, cl := range v.Platform.Clusters {
-		if cl.Type.IsAccelerator() || !v.ClusterOnline(cj) {
-			continue
-		}
-		for used[cj] > cl.Cores && donate(-1, cj) >= 0 {
-		}
-	}
-	for i := range plan {
-		asg := &plan[i]
-		ci := clusterIdx(asg.Placement.Cluster)
-		if ci < 0 || v.ClusterOnline(ci) {
-			continue
-		}
-		var app *sim.AppInfo
-		for j := range v.Apps {
-			if v.Apps[j].Name == asg.App {
-				app = &v.Apps[j]
-				break
-			}
-		}
-		if app == nil {
-			continue
-		}
-		// Strict pass: an online cluster with a planned seat free.
-		best, bestLoad := -1, 0.0
-		for cj, cl := range v.Platform.Clusters {
-			if !v.ClusterOnline(cj) {
-				continue
-			}
-			var load float64
-			if cl.Type.IsAccelerator() {
-				if cj < len(v.Clusters) && cl.MemBytes > 0 && app.ModelBytes > 0 &&
-					app.ModelBytes/int64(app.Profile.MaxLevel()) > v.Clusters[cj].MemFree {
-					continue
-				}
-				if cj < len(v.Clusters) {
-					load = v.Clusters[cj].Util
-				}
-			} else {
-				if used[cj] >= cl.Cores {
-					continue
-				}
-				load = float64(used[cj]) / float64(cl.Cores)
-			}
-			if best == -1 || load < bestLoad {
-				best, bestLoad = cj, load
-			}
-		}
-		// Donor pass: shrink the largest planned CPU allocation on an
-		// online cluster by one core.
-		if best < 0 {
-			best = donate(i, -1)
-		}
-		if best < 0 {
-			continue
-		}
-		cl := v.Platform.Clusters[best]
-		asg.Placement = sim.Placement{Cluster: cl.Name, Cores: clApplyCores(cl, 1)}
-		asg.Level = 1
-		asg.OPPIndex = 0
-		asg.Pass = 3
-		if !cl.Type.IsAccelerator() {
-			used[best]++
-		}
-	}
+	return ci
 }
 
 // actuate applies the plan: level reductions first (to release
@@ -610,14 +572,7 @@ func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 	}
 	m.planApp = m.planApp[:0]
 	for i := range plan {
-		j := -1
-		for k := range v.Apps {
-			if v.Apps[k].Name == plan[i].App {
-				j = k
-				break
-			}
-		}
-		m.planApp = append(m.planApp, j)
+		m.planApp = append(m.planApp, v.appIndex(plan[i].App))
 	}
 	for i, asg := range plan {
 		if asg.Level < m.curOf(i).level {

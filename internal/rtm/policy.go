@@ -78,6 +78,16 @@ func (v *View) ClusterOnline(ci int) bool {
 	return v.Clusters[ci].Online
 }
 
+// appIndex is the index in Apps of the app named name, or -1.
+func (v *View) appIndex(name string) int {
+	for i := range v.Apps {
+		if v.Apps[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Clone deep-copies the view's slices and map (one level: profile level
 // tables inside AppInfo are shared, as is the Platform description). It is
 // what Manager.LastView returns, so callers can inspect the last planning
@@ -684,31 +694,19 @@ func (st *planState) commit(a *sim.AppInfo, c candidate, pass int) Assignment {
 // park is the nothing-fits fallback every policy shares: stay at the
 // current placement, minimum level, minimum OPP, and let best effort ride.
 // When the current placement is on an offline cluster, staying put would
-// leave the app unhosted, so park diverts to the degraded pin: lowest
-// level on the least-loaded online cluster that can still take it. Only
-// when no online cluster can host the app does it stay on the dead one —
-// the retry/repair triggers in the Manager pick it up from there. A
-// placement on a cluster the platform lacks (only a hand-built View can
+// leave the app unhosted, so park diverts to the degraded pin: degradedPin
+// picks the cluster, pinCandidate prices the pin there. Only when no
+// online cluster can host the app does it stay on the dead one — the
+// manager's post-pass (applyDegradedFallback) may still free it a seat by
+// shrinking a donor, and its retry/repair triggers pick it up from there.
+// A placement on a cluster the platform lacks (only a hand-built View can
 // carry one) is treated like an offline one; if no cluster can take the
 // app, it stays there at level 1 with no ledger entry to charge.
 func park(st *planState, a *sim.AppInfo) Assignment {
 	ci := st.clusterIndex(a.Placement.Cluster)
 	if ci < 0 || !st.online[ci] {
 		if alt := degradedPin(st, a); alt >= 0 {
-			cl := st.clusters[alt]
-			cores := clApplyCores(cl, 1)
-			c := candidate{
-				placement: sim.Placement{Cluster: cl.Name, Cores: cores},
-				ci:        alt,
-				level:     1,
-				oppIdx:    0,
-				latencyS:  st.latencyS(alt, cl.MinOPP(), cores, a.Profile.Level(1).MACs),
-				accuracy:  a.Profile.Level(1).Accuracy,
-			}
-			if cl.MemBytes > 0 && a.ModelBytes > 0 {
-				c.memBytes = a.ModelBytes / int64(a.Profile.MaxLevel())
-			}
-			return st.commit(a, c, 3)
+			return st.commit(a, pinCandidate(st, a, alt), 3)
 		}
 		if ci < 0 {
 			return Assignment{App: a.Name, Placement: a.Placement, Level: 1,
@@ -732,7 +730,9 @@ func park(st *planState, a *sim.AppInfo) Assignment {
 // a free core and memory-capped accelerators must fit the level-1 model —
 // both hard actuation constraints — but accelerator duty may oversubscribe:
 // in degraded mode a slow frame beats no frame. Load is the consumed
-// fraction of the ledger; ties resolve in platform order.
+// fraction of the ledger; ties resolve in platform order. It is the one
+// seat rule for an app stranded on dead silicon, used by park while a
+// policy plans and by the manager's post-pass over the finished plan.
 func degradedPin(st *planState, a *sim.AppInfo) int {
 	best, bestLoad := -1, 0.0
 	for ci, cl := range st.clusters {
@@ -757,6 +757,26 @@ func degradedPin(st *planState, a *sim.AppInfo) int {
 		}
 	}
 	return best
+}
+
+// pinCandidate prices the degraded pin of a on ledger cluster ci: level 1
+// at the minimum OPP on one core (all of an accelerator's), holding the
+// level-1 model in a memory-capped accelerator. It books no duty and no
+// power: a pin is best effort. Callers charge it with commit.
+func pinCandidate(st *planState, a *sim.AppInfo, ci int) candidate {
+	cl := st.clusters[ci]
+	cores := clApplyCores(cl, 1)
+	c := candidate{
+		placement: sim.Placement{Cluster: cl.Name, Cores: cores},
+		ci:        ci,
+		level:     1,
+		latencyS:  st.latencyS(ci, cl.MinOPP(), cores, a.Profile.Level(1).MACs),
+		accuracy:  a.Profile.Level(1).Accuracy,
+	}
+	if cl.MemBytes > 0 && a.ModelBytes > 0 {
+		c.memBytes = a.ModelBytes / int64(a.Profile.MaxLevel())
+	}
+	return c
 }
 
 // descendingLevels fills buf with [MaxLevel .. 1] for a profile, reusing
