@@ -167,6 +167,11 @@ type (
 	Manager = rtm.Manager
 	// Requirement is an application's demands on the manager.
 	Requirement = rtm.Requirement
+	// AppRequirement is one app's Requirement, keyed by the app's name.
+	AppRequirement = rtm.AppRequirement
+	// Requirements lists per-app requirements for NewManager; an app
+	// named twice takes its later entry.
+	Requirements = rtm.Requirements
 	// Policy is a pluggable planning strategy: a pure function from a
 	// read-only View to one Assignment per running DNN.
 	Policy = rtm.Policy
@@ -235,8 +240,9 @@ const (
 // NewEngine validates the config and builds a simulator.
 func NewEngine(cfg SimConfig) (*Engine, error) { return sim.New(cfg) }
 
-// NewManager builds a runtime manager with per-app requirements.
-func NewManager(reqs map[string]Requirement) *Manager { return rtm.NewManager(reqs) }
+// NewManager builds a runtime manager with per-app requirements. The
+// manager copies reqs and never writes to it.
+func NewManager(reqs Requirements) *Manager { return rtm.NewManager(reqs) }
 
 // NewGovernorController builds the governor-only baseline controller: the
 // ondemand DVFS governor on every cluster, with no mapping or model scaling.

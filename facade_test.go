@@ -116,8 +116,8 @@ func TestFacadeCustomSimulation(t *testing.T) {
 		ModelBytes: 350 << 10,
 		Placement:  Placement{Cluster: "a15", Cores: 4},
 	}
-	mgr := NewManager(map[string]Requirement{
-		"cam": {MaxLatencyS: 0.25, Priority: 1},
+	mgr := NewManager(Requirements{
+		{App: "cam", Requirement: Requirement{MaxLatencyS: 0.25, Priority: 1}},
 	})
 	engine, err := NewEngine(SimConfig{
 		Platform:   OdroidXU3(),

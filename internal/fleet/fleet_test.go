@@ -171,6 +171,19 @@ func FuzzGenerate(f *testing.F) {
 			if _, err := sim.New(sim.Config{Platform: hw.NewPlatform(s.Platform), Apps: s.Script.Apps}); err != nil {
 				t.Fatalf("run %d (%s): %v", s.ID, s.Script.Name, err)
 			}
+			// Reqs names every DNN once, in Apps order, and nothing else.
+			var dnns, named []string
+			for _, a := range s.Script.Apps {
+				if a.Kind == sim.KindDNN {
+					dnns = append(dnns, a.Name)
+				}
+			}
+			for _, r := range s.Script.Reqs {
+				named = append(named, r.App)
+			}
+			if !slices.Equal(named, dnns) {
+				t.Fatalf("run %d (%s): requirements name %v, DNNs are %v", s.ID, s.Script.Name, named, dnns)
+			}
 		}
 		for _, r := range (&Runner{Workers: 1}).Run(got) {
 			if r.Err != "" {
@@ -242,14 +255,8 @@ func fingerprint(s Scenario) string {
 			a.Name, a.Kind, a.Level, a.PeriodS, a.Util,
 			a.Placement.Cluster, a.Placement.Cores, a.StartS, a.StopS)
 	}
-	names := make([]string, 0, len(s.Script.Reqs))
-	for name := range s.Script.Reqs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := s.Script.Reqs[name]
-		out += fmt.Sprintf("|req:%s,%.9f,%.9f,%d", name, r.MaxLatencyS, r.MinAccuracy, r.Priority)
+	for _, r := range s.Script.Reqs {
+		out += fmt.Sprintf("|req:%s,%.9f,%.9f,%d", r.App, r.MaxLatencyS, r.MinAccuracy, r.Priority)
 	}
 	for _, act := range s.Script.Actions {
 		out += fmt.Sprintf("|act:%s@%.9f", act.Name, act.AtS)

@@ -76,7 +76,7 @@ func AllClasses() []Class {
 // scenario on a platform shares that platform's profile levels, which the
 // Generator keeps. Copying a Scenario and setting its top-level fields
 // (Script.Planner included) is fine; writing an element of one of its
-// slices or its Reqs map changes other runs and later generations.
+// slices, Reqs included, changes other runs and later generations.
 type Scenario struct {
 	ID       int
 	Seed     uint64
@@ -409,7 +409,7 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 	sc := workload.Scenario{
 		EndS: endS,
 		Apps: make([]sim.App, 0, nApps),
-		Reqs: make(map[string]rtm.Requirement, nDNN),
+		Reqs: make(rtm.Requirements, 0, nDNN),
 	}
 	for i, name := range dnnNames[:nDNN] {
 		host := plat.Cluster(e.dnnHosts[rng.Intn(len(e.dnnHosts))])
@@ -434,7 +434,7 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 			}
 		}
 		sc.Apps = append(sc.Apps, app)
-		sc.Reqs[name] = pickRequirement(rng, e)
+		sc.Reqs = append(sc.Reqs, rtm.AppRequirement{App: name, Requirement: pickRequirement(rng, e)})
 	}
 
 	switch class {

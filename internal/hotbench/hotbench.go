@@ -21,6 +21,7 @@ import (
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/sim"
+	"github.com/emlrtm/emlrtm/internal/workload"
 )
 
 // Row is one hot-path measurement. Setup builds the row's state and
@@ -58,6 +59,7 @@ func Rows() []Row {
 		{"engine-run", engineRun},
 		{"engine-new", engineNew},
 		{"engine-run-managed", engineRunManaged},
+		{"stack-run", stackRun},
 		{"replan", replan},
 		{"replan-elided", replanElided},
 	}
@@ -127,12 +129,40 @@ func engineRunManaged(tb testing.TB) func() {
 	}
 }
 
+// stackRun is one whole fleet run as a worker makes it: workload.Stack.Run
+// of a fixed generated 3-DNN odroid-xu3 workload on a reused Stack, so
+// allocs/op counts what every run allocates beyond the reused engine,
+// manager and controller.
+func stackRun(tb testing.TB) func() {
+	gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3"}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var script *workload.Scenario
+	for _, s := range gen.GenerateRange(0, 64) {
+		if len(s.Script.Reqs) == 3 {
+			script = &s.Script
+			break
+		}
+	}
+	if script == nil {
+		tb.Fatal("no 3-DNN workload in the first 64")
+	}
+	plat := hw.OdroidXU3()
+	var st workload.Stack
+	return func() {
+		if _, _, _, err := st.Run(*script, plat, fleet.TickS); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // benchReqs are the manager requirements over sim.BenchApps' DNNs.
-func benchReqs() map[string]rtm.Requirement {
-	return map[string]rtm.Requirement{
-		"dnn1": {MinAccuracy: 0.70, Priority: 1},
-		"dnn2": {MinAccuracy: 0.70, Priority: 2},
-		"dnn3": {Priority: 1},
+func benchReqs() rtm.Requirements {
+	return rtm.Requirements{
+		{App: "dnn1", Requirement: rtm.Requirement{MinAccuracy: 0.70, Priority: 1}},
+		{App: "dnn2", Requirement: rtm.Requirement{MinAccuracy: 0.70, Priority: 2}},
+		{App: "dnn3", Requirement: rtm.Requirement{Priority: 1}},
 	}
 }
 

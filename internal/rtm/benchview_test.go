@@ -13,10 +13,10 @@ import (
 // captured after a short warm-up so placements and thermal state are
 // non-trivial.
 func benchView(tb testing.TB) View {
-	mgr := NewManager(map[string]Requirement{
-		"dnn1": {MinAccuracy: 0.70, Priority: 1},
-		"dnn2": {MinAccuracy: 0.70, Priority: 2},
-		"dnn3": {Priority: 1},
+	mgr := NewManager(Requirements{
+		{"dnn1", Requirement{MinAccuracy: 0.70, Priority: 1}},
+		{"dnn2", Requirement{MinAccuracy: 0.70, Priority: 2}},
+		{"dnn3", Requirement{Priority: 1}},
 	})
 	e, err := sim.New(sim.Config{
 		Platform:   hw.FlagshipSoC(),

@@ -82,10 +82,10 @@ func TestPlanScratchPlatformSwitch(t *testing.T) {
 // simulated seconds and returns the manager's last planning input.
 func managedView(t *testing.T, plat *hw.Platform, apps []sim.App) View {
 	t.Helper()
-	reqs := map[string]Requirement{}
+	var reqs Requirements
 	for _, a := range apps {
 		if a.Kind == sim.KindDNN {
-			reqs[a.Name] = Requirement{Priority: 1}
+			reqs = append(reqs, AppRequirement{a.Name, Requirement{Priority: 1}})
 		}
 	}
 	mgr := NewManager(reqs)

@@ -33,9 +33,9 @@ func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report) {
 			Placement: sim.Placement{Cluster: "gpu"},
 		},
 	}
-	mgr := NewManager(map[string]Requirement{
-		"dnn1": {MinAccuracy: 0.70, Priority: 1},
-		"dnn2": {MinAccuracy: 0.70, Priority: 2},
+	mgr := NewManager(Requirements{
+		{"dnn1", Requirement{MinAccuracy: 0.70, Priority: 1}},
+		{"dnn2", Requirement{MinAccuracy: 0.70, Priority: 2}},
 	})
 	mgr.SetPolicy(pol)
 	hot, relaxed := false, false

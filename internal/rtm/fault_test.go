@@ -181,7 +181,7 @@ func TestDegradedPin(t *testing.T) {
 // once a cluster is gone, and one computed during the fault is not valid
 // after the repair.
 func TestPlanKeyIncludesAvailability(t *testing.T) {
-	mgr := NewManager(map[string]Requirement{"d": {MaxLatencyS: 0.060, Priority: 1}})
+	mgr := NewManager(Requirements{{"d", Requirement{MaxLatencyS: 0.060, Priority: 1}}})
 	e, err := sim.New(sim.Config{
 		Platform:   hw.OdroidXU3(),
 		Apps:       []sim.App{dnn("d", "a15", 4, 0.060)},
@@ -218,7 +218,7 @@ func TestPlanKeyIncludesAvailability(t *testing.T) {
 // during the window (tiny unhosted time), a recovery latency is recorded,
 // and nothing is left unhosted at the end.
 func TestManagerRecoversFromClusterFault(t *testing.T) {
-	mgr := NewManager(map[string]Requirement{"d": {Priority: 1}})
+	mgr := NewManager(Requirements{{"d", Requirement{Priority: 1}}})
 	var failed, repaired bool
 	ctrl := ctrlFuncs{
 		tick: func(e *sim.Engine) {
@@ -280,7 +280,7 @@ func TestRepairDuringBackoffStillReplans(t *testing.T) {
 	if faultReplanBackoffS != 0.5 {
 		t.Fatalf("timeline is written for a 0.5 s backoff, have %g s", faultReplanBackoffS)
 	}
-	mgr := NewManager(map[string]Requirement{"d": {Priority: 1}})
+	mgr := NewManager(Requirements{{"d", Requirement{Priority: 1}}})
 	var failed, repaired, retried bool
 	repairDelta, retryDelta := -1, -1
 	ctrl := ctrlFuncs{
@@ -356,8 +356,8 @@ func TestRepairDuringBackoffStillReplans(t *testing.T) {
 // nor let the die run to critical.
 func TestFaultDuringThermalAlarm(t *testing.T) {
 	plat := hw.FlagshipSoC()
-	mgr := NewManager(map[string]Requirement{
-		"d": {MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1},
+	mgr := NewManager(Requirements{
+		{"d", Requirement{MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1}},
 	})
 	app := dnn("d", "cpu-big", 4, 0.040)
 	app.Profile = perf.UniformProfile("hot", 7_000_000, 7<<20, perf.PaperAccuracies, nil)

@@ -30,6 +30,29 @@ type Requirement struct {
 	Priority int
 }
 
+// AppRequirement is one app's requirement, keyed by the app's name.
+type AppRequirement struct {
+	App string
+	Requirement
+}
+
+// Requirements lists per-app requirements. An app named more than once
+// takes its later entry; an app not named gets defaults (latency =
+// period, accuracy unconstrained, priority 0).
+type Requirements []AppRequirement
+
+// index returns the position of app's entry, the later one if it is
+// named twice, or -1. An engine runs at most 64 apps, so the scan is
+// short.
+func (rs Requirements) index(app string) int {
+	for i := len(rs) - 1; i >= 0; i-- {
+		if rs[i].App == app {
+			return i
+		}
+	}
+	return -1
+}
+
 // Assignment is one planned operating point for an app.
 type Assignment struct {
 	App       string
@@ -77,7 +100,7 @@ const (
 // the die cools, restoring performance — a reactive feedback loop on top of
 // the proactive plan.
 type Manager struct {
-	reqs map[string]Requirement
+	reqs Requirements // owned: Reset copies the caller's entries in
 
 	// Logf, when set, receives planning decisions.
 	Logf func(format string, args ...any)
@@ -135,10 +158,11 @@ type appCur struct {
 	level     int
 }
 
-// NewManager builds a manager with the given per-app requirements (keyed
-// by app name; apps without an entry get defaults: latency = period,
-// accuracy unconstrained, priority 0) and the default heuristic policy.
-func NewManager(reqs map[string]Requirement) *Manager {
+// NewManager builds a manager with the given per-app requirements (an app
+// named twice takes its later entry; apps without an entry get defaults:
+// latency = period, accuracy unconstrained, priority 0) and the default
+// heuristic policy. The manager copies reqs and never writes to it.
+func NewManager(reqs Requirements) *Manager {
 	m := &Manager{}
 	m.Reset(reqs)
 	return m
@@ -149,19 +173,13 @@ func NewManager(reqs map[string]Requirement) *Manager {
 // miss, fault, recovery or plan history, no elision fingerprint and no
 // engine. Only the replan scratch buffers survive, so a caller running
 // scenario after scenario on one manager (a fleet worker) replans without
-// regrowing them; a Reset manager plans exactly as a new one does.
-func (m *Manager) Reset(reqs map[string]Requirement) {
-	r := m.reqs
-	if r == nil {
-		r = make(map[string]Requirement, len(reqs))
-	}
-	clear(r)
-	//detlint:ordered map-to-map copy; per-key writes are order-independent
-	for k, v := range reqs {
-		r[k] = v
-	}
+// regrowing them; a Reset manager plans exactly as a new one does. The
+// requirements are copied into a slice the manager owns and reuses, so
+// SetRequirement never writes to reqs, which a fleet workload's policy
+// runs share.
+func (m *Manager) Reset(reqs Requirements) {
 	*m = Manager{
-		reqs:          r,
+		reqs:          append(m.reqs[:0], reqs...),
 		lastFaultPlan: math.Inf(-1),
 		policy:        heuristicPolicy,
 
@@ -189,16 +207,23 @@ func (m *Manager) SetPolicy(p Policy) {
 
 // SetRequirement installs or replaces an app's requirement at runtime (the
 // Fig 2(d) event: "the accuracy requirement of the second DNN is reduced")
-// and schedules a replan.
+// and schedules a replan. It replaces the app's entry, or appends one.
 func (m *Manager) SetRequirement(app string, r Requirement) {
-	m.reqs[app] = r
+	if i := m.reqs.index(app); i >= 0 {
+		m.reqs[i].Requirement = r
+	} else {
+		m.reqs = append(m.reqs, AppRequirement{App: app, Requirement: r})
+	}
 	m.reqsVer++
 	m.pending = true
 }
 
 // Requirement returns the requirement for an app (with defaults applied).
 func (m *Manager) Requirement(app string, periodS float64) Requirement {
-	r := m.reqs[app]
+	var r Requirement
+	if i := m.reqs.index(app); i >= 0 {
+		r = m.reqs[i].Requirement
+	}
 	if r.MaxLatencyS == 0 {
 		r.MaxLatencyS = periodS
 	}

@@ -159,7 +159,7 @@ func TestCoreOptions(t *testing.T) {
 
 // runUnder runs one 4-second scenario under the named policy and returns
 // the manager.
-func runUnder(t *testing.T, policy string, reqs map[string]Requirement, apps []sim.App) *Manager {
+func runUnder(t *testing.T, policy string, reqs Requirements, apps []sim.App) *Manager {
 	t.Helper()
 	p, err := NewPolicy(policy)
 	if err != nil {
@@ -288,7 +288,7 @@ func (vandalPolicy) Plan(v View) []Assignment {
 // LastView — must not be able to corrupt manager or engine state,
 // because everything handed out is a copy.
 func TestViewDefensiveCopies(t *testing.T) {
-	reqs := map[string]Requirement{"d": {MinAccuracy: 0.70, Priority: 1}}
+	reqs := Requirements{{"d", Requirement{MinAccuracy: 0.70, Priority: 1}}}
 	run := func(p Policy) (*Manager, *sim.Engine) {
 		mgr := NewManager(reqs)
 		if p != nil {
@@ -351,8 +351,8 @@ func TestViewDefensiveCopies(t *testing.T) {
 // at scale; this is the fast in-package guard).
 func TestHeuristicPlanMatchesLegacyBehaviour(t *testing.T) {
 	// Accuracy floor 0.70 on a 1 s period → level 4 on the cheap a7.
-	mgr := runUnder(t, "heuristic", map[string]Requirement{
-		"d": {MinAccuracy: 0.70, Priority: 1},
+	mgr := runUnder(t, "heuristic", Requirements{
+		{"d", Requirement{MinAccuracy: 0.70, Priority: 1}},
 	}, []sim.App{dnn("d", "a15", 4, 1.0)})
 	plan := mgr.last
 	if len(plan) != 1 || plan[0].Level != 4 || plan[0].Placement.Cluster != "a7" {

@@ -55,7 +55,7 @@ func TestManagerResetMatchesNew(t *testing.T) {
 	hot.Profile = perf.UniformProfile("hot", 7_000_000, 7<<20, perf.PaperAccuracies, nil)
 	hot.ModelBytes = 12 << 20
 	logged := 0
-	m := NewManager(map[string]Requirement{"d": {MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1}})
+	m := NewManager(Requirements{{"d", Requirement{MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1}}})
 	m.Logf = func(string, ...any) { logged++ }
 	disturbedRun(t, m, hw.FlagshipSoC(), []sim.App{hot}, 62, "cpu-big", 8, 12, 16)
 	if m.Pressure() == 0 || len(m.FaultRecoveries()) == 0 || logged == 0 {
@@ -63,10 +63,10 @@ func TestManagerResetMatchesNew(t *testing.T) {
 			m.Pressure(), len(m.FaultRecoveries()), logged)
 	}
 
-	reqs := map[string]Requirement{
-		"dnn1": {MinAccuracy: 0.70, Priority: 1},
-		"dnn2": {MinAccuracy: 0.70, Priority: 2},
-		"dnn3": {Priority: 1},
+	reqs := Requirements{
+		{"dnn1", Requirement{MinAccuracy: 0.70, Priority: 1}},
+		{"dnn2", Requirement{MinAccuracy: 0.70, Priority: 2}},
+		{"dnn3", Requirement{Priority: 1}},
 	}
 	plat := hw.FlagshipSoC()
 	second := func(mgr *Manager) {

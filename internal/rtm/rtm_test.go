@@ -76,8 +76,8 @@ func TestManagerCompressesToMeetLatency(t *testing.T) {
 	plat := hw.OdroidXU3()
 	// 100% model cheapest latency on XU3 is ~115 ms (A15@1.8GHz); a 60 ms
 	// budget forces level 2 or below (level 2 @1.8GHz ≈ 59.6 ms).
-	mgr := NewManager(map[string]Requirement{
-		"d": {MaxLatencyS: 0.060, Priority: 1},
+	mgr := NewManager(Requirements{
+		{"d", Requirement{MaxLatencyS: 0.060, Priority: 1}},
 	})
 	e, err := sim.New(sim.Config{
 		Platform:   plat,
@@ -108,8 +108,8 @@ func TestManagerCompressesToMeetLatency(t *testing.T) {
 // it and the cheapest cluster that holds the latency budget.
 func TestManagerRespectsAccuracyFloor(t *testing.T) {
 	plat := hw.OdroidXU3()
-	mgr := NewManager(map[string]Requirement{
-		"d": {MinAccuracy: 0.70, Priority: 1}, // → level 4 (0.712)
+	mgr := NewManager(Requirements{
+		{"d", Requirement{MinAccuracy: 0.70, Priority: 1}}, // → level 4 (0.712)
 	})
 	e, err := sim.New(sim.Config{
 		Platform:   plat,
@@ -139,11 +139,11 @@ func TestManagerRespectsAccuracyFloor(t *testing.T) {
 // manager sheds power until the temperature recovers.
 func TestManagerReactsToThermalAlarm(t *testing.T) {
 	plat := hw.FlagshipSoC()
-	mgr := NewManager(map[string]Requirement{
+	mgr := NewManager(Requirements{
 		// The accuracy floor forces a large configuration, so the planned
 		// point draws real power (~2.2 W with statics) and the ambient jump
 		// pushes steady-state past the 65 °C trip point.
-		"d": {MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1},
+		{"d", Requirement{MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1}},
 	})
 	app := dnn("d", "cpu-big", 4, 0.040)
 	app.Profile = perf.UniformProfile("hot", 7_000_000, 7<<20, perf.PaperAccuracies, nil)
@@ -279,8 +279,8 @@ func (r *viewRecorder) Plan(v View) []Assignment {
 
 func TestManagerRequirementChangeTriggersReplan(t *testing.T) {
 	plat := hw.OdroidXU3()
-	mgr := NewManager(map[string]Requirement{
-		"d": {MinAccuracy: 0.70, Priority: 1},
+	mgr := NewManager(Requirements{
+		{"d", Requirement{MinAccuracy: 0.70, Priority: 1}},
 	})
 	e, err := sim.New(sim.Config{
 		Platform:   plat,

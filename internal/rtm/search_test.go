@@ -58,7 +58,7 @@ func searchViews(tb testing.TB, seeds int) []View {
 
 // randomScenario draws the apps and requirements of one searchViews
 // scenario on plat.
-func randomScenario(rng *rand.Rand, plat *hw.Platform) ([]sim.App, map[string]Requirement) {
+func randomScenario(rng *rand.Rand, plat *hw.Platform) ([]sim.App, Requirements) {
 	pick := func() (*hw.Cluster, int) {
 		cl := plat.Clusters[rng.Intn(len(plat.Clusters))]
 		if cl.Type.IsAccelerator() {
@@ -67,7 +67,7 @@ func randomScenario(rng *rand.Rand, plat *hw.Platform) ([]sim.App, map[string]Re
 		return cl, 1 + rng.Intn(cl.Cores)
 	}
 	var apps []sim.App
-	reqs := map[string]Requirement{}
+	var reqs Requirements
 	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 		name := fmt.Sprintf("dnn%d", i)
 		levels := 2 + rng.Intn(4)
@@ -95,7 +95,7 @@ func randomScenario(rng *rand.Rand, plat *hw.Platform) ([]sim.App, map[string]Re
 		if rng.Intn(3) > 0 {
 			req.MinAccuracy = accs[rng.Intn(levels)]
 		}
-		reqs[name] = req
+		reqs = append(reqs, AppRequirement{name, req})
 	}
 	if rng.Intn(2) == 0 {
 		cl, cores := pick()

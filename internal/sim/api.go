@@ -125,13 +125,17 @@ func (e *Engine) appInfo(a *appState) AppInfo {
 	return info
 }
 
-// Apps returns all apps in deterministic creation order.
+// Apps returns all apps in deterministic creation order, in a fresh slice.
 func (e *Engine) Apps() []AppInfo {
-	out := make([]AppInfo, 0, len(e.appList))
+	return e.appendApps(make([]AppInfo, 0, len(e.appList)))
+}
+
+// appendApps appends every app's state to dst in creation order.
+func (e *Engine) appendApps(dst []AppInfo) []AppInfo {
 	for _, a := range e.appList {
-		out = append(out, e.appInfo(a))
+		dst = append(dst, e.appInfo(a))
 	}
-	return out
+	return dst
 }
 
 // ClusterInfo is the observable state of one cluster.
@@ -455,6 +459,9 @@ type Report struct {
 	DegradedMissed  int
 	DegradedDropped int
 
+	// Apps is every app's state in creation order. It aliases an engine
+	// buffer that the engine's next Report or Reset rewrites; Engine.Apps
+	// returns a copy that stays.
 	Apps   []AppInfo
 	Events []Event // only when LogEvents was set
 	// LatenciesNS holds every finished job's latency in completion order,
@@ -472,6 +479,7 @@ type Report struct {
 // TotalEnergyMJ is the sum of the clusters' energies, each of which
 // Engine.Cluster reports.
 func (e *Engine) Report() Report {
+	e.reportApps = e.appendApps(e.reportApps[:0])
 	r := Report{
 		DurationS:     e.now,
 		MaxTempC:      e.maxTempC,
@@ -487,7 +495,7 @@ func (e *Engine) Report() Report {
 		DegradedMissed:  e.degMissed,
 		DegradedDropped: e.degDropped,
 
-		Apps:        e.Apps(),
+		Apps:        e.reportApps,
 		Events:      e.eventLog,
 		LatenciesNS: e.latLog,
 	}

@@ -371,6 +371,9 @@ type Engine struct {
 	// completion order; Reset keeps its capacity like eventLog's.
 	latLog []int64
 
+	// reportApps backs Report.Apps; each Report rewrites it in place.
+	reportApps []AppInfo
+
 	// Fault accounting. offline counts clusters currently unavailable (the
 	// cheap "is anything degraded" predicate); unhostedS integrates running
 	// DNN app-seconds spent placed on an offline cluster, closed up to
@@ -443,9 +446,9 @@ func New(cfg Config) (*Engine, error) {
 // layer's reuse property tests pin.
 //
 // Reset invalidates everything handed out by the previous run: Report
-// Events and LatenciesNS slices alias the engine's logs and are rewritten in
-// place. On error the engine is left partially rewound and must not be
-// used until a subsequent Reset succeeds.
+// Apps, Events and LatenciesNS slices alias the engine's buffers and are
+// rewritten in place. On error the engine is left partially rewound and
+// must not be used until a subsequent Reset succeeds.
 func (e *Engine) Reset(cfg Config) error {
 	if cfg.Platform == nil {
 		return fmt.Errorf("sim: nil platform")

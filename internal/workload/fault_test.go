@@ -20,9 +20,9 @@ func faultScenario() Scenario {
 			{Name: "d2", Kind: sim.KindDNN, Profile: prof, Level: 1, PeriodS: 0.5,
 				ModelBytes: 7 << 20, Placement: sim.Placement{Cluster: "a7", Cores: 2}},
 		},
-		Reqs: map[string]rtm.Requirement{
-			"d1": {Priority: 2},
-			"d2": {Priority: 1},
+		Reqs: rtm.Requirements{
+			{App: "d1", Requirement: rtm.Requirement{Priority: 2}},
+			{App: "d2", Requirement: rtm.Requirement{Priority: 1}},
 		},
 		Faults: []FaultWindow{{Cluster: "a15", FailS: 3, RepairS: 7}},
 		EndS:   12,

@@ -34,9 +34,12 @@ type FaultWindow struct {
 
 // Scenario bundles everything a scripted run needs.
 type Scenario struct {
-	Name    string
-	Apps    []sim.App
-	Reqs    map[string]rtm.Requirement
+	Name string
+	Apps []sim.App
+	// Reqs holds the DNNs' requirements (an app named twice takes its
+	// later entry; an app not named gets defaults). The manager copies
+	// them at the start of a run, so a run never writes to them.
+	Reqs    rtm.Requirements
 	Actions []Action
 	// Faults are seeded hardware-fault windows, applied at tick quantisation
 	// like Actions (they are converted to fail/repair actions at run time).
@@ -158,9 +161,9 @@ func Fig2Scenario() Scenario {
 			Placement: sim.Placement{Cluster: "gpu"},
 		},
 	}
-	reqs := map[string]rtm.Requirement{
-		"dnn1": {MinAccuracy: 0.70, Priority: 1},
-		"dnn2": {MinAccuracy: 0.70, Priority: 2},
+	reqs := rtm.Requirements{
+		{App: "dnn1", Requirement: rtm.Requirement{MinAccuracy: 0.70, Priority: 1}},
+		{App: "dnn2", Requirement: rtm.Requirement{MinAccuracy: 0.70, Priority: 2}},
 	}
 	actions := []Action{
 		{
@@ -215,8 +218,8 @@ func Fig5Scenario(prof perf.ModelProfile) Scenario {
 			Placement: sim.Placement{Cluster: "a15", Cores: 3},
 		},
 	}
-	reqs := map[string]rtm.Requirement{
-		"dnn": {MinAccuracy: 0.60, Priority: 1},
+	reqs := rtm.Requirements{
+		{App: "dnn", Requirement: rtm.Requirement{MinAccuracy: 0.60, Priority: 1}},
 	}
 	return Scenario{Name: "fig5", Apps: apps, Reqs: reqs, EndS: 30}
 }
@@ -249,9 +252,9 @@ type Stack struct {
 // Stack, because Reset restores every part to its constructed state and
 // keeps only scratch buffers. The returned engine and manager belong to
 // the stack: consume them, and the Report, before its next run, whose
-// Resets rewrite the manager's counters and the engine log the Report's
-// LatenciesNS aliases. After an error the stack drops its engine, so a
-// half-run engine is never reused. Replan elision is always on; a
+// Resets rewrite the manager's counters and the engine buffers the
+// Report's Apps and LatenciesNS alias. After an error the stack drops its
+// engine, so a half-run engine is never reused. Replan elision is always on; a
 // Planner outside rtm's sealed elision seam plans every replan fresh.
 func (st *Stack) Run(s Scenario, plat *hw.Platform, tickS float64) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	return st.run(s, plat, tickS, nil, false)
