@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hotbench"
+	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
 // update records each hot-path row's allocs/op as its budget instead of
@@ -23,10 +24,12 @@ import (
 var update = flag.Bool("update", false, "record hot-path allocs/op budgets in BENCH_fleet.json")
 
 // allocBudgets is BENCH_fleet.json: the allocs/op budget of every
-// internal/hotbench row and the toolchain that recorded them.
+// internal/hotbench row, the engine work per op of every row that has a
+// work count, and the toolchain that recorded them.
 type allocBudgets struct {
-	GoVersion   string           `json:"goVersion"`
-	AllocsPerOp map[string]int64 `json:"allocsPerOp"`
+	GoVersion   string              `json:"goVersion"`
+	AllocsPerOp map[string]int64    `json:"allocsPerOp"`
+	WorkPerOp   map[string]sim.Work `json:"workPerOp"`
 }
 
 // TestHotPathAllocs is the allocation gate: every hot-path row must stay
@@ -34,9 +37,12 @@ type allocBudgets struct {
 // counts are deterministic for a toolchain, so any increase fails, as do
 // a budgeted row missing from the table and a row with no budget. Each
 // row's count at -benchtime 1x must also equal its steady state, so that
-// benchmark smoke runs report the number this test gates. With -update
-// the test writes the counts it measured as the new budgets, and only
-// when every row passed that steady-state check.
+// benchmark smoke runs report the number this test gates. A row with a
+// work count must do exactly the engine work the table records for it:
+// its steps by kind and the controller callbacks it delivered are pure
+// functions of the run, so any change fails. With -update the test
+// writes the counts it measured as the new budgets, and only when every
+// row passed that steady-state check.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -61,7 +67,7 @@ func TestHotPathAllocs(t *testing.T) {
 	if err := bt.Set("1x"); err != nil {
 		t.Fatal(err)
 	}
-	measured := allocBudgets{GoVersion: runtime.Version(), AllocsPerOp: map[string]int64{}}
+	measured := allocBudgets{GoVersion: runtime.Version(), AllocsPerOp: map[string]int64{}, WorkPerOp: map[string]sim.Work{}}
 	rows := hotbench.Rows()
 	for _, row := range rows {
 		t.Run(row.Name, func(t *testing.T) {
@@ -69,6 +75,11 @@ func TestHotPathAllocs(t *testing.T) {
 			measured.AllocsPerOp[row.Name] = got
 			if at1x := allocsAt1x(row.Bench); at1x != got {
 				t.Errorf("-benchtime 1x reads %d allocs/op, steady state is %d", at1x, got)
+			}
+			var work sim.Work
+			if row.Work != nil {
+				work = row.Work(t)
+				measured.WorkPerOp[row.Name] = work
 			}
 			if *update {
 				return
@@ -80,15 +91,29 @@ func TestHotPathAllocs(t *testing.T) {
 			if got > budget {
 				t.Errorf("%d allocs/op, budget %d", got, budget)
 			}
+			if row.Work == nil {
+				return
+			}
+			if want, ok := base.WorkPerOp[row.Name]; !ok {
+				t.Errorf("no workPerOp entry in %s", path)
+			} else if work != want {
+				t.Errorf("work per op %+v, %s records %+v", work, path, want)
+			}
 		})
 	}
 
 	if !*update {
 		for _, row := range rows {
 			delete(base.AllocsPerOp, row.Name)
+			if row.Work != nil {
+				delete(base.WorkPerOp, row.Name)
+			}
 		}
 		for _, name := range slices.Sorted(maps.Keys(base.AllocsPerOp)) {
 			t.Errorf("%s: budgeted in %s but not a hotbench row", name, path)
+		}
+		for _, name := range slices.Sorted(maps.Keys(base.WorkPerOp)) {
+			t.Errorf("%s: has work per op in %s but is no hotbench row with a work count", name, path)
 		}
 		return
 	}

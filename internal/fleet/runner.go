@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -94,14 +95,14 @@ func RunOne(s Scenario) Result {
 // worker is the run state one fleet worker reuses across its whole
 // scenario stream: the workload stack (engine, manager, controller) Reset
 // in place between scenarios, one build of each catalog platform it has
-// run, Train's exploration RNG and the latency sort buffer. Nothing in the
+// run, Train's exploration RNG and the latency scratch copy. Nothing in the
 // engine, manager or policies writes to a Platform, so a platform is built
 // once per worker, not once per run.
 type worker struct {
 	stack workload.Stack
 	plats map[string]*hw.Platform
 	rng   *rand.Rand
-	ns    []int64 // a copy of one run's latencies in ns, sorted
+	ns    []int64 // a copy of one run's latencies in ns, permuted by summarise
 }
 
 // reseed returns the worker's RNG seeded with seed. Re-seeding one source
@@ -187,10 +188,7 @@ func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 	res.DegradedFrames = rep.DegradedFrames
 	res.DegradedMissed = rep.DegradedMissed
 	res.DegradedDropped = rep.DegradedDropped
-	for _, rec := range mgr.FaultRecoveries() {
-		res.RecoverCount++
-		res.RecoverTotalS += rec
-	}
+	res.RecoverCount, res.RecoverTotalS = mgr.Recoveries()
 	for _, a := range rep.Apps {
 		if a.Kind != sim.KindDNN {
 			continue
@@ -200,27 +198,98 @@ func runOne(s Scenario, w *worker, keepLatencies bool) Result {
 		res.Missed += a.Missed
 		res.Dropped += a.Dropped
 	}
-	// The engine keeps latencies in whole nanoseconds, in completion
-	// order. Both modes sort a copy, so the scalar stats do not depend on
-	// whether the runs are kept.
-	if len(rep.LatenciesNS) == 0 {
-		return res
-	}
-	ns := append(w.ns[:0], rep.LatenciesNS...)
-	slices.Sort(ns)
-	w.ns = ns
-	var sum int64
-	for _, v := range ns {
-		sum += v
-	}
-	n := len(ns)
-	res.MeanLatencyS = float64(sum) / 1e9 / float64(n)
-	res.MaxLatencyS = float64(ns[n-1]) / 1e9
-	res.P95LatencyS = float64(ns[nearestRank(n, 0.95)]) / 1e9
-	if keepLatencies {
-		res.Latencies = latencyRuns(ns)
-	}
+	summarise(&res, rep.LatenciesNS, w, keepLatencies)
 	return res
+}
+
+// summarise fills res's latency stats from a run's latencies, whole
+// nanoseconds in completion order. The mean comes from their exact
+// integer sum and the max from a scan. The p95 is selected in the
+// worker's copy, which is sorted whole only when keepLatencies
+// publishes the runs; a sort puts the same value at the p95's rank, so
+// the stats do not depend on whether the runs are kept.
+func summarise(res *Result, lat []int64, w *worker, keepLatencies bool) {
+	n := len(lat)
+	if n == 0 {
+		return
+	}
+	sum, hi := int64(0), lat[0]
+	for _, v := range lat {
+		sum += v
+		hi = max(hi, v)
+	}
+	res.MeanLatencyS = float64(sum) / 1e9 / float64(n)
+	res.MaxLatencyS = float64(hi) / 1e9
+	ns := append(w.ns[:0], lat...)
+	w.ns = ns
+	k := nearestRank(n, 0.95)
+	if !keepLatencies {
+		res.P95LatencyS = float64(selectKth(ns, k, 2*bits.Len(uint(n)))) / 1e9
+		return
+	}
+	slices.Sort(ns)
+	res.P95LatencyS = float64(ns[k]) / 1e9
+	res.Latencies = latencyRuns(ns)
+}
+
+// selectKth permutes xs so that xs[k] holds the value a sort would put
+// there, and returns it. Each round partitions the range holding k three
+// ways, around the median of three of its values at pseudo-random
+// positions, and keeps the part holding k; a run of values equal to the
+// pivot ends it at once. The positions come from a fixed xorshift
+// sequence, so the result and its cost are deterministic, and no
+// ordering of the input (sorted, reversed, organ pipe) makes the pivots
+// poor. After the given number of rounds the range left is sorted
+// instead; summarise allows 2·log2(n), so no input costs much more than a
+// sort.
+func selectKth(xs []int64, k, rounds int) int64 {
+	lo, hi := 0, len(xs)
+	r := uint64(0x9e3779b97f4a7c15)
+	at := func() int64 {
+		r ^= r << 13
+		r ^= r >> 7
+		r ^= r << 17
+		return xs[lo+int(r%uint64(hi-lo))]
+	}
+	for ; hi-lo > 1; rounds-- {
+		if rounds == 0 {
+			slices.Sort(xs[lo:hi])
+			break
+		}
+		p := median3(at(), at(), at())
+		// [lo,lt) < p, [lt,i) == p, [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := xs[i]; {
+			case v < p:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				xs[gt], xs[i] = v, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return xs[k]
+}
+
+// median3 returns the median of a, b and c.
+func median3(a, b, c int64) int64 {
+	if a > b {
+		a, b = b, a
+	}
+	return max(a, min(b, c))
 }
 
 // latencyRuns run-length encodes sorted nanosecond samples into an

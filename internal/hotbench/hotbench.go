@@ -27,10 +27,27 @@ import (
 // Row is one hot-path measurement. Setup builds the row's state and
 // returns its op, the unit that ns/op and allocs/op are counted per.
 // Every measurement runs the op once before counting, so first-use
-// growth of scratch buffers and pools stays out of the numbers.
+// growth of scratch buffers and pools stays out of the numbers. Work,
+// set on the rows whose op is one engine run, builds the row's state,
+// runs the op once and returns the engine's work counts for it, which
+// the allocation gate pins exactly.
 type Row struct {
 	Name  string
 	Setup func(tb testing.TB) (op func())
+	Work  func(tb testing.TB) sim.Work
+}
+
+// runRow is a row whose op is one engine run: setup returns the run,
+// which returns the engine it ran on.
+func runRow(name string, setup func(tb testing.TB) (run func() *sim.Engine)) Row {
+	return Row{
+		Name: name,
+		Setup: func(tb testing.TB) func() {
+			run := setup(tb)
+			return func() { run() }
+		},
+		Work: func(tb testing.TB) sim.Work { return setup(tb)().Work() },
+	}
 }
 
 // Bench runs the row as a benchmark body. The untimed first op makes
@@ -56,20 +73,21 @@ func (r Row) Bench(b *testing.B) {
 //detlint:allow deadexport the allocs gate and this package's benchmarks share the harness from their tests
 func Rows() []Row {
 	rows := []Row{
-		{"engine-run", engineRun},
-		{"engine-new", engineNew},
-		{"engine-run-managed", engineRunManaged},
-		{"stack-run", stackRun},
-		{"replan", replan},
-		{"replan-elided", replanElided},
+		{Name: "engine-run", Setup: engineRun},
+		{Name: "engine-new", Setup: engineNew},
+		runRow("engine-run-managed", engineRunManaged),
+		runRow("stack-run", stackRun()),
+		runRow("stack-run-faulty", stackRun(fleet.ClassFaulty)),
+		{Name: "replan", Setup: replan},
+		{Name: "replan-elided", Setup: replanElided},
 	}
 	for _, name := range rtm.Policies() {
-		rows = append(rows, Row{"policy-plan/" + name, policyPlan(name)})
+		rows = append(rows, Row{Name: "policy-plan/" + name, Setup: policyPlan(name)})
 	}
 	return append(rows,
-		Row{"stream-append", streamAppend}, Row{"stream-read", streamRead},
-		Row{"aggregate", aggregate}, Row{"generate", generate()},
-		Row{"generate-policies", generate("heuristic", "maxaccuracy", "minenergy")})
+		Row{Name: "stream-append", Setup: streamAppend}, Row{Name: "stream-read", Setup: streamRead},
+		Row{Name: "aggregate", Setup: aggregate}, Row{Name: "generate", Setup: generate()},
+		Row{Name: "generate-policies", Setup: generate("heuristic", "maxaccuracy", "minenergy")})
 }
 
 // engineRun is the steady-state engine cost a fleet worker pays per
@@ -110,7 +128,7 @@ func engineNew(tb testing.TB) func() {
 // whose worker Resets one engine and one manager per scenario. Unlike
 // engine-run it reaches the controller callbacks, replans and the
 // deadline-miss path.
-func engineRunManaged(tb testing.TB) func() {
+func engineRunManaged(tb testing.TB) func() *sim.Engine {
 	reqs := benchReqs()
 	mgr := rtm.NewManager(reqs)
 	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), Controller: mgr, TickS: fleet.TickS}
@@ -118,7 +136,7 @@ func engineRunManaged(tb testing.TB) func() {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return func() {
+	return func() *sim.Engine {
 		mgr.Reset(reqs)
 		if err := e.Reset(cfg); err != nil {
 			tb.Fatal(err)
@@ -126,33 +144,42 @@ func engineRunManaged(tb testing.TB) func() {
 		if err := e.Run(10); err != nil {
 			tb.Fatal(err)
 		}
+		return e
 	}
 }
 
-// stackRun is one whole fleet run as a worker makes it: workload.Stack.Run
-// of a fixed generated 3-DNN odroid-xu3 workload on a reused Stack, so
+// stackRun is one whole fleet run as a worker makes it:
+// workload.Stack.Run of the first 3-DNN odroid-xu3 workload at seed 1,
+// sampled from classes (every class when none), on a reused Stack, so
 // allocs/op counts what every run allocates beyond the reused engine,
-// manager and controller.
-func stackRun(tb testing.TB) func() {
-	gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3"}})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var script *workload.Scenario
-	for _, s := range gen.GenerateRange(0, 64) {
-		if len(s.Script.Reqs) == 3 {
-			script = &s.Script
-			break
-		}
-	}
-	if script == nil {
-		tb.Fatal("no 3-DNN workload in the first 64")
-	}
-	plat := hw.OdroidXU3()
-	var st workload.Stack
-	return func() {
-		if _, _, _, err := st.Run(*script, plat, fleet.TickS); err != nil {
+// manager and controller. Over every class that workload is a churn run;
+// the faulty one fails a cluster, and its replans meet refused
+// migrations.
+func stackRun(classes ...fleet.Class) func(tb testing.TB) func() *sim.Engine {
+	return func(tb testing.TB) func() *sim.Engine {
+		gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3"},
+			Classes: classes})
+		if err != nil {
 			tb.Fatal(err)
+		}
+		var script *workload.Scenario
+		for _, s := range gen.GenerateRange(0, 64) {
+			if len(s.Script.Reqs) == 3 {
+				script = &s.Script
+				break
+			}
+		}
+		if script == nil {
+			tb.Fatalf("no 3-DNN workload of classes %v in the first 64", classes)
+		}
+		plat := hw.OdroidXU3()
+		var st workload.Stack
+		return func() *sim.Engine {
+			e, _, _, err := st.Run(*script, plat, fleet.TickS)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return e
 		}
 	}
 }

@@ -2,6 +2,7 @@ package rtm
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -216,11 +217,52 @@ func (externalPolicy) Plan(v View) []Assignment {
 	return heuristicPolicy.Plan(v)
 }
 
+// failingApps returns one short-lived DNN per entry of misses that fails
+// exactly that many frames (0, 1 or 2) in the half second before at[i],
+// alone on a15 at its lowest OPP. Each runs at a period P of 3/4 of its
+// job latency L: its first job runs past its next release, which is
+// dropped, and finishes late at L, a miss. Stopping it between P and L
+// cancels the late job, leaving the drop alone; stopping it between L
+// and 2P keeps both failures.
+func failingApps(t *testing.T, at []float64, misses []int) []sim.App {
+	t.Helper()
+	probe := dnn("probe", "a15", 4, 100)
+	probe.Level = 1
+	e, err := sim.New(sim.Config{Platform: hw.OdroidXU3(), Apps: []sim.App{probe}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	l := e.AppAt(0).AvgLatency
+	p := 0.75 * l
+	if l == 0 || l+p > 0.5 {
+		t.Fatalf("probe latency %g s does not fit the half-second windows", l)
+	}
+	var apps []sim.App
+	for i, k := range misses {
+		if k == 0 {
+			continue
+		}
+		a := probe
+		a.Name, a.PeriodS, a.StartS = fmt.Sprintf("fail%d", i), p, at[i]-0.5
+		a.StopS = a.StartS + (p+l)/2
+		if k == 2 {
+			a.StopS = a.StartS + (l+2*p)/2
+		}
+		apps = append(apps, a)
+	}
+	return apps
+}
+
 // TestMissReplanBackoff is the table-driven contract for the
 // missReplanThreshold (2) × missReplanBackoffS (2 s) interaction: when a
 // tick replans on accumulated misses, how the backoff window suppresses
 // and defers miss-triggered replans, and how every replan resets the
-// counter. lastMissPlan starts at 0, so the window is open from t=2.
+// count. lastMissPlan starts at 0, so the window is open from t=2. The
+// misses are real: failingApps makes the engine fail each step's frames
+// before its tick.
 func TestMissReplanBackoff(t *testing.T) {
 	if missReplanThreshold != 2 || missReplanBackoffS != 2 {
 		t.Fatalf("cases are written for threshold 2 and backoff 2 s, have %d and %g s",
@@ -228,7 +270,7 @@ func TestMissReplanBackoff(t *testing.T) {
 	}
 	type step struct {
 		at      float64 // advance the engine to this time
-		misses  int     // deadline misses injected before the tick
+		misses  int     // frames the engine fails before the tick
 		replans bool    // whether the tick must replan
 	}
 	cases := []struct {
@@ -271,24 +313,26 @@ func TestMissReplanBackoff(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// A minimal engine supplies the clock and thermal reads OnTick
-			// needs; the manager is driven by hand, not as the controller,
-			// so only the injected misses trigger replans.
-			e, err := sim.New(sim.Config{
-				Platform: hw.OdroidXU3(),
-				Apps:     []sim.App{dnn("d", "a15", 4, 0.5)},
-				TickS:    0.25,
-			})
+			var at []float64
+			var misses []int
+			for _, s := range tc.steps {
+				at, misses = append(at, s.at), append(misses, s.misses)
+			}
+			// The manager is driven by hand, not as the engine's
+			// controller, so only the failed frames trigger replans; no
+			// DNN runs at a tick, so a replan moves no knob.
+			e, err := sim.New(sim.Config{Platform: hw.OdroidXU3(), Apps: failingApps(t, at, misses)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			mgr := NewManager(nil)
 			for i, s := range tc.steps {
+				failed := e.FailedFrames()
 				if err := e.Run(s.at); err != nil {
 					t.Fatal(err)
 				}
-				for j := 0; j < s.misses; j++ {
-					mgr.OnEvent(e, sim.Event{TimeS: e.Now(), Kind: sim.EvDeadlineMiss})
+				if got := e.FailedFrames() - failed; got != s.misses {
+					t.Fatalf("step %d (t=%.1f): the engine failed %d frames, want %d", i, s.at, got, s.misses)
 				}
 				before := mgr.Plans()
 				mgr.OnTick(e)
@@ -298,4 +342,38 @@ func TestMissReplanBackoff(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMissCountFollowsEngine pins which failed frames a manager counts
+// when it ticks on an engine other than the one it last planned on: all
+// of that engine's since its Reset, never a difference against the
+// other engine's count. Once it plans on an engine, it counts from that
+// plan. The ticks are 2 s apart, so the miss backoff never holds one back.
+func TestMissCountFollowsEngine(t *testing.T) {
+	at := []float64{2, 4, 6, 8}
+	engine := func(misses ...int) *sim.Engine {
+		e, err := sim.New(sim.Config{Platform: hw.OdroidXU3(), Apps: failingApps(t, at, misses)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	a, b := engine(2, 2, 0, 0), engine(0, 0, 2, 0)
+	mgr := NewManager(nil)
+	tick := func(e *sim.Engine, atS float64, want bool) {
+		t.Helper()
+		if err := e.Run(atS); err != nil {
+			t.Fatal(err)
+		}
+		before := mgr.Plans()
+		mgr.OnTick(e)
+		if got := mgr.Plans() > before; got != want {
+			t.Fatalf("t=%g: replanned=%v, want %v (engine failed %d frames)", atS, got, want, e.FailedFrames())
+		}
+	}
+	tick(a, 2, true)  // a failed 2: plans on a, at a's count 2
+	tick(a, 4, true)  // 2 more since: plans on a, at a's count 4
+	tick(b, 6, true)  // b failed 2 since its Reset, though fewer than a's 4
+	tick(b, 8, false) // none since the plan on b
+	tick(a, 8, true)  // back on a, which failed nothing since its plan: a's 4 count again
 }

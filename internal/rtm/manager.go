@@ -69,8 +69,9 @@ type Assignment struct {
 const (
 	// pressureStepC is the margin added per outstanding thermal alarm.
 	pressureStepC = 4.0
-	// missReplanThreshold triggers a replan after this many deadline
-	// misses/frame drops since the previous plan.
+	// missReplanThreshold triggers a replan after this many failed frames
+	// (deadline misses and frame drops, sim.Engine.FailedFrames) since
+	// the previous plan.
 	missReplanThreshold = 2
 	// missReplanBackoffS rate-limits miss-triggered replans: when the
 	// workload is unschedulable, every frame misses and replanning each
@@ -105,10 +106,12 @@ type Manager struct {
 	// Logf, when set, receives planning decisions.
 	Logf func(format string, args ...any)
 
-	policy       Policy
-	eng          *sim.Engine // the engine the last Replan ran against
-	pressure     int
-	misses       int
+	policy   Policy
+	eng      *sim.Engine // the engine the last Replan ran against
+	pressure int
+	// missMark is eng's FailedFrames at the last Replan: the failed
+	// frames since are the difference (see failedSince).
+	missMark     int
 	pending      bool
 	plans        int
 	last         []Assignment // the last actuated plan; white-box tests read it
@@ -277,7 +280,23 @@ func (m *Manager) KnobsAndMonitors() (knobs, monitors []string) {
 // Pressure returns the outstanding thermal pressure level.
 func (m *Manager) Pressure() int { return m.pressure }
 
-// OnTick implements sim.Controller.
+// failedSince counts the frames that failed on e since the manager last
+// planned on it. On an engine other than the one it last planned on, or
+// before its first plan, that is every frame failed since e's Reset. A
+// manager reads the count only at a tick, so this is the count a
+// callback per failed frame would have summed since the last plan.
+func (m *Manager) failedSince(e *sim.Engine) int {
+	if e != m.eng {
+		return e.FailedFrames()
+	}
+	return e.FailedFrames() - m.missMark
+}
+
+// OnTick implements sim.Controller. It is the manager's epoch: it decays
+// thermal pressure, counts the frames failed since the last plan and
+// retries deferred fault replans, then replans if any of them asks.
+//
+//detlint:hotpath
 func (m *Manager) OnTick(e *sim.Engine) {
 	// Thermal pressure decays when the die has cooled well below the trip
 	// point, restoring performance headroom.
@@ -285,7 +304,7 @@ func (m *Manager) OnTick(e *sim.Engine) {
 		m.pressure--
 		m.pending = true
 	}
-	if m.misses >= missReplanThreshold && e.Now()-m.lastMissPlan >= missReplanBackoffS {
+	if m.failedSince(e) >= missReplanThreshold && e.Now()-m.lastMissPlan >= missReplanBackoffS {
 		m.pending = true
 		m.lastMissPlan = e.Now()
 	}
@@ -303,7 +322,12 @@ func (m *Manager) OnTick(e *sim.Engine) {
 	}
 }
 
-// OnEvent implements sim.Controller.
+// OnEvent implements sim.Controller: an app start or stop replans, a
+// thermal alarm raises the pressure and replans, and a cluster fault or
+// repair replans unless the fault backoff defers it to a tick. Failed
+// frames are no event; OnTick reads their count.
+//
+//detlint:hotpath
 func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 	switch ev.Kind {
 	case sim.EvAppStart, sim.EvAppStop:
@@ -311,17 +335,17 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 	case sim.EvThermalAlarm:
 		m.pressure++
 		if m.Logf != nil {
+			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
 			m.Logf("rtm: t=%.2fs thermal alarm (%s), pressure=%d", ev.TimeS, ev.Detail(), m.pressure)
 		}
 		m.Replan(e)
-	case sim.EvDeadlineMiss, sim.EvFrameDrop:
-		m.misses++
 	case sim.EvClusterFail, sim.EvClusterRepair:
 		if ev.Kind == sim.EvClusterFail && !m.faultPending {
 			m.faultPending = true
 			m.faultAtS = ev.TimeS
 		}
 		if m.Logf != nil {
+			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
 			m.Logf("rtm: t=%.2fs %s %s", ev.TimeS, ev.Kind, ev.Cluster)
 		}
 		if e.Now()-m.lastFaultPlan >= faultReplanBackoffS {
@@ -336,8 +360,20 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 // FaultRecoveries returns the recovery latencies measured so far: for each
 // fault burst, the time from the first EvClusterFail to the first
 // subsequent actuated (non-elided) replan. The slice is a copy.
+//
+//detlint:allow deadexport public as emlrtm.Manager's; the fleet reads only the sum, through Recoveries
 func (m *Manager) FaultRecoveries() []float64 {
 	return append([]float64(nil), m.recoveries...)
+}
+
+// Recoveries returns how many fault bursts have recovered and the sum of
+// their recovery latencies (see FaultRecoveries), added in the order they
+// were measured. It copies nothing.
+func (m *Manager) Recoveries() (n int, totalS float64) {
+	for _, r := range m.recoveries {
+		totalS += r
+	}
+	return len(m.recoveries), totalS
 }
 
 // buildView snapshots the engine and the manager's thermal stance into the
@@ -401,13 +437,13 @@ func (m *Manager) fingerprint(e *sim.Engine, sp sealedPolicy) planFingerprint {
 //detlint:hotpath
 func (m *Manager) Replan(e *sim.Engine) {
 	m.pending = false
-	m.misses = 0
 	m.plans++
 	if e != m.eng {
 		// Another engine's epoch says nothing about this one's, so the
 		// next replan plans fresh.
 		m.eng, m.lastFPOK = e, false
 	}
+	m.missMark = e.FailedFrames()
 
 	// Only a sealed policy is elided; the others plan every replan fresh.
 	sp, sealed := m.policy.(sealedPolicy)
@@ -626,10 +662,10 @@ func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
 			if wave != want {
 				continue
 			}
-			if err := e.Migrate(asg.App, asg.Placement); err != nil {
+			if r := e.TryMigrate(asg.App, asg.Placement); r.Refused() {
 				if m.Logf != nil {
 					//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
-					m.Logf("rtm: migrate %s: %v", asg.App, err)
+					m.Logf("rtm: migrate %s: %v", asg.App, r.Err())
 				}
 			} else if j := m.planApp[i]; j >= 0 {
 				m.cur[j].placement = asg.Placement

@@ -61,6 +61,46 @@ func (e *Engine) Platform() *hw.Platform { return e.plat }
 // latency statistics) are deliberately outside it.
 func (e *Engine) PlanEpoch() uint64 { return e.planEpoch }
 
+// FailedFrames counts the frames that failed since Reset: deadline
+// misses, frames dropped because their app's last job was still running,
+// and frames released while their app sat on an offline cluster. These
+// are the event log's EvDeadlineMiss and EvFrameDrop entries. It never
+// falls, so a controller that keeps the count it last acted at reads
+// the failures since as a difference. Jobs a cluster fault aborts in
+// flight are not counted: they are no frame's fate at its deadline.
+func (e *Engine) FailedFrames() int { return e.failed }
+
+// Work counts what an engine did since its Reset: the steps it handled,
+// by the kind of their event, the thermal step boundaries it closed and
+// the controller callbacks it delivered. Each count is a pure function of
+// the run, so tests and the allocation gate pin them exactly.
+type Work struct {
+	Releases    uint64 `json:"releases"`    // frame releases
+	Completions uint64 `json:"completions"` // job completions
+	Unblocks    uint64 `json:"unblocks"`    // ends of migration downtime
+	Lifecycle   uint64 `json:"lifecycle"`   // app starts and stops
+	Ticks       uint64 `json:"ticks"`       // controller epochs
+	// ThermalSteps counts the thermal step boundaries closed. A step
+	// that handles a boundary and an event counts once here and once
+	// under the event's kind.
+	ThermalSteps uint64 `json:"thermalSteps"`
+	// Callbacks counts OnTick and OnEvent calls into the controller.
+	Callbacks uint64 `json:"callbacks"`
+}
+
+// Work returns the engine's work counts since Reset.
+func (e *Engine) Work() Work {
+	return Work{
+		Releases:     e.stepsBy[hRelease],
+		Completions:  e.stepsBy[hComplete],
+		Unblocks:     e.stepsBy[hUnblock],
+		Lifecycle:    e.stepsBy[hStart] + e.stepsBy[hStop],
+		Ticks:        e.stepsBy[hTick],
+		ThermalSteps: uint64(e.stepT/thermalStepS) - 1,
+		Callbacks:    e.callbacks,
+	}
+}
+
 // AppCount returns the number of configured apps.
 func (e *Engine) AppCount() int { return len(e.appList) }
 
@@ -358,27 +398,86 @@ func (e *Engine) UnhostedApps() int {
 
 // Migrate moves an app to a new placement (the task-mapping knob),
 // charging the migration model's downtime during which the app's current
-// job stalls. Capacity and accelerator memory are checked first.
+// job stalls. Capacity and accelerator memory are checked first; a
+// refused move changes nothing and returns an error that says why.
+//
+//detlint:allow deadexport the knob as emlrtm.Engine offers it; the manager moves apps through TryMigrate
 func (e *Engine) Migrate(app string, to Placement) error {
+	return e.TryMigrate(app, to).Err()
+}
+
+// refusalKind enumerates why the engine refused a migration.
+type refusalKind uint8
+
+const (
+	refusedNone    refusalKind = iota
+	refusedApp                 // unknown app
+	refusedCluster             // unknown cluster
+	refusedOffline             // destination offline
+	refusedCores               // core count out of range
+	refusedFull                // not enough free cores
+	refusedMemory              // model does not fit the accelerator memory
+)
+
+// Refusal says why the engine refused a migration; the zero Refusal says
+// it did not. It holds what the error message names and formats that
+// message only when Err asks, so a controller that only needs to know
+// whether a move landed allocates nothing for a refused one.
+type Refusal struct {
+	kind refusalKind
+	app  string
+	to   Placement
+	used int // cores already used on the destination (refusedFull)
+	max  int // the destination's cores
+}
+
+// Refused reports whether the migration was refused.
+func (r Refusal) Refused() bool { return r.kind != refusedNone }
+
+// Err returns the refusal as an error, nil for none.
+func (r Refusal) Err() error {
+	switch r.kind {
+	case refusedApp:
+		return fmt.Errorf("sim: unknown app %q", r.app)
+	case refusedCluster:
+		return fmt.Errorf("sim: unknown cluster %q", r.to.Cluster)
+	case refusedOffline:
+		return fmt.Errorf("sim: cluster %q is offline", r.to.Cluster)
+	case refusedCores:
+		return fmt.Errorf("sim: core count %d out of range for %s", r.to.Cores, r.to.Cluster)
+	case refusedFull:
+		return fmt.Errorf("sim: %s has %d/%d cores used; cannot fit %d more",
+			r.to.Cluster, r.used, r.max, r.to.Cores)
+	case refusedMemory:
+		return fmt.Errorf("sim: model of %q does not fit %s memory", r.app, r.to.Cluster)
+	}
+	return nil
+}
+
+// TryMigrate is Migrate returning a Refusal instead of an error: the
+// allocation-free form for a controller that drops or only logs refusals.
+//
+//detlint:hotpath
+func (e *Engine) TryMigrate(app string, to Placement) Refusal {
 	a := e.app(app)
 	if a == nil {
-		return fmt.Errorf("sim: unknown app %q", app)
+		return Refusal{kind: refusedApp, app: app, to: to}
 	}
 	toCS := e.cluster(to.Cluster)
 	if toCS == nil {
-		return fmt.Errorf("sim: unknown cluster %q", to.Cluster)
+		return Refusal{kind: refusedCluster, app: app, to: to}
 	}
 	cl := toCS.c
 	if !toCS.online {
-		return fmt.Errorf("sim: cluster %q is offline", to.Cluster)
+		return Refusal{kind: refusedOffline, app: app, to: to}
 	}
 	if toCS.accel {
 		to.Cores = cl.Cores
 	} else if to.Cores < 1 || to.Cores > cl.Cores {
-		return fmt.Errorf("sim: core count %d out of range for %s", to.Cores, to.Cluster)
+		return Refusal{kind: refusedCores, app: app, to: to}
 	}
 	if a.placed == to {
-		return nil
+		return Refusal{}
 	}
 	// CPU capacity check.
 	bit := uint64(1) << a.idx
@@ -388,19 +487,17 @@ func (e *Engine) Migrate(app string, to Placement) error {
 			used += e.appList[bits.TrailingZeros64(r)].placed.Cores
 		}
 		if used+to.Cores > cl.Cores {
-			return fmt.Errorf("sim: %s has %d/%d cores used; cannot fit %d more",
-				to.Cluster, used, cl.Cores, to.Cores)
+			return Refusal{kind: refusedFull, app: app, to: to, used: used, max: cl.Cores}
 		}
 	}
 	// Accelerator memory check.
 	if cl.MemBytes > 0 && a.Kind == KindDNN && a.ModelBytes > 0 {
 		if e.acceleratorMemUsed(to.Cluster, app)+e.levelBytes(a) > cl.MemBytes {
-			return fmt.Errorf("sim: model of %q does not fit %s memory", app, to.Cluster)
+			return Refusal{kind: refusedMemory, app: app, to: to}
 		}
 	}
 	fromCS := a.placedCS
-	a.placed = to
-	a.placedCS = toCS
+	a.setPlacement(to, toCS)
 	if a.started && !a.stopped {
 		fromCS.res &^= bit
 		toCS.res |= bit
@@ -422,7 +519,7 @@ func (e *Engine) Migrate(app string, to Placement) error {
 			Cluster: to.Cluster, FromCluster: fromCS.c.Name, Cores: to.Cores})
 	}
 	e.refresh()
-	return nil
+	return Refusal{}
 }
 
 // ---- Results ----

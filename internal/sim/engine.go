@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-
-	"github.com/emlrtm/emlrtm/internal/hw"
 )
 
 // thermalStepS is the length h of a thermal step: the die temperature is
@@ -208,6 +206,7 @@ func (e *Engine) step(endS float64) bool {
 	if !ok {
 		return false
 	}
+	e.stepsBy[ev.kind]++
 	switch ev.kind {
 	case hStart, hStop:
 		e.cursor++
@@ -232,7 +231,9 @@ func (e *Engine) step(endS float64) bool {
 //
 //detlint:hotpath
 func (e *Engine) advanceTo(t float64) {
-	e.now = max(e.now, t)
+	if t > e.now {
+		e.now = t
+	}
 }
 
 // touch re-derives a cluster's values after a mutation they can observe,
@@ -286,7 +287,6 @@ func (e *Engine) touch(cs *clusterState) {
 //detlint:hotpath
 func (e *Engine) derive(cs *clusterState) {
 	e.dirty |= cs.res
-	opp := cs.c.OPPs[cs.oppIdx]
 	util, active, blocked := 0.0, 0, false
 	for r := cs.res; r != 0; r &= r - 1 {
 		a := e.appList[bits.TrailingZeros64(r)]
@@ -304,16 +304,16 @@ func (e *Engine) derive(cs *clusterState) {
 				continue // the share, and with it the rate, needs every active job
 			}
 			if a.jobActive {
-				util += float64(a.placed.Cores) / float64(cs.c.Cores)
+				util += a.coreFrac
 			}
 			if cs.online {
-				a.rate = cs.rate(opp, a.placed.Cores)
+				a.rate = cs.oppRate * a.coreScale
 			}
 		case KindRender, KindBackground:
 			if cs.accel {
 				util += a.Util
 			} else {
-				util += float64(a.placed.Cores) / float64(cs.c.Cores) * a.Util
+				util += a.coreFrac * a.Util
 			}
 		}
 	}
@@ -322,10 +322,14 @@ func (e *Engine) derive(cs *clusterState) {
 		// util holds the render load alone so far. Active jobs share what
 		// it leaves; a second pass adds each job's share in app order,
 		// interleaved with the render loads, and sets the jobs' rates.
-		cs.share = max(0, 1-util) / float64(active)
+		// One job takes all of it: x/1 is x, so the division is skipped.
+		cs.share = max(0, 1-util)
+		if active > 1 {
+			cs.share /= float64(active)
+		}
 		full := 0.0
 		if cs.online {
-			full = cs.rate(opp, cs.c.Cores) * cs.share
+			full = cs.deviceRate * cs.share
 		}
 		util = 0
 		for r := cs.res; r != 0; r &= r - 1 {
@@ -358,7 +362,7 @@ func (cs *clusterState) loadTail() {
 	// order is identical to iterating e.plat.Clusters.
 	for ocs := cs.loadHead; ocs != nil; ocs = ocs.loadNext {
 		if ocs.active {
-			util += ocs.c.CompanionUtil
+			util += ocs.loadUtil
 		}
 	}
 	if !cs.online {
@@ -367,15 +371,21 @@ func (cs *clusterState) loadTail() {
 		cs.util, cs.pow = 0, 0
 		return
 	}
-	cs.util = min(util, 1)
+	if util > 1 {
+		util = 1
+	}
+	cs.util = util
 	cs.pow = cs.busyPowerMW(cs.util)
 }
 
-// setOPP moves the cluster to OPP idx.
+// setOPP moves the cluster to OPP idx. It needs the cluster's coreScale
+// table, which the whole-device rate reads.
 func (cs *clusterState) setOPP(idx int) {
 	cs.oppIdx = idx
 	opp := cs.c.OPPs[idx]
 	cs.dynMW = cs.c.Power.CeffMWPerV2GHz * opp.VoltageV * opp.VoltageV * opp.FreqGHz
+	cs.oppRate = cs.c.RateMACsPerSecGHz * opp.FreqGHz
+	cs.deviceRate = cs.rate(cs.c.Cores)
 }
 
 // busyPowerMW is hw.Cluster.BusyPowerMW at the current OPP with every core
@@ -383,19 +393,22 @@ func (cs *clusterState) setOPP(idx int) {
 // the OPP factor is formed in the same order, so the result is
 // bit-identical while costing one multiply-add per derived cluster.
 func (cs *clusterState) busyPowerMW(util float64) float64 {
-	return cs.dynMW*util + cs.c.Power.StaticMW
+	return cs.dynMW*util + cs.staticMW
 }
 
-// rate is hw.Cluster.EffectiveRate with the core scaling read from the
-// cluster's table: n is clamped as CoreScale clamps it and the product is
-// formed in the same order, so the result is bit-identical.
-func (cs *clusterState) rate(opp hw.OPP, n int) float64 {
-	n = max(0, min(n, cs.c.Cores))
-	return cs.c.RateMACsPerSecGHz * opp.FreqGHz * cs.coreScale[n]
-}
+// rate is hw.Cluster.EffectiveRate at the current OPP on n cores, the
+// OPP's rate times the core scaling read from the cluster's table: the
+// product is formed in the same order, so the result is bit-identical.
+func (cs *clusterState) rate(n int) float64 { return cs.oppRate * cs.scale(n) }
+
+// scale is hw.Cluster.CoreScale(n) from the cluster's table, n clamped as
+// CoreScale clamps it.
+func (cs *clusterState) scale(n int) float64 { return cs.coreScale[max(0, min(n, cs.c.Cores))] }
 
 // handle processes one scheduler event (state is already advanced to its
 // time).
+//
+//detlint:hotpath
 func (e *Engine) handle(ev hevent) {
 	switch ev.kind {
 	case hStart:
@@ -437,6 +450,7 @@ func (e *Engine) handle(ev hevent) {
 		e.touch(a.placedCS)
 	case hTick:
 		if e.ctrl != nil {
+			e.callbacks++
 			e.ctrl.OnTick(e)
 			e.armTick(e.now + e.tickS)
 		}
@@ -446,6 +460,8 @@ func (e *Engine) handle(ev hevent) {
 // release starts a new job (or drops the frame if one is running, or
 // aborts it if the app is unhosted) and arms the app's release slot with
 // the next frame, if that falls before the app stops.
+//
+//detlint:hotpath
 func (e *Engine) release(a *appState) {
 	a.released++
 	if e.offline > 0 {
@@ -460,13 +476,19 @@ func (e *Engine) release(a *appState) {
 		// outcome counters cover exactly the frames released inside it.
 		a.aborted++
 		e.degDropped++
-		e.emit(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Unhosted: true})
+		e.failed++
+		if e.logEvents {
+			e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Unhosted: true})
+		}
 	case a.jobActive:
 		a.dropped++
 		if e.offline > 0 {
 			e.degDropped++
 		}
-		e.emit(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name})
+		e.failed++
+		if e.logEvents {
+			e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name})
+		}
 	default:
 		a.jobActive = true
 		a.jobReleaseS = e.now
@@ -488,6 +510,10 @@ func (e *Engine) release(a *appState) {
 	}
 }
 
+// complete finishes the app's job: it records the latency and counts a
+// job that finished after its deadline as missed.
+//
+//detlint:hotpath
 func (e *Engine) complete(a *appState) {
 	latency := e.now - a.jobReleaseS
 	a.jobActive = false
@@ -500,21 +526,27 @@ func (e *Engine) complete(a *appState) {
 		if e.offline > 0 {
 			e.degMissed++
 		}
-		e.emit(Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency, PeriodS: a.PeriodS})
+		e.failed++
+		if e.logEvents {
+			e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency, PeriodS: a.PeriodS})
+		}
 	} else if e.logEvents {
-		// An on-time completion is logged but never delivered: no
-		// controller acts on a frame that met its deadline, and these are
-		// most of a run's events.
 		e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvJobComplete, App: a.Name, LatencyS: latency})
 	}
 }
 
-// emit records an event and forwards it to the controller.
+// emit records a state change and delivers it to the controller. A
+// frame's fate is no state change: a completion, miss or drop is only
+// logged, and FailedFrames counts the misses and drops, so a controller
+// reads them when it acts instead of hearing each one.
+//
+//detlint:hotpath
 func (e *Engine) emit(ev Event) {
 	if e.logEvents {
 		e.eventLog = append(e.eventLog, ev)
 	}
 	if e.ctrl != nil {
+		e.callbacks++
 		e.ctrl.OnEvent(e, ev)
 	}
 }

@@ -15,8 +15,9 @@
 //     in fixed 250 ms steps at each step's exact average power, with
 //     throttle-crossing alarms at the end of the crossing step;
 //   - migration with a load-time cost, and runtime model-level switching;
-//   - a Controller hook (the RTM) invoked on a fixed epoch and on the
-//     events a manager acts on (not on frames that finish on time).
+//   - a Controller hook (the RTM) invoked on a fixed epoch and on state
+//     changes (not on a frame's fate: FailedFrames counts misses and
+//     drops for the controller to read).
 //
 // Between events all rates and powers are constant, so job progress and
 // energy are integrated exactly. Each integral is closed only where its
@@ -96,7 +97,9 @@ type Placement struct {
 // EventKind enumerates observable simulator events.
 type EventKind int
 
-// Simulator event kinds, as logged; Controller says which reach OnEvent.
+// Simulator event kinds, as logged. Only the state changes reach the
+// controller's OnEvent: app starts and stops, thermal alarms and cluster
+// faults and repairs (see Controller).
 const (
 	EvAppStart EventKind = iota
 	EvAppStop
@@ -134,7 +137,7 @@ func (k EventKind) String() string {
 }
 
 // Event is one entry of the event log, and what the Controller's OnEvent
-// hook receives for the kinds it is delivered (see Controller). Its
+// hook receives for a state change (see Controller). Its
 // details are typed fields, each set only on the kinds its comment names;
 // Detail renders them as text for presentation.
 type Event struct {
@@ -182,11 +185,14 @@ func (ev Event) Detail() string {
 }
 
 // Controller is the runtime-manager hook (Fig 5's RTM layer). OnTick fires
-// every TickS seconds; OnEvent fires for each state change a manager acts
-// on: app starts and stops, deadline misses, frame drops, thermal alarms
-// and cluster faults and repairs. On-time completions (EvJobComplete) and
-// migrations (EvMigrated) reach only the event log. Both hooks may call
-// the Engine's actuation methods (SetLevel, Migrate, SetOPP, ...).
+// every TickS seconds; OnEvent fires for each state change: app starts
+// and stops (EvAppStart, EvAppStop), thermal alarms (EvThermalAlarm) and
+// cluster faults and repairs (EvClusterFail, EvClusterRepair). A frame's
+// fate is not a state change: completions, deadline misses and frame
+// drops, like migrations, reach only the event log, and a controller
+// reads the misses and drops as a count, Engine.FailedFrames, when it
+// acts. Both hooks may call the Engine's actuation methods (SetLevel,
+// Migrate, SetOPP, ...).
 type Controller interface {
 	OnTick(e *Engine)
 	OnEvent(e *Engine, ev Event)
@@ -242,7 +248,12 @@ type appState struct {
 
 	// placedCS is the cluster state of the current placement — the hot
 	// loop resolves it once per migration instead of once per rate query.
-	placedCS *clusterState
+	// coreFrac is the placement's share of a CPU cluster's cores,
+	// Cores/cluster cores, and coreScale the cluster's core scaling at
+	// Cores, both set with it (see setPlacement).
+	placedCS  *clusterState
+	coreFrac  float64
+	coreScale float64
 
 	// rate is the MAC/s rate a job of this app runs at, derived with the
 	// cluster it is placed on (see Engine.derive).
@@ -257,16 +268,27 @@ type appState struct {
 	sumLatency float64
 }
 
+// setPlacement places the app at p on cs, the state of p's cluster.
+func (a *appState) setPlacement(p Placement, cs *clusterState) {
+	a.placed, a.placedCS = p, cs
+	a.coreFrac = float64(p.Cores) / float64(cs.c.Cores)
+	a.coreScale = cs.scale(p.Cores)
+}
+
 // clusterState tracks per-cluster dynamics.
 type clusterState struct {
 	c      *hw.Cluster
 	bit    uint64 // 1 << the cluster's position in Engine.clusterList
 	oppIdx int
 	// dynMW is the dynamic power of the current OPP at full utilisation,
-	// Ceff·V²·f, kept in step with oppIdx by setOPP (see busyPowerMW).
-	dynMW  float64
-	online bool // availability: an offline cluster runs nothing and draws nothing
-	accel  bool // c.Type.IsAccelerator(), resolved once per Reset
+	// Ceff·V²·f, oppRate its MAC/s rate per unit of core scaling and
+	// deviceRate the rate of the whole cluster there, rate(Cores), all
+	// kept in step with oppIdx by setOPP.
+	dynMW      float64
+	oppRate    float64
+	deviceRate float64
+	online     bool // availability: an offline cluster runs nothing and draws nothing
+	accel      bool // c.Type.IsAccelerator(), resolved once per Reset
 
 	// Energy (mJ) is held per constant-power segment: it is closed up to
 	// segT0S, and the open segment runs at segPowMW (see syncThermal and
@@ -288,6 +310,10 @@ type clusterState struct {
 	companion *clusterState
 	loadHead  *clusterState
 	loadNext  *clusterState
+	// loadUtil is c.CompanionUtil and staticMW c.Power.StaticMW, copied
+	// once per Reset so the hot loop reads them without going through c.
+	loadUtil float64
+	staticMW float64
 	// coreScale[n] is c.CoreScale(n) for n in 0..Cores, tabulated once per
 	// Reset so job-rate refreshes never call math.Pow (see rate). It is a
 	// window of Engine.coreScaleStore.
@@ -340,6 +366,13 @@ type Engine struct {
 	// steps counts the thermal steps closed over the engine's life (Reset
 	// keeps it): a work count for tests.
 	steps uint64
+
+	// Work counts since Reset (see Work): the steps handled, by the kind
+	// of their event, and the controller callbacks delivered. failed
+	// counts the failed frames (see FailedFrames).
+	stepsBy   [hUnblock + 1]uint64
+	callbacks uint64
+	failed    int
 
 	// coreScaleStore backs every cluster's coreScale table, rewritten in
 	// place by Reset like the stores above.
@@ -476,6 +509,7 @@ func (e *Engine) Reset(cfg Config) error {
 	e.degReleased, e.degMissed, e.degDropped = 0, 0, 0
 	e.maxTempC = cfg.Platform.AmbientC
 	e.planEpoch, e.dirty = 0, 0
+	e.stepsBy, e.callbacks, e.failed = [hUnblock + 1]uint64{}, 0, 0
 
 	// Rebuild cluster state into the reused store; pointers are taken only
 	// after the store has its final size, so they stay valid.
@@ -499,7 +533,8 @@ func (e *Engine) Reset(cfg Config) error {
 		for n := 0; n <= c.Cores; n++ {
 			store = append(store, c.CoreScale(n))
 		}
-		e.clusterStore[i] = clusterState{c: c, bit: 1 << i, online: true, accel: c.Type.IsAccelerator(), coreScale: store[lo:]}
+		e.clusterStore[i] = clusterState{c: c, bit: 1 << i, online: true, accel: c.Type.IsAccelerator(), coreScale: store[lo:],
+			loadUtil: c.CompanionUtil, staticMW: c.Power.StaticMW}
 		cs := &e.clusterStore[i]
 		cs.setOPP(0)
 		e.clusterList = append(e.clusterList, cs)
@@ -534,12 +569,12 @@ func (e *Engine) Reset(cfg Config) error {
 		if cl := cfg.Platform.Cluster(a.Placement.Cluster); cl.Type.IsAccelerator() {
 			a.Placement.Cores = cl.Cores
 		}
-		e.appStore[i] = appState{App: a, idx: int32(i), placed: a.Placement, level: a.Level}
+		e.appStore[i] = appState{App: a, idx: int32(i), level: a.Level}
 		st := &e.appStore[i]
 		if a.Kind == KindDNN {
 			st.jobMACs = float64(a.Profile.Level(a.Level).MACs)
 		}
-		st.placedCS = e.cluster(a.Placement.Cluster)
+		st.setPlacement(a.Placement, e.cluster(a.Placement.Cluster))
 		e.appList = append(e.appList, st)
 	}
 	e.powerDirty = 0

@@ -458,15 +458,27 @@ func TestEnergyConservation(t *testing.T) {
 }
 
 // TestControllerTicksAndEvents pins what reaches the controller: a tick
-// per epoch and one callback per app start, deadline miss and frame drop,
-// but none for a frame that finished on time. dnn1 meets every deadline;
-// slow, on one little core at the lowest OPP, misses and drops frames.
+// per epoch and one callback per state change (app start, cluster fault),
+// but none for a frame's fate, on time or not. dnn1 meets every deadline;
+// slow, on one little core at the lowest OPP, misses and drops frames
+// until its cluster fails at t=9, aborting its job in flight, and every
+// frame it releases after that aborts unhosted. FailedFrames must count
+// the misses, drops and unhosted aborts, which the event log lists as
+// EvDeadlineMiss and EvFrameDrop, but not the job aborted in flight; Work
+// must count every callback.
 func TestControllerTicksAndEvents(t *testing.T) {
 	plat := hw.OdroidXU3()
 	ticks := 0
 	events := map[EventKind]int{}
 	ctrl := controllerFuncs{
-		tick:  func(e *Engine) { ticks++ },
+		tick: func(e *Engine) {
+			ticks++
+			if e.Now() == 9 {
+				if err := e.SetClusterOnline("a7", false); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
 		event: func(e *Engine, ev Event) { events[ev.Kind]++ },
 	}
 	e := mustEngine(t, Config{
@@ -474,34 +486,66 @@ func TestControllerTicksAndEvents(t *testing.T) {
 		Apps:       []App{dnnApp("dnn1", "a15", 4, 1, 0.5), dnnApp("slow", "a7", 1, 4, 0.05)},
 		Controller: ctrl,
 		TickS:      1.0,
+		LogEvents:  true,
 	})
 	if err := e.SetOPP("a15", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Run(10); err != nil {
+	if err := e.Run(12); err != nil {
 		t.Fatal(err)
 	}
-	if ticks < 9 || ticks > 10 {
-		t.Fatalf("ticks = %d, want ~10", ticks)
+	if ticks < 11 || ticks > 12 {
+		t.Fatalf("ticks = %d, want ~12", ticks)
 	}
-	if events[EvAppStart] != 2 {
-		t.Fatalf("app-start events = %d, want 2", events[EvAppStart])
+	if events[EvAppStart] != 2 || events[EvClusterFail] != 1 {
+		t.Fatalf("app-start events = %d, cluster-fail events = %d, want 2 and 1",
+			events[EvAppStart], events[EvClusterFail])
 	}
-	var onTime, missed, dropped int
+	var onTime, missed, dropped, aborted int
 	for _, a := range e.Apps() {
 		onTime += a.Completed - a.Missed
 		missed += a.Missed
 		dropped += a.Dropped
+		aborted += a.Aborted
 	}
-	if onTime == 0 || missed == 0 || dropped == 0 {
-		t.Fatalf("run too tame: %d on-time completions, %d misses, %d drops", onTime, missed, dropped)
+	logged := map[EventKind]int{}
+	unhosted := 0
+	for _, ev := range e.Report().Events {
+		logged[ev.Kind]++
+		if ev.Unhosted {
+			unhosted++
+		}
 	}
-	if events[EvJobComplete] != 0 {
-		t.Fatalf("%d of %d on-time completions delivered, want none", events[EvJobComplete], onTime)
+	if onTime == 0 || missed == 0 || dropped == 0 || unhosted == 0 || aborted != unhosted+1 {
+		t.Fatalf("run too tame: %d on-time completions, %d misses, %d drops, %d unhosted of %d aborts (want one in flight)",
+			onTime, missed, dropped, unhosted, aborted)
 	}
-	if events[EvDeadlineMiss] != missed || events[EvFrameDrop] != dropped {
-		t.Fatalf("delivered %d misses and %d drops, the apps counted %d and %d",
-			events[EvDeadlineMiss], events[EvFrameDrop], missed, dropped)
+	for _, k := range []EventKind{EvJobComplete, EvDeadlineMiss, EvFrameDrop} {
+		if events[k] != 0 {
+			t.Errorf("%d %s events delivered, want none", events[k], k)
+		}
+	}
+	if logged[EvDeadlineMiss] != missed || logged[EvFrameDrop] != dropped+unhosted {
+		t.Errorf("logged %d misses and %d drops, the apps counted %d misses, %d drops and %d unhosted aborts",
+			logged[EvDeadlineMiss], logged[EvFrameDrop], missed, dropped, unhosted)
+	}
+	if got, want := e.FailedFrames(), missed+dropped+unhosted; got != want {
+		t.Errorf("FailedFrames = %d, want %d misses + %d drops + %d unhosted aborts = %d",
+			got, missed, dropped, unhosted, want)
+	}
+	delivered := 0
+	for _, n := range events {
+		delivered += n
+	}
+	if w := e.Work(); w.Callbacks != uint64(ticks+delivered) || w.Ticks != uint64(ticks) || w.Lifecycle != 2 {
+		t.Errorf("Work = %+v, want %d callbacks (%d ticks) and 2 lifecycle steps", w, ticks+delivered, ticks)
+	}
+	// Reset zeroes the counts.
+	if err := e.Reset(Config{Platform: plat}); err != nil {
+		t.Fatal(err)
+	}
+	if e.FailedFrames() != 0 || e.Work() != (Work{}) {
+		t.Errorf("after Reset: FailedFrames %d, Work %+v, want zeros", e.FailedFrames(), e.Work())
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -107,5 +108,58 @@ func TestFaultyRunDeterministic(t *testing.T) {
 	}
 	if rep1.ClusterFails != 1 || rep1.ClusterRepairs != 1 {
 		t.Fatal("fault window left no trace in the report")
+	}
+}
+
+// TestFaultTransitionOrder pins the order in which a tick applies what is
+// due: the scripted actions first, then the fault transitions in a stable
+// time order of each window's fail followed by its repair, windows in
+// order. So at t=2 the probe runs while a7 is still down, then window 0
+// repairs a7 before window 1 fails a15; a window that fails and repairs
+// at one instant ends online.
+func TestFaultTransitionOrder(t *testing.T) {
+	s := faultScenario()
+	s.Faults = []FaultWindow{
+		{Cluster: "a7", FailS: 1, RepairS: 2},
+		{Cluster: "a15", FailS: 2, RepairS: 4},
+		{Cluster: "a7", FailS: 3, RepairS: 3},
+	}
+	var seen []string
+	probe := func(e *sim.Engine, m *rtm.Manager) {
+		for _, cl := range []string{"a7", "a15"} {
+			ci, err := e.Cluster(cl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen = append(seen, fmt.Sprintf("t=%g %s online=%v", e.Now(), cl, ci.Online))
+		}
+	}
+	s.Actions = []Action{{AtS: 3, Do: probe}, {AtS: 2, Do: probe}}
+	e, _, rep, err := Run(s, hw.OdroidXU3(), 0.25, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"t=2 a7 online=false", "t=2 a15 online=true",
+		"t=3 a7 online=true", "t=3 a15 online=false",
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("actions saw %q, want %q", seen, want)
+	}
+	var got []string
+	for _, ev := range rep.Events {
+		if ev.Kind == sim.EvClusterFail || ev.Kind == sim.EvClusterRepair {
+			got = append(got, fmt.Sprintf("t=%g %s %s", ev.TimeS, ev.Kind, ev.Cluster))
+		}
+	}
+	want = []string{
+		"t=1 cluster-fail a7", "t=2 cluster-repair a7", "t=2 cluster-fail a15",
+		"t=3 cluster-fail a7", "t=3 cluster-repair a7", "t=4 cluster-repair a15",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("transitions %q, want %q", got, want)
+	}
+	if ci, _ := e.Cluster("a7"); !ci.Online {
+		t.Error("a7 offline after a window that failed and repaired at one instant")
 	}
 }

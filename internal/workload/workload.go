@@ -42,7 +42,7 @@ type Scenario struct {
 	Reqs    rtm.Requirements
 	Actions []Action
 	// Faults are seeded hardware-fault windows, applied at tick quantisation
-	// like Actions (they are converted to fail/repair actions at run time).
+	// like Actions: at one instant, after the scripted actions.
 	Faults []FaultWindow
 	EndS   float64
 	// Policy names the registered planning policy the manager runs under
@@ -57,14 +57,28 @@ type Scenario struct {
 	Planner rtm.Policy
 }
 
-// ScenarioController wraps a manager, applying scripted actions at their
-// times (quantised to the controller tick) before delegating to the
-// manager — disturbances arrive "from outside" exactly as in Fig 2. A nil
-// manager applies the actions alone.
+// ScenarioController wraps a manager, applying scripted actions and fault
+// windows at their times (quantised to the controller tick) before
+// delegating to the manager — disturbances arrive "from outside" exactly
+// as in Fig 2. A nil manager applies them alone.
 type ScenarioController struct {
 	Mgr     *rtm.Manager
 	Actions []Action
 	applied int
+
+	// faults holds the fault windows' transitions, sorted stably by time:
+	// each window's fail, then its repair, in window order. The next one
+	// due is faults[fault].
+	faults []faultStep
+	fault  int
+}
+
+// faultStep is one transition of a fault window: the cluster goes offline
+// or comes back at atS.
+type faultStep struct {
+	atS     float64
+	cluster string
+	online  bool
 }
 
 // NewScenarioController sorts the actions by time and wires the manager.
@@ -74,32 +88,58 @@ func NewScenarioController(m *rtm.Manager, actions []Action) *ScenarioController
 	return c
 }
 
-// reset rewires c as NewScenarioController would build it for actions
-// plus the fail/repair actions of faults, gathered into c's own buffer
-// (never the caller's) and sorted stably by time. Fault windows thus
-// share the Actions path's tick quantisation and deterministic ordering,
-// and the stable sort keeps fail-before-repair for windows converted in
-// order.
+// reset rewires c as NewScenarioController would build it for actions,
+// copied into c's own buffer (never the caller's) and sorted stably by
+// time, and the transitions of faults, gathered and sorted the same way.
+// Fault windows thus share the Actions path's tick quantisation and
+// deterministic ordering: OnTick applies both lists merged, an action
+// before a transition due at the same instant, which is the order of a
+// stable sort of the actions followed by each window's fail and repair.
 func (c *ScenarioController) reset(m *rtm.Manager, actions []Action, faults []FaultWindow) {
-	sorted := appendFaultActions(append(c.Actions[:0], actions...), faults)
-	slices.SortStableFunc(sorted, func(a, b Action) int {
-		switch {
-		case a.AtS < b.AtS:
-			return -1
-		case b.AtS < a.AtS:
-			return 1
+	sorted := append(c.Actions[:0], actions...)
+	slices.SortStableFunc(sorted, func(a, b Action) int { return cmpTime(a.AtS, b.AtS) })
+	steps := c.faults[:0]
+	for _, fw := range faults {
+		steps = append(steps, faultStep{atS: fw.FailS, cluster: fw.Cluster})
+		if fw.RepairS > 0 {
+			steps = append(steps, faultStep{atS: fw.RepairS, cluster: fw.Cluster, online: true})
 		}
-		return 0
-	})
-	*c = ScenarioController{Mgr: m, Actions: sorted}
+	}
+	slices.SortStableFunc(steps, func(a, b faultStep) int { return cmpTime(a.atS, b.atS) })
+	*c = ScenarioController{Mgr: m, Actions: sorted, faults: steps}
 }
 
-// OnTick implements sim.Controller.
+// cmpTime orders two action times, ties equal.
+func cmpTime(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}
+
+// OnTick implements sim.Controller: it applies every action and fault
+// transition due by now, then ticks the manager. A transition's
+// SetClusterOnline error is ignored by design: a window naming an unknown
+// cluster is a scenario-authoring bug that validation should catch, and
+// a duplicate transition is a no-op.
 func (c *ScenarioController) OnTick(e *sim.Engine) {
-	for c.applied < len(c.Actions) && c.Actions[c.applied].AtS <= e.Now() {
-		a := c.Actions[c.applied]
-		c.applied++
-		a.Do(e, c.Mgr)
+	for now := e.Now(); ; {
+		act := c.applied < len(c.Actions) && c.Actions[c.applied].AtS <= now
+		flt := c.fault < len(c.faults) && c.faults[c.fault].atS <= now
+		if act && (!flt || c.Actions[c.applied].AtS <= c.faults[c.fault].atS) {
+			a := c.Actions[c.applied]
+			c.applied++
+			a.Do(e, c.Mgr)
+		} else if flt {
+			f := c.faults[c.fault]
+			c.fault++
+			_ = e.SetClusterOnline(f.cluster, f.online)
+		} else {
+			break
+		}
 	}
 	if c.Mgr != nil {
 		c.Mgr.OnTick(e)
@@ -302,27 +342,4 @@ func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(str
 		return nil, nil, sim.Report{}, err
 	}
 	return st.eng, mgr, st.eng.Report(), nil
-}
-
-// appendFaultActions appends the fail/repair actions of fault windows to
-// out. The SetClusterOnline error is ignored by design: a window naming an
-// unknown cluster is a scenario-authoring bug that validation should
-// catch, and a duplicate transition is a no-op.
-func appendFaultActions(out []Action, faults []FaultWindow) []Action {
-	for _, fw := range faults {
-		cluster := fw.Cluster
-		out = append(out, Action{
-			AtS:  fw.FailS,
-			Name: "fault-" + cluster,
-			Do:   func(e *sim.Engine, m *rtm.Manager) { _ = e.SetClusterOnline(cluster, false) },
-		})
-		if fw.RepairS > 0 {
-			out = append(out, Action{
-				AtS:  fw.RepairS,
-				Name: "repair-" + cluster,
-				Do:   func(e *sim.Engine, m *rtm.Manager) { _ = e.SetClusterOnline(cluster, true) },
-			})
-		}
-	}
-	return out
 }
