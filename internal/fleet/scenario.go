@@ -336,7 +336,7 @@ func newEnv(plat *hw.Platform) env {
 	// Platforms with a fast accelerator get the heavier mobile-vision
 	// profile so the accelerator faces real trade-offs.
 	for _, cl := range plat.Clusters {
-		if cl.Type.IsAccelerator() && cl.RateMACsPerSecGHz*cl.MaxOPP().FreqGHz >= 100e6 {
+		if cl.Type.IsAccelerator() && cl.OPPRate(cl.MaxOPP()) >= 100e6 {
 			e.prof = perf.MobileProfile()
 			e.modelBytes = 7 << 20
 			break

@@ -88,7 +88,25 @@ type Cluster struct {
 	MemBytes int64
 }
 
-// Validate reports structural errors in the cluster description.
+// Ceilings on what one cluster may draw and deliver at any OPP. They sit
+// many orders of magnitude above any embedded cluster, and keep every
+// energy, temperature and job-progress product a simulation forms far
+// from overflowing to infinity.
+const (
+	maxClusterPowerMW = 1e9  // a megawatt
+	maxClusterRate    = 1e18 // MAC/s
+)
+
+// Validate reports errors in the cluster description: structural ones,
+// and model parameters the cost model cannot price. Every parameter must
+// be finite, since a NaN or infinite one would carry into every latency,
+// energy and temperature; the checks below are written so that NaN fails
+// them, and the ceilings refuse what the range checks let through. The
+// rate must be positive, the core-scaling exponent in (0,1], the fixed
+// overhead, power coefficients and memory not negative and the companion
+// utilisation in [0,1]; the OPPs must ascend strictly in frequency, each
+// at a positive voltage, and draw a busy power and deliver a rate within
+// the ceilings above.
 func (c *Cluster) Validate() error {
 	switch {
 	case c.Name == "":
@@ -97,10 +115,15 @@ func (c *Cluster) Validate() error {
 		return fmt.Errorf("hw: cluster %s has %d cores", c.Name, c.Cores)
 	case len(c.OPPs) == 0:
 		return fmt.Errorf("hw: cluster %s has no OPPs", c.Name)
-	case c.RateMACsPerSecGHz <= 0:
-		return fmt.Errorf("hw: cluster %s has non-positive rate", c.Name)
-	case c.ParallelAlpha <= 0 || c.ParallelAlpha > 1:
+	case !(c.RateMACsPerSecGHz > 0):
+		return fmt.Errorf("hw: cluster %s has non-positive rate %f", c.Name, c.RateMACsPerSecGHz)
+	case !(c.ParallelAlpha > 0 && c.ParallelAlpha <= 1):
 		return fmt.Errorf("hw: cluster %s parallel alpha %f outside (0,1]", c.Name, c.ParallelAlpha)
+	case !finite(c.FixedOverheadS) || c.FixedOverheadS < 0 || c.Power.CeffMWPerV2GHz < 0 || c.Power.StaticMW < 0 || c.MemBytes < 0:
+		return fmt.Errorf("hw: cluster %s has a non-finite or negative overhead %f, or a negative ceff %f, static power %f or memory %d",
+			c.Name, c.FixedOverheadS, c.Power.CeffMWPerV2GHz, c.Power.StaticMW, c.MemBytes)
+	case !(c.CompanionUtil >= 0 && c.CompanionUtil <= 1):
+		return fmt.Errorf("hw: cluster %s companion utilisation %f outside [0,1]", c.Name, c.CompanionUtil)
 	}
 	prev := 0.0
 	for i, o := range c.OPPs {
@@ -109,6 +132,10 @@ func (c *Cluster) Validate() error {
 		}
 		if o.VoltageV <= 0 {
 			return fmt.Errorf("hw: cluster %s OPP %d voltage %f", c.Name, i, o.VoltageV)
+		}
+		if p, r := c.DynamicPowerMW(o)+c.Power.StaticMW, c.OPPRate(o); !(p <= maxClusterPowerMW && r <= maxClusterRate) {
+			return fmt.Errorf("hw: cluster %s OPP %d (%f GHz, %f V) draws %g mW at %g MAC/s, not within %g mW and %g MAC/s",
+				c.Name, i, o.FreqGHz, o.VoltageV, p, r, maxClusterPowerMW, maxClusterRate)
 		}
 		prev = o.FreqGHz
 	}
@@ -135,43 +162,53 @@ func (c *Cluster) NearestOPPIndex(fGHz float64) int {
 
 // CoreScale returns the fraction of the cluster rate n cores deliver,
 // (n/Cores)^ParallelAlpha, with n clamped to Cores; fewer than one core
-// delivers nothing. It takes only Cores+1 distinct values, so hot loops
-// tabulate it per cluster instead of calling math.Pow per evaluation.
+// delivers nothing. Every core delivers all of it: CoreScale(Cores) is
+// math.Pow(1, α), exactly 1.
 func (c *Cluster) CoreScale(n int) float64 {
 	if n < 1 {
 		return 0
 	}
-	if n > c.Cores {
-		n = c.Cores
-	}
-	return math.Pow(float64(n)/float64(c.Cores), c.ParallelAlpha)
+	return math.Pow(float64(min(n, c.Cores))/float64(c.Cores), c.ParallelAlpha)
 }
+
+// OPPRate returns the MAC/s throughput of the whole cluster at the given
+// OPP, RateMACsPerSecGHz·f.
+func (c *Cluster) OPPRate(opp OPP) float64 { return c.RateMACsPerSecGHz * opp.FreqGHz }
 
 // EffectiveRate returns the MAC/s throughput when n of the cluster's cores
 // run at the given OPP. Accelerators always use n == Cores.
 func (c *Cluster) EffectiveRate(opp OPP, n int) float64 {
-	return c.RateMACsPerSecGHz * opp.FreqGHz * c.CoreScale(n)
+	return c.OPPRate(opp) * c.CoreScale(n)
+}
+
+// LatencyAtRate returns the latency of one inference of macs MACs run at
+// rate MAC/s: FixedOverheadS + macs/rate, or +Inf when the rate is not
+// positive, since nothing then runs.
+func (c *Cluster) LatencyAtRate(rate float64, macs int64) float64 {
+	if rate <= 0 {
+		return math.Inf(1)
+	}
+	return c.FixedOverheadS + float64(macs)/rate
+}
+
+// DynamicPowerMW returns the dynamic power of the whole cluster busy at
+// the given OPP, Ceff·V²·f, in mW.
+func (c *Cluster) DynamicPowerMW(opp OPP) float64 {
+	return c.Power.CeffMWPerV2GHz * opp.VoltageV * opp.VoltageV * opp.FreqGHz
 }
 
 // BusyPowerMW returns cluster power with n cores active at the given
-// utilisation (0..1), in mW.
+// utilisation (0..1), in mW: the dynamic power scaled by the active share
+// of the cores and by util, plus static power.
 func (c *Cluster) BusyPowerMW(opp OPP, n int, util float64) float64 {
-	if n > c.Cores {
-		n = c.Cores
-	}
-	if n < 0 {
-		n = 0
-	}
-	if util < 0 {
-		util = 0
-	}
-	if util > 1 {
-		util = 1
-	}
-	dyn := c.Power.CeffMWPerV2GHz * opp.VoltageV * opp.VoltageV * opp.FreqGHz *
-		(float64(n) / float64(c.Cores)) * util
+	n, util = max(0, min(n, c.Cores)), max(0, min(util, 1))
+	dyn := c.DynamicPowerMW(opp) * (float64(n) / float64(c.Cores)) * util
 	return dyn + c.Power.StaticMW
 }
+
+// Duty returns the share of time a periodic inference keeps its cluster
+// busy: its latency over its period, capped at 1.
+func Duty(latencyS, periodS float64) float64 { return min(latencyS/periodS, 1) }
 
 // IdlePowerMW returns cluster power with no work (static leakage only).
 func (c *Cluster) IdlePowerMW() float64 { return c.Power.StaticMW }

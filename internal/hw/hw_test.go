@@ -333,3 +333,32 @@ func TestCapabilityOrderingForScenario(t *testing.T) {
 			rate("npu"), rate("gpu"), rate("cpu-big"), rate("cpu-lit"))
 	}
 }
+
+// TestCostModelCacheIdentities pins, bit for bit on every catalog cluster
+// and OPP, the identities that let the simulator cache the cost model per
+// OPP instead of evaluating it per derive: every core delivers the whole
+// OPP rate (CoreScale(Cores) is exactly 1, so EffectiveRate on every core
+// is OPPRate), and busy power with every core active is the OPP's dynamic
+// power times the utilisation plus static power.
+func TestCostModelCacheIdentities(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	utils := []float64{0, 1e-9, 0.1, 1.0 / 3, 0.5, 0.6 + 0.4/3, 0.999999, 1}
+	for name, p := range Catalog() {
+		for _, c := range p.Clusters {
+			if got := c.CoreScale(c.Cores); got != 1 {
+				t.Fatalf("%s/%s: CoreScale(%d) = %v, want 1", name, c.Name, c.Cores, got)
+			}
+			for oi, opp := range c.OPPs {
+				if got, want := c.EffectiveRate(opp, c.Cores), c.OPPRate(opp); !same(got, want) {
+					t.Fatalf("%s/%s opp %d: EffectiveRate on every core %v, OPPRate %v", name, c.Name, oi, got, want)
+				}
+				for _, u := range utils {
+					got, want := c.BusyPowerMW(opp, c.Cores, u), c.DynamicPowerMW(opp)*u+c.Power.StaticMW
+					if !same(got, want) {
+						t.Fatalf("%s/%s opp %d, util %v: BusyPowerMW %v, dynamic×util+static %v", name, c.Name, oi, u, got, want)
+					}
+				}
+			}
+		}
+	}
+}

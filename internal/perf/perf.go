@@ -6,7 +6,6 @@ package perf
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 )
@@ -65,14 +64,16 @@ func (p ModelProfile) Level(level int) LevelSpec {
 // MaxLevel returns the largest level index.
 func (p ModelProfile) MaxLevel() int { return len(p.Levels) }
 
+// ResidentBytes returns the resident size at a 1-based level of a model
+// whose full size is modelBytes: level/MaxLevel of it.
+func (p ModelProfile) ResidentBytes(modelBytes int64, level int) int64 {
+	return modelBytes * int64(level) / int64(p.MaxLevel())
+}
+
 // InferenceLatencyS returns the latency of one inference of `macs` MACs on
 // n cores of cluster c at the given OPP.
 func InferenceLatencyS(c *hw.Cluster, opp hw.OPP, n int, macs int64) float64 {
-	rate := c.EffectiveRate(opp, n)
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return c.FixedOverheadS + float64(macs)/rate
+	return c.LatencyAtRate(c.EffectiveRate(opp, n), macs)
 }
 
 // InferencePowerMW returns the platform power attributable to an inference

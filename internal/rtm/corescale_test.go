@@ -1,49 +1,12 @@
 package rtm
 
 import (
-	"math"
 	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
-	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
-
-// TestLedgerLatencyMatchesInferenceLatency pins the planner's tabulated
-// latency to the formula it replaces: for every catalog cluster, every OPP
-// and every core count a caller can pass (including out-of-range ones,
-// which both sides clamp), planState.latencyS equals perf.InferenceLatencyS
-// bit for bit. One ledger is reinitialised across platforms, so the table
-// rebuild on a platform change is exercised as well.
-func TestLedgerLatencyMatchesInferenceLatency(t *testing.T) {
-	cat := hw.Catalog()
-	names := make([]string, 0, len(cat))
-	for name := range cat {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	macsCases := []int64{1, 7_000_000, perf.MobileProfile().Levels[0].MACs}
-	var st planState
-	for _, name := range names {
-		plat := cat[name]
-		st.init(&View{Platform: plat})
-		for ci, cl := range plat.Clusters {
-			for oi, opp := range cl.OPPs {
-				for n := -1; n <= cl.Cores+1; n++ {
-					for _, macs := range macsCases {
-						got, want := st.latencyS(ci, opp, n, macs), perf.InferenceLatencyS(cl, opp, n, macs)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s/%s opp %d, n=%d, macs=%d: ledger latency %v, InferenceLatencyS %v",
-								name, cl.Name, oi, n, macs, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestPlanScratchPlatformSwitch: one scratch planning an odroid-xu3 view,
 // then a flagship-soc view, then odroid-xu3 again must produce exactly the

@@ -494,7 +494,7 @@ func (p *learnedPolicy) Plan(v View) []Assignment {
 // state-key string itself).
 func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	arm := p.armFor(v)
-	if sp, ok := arm.(sealedPolicy); ok {
+	if sp := sealedOf(arm); sp != nil {
 		return sp.planInto(v, sc)
 	}
 	return arm.Plan(*v)

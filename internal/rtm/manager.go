@@ -15,6 +15,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
@@ -106,7 +107,10 @@ type Manager struct {
 	// Logf, when set, receives planning decisions.
 	Logf func(format string, args ...any)
 
-	policy   Policy
+	policy Policy
+	// sealed is policy's elision seam, nil for a policy without one,
+	// resolved whenever the policy is set (see sealedOf).
+	sealed   sealedPolicy
 	eng      *sim.Engine // the engine the last Replan ran against
 	pressure int
 	// missMark is eng's FailedFrames at the last Replan: the failed
@@ -185,6 +189,7 @@ func (m *Manager) Reset(reqs Requirements) {
 		reqs:          append(m.reqs[:0], reqs...),
 		lastFaultPlan: math.Inf(-1),
 		policy:        heuristicPolicy,
+		sealed:        heuristicPolicy,
 
 		last:       m.last[:0],
 		recoveries: m.recoveries[:0],
@@ -203,7 +208,7 @@ func (m *Manager) SetPolicy(p Policy) {
 	if p == nil {
 		return
 	}
-	m.policy = p
+	m.policy, m.sealed = p, sealedOf(p)
 	m.policyVer++
 	m.pending = true
 }
@@ -446,9 +451,9 @@ func (m *Manager) Replan(e *sim.Engine) {
 	m.missMark = e.FailedFrames()
 
 	// Only a sealed policy is elided; the others plan every replan fresh.
-	sp, sealed := m.policy.(sealedPolicy)
+	sp := m.sealed
 	var fp planFingerprint
-	if sealed {
+	if sp != nil {
 		fp = m.fingerprint(e, sp)
 		if m.lastFPOK && fp == m.lastFP {
 			m.elided++
@@ -464,7 +469,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// go through the public Plan contract.
 	v.CloneInto(&m.policyView)
 	var plan []Assignment
-	if sealed {
+	if sp != nil {
 		plan = sp.planInto(&m.policyView, &m.scratch)
 	} else {
 		plan = m.policy.Plan(m.policyView)
@@ -497,7 +502,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// Arm elision for the next replan. fp was sampled before actuation;
 	// if actuation moved a knob, PlanEpoch has moved past fp.epoch and no
 	// later fingerprint equals fp, so only a fixed point is ever elided.
-	m.lastFP, m.lastFPOK = fp, sealed
+	m.lastFP, m.lastFPOK = fp, sp != nil
 }
 
 // applyDegradedFallback is the manager-level guarantee that a plan leaves
@@ -551,9 +556,9 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 			st.freeCores[ci] -= asg.Placement.Cores
 		} else if j := v.appIndex(asg.App); j >= 0 {
 			a := &v.Apps[j]
-			st.freeDuty[ci] -= min(asg.LatencyS/a.PeriodS, 1)
+			st.freeDuty[ci] -= hw.Duty(asg.LatencyS, a.PeriodS)
 			if cl.MemBytes > 0 && a.ModelBytes > 0 {
-				st.freeMem[ci] -= a.ModelBytes * int64(asg.Level) / int64(a.Profile.MaxLevel())
+				st.freeMem[ci] -= a.Profile.ResidentBytes(a.ModelBytes, asg.Level)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package rtm
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -455,6 +454,24 @@ type sealedPolicy interface {
 	dynFingerprint(e *sim.Engine, m *Manager) uint64
 }
 
+// sealedOf returns p's sealed seam, or nil when it has none. The
+// package's own policies are matched by their concrete types, which costs
+// a compare of type words. Only other policies are asserted to the
+// interface, since the runtime fills an interface assertion's per-site
+// cache by allocating, in a random one of about 1024 calls, until the
+// type is cached: an assertion on every replan made a run allocate at
+// random.
+func sealedOf(p Policy) sealedPolicy {
+	switch p := p.(type) {
+	case *builtinPolicy:
+		return p
+	case *learnedPolicy:
+		return p
+	}
+	sp, _ := p.(sealedPolicy)
+	return sp
+}
+
 // assignFunc is one policy's per-app planning step over the shared ledger.
 type assignFunc func(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment
 
@@ -551,18 +568,13 @@ func coreOptions(cl *hw.Cluster, st *planState, ci int, buf []int) []int {
 }
 
 // latencyS is perf.InferenceLatencyS on ledger cluster ci with the core
-// scaling read from the table: n is clamped as hw.Cluster.CoreScale clamps
-// it and the arithmetic runs in the same order, so the result is
-// bit-identical.
+// scaling read from the table, n clamped as hw.Cluster.CoreScale clamps
+// it: the rate is hw.Cluster.EffectiveRate's product with its last factor
+// looked up, so the latency is the same, bit for bit.
 func (st *planState) latencyS(ci int, opp hw.OPP, n int, macs int64) float64 {
 	st.latencies++
 	cl := st.clusters[ci]
-	n = max(0, min(n, cl.Cores))
-	rate := cl.RateMACsPerSecGHz * opp.FreqGHz * st.coreScale[ci][n]
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return cl.FixedOverheadS + float64(macs)/rate
+	return cl.LatencyAtRate(cl.OPPRate(opp)*st.coreScale[ci][max(0, min(n, cl.Cores))], macs)
 }
 
 // chooseOPP returns the lowest OPP index >= floor (the cluster's committed
@@ -621,17 +633,14 @@ func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluste
 	spec := a.Profile.Level(level)
 	var memNeed int64
 	if cl.MemBytes > 0 && a.ModelBytes > 0 {
-		memNeed = a.ModelBytes * int64(level) / int64(a.Profile.MaxLevel())
+		memNeed = a.Profile.ResidentBytes(a.ModelBytes, level)
 		if memNeed > st.freeMem[ci] {
 			return candidate{}, overMemory
 		}
 	}
 	opp := cl.OPPs[oppIdx]
 	lat := st.latencyS(ci, opp, cores, spec.MACs)
-	duty := lat / a.PeriodS
-	if duty > 1 {
-		duty = 1
-	}
+	duty := hw.Duty(lat, a.PeriodS)
 	if !bestEffort {
 		if lat > req.MaxLatencyS {
 			return candidate{}, overLatency
@@ -742,7 +751,7 @@ func degradedPin(st *planState, a *sim.AppInfo) int {
 		var load float64
 		if cl.Type.IsAccelerator() {
 			if cl.MemBytes > 0 && a.ModelBytes > 0 &&
-				a.ModelBytes/int64(a.Profile.MaxLevel()) > st.freeMem[ci] {
+				a.Profile.ResidentBytes(a.ModelBytes, 1) > st.freeMem[ci] {
 				continue
 			}
 			load = 1 - st.freeDuty[ci]
@@ -774,7 +783,7 @@ func pinCandidate(st *planState, a *sim.AppInfo, ci int) candidate {
 		accuracy:  a.Profile.Level(1).Accuracy,
 	}
 	if cl.MemBytes > 0 && a.ModelBytes > 0 {
-		c.memBytes = a.ModelBytes / int64(a.Profile.MaxLevel())
+		c.memBytes = a.Profile.ResidentBytes(a.ModelBytes, 1)
 	}
 	return c
 }

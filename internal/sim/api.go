@@ -271,17 +271,9 @@ func (e *Engine) acceleratorMemUsed(cluster, except string) int64 {
 		if a.Name == except || a.stopped || a.placed.Cluster != cluster || a.Kind != KindDNN {
 			continue
 		}
-		used += e.levelBytes(a)
+		used += a.Profile.ResidentBytes(a.ModelBytes, a.level)
 	}
 	return used
-}
-
-// levelBytes returns the app's resident model size at its current level.
-func (e *Engine) levelBytes(a *appState) int64 {
-	if a.ModelBytes == 0 {
-		return 0
-	}
-	return a.ModelBytes * int64(a.level) / int64(a.Profile.MaxLevel())
 }
 
 // ---- Knobs (actuation) ----
@@ -305,8 +297,7 @@ func (e *Engine) SetLevel(app string, level int) error {
 	}
 	cl := e.plat.Cluster(a.placed.Cluster)
 	if cl.MemBytes > 0 && a.ModelBytes > 0 {
-		newBytes := a.ModelBytes * int64(level) / int64(a.Profile.MaxLevel())
-		if e.acceleratorMemUsed(a.placed.Cluster, app)+newBytes > cl.MemBytes {
+		if e.acceleratorMemUsed(a.placed.Cluster, app)+a.Profile.ResidentBytes(a.ModelBytes, level) > cl.MemBytes {
 			return fmt.Errorf("sim: level %d of %q does not fit %s memory", level, app, cl.Name)
 		}
 	}
@@ -492,7 +483,7 @@ func (e *Engine) TryMigrate(app string, to Placement) Refusal {
 	}
 	// Accelerator memory check.
 	if cl.MemBytes > 0 && a.Kind == KindDNN && a.ModelBytes > 0 {
-		if e.acceleratorMemUsed(to.Cluster, app)+e.levelBytes(a) > cl.MemBytes {
+		if e.acceleratorMemUsed(to.Cluster, app)+a.Profile.ResidentBytes(a.ModelBytes, a.level) > cl.MemBytes {
 			return Refusal{kind: refusedMemory, app: app, to: to}
 		}
 	}
@@ -507,7 +498,7 @@ func (e *Engine) TryMigrate(app string, to Placement) Refusal {
 	e.dirty |= bit
 	if a.Kind == KindDNN {
 		// The downtime supersedes the app's timer; refresh re-arms it.
-		a.blockedUntil = e.now + migrationDowntimeS(e.levelBytes(a))
+		a.blockedUntil = e.now + migrationDowntimeS(a.Profile.ResidentBytes(a.ModelBytes, a.level))
 		a.completionSeq = 0
 	}
 	e.touch(fromCS)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -288,7 +289,7 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 		{8, func(e *Engine) error { return e.SetAmbient(40) }},
 		{8.5, online("npu", true)},
 		{10, func(e *Engine) error { return e.SetLevel("dnn1", 2) }},
-		// Equal levelBytes give equal downtimes, so each pair of
+		// Equal resident sizes give equal downtimes, so each pair of
 		// migrations below ends its downtimes at one instant.
 		{10.5, func(e *Engine) error { return e.SetLevel("dnn2", 2) }},
 		{11, migrate("dnn1", "cpu-big", 2)}, // unrelated clusters
@@ -495,5 +496,59 @@ func TestPlanEpochSemantics(t *testing.T) {
 	if got := e.PlanEpoch(); got < probe.afterStart+4+2 {
 		t.Fatalf("PlanEpoch %d; want ≥ %d after knob steps + vr start/stop",
 			got, probe.afterStart+4+2)
+	}
+}
+
+// TestDeriveFastPathsMatchFormula pins derive's shortcuts to the general
+// formulas they replace, bit for bit, for every catalog cluster and OPP:
+// the OPP rate setOPP caches is EffectiveRate at every core; a lone
+// active job on an accelerator gets max(0, 1−render load)/1 of it,
+// under render loads across [0, 1]; and a lone job on n CPU cores loads
+// the cluster by n/cores, its placement's cached core fraction, and runs
+// at EffectiveRate on n cores.
+func TestDeriveFastPathsMatchFormula(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, plat := range hw.Catalog() {
+		for _, c := range plat.Clusters {
+			apps := []App{dnnApp("d", c.Name, c.Cores, 1, 1)}
+			if c.Type.IsAccelerator() {
+				apps = append(apps, App{Name: "r", Kind: KindRender, Util: 0.5, Placement: Placement{Cluster: c.Name}})
+			}
+			e := mustEngine(t, Config{Platform: plat, Apps: apps})
+			if err := e.Run(1e-6); err != nil {
+				t.Fatal(err)
+			}
+			a, cs := e.appList[0], e.cluster(c.Name)
+			if !a.jobActive {
+				t.Fatalf("%s/%s: the job finished within a microsecond", name, c.Name)
+			}
+			for oi, opp := range c.OPPs {
+				cs.setOPP(oi)
+				if want := c.EffectiveRate(opp, c.Cores); !same(cs.oppRate, want) {
+					t.Fatalf("%s/%s opp %d: cached OPP rate %v, EffectiveRate %v", name, c.Name, oi, cs.oppRate, want)
+				}
+				if c.Type.IsAccelerator() {
+					for _, u := range []float64{1e-9, 0.1, 1.0 / 3, 0.5, 0.75, 0.999999, 1} {
+						e.appList[1].Util = u
+						e.derive(cs)
+						active := 1
+						share := max(0, 1-u) / float64(active)
+						if !same(cs.share, share) || !same(a.rate, c.EffectiveRate(opp, c.Cores)*share) {
+							t.Fatalf("%s/%s opp %d, render %v: share %v rate %v, want %v and %v", name, c.Name, oi, u,
+								cs.share, a.rate, share, c.EffectiveRate(opp, c.Cores)*share)
+						}
+					}
+					continue
+				}
+				for n := 1; n <= c.Cores; n++ {
+					a.setPlacement(Placement{Cluster: c.Name, Cores: n}, cs)
+					e.derive(cs)
+					if frac := float64(n) / float64(c.Cores); !same(cs.own, frac) || !same(a.rate, c.EffectiveRate(opp, n)) {
+						t.Fatalf("%s/%s opp %d, %d cores: load %v rate %v, want %v and %v", name, c.Name, oi, n,
+							cs.own, a.rate, frac, c.EffectiveRate(opp, n))
+					}
+				}
+			}
+		}
 	}
 }

@@ -329,7 +329,7 @@ func (e *Engine) derive(cs *clusterState) {
 		}
 		full := 0.0
 		if cs.online {
-			full = cs.deviceRate * cs.share
+			full = cs.oppRate * cs.share
 		}
 		util = 0
 		for r := cs.res; r != 0; r &= r - 1 {
@@ -374,36 +374,21 @@ func (cs *clusterState) loadTail() {
 	if util > 1 {
 		util = 1
 	}
+	// The power is hw.Cluster.BusyPowerMW at the current OPP with every
+	// core active: the core fraction is then exactly 1, so the cached
+	// dynamic power times the utilisation plus static power is the same,
+	// bit for bit, for one multiply-add.
 	cs.util = util
-	cs.pow = cs.busyPowerMW(cs.util)
+	cs.pow = cs.dynMW*util + cs.staticMW
 }
 
-// setOPP moves the cluster to OPP idx. It needs the cluster's coreScale
-// table, which the whole-device rate reads.
+// setOPP moves the cluster to OPP idx.
 func (cs *clusterState) setOPP(idx int) {
 	cs.oppIdx = idx
 	opp := cs.c.OPPs[idx]
-	cs.dynMW = cs.c.Power.CeffMWPerV2GHz * opp.VoltageV * opp.VoltageV * opp.FreqGHz
-	cs.oppRate = cs.c.RateMACsPerSecGHz * opp.FreqGHz
-	cs.deviceRate = cs.rate(cs.c.Cores)
+	cs.dynMW = cs.c.DynamicPowerMW(opp)
+	cs.oppRate = cs.c.OPPRate(opp)
 }
-
-// busyPowerMW is hw.Cluster.BusyPowerMW at the current OPP with every core
-// active, for a utilisation already in [0,1] (derive clamps it). With all cores active BusyPowerMW's core fraction is exactly 1 and
-// the OPP factor is formed in the same order, so the result is
-// bit-identical while costing one multiply-add per derived cluster.
-func (cs *clusterState) busyPowerMW(util float64) float64 {
-	return cs.dynMW*util + cs.staticMW
-}
-
-// rate is hw.Cluster.EffectiveRate at the current OPP on n cores, the
-// OPP's rate times the core scaling read from the cluster's table: the
-// product is formed in the same order, so the result is bit-identical.
-func (cs *clusterState) rate(n int) float64 { return cs.oppRate * cs.scale(n) }
-
-// scale is hw.Cluster.CoreScale(n) from the cluster's table, n clamped as
-// CoreScale clamps it.
-func (cs *clusterState) scale(n int) float64 { return cs.coreScale[max(0, min(n, cs.c.Cores))] }
 
 // handle processes one scheduler event (state is already advanced to its
 // time).

@@ -250,7 +250,7 @@ type appState struct {
 	// loop resolves it once per migration instead of once per rate query.
 	// coreFrac is the placement's share of a CPU cluster's cores,
 	// Cores/cluster cores, and coreScale the cluster's core scaling at
-	// Cores, both set with it (see setPlacement).
+	// Cores, hw.Cluster.CoreScale, both set with it (see setPlacement).
 	placedCS  *clusterState
 	coreFrac  float64
 	coreScale float64
@@ -272,7 +272,7 @@ type appState struct {
 func (a *appState) setPlacement(p Placement, cs *clusterState) {
 	a.placed, a.placedCS = p, cs
 	a.coreFrac = float64(p.Cores) / float64(cs.c.Cores)
-	a.coreScale = cs.scale(p.Cores)
+	a.coreScale = cs.c.CoreScale(p.Cores)
 }
 
 // clusterState tracks per-cluster dynamics.
@@ -280,15 +280,14 @@ type clusterState struct {
 	c      *hw.Cluster
 	bit    uint64 // 1 << the cluster's position in Engine.clusterList
 	oppIdx int
-	// dynMW is the dynamic power of the current OPP at full utilisation,
-	// Ceff·V²·f, oppRate its MAC/s rate per unit of core scaling and
-	// deviceRate the rate of the whole cluster there, rate(Cores), all
-	// kept in step with oppIdx by setOPP.
-	dynMW      float64
-	oppRate    float64
-	deviceRate float64
-	online     bool // availability: an offline cluster runs nothing and draws nothing
-	accel      bool // c.Type.IsAccelerator(), resolved once per Reset
+	// dynMW is the dynamic power of the current OPP at full utilisation
+	// and oppRate the MAC/s rate of the whole cluster there, both kept in
+	// step with oppIdx by setOPP (see hw.Cluster.DynamicPowerMW and
+	// OPPRate).
+	dynMW   float64
+	oppRate float64
+	online  bool // availability: an offline cluster runs nothing and draws nothing
+	accel   bool // c.Type.IsAccelerator(), resolved once per Reset
 
 	// Energy (mJ) is held per constant-power segment: it is closed up to
 	// segT0S, and the open segment runs at segPowMW (see syncThermal and
@@ -314,10 +313,6 @@ type clusterState struct {
 	// once per Reset so the hot loop reads them without going through c.
 	loadUtil float64
 	staticMW float64
-	// coreScale[n] is c.CoreScale(n) for n in 0..Cores, tabulated once per
-	// Reset so job-rate refreshes never call math.Pow (see rate). It is a
-	// window of Engine.coreScaleStore.
-	coreScale []float64
 
 	// Derived values, recomputed by Engine.derive wherever a mutation they
 	// can observe touches the cluster. Between mutations the system is
@@ -373,10 +368,6 @@ type Engine struct {
 	stepsBy   [hUnblock + 1]uint64
 	callbacks uint64
 	failed    int
-
-	// coreScaleStore backs every cluster's coreScale table, rewritten in
-	// place by Reset like the stores above.
-	coreScaleStore []float64
 
 	ctrl  Controller
 	tickS float64
@@ -521,25 +512,13 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.clusterStore = e.clusterStore[:len(cfg.Platform.Clusters)]
 	e.clusterList = slices.Grow(e.clusterList[:0], len(cfg.Platform.Clusters))
-	// The scale store is grown to its final size first, so the appends
-	// below never move it out from under the windows already handed out.
-	scales := 0
-	for _, c := range cfg.Platform.Clusters {
-		scales += c.Cores + 1
-	}
-	store := slices.Grow(e.coreScaleStore[:0], scales)
 	for i, c := range cfg.Platform.Clusters {
-		lo := len(store)
-		for n := 0; n <= c.Cores; n++ {
-			store = append(store, c.CoreScale(n))
-		}
-		e.clusterStore[i] = clusterState{c: c, bit: 1 << i, online: true, accel: c.Type.IsAccelerator(), coreScale: store[lo:],
+		e.clusterStore[i] = clusterState{c: c, bit: 1 << i, online: true, accel: c.Type.IsAccelerator(),
 			loadUtil: c.CompanionUtil, staticMW: c.Power.StaticMW}
 		cs := &e.clusterStore[i]
 		cs.setOPP(0)
 		e.clusterList = append(e.clusterList, cs)
 	}
-	e.coreScaleStore = store
 	// Walking the platform backwards and pushing each loader onto its
 	// companion's list leaves every list in platform order.
 	for i := len(e.clusterList) - 1; i >= 0; i-- {
