@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hotbench"
-	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
 // update records each hot-path row's allocs/op as its budget instead of
@@ -24,12 +23,12 @@ import (
 var update = flag.Bool("update", false, "record hot-path allocs/op budgets in BENCH_fleet.json")
 
 // allocBudgets is BENCH_fleet.json: the allocs/op budget of every
-// internal/hotbench row, the engine work per op of every row that has a
-// work count, and the toolchain that recorded them.
+// internal/hotbench row, the engine and replan work per op of every row
+// that has a work count, and the toolchain that recorded them.
 type allocBudgets struct {
-	GoVersion   string              `json:"goVersion"`
-	AllocsPerOp map[string]int64    `json:"allocsPerOp"`
-	WorkPerOp   map[string]sim.Work `json:"workPerOp"`
+	GoVersion   string                   `json:"goVersion"`
+	AllocsPerOp map[string]int64         `json:"allocsPerOp"`
+	WorkPerOp   map[string]hotbench.Work `json:"workPerOp"`
 }
 
 // TestHotPathAllocs is the allocation gate: every hot-path row must stay
@@ -38,11 +37,12 @@ type allocBudgets struct {
 // a budgeted row missing from the table and a row with no budget. Each
 // row's count at -benchtime 1x must also equal its steady state, so that
 // benchmark smoke runs report the number this test gates. A row with a
-// work count must do exactly the engine work the table records for it:
-// its steps by kind and the controller callbacks it delivered are pure
-// functions of the run, so any change fails. With -update the test
-// writes the counts it measured as the new budgets, and only when every
-// row passed that steady-state check.
+// work count must do exactly the work the table records for it: its
+// steps by kind, the controller callbacks it delivered and the replans
+// its manager made and elided are pure functions of the run, so any
+// change fails. With -update the test writes the counts it measured as
+// the new budgets, and only when every row passed that steady-state
+// check.
 func TestHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -67,7 +67,7 @@ func TestHotPathAllocs(t *testing.T) {
 	if err := bt.Set("1x"); err != nil {
 		t.Fatal(err)
 	}
-	measured := allocBudgets{GoVersion: runtime.Version(), AllocsPerOp: map[string]int64{}, WorkPerOp: map[string]sim.Work{}}
+	measured := allocBudgets{GoVersion: runtime.Version(), AllocsPerOp: map[string]int64{}, WorkPerOp: map[string]hotbench.Work{}}
 	rows := hotbench.Rows()
 	for _, row := range rows {
 		t.Run(row.Name, func(t *testing.T) {
@@ -76,7 +76,7 @@ func TestHotPathAllocs(t *testing.T) {
 			if at1x := allocsAt1x(row.Bench); at1x != got {
 				t.Errorf("-benchtime 1x reads %d allocs/op, steady state is %d", at1x, got)
 			}
-			var work sim.Work
+			var work hotbench.Work
 			if row.Work != nil {
 				work = row.Work(t)
 				measured.WorkPerOp[row.Name] = work

@@ -213,24 +213,7 @@ func TestGoldenFaultyReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
-
-	path := filepath.Join("testdata", "golden_faulty_seed1_n16.json")
-	if *update {
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create the golden file)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("faulty report drifted from %s%s\n(if the change is intended, regenerate with -update and review the diff)",
-			path, firstDiff(want, got))
-	}
+	checkGolden(t, filepath.Join("testdata", "golden_faulty_seed1_n16.json"), append(got, '\n'))
 }
 
 // Crash-resume over a faulty fleet: SIGKILL a shard mid-run (every

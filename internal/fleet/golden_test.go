@@ -12,7 +12,7 @@ import (
 
 // update regenerates golden files instead of comparing against them:
 //
-//	go test ./internal/fleet -run TestGoldenReport -update
+//	go test ./internal/fleet -run 'TestGoldenReport|TestGoldenLearned' -update
 //
 // Only do this after deliberately changing generator/manager/simulator
 // behaviour, and review the golden diff like code.
@@ -35,9 +35,52 @@ func TestGoldenReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, '\n')
+	checkGolden(t, filepath.Join("testdata", "golden_seed1_n32.json"), append(got, '\n'))
+}
 
-	path := filepath.Join("testdata", "golden_seed1_n32.json")
+// TestGoldenLearned pins the learned tier, which the other goldens never
+// run: the table Train writes for seed 7 over 8 workloads and one
+// refinement epoch, and the fleetsim -results report of a 16-workload
+// sweep that runs that table beside two built-ins. The sweep loads the
+// checked-in table by its relative path, which the report names in its
+// policy fields, so the path is part of the pinned bytes.
+func TestGoldenLearned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a table and runs 48 scenarios")
+	}
+	table, _, err := Train(TrainConfig{Seed: 7, Workloads: 8, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := table.MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablePath := filepath.Join("testdata", "golden_learned_table_seed7_n8.json")
+	checkGolden(t, tablePath, raw)
+
+	cfg := GeneratorConfig{Seed: 7, Policies: []string{"heuristic", "minenergy", "learned:" + tablePath}}
+	rep, res, err := Run(cfg, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The report as fleetsim -results writes it.
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(struct {
+		Report
+		Results []Result `json:"results,omitempty"`
+	}{rep, res}); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_learned_sweep_seed7_n16.json"), got.Bytes())
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file with got under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
@@ -50,7 +93,7 @@ func TestGoldenReport(t *testing.T) {
 		t.Fatalf("%v (run with -update to create the golden file)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("report drifted from %s%s\n(if the change is intended, regenerate with -update and review the diff)",
+		t.Fatalf("output drifted from %s%s\n(if the change is intended, regenerate with -update and review the diff)",
 			path, firstDiff(want, got))
 	}
 }

@@ -28,25 +28,36 @@ import (
 // returns its op, the unit that ns/op and allocs/op are counted per.
 // Every measurement runs the op once before counting, so first-use
 // growth of scratch buffers and pools stays out of the numbers. Work,
-// set on the rows whose op is one engine run, builds the row's state,
-// runs the op once and returns the engine's work counts for it, which
-// the allocation gate pins exactly.
+// set on the rows whose op is one managed engine run, builds the row's
+// state, runs the op once and returns its work counts, which the
+// allocation gate pins exactly.
 type Row struct {
 	Name  string
 	Setup func(tb testing.TB) (op func())
-	Work  func(tb testing.TB) sim.Work
+	Work  func(tb testing.TB) Work
 }
 
-// runRow is a row whose op is one engine run: setup returns the run,
-// which returns the engine it ran on.
-func runRow(name string, setup func(tb testing.TB) (run func() *sim.Engine)) Row {
+// Work is what one managed engine run did: the engine's steps by kind,
+// thermal steps and controller callbacks, and the manager's replans,
+// elided ones included. Each count is a pure function of the run.
+type Work struct {
+	sim.Work
+	rtm.PlanStats
+}
+
+// runRow is a row whose op is one managed engine run: setup returns the
+// run, which returns the engine it ran on and the manager that ran it.
+func runRow(name string, setup func(tb testing.TB) (run func() (*sim.Engine, *rtm.Manager))) Row {
 	return Row{
 		Name: name,
 		Setup: func(tb testing.TB) func() {
 			run := setup(tb)
 			return func() { run() }
 		},
-		Work: func(tb testing.TB) sim.Work { return setup(tb)().Work() },
+		Work: func(tb testing.TB) Work {
+			e, mgr := setup(tb)()
+			return Work{Work: e.Work(), PlanStats: mgr.PlanStats()}
+		},
 	}
 }
 
@@ -128,7 +139,7 @@ func engineNew(tb testing.TB) func() {
 // whose worker Resets one engine and one manager per scenario. Unlike
 // engine-run it reaches the controller callbacks, replans and the
 // deadline-miss path.
-func engineRunManaged(tb testing.TB) func() *sim.Engine {
+func engineRunManaged(tb testing.TB) func() (*sim.Engine, *rtm.Manager) {
 	reqs := benchReqs()
 	mgr := rtm.NewManager(reqs)
 	cfg := sim.Config{Platform: hw.FlagshipSoC(), Apps: sim.BenchApps(), Controller: mgr, TickS: fleet.TickS}
@@ -136,7 +147,7 @@ func engineRunManaged(tb testing.TB) func() *sim.Engine {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return func() *sim.Engine {
+	return func() (*sim.Engine, *rtm.Manager) {
 		mgr.Reset(reqs)
 		if err := e.Reset(cfg); err != nil {
 			tb.Fatal(err)
@@ -144,7 +155,7 @@ func engineRunManaged(tb testing.TB) func() *sim.Engine {
 		if err := e.Run(10); err != nil {
 			tb.Fatal(err)
 		}
-		return e
+		return e, mgr
 	}
 }
 
@@ -155,8 +166,8 @@ func engineRunManaged(tb testing.TB) func() *sim.Engine {
 // manager and controller. Over every class that workload is a churn run;
 // the faulty one fails a cluster, and its replans meet refused
 // migrations.
-func stackRun(classes ...fleet.Class) func(tb testing.TB) func() *sim.Engine {
-	return func(tb testing.TB) func() *sim.Engine {
+func stackRun(classes ...fleet.Class) func(tb testing.TB) func() (*sim.Engine, *rtm.Manager) {
+	return func(tb testing.TB) func() (*sim.Engine, *rtm.Manager) {
 		gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3"},
 			Classes: classes})
 		if err != nil {
@@ -174,12 +185,12 @@ func stackRun(classes ...fleet.Class) func(tb testing.TB) func() *sim.Engine {
 		}
 		plat := hw.OdroidXU3()
 		var st workload.Stack
-		return func() *sim.Engine {
-			e, _, _, err := st.Run(*script, plat, fleet.TickS)
+		return func() (*sim.Engine, *rtm.Manager) {
+			e, mgr, _, err := st.Run(*script, plat, fleet.TickS)
 			if err != nil {
 				tb.Fatal(err)
 			}
-			return e
+			return e, mgr
 		}
 	}
 }
@@ -230,8 +241,9 @@ func replan(tb testing.TB) func() {
 }
 
 // replanElided is the fingerprint-stable fast path: once the first op
-// reaches the actuated fixed point, a Replan on a quiescent engine is a
-// fingerprint compare and a counter bump.
+// reaches the actuated fixed point, a Replan on a quiescent engine builds
+// its view (an engine snapshot into reused buffers), compares the
+// fingerprint and bumps a counter.
 func replanElided(tb testing.TB) func() {
 	mgr, e := managedEngine(tb)
 	return func() { mgr.Replan(e) }

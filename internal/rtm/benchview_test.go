@@ -30,7 +30,7 @@ func benchView(tb testing.TB) View {
 	if err := e.Run(2); err != nil {
 		tb.Fatal(err)
 	}
-	return mgr.buildView(e)
+	return *mgr.buildView(e)
 }
 
 // Example of addressing policies through the registry, for the doc page.

@@ -3,8 +3,10 @@ package rtm
 // This file is the plan-reuse layer: the fingerprint seam behind replan
 // elision. A fleet sweep replans thousands of times per scenario, and most
 // of those replans see a planning state nothing has moved since the last
-// actuated plan — skipping them is the same amortisation the paper's RTM
-// applies to knob actuation.
+// actuated plan — skipping their planning and actuation is the same
+// amortisation the paper's RTM applies to knob actuation. Every replan
+// still builds its View first: the key is read from it, and an elided
+// replan leaves it as the manager's LastView.
 //
 // Correctness rests on a sealed, package-internal interface (sealedPolicy,
 // which also carries the allocation-free plan path). A policy
@@ -28,7 +30,8 @@ type PlanStats struct {
 // covering every input Replan feeds the policy — the engine's planning
 // epoch, the manager's requirement and policy versions, the thermal
 // stance (pressure, which sets DynBudgetMW together with the
-// epoch-tracked ambient), and the policy's dynamic extension.
+// epoch-tracked ambient), and the policy's dynamic extension, which
+// sealedPolicy.dynFingerprint reads from the replan's View.
 type planFingerprint struct {
 	epoch     uint64
 	reqsVer   uint64

@@ -3,6 +3,7 @@ package rtm
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -14,8 +15,9 @@ import (
 // equivalence tests: two DNNs with real contention, a render app arriving
 // mid-run, an ambient jump driving thermal pressure, and a requirement
 // change — every replan trigger the manager has. Wrapping pol in unsealed
-// gives the reuse-off arm.
-func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report) {
+// gives the reuse-off arm. It also returns the manager's LastView after
+// every replan, in replan order.
+func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report, []View) {
 	t.Helper()
 	prof := perf.UniformProfile("reuse", 7_000_000, 7<<20, perf.PaperAccuracies, nil)
 	apps := []sim.App{
@@ -41,6 +43,16 @@ func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report) {
 	mgr.SetPolicy(pol)
 	hot, relaxed := false, false
 	nextForce := 2.0
+	// Each manager call replans at most once; call records the view of
+	// that replan.
+	var views []View
+	call := func(f func()) {
+		plans := mgr.Plans()
+		f()
+		if mgr.Plans() > plans {
+			views = append(views, mgr.LastView())
+		}
+	}
 	ctrl := ctrlFuncs{
 		tick: func(e *sim.Engine) {
 			if !hot && e.Now() >= 16 {
@@ -56,11 +68,11 @@ func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report) {
 			// identically in both arms so Plans() stays comparable.
 			if e.Now() >= nextForce {
 				nextForce += 2
-				mgr.Replan(e)
+				call(func() { mgr.Replan(e) })
 			}
-			mgr.OnTick(e)
+			call(func() { mgr.OnTick(e) })
 		},
-		event: func(e *sim.Engine, ev sim.Event) { mgr.OnEvent(e, ev) },
+		event: func(e *sim.Engine, ev sim.Event) { call(func() { mgr.OnEvent(e, ev) }) },
 	}
 	e, err := sim.New(sim.Config{
 		Platform:   hw.FlagshipSoC(),
@@ -75,7 +87,7 @@ func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report) {
 	if err := e.Run(30); err != nil {
 		t.Fatal(err)
 	}
-	return mgr, e.Report()
+	return mgr, e.Report(), views
 }
 
 func testPolicies(t *testing.T) map[string]func() Policy {
@@ -118,13 +130,13 @@ type unsealed struct{ Policy }
 // TestPlanReuseEquivalence is replan elision's correctness property at the
 // manager layer: with replan elision on the full simulation
 // report — every event, stat and temperature — must be byte-identical to
-// planning every replan fresh, for every built-in policy and a trained
-// learned policy.
+// planning every replan fresh, and so must LastView after every replan,
+// for every built-in policy and a trained learned policy.
 func TestPlanReuseEquivalence(t *testing.T) {
 	for name, mk := range testPolicies(t) {
 		t.Run(name, func(t *testing.T) {
-			mgrOff, repOff := reuseScenario(t, unsealed{mk()})
-			mgrOn, repOn := reuseScenario(t, mk())
+			mgrOff, repOff, viewsOff := reuseScenario(t, unsealed{mk()})
+			mgrOn, repOn, viewsOn := reuseScenario(t, mk())
 
 			off, err := json.Marshal(repOff)
 			if err != nil {
@@ -140,6 +152,14 @@ func TestPlanReuseEquivalence(t *testing.T) {
 			if mgrOn.Plans() != mgrOff.Plans() {
 				t.Errorf("plans %d with reuse, %d without (must match: elided plans still count)",
 					mgrOn.Plans(), mgrOff.Plans())
+			}
+			if len(viewsOn) != len(viewsOff) {
+				t.Fatalf("%d views recorded with reuse, %d without", len(viewsOn), len(viewsOff))
+			}
+			for i := range viewsOn {
+				if !reflect.DeepEqual(viewsOn[i], viewsOff[i]) {
+					t.Fatalf("replan %d (t=%gs): LastView with reuse differs from planning fresh", i, viewsOff[i].NowS)
+				}
 			}
 			offStats := mgrOff.PlanStats()
 			if offStats.Elided != 0 {
@@ -159,7 +179,7 @@ func TestPlanReuseEquivalence(t *testing.T) {
 func TestReplanElisionSavesPolicyCalls(t *testing.T) {
 	calls := func(wrap func(*countingHeuristic) Policy) (int, int) {
 		cp := &countingHeuristic{}
-		mgr, _ := reuseScenario(t, wrap(cp))
+		mgr, _, _ := reuseScenario(t, wrap(cp))
 		return cp.calls, mgr.Plans()
 	}
 	offCalls, offPlans := calls(func(cp *countingHeuristic) Policy { return unsealed{cp} })
@@ -177,8 +197,8 @@ func TestReplanElisionSavesPolicyCalls(t *testing.T) {
 // exactly like the real built-in.
 type countingHeuristic struct{ calls int }
 
-func (p *countingHeuristic) dynFingerprint(e *sim.Engine, m *Manager) uint64 {
-	return heuristicPolicy.dynFingerprint(e, m)
+func (p *countingHeuristic) dynFingerprint(v *View) uint64 {
+	return heuristicPolicy.dynFingerprint(v)
 }
 
 func (p *countingHeuristic) Name() string { return "counting-heuristic" }
@@ -197,7 +217,7 @@ func (p *countingHeuristic) planInto(v *View, sc *planScratch) []Assignment {
 // interface must plan fresh on every replan — elision is opt-in for
 // exactly-known read-sets only.
 func TestThirdPartyPolicyNeverReused(t *testing.T) {
-	mgr, _ := reuseScenario(t, externalPolicy{})
+	mgr, _, _ := reuseScenario(t, externalPolicy{})
 	s := mgr.PlanStats()
 	if s.Elided != 0 {
 		t.Fatalf("third-party policy was reused: %+v", s)
@@ -235,7 +255,11 @@ func failingApps(t *testing.T, at []float64, misses []int) []sim.App {
 	if err := e.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	l := e.AppAt(0).AvgLatency
+	info, err := e.App("probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := info.AvgLatency
 	p := 0.75 * l
 	if l == 0 || l+p > 0.5 {
 		t.Fatalf("probe latency %g s does not fit the half-second windows", l)

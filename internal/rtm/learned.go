@@ -309,14 +309,7 @@ func StateKey(v *View) string {
 // thermalBucket classifies the headroom between the die and the effective
 // throttle point (margin included): <3 °C hot, <10 °C warm, else cool.
 func thermalBucket(v *View) int {
-	return thermalBucketOf(v.ThrottleC - v.MarginC - v.TempC)
-}
-
-// thermalBucketOf is the headroom → bucket mapping shared by the View
-// path and the live-engine fingerprint path; both must discretise
-// identically or elision could reuse a plan the policy would not repeat.
-func thermalBucketOf(headC float64) int {
-	switch {
+	switch headC := v.ThrottleC - v.MarginC - v.TempC; {
 	case headC < 3:
 		return 0
 	case headC < 10:
@@ -369,12 +362,6 @@ func slackBucket(v *View) int {
 			worst = slack
 		}
 	}
-	return slackBucketOf(worst)
-}
-
-// slackBucketOf maps a worst relative slack to its bucket (shared with
-// the live-engine fingerprint path, like thermalBucketOf).
-func slackBucketOf(worst float64) int {
 	switch {
 	case math.IsInf(worst, 1):
 		return stateSlackBuckets - 1
@@ -500,37 +487,14 @@ func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	return arm.Plan(*v)
 }
 
-// ---- Plan-reuse seam ----
-//
-// The learned policy opts into replan elision, but unlike the built-ins
-// its plan depends on more than the epoch-tracked View: the thermal and
-// slack buckets read continuously-moving observables (die temperature,
-// per-app average latency). Elision therefore folds those buckets —
-// discretised exactly as StateKey would see them — into the dynamic
-// fingerprint.
-
-// dynFingerprint implements sealedPolicy: the thermal and slack buckets
-// computed from live engine state, bit-for-bit as the View path would
-// discretise them. The remaining StateKey inputs (power bucket, DNN
-// count) are fully determined by epoch-tracked state plus the manager
-// fields already in the fingerprint, so they need no re-derivation here.
-func (p *learnedPolicy) dynFingerprint(e *sim.Engine, m *Manager) uint64 {
-	margin := float64(m.Pressure()) * pressureStepC
-	tb := thermalBucketOf(e.ThrottleC() - margin - e.Temperature())
-	worst := math.Inf(1)
-	for i, n := 0, e.AppCount(); i < n; i++ {
-		a := e.AppAt(i)
-		if !a.Running || a.Kind != sim.KindDNN {
-			continue
-		}
-		budget := m.Requirement(a.Name, a.PeriodS).MaxLatencyS
-		if budget <= 0 {
-			continue
-		}
-		if slack := (budget - a.AvgLatency) / budget; slack < worst {
-			worst = slack
-		}
-	}
-	sb := slackBucketOf(worst)
-	return uint64(tb)<<8 | uint64(sb)
+// dynFingerprint implements sealedPolicy. Unlike a built-in's, the
+// learned policy's plan depends on more than the epoch-tracked View: the
+// thermal and slack buckets of its state read continuously-moving
+// observables (die temperature, per-app average latency). The key is
+// those two buckets, computed by the functions StateKey uses, so the two
+// cannot drift apart. The other StateKey inputs (power bucket, DNN count)
+// are fully determined by epoch-tracked state plus the manager fields
+// already in the fingerprint.
+func (p *learnedPolicy) dynFingerprint(v *View) uint64 {
+	return uint64(thermalBucket(v))<<8 | uint64(slackBucket(v))
 }

@@ -54,6 +54,20 @@ func (rs Requirements) index(app string) int {
 	return -1
 }
 
+// resolve returns app's requirement with defaults applied: its entry, or
+// the zero requirement when it has none, with a zero MaxLatencyS read as
+// the app's frame period periodS.
+func (rs Requirements) resolve(app string, periodS float64) Requirement {
+	var r Requirement
+	if i := rs.index(app); i >= 0 {
+		r = rs[i].Requirement
+	}
+	if r.MaxLatencyS == 0 {
+		r.MaxLatencyS = periodS
+	}
+	return r
+}
+
 // Assignment is one planned operating point for an app.
 type Assignment struct {
 	App       string
@@ -115,11 +129,14 @@ type Manager struct {
 	pressure int
 	// missMark is eng's FailedFrames at the last Replan: the failed
 	// frames since are the difference (see failedSince).
-	missMark     int
-	pending      bool
-	plans        int
-	last         []Assignment // the last actuated plan; white-box tests read it
-	lastView     View         // aliases snap and viewReqs; LastView clones it
+	missMark int
+	pending  bool
+	plans    int
+	last     []Assignment // the last actuated plan; white-box tests read it
+	// lastView is the view the latest replan built, elided or not. It
+	// aliases snap and viewReqs, which only the next replan rewrites;
+	// LastView clones it.
+	lastView     View
 	lastMissPlan float64
 
 	// Fault-replan state: faultPending marks an open fault burst (recovery
@@ -145,13 +162,13 @@ type Manager struct {
 	elided    int
 
 	// Replan scratch: the manager replans every controller tick, so the
-	// planning input (engine snapshot + view), the defensive policy copy,
+	// planning input (engine snapshot + requirements), the defensive policy copy,
 	// the policy's working buffers and the actuation indexes are all
 	// rebuilt in place instead of reallocated. Handed-out state stays
 	// defensive — LastView copies on read. Reset keeps these
 	// buffers and nothing else.
 	snap       sim.Snapshot
-	viewReqs   map[string]Requirement
+	viewReqs   Requirements
 	policyView View
 	scratch    planScratch
 	cur        []appCur // actuation's view of each View.Apps entry
@@ -194,7 +211,7 @@ func (m *Manager) Reset(reqs Requirements) {
 		last:       m.last[:0],
 		recoveries: m.recoveries[:0],
 		snap:       m.snap,
-		viewReqs:   m.viewReqs,
+		viewReqs:   m.viewReqs[:0],
 		policyView: m.policyView,
 		scratch:    m.scratch,
 		cur:        m.cur[:0],
@@ -228,14 +245,7 @@ func (m *Manager) SetRequirement(app string, r Requirement) {
 
 // Requirement returns the requirement for an app (with defaults applied).
 func (m *Manager) Requirement(app string, periodS float64) Requirement {
-	var r Requirement
-	if i := m.reqs.index(app); i >= 0 {
-		r = m.reqs[i].Requirement
-	}
-	if r.MaxLatencyS == 0 {
-		r.MaxLatencyS = periodS
-	}
-	return r
+	return m.reqs.resolve(app, periodS)
 }
 
 // Plans returns how many replans have executed.
@@ -243,17 +253,18 @@ func (m *Manager) Plans() int { return m.plans }
 
 // PlanStats reports the manager's plan-reuse counters: total replans and
 // elided replans. The counters are observability only — they never enter
-// simulation reports, whose bytes must not depend on reuse.
-//
-//detlint:allow deadexport test-only counter until it becomes a work-counter row in the allocs table
+// simulation reports, whose bytes must not depend on reuse; the
+// allocation gate pins them per run.
 func (m *Manager) PlanStats() PlanStats {
 	return PlanStats{Plans: m.plans, Elided: m.elided}
 }
 
-// LastView returns a copy of the view the most recent plan was computed
-// over — the read-only planning input, for inspection and tests. The
-// copy is defensive: callers (and policies, which receive the view by
-// value at plan time) cannot reach manager or engine state through it.
+// LastView returns a copy of the view the most recent replan built — the
+// read-only planning input, for inspection and tests. An elided replan
+// builds one too, so LastView is the same whether the latest replan
+// planned or was elided. The copy is defensive: callers (and policies,
+// which receive the view by value at plan time) cannot reach manager or
+// engine state through it.
 func (m *Manager) LastView() View { return m.lastView.Clone() }
 
 // KnobsAndMonitors names, sorted, the Fig 5 interface of the engine the
@@ -281,9 +292,6 @@ func (m *Manager) KnobsAndMonitors() (knobs, monitors []string) {
 	slices.Sort(monitors)
 	return knobs, monitors
 }
-
-// Pressure returns the outstanding thermal pressure level.
-func (m *Manager) Pressure() int { return m.pressure }
 
 // failedSince counts the frames that failed on e since the manager last
 // planned on it. On an engine other than the one it last planned on, or
@@ -362,18 +370,10 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 	}
 }
 
-// FaultRecoveries returns the recovery latencies measured so far: for each
-// fault burst, the time from the first EvClusterFail to the first
-// subsequent actuated (non-elided) replan. The slice is a copy.
-//
-//detlint:allow deadexport public as emlrtm.Manager's; the fleet reads only the sum, through Recoveries
-func (m *Manager) FaultRecoveries() []float64 {
-	return append([]float64(nil), m.recoveries...)
-}
-
 // Recoveries returns how many fault bursts have recovered and the sum of
-// their recovery latencies (see FaultRecoveries), added in the order they
-// were measured. It copies nothing.
+// their recovery latencies, added in the order they were measured. A
+// burst's recovery latency is the time from its first EvClusterFail to
+// the first actuated (non-elided) replan after it.
 func (m *Manager) Recoveries() (n int, totalS float64) {
 	for _, r := range m.recoveries {
 		totalS += r
@@ -381,21 +381,24 @@ func (m *Manager) Recoveries() (n int, totalS float64) {
 	return len(m.recoveries), totalS
 }
 
-// buildView snapshots the engine and the manager's thermal stance into the
-// read-only planning input, rebuilding the manager's scratch snapshot and
-// requirement map in place. Apps and clusters are value copies from the
-// engine snapshot and the requirement map is rebuilt per view, so handing
-// the view to a policy exposes no internal mutable state.
-func (m *Manager) buildView(e *sim.Engine) View {
+// buildView snapshots the engine and the manager's thermal stance into
+// lastView, the read-only planning input, and returns it. The manager's
+// scratch snapshot and requirements are rebuilt in place: one resolved
+// requirement per DNN app, in Apps order. Apps and clusters are value
+// copies from the engine snapshot, so handing a clone of the view to a
+// policy exposes no internal mutable state.
+func (m *Manager) buildView(e *sim.Engine) *View {
 	e.SnapshotInto(&m.snap)
 	plat := e.Platform()
 	margin := float64(m.pressure) * pressureStepC
 	capW := plat.Thermal.PowerBudgetW(m.snap.AmbientC, plat.Thermal.ThrottleC-margin)
-	if m.viewReqs == nil {
-		m.viewReqs = map[string]Requirement{}
+	m.viewReqs = m.viewReqs[:0]
+	for i := range m.snap.Apps {
+		if a := &m.snap.Apps[i]; a.Kind == sim.KindDNN {
+			m.viewReqs = append(m.viewReqs, AppRequirement{App: a.Name, Requirement: m.Requirement(a.Name, a.PeriodS)})
+		}
 	}
-	clear(m.viewReqs)
-	v := View{
+	m.lastView = View{
 		NowS:        m.snap.TimeS,
 		AmbientC:    m.snap.AmbientC,
 		TempC:       m.snap.TempC,
@@ -407,37 +410,34 @@ func (m *Manager) buildView(e *sim.Engine) View {
 		Clusters:    m.snap.Clusters,
 		Reqs:        m.viewReqs,
 	}
-	for _, a := range m.snap.Apps {
-		if a.Kind == sim.KindDNN {
-			m.viewReqs[a.Name] = m.Requirement(a.Name, a.PeriodS)
-		}
-	}
-	return v
+	return &m.lastView
 }
 
-// fingerprint builds the elision key for sp, the manager's policy.
+// fingerprint builds the elision key for sp, the manager's policy, over
+// the view in lastView.
 func (m *Manager) fingerprint(e *sim.Engine, sp sealedPolicy) planFingerprint {
 	return planFingerprint{
 		epoch:     e.PlanEpoch(),
 		reqsVer:   m.reqsVer,
 		policyVer: m.policyVer,
 		pressure:  m.pressure,
-		dyn:       sp.dynFingerprint(e, m),
+		dyn:       sp.dynFingerprint(&m.lastView),
 	}
 }
 
 // Replan recomputes and actuates assignments for every running DNN app:
 // build the view, delegate planning to the policy, actuate the plan.
 //
-// Elision sits in front of the policy, byte-identical to planning fresh:
-// when the planning fingerprint is unchanged since the last planned
-// replan, planning would reproduce the same plan and actuation would
-// no-op — skip all of it. That replan's actuation left the engine at the
-// plan's targets, or it moved a knob and with it the plan epoch, which
-// only ever grows: then the fingerprint cannot match again. A knob the
-// engine refused (a migration onto a full cluster) moves nothing, and
-// the same plan would be refused again. Counters (last plan, LastView,
-// Plans, miss reset) behave identically on both paths.
+// Elision sits between the view and the policy, byte-identical to
+// planning fresh: when the planning fingerprint is unchanged since the
+// last planned replan, planning would reproduce the same plan and
+// actuation would no-op — skip both. That replan's actuation left the
+// engine at the plan's targets, or it moved a knob and with it the plan
+// epoch, which only ever grows: then the fingerprint cannot match again.
+// A knob the engine refused (a migration onto a full cluster) moves
+// nothing, and the same plan would be refused again. Counters (Plans,
+// miss reset) and LastView behave identically on both paths; the last
+// actuated plan is the one an elided replan would have planned.
 //
 //detlint:hotpath
 func (m *Manager) Replan(e *sim.Engine) {
@@ -450,6 +450,11 @@ func (m *Manager) Replan(e *sim.Engine) {
 	}
 	m.missMark = e.FailedFrames()
 
+	// The view is built once, into lastView, and published before any
+	// callback can run: the fingerprint reads it, and an elided replan
+	// leaves it as the latest view. Its slices alias the snapshot
+	// scratch, so LastView clones on read.
+	v := m.buildView(e)
 	// Only a sealed policy is elided; the others plan every replan fresh.
 	sp := m.sealed
 	var fp planFingerprint
@@ -461,7 +466,6 @@ func (m *Manager) Replan(e *sim.Engine) {
 		}
 	}
 
-	v := m.buildView(e)
 	// The policy gets its own clone: a policy that scribbles on its View's
 	// runtime state cannot corrupt the copy actuation and LastView read
 	// from. Built-in policies additionally plan through the manager-owned
@@ -476,14 +480,10 @@ func (m *Manager) Replan(e *sim.Engine) {
 	}
 	// The last-resort degradation guarantee: a pure function of (view,
 	// plan) applied to whatever the policy returned.
-	m.applyDegradedFallback(&v, plan)
-	// Publish before any callback can run. plan aliases the policy's
-	// scratch, which the next plan rewrites, so it is copied. v aliases
-	// the snapshot scratch, which only the next fresh replan rewrites, and
-	// that replan publishes its own view over it: the header is enough,
-	// and LastView clones on read.
+	m.applyDegradedFallback(v, plan)
+	// plan aliases the policy's scratch, which the next plan rewrites, so
+	// it is copied.
 	m.last = append(m.last[:0], plan...)
-	m.lastView = v
 	if m.Logf != nil {
 		for _, asg := range plan {
 			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
@@ -627,7 +627,7 @@ func donate(st *planState, v *View, plan []Assignment, skip, only int) int {
 // knobs KnobsAndMonitors names are these actuators.
 //
 //detlint:hotpath
-func (m *Manager) actuate(e *sim.Engine, v View, plan []Assignment) {
+func (m *Manager) actuate(e *sim.Engine, v *View, plan []Assignment) {
 	// The view was snapshotted from this engine within the same replan, so
 	// it *is* the current state — indexing it avoids re-querying the
 	// engine. cur follows each app through actuation, indexed like

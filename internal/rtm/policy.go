@@ -20,7 +20,7 @@ import (
 // knob layer to realise it.
 
 // View is the read-only snapshot a policy plans over. The runtime state
-// in it — Apps, Clusters, Reqs — is value copies rebuilt per plan, so a
+// in it — Apps, Clusters, Reqs — is value copies rebuilt per replan, so a
 // policy that scribbles on them corrupts only its own input, never
 // manager or engine state. Platform (and the profile level tables inside
 // each AppInfo) is shared static configuration: neither the engine nor
@@ -48,23 +48,18 @@ type View struct {
 	Apps []sim.AppInfo
 	// Clusters is the observable state of every cluster, in platform order.
 	Clusters []sim.ClusterInfo
-	// Reqs holds the resolved requirement of every DNN app (defaults
-	// applied: a zero MaxLatencyS becomes the app's frame period).
-	Reqs map[string]Requirement
+	// Reqs holds the resolved requirement of every DNN app, one entry
+	// per DNN in Apps order (defaults applied: a zero MaxLatencyS becomes
+	// the app's frame period).
+	Reqs Requirements
 }
 
 // Req returns the requirement for an app with defaults applied, tolerating
-// hand-built Views whose Reqs map is sparse or unresolved.
+// hand-built Views whose Reqs are sparse or unresolved.
 func (v *View) Req(a sim.AppInfo) Requirement { return v.req(&a) }
 
 // req is Req without the AppInfo copy, for the planners' hot path.
-func (v *View) req(a *sim.AppInfo) Requirement {
-	r := v.Reqs[a.Name]
-	if r.MaxLatencyS == 0 {
-		r.MaxLatencyS = a.PeriodS
-	}
-	return r
-}
+func (v *View) req(a *sim.AppInfo) Requirement { return v.Reqs.resolve(a.Name, a.PeriodS) }
 
 // ClusterOnline reports whether the cluster at platform index ci is
 // available. Manager-built views carry one ClusterInfo per platform
@@ -87,8 +82,8 @@ func (v *View) appIndex(name string) int {
 	return -1
 }
 
-// Clone deep-copies the view's slices and map (one level: profile level
-// tables inside AppInfo are shared, as is the Platform description). It is
+// Clone deep-copies the view's slices (one level: profile level tables
+// inside AppInfo are shared, as is the Platform description). It is
 // what Manager.LastView returns, so callers can inspect the last planning
 // input without aliasing manager state.
 func (v View) Clone() View {
@@ -98,25 +93,17 @@ func (v View) Clone() View {
 }
 
 // CloneInto rebuilds dst as a clone of v — the same one-level deep copy as
-// Clone, but into dst's existing slices and map so a caller replanning
-// every tick (the Manager) clones without allocating once the buffers have
-// grown to the working-set size.
+// Clone, but into dst's existing slices so a caller replanning every tick
+// (the Manager) clones without allocating once the buffers have grown to
+// the working-set size.
 //
 //detlint:hotpath
 func (v View) CloneInto(dst *View) {
-	apps, clusters, reqs := dst.Apps[:0], dst.Clusters[:0], dst.Reqs
+	apps, clusters, reqs := dst.Apps[:0], dst.Clusters[:0], dst.Reqs[:0]
 	*dst = v
 	dst.Apps = append(apps, v.Apps...)
 	dst.Clusters = append(clusters, v.Clusters...)
-	if reqs == nil {
-		reqs = make(map[string]Requirement, len(v.Reqs))
-	}
-	clear(reqs)
-	//detlint:ordered map-to-map copy; per-key writes are order-independent
-	for k, r := range v.Reqs {
-		reqs[k] = r
-	}
-	dst.Reqs = reqs
+	dst.Reqs = append(reqs, v.Reqs...)
 }
 
 // Policy maps a View to one Assignment per running DNN app. Plan must be
@@ -236,7 +223,7 @@ func (p *builtinPolicy) planInto(v *View, sc *planScratch) []Assignment {
 // availability, per-app identity/placement/level/profile), all covered by
 // the plan epoch and the manager's versions, so its dynamic part is empty
 // and its replans elide.
-func (*builtinPolicy) dynFingerprint(*sim.Engine, *Manager) uint64 { return 0 }
+func (*builtinPolicy) dynFingerprint(*View) uint64 { return 0 }
 
 // ---- Shared planning machinery ----
 //
@@ -443,15 +430,16 @@ var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 // planInto plans into caller-owned scratch buffers, returning a slice
 // that aliases sc.plan: the allocation-free path.
 //
-// dynFingerprint is the policy's part of replan elision's key: a policy
+// dynFingerprint is the policy's part of replan elision's key, read from
+// the view the replan built before it decides whether to plan: a policy
 // whose plan depends only on the engine's PlanEpoch-tracked state plus
 // the manager's thermal stance returns a constant; a policy that
 // additionally reads continuously-moving observables (the learned
-// policy's thermal and slack buckets) folds them — discretised exactly as
-// its Plan would see them — into the returned value.
+// policy's thermal and slack buckets) returns them, computed by the same
+// functions its Plan uses.
 type sealedPolicy interface {
 	planInto(v *View, sc *planScratch) []Assignment
-	dynFingerprint(e *sim.Engine, m *Manager) uint64
+	dynFingerprint(v *View) uint64
 }
 
 // sealedOf returns p's sealed seam, or nil when it has none. The

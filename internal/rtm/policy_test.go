@@ -268,8 +268,8 @@ type vandalPolicy struct{}
 func (vandalPolicy) Name() string { return "vandal" }
 func (vandalPolicy) Plan(v View) []Assignment {
 	plan := heuristicPolicy.Plan(v)
-	for name := range v.Reqs {
-		v.Reqs[name] = Requirement{MaxLatencyS: 1e-9, MinAccuracy: 2, Priority: -1}
+	for i := range v.Reqs {
+		v.Reqs[i] = AppRequirement{App: "corrupted", Requirement: Requirement{MaxLatencyS: 1e-9, MinAccuracy: 2, Priority: -1}}
 	}
 	for i := range v.Apps {
 		v.Apps[i].Name = "corrupted"
@@ -337,10 +337,10 @@ func TestViewDefensiveCopies(t *testing.T) {
 		t.Fatal("LastView empty")
 	}
 	v1.Apps[0].Name = "corrupted"
-	v1.Reqs["d"] = Requirement{Priority: -99}
+	v1.Reqs[0] = AppRequirement{App: "d", Requirement: Requirement{Priority: -99}}
 	v1.Clusters[0].Name = "corrupted"
 	v2 := vandal.LastView()
-	if v2.Apps[0].Name == "corrupted" || v2.Reqs["d"].Priority == -99 || v2.Clusters[0].Name == "corrupted" {
+	if v2.Apps[0].Name == "corrupted" || v2.Reqs[0].Priority == -99 || v2.Clusters[0].Name == "corrupted" {
 		t.Error("LastView exposes internal view storage")
 	}
 }
@@ -366,7 +366,7 @@ func TestHeuristicPlanMatchesLegacyBehaviour(t *testing.T) {
 // TestViewReqDefaults: a hand-built sparse view resolves latency budgets
 // from the frame period.
 func TestViewReqDefaults(t *testing.T) {
-	v := View{Reqs: map[string]Requirement{"a": {MinAccuracy: 0.5}}}
+	v := View{Reqs: Requirements{{"a", Requirement{MinAccuracy: 0.5}}}}
 	app := sim.AppInfo{Name: "a", PeriodS: 0.25}
 	if got := v.Req(app); got.MaxLatencyS != 0.25 || got.MinAccuracy != 0.5 {
 		t.Errorf("Req = %+v, want MaxLatencyS 0.25 from the period", got)

@@ -58,9 +58,9 @@ func TestManagerResetMatchesNew(t *testing.T) {
 	m := NewManager(Requirements{{"d", Requirement{MaxLatencyS: 0.040, MinAccuracy: 0.70, Priority: 1}}})
 	m.Logf = func(string, ...any) { logged++ }
 	disturbedRun(t, m, hw.FlagshipSoC(), []sim.App{hot}, 62, "cpu-big", 8, 12, 16)
-	if m.Pressure() == 0 || len(m.FaultRecoveries()) == 0 || logged == 0 {
+	if n, _ := m.Recoveries(); m.pressure == 0 || n == 0 || logged == 0 {
 		t.Fatalf("first run left pressure %d, %d recoveries, %d log lines; want all non-zero",
-			m.Pressure(), len(m.FaultRecoveries()), logged)
+			m.pressure, n, logged)
 	}
 
 	reqs := Requirements{
@@ -81,9 +81,10 @@ func TestManagerResetMatchesNew(t *testing.T) {
 	if logged != 0 || m.Logf != nil {
 		t.Errorf("Reset kept the logger: %d lines logged in the second run", logged)
 	}
-	if fresh.PlanStats().Elided == 0 || len(fresh.FaultRecoveries()) == 0 || fresh.Pressure() == 0 {
+	freshN, freshTotalS := fresh.Recoveries()
+	if fresh.PlanStats().Elided == 0 || freshN == 0 || fresh.pressure == 0 {
 		t.Fatalf("second run too quiet to compare: %+v, %d recoveries, pressure %d",
-			fresh.PlanStats(), len(fresh.FaultRecoveries()), fresh.Pressure())
+			fresh.PlanStats(), freshN, fresh.pressure)
 	}
 	if !reflect.DeepEqual(m.last, fresh.last) {
 		t.Errorf("last plan: reset %v, new %v", m.last, fresh.last)
@@ -95,10 +96,10 @@ func TestManagerResetMatchesNew(t *testing.T) {
 	if m.Plans() != fresh.Plans() || m.PlanStats() != fresh.PlanStats() {
 		t.Errorf("plans: reset %d %+v, new %d %+v", m.Plans(), m.PlanStats(), fresh.Plans(), fresh.PlanStats())
 	}
-	if !reflect.DeepEqual(m.FaultRecoveries(), fresh.FaultRecoveries()) {
-		t.Errorf("FaultRecoveries: reset %v, new %v", m.FaultRecoveries(), fresh.FaultRecoveries())
+	if n, totalS := m.Recoveries(); n != freshN || totalS != freshTotalS {
+		t.Errorf("Recoveries: reset %d totalling %gs, new %d totalling %gs", n, totalS, freshN, freshTotalS)
 	}
-	if m.Pressure() != fresh.Pressure() {
-		t.Errorf("Pressure: reset %d, new %d", m.Pressure(), fresh.Pressure())
+	if m.pressure != fresh.pressure {
+		t.Errorf("pressure: reset %d, new %d", m.pressure, fresh.pressure)
 	}
 }

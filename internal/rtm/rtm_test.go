@@ -183,7 +183,7 @@ func TestManagerReactsToThermalAlarm(t *testing.T) {
 	if !sawAlarm {
 		t.Fatalf("no thermal alarm fired (maxT %.1f)", rep.MaxTempC)
 	}
-	if mgr.Pressure() == 0 && rep.OverThrottleS > 2 {
+	if mgr.pressure == 0 && rep.OverThrottleS > 2 {
 		t.Fatal("manager did not respond to thermal pressure")
 	}
 	// The die must not run away to the critical point.

@@ -58,7 +58,9 @@ func (e *Engine) Platform() *hw.Platform { return e.plat }
 // every View field a planning policy derives from that state is unchanged
 // — the cheap dirty check behind the rtm manager's replan elision.
 // Continuously-moving observables (clock, die temperature, per-app
-// latency statistics) are deliberately outside it.
+// latency statistics) are deliberately outside it: a policy whose plan
+// reads them keys elision on them through the view the manager builds
+// on every replan, before it checks the epoch.
 func (e *Engine) PlanEpoch() uint64 { return e.planEpoch }
 
 // FailedFrames counts the frames that failed since Reset: deadline
@@ -100,14 +102,6 @@ func (e *Engine) Work() Work {
 		Callbacks:    e.callbacks,
 	}
 }
-
-// AppCount returns the number of configured apps.
-func (e *Engine) AppCount() int { return len(e.appList) }
-
-// AppAt returns the observable state of the app at index i in creation
-// order — the allocation-free counterpart of Apps for callers walking the
-// app set.
-func (e *Engine) AppAt(i int) AppInfo { return e.appInfo(e.appList[i]) }
 
 // AppInfo is the observable state of one app — application monitors
 // (frame latency, misses) plus current knob settings.
@@ -253,10 +247,7 @@ func (e *Engine) SnapshotInto(s *Snapshot) {
 	s.AmbientC = e.ambient
 	s.TempC = e.tempC
 	s.ThrottleC = e.plat.Thermal.ThrottleC
-	s.Apps = s.Apps[:0]
-	for _, a := range e.appList {
-		s.Apps = append(s.Apps, e.appInfo(a))
-	}
+	s.Apps = e.appendApps(s.Apps[:0])
 	s.Clusters = s.Clusters[:0]
 	for _, cs := range e.clusterList {
 		s.Clusters = append(s.Clusters, e.clusterInfo(cs))
