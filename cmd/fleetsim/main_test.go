@@ -63,12 +63,25 @@ func TestShardsMergeToOneProcessReport(t *testing.T) {
 
 // TestPolicySweepWorkerInvariant: a 3-policy sweep prints the same bytes
 // at any worker count, and its report carries per-policy groups and
-// regret; its table has a row per policy.
+// regret; its table has a row per policy. Two more sweeps, of faults,
+// heat and churn on the platform mix and on flagship-soc alone, print
+// the same -results bytes at -workers 1 and 8: a worker reuses its engine
+// and manager from run to run, so state that leaks from one run into the
+// next shows there.
 func TestPolicySweepWorkerInvariant(t *testing.T) {
-	sweep := []string{"-scenarios", "16", "-seed", "3", "-policies", "heuristic,maxaccuracy,minenergy"}
+	const policies = "heuristic,maxaccuracy,minenergy"
+	sweep := []string{"-scenarios", "16", "-seed", "3", "-policies", policies}
 	one := fleetsim(t, append(sweep, "-workers", "1")...)
 	if eight := fleetsim(t, append(sweep, "-workers", "8")...); !bytes.Equal(one, eight) {
 		t.Fatal("sweep at -workers 1 differs from -workers 8")
+	}
+	for _, stacks := range [][]string{
+		{"-scenarios", "64", "-seed", "2", "-classes", "faulty,thermal,churn", "-policies", policies, "-results"},
+		{"-scenarios", "48", "-seed", "4", "-platforms", "flagship-soc", "-classes", "faulty,thermal,churn", "-policies", policies, "-results"},
+	} {
+		if !bytes.Equal(fleetsim(t, append(stacks, "-workers", "1")...), fleetsim(t, append(stacks, "-workers", "8")...)) {
+			t.Errorf("%v at -workers 1 differs from -workers 8", stacks)
+		}
 	}
 	var rep fleet.Report
 	if err := json.Unmarshal(one, &rep); err != nil {

@@ -152,12 +152,12 @@ type (
 	Controller = sim.Controller
 	// Event is an observable simulator event.
 	Event = sim.Event
-	// SimSnapshot is a read-only capture of the engine's observable state.
-	// Engine.SnapshotInto fills a zero one, or rebuilds an existing one in
-	// place: its Apps and Clusters slices are reused and every entry is a
-	// plain value, so a controller snapshotting every tick allocates
-	// nothing once they have grown. Policies' views clone without
-	// allocating via View.CloneInto.
+	// SimSnapshot is a read-only capture of the engine's observable state:
+	// the clock (NowS), the thermal state, the Platform and every app and
+	// cluster. Engine.SnapshotInto fills a zero one, or rebuilds an
+	// existing one in place: its Apps and Clusters slices are reused and
+	// every entry is a plain value filled where it lies, so a controller
+	// snapshotting every tick allocates nothing once they have grown.
 	SimSnapshot = sim.Snapshot
 
 	// Manager is the paper's runtime resource manager (Fig 5): the
@@ -175,7 +175,12 @@ type (
 	// Policy is a pluggable planning strategy: a pure function from a
 	// read-only View to one Assignment per running DNN.
 	Policy = rtm.Policy
-	// View is the read-only system snapshot a Policy plans over.
+	// View is the read-only system snapshot a Policy plans over: an
+	// embedded SimSnapshot plus the manager's thermal margin, power budget
+	// and resolved requirements. The manager rebuilds it in place each
+	// replan; the built-in and learned policies plan over it there, and
+	// any other Policy gets a clone (View.CloneInto clones without
+	// allocating once the buffers have grown).
 	View = rtm.View
 	// Assignment is one planned operating point for an app.
 	Assignment = rtm.Assignment

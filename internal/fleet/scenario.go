@@ -268,8 +268,13 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 	// seed, so neither batching the setup nor the fork moves a single
 	// sampled byte. A workload's later policy runs copy its first run's
 	// header in the range, sharing its script body, instead of sampling
-	// it again.
-	rng := rand.New(new(rngSource))
+	// it again. The RNG comes from rngs when a finished range left one.
+	var rng *rand.Rand
+	select {
+	case rng = <-rngs:
+	default:
+		rng = rand.New(new(rngSource))
+	}
 	out := make([]Scenario, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if i > lo && i%len(g.policies) != 0 {
@@ -281,8 +286,20 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 		}
 		out = append(out, g.generateOne(i, rng))
 	}
+	select {
+	case rngs <- rng:
+	default:
+	}
 	return out
 }
+
+// rngs keeps RNGs that finished ranges hand back, so a range reuses one
+// instead of calling rand.New. rand.New asserts its source to
+// rand.Source64, and the runtime fills that assertion's cache by
+// allocating in a random one of about 1024 calls until the type is
+// cached. Every workload re-seeds the RNG before it samples, so a reused
+// one samples the same bytes as a new one.
+var rngs = make(chan *rand.Rand, 4)
 
 func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 	// With P swept policies, run id carries workload id/P under policy

@@ -90,7 +90,7 @@ func reuseScenario(t *testing.T, pol Policy) (*Manager, sim.Report, []View) {
 	return mgr, e.Report(), views
 }
 
-func testPolicies(t *testing.T) map[string]func() Policy {
+func testPolicies(t testing.TB) map[string]func() Policy {
 	t.Helper()
 	mk := func(name string) func() Policy {
 		return func() Policy {
@@ -172,6 +172,73 @@ func TestPlanReuseEquivalence(t *testing.T) {
 		})
 	}
 }
+
+// viewGuard wraps a sealed policy and checks every plan it makes: the
+// view must be, after planning, deep-equal to a clone taken before. A
+// sealed policy plans over the manager's view in place, and actuation and
+// LastView read that view afterwards.
+type viewGuard struct {
+	Policy
+	sp    sealedPolicy
+	plans int
+	wrote string // the first plan that wrote its view, or ""
+}
+
+func guard(p Policy) *viewGuard { return &viewGuard{Policy: p, sp: sealedOf(p)} }
+
+func (g *viewGuard) planInto(v *View, sc *planScratch) []Assignment {
+	before := v.Clone()
+	plan := g.sp.planInto(v, sc)
+	g.plans++
+	if g.wrote == "" && !reflect.DeepEqual(*v, before) {
+		g.wrote = fmt.Sprintf("plan %d (t=%gs)", g.plans, v.NowS)
+	}
+	return plan
+}
+
+func (g *viewGuard) dynFingerprint(v *View) uint64 { return g.sp.dynFingerprint(v) }
+
+// TestSealedPoliciesLeaveViewUnwritten: every built-in and a learned
+// table plan over the manager's view without writing it, on every replan
+// of the reuse scenario. A sealed policy that writes its view fails the
+// same check.
+func TestSealedPoliciesLeaveViewUnwritten(t *testing.T) {
+	for name, mk := range testPolicies(t) {
+		t.Run(name, func(t *testing.T) {
+			g := guard(mk())
+			if g.sp == nil {
+				t.Fatal("policy is not sealed")
+			}
+			mgr, _, _ := reuseScenario(t, g)
+			if g.plans == 0 || g.plans+mgr.PlanStats().Elided != mgr.Plans() {
+				t.Fatalf("%d of %d replans planned through the guard, %d elided", g.plans, mgr.Plans(), mgr.PlanStats().Elided)
+			}
+			if g.wrote != "" {
+				t.Errorf("%s wrote the view it planned over", g.wrote)
+			}
+		})
+	}
+	t.Run("scribbler", func(t *testing.T) {
+		g := guard(scribbler{})
+		v := benchView(t)
+		g.planInto(&v, &planScratch{})
+		if g.wrote == "" {
+			t.Error("a policy that writes its view passed the check")
+		}
+	})
+}
+
+// scribbler is a sealed policy that plans as the heuristic does and then
+// writes one app's level in the view it planned over.
+type scribbler struct{ externalPolicy }
+
+func (scribbler) planInto(v *View, sc *planScratch) []Assignment {
+	plan := heuristicPolicy.planInto(v, sc)
+	v.Apps[0].Level++
+	return plan
+}
+
+func (scribbler) dynFingerprint(*View) uint64 { return 0 }
 
 // TestReplanElisionSavesPolicyCalls pins the mechanism (not just the
 // outcome): a counting policy must be invoked strictly fewer times with

@@ -3,6 +3,7 @@ package rtm
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -23,7 +24,7 @@ func fallbackApp(name, cluster string, cores, level int, modelBytes int64) sim.A
 // offline. Its cluster state is what the engine reports before a plan
 // actuates: every accelerator's memory free and every cluster idle.
 func fallbackView(plat *hw.Platform, offline []string, apps ...sim.AppInfo) View {
-	v := View{Platform: plat, Apps: apps, DynBudgetMW: 10_000}
+	v := View{Snapshot: sim.Snapshot{Platform: plat, Apps: apps}, DynBudgetMW: 10_000}
 	for _, cl := range plat.Clusters {
 		v.Clusters = append(v.Clusters, sim.ClusterInfo{
 			Name: cl.Name, Type: cl.Type, Cores: cl.Cores, MemFree: cl.MemBytes,
@@ -208,19 +209,18 @@ func checkOwnNumbers(t *testing.T, v *View, in, out []Assignment) {
 
 // FuzzPolicyPlan draws a catalog platform, a mask of dead clusters and a
 // set of apps (DNNs on any cluster, dead ones included, and CPU or GPU
-// co-runners), plans them with every built-in policy and with a random
-// third-party plan, and runs each plan through the manager's post-pass.
-// It must not panic, and checkFallbackInvariants must hold afterwards.
+// co-runners), plans them in place with every built-in policy and a
+// learned table, as the manager does, and with a random third-party plan,
+// and runs each plan through the manager's post-pass. It must not panic,
+// no sealed policy may write the view it planned over, and
+// checkFallbackInvariants must hold afterwards.
 func FuzzPolicyPlan(f *testing.F) {
 	plats := []*hw.Platform{hw.OdroidXU3(), hw.JetsonNano(), hw.FlagshipSoC()}
-	var builtins []Policy
-	for _, name := range []string{"heuristic", "maxaccuracy", "minenergy"} {
-		p, err := NewPolicy(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		builtins = append(builtins, p)
+	var sealed []Policy
+	for _, mk := range testPolicies(f) {
+		sealed = append(sealed, mk())
 	}
+	slices.SortFunc(sealed, func(a, b Policy) int { return strings.Compare(a.Name(), b.Name()) })
 	f.Add(int64(1), uint8(0), uint8(1), uint8(3))
 	f.Add(int64(2), uint8(1), uint8(2), uint8(5))
 	f.Add(int64(3), uint8(2), uint8(1), uint8(7))
@@ -238,8 +238,12 @@ func FuzzPolicyPlan(f *testing.F) {
 		v := fallbackView(plat, offline, randomApps(rng, plat, 1+int(nApps)%8)...)
 		v.DynBudgetMW = rng.Float64() * 8000
 		m := NewManager(nil)
-		for _, p := range builtins {
-			plan := p.Plan(v)
+		for _, p := range sealed {
+			g := guard(p)
+			plan := g.planInto(&v, &planScratch{})
+			if g.wrote != "" {
+				t.Fatalf("%s wrote the view it planned over", p.Name())
+			}
 			in := slices.Clone(plan)
 			m.applyDegradedFallback(&v, plan)
 			checkFallbackInvariants(t, p.Name(), &v, in, plan)

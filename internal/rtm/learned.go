@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
@@ -238,9 +237,12 @@ func (t *LearnedTable) WriteFile(path string) error {
 	return os.WriteFile(path, raw, 0o644)
 }
 
-// ReadLearnedTable decodes and validates a table from JSON bytes. A key
-// the table does not define, at the top level or in a state, is refused
-// rather than ignored, and so is anything but white space after the table.
+// ReadLearnedTable decodes and validates a table from JSON bytes. It
+// accepts only the bytes MarshalBytes writes for the table it decodes, so
+// one table has one accepted encoding: a key the table does not define,
+// at the top level or in a state, is refused rather than ignored, and so
+// are reordered keys, other white space or number spellings, and
+// anything after the table.
 func ReadLearnedTable(raw []byte) (*LearnedTable, error) {
 	var t LearnedTable
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -248,11 +250,12 @@ func ReadLearnedTable(raw []byte) (*LearnedTable, error) {
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("rtm: decoding learned table: %w", err)
 	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return nil, errors.New("rtm: decoding learned table: data after the table")
-	}
-	if err := t.Validate(); err != nil {
+	canon, err := t.MarshalBytes()
+	if err != nil {
 		return nil, err
+	}
+	if !bytes.Equal(raw, canon) {
+		return nil, errors.New("rtm: decoding learned table: not the bytes MarshalBytes writes for it")
 	}
 	return &t, nil
 }
@@ -354,7 +357,7 @@ func slackBucket(v *View) int {
 		if !a.Running || a.Kind != sim.KindDNN {
 			continue
 		}
-		budget := v.Req(*a).MaxLatencyS
+		budget := v.req(a).MaxLatencyS
 		if budget <= 0 {
 			continue
 		}
@@ -476,15 +479,15 @@ func (p *learnedPolicy) Plan(v View) []Assignment {
 }
 
 // planInto implements sealedPolicy: state lookup is read-only, so the
-// delegate's allocation-free path carries straight through and a manager
-// running a learned policy keeps the PR 4 hot-path properties (modulo the
-// state-key string itself).
+// delegate's allocation-free path carries straight through (modulo the
+// state-key string itself). An arm from outside the package plans over
+// a clone, as the manager would hand it one.
 func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	arm := p.armFor(v)
 	if sp := sealedOf(arm); sp != nil {
 		return sp.planInto(v, sc)
 	}
-	return arm.Plan(*v)
+	return sc.planOutside(arm, v)
 }
 
 // dynFingerprint implements sealedPolicy. Unlike a built-in's, the

@@ -69,21 +69,19 @@ func TestLearnedTableRoundTrip(t *testing.T) {
 
 // TestReadLearnedTableRefusesUnknownKeys: a table carrying a key it does
 // not define, at the top level or inside a state, or followed by anything
-// but white space, is refused rather than read as if the extra were
-// absent.
+// at all, white space included, is refused rather than read as if the
+// extra were absent.
 func TestReadLearnedTableRefusesUnknownKeys(t *testing.T) {
 	raw, err := trainedTestTable("h1p1s1a1").MarshalBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadLearnedTable(append(raw, " \n\t"...)); err != nil {
-		t.Fatalf("trailing white space refused: %v", err)
-	}
 	for _, tc := range []struct{ name, old, new, want string }{
 		{"top-level key", `"version":`, `"bogus":1,"version":`, `unknown field "bogus"`},
 		{"state key", `"arm":`, `"temperature":3,"arm":`, `unknown field "temperature"`},
-		{"trailing value", "", "{}", "data after the table"},
-		{"trailing garbage", "", "x", "data after the table"},
+		{"trailing white space", "", " \n\t", "not the bytes MarshalBytes writes"},
+		{"trailing value", "", "{}", "not the bytes MarshalBytes writes"},
+		{"trailing garbage", "", "x", "not the bytes MarshalBytes writes"},
 	} {
 		forged := append(bytes.Clone(raw), tc.new...)
 		if tc.old != "" {
@@ -146,9 +144,45 @@ func TestLearnedTableValidateDeterministicError(t *testing.T) {
 	}
 }
 
+// TestReadLearnedTableOneEncoding: a learned table has one accepted
+// encoding, the bytes MarshalBytes writes. A re-indented copy and a copy
+// with its keys in another order decode to the same table, and both are
+// refused.
+func TestReadLearnedTableOneEncoding(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "fleet", "testdata", "golden_learned_table_seed7_n8.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadLearnedTable(raw); err != nil {
+		t.Fatalf("the golden table is refused: %v", err)
+	}
+	var reindented bytes.Buffer
+	if err := json.Indent(&reindented, raw, "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	// Through a map, encoding/json writes every object's keys sorted,
+	// which is not the table's field order.
+	var generic map[string]any
+	if err := json.Unmarshal(raw, &generic); err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := json.MarshalIndent(generic, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, forged := range map[string][]byte{"re-indented": reindented.Bytes(), "key-reordered": append(reordered, '\n')} {
+		if bytes.Equal(forged, raw) {
+			t.Fatalf("%s copy equals the golden table", name)
+		}
+		if _, err := ReadLearnedTable(forged); err == nil || !strings.Contains(err.Error(), "not the bytes MarshalBytes writes") {
+			t.Errorf("%s copy: error %v, want a refusal of its encoding", name, err)
+		}
+	}
+}
+
 // FuzzReadLearnedTable: ReadLearnedTable never panics on arbitrary bytes,
-// and any table it accepts passes Validate and round-trips through
-// MarshalBytes and ReadLearnedTable to an equal table. A shard header's
+// and any table it accepts passes Validate and is exactly the bytes
+// MarshalBytes writes for it, which read back to an equal table. A shard header's
 // "learned:<path>" policy reaches this decoder, so it guards merge input
 // as well as fleetsim train output.
 func FuzzReadLearnedTable(f *testing.F) {
@@ -177,6 +211,9 @@ func FuzzReadLearnedTable(f *testing.F) {
 		again, err := tab.MarshalBytes()
 		if err != nil {
 			t.Fatalf("accepted table does not marshal: %v", err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatalf("accepted bytes are not MarshalBytes of their table:\n%q\n%q", data, again)
 		}
 		back, err := ReadLearnedTable(again)
 		if err != nil {

@@ -132,9 +132,11 @@ type Manager struct {
 	missMark int
 	pending  bool
 	plans    int
-	last     []Assignment // the last actuated plan; white-box tests read it
-	// lastView is the view the latest replan built, elided or not. It
-	// aliases snap and viewReqs, which only the next replan rewrites;
+	// last is the last actuated plan; white-box tests read it. It aliases
+	// the plan the policy returned, which only its next plan rewrites.
+	last []Assignment
+	// lastView is the view the latest replan built, elided or not: the
+	// engine snapshot and requirements, rebuilt in place by each replan.
 	// LastView clones it.
 	lastView     View
 	lastMissPlan float64
@@ -142,13 +144,15 @@ type Manager struct {
 	// Fault-replan state: faultPending marks an open fault burst (recovery
 	// latency is measured from faultAtS to the next actuated replan),
 	// faultReplanWanted defers a fault/repair-triggered replan that landed
-	// inside the backoff window to a later tick, and recoveries accumulates
-	// the measured latencies for fleet reporting.
+	// inside the backoff window to a later tick, and recoverN and
+	// recoverTotalS count the measured latencies and sum them, in the
+	// order measured, for fleet reporting.
 	faultPending      bool
 	faultReplanWanted bool
 	faultAtS          float64
 	lastFaultPlan     float64
-	recoveries        []float64
+	recoverN          int
+	recoverTotalS     float64
 
 	// Plan-reuse state: version counters folded into the elision
 	// fingerprint, the fingerprint the last planned replan was keyed on
@@ -162,17 +166,14 @@ type Manager struct {
 	elided    int
 
 	// Replan scratch: the manager replans every controller tick, so the
-	// planning input (engine snapshot + requirements), the defensive policy copy,
-	// the policy's working buffers and the actuation indexes are all
-	// rebuilt in place instead of reallocated. Handed-out state stays
-	// defensive — LastView copies on read. Reset keeps these
-	// buffers and nothing else.
-	snap       sim.Snapshot
-	viewReqs   Requirements
-	policyView View
-	scratch    planScratch
-	cur        []appCur // actuation's view of each View.Apps entry
-	planApp    []int    // View.Apps index of each plan entry's app, or -1
+	// planning input (lastView), the policy's working buffers (and the
+	// clone a policy from outside the package plans over) and the
+	// actuation indexes are all rebuilt in place instead of reallocated.
+	// Handed-out state stays defensive — LastView copies on read. Reset
+	// keeps these buffers and nothing else.
+	scratch planScratch
+	cur     []appCur // actuation's view of each View.Apps entry
+	planApp []int    // View.Apps index of each plan entry's app, or -1
 }
 
 // appCur is the part of an app's state actuation moves: where it runs and
@@ -208,14 +209,11 @@ func (m *Manager) Reset(reqs Requirements) {
 		policy:        heuristicPolicy,
 		sealed:        heuristicPolicy,
 
-		last:       m.last[:0],
-		recoveries: m.recoveries[:0],
-		snap:       m.snap,
-		viewReqs:   m.viewReqs[:0],
-		policyView: m.policyView,
-		scratch:    m.scratch,
-		cur:        m.cur[:0],
-		planApp:    m.planApp[:0],
+		lastView: View{Snapshot: sim.Snapshot{Apps: m.lastView.Apps[:0], Clusters: m.lastView.Clusters[:0]},
+			Reqs: m.lastView.Reqs[:0]},
+		scratch: m.scratch,
+		cur:     m.cur[:0],
+		planApp: m.planApp[:0],
 	}
 }
 
@@ -262,29 +260,30 @@ func (m *Manager) PlanStats() PlanStats {
 // LastView returns a copy of the view the most recent replan built — the
 // read-only planning input, for inspection and tests. An elided replan
 // builds one too, so LastView is the same whether the latest replan
-// planned or was elided. The copy is defensive: callers (and policies,
-// which receive the view by value at plan time) cannot reach manager or
-// engine state through it.
+// planned or was elided. The copy is defensive: callers cannot reach
+// manager or engine state through it, nor can a third-party policy
+// through the clone it plans over.
 func (m *Manager) LastView() View { return m.lastView.Clone() }
 
 // KnobsAndMonitors names, sorted, the Fig 5 interface of the engine the
-// manager last planned against: each DNN's level knob (app.<dnn>.level)
-// and accuracy and latency monitors, each cluster's DVFS knob
-// (dev.<cluster>.opp), and the platform's power and temperature monitors.
-// Both lists are nil before the first plan. Policies never see the names:
-// they plan over the read-only View, and the manager actuates the engine
-// directly.
+// manager last planned against, as the latest replan's view shows it:
+// each DNN's level knob (app.<dnn>.level) and accuracy and latency
+// monitors, each cluster's DVFS knob (dev.<cluster>.opp), and the
+// platform's power and temperature monitors. Both lists are nil before
+// the first plan. Policies never see the names: they plan over the
+// read-only View, and the manager actuates the engine directly.
 func (m *Manager) KnobsAndMonitors() (knobs, monitors []string) {
-	if m.eng == nil {
+	v := &m.lastView
+	if v.Platform == nil {
 		return nil, nil
 	}
-	for _, a := range m.eng.Apps() {
+	for _, a := range v.Apps {
 		if a.Kind == sim.KindDNN {
 			knobs = append(knobs, "app."+a.Name+".level")
 			monitors = append(monitors, "app."+a.Name+".accuracy", "app."+a.Name+".latency")
 		}
 	}
-	for _, cl := range m.eng.Platform().Clusters {
+	for _, cl := range v.Platform.Clusters {
 		knobs = append(knobs, "dev."+cl.Name+".opp")
 	}
 	monitors = append(monitors, "dev.power", "dev.temperature")
@@ -374,43 +373,26 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 // their recovery latencies, added in the order they were measured. A
 // burst's recovery latency is the time from its first EvClusterFail to
 // the first actuated (non-elided) replan after it.
-func (m *Manager) Recoveries() (n int, totalS float64) {
-	for _, r := range m.recoveries {
-		totalS += r
-	}
-	return len(m.recoveries), totalS
-}
+func (m *Manager) Recoveries() (n int, totalS float64) { return m.recoverN, m.recoverTotalS }
 
-// buildView snapshots the engine and the manager's thermal stance into
-// lastView, the read-only planning input, and returns it. The manager's
-// scratch snapshot and requirements are rebuilt in place: one resolved
-// requirement per DNN app, in Apps order. Apps and clusters are value
-// copies from the engine snapshot, so handing a clone of the view to a
-// policy exposes no internal mutable state.
+// buildView rebuilds lastView, the read-only planning input, in place and
+// returns it: the engine writes its snapshot straight into the view, and
+// the manager adds its thermal stance and one resolved requirement per
+// DNN app, in Apps order. Apps and clusters are value copies of engine
+// state, so the view exposes no internal mutable state.
 func (m *Manager) buildView(e *sim.Engine) *View {
-	e.SnapshotInto(&m.snap)
-	plat := e.Platform()
-	margin := float64(m.pressure) * pressureStepC
-	capW := plat.Thermal.PowerBudgetW(m.snap.AmbientC, plat.Thermal.ThrottleC-margin)
-	m.viewReqs = m.viewReqs[:0]
-	for i := range m.snap.Apps {
-		if a := &m.snap.Apps[i]; a.Kind == sim.KindDNN {
-			m.viewReqs = append(m.viewReqs, AppRequirement{App: a.Name, Requirement: m.Requirement(a.Name, a.PeriodS)})
+	v := &m.lastView
+	e.SnapshotInto(&v.Snapshot)
+	th := &v.Platform.Thermal
+	v.MarginC = float64(m.pressure) * pressureStepC
+	v.DynBudgetMW = th.PowerBudgetW(v.AmbientC, th.ThrottleC-v.MarginC) * 1000
+	v.Reqs = v.Reqs[:0]
+	for i := range v.Apps {
+		if a := &v.Apps[i]; a.Kind == sim.KindDNN {
+			v.Reqs = append(v.Reqs, AppRequirement{App: a.Name, Requirement: m.Requirement(a.Name, a.PeriodS)})
 		}
 	}
-	m.lastView = View{
-		NowS:        m.snap.TimeS,
-		AmbientC:    m.snap.AmbientC,
-		TempC:       m.snap.TempC,
-		ThrottleC:   m.snap.ThrottleC,
-		MarginC:     margin,
-		DynBudgetMW: capW * 1000,
-		Platform:    plat,
-		Apps:        m.snap.Apps,
-		Clusters:    m.snap.Clusters,
-		Reqs:        m.viewReqs,
-	}
-	return &m.lastView
+	return v
 }
 
 // fingerprint builds the elision key for sp, the manager's policy, over
@@ -426,7 +408,10 @@ func (m *Manager) fingerprint(e *sim.Engine, sp sealedPolicy) planFingerprint {
 }
 
 // Replan recomputes and actuates assignments for every running DNN app:
-// build the view, delegate planning to the policy, actuate the plan.
+// build the view, delegate planning to the policy, actuate the plan. The
+// view is the replan's one copy of the planning input: the engine writes
+// its snapshot into it, a sealed policy plans over it in place, and only
+// a third-party policy gets a clone.
 //
 // Elision sits between the view and the policy, byte-identical to
 // planning fresh: when the planning fingerprint is unchanged since the
@@ -452,8 +437,8 @@ func (m *Manager) Replan(e *sim.Engine) {
 
 	// The view is built once, into lastView, and published before any
 	// callback can run: the fingerprint reads it, and an elided replan
-	// leaves it as the latest view. Its slices alias the snapshot
-	// scratch, so LastView clones on read.
+	// leaves it as the latest view. The next replan rewrites it in place,
+	// so LastView clones on read.
 	v := m.buildView(e)
 	// Only a sealed policy is elided; the others plan every replan fresh.
 	sp := m.sealed
@@ -466,24 +451,21 @@ func (m *Manager) Replan(e *sim.Engine) {
 		}
 	}
 
-	// The policy gets its own clone: a policy that scribbles on its View's
-	// runtime state cannot corrupt the copy actuation and LastView read
-	// from. Built-in policies additionally plan through the manager-owned
-	// scratch buffers (the allocation-free hot path); third-party policies
-	// go through the public Plan contract.
-	v.CloneInto(&m.policyView)
+	// A sealed policy plans over the view in place, through the
+	// manager-owned scratch buffers (the allocation-free hot path), and
+	// never writes it. A third-party policy goes through the public Plan
+	// contract over a clone: one that scribbles on its View's runtime
+	// state cannot corrupt the view actuation and LastView read.
 	var plan []Assignment
 	if sp != nil {
-		plan = sp.planInto(&m.policyView, &m.scratch)
+		plan = sp.planInto(v, &m.scratch)
 	} else {
-		plan = m.policy.Plan(m.policyView)
+		plan = m.scratch.planOutside(m.policy, v)
 	}
 	// The last-resort degradation guarantee: a pure function of (view,
 	// plan) applied to whatever the policy returned.
 	m.applyDegradedFallback(v, plan)
-	// plan aliases the policy's scratch, which the next plan rewrites, so
-	// it is copied.
-	m.last = append(m.last[:0], plan...)
+	m.last = plan
 	if m.Logf != nil {
 		for _, asg := range plan {
 			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
@@ -496,7 +478,8 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// An actuated plan closes the open fault burst: the policy has had its
 	// say over the degraded hardware, so the recovery latency ends here.
 	if m.faultPending {
-		m.recoveries = append(m.recoveries, v.NowS-m.faultAtS)
+		m.recoverN++
+		m.recoverTotalS += v.NowS - m.faultAtS
 		m.faultPending = false
 	}
 	// Arm elision for the next replan. fp was sampled before actuation;

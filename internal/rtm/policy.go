@@ -19,20 +19,19 @@ import (
 // shell: it builds the View, asks the Policy for a plan, and drives the
 // knob layer to realise it.
 
-// View is the read-only snapshot a policy plans over. The runtime state
-// in it — Apps, Clusters, Reqs — is value copies rebuilt per replan, so a
-// policy that scribbles on them corrupts only its own input, never
-// manager or engine state. Platform (and the profile level tables inside
-// each AppInfo) is shared static configuration: neither the engine nor
-// the manager ever mutates it, and policies must honour the same
-// read-only contract — it is not defensively copied.
+// View is the read-only snapshot a policy plans over: the engine's
+// Snapshot (clock, thermal state, Platform, Apps, Clusters) plus the
+// manager's thermal stance and the resolved requirements. The manager
+// rebuilds it in place on every replan, and the package's own policies
+// plan over it there, reading and never writing it. Any other policy
+// gets a clone, so one that scribbles on its runtime state — Apps,
+// Clusters, Reqs — corrupts only its own input, never manager or engine
+// state. Platform (and the profile level tables inside each AppInfo) is
+// shared static configuration: neither the engine nor the manager ever
+// mutates it, and policies must honour the same read-only contract — it
+// is not defensively copied.
 type View struct {
-	// NowS is the simulation clock at planning time.
-	NowS float64
-	// AmbientC / TempC / ThrottleC describe the thermal situation.
-	AmbientC  float64
-	TempC     float64
-	ThrottleC float64
+	sim.Snapshot
 	// MarginC is the planning margin below the throttle point the manager
 	// currently demands (base margin plus accumulated thermal pressure).
 	MarginC float64
@@ -41,24 +40,14 @@ type View struct {
 	// (idle) power: planners must subtract idle and co-runner power before
 	// spending it on DNN placements (newPlanState does this).
 	DynBudgetMW float64
-	// Platform is the hardware description (clusters, OPP ladders, thermal
-	// parameters). Treat as read-only.
-	Platform *hw.Platform
-	// Apps is the observable state of every app, in engine creation order.
-	Apps []sim.AppInfo
-	// Clusters is the observable state of every cluster, in platform order.
-	Clusters []sim.ClusterInfo
 	// Reqs holds the resolved requirement of every DNN app, one entry
 	// per DNN in Apps order (defaults applied: a zero MaxLatencyS becomes
 	// the app's frame period).
 	Reqs Requirements
 }
 
-// Req returns the requirement for an app with defaults applied, tolerating
-// hand-built Views whose Reqs are sparse or unresolved.
-func (v *View) Req(a sim.AppInfo) Requirement { return v.req(&a) }
-
-// req is Req without the AppInfo copy, for the planners' hot path.
+// req returns the requirement for an app with defaults applied,
+// tolerating hand-built Views whose Reqs are sparse or unresolved.
 func (v *View) req(a *sim.AppInfo) Requirement { return v.Reqs.resolve(a.Name, a.PeriodS) }
 
 // ClusterOnline reports whether the cluster at platform index ci is
@@ -408,15 +397,17 @@ func (st *planState) init(v *View) {
 }
 
 // planScratch owns every buffer one planning pass needs — the ledger, the
-// sorted DNN worklist, option/level enumeration buffers and the plan under
-// construction. The Manager keeps one per instance so its replan loop is
-// allocation-free; the public Plan entry points borrow one from a pool.
+// sorted DNN worklist, option/level enumeration buffers, the plan under
+// construction and the clone a policy outside the package plans over. The
+// Manager keeps one per instance so its replan loop is allocation-free;
+// the public Plan entry points borrow one from a pool.
 type planScratch struct {
 	st     planState
-	dnns   []sim.AppInfo
+	dnns   []int // View.Apps indices of the plannable DNNs, in planning order
 	opts   []int
 	levels []int
 	plan   []Assignment
+	view   View
 }
 
 // scratchPool backs the public Plan entry points, which must hand back a
@@ -425,10 +416,12 @@ var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 
 // sealedPolicy is the package-internal seam the Manager prefers, which
 // every built-in and the learned policy implement; external policies fall
-// back to the public Plan contract and are never elided.
+// back to the public Plan contract, over a clone, and are never elided.
 //
 // planInto plans into caller-owned scratch buffers, returning a slice
-// that aliases sc.plan: the allocation-free path.
+// that aliases sc.plan: the allocation-free path. It plans over v in
+// place — the manager's own view, which actuation and LastView read
+// afterwards — so it must leave v exactly as it found it.
 //
 // dynFingerprint is the policy's part of replan elision's key, read from
 // the view the replan built before it decides whether to plan: a policy
@@ -471,12 +464,19 @@ type assignFunc func(v *View, st *planState, sc *planScratch, a *sim.AppInfo) As
 func planWith(v *View, sc *planScratch, assign assignFunc) []Assignment {
 	sc.st.init(v)
 	plan := sc.plan[:0]
-	dnns := sc.plannableDNNs(v)
-	for i := range dnns {
-		plan = append(plan, assign(v, &sc.st, sc, &dnns[i]))
+	for _, i := range sc.plannableDNNs(v) {
+		plan = append(plan, assign(v, &sc.st, sc, &v.Apps[i]))
 	}
 	sc.plan = plan
 	return plan
+}
+
+// planOutside plans v with a policy from outside the package, through the
+// public Plan contract, over a clone in sc.view: the policy may write its
+// View, and v stays as it was.
+func (sc *planScratch) planOutside(p Policy, v *View) []Assignment {
+	v.CloneInto(&sc.view)
+	return p.Plan(sc.view)
 }
 
 // pooledPlan is the public-Plan path: borrow a scratch, plan, publish a
@@ -487,22 +487,23 @@ func pooledPlan(v *View, assign assignFunc) []Assignment {
 	return append([]Assignment(nil), planWith(v, sc, assign)...)
 }
 
-// plannableDNNs rebuilds sc.dnns with the running DNN apps in planning
-// order: priority descending, then latency budget ascending, stable over
-// engine order. The insertion sort is stable and comparison-compatible
-// with the sort.SliceStable it replaces, so the order — and therefore
-// every downstream planning decision — is identical.
+// plannableDNNs rebuilds sc.dnns with the View.Apps indices of the
+// running DNN apps in planning order: priority descending, then latency
+// budget ascending, stable over engine order. The insertion sort is
+// stable and comparison-compatible with the sort.SliceStable it replaces,
+// so the order — and therefore every downstream planning decision — is
+// identical.
 //
 //detlint:hotpath
-func (sc *planScratch) plannableDNNs(v *View) []sim.AppInfo {
+func (sc *planScratch) plannableDNNs(v *View) []int {
 	dnns := sc.dnns[:0]
 	for i := range v.Apps {
 		if a := &v.Apps[i]; a.Running && a.Kind == sim.KindDNN {
-			dnns = append(dnns, *a)
+			dnns = append(dnns, i)
 		}
 	}
 	for i := 1; i < len(dnns); i++ {
-		for j := i; j > 0 && dnnBefore(v, &dnns[j], &dnns[j-1]); j-- {
+		for j := i; j > 0 && dnnBefore(v, &v.Apps[dnns[j]], &v.Apps[dnns[j-1]]); j-- {
 			dnns[j], dnns[j-1] = dnns[j-1], dnns[j]
 		}
 	}

@@ -84,7 +84,7 @@ func testCluster() *hw.Cluster {
 // above the committed floor that meets the budget. Before the policy
 // extraction this decision was unreachable without a full engine run.
 func TestChooseOPP(t *testing.T) {
-	st := newPlanState(&View{Platform: &hw.Platform{Clusters: []*hw.Cluster{testCluster()}}})
+	st := newPlanState(&View{Snapshot: sim.Snapshot{Platform: &hw.Platform{Clusters: []*hw.Cluster{testCluster()}}}})
 	const macs = 100_000_000 // 0.2s / 0.1s / 0.05s at the three OPPs (4 cores)
 	cases := []struct {
 		name    string
@@ -368,11 +368,11 @@ func TestHeuristicPlanMatchesLegacyBehaviour(t *testing.T) {
 func TestViewReqDefaults(t *testing.T) {
 	v := View{Reqs: Requirements{{"a", Requirement{MinAccuracy: 0.5}}}}
 	app := sim.AppInfo{Name: "a", PeriodS: 0.25}
-	if got := v.Req(app); got.MaxLatencyS != 0.25 || got.MinAccuracy != 0.5 {
-		t.Errorf("Req = %+v, want MaxLatencyS 0.25 from the period", got)
+	if got := v.req(&app); got.MaxLatencyS != 0.25 || got.MinAccuracy != 0.5 {
+		t.Errorf("req = %+v, want MaxLatencyS 0.25 from the period", got)
 	}
 	other := sim.AppInfo{Name: "missing", PeriodS: 0.1}
-	if got := v.Req(other); got.MaxLatencyS != 0.1 {
-		t.Errorf("Req of unknown app = %+v, want period default", got)
+	if got := v.req(&other); got.MaxLatencyS != 0.1 {
+		t.Errorf("req of unknown app = %+v, want period default", got)
 	}
 }

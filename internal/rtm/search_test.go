@@ -354,7 +354,7 @@ func FuzzChooseOPP(f *testing.F) {
 		// Profiles carry positive MACs (perf.ModelProfile.Validate).
 		macs = max(1, macs&math.MaxInt64)
 		fl := int(floor) % (len(cl.OPPs) + 1)
-		st := newPlanState(&View{Platform: &hw.Platform{Clusters: []*hw.Cluster{cl}}})
+		st := newPlanState(&View{Snapshot: sim.Snapshot{Platform: &hw.Platform{Clusters: []*hw.Cluster{cl}}}})
 		gotIdx, gotOK := chooseOPP(st, 0, fl, int(cores), macs, budgetS)
 		wantIdx, wantOK := refChooseOPP(st, 0, fl, int(cores), macs, budgetS)
 		if gotIdx != wantIdx || gotOK != wantOK {

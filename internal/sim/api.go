@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
@@ -129,45 +130,34 @@ type AppInfo struct {
 
 // App returns the observable state of the named app.
 func (e *Engine) App(name string) (AppInfo, error) {
+	var info AppInfo
 	a := e.app(name)
 	if a == nil {
-		return AppInfo{}, fmt.Errorf("sim: unknown app %q", name)
+		return info, fmt.Errorf("sim: unknown app %q", name)
 	}
-	return e.appInfo(a), nil
+	e.fillApp(&info, a)
+	return info, nil
 }
 
-func (e *Engine) appInfo(a *appState) AppInfo {
-	info := AppInfo{
-		Name:       a.Name,
-		Kind:       a.Kind,
-		Running:    a.started && !a.stopped,
-		Placement:  a.placed,
-		Level:      a.level,
-		PeriodS:    a.PeriodS,
-		Profile:    a.Profile,
-		ModelBytes: a.ModelBytes,
-		Util:       a.Util,
-		Released:   a.released,
-		Completed:  a.completed,
-		Missed:     a.missed,
-		Dropped:    a.dropped,
-		Aborted:    a.aborted,
-	}
+// fillApp writes a's observable state into info field by field, so a
+// snapshot fills its slice in place instead of copying a temporary in.
+func (e *Engine) fillApp(info *AppInfo, a *appState) {
+	info.Name, info.Kind, info.Running = a.Name, a.Kind, a.started && !a.stopped
+	info.Placement, info.Level, info.PeriodS = a.placed, a.level, a.PeriodS
+	info.Profile, info.ModelBytes, info.Util = a.Profile, a.ModelBytes, a.Util
+	info.Released, info.Completed, info.Missed = a.released, a.completed, a.missed
+	info.Dropped, info.Aborted, info.AvgLatency = a.dropped, a.aborted, 0
 	if a.completed > 0 {
 		info.AvgLatency = a.sumLatency / float64(a.completed)
 	}
-	return info
 }
 
-// Apps returns all apps in deterministic creation order, in a fresh slice.
-func (e *Engine) Apps() []AppInfo {
-	return e.appendApps(make([]AppInfo, 0, len(e.appList)))
-}
-
-// appendApps appends every app's state to dst in creation order.
-func (e *Engine) appendApps(dst []AppInfo) []AppInfo {
-	for _, a := range e.appList {
-		dst = append(dst, e.appInfo(a))
+// appsInto rebuilds dst, reusing its storage, with every app's state in
+// creation order.
+func (e *Engine) appsInto(dst []AppInfo) []AppInfo {
+	dst = slices.Grow(dst[:0], len(e.appList))[:len(e.appList)]
+	for i, a := range e.appList {
+		e.fillApp(&dst[i], a)
 	}
 	return dst
 }
@@ -191,66 +181,66 @@ type ClusterInfo struct {
 
 // Cluster returns the observable state of the named cluster.
 func (e *Engine) Cluster(name string) (ClusterInfo, error) {
+	var info ClusterInfo
 	cs := e.cluster(name)
 	if cs == nil {
-		return ClusterInfo{}, fmt.Errorf("sim: unknown cluster %q", name)
+		return info, fmt.Errorf("sim: unknown cluster %q", name)
 	}
-	return e.clusterInfo(cs), nil
+	e.fillCluster(&info, cs)
+	return info, nil
 }
 
-// clusterInfo is the observable state of the cluster: the shared fill
-// behind Cluster and SnapshotInto.
-func (e *Engine) clusterInfo(cs *clusterState) ClusterInfo {
-	info := ClusterInfo{
-		Name:     cs.c.Name,
-		Type:     cs.c.Type,
-		OPPIndex: cs.oppIdx,
-		FreqGHz:  cs.c.OPPs[cs.oppIdx].FreqGHz,
-		Cores:    cs.c.Cores,
-		Util:     cs.util,
-		PowerMW:  cs.pow,
-		EnergyMJ: cs.energyAt(e.now),
-		Online:   cs.online,
-	}
+// fillCluster writes the cluster's observable state into info field by
+// field: the shared fill behind Cluster and SnapshotInto.
+func (e *Engine) fillCluster(info *ClusterInfo, cs *clusterState) {
+	info.Name, info.Type, info.Cores = cs.c.Name, cs.c.Type, cs.c.Cores
+	info.OPPIndex, info.FreqGHz = cs.oppIdx, cs.c.OPPs[cs.oppIdx].FreqGHz
+	info.Util, info.PowerMW, info.EnergyMJ = cs.util, cs.pow, cs.energyAt(e.now)
+	info.MemFree, info.Online = 0, cs.online
 	if cs.c.MemBytes > 0 {
 		info.MemFree = cs.c.MemBytes - e.acceleratorMemUsed(cs.c.Name, "")
 	}
-	return info
 }
 
 // Snapshot is a read-only capture of everything a planning policy may
-// observe: the clock, the thermal state, and per-app / per-cluster
-// observable state. The engine's mutable state is captured as value
-// copies — overwriting a Snapshot field cannot reach back into the
-// engine. (Shared static configuration referenced from the copies, such
-// as profile level tables, stays shared and is read-only by contract.)
+// observe: the clock, the thermal state, the platform, and per-app /
+// per-cluster observable state. The engine's mutable state is captured
+// as value copies — overwriting a Snapshot field cannot reach back into
+// the engine. (Shared static configuration referenced from the copies,
+// the Platform and profile level tables, stays shared and is read-only by
+// contract.)
 type Snapshot struct {
-	TimeS     float64
+	// NowS is the simulation clock at the capture.
+	NowS float64
+	// AmbientC / TempC / ThrottleC describe the thermal situation.
 	AmbientC  float64
 	TempC     float64
 	ThrottleC float64
-	Apps      []AppInfo
-	Clusters  []ClusterInfo
+	// Platform is the hardware description (clusters, OPP ladders,
+	// thermal parameters). Treat as read-only.
+	Platform *hw.Platform
+	// Apps is the observable state of every app, in engine creation order.
+	Apps []AppInfo
+	// Clusters is the observable state of every cluster, in platform order.
+	Clusters []ClusterInfo
 }
 
 // SnapshotInto rebuilds s in place from the engine's observable state,
-// reusing s's Apps and Clusters backing storage, which is what lets a
-// controller ticking every simulated epoch snapshot allocation-free; pass
-// a zero Snapshot to start a fresh buffer set. Apps are in deterministic
-// creation order and Clusters in platform order, so two snapshots of
-// identical engine states are identical — the determinism anchor for
-// policy planning.
+// reusing s's Apps and Clusters backing storage and filling each entry
+// where it lies, which is what lets a controller ticking every simulated
+// epoch snapshot allocation-free; pass a zero Snapshot to start a fresh
+// buffer set. Apps are in deterministic creation order and Clusters in
+// platform order, so two snapshots of identical engine states are
+// identical — the determinism anchor for policy planning.
 //
 //detlint:hotpath
 func (e *Engine) SnapshotInto(s *Snapshot) {
-	s.TimeS = e.now
-	s.AmbientC = e.ambient
-	s.TempC = e.tempC
-	s.ThrottleC = e.plat.Thermal.ThrottleC
-	s.Apps = e.appendApps(s.Apps[:0])
-	s.Clusters = s.Clusters[:0]
-	for _, cs := range e.clusterList {
-		s.Clusters = append(s.Clusters, e.clusterInfo(cs))
+	s.NowS, s.AmbientC, s.TempC = e.now, e.ambient, e.tempC
+	s.ThrottleC, s.Platform = e.plat.Thermal.ThrottleC, e.plat
+	s.Apps = e.appsInto(s.Apps)
+	s.Clusters = slices.Grow(s.Clusters[:0], len(e.clusterList))[:len(e.clusterList)]
+	for i, cs := range e.clusterList {
+		e.fillCluster(&s.Clusters[i], cs)
 	}
 }
 
@@ -539,8 +529,8 @@ type Report struct {
 	DegradedDropped int
 
 	// Apps is every app's state in creation order. It aliases an engine
-	// buffer that the engine's next Report or Reset rewrites; Engine.Apps
-	// returns a copy that stays.
+	// buffer that the engine's next Report or Reset rewrites; a caller
+	// that keeps it copies it.
 	Apps   []AppInfo
 	Events []Event // only when LogEvents was set
 	// LatenciesNS holds every finished job's latency in completion order,
@@ -558,7 +548,7 @@ type Report struct {
 // TotalEnergyMJ is the sum of the clusters' energies, each of which
 // Engine.Cluster reports.
 func (e *Engine) Report() Report {
-	e.reportApps = e.appendApps(e.reportApps[:0])
+	e.reportApps = e.appsInto(e.reportApps)
 	r := Report{
 		DurationS:     e.now,
 		MaxTempC:      e.maxTempC,

@@ -643,7 +643,6 @@ func stepPowerW(e0, e1 float64) float64 { return (e1 - e0) / (1000 * thermalStep
 //
 //detlint:hotpath
 func (e *Engine) thermalStep() (alarm bool) {
-	e.steps++
 	th := &e.plat.Thermal
 	energy := e.energyAt(e.now)
 	st := th.Step(e.ambient, stepPowerW(e.stepE0, energy), e.tempC, e.stepDecay, thermalStepS)

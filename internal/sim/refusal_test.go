@@ -36,7 +36,7 @@ func TestMigrateRefusals(t *testing.T) {
 		{"big", Placement{Cluster: "npu"}, `sim: model of "big" does not fit npu memory`},
 	}
 	for _, tc := range cases {
-		before := e.Apps()
+		before := appsOf(e)
 		err := e.Migrate(tc.app, tc.to)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("Migrate(%s, %+v) = %v, want %q", tc.app, tc.to, err, tc.want)
@@ -48,7 +48,7 @@ func TestMigrateRefusals(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { e.TryMigrate(tc.app, tc.to) }); allocs != 0 {
 			t.Errorf("TryMigrate(%s, %+v) allocates %v times", tc.app, tc.to, allocs)
 		}
-		for i, a := range e.Apps() {
+		for i, a := range appsOf(e) {
 			if a.Placement != before[i].Placement {
 				t.Errorf("refused move of %s moved %s to %+v", tc.app, a.Name, a.Placement)
 			}

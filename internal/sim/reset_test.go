@@ -157,7 +157,7 @@ func TestResetRejectsMoreThan64Apps(t *testing.T) {
 		t.Fatal(err)
 	}
 	residents := 0
-	for _, a := range e.Apps() {
+	for _, a := range appsOf(e) {
 		if a.Running && a.Placement.Cluster == "cpu-lit" {
 			residents++
 		}

@@ -358,10 +358,6 @@ type Engine struct {
 	stepT      float64
 	stepDecay  float64
 	powerDirty uint64
-	// steps counts the thermal steps closed over the engine's life (Reset
-	// keeps it): a work count for tests.
-	steps uint64
-
 	// Work counts since Reset (see Work): the steps handled, by the kind
 	// of their event, and the controller callbacks delivered. failed
 	// counts the failed frames (see FailedFrames).

@@ -502,7 +502,7 @@ func TestControllerTicksAndEvents(t *testing.T) {
 			events[EvAppStart], events[EvClusterFail])
 	}
 	var onTime, missed, dropped, aborted int
-	for _, a := range e.Apps() {
+	for _, a := range appsOf(e) {
 		onTime += a.Completed - a.Missed
 		missed += a.Missed
 		dropped += a.Dropped

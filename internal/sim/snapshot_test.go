@@ -50,3 +50,10 @@ func TestSnapshotIntoZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state SnapshotInto allocated %.1f times, want 0", allocs)
 	}
 }
+
+// appsOf returns every app's state, in a slice of its own.
+func appsOf(e *Engine) []AppInfo {
+	var s Snapshot
+	e.SnapshotInto(&s)
+	return s.Apps
+}

@@ -111,7 +111,7 @@ func TestThermalWorkCounts(t *testing.T) {
 	if err := e.Run(20); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := e.steps, uint64(80); got != want {
+	if got, want := e.Work().ThermalSteps, uint64(80); got != want {
 		t.Errorf("%d thermal steps, want %d", got, want)
 	}
 }
