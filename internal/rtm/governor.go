@@ -20,7 +20,9 @@ const (
 // the paper cites (Section V: "a variety of online resource management
 // approaches have been proposed, such as DVFS") and its "existing
 // approaches optimise hardware behaviour ... application requirements are
-// not addressed" baseline (ablation A3).
+// not addressed" baseline (ablation A3). It polls by design: ondemand
+// samples the load every epoch, so it is no sim.Waker and the engine
+// calls OnTick on every tick.
 type GovernorController struct{}
 
 // NewGovernorController builds the baseline controller.

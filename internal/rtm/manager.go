@@ -306,7 +306,9 @@ func (m *Manager) failedSince(e *sim.Engine) int {
 
 // OnTick implements sim.Controller. It is the manager's epoch: it decays
 // thermal pressure, counts the frames failed since the last plan and
-// retries deferred fault replans, then replans if any of them asks.
+// retries deferred fault replans, then replans if any of them asks. The
+// engine calls it only on the ticks NextWake makes due, which are all
+// the ticks on which it can do any of this.
 //
 //detlint:hotpath
 func (m *Manager) OnTick(e *sim.Engine) {
@@ -332,6 +334,31 @@ func (m *Manager) OnTick(e *sim.Engine) {
 	if m.pending {
 		m.Replan(e)
 	}
+}
+
+// NextWake implements sim.Waker with the checks OnTick makes, each term
+// the same subtraction: every tick is due while a replan is pending or
+// thermal pressure is held (its decay reads the temperature); otherwise a
+// tick is due at the fault-retry instant while a fault replan is wanted
+// or apps are unhosted, and once the frames failed since the last plan
+// reach missReplanThreshold and the miss backoff has run out.
+//
+//detlint:hotpath
+func (m *Manager) NextWake(e *sim.Engine) sim.Wake {
+	if m.pending || m.pressure > 0 {
+		return sim.Wake{Every: true}
+	}
+	var w sim.Wake
+	if m.faultReplanWanted || e.UnhostedApps() > 0 {
+		w.Add(sim.WakeTerm{SinceS: m.lastFaultPlan, AfterS: faultReplanBackoffS})
+	}
+	// failedSince(e) ≥ missReplanThreshold, as a watermark on the count.
+	mark := missReplanThreshold
+	if e == m.eng {
+		mark += m.missMark
+	}
+	w.Add(sim.WakeTerm{Failed: mark, SinceS: m.lastMissPlan, AfterS: missReplanBackoffS})
+	return w
 }
 
 // OnEvent implements sim.Controller: an app start or stop replans, a
@@ -707,7 +734,10 @@ func (m *Manager) setLevel(e *sim.Engine, app string, level int) {
 	}
 }
 
-var _ sim.Controller = (*Manager)(nil)
+var (
+	_ sim.Controller = (*Manager)(nil)
+	_ sim.Waker      = (*Manager)(nil)
+)
 
 // String renders an assignment for reports.
 func (a Assignment) String() string {

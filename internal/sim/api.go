@@ -82,7 +82,9 @@ type Work struct {
 	Completions uint64 `json:"completions"` // job completions
 	Unblocks    uint64 `json:"unblocks"`    // ends of migration downtime
 	Lifecycle   uint64 `json:"lifecycle"`   // app starts and stops
-	Ticks       uint64 `json:"ticks"`       // controller epochs
+	// Ticks counts the controller ticks handled: a tick a waking
+	// controller's wake passes takes no step and is not counted.
+	Ticks uint64 `json:"ticks"`
 	// ThermalSteps counts the thermal step boundaries closed. A step
 	// that handles a boundary and an event counts once here and once
 	// under the event's kind.
@@ -353,8 +355,10 @@ func (e *Engine) SetClusterOnline(cluster string, online bool) error {
 }
 
 // UnhostedApps counts running DNN apps currently placed on an offline
-// cluster — work that needs a replan to resume. The zero-fault fast path
-// keeps this cheap enough to poll every tick.
+// cluster — work that needs a replan to resume. The count moves only with
+// an app's start or stop, a fault or repair, or a migration, so a waking
+// controller reads it once per callback to decide whether its ticks must
+// retry; the zero-fault fast path keeps that cheap.
 func (e *Engine) UnhostedApps() int {
 	if e.offline == 0 {
 		return 0

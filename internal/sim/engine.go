@@ -72,19 +72,17 @@ func precedes(t float64, seq int64, timer bool, ev hevent) bool {
 	return seq < ev.seq
 }
 
-// next returns the earliest pending event without consuming it: the
-// lifecycle list's head, the tick, an armed release slot or an armed
-// completion or unblock timer, whichever comes first (see precedes). ok is
-// false when nothing is pending.
+// next returns the earliest pending event other than the tick, without
+// consuming it: the lifecycle list's head, an armed release slot or an
+// armed completion or unblock timer, whichever comes first (see
+// precedes). ok is false when none is pending. orTick puts the tick
+// among them.
 //
 //detlint:hotpath
 func (e *Engine) next() (ev hevent, ok bool) {
 	ev = hevent{t: math.Inf(1)}
 	if e.cursor < len(e.lifecycle) {
 		ev = e.lifecycle[e.cursor]
-	}
-	if e.tickSeq != 0 && precedes(e.tickT, e.tickSeq, false, ev) {
-		ev = hevent{t: e.tickT, seq: e.tickSeq, kind: hTick, app: -1}
 	}
 	for _, a := range e.appList {
 		if a.Kind != KindDNN {
@@ -98,6 +96,17 @@ func (e *Engine) next() (ev hevent, ok bool) {
 		}
 	}
 	return ev, ev.seq != 0
+}
+
+// orTick returns the armed tick when it comes before ev, and ev
+// otherwise: over next's event, the earliest pending event of all.
+//
+//detlint:hotpath
+func (e *Engine) orTick(ev hevent) hevent {
+	if e.tickSeq != 0 && precedes(e.tickT, e.tickSeq, false, ev) {
+		return hevent{t: e.tickT, seq: e.tickSeq, kind: hTick, app: -1}
+	}
+	return ev
 }
 
 // Run executes the simulation until endS seconds. Calling Run again with a
@@ -118,6 +127,10 @@ func (e *Engine) Run(endS float64) error {
 		e.reserveLatencies(endS)
 		e.prime()
 	}
+	// The controller's state may have moved since its last callback (a
+	// caller can set a requirement between two Runs), so its wake is read
+	// afresh.
+	e.readWake()
 	for e.step(endS) {
 	}
 	e.advanceTo(endS)
@@ -171,32 +184,48 @@ func (e *Engine) reserveLatencies(endS float64) {
 	e.latLog = slices.Grow(e.latLog, int(min(jobs, latReserveMax)))
 }
 
+// readWake takes the wake of a waking controller (see Waker).
+func (e *Engine) readWake() {
+	if e.waker != nil {
+		e.wake = e.waker.NextWake(e)
+	}
+}
+
 // armTick arms the tick slot at t.
 func (e *Engine) armTick(t float64) {
 	e.seq++
 	e.tickT, e.tickSeq = t, e.seq
 }
 
-// step handles the earliest pending event (see next) if it falls at or
-// before endS and reports whether there was one; an event past endS stays
-// pending for a later Run. step consumes a start or stop by advancing the
-// lifecycle cursor and a release or tick by clearing its slot, before
-// handle may arm the next one; a timer stays in its slot, and handle
-// disarms it.
+// step handles the earliest pending event (see next and orTick) if it
+// falls at or before endS and reports whether there was one; an event
+// past endS stays pending for a later Run. step consumes a start or stop
+// by advancing the lifecycle cursor and a release or tick by clearing its
+// slot, before handle may arm the next one; a timer stays in its slot,
+// and handle disarms it.
 //
 // A thermal step boundary due at or before both that event and endS comes
 // first, ahead of every event at its instant, so a controller tick there
 // reads the new temperature. It changes nothing but the thermal state, so
 // the event found before it stays the earliest, and the same step handles
-// it too when it falls before the next boundary: a boundary that shares
-// its instant with a tick, as in every fleet run, costs no step of its
-// own. A boundary that raises an alarm ends the step instead, since the
-// controller may have acted on it.
+// it too when it falls before the next boundary: a boundary costs no step
+// of its own unless no event falls before the next one. A boundary that
+// raises an alarm ends the step instead, since the controller may have
+// acted on it.
+//
+// A tick the controller's wake does not make due is passed where it
+// would be handled, after the boundary at its instant: the clock moves to
+// it and the tick is re-armed with the addition and the seq a handled
+// tick's re-arm makes, so no event's order moves. Nothing else is armed
+// or changed, so next's event stays pending, and the step goes on to the
+// earlier of it and the re-armed tick, unless the next boundary comes
+// first.
 //
 //detlint:hotpath
 func (e *Engine) step(endS float64) bool {
-	ev, ok := e.next()
-	ok = ok && ev.t <= endS
+	other, _ := e.next()
+	ev := e.orTick(other)
+	ok := ev.seq != 0 && ev.t <= endS
 	if b := e.stepT; b <= endS && (!ok || b <= ev.t) {
 		e.advanceTo(b)
 		if e.thermalStep() || !ok || ev.t >= e.stepT {
@@ -205,6 +234,13 @@ func (e *Engine) step(endS float64) bool {
 	}
 	if !ok {
 		return false
+	}
+	for ev.kind == hTick && !e.wake.Due(ev.t, e.failed) {
+		e.advanceTo(ev.t)
+		e.armTick(e.now + e.tickS)
+		if ev = e.orTick(other); ev.t > endS || ev.t >= e.stepT {
+			return true
+		}
 	}
 	e.stepsBy[ev.kind]++
 	switch ev.kind {
@@ -437,6 +473,7 @@ func (e *Engine) handle(ev hevent) {
 		if e.ctrl != nil {
 			e.callbacks++
 			e.ctrl.OnTick(e)
+			e.readWake()
 			e.armTick(e.now + e.tickS)
 		}
 	}
@@ -533,6 +570,7 @@ func (e *Engine) emit(ev Event) {
 	if e.ctrl != nil {
 		e.callbacks++
 		e.ctrl.OnEvent(e, ev)
+		e.readWake()
 	}
 }
 

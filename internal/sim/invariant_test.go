@@ -7,41 +7,56 @@ import (
 	"github.com/emlrtm/emlrtm/internal/hw"
 )
 
-// stressCtrl drives a flagship run through thermal load, a cluster fault,
-// migrations with downtime and DVFS changes from the tick hook, and reads
-// the temperature on every tick and event.
-type stressCtrl struct {
-	done  map[float64]bool
-	reads int
+// stressScript is the stress run's script, in time order: thermal load, a
+// cluster fault, migrations with downtime and DVFS changes.
+var stressScript = []struct {
+	atS float64
+	act func(e *Engine) error
+}{
+	{1, func(e *Engine) error { return e.SetAmbient(90) }},
+	{2, func(e *Engine) error { return e.SetOPP("gpu", 0) }},
+	{2.5, func(e *Engine) error { return e.SetOPP("cpu-big", 1) }},
+	{3, func(e *Engine) error { return e.SetClusterOnline("cpu-big", false) }},
+	{4, func(e *Engine) error { return e.Migrate("dnn2", Placement{Cluster: "cpu-lit", Cores: 1}) }},
+	{6, func(e *Engine) error { return e.SetClusterOnline("cpu-big", true) }},
+	{6.5, func(e *Engine) error { return e.Migrate("dnn2", Placement{Cluster: "cpu-big", Cores: 4}) }},
+	{9, func(e *Engine) error { return e.SetAmbient(25) }},
+	{12, func(e *Engine) error { return e.SetAmbient(90) }},
 }
 
-func (c *stressCtrl) at(e *Engine, s float64, act func() error) {
-	if e.Now() >= s && !c.done[s] {
-		c.done[s] = true
-		if err := act(); err != nil {
-			panic(err)
-		}
-	}
+// stressCtrl drives a flagship run through stressScript from the tick
+// hook, applying each step at the first tick at or after its time, and
+// reads the temperature on every tick and event.
+type stressCtrl struct {
+	next  int // the first step of stressScript not applied yet
+	reads int
 }
 
 func (c *stressCtrl) OnTick(e *Engine) {
 	e.Temperature()
 	c.reads++
-	ambient := func(a float64) func() error { return func() error { return e.SetAmbient(a) } }
-	c.at(e, 1, ambient(90))
-	c.at(e, 2, func() error { return e.SetOPP("gpu", 0) })
-	c.at(e, 2.5, func() error { return e.SetOPP("cpu-big", 1) })
-	c.at(e, 3, func() error { return e.SetClusterOnline("cpu-big", false) })
-	c.at(e, 4, func() error { return e.Migrate("dnn2", Placement{Cluster: "cpu-lit", Cores: 1}) })
-	c.at(e, 6, func() error { return e.SetClusterOnline("cpu-big", true) })
-	c.at(e, 6.5, func() error { return e.Migrate("dnn2", Placement{Cluster: "cpu-big", Cores: 4}) })
-	c.at(e, 9, ambient(25))
-	c.at(e, 12, ambient(90))
+	for ; c.next < len(stressScript) && e.Now() >= stressScript[c.next].atS; c.next++ {
+		if err := stressScript[c.next].act(e); err != nil {
+			panic(err)
+		}
+	}
 }
 
 func (c *stressCtrl) OnEvent(e *Engine, ev Event) {
 	e.Temperature()
 	c.reads++
+}
+
+// wakingStress is stressCtrl as a Waker: only the ticks at or after its
+// next step's time are due, so the engine passes every other tick.
+type wakingStress struct{ *stressCtrl }
+
+func (c wakingStress) NextWake(e *Engine) Wake {
+	var w Wake
+	if c.next < len(stressScript) {
+		w.Add(WakeTerm{AfterS: stressScript[c.next].atS})
+	}
+	return w
 }
 
 // armedEvents collects every event the engine has armed: the lifecycle
@@ -95,11 +110,17 @@ func refEventOrder(x, y hevent) int {
 
 // TestEngineInvariants steps runs one step at a time, through the
 // same earliest-event selection step uses, and checks before every step
-// that next picks the first of every armed event sorted by refEventOrder,
-// and after every step that:
+// that next and orTick pick the first of every armed event sorted by
+// refEventOrder and that the engine holds the controller's wake, and
+// after every step that:
 //   - a thermal step boundary due at or before the event was handled
 //     first, and the event too unless the boundary raised an alarm or
 //     the next boundary comes first; the clock moved to the last of them;
+//   - a tick the wake does not make due was passed as the reference model
+//     passes it: the next tick is armed TickS later with the next seq,
+//     the reference order is taken again, and the step goes on to its
+//     first event unless that lies past the end or at or after the next
+//     boundary; only handled ticks count as work;
 //   - the next boundary lies after the clock, at most one step ahead;
 //   - the lifecycle list from the cursor on holds only starts and stops,
 //     in (t, seq) order, no armed event is due before the clock and no
@@ -113,7 +134,9 @@ func refEventOrder(x, y hevent) int {
 //
 // and at the end that no more time is spent above throttle than has
 // elapsed. The stress run drives thermal load, a fault, migrations and DVFS
-// changes; the hot run is the BenchApps load at 58 °C under a no-op
+// changes; the wake run is the stress run under a waking controller, which
+// passes every tick before its next step's time; the hot run is the
+// BenchApps load at 58 °C under a no-op
 // controller ticking every 0.1 s, off the step grid, on its way up to the
 // trip point; the churn run is the hot run with the apps starting and
 // stopping out of app order, two starts and a stop due at one instant and
@@ -138,7 +161,8 @@ func TestEngineInvariants(t *testing.T) {
 		stops int
 		ties  int
 	}{
-		{"stress", hw.FlagshipSoC(), BenchApps(), &stressCtrl{done: map[float64]bool{}}, 16, 0, 0},
+		{"stress", hw.FlagshipSoC(), BenchApps(), &stressCtrl{}, 16, 0, 0},
+		{"wake", hw.FlagshipSoC(), BenchApps(), wakingStress{&stressCtrl{}}, 16, 0, 0},
 		{"hot", hot, BenchApps(), &boundaryCtrl{}, 20, 0, 0},
 		{"churn", hot, churn, &boundaryCtrl{}, 20, 4, 0},
 		{"tie", cool, []App{tieApp(cool)}, nil, 20, 0, 10},
@@ -146,16 +170,20 @@ func TestEngineInvariants(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := mustEngine(t, Config{Platform: tc.plat, Apps: tc.apps, Controller: tc.ctrl, TickS: 0.1, LogEvents: true})
 			slots := make([]int64, len(e.appList))
+			waker, _ := tc.ctrl.(Waker)
 
 			e.prime()
+			e.readWake()
 			th := &e.plat.Thermal
 			if e.stepDecay != th.DecayFactor(thermalStepS) {
 				t.Fatalf("decay factor %v, want %v", e.stepDecay, th.DecayFactor(thermalStepS))
 			}
 			lastEnd, lastEnergy := e.tempC, 0.0
-			var steps, completionRearms, ties int
+			var steps, completionRearms, ties, passes int
 			for {
-				ev, ok := e.next()
+				other, _ := e.next()
+				ev := e.orTick(other)
+				ok := ev.seq != 0
 				armed := armedEvents(e)
 				slices.SortFunc(armed, refEventOrder)
 				switch {
@@ -164,18 +192,22 @@ func TestEngineInvariants(t *testing.T) {
 				case len(armed) > 0 && (!ok || ev != armed[0]):
 					t.Fatalf("at %gs next returned %+v (ok %v), the earliest armed event is %+v", e.now, ev, ok, armed[0])
 				}
+				wake := Wake{Every: true}
+				if waker != nil {
+					wake = waker.NextWake(e)
+				}
+				if e.wake != wake {
+					t.Fatalf("at %gs the engine holds the wake %+v, the controller's is %+v", e.now, e.wake, wake)
+				}
 				ok = ok && ev.t <= tc.endS
 				b := e.stepT
 				boundary := b <= tc.endS && (!ok || b <= ev.t)
 				if !ok && !boundary {
 					break
 				}
-				if ok && len(armed) > 1 && armed[1].t == ev.t && eventClass(armed[1]) != eventClass(ev) {
-					ties++
-				}
 				for i, a := range e.appList {
 					slots[i] = 0
-					if a.completionSeq != 0 && a.completionKind == hComplete && ev.seq != a.completionSeq {
+					if a.completionSeq != 0 && a.completionKind == hComplete {
 						slots[i] = a.completionSeq
 					}
 				}
@@ -185,6 +217,7 @@ func TestEngineInvariants(t *testing.T) {
 						e.now, from, e0, lastEnd, lastEnergy)
 				}
 				energy := e.energyAt(b) // the open segments hold until the event
+				seq, failed, ticks := e.seq, e.failed, e.Work().Ticks
 				if !e.step(tc.endS) {
 					t.Fatal("step refused an event or boundary due before the end")
 				}
@@ -202,13 +235,42 @@ func TestEngineInvariants(t *testing.T) {
 				} else if e.stepT != b {
 					t.Fatalf("at %gs the boundary moved from %g to %g", e.now, b, e.stepT)
 				}
+				// The reference model of a passed tick: the tick is
+				// replaced in the reference order by the next one, armed
+				// with the next seq, and the first event is taken again.
+				clock, passed := b, false
+				for handled && ev.kind == hTick && !wake.Due(ev.t, failed) {
+					clock, passed = ev.t, true
+					seq++
+					armed[0] = hevent{t: ev.t + e.tickS, seq: seq, kind: hTick, app: -1}
+					slices.SortFunc(armed, refEventOrder)
+					ev = armed[0]
+					handled = ev.t <= tc.endS && ev.t < e.stepT
+					passes++
+				}
+				if handled && ev.kind == hTick {
+					ticks++
+				}
 				switch {
 				case handled && e.now != ev.t:
 					t.Fatalf("%v event at %g left the clock at %g", ev.kind, ev.t, e.now)
-				case !handled && e.now != b:
-					t.Fatalf("boundary at %g left the clock at %g", b, e.now)
+				case !handled && e.now != clock:
+					t.Fatalf("a step ending at %g left the clock at %g", clock, e.now)
 				case !(e.stepT-thermalStepS <= e.now && e.now < e.stepT):
 					t.Fatalf("at %gs the next boundary is at %g", e.now, e.stepT)
+				case e.Work().Ticks != ticks:
+					t.Fatalf("at %gs %d ticks handled, want %d", e.now, e.Work().Ticks, ticks)
+				}
+				if passed && !(handled && ev.kind == hTick) {
+					if i := slices.IndexFunc(armed, func(q hevent) bool { return q.kind == hTick }); e.tickT != armed[i].t || e.tickSeq != armed[i].seq {
+						t.Fatalf("at %gs the passed tick re-armed at %g (seq %d), want %+v", e.now, e.tickT, e.tickSeq, armed[i])
+					}
+				}
+				if handled && len(armed) > 1 && armed[1].t == ev.t && eventClass(armed[1]) != eventClass(ev) {
+					ties++
+				}
+				if handled && ev.kind == hComplete {
+					slots[ev.app] = 0
 				}
 				rest := e.lifecycle[e.cursor:]
 				for i, q := range rest {
@@ -267,10 +329,17 @@ func TestEngineInvariants(t *testing.T) {
 			} else if steps == 0 || alarms == 0 || stops != tc.stops {
 				t.Fatalf("run too tame: %d thermal steps, %d alarms, %d stops (want %d)", steps, alarms, stops, tc.stops)
 			}
-			if ctrl, ok := tc.ctrl.(*stressCtrl); ok && (completionRearms == 0 || alarms < 2 || rep.ClusterFails == 0 ||
-				rep.Migrations < 2 || rep.MaxTempC <= th.CriticalC || ctrl.reads == 0) {
-				t.Fatalf("stress run too tame: %d completion re-arms, %d alarms, %d faults, %d migrations, peak %g°C",
-					completionRearms, alarms, rep.ClusterFails, rep.Migrations, rep.MaxTempC)
+			if (waker != nil) != (passes > 0) {
+				t.Fatalf("%d ticks passed under waker %v", passes, waker)
+			}
+			ctrl, ok := tc.ctrl.(*stressCtrl)
+			if w, isWake := tc.ctrl.(wakingStress); isWake {
+				ctrl, ok = w.stressCtrl, true
+			}
+			if ok && (completionRearms == 0 || alarms < 2 || rep.ClusterFails == 0 ||
+				rep.Migrations < 2 || rep.MaxTempC <= th.CriticalC || ctrl.reads == 0 || ctrl.next != len(stressScript)) {
+				t.Fatalf("stress run too tame: %d completion re-arms, %d alarms, %d faults, %d migrations, peak %g°C, %d of %d steps",
+					completionRearms, alarms, rep.ClusterFails, rep.Migrations, rep.MaxTempC, ctrl.next, len(stressScript))
 			}
 		})
 	}

@@ -132,7 +132,7 @@ func TestNoOpBoundariesLeaveReportUnchanged(t *testing.T) {
 	// 128 times as often and pass every 128th tick on, so the stress lands
 	// at the same instants.
 	t.Run("stress", func(t *testing.T) {
-		stress := func() Controller { return &stressCtrl{done: map[float64]bool{}} }
+		stress := func() Controller { return &stressCtrl{} }
 		base := benchReport(t, hw.FlagshipSoC(), stress(), 1.0/8, 20)
 		if base.UnhostedS <= 0 || base.Migrations == 0 || base.ClusterFails == 0 || base.OPPSwitches == 0 {
 			t.Fatalf("stress run too tame: %gs unhosted, %d migrations, %d faults, %d OPP switches",

@@ -15,9 +15,10 @@
 //     in fixed 250 ms steps at each step's exact average power, with
 //     throttle-crossing alarms at the end of the crossing step;
 //   - migration with a load-time cost, and runtime model-level switching;
-//   - a Controller hook (the RTM) invoked on a fixed epoch and on state
-//     changes (not on a frame's fate: FailedFrames counts misses and
-//     drops for the controller to read).
+//   - a Controller hook (the RTM) invoked on a fixed epoch, or only on
+//     the epochs a Waker says can act, and on state changes (not on a
+//     frame's fate: FailedFrames counts misses and drops for the
+//     controller to read).
 //
 // Between events all rates and powers are constant, so job progress and
 // energy are integrated exactly. Each integral is closed only where its
@@ -184,8 +185,10 @@ func (ev Event) Detail() string {
 	return ""
 }
 
-// Controller is the runtime-manager hook (Fig 5's RTM layer). OnTick fires
-// every TickS seconds; OnEvent fires for each state change: app starts
+// Controller is the runtime-manager hook (Fig 5's RTM layer). Its ticks
+// fall every TickS seconds, and OnTick fires on each of them, unless the
+// controller is a Waker, when it fires only on the ticks its Wake makes
+// due. OnEvent fires for each state change: app starts
 // and stops (EvAppStart, EvAppStop), thermal alarms (EvThermalAlarm) and
 // cluster faults and repairs (EvClusterFail, EvClusterRepair). A frame's
 // fate is not a state change: completions, deadline misses and frame
@@ -196,6 +199,70 @@ func (ev Event) Detail() string {
 type Controller interface {
 	OnTick(e *Engine)
 	OnEvent(e *Engine, ev Event)
+}
+
+// Waker is implemented by a Controller that can tell ahead of time which
+// of its ticks can act. The engine reads NextWake at every Run entry and
+// after every OnTick and OnEvent call, and passes each tick the Wake it
+// holds does not make due: the tick is re-armed TickS later with the seq
+// a handled tick's re-arm takes, so the tick chain and the order of every
+// event stay as a polled run leaves them, but OnTick is not called and
+// the tick takes no engine step. A Wake must therefore make due every
+// tick on which OnTick could change anything. Between two callbacks only
+// the clock and FailedFrames move, and those are what a Wake's terms
+// read. A controller that is no Waker is ticked on every tick.
+type Waker interface {
+	NextWake(e *Engine) Wake
+}
+
+// maxWakeTerms is the most terms a Wake holds; one more makes every tick
+// due, which is always safe.
+const maxWakeTerms = 4
+
+// Wake says which ticks of a controller are due: a tick at t is due when
+// Every is set or any of its terms holds at t. The zero Wake makes no
+// tick due.
+type Wake struct {
+	Every bool
+	terms [maxWakeTerms]WakeTerm
+	n     int
+}
+
+// WakeTerm holds at a tick at t once FailedFrames() ≥ Failed and
+// t − SinceS ≥ AfterS. The time condition is the subtraction the
+// controller's own check evaluates, so the term holds on exactly the
+// ticks that check passes; an absolute time T is {AfterS: T}, since
+// t − 0 is t.
+type WakeTerm struct {
+	Failed int
+	SinceS float64
+	AfterS float64
+}
+
+// Add adds a term to w. Past maxWakeTerms terms, w makes every tick due.
+func (w *Wake) Add(t WakeTerm) {
+	if w.n == len(w.terms) {
+		w.Every = true
+		return
+	}
+	w.terms[w.n] = t
+	w.n++
+}
+
+// Due reports whether w makes a tick at t due on an engine whose
+// FailedFrames count is failed.
+//
+//detlint:hotpath
+func (w *Wake) Due(t float64, failed int) bool {
+	if w.Every {
+		return true
+	}
+	for _, term := range w.terms[:w.n] {
+		if failed >= term.Failed && t-term.SinceS >= term.AfterS {
+			return true
+		}
+	}
+	return false
 }
 
 // Migration cost, mirroring dyndnn's switch-cost constants: a fixed
@@ -367,6 +434,11 @@ type Engine struct {
 
 	ctrl  Controller
 	tickS float64
+	// waker is ctrl as a Waker (nil when it is none), and wake the Wake it
+	// last returned: a tick wake does not make due is passed (see step).
+	// With no waker, wake makes every tick due.
+	waker Waker
+	wake  Wake
 
 	now    float64
 	primed bool  // starts, stops and the first tick armed (once per Reset)
@@ -482,6 +554,8 @@ func (e *Engine) Reset(cfg Config) error {
 	e.plat = cfg.Platform
 	e.ambient = cfg.Platform.AmbientC
 	e.ctrl = cfg.Controller
+	e.waker, _ = cfg.Controller.(Waker)
+	e.wake = Wake{Every: true}
 	e.tickS = cfg.TickS
 	e.logEvents = cfg.LogEvents
 

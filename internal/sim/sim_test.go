@@ -558,7 +558,7 @@ func TestControllerTicksAndEvents(t *testing.T) {
 func TestLatencyLogMatchesEventLog(t *testing.T) {
 	run := func(e *Engine, logEvents bool) Report {
 		t.Helper()
-		cfg := Config{Platform: hw.FlagshipSoC(), Apps: BenchApps(), Controller: &stressCtrl{done: map[float64]bool{}},
+		cfg := Config{Platform: hw.FlagshipSoC(), Apps: BenchApps(), Controller: &stressCtrl{},
 			TickS: 0.1, LogEvents: logEvents}
 		if err := e.Reset(cfg); err != nil {
 			t.Fatal(err)

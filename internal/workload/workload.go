@@ -121,7 +121,8 @@ func cmpTime(a, b float64) int {
 }
 
 // OnTick implements sim.Controller: it applies every action and fault
-// transition due by now, then ticks the manager. A transition's
+// transition due by now, then ticks the manager. The engine calls it on
+// the ticks NextWake makes due. A transition's
 // SetClusterOnline error is ignored by design: a window naming an unknown
 // cluster is a scenario-authoring bug that validation should catch, and
 // a duplicate transition is a no-op.
@@ -146,6 +147,25 @@ func (c *ScenarioController) OnTick(e *sim.Engine) {
 	}
 }
 
+// NextWake implements sim.Waker: the manager's wake (none without one),
+// with the next action's time and the next fault transition's added, the
+// times OnTick compares the clock with.
+//
+//detlint:hotpath
+func (c *ScenarioController) NextWake(e *sim.Engine) sim.Wake {
+	var w sim.Wake
+	if c.Mgr != nil {
+		w = c.Mgr.NextWake(e)
+	}
+	if c.applied < len(c.Actions) {
+		w.Add(sim.WakeTerm{AfterS: c.Actions[c.applied].AtS})
+	}
+	if c.fault < len(c.faults) {
+		w.Add(sim.WakeTerm{AfterS: c.faults[c.fault].atS})
+	}
+	return w
+}
+
 // OnEvent implements sim.Controller.
 func (c *ScenarioController) OnEvent(e *sim.Engine, ev sim.Event) {
 	if c.Mgr != nil {
@@ -153,7 +173,10 @@ func (c *ScenarioController) OnEvent(e *sim.Engine, ev sim.Event) {
 	}
 }
 
-var _ sim.Controller = (*ScenarioController)(nil)
+var (
+	_ sim.Controller = (*ScenarioController)(nil)
+	_ sim.Waker      = (*ScenarioController)(nil)
+)
 
 // Fig2Scenario reproduces the paper's runtime timeline (Fig 2) on the
 // flagship SoC:
@@ -304,12 +327,28 @@ func (st *Stack) Run(s Scenario, plat *hw.Platform, tickS float64) (*sim.Engine,
 // event log, logf receives the manager's decision log. Neither changes a
 // simulated outcome.
 func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), logEvents bool) (*sim.Engine, *rtm.Manager, sim.Report, error) {
+	if err := st.setup(s, logf); err != nil {
+		return nil, nil, sim.Report{}, err
+	}
+	return st.start(sim.Config{
+		Platform:   plat,
+		Apps:       s.Apps,
+		Controller: &st.ctrl,
+		TickS:      tickS,
+		LogEvents:  logEvents,
+	}, s.EndS)
+}
+
+// setup resets the stack's manager and scripted controller for s: the
+// scenario's policy and requirements, logf as the decision log, and its
+// actions and fault windows.
+func (st *Stack) setup(s Scenario, logf func(string, ...any)) error {
 	pol := s.Planner
 	if pol == nil {
 		var err error
 		pol, err = rtm.NewPolicy(s.Policy)
 		if err != nil {
-			return nil, nil, sim.Report{}, err
+			return err
 		}
 	}
 	if st.mgr == nil {
@@ -317,17 +356,14 @@ func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(str
 	} else {
 		st.mgr.Reset(s.Reqs)
 	}
-	mgr := st.mgr
-	mgr.SetPolicy(pol)
-	mgr.Logf = logf
-	st.ctrl.reset(mgr, s.Actions, s.Faults)
-	cfg := sim.Config{
-		Platform:   plat,
-		Apps:       s.Apps,
-		Controller: &st.ctrl,
-		TickS:      tickS,
-		LogEvents:  logEvents,
-	}
+	st.mgr.SetPolicy(pol)
+	st.mgr.Logf = logf
+	st.ctrl.reset(st.mgr, s.Actions, s.Faults)
+	return nil
+}
+
+// start resets the stack's engine for cfg and runs it to endS.
+func (st *Stack) start(cfg sim.Config, endS float64) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	var err error
 	if st.eng == nil {
 		st.eng, err = sim.New(cfg)
@@ -335,11 +371,11 @@ func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(str
 		err = st.eng.Reset(cfg)
 	}
 	if err == nil {
-		err = st.eng.Run(s.EndS)
+		err = st.eng.Run(endS)
 	}
 	if err != nil {
 		st.eng = nil
 		return nil, nil, sim.Report{}, err
 	}
-	return st.eng, mgr, st.eng.Report(), nil
+	return st.eng, st.mgr, st.eng.Report(), nil
 }
