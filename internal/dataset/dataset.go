@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -90,9 +91,9 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, err
 	}
 	ds := &Dataset{Cfg: cfg}
-	rng := tensor.NewRNG(cfg.Seed)
-	ds.TrainX, ds.TrainY = genSplit(cfg, rng, cfg.TrainN)
-	ds.ValX, ds.ValY = genSplit(cfg, rng, cfg.ValN)
+	rnd := rng.New(cfg.Seed)
+	ds.TrainX, ds.TrainY = genSplit(cfg, rnd, cfg.TrainN)
+	ds.ValX, ds.ValY = genSplit(cfg, rnd, cfg.ValN)
 	return ds, nil
 }
 
@@ -108,19 +109,19 @@ func MustGenerate(cfg Config) *Dataset {
 	return ds
 }
 
-func genSplit(cfg Config, rng *tensor.RNG, n int) (*tensor.Tensor, []int) {
+func genSplit(cfg Config, rnd *rng.RNG, n int) (*tensor.Tensor, []int) {
 	x := tensor.New(n, cfg.Channels, cfg.Size, cfg.Size)
 	y := make([]int, n)
 	for i := 0; i < n; i++ {
 		c := i % cfg.Classes // balanced classes
 		y[i] = c
-		renderSample(cfg, rng, c, x.Data()[i*cfg.Channels*cfg.Size*cfg.Size:(i+1)*cfg.Channels*cfg.Size*cfg.Size])
+		renderSample(cfg, rnd, c, x.Data()[i*cfg.Channels*cfg.Size*cfg.Size:(i+1)*cfg.Channels*cfg.Size*cfg.Size])
 	}
 	return x, y
 }
 
 // renderSample draws one image of class c into dst (CHW layout).
-func renderSample(cfg Config, rng *tensor.RNG, c int, dst []float32) {
+func renderSample(cfg Config, rnd *rng.RNG, c int, dst []float32) {
 	s := cfg.Size
 	pair := c / 2   // 5 pairs: the coarse, easy cue
 	within := c % 2 // fine cue distinguishing the pair members
@@ -151,17 +152,17 @@ func renderSample(cfg Config, rng *tensor.RNG, c int, dst []float32) {
 	fineScale := 1.0 - 0.85*difficulty
 
 	// Per-sample nuisance parameters.
-	phase := rng.Float64() * 2 * math.Pi * cfg.Jitter
-	dx := (rng.Float64() - 0.5) * 0.35 * float64(s) * cfg.Jitter
-	dy := (rng.Float64() - 0.5) * 0.35 * float64(s) * cfg.Jitter
-	amp := 0.7 + 0.6*rng.Float64()
+	phase := rnd.Float64() * 2 * math.Pi * cfg.Jitter
+	dx := (rnd.Float64() - 0.5) * 0.35 * float64(s) * cfg.Jitter
+	dy := (rnd.Float64() - 0.5) * 0.35 * float64(s) * cfg.Jitter
+	amp := 0.7 + 0.6*rnd.Float64()
 	// Occluding patch (cutout): zeroes a random square region, forcing
 	// classifiers to use distributed evidence rather than one locus.
 	occSize := int(float64(s) / 4 * cfg.Jitter)
 	occX, occY := -1, -1
 	if occSize > 0 {
-		occX = rng.Intn(s - occSize + 1)
-		occY = rng.Intn(s - occSize + 1)
+		occX = rnd.Intn(s - occSize + 1)
+		occY = rnd.Intn(s - occSize + 1)
 	}
 
 	inv := 1.0 / float64(s)
@@ -181,7 +182,7 @@ func renderSample(cfg Config, rng *tensor.RNG, c int, dst []float32) {
 					ramp := 0.3 * fineScale * rampSign * (u - v) * float64(ch+1) / float64(cfg.Channels)
 					val = 0.6*g + ramp
 				}
-				noise := cfg.Noise * noiseScale * rng.NormFloat64()
+				noise := cfg.Noise * noiseScale * rnd.NormFloat64()
 				dst[base+yy*s+xx] = float32(val + noise)
 			}
 		}
@@ -189,12 +190,12 @@ func renderSample(cfg Config, rng *tensor.RNG, c int, dst []float32) {
 }
 
 // Batches returns shuffled mini-batch index slices covering [0,n) once.
-// The shuffle is driven by rng so training is reproducible.
-func Batches(rng *tensor.RNG, n, batchSize int) [][]int {
+// The shuffle is driven by rnd so training is reproducible.
+func Batches(rnd *rng.RNG, n, batchSize int) [][]int {
 	if batchSize <= 0 {
 		panic("dataset: batchSize must be positive")
 	}
-	perm := rng.Perm(n)
+	perm := rnd.Perm(n)
 	var out [][]int
 	for i := 0; i < n; i += batchSize {
 		j := i + batchSize

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -172,12 +173,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 
 func TestBatchesCoverAllIndicesOnce(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed)
+		rnd := rng.New(seed)
 		n := 10 + int(seed%90)
 		bs := 1 + int(seed%16)
 		seen := make([]bool, n)
 		total := 0
-		for _, b := range Batches(rng, n, bs) {
+		for _, b := range Batches(rnd, n, bs) {
 			if len(b) > bs || len(b) == 0 {
 				return false
 			}

@@ -18,7 +18,9 @@
 //     the simulation owns its clock; wall time is only legal in
 //     orchestrator/CLI code, via `//detlint:allow wallclock <reason>`.
 //   - globalrand: package-level math/rand functions anywhere outside tests
-//     — all randomness must flow through an explicitly seeded *rand.Rand.
+//     — all randomness must flow through an explicitly seeded generator —
+//     and any math/rand or math/rand/v2 import in those packages, whose
+//     randomness comes from internal/rng.
 //   - hotalloc: functions marked `//detlint:hotpath` must avoid
 //     known-allocating constructs: fmt.Sprintf/Errorf, non-constant string
 //     concatenation, composite literals escaping into interfaces, and

@@ -2,6 +2,7 @@ package detlint
 
 import (
 	"go/types"
+	"strconv"
 )
 
 // WallClock flags wall-clock reads and sleeps in determinism-critical
@@ -55,12 +56,16 @@ func runWallClock(pass *Pass) {
 // GlobalRand flags package-level math/rand functions anywhere outside
 // tests. The global generator is shared mutable state seeded from the
 // runtime: two goroutines interleave draws, and a library init can burn
-// values — either silently changes every downstream byte. All randomness
-// must flow through an explicitly seeded *rand.Rand (methods on a *Rand
-// value are fine; rand.New/NewSource are the seam and stay legal).
+// values — either silently changes every downstream byte. Elsewhere,
+// randomness flows through an explicitly seeded generator (methods on a
+// *rand.Rand value are fine; rand.New/NewSource are the seam and stay
+// legal). A determinism-critical package may not import math/rand or
+// math/rand/v2 at all: its randomness comes from internal/rng, the repo's
+// one SplitMix64 stream, so every sampled byte rests on a generator whose
+// outputs the repo owns.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
-	Doc:  "flag package-level math/rand use outside tests",
+	Doc:  "flag package-level math/rand use outside tests, and any math/rand import in determinism-critical packages",
 	Run:  runGlobalRand,
 }
 
@@ -75,6 +80,16 @@ var globalRandExempt = map[string]bool{
 }
 
 func runGlobalRand(pass *Pass) {
+	if pass.Critical {
+		for _, f := range pass.Pkg.Files {
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" || p == "math/rand/v2" {
+					pass.Reportf(imp.Pos(),
+						"%s imported in determinism-critical package: draw from internal/rng's seeded SplitMix64 stream", p)
+				}
+			}
+		}
+	}
 	for id, obj := range pass.Pkg.Info.Uses {
 		fn, ok := obj.(*types.Func)
 		if !ok || fn.Pkg() == nil {

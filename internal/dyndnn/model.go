@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"github.com/emlrtm/emlrtm/internal/nn"
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -81,19 +82,19 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := tensor.NewRNG(cfg.Seed)
+	rnd := rng.New(cfg.Seed)
 	s := cfg.ImageSize
 	w := cfg.StageWidths
 	g := cfg.Groups
 
 	conv1 := nn.NewGroupedConv2D("conv1", nn.SharedInput, g, w[0],
-		tensor.ConvGeom{InC: cfg.InputChannels, InH: s, InW: s, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: cfg.InputChannels, InH: s, InW: s, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	conv2 := nn.NewGroupedConv2D("conv2", nn.Diagonal, g, w[1],
-		tensor.ConvGeom{InC: g * w[0], InH: s / 2, InW: s / 2, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: g * w[0], InH: s / 2, InW: s / 2, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	conv3 := nn.NewGroupedConv2D("conv3", nn.Diagonal, g, w[2],
-		tensor.ConvGeom{InC: g * w[1], InH: s / 4, InW: s / 4, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: g * w[1], InH: s / 4, InW: s / 4, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	featPerGroup := w[2] * (s / 8) * (s / 8)
-	head := nn.NewGroupedDense("fc", g, featPerGroup, cfg.Classes, rng)
+	head := nn.NewGroupedDense("fc", g, featPerGroup, cfg.Classes, rnd)
 
 	net := nn.NewNetwork(g,
 		conv1, nn.NewReLU("relu1"), nn.NewMaxPool2x2("pool1"),

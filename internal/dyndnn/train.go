@@ -6,6 +6,7 @@ import (
 
 	"github.com/emlrtm/emlrtm/internal/dataset"
 	"github.com/emlrtm/emlrtm/internal/nn"
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -83,7 +84,7 @@ func (m *Model) TrainIncremental(ds *dataset.Dataset, tc TrainConfig) (*TrainRep
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	rng := tensor.NewRNG(tc.Seed)
+	rnd := rng.New(tc.Seed)
 	report := &TrainReport{}
 
 	prevAcc := 0.0
@@ -117,7 +118,7 @@ func (m *Model) TrainIncremental(ds *dataset.Dataset, tc TrainConfig) (*TrainRep
 			opt := nn.NewSGD(lr, tc.Momentum, tc.WeightDecay)
 			for epoch := 0; epoch < tc.EpochsPerStep; epoch++ {
 				var epochLoss float64
-				batches := dataset.Batches(rng, ds.TrainX.Dim(0), tc.BatchSize)
+				batches := dataset.Batches(rnd, ds.TrainX.Dim(0), tc.BatchSize)
 				for _, idx := range batches {
 					bx, by := dataset.Gather(ds.TrainX, ds.TrainY, idx)
 					logits := m.Net.Forward(bx, true)

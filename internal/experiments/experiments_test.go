@@ -139,7 +139,7 @@ func TestTrainDynamicQuick(t *testing.T) {
 }
 
 // trainedQuickSHA256 pins TrainDynamic(quickOpts()) bit for bit: the
-// dataset, initialisation and minibatch order all draw from tensor.RNG
+// dataset, initialisation and minibatch order all draw from rng.RNG
 // streams, and the quick CSV golden skips fig3, so this is what holds
 // those streams fixed.
 const trainedQuickSHA256 = "315bf453e5ab8a5ef20c5c081b674d4396aad80894f7e7055da04629d26df4e5"

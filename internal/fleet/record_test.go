@@ -178,13 +178,13 @@ func TestGoldenStreamWorkCounts(t *testing.T) {
 			samples += run.Count
 		}
 	}
-	if got, want := len(raw), 8391; got != want {
+	if got, want := len(raw), 8677; got != want {
 		t.Errorf("golden stream is %d bytes, want %d", got, want)
 	}
-	if got, want := values, 86; got != want {
+	if got, want := values, 93; got != want {
 		t.Errorf("golden stream encodes %d latency values, want %d", got, want)
 	}
-	if got, want := samples, 2235; got != want {
+	if got, want := samples, 2324; got != want {
 		t.Errorf("golden stream carries %d latency samples, want %d", got, want)
 	}
 }
@@ -666,7 +666,7 @@ func FuzzReadShard(f *testing.F) {
 	}
 	// A header whose range no record backs: reading it once sized a slice
 	// by the claimed range, which panics (or exhausts memory) this large.
-	f.Add([]byte(`{"stream":"emlrtm-fleet-shard","formatVersion":4,"config":{"seed":1},"total":1099511627776,"lo":0,"hi":1099511627776}` + "\n"))
+	f.Add([]byte(`{"stream":"emlrtm-fleet-shard","formatVersion":5,"config":{"seed":1},"total":1099511627776,"lo":0,"hi":1099511627776}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadShard(bytes.NewReader(data))
 		if err != nil {

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -95,24 +94,13 @@ func RunOne(s Scenario) Result {
 // worker is the run state one fleet worker reuses across its whole
 // scenario stream: the workload stack (engine, manager, controller) Reset
 // in place between scenarios, one build of each catalog platform it has
-// run, Train's exploration RNG and the latency scratch copy. Nothing in the
-// engine, manager or policies writes to a Platform, so a platform is built
-// once per worker, not once per run.
+// run and the latency scratch copy. Nothing in the engine, manager or
+// policies writes to a Platform, so a platform is built once per worker,
+// not once per run.
 type worker struct {
 	stack workload.Stack
 	plats map[string]*hw.Platform
-	rng   *rand.Rand
 	ns    []int64 // a copy of one run's latencies in ns, permuted by summarise
-}
-
-// reseed returns the worker's RNG seeded with seed. Re-seeding one source
-// draws exactly what a new source with that seed would.
-func (w *worker) reseed(seed int64) *rand.Rand {
-	if w.rng == nil {
-		w.rng = rand.New(new(rngSource))
-	}
-	w.rng.Seed(seed)
-	return w.rng
 }
 
 // platform returns the worker's build of the named catalog platform, or

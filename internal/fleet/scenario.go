@@ -16,12 +16,12 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/rtm"
 	"github.com/emlrtm/emlrtm/internal/sim"
 	"github.com/emlrtm/emlrtm/internal/workload"
@@ -78,7 +78,11 @@ func AllClasses() []Class {
 // (Script.Planner included) is fine; writing an element of one of its
 // slices, Reqs included, changes other runs and later generations.
 type Scenario struct {
-	ID       int
+	ID int
+	// Seed is scenarioSeed(master seed, workload index), the seed of the
+	// rng.RNG stream the workload's script was sampled from. Every policy
+	// run of a workload carries it, and a shard reader recomputes it to
+	// refuse a record generated under another master seed.
 	Seed     uint64
 	Class    Class
 	Platform string // hw.Catalog key
@@ -251,10 +255,12 @@ func (g *Generator) Generate(n int) []Scenario {
 // Because scenario i depends only on (Seed, i), a contiguous range is
 // independently reproducible in any process: GenerateRange(lo, hi) equals
 // Generate(hi)[lo:hi] element for element. This is what a shard owns in a
-// multi-process fleet run. Out-of-range bounds clamp (lo < 0 becomes 0;
-// hi <= lo yields none). The scenarios are read-only: a workload's policy
-// runs in the range share one script body, and every scenario shares its
-// platform's profile levels with the Generator.
+// multi-process fleet run. Each workload draws from its own rng.RNG,
+// seeded in O(1) with scenarioSeed(Seed, workload), so a range shares no
+// generator state with another. Out-of-range bounds clamp (lo < 0 becomes
+// 0; hi <= lo yields none). The scenarios are read-only: a workload's
+// policy runs in the range share one script body, and every scenario
+// shares its platform's profile levels with the Generator.
 func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 	if lo < 0 {
 		lo = 0
@@ -262,19 +268,8 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 	if hi < lo {
 		hi = lo
 	}
-	// One RNG serves the whole range, re-seeded per workload. Its source
-	// is rngSource, math/rand's generator with a lazy Seed: reseeding it
-	// is output-identical to constructing rand.NewSource with the same
-	// seed, so neither batching the setup nor the fork moves a single
-	// sampled byte. A workload's later policy runs copy its first run's
-	// header in the range, sharing its script body, instead of sampling
-	// it again. The RNG comes from rngs when a finished range left one.
-	var rng *rand.Rand
-	select {
-	case rng = <-rngs:
-	default:
-		rng = rand.New(new(rngSource))
-	}
+	// A workload's later policy runs copy its first run's header in the
+	// range, sharing its script body, instead of sampling it again.
 	out := make([]Scenario, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		if i > lo && i%len(g.policies) != 0 {
@@ -284,24 +279,12 @@ func (g *Generator) GenerateRange(lo, hi int) []Scenario {
 			out = append(out, s)
 			continue
 		}
-		out = append(out, g.generateOne(i, rng))
-	}
-	select {
-	case rngs <- rng:
-	default:
+		out = append(out, g.generateOne(i))
 	}
 	return out
 }
 
-// rngs keeps RNGs that finished ranges hand back, so a range reuses one
-// instead of calling rand.New. rand.New asserts its source to
-// rand.Source64, and the runtime fills that assertion's cache by
-// allocating in a random one of about 1024 calls until the type is
-// cached. Every workload re-seeds the RNG before it samples, so a reused
-// one samples the same bytes as a new one.
-var rngs = make(chan *rand.Rand, 4)
-
-func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
+func (g *Generator) generateOne(id int) Scenario {
 	// With P swept policies, run id carries workload id/P under policy
 	// id%P: the workload RNG seeds off the *workload* index, so the same
 	// script is sampled bit-identically for every policy it runs under —
@@ -309,9 +292,9 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 	wl := id / len(g.policies)
 	policy := g.policies[id%len(g.policies)]
 	seed := scenarioSeed(g.cfg.Seed, wl)
-	rng.Seed(int64(seed))
-	class := g.classes[rng.Intn(len(g.classes))]
-	pi := rng.Intn(len(g.platforms))
+	rnd := rng.New(seed)
+	class := g.classes[rnd.Intn(len(g.classes))]
+	pi := rnd.Intn(len(g.platforms))
 	platName := g.platforms[pi]
 
 	s := Scenario{
@@ -321,7 +304,7 @@ func (g *Generator) generateOne(id int, rng *rand.Rand) Scenario {
 		Platform: platName,
 		Policy:   policy,
 	}
-	s.Script = g.script(rng, class, g.catalog[platName], &g.envs[pi])
+	s.Script = g.script(rnd, class, g.catalog[platName], &g.envs[pi])
 	s.Script.Name = workloadName(class, platName, wl)
 	s.Script.Policy = policy
 	return s
@@ -381,16 +364,16 @@ func newEnv(plat *hw.Platform) env {
 
 // pickPeriod samples a frame period as a multiple of the platform's best
 // full-model latency: tight (×1.5) through comfortable (×8).
-func pickPeriod(rng *rand.Rand, e *env) float64 {
+func pickPeriod(rnd *rng.RNG, e *env) float64 {
 	factors := []float64{1.5, 2, 3, 5, 8}
-	return e.bestLatS * factors[rng.Intn(len(factors))]
+	return e.bestLatS * factors[rnd.Intn(len(factors))]
 }
 
 // pickRequirement samples an achievable accuracy floor by choosing a level
 // of the profile (or none) and a priority.
-func pickRequirement(rng *rand.Rand, e *env) rtm.Requirement {
-	r := rtm.Requirement{Priority: 1 + rng.Intn(3)}
-	if lvl := rng.Intn(e.prof.MaxLevel() + 1); lvl > 0 {
+func pickRequirement(rnd *rng.RNG, e *env) rtm.Requirement {
+	r := rtm.Requirement{Priority: 1 + rnd.Intn(3)}
+	if lvl := rnd.Intn(e.prof.MaxLevel() + 1); lvl > 0 {
 		r.MinAccuracy = e.prof.Level(lvl).Accuracy
 	}
 	return r
@@ -403,8 +386,8 @@ const (
 	maxDurationS = 40.0
 )
 
-func sampleDuration(rng *rand.Rand) float64 {
-	return minDurationS + rng.Float64()*(maxDurationS-minDurationS)
+func sampleDuration(rnd *rng.RNG) float64 {
+	return minDurationS + rnd.Float64()*(maxDurationS-minDurationS)
 }
 
 // dnnNames and burstNames name a scenario's DNNs and background bursts;
@@ -416,9 +399,9 @@ var (
 
 // script builds the class-specific workload timeline on plat, whose
 // envelope is e. Every DNN gets e's profile, levels included, uncopied.
-func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *env) workload.Scenario {
-	endS := sampleDuration(rng)
-	nDNN := 1 + rng.Intn(len(dnnNames))
+func (g *Generator) script(rnd *rng.RNG, class Class, plat *hw.Platform, e *env) workload.Scenario {
+	endS := sampleDuration(rnd)
+	nDNN := 1 + rnd.Intn(len(dnnNames))
 	nApps := nDNN
 	if class == ClassMixed || class == ClassBursty {
 		nApps += len(burstNames) // at most render and bg, or the bursts
@@ -429,29 +412,29 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 		Reqs: make(rtm.Requirements, 0, nDNN),
 	}
 	for i, name := range dnnNames[:nDNN] {
-		host := plat.Cluster(e.dnnHosts[rng.Intn(len(e.dnnHosts))])
+		host := plat.Cluster(e.dnnHosts[rnd.Intn(len(e.dnnHosts))])
 		cores := host.Cores
 		if !host.Type.IsAccelerator() {
-			cores = 1 + rng.Intn(host.Cores)
+			cores = 1 + rnd.Intn(host.Cores)
 		}
 		app := sim.App{
 			Name:       name,
 			Kind:       sim.KindDNN,
 			Profile:    e.prof,
-			Level:      1 + rng.Intn(e.prof.MaxLevel()),
-			PeriodS:    pickPeriod(rng, e),
+			Level:      1 + rnd.Intn(e.prof.MaxLevel()),
+			PeriodS:    pickPeriod(rnd, e),
 			ModelBytes: e.modelBytes,
 			Placement:  sim.Placement{Cluster: host.Name, Cores: cores},
 		}
 		if class == ClassChurn && i > 0 {
 			// Staggered arrivals; some leave before the end.
-			app.StartS = rng.Float64() * endS / 2
-			if rng.Intn(2) == 0 {
-				app.StopS = app.StartS + (0.3+0.5*rng.Float64())*(endS-app.StartS)
+			app.StartS = rnd.Float64() * endS / 2
+			if rnd.Intn(2) == 0 {
+				app.StopS = app.StartS + (0.3+0.5*rnd.Float64())*(endS-app.StartS)
 			}
 		}
 		sc.Apps = append(sc.Apps, app)
-		sc.Reqs = append(sc.Reqs, rtm.AppRequirement{App: name, Requirement: pickRequirement(rng, e)})
+		sc.Reqs = append(sc.Reqs, rtm.AppRequirement{App: name, Requirement: pickRequirement(rnd, e)})
 	}
 
 	switch class {
@@ -460,45 +443,45 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 			sc.Apps = append(sc.Apps, sim.App{
 				Name:      "render",
 				Kind:      sim.KindRender,
-				Util:      0.3 + 0.5*rng.Float64(),
+				Util:      0.3 + 0.5*rnd.Float64(),
 				Placement: sim.Placement{Cluster: e.renderHost},
 			})
 		}
 		if len(e.cpuHosts) > 0 {
-			host := e.cpuHosts[rng.Intn(len(e.cpuHosts))]
+			host := e.cpuHosts[rnd.Intn(len(e.cpuHosts))]
 			sc.Apps = append(sc.Apps, sim.App{
 				Name:      "bg",
 				Kind:      sim.KindBackground,
-				Util:      0.3 + 0.6*rng.Float64(),
-				Placement: sim.Placement{Cluster: host.Name, Cores: 1 + rng.Intn(host.Cores)},
+				Util:      0.3 + 0.6*rnd.Float64(),
+				Placement: sim.Placement{Cluster: host.Name, Cores: 1 + rnd.Intn(host.Cores)},
 			})
 		}
 	case ClassBursty:
-		nBurst := 1 + rng.Intn(len(burstNames))
+		nBurst := 1 + rnd.Intn(len(burstNames))
 		for i := 0; i < nBurst && len(e.cpuHosts) > 0; i++ {
-			host := e.cpuHosts[rng.Intn(len(e.cpuHosts))]
-			start := rng.Float64() * endS * 0.6
+			host := e.cpuHosts[rnd.Intn(len(e.cpuHosts))]
+			start := rnd.Float64() * endS * 0.6
 			sc.Apps = append(sc.Apps, sim.App{
 				Name:      burstNames[i],
 				Kind:      sim.KindBackground,
-				Util:      0.6 + 0.4*rng.Float64(),
+				Util:      0.6 + 0.4*rnd.Float64(),
 				StartS:    start,
-				StopS:     start + (0.2+0.3*rng.Float64())*endS,
-				Placement: sim.Placement{Cluster: host.Name, Cores: 1 + rng.Intn(host.Cores)},
+				StopS:     start + (0.2+0.3*rnd.Float64())*endS,
+				Placement: sim.Placement{Cluster: host.Name, Cores: 1 + rnd.Intn(host.Cores)},
 			})
 		}
 	case ClassThermal:
 		// SetAmbient refuses only a non-finite ambient, and both are
 		// finite: Validate refuses a platform whose AmbientC is not.
-		hotAt := (0.2 + 0.3*rng.Float64()) * endS
-		hotC := plat.AmbientC + 10 + 10*rng.Float64()
+		hotAt := (0.2 + 0.3*rnd.Float64()) * endS
+		hotC := plat.AmbientC + 10 + 10*rnd.Float64()
 		sc.Actions = append(sc.Actions, workload.Action{
 			AtS:  hotAt,
 			Name: "hot-environment",
 			Do:   func(se *sim.Engine, m *rtm.Manager) { _ = se.SetAmbient(hotC) },
 		})
-		if rng.Intn(2) == 0 {
-			coolAt := hotAt + (0.3+0.3*rng.Float64())*(endS-hotAt)
+		if rnd.Intn(2) == 0 {
+			coolAt := hotAt + (0.3+0.3*rnd.Float64())*(endS-hotAt)
 			base := plat.AmbientC
 			sc.Actions = append(sc.Actions, workload.Action{
 				AtS:  coolAt,
@@ -508,30 +491,30 @@ func (g *Generator) script(rng *rand.Rand, class Class, plat *hw.Platform, e *en
 		}
 	case ClassFaulty:
 		// Seeded hardware faults: one cluster (two on bigger platforms)
-		// drops offline mid-run; most come back. rng.Perm keeps the failed
+		// drops offline mid-run; most come back. rnd.Perm keeps the failed
 		// clusters distinct, so at least one cluster always stays online
 		// and a graceful policy has somewhere to degrade to.
 		nWin := 1
-		if len(plat.Clusters) > 2 && rng.Intn(2) == 0 {
+		if len(plat.Clusters) > 2 && rnd.Intn(2) == 0 {
 			nWin = 2
 		}
-		order := rng.Perm(len(plat.Clusters))
+		order := rnd.Perm(len(plat.Clusters))
 		for i := 0; i < nWin; i++ {
 			fw := workload.FaultWindow{
 				Cluster: plat.Clusters[order[i]].Name,
-				FailS:   (0.2 + 0.4*rng.Float64()) * endS,
+				FailS:   (0.2 + 0.4*rnd.Float64()) * endS,
 			}
-			if rng.Intn(3) > 0 {
-				fw.RepairS = fw.FailS + (0.15+0.35*rng.Float64())*(endS-fw.FailS)
+			if rnd.Intn(3) > 0 {
+				fw.RepairS = fw.FailS + (0.15+0.35*rnd.Float64())*(endS-fw.FailS)
 			}
 			sc.Faults = append(sc.Faults, fw)
 		}
 	case ClassChurn:
 		// Mid-run requirement change on one DNN, as in Fig 2 t=25.
-		target := dnnNames[rng.Intn(nDNN)]
-		newReq := pickRequirement(rng, e)
+		target := dnnNames[rnd.Intn(nDNN)]
+		newReq := pickRequirement(rnd, e)
 		sc.Actions = append(sc.Actions, workload.Action{
-			AtS:  (0.4 + 0.3*rng.Float64()) * endS,
+			AtS:  (0.4 + 0.3*rnd.Float64()) * endS,
 			Name: "requirement-change-" + target,
 			Do: func(se *sim.Engine, m *rtm.Manager) {
 				if m == nil {

@@ -28,7 +28,12 @@ import (
 //	   always: a v4 stream whose records drop them (the retired -nolat
 //	   mode, header "noLatencies":true) is refused. The version did not
 //	   bump, because every file a writer produces stayed byte-identical.
-const ShardFormatVersion = 4
+//	5: workloads are sampled from the repo's SplitMix64 generator
+//	   (internal/rng) instead of math/rand's, so a (config, id) pair
+//	   names a different workload. A record's seed cannot show the
+//	   change, because scenarioSeed did not move, so v4 files cannot be
+//	   merged with or resumed into v5 ones.
+const ShardFormatVersion = 5
 
 // ShardResult is one process's share of a fleet run: the results for a
 // contiguous scenario index range [Lo, Hi) of a Total-scenario fleet,

@@ -115,9 +115,12 @@ func TestStreamReaderFailLoud(t *testing.T) {
 	}{
 		{"future format version", func(h *StreamHeader) { h.FormatVersion = ShardFormatVersion + 1 }, "format version"},
 		// Format 2 spelled one number per latency sample.
-		{"format 2", func(h *StreamHeader) { h.FormatVersion = 2 }, "format version 2, want 4"},
+		{"format 2", func(h *StreamHeader) { h.FormatVersion = 2 }, "format version 2, want 5"},
 		// Format 3 kept the simulator's sub-nanosecond latency noise.
-		{"format 3", func(h *StreamHeader) { h.FormatVersion = 3 }, "format version 3, want 4"},
+		{"format 3", func(h *StreamHeader) { h.FormatVersion = 3 }, "format version 3, want 5"},
+		// Format 4 sampled workloads from math/rand's generator: the same
+		// (config, id) named another workload under the same seed.
+		{"format 4", func(h *StreamHeader) { h.FormatVersion = 4 }, "format version 4, want 5"},
 		{"range outside fleet", func(h *StreamHeader) { h.Hi = 9 }, "outside fleet"},
 	} {
 		if _, err := ReadShard(bytes.NewReader(withHeader(tc.edit))); err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/rtm"
 )
 
@@ -218,12 +219,12 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		runs := make([]trainRun, len(scenarios))
 		if err := trainAll(cfg.Workers, runs, func(wl int, w *worker) trainRun {
-			rng := w.reseed(int64(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl))))
+			rnd := rng.New(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl)))
 			return trainOne(cfg, scenarios[wl], func(key string) int {
-				if arm := greedyArm(table, key); arm >= 0 && rng.Float64() >= cfg.Epsilon {
+				if arm := greedyArm(table, key); arm >= 0 && rnd.Float64() >= cfg.Epsilon {
 					return arm
 				}
-				return rng.Intn(len(cfg.Arms))
+				return rnd.Intn(len(cfg.Arms))
 			}, w)
 		}); err != nil {
 			return nil, TrainReport{}, err

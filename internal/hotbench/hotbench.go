@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/fleet"
@@ -163,9 +164,10 @@ func engineRunManaged(tb testing.TB) func() (*sim.Engine, *rtm.Manager) {
 // workload.Stack.Run of the first 3-DNN odroid-xu3 workload at seed 1,
 // sampled from classes (every class when none), on a reused Stack, so
 // allocs/op counts what every run allocates beyond the reused engine,
-// manager and controller. Over every class that workload is a churn run;
+// manager and controller. Over every class that workload is a bursty run;
 // the faulty one fails a cluster, and its replans meet refused
-// migrations.
+// migrations. Setup runs the faulty one once and refuses it if no
+// cluster fails, so the row cannot stop covering the fault path unseen.
 func stackRun(classes ...fleet.Class) func(tb testing.TB) func() (*sim.Engine, *rtm.Manager) {
 	return func(tb testing.TB) func() (*sim.Engine, *rtm.Manager) {
 		gen, err := fleet.NewGenerator(fleet.GeneratorConfig{Seed: 1, Platforms: []string{"odroid-xu3"},
@@ -185,6 +187,11 @@ func stackRun(classes ...fleet.Class) func(tb testing.TB) func() (*sim.Engine, *
 		}
 		plat := hw.OdroidXU3()
 		var st workload.Stack
+		if slices.Contains(classes, fleet.ClassFaulty) {
+			if _, _, rep, err := st.Run(*script, plat, fleet.TickS); err != nil || rep.ClusterFails == 0 {
+				tb.Fatalf("faulty workload %s failed no cluster (%d fails, error %v)", script.Name, rep.ClusterFails, err)
+			}
+		}
 		return func() (*sim.Engine, *rtm.Manager) {
 			e, mgr, _, err := st.Run(*script, plat, fleet.TickS)
 			if err != nil {

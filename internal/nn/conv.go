@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -46,7 +47,7 @@ type GroupedConv2D struct {
 // active: for SharedInput it is the raw input channel count (e.g. 3); for
 // Diagonal it must be divisible by groups. outPerGroup is the number of
 // output channels contributed by each group.
-func NewGroupedConv2D(name string, mode ConvMode, groups, outPerGroup int, geom tensor.ConvGeom, rng *tensor.RNG) *GroupedConv2D {
+func NewGroupedConv2D(name string, mode ConvMode, groups, outPerGroup int, geom tensor.ConvGeom, rnd *rng.RNG) *GroupedConv2D {
 	if groups < 1 {
 		panic(fmt.Sprintf("nn: %s: groups must be >= 1", name))
 	}
@@ -76,7 +77,7 @@ func NewGroupedConv2D(name string, mode ConvMode, groups, outPerGroup int, geom 
 	fanIn := l.inPerGroup * k * k
 	for g := 0; g < groups; g++ {
 		w := newParam(fmt.Sprintf("%s.g%d.w", name, g), g, outPerGroup, fanIn)
-		w.Value.KaimingInit(rng, fanIn)
+		w.Value.KaimingInit(rnd, fanIn)
 		b := newParam(fmt.Sprintf("%s.g%d.b", name, g), g, outPerGroup)
 		l.w = append(l.w, w)
 		l.b = append(l.b, b)

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -27,7 +28,7 @@ type GroupedDense struct {
 
 // NewGroupedDense constructs the head. featPerGroup is the flattened
 // feature count each group contributes.
-func NewGroupedDense(name string, groups, featPerGroup, classes int, rng *tensor.RNG) *GroupedDense {
+func NewGroupedDense(name string, groups, featPerGroup, classes int, rnd *rng.RNG) *GroupedDense {
 	if groups < 1 {
 		panic(fmt.Sprintf("nn: %s: groups must be >= 1", name))
 	}
@@ -40,7 +41,7 @@ func NewGroupedDense(name string, groups, featPerGroup, classes int, rng *tensor
 	}
 	for g := 0; g < groups; g++ {
 		w := newParam(fmt.Sprintf("%s.g%d.w", name, g), g, classes, featPerGroup)
-		w.Value.KaimingInit(rng, featPerGroup*groups)
+		w.Value.KaimingInit(rnd, featPerGroup*groups)
 		l.w = append(l.w, w)
 	}
 	l.bias = newParam(name+".b", 0, classes)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
@@ -36,7 +37,7 @@ func checkGradientsFrac(t *testing.T, net *Network, x *tensor.Tensor, tol, maxBa
 	t.Helper()
 	out := net.Forward(x, true)
 	weighting := tensor.New(out.Shape()...)
-	weighting.FillNormal(tensor.NewRNG(99), 0, 1)
+	weighting.FillNormal(rng.New(99), 0, 1)
 
 	for _, p := range net.Params() {
 		p.ZeroGrad()
@@ -130,53 +131,53 @@ func closeEnough(a, b, tol float64) bool {
 
 func smallInput(n, c, h, w int, seed uint64) *tensor.Tensor {
 	x := tensor.New(n, c, h, w)
-	x.FillNormal(tensor.NewRNG(seed), 0, 1)
+	x.FillNormal(rng.New(seed), 0, 1)
 	return x
 }
 
 func TestGradCheckSharedInputConv(t *testing.T) {
-	rng := tensor.NewRNG(1)
+	rnd := rng.New(1)
 	conv := NewGroupedConv2D("c1", SharedInput, 2, 3,
-		tensor.ConvGeom{InC: 2, InH: 6, InW: 6, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: 2, InH: 6, InW: 6, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	net := NewNetwork(2, conv)
 	checkGradients(t, net, smallInput(2, 2, 6, 6, 7), 2e-2)
 }
 
 func TestGradCheckDiagonalConv(t *testing.T) {
-	rng := tensor.NewRNG(2)
+	rnd := rng.New(2)
 	conv := NewGroupedConv2D("c2", Diagonal, 2, 3,
-		tensor.ConvGeom{InC: 4, InH: 6, InW: 6, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: 4, InH: 6, InW: 6, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	net := NewNetwork(2, conv)
 	checkGradients(t, net, smallInput(2, 4, 6, 6, 8), 2e-2)
 }
 
 func TestGradCheckStridedConvNoPad(t *testing.T) {
-	rng := tensor.NewRNG(3)
+	rnd := rng.New(3)
 	conv := NewGroupedConv2D("c3", SharedInput, 1, 2,
-		tensor.ConvGeom{InC: 3, InH: 7, InW: 7, Kernel: 3, Stride: 2, Pad: 0}, rng)
+		tensor.ConvGeom{InC: 3, InH: 7, InW: 7, Kernel: 3, Stride: 2, Pad: 0}, rnd)
 	net := NewNetwork(1, conv)
 	checkGradients(t, net, smallInput(2, 3, 7, 7, 9), 2e-2)
 }
 
 func TestGradCheckGroupedDense(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	d := NewGroupedDense("fc", 3, 5, 4, rng)
+	rnd := rng.New(4)
+	d := NewGroupedDense("fc", 3, 5, 4, rnd)
 	net := NewNetwork(3, d)
 	x := tensor.New(3, 15)
-	x.FillNormal(tensor.NewRNG(10), 0, 1)
+	x.FillNormal(rng.New(10), 0, 1)
 	checkGradients(t, net, x, 2e-2)
 }
 
 func TestGradCheckFullStack(t *testing.T) {
-	rng := tensor.NewRNG(6)
+	rnd := rng.New(6)
 	// A miniature of the paper's dynamic CNN: shared-input conv, ReLU,
 	// pool, diagonal conv, ReLU, pool, flatten, grouped dense.
 	g := 2
 	conv1 := NewGroupedConv2D("c1", SharedInput, g, 2,
-		tensor.ConvGeom{InC: 1, InH: 8, InW: 8, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: 1, InH: 8, InW: 8, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	conv2 := NewGroupedConv2D("c2", Diagonal, g, 2,
-		tensor.ConvGeom{InC: 4, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rng)
-	head := NewGroupedDense("fc", g, 2*2*2, 3, rng)
+		tensor.ConvGeom{InC: 4, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rnd)
+	head := NewGroupedDense("fc", g, 2*2*2, 3, rnd)
 	net := NewNetwork(g,
 		conv1, NewReLU("r1"), NewMaxPool2x2("p1"),
 		conv2, NewReLU("r2"), NewMaxPool2x2("p2"),
@@ -190,7 +191,7 @@ func TestGradCheckFullStack(t *testing.T) {
 func TestGradCheckReLUAwayFromKinks(t *testing.T) {
 	net := NewNetwork(0, NewReLU("r"))
 	x := tensor.New(2, 3, 4, 4)
-	r := tensor.NewRNG(40)
+	r := rng.New(40)
 	for i := range x.Data() {
 		v := float32(r.NormFloat64())
 		if v >= 0 {
@@ -214,20 +215,20 @@ func TestGradCheckMaxPoolAwayFromTies(t *testing.T) {
 }
 
 func TestGradCheckWithReducedActiveGroups(t *testing.T) {
-	rng := tensor.NewRNG(7)
+	rnd := rng.New(7)
 	g := 3
 	conv1 := NewGroupedConv2D("c1", SharedInput, g, 2,
-		tensor.ConvGeom{InC: 1, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rng)
-	head := NewGroupedDense("fc", g, 2*4*4, 3, rng)
+		tensor.ConvGeom{InC: 1, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rnd)
+	head := NewGroupedDense("fc", g, 2*4*4, 3, rnd)
 	net := NewNetwork(g, conv1, NewFlatten("fl"), head)
 	net.SetActiveGroups(2)
 	checkGradients(t, net, smallInput(2, 1, 4, 4, 13), 2e-2)
 }
 
 func TestSoftmaxCrossEntropyGradient(t *testing.T) {
-	rng := tensor.NewRNG(8)
+	rnd := rng.New(8)
 	logits := tensor.New(4, 5)
-	logits.FillNormal(rng, 0, 2)
+	logits.FillNormal(rnd, 0, 2)
 	labels := []int{0, 3, 2, 4}
 
 	_, dl := SoftmaxCrossEntropy(logits, labels)

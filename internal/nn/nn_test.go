@@ -4,17 +4,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/tensor"
 )
 
 // buildMiniDynNet constructs a small grouped network used across tests.
 func buildMiniDynNet(groups int, seed uint64) *Network {
-	rng := tensor.NewRNG(seed)
+	rnd := rng.New(seed)
 	conv1 := NewGroupedConv2D("c1", SharedInput, groups, 2,
-		tensor.ConvGeom{InC: 1, InH: 8, InW: 8, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: 1, InH: 8, InW: 8, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	conv2 := NewGroupedConv2D("c2", Diagonal, groups, 2,
-		tensor.ConvGeom{InC: 2 * groups, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rng)
-	head := NewGroupedDense("fc", groups, 2*2*2, 3, rng)
+		tensor.ConvGeom{InC: 2 * groups, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rnd)
+	head := NewGroupedDense("fc", groups, 2*2*2, 3, rnd)
 	return NewNetwork(groups,
 		conv1, NewReLU("r1"), NewMaxPool2x2("p1"),
 		conv2, NewReLU("r2"), NewMaxPool2x2("p2"),
@@ -67,7 +68,7 @@ func TestPrunedOutputIndependentOfLaterGroups(t *testing.T) {
 		before := net.Forward(x, false).Clone()
 
 		// Scramble every parameter belonging to groups > k.
-		scramble := tensor.NewRNG(uint64(100 + k))
+		scramble := rng.New(uint64(100 + k))
 		for _, p := range net.Params() {
 			if p.Group >= k {
 				p.Value.FillNormal(scramble, 0, 10)
@@ -147,13 +148,13 @@ func TestFrozenParamsUntouchedBySGD(t *testing.T) {
 }
 
 func TestSGDReducesLossOnTinyProblem(t *testing.T) {
-	rng := tensor.NewRNG(12)
-	net := NewNetwork(1, NewGroupedDense("d1", 1, 4, 16, rng), NewReLU("r"), NewGroupedDense("d2", 1, 16, 3, rng))
+	rnd := rng.New(12)
+	net := NewNetwork(1, NewGroupedDense("d1", 1, 4, 16, rnd), NewReLU("r"), NewGroupedDense("d2", 1, 16, 3, rnd))
 	// Three linearly separable clusters.
 	n := 30
 	x := tensor.New(n, 4)
 	labels := make([]int, n)
-	dataRNG := tensor.NewRNG(13)
+	dataRNG := rng.New(13)
 	for i := 0; i < n; i++ {
 		c := i % 3
 		labels[i] = c
@@ -295,24 +296,24 @@ func TestForwardDeterministicProperty(t *testing.T) {
 }
 
 func TestMACsAccounting(t *testing.T) {
-	rng := tensor.NewRNG(30)
+	rnd := rng.New(30)
 	conv := NewGroupedConv2D("c", Diagonal, 4, 8,
-		tensor.ConvGeom{InC: 16, InH: 8, InW: 8, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: 16, InH: 8, InW: 8, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	// Per group: out 8 channels × (4 in × 9 taps) × 64 positions.
 	want := int64(8) * (4 * 9) * 64
 	if got := conv.MACsPerGroup(); got != want {
 		t.Fatalf("MACsPerGroup = %d, want %d", got, want)
 	}
-	d := NewGroupedDense("fc", 4, 32, 10, rng)
+	d := NewGroupedDense("fc", 4, 32, 10, rnd)
 	if got := d.MACsPerGroup(); got != 320 {
 		t.Fatalf("dense MACsPerGroup = %d, want 320", got)
 	}
 }
 
 func TestConvRejectsWrongChannelCount(t *testing.T) {
-	rng := tensor.NewRNG(31)
+	rnd := rng.New(31)
 	conv := NewGroupedConv2D("c", Diagonal, 2, 2,
-		tensor.ConvGeom{InC: 4, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: 4, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 	net := NewNetwork(2, conv)
 	net.SetActiveGroups(2)
 	defer func() {
@@ -324,12 +325,12 @@ func TestConvRejectsWrongChannelCount(t *testing.T) {
 }
 
 func TestDiagonalConvRequiresDivisibleChannels(t *testing.T) {
-	rng := tensor.NewRNG(33)
+	rnd := rng.New(33)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for indivisible channels")
 		}
 	}()
 	NewGroupedConv2D("c", Diagonal, 3, 2,
-		tensor.ConvGeom{InC: 4, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rng)
+		tensor.ConvGeom{InC: 4, InH: 4, InW: 4, Kernel: 3, Stride: 1, Pad: 1}, rnd)
 }

@@ -6,7 +6,7 @@ import (
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
-	"github.com/emlrtm/emlrtm/internal/tensor"
+	"github.com/emlrtm/emlrtm/internal/rng"
 )
 
 func fig4aPoints() []perf.OperatingPoint {
@@ -44,12 +44,12 @@ func TestDominatesPanicsOnDimMismatch(t *testing.T) {
 // every excluded point is dominated by some frontier point; idempotent.
 func TestFrontierProperties(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed)
-		n := 3 + rng.Intn(40)
+		rnd := rng.New(seed)
+		n := 3 + rnd.Intn(40)
 		type pt struct{ x, y float64 }
 		items := make([]pt, n)
 		for i := range items {
-			items[i] = pt{rng.Float64(), rng.Float64()}
+			items[i] = pt{rnd.Float64(), rnd.Float64()}
 		}
 		metric := func(p pt) []float64 { return []float64{p.x, p.y} }
 		front := Frontier(items, metric)

@@ -7,40 +7,40 @@ import (
 
 	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
-	"github.com/emlrtm/emlrtm/internal/tensor"
+	"github.com/emlrtm/emlrtm/internal/rng"
 )
 
 // randomWorkload builds a structurally valid random workload on the XU3.
-func randomWorkload(rng *tensor.RNG) []App {
-	n := 1 + rng.Intn(4)
+func randomWorkload(rnd *rng.RNG) []App {
+	n := 1 + rnd.Intn(4)
 	apps := make([]App, 0, n)
 	coresLeft := map[string]int{"a15": 4, "a7": 4}
 	clusters := []string{"a15", "a7"}
 	for i := 0; i < n; i++ {
-		cl := clusters[rng.Intn(2)]
+		cl := clusters[rnd.Intn(2)]
 		if coresLeft[cl] == 0 {
 			continue
 		}
-		cores := 1 + rng.Intn(coresLeft[cl])
+		cores := 1 + rnd.Intn(coresLeft[cl])
 		coresLeft[cl] -= cores
 		name := string(rune('a' + i))
-		if rng.Intn(2) == 0 {
+		if rnd.Intn(2) == 0 {
 			apps = append(apps, App{
 				Name:       name,
 				Kind:       KindDNN,
 				Profile:    perf.PaperReferenceProfile(),
-				Level:      1 + rng.Intn(4),
-				PeriodS:    0.1 + rng.Float64(),
+				Level:      1 + rnd.Intn(4),
+				PeriodS:    0.1 + rnd.Float64(),
 				ModelBytes: 350 << 10,
-				StartS:     rng.Float64() * 2,
+				StartS:     rnd.Float64() * 2,
 				Placement:  Placement{Cluster: cl, Cores: cores},
 			})
 		} else {
 			apps = append(apps, App{
 				Name:      name,
 				Kind:      KindBackground,
-				Util:      0.1 + 0.9*rng.Float64(),
-				StartS:    rng.Float64() * 2,
+				Util:      0.1 + 0.9*rnd.Float64(),
+				StartS:    rnd.Float64() * 2,
 				Placement: Placement{Cluster: cl, Cores: cores},
 			})
 		}
@@ -60,12 +60,12 @@ func randomWorkload(rng *tensor.RNG) []App {
 // longest latency logged.
 func TestSimConservationProperties(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := tensor.NewRNG(seed)
-		e, err := New(Config{Platform: hw.OdroidXU3(), Apps: randomWorkload(rng)})
+		rnd := rng.New(seed)
+		e, err := New(Config{Platform: hw.OdroidXU3(), Apps: randomWorkload(rnd)})
 		if err != nil {
 			return false
 		}
-		if err := e.Run(5 + rng.Float64()*5); err != nil {
+		if err := e.Run(5 + rnd.Float64()*5); err != nil {
 			return false
 		}
 		rep := e.Report()

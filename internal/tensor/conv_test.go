@@ -3,6 +3,8 @@ package tensor
 import (
 	"testing"
 	"testing/quick"
+
+	"github.com/emlrtm/emlrtm/internal/rng"
 )
 
 func TestConvGeomOutputSize(t *testing.T) {
@@ -70,7 +72,7 @@ func convDirect(img []float32, g ConvGeom, w []float32, outC int) []float32 {
 }
 
 func TestIm2ColMatMulMatchesDirectConv(t *testing.T) {
-	r := NewRNG(11)
+	r := rng.New(11)
 	g := ConvGeom{InC: 3, InH: 8, InW: 8, Kernel: 3, Stride: 1, Pad: 1}
 	outC := 4
 	img := make([]float32, g.InC*g.InH*g.InW)
@@ -101,7 +103,7 @@ func TestIm2ColMatMulMatchesDirectConv(t *testing.T) {
 }
 
 func TestIm2ColStridedNoPad(t *testing.T) {
-	r := NewRNG(12)
+	r := rng.New(12)
 	g := ConvGeom{InC: 2, InH: 7, InW: 7, Kernel: 3, Stride: 2, Pad: 0}
 	outC := 3
 	img := make([]float32, g.InC*g.InH*g.InW)
@@ -133,7 +135,7 @@ func TestIm2ColStridedNoPad(t *testing.T) {
 // for all x, y. This is exactly the property backprop relies on.
 func TestCol2ImAdjointProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		r := NewRNG(seed)
+		r := rng.New(seed)
 		g := ConvGeom{
 			InC:    1 + r.Intn(3),
 			InH:    4 + r.Intn(5),
@@ -210,7 +212,7 @@ func TestMaxPool2x2KnownValues(t *testing.T) {
 }
 
 func TestMaxPoolArgmaxWithinWindow(t *testing.T) {
-	r := NewRNG(13)
+	r := rng.New(13)
 	c, h, w := 3, 8, 8
 	img := make([]float32, c*h*w)
 	for i := range img {
@@ -226,69 +228,8 @@ func TestMaxPoolArgmaxWithinWindow(t *testing.T) {
 	}
 }
 
-func TestRNGDeterministic(t *testing.T) {
-	a, b := NewRNG(42), NewRNG(42)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("same seed must give same stream")
-		}
-	}
-}
-
-func TestRNGZeroSeedUsable(t *testing.T) {
-	r := NewRNG(0)
-	seen := map[uint64]bool{}
-	for i := 0; i < 10; i++ {
-		seen[r.Uint64()] = true
-	}
-	if len(seen) < 10 {
-		t.Fatal("zero-seeded RNG produced repeats in first 10 draws")
-	}
-}
-
-func TestRNGUniformRange(t *testing.T) {
-	r := NewRNG(7)
-	for i := 0; i < 1000; i++ {
-		v := r.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 out of [0,1): %v", v)
-		}
-	}
-}
-
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(8)
-	n := 20000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if mean < -0.05 || mean > 0.05 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if variance < 0.9 || variance > 1.1 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(9)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestKaimingInitVariance(t *testing.T) {
-	r := NewRNG(10)
+	r := rng.New(10)
 	fanIn := 128
 	x := New(64, fanIn)
 	x.KaimingInit(r, fanIn)

@@ -4,8 +4,8 @@
 //
 // The package provides exactly what the dynamic-DNN reproduction needs:
 // shaped storage, element access, element-wise arithmetic, im2col/col2im
-// for convolution lowering, and a deterministic PRNG for reproducible
-// initialisation and datasets.
+// for convolution lowering, and normal and He initialisation drawn from
+// the repo's deterministic generator (internal/rng).
 package tensor
 
 import (

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"testing"
+
+	"github.com/emlrtm/emlrtm/internal/rng"
 )
 
 func TestNewShapeAndLen(t *testing.T) {
@@ -92,7 +94,7 @@ func TestCloneIsDeep(t *testing.T) {
 }
 
 func TestAddSubInverse(t *testing.T) {
-	r := NewRNG(1)
+	r := rng.New(1)
 	x := New(4, 5)
 	x.FillNormal(r, 0, 1)
 	orig := x.Clone()
@@ -124,7 +126,7 @@ func TestScaleAddScaled(t *testing.T) {
 }
 
 func TestSoftmaxRowsSumsToOne(t *testing.T) {
-	r := NewRNG(7)
+	r := rng.New(7)
 	x := New(8, 10)
 	x.FillNormal(r, 0, 5)
 	x.SoftmaxRows()
