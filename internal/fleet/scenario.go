@@ -229,20 +229,12 @@ func (g *Generator) Runs(workloads int) (int, error) {
 	return g.RunCount(workloads), nil
 }
 
-// splitmix64 is the standard SplitMix64 output step; it turns the master
-// seed and a scenario index into a well-mixed per-scenario seed.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// scenarioSeed derives scenario id's RNG seed from the master seed. It is
-// the determinism anchor of the distributed layer: shard readers recompute
-// it to detect results that were generated under a different master seed.
+// scenarioSeed derives scenario id's RNG seed from the master seed, mixed
+// by the SplitMix64 step (rng.Next). It is the determinism anchor of the
+// distributed layer: shard readers recompute it to detect results that
+// were generated under a different master seed.
 func scenarioSeed(master uint64, id int) uint64 {
-	return splitmix64(master + uint64(id)*0x9e3779b97f4a7c15)
+	return rng.Next(master + uint64(id)*0x9e3779b97f4a7c15)
 }
 
 // Generate samples n scenarios (n <= 0 yields none). Scenario i depends

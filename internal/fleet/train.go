@@ -219,7 +219,7 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		runs := make([]trainRun, len(scenarios))
 		if err := trainAll(cfg.Workers, runs, func(wl int, w *worker) trainRun {
-			rnd := rng.New(splitmix64(splitmix64(cfg.Seed+uint64(epoch)) + uint64(wl)))
+			rnd := rng.New(rng.Next(rng.Next(cfg.Seed+uint64(epoch)) + uint64(wl)))
 			return trainOne(cfg, scenarios[wl], func(key string) int {
 				if arm := greedyArm(table, key); arm >= 0 && rnd.Float64() >= cfg.Epsilon {
 					return arm

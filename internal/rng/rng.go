@@ -26,11 +26,20 @@ func New(seed uint64) *RNG {
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
+	z := Next(r.state)
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
+}
+
+// Next returns the value a generator in state x returns next: the
+// SplitMix64 step, which advances x by the golden-ratio increment and
+// mixes it. It is the repo's one copy of that step; a seed derived from
+// raw state calls it, since New remaps seed 0.
+func Next(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Float64 returns a uniform value in [0,1).

@@ -62,3 +62,21 @@ func TestRNGPermIsPermutation(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestNextIsFirstDraw holds Next to the generator: from the state x, the
+// 0 that New remaps and the top of the range included, Next(x) is the
+// first value a generator in that state draws. The values for 0 and 1
+// are SplitMix64's first outputs from those seeds in the reference C
+// implementation.
+func TestNextIsFirstDraw(t *testing.T) {
+	for _, tc := range []struct{ x, want uint64 }{
+		{0, 0xe220a8397b1dcdaf},
+		{1, 0x910a2dec89025cc1},
+		{^uint64(0), 0xe4d971771b652c20},
+	} {
+		r := RNG{state: tc.x}
+		if next, draw := Next(tc.x), r.Uint64(); next != tc.want || draw != tc.want {
+			t.Errorf("state %#x: Next gives %#x, the generator draws %#x, want %#x", tc.x, next, draw, tc.want)
+		}
+	}
+}

@@ -351,7 +351,7 @@ func failingApps(t *testing.T, at []float64, misses []int) []sim.App {
 // missReplanThreshold (2) × missReplanBackoffS (2 s) interaction: when a
 // tick replans on accumulated misses, how the backoff window suppresses
 // and defers miss-triggered replans, and how every replan resets the
-// count. lastMissPlan starts at 0, so the window is open from t=2. The
+// count. The miss backoff counts from t=0, so the window is open from t=2. The
 // misses are real: failingApps makes the engine fail each step's frames
 // before its tick.
 func TestMissReplanBackoff(t *testing.T) {

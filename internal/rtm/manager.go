@@ -127,19 +127,23 @@ type Manager struct {
 	sealed   sealedPolicy
 	eng      *sim.Engine // the engine the last Replan ran against
 	pressure int
-	// missMark is eng's FailedFrames at the last Replan: the failed
-	// frames since are the difference (see failedSince).
-	missMark int
 	pending  bool
 	plans    int
+	// miss and retry are the manager's two tick triggers, each one term
+	// that OnTick fires on when it holds and NextWake hands the engine
+	// (see triggers). miss.Failed is a watermark on eng's FailedFrames,
+	// missReplanThreshold above their count at the last Replan, and
+	// miss.SinceS the time of the last miss-triggered replan; retry.SinceS
+	// is the time of the last fault-triggered replan, whose backoff OnEvent
+	// waits out too.
+	miss, retry sim.WakeTerm
 	// last is the last actuated plan; white-box tests read it. It aliases
 	// the plan the policy returned, which only its next plan rewrites.
 	last []Assignment
 	// lastView is the view the latest replan built, elided or not: the
 	// engine snapshot and requirements, rebuilt in place by each replan.
 	// LastView clones it.
-	lastView     View
-	lastMissPlan float64
+	lastView View
 
 	// Fault-replan state: faultPending marks an open fault burst (recovery
 	// latency is measured from faultAtS to the next actuated replan),
@@ -150,7 +154,6 @@ type Manager struct {
 	faultPending      bool
 	faultReplanWanted bool
 	faultAtS          float64
-	lastFaultPlan     float64
 	recoverN          int
 	recoverTotalS     float64
 
@@ -204,10 +207,11 @@ func NewManager(reqs Requirements) *Manager {
 // runs share.
 func (m *Manager) Reset(reqs Requirements) {
 	*m = Manager{
-		reqs:          append(m.reqs[:0], reqs...),
-		lastFaultPlan: math.Inf(-1),
-		policy:        heuristicPolicy,
-		sealed:        heuristicPolicy,
+		reqs:   append(m.reqs[:0], reqs...),
+		miss:   sim.WakeTerm{Failed: missReplanThreshold, AfterS: missReplanBackoffS},
+		retry:  sim.WakeTerm{SinceS: math.Inf(-1), AfterS: faultReplanBackoffS},
+		policy: heuristicPolicy,
+		sealed: heuristicPolicy,
 
 		lastView: View{Snapshot: sim.Snapshot{Apps: m.lastView.Apps[:0], Clusters: m.lastView.Clusters[:0]},
 			Reqs: m.lastView.Reqs[:0]},
@@ -292,23 +296,28 @@ func (m *Manager) KnobsAndMonitors() (knobs, monitors []string) {
 	return knobs, monitors
 }
 
-// failedSince counts the frames that failed on e since the manager last
-// planned on it. On an engine other than the one it last planned on, or
-// before its first plan, that is every frame failed since e's Reset. A
-// manager reads the count only at a tick, so this is the count a
-// callback per failed frame would have summed since the last plan.
-func (m *Manager) failedSince(e *sim.Engine) int {
+// triggers returns the manager's tick triggers on e: the miss term, whose
+// watermark counts every frame failed since e's Reset when e is not the
+// engine the manager last planned on (before its first plan, too), and
+// whether the fault retry is armed, which it is while a fault replan is
+// wanted or apps are unhosted.
+func (m *Manager) triggers(e *sim.Engine) (miss sim.WakeTerm, retrying bool) {
+	miss = m.miss
 	if e != m.eng {
-		return e.FailedFrames()
+		miss.Failed = missReplanThreshold
 	}
-	return e.FailedFrames() - m.missMark
+	return miss, m.faultReplanWanted || e.UnhostedApps() > 0
 }
 
 // OnTick implements sim.Controller. It is the manager's epoch: it decays
-// thermal pressure, counts the frames failed since the last plan and
-// retries deferred fault replans, then replans if any of them asks. The
-// engine calls it only on the ticks NextWake makes due, which are all
-// the ticks on which it can do any of this.
+// thermal pressure, fires the miss trigger and the fault retry when their
+// terms hold (see triggers), then replans if any of them asks. A fault
+// retry replans a deferred fault/repair replan, or apps still sitting on
+// dead hardware (a degraded pin the engine rejected, or no online cluster
+// could take them), on the fault backoff until everything is hosted or
+// the fault burst is over. The engine calls OnTick only on the ticks
+// NextWake makes due, which are all the ticks on which it can do any of
+// this.
 //
 //detlint:hotpath
 func (m *Manager) OnTick(e *sim.Engine) {
@@ -318,17 +327,15 @@ func (m *Manager) OnTick(e *sim.Engine) {
 		m.pressure--
 		m.pending = true
 	}
-	if m.failedSince(e) >= missReplanThreshold && e.Now()-m.lastMissPlan >= missReplanBackoffS {
+	now, failed := e.Now(), e.FailedFrames()
+	miss, retrying := m.triggers(e)
+	if miss.Holds(now, failed) {
 		m.pending = true
-		m.lastMissPlan = e.Now()
+		m.miss.SinceS = now
 	}
-	// Fault retry: a deferred fault/repair replan, or apps still sitting on
-	// dead hardware (a degraded pin the engine rejected, or no online
-	// cluster could take them), keeps replanning on the fault backoff until
-	// everything is hosted or the fault burst is over.
-	if (m.faultReplanWanted || e.UnhostedApps() > 0) && e.Now()-m.lastFaultPlan >= faultReplanBackoffS {
+	if retrying && m.retry.Holds(now, failed) {
 		m.faultReplanWanted = false
-		m.lastFaultPlan = e.Now()
+		m.retry.SinceS = now
 		m.pending = true
 	}
 	if m.pending {
@@ -336,12 +343,10 @@ func (m *Manager) OnTick(e *sim.Engine) {
 	}
 }
 
-// NextWake implements sim.Waker with the checks OnTick makes, each term
-// the same subtraction: every tick is due while a replan is pending or
-// thermal pressure is held (its decay reads the temperature); otherwise a
-// tick is due at the fault-retry instant while a fault replan is wanted
-// or apps are unhosted, and once the frames failed since the last plan
-// reach missReplanThreshold and the miss backoff has run out.
+// NextWake implements sim.Waker with the terms OnTick fires on: every
+// tick is due while a replan is pending or thermal pressure is held (its
+// decay reads the temperature); otherwise a tick is due when the miss
+// trigger holds, or the fault retry while it is armed.
 //
 //detlint:hotpath
 func (m *Manager) NextWake(e *sim.Engine) sim.Wake {
@@ -349,15 +354,11 @@ func (m *Manager) NextWake(e *sim.Engine) sim.Wake {
 		return sim.Wake{Every: true}
 	}
 	var w sim.Wake
-	if m.faultReplanWanted || e.UnhostedApps() > 0 {
-		w.Add(sim.WakeTerm{SinceS: m.lastFaultPlan, AfterS: faultReplanBackoffS})
+	miss, retrying := m.triggers(e)
+	if retrying {
+		w.Add(m.retry)
 	}
-	// failedSince(e) ≥ missReplanThreshold, as a watermark on the count.
-	mark := missReplanThreshold
-	if e == m.eng {
-		mark += m.missMark
-	}
-	w.Add(sim.WakeTerm{Failed: mark, SinceS: m.lastMissPlan, AfterS: missReplanBackoffS})
+	w.Add(miss)
 	return w
 }
 
@@ -387,8 +388,8 @@ func (m *Manager) OnEvent(e *sim.Engine, ev sim.Event) {
 			//detlint:allow hotalloc boxing the operands only happens with a logger set; fleet runs set none
 			m.Logf("rtm: t=%.2fs %s %s", ev.TimeS, ev.Kind, ev.Cluster)
 		}
-		if e.Now()-m.lastFaultPlan >= faultReplanBackoffS {
-			m.lastFaultPlan = e.Now()
+		if m.retry.Holds(e.Now(), e.FailedFrames()) {
+			m.retry.SinceS = e.Now()
 			m.Replan(e)
 		} else {
 			m.faultReplanWanted = true
@@ -460,7 +461,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 		// next replan plans fresh.
 		m.eng, m.lastFPOK = e, false
 	}
-	m.missMark = e.FailedFrames()
+	m.miss.Failed = e.FailedFrames() + missReplanThreshold
 
 	// The view is built once, into lastView, and published before any
 	// callback can run: the fingerprint reads it, and an elided replan

@@ -86,8 +86,8 @@ type Work struct {
 	// controller's wake passes takes no step and is not counted.
 	Ticks uint64 `json:"ticks"`
 	// ThermalSteps counts the thermal step boundaries closed. A step
-	// that handles a boundary and an event counts once here and once
-	// under the event's kind.
+	// closes every boundary due before the event it handles: each counts
+	// here, and the event once under its kind.
 	ThermalSteps uint64 `json:"thermalSteps"`
 	// Callbacks counts OnTick and OnEvent calls into the controller.
 	Callbacks uint64 `json:"callbacks"`

@@ -204,57 +204,54 @@ func (e *Engine) armTick(t float64) {
 // slot, before handle may arm the next one; a timer stays in its slot,
 // and handle disarms it.
 //
-// A thermal step boundary due at or before both that event and endS comes
-// first, ahead of every event at its instant, so a controller tick there
-// reads the new temperature. It changes nothing but the thermal state, so
-// the event found before it stays the earliest, and the same step handles
-// it too when it falls before the next boundary: a boundary costs no step
-// of its own unless no event falls before the next one. A boundary that
-// raises an alarm ends the step instead, since the controller may have
-// acted on it.
-//
-// A tick the controller's wake does not make due is passed where it
-// would be handled, after the boundary at its instant: the clock moves to
-// it and the tick is re-armed with the addition and the seq a handled
-// tick's re-arm makes, so no event's order moves. Nothing else is armed
-// or changed, so next's event stays pending, and the step goes on to the
-// earlier of it and the re-armed tick, unless the next boundary comes
-// first.
+// step is one loop over next's one scan. A thermal step boundary due at
+// or before both the earliest event and endS comes first, ahead of every
+// event at its instant, so a controller tick there reads the new
+// temperature. A tick the controller's wake does not make due is passed
+// where it would be handled, after the boundary at its instant: the
+// clock moves to it and the tick is re-armed with the addition and the
+// seq a handled tick's re-arm makes, so no event's order moves. Neither
+// changes anything next reads, so the loop goes on to the earliest of
+// next's event, the tick and the next boundary. It returns only after it
+// handled an event, after a boundary that raised an alarm (the
+// controller may have acted on it), or when no event remains at or
+// before endS, once every boundary up to endS is closed.
 //
 //detlint:hotpath
 func (e *Engine) step(endS float64) bool {
 	other, _ := e.next()
-	ev := e.orTick(other)
-	ok := ev.seq != 0 && ev.t <= endS
-	if b := e.stepT; b <= endS && (!ok || b <= ev.t) {
-		e.advanceTo(b)
-		if e.thermalStep() || !ok || ev.t >= e.stepT {
-			return true
+	for {
+		ev := e.orTick(other)
+		ok := ev.seq != 0 && ev.t <= endS
+		if b := e.stepT; b <= endS && (!ok || b <= ev.t) {
+			e.advanceTo(b)
+			if e.thermalStep() {
+				return true
+			}
+			continue
 		}
-	}
-	if !ok {
-		return false
-	}
-	for ev.kind == hTick && !e.wake.Due(ev.t, e.failed) {
+		if !ok {
+			return false
+		}
+		if ev.kind == hTick && !e.wake.Due(ev.t, e.failed) {
+			e.advanceTo(ev.t)
+			e.armTick(e.now + e.tickS)
+			continue
+		}
+		e.stepsBy[ev.kind]++
+		switch ev.kind {
+		case hStart, hStop:
+			e.cursor++
+		case hRelease:
+			e.appList[ev.app].relSeq = 0
+		case hTick:
+			e.tickSeq = 0
+		}
 		e.advanceTo(ev.t)
-		e.armTick(e.now + e.tickS)
-		if ev = e.orTick(other); ev.t > endS || ev.t >= e.stepT {
-			return true
-		}
+		e.handle(ev)
+		e.refresh()
+		return true
 	}
-	e.stepsBy[ev.kind]++
-	switch ev.kind {
-	case hStart, hStop:
-		e.cursor++
-	case hRelease:
-		e.appList[ev.app].relSeq = 0
-	case hTick:
-		e.tickSeq = 0
-	}
-	e.advanceTo(ev.t)
-	e.handle(ev)
-	e.refresh()
-	return true
 }
 
 // advanceTo moves the clock to t; it never moves it back. Nothing is
@@ -470,12 +467,11 @@ func (e *Engine) handle(ev hevent) {
 		a.completionSeq = 0
 		e.touch(a.placedCS)
 	case hTick:
-		if e.ctrl != nil {
-			e.callbacks++
-			e.ctrl.OnTick(e)
-			e.readWake()
-			e.armTick(e.now + e.tickS)
-		}
+		// prime arms a tick only for a controller.
+		e.callbacks++
+		e.ctrl.OnTick(e)
+		e.readWake()
+		e.armTick(e.now + e.tickS)
 	}
 }
 

@@ -59,6 +59,12 @@ func (c wakingStress) NextWake(e *Engine) Wake {
 	return w
 }
 
+// sleeper is a no-op controller whose wake makes no tick due, so the
+// engine passes every tick.
+type sleeper struct{ boundaryCtrl }
+
+func (*sleeper) NextWake(*Engine) Wake { return Wake{} }
+
 // armedEvents collects every event the engine has armed: the lifecycle
 // list from the cursor on, the tick, and each app's release slot and
 // timer. The thermal step boundary is not an armed event; step handles it
@@ -108,34 +114,53 @@ func refEventOrder(x, y hevent) int {
 	return 0
 }
 
-// TestEngineInvariants steps runs one step at a time, through the
-// same earliest-event selection step uses, and checks before every step
-// that next and orTick pick the first of every armed event sorted by
-// refEventOrder and that the engine holds the controller's wake, and
-// after every step that:
-//   - a thermal step boundary due at or before the event was handled
-//     first, and the event too unless the boundary raised an alarm or
-//     the next boundary comes first; the clock moved to the last of them;
-//   - a tick the wake does not make due was passed as the reference model
-//     passes it: the next tick is armed TickS later with the next seq,
-//     the reference order is taken again, and the step goes on to its
-//     first event unless that lies past the end or at or after the next
-//     boundary; only handled ticks count as work;
+// handledSteps counts the steps e has handled an event in, of every kind.
+func handledSteps(e *Engine) uint64 {
+	n := uint64(0)
+	for _, k := range e.stepsBy {
+		n += k
+	}
+	return n
+}
+
+// TestEngineInvariants steps runs one step at a time and checks before
+// every step that next and orTick pick the first of every armed event
+// sorted by refEventOrder and that the engine holds the controller's
+// wake. A reference model of step then runs over that sorted list, the
+// thermal state and the open energy segments: it closes each thermal step
+// boundary due at or before both the first event and the end, passes each
+// tick the wake does not make due (the next tick armed TickS later with
+// the next seq, and the list sorted again) and goes on, until it reaches
+// an event it handles, a boundary that raises an alarm, or no event at or
+// before the end. After the step it checks that:
+//   - the step returned true exactly when it handled an event or raised
+//     an alarm, and so when the model's loop ended on either, and the
+//     clock stands at the handled event, the alarming boundary, or the
+//     last boundary or passed tick the loop reached;
+//   - every boundary the loop closed continues the temperature chain: the
+//     step starts where the last one ended and ends, bit for bit, at
+//     TempDecayC of its start, its average power (the energy the platform
+//     gained over it, over its length) and the decay factor computed once
+//     per Reset; the last one left the engine's temperature, energy mark
+//     and latch where the model's chain ends, and only the model's
+//     alarming boundary logged an alarm, at its time and temperature;
+//   - the passed ticks left the tick armed where the model re-armed it,
+//     with its seq, unless the step then handled a tick; only handled ticks
+//     count as work;
 //   - the next boundary lies after the clock, at most one step ahead;
 //   - the lifecycle list from the cursor on holds only starts and stops,
 //     in (t, seq) order, no armed event is due before the clock and no
 //     two share a seq;
 //   - no app that has stopped has its release slot armed;
-//   - each thermal step starts where the last one ended, and ends, bit
-//     for bit, at TempDecayC of its start, its average power (the energy
-//     the platform gained over it, over its length) and the decay factor
-//     computed once per Reset;
 //   - the open energy segments run at the platform's total power;
 //
 // and at the end that no more time is spent above throttle than has
 // elapsed. The stress run drives thermal load, a fault, migrations and DVFS
 // changes; the wake run is the stress run under a waking controller, which
-// passes every tick before its next step's time; the hot run is the
+// passes every tick before its next step's time; the quiet run is the hot
+// run under a controller that wakes on no tick, with every app starting at
+// 2 s and stopping at 8 s, so its steps before and after pass ticks and
+// close boundaries with no event between; the hot run is the
 // BenchApps load at 58 °C under a no-op
 // controller ticking every 0.1 s, off the step grid, on its way up to the
 // trip point; the churn run is the hot run with the apps starting and
@@ -152,6 +177,10 @@ func TestEngineInvariants(t *testing.T) {
 	for i, life := range [][2]float64{{1, 17}, {0.5, 15}, {0, 1}, {1, 0}, {0.25, 15}} {
 		churn[i].StartS, churn[i].StopS = life[0], life[1]
 	}
+	quiet := BenchApps()
+	for i := range quiet {
+		quiet[i].StartS, quiet[i].StopS = 1, 10
+	}
 	for _, tc := range []struct {
 		name  string
 		plat  *hw.Platform
@@ -163,6 +192,7 @@ func TestEngineInvariants(t *testing.T) {
 	}{
 		{"stress", hw.FlagshipSoC(), BenchApps(), &stressCtrl{}, 16, 0, 0},
 		{"wake", hw.FlagshipSoC(), BenchApps(), wakingStress{&stressCtrl{}}, 16, 0, 0},
+		{"quiet", hot, quiet, &sleeper{}, 14, 5, 0},
 		{"hot", hot, BenchApps(), &boundaryCtrl{}, 20, 0, 0},
 		{"churn", hot, churn, &boundaryCtrl{}, 20, 4, 0},
 		{"tie", cool, []App{tieApp(cool)}, nil, 20, 0, 10},
@@ -179,18 +209,17 @@ func TestEngineInvariants(t *testing.T) {
 				t.Fatalf("decay factor %v, want %v", e.stepDecay, th.DecayFactor(thermalStepS))
 			}
 			lastEnd, lastEnergy := e.tempC, 0.0
-			var steps, completionRearms, ties, passes int
+			var steps, completionRearms, ties, passes, quietSteps int
 			for {
 				other, _ := e.next()
 				ev := e.orTick(other)
-				ok := ev.seq != 0
 				armed := armedEvents(e)
 				slices.SortFunc(armed, refEventOrder)
 				switch {
-				case len(armed) == 0 && ok:
+				case len(armed) == 0 && ev.seq != 0:
 					t.Fatalf("at %gs nothing is armed, next returned %+v", e.now, ev)
-				case len(armed) > 0 && (!ok || ev != armed[0]):
-					t.Fatalf("at %gs next returned %+v (ok %v), the earliest armed event is %+v", e.now, ev, ok, armed[0])
+				case len(armed) > 0 && ev != armed[0]:
+					t.Fatalf("at %gs next returned %+v, the earliest armed event is %+v", e.now, ev, armed[0])
 				}
 				wake := Wake{Every: true}
 				if waker != nil {
@@ -199,59 +228,91 @@ func TestEngineInvariants(t *testing.T) {
 				if e.wake != wake {
 					t.Fatalf("at %gs the engine holds the wake %+v, the controller's is %+v", e.now, e.wake, wake)
 				}
-				ok = ok && ev.t <= tc.endS
-				b := e.stepT
-				boundary := b <= tc.endS && (!ok || b <= ev.t)
-				if !ok && !boundary {
-					break
-				}
 				for i, a := range e.appList {
 					slots[i] = 0
 					if a.completionSeq != 0 && a.completionKind == hComplete {
 						slots[i] = a.completionSeq
 					}
 				}
-				from, e0, ambient, wasAlarmed := e.tempC, e.stepE0, e.ambient, e.alarmed
-				if from != lastEnd || e0 != lastEnergy {
+				if e.tempC != lastEnd || e.stepE0 != lastEnergy {
 					t.Fatalf("at %gs the open step starts at %.17g°C, %.17gmJ; the last one ended at %.17g°C, %.17gmJ",
-						e.now, from, e0, lastEnd, lastEnergy)
+						e.now, e.tempC, e.stepE0, lastEnd, lastEnergy)
 				}
-				energy := e.energyAt(b) // the open segments hold until the event
-				seq, failed, ticks := e.seq, e.failed, e.Work().Ticks
-				if !e.step(tc.endS) {
-					t.Fatal("step refused an event or boundary due before the end")
-				}
-				handled := ok
-				if boundary {
-					steps++
-					want := th.TempDecayC(ambient, stepPowerW(e0, energy), from, th.DecayFactor(thermalStepS))
-					if e.stepT != b+thermalStepS || e.tempC != want || e.stepE0 != energy {
-						t.Fatalf("step ending at %gs from %.17g°C: next boundary %g, end %.17g°C at %.17gmJ, want %g, %.17g°C at %.17gmJ",
-							b, from, e.stepT, e.tempC, e.stepE0, b+thermalStepS, want, energy)
+
+				// The reference model of one step.
+				b, clock, seq, ticks := e.stepT, e.now, e.seq, e.Work().Ticks
+				latched, alarm, handled, closed, passed := e.alarmed, false, false, 0, 0
+				for {
+					ok := len(armed) > 0 && armed[0].t <= tc.endS
+					ev = hevent{}
+					if ok {
+						ev = armed[0]
 					}
-					lastEnd, lastEnergy = e.tempC, energy
-					alarmed := !wasAlarmed && e.alarmed
-					handled = ok && !alarmed && ev.t < e.stepT
-				} else if e.stepT != b {
-					t.Fatalf("at %gs the boundary moved from %g to %g", e.now, b, e.stepT)
+					if b <= tc.endS && (!ok || b <= ev.t) {
+						// The open segments hold until the next handled
+						// event, so they give the energy at every boundary
+						// the loop closes.
+						energy := e.energyAt(b)
+						end := th.TempDecayC(e.ambient, stepPowerW(lastEnergy, energy), lastEnd, th.DecayFactor(thermalStepS))
+						latched = latched && end >= th.ThrottleC-2
+						alarm = !latched && lastEnd < th.ThrottleC && th.ThrottleC <= end
+						lastEnd, lastEnergy, clock, b = end, energy, b, b+thermalStepS
+						latched = latched || alarm
+						closed++
+						if alarm {
+							break
+						}
+						continue
+					}
+					if !ok {
+						break
+					}
+					if ev.kind == hTick && !wake.Due(ev.t, e.failed) {
+						clock = ev.t
+						seq++
+						passed++
+						armed[0] = hevent{t: ev.t + e.tickS, seq: seq, kind: hTick, app: -1}
+						slices.SortFunc(armed, refEventOrder)
+						continue
+					}
+					handled = true
+					break
 				}
-				// The reference model of a passed tick: the tick is
-				// replaced in the reference order by the next one, armed
-				// with the next seq, and the first event is taken again.
-				clock, passed := b, false
-				for handled && ev.kind == hTick && !wake.Due(ev.t, failed) {
-					clock, passed = ev.t, true
-					seq++
-					armed[0] = hevent{t: ev.t + e.tickS, seq: seq, kind: hTick, app: -1}
-					slices.SortFunc(armed, refEventOrder)
-					ev = armed[0]
-					handled = ev.t <= tc.endS && ev.t < e.stepT
-					passes++
+				steps += closed
+				passes += passed
+				if closed > 1 && passed > 0 {
+					quietSteps++
 				}
 				if handled && ev.kind == hTick {
 					ticks++
 				}
+
+				logged, before := len(e.eventLog), handledSteps(e)
+				ret := e.step(tc.endS)
+				var alarms []Event
+				for _, q := range e.eventLog[logged:] {
+					if q.Kind == EvThermalAlarm {
+						alarms = append(alarms, q)
+					}
+				}
+				// The step's contract, read from what it did: it returns
+				// true only after it handled an event or raised an alarm.
+				if did := handledSteps(e) == before+1 || len(alarms) == 1; ret != did {
+					t.Fatalf("at %gs step returned %v; it handled %d events and raised %d alarms",
+						e.now, ret, handledSteps(e)-before, len(alarms))
+				}
+				if ret != (handled || alarm) {
+					t.Fatalf("at %gs step returned %v; the model handled an event: %v, raised an alarm: %v", e.now, ret, handled, alarm)
+				}
+				if e.stepT != b || e.tempC != lastEnd || e.stepE0 != lastEnergy || e.alarmed != latched {
+					t.Fatalf("at %gs after %d boundaries: next boundary %g, %.17g°C at %.17gmJ, latched %v; want %g, %.17g°C at %.17gmJ, latched %v",
+						e.now, closed, e.stepT, e.tempC, e.stepE0, e.alarmed, b, lastEnd, lastEnergy, latched)
+				}
 				switch {
+				case alarm && (len(alarms) != 1 || alarms[0].TimeS != clock || alarms[0].TempC != lastEnd):
+					t.Fatalf("the boundary at %gs ending at %.17g°C raised the alarms %+v", clock, lastEnd, alarms)
+				case !alarm && len(alarms) != 0:
+					t.Fatalf("at %gs the step raised the alarms %+v; the model raised none", e.now, alarms)
 				case handled && e.now != ev.t:
 					t.Fatalf("%v event at %g left the clock at %g", ev.kind, ev.t, e.now)
 				case !handled && e.now != clock:
@@ -261,10 +322,13 @@ func TestEngineInvariants(t *testing.T) {
 				case e.Work().Ticks != ticks:
 					t.Fatalf("at %gs %d ticks handled, want %d", e.now, e.Work().Ticks, ticks)
 				}
-				if passed && !(handled && ev.kind == hTick) {
+				if passed > 0 && !(handled && ev.kind == hTick) {
 					if i := slices.IndexFunc(armed, func(q hevent) bool { return q.kind == hTick }); e.tickT != armed[i].t || e.tickSeq != armed[i].seq {
 						t.Fatalf("at %gs the passed tick re-armed at %g (seq %d), want %+v", e.now, e.tickT, e.tickSeq, armed[i])
 					}
+				}
+				if !ret {
+					break
 				}
 				if handled && len(armed) > 1 && armed[1].t == ev.t && eventClass(armed[1]) != eventClass(ev) {
 					ties++
@@ -331,6 +395,9 @@ func TestEngineInvariants(t *testing.T) {
 			}
 			if (waker != nil) != (passes > 0) {
 				t.Fatalf("%d ticks passed under waker %v", passes, waker)
+			}
+			if _, ok := tc.ctrl.(*sleeper); ok && quietSteps == 0 {
+				t.Fatal("no step passed a tick and closed two boundaries")
 			}
 			ctrl, ok := tc.ctrl.(*stressCtrl)
 			if w, isWake := tc.ctrl.(wakingStress); isWake {

@@ -209,3 +209,56 @@ func TestResetRejectsMoreThan64Clusters(t *testing.T) {
 		t.Fatalf("c63 drew %gmJ over idle c0, want %gmJ: its load was not integrated", got, load)
 	}
 }
+
+// tickFunc is a controller of a func type, which == cannot compare.
+type tickFunc func(e *Engine)
+
+func (f tickFunc) OnTick(e *Engine)     { f(e) }
+func (tickFunc) OnEvent(*Engine, Event) {}
+
+// sleepyValue is a waking controller held by value, a struct with a
+// slice, which == cannot compare either; its wake makes no tick due.
+type sleepyValue struct{ pad []int }
+
+func (sleepyValue) OnTick(*Engine)         {}
+func (sleepyValue) OnEvent(*Engine, Event) {}
+func (sleepyValue) NextWake(*Engine) Wake  { return Wake{} }
+
+// TestResetResolvesWaker resets one engine through a sequence of
+// controllers — values of types == cannot compare, each twice in a row,
+// one pointer twice, then another pointer and none — and requires each
+// run to do the work a fresh engine does for its controller: no tick
+// handled under a controller whose wake makes none due, every tick under
+// one that is no Waker. So Reset keeps a resolved Waker only for the
+// controller it was resolved for, and compares no controller it cannot.
+func TestResetResolvesWaker(t *testing.T) {
+	sleepy := &sleeper{}
+	tf := tickFunc(func(e *Engine) {})
+	var reused *Engine
+	for i, ctrl := range []Controller{
+		sleepyValue{pad: []int{1}}, sleepyValue{pad: []int{1}},
+		tf, tf,
+		sleepy, sleepy,
+		&boundaryCtrl{},
+		nil,
+		sleepyValue{},
+	} {
+		cfg := Config{Platform: hw.OdroidXU3(), Apps: []App{dnnApp("solo", "a15", 4, 3, 0.05)}, Controller: ctrl, TickS: 0.1}
+		fresh := mustEngine(t, cfg)
+		if err := fresh.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		if reused == nil {
+			reused = mustEngine(t, cfg)
+		} else if err := reused.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		_, waking := ctrl.(Waker)
+		if got, want := reused.Work(), fresh.Work(); got != want || (want.Ticks == 0) != (waking || ctrl == nil) {
+			t.Fatalf("controller %d (%T): reused engine did %+v, a fresh one %+v", i, ctrl, got, want)
+		}
+	}
+}

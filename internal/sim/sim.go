@@ -39,6 +39,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -210,7 +211,9 @@ type Controller interface {
 // the tick takes no engine step. A Wake must therefore make due every
 // tick on which OnTick could change anything. Between two callbacks only
 // the clock and FailedFrames move, and those are what a Wake's terms
-// read. A controller that is no Waker is ticked on every tick.
+// read; a controller whose OnTick fires each trigger when its term Holds
+// hands the engine those same terms. A controller that is no Waker is
+// ticked on every tick.
 type Waker interface {
 	NextWake(e *Engine) Wake
 }
@@ -228,15 +231,22 @@ type Wake struct {
 	n     int
 }
 
-// WakeTerm holds at a tick at t once FailedFrames() ≥ Failed and
-// t − SinceS ≥ AfterS. The time condition is the subtraction the
-// controller's own check evaluates, so the term holds on exactly the
-// ticks that check passes; an absolute time T is {AfterS: T}, since
-// t − 0 is t.
+// WakeTerm is one trigger of a controller: it holds at a tick at t once
+// FailedFrames() ≥ Failed and t − SinceS ≥ AfterS (see Holds). An
+// absolute time T is {AfterS: T}, since t − 0 is t.
 type WakeTerm struct {
 	Failed int
 	SinceS float64
 	AfterS float64
+}
+
+// Holds reports whether the term holds at a tick at t on an engine whose
+// FailedFrames count is failed. Wake.Due and a controller's own check of
+// the trigger both call it, so the two agree on every tick.
+//
+//detlint:hotpath
+func (term WakeTerm) Holds(t float64, failed int) bool {
+	return failed >= term.Failed && t-term.SinceS >= term.AfterS
 }
 
 // Add adds a term to w. Past maxWakeTerms terms, w makes every tick due.
@@ -258,7 +268,7 @@ func (w *Wake) Due(t float64, failed int) bool {
 		return true
 	}
 	for _, term := range w.terms[:w.n] {
-		if failed >= term.Failed && t-term.SinceS >= term.AfterS {
+		if term.Holds(t, failed) {
 			return true
 		}
 	}
@@ -434,9 +444,9 @@ type Engine struct {
 
 	ctrl  Controller
 	tickS float64
-	// waker is ctrl as a Waker (nil when it is none), and wake the Wake it
-	// last returned: a tick wake does not make due is passed (see step).
-	// With no waker, wake makes every tick due.
+	// waker is ctrl as a Waker (nil when it is none; see Reset), and wake
+	// the Wake it last returned: a tick wake does not make due is passed
+	// (see step). With no waker, wake makes every tick due.
 	waker Waker
 	wake  Wake
 
@@ -553,8 +563,16 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.plat = cfg.Platform
 	e.ambient = cfg.Platform.AmbientC
+	// The controller's Waker is resolved only when the controller changes,
+	// as a fleet worker's engine is reset with one controller every run:
+	// an assertion to an interface fills its call site's type cache by
+	// allocating, in a random call. Only pointers are compared, since ==
+	// on a value whose type is not comparable panics; any other
+	// controller is asserted on every Reset.
+	if c := cfg.Controller; c == nil || reflect.TypeOf(c).Kind() != reflect.Pointer || c != e.ctrl {
+		e.waker, _ = c.(Waker)
+	}
 	e.ctrl = cfg.Controller
-	e.waker, _ = cfg.Controller.(Waker)
 	e.wake = Wake{Every: true}
 	e.tickS = cfg.TickS
 	e.logEvents = cfg.LogEvents

@@ -17,5 +17,5 @@ func (st *Stack) RunThrough(s Scenario, plat *hw.Platform, tickS float64, logf f
 	return st.start(sim.Config{Platform: plat, Apps: s.Apps, Controller: wrap(&st.ctrl), TickS: tickS, LogEvents: logEvents}, s.EndS)
 }
 
-// Cursors returns how many actions and fault transitions c has applied.
-func (c *ScenarioController) Cursors() (applied, fault int) { return c.applied, c.fault }
+// Applied returns how many scripted steps c has applied.
+func (c *ScenarioController) Applied() int { return c.next }

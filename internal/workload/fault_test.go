@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -161,5 +162,22 @@ func TestFaultTransitionOrder(t *testing.T) {
 	}
 	if ci, _ := e.Cluster("a7"); !ci.Online {
 		t.Error("a7 offline after a window that failed and repaired at one instant")
+	}
+}
+
+// TestNaNStepHoldsBackScript pins what a scripted step due at NaN does:
+// it sorts first among the steps and is never due, so no action and no
+// fault transition applies, the earlier action at 1 s included.
+func TestNaNStepHoldsBackScript(t *testing.T) {
+	s := faultScenario()
+	var acted []float64
+	probe := func(e *sim.Engine, m *rtm.Manager) { acted = append(acted, e.Now()) }
+	s.Actions = []Action{{AtS: 1, Do: probe}, {AtS: math.NaN(), Do: probe}}
+	_, _, rep, err := Run(s, hw.OdroidXU3(), 0.25, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(acted) != 0 || rep.ClusterFails != 0 {
+		t.Fatalf("actions ran at %v and %d clusters failed; a NaN step holds back the whole script", acted, rep.ClusterFails)
 	}
 }

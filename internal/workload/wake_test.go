@@ -21,8 +21,8 @@ import (
 // tracing wrapper sees. It keeps the wake the controller would have
 // handed the engine, read after every callback (and before the first),
 // and on every tick that wake does not make due it requires OnTick to
-// change nothing: the manager's plans, the plan epoch, and the actions
-// and fault transitions applied.
+// change nothing: the manager's plans, the plan epoch, and the scripted
+// steps applied.
 type polled struct {
 	t      *testing.T
 	name   string
@@ -34,9 +34,9 @@ type polled struct {
 
 // state is what a tick the wake passes must leave unchanged.
 type pollState struct {
-	stats          rtm.PlanStats
-	epoch          uint64
-	applied, fault int
+	stats   rtm.PlanStats
+	epoch   uint64
+	applied int
 }
 
 func (p *polled) state(e *sim.Engine) pollState {
@@ -44,7 +44,7 @@ func (p *polled) state(e *sim.Engine) pollState {
 	if p.c.Mgr != nil {
 		st.stats = p.c.Mgr.PlanStats()
 	}
-	st.applied, st.fault = p.c.Cursors()
+	st.applied = p.c.Applied()
 	return st
 }
 

@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"cmp"
 	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -62,21 +63,20 @@ type Scenario struct {
 // delegating to the manager — disturbances arrive "from outside" exactly
 // as in Fig 2. A nil manager applies them alone.
 type ScenarioController struct {
-	Mgr     *rtm.Manager
-	Actions []Action
-	applied int
-
-	// faults holds the fault windows' transitions, sorted stably by time:
-	// each window's fail, then its repair, in window order. The next one
-	// due is faults[fault].
-	faults []faultStep
-	fault  int
+	Mgr *rtm.Manager
+	// steps holds the scripted steps in the order they apply: the
+	// actions, then each fault window's fail and repair, sorted stably by
+	// time. The next one due is steps[next].
+	steps []scriptStep
+	next  int
 }
 
-// faultStep is one transition of a fault window: the cluster goes offline
-// or comes back at atS.
-type faultStep struct {
+// scriptStep is one scripted step due at atS: an action's do, or, with
+// do nil, a fault transition that takes cluster offline or brings it
+// back.
+type scriptStep struct {
 	atS     float64
+	do      func(e *sim.Engine, m *rtm.Manager)
 	cluster string
 	online  bool
 }
@@ -88,58 +88,41 @@ func NewScenarioController(m *rtm.Manager, actions []Action) *ScenarioController
 	return c
 }
 
-// reset rewires c as NewScenarioController would build it for actions,
-// copied into c's own buffer (never the caller's) and sorted stably by
-// time, and the transitions of faults, gathered and sorted the same way.
-// Fault windows thus share the Actions path's tick quantisation and
-// deterministic ordering: OnTick applies both lists merged, an action
-// before a transition due at the same instant, which is the order of a
-// stable sort of the actions followed by each window's fail and repair.
+// reset rewires c as NewScenarioController would build it for actions and
+// the transitions of faults, gathered into c's own step buffer (never
+// the caller's slices): the actions in their order, then each window's
+// fail and repair, in window order, sorted once, stably, by time. So
+// fault windows share the actions' tick quantisation, and at one instant
+// an action applies before a transition. A step due at NaN sorts first
+// and is never due, so it holds back the whole script.
 func (c *ScenarioController) reset(m *rtm.Manager, actions []Action, faults []FaultWindow) {
-	sorted := append(c.Actions[:0], actions...)
-	slices.SortStableFunc(sorted, func(a, b Action) int { return cmpTime(a.AtS, b.AtS) })
-	steps := c.faults[:0]
+	steps := c.steps[:0]
+	for _, a := range actions {
+		steps = append(steps, scriptStep{atS: a.AtS, do: a.Do})
+	}
 	for _, fw := range faults {
-		steps = append(steps, faultStep{atS: fw.FailS, cluster: fw.Cluster})
+		steps = append(steps, scriptStep{atS: fw.FailS, cluster: fw.Cluster})
 		if fw.RepairS > 0 {
-			steps = append(steps, faultStep{atS: fw.RepairS, cluster: fw.Cluster, online: true})
+			steps = append(steps, scriptStep{atS: fw.RepairS, cluster: fw.Cluster, online: true})
 		}
 	}
-	slices.SortStableFunc(steps, func(a, b faultStep) int { return cmpTime(a.atS, b.atS) })
-	*c = ScenarioController{Mgr: m, Actions: sorted, faults: steps}
+	slices.SortStableFunc(steps, func(a, b scriptStep) int { return cmp.Compare(a.atS, b.atS) })
+	*c = ScenarioController{Mgr: m, steps: steps}
 }
 
-// cmpTime orders two action times, ties equal.
-func cmpTime(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case b < a:
-		return 1
-	}
-	return 0
-}
-
-// OnTick implements sim.Controller: it applies every action and fault
-// transition due by now, then ticks the manager. The engine calls it on
-// the ticks NextWake makes due. A transition's
-// SetClusterOnline error is ignored by design: a window naming an unknown
-// cluster is a scenario-authoring bug that validation should catch, and
-// a duplicate transition is a no-op.
+// OnTick implements sim.Controller: it applies every scripted step due by
+// now, in order, then ticks the manager. The engine calls it on the ticks
+// NextWake makes due. A transition's SetClusterOnline error is ignored by
+// design: a window naming an unknown cluster is a scenario-authoring bug
+// that validation should catch, and a duplicate transition is a no-op.
 func (c *ScenarioController) OnTick(e *sim.Engine) {
-	for now := e.Now(); ; {
-		act := c.applied < len(c.Actions) && c.Actions[c.applied].AtS <= now
-		flt := c.fault < len(c.faults) && c.faults[c.fault].atS <= now
-		if act && (!flt || c.Actions[c.applied].AtS <= c.faults[c.fault].atS) {
-			a := c.Actions[c.applied]
-			c.applied++
-			a.Do(e, c.Mgr)
-		} else if flt {
-			f := c.faults[c.fault]
-			c.fault++
-			_ = e.SetClusterOnline(f.cluster, f.online)
+	for now := e.Now(); c.next < len(c.steps) && c.steps[c.next].atS <= now; {
+		s := c.steps[c.next]
+		c.next++
+		if s.do == nil {
+			_ = e.SetClusterOnline(s.cluster, s.online)
 		} else {
-			break
+			s.do(e, c.Mgr)
 		}
 	}
 	if c.Mgr != nil {
@@ -148,8 +131,8 @@ func (c *ScenarioController) OnTick(e *sim.Engine) {
 }
 
 // NextWake implements sim.Waker: the manager's wake (none without one),
-// with the next action's time and the next fault transition's added, the
-// times OnTick compares the clock with.
+// with the next step's time added, the time OnTick compares the clock
+// with.
 //
 //detlint:hotpath
 func (c *ScenarioController) NextWake(e *sim.Engine) sim.Wake {
@@ -157,11 +140,8 @@ func (c *ScenarioController) NextWake(e *sim.Engine) sim.Wake {
 	if c.Mgr != nil {
 		w = c.Mgr.NextWake(e)
 	}
-	if c.applied < len(c.Actions) {
-		w.Add(sim.WakeTerm{AfterS: c.Actions[c.applied].AtS})
-	}
-	if c.fault < len(c.faults) {
-		w.Add(sim.WakeTerm{AfterS: c.faults[c.fault].atS})
+	if c.next < len(c.steps) {
+		w.Add(sim.WakeTerm{AfterS: c.steps[c.next].atS})
 	}
 	return w
 }
