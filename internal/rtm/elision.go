@@ -24,6 +24,11 @@ type PlanStats struct {
 	// fingerprint was unchanged since the last planned replan, which was
 	// therefore an actuated fixed point.
 	Elided int `json:"elided"`
+	// Evals and Latencies are the planners' work: candidates evaluated
+	// and candidate latencies computed by the manager's planning ledger
+	// since its Reset, degraded pins included.
+	Evals     uint64 `json:"evals"`
+	Latencies uint64 `json:"latencies"`
 }
 
 // planFingerprint is the elision key: comparable, cheap to build, and

@@ -199,9 +199,10 @@ func NewManager(reqs Requirements) *Manager {
 // Reset returns the manager to the state NewManager(reqs) builds: the
 // default heuristic policy, no Logf, no thermal pressure, no
 // miss, fault, recovery or plan history, no elision fingerprint and no
-// engine. Only the replan scratch buffers survive, so a caller running
-// scenario after scenario on one manager (a fleet worker) replans without
-// regrowing them; a Reset manager plans exactly as a new one does. The
+// engine. Only the replan scratch buffers survive, their work counters
+// zeroed, so a caller running scenario after scenario on one manager (a
+// fleet worker) replans without regrowing them; a Reset manager plans
+// exactly as a new one does. The
 // requirements are copied into a slice the manager owns and reuses, so
 // SetRequirement never writes to reqs, which a fleet workload's policy
 // runs share.
@@ -219,6 +220,7 @@ func (m *Manager) Reset(reqs Requirements) {
 		cur:     m.cur[:0],
 		planApp: m.planApp[:0],
 	}
+	m.scratch.st.evals, m.scratch.st.latencies = 0, 0
 }
 
 // SetPolicy swaps the planning policy and schedules a replan so the swap
@@ -253,12 +255,13 @@ func (m *Manager) Requirement(app string, periodS float64) Requirement {
 // Plans returns how many replans have executed.
 func (m *Manager) Plans() int { return m.plans }
 
-// PlanStats reports the manager's plan-reuse counters: total replans and
-// elided replans. The counters are observability only — they never enter
+// PlanStats reports the manager's plan-reuse counters, total replans and
+// elided replans, and the planners' work counters. The counters are observability only — they never enter
 // simulation reports, whose bytes must not depend on reuse; the
 // allocation gate pins them per run.
 func (m *Manager) PlanStats() PlanStats {
-	return PlanStats{Plans: m.plans, Elided: m.elided}
+	return PlanStats{Plans: m.plans, Elided: m.elided,
+		Evals: m.scratch.st.evals, Latencies: m.scratch.st.latencies}
 }
 
 // LastView returns a copy of the view the most recent replan built — the

@@ -263,7 +263,8 @@ type planState struct {
 
 	// evals and latencies count evalCandidate calls and latencyS
 	// evaluations over the ledger's lifetime (init leaves them alone).
-	// They are the planners' work counters: only tests read them.
+	// They are the planners' work counters: Manager.PlanStats reports its
+	// ledger's, and Manager.Reset zeroes them.
 	evals, latencies uint64
 }
 
