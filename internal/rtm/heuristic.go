@@ -30,39 +30,41 @@ func heuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) As
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 
 	// Pass 1: exactly the minimal level meeting the accuracy requirement.
-	if a.Profile.Level(minLevel).Accuracy >= req.MinAccuracy {
+	if a.Profile.Levels[minLevel-1].Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
-		if c, ok := heuristicBest(v, st, sc, a, req, sc.levels, false); ok {
-			return st.commit(a, c, 1)
+		if heuristicBest(v, st, sc, a, req, sc.levels, false) {
+			return st.commit(a, &sc.best, 1)
 		}
 	}
 	// Pass 2: accuracy relaxed — maximise accuracy among feasible points.
 	sc.levels = descendingLevels(a, sc.levels)
-	if c, ok := heuristicBest(v, st, sc, a, req, sc.levels, false); ok {
-		return st.commit(a, c, 2)
+	if heuristicBest(v, st, sc, a, req, sc.levels, false) {
+		return st.commit(a, &sc.best, 2)
 	}
 	// Pass 3: best effort — minimise latency subject to the power budget.
-	if c, ok := heuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, c, 3)
+	if heuristicBest(v, st, sc, a, req, sc.levels, true) {
+		return st.commit(a, &sc.best, 3)
 	}
 	// Nothing fits at all (power budget exhausted).
 	return park(st, a)
 }
 
 // heuristicBest enumerates feasible candidates over the level list and
-// returns the winner. In best-effort mode latency/duty feasibility is
-// dropped; only power, cores and memory bind, and the objective becomes
-// minimum latency. levels may alias sc.levels; only sc.opts is consumed.
-func heuristicBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, req Requirement, levels []int, bestEffort bool) (candidate, bool) {
-	var best candidate
+// reports whether any was found, leaving the winner in sc.best. Each
+// candidate is evaluated into sc.try and copied to sc.best only when it
+// beats it. In best-effort mode latency/duty feasibility is dropped; only
+// power, cores and memory bind, and the objective becomes minimum
+// latency. levels may alias sc.levels; only sc.opts is consumed.
+func heuristicBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, req Requirement, levels []int, bestEffort bool) bool {
+	c, best := &sc.try, &sc.best
 	found := false
-	better := func(c candidate) bool {
+	better := func() bool {
 		if !found {
 			return true
 		}
 		// Hysteresis: candidates keeping the current placement and level
 		// get a 5% cost discount to avoid migration churn.
-		cost := func(x candidate) float64 {
+		cost := func(x *candidate) float64 {
 			v := x.dynPowMW
 			if bestEffort {
 				v = x.latencyS * 1000
@@ -83,21 +85,17 @@ func heuristicBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, req 
 			for _, level := range levels {
 				oppIdx, ok := len(cl.OPPs)-1, true
 				if !bestEffort {
-					oppIdx, ok = chooseOPP(st, ci, st.oppNeed[ci], cores, a.Profile.Level(level).MACs, req.MaxLatencyS)
+					oppIdx, ok = chooseOPP(st, ci, st.oppNeed[ci], cores, a.Profile.Levels[level-1].MACs, req.MaxLatencyS)
 				}
-				if !ok {
+				if !ok || evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, bestEffort, c) != feasible {
 					continue
 				}
-				c, r := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, bestEffort)
-				if r != feasible {
-					continue
-				}
-				if better(c) {
-					best = c
+				if better() {
+					*best = *c
 					found = true
 				}
 			}
 		}
 	}
-	return best, found
+	return found
 }

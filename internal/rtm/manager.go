@@ -594,7 +594,8 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 			best = donate(st, v, plan, i, -1)
 		}
 		if best >= 0 {
-			plan[i] = st.commit(a, pinCandidate(st, a, best), 3)
+			c := pinCandidate(st, a, best)
+			plan[i] = st.commit(a, &c, 3)
 		}
 	}
 }
@@ -654,8 +655,8 @@ func (m *Manager) actuate(e *sim.Engine, v *View, plan []Assignment) {
 	for i := range plan {
 		m.planApp = append(m.planApp, v.appIndex(plan[i].App))
 	}
-	for i, asg := range plan {
-		if asg.Level < m.curOf(i).level {
+	for i := range plan {
+		if asg := &plan[i]; asg.Level < m.curOf(i).level {
 			m.setLevel(e, asg.App, asg.Level)
 		}
 	}
@@ -665,8 +666,8 @@ func (m *Manager) actuate(e *sim.Engine, v *View, plan []Assignment) {
 	// memory-constrained accelerator (freeing memory), then everything
 	// else.
 	for want := 0; want < 3; want++ {
-		for i, asg := range plan {
-			cur := m.curOf(i)
+		for i := range plan {
+			asg, cur := &plan[i], m.curOf(i)
 			if asg.Placement == cur.placement {
 				continue
 			}
@@ -691,8 +692,8 @@ func (m *Manager) actuate(e *sim.Engine, v *View, plan []Assignment) {
 			}
 		}
 	}
-	for i, asg := range plan {
-		if asg.Level > m.curOf(i).level {
+	for i := range plan {
+		if asg := &plan[i]; asg.Level > m.curOf(i).level {
 			m.setLevel(e, asg.App, asg.Level)
 		}
 	}
@@ -707,8 +708,8 @@ func (m *Manager) actuate(e *sim.Engine, v *View, plan []Assignment) {
 				break
 			}
 		}
-		for _, asg := range plan {
-			if asg.Placement.Cluster == cl.Name && asg.OPPIndex > idx {
+		for i := range plan {
+			if asg := &plan[i]; asg.Placement.Cluster == cl.Name && asg.OPPIndex > idx {
 				idx = asg.OPPIndex
 			}
 		}

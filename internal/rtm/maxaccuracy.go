@@ -21,14 +21,14 @@ func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) 
 	// memory, latency or duty failure, which every slower OPP shares; only
 	// a power failure can clear lower down.
 	sc.levels = descendingLevels(a, sc.levels)
-	var best candidate
+	c, best := &sc.try, &sc.best
 	found := false
 	for ci, cl := range v.Platform.Clusters {
 		sc.opts = coreOptions(cl, st, ci, sc.opts)
 		for _, cores := range sc.opts {
 			for _, level := range sc.levels {
 				for oppIdx := len(cl.OPPs) - 1; oppIdx >= st.oppNeed[ci]; oppIdx-- {
-					c, r := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, false)
+					r := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, false, c)
 					if r == overPower {
 						continue // a slower OPP may draw less
 					}
@@ -38,7 +38,7 @@ func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) 
 					// Highest-frequency feasible OPP for this point wins.
 					if !found || c.accuracy > best.accuracy ||
 						(c.accuracy == best.accuracy && c.latencyS < best.latencyS) {
-						best = c
+						*best = *c
 						found = true
 					}
 					break
@@ -54,8 +54,8 @@ func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) 
 		return st.commit(a, best, pass)
 	}
 	// Pass 3: best effort — minimise latency under the power budget only.
-	if c, ok := heuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, c, 3)
+	if heuristicBest(v, st, sc, a, req, sc.levels, true) {
+		return st.commit(a, &sc.best, 3)
 	}
 	return park(st, a)
 }

@@ -15,10 +15,10 @@ func minEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) As
 	req := v.req(a)
 	// Pass 1: minimal level meeting the accuracy floor, raced to idle.
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
-	if a.Profile.Level(minLevel).Accuracy >= req.MinAccuracy {
+	if a.Profile.Levels[minLevel-1].Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
-		if c, ok := raceBest(v, st, sc, a, req, sc.levels); ok {
-			return st.commit(a, c, 1)
+		if raceBest(v, st, sc, a, req, sc.levels) {
+			return st.commit(a, &sc.best, 1)
 		}
 	}
 	// Pass 2: accuracy relaxed — the cheapest feasible race point wins
@@ -28,37 +28,38 @@ func minEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) As
 	for l := 1; l <= a.Profile.MaxLevel(); l++ {
 		sc.levels = append(sc.levels, l)
 	}
-	if c, ok := raceBest(v, st, sc, a, req, sc.levels); ok {
-		return st.commit(a, c, 2)
+	if raceBest(v, st, sc, a, req, sc.levels) {
+		return st.commit(a, &sc.best, 2)
 	}
 	// Pass 3: best effort — minimise latency under the power budget only.
 	sc.levels = descendingLevels(a, sc.levels)
-	if c, ok := heuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, c, 3)
+	if heuristicBest(v, st, sc, a, req, sc.levels, true) {
+		return st.commit(a, &sc.best, 3)
 	}
 	return park(st, a)
 }
 
 // raceBest enumerates candidates pinned to each cluster's maximum OPP
-// (race-to-idle) and returns the minimum-average-power feasible one.
-// levels may alias sc.levels; only sc.opts is consumed.
-func raceBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, req Requirement, levels []int) (candidate, bool) {
-	var best candidate
+// (race-to-idle) and reports whether any was feasible, leaving the
+// minimum-average-power one in sc.best. Like heuristicBest it evaluates
+// into sc.try and copies only an improvement. levels may alias sc.levels;
+// only sc.opts is consumed.
+func raceBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, req Requirement, levels []int) bool {
+	c, best := &sc.try, &sc.best
 	found := false
 	for ci, cl := range v.Platform.Clusters {
 		sc.opts = coreOptions(cl, st, ci, sc.opts)
 		for _, cores := range sc.opts {
 			for _, level := range levels {
-				c, r := evalCandidate(st, a, req, cl, ci, cores, level, len(cl.OPPs)-1, false)
-				if r != feasible {
+				if evalCandidate(st, a, req, cl, ci, cores, level, len(cl.OPPs)-1, false, c) != feasible {
 					continue
 				}
 				if !found || c.dynPowMW < best.dynPowMW {
-					best = c
+					*best = *c
 					found = true
 				}
 			}
 		}
 	}
-	return best, found
+	return found
 }

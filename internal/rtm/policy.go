@@ -227,7 +227,9 @@ func (*builtinPolicy) dynFingerprint(*View) uint64 { return 0 }
 // per-plan maps this replaced were the planning hot path's dominant
 // allocation.
 
-// candidate is one evaluated operating point during planning.
+// candidate is one evaluated operating point during planning. The searches
+// keep theirs in planScratch's try and best slots and pass them by
+// pointer: a candidate is copied only when it improves on the best.
 type candidate struct {
 	placement sim.Placement
 	ci        int // platform cluster index of placement.Cluster
@@ -398,17 +400,22 @@ func (st *planState) init(v *View) {
 }
 
 // planScratch owns every buffer one planning pass needs — the ledger, the
-// sorted DNN worklist, option/level enumeration buffers, the plan under
-// construction and the clone a policy outside the package plans over. The
-// Manager keeps one per instance so its replan loop is allocation-free;
-// the public Plan entry points borrow one from a pool.
+// sorted DNN worklist, option/level enumeration buffers, the candidate
+// slots, the plan under construction and the clone a policy outside the
+// package plans over. The Manager keeps one per instance so its replan
+// loop is allocation-free; the public Plan entry points borrow one from a
+// pool.
 type planScratch struct {
 	st     planState
 	dnns   []int // View.Apps indices of the plannable DNNs, in planning order
 	opts   []int
 	levels []int
-	plan   []Assignment
-	view   View
+	// try is the candidate a search is evaluating (evalCandidate fills it
+	// in place) and best the search's running winner, which a search
+	// overwrites from try only when try beats it and its caller commits.
+	try, best candidate
+	plan      []Assignment
+	view      View
 }
 
 // scratchPool backs the public Plan entry points, which must hand back a
@@ -609,23 +616,24 @@ const (
 
 // evalCandidate checks one (cluster, cores, level, OPP) point against the
 // ledger — accelerator memory, latency budget (skipped in best-effort
-// mode), accelerator duty and the power budget — and prices it. ci is the
-// cluster's ledger index. The verdict names the first check that failed,
-// or is feasible.
+// mode), accelerator duty and the power budget — and prices it into the
+// caller's c. ci is the cluster's ledger index and level one of a's
+// levels. The verdict names the first check that failed, or is feasible;
+// c is whole only when it is feasible.
 //
 // Callers scanning OPPs downward stop at the first failure other than
 // overPower. That relies on OPPs ascending strictly in frequency, which
 // hw.Cluster.Validate enforces: latency is then non-increasing in the OPP
 // index (see chooseOPP), and so is duty, latency over a positive period
 // capped at 1.
-func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluster, ci, cores, level, oppIdx int, bestEffort bool) (candidate, verdict) {
+func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluster, ci, cores, level, oppIdx int, bestEffort bool, c *candidate) verdict {
 	st.evals++
-	spec := a.Profile.Level(level)
+	spec := &a.Profile.Levels[level-1]
 	var memNeed int64
 	if cl.MemBytes > 0 && a.ModelBytes > 0 {
 		memNeed = a.Profile.ResidentBytes(a.ModelBytes, level)
 		if memNeed > st.freeMem[ci] {
-			return candidate{}, overMemory
+			return overMemory
 		}
 	}
 	opp := cl.OPPs[oppIdx]
@@ -633,17 +641,17 @@ func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluste
 	duty := hw.Duty(lat, a.PeriodS)
 	if !bestEffort {
 		if lat > req.MaxLatencyS {
-			return candidate{}, overLatency
+			return overLatency
 		}
 		if cl.Type.IsAccelerator() && duty > st.freeDuty[ci]+1e-9 {
-			return candidate{}, overDuty
+			return overDuty
 		}
 	}
 	dyn := dynPowerMW(cl, opp, cores, 1) * duty
 	if dyn > st.dynBudget+1e-9 {
-		return candidate{}, overPower
+		return overPower
 	}
-	return candidate{
+	*c = candidate{
 		placement: sim.Placement{Cluster: cl.Name, Cores: cores},
 		ci:        ci,
 		level:     level,
@@ -653,14 +661,15 @@ func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluste
 		dynPowMW:  dyn,
 		accuracy:  spec.Accuracy,
 		memBytes:  memNeed,
-	}, feasible
+	}
+	return feasible
 }
 
-// commit consumes ledger resources for the chosen candidate and converts
-// it into an Assignment.
+// commit consumes ledger resources for the chosen candidate, which it only
+// reads, and converts it into an Assignment.
 //
 //detlint:hotpath
-func (st *planState) commit(a *sim.AppInfo, c candidate, pass int) Assignment {
+func (st *planState) commit(a *sim.AppInfo, c *candidate, pass int) Assignment {
 	cl := st.clusters[c.ci]
 	if c.duty > 0 && cl.Type.IsAccelerator() {
 		st.freeDuty[c.ci] -= c.duty
@@ -705,7 +714,8 @@ func park(st *planState, a *sim.AppInfo) Assignment {
 	ci := st.clusterIndex(a.Placement.Cluster)
 	if ci < 0 || !st.online[ci] {
 		if alt := degradedPin(st, a); alt >= 0 {
-			return st.commit(a, pinCandidate(st, a, alt), 3)
+			c := pinCandidate(st, a, alt)
+			return st.commit(a, &c, 3)
 		}
 		if ci < 0 {
 			return Assignment{App: a.Name, Placement: a.Placement, Level: 1,
@@ -721,7 +731,7 @@ func park(st *planState, a *sim.AppInfo) Assignment {
 		latencyS:  st.latencyS(ci, cl.MinOPP(), clApplyCores(cl, a.Placement.Cores), a.Profile.Level(1).MACs),
 		accuracy:  a.Profile.Level(1).Accuracy,
 	}
-	return st.commit(a, c, 3)
+	return st.commit(a, &c, 3)
 }
 
 // degradedPin picks the ledger index of the least-loaded online cluster
@@ -794,7 +804,7 @@ func minLevelMeeting(a *sim.AppInfo, minAccuracy float64) int {
 	minLevel := 1
 	for l := 1; l <= a.Profile.MaxLevel(); l++ {
 		minLevel = l
-		if a.Profile.Level(l).Accuracy >= minAccuracy {
+		if a.Profile.Levels[l-1].Accuracy >= minAccuracy {
 			break
 		}
 	}

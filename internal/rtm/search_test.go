@@ -198,8 +198,8 @@ func refHeuristicBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, r
 				if !ok {
 					continue
 				}
-				c, r := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, bestEffort)
-				if r != feasible {
+				var c candidate
+				if evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, bestEffort, &c) != feasible {
 					continue
 				}
 				if better(c) {
@@ -219,15 +219,15 @@ func refHeuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo)
 	if a.Profile.Level(minLevel).Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
 		if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, false); ok {
-			return st.commit(a, c, 1)
+			return st.commit(a, &c, 1)
 		}
 	}
 	sc.levels = descendingLevels(a, sc.levels)
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, false); ok {
-		return st.commit(a, c, 2)
+		return st.commit(a, &c, 2)
 	}
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, c, 3)
+		return st.commit(a, &c, 3)
 	}
 	return park(st, a)
 }
@@ -244,8 +244,8 @@ func refMaxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInf
 		for _, cores := range sc.opts {
 			for _, level := range sc.levels {
 				for oppIdx := len(cl.OPPs) - 1; oppIdx >= st.oppNeed[ci]; oppIdx-- {
-					c, r := evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, false)
-					if r != feasible {
+					var c candidate
+					if evalCandidate(st, a, req, cl, ci, cores, level, oppIdx, false, &c) != feasible {
 						continue
 					}
 					if !found || c.accuracy > best.accuracy ||
@@ -262,10 +262,10 @@ func refMaxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInf
 		if best.accuracy < req.MinAccuracy {
 			pass = 2
 		}
-		return st.commit(a, best, pass)
+		return st.commit(a, &best, pass)
 	}
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, c, 3)
+		return st.commit(a, &c, 3)
 	}
 	return park(st, a)
 }
@@ -277,20 +277,20 @@ func refMinEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo)
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 	if a.Profile.Level(minLevel).Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
-		if c, ok := raceBest(v, st, sc, a, req, sc.levels); ok {
-			return st.commit(a, c, 1)
+		if raceBest(v, st, sc, a, req, sc.levels) {
+			return st.commit(a, &sc.best, 1)
 		}
 	}
 	sc.levels = sc.levels[:0]
 	for l := 1; l <= a.Profile.MaxLevel(); l++ {
 		sc.levels = append(sc.levels, l)
 	}
-	if c, ok := raceBest(v, st, sc, a, req, sc.levels); ok {
-		return st.commit(a, c, 2)
+	if raceBest(v, st, sc, a, req, sc.levels) {
+		return st.commit(a, &sc.best, 2)
 	}
 	sc.levels = descendingLevels(a, sc.levels)
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, c, 3)
+		return st.commit(a, &c, 3)
 	}
 	return park(st, a)
 }
