@@ -13,47 +13,62 @@ import (
 	"github.com/emlrtm/emlrtm/internal/sim"
 )
 
-// searchViews builds the planning inputs the search tests share. For every
-// catalog platform and each seed it generates a random scenario — one to
-// four DNNs with random profiles, periods, budgets, floors and priorities,
-// plus a render and a background co-runner half the time — and runs it
-// under the default manager for two simulated seconds at a random
-// ambient. Each scenario yields three views: as the manager last saw it,
-// under one to three steps of thermal pressure, and that pressured view
-// with one cluster offline.
+// searchViews builds the planning inputs the search tests share:
+// seedViews for every catalog platform and each seed from 1 to seeds.
 func searchViews(tb testing.TB, seeds int) []View {
 	tb.Helper()
+	var views []View
+	for _, plat := range catalogPlatforms() {
+		for seed := 1; seed <= seeds; seed++ {
+			views = appendSeedViews(tb, views, plat, int64(seed))
+		}
+	}
+	return views
+}
+
+// catalogPlatforms lists the catalog's platforms in name order.
+func catalogPlatforms() []*hw.Platform {
 	cat := hw.Catalog()
 	names := make([]string, 0, len(cat))
 	for name := range cat {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var views []View
-	for _, name := range names {
-		plat := cat[name]
-		for seed := 1; seed <= seeds; seed++ {
-			rng := rand.New(rand.NewSource(int64(seed)))
-			apps, reqs := randomScenario(rng, plat)
-			mgr := NewManager(reqs)
-			e, err := sim.New(sim.Config{Platform: plat, Apps: apps, Controller: mgr, TickS: 0.25})
-			if err != nil {
-				tb.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			e.SetAmbient(20 + 40*rng.Float64())
-			if err := e.Run(2); err != nil {
-				tb.Fatalf("%s seed %d: %v", name, seed, err)
-			}
-			views = append(views, mgr.buildView(e).Clone())
-			mgr.pressure = 1 + rng.Intn(3)
-			views = append(views, mgr.buildView(e).Clone())
-			if err := e.SetClusterOnline(plat.Clusters[rng.Intn(len(plat.Clusters))].Name, false); err != nil {
-				tb.Fatal(err)
-			}
-			views = append(views, mgr.buildView(e).Clone())
-		}
+	plats := make([]*hw.Platform, len(names))
+	for i, name := range names {
+		plats[i] = cat[name]
 	}
-	return views
+	return plats
+}
+
+// appendSeedViews appends the three views of one generated scenario on
+// plat. From seed it draws a random scenario — one to four DNNs with
+// random profiles, periods, budgets, floors and priorities, plus a render
+// and a background co-runner half the time — and runs it under the
+// default manager for two simulated seconds at a random ambient. The
+// views are the scenario as the manager last saw it, under one to three
+// steps of thermal pressure, and that pressured view with one cluster
+// offline.
+func appendSeedViews(tb testing.TB, views []View, plat *hw.Platform, seed int64) []View {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	apps, reqs := randomScenario(rng, plat)
+	mgr := NewManager(reqs)
+	e, err := sim.New(sim.Config{Platform: plat, Apps: apps, Controller: mgr, TickS: 0.25})
+	if err != nil {
+		tb.Fatalf("%s seed %d: %v", plat.Name, seed, err)
+	}
+	e.SetAmbient(20 + 40*rng.Float64())
+	if err := e.Run(2); err != nil {
+		tb.Fatalf("%s seed %d: %v", plat.Name, seed, err)
+	}
+	views = append(views, mgr.buildView(e).Clone())
+	mgr.pressure = 1 + rng.Intn(3)
+	views = append(views, mgr.buildView(e).Clone())
+	if err := e.SetClusterOnline(plat.Clusters[rng.Intn(len(plat.Clusters))].Name, false); err != nil {
+		tb.Fatal(err)
+	}
+	return append(views, mgr.buildView(e).Clone())
 }
 
 // randomScenario draws the apps and requirements of one searchViews
@@ -300,12 +315,35 @@ func refMinEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo)
 // generated scenarios on every catalog platform — thermally pressured and
 // with a cluster offline among them.
 func TestPrunedSearchMatchesReference(t *testing.T) {
+	checkPrunedSearch(t, searchViews(t, 24))
+}
+
+// FuzzPrunedSearchMatchesReference is TestPrunedSearchMatchesReference
+// for one fuzzed seed: the three views it draws on every catalog
+// platform.
+func FuzzPrunedSearchMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 25, -3, 1 << 40} {
+		f.Add(seed)
+	}
+	plats := catalogPlatforms()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		var views []View
+		for _, plat := range plats {
+			views = appendSeedViews(t, views, plat, seed)
+		}
+		checkPrunedSearch(t, views)
+	})
+}
+
+// checkPrunedSearch requires each built-in policy's plan of every view to
+// be reflect.DeepEqual to its exhaustive reference's.
+func checkPrunedSearch(t *testing.T, views []View) {
+	t.Helper()
 	refs := map[string]assignFunc{
 		"heuristic":   refHeuristicAssign,
 		"maxaccuracy": refMaxAccuracyAssign,
 		"minenergy":   refMinEnergyAssign,
 	}
-	views := searchViews(t, 24)
 	for _, name := range []string{"heuristic", "maxaccuracy", "minenergy"} {
 		p, err := NewPolicy(name)
 		if err != nil {
@@ -329,15 +367,9 @@ func TestPrunedSearchMatchesReference(t *testing.T) {
 // drawn from seed: random rate, scaling and overhead, and up to 24 OPPs in
 // strictly ascending frequency, some only an ulp apart.
 func FuzzChooseOPP(f *testing.F) {
-	cat := hw.Catalog()
-	names := make([]string, 0, len(cat))
-	for name := range cat {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var catalog []*hw.Cluster
-	for _, name := range names {
-		catalog = append(catalog, cat[name].Clusters...)
+	for _, plat := range catalogPlatforms() {
+		catalog = append(catalog, plat.Clusters...)
 	}
 	f.Add(uint8(0), int64(1), uint8(0), int8(4), int64(7_000_000), 0.05)
 	f.Add(uint8(1), int64(2), uint8(3), int8(2), int64(1_000_000), 0.004)

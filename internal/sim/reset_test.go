@@ -116,6 +116,25 @@ func TestResetRejectsDuplicateApp(t *testing.T) {
 	}
 }
 
+// TestResetRejectsBadCPUPlacement: a CPU placement needs 1 to all of its
+// cluster's cores, from New and Reset. 8 cores on odroid-xu3's 4-core a15
+// ran at a core fraction of 2. All of them is accepted.
+func TestResetRejectsBadCPUPlacement(t *testing.T) {
+	e := mustEngine(t, Config{Platform: hw.OdroidXU3(), Apps: []App{dnnApp("d", "a15", 4, 3, 0.05)}})
+	for _, cores := range []int{-1, 0, 5, 8} {
+		cfg := Config{Platform: hw.OdroidXU3(), Apps: []App{dnnApp("d", "a15", cores, 3, 0.05)}}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New accepted %d cores on a15", cores)
+		}
+		if err := e.Reset(cfg); err == nil {
+			t.Errorf("Reset accepted %d cores on a15", cores)
+		}
+	}
+	if err := e.Reset(Config{Platform: hw.OdroidXU3(), Apps: []App{dnnApp("d", "a15", 4, 3, 0.05)}}); err != nil {
+		t.Errorf("Reset refused all 4 cores of a15: %v", err)
+	}
+}
+
 // TestResetRejectsBadTick: a negative, NaN or infinite tick is an error
 // from New and Reset. Such a tick never fired, so a scripted run silently
 // skipped every action its controller applies on ticks. 0 still disables

@@ -694,8 +694,13 @@ func (e *Engine) validateApp(a App) error {
 	default:
 		return fmt.Errorf("sim: app %q unknown kind", a.Name)
 	}
-	if !cl.Type.IsAccelerator() && a.Placement.Cores < 1 {
-		return fmt.Errorf("sim: app %q needs >= 1 core on CPU cluster", a.Name)
+	// A CPU placement holds 1 to all of its cluster's cores; more would
+	// run the app at a core fraction above 1. Booking a cluster's cores
+	// across apps is left to the controller: the first replan reseats a
+	// start that over-books one, and Migrate refuses a move that would.
+	if !cl.Type.IsAccelerator() && (a.Placement.Cores < 1 || a.Placement.Cores > cl.Cores) {
+		return fmt.Errorf("sim: app %q placed on %d cores of CPU cluster %q, which has %d",
+			a.Name, a.Placement.Cores, cl.Name, cl.Cores)
 	}
 	// A NaN start or period would never order among the pending events
 	// (Run would spin forever), and a NaN or infinite one would carry into

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -165,19 +166,39 @@ func TestFaultTransitionOrder(t *testing.T) {
 	}
 }
 
-// TestNaNStepHoldsBackScript pins what a scripted step due at NaN does:
-// it sorts first among the steps and is never due, so no action and no
-// fault transition applies, the earlier action at 1 s included.
-func TestNaNStepHoldsBackScript(t *testing.T) {
-	s := faultScenario()
-	var acted []float64
-	probe := func(e *sim.Engine, m *rtm.Manager) { acted = append(acted, e.Now()) }
-	s.Actions = []Action{{AtS: 1, Do: probe}, {AtS: math.NaN(), Do: probe}}
-	_, _, rep, err := Run(s, hw.OdroidXU3(), 0.25, nil)
-	if err != nil {
-		t.Fatal(err)
+// TestBadScriptRefused holds Stack.run to refusing, before it simulates, a
+// script whose steps could not apply as written: an action or fault
+// transition time that is not finite, or a fault window on a cluster the
+// platform lacks. Each error names the offending step. A nil platform is
+// left to sim.Reset.
+func TestBadScriptRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	act := func(e *sim.Engine, m *rtm.Manager) { t.Error("an action of a refused script ran") }
+	for _, tc := range []struct {
+		name    string
+		actions []Action
+		faults  []FaultWindow
+		want    string
+	}{
+		{"nan action", []Action{{AtS: 1, Do: act}, {AtS: nan, Name: "late", Do: act}}, nil, `action 1 ("late") at NaN s`},
+		{"inf action", []Action{{AtS: -inf, Name: "early", Do: act}}, nil, `action 0 ("early") at -Inf s`},
+		{"nan repair", nil, []FaultWindow{{Cluster: "a15", FailS: 3, RepairS: nan}}, `fault window 0 on "a15": fail 3 s and repair NaN s`},
+		{"inf fail", nil, []FaultWindow{{Cluster: "a15", FailS: 3, RepairS: 7}, {Cluster: "a7", FailS: inf}}, `fault window 1 on "a7": fail +Inf s`},
+		{"unknown cluster", nil, []FaultWindow{{Cluster: "npu", FailS: 3, RepairS: 7}}, `fault window 0 names cluster "npu", which odroid-xu3 lacks`},
+	} {
+		s := faultScenario()
+		s.Actions, s.Faults = tc.actions, tc.faults
+		_, _, _, err := Run(s, hw.OdroidXU3(), 0.25, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if _, _, _, err2 := new(Stack).Run(s, hw.OdroidXU3(), 0.25); err2 == nil || err2.Error() != err.Error() {
+			t.Errorf("%s: Stack.Run err %v, Run err %v", tc.name, err2, err)
+		}
 	}
-	if len(acted) != 0 || rep.ClusterFails != 0 {
-		t.Fatalf("actions ran at %v and %d clusters failed; a NaN step holds back the whole script", acted, rep.ClusterFails)
+	s := faultScenario()
+	s.Faults = []FaultWindow{{Cluster: "npu", FailS: 3}}
+	if _, _, _, err := Run(s, nil, 0.25, nil); err == nil || !strings.HasPrefix(err.Error(), "sim: ") {
+		t.Errorf("nil platform: err %v, want sim.Reset's", err)
 	}
 }

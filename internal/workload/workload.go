@@ -7,6 +7,8 @@ package workload
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -26,7 +28,9 @@ type Action struct {
 
 // FaultWindow is one scripted hardware fault: the named cluster drops
 // offline at FailS and, when RepairS > 0, comes back at RepairS. A zero
-// RepairS means the cluster stays dead for the rest of the run.
+// RepairS means the cluster stays dead for the rest of the run. A run
+// refuses a window whose times are not finite or whose cluster its
+// platform lacks, and an action whose AtS is not finite.
 type FaultWindow struct {
 	Cluster string
 	FailS   float64
@@ -93,8 +97,7 @@ func NewScenarioController(m *rtm.Manager, actions []Action) *ScenarioController
 // the caller's slices): the actions in their order, then each window's
 // fail and repair, in window order, sorted once, stably, by time. So
 // fault windows share the actions' tick quantisation, and at one instant
-// an action applies before a transition. A step due at NaN sorts first
-// and is never due, so it holds back the whole script.
+// an action applies before a transition.
 func (c *ScenarioController) reset(m *rtm.Manager, actions []Action, faults []FaultWindow) {
 	steps := c.steps[:0]
 	for _, a := range actions {
@@ -112,9 +115,8 @@ func (c *ScenarioController) reset(m *rtm.Manager, actions []Action, faults []Fa
 
 // OnTick implements sim.Controller: it applies every scripted step due by
 // now, in order, then ticks the manager. The engine calls it on the ticks
-// NextWake makes due. A transition's SetClusterOnline error is ignored by
-// design: a window naming an unknown cluster is a scenario-authoring bug
-// that validation should catch, and a duplicate transition is a no-op.
+// NextWake makes due. A transition's SetClusterOnline error is ignored: a
+// duplicate transition is a no-op.
 func (c *ScenarioController) OnTick(e *sim.Engine) {
 	for now := e.Now(); c.next < len(c.steps) && c.steps[c.next].atS <= now; {
 		s := c.steps[c.next]
@@ -307,6 +309,9 @@ func (st *Stack) Run(s Scenario, plat *hw.Platform, tickS float64) (*sim.Engine,
 // event log, logf receives the manager's decision log. Neither changes a
 // simulated outcome.
 func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), logEvents bool) (*sim.Engine, *rtm.Manager, sim.Report, error) {
+	if err := checkScript(s, plat); err != nil {
+		return nil, nil, sim.Report{}, err
+	}
 	if err := st.setup(s, logf); err != nil {
 		return nil, nil, sim.Report{}, err
 	}
@@ -317,6 +322,28 @@ func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(str
 		TickS:      tickS,
 		LogEvents:  logEvents,
 	}, s.EndS)
+}
+
+// checkScript refuses a script whose steps could not apply as written, as
+// sim.Reset refuses an app time that is not finite: an action or fault
+// transition time that is not finite would sort among the steps by no
+// order and never fall due, and a window on a cluster plat lacks would
+// fail nothing. A nil plat is sim.Reset's error to report.
+func checkScript(s Scenario, plat *hw.Platform) error {
+	for i, a := range s.Actions {
+		if math.IsNaN(a.AtS) || math.IsInf(a.AtS, 0) {
+			return fmt.Errorf("workload: action %d (%q) at %g s: time must be finite", i, a.Name, a.AtS)
+		}
+	}
+	for i, fw := range s.Faults {
+		if math.IsNaN(fw.FailS) || math.IsInf(fw.FailS, 0) || math.IsNaN(fw.RepairS) || math.IsInf(fw.RepairS, 0) {
+			return fmt.Errorf("workload: fault window %d on %q: fail %g s and repair %g s must be finite", i, fw.Cluster, fw.FailS, fw.RepairS)
+		}
+		if plat != nil && plat.Cluster(fw.Cluster) == nil {
+			return fmt.Errorf("workload: fault window %d names cluster %q, which %s lacks", i, fw.Cluster, plat.Name)
+		}
+	}
+	return nil
 }
 
 // setup resets the stack's manager and scripted controller for s: the
