@@ -202,10 +202,9 @@ func NewManager(reqs Requirements) *Manager {
 // engine. Only the replan scratch buffers survive, their work counters
 // zeroed, so a caller running scenario after scenario on one manager (a
 // fleet worker) replans without regrowing them; a Reset manager plans
-// exactly as a new one does. The
-// requirements are copied into a slice the manager owns and reuses, so
-// SetRequirement never writes to reqs, which a fleet workload's policy
-// runs share.
+// exactly as a new one does. The requirements are copied into a slice the
+// manager owns and reuses, so SetRequirement never writes to reqs, which a
+// fleet workload's policy runs share.
 func (m *Manager) Reset(reqs Requirements) {
 	*m = Manager{
 		reqs:   append(m.reqs[:0], reqs...),
@@ -256,9 +255,9 @@ func (m *Manager) Requirement(app string, periodS float64) Requirement {
 func (m *Manager) Plans() int { return m.plans }
 
 // PlanStats reports the manager's plan-reuse counters, total replans and
-// elided replans, and the planners' work counters. The counters are observability only — they never enter
-// simulation reports, whose bytes must not depend on reuse; the
-// allocation gate pins them per run.
+// elided replans, and the planners' work counters. The counters are
+// observability only — they never enter simulation reports, whose bytes
+// must not depend on reuse; the allocation gate pins them per run.
 func (m *Manager) PlanStats() PlanStats {
 	return PlanStats{Plans: m.plans, Elided: m.elided,
 		Evals: m.scratch.st.evals, Latencies: m.scratch.st.latencies}

@@ -619,7 +619,7 @@ const (
 // mode), accelerator duty and the power budget — and prices it into the
 // caller's c. ci is the cluster's ledger index and level one of a's
 // levels. The verdict names the first check that failed, or is feasible;
-// c is whole only when it is feasible.
+// only a feasible candidate is written to c.
 //
 // Callers scanning OPPs downward stop at the first failure other than
 // overPower. That relies on OPPs ascending strictly in frequency, which
@@ -651,17 +651,11 @@ func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluste
 	if dyn > st.dynBudget+1e-9 {
 		return overPower
 	}
-	*c = candidate{
-		placement: sim.Placement{Cluster: cl.Name, Cores: cores},
-		ci:        ci,
-		level:     level,
-		oppIdx:    oppIdx,
-		latencyS:  lat,
-		duty:      duty,
-		dynPowMW:  dyn,
-		accuracy:  spec.Accuracy,
-		memBytes:  memNeed,
-	}
+	// Field by field: a composite literal is built aside and then copied.
+	c.placement = sim.Placement{Cluster: cl.Name, Cores: cores}
+	c.ci, c.level, c.oppIdx = ci, level, oppIdx
+	c.latencyS, c.duty, c.dynPowMW = lat, duty, dyn
+	c.accuracy, c.memBytes = spec.Accuracy, memNeed
 	return feasible
 }
 

@@ -325,18 +325,19 @@ func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(str
 }
 
 // checkScript refuses a script whose steps could not apply as written, as
-// sim.Reset refuses an app time that is not finite: an action or fault
-// transition time that is not finite would sort among the steps by no
-// order and never fall due, and a window on a cluster plat lacks would
-// fail nothing. A nil plat is sim.Reset's error to report.
+// sim.Reset refuses an app time that is not finite: a step at a time that
+// is not finite falls on no tick (a NaN one would sort first and, never
+// due, hold back every later step), and a fault window on a cluster plat
+// lacks would fail nothing. A nil plat is sim.Reset's error to report.
 func checkScript(s Scenario, plat *hw.Platform) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	for i, a := range s.Actions {
-		if math.IsNaN(a.AtS) || math.IsInf(a.AtS, 0) {
+		if !finite(a.AtS) {
 			return fmt.Errorf("workload: action %d (%q) at %g s: time must be finite", i, a.Name, a.AtS)
 		}
 	}
 	for i, fw := range s.Faults {
-		if math.IsNaN(fw.FailS) || math.IsInf(fw.FailS, 0) || math.IsNaN(fw.RepairS) || math.IsInf(fw.RepairS, 0) {
+		if !finite(fw.FailS) || !finite(fw.RepairS) {
 			return fmt.Errorf("workload: fault window %d on %q: fail %g s and repair %g s must be finite", i, fw.Cluster, fw.FailS, fw.RepairS)
 		}
 		if plat != nil && plat.Cluster(fw.Cluster) == nil {
