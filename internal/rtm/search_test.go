@@ -14,7 +14,8 @@ import (
 )
 
 // searchViews builds the planning inputs the search tests share:
-// seedViews for every catalog platform and each seed from 1 to seeds.
+// appendSeedViews for every catalog platform and each seed from 1 to
+// seeds.
 func searchViews(tb testing.TB, seeds int) []View {
 	tb.Helper()
 	var views []View
