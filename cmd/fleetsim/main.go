@@ -657,17 +657,18 @@ func printTables(w io.Writer, rep fleet.Report) error {
 	return err
 }
 
-// printTrainSummary renders the training outcome: per-arm sweep cost (the
-// bar the learned table must beat), how often each arm won a state, and
-// the fallback for unseen states.
+// printTrainSummary renders the training outcome: runs credited and how
+// many of them were replayed rather than simulated, per-arm sweep cost
+// (the bar the learned table must beat), how often each arm won a state,
+// and the fallback for unseen states.
 func printTrainSummary(w io.Writer, table *rtm.LearnedTable, rep fleet.TrainReport) error {
 	chosen := map[string]int{}
 	for _, st := range table.States {
 		chosen[st.Arm]++
 	}
 	t := trace.NewTable(
-		fmt.Sprintf("training summary (seed %d: %d workloads, %d runs, %d states)",
-			table.Seed, rep.Workloads, rep.Runs, rep.States),
+		fmt.Sprintf("training summary (seed %d: %d workloads, %d runs, %d replayed, %d states)",
+			table.Seed, rep.Workloads, rep.Runs, rep.Replayed, rep.States),
 		"arm", "sweepRuns", "sweepMeanCost", "statesWon")
 	for _, name := range sortedKeys(rep.Sweep) {
 		s := rep.Sweep[name]

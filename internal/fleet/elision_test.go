@@ -90,7 +90,7 @@ func TestReplanElisionEquivalence(t *testing.T) {
 	var st workload.Stack
 	elided := 0
 	for _, s := range scens {
-		_, mgr, _, err := st.Run(s.Script, hw.NewPlatform(s.Platform), TickS)
+		_, mgr, _, err := st.Run(&s.Script, hw.NewPlatform(s.Platform), TickS)
 		if err != nil {
 			t.Fatal(err)
 		}

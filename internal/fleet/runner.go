@@ -88,7 +88,7 @@ const TickS = 0.25
 // fresh ones), which is what makes fleet results independent of
 // scheduling. RunOne itself builds everything fresh.
 func RunOne(s Scenario) Result {
-	return runOne(s, nil, true)
+	return runOne(&s, nil, true)
 }
 
 // worker is the run state one fleet worker reuses across its whole
@@ -120,12 +120,15 @@ func (w *worker) platform(name string) *hw.Platform {
 // runOne is RunOne on a worker's reused run state (nil builds everything
 // fresh). keepLatencies publishes the Latencies runs and changes no other
 // field; reuse changes no result byte, which
-// TestWorkerReuseEquivalence pins.
-func runOne(s Scenario, w *worker, keepLatencies bool) Result {
-	script := s.Script
-	if script.Policy == "" {
+// TestWorkerReuseEquivalence pins. It only reads *s, and copies its
+// script only to default the script's policy.
+func runOne(s *Scenario, w *worker, keepLatencies bool) Result {
+	script := &s.Script
+	if script.Policy == "" && s.Policy != "" {
 		// Hand-built scenarios may set only the outer Policy field.
-		script.Policy = s.Policy
+		named := *script
+		named.Policy = s.Policy
+		script = &named
 	}
 	res := Result{
 		ID:       s.ID,
@@ -367,7 +370,7 @@ func (r *Runner) Run(scenarios []Scenario) []Result {
 		ready = make([]bool, n)
 	}
 	forEachRun(r.Workers, n, func(i int, w *worker) {
-		results[i] = runOne(scenarios[i], w, !r.DropLatencies)
+		results[i] = runOne(&scenarios[i], w, !r.DropLatencies)
 		if r.OnResult == nil {
 			if r.Progress != nil {
 				r.Progress(int(done.Add(1)), n)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/emlrtm/emlrtm/internal/rng"
@@ -10,15 +11,20 @@ import (
 )
 
 // This file is the offline trainer behind the "learned:<table.json>"
-// policy: it replays seeded fleet scenarios under every base policy (arm),
+// policy: it runs seeded fleet scenarios under every base policy (arm),
 // records which discretised planning states each run visited, scores the
 // run on a miss-rate + energy reward, and credits the score to every
 // (state, arm) cell the run touched. A pure per-arm sweep seeds the table;
 // epsilon-greedy epochs then refine it by re-running the workloads with
 // per-state arm selection, so cells that only ever appear mid-run under
-// mixed control get their own evidence. The PR 3 policy registry supplies
-// the arms and the PR 4 allocation-free hot path is what makes the
-// resulting run count cheap — this loop is planner-bound, not GC-bound.
+// mixed control get their own evidence. The policy registry supplies the
+// arms. A run is a pure function of its workload and the arms its
+// recording policy picks, so a refinement run whose decisions repeat a run
+// this training already simulated is credited from that run instead of
+// simulated again (replay). What is left is engine-bound: a GOMAXPROCS=1
+// profile of a 512-workload, two-epoch Train puts about 90 % of its time
+// under the engine's event loop, controller callbacks included, and about
+// 12 % in the recording policy's plans.
 
 // TrainConfig parametrises offline training of a learned policy table.
 // TrainConfig{Seed: 1, Workloads: 64} is a complete configuration: arms,
@@ -69,10 +75,18 @@ type ArmTrainStats struct {
 
 // TrainReport summarises a training run for humans and smoke tests.
 type TrainReport struct {
-	Workloads int      `json:"workloads"`
-	Runs      int      `json:"runs"` // total scenario executions
-	States    int      `json:"states"`
-	Arms      []string `json:"arms"`
+	Workloads int `json:"workloads"`
+	// Runs counts the runs whose decision traces the table was credited
+	// with: every workload under every arm, plus one per workload per
+	// refinement epoch. A refinement run that would repeat, decision for
+	// decision, a run this training simulated earlier is credited from
+	// that run without being simulated; it still counts here.
+	Runs int `json:"runs"`
+	// Replayed counts the refinement runs credited from a recorded run
+	// without being simulated; Runs - Replayed runs were simulated.
+	Replayed int      `json:"replayed"`
+	States   int      `json:"states"`
+	Arms     []string `json:"arms"`
 	// Sweep holds each arm's pure-sweep stats, keyed by arm name.
 	Sweep map[string]ArmTrainStats `json:"sweep"`
 }
@@ -98,11 +112,13 @@ type visit struct {
 }
 
 // trainRun is one scenario execution's outcome: the decision trace and the
-// scalar cost the trace's cells are credited with.
+// scalar cost the trace's cells are credited with. replayed marks a run
+// credited from a recorded run rather than simulated.
 type trainRun struct {
-	visits []visit
-	cost   float64
-	err    error
+	visits   []visit
+	cost     float64
+	err      error
+	replayed bool
 }
 
 // recordingPolicy is the in-training policy: per Plan it discretises the
@@ -129,6 +145,18 @@ func (p *recordingPolicy) Plan(v rtm.View) []rtm.Assignment {
 // under every arm) followed by cfg.Epochs epsilon-greedy refinement
 // epochs. Same config, same table, byte for byte, at any worker count —
 // the determinism CI pins with a double-train cmp.
+//
+// A training run is a pure function of its workload and of the arm its
+// recording policy picks at each plan: every run gets fresh arm instances
+// on a worker stack that carries nothing from one run to the next. So a
+// refinement run is first walked against the runs of its workload this
+// call has simulated (the sweep runs, then each simulated refinement run)
+// with the same exploration stream. At each plan the pick is made for the
+// state the surviving recorded runs share there, and only those that
+// picked the same arm survive; a survivor that ends at that plan is the
+// run, and its trace and cost are credited without simulating. When none
+// survives, the exploration stream restarts from its seed and the run is
+// simulated. The table and report are those of simulating every run.
 func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	cfg = cfg.applied()
 	if cfg.Workloads <= 0 {
@@ -194,7 +222,7 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 	sweep := make([]trainRun, len(scenarios)*len(cfg.Arms))
 	if err := trainAll(cfg.Workers, sweep, func(i int, w *worker) trainRun {
 		wl, arm := i/len(cfg.Arms), i%len(cfg.Arms)
-		return trainOne(cfg, scenarios[wl], func(string) int { return arm }, w)
+		return trainOne(cfg, &scenarios[wl], func(string) int { return arm }, w)
 	}); err != nil {
 		return nil, TrainReport{}, err
 	}
@@ -210,29 +238,47 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 		rep.Sweep[cfg.Arms[arm]] = s
 	}
 
-	// Phase 2 — epsilon-greedy refinement: replay the workloads under
+	// Phase 2 — epsilon-greedy refinement: re-run the workloads under
 	// per-state selection so states reached only under mixed control gain
 	// their own cells. Runs read the table frozen (updates apply between
 	// epochs, in workload order) and every exploration draw derives from
 	// (Seed, epoch, workload), which together make the phase worker-count
-	// independent.
+	// independent. hist[wl] holds the runs of workload wl simulated so far
+	// (clipped, so an append never writes into the next workload's sweep
+	// runs); a simulated run joins it only after its epoch, so what a run
+	// is checked against does not depend on the worker count either.
+	hist := make([][]trainRun, len(scenarios))
+	for wl := range hist {
+		hist[wl] = slices.Clip(sweep[wl*len(cfg.Arms) : (wl+1)*len(cfg.Arms)])
+	}
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		runs := make([]trainRun, len(scenarios))
 		if err := trainAll(cfg.Workers, runs, func(wl int, w *worker) trainRun {
-			rnd := rng.New(rng.Next(rng.Next(cfg.Seed+uint64(epoch)) + uint64(wl)))
-			return trainOne(cfg, scenarios[wl], func(key string) int {
+			seed := rng.Next(rng.Next(cfg.Seed+uint64(epoch)) + uint64(wl))
+			rnd := rng.New(seed)
+			pick := func(key string) int {
 				if arm := greedyArm(table, key); arm >= 0 && rnd.Float64() >= cfg.Epsilon {
 					return arm
 				}
 				return rnd.Intn(len(cfg.Arms))
-			}, w)
+			}
+			if r := replay(hist[wl], pick); r.replayed {
+				return r
+			}
+			rnd = rng.New(seed)
+			return trainOne(cfg, &scenarios[wl], pick, w)
 		}); err != nil {
 			return nil, TrainReport{}, err
 		}
 		rep.Runs += len(runs)
-		for _, r := range runs {
+		for wl, r := range runs {
 			for _, vi := range r.visits {
 				table.Observe(vi.key, vi.arm, r.cost)
+			}
+			if r.replayed {
+				rep.Replayed++
+			} else {
+				hist[wl] = append(hist[wl], r)
 			}
 		}
 	}
@@ -242,6 +288,39 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 	table.Finalise()
 	rep.States = len(table.States)
 	return table, rep, nil
+}
+
+// replay walks recs, runs of one workload, in lockstep with a run that
+// picks its arms with pick, and returns the recorded run it would repeat.
+// Runs that picked the same arms so far reached the same state, so pick is
+// asked once per plan, for the state the first survivor recorded there,
+// drawing from its stream exactly as the run would; only survivors that
+// picked the same arm stay. A survivor with no further plan is the run
+// itself, returned marked replayed; once no recorded run survives, replay
+// returns the zero trainRun.
+func replay(recs []trainRun, pick func(key string) int) trainRun {
+	live := make([]int, len(recs))
+	for j := range live {
+		live[j] = j
+	}
+	for i := 0; len(live) > 0; i++ {
+		first := &recs[live[0]]
+		if len(first.visits) == i {
+			r := *first
+			r.replayed = true
+			return r
+		}
+		arm := pick(first.visits[i].key)
+		n := 0
+		for _, j := range live {
+			if v := recs[j].visits; len(v) > i && v[i].arm == arm {
+				live[n] = j
+				n++
+			}
+		}
+		live = live[:n]
+	}
+	return trainRun{}
 }
 
 // greedyArm returns the index of the cheapest visited arm for a state, or
@@ -294,7 +373,7 @@ func (r *trainRun) errContext() string {
 // outside replan elision by construction — it cannot implement the
 // sealed rtm seam — so every training run plans fresh and its visit
 // trace stays complete.
-func trainOne(cfg TrainConfig, s Scenario, pick func(key string) int, w *worker) trainRun {
+func trainOne(cfg TrainConfig, s *Scenario, pick func(key string) int, w *worker) trainRun {
 	rec := &recordingPolicy{arms: make([]rtm.Policy, len(cfg.Arms)), pick: pick}
 	for i, name := range cfg.Arms {
 		p, err := rtm.NewPolicy(name)
@@ -303,8 +382,9 @@ func trainOne(cfg TrainConfig, s Scenario, pick func(key string) int, w *worker)
 		}
 		rec.arms[i] = p
 	}
-	s.Script.Planner = rec
-	r := runOne(s, w, false)
+	planned := *s
+	planned.Script.Planner = rec
+	r := runOne(&planned, w, false)
 	if r.Err != "" {
 		return trainRun{visits: rec.visits, err: fmt.Errorf("%s", r.Err)}
 	}

@@ -188,12 +188,12 @@ func stackRun(classes ...fleet.Class) func(tb testing.TB) func() (*sim.Engine, *
 		plat := hw.OdroidXU3()
 		var st workload.Stack
 		if slices.Contains(classes, fleet.ClassFaulty) {
-			if _, _, rep, err := st.Run(*script, plat, fleet.TickS); err != nil || rep.ClusterFails == 0 {
+			if _, _, rep, err := st.Run(script, plat, fleet.TickS); err != nil || rep.ClusterFails == 0 {
 				tb.Fatalf("faulty workload %s failed no cluster (%d fails, error %v)", script.Name, rep.ClusterFails, err)
 			}
 		}
 		return func() (*sim.Engine, *rtm.Manager) {
-			e, mgr, _, err := st.Run(*script, plat, fleet.TickS)
+			e, mgr, _, err := st.Run(script, plat, fleet.TickS)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -130,7 +130,7 @@ func TestParkUnknownClusterPlansWithoutPanic(t *testing.T) {
 	before.freeDuty = slices.Clone(st.freeDuty)
 	before.freeMem = slices.Clone(st.freeMem)
 	before.oppNeed = slices.Clone(st.oppNeed)
-	park(st, &v.Apps[0])
+	park(st, &v.Apps[0], new(Assignment))
 	if st.dynBudget != before.dynBudget || !slices.Equal(st.freeCores, before.freeCores) ||
 		!slices.Equal(st.freeDuty, before.freeDuty) || !slices.Equal(st.freeMem, before.freeMem) ||
 		!slices.Equal(st.oppNeed, before.oppNeed) {

@@ -25,7 +25,7 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // DVFS pacing: within a feasible point the lowest OPP meeting the budget
 // wins — pacing beats race-to-idle under a CV²f power model (contrast
 // minEnergyAssign, which races).
-func heuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+func heuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo, out *Assignment) {
 	req := v.req(a)
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 
@@ -33,20 +33,23 @@ func heuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) As
 	if a.Profile.Levels[minLevel-1].Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
 		if heuristicBest(v, st, sc, a, req, sc.levels, false) {
-			return st.commit(a, &sc.best, 1)
+			st.commit(a, &sc.best, 1, out)
+			return
 		}
 	}
 	// Pass 2: accuracy relaxed — maximise accuracy among feasible points.
 	sc.levels = descendingLevels(a, sc.levels)
 	if heuristicBest(v, st, sc, a, req, sc.levels, false) {
-		return st.commit(a, &sc.best, 2)
+		st.commit(a, &sc.best, 2, out)
+		return
 	}
 	// Pass 3: best effort — minimise latency subject to the power budget.
 	if heuristicBest(v, st, sc, a, req, sc.levels, true) {
-		return st.commit(a, &sc.best, 3)
+		st.commit(a, &sc.best, 3, out)
+		return
 	}
 	// Nothing fits at all (power budget exhausted).
-	return park(st, a)
+	park(st, a, out)
 }
 
 // heuristicBest enumerates feasible candidates over the level list and

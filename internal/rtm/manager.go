@@ -594,7 +594,7 @@ func (m *Manager) applyDegradedFallback(v *View, plan []Assignment) {
 		}
 		if best >= 0 {
 			c := pinCandidate(st, a, best)
-			plan[i] = st.commit(a, &c, 3)
+			st.commit(a, &c, 3, &plan[i])
 		}
 	}
 }

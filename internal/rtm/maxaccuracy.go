@@ -11,7 +11,7 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // largest possible level fits. Latency deadlines, accelerator duty/memory
 // and the thermal power budget still bind — the policy is aggressive, not
 // unsafe.
-func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo, out *Assignment) {
 	req := v.req(a)
 	// Pass 1: the highest feasible level, ranked accuracy-first. For each
 	// (cluster, cores, level) the fastest OPP that fits both the latency
@@ -51,11 +51,13 @@ func maxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) 
 		if best.accuracy < req.MinAccuracy {
 			pass = 2 // even the best feasible level sits below the floor
 		}
-		return st.commit(a, best, pass)
+		st.commit(a, best, pass, out)
+		return
 	}
 	// Pass 3: best effort — minimise latency under the power budget only.
 	if heuristicBest(v, st, sc, a, req, sc.levels, true) {
-		return st.commit(a, &sc.best, 3)
+		st.commit(a, &sc.best, 3, out)
+		return
 	}
-	return park(st, a)
+	park(st, a, out)
 }

@@ -11,14 +11,15 @@ import "github.com/emlrtm/emlrtm/internal/sim"
 // against under a CV²f power model — registering it makes that argument
 // measurable: a fleet sweep puts pacing and racing side by side on
 // identical workloads.
-func minEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+func minEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo, out *Assignment) {
 	req := v.req(a)
 	// Pass 1: minimal level meeting the accuracy floor, raced to idle.
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 	if a.Profile.Levels[minLevel-1].Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
 		if raceBest(v, st, sc, a, req, sc.levels) {
-			return st.commit(a, &sc.best, 1)
+			st.commit(a, &sc.best, 1, out)
+			return
 		}
 	}
 	// Pass 2: accuracy relaxed — the cheapest feasible race point wins
@@ -29,14 +30,16 @@ func minEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) As
 		sc.levels = append(sc.levels, l)
 	}
 	if raceBest(v, st, sc, a, req, sc.levels) {
-		return st.commit(a, &sc.best, 2)
+		st.commit(a, &sc.best, 2, out)
+		return
 	}
 	// Pass 3: best effort — minimise latency under the power budget only.
 	sc.levels = descendingLevels(a, sc.levels)
 	if heuristicBest(v, st, sc, a, req, sc.levels, true) {
-		return st.commit(a, &sc.best, 3)
+		st.commit(a, &sc.best, 3, out)
+		return
 	}
-	return park(st, a)
+	park(st, a, out)
 }
 
 // raceBest enumerates candidates pinned to each cluster's maximum OPP

@@ -2,6 +2,7 @@ package rtm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -462,18 +463,22 @@ func sealedOf(p Policy) sealedPolicy {
 }
 
 // assignFunc is one policy's per-app planning step over the shared ledger.
-type assignFunc func(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment
+// It writes the app's assignment into out, every field of it.
+type assignFunc func(v *View, st *planState, sc *planScratch, a *sim.AppInfo, out *Assignment)
 
 // planWith runs a policy's assign step over the plannable DNNs in priority
-// order, building the plan in sc.plan. The returned slice aliases sc.plan
-// — callers that outlive the scratch must copy.
+// order, building the plan in sc.plan: each step writes its assignment
+// into the plan's next slot, which grows as append would grow it. The
+// returned slice aliases sc.plan — callers that outlive the scratch must
+// copy.
 //
 //detlint:hotpath
 func planWith(v *View, sc *planScratch, assign assignFunc) []Assignment {
 	sc.st.init(v)
 	plan := sc.plan[:0]
 	for _, i := range sc.plannableDNNs(v) {
-		plan = append(plan, assign(v, &sc.st, sc, &v.Apps[i]))
+		plan = slices.Grow(plan, 1)[:len(plan)+1]
+		assign(v, &sc.st, sc, &v.Apps[i], &plan[len(plan)-1])
 	}
 	sc.plan = plan
 	return plan
@@ -660,10 +665,10 @@ func evalCandidate(st *planState, a *sim.AppInfo, req Requirement, cl *hw.Cluste
 }
 
 // commit consumes ledger resources for the chosen candidate, which it only
-// reads, and converts it into an Assignment.
+// reads, and writes it into out as an Assignment.
 //
 //detlint:hotpath
-func (st *planState) commit(a *sim.AppInfo, c *candidate, pass int) Assignment {
+func (st *planState) commit(a *sim.AppInfo, c *candidate, pass int, out *Assignment) {
 	cl := st.clusters[c.ci]
 	if c.duty > 0 && cl.Type.IsAccelerator() {
 		st.freeDuty[c.ci] -= c.duty
@@ -681,16 +686,11 @@ func (st *planState) commit(a *sim.AppInfo, c *candidate, pass int) Assignment {
 	if c.oppIdx > st.oppNeed[c.ci] {
 		st.oppNeed[c.ci] = c.oppIdx
 	}
-	return Assignment{
-		App:       a.Name,
-		Placement: c.placement,
-		Level:     c.level,
-		OPPIndex:  c.oppIdx,
-		LatencyS:  c.latencyS,
-		DynPowMW:  c.dynPowMW,
-		Accuracy:  c.accuracy,
-		Pass:      pass,
-	}
+	// Field by field: a composite literal is built aside and then copied.
+	out.App, out.Placement = a.Name, c.placement
+	out.Level, out.OPPIndex = c.level, c.oppIdx
+	out.LatencyS, out.DynPowMW, out.Accuracy = c.latencyS, c.dynPowMW, c.accuracy
+	out.Pass = pass
 }
 
 // park is the nothing-fits fallback every policy shares: stay at the
@@ -703,17 +703,20 @@ func (st *planState) commit(a *sim.AppInfo, c *candidate, pass int) Assignment {
 // shrinking a donor, and its retry/repair triggers pick it up from there.
 // A placement on a cluster the platform lacks (only a hand-built View can
 // carry one) is treated like an offline one; if no cluster can take the
-// app, it stays there at level 1 with no ledger entry to charge.
-func park(st *planState, a *sim.AppInfo) Assignment {
+// app, it stays there at level 1 with no ledger entry to charge. The
+// assignment is written into out.
+func park(st *planState, a *sim.AppInfo, out *Assignment) {
 	ci := st.clusterIndex(a.Placement.Cluster)
 	if ci < 0 || !st.online[ci] {
 		if alt := degradedPin(st, a); alt >= 0 {
 			c := pinCandidate(st, a, alt)
-			return st.commit(a, &c, 3)
+			st.commit(a, &c, 3, out)
+			return
 		}
 		if ci < 0 {
-			return Assignment{App: a.Name, Placement: a.Placement, Level: 1,
+			*out = Assignment{App: a.Name, Placement: a.Placement, Level: 1,
 				Accuracy: a.Profile.Level(1).Accuracy, Pass: 3}
+			return
 		}
 	}
 	cl := st.clusters[ci]
@@ -725,7 +728,7 @@ func park(st *planState, a *sim.AppInfo) Assignment {
 		latencyS:  st.latencyS(ci, cl.MinOPP(), clApplyCores(cl, a.Placement.Cores), a.Profile.Level(1).MACs),
 		accuracy:  a.Profile.Level(1).Accuracy,
 	}
-	return st.commit(a, &c, 3)
+	st.commit(a, &c, 3, out)
 }
 
 // degradedPin picks the ledger index of the least-loaded online cluster

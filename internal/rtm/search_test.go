@@ -229,28 +229,31 @@ func refHeuristicBest(v *View, st *planState, sc *planScratch, a *sim.AppInfo, r
 }
 
 // refHeuristicAssign is heuristicAssign over refHeuristicBest.
-func refHeuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+func refHeuristicAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo, out *Assignment) {
 	req := v.req(a)
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 	if a.Profile.Level(minLevel).Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
 		if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, false); ok {
-			return st.commit(a, &c, 1)
+			st.commit(a, &c, 1, out)
+			return
 		}
 	}
 	sc.levels = descendingLevels(a, sc.levels)
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, false); ok {
-		return st.commit(a, &c, 2)
+		st.commit(a, &c, 2, out)
+		return
 	}
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, &c, 3)
+		st.commit(a, &c, 3, out)
+		return
 	}
-	return park(st, a)
+	park(st, a, out)
 }
 
 // refMaxAccuracyAssign is maxAccuracyAssign trying every OPP from the top
 // down until one is feasible, whatever the others failed on.
-func refMaxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+func refMaxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo, out *Assignment) {
 	req := v.req(a)
 	sc.levels = descendingLevels(a, sc.levels)
 	var best candidate
@@ -278,23 +281,26 @@ func refMaxAccuracyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInf
 		if best.accuracy < req.MinAccuracy {
 			pass = 2
 		}
-		return st.commit(a, &best, pass)
+		st.commit(a, &best, pass, out)
+		return
 	}
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, &c, 3)
+		st.commit(a, &c, 3, out)
+		return
 	}
-	return park(st, a)
+	park(st, a, out)
 }
 
 // refMinEnergyAssign is minEnergyAssign with its best-effort pass over
 // refHeuristicBest; its race passes pin the top OPP and so prune nothing.
-func refMinEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo) Assignment {
+func refMinEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo, out *Assignment) {
 	req := v.req(a)
 	minLevel := minLevelMeeting(a, req.MinAccuracy)
 	if a.Profile.Level(minLevel).Accuracy >= req.MinAccuracy {
 		sc.levels = append(sc.levels[:0], minLevel)
 		if raceBest(v, st, sc, a, req, sc.levels) {
-			return st.commit(a, &sc.best, 1)
+			st.commit(a, &sc.best, 1, out)
+			return
 		}
 	}
 	sc.levels = sc.levels[:0]
@@ -302,13 +308,15 @@ func refMinEnergyAssign(v *View, st *planState, sc *planScratch, a *sim.AppInfo)
 		sc.levels = append(sc.levels, l)
 	}
 	if raceBest(v, st, sc, a, req, sc.levels) {
-		return st.commit(a, &sc.best, 2)
+		st.commit(a, &sc.best, 2, out)
+		return
 	}
 	sc.levels = descendingLevels(a, sc.levels)
 	if c, ok := refHeuristicBest(v, st, sc, a, req, sc.levels, true); ok {
-		return st.commit(a, &c, 3)
+		st.commit(a, &c, 3, out)
+		return
 	}
-	return park(st, a)
+	park(st, a, out)
 }
 
 // TestPrunedSearchMatchesReference holds every built-in policy's pruned

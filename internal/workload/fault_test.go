@@ -192,7 +192,7 @@ func TestBadScriptRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.want)
 		}
-		if _, _, _, err2 := new(Stack).Run(s, hw.OdroidXU3(), 0.25); err2 == nil || err2.Error() != err.Error() {
+		if _, _, _, err2 := new(Stack).Run(&s, hw.OdroidXU3(), 0.25); err2 == nil || err2.Error() != err.Error() {
 			t.Errorf("%s: Stack.Run err %v, Run err %v", tc.name, err2, err)
 		}
 	}

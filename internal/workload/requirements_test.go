@@ -53,7 +53,7 @@ func TestManagerRequirements(t *testing.T) {
 	var st Stack
 	var reps [2]sim.Report
 	for i := range reps {
-		_, _, rep, err := st.Run(s, hw.FlagshipSoC(), 0.25)
+		_, _, rep, err := st.Run(&s, hw.FlagshipSoC(), 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestRunEngineReuseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		_, gotMgr, got, err := reused.run(st.s, st.plat(), 0.25, nil, true)
+		_, gotMgr, got, err := reused.run(&st.s, st.plat(), 0.25, nil, true)
 		if err != nil {
 			t.Fatalf("scenario %d: %v", i, err)
 		}

@@ -109,7 +109,7 @@ func differ(t *testing.T, name string, polledStack, wokenStack *workload.Stack, 
 		wlogf = func(f string, a ...any) { fmt.Fprintf(&wlog, f+"\n", a...) }
 	}
 	var wrap *polled
-	pe, pm, prep, err := polledStack.RunThrough(s, plat, fleet.TickS, logf, logged, func(c *workload.ScenarioController) sim.Controller {
+	pe, pm, prep, err := polledStack.RunThrough(&s, plat, fleet.TickS, logf, logged, func(c *workload.ScenarioController) sim.Controller {
 		wrap = &polled{t: t, name: name, c: c}
 		return wrap
 	})
@@ -117,7 +117,7 @@ func differ(t *testing.T, name string, polledStack, wokenStack *workload.Stack, 
 		t.Fatalf("%s: %v", name, err)
 	}
 	p := collect(pe, pm, prep, &plog)
-	we, wm, wrep, err := wokenStack.RunThrough(s, plat, fleet.TickS, wlogf, logged,
+	we, wm, wrep, err := wokenStack.RunThrough(&s, plat, fleet.TickS, wlogf, logged,
 		func(c *workload.ScenarioController) sim.Controller { return c })
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)

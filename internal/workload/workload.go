@@ -275,7 +275,7 @@ func Fig5Scenario(prof perf.ModelProfile) Scenario {
 // log, and the manager narrates its decisions through logf (nil for
 // silence).
 func Run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any)) (*sim.Engine, *rtm.Manager, sim.Report, error) {
-	return new(Stack).run(s, plat, tickS, logf, true)
+	return new(Stack).run(&s, plat, tickS, logf, true)
 }
 
 // Stack is the machinery a scenario runs on — the engine, the runtime
@@ -300,15 +300,16 @@ type Stack struct {
 // Resets rewrite the manager's counters and the engine buffers the
 // Report's Apps and LatenciesNS alias. After an error the stack drops its
 // engine, so a half-run engine is never reused. Replan elision is always on; a
-// Planner outside rtm's sealed elision seam plans every replan fresh.
-func (st *Stack) Run(s Scenario, plat *hw.Platform, tickS float64) (*sim.Engine, *rtm.Manager, sim.Report, error) {
+// Planner outside rtm's sealed elision seam plans every replan fresh. The
+// run only reads *s and keeps no pointer to it.
+func (st *Stack) Run(s *Scenario, plat *hw.Platform, tickS float64) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	return st.run(s, plat, tickS, nil, false)
 }
 
 // run is the one run path behind Run and Stack.Run: logEvents keeps the
 // event log, logf receives the manager's decision log. Neither changes a
 // simulated outcome.
-func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), logEvents bool) (*sim.Engine, *rtm.Manager, sim.Report, error) {
+func (st *Stack) run(s *Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), logEvents bool) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	if err := checkScript(s, plat); err != nil {
 		return nil, nil, sim.Report{}, err
 	}
@@ -329,7 +330,7 @@ func (st *Stack) run(s Scenario, plat *hw.Platform, tickS float64, logf func(str
 // is not finite falls on no tick (a NaN one would sort first and, never
 // due, hold back every later step), and a fault window on a cluster plat
 // lacks would fail nothing. A nil plat is sim.Reset's error to report.
-func checkScript(s Scenario, plat *hw.Platform) error {
+func checkScript(s *Scenario, plat *hw.Platform) error {
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	for i, a := range s.Actions {
 		if !finite(a.AtS) {
@@ -350,7 +351,7 @@ func checkScript(s Scenario, plat *hw.Platform) error {
 // setup resets the stack's manager and scripted controller for s: the
 // scenario's policy and requirements, logf as the decision log, and its
 // actions and fault windows.
-func (st *Stack) setup(s Scenario, logf func(string, ...any)) error {
+func (st *Stack) setup(s *Scenario, logf func(string, ...any)) error {
 	pol := s.Planner
 	if pol == nil {
 		var err error
