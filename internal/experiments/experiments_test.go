@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/emlrtm/emlrtm/internal/hw"
 	"github.com/emlrtm/emlrtm/internal/perf"
 	"github.com/emlrtm/emlrtm/internal/sim"
 	"github.com/emlrtm/emlrtm/internal/trace"
+	"github.com/emlrtm/emlrtm/internal/workload"
 )
 
 func quickOpts() Options { return Options{Quick: true, Seed: 1} }
@@ -266,6 +268,19 @@ func TestAblationNoRTM(t *testing.T) {
 	if res.ManagedOverC == 0 || res.BaselineOverC == 0 {
 		t.Fatalf("time above throttle: managed %gs, governor %gs; both runs heat past throttle after the ambient step",
 			res.ManagedOverC, res.BaselineOverC)
+	}
+}
+
+// TestGovernorRunRefusesBadScript: the governor baseline checks its script
+// as a managed run does, before simulating. A NaN action time would sort
+// first and, never due, hold back every later action; the error names the
+// action.
+func TestGovernorRunRefusesBadScript(t *testing.T) {
+	s := workload.Fig2Scenario()
+	s.Actions = append(s.Actions, workload.Action{AtS: math.NaN(), Name: "never-due"})
+	_, err := governorRun(s, hw.FlagshipSoC(), 0.25)
+	if want := `action 2 ("never-due") at NaN s`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("governor run of a script with a NaN action time: err %v, want one containing %q", err, want)
 	}
 }
 

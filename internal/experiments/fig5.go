@@ -72,10 +72,14 @@ func Fig5(prof perf.ModelProfile, o Options) (Fig5Result, error) {
 // manager, so both controllers face the same disturbances; an action that
 // calls the manager does nothing. A scenario with fault windows is
 // refused: neither experiment's scenario has any, and the governor run
-// does not apply them.
+// does not apply them. So is a script Scenario.Check refuses, as a managed
+// run refuses it.
 func governorRun(s workload.Scenario, plat *hw.Platform, tickS float64) (*sim.Engine, error) {
 	if len(s.Faults) > 0 {
 		return nil, fmt.Errorf("governor run of %q: %d fault windows not supported", s.Name, len(s.Faults))
+	}
+	if err := s.Check(plat); err != nil {
+		return nil, fmt.Errorf("governor run of %q: %w", s.Name, err)
 	}
 	e, err := sim.New(sim.Config{
 		Platform:   plat,

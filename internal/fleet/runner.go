@@ -100,7 +100,6 @@ func RunOne(s Scenario) Result {
 type worker struct {
 	stack workload.Stack
 	plats map[string]*hw.Platform
-	ns    []int64 // a copy of one run's latencies in ns, permuted by summarise
 }
 
 // platform returns the worker's build of the named catalog platform, or
@@ -189,17 +188,19 @@ func runOne(s *Scenario, w *worker, keepLatencies bool) Result {
 		res.Missed += a.Missed
 		res.Dropped += a.Dropped
 	}
-	summarise(&res, rep.LatenciesNS, w, keepLatencies)
+	// The next run's Reset truncates the engine's latency log, and nothing
+	// else reads it, so summarise permutes it in place.
+	summarise(&res, rep.LatenciesNS, keepLatencies)
 	return res
 }
 
 // summarise fills res's latency stats from a run's latencies, whole
-// nanoseconds in completion order. The mean comes from their exact
-// integer sum and the max from a scan. The p95 is selected in the
-// worker's copy, which is sorted whole only when keepLatencies
-// publishes the runs; a sort puts the same value at the p95's rank, so
-// the stats do not depend on whether the runs are kept.
-func summarise(res *Result, lat []int64, w *worker, keepLatencies bool) {
+// nanoseconds, and leaves lat permuted. The mean comes from their exact
+// integer sum and the max from a scan. The p95 is selected in place, and
+// lat is sorted whole only when keepLatencies publishes the runs; a sort
+// puts the same value at the p95's rank, so the stats do not depend on
+// whether the runs are kept, nor on lat's order.
+func summarise(res *Result, lat []int64, keepLatencies bool) {
 	n := len(lat)
 	if n == 0 {
 		return
@@ -211,16 +212,14 @@ func summarise(res *Result, lat []int64, w *worker, keepLatencies bool) {
 	}
 	res.MeanLatencyS = float64(sum) / 1e9 / float64(n)
 	res.MaxLatencyS = float64(hi) / 1e9
-	ns := append(w.ns[:0], lat...)
-	w.ns = ns
 	k := nearestRank(n, 0.95)
 	if !keepLatencies {
-		res.P95LatencyS = float64(selectKth(ns, k, 2*bits.Len(uint(n)))) / 1e9
+		res.P95LatencyS = float64(selectKth(lat, k, 2*bits.Len(uint(n)))) / 1e9
 		return
 	}
-	slices.Sort(ns)
-	res.P95LatencyS = float64(ns[k]) / 1e9
-	res.Latencies = latencyRuns(ns)
+	slices.Sort(lat)
+	res.P95LatencyS = float64(lat[k]) / 1e9
+	res.Latencies = latencyRuns(lat)
 }
 
 // selectKth permutes xs so that xs[k] holds the value a sort would put

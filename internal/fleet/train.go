@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"github.com/emlrtm/emlrtm/internal/rng"
 	"github.com/emlrtm/emlrtm/internal/rtm"
@@ -18,13 +17,15 @@ import (
 // epsilon-greedy epochs then refine it by re-running the workloads with
 // per-state arm selection, so cells that only ever appear mid-run under
 // mixed control get their own evidence. The policy registry supplies the
-// arms. A run is a pure function of its workload and the arms its
-// recording policy picks, so a refinement run whose decisions repeat a run
-// this training already simulated is credited from that run instead of
-// simulated again (replay). What is left is engine-bound: a GOMAXPROCS=1
-// profile of a 512-workload, two-epoch Train puts about 90 % of its time
-// under the engine's event loop, controller callbacks included, and about
-// 12 % in the recording policy's plans.
+// arms, and every run plans through the selector a trained table runs as
+// (rtm.NewArmSelector), its choice made by the trainer. A run is a pure
+// function of its workload and the arms its selector picks, so a
+// refinement run whose decisions repeat a run this training already
+// simulated is credited from that run instead of simulated again
+// (replay). What is left is engine-bound: a GOMAXPROCS=1 profile of a
+// 512-workload, two-epoch Train puts about 92 % of its time under the
+// engine's event loop, controller callbacks included, and about 12 % in
+// the selector's plans, which run in place over the manager's view.
 
 // TrainConfig parametrises offline training of a learned policy table.
 // TrainConfig{Seed: 1, Workloads: 64} is a complete configuration: arms,
@@ -121,33 +122,17 @@ type trainRun struct {
 	replayed bool
 }
 
-// recordingPolicy is the in-training policy: per Plan it discretises the
-// view, asks pick for an arm, records the decision and delegates. It is
-// deliberately not registered — training injects it directly into a
-// manager, bypassing the name registry.
-type recordingPolicy struct {
-	arms   []rtm.Policy
-	pick   func(key string) int
-	visits []visit
-}
-
-func (p *recordingPolicy) Name() string { return "learned-trainer" }
-
-func (p *recordingPolicy) Plan(v rtm.View) []rtm.Assignment {
-	key := rtm.StateKey(&v)
-	arm := p.pick(key)
-	p.visits = append(p.visits, visit{key, arm})
-	return p.arms[arm].Plan(v)
-}
-
 // Train samples cfg.Workloads seeded fleet workloads and trains a learned
 // policy selection table over them: a full per-arm sweep (every workload
 // under every arm) followed by cfg.Epochs epsilon-greedy refinement
 // epochs. Same config, same table, byte for byte, at any worker count —
 // the determinism CI pins with a double-train cmp.
 //
+// The arms must keep the rule a learned table's arms keep (plain,
+// registered, distinct names), which Train checks before it simulates.
+//
 // A training run is a pure function of its workload and of the arm its
-// recording policy picks at each plan: every run gets fresh arm instances
+// selector picks at each plan: every run gets fresh arm instances
 // on a worker stack that carries nothing from one run to the next. So a
 // refinement run is first walked against the runs of its workload this
 // call has simulated (the sweep runs, then each simulated refinement run)
@@ -180,22 +165,13 @@ func Train(cfg TrainConfig) (*rtm.LearnedTable, TrainReport, error) {
 	if cfg.Epochs < 0 {
 		return nil, TrainReport{}, fmt.Errorf("fleet: epoch count %d must not be negative", cfg.Epochs)
 	}
-	// Arms validate fully up front — empty names (a trailing comma in
-	// -arms), duplicates and parameterised names would otherwise surface
-	// only when the finished table fails to serialise, discarding the
-	// whole training run.
-	seen := map[string]bool{}
-	for _, name := range cfg.Arms {
-		if name == "" || strings.Contains(name, ":") {
-			return nil, TrainReport{}, fmt.Errorf("fleet: arm %q must be a plain policy name (no parameterised arms)", name)
-		}
-		if seen[name] {
-			return nil, TrainReport{}, fmt.Errorf("fleet: arm %q listed twice", name)
-		}
-		seen[name] = true
-		if _, err := rtm.NewPolicy(name); err != nil {
-			return nil, TrainReport{}, fmt.Errorf("fleet: %w", err)
-		}
+	// The arms keep the rule a learned table's arms keep, checked here by
+	// building the selector every run plans through: an empty name (a
+	// trailing comma in -arms), a duplicate or a parameterised name would
+	// otherwise surface only when the finished table fails to serialise,
+	// discarding the whole training run.
+	if _, err := rtm.NewArmSelector(trainerName, cfg.Arms, nil); err != nil {
+		return nil, TrainReport{}, fmt.Errorf("fleet: %w", err)
 	}
 	gen, err := NewGenerator(GeneratorConfig{
 		Seed: cfg.Seed, Platforms: cfg.Platforms, Classes: cfg.Classes,
@@ -217,7 +193,7 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 	}
 
 	// Phase 1 — per-arm sweep: run (workload, arm) exhaustively. Every
-	// recorder pins one arm, so each visited state gets a clean sample of
+	// selector pins one arm, so each visited state gets a clean sample of
 	// what that arm costs end to end.
 	sweep := make([]trainRun, len(scenarios)*len(cfg.Arms))
 	if err := trainAll(cfg.Workers, sweep, func(i int, w *worker) trainRun {
@@ -360,36 +336,40 @@ func (r *trainRun) errContext() string {
 	return fmt.Sprintf("after %d plans", len(r.visits))
 }
 
-// trainOne executes one scenario under a recording policy and scores it.
-// It runs through the very same runOne path a fleet evaluation uses —
-// Scenario.Script.Planner injects the instrumented policy while every
-// other execution detail (manager wiring, tick, metric extraction) stays
-// shared — so training replays exactly the dynamics the trained table is
-// later evaluated on. Arms are instantiated fresh per run, matching the
-// one-policy-instance-per-scenario contract every other call site keeps
-// (a stateful third-party arm must never be shared across worker
-// goroutines). The worker's run state is reused exactly as in
-// Runner.Run. The recording policy is
-// outside replan elision by construction — it cannot implement the
-// sealed rtm seam — so every training run plans fresh and its visit
-// trace stays complete.
+// trainerName names the selector every training run plans through.
+const trainerName = "learned-trainer"
+
+// trainOne executes one scenario under an exploring selector and scores
+// it. The selector is the one a trained table runs as (rtm.NewArmSelector),
+// over fresh arm instances per run, matching the
+// one-policy-instance-per-scenario contract every other call site keeps (a
+// stateful third-party arm must never be shared across worker goroutines),
+// with pick as its choice: each plan asks pick for an arm and records the
+// decision. The manager never elides its replans, so the visit trace is
+// complete, and the chosen arm plans over the manager's view in place. The
+// run goes through the very same runOne path a fleet evaluation uses —
+// Scenario.Script.Planner injects the selector while every other execution
+// detail (manager wiring, tick, metric extraction) stays shared — so
+// training replays exactly the dynamics the trained table is later
+// evaluated on. The worker's run state is reused exactly as in Runner.Run.
 func trainOne(cfg TrainConfig, s *Scenario, pick func(key string) int, w *worker) trainRun {
-	rec := &recordingPolicy{arms: make([]rtm.Policy, len(cfg.Arms)), pick: pick}
-	for i, name := range cfg.Arms {
-		p, err := rtm.NewPolicy(name)
-		if err != nil {
-			return trainRun{err: err}
-		}
-		rec.arms[i] = p
+	var visits []visit
+	sel, err := rtm.NewArmSelector(trainerName, cfg.Arms, func(key string) int {
+		arm := pick(key)
+		visits = append(visits, visit{key, arm})
+		return arm
+	})
+	if err != nil {
+		return trainRun{err: err}
 	}
 	planned := *s
-	planned.Script.Planner = rec
+	planned.Script.Planner = sel
 	r := runOne(&planned, w, false)
 	if r.Err != "" {
-		return trainRun{visits: rec.visits, err: fmt.Errorf("%s", r.Err)}
+		return trainRun{visits: visits, err: fmt.Errorf("%s", r.Err)}
 	}
 	return trainRun{
-		visits: rec.visits,
+		visits: visits,
 		cost:   cfg.MissWeight*missRate(r) + cfg.EnergyWeight*(r.AvgPowerMW/1000),
 	}
 }

@@ -13,7 +13,9 @@ package rtm
 // participates only by implementing it, which keeps elision opt-in for the
 // built-ins (whose read-sets are known exactly) and automatically sealed
 // off for third-party policies: an external Policy cannot implement an
-// unexported interface, so it always plans fresh.
+// unexported interface, so it always plans fresh. A sealed policy can
+// still decline, replan by replan: the trainer's exploring selector must
+// be asked on every replan, so its dynFingerprint answers ok=false.
 
 // PlanStats summarises one manager's plan-reuse behaviour.
 type PlanStats struct {

@@ -113,11 +113,27 @@ func testPolicies(t testing.TB) map[string]func() Policy {
 		}
 		return p
 	}
+	// The selector a trainer explores through, with a choice that is a
+	// fixed function of the state key.
+	selector := func() Policy {
+		p, err := NewArmSelector("selector", []string{"heuristic", "maxaccuracy", "minenergy"}, func(key string) int {
+			sum := 0
+			for i := range len(key) {
+				sum += int(key[i])
+			}
+			return sum % 3
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	return map[string]func() Policy{
 		"heuristic":   mk("heuristic"),
 		"maxaccuracy": mk("maxaccuracy"),
 		"minenergy":   mk("minenergy"),
 		"learned":     learned,
+		"selector":    selector,
 	}
 }
 
@@ -131,7 +147,8 @@ type unsealed struct{ Policy }
 // manager layer: with replan elision on the full simulation
 // report — every event, stat and temperature — must be byte-identical to
 // planning every replan fresh, and so must LastView after every replan,
-// for every built-in policy and a trained learned policy.
+// for every built-in policy, a trained learned policy and an exploring
+// selector, whose manager must elide none of its replans.
 func TestPlanReuseEquivalence(t *testing.T) {
 	for name, mk := range testPolicies(t) {
 		t.Run(name, func(t *testing.T) {
@@ -166,7 +183,11 @@ func TestPlanReuseEquivalence(t *testing.T) {
 				t.Errorf("unsealed policy's manager reused work: %+v", offStats)
 			}
 			onStats := mgrOn.PlanStats()
-			if onStats.Elided == 0 {
+			if name == "selector" {
+				if onStats.Elided != 0 {
+					t.Errorf("exploring selector's manager elided replans: %+v", onStats)
+				}
+			} else if onStats.Elided == 0 {
 				t.Errorf("no replans elided in a 30 s steady-heavy run: %+v", onStats)
 			}
 		})
@@ -196,7 +217,7 @@ func (g *viewGuard) planInto(v *View, sc *planScratch) []Assignment {
 	return plan
 }
 
-func (g *viewGuard) dynFingerprint(v *View) uint64 { return g.sp.dynFingerprint(v) }
+func (g *viewGuard) dynFingerprint(v *View) (uint64, bool) { return g.sp.dynFingerprint(v) }
 
 // TestSealedPoliciesLeaveViewUnwritten: every built-in and a learned
 // table plan over the manager's view without writing it, on every replan
@@ -238,7 +259,7 @@ func (scribbler) planInto(v *View, sc *planScratch) []Assignment {
 	return plan
 }
 
-func (scribbler) dynFingerprint(*View) uint64 { return 0 }
+func (scribbler) dynFingerprint(*View) (uint64, bool) { return 0, true }
 
 // TestReplanElisionSavesPolicyCalls pins the mechanism (not just the
 // outcome): a counting policy must be invoked strictly fewer times with
@@ -264,7 +285,7 @@ func TestReplanElisionSavesPolicyCalls(t *testing.T) {
 // exactly like the real built-in.
 type countingHeuristic struct{ calls int }
 
-func (p *countingHeuristic) dynFingerprint(v *View) uint64 {
+func (p *countingHeuristic) dynFingerprint(v *View) (uint64, bool) {
 	return heuristicPolicy.dynFingerprint(v)
 }
 
@@ -278,6 +299,41 @@ func (p *countingHeuristic) Plan(v View) []Assignment {
 func (p *countingHeuristic) planInto(v *View, sc *planScratch) []Assignment {
 	p.calls++
 	return heuristicPolicy.planInto(v, sc)
+}
+
+// TestArmSelectorPlansEveryReplan: the selector a trainer explores
+// through is never elided, so its choice is asked exactly once per
+// Replan, even in a run the heuristic alone elides replans of. Always
+// choosing the heuristic, it plans that run as the heuristic does.
+func TestArmSelectorPlansEveryReplan(t *testing.T) {
+	calls := 0
+	sel, err := NewArmSelector("explorer", []string{"heuristic", "minenergy"}, func(string) int {
+		calls++
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, rep, _ := reuseScenario(t, sel)
+	heur, heurRep, _ := reuseScenario(t, heuristicPolicy)
+	if heur.PlanStats().Elided == 0 {
+		t.Fatalf("the heuristic elides no replan of the scenario: %+v", heur.PlanStats())
+	}
+	if s := mgr.PlanStats(); s.Elided != 0 || calls != s.Plans || s.Plans != heur.Plans() {
+		t.Errorf("selector asked %d times over %+v, the heuristic's run %d replans; want one ask per replan and none elided",
+			calls, s, heur.Plans())
+	}
+	got, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(heurRep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("a selector always choosing the heuristic ran differently from the heuristic")
+	}
 }
 
 // TestThirdPartyPolicyNeverReused: a policy outside this package's sealed

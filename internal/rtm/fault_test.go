@@ -198,18 +198,18 @@ func TestPlanKeyIncludesAvailability(t *testing.T) {
 	if !ok {
 		t.Fatal("heuristic manager has no elision key")
 	}
-	healthy := mgr.fingerprint(e, sp)
+	healthy, _ := mgr.fingerprint(e, sp)
 	if err := e.SetClusterOnline("a7", false); err != nil {
 		t.Fatal(err)
 	}
-	faulted := mgr.fingerprint(e, sp)
+	faulted, _ := mgr.fingerprint(e, sp)
 	if faulted == healthy {
 		t.Error("cluster failure did not change the elision key")
 	}
 	if err := e.SetClusterOnline("a7", true); err != nil {
 		t.Fatal(err)
 	}
-	if repaired := mgr.fingerprint(e, sp); repaired == faulted || repaired == healthy {
+	if repaired, _ := mgr.fingerprint(e, sp); repaired == faulted || repaired == healthy {
 		t.Error("cluster repair did not produce a fresh elision key")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,8 +22,9 @@ import (
 // registered base policy training found cheapest there — the adaptive
 // model-selection shape of Marco et al., with base policies as the
 // pre-built strategies. The table is trained offline (internal/fleet's
-// trainer replays seeded fleet scenarios and scores each state/arm pair on
-// a miss-rate + energy reward), serialised to JSON, and loaded at runtime
+// trainer replays seeded fleet scenarios through the same arm selector the
+// table runs as, exploring, and scores each state/arm pair on a
+// miss-rate + energy reward), serialised to JSON, and loaded at runtime
 // through the parameterised registry name "learned:<table.json>" — so a
 // trained policy threads through fleet sweeps, shard validation and the
 // fleetsim CLI exactly like a built-in.
@@ -157,28 +159,18 @@ func (t *LearnedTable) Choose(key string) string {
 	return t.Fallback
 }
 
-// Validate checks a table is internally consistent — version, arm names,
-// per-state slice alignment, finite costs — so a hand-edited or truncated
-// file fails at load with a field-level message, not at plan time with a
-// panic or a silently wrong delegation.
+// Validate checks a table is internally consistent — version, arm names
+// (checkArms), per-state slice alignment, finite costs — so a hand-edited
+// or truncated file fails at load with a field-level message, not at plan
+// time with a panic or a silently wrong delegation.
 func (t *LearnedTable) Validate() error {
 	if t.Version != LearnedTableVersion {
 		return fmt.Errorf("rtm: learned table version %d, want %d", t.Version, LearnedTableVersion)
 	}
-	if len(t.Arms) == 0 {
-		return fmt.Errorf("rtm: learned table has no arms")
+	if err := checkArms(t.Arms); err != nil {
+		return fmt.Errorf("rtm: learned table %w", err)
 	}
-	armIdx := make(map[string]bool, len(t.Arms))
-	for _, a := range t.Arms {
-		if a == "" || strings.Contains(a, ":") {
-			return fmt.Errorf("rtm: learned table arm %q must be a plain registry name", a)
-		}
-		if armIdx[a] {
-			return fmt.Errorf("rtm: learned table arm %q listed twice", a)
-		}
-		armIdx[a] = true
-	}
-	if !armIdx[t.Fallback] {
+	if !slices.Contains(t.Arms, t.Fallback) {
 		return fmt.Errorf("rtm: learned table fallback %q is not an arm (%v)", t.Fallback, t.Arms)
 	}
 	// Visit states in sorted key order: validation stops at the first bad
@@ -194,7 +186,7 @@ func (t *LearnedTable) Validate() error {
 		if st == nil {
 			return fmt.Errorf("rtm: learned table state %q is null", key)
 		}
-		if !armIdx[st.Arm] {
+		if !slices.Contains(t.Arms, st.Arm) {
 			return fmt.Errorf("rtm: learned table state %q selects unknown arm %q", key, st.Arm)
 		}
 		if len(st.Visits) != len(t.Arms) || len(st.Cost) != len(t.Arms) {
@@ -208,6 +200,27 @@ func (t *LearnedTable) Validate() error {
 			if math.IsNaN(st.Cost[i]) || math.IsInf(st.Cost[i], 0) {
 				return fmt.Errorf("rtm: learned table state %q arm %q has non-finite cost", key, t.Arms[i])
 			}
+		}
+	}
+	return nil
+}
+
+// checkArms is the one rule a selector's arms keep, in a trained table and
+// in a trainer alike: at least one arm, each a registered policy's plain
+// name (no "learned:" nesting), none listed twice. Its errors read on from
+// the caller's subject ("rtm: learned table " + "has no arms").
+func checkArms(arms []string) error {
+	if len(arms) == 0 {
+		return errors.New("has no arms")
+	}
+	for i, a := range arms {
+		switch {
+		case a == "" || strings.Contains(a, ":"):
+			return fmt.Errorf("arm %q must be a plain registry name", a)
+		case slices.Contains(arms[:i], a):
+			return fmt.Errorf("arm %q listed twice", a)
+		case factoryOf(a) == nil:
+			return fmt.Errorf("arm %q is not a registered policy (registered: %v)", a, Policies())
 		}
 	}
 	return nil
@@ -393,19 +406,25 @@ func dnnCount(v *View) int {
 	return n
 }
 
-// ---- The runtime policy ----
+// ---- The arm selector ----
 
-// learnedPolicy delegates each Plan, whole, to the base policy its table
-// selects for the current discretised state. Delegating the entire plan —
-// rather than learning knob settings directly — keeps every plan the
-// learned policy emits inside the feasibility envelope the base policies
-// already guarantee (ledger bookkeeping, thermal budget, memory), so the
-// learner can only ever choose *among* safe strategies, never invent an
-// unsafe one.
-type learnedPolicy struct {
-	name  string
-	table *LearnedTable
-	arms  map[string]Policy
+// armSelector delegates each Plan, whole, to one of its arms: the one
+// choose picks for the view's StateKey. Delegating the entire plan —
+// rather than learning knob settings directly — keeps every plan it emits
+// inside the feasibility envelope the base policies already guarantee
+// (ledger bookkeeping, thermal budget, memory), so the learner can only
+// ever choose *among* safe strategies, never invent an unsafe one.
+//
+// A trained table runs as the selector whose choose reads the table; the
+// trainer explores through one whose choose explores and records each
+// pick. elide says whether the manager may elide the selector's replans:
+// a table's pick is a function of the state key, whose moving parts
+// dynFingerprint covers, while a trainer's must be asked on every replan.
+type armSelector struct {
+	name   string
+	arms   []Policy // fresh instances, index-aligned with the arm names
+	choose func(key string) int
+	elide  bool
 }
 
 // learnedTableCache memoises successfully loaded table files by path
@@ -436,7 +455,7 @@ func LoadLearnedPolicy(path string) (Policy, error) {
 	}
 	// Cached tables were validated at load; skip the O(states×arms)
 	// re-validation a per-scenario resolution would otherwise repeat.
-	return newLearnedPolicy(LearnedParamPrefix+":"+path, t.(*LearnedTable))
+	return newLearnedPolicy(LearnedParamPrefix+":"+path, t.(*LearnedTable)), nil
 }
 
 // NewLearnedPolicy validates an in-memory table and wraps it as a Policy
@@ -446,35 +465,50 @@ func NewLearnedPolicy(name string, t *LearnedTable) (Policy, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return newLearnedPolicy(name, t)
+	return newLearnedPolicy(name, t), nil
 }
 
-// newLearnedPolicy wraps an already-validated table. Arms are instantiated
-// fresh per policy — never cached or shared — because third-party arms may
-// carry per-instance state, and policy instances elsewhere in the system
-// are one-per-scenario-run.
-func newLearnedPolicy(name string, t *LearnedTable) (Policy, error) {
-	arms := make(map[string]Policy, len(t.Arms))
-	for _, a := range t.Arms {
-		p, err := NewPolicy(a)
-		if err != nil {
-			return nil, fmt.Errorf("rtm: learned table arm: %w", err)
-		}
-		arms[a] = p
+// newLearnedPolicy wraps an already-validated table as the selector whose
+// choose reads it, elided as dynFingerprint allows.
+func newLearnedPolicy(name string, t *LearnedTable) Policy {
+	return newArmSelector(name, t.Arms, func(key string) int { return slices.Index(t.Arms, t.Choose(key)) }, true)
+}
+
+// NewArmSelector builds a policy named name that plans each replan with
+// the arm choose picks, by index into arms, for the view's StateKey. The
+// arms keep the rule a learned table's arms keep (see Validate). The
+// manager never elides the selector's replans, so choose is asked exactly
+// once per Replan, and may draw from an exploration stream and record
+// what it picked, as the fleet trainer's does.
+func NewArmSelector(name string, arms []string, choose func(key string) int) (Policy, error) {
+	if err := checkArms(arms); err != nil {
+		return nil, fmt.Errorf("rtm: arm selector %w", err)
 	}
-	return &learnedPolicy{name: name, table: t, arms: arms}, nil
+	return newArmSelector(name, arms, choose, false), nil
 }
 
-// Name implements Policy: the full parameterised registry key.
-func (p *learnedPolicy) Name() string { return p.name }
+// newArmSelector builds a selector over checked arm names. Arms are
+// instantiated fresh per selector — never cached or shared — because
+// third-party arms may carry per-instance state, and policy instances
+// elsewhere in the system are one-per-scenario-run.
+func newArmSelector(name string, arms []string, choose func(key string) int, elide bool) *armSelector {
+	p := &armSelector{name: name, arms: make([]Policy, len(arms)), choose: choose, elide: elide}
+	for i, a := range arms {
+		p.arms[i] = factoryOf(a)()
+	}
+	return p
+}
+
+// Name implements Policy.
+func (p *armSelector) Name() string { return p.name }
 
 // armFor resolves the base policy for a view's state.
-func (p *learnedPolicy) armFor(v *View) Policy {
-	return p.arms[p.table.Choose(StateKey(v))]
+func (p *armSelector) armFor(v *View) Policy {
+	return p.arms[p.choose(StateKey(v))]
 }
 
 // Plan implements Policy.
-func (p *learnedPolicy) Plan(v View) []Assignment {
+func (p *armSelector) Plan(v View) []Assignment {
 	return p.armFor(&v).Plan(v)
 }
 
@@ -482,7 +516,7 @@ func (p *learnedPolicy) Plan(v View) []Assignment {
 // delegate's allocation-free path carries straight through (modulo the
 // state-key string itself). An arm from outside the package plans over
 // a clone, as the manager would hand it one.
-func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
+func (p *armSelector) planInto(v *View, sc *planScratch) []Assignment {
 	arm := p.armFor(v)
 	if sp := sealedOf(arm); sp != nil {
 		return sp.planInto(v, sc)
@@ -490,14 +524,17 @@ func (p *learnedPolicy) planInto(v *View, sc *planScratch) []Assignment {
 	return sc.planOutside(arm, v)
 }
 
-// dynFingerprint implements sealedPolicy. Unlike a built-in's, the
-// learned policy's plan depends on more than the epoch-tracked View: the
-// thermal and slack buckets of its state read continuously-moving
-// observables (die temperature, per-app average latency). The key is
-// those two buckets, computed by the functions StateKey uses, so the two
-// cannot drift apart. The other StateKey inputs (power bucket, DNN count)
-// are fully determined by epoch-tracked state plus the manager fields
-// already in the fingerprint.
-func (p *learnedPolicy) dynFingerprint(v *View) uint64 {
-	return uint64(thermalBucket(v))<<8 | uint64(slackBucket(v))
+// dynFingerprint implements sealedPolicy. Unlike a built-in's, a trained
+// table's plan depends on more than the epoch-tracked View: the thermal
+// and slack buckets of its state read continuously-moving observables
+// (die temperature, per-app average latency). The key is those two
+// buckets, computed by the functions StateKey uses, so the two cannot
+// drift apart. The other StateKey inputs (power bucket, DNN count) are
+// fully determined by epoch-tracked state plus the manager fields already
+// in the fingerprint. A selector built without elision answers ok=false.
+func (p *armSelector) dynFingerprint(v *View) (uint64, bool) {
+	if !p.elide {
+		return 0, false
+	}
+	return uint64(thermalBucket(v))<<8 | uint64(slackBucket(v)), true
 }

@@ -106,6 +106,7 @@ func TestLearnedTableValidate(t *testing.T) {
 		{"no arms", func(tb *LearnedTable) { tb.Arms = nil }, "no arms"},
 		{"nested learned arm", func(tb *LearnedTable) { tb.Arms[0] = "learned:x.json" }, "plain registry name"},
 		{"duplicate arm", func(tb *LearnedTable) { tb.Arms[1] = tb.Arms[0] }, "listed twice"},
+		{"unregistered arm", func(tb *LearnedTable) { tb.Arms[2] = "nope" }, `arm "nope" is not a registered policy`},
 		{"unknown fallback", func(tb *LearnedTable) { tb.Fallback = "nope" }, "fallback"},
 		{"unknown state arm", func(tb *LearnedTable) { tb.States["h1p1s1a1"].Arm = "nope" }, "unknown arm"},
 		{"misaligned visits", func(tb *LearnedTable) { tb.States["h1p1s1a1"].Visits = []int{1} }, "one per arm"},
@@ -316,7 +317,7 @@ func TestLearnedPolicyDelegates(t *testing.T) {
 	}
 
 	// The scratch path must agree with the public path.
-	sp, ok := Policy(pol).(*learnedPolicy)
+	sp, ok := Policy(pol).(*armSelector)
 	if !ok {
 		t.Fatal("learned policy lost its concrete type")
 	}

@@ -426,15 +426,16 @@ func (m *Manager) buildView(e *sim.Engine) *View {
 }
 
 // fingerprint builds the elision key for sp, the manager's policy, over
-// the view in lastView.
-func (m *Manager) fingerprint(e *sim.Engine, sp sealedPolicy) planFingerprint {
+// the view in lastView; ok is false when sp must plan every replan.
+func (m *Manager) fingerprint(e *sim.Engine, sp sealedPolicy) (fp planFingerprint, ok bool) {
+	dyn, ok := sp.dynFingerprint(&m.lastView)
 	return planFingerprint{
 		epoch:     e.PlanEpoch(),
 		reqsVer:   m.reqsVer,
 		policyVer: m.policyVer,
 		pressure:  m.pressure,
-		dyn:       sp.dynFingerprint(&m.lastView),
-	}
+		dyn:       dyn,
+	}, ok
 }
 
 // Replan recomputes and actuates assignments for every running DNN app:
@@ -470,12 +471,14 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// leaves it as the latest view. The next replan rewrites it in place,
 	// so LastView clones on read.
 	v := m.buildView(e)
-	// Only a sealed policy is elided; the others plan every replan fresh.
+	// Only a sealed policy that opts in is elided; the others plan every
+	// replan fresh.
 	sp := m.sealed
 	var fp planFingerprint
+	elidable := false
 	if sp != nil {
-		fp = m.fingerprint(e, sp)
-		if m.lastFPOK && fp == m.lastFP {
+		fp, elidable = m.fingerprint(e, sp)
+		if elidable && m.lastFPOK && fp == m.lastFP {
 			m.elided++
 			return
 		}
@@ -515,7 +518,7 @@ func (m *Manager) Replan(e *sim.Engine) {
 	// Arm elision for the next replan. fp was sampled before actuation;
 	// if actuation moved a knob, PlanEpoch has moved past fp.epoch and no
 	// later fingerprint equals fp, so only a fixed point is ever elided.
-	m.lastFP, m.lastFPOK = fp, sp != nil
+	m.lastFP, m.lastFPOK = fp, elidable
 }
 
 // applyDegradedFallback is the manager-level guarantee that a plan leaves

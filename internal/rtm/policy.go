@@ -158,10 +158,7 @@ func NewPolicy(name string) (Policy, error) {
 	if name == "" {
 		name = DefaultPolicy
 	}
-	policyMu.RLock()
-	factory := policyFactories[name]
-	policyMu.RUnlock()
-	if factory != nil {
+	if factory := factoryOf(name); factory != nil {
 		return factory(), nil
 	}
 	if path, ok := strings.CutPrefix(name, LearnedParamPrefix+":"); ok {
@@ -173,6 +170,13 @@ func NewPolicy(name string) (Policy, error) {
 	}
 	return nil, fmt.Errorf("rtm: unknown policy %q (registered: %v; parameterised: [%s:<arg>])",
 		name, Policies(), LearnedParamPrefix)
+}
+
+// factoryOf returns the factory registered under name, or nil.
+func factoryOf(name string) func() Policy {
+	policyMu.RLock()
+	defer policyMu.RUnlock()
+	return policyFactories[name]
 }
 
 // builtinPolicy is a greedy built-in policy: its assign step run over the
@@ -213,7 +217,7 @@ func (p *builtinPolicy) planInto(v *View, sc *planScratch) []Assignment {
 // availability, per-app identity/placement/level/profile), all covered by
 // the plan epoch and the manager's versions, so its dynamic part is empty
 // and its replans elide.
-func (*builtinPolicy) dynFingerprint(*View) uint64 { return 0 }
+func (*builtinPolicy) dynFingerprint(*View) (uint64, bool) { return 0, true }
 
 // ---- Shared planning machinery ----
 //
@@ -424,7 +428,7 @@ type planScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 
 // sealedPolicy is the package-internal seam the Manager prefers, which
-// every built-in and the learned policy implement; external policies fall
+// every built-in and the arm selector implement; external policies fall
 // back to the public Plan contract, over a clone, and are never elided.
 //
 // planInto plans into caller-owned scratch buffers, returning a slice
@@ -436,12 +440,14 @@ var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 // the view the replan built before it decides whether to plan: a policy
 // whose plan depends only on the engine's PlanEpoch-tracked state plus
 // the manager's thermal stance returns a constant; a policy that
-// additionally reads continuously-moving observables (the learned
-// policy's thermal and slack buckets) returns them, computed by the same
-// functions its Plan uses.
+// additionally reads continuously-moving observables (a trained table's
+// thermal and slack buckets) returns them, computed by the same
+// functions its Plan uses. ok=false says the policy must plan every
+// replan (a trainer's exploring selector, which records each choice):
+// the manager then never elides it.
 type sealedPolicy interface {
 	planInto(v *View, sc *planScratch) []Assignment
-	dynFingerprint(v *View) uint64
+	dynFingerprint(v *View) (key uint64, ok bool)
 }
 
 // sealedOf returns p's sealed seam, or nil when it has none. The
@@ -455,7 +461,7 @@ func sealedOf(p Policy) sealedPolicy {
 	switch p := p.(type) {
 	case *builtinPolicy:
 		return p
-	case *learnedPolicy:
+	case *armSelector:
 		return p
 	}
 	sp, _ := p.(sealedPolicy)

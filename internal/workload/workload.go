@@ -57,8 +57,9 @@ type Scenario struct {
 	// Planner, when non-nil, is the policy *instance* the manager runs,
 	// taking precedence over Policy. It exists for callers whose policies
 	// carry per-run state the name registry cannot construct — the fleet
-	// trainer's recording/exploring policies — while keeping every other
-	// execution detail identical to a named run.
+	// trainer's exploring rtm.NewArmSelector, or bench's learned policy
+	// over an in-memory table — while keeping every other execution
+	// detail identical to a named run.
 	Planner rtm.Policy
 }
 
@@ -86,6 +87,8 @@ type scriptStep struct {
 }
 
 // NewScenarioController sorts the actions by time and wires the manager.
+// It does not check the action times: call Scenario.Check first, or a NaN
+// time sorts first and, never due, holds back every later action.
 func NewScenarioController(m *rtm.Manager, actions []Action) *ScenarioController {
 	c := &ScenarioController{}
 	c.reset(m, actions, nil)
@@ -298,10 +301,13 @@ type Stack struct {
 // keeps only scratch buffers. The returned engine and manager belong to
 // the stack: consume them, and the Report, before its next run, whose
 // Resets rewrite the manager's counters and the engine buffers the
-// Report's Apps and LatenciesNS alias. After an error the stack drops its
-// engine, so a half-run engine is never reused. Replan elision is always on; a
-// Planner outside rtm's sealed elision seam plans every replan fresh. The
-// run only reads *s and keeps no pointer to it.
+// Report's Apps and LatenciesNS alias. The caller may permute LatenciesNS
+// in place, as the fleet's latency summary does: the stack reads it no
+// more, and the next Reset truncates it. After an error the stack drops
+// its engine, so a half-run engine is never reused. Replan elision is
+// always on; a Planner outside rtm's sealed elision seam, or one that
+// declines it (rtm.NewArmSelector's), plans every replan fresh. The run
+// only reads *s and keeps no pointer to it.
 func (st *Stack) Run(s *Scenario, plat *hw.Platform, tickS float64) (*sim.Engine, *rtm.Manager, sim.Report, error) {
 	return st.run(s, plat, tickS, nil, false)
 }
@@ -310,7 +316,7 @@ func (st *Stack) Run(s *Scenario, plat *hw.Platform, tickS float64) (*sim.Engine
 // event log, logf receives the manager's decision log. Neither changes a
 // simulated outcome.
 func (st *Stack) run(s *Scenario, plat *hw.Platform, tickS float64, logf func(string, ...any), logEvents bool) (*sim.Engine, *rtm.Manager, sim.Report, error) {
-	if err := checkScript(s, plat); err != nil {
+	if err := s.Check(plat); err != nil {
 		return nil, nil, sim.Report{}, err
 	}
 	if err := st.setup(s, logf); err != nil {
@@ -325,12 +331,14 @@ func (st *Stack) run(s *Scenario, plat *hw.Platform, tickS float64, logf func(st
 	}, s.EndS)
 }
 
-// checkScript refuses a script whose steps could not apply as written, as
-// sim.Reset refuses an app time that is not finite: a step at a time that
-// is not finite falls on no tick (a NaN one would sort first and, never
-// due, hold back every later step), and a fault window on a cluster plat
-// lacks would fail nothing. A nil plat is sim.Reset's error to report.
-func checkScript(s *Scenario, plat *hw.Platform) error {
+// Check refuses a script whose steps could not apply as written on plat,
+// as sim.Reset refuses an app time that is not finite: a step at a time
+// that is not finite falls on no tick (a NaN one would sort first and,
+// never due, hold back every later step), and a fault window on a cluster
+// plat lacks would fail nothing. A nil plat is sim.Reset's error to
+// report. Run and Stack.Run check every script; a caller driving
+// NewScenarioController itself calls Check first.
+func (s *Scenario) Check(plat *hw.Platform) error {
 	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 	for i, a := range s.Actions {
 		if !finite(a.AtS) {
