@@ -106,9 +106,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -593,18 +593,13 @@ func printTables(w io.Writer, rep fleet.Report) error {
 			s.Plans, s.Migrations, s.OPPSwitches)
 	}
 	addRow("overall", rep.Overall)
-	for _, name := range sortedKeys(rep.ByPlatform) {
+	for _, name := range slices.Sorted(maps.Keys(rep.ByPlatform)) {
 		addRow("platform:"+name, rep.ByPlatform[name])
 	}
-	classes := make([]string, 0, len(rep.ByClass))
-	for c := range rep.ByClass {
-		classes = append(classes, string(c))
+	for _, c := range slices.Sorted(maps.Keys(rep.ByClass)) {
+		addRow("class:"+string(c), rep.ByClass[c])
 	}
-	sort.Strings(classes)
-	for _, c := range classes {
-		addRow("class:"+c, rep.ByClass[fleet.Class(c)])
-	}
-	for _, name := range sortedKeys(rep.ByPolicy) {
+	for _, name := range slices.Sorted(maps.Keys(rep.ByPolicy)) {
 		addRow("policy:"+name, rep.ByPolicy[name])
 	}
 	if _, err := t.WriteTo(w); err != nil {
@@ -627,10 +622,10 @@ func printTables(w io.Writer, rep fleet.Report) error {
 				100*s.DegradedMissRate, 100*s.HealthyMissRate)
 		}
 		addFaultRow("overall", rep.Overall)
-		for _, c := range classes {
-			addFaultRow("class:"+c, rep.ByClass[fleet.Class(c)])
+		for _, c := range slices.Sorted(maps.Keys(rep.ByClass)) {
+			addFaultRow("class:"+string(c), rep.ByClass[c])
 		}
-		for _, name := range sortedKeys(rep.ByPolicy) {
+		for _, name := range slices.Sorted(maps.Keys(rep.ByPolicy)) {
 			addFaultRow("policy:"+name, rep.ByPolicy[name])
 		}
 		fmt.Fprintln(w)
@@ -648,7 +643,7 @@ func printTables(w io.Writer, rep fleet.Report) error {
 		"policy regret (oracle = best policy per workload)",
 		"policy", "workloads", "oracleWins", "missRegret(pp)", "energyRegret(J)")
 	fmt.Fprintln(w)
-	for _, name := range sortedKeys(rep.Regret) {
+	for _, name := range slices.Sorted(maps.Keys(rep.Regret)) {
 		r := rep.Regret[name]
 		rt.AddRow(name, r.Workloads, r.OracleWins,
 			100*r.MissRateRegret, r.EnergyRegretMJ/1000)
@@ -670,7 +665,7 @@ func printTrainSummary(w io.Writer, table *rtm.LearnedTable, rep fleet.TrainRepo
 		fmt.Sprintf("training summary (seed %d: %d workloads, %d runs, %d replayed, %d states)",
 			table.Seed, rep.Workloads, rep.Runs, rep.Replayed, rep.States),
 		"arm", "sweepRuns", "sweepMeanCost", "statesWon")
-	for _, name := range sortedKeys(rep.Sweep) {
+	for _, name := range slices.Sorted(maps.Keys(rep.Sweep)) {
 		s := rep.Sweep[name]
 		t.AddRow(name, s.Runs, s.MeanCost, chosen[name])
 	}
@@ -679,13 +674,4 @@ func printTrainSummary(w io.Writer, table *rtm.LearnedTable, rep fleet.TrainRepo
 	}
 	_, err := fmt.Fprintf(w, "fallback for unseen states: %s\n", table.Fallback)
 	return err
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -216,18 +216,19 @@ func TestUnknownHeaderKeyRefused(t *testing.T) {
 }
 
 // TestTrainWorkerInvariant: fleetsim train writes the same table bytes at
-// any worker count, and prints its summary to stderr.
+// any worker count, and prints its summary to stderr. Two refinement
+// epochs make some runs replay a run the training already simulated.
 func TestTrainWorkerInvariant(t *testing.T) {
 	dir := t.TempDir()
 	var tables [2][]byte
 	for i, workers := range []string{"1", "2"} {
 		path := filepath.Join(dir, "table"+workers+".json")
 		var stdout, stderr bytes.Buffer
-		args := []string{"train", "-seed", "7", "-workloads", "8", "-epochs", "1", "-workers", workers, "-out", path}
+		args := []string{"train", "-seed", "7", "-workloads", "8", "-epochs", "2", "-workers", workers, "-out", path}
 		if err := run(args, &stdout, &stderr); err != nil {
 			t.Fatalf("%v\nstderr:\n%s", err, stderr.Bytes())
 		}
-		for _, want := range []string{"fleetsim train: wrote " + path, "training summary (seed 7: 8 workloads", "fallback for unseen states: "} {
+		for _, want := range []string{"fleetsim train: wrote " + path, "training summary (seed 7: 8 workloads, 40 runs, 9 replayed", "fallback for unseen states: "} {
 			if !strings.Contains(stderr.String(), want) {
 				t.Errorf("-workers %s: stderr lacks %q:\n%s", workers, want, stderr.Bytes())
 			}
@@ -241,8 +242,38 @@ func TestTrainWorkerInvariant(t *testing.T) {
 	if !bytes.Equal(tables[0], tables[1]) {
 		t.Fatal("table trained at -workers 1 differs from -workers 2")
 	}
-	if stdout := fleetsim(t, "train", "-seed", "7", "-workloads", "8", "-epochs", "1", "-out", "-"); !bytes.Equal(stdout, tables[0]) {
+	if stdout := fleetsim(t, "train", "-seed", "7", "-workloads", "8", "-epochs", "2", "-out", "-"); !bytes.Equal(stdout, tables[0]) {
 		t.Fatal("train -out - printed other bytes than the table file")
+	}
+}
+
+// TestLearnedSweepWorkerInvariant: a sweep of the built-ins and a freshly
+// trained table prints the same -results bytes at -workers 1 and 4, with
+// a regret row per policy, and its table has a row per policy.
+func TestLearnedSweepWorkerInvariant(t *testing.T) {
+	table := filepath.Join(t.TempDir(), "table.json")
+	fleetsim(t, "train", "-seed", "7", "-workloads", "8", "-epochs", "2", "-out", table)
+	learned := "learned:" + table
+	sweep := []string{"-scenarios", "8", "-seed", "7", "-policies", "heuristic,maxaccuracy,minenergy," + learned, "-results"}
+	one := fleetsim(t, append(sweep, "-workers", "1")...)
+	if four := fleetsim(t, append(sweep, "-workers", "4")...); !bytes.Equal(one, four) {
+		t.Fatal("learned sweep at -workers 1 differs from -workers 4")
+	}
+	var rep struct {
+		fleet.Report
+		Results []fleet.Result
+	}
+	if err := json.Unmarshal(one, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Regret) != 4 || len(rep.Results) != 32 {
+		t.Errorf("learned sweep has %d regret rows and %d results, want 4 and 32", len(rep.Regret), len(rep.Results))
+	}
+	rows := fleetsim(t, "-scenarios", "8", "-seed", "7", "-policies", "heuristic,minenergy,"+learned, "-format", "table")
+	for _, row := range []string{"policy:heuristic", "policy:minenergy", "policy:" + learned, "policy regret"} {
+		if !bytes.Contains(rows, []byte(row)) {
+			t.Errorf("learned sweep table lacks %q:\n%s", row, rows)
+		}
 	}
 }
 

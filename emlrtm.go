@@ -213,6 +213,9 @@ type (
 	LearnedTable = rtm.LearnedTable
 	// LearnedState is one discretised state's per-arm training record.
 	LearnedState = rtm.LearnedState
+	// State is a discretised planning state, the key of
+	// LearnedTable.States; a table file spells it "h1p2s0a3".
+	State = rtm.State
 	// PolicyTrainConfig parametrises offline training of a LearnedTable
 	// over a seeded fleet.
 	PolicyTrainConfig = fleet.TrainConfig

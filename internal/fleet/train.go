@@ -108,8 +108,8 @@ func (cfg TrainConfig) applied() TrainConfig {
 
 // visit is one recorded Plan-time decision: which arm ran in which state.
 type visit struct {
-	key string
-	arm int
+	state rtm.State
+	arm   int
 }
 
 // trainRun is one scenario execution's outcome: the decision trace and the
@@ -198,7 +198,7 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 	sweep := make([]trainRun, len(scenarios)*len(cfg.Arms))
 	if err := trainAll(cfg.Workers, sweep, func(i int, w *worker) trainRun {
 		wl, arm := i/len(cfg.Arms), i%len(cfg.Arms)
-		return trainOne(cfg, &scenarios[wl], func(string) int { return arm }, w)
+		return trainOne(cfg, &scenarios[wl], func(rtm.State) int { return arm }, w)
 	}); err != nil {
 		return nil, TrainReport{}, err
 	}
@@ -206,7 +206,7 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 	for i, r := range sweep {
 		arm := i % len(cfg.Arms)
 		for _, vi := range r.visits {
-			table.Observe(vi.key, vi.arm, r.cost)
+			table.Observe(vi.state, vi.arm, r.cost)
 		}
 		s := rep.Sweep[cfg.Arms[arm]]
 		s.Runs++
@@ -232,8 +232,8 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 		if err := trainAll(cfg.Workers, runs, func(wl int, w *worker) trainRun {
 			seed := rng.Next(rng.Next(cfg.Seed+uint64(epoch)) + uint64(wl))
 			rnd := rng.New(seed)
-			pick := func(key string) int {
-				if arm := greedyArm(table, key); arm >= 0 && rnd.Float64() >= cfg.Epsilon {
+			pick := func(s rtm.State) int {
+				if arm := table.Greedy(s); arm >= 0 && rnd.Float64() >= cfg.Epsilon {
 					return arm
 				}
 				return rnd.Intn(len(cfg.Arms))
@@ -249,7 +249,7 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 		rep.Runs += len(runs)
 		for wl, r := range runs {
 			for _, vi := range r.visits {
-				table.Observe(vi.key, vi.arm, r.cost)
+				table.Observe(vi.state, vi.arm, r.cost)
 			}
 			if r.replayed {
 				rep.Replayed++
@@ -274,7 +274,7 @@ func train(cfg TrainConfig, scenarios []Scenario) (*rtm.LearnedTable, TrainRepor
 // picked the same arm stay. A survivor with no further plan is the run
 // itself, returned marked replayed; once no recorded run survives, replay
 // returns the zero trainRun.
-func replay(recs []trainRun, pick func(key string) int) trainRun {
+func replay(recs []trainRun, pick func(rtm.State) int) trainRun {
 	live := make([]int, len(recs))
 	for j := range live {
 		live[j] = j
@@ -286,7 +286,7 @@ func replay(recs []trainRun, pick func(key string) int) trainRun {
 			r.replayed = true
 			return r
 		}
-		arm := pick(first.visits[i].key)
+		arm := pick(first.visits[i].state)
 		n := 0
 		for _, j := range live {
 			if v := recs[j].visits; len(v) > i && v[i].arm == arm {
@@ -297,22 +297,6 @@ func replay(recs []trainRun, pick func(key string) int) trainRun {
 		live = live[:n]
 	}
 	return trainRun{}
-}
-
-// greedyArm returns the index of the cheapest visited arm for a state, or
-// -1 when the state is unknown or unvisited (the caller explores).
-func greedyArm(t *rtm.LearnedTable, key string) int {
-	st := t.States[key]
-	if st == nil {
-		return -1
-	}
-	best := -1
-	for i, n := range st.Visits {
-		if n > 0 && (best < 0 || st.Cost[i] < st.Cost[best]) {
-			best = i
-		}
-	}
-	return best
 }
 
 // trainAll fills runs[i] with run(i, w) on a pool of workers, then
@@ -352,11 +336,11 @@ const trainerName = "learned-trainer"
 // detail (manager wiring, tick, metric extraction) stays shared — so
 // training replays exactly the dynamics the trained table is later
 // evaluated on. The worker's run state is reused exactly as in Runner.Run.
-func trainOne(cfg TrainConfig, s *Scenario, pick func(key string) int, w *worker) trainRun {
+func trainOne(cfg TrainConfig, s *Scenario, pick func(rtm.State) int, w *worker) trainRun {
 	var visits []visit
-	sel, err := rtm.NewArmSelector(trainerName, cfg.Arms, func(key string) int {
-		arm := pick(key)
-		visits = append(visits, visit{key, arm})
+	sel, err := rtm.NewArmSelector(trainerName, cfg.Arms, func(st rtm.State) int {
+		arm := pick(st)
+		visits = append(visits, visit{st, arm})
 		return arm
 	})
 	if err != nil {

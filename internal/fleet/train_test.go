@@ -32,7 +32,7 @@ func refTrain(t *testing.T, cfg TrainConfig) ([]byte, TrainReport) {
 		Sweep:     map[string]ArmTrainStats{},
 	}
 	w := &worker{}
-	run := func(wl int, pick func(string) int) trainRun {
+	run := func(wl int, pick func(rtm.State) int) trainRun {
 		r := trainOne(cfg, &scenarios[wl], pick, w)
 		if r.err != nil {
 			t.Fatalf("workload %d: %v", wl, r.err)
@@ -42,13 +42,13 @@ func refTrain(t *testing.T, cfg TrainConfig) ([]byte, TrainReport) {
 	}
 	observe := func(r trainRun) {
 		for _, vi := range r.visits {
-			table.Observe(vi.key, vi.arm, r.cost)
+			table.Observe(vi.state, vi.arm, r.cost)
 		}
 	}
 	hist := make([][]trainRun, len(scenarios))
 	for i := range len(scenarios) * len(cfg.Arms) {
 		wl, arm := i/len(cfg.Arms), i%len(cfg.Arms)
-		r := run(wl, func(string) int { return arm })
+		r := run(wl, func(rtm.State) int { return arm })
 		observe(r)
 		s := rep.Sweep[cfg.Arms[arm]]
 		s.Runs++
@@ -60,8 +60,8 @@ func refTrain(t *testing.T, cfg TrainConfig) ([]byte, TrainReport) {
 		runs := make([]trainRun, len(scenarios))
 		for wl := range scenarios {
 			rnd := rng.New(rng.Next(rng.Next(cfg.Seed+uint64(epoch)) + uint64(wl)))
-			runs[wl] = run(wl, func(key string) int {
-				if arm := greedyArm(table, key); arm >= 0 && rnd.Float64() >= cfg.Epsilon {
+			runs[wl] = run(wl, func(s rtm.State) int {
+				if arm := table.Greedy(s); arm >= 0 && rnd.Float64() >= cfg.Epsilon {
 					return arm
 				}
 				return rnd.Intn(len(cfg.Arms))

@@ -103,9 +103,9 @@ func testPolicies(t testing.TB) map[string]func() Policy {
 	}
 	learned := func() Policy {
 		table := NewLearnedTable([]string{"heuristic", "minenergy"})
-		table.Observe("h2p1s3a1", 0, 0.1)
-		table.Observe("h2p1s3a2", 1, 0.2)
-		table.Observe("h1p1s3a2", 1, 0.1)
+		table.Observe(stateOf("h2p1s3a1"), 0, 0.1)
+		table.Observe(stateOf("h2p1s3a2"), 1, 0.2)
+		table.Observe(stateOf("h1p1s3a2"), 1, 0.1)
 		table.Finalise()
 		p, err := NewLearnedPolicy("learned:test", table)
 		if err != nil {
@@ -114,14 +114,10 @@ func testPolicies(t testing.TB) map[string]func() Policy {
 		return p
 	}
 	// The selector a trainer explores through, with a choice that is a
-	// fixed function of the state key.
+	// fixed function of the state.
 	selector := func() Policy {
-		p, err := NewArmSelector("selector", []string{"heuristic", "maxaccuracy", "minenergy"}, func(key string) int {
-			sum := 0
-			for i := range len(key) {
-				sum += int(key[i])
-			}
-			return sum % 3
+		p, err := NewArmSelector("selector", []string{"heuristic", "maxaccuracy", "minenergy"}, func(s State) int {
+			return int(s % 3)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +303,7 @@ func (p *countingHeuristic) planInto(v *View, sc *planScratch) []Assignment {
 // choosing the heuristic, it plans that run as the heuristic does.
 func TestArmSelectorPlansEveryReplan(t *testing.T) {
 	calls := 0
-	sel, err := NewArmSelector("explorer", []string{"heuristic", "minenergy"}, func(string) int {
+	sel, err := NewArmSelector("explorer", []string{"heuristic", "minenergy"}, func(State) int {
 		calls++
 		return 0
 	})

@@ -5,11 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -71,8 +70,9 @@ type LearnedTable struct {
 	// file documents its own objective.
 	MissWeight   float64 `json:"missWeight"`
 	EnergyWeight float64 `json:"energyWeight"`
-	// States maps StateKey strings to training records.
-	States map[string]*LearnedState `json:"states"`
+	// States maps each state training visited to its record. In the file a
+	// state is spelt as State.String spells it.
+	States map[State]*LearnedState `json:"states"`
 }
 
 // NewLearnedTable builds an empty table over the given arms.
@@ -80,44 +80,40 @@ func NewLearnedTable(arms []string) *LearnedTable {
 	return &LearnedTable{
 		Version: LearnedTableVersion,
 		Arms:    append([]string(nil), arms...),
-		States:  map[string]*LearnedState{},
+		States:  map[State]*LearnedState{},
 	}
 }
 
 // Observe folds one training observation — cost of running arm (index into
-// Arms) through a scenario that visited state key — into the running
+// Arms) through a scenario that visited state s — into the running
 // per-state mean. Call order determines nothing but float accumulation
 // order, so trainers must apply observations in a deterministic order.
-func (t *LearnedTable) Observe(key string, arm int, cost float64) {
-	st := t.States[key]
+func (t *LearnedTable) Observe(s State, arm int, cost float64) {
+	st := t.States[s]
 	if st == nil {
 		st = &LearnedState{
 			Visits: make([]int, len(t.Arms)),
 			Cost:   make([]float64, len(t.Arms)),
 		}
-		t.States[key] = st
+		t.States[s] = st
 	}
 	st.Visits[arm]++
 	st.Cost[arm] += (cost - st.Cost[arm]) / float64(st.Visits[arm])
 }
 
 // Finalise freezes the greedy selection: Fallback becomes the arm with the
-// lowest visit-weighted global mean cost, and each state's Arm the lowest-
-// cost arm among those visited there (Fallback where none were). Ties
-// break toward the lower arm index, and the global sums accumulate over
-// sorted state keys — map-order float accumulation could flip a
-// within-rounding-error fallback argmin between identical training runs,
-// which the byte-identical-table contract cannot afford.
+// lowest visit-weighted global mean cost, and each state's Arm its Greedy
+// arm (Fallback where none was visited). Ties break toward the lower arm
+// index, and the global sums accumulate over sorted states — map-order
+// float accumulation could flip a within-rounding-error fallback argmin
+// between identical training runs, which the byte-identical-table
+// contract cannot afford.
 func (t *LearnedTable) Finalise() {
-	keys := make([]string, 0, len(t.States))
-	for k := range t.States {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	states := slices.Sorted(maps.Keys(t.States))
 	totalVisits := make([]int, len(t.Arms))
 	totalCost := make([]float64, len(t.Arms))
-	for _, k := range keys {
-		st := t.States[k]
+	for _, s := range states {
+		st := t.States[s]
 		for i, n := range st.Visits {
 			totalVisits[i] += n
 			totalCost[i] += float64(n) * st.Cost[i]
@@ -134,26 +130,36 @@ func (t *LearnedTable) Finalise() {
 		}
 	}
 	t.Fallback = t.Arms[fb]
-	//detlint:ordered each state's argmin is computed from that state alone; no cross-state accumulation
-	for _, st := range t.States {
-		best, bestCost := -1, math.Inf(1)
-		for i, n := range st.Visits {
-			if n > 0 && st.Cost[i] < bestCost {
-				best, bestCost = i, st.Cost[i]
-			}
-		}
-		if best < 0 {
-			st.Arm = t.Fallback
-		} else {
-			st.Arm = t.Arms[best]
+	for _, s := range states {
+		t.States[s].Arm = t.Fallback
+		if best := t.Greedy(s); best >= 0 {
+			t.States[s].Arm = t.Arms[best]
 		}
 	}
 }
 
-// Choose returns the arm for a state key: the trained greedy choice, or
+// Greedy returns the index of the cheapest arm visited in state s, the
+// lower index on a tie, or -1 when s is unseen or no arm was visited
+// there. Finalise freezes it into each state's Arm; the trainer's
+// refinement runs ask it of the table as it stands between epochs.
+func (t *LearnedTable) Greedy(s State) int {
+	st := t.States[s]
+	if st == nil {
+		return -1
+	}
+	best := -1
+	for i, n := range st.Visits {
+		if n > 0 && (best < 0 || st.Cost[i] < st.Cost[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// Choose returns the arm for a state: the trained greedy choice, or
 // Fallback for states never seen in training.
-func (t *LearnedTable) Choose(key string) string {
-	if st := t.States[key]; st != nil {
+func (t *LearnedTable) Choose(s State) string {
+	if st := t.States[s]; st != nil {
 		return st.Arm
 	}
 	return t.Fallback
@@ -173,15 +179,10 @@ func (t *LearnedTable) Validate() error {
 	if !slices.Contains(t.Arms, t.Fallback) {
 		return fmt.Errorf("rtm: learned table fallback %q is not an arm (%v)", t.Fallback, t.Arms)
 	}
-	// Visit states in sorted key order: validation stops at the first bad
+	// Visit states in sorted order: validation stops at the first bad
 	// state, and map order would make *which* error a multi-defect table
 	// reports vary run to run (detlint:rangemap surfaced this).
-	keys := make([]string, 0, len(t.States))
-	for k := range t.States {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range slices.Sorted(maps.Keys(t.States)) {
 		st := t.States[key]
 		if st == nil {
 			return fmt.Errorf("rtm: learned table state %q is null", key)
@@ -299,27 +300,63 @@ const (
 	stateAppsCap        = 4 // running DNN count, capped
 )
 
-// StateKey discretises a planning View into the learned policy's tabular
-// state: thermal-headroom bucket, power-budget ratio bucket, worst
-// deadline-slack bucket, and running-DNN count. Identical Views map to
-// identical keys, and the key depends only on View fields — both
-// properties the Policy determinism contract needs.
-//
-// The key is compact ("h1p2s0a3") because it appears once per Plan call on
-// the training hot path and as every map key of the serialised table.
+// State is the learned policy's tabular state, one bucket per hex digit
+// from the most significant: thermal headroom, power-budget ratio, worst
+// deadline slack and running-DNN count. So states order numerically as
+// their spellings ("h1p2s0a3") order, and a table file, whose map keys
+// are those spellings, keeps them sorted.
+type State uint32
+
+// stateZero spells the zero State; a state's spelling carries its
+// buckets' digits in place of the zeros, each below its stateBuckets
+// count.
+const stateZero = "h0p0s0a0"
+
+var stateBuckets = [4]State{stateThermalBuckets, statePowerBuckets, stateSlackBuckets, stateAppsCap + 1}
+
+// StateKey discretises a planning View into the learned policy's state.
+// Identical Views map to identical states, and the state depends only on
+// View fields — both properties the Policy determinism contract needs. It
+// runs once per Plan of a table or of the trainer, and allocates nothing.
 //
 //detlint:hotpath
-func StateKey(v *View) string {
-	var b [12]byte
-	key := append(b[:0], 'h')
-	key = strconv.AppendInt(key, int64(thermalBucket(v)), 10)
-	key = append(key, 'p')
-	key = strconv.AppendInt(key, int64(powerBucket(v)), 10)
-	key = append(key, 's')
-	key = strconv.AppendInt(key, int64(slackBucket(v)), 10)
-	key = append(key, 'a')
-	key = strconv.AppendInt(key, int64(dnnCount(v)), 10)
-	return string(key)
+func StateKey(v *View) State {
+	return State(thermalBucket(v)<<12 | powerBucket(v)<<8 | slackBucket(v)<<4 | dnnCount(v))
+}
+
+// String spells s as a table file keys it: "h1p2s0a3".
+func (s State) String() string {
+	b := []byte(stateZero)
+	for i := range stateBuckets {
+		b[2*i+1] += byte(s >> (12 - 4*i) & 0xf)
+	}
+	return string(b)
+}
+
+// MarshalText implements encoding.TextMarshaler, so a State keys a JSON
+// object by its String. It refuses a state no View produces, whose
+// spelling does not read back to it.
+func (s State) MarshalText() ([]byte, error) {
+	var back State
+	if err := back.UnmarshalText([]byte(s.String())); err != nil || back != s {
+		return nil, fmt.Errorf("rtm: %#x is not a learned state", uint32(s))
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler. It accepts exactly
+// the spellings String gives for in-range buckets, so a table file keys
+// only states some View produces.
+func (s *State) UnmarshalText(text []byte) error {
+	var st State
+	for i, n := range stateBuckets {
+		if len(text) != len(stateZero) || text[2*i] != stateZero[2*i] || State(text[2*i+1]-'0') >= n {
+			return fmt.Errorf("state %q is not a learned state (h0-2 p0-3 s0-3 a0-4)", text)
+		}
+		st = st<<4 | State(text[2*i+1]-'0')
+	}
+	*s = st
+	return nil
 }
 
 // thermalBucket classifies the headroom between the die and the effective
@@ -409,7 +446,7 @@ func dnnCount(v *View) int {
 // ---- The arm selector ----
 
 // armSelector delegates each Plan, whole, to one of its arms: the one
-// choose picks for the view's StateKey. Delegating the entire plan —
+// choose picks for the view's State. Delegating the entire plan —
 // rather than learning knob settings directly — keeps every plan it emits
 // inside the feasibility envelope the base policies already guarantee
 // (ledger bookkeeping, thermal budget, memory), so the learner can only
@@ -418,12 +455,12 @@ func dnnCount(v *View) int {
 // A trained table runs as the selector whose choose reads the table; the
 // trainer explores through one whose choose explores and records each
 // pick. elide says whether the manager may elide the selector's replans:
-// a table's pick is a function of the state key, whose moving parts
+// a table's pick is a function of the State, whose moving parts
 // dynFingerprint covers, while a trainer's must be asked on every replan.
 type armSelector struct {
 	name   string
 	arms   []Policy // fresh instances, index-aligned with the arm names
-	choose func(key string) int
+	choose func(State) int
 	elide  bool
 }
 
@@ -471,16 +508,16 @@ func NewLearnedPolicy(name string, t *LearnedTable) (Policy, error) {
 // newLearnedPolicy wraps an already-validated table as the selector whose
 // choose reads it, elided as dynFingerprint allows.
 func newLearnedPolicy(name string, t *LearnedTable) Policy {
-	return newArmSelector(name, t.Arms, func(key string) int { return slices.Index(t.Arms, t.Choose(key)) }, true)
+	return newArmSelector(name, t.Arms, func(s State) int { return slices.Index(t.Arms, t.Choose(s)) }, true)
 }
 
 // NewArmSelector builds a policy named name that plans each replan with
-// the arm choose picks, by index into arms, for the view's StateKey. The
+// the arm choose picks, by index into arms, for the view's State. The
 // arms keep the rule a learned table's arms keep (see Validate). The
 // manager never elides the selector's replans, so choose is asked exactly
 // once per Replan, and may draw from an exploration stream and record
 // what it picked, as the fleet trainer's does.
-func NewArmSelector(name string, arms []string, choose func(key string) int) (Policy, error) {
+func NewArmSelector(name string, arms []string, choose func(State) int) (Policy, error) {
 	if err := checkArms(arms); err != nil {
 		return nil, fmt.Errorf("rtm: arm selector %w", err)
 	}
@@ -491,7 +528,7 @@ func NewArmSelector(name string, arms []string, choose func(key string) int) (Po
 // instantiated fresh per selector — never cached or shared — because
 // third-party arms may carry per-instance state, and policy instances
 // elsewhere in the system are one-per-scenario-run.
-func newArmSelector(name string, arms []string, choose func(key string) int, elide bool) *armSelector {
+func newArmSelector(name string, arms []string, choose func(State) int, elide bool) *armSelector {
 	p := &armSelector{name: name, arms: make([]Policy, len(arms)), choose: choose, elide: elide}
 	for i, a := range arms {
 		p.arms[i] = factoryOf(a)()
@@ -513,9 +550,9 @@ func (p *armSelector) Plan(v View) []Assignment {
 }
 
 // planInto implements sealedPolicy: state lookup is read-only, so the
-// delegate's allocation-free path carries straight through (modulo the
-// state-key string itself). An arm from outside the package plans over
-// a clone, as the manager would hand it one.
+// delegate's allocation-free path carries straight through. An arm from
+// outside the package plans over a clone, as the manager would hand it
+// one.
 func (p *armSelector) planInto(v *View, sc *planScratch) []Assignment {
 	arm := p.armFor(v)
 	if sp := sealedOf(arm); sp != nil {

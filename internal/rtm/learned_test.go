@@ -3,6 +3,7 @@ package rtm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,20 +11,31 @@ import (
 	"testing"
 )
 
+// stateOf reads a state from its table-file spelling, as a table file is
+// read; a spelling outside the state grammar panics.
+func stateOf(spelling string) State {
+	var s State
+	if err := s.UnmarshalText([]byte(spelling)); err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // trainedTestTable builds a small finalised table over the three built-in
 // arms, biased so state lookups are observable: every state it contains
 // selects "maxaccuracy" while the fallback is "minenergy".
-func trainedTestTable(keys ...string) *LearnedTable {
+func trainedTestTable(spellings ...string) *LearnedTable {
 	t := NewLearnedTable([]string{"heuristic", "maxaccuracy", "minenergy"})
-	for _, k := range keys {
-		t.Observe(k, 0, 1.0) // heuristic: expensive
-		t.Observe(k, 1, 0.1) // maxaccuracy: cheapest in-state
-		t.Observe(k, 2, 0.5)
+	for _, k := range spellings {
+		s := stateOf(k)
+		t.Observe(s, 0, 1.0) // heuristic: expensive
+		t.Observe(s, 1, 0.1) // maxaccuracy: cheapest in-state
+		t.Observe(s, 2, 0.5)
 	}
 	// Many cheap observations in an extra state drag minenergy's global
 	// visit-weighted mean below maxaccuracy's 0.1, making it the fallback.
 	for i := 0; i < 50; i++ {
-		t.Observe("h9p9s9a9", 2, 0)
+		t.Observe(stateOf("h2p0s0a4"), 2, 0)
 	}
 	t.Finalise()
 	return t
@@ -31,14 +43,84 @@ func trainedTestTable(keys ...string) *LearnedTable {
 
 func TestLearnedTableFinalise(t *testing.T) {
 	tab := trainedTestTable("h1p1s1a1")
-	if got := tab.Choose("h1p1s1a1"); got != "maxaccuracy" {
+	if got := tab.Choose(stateOf("h1p1s1a1")); got != "maxaccuracy" {
 		t.Errorf("trained state chooses %q, want maxaccuracy", got)
 	}
 	if tab.Fallback != "minenergy" {
 		t.Errorf("fallback = %q, want minenergy (lowest global mean cost)", tab.Fallback)
 	}
-	if got := tab.Choose("h0p0s0a0"); got != "minenergy" {
+	if got := tab.Choose(stateOf("h0p0s0a0")); got != "minenergy" {
 		t.Errorf("unseen state chooses %q, want the fallback", got)
+	}
+}
+
+// TestLearnedTableGreedy: Greedy is the cheapest visited arm of a state,
+// the lower index on a tie, and -1 for a state unseen or unvisited.
+func TestLearnedTableGreedy(t *testing.T) {
+	tab := NewLearnedTable([]string{"heuristic", "maxaccuracy", "minenergy"})
+	tie, cheap, unvisited := stateOf("h0p0s0a1"), stateOf("h1p2s3a4"), stateOf("h2p3s3a0")
+	tab.Observe(tie, 2, 0.5)
+	tab.Observe(tie, 1, 0.5)
+	tab.Observe(cheap, 0, 0.5)
+	tab.Observe(cheap, 2, -1)
+	tab.States[unvisited] = &LearnedState{Visits: make([]int, 3), Cost: make([]float64, 3)}
+	for s, want := range map[State]int{tie: 1, cheap: 2, unvisited: -1, stateOf("h0p0s0a0"): -1} {
+		if got := tab.Greedy(s); got != want {
+			t.Errorf("Greedy(%v) = %d, want %d", s, got, want)
+		}
+	}
+}
+
+// TestStateSpelling: every state a View can produce spells as the table
+// file keys it and reads back, states order as their spellings do, and
+// UnmarshalText refuses every other spelling: out-of-range buckets, other
+// letters, digits or lengths. MarshalText refuses a state no View gives.
+func TestStateSpelling(t *testing.T) {
+	var all []State
+	for h := range State(stateThermalBuckets) {
+		for p := range State(statePowerBuckets) {
+			for s := range State(stateSlackBuckets) {
+				for a := range State(stateAppsCap + 1) {
+					all = append(all, h<<12|p<<8|s<<4|a)
+				}
+			}
+		}
+	}
+	if got := fmt.Sprint(all[0], " ", all[len(all)-1]); got != "h0p0s0a0 h2p3s3a4" {
+		t.Errorf("first and last states spell %q", got)
+	}
+	for i, s := range all {
+		text, err := s.MarshalText()
+		if err != nil || string(text) != s.String() {
+			t.Fatalf("state %v marshals to %q, %v", s, text, err)
+		}
+		if back := stateOf(string(text)); back != s {
+			t.Fatalf("%q reads back as %#x, want %#x", text, uint32(back), uint32(s))
+		}
+		if i > 0 && all[i-1].String() >= s.String() {
+			t.Fatalf("%v sorts after %v as text, before it as a number", all[i-1], s)
+		}
+	}
+	for _, bad := range []string{"h9p9s9a9", "h3p0s0a0", "h0p4s0a0", "h0p0s4a0", "h0p0s0a5", "h1p1s1a1x", "h1p1s1a", "h01p1s1a1",
+		"H1p1s1a1", "h1p1s1a/", "p1h1s1a1", "", "4369"} {
+		var s State
+		if err := s.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) = %v, want a refusal", bad, s)
+		}
+	}
+	for _, bad := range []State{0x3000, 0x0005, 0x10000, 0xffff} {
+		if text, err := bad.MarshalText(); err == nil {
+			t.Errorf("state %#x marshals to %q, want a refusal", uint32(bad), text)
+		}
+	}
+}
+
+// TestStateKeyAllocs: StateKey runs once per plan of a table or of the
+// trainer's selector, and allocates nothing.
+func TestStateKeyAllocs(t *testing.T) {
+	v := benchView(t)
+	if allocs := testing.AllocsPerRun(100, func() { StateKey(&v) }); allocs != 0 {
+		t.Fatalf("StateKey allocated %.1f times, want 0", allocs)
 	}
 }
 
@@ -82,6 +164,8 @@ func TestReadLearnedTableRefusesUnknownKeys(t *testing.T) {
 		{"trailing white space", "", " \n\t", "not the bytes MarshalBytes writes"},
 		{"trailing value", "", "{}", "not the bytes MarshalBytes writes"},
 		{"trailing garbage", "", "x", "not the bytes MarshalBytes writes"},
+		{"state no view produces", `"h1p1s1a1"`, `"h9p9s9a9"`, `state "h9p9s9a9" is not a learned state`},
+		{"state with trailing garbage", `"h1p1s1a1"`, `"h1p1s1a1x"`, `state "h1p1s1a1x" is not a learned state`},
 	} {
 		forged := append(bytes.Clone(raw), tc.new...)
 		if tc.old != "" {
@@ -108,8 +192,8 @@ func TestLearnedTableValidate(t *testing.T) {
 		{"duplicate arm", func(tb *LearnedTable) { tb.Arms[1] = tb.Arms[0] }, "listed twice"},
 		{"unregistered arm", func(tb *LearnedTable) { tb.Arms[2] = "nope" }, `arm "nope" is not a registered policy`},
 		{"unknown fallback", func(tb *LearnedTable) { tb.Fallback = "nope" }, "fallback"},
-		{"unknown state arm", func(tb *LearnedTable) { tb.States["h1p1s1a1"].Arm = "nope" }, "unknown arm"},
-		{"misaligned visits", func(tb *LearnedTable) { tb.States["h1p1s1a1"].Visits = []int{1} }, "one per arm"},
+		{"unknown state arm", func(tb *LearnedTable) { tb.States[stateOf("h1p1s1a1")].Arm = "nope" }, "unknown arm"},
+		{"misaligned visits", func(tb *LearnedTable) { tb.States[stateOf("h1p1s1a1")].Visits = []int{1} }, "one per arm"},
 	}
 	for _, tc := range cases {
 		tb := base()
@@ -132,9 +216,9 @@ func TestLearnedTableValidate(t *testing.T) {
 func TestLearnedTableValidateDeterministicError(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tb := trainedTestTable("h0p0s0a1", "h1p1s1a1", "h2p2s2a2")
-		tb.States["h1p1s1a1"].Arm = "nope"
-		tb.States["h2p2s2a2"].Arm = "nope"
-		tb.States["h0p0s0a1"].Visits = []int{1} // lexically first defect
+		tb.States[stateOf("h1p1s1a1")].Arm = "nope"
+		tb.States[stateOf("h2p2s2a2")].Arm = "nope"
+		tb.States[stateOf("h0p0s0a1")].Visits = []int{1} // lexically first defect
 		err := tb.Validate()
 		if err == nil {
 			t.Fatal("Validate passed on a doubly-defective table")
@@ -192,7 +276,7 @@ func FuzzReadLearnedTable(f *testing.F) {
 		f.Fatal(err)
 	}
 	misaligned := trainedTestTable("h1p1s1a1")
-	misaligned.States["h1p1s1a1"].Cost = []float64{0.5}
+	misaligned.States[stateOf("h1p1s1a1")].Cost = []float64{0.5}
 	short, err := json.Marshal(misaligned) // MarshalBytes would refuse it
 	if err != nil {
 		f.Fatal(err)
@@ -201,6 +285,8 @@ func FuzzReadLearnedTable(f *testing.F) {
 	f.Add(raw[:len(raw)/2])
 	f.Add(bytes.Replace(raw, []byte("0.1,"), []byte("NaN,"), 1))
 	f.Add(short)
+	f.Add(bytes.Replace(raw, []byte(`"h1p1s1a1"`), []byte(`"h9p9s9a9"`), 1))
+	f.Add(bytes.Replace(raw, []byte(`"h1p1s1a1"`), []byte(`"h1p1s1a1x"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := ReadLearnedTable(data)
 		if err != nil {
@@ -240,24 +326,24 @@ func TestStateKeyBuckets(t *testing.T) {
 	// Thermal: pushing the die to the throttle point lands in bucket 0.
 	hot := v.Clone()
 	hot.TempC = hot.ThrottleC
-	if !strings.HasPrefix(StateKey(&hot), "h0") {
+	if !strings.HasPrefix(StateKey(&hot).String(), "h0") {
 		t.Errorf("die at throttle: key %q, want h0 prefix", StateKey(&hot))
 	}
 	cool := v.Clone()
 	cool.TempC = cool.ThrottleC - cool.MarginC - 50
-	if !strings.HasPrefix(StateKey(&cool), "h2") {
+	if !strings.HasPrefix(StateKey(&cool).String(), "h2") {
 		t.Errorf("cold die: key %q, want h2 prefix", StateKey(&cool))
 	}
 
 	// Power: a zeroed budget is bucket 0, an absurd one bucket 3.
 	broke := v.Clone()
 	broke.DynBudgetMW = 0
-	if !strings.Contains(StateKey(&broke), "p0") {
+	if !strings.Contains(StateKey(&broke).String(), "p0") {
 		t.Errorf("zero budget: key %q, want p0", StateKey(&broke))
 	}
 	rich := v.Clone()
 	rich.DynBudgetMW = 1e12
-	if !strings.Contains(StateKey(&rich), "p3") {
+	if !strings.Contains(StateKey(&rich).String(), "p3") {
 		t.Errorf("huge budget: key %q, want p3", StateKey(&rich))
 	}
 
@@ -267,19 +353,19 @@ func TestStateKeyBuckets(t *testing.T) {
 	for i := range late.Apps {
 		late.Apps[i].AvgLatency = 10
 	}
-	if !strings.Contains(StateKey(&late), "s0") {
+	if !strings.Contains(StateKey(&late).String(), "s0") {
 		t.Errorf("all-missing: key %q, want s0", StateKey(&late))
 	}
 	idle := v.Clone()
 	for i := range idle.Apps {
 		idle.Apps[i].Running = false
 	}
-	if !strings.Contains(StateKey(&idle), "s3") || !strings.HasSuffix(StateKey(&idle), "a0") {
+	if !strings.Contains(StateKey(&idle).String(), "s3") || !strings.HasSuffix(StateKey(&idle).String(), "a0") {
 		t.Errorf("no running DNNs: key %q, want s3…a0", StateKey(&idle))
 	}
 
 	// App count: the bench view runs three DNNs.
-	if !strings.HasSuffix(base, "a3") {
+	if !strings.HasSuffix(base.String(), "a3") {
 		t.Errorf("bench view key %q, want a3 suffix (three running DNNs)", base)
 	}
 }
@@ -292,7 +378,7 @@ func TestLearnedPolicyDelegates(t *testing.T) {
 	v := benchView(t)
 	key := StateKey(&v)
 
-	tab := trainedTestTable(key)
+	tab := trainedTestTable(key.String())
 	pol, err := NewLearnedPolicy("learned:test", tab)
 	if err != nil {
 		t.Fatal(err)
