@@ -109,10 +109,19 @@ func (t *LearnedTable) Observe(s State, arm int, cost float64) {
 // between identical training runs, which the byte-identical-table
 // contract cannot afford.
 func (t *LearnedTable) Finalise() {
-	states := slices.Sorted(maps.Keys(t.States))
+	t.Fallback = t.Arms[t.fallbackArm()]
+	for _, s := range slices.Sorted(maps.Keys(t.States)) {
+		t.States[s].Arm = t.finalArm(s)
+	}
+}
+
+// fallbackArm returns the index of the arm Finalise makes the fallback:
+// the one with the lowest visit-weighted global mean cost, the lower
+// index on a tie, and arm 0 when no arm was visited.
+func (t *LearnedTable) fallbackArm() int {
 	totalVisits := make([]int, len(t.Arms))
 	totalCost := make([]float64, len(t.Arms))
-	for _, s := range states {
+	for _, s := range slices.Sorted(maps.Keys(t.States)) {
 		st := t.States[s]
 		for i, n := range st.Visits {
 			totalVisits[i] += n
@@ -129,13 +138,16 @@ func (t *LearnedTable) Finalise() {
 			fb, fbCost = i, c
 		}
 	}
-	t.Fallback = t.Arms[fb]
-	for _, s := range states {
-		t.States[s].Arm = t.Fallback
-		if best := t.Greedy(s); best >= 0 {
-			t.States[s].Arm = t.Arms[best]
-		}
+	return fb
+}
+
+// finalArm returns the arm Finalise freezes into state s: its Greedy
+// arm, or Fallback where none was visited.
+func (t *LearnedTable) finalArm(s State) string {
+	if best := t.Greedy(s); best >= 0 {
+		return t.Arms[best]
 	}
+	return t.Fallback
 }
 
 // Greedy returns the index of the cheapest arm visited in state s, the
@@ -166,9 +178,10 @@ func (t *LearnedTable) Choose(s State) string {
 }
 
 // Validate checks a table is internally consistent — version, arm names
-// (checkArms), per-state slice alignment, finite costs — so a hand-edited
-// or truncated file fails at load with a field-level message, not at plan
-// time with a panic or a silently wrong delegation.
+// (checkArms), per-state slice alignment, finite costs, and a Fallback
+// and state Arms that are what Finalise derives from the Visits and Cost
+// — so a hand-edited or truncated file fails at load with a field-level
+// message, not at plan time with a panic or a silently wrong delegation.
 func (t *LearnedTable) Validate() error {
 	if t.Version != LearnedTableVersion {
 		return fmt.Errorf("rtm: learned table version %d, want %d", t.Version, LearnedTableVersion)
@@ -182,7 +195,8 @@ func (t *LearnedTable) Validate() error {
 	// Visit states in sorted order: validation stops at the first bad
 	// state, and map order would make *which* error a multi-defect table
 	// reports vary run to run (detlint:rangemap surfaced this).
-	for _, key := range slices.Sorted(maps.Keys(t.States)) {
+	states := slices.Sorted(maps.Keys(t.States))
+	for _, key := range states {
 		st := t.States[key]
 		if st == nil {
 			return fmt.Errorf("rtm: learned table state %q is null", key)
@@ -201,6 +215,14 @@ func (t *LearnedTable) Validate() error {
 			if math.IsNaN(st.Cost[i]) || math.IsInf(st.Cost[i], 0) {
 				return fmt.Errorf("rtm: learned table state %q arm %q has non-finite cost", key, t.Arms[i])
 			}
+		}
+	}
+	if fb := t.Arms[t.fallbackArm()]; t.Fallback != fb {
+		return fmt.Errorf("rtm: learned table fallback %q, but its visits and costs select %q", t.Fallback, fb)
+	}
+	for _, key := range states {
+		if arm, want := t.States[key].Arm, t.finalArm(key); arm != want {
+			return fmt.Errorf("rtm: learned table state %q selects %q, but its visits and costs select %q", key, arm, want)
 		}
 	}
 	return nil

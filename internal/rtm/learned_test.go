@@ -194,6 +194,8 @@ func TestLearnedTableValidate(t *testing.T) {
 		{"unknown fallback", func(tb *LearnedTable) { tb.Fallback = "nope" }, "fallback"},
 		{"unknown state arm", func(tb *LearnedTable) { tb.States[stateOf("h1p1s1a1")].Arm = "nope" }, "unknown arm"},
 		{"misaligned visits", func(tb *LearnedTable) { tb.States[stateOf("h1p1s1a1")].Visits = []int{1} }, "one per arm"},
+		{"fallback not the cheapest arm", func(tb *LearnedTable) { tb.Fallback = "heuristic" }, `fallback "heuristic", but its visits and costs select "minenergy"`},
+		{"state arm not its greedy arm", func(tb *LearnedTable) { tb.States[stateOf("h1p1s1a1")].Arm = "minenergy" }, `selects "minenergy", but its visits and costs select "maxaccuracy"`},
 	}
 	for _, tc := range cases {
 		tb := base()
@@ -234,10 +236,7 @@ func TestLearnedTableValidateDeterministicError(t *testing.T) {
 // with its keys in another order decode to the same table, and both are
 // refused.
 func TestReadLearnedTableOneEncoding(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "fleet", "testdata", "golden_learned_table_seed7_n8.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := goldenTable(t)
 	if _, err := ReadLearnedTable(raw); err != nil {
 		t.Fatalf("the golden table is refused: %v", err)
 	}
@@ -265,6 +264,43 @@ func TestReadLearnedTableOneEncoding(t *testing.T) {
 	}
 }
 
+// goldenTable reads the table the fleet's seed-7 golden training run
+// writes.
+func goldenTable(tb testing.TB) []byte {
+	raw, err := os.ReadFile(filepath.Join("..", "fleet", "testdata", "golden_learned_table_seed7_n8.json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// underivedEdits are edits of the golden table that keep it well formed
+// but select what its visits and costs do not: a state's arm, and the
+// fallback.
+var underivedEdits = []struct{ name, old, new string }{
+	{"state arm", `"h2p2s1a1": {
+      "arm": "heuristic",`, `"h2p2s1a1": {
+      "arm": "minenergy",`},
+	{"fallback", `"fallback": "minenergy",`, `"fallback": "heuristic",`},
+}
+
+// TestReadLearnedTableRefusesUnderivedSelections: a table whose state arm
+// or fallback is not what Finalise derives from its visits and costs is
+// refused, however well formed, since a policy loaded from it would
+// delegate as no training run chose.
+func TestReadLearnedTableRefusesUnderivedSelections(t *testing.T) {
+	raw := goldenTable(t)
+	for _, ed := range underivedEdits {
+		forged := bytes.Replace(raw, []byte(ed.old), []byte(ed.new), 1)
+		if bytes.Equal(forged, raw) {
+			t.Fatalf("%s: %q not found in the golden table", ed.name, ed.old)
+		}
+		if _, err := ReadLearnedTable(forged); err == nil || !strings.Contains(err.Error(), "but its visits and costs select") {
+			t.Errorf("%s edited: error %v, want a refusal of the selection", ed.name, err)
+		}
+	}
+}
+
 // FuzzReadLearnedTable: ReadLearnedTable never panics on arbitrary bytes,
 // and any table it accepts passes Validate and is exactly the bytes
 // MarshalBytes writes for it, which read back to an equal table. A shard header's
@@ -287,6 +323,10 @@ func FuzzReadLearnedTable(f *testing.F) {
 	f.Add(short)
 	f.Add(bytes.Replace(raw, []byte(`"h1p1s1a1"`), []byte(`"h9p9s9a9"`), 1))
 	f.Add(bytes.Replace(raw, []byte(`"h1p1s1a1"`), []byte(`"h1p1s1a1x"`), 1))
+	golden := goldenTable(f)
+	for _, ed := range underivedEdits {
+		f.Add(bytes.Replace(golden, []byte(ed.old), []byte(ed.new), 1))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := ReadLearnedTable(data)
 		if err != nil {

@@ -287,7 +287,7 @@ func (e *Engine) SetLevel(app string, level int) error {
 	a.level = level
 	a.jobMACs = float64(a.Profile.Level(level).MACs)
 	// A level change is planning-relevant (and alters the next release's
-	// workload) but changes nothing derive reads.
+	// workload) but changes nothing touch reads.
 	e.planEpoch++
 	e.levelSwaps++
 	e.refresh()

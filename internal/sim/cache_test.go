@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/emlrtm/emlrtm/internal/hw"
@@ -9,9 +10,9 @@ import (
 )
 
 // This file is the white-box safety net under the derived per-cluster
-// values: every value Engine.derive stores must equal a from-scratch
+// values: every value Engine.touch stores must equal a from-scratch
 // reference scan after every engine step and in every controller callback
-// of a scenario that churns every mutation derive reads (app starts/stops,
+// of a scenario that churns every mutation they read (app starts/stops,
 // job activity, DVFS switches including the accelerators' companion CPU,
 // migrations with downtime, downtimes ending at one instant, cluster
 // failure and repair, ambient changes), and PlanEpoch must move exactly
@@ -48,7 +49,7 @@ func (c *cacheAuditor) OnEvent(e *Engine, ev Event) { c.audit(e) }
 
 // settled reports whether cs's derived values can be checked against a
 // scan at the clock. Derived values are evaluated at the cluster's last
-// touch (see Engine.derive), and the end of a migration downtime touches
+// touch (see Engine.touch), and the end of a migration downtime touches
 // it only when its unblock timer fires. So while a resident app's timer is
 // due at this instant but has not fired, the cluster may still hold what
 // it derived before the downtime ended, and so may the companion it
@@ -119,8 +120,8 @@ func (c *cacheAuditor) audit(e *Engine) {
 }
 
 // auditAnchors checks, after a step's refresh, that a refresh visiting
-// every app, not only those derive marked, would change nothing: every
-// running job is anchored at the rate derive stored for it, and every
+// every app, not only those touch marked, would change nothing: every
+// running job is anchored at the rate touch stored for it, and every
 // unstopped app is armed, or idle or stalled by refresh's own rule.
 func (c *cacheAuditor) auditAnchors(e *Engine) {
 	for _, a := range e.appList {
@@ -257,8 +258,9 @@ func cacheTestApps() []App {
 }
 
 // TestCachedObservablesMatchRecompute drives a flagship-SoC scenario
-// through every mutation derive reads, stepping the engine one event at a
-// time as TestEngineInvariants does, and asserts after every step and in
+// through every mutation the derived values read, stepping the engine one
+// event at a time as TestEngineInvariants does and checking that each step
+// handles the earliest armed event, and asserts after every step and in
 // every controller callback that the derived cluster util/power/share/active
 // and running jobs' rates are indistinguishable from the reference scans,
 // and after every step that each running job is anchored at its derived
@@ -313,23 +315,32 @@ func TestCachedObservablesMatchRecompute(t *testing.T) {
 	var sameTies, otherTies int
 	e.prime()
 	for {
+		armed := armedEvents(e)
+		slices.SortFunc(armed, refEventOrder)
 		// Count the unblocks that tie with another app's at one instant
-		// while both apps run a job.
-		if ev, ok := e.next(); ok && ev.kind == hUnblock && e.appList[ev.app].jobActive {
-			a := e.appList[ev.app]
+		// while both apps run a job, if the step handles the unblock.
+		var same, other int
+		if len(armed) > 0 && armed[0].kind == hUnblock && e.appList[armed[0].app].jobActive {
+			a := e.appList[armed[0].app]
 			for _, o := range e.appList {
-				if o != a && o.jobActive && o.completionSeq != 0 && o.completionKind == hUnblock && o.completionEst == ev.t {
+				if o != a && o.jobActive && o.completionSeq != 0 && o.completionKind == hUnblock && o.completionEst == armed[0].t {
 					if o.placedCS == a.placedCS {
-						sameTies++
+						same++
 					} else {
-						otherTies++
+						other++
 					}
 				}
 			}
 		}
+		snap := snapStep(e)
 		if !e.step(endS) {
 			break
 		}
+		if e.stepsBy == snap.steps {
+			continue // a thermal alarm: no event was handled
+		}
+		snap.checkHandled(t, e, armed[0])
+		sameTies, otherTies = sameTies+same, otherTies+other
 		aud.audit(e)
 		aud.auditAnchors(e)
 	}
@@ -378,11 +389,17 @@ func TestLoaderTouchEndsCompanionDowntime(t *testing.T) {
 		t.Fatalf("downtimes end at %v and %v, want one instant", dnn1.blockedUntil, dnn2.blockedUntil)
 	}
 	for {
-		ev, ok := e.next()
-		if !ok || ev.t > 2 {
+		armed := armedEvents(e)
+		slices.SortFunc(armed, refEventOrder)
+		if len(armed) == 0 || armed[0].t > 2 {
 			t.Fatal("dnn1's unblock timer never fired")
 		}
+		ev, snap := armed[0], snapStep(e)
 		e.step(2)
+		if e.stepsBy == snap.steps {
+			continue // a thermal alarm: no event was handled
+		}
+		snap.checkHandled(t, e, ev)
 		if ev.kind == hUnblock && ev.app == dnn1.idx {
 			if dnn2.rate == 0 {
 				t.Fatalf("t=%v: dnn1's unblock left dnn2 stalled on cpu-lit", e.Now())
@@ -499,7 +516,7 @@ func TestPlanEpochSemantics(t *testing.T) {
 	}
 }
 
-// TestDeriveFastPathsMatchFormula pins derive's shortcuts to the general
+// TestDeriveFastPathsMatchFormula pins touch's shortcuts to the general
 // formulas they replace, bit for bit, for every catalog cluster and OPP:
 // the OPP rate setOPP caches is EffectiveRate at every core; a lone
 // active job on an accelerator gets max(0, 1−render load)/1 of it,
@@ -530,7 +547,7 @@ func TestDeriveFastPathsMatchFormula(t *testing.T) {
 				if c.Type.IsAccelerator() {
 					for _, u := range []float64{1e-9, 0.1, 1.0 / 3, 0.5, 0.75, 0.999999, 1} {
 						e.appList[1].Util = u
-						e.derive(cs)
+						e.touch(cs)
 						active := 1
 						share := max(0, 1-u) / float64(active)
 						if !same(cs.share, share) || !same(a.rate, c.EffectiveRate(opp, c.Cores)*share) {
@@ -542,7 +559,7 @@ func TestDeriveFastPathsMatchFormula(t *testing.T) {
 				}
 				for n := 1; n <= c.Cores; n++ {
 					a.setPlacement(Placement{Cluster: c.Name, Cores: n}, cs)
-					e.derive(cs)
+					e.touch(cs)
 					if frac := float64(n) / float64(c.Cores); !same(cs.own, frac) || !same(a.rate, c.EffectiveRate(opp, n)) {
 						t.Fatalf("%s/%s opp %d, %d cores: load %v rate %v, want %v and %v", name, c.Name, oi, n,
 							cs.own, a.rate, frac, c.EffectiveRate(opp, n))

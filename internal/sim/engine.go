@@ -38,7 +38,7 @@ const (
 // controller tick in the engine's tick slot; and the events re-derived as
 // the state moves — each app's completion or unblock — in its timer slot
 // (appState.completionSeq). Arming an event writes its slot, so a
-// superseded timer never fires, and next scans the slots for the
+// superseded timer never fires, and step scans the slots for the
 // earliest. The next thermal step boundary is not among them: it sits at
 // a fixed time (Engine.stepT), and step handles it ahead of every event
 // due at or after it.
@@ -72,34 +72,9 @@ func precedes(t float64, seq int64, timer bool, ev hevent) bool {
 	return seq < ev.seq
 }
 
-// next returns the earliest pending event other than the tick, without
-// consuming it: the lifecycle list's head, an armed release slot or an
-// armed completion or unblock timer, whichever comes first (see
-// precedes). ok is false when none is pending. orTick puts the tick
-// among them.
-//
-//detlint:hotpath
-func (e *Engine) next() (ev hevent, ok bool) {
-	ev = hevent{t: math.Inf(1)}
-	if e.cursor < len(e.lifecycle) {
-		ev = e.lifecycle[e.cursor]
-	}
-	for _, a := range e.appList {
-		if a.Kind != KindDNN {
-			continue // only DNN apps have frames and jobs
-		}
-		if a.relSeq != 0 && precedes(a.relT, a.relSeq, false, ev) {
-			ev = hevent{t: a.relT, seq: a.relSeq, kind: hRelease, app: a.idx}
-		}
-		if a.completionSeq != 0 && precedes(a.completionEst, a.completionSeq, true, ev) {
-			ev = hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx}
-		}
-	}
-	return ev, ev.seq != 0
-}
-
 // orTick returns the armed tick when it comes before ev, and ev
-// otherwise: over next's event, the earliest pending event of all.
+// otherwise: over the earliest other event, the earliest pending event of
+// all.
 //
 //detlint:hotpath
 func (e *Engine) orTick(ev hevent) hevent {
@@ -197,29 +172,51 @@ func (e *Engine) armTick(t float64) {
 	e.tickT, e.tickSeq = t, e.seq
 }
 
-// step handles the earliest pending event (see next and orTick) if it
-// falls at or before endS and reports whether there was one; an event
-// past endS stays pending for a later Run. step consumes a start or stop
-// by advancing the lifecycle cursor and a release or tick by clearing its
-// slot, before handle may arm the next one; a timer stays in its slot,
-// and handle disarms it.
+// step handles the earliest pending event if it falls at or before endS
+// and reports whether there was one; an event past endS stays pending for
+// a later Run. The earliest pending event is the lifecycle list's head, an
+// armed release slot, an armed completion or unblock timer or the tick,
+// whichever comes first (see precedes); step scans the slots for it once.
 //
-// step is one loop over next's one scan. A thermal step boundary due at
-// or before both the earliest event and endS comes first, ahead of every
+// step is one loop over that one scan. A thermal step boundary due at or
+// before both the earliest event and endS comes first, ahead of every
 // event at its instant, so a controller tick there reads the new
 // temperature. A tick the controller's wake does not make due is passed
-// where it would be handled, after the boundary at its instant: the
-// clock moves to it and the tick is re-armed with the addition and the
-// seq a handled tick's re-arm makes, so no event's order moves. Neither
-// changes anything next reads, so the loop goes on to the earliest of
-// next's event, the tick and the next boundary. It returns only after it
-// handled an event, after a boundary that raised an alarm (the
-// controller may have acted on it), or when no event remains at or
-// before endS, once every boundary up to endS is closed.
+// where it would be handled, after the boundary at its instant: the clock
+// moves to it and the tick is re-armed with the addition and the seq a
+// handled tick's re-arm makes, so no event's order moves. Neither changes
+// any slot the scan read, so the loop goes on to the earliest of the
+// scanned event, the tick and the next boundary. It returns only after it
+// handled an event, after a boundary that raised an alarm (the controller
+// may have acted on it), or when no event remains at or before endS, once
+// every boundary up to endS is closed.
+//
+// step is the frame path: it handles a release or a completion itself,
+// and brings the marked apps' timers and the energy segments up to date
+// as refresh does. Nearly every event of a run is one of the two. Below
+// step, a frame calls only touch and helpers the compiler inlines, and
+// lose or miss when it is dropped, aborted or missed. A start, stop, tick
+// or unblock goes through handle and refresh. step consumes an event
+// before handling it: a start or stop by advancing the lifecycle cursor,
+// a release, tick or timer by clearing its slot.
 //
 //detlint:hotpath
 func (e *Engine) step(endS float64) bool {
-	other, _ := e.next()
+	other := hevent{t: math.Inf(1)}
+	if e.cursor < len(e.lifecycle) {
+		other = e.lifecycle[e.cursor]
+	}
+	for _, a := range e.appList {
+		if a.Kind != KindDNN {
+			continue // only DNN apps have frames and jobs
+		}
+		if a.relSeq != 0 && precedes(a.relT, a.relSeq, false, other) {
+			other = hevent{t: a.relT, seq: a.relSeq, kind: hRelease, app: a.idx}
+		}
+		if a.completionSeq != 0 && precedes(a.completionEst, a.completionSeq, true, other) {
+			other = hevent{t: a.completionEst, seq: a.completionSeq, kind: a.completionKind, app: a.idx}
+		}
+	}
 	for {
 		ev := e.orTick(other)
 		ok := ev.seq != 0 && ev.t <= endS
@@ -239,17 +236,67 @@ func (e *Engine) step(endS float64) bool {
 			continue
 		}
 		e.stepsBy[ev.kind]++
-		switch ev.kind {
-		case hStart, hStop:
-			e.cursor++
-		case hRelease:
-			e.appList[ev.app].relSeq = 0
-		case hTick:
-			e.tickSeq = 0
-		}
 		e.advanceTo(ev.t)
-		e.handle(ev)
-		e.refresh()
+		switch ev.kind {
+		case hRelease:
+			a := e.appList[ev.app]
+			a.relSeq = 0
+			if !a.started || a.stopped {
+				break
+			}
+			// As release does.
+			if e.admit(a) {
+				e.touch(a.placedCS)
+				a.anchor(e.now)
+			} else {
+				e.lose(a)
+			}
+			e.armRelease(a)
+		case hComplete:
+			// The timer is armed at the job's anchored completion time and
+			// re-armed whenever its rate changes, so the work is done: the
+			// job finishes, its latency is logged, and one that finished
+			// after its deadline counts as missed.
+			a := e.appList[ev.app]
+			a.completionSeq = 0
+			latency := e.now - a.jobReleaseS
+			a.jobActive = false
+			e.touch(a.placedCS)
+			a.completed++
+			a.sumLatency += latency
+			e.latLog = append(e.latLog, int64(math.Round(latency*1e9)))
+			if latency > a.PeriodS+1e-9 {
+				e.miss(a, latency)
+			} else if e.logEvents {
+				e.log(Event{TimeS: e.now, Kind: EvJobComplete, App: a.Name, LatencyS: latency})
+			}
+		default:
+			switch ev.kind {
+			case hStart, hStop:
+				e.cursor++
+			case hTick:
+				e.tickSeq = 0
+			case hUnblock:
+				e.appList[ev.app].completionSeq = 0
+			}
+			e.handle(ev)
+			e.refresh()
+			return true
+		}
+		// refresh, in line. A frame moves no app's start, stop or
+		// placement and no cluster's availability, so the unhosted count
+		// stands.
+		for d := e.dirty; d != 0; d &= d - 1 {
+			if a := e.appList[bits.TrailingZeros64(d)]; !a.stopped {
+				a.reanchor(e.now)
+				e.armTimer(a)
+			}
+		}
+		e.dirty = 0
+		for d := e.powerDirty; d != 0; d &= d - 1 {
+			e.clusterList[bits.TrailingZeros64(d)].closeSegment(e.now)
+		}
+		e.powerDirty = 0
 		return true
 	}
 }
@@ -257,7 +304,7 @@ func (e *Engine) step(endS float64) bool {
 // advanceTo moves the clock to t; it never moves it back. Nothing is
 // integrated here: every integral is held per constant-rate segment and
 // closed only where its rate changes — cluster energy in syncThermal,
-// each job's progress at its anchor (see refresh) and UnhostedS when the
+// each job's progress at its anchor (see reanchor) and UnhostedS when the
 // count of unhosted DNNs moves. Reads evaluate the open segments up to
 // the clock. Temperature moves only at step boundaries
 // (see thermalStep).
@@ -269,45 +316,23 @@ func (e *Engine) advanceTo(t float64) {
 	}
 }
 
-// touch re-derives a cluster's values after a mutation they can observe,
-// then brings its companion CPU up to date and asks the next syncThermal
-// to look at the power of each cluster it re-derived. Every mutation that
-// derive reads — app lifecycle, job start and finish, OPP switches,
-// availability, migrations and the end of their downtime — touches the
-// clusters it affects, after it has changed their state.
+// touch re-derives a cluster's values from its state at the clock after a
+// mutation they can observe, then brings its companion CPU up to date and
+// asks the next syncThermal to look at the power of each cluster it
+// re-derived. Every mutation that the derived values read — app
+// lifecycle, job start and finish, OPP switches, availability, migrations
+// and the end of their downtime — touches the clusters it affects, after
+// it has changed their state.
 //
-// The companion's utilisation reads this cluster's any-active flag, so it
-// is re-tailed when the flag flips. Its own part reads only its residents,
-// which the clock can change only while one of them is inside a downtime:
-// then it is derived in full, as any touch of it would.
-//
-//detlint:hotpath
-func (e *Engine) touch(cs *clusterState) {
-	was := cs.active
-	e.derive(cs)
-	e.powerDirty |= cs.bit
-	if co := cs.companion; co != nil {
-		switch {
-		case co.blocked:
-			e.derive(co)
-		case cs.active != was:
-			co.loadTail()
-		default:
-			return
-		}
-		e.powerDirty |= co.bit
-	}
-}
-
-// derive recomputes a cluster's derived values from its state at the
-// clock: its utilisation (resident DNN jobs run their cores flat out,
-// render and background apps contribute their configured utilisation,
-// and accelerators hosting an active DNN job induce CompanionUtil on
-// their companion), its busy power, the accelerator share each active
-// DNN job gets (whatever render apps leave, split evenly), whether any
-// DNN job is active, and the MAC/s rate of each DNN app it hosts. It
-// visits the residents in appList order, so every sum rounds as a scan
-// of the app list would, and marks them for the next refresh.
+// The derived values are the cluster's utilisation (resident DNN jobs run
+// their cores flat out, render and background apps contribute their
+// configured utilisation, and accelerators hosting an active DNN job
+// induce CompanionUtil on their companion), its busy power, the
+// accelerator share each active DNN job gets (whatever render apps leave,
+// split evenly), whether any DNN job is active, and the MAC/s rate of
+// each DNN app it hosts. touch visits the residents in appList order, so
+// every sum rounds as a scan of the app list would, and marks them for
+// the next refresh.
 //
 // Each value is evaluated when its cluster was last touched, not when it
 // is read. That matters only for the blocked-until predicate, which reads
@@ -317,8 +342,14 @@ func (e *Engine) touch(cs *clusterState) {
 // reached it. So when two downtimes end at one instant on one cluster,
 // the first unblock resumes both jobs.
 //
+// The companion's utilisation reads this cluster's any-active flag, so it
+// is re-tailed when the flag flips. Its own part reads only its residents,
+// which the clock can change only while one of them is inside a downtime:
+// then it is touched in full.
+//
 //detlint:hotpath
-func (e *Engine) derive(cs *clusterState) {
+func (e *Engine) touch(cs *clusterState) {
+	was := cs.active
 	e.dirty |= cs.res
 	util, active, blocked := 0.0, 0, false
 	for r := cs.res; r != 0; r &= r - 1 {
@@ -382,9 +413,19 @@ func (e *Engine) derive(cs *clusterState) {
 	}
 	cs.own = util
 	cs.loadTail()
+	e.powerDirty |= cs.bit
+	if co := cs.companion; co != nil {
+		switch {
+		case co.blocked:
+			e.touch(co)
+		case cs.active != was:
+			co.loadTail()
+			e.powerDirty |= co.bit
+		}
+	}
 }
 
-// loadTail finishes a derive from the cluster's own utilisation: it adds
+// loadTail finishes a touch from the cluster's own utilisation: it adds
 // the CompanionUtil of each loader with an active job, then clamps the
 // utilisation and prices it, or zeroes both on an offline cluster.
 //
@@ -423,8 +464,8 @@ func (cs *clusterState) setOPP(idx int) {
 	cs.oppRate = cs.c.OPPRate(opp)
 }
 
-// handle processes one scheduler event (state is already advanced to its
-// time).
+// handle processes a start, stop, unblock or tick (state is already
+// advanced to its time); step handles releases and completions itself.
 //
 //detlint:hotpath
 func (e *Engine) handle(ev hevent) {
@@ -449,23 +490,10 @@ func (e *Engine) handle(ev hevent) {
 		e.touch(a.placedCS)
 		e.planEpoch++
 		e.emit(Event{TimeS: e.now, Kind: EvAppStop, App: a.Name})
-	case hRelease:
-		a := e.appList[ev.app]
-		if a.started && !a.stopped {
-			e.release(a)
-		}
-	case hComplete:
-		// The timer is armed at the job's anchored completion time and
-		// re-armed whenever its rate changes, so the work is done.
-		a := e.appList[ev.app]
-		a.completionSeq = 0
-		e.complete(a)
 	case hUnblock:
 		// The downtime ended: the blocked-until predicates flip, so the
 		// app's cluster is re-derived and refresh re-anchors its job.
-		a := e.appList[ev.app]
-		a.completionSeq = 0
-		e.touch(a.placedCS)
+		e.touch(e.appList[ev.app].placedCS)
 	case hTick:
 		// prime arms a tick only for a controller.
 		e.callbacks++
@@ -477,16 +505,73 @@ func (e *Engine) handle(ev hevent) {
 
 // release starts a new job (or drops the frame if one is running, or
 // aborts it if the app is unhosted) and arms the app's release slot with
-// the next frame, if that falls before the app stops.
+// the next frame, if that falls before the app stops. An app's first
+// frame is released here, as it starts; step releases every later one
+// with the same helpers, in line.
 //
 //detlint:hotpath
 func (e *Engine) release(a *appState) {
+	if e.admit(a) {
+		e.touch(a.placedCS)
+		a.anchor(e.now)
+	} else {
+		e.lose(a)
+	}
+	e.armRelease(a)
+}
+
+// admit counts a frame release and reports whether it starts a job: it
+// does unless a job is running or the app is unhosted. A started job is
+// active from the clock with a new job's work; the caller touches its
+// cluster, since the job changes utilisations and shares, and then
+// anchors it.
+//
+//detlint:hotpath
+func (e *Engine) admit(a *appState) bool {
 	a.released++
 	if e.offline > 0 {
 		e.degReleased++
 	}
-	switch {
-	case !a.placedCS.online:
+	if a.jobActive || !a.placedCS.online {
+		return false
+	}
+	a.jobActive, a.jobReleaseS, a.jobRemaining = true, e.now, a.jobMACs
+	return true
+}
+
+// anchor anchors a job started at now at the rate touch derived for it,
+// after charging the per-inference fixed overhead (pre/post-processing)
+// as work at that rate, matching perf.InferenceLatencyS.
+//
+//detlint:hotpath
+func (a *appState) anchor(now float64) {
+	rate := a.rate
+	if rate > 0 {
+		a.jobRemaining += a.placedCS.c.FixedOverheadS * rate
+	}
+	a.anchorS, a.anchorRate = now, rate
+}
+
+// armRelease arms the app's release slot with its next frame, a period
+// after the clock, unless the app stops by then.
+//
+//detlint:hotpath
+func (e *Engine) armRelease(a *appState) {
+	if next := e.now + a.PeriodS; a.StopS == 0 || next < a.StopS {
+		e.seq++
+		a.relT, a.relSeq = next, e.seq
+	}
+}
+
+// lose records a frame admit refused: it aborts when the app is unhosted
+// and drops otherwise, as a job is still running. Like miss, it stays
+// out of line, so that step's frame path compiles to less code.
+//
+//detlint:hotpath
+//go:noinline
+func (e *Engine) lose(a *appState) {
+	e.failed++
+	if !a.placedCS.online {
 		// The app is unhosted: its cluster died and no replan has moved it
 		// yet. The frame aborts immediately — there is no hardware to run
 		// it on. Per-app it counts as aborted (not dropped); in the
@@ -494,62 +579,36 @@ func (e *Engine) release(a *appState) {
 		// outcome counters cover exactly the frames released inside it.
 		a.aborted++
 		e.degDropped++
-		e.failed++
-		if e.logEvents {
-			e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Unhosted: true})
-		}
-	case a.jobActive:
-		a.dropped++
-		if e.offline > 0 {
-			e.degDropped++
-		}
-		e.failed++
-		if e.logEvents {
-			e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name})
-		}
-	default:
-		a.jobActive = true
-		a.jobReleaseS = e.now
-		a.jobRemaining = a.jobMACs
-		// The job becoming active changes utilisations and shares; the rate
-		// below must be derived under the new state.
-		e.touch(a.placedCS)
-		// Charge the per-inference fixed overhead (pre/post-processing) as
-		// work at the current rate, matching perf.InferenceLatencyS.
-		rate := a.rate
-		if rate > 0 {
-			a.jobRemaining += a.placedCS.c.FixedOverheadS * rate
-		}
-		a.anchorS, a.anchorRate = e.now, rate
+		e.log(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name, Unhosted: true})
+		return
 	}
-	if next := e.now + a.PeriodS; a.StopS == 0 || next < a.StopS {
-		e.seq++
-		a.relT, a.relSeq = next, e.seq
+	a.dropped++
+	if e.offline > 0 {
+		e.degDropped++
 	}
+	e.log(Event{TimeS: e.now, Kind: EvFrameDrop, App: a.Name})
 }
 
-// complete finishes the app's job: it records the latency and counts a
-// job that finished after its deadline as missed.
+// miss counts a job that finished after its deadline, latency seconds
+// after its release.
 //
 //detlint:hotpath
-func (e *Engine) complete(a *appState) {
-	latency := e.now - a.jobReleaseS
-	a.jobActive = false
-	e.touch(a.placedCS)
-	a.completed++
-	a.sumLatency += latency
-	e.latLog = append(e.latLog, int64(math.Round(latency*1e9)))
-	if latency > a.PeriodS+1e-9 {
-		a.missed++
-		if e.offline > 0 {
-			e.degMissed++
-		}
-		e.failed++
-		if e.logEvents {
-			e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency, PeriodS: a.PeriodS})
-		}
-	} else if e.logEvents {
-		e.eventLog = append(e.eventLog, Event{TimeS: e.now, Kind: EvJobComplete, App: a.Name, LatencyS: latency})
+//go:noinline
+func (e *Engine) miss(a *appState, latency float64) {
+	a.missed++
+	if e.offline > 0 {
+		e.degMissed++
+	}
+	e.failed++
+	e.log(Event{TimeS: e.now, Kind: EvDeadlineMiss, App: a.Name, LatencyS: latency, PeriodS: a.PeriodS})
+}
+
+// log appends ev to the event log, if the engine keeps one.
+//
+//detlint:hotpath
+func (e *Engine) log(ev Event) {
+	if e.logEvents {
+		e.eventLog = append(e.eventLog, ev)
 	}
 }
 
@@ -560,9 +619,7 @@ func (e *Engine) complete(a *appState) {
 //
 //detlint:hotpath
 func (e *Engine) emit(ev Event) {
-	if e.logEvents {
-		e.eventLog = append(e.eventLog, ev)
-	}
+	e.log(ev)
 	if e.ctrl != nil {
 		e.callbacks++
 		e.ctrl.OnEvent(e, ev)
@@ -570,55 +627,67 @@ func (e *Engine) emit(ev Event) {
 	}
 }
 
-// refresh brings the pending timer of every app derive marked since the
+// refresh brings the pending timer of every app touch marked since the
 // last refresh, the unhosted count and the energy segments up to date
 // after any state change. An unmarked app would be skipped by a scan of
-// every app: its cluster was not derived, so its rate, job, timer and
+// every app: its cluster was not touched, so its rate, job, timer and
 // downtime have not moved since the refresh that last visited it (the
 // clock alone ends a downtime only through the app's unblock timer, which
 // touches its cluster). Marked apps are visited in appList order, so
-// timers are armed in the same order as by that scan. A job whose rate
-// changed is re-anchored: its progress so far at the old rate is closed
-// into jobRemaining, and its completion time is derived once from the new
-// anchor. The timer is re-armed only then (or after something disarmed
-// it), so the seq — and with it the tie order — stays put while the rate
-// does. An app inside migration downtime holds an unblock timer in the
-// same slot instead, whether or not a job is running.
+// timers are armed in the same order as by that scan (see reanchor and
+// armTimer).
 //
 //detlint:hotpath
 func (e *Engine) refresh() {
 	for d := e.dirty; d != 0; d &= d - 1 {
-		a := e.appList[bits.TrailingZeros64(d)]
-		if a.stopped {
-			continue
+		if a := e.appList[bits.TrailingZeros64(d)]; !a.stopped {
+			a.reanchor(e.now)
+			e.armTimer(a)
 		}
-		if a.jobActive {
-			if rate := a.rate; rate != a.anchorRate {
-				a.jobRemaining -= a.anchorRate * (e.now - a.anchorS)
-				a.anchorS, a.anchorRate, a.completionSeq = e.now, rate, 0
-			}
-		}
-		if a.completionSeq != 0 {
-			continue
-		}
-		switch {
-		case e.now < a.blockedUntil:
-			a.completionEst, a.completionKind = a.blockedUntil, hUnblock
-		case a.jobActive && a.anchorRate > 0:
-			// A rate change at the very instant the job's work ran out can
-			// leave a rounding residue of either sign; it completes now.
-			a.completionEst, a.completionKind = max(e.now, a.anchorS+a.jobRemaining/a.anchorRate), hComplete
-		default:
-			continue // idle or stalled: a future state change re-anchors
-		}
-		e.seq++
-		a.completionSeq = e.seq
 	}
 	e.dirty = 0
 	if n := e.UnhostedApps(); n != e.unhostedN {
 		e.unhostedS, e.unhostedN, e.unhostedT0 = e.unhostedAt(), n, e.now
 	}
 	e.syncThermal()
+}
+
+// reanchor re-anchors a running job whose rate changed at now: its
+// progress so far at the old rate is closed into jobRemaining, and its
+// timer is disarmed, so that armTimer derives its completion time once
+// from the new anchor. The timer is re-armed only then (or after
+// something disarmed it), so the seq — and with it the tie order — stays
+// put while the rate does.
+//
+//detlint:hotpath
+func (a *appState) reanchor(now float64) {
+	if a.jobActive && a.rate != a.anchorRate {
+		a.jobRemaining -= a.anchorRate * (now - a.anchorS)
+		a.anchorS, a.anchorRate, a.completionSeq = now, a.rate, 0
+	}
+}
+
+// armTimer arms the app's timer slot if it is empty: an app inside
+// migration downtime holds an unblock timer at its end, whether or not a
+// job is running, and a running job its completion timer.
+//
+//detlint:hotpath
+func (e *Engine) armTimer(a *appState) {
+	if a.completionSeq != 0 {
+		return
+	}
+	switch {
+	case e.now < a.blockedUntil:
+		a.completionEst, a.completionKind = a.blockedUntil, hUnblock
+	case a.jobActive && a.anchorRate > 0:
+		// A rate change at the very instant the job's work ran out can
+		// leave a rounding residue of either sign; it completes now.
+		a.completionEst, a.completionKind = max(e.now, a.anchorS+a.jobRemaining/a.anchorRate), hComplete
+	default:
+		return // idle or stalled: a future state change re-anchors
+	}
+	e.seq++
+	a.completionSeq = e.seq
 }
 
 // unhostedAt evaluates the UnhostedS integral at the clock: the closed
@@ -635,13 +704,20 @@ func (e *Engine) unhostedAt() float64 {
 //detlint:hotpath
 func (e *Engine) syncThermal() {
 	for d := e.powerDirty; d != 0; d &= d - 1 {
-		cs := e.clusterList[bits.TrailingZeros64(d)]
-		if cs.pow != cs.segPowMW {
-			cs.energy = cs.energyAt(e.now)
-			cs.segT0S, cs.segPowMW = e.now, cs.pow
-		}
+		e.clusterList[bits.TrailingZeros64(d)].closeSegment(e.now)
 	}
 	e.powerDirty = 0
+}
+
+// closeSegment closes the cluster's energy segment at now if its power
+// changed since the segment opened.
+//
+//detlint:hotpath
+func (cs *clusterState) closeSegment(now float64) {
+	if cs.pow != cs.segPowMW {
+		cs.energy = cs.energyAt(now)
+		cs.segT0S, cs.segPowMW = now, cs.pow
+	}
 }
 
 // energyAt evaluates the cluster's energy integral (mJ) at t: the closed

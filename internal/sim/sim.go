@@ -333,7 +333,7 @@ type appState struct {
 	coreScale float64
 
 	// rate is the MAC/s rate a job of this app runs at, derived with the
-	// cluster it is placed on (see Engine.derive).
+	// cluster it is placed on (see Engine.touch).
 	rate float64
 
 	// Stats.
@@ -375,14 +375,14 @@ type clusterState struct {
 
 	// res is the cluster's resident set: bit i is set while appList[i] is
 	// started, not stopped and placed here. hStart and hStop set and clear
-	// it and Migrate moves it, so derive visits only the residents.
+	// it and Migrate moves it, so touch visits only the residents.
 	res uint64
 
 	// companion is the CPU cluster this accelerator's inference loads
 	// (nil for none), resolved once per Reset. loadHead lists the
 	// accelerators that load this cluster (those whose companion it is,
 	// with a non-zero CompanionUtil), linked through loadNext in platform
-	// order, so a derive visits only them.
+	// order, so a touch visits only them.
 	companion *clusterState
 	loadHead  *clusterState
 	loadNext  *clusterState
@@ -391,13 +391,13 @@ type clusterState struct {
 	loadUtil float64
 	staticMW float64
 
-	// Derived values, recomputed by Engine.derive wherever a mutation they
+	// Derived values, recomputed by Engine.touch wherever a mutation they
 	// can observe touches the cluster. Between mutations the system is
 	// piecewise-constant, so they hold until the next touch: utilisation,
 	// busy power, the share of the accelerator each active DNN job gets,
 	// and whether any DNN job is active. own is the utilisation before the
 	// loaders' CompanionUtil (see loadTail), and blocked says some
-	// resident was inside its migration downtime at the last derive.
+	// resident was inside its migration downtime at the last touch.
 	util    float64
 	pow     float64
 	share   float64
@@ -494,7 +494,7 @@ type Engine struct {
 	degDropped     int
 
 	// dirty holds the apps, by appList position, resident on a cluster
-	// derived since the last refresh, or moved by Migrate: the only apps
+	// touched since the last refresh, or moved by Migrate: the only apps
 	// whose rate, job, timer or downtime can have moved, so refresh visits
 	// only them.
 	dirty uint64
@@ -646,8 +646,7 @@ func (e *Engine) Reset(cfg Config) error {
 	}
 	e.powerDirty = 0
 	for _, cs := range e.clusterList {
-		e.derive(cs)
-		e.powerDirty |= cs.bit
+		e.touch(cs)
 	}
 
 	// Size the lifecycle list for every app's start and stop, and the
